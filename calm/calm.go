@@ -191,6 +191,9 @@ var (
 	NewSimulation    = transducer.NewSimulation
 	CheckComputes    = transducer.CheckComputes
 	ExploreSchedules = transducer.Explore
+	// NewSimulationOver is NewSimulation over given links (per-node
+	// recipient lists) instead of the paper's broadcast.
+	NewSimulationOver = transducer.NewSimulationOver
 )
 
 // Transducer models.

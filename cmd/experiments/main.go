@@ -612,8 +612,8 @@ func faultExperiments() []experiment {
 	}
 }
 
-// netsimExperiments exercises the event-driven large-network engine
-// (internal/netsim): equivalence with the tick explorer on the X1–X7
+// netsimExperiments exercises the event scheduler (internal/netsim):
+// the explorer and both schedulers of the one machine on the X1–X7
 // configuration, gossip convergence across the topology catalog, and
 // the thousand-node determinism + scheduler-efficiency acceptance run.
 func netsimExperiments() []experiment {
@@ -622,8 +622,9 @@ func netsimExperiments() []experiment {
 	hash := transducer.HashPolicy(net)
 
 	return []experiment{
-		{"X8", "event engine replays the schedule explorer (tick = event)", func(reg *obs.Registry) (string, bool) {
-			total := 0
+		{"X8", "one machine, two schedulers: explorer clean, dense and event runs reach Q(I)", func(reg *obs.Registry) (string, bool) {
+			const seeds = 200
+			schedules := 0
 			for _, row := range []struct {
 				s core.Strategy
 				q monotone.Query
@@ -632,27 +633,52 @@ func netsimExperiments() []experiment {
 				{core.Gossip, queries.TC()},
 				{core.Absence, queries.NoLoop()},
 			} {
-				base := transducer.ExploreOptions{Seeds: 200, Faults: core.FaultConfigFor(row.s)}
-				v1, st1, err := core.ExploreStrategy(row.s, row.q, net, hash, graph, base)
+				cfg := core.FaultConfigFor(row.s)
+				v, st, err := core.ExploreStrategy(row.s, row.q, net, hash, graph,
+					transducer.ExploreOptions{Seeds: seeds, Faults: cfg})
 				if err != nil {
 					return err.Error(), false
 				}
-				ev := base
-				ev.NewMachine = netsim.MachineFactory(netsim.Options{})
-				v2, st2, err := core.ExploreStrategy(row.s, row.q, net, hash, graph, ev)
+				if v != nil {
+					return fmt.Sprintf("%v: unexpected violation %v", row.s, v), false
+				}
+				st.Publish(reg)
+				schedules += st.Schedules
+
+				// The explorer's seeded fault plans again, each under both
+				// schedulers of the one machine.
+				tr, err := core.Build(row.s, row.q)
 				if err != nil {
 					return err.Error(), false
 				}
-				if v1 != nil || v2 != nil {
-					return fmt.Sprintf("%v: unexpected violation (tick %v, event %v)", row.s, v1, v2), false
+				want, err := row.q.Eval(graph)
+				if err != nil {
+					return err.Error(), false
 				}
-				if st1 != st2 {
-					return fmt.Sprintf("%v: stats diverge (tick %+v, event %+v)", row.s, st1, st2), false
+				for seed := int64(1); seed <= seeds; seed++ {
+					plan := transducer.RandomFaultPlan(net, seed, cfg)
+					for _, sched := range []string{"dense", "event"} {
+						s, err := netsim.New(net, tr, hash, row.s.RequiredModel(), graph, netsim.Options{Seed: seed})
+						if err != nil {
+							return err.Error(), false
+						}
+						s.SetFaults(plan)
+						var out *fact.Instance
+						if sched == "dense" {
+							out, err = s.RunToQuiescence(1 << 10)
+						} else {
+							out, err = s.Run()
+						}
+						if err != nil {
+							return fmt.Sprintf("%v seed %d %s: %v", row.s, seed, sched, err), false
+						}
+						if !out.Equal(want) || !s.Conserved() {
+							return fmt.Sprintf("%v seed %d %s: reached Q(I) %v, conserved %v", row.s, seed, sched, out.Equal(want), s.Conserved()), false
+						}
+					}
 				}
-				st2.Publish(reg)
-				total += st1.Schedules
 			}
-			return fmt.Sprintf("3 strategies, %d schedules each way, identical stats", total), true
+			return fmt.Sprintf("3 strategies, %d schedules clean; %d fault plans each, dense and event runs reach Q(I), conservation held", schedules, seeds), true
 		}},
 		{"X9", "gossip(M) converges on every catalog topology under faults", func(reg *obs.Registry) (string, bool) {
 			tr, err := core.Build(core.Gossip, queries.TC())
@@ -742,8 +768,8 @@ func netsimExperiments() []experiment {
 			}
 
 			// Sparse-activity scheduler efficiency: a long stall window on
-			// a 1024-ring leaves every other node idle; the tick walk pays
-			// one visit per node per tick regardless.
+			// a 1024-ring leaves every other node idle; the dense schedule
+			// pays one visit per node per round regardless.
 			ring, err := generate.NewTopology(generate.TopoRing, 1024, 5)
 			if err != nil {
 				return err.Error(), false
@@ -761,11 +787,11 @@ func netsimExperiments() []experiment {
 				}
 				return s, err
 			}
-			fair, err := build()
+			dense, err := build()
 			if err != nil {
 				return err.Error(), false
 			}
-			if _, err := fair.RunFair(1 << 20); err != nil {
+			if _, err := dense.RunToQuiescence(1 << 20); err != nil {
 				return err.Error(), false
 			}
 			evs, err := build()
@@ -775,12 +801,12 @@ func netsimExperiments() []experiment {
 			if _, err := evs.Run(); err != nil {
 				return err.Error(), false
 			}
-			ratio := float64(fair.SchedOps()) / float64(evs.SchedOps())
+			ratio := float64(dense.Clock()) / float64(evs.SchedOps())
 			if ratio < 10 {
-				return fmt.Sprintf("sched-ops advantage only %.1fx (tick %d, event %d)", ratio, fair.SchedOps(), evs.SchedOps()), false
+				return fmt.Sprintf("sched-ops advantage only %.1fx (tick %d, event %d)", ratio, dense.Clock(), evs.SchedOps()), false
 			}
 			return fmt.Sprintf("sweep clean, streams deterministic, sched ops %.1fx fewer (tick %d vs event %d)",
-				ratio, fair.SchedOps(), evs.SchedOps()), true
+				ratio, dense.Clock(), evs.SchedOps()), true
 		}},
 	}
 }

@@ -16,9 +16,9 @@ import (
 // event scheduler is built for: a handful of input facts scattered by
 // hash over 10^2–10^4 nodes, gossip over topology-neighbor links, and
 // a long stall window on one node so the network spends most of
-// logical time idle. The tick-walk baseline (RunFair) pays one
-// scheduler operation per node per tick until the window closes; the
-// event engine pays only for pending work. Rows report events/op,
+// logical time idle. The dense schedule (RunToQuiescence) pays one
+// scheduler operation per node per round until the window closes; the
+// event schedule of the same machine pays only for pending work. Rows report events/op,
 // schedops/op, events/s and heapmax so BENCH_PR10.json captures both
 // throughput and the scheduler-operation gap.
 
@@ -80,13 +80,13 @@ func BenchmarkNetsimEvent(b *testing.B) {
 	}
 }
 
-// BenchmarkNetsimTick is the tick-walk baseline on the identical
-// workload: RunFair sweeps every node every round until the stall
-// window closes, so schedops/op here vs the event rows above is the
-// scheduler-operation gap (>= 10x at 10^3 nodes is the PR-10
-// acceptance gate). The 10^4 tick row is omitted: the walk's
-// schedops scale as horizon ~ 250 * n, which at 10^4 nodes is tens of
-// millions of no-op visits per run.
+// BenchmarkNetsimTick is the dense schedule on the identical
+// workload: RunToQuiescence sweeps every node every round until the
+// stall window closes — Clock() counts the visits — so schedops/op
+// here vs the event rows above is the scheduler-operation gap (>= 10x
+// at 10^3 nodes is the PR-10 acceptance gate). The 10^4 row is
+// omitted: the sweep's schedops scale as horizon ~ 250 * n, which at
+// 10^4 nodes is tens of millions of no-op visits per run.
 func BenchmarkNetsimTick(b *testing.B) {
 	for _, n := range []int{100, 1000} {
 		b.Run(fmt.Sprintf("ring-n%d", n), func(b *testing.B) {
@@ -95,10 +95,10 @@ func BenchmarkNetsimTick(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s := benchSim(b, topo)
-				if _, err := s.RunFair(1 << 30); err != nil {
+				if _, err := s.RunToQuiescence(1 << 30); err != nil {
 					b.Fatal(err)
 				}
-				schedOps += s.SchedOps()
+				schedOps += s.Clock()
 			}
 			b.ReportMetric(float64(schedOps)/float64(b.N), "schedops/op")
 		})

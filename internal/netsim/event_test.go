@@ -176,20 +176,21 @@ func TestSweepDetectsDivergence(t *testing.T) {
 // TestSchedOpsAdvantage pins the reason this subsystem exists: on a
 // sparse-activity workload — a small input scattered over a large
 // ring where one node is stalled for a long fault window, so most
-// nodes are idle for most of logical time — the event scheduler must
-// spend at least 10x fewer scheduler operations than the tick-walk
-// baseline. The tick walk keeps sweeping all N nodes until the fault
-// horizon passes; the event engine reschedules the stalled node to
-// the window's end and jumps the clock straight there.
+// nodes are idle for most of logical time — the event schedule must
+// spend at least 10x fewer scheduler operations than the dense
+// schedule of the same machine. RunToQuiescence keeps sweeping all N
+// nodes until the fault horizon passes, one visit per clock tick; the
+// event scheduler reschedules the stalled node to the window's end and
+// jumps the clock straight there.
 func TestSchedOpsAdvantage(t *testing.T) {
 	topo := generate.MustTopology(generate.TopoRing, 256, 5)
 	in := sixGraph()
 	want := wantTC(t, in)
 	plan := mustPlan(t, "stall=n001@5-50000", 11)
 
-	fair := buildTopoSim(t, topo, in, netsim.Options{})
-	fair.SetFaults(plan)
-	outFair, err := fair.RunFair(100000)
+	dense := buildTopoSim(t, topo, in, netsim.Options{})
+	dense.SetFaults(plan)
+	outDense, err := dense.RunToQuiescence(100000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,14 +200,14 @@ func TestSchedOpsAdvantage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !outFair.Equal(want) || !outEv.Equal(want) {
+	if !outDense.Equal(want) || !outEv.Equal(want) {
 		t.Fatal("schedulers disagree with the oracle")
 	}
-	ratio := float64(fair.SchedOps()) / float64(ev.SchedOps())
-	t.Logf("sched ops: tick-walk=%d event=%d ratio=%.1fx", fair.SchedOps(), ev.SchedOps(), ratio)
+	ratio := float64(dense.Clock()) / float64(ev.SchedOps())
+	t.Logf("sched ops: dense=%d event=%d ratio=%.1fx", dense.Clock(), ev.SchedOps(), ratio)
 	if ratio < 10 {
-		t.Fatalf("event scheduler advantage %.1fx, want >= 10x (tick=%d event=%d)",
-			ratio, fair.SchedOps(), ev.SchedOps())
+		t.Fatalf("event scheduler advantage %.1fx, want >= 10x (dense=%d event=%d)",
+			ratio, dense.Clock(), ev.SchedOps())
 	}
 }
 

@@ -1,7 +1,6 @@
 // Package netsim is the event-driven large-network simulator: the
-// same relational-transducer semantics as the tick-based
-// transducer.Simulation (the two engines share transducer.Stepper for
-// the transition core and transducer.Multiset for message buffers),
+// one transducer machine (transducer.Simulation holds the
+// configuration and applies every transition, send, crash and stall)
 // driven by a seeded priority queue of events instead of a
 // round-robin walk over all nodes. A node costs scheduler work only
 // when it has something to do — an arrival, a scheduled fault, or a
@@ -24,7 +23,7 @@ import (
 )
 
 // Event kinds, in pop-priority order at equal times: crashes fire
-// first (they model the lockstep engine's begin-of-attempt crash
+// first (they model the lockstep primitives' begin-of-attempt crash
 // check), then arrivals (so a node activating at time t sees every
 // message that arrived at t in one batch), then activations.
 const (

@@ -2,12 +2,9 @@ package netsim
 
 import (
 	"fmt"
-	"io"
-	"math/rand"
 
 	"repro/internal/fact"
 	"repro/internal/generate"
-	"repro/internal/obs"
 	"repro/internal/transducer"
 )
 
@@ -16,9 +13,7 @@ type Routing int
 
 const (
 	// RouteBroadcast delivers every sent fact to every other node —
-	// the paper's Section 4.1.3 semantics and the default. With a nil
-	// topology this engine's lockstep primitives are byte-identical to
-	// transducer.Simulation.
+	// the paper's Section 4.1.3 semantics and the default.
 	RouteBroadcast Routing = iota
 	// RouteNeighbors delivers sent facts only to the sender's
 	// topology neighbors (hop-by-hop networking in the style of the
@@ -66,80 +61,31 @@ type Options struct {
 	Want *fact.Instance
 }
 
-// heldMsg mirrors the lockstep engine's delayed-message queue entry.
-type heldMsg struct {
-	release int
-	f       fact.Fact
-	n       int
-}
-
-// Sim is one simulator instance: a transducer network plus either
-// scheduler. The lockstep primitives (Heartbeat, Deliver, ...)
-// implement transducer.Machine with the exact semantics, metrics and
-// event stream of transducer.Simulation, so the schedule explorer can
-// drive this engine interchangeably; Run is the event-driven
-// scheduler that makes idle nodes free.
+// Sim is one simulator instance: the transducer machine — the
+// configuration, the lockstep primitives (Heartbeat, Deliver, ...,
+// RunToQuiescence), fault application, metrics and the Want/WrongFacts
+// oracle are all the embedded transducer.Simulation's — plus the
+// event-driven scheduler (Run) that makes idle nodes free.
 type Sim struct {
-	Net   transducer.Network
-	Trans *transducer.Transducer
-	Pol   transducer.Policy
-	Mod   transducer.Model
+	*transducer.Simulation
 
 	opts Options
-	step transducer.Stepper
-	idx  map[transducer.NodeID]int
 
-	local   []*fact.Instance
-	state   []*fact.Instance
-	inbox   []*transducer.Multiset
-	sentLog []*fact.Instance
-	held    [][]heldMsg // lockstep-mode delayed messages
-
-	faults *transducer.FaultPlan
-	clock  int // lockstep transition-attempt clock
-
-	// Event-driven scheduler state (Run).
-	heap     evHeap
-	seq      uint64
-	pending  []int64 // scheduled activation time per node, -1 if none
-	now      int64
-	inflight int // message copies inside evArrive events
+	heap    evHeap
+	seq     uint64
+	pending []int64 // scheduled activation time per node, -1 if none
+	now     int64
 
 	// Scheduler accounting: events popped, scheduler operations
 	// charged (node visits), heap high-water mark.
 	events   int
 	schedOps int
 	heapMax  int
-
-	met transducer.Metrics
-	// WrongFacts collects output facts outside Options.Want, in the
-	// order they appeared (empty when no oracle is set).
-	WrongFacts []fact.Fact
-
-	sink *obs.Sink
 }
 
 // New validates the components and builds the start configuration.
 // When opts.Topo is set it must enumerate exactly the network's nodes.
 func New(net transducer.Network, t *transducer.Transducer, pol transducer.Policy, mod transducer.Model, input *fact.Instance, opts Options) (*Sim, error) {
-	if len(net) == 0 {
-		return nil, fmt.Errorf("netsim: empty network")
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	var bad *fact.Fact
-	input.Each(func(f fact.Fact) bool {
-		if !t.Schema.In.Covers(f) {
-			g := f
-			bad = &g
-			return false
-		}
-		return true
-	})
-	if bad != nil {
-		return nil, fmt.Errorf("netsim: input fact %v not over input schema %v", *bad, t.Schema.In)
-	}
 	if opts.Topo != nil {
 		if opts.Topo.Len() != len(net) {
 			return nil, fmt.Errorf("netsim: topology has %d nodes, network %d", opts.Topo.Len(), len(net))
@@ -150,32 +96,23 @@ func New(net transducer.Network, t *transducer.Transducer, pol transducer.Policy
 			}
 		}
 	}
-	if opts.Routing == RouteNeighbors && opts.Topo == nil {
-		return nil, fmt.Errorf("netsim: neighbor routing needs a topology")
+	var recipients [][]int32
+	if opts.Routing == RouteNeighbors {
+		if opts.Topo == nil {
+			return nil, fmt.Errorf("netsim: neighbor routing needs a topology")
+		}
+		recipients = make([][]int32, len(net))
+		for i := range net {
+			recipients[i] = opts.Topo.Neighbors(i)
+		}
 	}
-	s := &Sim{
-		Net:   net,
-		Trans: t,
-		Pol:   pol,
-		Mod:   mod,
-		opts:  opts,
-		step:  transducer.Stepper{Net: net, Trans: t, Pol: pol, Mod: mod},
-		idx:   make(map[transducer.NodeID]int, len(net)),
+	m, err := transducer.NewSimulationOver(net, t, pol, mod, input, recipients)
+	if err != nil {
+		return nil, err
 	}
-	n := len(net)
-	s.local = make([]*fact.Instance, n)
-	s.state = make([]*fact.Instance, n)
-	s.inbox = make([]*transducer.Multiset, n)
-	s.sentLog = make([]*fact.Instance, n)
-	s.held = make([][]heldMsg, n)
-	s.pending = make([]int64, n)
-	frag := transducer.Dist(pol, net, input)
-	for i, x := range net {
-		s.idx[x] = i
-		s.local[i] = frag[x]
-		s.state[i] = fact.NewInstance()
-		s.inbox[i] = transducer.NewMultiset()
-		s.sentLog[i] = fact.NewInstance()
+	m.Want = opts.Want
+	s := &Sim{Simulation: m, opts: opts, pending: make([]int64, len(net))}
+	for i := range s.pending {
 		s.pending[i] = -1
 	}
 	return s, nil
@@ -186,145 +123,20 @@ func NetworkOf(topo *generate.Topology) transducer.Network {
 	return transducer.MustNetwork(topo.Nodes()...)
 }
 
-// MachineFactory adapts the engine to the schedule explorer: the
-// returned factory builds a Sim for whatever components the explorer
-// assembled, so transducer.ExploreSchedules runs its schedules on the
-// event engine's lockstep primitives.
-func MachineFactory(opts Options) transducer.MachineFactory {
-	return func(net transducer.Network, t *transducer.Transducer, pol transducer.Policy, mod transducer.Model, input *fact.Instance) (transducer.Machine, error) {
-		return New(net, t, pol, mod, input, opts)
-	}
-}
-
-// Observe attaches a structured event sink (the sim.* and netsim.*
-// kinds of internal/obs). Pass nil to disable.
-func (s *Sim) Observe(sink *obs.Sink) { s.sink = sink }
-
-// TraceTo renders transitions through the legacy text format, exactly
-// like Simulation.TraceTo. Pass nil to disable.
-func (s *Sim) TraceTo(w io.Writer) {
-	if w == nil {
-		s.sink = nil
-		return
-	}
-	s.sink = transducer.NewLegacyTraceSink(w)
-}
-
-// SetFaults installs a fault plan. Install before stepping: decisions
-// are functions of the clock (lockstep) or logical time (event mode).
-func (s *Sim) SetFaults(p *transducer.FaultPlan) { s.faults = p }
-
-// Clock returns the lockstep transition-attempt count.
-func (s *Sim) Clock() int { return s.clock }
-
 // Now returns the event scheduler's logical time.
 func (s *Sim) Now() int64 { return s.now }
 
 // Events returns how many events the event scheduler popped.
 func (s *Sim) Events() int { return s.events }
 
-// SchedOps returns the scheduler operations charged so far: one per
-// node visit — per activation in event mode, per node per round in the
-// dense modes. The dense/event ratio on a workload is the
-// idle-nodes-cost-nothing win.
+// SchedOps returns the scheduler operations Run charged: one per
+// activation. The dense schedule's count on the same machine is
+// Clock() after RunToQuiescence (one visit per node per round); the
+// dense/event ratio on a workload is the idle-nodes-cost-nothing win.
 func (s *Sim) SchedOps() int { return s.schedOps }
 
 // HeapMax returns the event queue's high-water depth.
 func (s *Sim) HeapMax() int { return s.heapMax }
-
-// Inflight returns message copies riding inside arrival events.
-func (s *Sim) Inflight() int { return s.inflight }
-
-// RunMetrics returns the accumulated simulation counters.
-func (s *Sim) RunMetrics() transducer.Metrics { return s.met }
-
-// FaultsDone reports whether every fault-plan window lies behind the
-// lockstep clock (event-mode runs never consult it: crashes there are
-// pre-scheduled queue events, so the drained heap implies the plan
-// has played out).
-func (s *Sim) FaultsDone() bool {
-	return s.faults == nil || s.clock >= s.faults.Horizon()
-}
-
-// Conserved checks the message conservation invariant: every sent
-// copy is delivered, buffered, held, in flight, or dropped.
-func (s *Sim) Conserved() bool {
-	return s.met.MessagesSent == s.met.MessagesDelivered+s.TotalBuffered()+s.TotalHeld()+s.inflight+s.met.MessagesDropped
-}
-
-// Output returns out(R) so far: the union over all nodes of their
-// output facts.
-func (s *Sim) Output() *fact.Instance {
-	out := fact.NewInstance()
-	for i := range s.Net {
-		out.AddAll(s.state[i].Restrict(s.Trans.Schema.Out))
-	}
-	return out
-}
-
-// State returns a copy of node x's current state.
-func (s *Sim) State(x transducer.NodeID) *fact.Instance { return s.state[s.idx[x]].Clone() }
-
-// TotalBuffered returns the message instances waiting in all inboxes.
-func (s *Sim) TotalBuffered() int {
-	total := 0
-	for _, b := range s.inbox {
-		total += b.Size()
-	}
-	return total
-}
-
-// TotalHeld returns the instances the lockstep fault layer holds back.
-func (s *Sim) TotalHeld() int {
-	total := 0
-	for _, q := range s.held {
-		for _, h := range q {
-			total += h.n
-		}
-	}
-	return total
-}
-
-// BufferedFacts returns the facts buffered at x in sorted key order,
-// copies collapsed — the same reproducible walk Simulation exposes.
-func (s *Sim) BufferedFacts(x transducer.NodeID) []fact.Fact {
-	b := s.inbox[s.idx[x]]
-	keys := b.SortedKeys()
-	fs := make([]fact.Fact, 0, len(keys))
-	for _, k := range keys {
-		f, _ := b.Fact(k)
-		fs = append(fs, f)
-	}
-	return fs
-}
-
-// KnownValues returns the values node x has seen: its identifier plus
-// the active domains of its fragment and state.
-func (s *Sim) KnownValues(x transducer.NodeID) fact.ValueSet {
-	i := s.idx[x]
-	known := s.local[i].ADom()
-	for v := range s.state[i].ADom() {
-		known.Add(v)
-	}
-	known.Add(x)
-	return known
-}
-
-// eachRecipient enumerates the nodes that receive node i's sends
-// under the configured routing, in network (== index) order.
-func (s *Sim) eachRecipient(i int, fn func(j int)) {
-	if s.opts.Routing == RouteNeighbors {
-		for _, j := range s.opts.Topo.Neighbors(i) {
-			fn(int(j))
-		}
-		return
-	}
-	for j := range s.Net {
-		if j != i {
-			fn(j)
-		}
-	}
-}
 
 // latency returns the logical delivery time of a hop from i to j.
 func (s *Sim) latency(i, j int) int64 {
@@ -332,250 +144,4 @@ func (s *Sim) latency(i, j int) int64 {
 		return 1
 	}
 	return int64(s.opts.Topo.Latency(i, j))
-}
-
-// ---------------------------------------------------------------------
-// Lockstep primitives: the transducer.Machine implementation, mirror
-// images of the Simulation methods of the same names. With a nil
-// topology and broadcast routing the metrics, event stream and final
-// output are byte-identical to the tick engine's (pinned by the
-// equivalence tests); a topology scopes routing and nothing else.
-
-// begin opens one transition attempt (see Simulation.begin).
-func (s *Sim) begin(x transducer.NodeID) (stalled bool) {
-	s.clock++
-	if s.faults == nil {
-		return false
-	}
-	for _, c := range s.faults.Crashes {
-		if c.At == s.clock {
-			s.crash(c.Node)
-		}
-	}
-	s.releaseHeld()
-	if s.faults.StalledAt(x, s.clock) {
-		s.met.StalledSteps++
-		transducer.EmitStall(s.sink, s.met.Transitions, s.clock, x)
-		return true
-	}
-	return false
-}
-
-// releaseHeld drains expired holds into their recipients' inboxes.
-func (s *Sim) releaseHeld() {
-	for i := range s.Net {
-		q := s.held[i]
-		if len(q) == 0 {
-			continue
-		}
-		keep := q[:0]
-		for _, h := range q {
-			if h.release <= s.clock {
-				s.inbox[i].Add(h.f, h.n)
-			} else {
-				keep = append(keep, h)
-			}
-		}
-		s.held[i] = keep
-	}
-}
-
-// crash applies a lockstep crash-restart (see Simulation.crash): the
-// volatile state and buffered/held messages drop, the durable input
-// fragment survives, and the rebroadcast sources refill the inbox
-// from their send logs. Under neighbor routing only nodes that could
-// reach x resend — the same sources whose sends built x's state.
-func (s *Sim) crash(x transducer.NodeID) {
-	if !s.Net.Has(x) {
-		return
-	}
-	i := s.idx[x]
-	dropped := s.inbox[i].Size()
-	for _, h := range s.held[i] {
-		dropped += h.n
-	}
-	s.met.MessagesDropped += dropped
-	s.state[i] = fact.NewInstance()
-	s.inbox[i] = transducer.NewMultiset()
-	s.held[i] = nil
-	s.eachRecipient(i, func(y int) {
-		for _, f := range s.sentLog[y].Facts() {
-			s.inbox[i].Add(f, 1)
-			s.met.MessagesSent++
-			s.met.MessagesRetransmitted++
-		}
-	})
-	s.met.Crashes++
-	transducer.EmitCrash(s.sink, s.met.Transitions, s.clock, x, dropped, s.inbox[i].Size())
-}
-
-// send routes one (fact, recipient) pair through the fault plan.
-func (s *Sim) send(from, to transducer.NodeID, f fact.Fact) {
-	copies, delay := 1, 0
-	if s.faults != nil {
-		copies += s.faults.ExtraCopies(s.clock, from, to, f)
-		delay = s.faults.HoldFor(s.clock, from, to, f)
-	}
-	s.met.MessagesSent += copies
-	s.met.MessagesDuplicated += copies - 1
-	j := s.idx[to]
-	if delay > 0 {
-		s.held[j] = append(s.held[j], heldMsg{release: s.clock + delay, f: f, n: copies})
-		s.met.MessagesDelayed += copies
-		transducer.EmitHold(s.sink, s.clock, from, to, f, copies, s.clock+delay)
-	} else {
-		s.inbox[j].Add(f, copies)
-	}
-}
-
-// transition performs one lockstep transition of x with the delivered
-// set m (already removed from the inbox).
-func (s *Sim) transition(x transducer.NodeID, m *fact.Instance) (changed bool, err error) {
-	i := s.idx[x]
-	res, err := s.step.Step(x, s.local[i], s.state[i], m)
-	if err != nil {
-		return false, err
-	}
-	changed = res.Changed
-	snd := res.Sent
-
-	if !snd.Empty() {
-		s.eachRecipient(i, func(j int) {
-			for _, f := range snd.Facts() {
-				s.send(x, s.Net[j], f)
-			}
-			changed = true
-		})
-		for _, f := range snd.Facts() {
-			s.sentLog[i].Add(f)
-		}
-	}
-	s.noteOut(res.OutNew)
-
-	s.met.Transitions++
-	if m.Empty() {
-		s.met.Heartbeats++
-	}
-	if s.sink != nil {
-		held := 0
-		for _, h := range s.held[i] {
-			held += h.n
-		}
-		transducer.EmitTransition(s.sink, s.met.Transitions, s.clock, x, m, snd.Len(), changed,
-			s.state[i].Restrict(s.Trans.Schema.Out).Len(), s.inbox[i].Size(), held)
-	}
-	return changed, nil
-}
-
-// noteOut checks freshly produced output facts against the oracle.
-func (s *Sim) noteOut(outNew []fact.Fact) {
-	if s.opts.Want == nil {
-		return
-	}
-	for _, f := range outNew {
-		if !s.opts.Want.Has(f) {
-			s.WrongFacts = append(s.WrongFacts, f)
-		}
-	}
-}
-
-// Heartbeat performs a heartbeat transition of x.
-func (s *Sim) Heartbeat(x transducer.NodeID) (bool, error) {
-	if !s.Net.Has(x) {
-		return false, fmt.Errorf("netsim: node %s not in network", x)
-	}
-	if s.begin(x) {
-		return false, nil
-	}
-	return s.transition(x, fact.NewInstance())
-}
-
-// Deliver performs a transition of x delivering its entire inbox.
-func (s *Sim) Deliver(x transducer.NodeID) (bool, error) {
-	if !s.Net.Has(x) {
-		return false, fmt.Errorf("netsim: node %s not in network", x)
-	}
-	if s.begin(x) {
-		return false, nil
-	}
-	m, n := s.inbox[s.idx[x]].TakeAll()
-	s.met.MessagesDelivered += n
-	return s.transition(x, m)
-}
-
-// takeBatch removes every kept fact (all copies) in sorted key order.
-func (s *Sim) takeBatch(x transducer.NodeID, keep func(fact.Fact) bool) *fact.Instance {
-	b := s.inbox[s.idx[x]]
-	m := fact.NewInstance()
-	for _, k := range b.SortedKeys() {
-		f, c := b.Fact(k)
-		if !keep(f) {
-			continue
-		}
-		s.met.MessagesDelivered += c
-		m.Add(f)
-		b.RemoveKey(k)
-	}
-	return m
-}
-
-// DeliverWhere delivers exactly the buffered facts satisfying pred.
-func (s *Sim) DeliverWhere(x transducer.NodeID, pred func(fact.Fact) bool) (bool, error) {
-	if !s.Net.Has(x) {
-		return false, fmt.Errorf("netsim: node %s not in network", x)
-	}
-	if s.begin(x) {
-		return false, nil
-	}
-	return s.transition(x, s.takeBatch(x, pred))
-}
-
-// DeliverBatch delivers exactly the planned batch.
-func (s *Sim) DeliverBatch(x transducer.NodeID, batch *fact.Instance) (bool, error) {
-	if !s.Net.Has(x) {
-		return false, fmt.Errorf("netsim: node %s not in network", x)
-	}
-	if s.begin(x) {
-		return false, nil
-	}
-	return s.transition(x, s.takeBatch(x, batch.Has))
-}
-
-// DeliverRandom delivers a random submultiset of x's inbox.
-func (s *Sim) DeliverRandom(x transducer.NodeID, rng *rand.Rand) (bool, error) {
-	if !s.Net.Has(x) {
-		return false, fmt.Errorf("netsim: node %s not in network", x)
-	}
-	if s.begin(x) {
-		return false, nil
-	}
-	m, n := s.inbox[s.idx[x]].TakeRandom(rng)
-	s.met.MessagesDelivered += n
-	return s.transition(x, m)
-}
-
-// RunFair activates the nodes round-robin with full delivery until a
-// full round changes nothing — Simulation.RunToQuiescence on this
-// engine, with scheduler operations charged per node visit. It is the
-// dense baseline the event scheduler is measured against, and honors
-// the configured routing.
-func (s *Sim) RunFair(maxRounds int) (*fact.Instance, error) {
-	for round := 0; round < maxRounds; round++ {
-		roundChanged := false
-		for _, x := range s.Net {
-			s.schedOps++
-			changed, err := s.Deliver(x)
-			if err != nil {
-				return nil, err
-			}
-			if changed {
-				roundChanged = true
-			}
-		}
-		if !roundChanged && s.TotalBuffered() == 0 && s.TotalHeld() == 0 && s.FaultsDone() {
-			transducer.EmitQuiesce(s.sink, s.clock, round+1, s.Output().Len())
-			return s.Output(), nil
-		}
-	}
-	return nil, fmt.Errorf("%w (maxRounds=%d)", transducer.ErrNoQuiescence, maxRounds)
 }

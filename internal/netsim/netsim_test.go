@@ -2,7 +2,6 @@ package netsim_test
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -45,16 +44,17 @@ func fixtures() []fixture {
 	}
 }
 
-// buildPair constructs a tick Simulation and an event-engine Sim over
-// identical components, both observing JSONL sinks.
-func buildPair(t *testing.T, fx fixture, plan *transducer.FaultPlan) (*transducer.Simulation, *bytes.Buffer, *netsim.Sim, *bytes.Buffer) {
+// buildPair constructs the one machine twice over identical
+// components: bare, for the dense schedule (RunToQuiescence), and under
+// the event scheduler (Run).
+func buildPair(t *testing.T, fx fixture, plan *transducer.FaultPlan) (*transducer.Simulation, *netsim.Sim) {
 	t.Helper()
 	net := sixNodes()
 	tr := core.MustBuild(fx.s, fx.q)
 	pol := fx.pol(net)
 	in := sixGraph()
 
-	tick, err := transducer.NewSimulation(net, tr, pol, fx.s.RequiredModel(), in)
+	dense, err := transducer.NewSimulation(net, tr, pol, fx.s.RequiredModel(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,14 +62,11 @@ func buildPair(t *testing.T, fx fixture, plan *transducer.FaultPlan) (*transduce
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tb, eb bytes.Buffer
-	tick.Observe(obs.NewSink(&tb))
-	ev.Observe(obs.NewSink(&eb))
 	if plan != nil {
-		tick.SetFaults(plan)
+		dense.SetFaults(plan)
 		ev.SetFaults(plan)
 	}
-	return tick, &tb, ev, &eb
+	return dense, ev
 }
 
 func mustPlan(t *testing.T, spec string, seed int64) *transducer.FaultPlan {
@@ -81,178 +78,8 @@ func mustPlan(t *testing.T, spec string, seed int64) *transducer.FaultPlan {
 	return p
 }
 
-// TestLockstepTraceEquivalence pins the tentpole's compatibility
-// claim: with no topology, the event engine's lockstep primitives
-// produce byte-identical event streams, identical Metrics and equal
-// outputs to transducer.Simulation — fair runs, with and without a
-// full fault mix.
-func TestLockstepTraceEquivalence(t *testing.T) {
-	plans := map[string]*transducer.FaultPlan{
-		"clean": nil,
-		"faulty": mustPlan(t,
-			"dup=0.2,delay=0.25:4,stall=n3@4-9,crash=n2@7,part=5-12:n1|n4", 99),
-	}
-	for _, fx := range fixtures() {
-		for pname, plan := range plans {
-			if fx.s == core.DomainRequest && pname == "faulty" {
-				continue // crashes falsify Xok certificates by design
-			}
-			t.Run(fx.name+"/"+pname, func(t *testing.T) {
-				tick, tb, ev, eb := buildPair(t, fx, plan)
-				out1, err := tick.RunToQuiescence(200)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out2, err := ev.RunFair(200)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !out1.Equal(out2) {
-					t.Fatalf("outputs differ: tick %v, event %v", out1, out2)
-				}
-				if tick.Metrics != ev.RunMetrics() {
-					t.Fatalf("metrics differ:\ntick  %+v\nevent %+v", tick.Metrics, ev.RunMetrics())
-				}
-				if !bytes.Equal(tb.Bytes(), eb.Bytes()) {
-					t.Fatalf("event streams differ:\n--- tick ---\n%s\n--- event ---\n%s", tb.String(), eb.String())
-				}
-			})
-		}
-	}
-}
-
-// TestLockstepPrimitiveEquivalence drives both machines through an
-// identical scripted mix of every Machine primitive and requires
-// identical metrics, byte-identical streams and matching buffer /
-// known-value views afterwards.
-func TestLockstepPrimitiveEquivalence(t *testing.T) {
-	for _, fx := range fixtures() {
-		t.Run(fx.name, func(t *testing.T) {
-			tick, tb, ev, eb := buildPair(t, fx, mustPlan(t, "dup=0.15,delay=0.2:3,stall=n5@3-6", 7))
-			net := sixNodes()
-			script := func(m transducer.Machine, rng *rand.Rand) error {
-				for step := 0; step < 60; step++ {
-					x := net[rng.Intn(len(net))]
-					var err error
-					switch rng.Intn(5) {
-					case 0:
-						_, err = m.Heartbeat(x)
-					case 1:
-						_, err = m.Deliver(x)
-					case 2:
-						_, err = m.DeliverRandom(x, rng)
-					case 3:
-						_, err = m.DeliverWhere(x, func(fact.Fact) bool { return rng.Intn(2) == 0 })
-					default:
-						batch := fact.NewInstance()
-						for _, f := range m.BufferedFacts(x) {
-							if rng.Intn(2) == 0 {
-								batch.Add(f)
-							}
-						}
-						_, err = m.DeliverBatch(x, batch)
-					}
-					if err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			if err := script(tick, rand.New(rand.NewSource(5))); err != nil {
-				t.Fatal(err)
-			}
-			if err := script(ev, rand.New(rand.NewSource(5))); err != nil {
-				t.Fatal(err)
-			}
-			if tick.RunMetrics() != ev.RunMetrics() {
-				t.Fatalf("metrics differ:\ntick  %+v\nevent %+v", tick.RunMetrics(), ev.RunMetrics())
-			}
-			if !bytes.Equal(tb.Bytes(), eb.Bytes()) {
-				t.Fatalf("streams differ after scripted primitives:\n--- tick ---\n%s\n--- event ---\n%s", tb.String(), eb.String())
-			}
-			for _, x := range net {
-				if len(tick.KnownValues(x)) != len(ev.KnownValues(x)) {
-					t.Fatalf("KnownValues(%s) differ", x)
-				}
-				bt, be := tick.BufferedFacts(x), ev.BufferedFacts(x)
-				if len(bt) != len(be) {
-					t.Fatalf("BufferedFacts(%s) differ: %v vs %v", x, bt, be)
-				}
-				for i := range bt {
-					if bt[i].Key() != be[i].Key() {
-						t.Fatalf("BufferedFacts(%s)[%d] differ", x, i)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestExplorerEquivalence reruns the adversarial schedule explorer —
-// the X-matrix engine — through the netsim MachineFactory and
-// requires the identical verdict and identical aggregate statistics
-// as the tick engine, for in-class fixtures (no violation) and for
-// the out-of-class boundary (same violation rediscovered).
-func TestExplorerEquivalence(t *testing.T) {
-	for _, fx := range fixtures() {
-		t.Run(fx.name, func(t *testing.T) {
-			net := sixNodes()
-			pol := fx.pol(net)
-			in := sixGraph()
-			base := transducer.ExploreOptions{Seeds: 10, Faults: core.FaultConfigFor(fx.s)}
-
-			v1, st1, err := core.ExploreStrategy(fx.s, fx.q, net, pol, in, base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			withFactory := base
-			withFactory.NewMachine = netsim.MachineFactory(netsim.Options{})
-			v2, st2, err := core.ExploreStrategy(fx.s, fx.q, net, pol, in, withFactory)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if (v1 == nil) != (v2 == nil) {
-				t.Fatalf("verdicts differ: tick %v, event %v", v1, v2)
-			}
-			if v1 != nil {
-				t.Fatalf("in-class fixture violated: %v", v1)
-			}
-			if st1 != st2 {
-				t.Fatalf("stats differ:\ntick  %+v\nevent %+v", st1, st2)
-			}
-		})
-	}
-}
-
-// TestExplorerEquivalenceBoundary: out-of-class, both engines must
-// rediscover the same divergence (absence strategy on QTC).
-func TestExplorerEquivalenceBoundary(t *testing.T) {
-	net := sixNodes()
-	q := queries.ComplementTC()
-	pol := transducer.HashPolicy(net)
-	in := sixGraph()
-	base := transducer.ExploreOptions{Seeds: 20, Faults: core.FaultConfigFor(core.Absence)}
-
-	v1, _, err := core.ExploreStrategy(core.Absence, q, net, pol, in, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withFactory := base
-	withFactory.NewMachine = netsim.MachineFactory(netsim.Options{})
-	v2, _, err := core.ExploreStrategy(core.Absence, q, net, pol, in, withFactory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1 == nil || v2 == nil {
-		t.Fatalf("expected both engines to find the boundary violation: tick %v, event %v", v1, v2)
-	}
-	if v1.Kind != v2.Kind || v1.Schedule != v2.Schedule || v1.Step != v2.Step {
-		t.Fatalf("violations differ:\ntick  %v\nevent %v", v1, v2)
-	}
-}
-
-// TestEventRunMatchesTick: the event-driven scheduler must converge to
-// the tick engine's output on every fixture, clean and faulty.
+// TestEventRunMatchesTick: the event schedule must converge to the
+// dense schedule's output on every fixture, clean and faulty.
 func TestEventRunMatchesTick(t *testing.T) {
 	for _, fx := range fixtures() {
 		for _, pspec := range []string{"", "dup=0.2,delay=0.25:4,stall=n3@4-9,crash=n2@7,part=5-12:n1|n4"} {
@@ -268,8 +95,8 @@ func TestEventRunMatchesTick(t *testing.T) {
 				if pspec != "" {
 					plan = mustPlan(t, pspec, 42)
 				}
-				tick, _, ev, _ := buildPair(t, fx, plan)
-				want, err := tick.RunToQuiescence(200)
+				dense, ev := buildPair(t, fx, plan)
+				want, err := dense.RunToQuiescence(200)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -291,6 +118,44 @@ func TestEventRunMatchesTick(t *testing.T) {
 			})
 		}
 	}
+
+	// A machine stepped in lockstep past a scheduled crash and then
+	// finished on the event scheduler has one fault clock: the crash
+	// behind it is not replayed, by this Run or by a second one.
+	t.Run("mixed/crash-behind-clock", func(t *testing.T) {
+		fx := fixtures()[0]
+		plan := mustPlan(t, "dup=0.2,delay=0.25:4,stall=n3@4-9,crash=n2@7,part=5-12:n1|n4", 42)
+		dense, ev := buildPair(t, fx, plan)
+		want, err := dense.RunToQuiescence(200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Nine attempts: past the crash at 7, with the restarted n2's
+		// resends still held behind the partition that heals at 12.
+		for step := 0; step < 9; step++ {
+			if _, err := ev.Deliver(sixNodes()[step%6]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ev.RunMetrics().Crashes != 1 || ev.TotalHeld() == 0 {
+			t.Fatalf("lockstep prefix: crashes %d, held %d; want 1, >0", ev.RunMetrics().Crashes, ev.TotalHeld())
+		}
+		for run := 1; run <= 2; run++ {
+			got, err := ev.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) || !ev.Conserved() {
+				t.Fatalf("Run %d: output %v, want %v; conserved %v", run, got, want, ev.Conserved())
+			}
+			if c := ev.RunMetrics().Crashes; c != 1 {
+				t.Fatalf("Run %d replayed the crash: Crashes = %d, want 1", run, c)
+			}
+		}
+		if ev.Now() < 12 {
+			t.Fatalf("held messages lost their release time: quiesced at %d, partition heals at 12", ev.Now())
+		}
+	})
 }
 
 // TestEventDeterminism: equal seeds yield byte-identical event

@@ -21,10 +21,10 @@ import (
 //     arrival wakes the recipient at that same time. Arrivals order
 //     before activations at equal times, so a node activating at t
 //     sees every time-t arrival as one batch.
-//   - Fault-plan crashes are pre-scheduled as crash events (their At
-//     read as logical time), so a late crash keeps the queue nonempty
-//     until it has played out; stall windows reschedule the activation
-//     to the window's end.
+//   - Fault-plan crashes still ahead of the machine's clock are
+//     pre-scheduled as crash events (logical time is that clock), so a
+//     late crash keeps the queue nonempty until it has played out;
+//     stall windows reschedule the activation to the window's end.
 //
 // An empty queue is quiescence: no activation pending means every node
 // is asleep with an empty inbox and nothing in flight.
@@ -70,44 +70,56 @@ func (s *Sim) silentStart() bool {
 	if s.Mod.ShowId || s.Mod.ShowAll || s.Mod.ShowMyAdom || s.Mod.ShowPolicy {
 		return false
 	}
+	probe := transducer.Stepper{Net: s.Net, Trans: s.Trans, Pol: s.Pol, Mod: s.Mod}
 	empty := fact.NewInstance()
-	scratch := fact.NewInstance()
-	res, err := s.step.Step(s.Net[0], empty, scratch, empty)
+	res, err := probe.Step(s.Net[0], empty, fact.NewInstance(), empty)
 	if err != nil {
 		return false
 	}
 	return !res.Changed && res.Sent.Empty()
 }
 
+// arrive schedules copies of f for node to, and is the placer every
+// activation hands the machine: a routed send lands after the link's
+// latency plus the fault plan's hold.
+func (s *Sim) arrive(from, to int, f fact.Fact, copies, hold int) {
+	s.push(event{time: s.now + s.latency(from, to) + int64(hold), kind: evArrive, node: int32(to), f: f, n: copies})
+}
+
 // Run drives the network to quiescence on the event scheduler and
 // returns out(R). The same seed yields the same event sequence, the
-// same event stream on the sink, and the same output.
+// same event stream on the sink, and the same output. Logical time is
+// the machine's one fault clock: Run starts at Clock(), so a machine
+// stepped in lockstep first (or run before) replays no crash it has
+// already been through.
 func (s *Sim) Run() (*fact.Instance, error) {
-	// Pre-schedule the fault plan's crashes; dup/delay/partition
-	// decisions apply per send, stalls per activation.
-	if s.faults != nil {
-		for _, c := range s.faults.Crashes {
-			if j, ok := s.idx[c.Node]; ok {
-				s.push(event{time: int64(c.At), kind: evCrash, node: int32(j)})
+	s.now = int64(s.Clock())
+	// Pre-schedule the fault plan's crashes still ahead of the clock;
+	// dup/delay/partition decisions apply per send, stalls per
+	// activation.
+	if plan := s.Faults(); plan != nil {
+		for _, c := range plan.Crashes {
+			if int64(c.At) <= s.now {
+				continue
+			}
+			for j, x := range s.Net {
+				if x == c.Node {
+					s.push(event{time: int64(c.At), kind: evCrash, node: int32(j)})
+				}
 			}
 		}
 	}
-	// Drain any lockstep-mode holds into arrivals so a machine that
-	// was stepped manually first can still finish on the event engine.
-	for i, q := range s.held {
-		for _, h := range q {
-			s.inflight += h.n
-			s.push(event{time: int64(h.release), kind: evArrive, node: int32(i), f: h.f, n: h.n})
-		}
-		s.held[i] = nil
-	}
+	// Lockstep-mode holds become arrivals at their release times.
+	s.TakeHeld(func(to int, f fact.Fact, n, release int) {
+		s.push(event{time: int64(release), kind: evArrive, node: int32(to), f: f, n: n})
+	})
 	// Initial activations: every node whose fragment or inbox is
 	// nonempty, plus — unless a probe shows empty-fragment nodes are
 	// silent — everyone else.
 	silent := s.silentStart()
-	for i := range s.Net {
-		if !silent || !s.local[i].Empty() || !s.inbox[i].Empty() {
-			s.wake(i, 0)
+	for i, x := range s.Net {
+		if !silent || s.Buffered(x) > 0 || !s.LocalInput(x).Empty() {
+			s.wake(i, s.now)
 		}
 	}
 
@@ -119,29 +131,32 @@ func (s *Sim) Run() (*fact.Instance, error) {
 		e := s.heap.pop()
 		s.events++
 		s.now = e.time
+		i := int(e.node)
 		switch e.kind {
 		case evArrive:
-			s.inflight -= e.n
-			s.inbox[e.node].Add(e.f, e.n)
-			s.wake(int(e.node), e.time)
+			s.Arrive(i, e.f, e.n)
+			s.wake(i, e.time)
 		case evCrash:
-			s.eventCrash(int(e.node))
+			// The restarted node wakes to recover from its refilled
+			// inbox.
+			s.CrashAt(i, int(e.time))
+			s.wake(i, e.time)
 		case evActivate:
-			if s.pending[e.node] != e.time {
+			if s.pending[i] != e.time {
 				continue // superseded by an earlier wake
 			}
-			s.pending[e.node] = -1
-			if err := s.activate(int(e.node)); err != nil {
+			s.pending[i] = -1
+			if err := s.activate(i); err != nil {
 				return nil, err
 			}
 		}
 	}
-	emitNetsimQuiesce(s.sink, s.now, s.events, s.schedOps, s.Output().Len())
+	emitNetsimQuiesce(s.Sink(), s.now, s.events, s.schedOps, s.Output().Len())
 	return s.Output(), nil
 }
 
 // emitNetsimQuiesce is the single construction site for the
-// netsim.quiesce event kind (nil-sink safe, like the transducer Emit
+// netsim.quiesce event kind (nil-sink safe, like the transducer emit
 // helpers).
 func emitNetsimQuiesce(sink *obs.Sink, time int64, events, schedOps, out int) {
 	if sink == nil {
@@ -154,105 +169,35 @@ func emitNetsimQuiesce(sink *obs.Sink, time int64, events, schedOps, out int) {
 		obs.F("out", out))
 }
 
-// activate performs one event-mode transition of node i: whole-inbox
-// delivery, fault-routed sends as arrivals, self-wake on change.
+// activate charges one scheduler operation and asks the machine for a
+// whole-inbox transition of node i, then decides the next wake: the
+// end of the stall window that swallowed the activation, or one tick
+// on when something changed.
 func (s *Sim) activate(i int) error {
 	s.schedOps++
-	x := s.Net[i]
-	clock := int(s.now)
-	if s.faults != nil && s.faults.StalledAt(x, clock) {
-		s.met.StalledSteps++
-		transducer.EmitStall(s.sink, s.met.Transitions, clock, x)
-		// Retry when the last stall window covering this time ends.
-		end := clock
-		for _, st := range s.faults.Stalls {
-			if st.Node == x && clock >= st.From && clock < st.To && st.To > end {
-				end = st.To
-			}
-		}
-		s.wake(i, int64(end))
-		return nil
-	}
-
-	m, delivered := s.inbox[i].TakeAll()
-	s.met.MessagesDelivered += delivered
-	res, err := s.step.Step(x, s.local[i], s.state[i], m)
-	if err != nil {
+	changed, stalled, err := s.DeliverAt(i, int(s.now), s.arrive)
+	switch {
+	case err != nil:
 		return err
-	}
-	changed := res.Changed
-	snd := res.Sent
-
-	sent := 0
-	if !snd.Empty() {
-		for _, f := range snd.Facts() {
-			s.sentLog[i].Add(f)
-		}
-		s.eachRecipient(i, func(j int) {
-			for _, f := range snd.Facts() {
-				copies, delay := 1, 0
-				if s.faults != nil {
-					copies += s.faults.ExtraCopies(clock, x, s.Net[j], f)
-					delay = s.faults.HoldFor(clock, x, s.Net[j], f)
-				}
-				s.met.MessagesSent += copies
-				s.met.MessagesDuplicated += copies - 1
-				if delay > 0 {
-					s.met.MessagesDelayed += copies
-					transducer.EmitHold(s.sink, clock, x, s.Net[j], f, copies, clock+delay)
-				}
-				s.inflight += copies
-				s.push(event{
-					time: s.now + s.latency(i, j) + int64(delay),
-					kind: evArrive, node: int32(j), f: f, n: copies,
-				})
-				sent += copies
+	case stalled:
+		// Retry when the last stall window covering this time ends.
+		end := s.now
+		for _, st := range s.Faults().Stalls {
+			if st.Node == s.Net[i] && s.now >= int64(st.From) && s.now < int64(st.To) && int64(st.To) > end {
+				end = int64(st.To)
 			}
-			changed = true
-		})
-	}
-	s.noteOut(res.OutNew)
-
-	s.met.Transitions++
-	if m.Empty() {
-		s.met.Heartbeats++
-	}
-	if s.sink != nil {
-		transducer.EmitTransition(s.sink, s.met.Transitions, clock, x, m, snd.Len(), changed,
-			s.state[i].Restrict(s.Trans.Schema.Out).Len(), s.inbox[i].Size(), 0)
-	}
-	if changed {
+		}
+		s.wake(i, end)
+	case changed:
 		s.wake(i, s.now+1)
 	}
 	return nil
 }
 
-// eventCrash applies a crash-restart in event mode: the inbox and
-// volatile state drop (in-flight arrivals survive — they deliver
-// after the restart), and the rebroadcast sources refill the inbox
-// immediately, after which the node wakes to recover.
-func (s *Sim) eventCrash(i int) {
-	x := s.Net[i]
-	dropped := s.inbox[i].Size()
-	s.met.MessagesDropped += dropped
-	s.state[i] = fact.NewInstance()
-	s.inbox[i] = transducer.NewMultiset()
-	s.eachRecipient(i, func(y int) {
-		for _, f := range s.sentLog[y].Facts() {
-			s.inbox[i].Add(f, 1)
-			s.met.MessagesSent++
-			s.met.MessagesRetransmitted++
-		}
-	})
-	s.met.Crashes++
-	transducer.EmitCrash(s.sink, s.met.Transitions, int(s.now), x, dropped, s.inbox[i].Size())
-	s.wake(i, s.now)
-}
-
 // PublishTo adds the run's counters into the registry: the shared
 // sim.* vocabulary plus the netsim.* scheduler story. Safe on nil.
 func (s *Sim) PublishTo(reg *obs.Registry) {
-	s.met.Publish(reg)
+	s.Metrics.Publish(reg)
 	reg.Counter(obs.NetsimEvents).Add(int64(s.events))
 	reg.Counter(obs.NetsimSchedOps).Add(int64(s.schedOps))
 	if g := reg.Gauge(obs.NetsimHeapMax); g != nil {

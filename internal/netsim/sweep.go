@@ -15,7 +15,7 @@ import (
 // one generated topology, each under a topology-aware fault plan,
 // checking the same property — no reachable output outside Q(I), and
 // convergence to Q(I) at quiescence — plus the message conservation
-// invariant after every run. The tick explorer enumerates adversarial
+// invariant after every run. ExploreSchedules enumerates adversarial
 // schedules on small networks; this sweep varies the event queue's
 // tiebreak seed and the fault plan instead, which is the scheduling
 // nondeterminism that remains meaningful at 10^3–10^4 nodes.

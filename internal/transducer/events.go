@@ -2,7 +2,6 @@ package transducer
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/fact"
 	"repro/internal/obs"
@@ -29,25 +28,16 @@ func legacyTraceRender(buf []byte, e *obs.Event) []byte {
 	return buf
 }
 
-// NewLegacyTraceSink returns a sink rendering events through the
-// legacy text trace format — what TraceTo installs. Exported so the
-// event-driven engine (internal/netsim) offers the identical adapter.
-func NewLegacyTraceSink(w io.Writer) *obs.Sink {
-	return obs.NewSinkFunc(w, legacyTraceRender)
-}
-
-// The Emit* helpers below are the single construction sites for the
+// The emit* helpers below are the single construction sites for the
 // sim.* event kinds: field names, order and types are part of the
-// byte-stable trace format, so every scheduler (the tick Simulation
-// here, the event-driven engine in internal/netsim) must emit through
-// them rather than build the field lists itself. All are no-ops on a
-// nil sink, keeping the disabled-instrumentation path allocation-free.
+// byte-stable trace format. All are no-ops on a nil sink, keeping the
+// disabled-instrumentation path allocation-free.
 
-// EmitTransition emits one sim.transition event. The delivered set m
+// emitTransition emits one sim.transition event. The delivered set m
 // is part of the event (sorted rendering) so a trace is a complete,
 // comparable record of the run: two runs with the same seed must
 // produce byte-identical streams.
-func EmitTransition(sink *obs.Sink, step, clock int, x NodeID, m *fact.Instance, sent int, changed bool, out, buffered, held int) {
+func emitTransition(sink *obs.Sink, step, clock int, x NodeID, m *fact.Instance, sent int, changed bool, out, buffered, held int) {
 	if sink == nil {
 		return
 	}
@@ -69,9 +59,9 @@ func EmitTransition(sink *obs.Sink, step, clock int, x NodeID, m *fact.Instance,
 		obs.F("msgs", m.String()))
 }
 
-// EmitStall emits one sim.stall event (an activation swallowed by a
+// emitStall emits one sim.stall event (an activation swallowed by a
 // stall window).
-func EmitStall(sink *obs.Sink, step, clock int, x NodeID) {
+func emitStall(sink *obs.Sink, step, clock int, x NodeID) {
 	if sink == nil {
 		return
 	}
@@ -81,8 +71,8 @@ func EmitStall(sink *obs.Sink, step, clock int, x NodeID) {
 		obs.F("node", string(x)))
 }
 
-// EmitCrash emits one sim.crash event.
-func EmitCrash(sink *obs.Sink, step, clock int, x NodeID, dropped, rebuffered int) {
+// emitCrash emits one sim.crash event.
+func emitCrash(sink *obs.Sink, step, clock int, x NodeID, dropped, rebuffered int) {
 	if sink == nil {
 		return
 	}
@@ -94,9 +84,9 @@ func EmitCrash(sink *obs.Sink, step, clock int, x NodeID, dropped, rebuffered in
 		obs.F("rebuffered", rebuffered))
 }
 
-// EmitHold emits one sim.hold event (a message the fault plan held
+// emitHold emits one sim.hold event (a message the fault plan held
 // back).
-func EmitHold(sink *obs.Sink, clock int, from, to NodeID, f fact.Fact, copies, release int) {
+func emitHold(sink *obs.Sink, clock int, from, to NodeID, f fact.Fact, copies, release int) {
 	if sink == nil {
 		return
 	}
@@ -109,8 +99,8 @@ func EmitHold(sink *obs.Sink, clock int, from, to NodeID, f fact.Fact, copies, r
 		obs.F("release", release))
 }
 
-// EmitQuiesce emits one sim.quiesce event.
-func EmitQuiesce(sink *obs.Sink, clock, rounds, out int) {
+// emitQuiesce emits one sim.quiesce event.
+func emitQuiesce(sink *obs.Sink, clock, rounds, out int) {
 	if sink == nil {
 		return
 	}

@@ -160,38 +160,6 @@ func (v *ScheduleViolation) Error() string {
 	}
 }
 
-// Machine is the scheduler-facing surface the adversarial explorer
-// drives: the delivery primitives plus the introspection the schedule
-// families need (buffer contents for the fresh-value adversaries,
-// quiescence inputs for the fair drive). *Simulation implements it
-// with the tick engine; internal/netsim implements it with the
-// event-driven engine. Both must be behaviorally identical under the
-// same schedule — the equivalence battery in netsim pins that.
-type Machine interface {
-	Heartbeat(x NodeID) (bool, error)
-	Deliver(x NodeID) (bool, error)
-	DeliverWhere(x NodeID, pred func(fact.Fact) bool) (bool, error)
-	DeliverBatch(x NodeID, batch *fact.Instance) (bool, error)
-	DeliverRandom(x NodeID, rng *rand.Rand) (bool, error)
-	SetFaults(p *FaultPlan)
-	Output() *fact.Instance
-	TotalBuffered() int
-	TotalHeld() int
-	FaultsDone() bool
-	RunMetrics() Metrics
-	// BufferedFacts returns the facts buffered at x in sorted key
-	// order (copies collapsed); KnownValues returns the values x has
-	// seen (id + adom of fragment and state).
-	BufferedFacts(x NodeID) []fact.Fact
-	KnownValues(x NodeID) fact.ValueSet
-}
-
-// MachineFactory builds a fresh start-configuration machine for one
-// schedule. The explorer constructs every schedule's machine through
-// this hook, so plugging in a different scheduler (netsim's
-// event-driven engine) rewires the whole X-matrix.
-type MachineFactory func(net Network, t *Transducer, pol Policy, mod Model, input *fact.Instance) (Machine, error)
-
 // ExploreOptions tunes ExploreSchedules.
 type ExploreOptions struct {
 	// Seeds is how many seeded random fault schedules to run
@@ -215,9 +183,6 @@ type ExploreOptions struct {
 	// breaks the property). Per-transition simulation events are not
 	// attached here — wire a sink to an individual Simulation for that.
 	Sink *obs.Sink
-	// NewMachine, when non-nil, constructs each schedule's machine;
-	// nil uses the tick-based Simulation.
-	NewMachine MachineFactory
 }
 
 // ExploreStats reports how much was explored. Every schedule counts,
@@ -326,13 +291,7 @@ type explorer struct {
 }
 
 func (e *explorer) newRun(label string) (*scheduleRun, error) {
-	var sim Machine
-	var err error
-	if e.opts.NewMachine != nil {
-		sim, err = e.opts.NewMachine(e.net, e.t, e.pol, e.mod, e.input)
-	} else {
-		sim, err = NewSimulation(e.net, e.t, e.pol, e.mod, e.input)
-	}
+	sim, err := NewSimulation(e.net, e.t, e.pol, e.mod, e.input)
 	if err != nil {
 		return nil, err
 	}
@@ -383,10 +342,10 @@ func (e *explorer) record(v *ScheduleViolation, err error) {
 	}
 }
 
-// scheduleRun wraps one machine with per-step soundness checking.
+// scheduleRun wraps one simulation with per-step soundness checking.
 type scheduleRun struct {
 	e     *explorer
-	sim   Machine
+	sim   *Simulation
 	label string
 }
 

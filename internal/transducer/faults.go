@@ -87,9 +87,15 @@ func (p *FaultPlan) roll(kind byte, clock int, from, to NodeID, key string) floa
 	return float64(h.Sum64()>>11) / float64(uint64(1)<<53)
 }
 
-// extraCopies returns how many duplicate copies of the message to
-// enqueue (0 or 1).
-func (p *FaultPlan) extraCopies(clock int, from, to NodeID, f fact.Fact) int {
+// ExtraCopies returns how many duplicate copies of the message to
+// enqueue (0 or 1). It and HoldFor are the per-message fault decisions,
+// also used by delivery layers outside the simulator: the cluster
+// delta stream (internal/cluster) reuses fault plans as its network
+// model, with the global log position as clock, the router as sender
+// and a shard as recipient. Both remain pure functions of (Seed,
+// clock, endpoints, fact), so faulty cluster runs replay exactly like
+// faulty simulator runs.
+func (p *FaultPlan) ExtraCopies(clock int, from, to NodeID, f fact.Fact) int {
 	if p.DupProb <= 0 {
 		return 0
 	}
@@ -99,10 +105,10 @@ func (p *FaultPlan) extraCopies(clock int, from, to NodeID, f fact.Fact) int {
 	return 0
 }
 
-// holdFor returns how many clock ticks the message is held back: the
+// HoldFor returns how many clock ticks the message is held back: the
 // maximum of the random delay draw and any active partition crossing,
 // 0 for immediate buffering.
-func (p *FaultPlan) holdFor(clock int, from, to NodeID, f fact.Fact) int {
+func (p *FaultPlan) HoldFor(clock int, from, to NodeID, f fact.Fact) int {
 	d := 0
 	if p.DelayProb > 0 && p.MaxDelay > 0 &&
 		p.roll('h', clock, from, to, f.Key()) < p.DelayProb {
@@ -123,23 +129,6 @@ func (p *FaultPlan) holdFor(clock int, from, to NodeID, f fact.Fact) int {
 		}
 	}
 	return d
-}
-
-// ExtraCopies and HoldFor expose the per-message fault decisions to
-// delivery layers outside the simulator. The cluster delta stream
-// (internal/cluster) reuses fault plans as its network model: there
-// the clock is the global log position, the sender is the router and
-// the recipient a shard. Both remain pure functions of (Seed, clock,
-// endpoints, fact), so faulty cluster runs replay exactly like faulty
-// simulator runs.
-func (p *FaultPlan) ExtraCopies(clock int, from, to NodeID, f fact.Fact) int {
-	return p.extraCopies(clock, from, to, f)
-}
-
-// HoldFor is the exported form of holdFor: how many clock ticks the
-// message is held back (0 = deliver now).
-func (p *FaultPlan) HoldFor(clock int, from, to NodeID, f fact.Fact) int {
-	return p.holdFor(clock, from, to, f)
 }
 
 // StalledAt reports whether node x is inside a stall window at the

@@ -23,19 +23,19 @@ func TestFaultPlanDecisionsArePure(t *testing.T) {
 	p := &FaultPlan{Seed: 42, DupProb: 0.5, DelayProb: 0.5, MaxDelay: 4}
 	f := fact.New("F", "a", "b")
 	for i := 0; i < 100; i++ {
-		if p.extraCopies(3, "n1", "n2", f) != p.extraCopies(3, "n1", "n2", f) {
-			t.Fatal("extraCopies is not a pure function of its arguments")
+		if p.ExtraCopies(3, "n1", "n2", f) != p.ExtraCopies(3, "n1", "n2", f) {
+			t.Fatal("ExtraCopies is not a pure function of its arguments")
 		}
-		if p.holdFor(3, "n1", "n2", f) != p.holdFor(3, "n1", "n2", f) {
-			t.Fatal("holdFor is not a pure function of its arguments")
+		if p.HoldFor(3, "n1", "n2", f) != p.HoldFor(3, "n1", "n2", f) {
+			t.Fatal("HoldFor is not a pure function of its arguments")
 		}
 	}
 	// Different seeds must actually change decisions somewhere.
 	q := &FaultPlan{Seed: 43, DupProb: 0.5, DelayProb: 0.5, MaxDelay: 4}
 	same := true
 	for clock := 0; clock < 50 && same; clock++ {
-		same = p.extraCopies(clock, "n1", "n2", f) == q.extraCopies(clock, "n1", "n2", f) &&
-			p.holdFor(clock, "n1", "n2", f) == q.holdFor(clock, "n1", "n2", f)
+		same = p.ExtraCopies(clock, "n1", "n2", f) == q.ExtraCopies(clock, "n1", "n2", f) &&
+			p.HoldFor(clock, "n1", "n2", f) == q.HoldFor(clock, "n1", "n2", f)
 	}
 	if same {
 		t.Error("seeds 42 and 43 agree on 50 decision points; seed is being ignored")

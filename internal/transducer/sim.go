@@ -170,9 +170,31 @@ type heldMsg struct {
 	n       int
 }
 
+// node is one network node's share of the configuration: the fixed
+// input fragment dist_P(I)(x), the state, the message buffer, the
+// messages the fault plan holds back from it, and the set of facts it
+// has ever sent (the material for crash-recovery rebroadcast).
+type node struct {
+	local   *fact.Instance
+	state   *fact.Instance
+	buf     *multiset
+	held    []heldMsg
+	sentLog *fact.Instance
+}
+
+// placer takes one fault-routed send off the machine's hands: copies
+// instances of f from node index from to node index to, held back hold
+// clock ticks by the fault plan. Whoever takes them returns them with
+// Arrive.
+type placer = func(from, to int, f fact.Fact, copies, hold int)
+
 // Simulation is a transducer network (N, Υ, Π, P) running on one
-// input: per-node states, message buffers, and the fixed local input
-// fragments dist_P(I).
+// input — the one place a configuration lives. The lockstep primitives
+// (Heartbeat, Deliver, ...) advance its clock one attempt at a time
+// and keep sent messages in its own buffers and held queues; a
+// scheduler that owns the clock (internal/netsim) drives the same
+// machine through DeliverAt, CrashAt and Arrive and keeps messages in
+// transit itself.
 type Simulation struct {
 	Net   Network
 	Trans *Transducer
@@ -180,22 +202,28 @@ type Simulation struct {
 	Mod   Model
 
 	input *fact.Instance
-	local map[NodeID]*fact.Instance
-	state map[NodeID]*fact.Instance
-	buf   map[NodeID]*multiset
+	step  Stepper
+	idx   map[NodeID]int
+	nodes []node
+	// recipients[i] lists the Net indices receiving node i's sends;
+	// nil is the paper's broadcast to every other node.
+	recipients [][]int32
 
 	// Fault injection (nil faults = the faithful Section 4.1.3
-	// semantics). clock counts transition attempts and drives the
-	// plan's windows; held queues delayed messages per recipient;
-	// sentLog records the set of facts each node has broadcast, the
-	// material for crash-recovery rebroadcast.
-	faults  *FaultPlan
-	clock   int
-	held    map[NodeID][]heldMsg
-	sentLog map[NodeID]*fact.Instance
+	// semantics). clock counts transition attempts (or carries the
+	// scheduler's logical time) and drives the plan's windows; inflight
+	// counts copies handed to a placer and not yet returned.
+	faults   *FaultPlan
+	clock    int
+	inflight int
 
 	// Metrics accumulates counters; reset freely between phases.
 	Metrics Metrics
+
+	// Want, when set, is the oracle Q(I): any output fact outside it is
+	// appended to WrongFacts as it appears.
+	Want       *fact.Instance
+	WrongFacts []fact.Fact
 
 	// sink, when set, receives one typed event per transition, stall,
 	// crash, hold and quiescence (the sim.* kinds of internal/obs).
@@ -208,6 +236,10 @@ type Simulation struct {
 // deterministic function of the schedule, so equal-seed runs produce
 // byte-identical streams. Pass nil to disable.
 func (s *Simulation) Observe(sink *obs.Sink) { s.sink = sink }
+
+// Sink returns the attached event sink (nil when none), for a
+// scheduler that adds its own event kinds to the same stream.
+func (s *Simulation) Sink() *obs.Sink { return s.sink }
 
 // TraceTo makes the simulation log one line per transition to w:
 // the active node, how many message instances were delivered, whether
@@ -225,10 +257,22 @@ func (s *Simulation) TraceTo(w io.Writer) {
 }
 
 // NewSimulation validates the components and builds the start
-// configuration (all states and buffers empty).
+// configuration (all states and buffers empty) with the paper's
+// routing: every sent fact reaches every other node.
 func NewSimulation(net Network, t *Transducer, p Policy, mod Model, input *fact.Instance) (*Simulation, error) {
+	return NewSimulationOver(net, t, p, mod, input, nil)
+}
+
+// NewSimulationOver is NewSimulation on a network whose links are
+// given: recipients[i] lists the indices (in net order) of the nodes
+// that receive node i's sends and that resend to it after a crash, so
+// the lists must be symmetric. Nil recipients broadcast.
+func NewSimulationOver(net Network, t *Transducer, p Policy, mod Model, input *fact.Instance, recipients [][]int32) (*Simulation, error) {
 	if len(net) == 0 {
 		return nil, fmt.Errorf("transducer: empty network")
+	}
+	if recipients != nil && len(recipients) != len(net) {
+		return nil, fmt.Errorf("transducer: recipients for %d nodes, network has %d", len(recipients), len(net))
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -246,23 +290,20 @@ func NewSimulation(net Network, t *Transducer, p Policy, mod Model, input *fact.
 		return nil, fmt.Errorf("transducer: input fact %v not over input schema %v", *bad, t.Schema.In)
 	}
 	s := &Simulation{
-		Net:   net,
-		Trans: t,
-		Pol:   p,
-		Mod:   mod,
-		input: input.Clone(),
-		local: Dist(p, net, input),
-		state: make(map[NodeID]*fact.Instance, len(net)),
-		buf:   make(map[NodeID]*multiset, len(net)),
+		Net:        net,
+		Trans:      t,
+		Pol:        p,
+		Mod:        mod,
+		input:      input.Clone(),
+		step:       Stepper{Net: net, Trans: t, Pol: p, Mod: mod},
+		idx:        make(map[NodeID]int, len(net)),
+		nodes:      make([]node, len(net)),
+		recipients: recipients,
 	}
-	for _, x := range net {
-		s.state[x] = fact.NewInstance()
-		s.buf[x] = newMultiset()
-	}
-	s.held = make(map[NodeID][]heldMsg, len(net))
-	s.sentLog = make(map[NodeID]*fact.Instance, len(net))
-	for _, x := range net {
-		s.sentLog[x] = fact.NewInstance()
+	frag := Dist(p, net, input)
+	for i, x := range net {
+		s.idx[x] = i
+		s.nodes[i] = node{local: frag[x], state: fact.NewInstance(), buf: newMultiset(), sentLog: fact.NewInstance()}
 	}
 	return s, nil
 }
@@ -277,63 +318,68 @@ func (s *Simulation) SetFaults(p *FaultPlan) { s.faults = p }
 func (s *Simulation) Faults() *FaultPlan { return s.faults }
 
 // Clock returns the number of transition attempts so far (including
-// stalled activations). The fault plan's windows are expressed on this
-// clock.
+// stalled activations), or the logical time of the last DeliverAt or
+// CrashAt. The fault plan's windows are expressed on this clock.
 func (s *Simulation) Clock() int { return s.clock }
 
 // Clone returns an independent copy of the simulation: states and
 // buffers are deep-copied, so stepping the clone leaves the original
 // untouched. Used by the exhaustive run explorer.
 func (s *Simulation) Clone() *Simulation {
-	c := &Simulation{
-		Net:     s.Net,
-		Trans:   s.Trans,
-		Pol:     s.Pol,
-		Mod:     s.Mod,
-		input:   s.input,
-		local:   s.local, // fragments are never mutated after NewSimulation
-		state:   make(map[NodeID]*fact.Instance, len(s.state)),
-		buf:     make(map[NodeID]*multiset, len(s.buf)),
-		faults:  s.faults, // plans are immutable and decision-pure
-		clock:   s.clock,
-		held:    make(map[NodeID][]heldMsg, len(s.held)),
-		sentLog: make(map[NodeID]*fact.Instance, len(s.sentLog)),
-		Metrics: s.Metrics,
-	}
-	for x, st := range s.state {
-		c.state[x] = st.Clone()
-	}
-	for x, b := range s.buf {
+	c := *s // plans are immutable and decision-pure; idx and recipients never change
+	c.sink = nil
+	c.WrongFacts = append([]fact.Fact(nil), s.WrongFacts...)
+	c.nodes = make([]node, len(s.nodes))
+	for i, n := range s.nodes {
 		nb := newMultiset()
-		for k, f := range b.facts {
+		for k, f := range n.buf.facts {
 			nb.facts[k] = f
-			nb.counts[k] = b.counts[k]
+			nb.counts[k] = n.buf.counts[k]
 		}
-		c.buf[x] = nb
+		c.nodes[i] = node{
+			local:   n.local, // fragments are never mutated after construction
+			state:   n.state.Clone(),
+			buf:     nb,
+			held:    append([]heldMsg(nil), n.held...),
+			sentLog: n.sentLog.Clone(),
+		}
 	}
-	for x, q := range s.held {
-		c.held[x] = append([]heldMsg(nil), q...)
+	return &c
+}
+
+// at returns x's index in Net, or an error for a node outside the
+// network.
+func (s *Simulation) at(x NodeID) (int, error) {
+	i, ok := s.idx[x]
+	if !ok {
+		return 0, fmt.Errorf("transducer: node %s not in network", x)
 	}
-	for x, log := range s.sentLog {
-		c.sentLog[x] = log.Clone()
-	}
-	return c
+	return i, nil
 }
 
 // LocalInput returns node x's input fragment dist_P(I)(x).
-func (s *Simulation) LocalInput(x NodeID) *fact.Instance { return s.local[x].Clone() }
+func (s *Simulation) LocalInput(x NodeID) *fact.Instance { return s.nodes[s.idx[x]].local.Clone() }
 
 // State returns a copy of node x's current state (output ∪ memory).
-func (s *Simulation) State(x NodeID) *fact.Instance { return s.state[x].Clone() }
+func (s *Simulation) State(x NodeID) *fact.Instance { return s.nodes[s.idx[x]].state.Clone() }
 
 // Buffered returns the number of message instances waiting at node x.
-func (s *Simulation) Buffered(x NodeID) int { return s.buf[x].size() }
+func (s *Simulation) Buffered(x NodeID) int { return s.nodes[s.idx[x]].buf.size() }
 
 // TotalBuffered returns the number of message instances in all buffers.
 func (s *Simulation) TotalBuffered() int {
 	total := 0
-	for _, b := range s.buf {
-		total += b.size()
+	for i := range s.nodes {
+		total += s.nodes[i].buf.size()
+	}
+	return total
+}
+
+// heldAt returns the number of message instances held back from node i.
+func (s *Simulation) heldAt(i int) int {
+	total := 0
+	for _, h := range s.nodes[i].held {
+		total += h.n
 	}
 	return total
 }
@@ -342,107 +388,143 @@ func (s *Simulation) TotalBuffered() int {
 // currently holding back (delays and unhealed partitions).
 func (s *Simulation) TotalHeld() int {
 	total := 0
-	for _, q := range s.held {
-		for _, h := range q {
-			total += h.n
-		}
+	for i := range s.nodes {
+		total += s.heldAt(i)
 	}
 	return total
 }
 
-// begin opens one transition attempt: the clock advances, scheduled
-// crashes fire, expired holds drain into their buffers, and the active
-// node's stall status is reported. A stalled activation is a no-op —
-// the node performs no transition at all during its window.
-func (s *Simulation) begin(x NodeID) (stalled bool) {
+// Inflight returns the message copies a scheduler has taken through
+// DeliverAt or TakeHeld and not yet returned with Arrive.
+func (s *Simulation) Inflight() int { return s.inflight }
+
+// Conserved checks the message conservation invariant: every sent
+// copy is delivered, buffered, held, in flight, or dropped.
+func (s *Simulation) Conserved() bool {
+	m := s.Metrics
+	return m.MessagesSent == m.MessagesDelivered+s.TotalBuffered()+s.TotalHeld()+s.inflight+m.MessagesDropped
+}
+
+// begin opens one lockstep transition attempt: the clock advances,
+// scheduled crashes fire, expired holds drain into their buffers, and
+// the active node's stall status is reported.
+func (s *Simulation) begin(i int) (stalled bool) {
 	s.clock++
 	if s.faults == nil {
 		return false
 	}
 	for _, c := range s.faults.Crashes {
-		if c.At == s.clock {
-			s.crash(c.Node)
+		if c.At != s.clock {
+			continue
+		}
+		if j, ok := s.idx[c.Node]; ok {
+			s.crash(j)
 		}
 	}
 	s.releaseHeld()
-	if s.faults.StalledAt(x, s.clock) {
-		s.Metrics.StalledSteps++
-		EmitStall(s.sink, s.Metrics.Transitions, s.clock, x)
-		return true
+	return s.stalled(i)
+}
+
+// stalled reports whether node i sits in a stall window at the current
+// clock, and accounts for the swallowed activation if so. A stalled
+// activation is a no-op — the node performs no transition at all
+// during its window.
+func (s *Simulation) stalled(i int) bool {
+	if s.faults == nil || !s.faults.StalledAt(s.Net[i], s.clock) {
+		return false
 	}
-	return false
+	s.Metrics.StalledSteps++
+	emitStall(s.sink, s.Metrics.Transitions, s.clock, s.Net[i])
+	return true
 }
 
 // releaseHeld moves every held message whose hold expired into its
 // recipient's buffer.
 func (s *Simulation) releaseHeld() {
-	for _, x := range s.Net {
-		q := s.held[x]
-		if len(q) == 0 {
+	for i := range s.nodes {
+		n := &s.nodes[i]
+		if len(n.held) == 0 {
 			continue
 		}
-		keep := q[:0]
-		for _, h := range q {
+		keep := n.held[:0]
+		for _, h := range n.held {
 			if h.release <= s.clock {
-				s.buf[x].add(h.f, h.n)
+				n.buf.add(h.f, h.n)
 			} else {
 				keep = append(keep, h)
 			}
 		}
-		s.held[x] = keep
+		n.held = keep
 	}
 }
 
-// crash applies a crash-restart of node x: volatile state — memory,
-// outputs, buffered and held messages — is dropped, while the durable
-// local input fragment survives. Recovery rebroadcast then refills x's
-// buffer with every fact the other nodes have ever sent (their send
-// logs), so no message is permanently lost and fairness is preserved.
-// Dropped in-flight instances are counted in MessagesDropped so the
-// conservation invariant stays checkable.
-func (s *Simulation) crash(x NodeID) {
-	if !s.Net.Has(x) {
+// eachRecipient enumerates the nodes that receive node i's sends, in
+// network order.
+func (s *Simulation) eachRecipient(i int, fn func(j int)) {
+	if s.recipients != nil {
+		for _, j := range s.recipients[i] {
+			fn(int(j))
+		}
 		return
 	}
-	dropped := s.buf[x].size()
-	for _, h := range s.held[x] {
-		dropped += h.n
-	}
-	s.Metrics.MessagesDropped += dropped
-	s.state[x] = fact.NewInstance()
-	s.buf[x] = newMultiset()
-	s.held[x] = nil
-	for _, y := range s.Net {
-		if y == x {
-			continue
+	for j := range s.nodes {
+		if j != i {
+			fn(j)
 		}
-		for _, f := range s.sentLog[y].Facts() {
-			s.buf[x].add(f, 1)
+	}
+}
+
+// crash applies a crash-restart of node i: volatile state — memory,
+// outputs, buffered and held messages — is dropped, while the durable
+// local input fragment survives (copies a scheduler holds in flight
+// survive too: they arrive after the restart). Recovery rebroadcast
+// then refills the buffer with every fact the nodes that send to i
+// have ever sent (their send logs), so no message is permanently lost
+// and fairness is preserved. Dropped instances are counted in
+// MessagesDropped so the conservation invariant stays checkable.
+func (s *Simulation) crash(i int) {
+	n := &s.nodes[i]
+	dropped := n.buf.size() + s.heldAt(i)
+	s.Metrics.MessagesDropped += dropped
+	n.state = fact.NewInstance()
+	n.buf = newMultiset()
+	n.held = nil
+	s.eachRecipient(i, func(j int) {
+		for _, f := range s.nodes[j].sentLog.Facts() {
+			n.buf.add(f, 1)
 			s.Metrics.MessagesSent++
 			s.Metrics.MessagesRetransmitted++
 		}
-	}
+	})
 	s.Metrics.Crashes++
-	EmitCrash(s.sink, s.Metrics.Transitions, s.clock, x, dropped, s.buf[x].size())
+	emitCrash(s.sink, s.Metrics.Transitions, s.clock, s.Net[i], dropped, n.buf.size())
 }
 
 // send routes one (fact, recipient) pair through the fault plan: the
 // instance may be duplicated and may be held back (random delay or an
-// active partition) before reaching the buffer.
-func (s *Simulation) send(from, to NodeID, f fact.Fact) {
+// active partition). It then goes to place, or — lockstep, nil place —
+// into the recipient's held queue or buffer.
+func (s *Simulation) send(from, to int, f fact.Fact, place placer) {
 	copies, delay := 1, 0
 	if s.faults != nil {
-		copies += s.faults.extraCopies(s.clock, from, to, f)
-		delay = s.faults.holdFor(s.clock, from, to, f)
+		copies += s.faults.ExtraCopies(s.clock, s.Net[from], s.Net[to], f)
+		delay = s.faults.HoldFor(s.clock, s.Net[from], s.Net[to], f)
 	}
 	s.Metrics.MessagesSent += copies
 	s.Metrics.MessagesDuplicated += copies - 1
 	if delay > 0 {
-		s.held[to] = append(s.held[to], heldMsg{release: s.clock + delay, f: f, n: copies})
 		s.Metrics.MessagesDelayed += copies
-		EmitHold(s.sink, s.clock, from, to, f, copies, s.clock+delay)
-	} else {
-		s.buf[to].add(f, copies)
+		emitHold(s.sink, s.clock, s.Net[from], s.Net[to], f, copies, s.clock+delay)
+	}
+	n := &s.nodes[to]
+	switch {
+	case place != nil:
+		s.inflight += copies
+		place(from, to, f, copies, delay)
+	case delay > 0:
+		n.held = append(n.held, heldMsg{release: s.clock + delay, f: f, n: copies})
+	default:
+		n.buf.add(f, copies)
 	}
 }
 
@@ -450,42 +532,42 @@ func (s *Simulation) send(from, to NodeID, f fact.Fact) {
 // output facts.
 func (s *Simulation) Output() *fact.Instance {
 	out := fact.NewInstance()
-	for _, x := range s.Net {
-		out.AddAll(s.state[x].Restrict(s.Trans.Schema.Out))
+	for i := range s.nodes {
+		out.AddAll(s.nodes[i].state.Restrict(s.Trans.Schema.Out))
 	}
 	return out
 }
 
-// transition performs one transition of the active node x with the
+// transition performs one transition of the active node i with the
 // delivered message set m (already removed from the buffer). The
-// query evaluation and state update live in the scheduler-independent
-// Stepper (step.go); this wrapper adds the tick scheduler's concerns —
-// broadcast routing through the fault plan, the crash-recovery send
-// log, metrics and the trace event. It reports whether the node's
-// state changed or any message was sent.
-func (s *Simulation) transition(x NodeID, m *fact.Instance) (changed bool, err error) {
-	sp := Stepper{Net: s.Net, Trans: s.Trans, Pol: s.Pol, Mod: s.Mod}
-	res, err := sp.Step(x, s.local[x], s.state[x], m)
+// query evaluation and state update live in the Stepper (step.go);
+// this wrapper adds routing through the fault plan, the crash-recovery
+// send log, the oracle check, metrics and the trace event. It reports
+// whether the node's state changed or any message was sent.
+func (s *Simulation) transition(i int, m *fact.Instance, place placer) (changed bool, err error) {
+	n := &s.nodes[i]
+	res, err := s.step.Step(s.Net[i], n.local, n.state, m)
 	if err != nil {
 		return false, err
 	}
 	changed = res.Changed
-	snd := res.Sent
 
-	// Broadcast sent facts to every other node (through the fault
-	// plan, when one is installed) and log them for crash recovery.
-	if !snd.Empty() {
-		for _, y := range s.Net {
-			if y == x {
-				continue
-			}
-			for _, f := range snd.Facts() {
-				s.send(x, y, f)
+	if sent := res.Sent.Facts(); len(sent) > 0 {
+		s.eachRecipient(i, func(j int) {
+			for _, f := range sent {
+				s.send(i, j, f, place)
 			}
 			changed = true
+		})
+		for _, f := range sent {
+			n.sentLog.Add(f)
 		}
-		for _, f := range snd.Facts() {
-			s.sentLog[x].Add(f)
+	}
+	if s.Want != nil {
+		for _, f := range res.OutNew {
+			if !s.Want.Has(f) {
+				s.WrongFacts = append(s.WrongFacts, f)
+			}
 		}
 	}
 
@@ -494,46 +576,45 @@ func (s *Simulation) transition(x NodeID, m *fact.Instance) (changed bool, err e
 		s.Metrics.Heartbeats++
 	}
 	if s.sink != nil {
-		held := 0
-		for _, h := range s.held[x] {
-			held += h.n
-		}
-		EmitTransition(s.sink, s.Metrics.Transitions, s.clock, x, m, snd.Len(), changed,
-			s.state[x].Restrict(s.Trans.Schema.Out).Len(), s.buf[x].size(), held)
+		emitTransition(s.sink, s.Metrics.Transitions, s.clock, s.Net[i], m, res.Sent.Len(), changed,
+			n.state.Restrict(s.Trans.Schema.Out).Len(), n.buf.size(), s.heldAt(i))
 	}
 	return changed, nil
+}
+
+// deliverAll performs a transition of node i delivering its entire
+// buffer.
+func (s *Simulation) deliverAll(i int, place placer) (bool, error) {
+	m, n := s.nodes[i].buf.takeAll()
+	s.Metrics.MessagesDelivered += n
+	return s.transition(i, m, place)
 }
 
 // Heartbeat performs a heartbeat transition of x: no messages are
 // delivered (messages may still be sent).
 func (s *Simulation) Heartbeat(x NodeID) (bool, error) {
-	if !s.Net.Has(x) {
-		return false, fmt.Errorf("transducer: node %s not in network", x)
+	i, err := s.at(x)
+	if err != nil || s.begin(i) {
+		return false, err
 	}
-	if s.begin(x) {
-		return false, nil
-	}
-	return s.transition(x, fact.NewInstance())
+	return s.transition(i, fact.NewInstance(), nil)
 }
 
 // Deliver performs a transition of x delivering its entire buffer.
 func (s *Simulation) Deliver(x NodeID) (bool, error) {
-	if !s.Net.Has(x) {
-		return false, fmt.Errorf("transducer: node %s not in network", x)
+	i, err := s.at(x)
+	if err != nil || s.begin(i) {
+		return false, err
 	}
-	if s.begin(x) {
-		return false, nil
-	}
-	m, n := s.buf[x].takeAll()
-	s.Metrics.MessagesDelivered += n
-	return s.transition(x, m)
+	return s.deliverAll(i, nil)
 }
 
-// takeBatch removes from x's buffer every fact selected by keep (all
-// copies of each) and returns the batch as a set. The buffer is walked
-// in sorted key order so a stateful keep sees a reproducible sequence.
-func (s *Simulation) takeBatch(x NodeID, keep func(fact.Fact) bool) *fact.Instance {
-	b := s.buf[x]
+// takeBatch removes from node i's buffer every fact selected by keep
+// (all copies of each) and returns the batch as a set. The buffer is
+// walked in sorted key order so a stateful keep sees a reproducible
+// sequence.
+func (s *Simulation) takeBatch(i int, keep func(fact.Fact) bool) *fact.Instance {
+	b := s.nodes[i].buf
 	m := fact.NewInstance()
 	for _, k := range b.sortedKeys() {
 		f := b.facts[k]
@@ -553,13 +634,11 @@ func (s *Simulation) takeBatch(x NodeID, keep func(fact.Fact) bool) *fact.Instan
 // to deliver any submultiset, so this models an adversarial but fair
 // scheduler; tests use it to open race windows deterministically.
 func (s *Simulation) DeliverWhere(x NodeID, pred func(fact.Fact) bool) (bool, error) {
-	if !s.Net.Has(x) {
-		return false, fmt.Errorf("transducer: node %s not in network", x)
+	i, err := s.at(x)
+	if err != nil || s.begin(i) {
+		return false, err
 	}
-	if s.begin(x) {
-		return false, nil
-	}
-	return s.transition(x, s.takeBatch(x, pred))
+	return s.transition(i, s.takeBatch(i, pred), nil)
 }
 
 // DeliverBatch performs a transition of x delivering exactly the
@@ -568,27 +647,64 @@ func (s *Simulation) DeliverWhere(x NodeID, pred func(fact.Fact) bool) (bool, er
 // This is the planned-delivery primitive the schedule explorer builds
 // its adversarial schedules from.
 func (s *Simulation) DeliverBatch(x NodeID, batch *fact.Instance) (bool, error) {
-	if !s.Net.Has(x) {
-		return false, fmt.Errorf("transducer: node %s not in network", x)
-	}
-	if s.begin(x) {
-		return false, nil
-	}
-	return s.transition(x, s.takeBatch(x, batch.Has))
+	return s.DeliverWhere(x, batch.Has)
 }
 
 // DeliverRandom performs a transition of x delivering a random
 // submultiset of its buffer.
 func (s *Simulation) DeliverRandom(x NodeID, rng *rand.Rand) (bool, error) {
-	if !s.Net.Has(x) {
-		return false, fmt.Errorf("transducer: node %s not in network", x)
+	i, err := s.at(x)
+	if err != nil || s.begin(i) {
+		return false, err
 	}
-	if s.begin(x) {
-		return false, nil
-	}
-	m, n := s.buf[x].takeRandom(rng)
+	m, n := s.nodes[i].buf.takeRandom(rng)
 	s.Metrics.MessagesDelivered += n
-	return s.transition(x, m)
+	return s.transition(i, m, nil)
+}
+
+// The four methods below are the seam for a scheduler that owns the
+// clock (the event heap of internal/netsim): it tells the machine what
+// time it is, takes routed sends through place, and hands each copy
+// back with Arrive when its time comes. Crashes and holds are then the
+// scheduler's to time, so neither fires from these calls. Nodes are
+// named by their index in Net.
+
+// DeliverAt performs a transition of node i at the given clock,
+// delivering its entire buffer; routed sends go to place. A node
+// inside a stall window takes no transition and reports stalled.
+func (s *Simulation) DeliverAt(i, clock int, place placer) (changed, stalled bool, err error) {
+	s.clock = clock
+	if s.stalled(i) {
+		return false, true, nil
+	}
+	changed, err = s.deliverAll(i, place)
+	return changed, false, err
+}
+
+// CrashAt applies a crash-restart of node i at the given clock.
+func (s *Simulation) CrashAt(i, clock int) {
+	s.clock = clock
+	s.crash(i)
+}
+
+// Arrive puts n copies of f, taken earlier through a placer or
+// TakeHeld, into node i's buffer.
+func (s *Simulation) Arrive(i int, f fact.Fact, n int) {
+	s.inflight -= n
+	s.nodes[i].buf.add(f, n)
+}
+
+// TakeHeld empties every held queue into fn (recipient index, fact,
+// copies, release clock), so a machine stepped in lockstep first can
+// finish under a scheduler that keeps messages in transit itself.
+func (s *Simulation) TakeHeld(fn func(to int, f fact.Fact, n, release int)) {
+	for i := range s.nodes {
+		for _, h := range s.nodes[i].held {
+			s.inflight += h.n
+			fn(i, h.f, h.n, h.release)
+		}
+		s.nodes[i].held = nil
+	}
 }
 
 // ErrNoQuiescence is wrapped by run drivers when the bound is
@@ -599,7 +715,8 @@ var ErrNoQuiescence = fmt.Errorf("transducer: network did not quiesce within the
 // buffers (a fair run), until a full round changes no state, sends no
 // message, and leaves every buffer empty. It returns the network
 // output out(R). Transducers whose runs do not stabilize within
-// maxRounds yield ErrNoQuiescence.
+// maxRounds yield ErrNoQuiescence. Every node is visited every round,
+// so Clock() is also the dense schedule's scheduler-operation count.
 func (s *Simulation) RunToQuiescence(maxRounds int) (*fact.Instance, error) {
 	for round := 0; round < maxRounds; round++ {
 		roundChanged := false
@@ -613,7 +730,7 @@ func (s *Simulation) RunToQuiescence(maxRounds int) (*fact.Instance, error) {
 			}
 		}
 		if !roundChanged && s.TotalBuffered() == 0 && s.TotalHeld() == 0 && s.FaultsDone() {
-			EmitQuiesce(s.sink, s.clock, round+1, s.Output().Len())
+			emitQuiesce(s.sink, s.clock, round+1, s.Output().Len())
 			return s.Output(), nil
 		}
 	}
@@ -628,8 +745,7 @@ func (s *Simulation) FaultsDone() bool {
 	return s.faults == nil || s.clock >= s.faults.Horizon()
 }
 
-// RunMetrics returns the accumulated counters (the Machine-interface
-// accessor for Simulation's exported Metrics field).
+// RunMetrics returns the accumulated counters.
 func (s *Simulation) RunMetrics() Metrics { return s.Metrics }
 
 // BufferedFacts returns the facts currently buffered at node x, in
@@ -637,7 +753,7 @@ func (s *Simulation) RunMetrics() Metrics { return s.Metrics }
 // buffer walk must use. Copies are collapsed: each distinct fact
 // appears once.
 func (s *Simulation) BufferedFacts(x NodeID) []fact.Fact {
-	b := s.buf[x]
+	b := s.nodes[s.idx[x]].buf
 	keys := b.sortedKeys()
 	fs := make([]fact.Fact, 0, len(keys))
 	for _, k := range keys {
@@ -649,8 +765,9 @@ func (s *Simulation) BufferedFacts(x NodeID) []fact.Fact {
 // KnownValues returns the values node x has already seen: its own
 // identifier plus the active domains of its input fragment and state.
 func (s *Simulation) KnownValues(x NodeID) fact.ValueSet {
-	known := s.local[x].ADom()
-	for v := range s.state[x].ADom() {
+	n := &s.nodes[s.idx[x]]
+	known := n.local.ADom()
+	for v := range n.state.ADom() {
 		known.Add(v)
 	}
 	known.Add(x)

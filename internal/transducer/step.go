@@ -10,9 +10,8 @@ import (
 // evaluates the four queries against the visible data plus the model's
 // system facts, applies the insert/delete cancellation semantics to
 // the state in place, and returns the send set for the caller to
-// route. Both schedulers share this core — the tick-based Simulation
-// in this package and the event-driven engine in internal/netsim — so
-// a transition computes exactly the same state delta and send set no
+// route. Simulation.transition is its one caller in the machine, so a
+// transition computes exactly the same state delta and send set no
 // matter which scheduler activated the node.
 type Stepper struct {
 	Net   Network

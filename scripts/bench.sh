@@ -43,9 +43,11 @@ go test -run '^$' -bench 'BenchmarkPinnedReads|BenchmarkColdReads|BenchmarkWrite
 # Event-scheduler node-count sweep (EXPERIMENTS.md PERF.10): the
 # sparse-activity gossip workload (5 scattered facts, neighbor
 # routing, one long stall window) at 10^2/10^3/10^4 nodes on the
-# event-driven engine — events/op, events/s, schedops/op, heapmax —
-# against the tick-walk RunFair baseline at 10^2/10^3, whose
-# schedops/op row is the denominator of the >= 10x PR-10 gate.
+# event scheduler — events/op, events/s, schedops/op, heapmax —
+# against the dense schedule of the same machine (RunToQuiescence;
+# row name NetsimTick kept so old snapshots stay comparable) at
+# 10^2/10^3, whose schedops/op row is the denominator of the >= 10x
+# PR-10 gate.
 go test -run '^$' -bench 'BenchmarkNetsimEvent|BenchmarkNetsimTick' \
     -benchtime "$benchtime" ./internal/netsim/ >>"$tmp"
 
