@@ -84,7 +84,7 @@ func buildAbsence(q monotone.Query, in, out fact.Schema) (*transducer.Transducer
 	t := &transducer.Transducer{
 		Schema: sch,
 		Out: func(d *fact.Instance) (*fact.Instance, error) {
-			known := knownFacts(d, in)
+			known := knownFacts(in, d)
 			if !complete(d, known) {
 				return fact.NewInstance(), nil
 			}

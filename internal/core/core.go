@@ -164,10 +164,8 @@ func Build(s Strategy, q monotone.Query) (*transducer.Transducer, error) {
 		}
 	}
 	switch s {
-	case Broadcast:
-		return buildBroadcast(q, in, out)
-	case Gossip:
-		return buildGossip(q, in, out)
+	case Broadcast, Gossip:
+		return buildFlood(s, q, in, out)
 	case Absence:
 		return buildAbsence(q, in, out)
 	case DomainRequest:
@@ -193,22 +191,23 @@ func inputRels(in fact.Schema) []string {
 	return names
 }
 
-// knownFacts reconstructs the input facts visible at a node: its local
-// input fragment, stored received facts, and facts delivered in this
-// very transition.
-func knownFacts(d *fact.Instance, in fact.Schema) *fact.Instance {
+// knownFacts reconstructs the input facts visible at a node from D, or
+// from the node's parts: its local input fragment, stored received
+// facts, and facts delivered in this very transition.
+func knownFacts(in fact.Schema, parts ...*fact.Instance) *fact.Instance {
 	k := fact.NewInstance()
-	for rel, ar := range in {
-		for _, f := range d.Rel(rel) {
-			k.Add(f)
+	for rel := range in {
+		id, carriers := fact.InternString(rel), []string{relGot(rel), relFwd(rel)}
+		for _, d := range parts {
+			for _, f := range d.Rel(rel) {
+				k.Add(f)
+			}
+			for _, from := range carriers {
+				for _, f := range d.Rel(from) {
+					k.AddIDs(id, f.ArgIDs())
+				}
+			}
 		}
-		for _, f := range d.Rel(relGot(rel)) {
-			k.Add(fact.FromTuple(rel, f.Args()))
-		}
-		for _, f := range d.Rel(relFwd(rel)) {
-			k.Add(fact.FromTuple(rel, f.Args()))
-		}
-		_ = ar
 	}
 	return k
 }

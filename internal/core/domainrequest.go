@@ -127,7 +127,7 @@ func buildDomainRequest(q monotone.Query, in, out fact.Schema) (*transducer.Tran
 			if !complete(d) {
 				return fact.NewInstance(), nil
 			}
-			known := knownFacts(d, in)
+			known := knownFacts(in, d)
 			res, err := q.Eval(known)
 			if err != nil {
 				return nil, fmt.Errorf("core: domain-request strategy evaluating %s: %w", q.Name(), err)

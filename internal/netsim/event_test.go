@@ -5,6 +5,7 @@ import (
 	"errors"
 	"hash"
 	"hash/fnv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -170,6 +171,46 @@ func TestSweepDetectsDivergence(t *testing.T) {
 	}
 	if !bytes.Contains(buf.Bytes(), []byte(obs.EvViolation)) {
 		t.Fatal("violation never hit the sink")
+	}
+}
+
+// TestSweepSeparatesErrorsFromNoQuiescence: only an exhausted event
+// bound is a NoQuiescence violation. A failed transition — here an Out
+// query emitting a fact outside its target schema — comes back as the
+// error it is, with the run still accounted as aborted.
+func TestSweepSeparatesErrorsFromNoQuiescence(t *testing.T) {
+	topo := generate.MustTopology(generate.TopoRing, 16, 1)
+	in := sixGraph()
+	want := wantTC(t, in)
+	net := netsim.NetworkOf(topo)
+	sweep := func(tr *transducer.Transducer, opts netsim.SweepOptions) (*transducer.ScheduleViolation, netsim.SweepStats, error) {
+		return netsim.Sweep(topo, netsim.RouteNeighbors, tr, transducer.HashPolicy(net), core.Gossip.RequiredModel(), in, want, opts)
+	}
+
+	v, stats, err := sweep(core.MustBuild(core.Gossip, queries.TC()), netsim.SweepOptions{Seeds: 1, MaxEvents: 10})
+	if err != nil || v == nil || v.Kind != transducer.NoQuiescence {
+		t.Fatalf("exhausted bound: want a no-quiescence violation, got %v, %v", v, err)
+	}
+	if stats.Violations != 1 || stats.Aborted != 1 {
+		t.Fatalf("stats off after no-quiescence: %+v", stats)
+	}
+
+	offSchema := &transducer.Transducer{
+		Schema: transducer.Schema{In: fact.GraphSchema(), Out: fact.MustSchema(map[string]int{"O": 2})},
+		Out: func(*fact.Instance) (*fact.Instance, error) {
+			return fact.NewInstance(fact.New("Stray", "a")), nil
+		},
+	}
+	var buf bytes.Buffer
+	v, stats, err = sweep(offSchema, netsim.SweepOptions{Seeds: 1, Sink: obs.NewSink(&buf)})
+	if v != nil || err == nil || errors.Is(err, transducer.ErrNoQuiescence) || !strings.Contains(err.Error(), "outside its target schema") {
+		t.Fatalf("off-schema output: want the query error back, got %v, %v", v, err)
+	}
+	if stats.Runs != 1 || stats.Violations != 0 || stats.Aborted != 1 {
+		t.Fatalf("stats off after an error: %+v", stats)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte(`"aborted":true`)) || bytes.Contains(buf.Bytes(), []byte(obs.EvViolation)) {
+		t.Fatalf("an errored run is an aborted schedule, not a violation: %s", buf.Bytes())
 	}
 }
 

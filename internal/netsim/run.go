@@ -118,7 +118,7 @@ func (s *Sim) Run() (*fact.Instance, error) {
 	// silent — everyone else.
 	silent := s.silentStart()
 	for i, x := range s.Net {
-		if !silent || s.Buffered(x) > 0 || !s.LocalInput(x).Empty() {
+		if !silent || s.Buffered(x) > 0 || s.LocalSize(x) > 0 {
 			s.wake(i, s.now)
 		}
 	}
@@ -151,8 +151,9 @@ func (s *Sim) Run() (*fact.Instance, error) {
 			}
 		}
 	}
-	emitNetsimQuiesce(s.Sink(), s.now, s.events, s.schedOps, s.Output().Len())
-	return s.Output(), nil
+	out := s.Output()
+	emitNetsimQuiesce(s.Sink(), s.now, s.events, s.schedOps, out.Len())
+	return out, nil
 }
 
 // emitNetsimQuiesce is the single construction site for the

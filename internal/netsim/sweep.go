@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -125,7 +126,7 @@ func Sweep(topo *generate.Topology, routing Routing, t *transducer.Transducer, p
 			label = fmt.Sprintf("%s faults[%s]", label, plan)
 			s.SetFaults(plan)
 		}
-		out, runErr := s.Run()
+		out, err := s.Run()
 
 		m := s.RunMetrics()
 		stats.Runs++
@@ -138,11 +139,15 @@ func Sweep(topo *generate.Topology, routing Routing, t *transducer.Transducer, p
 
 		var v *transducer.ScheduleViolation
 		switch {
-		case runErr != nil:
+		case errors.Is(err, transducer.ErrNoQuiescence):
+			err = nil
 			v = &transducer.ScheduleViolation{
 				Kind: transducer.NoQuiescence, Schedule: label,
 				Step: m.Transitions, Output: s.Output(), Want: want,
 			}
+		case err != nil:
+			// A failed transition is no verdict on the schedule: the
+			// error goes back to the caller as it is.
 		case len(s.WrongFacts) > 0:
 			bad := s.WrongFacts[0]
 			v = &transducer.ScheduleViolation{
@@ -154,14 +159,15 @@ func Sweep(topo *generate.Topology, routing Routing, t *transducer.Transducer, p
 				Kind: transducer.Divergence, Schedule: label,
 				Step: m.Transitions, Output: out, Want: want,
 			}
-		}
-		if v == nil && !s.Conserved() {
-			return nil, fmt.Errorf("netsim: %s broke conservation: sent=%d delivered=%d buffered=%d held=%d inflight=%d dropped=%d",
+		case !s.Conserved():
+			err = fmt.Errorf("netsim: %s broke conservation: sent=%d delivered=%d buffered=%d held=%d inflight=%d dropped=%d",
 				label, m.MessagesSent, m.MessagesDelivered, s.TotalBuffered(), s.TotalHeld(), s.Inflight(), m.MessagesDropped)
 		}
-		aborted := v != nil
+		aborted := v != nil || err != nil
 		if aborted {
 			stats.Aborted++
+		}
+		if v != nil {
 			stats.Violations++
 		}
 		if sink := opts.Sink; sink != nil {
@@ -185,7 +191,7 @@ func Sweep(topo *generate.Topology, routing Routing, t *transducer.Transducer, p
 					obs.F("want", v.Want.Len()))
 			}
 		}
-		return v, nil
+		return v, err
 	}
 
 	// Fault-free baseline on the default tiebreak seed.

@@ -360,6 +360,9 @@ func (s *Simulation) at(x NodeID) (int, error) {
 // LocalInput returns node x's input fragment dist_P(I)(x).
 func (s *Simulation) LocalInput(x NodeID) *fact.Instance { return s.nodes[s.idx[x]].local.Clone() }
 
+// LocalSize returns the number of facts in node x's input fragment.
+func (s *Simulation) LocalSize(x NodeID) int { return s.nodes[s.idx[x]].local.Len() }
+
 // State returns a copy of node x's current state (output ∪ memory).
 func (s *Simulation) State(x NodeID) *fact.Instance { return s.nodes[s.idx[x]].state.Clone() }
 

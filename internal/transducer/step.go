@@ -1,6 +1,8 @@
 package transducer
 
 import (
+	"fmt"
+
 	"repro/internal/fact"
 )
 
@@ -8,9 +10,10 @@ import (
 // transducer semantics (Section 4.1.3): given an active node's fixed
 // local fragment, its mutable state and the delivered message set, it
 // evaluates the four queries against the visible data plus the model's
-// system facts, applies the insert/delete cancellation semantics to
-// the state in place, and returns the send set for the caller to
-// route. Simulation.transition is its one caller in the machine, so a
+// system facts (or runs the transducer's insert-only form of them),
+// applies the insert/delete cancellation semantics to the state in
+// place, and returns the send set for the caller to route.
+// Simulation.transition is its one caller in the machine, so a
 // transition computes exactly the same state delta and send set no
 // matter which scheduler activated the node.
 type Stepper struct {
@@ -74,32 +77,50 @@ func (sp *Stepper) SystemFacts(x NodeID, j *fact.Instance) *fact.Instance {
 	return sys
 }
 
-// Step performs one transition of node x: it evaluates Out/Ins/Del/Snd
-// on local ∪ state ∪ m ∪ systemFacts and mutates state in place —
+// Step performs one transition of node x and mutates state in place —
 // outputs accumulate, memory applies ins/del with the cancellation
-// semantics of Section 4.1.3. The send set is returned unrouted; the
-// caller decides recipients, fault treatment and logging. Changed does
-// NOT account for sends (schedulers fold that in after routing).
+// semantics of Section 4.1.3. What the transition produces comes from
+// the transducer's insert-only form when it has one (a delta over the
+// node's parts, nothing to delete), and otherwise from evaluating
+// Out/Ins/Del/Snd on local ∪ state ∪ m ∪ systemFacts; both arms check
+// every produced fact against its target schema. The send set is
+// returned unrouted; the caller decides recipients, fault treatment and
+// logging. Changed does NOT account for sends (schedulers fold that in
+// after routing).
 func (sp *Stepper) Step(x NodeID, local, state, m *fact.Instance) (StepResult, error) {
 	t := sp.Trans
-	j := local.Union(state).Union(m)
-	d := j.Union(sp.SystemFacts(x, j))
-
-	out, err := runQuery(t.Out, d, t.Schema.Out, "output")
-	if err != nil {
-		return StepResult{}, err
-	}
-	ins, err := runQuery(t.Ins, d, t.Schema.Mem, "insertion")
-	if err != nil {
-		return StepResult{}, err
-	}
-	del, err := runQuery(t.Del, d, t.Schema.Mem, "deletion")
-	if err != nil {
-		return StepResult{}, err
-	}
-	snd, err := runQuery(t.Snd, d, t.Schema.Msg, "send")
-	if err != nil {
-		return StepResult{}, err
+	var out, ins, del, snd *fact.Instance
+	if t.Delta != nil {
+		d, err := t.Delta(local, state, m)
+		if err != nil {
+			return StepResult{}, fmt.Errorf("transducer: insert-only form: %w", err)
+		}
+		if out, err = checkTarget(d.Out, t.Schema.Out, "output"); err != nil {
+			return StepResult{}, err
+		}
+		if ins, err = checkTarget(d.Ins, t.Schema.Mem, "insertion"); err != nil {
+			return StepResult{}, err
+		}
+		if snd, err = checkTarget(d.Snd, t.Schema.Msg, "send"); err != nil {
+			return StepResult{}, err
+		}
+		del = fact.NewInstance()
+	} else {
+		j := local.Union(state).Union(m)
+		d := j.Union(sp.SystemFacts(x, j))
+		var err error
+		if out, err = runQuery(t.Out, d, t.Schema.Out, "output"); err != nil {
+			return StepResult{}, err
+		}
+		if ins, err = runQuery(t.Ins, d, t.Schema.Mem, "insertion"); err != nil {
+			return StepResult{}, err
+		}
+		if del, err = runQuery(t.Del, d, t.Schema.Mem, "deletion"); err != nil {
+			return StepResult{}, err
+		}
+		if snd, err = runQuery(t.Snd, d, t.Schema.Msg, "send"); err != nil {
+			return StepResult{}, err
+		}
 	}
 
 	res := StepResult{Sent: snd}
@@ -109,17 +130,16 @@ func (sp *Stepper) Step(x NodeID, local, state, m *fact.Instance) (StepResult, e
 			res.OutNew = append(res.OutNew, f)
 		}
 	}
-	insOnly := ins.Minus(del)
-	delOnly := del.Minus(ins)
-	for _, f := range insOnly.Facts() {
-		if state.Add(f) {
-			res.Changed = true
-		}
+	if !del.Empty() {
+		ins, del = ins.Minus(del), del.Minus(ins)
 	}
-	for _, f := range delOnly.Facts() {
-		if state.Remove(f) {
-			res.Changed = true
-		}
-	}
+	ins.Each(func(f fact.Fact) bool {
+		res.Changed = state.Add(f) || res.Changed
+		return true
+	})
+	del.Each(func(f fact.Fact) bool {
+		res.Changed = state.Remove(f) || res.Changed
+		return true
+	})
 	return res, nil
 }

@@ -101,6 +101,26 @@ type Transducer struct {
 	// Snd produces message facts (target schema Msg) that are
 	// broadcast to every other node.
 	Snd Query
+	// Delta, when set, is the insert-only form of the four queries, for
+	// a transducer that never deletes and reads no system relation. It
+	// must add to the state and send exactly what Out, Ins and Snd would
+	// from every configuration the transducer's own transitions (and
+	// crashes) reach. Stepper.Step then runs it in place of the four
+	// queries; clearing the field restores full re-evaluation.
+	Delta DeltaFunc
+}
+
+// DeltaFunc is a pure function of the active node's parts — its input
+// fragment, its state and the delivered message set — that probes them
+// by membership, without materialising the visible instance D.
+type DeltaFunc func(local, state, m *fact.Instance) (Delta, error)
+
+// Delta is what one insert-only transition adds: output facts, memory
+// insertions and the send set, each over the same target schema as the
+// query it stands for. A nil instance is empty; Out and Ins may list
+// facts the state already holds.
+type Delta struct {
+	Out, Ins, Snd *fact.Instance
 }
 
 // Validate checks the schema.
@@ -117,6 +137,15 @@ func runQuery(q Query, d *fact.Instance, target fact.Schema, what string) (*fact
 	out, err := q(d)
 	if err != nil {
 		return nil, fmt.Errorf("transducer: %s query: %w", what, err)
+	}
+	return checkTarget(out, target, what)
+}
+
+// checkTarget verifies that what a query (or its insert-only form)
+// produced is over the target schema; nil reads as empty.
+func checkTarget(out *fact.Instance, target fact.Schema, what string) (*fact.Instance, error) {
+	if out == nil {
+		return fact.NewInstance(), nil
 	}
 	var bad *fact.Fact
 	out.Each(func(f fact.Fact) bool {

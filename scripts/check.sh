@@ -7,8 +7,9 @@
 # twice under -race
 # (-count=2 defeats the test cache and catches order-dependent state),
 # internal/transducer coverage is gated at its pre-fault-layer
-# baseline (84.0%), internal/netsim, internal/generate, internal/obs,
-# internal/serve, internal/cluster,
+# baseline (84.0%), internal/core (the strategies whose transitions
+# both simulators' hot path runs) at 85.0%, internal/netsim,
+# internal/generate, internal/obs, internal/serve, internal/cluster,
 # and internal/admin at 80.0%, and the
 # instrumentation's disabled (nil) fast path is benchmarked against a
 # bare workload so "tracing off" stays ~free.
@@ -53,6 +54,7 @@ coverage_gate() {
 }
 
 coverage_gate ./internal/transducer/ 84.0
+coverage_gate ./internal/core/ 85.0
 coverage_gate ./internal/netsim/ 80.0
 coverage_gate ./internal/generate/ 80.0
 coverage_gate ./internal/obs/ 80.0
