@@ -309,9 +309,6 @@ func (c *Cluster) splitInitial(initial *fact.Instance, n int) []*fact.Instance {
 // Plan returns the coordination plan the fragment classifier chose.
 func (c *Cluster) Plan() Plan { return c.plan }
 
-// Placement returns the configured placement strategy.
-func (c *Cluster) Placement() PlacementKind { return c.place }
-
 // ShardCount returns the number of shards.
 func (c *Cluster) ShardCount() int { return len(c.shards) }
 

@@ -63,11 +63,6 @@ type Atom struct {
 	Args []Term
 }
 
-// NewAtom builds an atom from a relation name and terms.
-func NewAtom(rel string, args ...Term) Atom {
-	return Atom{Rel: rel, Args: args}
-}
-
 // AtomV builds an atom whose arguments are all variables, a convenience
 // matching the paper's definition of atoms.
 func AtomV(rel string, vars ...string) Atom {

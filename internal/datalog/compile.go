@@ -7,16 +7,16 @@ import (
 )
 
 // This file implements the compiled-rule matcher: before a fixpoint
-// (or a delta-hook enumeration) runs, each Rule is compiled into a
+// (or a Valuations enumeration) runs, each Rule is compiled into a
 // form whose variables are dense slots and whose relation names and
 // constants are interned IDs. Matching then works entirely on
 // integers — an environment is a flat []fact.ID indexed by slot, an
 // atom match is a handful of uint32 compares, and grounding a head
 // writes IDs into a scratch tuple — so the join/dedup hot path of the
 // engines allocates nothing per candidate fact and nothing per
-// duplicate derivation (see alloc_test.go). The string-typed Rule and
-// Bindings APIs remain the public surface; compiled rules are the
-// engine-internal representation they lower to.
+// duplicate derivation (see alloc_test.go). Callers outside the package
+// reach the matcher through Compile and IndexedInstance.Valuations
+// (delta.go) only.
 
 // cTerm is a compiled term: a variable slot, or an interned constant.
 type cTerm struct {
@@ -35,9 +35,9 @@ type cIneq struct{ a, b cTerm }
 
 // cRule is a compiled rule. Variables are numbered by first
 // occurrence scanning the positive body, then the negative body, the
-// head, and the inequalities; vars maps slots back to names for the
-// Bindings-typed compatibility APIs. A compiled rule is immutable
-// after compileRule returns and safe to share across goroutines.
+// head, and the inequalities; vars maps slots back to names for error
+// messages and Valuation.Ground. A compiled rule is immutable after
+// compileRule returns and safe to share across goroutines.
 type cRule struct {
 	src      Rule
 	head     cAtom
@@ -150,8 +150,9 @@ func (cr *cRule) checkGuards(env []fact.ID, idx *relIndex, data *fact.Instance, 
 // If pin >= 0, the positive atom at that index is matched first and
 // ranges over pinFacts instead of the index: this implements both the
 // semi-naive delta discipline and the parallel engine's work
-// partitioning. init, when non-nil, pre-binds slots (NoID means
-// unbound); only environments extending it are enumerated.
+// partitioning. init, when non-nil, becomes the environment (the
+// caller gives it up): its bound slots (from unifyHead; NoID means
+// unbound) restrict the enumeration to environments extending it.
 //
 // The remaining atoms are ordered by selectivity exactly as the
 // string-based matcher did: at each step the unmatched atom with the
@@ -160,13 +161,9 @@ func (cr *cRule) checkGuards(env []fact.ID, idx *relIndex, data *fact.Instance, 
 // facts iterated.
 func (cr *cRule) match(idx *relIndex, data *fact.Instance, init []fact.ID, pin int, pinFacts []fact.Fact, scanned *int64, yield func(env []fact.ID) error) error {
 	n := len(cr.pos)
-	env := make([]fact.ID, len(cr.vars))
-	if init != nil {
-		copy(env, init)
-	} else {
-		for i := range env {
-			env[i] = fact.NoID
-		}
+	env := init
+	if env == nil {
+		env = cr.newEnv()
 	}
 	used := make([]bool, n)
 	guardScratch := make([]fact.ID, 0, cr.negArity)
@@ -283,37 +280,35 @@ func evalRuleC(cr *cRule, idx *relIndex, data *fact.Instance, pin int, pinFacts 
 	})
 }
 
-// bindings converts an environment into the public Bindings form for
-// the compatibility APIs (Valuations, MatchBound, EvalPinned).
-func (cr *cRule) bindings(env []fact.ID) Bindings {
-	b := make(Bindings, len(cr.vars))
-	for i, name := range cr.vars {
-		if env[i] != fact.NoID {
-			b[name] = fact.Symbol(env[i])
-		}
-	}
-	return b
-}
-
-// seedEnv translates initial Bindings into a slot environment. Names
-// not appearing in the rule are ignored (they cannot constrain the
-// body). ok is false when a bound value has never been interned — no
-// fact can contain it, so no valuation can extend the bindings.
-func (cr *cRule) seedEnv(init Bindings) (env []fact.ID, ok bool) {
-	env = make([]fact.ID, len(cr.vars))
+// newEnv returns an environment with every slot unbound.
+func (cr *cRule) newEnv() []fact.ID {
+	env := make([]fact.ID, len(cr.vars))
 	for i := range env {
 		env[i] = fact.NoID
 	}
-	for name, val := range init {
-		id, found := fact.LookupValue(val)
-		if !found {
-			return nil, false
-		}
-		for i, v := range cr.vars {
-			if v == name {
-				env[i] = id
-				break
+	return env
+}
+
+// unifyHead unifies the rule's head with the fact in ID space and
+// returns the environment every derivation of exactly that fact must
+// extend. ok is false when relation, arity or a constant differs, or a
+// repeated head variable would take two values.
+func (cr *cRule) unifyHead(f fact.Fact) (env []fact.ID, ok bool) {
+	args := f.ArgIDs()
+	if f.RelID() != cr.head.rel || len(args) != len(cr.head.terms) {
+		return nil, false
+	}
+	env = cr.newEnv()
+	for i, t := range cr.head.terms {
+		switch {
+		case t.slot < 0:
+			if t.cnst != args[i] {
+				return nil, false
 			}
+		case env[t.slot] == fact.NoID:
+			env[t.slot] = args[i]
+		case env[t.slot] != args[i]:
+			return nil, false
 		}
 	}
 	return env, true

@@ -1,62 +1,26 @@
 package datalog
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/fact"
 )
 
-// This file is the delta-hook surface the incremental view-maintenance
-// engine (internal/incr) is built on. The semi-naive fixpoint already
-// evaluates rules with one positive atom "pinned" to a delta; these
-// hooks export that discipline — pinned enumeration, head-bound
-// enumeration, and atom grounding — without exposing the engine's
-// internals. Everything here reads the IndexedInstance only; mutation
-// stays with Add and Remove.
-//
-// Two API planes coexist. The Valuation plane (EvalPinnedV,
-// MatchBoundCount, MatchBoundAny) exposes the compiled matcher's slot
-// environment directly: packed atom keys and head facts come from
-// interned IDs with no string work, which is what the incremental
-// engine's accept filters and support counting run on. The Bindings
-// plane (EvalPinned, MatchBound) is the original string-typed surface,
-// kept as a thin conversion layer for existing callers and tests.
-
-// Ground applies the bindings to the atom, producing a fact. Every
-// variable of the atom must be bound.
-func Ground(a Atom, b Bindings) (fact.Fact, error) {
-	return groundAtom(a, b)
-}
-
-// BindHead unifies the rule's head with the fact, returning the
-// bindings a derivation of exactly that fact must extend, and whether
-// unification succeeds (arities and constants must match, repeated
-// variables must agree). Used to enumerate or count the derivations of
-// a specific fact via MatchBound and friends.
-func (r Rule) BindHead(f fact.Fact) (Bindings, bool) {
-	if r.Head.Rel != f.Rel() || len(r.Head.Args) != f.Arity() {
-		return Bindings(nil), false
-	}
-	b := make(Bindings, len(r.Head.Args))
-	for i, t := range r.Head.Args {
-		v := f.Arg(i)
-		if t.IsVar() {
-			if bv, ok := b[t.Var]; ok {
-				if bv != v {
-					return nil, false
-				}
-			} else {
-				b[t.Var] = v
-			}
-		} else if t.Const != v {
-			return nil, false
-		}
-	}
-	return b, true
-}
+// This file is the one surface through which code outside the package
+// enumerates a rule body: Compile a rule once, then call
+// IndexedInstance.Valuations with a callback that reads the matcher's
+// live slot environment through a Valuation — packed atom keys and
+// ground facts straight from interned IDs. The semi-naive delta
+// discipline (one positive atom pinned to a fact list), the parallel
+// partitioning (the same pin over chunks) and head-bound enumeration
+// (derivations of one given fact) are arguments of that call;
+// CountDerivations and Derivable are its two thin forms. Everything
+// here reads the IndexedInstance only; mutation stays with Add and
+// Remove.
 
 // Valuation is one satisfying valuation of a compiled rule, exposed to
-// EvalPinnedV callbacks. It is a view into the matcher's live slot
+// Valuations callbacks. It is a view into the matcher's live slot
 // environment: valid only for the duration of the callback, and the
 // byte slices returned by the *Key methods share one scratch buffer —
 // each call invalidates the previous result.
@@ -64,6 +28,7 @@ type Valuation struct {
 	cr  *cRule
 	env []fact.ID
 	buf []byte
+	ids []fact.ID // Ground's scratch tuple
 }
 
 // appendAtomKey packs (relation, grounded args) of a compiled atom
@@ -99,9 +64,31 @@ func (v *Valuation) Head() (fact.Fact, error) {
 	return fact.FromIDs(v.cr.head.rel, args), nil
 }
 
-// Bindings converts the valuation to the string-typed Bindings form
-// (a fresh snapshot, safe to retain).
-func (v *Valuation) Bindings() Bindings { return v.cr.bindings(v.env) }
+// Ground applies the valuation to a source-level atom and returns the
+// resulting fact (safe to retain). Every variable of the atom must be
+// a variable of the compiled rule — the rule's own head or a negated
+// atom its caller checks against another instance, say.
+func (v *Valuation) Ground(a Atom) (fact.Fact, error) {
+	v.ids = v.ids[:0]
+	for _, t := range a.Args {
+		id := fact.NoID
+		if !t.IsVar() {
+			id = fact.Intern(t.Const)
+		} else {
+			for s, name := range v.cr.vars {
+				if name == t.Var {
+					id = v.env[s]
+					break
+				}
+			}
+		}
+		if id == fact.NoID {
+			return fact.Fact{}, fmt.Errorf("datalog: unbound variable %s in %v", t.Var, a)
+		}
+		v.ids = append(v.ids, id)
+	}
+	return fact.FromIDs(fact.InternString(a.Rel), v.ids), nil
+}
 
 // CompiledRule is a rule pre-compiled to the matcher's slot/ID form.
 // Compiling is pure per-rule setup (interning, slot numbering); a
@@ -110,98 +97,57 @@ func (v *Valuation) Bindings() Bindings { return v.cr.bindings(v.env) }
 // and safe to share across goroutines.
 type CompiledRule struct{ cr cRule }
 
-// Compile pre-compiles a rule for the *C evaluation entry points.
+// Compile pre-compiles a rule for Valuations, CountDerivations and
+// Derivable. It does not validate: an unsafe rule compiles, and its
+// unbound variables surface as errors from the enumeration.
 func Compile(r Rule) *CompiledRule {
-	cr := compileRule(r)
-	return &CompiledRule{cr: cr}
+	return &CompiledRule{cr: compileRule(r)}
 }
 
-// Rule returns the source rule the compilation came from.
-func (c *CompiledRule) Rule() Rule { return c.cr.src }
-
-// EvalPinnedV enumerates every satisfying valuation of the rule whose
-// positive atom at index pin ranges over pinFacts (which need not be
-// present in the instance), with all other atoms joined against the
-// indexed instance and the guards (negation, inequalities) checked
-// against it. emit receives a live Valuation — key bytes and the
-// environment are only valid during the call. pinFacts must not
-// contain duplicates, or valuations are enumerated once per copy.
+// Valuations enumerates the satisfying valuations of the compiled rule
+// (Section 2) against the indexed instance: every positive atom joined
+// against it and the guards (negation, inequalities) checked against
+// it. emit receives a live Valuation — key bytes and the environment
+// are only valid during the call — and a non-nil error from emit stops
+// the enumeration and is returned.
+//
+// pin >= 0 makes the positive atom at that index range over pinFacts
+// instead (facts that need not be present in the instance, and must not
+// repeat, or valuations are enumerated once per copy); pin = -1 joins
+// every atom against the instance. head, when non-nil, restricts the
+// enumeration to the derivations of exactly that fact: the rule's head
+// is unified with it on interned IDs first, and a fact the head cannot
+// produce has no valuations.
 //
 // The instance must not be mutated while the call runs; concurrent
-// EvalPinnedV calls over the same instance are safe.
-func (x *IndexedInstance) EvalPinnedV(r Rule, pin int, pinFacts []fact.Fact, emit func(v *Valuation) error) error {
-	return x.EvalPinnedVC(Compile(r), pin, pinFacts, emit)
-}
-
-// EvalPinnedVC is EvalPinnedV over a pre-compiled rule — the hot-path
-// form for engines that evaluate a fixed rule set repeatedly.
-func (x *IndexedInstance) EvalPinnedVC(c *CompiledRule, pin int, pinFacts []fact.Fact, emit func(v *Valuation) error) error {
-	if pin < 0 || pin >= len(c.cr.pos) {
-		return fmt.Errorf("datalog: EvalPinned pin %d out of range for %d positive atoms", pin, len(c.cr.pos))
+// calls over the same instance are safe.
+func (x *IndexedInstance) Valuations(c *CompiledRule, pin int, pinFacts []fact.Fact, head *fact.Fact, emit func(v *Valuation) error) error {
+	cr := &c.cr
+	if pin < -1 || pin >= len(cr.pos) {
+		return fmt.Errorf("datalog: pin %d out of range for %d positive atoms", pin, len(cr.pos))
 	}
-	if len(pinFacts) == 0 {
+	if pin >= 0 && len(pinFacts) == 0 {
 		return nil
 	}
-	val := &Valuation{cr: &c.cr}
-	return c.cr.match(x.idx, x.data, nil, pin, pinFacts, nil, func(env []fact.ID) error {
+	var init []fact.ID
+	if head != nil {
+		var ok bool
+		if init, ok = cr.unifyHead(*head); !ok {
+			return nil
+		}
+	}
+	val := &Valuation{cr: cr}
+	return cr.match(x.idx, x.data, init, pin, pinFacts, nil, func(env []fact.ID) error {
 		val.env = env
 		return emit(val)
 	})
 }
 
-// EvalPinned is the Bindings-plane form of EvalPinnedV: emit receives
-// the ground head and a snapshot of the bindings per valuation. New
-// code on hot paths should prefer EvalPinnedV, which does no string
-// work.
-func (x *IndexedInstance) EvalPinned(r Rule, pin int, pinFacts []fact.Fact, emit func(h fact.Fact, b Bindings) error) error {
-	return x.EvalPinnedV(r, pin, pinFacts, func(v *Valuation) error {
-		h, err := v.Head()
-		if err != nil {
-			return err
-		}
-		return emit(h, v.Bindings())
-	})
-}
-
-// MatchBound enumerates every satisfying valuation of the rule that
-// extends the initial bindings (typically from BindHead), against the
-// indexed instance. The bindings passed to emit are fresh snapshots,
-// merged with any init entries for variables the rule does not use.
-// Counting the emissions for init = BindHead(f) counts the rule's
-// derivations of f.
-func (x *IndexedInstance) MatchBound(r Rule, init Bindings, emit func(Bindings) error) error {
-	cr := compileRule(r)
-	env, ok := cr.seedEnv(init)
-	if !ok {
-		return nil
-	}
-	return cr.match(x.idx, x.data, env, -1, nil, nil, func(env []fact.ID) error {
-		b := cr.bindings(env)
-		for name, val := range init {
-			if _, bound := b[name]; !bound {
-				b[name] = val
-			}
-		}
-		return emit(b)
-	})
-}
-
-// MatchBoundCount returns the number of satisfying valuations of the
-// rule extending the initial bindings — derivation counting without
-// per-valuation allocation. For init = BindHead(f) this is the number
-// of derivations of f through r.
-func (x *IndexedInstance) MatchBoundCount(r Rule, init Bindings) (int64, error) {
-	return x.MatchBoundCountC(Compile(r), init)
-}
-
-// MatchBoundCountC is MatchBoundCount over a pre-compiled rule.
-func (x *IndexedInstance) MatchBoundCountC(c *CompiledRule, init Bindings) (int64, error) {
-	env, ok := c.cr.seedEnv(init)
-	if !ok {
-		return 0, nil
-	}
+// CountDerivations returns the number of derivations of f through the
+// rule: the satisfying valuations whose head is f.
+func (x *IndexedInstance) CountDerivations(c *CompiledRule, f fact.Fact) (int64, error) {
 	var n int64
-	if err := c.cr.match(x.idx, x.data, env, -1, nil, nil, func([]fact.ID) error {
+	if err := x.Valuations(c, -1, nil, &f, func(*Valuation) error {
 		n++
 		return nil
 	}); err != nil {
@@ -210,24 +156,13 @@ func (x *IndexedInstance) MatchBoundCountC(c *CompiledRule, init Bindings) (int6
 	return n, nil
 }
 
-var errStopMatch = fmt.Errorf("datalog: stop enumeration")
+var errStopMatch = errors.New("datalog: stop enumeration")
 
-// MatchBoundAny reports whether at least one satisfying valuation of
-// the rule extends the initial bindings — the derivability test of the
-// DRed rederivation pass, stopping at the first witness.
-func (x *IndexedInstance) MatchBoundAny(r Rule, init Bindings) (bool, error) {
-	return x.MatchBoundAnyC(Compile(r), init)
-}
-
-// MatchBoundAnyC is MatchBoundAny over a pre-compiled rule.
-func (x *IndexedInstance) MatchBoundAnyC(c *CompiledRule, init Bindings) (bool, error) {
-	env, ok := c.cr.seedEnv(init)
-	if !ok {
-		return false, nil
-	}
-	err := c.cr.match(x.idx, x.data, env, -1, nil, nil, func([]fact.ID) error {
-		return errStopMatch
-	})
+// Derivable reports whether f has at least one derivation through the
+// rule — the test of the DRed rederivation pass, stopping at the first
+// witness.
+func (x *IndexedInstance) Derivable(c *CompiledRule, f fact.Fact) (bool, error) {
+	err := x.Valuations(c, -1, nil, &f, func(*Valuation) error { return errStopMatch })
 	if err == errStopMatch {
 		return true, nil
 	}

@@ -1,109 +1,208 @@
 package datalog
 
 import (
+	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/fact"
+	"repro/internal/generate"
 )
 
-// --- delta-hook surface (Ground, BindHead, EvalPinned, MatchBound) ---
+// --- the valuation surface (Valuations, CountDerivations, Derivable) ---
 
 func TestGround(t *testing.T) {
+	x := IndexInstance(fact.MustParseInstance(`E(a,b)`))
 	r := mustRule(t, `O(x,"c") :- E(x,y).`)
-	f, err := Ground(r.Head, Bindings{"x": "a", "y": "b"})
-	if err != nil {
-		t.Fatalf("Ground: %v", err)
-	}
-	if !f.Equal(fact.New("O", "a", "c")) {
-		t.Fatalf("Ground = %v, want O(a,c)", f)
-	}
-	if _, err := Ground(r.Head, Bindings{"y": "b"}); err == nil {
-		t.Fatal("Ground accepted unbound head variable")
+	if err := x.Valuations(Compile(r), -1, nil, nil, func(v *Valuation) error {
+		f, err := v.Ground(r.Head)
+		if err != nil {
+			t.Fatalf("Ground: %v", err)
+		}
+		if !f.Equal(fact.New("O", "a", "c")) {
+			t.Fatalf("Ground = %v, want O(a,c)", f)
+		}
+		if h, _ := v.Head(); !h.Equal(f) {
+			t.Fatalf("Head = %v, Ground(head) = %v", h, f)
+		}
+		if _, err := v.Ground(AtomV("O", "x", "w")); err == nil {
+			t.Fatal("Ground accepted a variable the rule does not have")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestBindHead(t *testing.T) {
-	r := mustRule(t, `O(x,x,"c") :- E(x,y).`)
-	b, ok := r.BindHead(fact.New("O", "a", "a", "c"))
-	if !ok || b["x"] != "a" {
-		t.Fatalf("BindHead = %v, %v; want x=a bound", b, ok)
-	}
-	for _, bad := range []fact.Fact{
-		fact.New("O", "a", "b", "c"), // repeated variable disagrees
-		fact.New("O", "a", "a", "d"), // constant mismatch
-		fact.New("O", "a", "a"),      // arity mismatch
-		fact.New("P", "a", "a", "c"), // relation mismatch
+// TestHeadUnification: a head fact restricts the enumeration to the
+// derivations of exactly that fact, unified with the compiled head on
+// interned IDs.
+func TestHeadUnification(t *testing.T) {
+	x := IndexInstance(fact.MustParseInstance(`E(a,b) E(a,c) E(b,b) R(a,a,b) R(a,b,b)`))
+	for _, tc := range []struct {
+		name, rule string
+		head       fact.Fact
+		want       []string // valuations, as V(x,y)
+	}{
+		{"variables bound from the head", `O(x) :- E(x,y).`, fact.New("O", "a"), []string{"V(a,b)", "V(a,c)"}},
+		{"head the body cannot produce", `O(x) :- E(x,y).`, fact.New("O", "c"), nil},
+		{"relation mismatch", `O(x) :- E(x,y).`, fact.New("P", "a"), nil},
+		{"arity mismatch", `O(x) :- E(x,y).`, fact.New("O", "a", "b"), nil},
+		{"constant in head agrees", `O(x,"k") :- E(x,y).`, fact.New("O", "b", "k"), []string{"V(b,b)"}},
+		{"constant in head differs", `O(x,"k") :- E(x,y).`, fact.New("O", "b", "j"), nil},
+		{"repeated head variable agrees", `O(x,x,y) :- R(x,x,y).`, fact.New("O", "a", "a", "b"), []string{"V(a,b)"}},
+		{"repeated head variable disagrees", `O(x,x,y) :- R(x,x,y).`, fact.New("O", "a", "b", "b"), nil},
+		{"value no fact holds", `O(x) :- E(x,y).`, fact.New("O", "never-in-any-fact"), nil},
+		{"head constant no fact holds", `O(x,"never-a-value") :- E(x,y).`, fact.New("O", "a", "b"), nil},
 	} {
-		if _, ok := r.BindHead(bad); ok {
-			t.Errorf("BindHead unified with %v", bad)
+		head := tc.head
+		got := valuations(t, x, tc.rule, -1, nil, &head, "x", "y")
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: valuations of %s with head %v = %v, want %v", tc.name, tc.rule, tc.head, got, tc.want)
+		}
+		c := Compile(mustRule(t, tc.rule))
+		n, err := x.CountDerivations(c, tc.head)
+		if err != nil || n != int64(len(tc.want)) {
+			t.Errorf("%s: CountDerivations = %d, %v; want %d", tc.name, n, err, len(tc.want))
+		}
+		any, err := x.Derivable(c, tc.head)
+		if err != nil || any != (len(tc.want) > 0) {
+			t.Errorf("%s: Derivable = %v, %v; want %v", tc.name, any, err, len(tc.want) > 0)
 		}
 	}
 }
 
-func TestEvalPinned(t *testing.T) {
+func TestValuationsPinned(t *testing.T) {
 	x := IndexInstance(fact.MustParseInstance(`E(a,b) E(b,c) E(c,d)`))
-	r := mustRule(t, `T(x,z) :- E(x,y), E(y,z).`)
+	const rule = `T(x,z) :- E(x,y), E(y,z).`
 
 	// Pinning E(b,c) at position 0 enumerates only joins through it.
-	var heads []string
 	pin := []fact.Fact{fact.New("E", "b", "c")}
-	err := x.EvalPinned(r, 0, pin, func(h fact.Fact, b Bindings) error {
-		heads = append(heads, h.String())
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("EvalPinned: %v", err)
+	if got := valuations(t, x, rule, 0, pin, nil, "x", "z"); !reflect.DeepEqual(got, []string{"V(b,d)"}) {
+		t.Fatalf("pinned valuations = %v, want [V(b,d)]", got)
 	}
-	if len(heads) != 1 || heads[0] != "T(b,d)" {
-		t.Fatalf("pinned heads = %v, want [T(b,d)]", heads)
-	}
-
 	// The pinned fact need not be present in the instance.
-	heads = nil
 	ghost := []fact.Fact{fact.New("E", "d", "e")}
-	if err := x.EvalPinned(r, 1, ghost, func(h fact.Fact, b Bindings) error {
-		heads = append(heads, h.String())
-		return nil
-	}); err != nil {
-		t.Fatalf("EvalPinned ghost: %v", err)
+	if got := valuations(t, x, rule, 1, ghost, nil, "x", "z"); !reflect.DeepEqual(got, []string{"V(c,e)"}) {
+		t.Fatalf("ghost-pinned valuations = %v, want [V(c,e)]", got)
 	}
-	if len(heads) != 1 || heads[0] != "T(c,e)" {
-		t.Fatalf("ghost-pinned heads = %v, want [T(c,e)]", heads)
+	// A pin and a head compose: the derivations of one fact through one delta fact.
+	head := fact.New("T", "a", "c")
+	if got := valuations(t, x, rule, 1, pin, &head, "y"); !reflect.DeepEqual(got, []string{"V(b)"}) {
+		t.Fatalf("pinned valuations of T(a,c) = %v, want [V(b)]", got)
 	}
-
-	if err := x.EvalPinned(r, 2, pin, func(fact.Fact, Bindings) error { return nil }); err == nil {
-		t.Fatal("EvalPinned accepted out-of-range pin")
+	// An empty pin list has no valuations; no pin joins every atom.
+	if got := valuations(t, x, rule, 0, nil, nil, "x"); got != nil {
+		t.Fatalf("empty pin list enumerated %v", got)
+	}
+	if got := valuations(t, x, rule, -1, nil, nil, "x"); len(got) != 2 {
+		t.Fatalf("unpinned valuations = %v, want 2", got)
+	}
+	c := Compile(mustRule(t, rule))
+	for _, bad := range []int{2, -2} {
+		if err := x.Valuations(c, bad, pin, nil, func(*Valuation) error { return nil }); err == nil {
+			t.Fatalf("Valuations accepted out-of-range pin %d", bad)
+		}
 	}
 }
 
-func TestMatchBoundCountsDerivations(t *testing.T) {
+func TestCountDerivations(t *testing.T) {
 	// A diamond: T(a,d) has two length-2 derivations.
 	x := IndexInstance(fact.MustParseInstance(`E(a,b) E(b,d) E(a,c) E(c,d)`))
-	r := mustRule(t, `T(x,z) :- E(x,y), E(y,z).`)
-	init, ok := r.BindHead(fact.New("T", "a", "d"))
-	if !ok {
-		t.Fatal("BindHead failed")
+	c := Compile(mustRule(t, `T(x,z) :- E(x,y), E(y,z).`))
+	if n, err := x.CountDerivations(c, fact.New("T", "a", "d")); err != nil || n != 2 {
+		t.Fatalf("CountDerivations(T(a,d)) = %d, %v; want 2", n, err)
 	}
-	n := 0
-	if err := x.MatchBound(r, init, func(Bindings) error { n++; return nil }); err != nil {
-		t.Fatalf("MatchBound: %v", err)
+	if ok, err := x.Derivable(c, fact.New("T", "a", "d")); err != nil || !ok {
+		t.Fatalf("Derivable(T(a,d)) = %v, %v", ok, err)
 	}
-	if n != 2 {
-		t.Fatalf("MatchBound counted %d derivations of T(a,d), want 2", n)
+	if ok, err := x.Derivable(c, fact.New("T", "d", "a")); err != nil || ok {
+		t.Fatalf("Derivable(T(d,a)) = %v, %v", ok, err)
 	}
 }
 
-// --- mutation and view semantics (Remove, RemoveAll, Clone, CloneView) ---
-
-func relNames(x *IndexedInstance, rel string, arity int) []string {
-	var out []string
-	atom := Atom{Rel: rel, Args: make([]Term, arity)}
-	for i := range atom.Args {
-		atom.Args[i] = V("v" + string(rune('a'+i)))
+// TestCountMatchesEnumeration is the differential for the two thin
+// forms: over random programs evaluated to their stratified fixpoint,
+// CountDerivations(f) is the number of enumerated valuations whose head
+// is f, and Derivable(f) holds exactly when that number is positive —
+// for every fact of the head relation and for heads nothing derives.
+func TestCountMatchesEnumeration(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	checked := 0
+	for trial := 0; trial < 400; trial++ {
+		p, err := ParseProgram(generate.RandomProgram(rng, 1+rng.Intn(4)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p.IsStratifiable() {
+			continue
+		}
+		in := generate.RandomGraph(rng, "v", 1+rng.Intn(5), rng.Intn(8))
+		out, err := p.EvalStratified(in, FixpointOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := IndexInstance(out)
+		for _, r := range p.Rules {
+			c := Compile(r)
+			perHead := make(map[string]int64)
+			if err := x.Valuations(c, -1, nil, nil, func(v *Valuation) error {
+				perHead[string(v.HeadKey())]++
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			probes := out.Rel(r.Head.Rel)
+			absent := make([]fact.Value, len(r.Head.Args))
+			for i := range absent {
+				absent[i] = "nowhere"
+			}
+			probes = append(probes, fact.New(r.Head.Rel, absent...))
+			for _, f := range probes {
+				n, err := x.CountDerivations(c, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				any, err := x.Derivable(c, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := perHead[f.PackedKey()]; n != want || any != (want > 0) {
+					t.Fatalf("rule %v, fact %v: count %d, derivable %v; enumeration has %d\nprogram:\n%s\ninput: %v", r, f, n, any, want, p, in)
+				}
+				delete(perHead, f.PackedKey())
+				checked++
+			}
+			if len(perHead) != 0 {
+				t.Fatalf("rule %v derives %d heads missing from its own fixpoint", r, len(perHead))
+			}
+		}
 	}
-	for _, f := range x.idx.candidates(atom, Bindings{}) {
-		out = append(out, f.String())
+	if checked < 500 {
+		t.Fatalf("only %d facts checked; generator drifted", checked)
+	}
+}
+
+// --- mutation and view semantics (Remove, RemoveAll, CloneView) ---
+
+// relNames lists the facts of one relation as the matcher enumerates
+// them from the index.
+func relNames(t *testing.T, x *IndexedInstance, rel string, arity int) []string {
+	t.Helper()
+	vars := make([]string, arity)
+	for i := range vars {
+		vars[i] = "v" + string(rune('a'+i))
+	}
+	var out []string
+	c := Compile(Rule{Head: AtomV(rel, vars...), Pos: []Atom{AtomV(rel, vars...)}})
+	if err := x.Valuations(c, -1, nil, nil, func(v *Valuation) error {
+		h, err := v.Head()
+		out = append(out, h.String())
+		return err
+	}); err != nil {
+		t.Fatal(err)
 	}
 	sort.Strings(out)
 	return out
@@ -123,7 +222,7 @@ func TestRemoveAllBatches(t *testing.T) {
 		t.Fatalf("state after RemoveAll: %v", x.Instance())
 	}
 	// The index agrees with the instance.
-	if got := relNames(x, "E", 2); len(got) != 2 {
+	if got := relNames(t, x, "E", 2); len(got) != 2 {
 		t.Fatalf("E posting list = %v, want 2 facts", got)
 	}
 	// Removed argument keys are gone, shared ones remain.
@@ -135,47 +234,36 @@ func TestRemoveAllBatches(t *testing.T) {
 	}
 }
 
-// TestCloneIsolation checks both clone flavors against mutation of the
-// original: a full Clone stays mutable and independent; a CloneView
-// answers reads as of the snapshot.
+// TestCloneIsolation: a CloneView answers reads and joins as of the
+// snapshot, whatever happens to the original afterwards.
 func TestCloneIsolation(t *testing.T) {
 	x := IndexInstance(fact.MustParseInstance(`E(a,b) E(b,c)`))
-	clone := x.Clone()
 	view := x.CloneView()
 
 	x.Add(fact.New("E", "c", "d"))
 	x.Remove(fact.New("E", "a", "b"))
 
-	for name, snap := range map[string]*IndexedInstance{"Clone": clone, "CloneView": view} {
-		if snap.Len() != 2 {
-			t.Errorf("%s.Len = %d after mutating original, want 2", name, snap.Len())
-		}
-		if !snap.Has(fact.New("E", "a", "b")) || snap.Has(fact.New("E", "c", "d")) {
-			t.Errorf("%s sees the original's mutations", name)
-		}
-		if got := relNames(snap, "E", 2); len(got) != 2 {
-			t.Errorf("%s posting list = %v, want the 2 snapshot facts", name, got)
-		}
+	if view.Len() != 2 {
+		t.Errorf("view.Len = %d after mutating original, want 2", view.Len())
 	}
-
-	// The full clone is independently mutable.
-	clone.Add(fact.New("E", "x", "y"))
-	if x.Has(fact.New("E", "x", "y")) || view.Has(fact.New("E", "x", "y")) {
-		t.Error("mutating the clone leaked into the original or the view")
+	if !view.Has(fact.New("E", "a", "b")) || view.Has(fact.New("E", "c", "d")) {
+		t.Error("view sees the original's mutations")
+	}
+	if got := relNames(t, view, "E", 2); !reflect.DeepEqual(got, []string{"E(a,b)", "E(b,c)"}) {
+		t.Errorf("view enumerates %v, want the 2 snapshot facts", got)
+	}
+	if got := relNames(t, x, "E", 2); !reflect.DeepEqual(got, []string{"E(b,c)", "E(c,d)"}) {
+		t.Errorf("original enumerates %v after its own mutations", got)
 	}
 
 	// Negation guards on a view read the snapshot, not the original.
-	r := mustRule(t, `O(x) :- E(x,y), !E(y,x).`)
 	x.Add(fact.New("E", "b", "a")) // would block O(a) now
-	var heads []string
-	if err := view.EvalPinned(r, 0, []fact.Fact{fact.New("E", "a", "b")}, func(h fact.Fact, b Bindings) error {
-		heads = append(heads, h.String())
-		return nil
-	}); err != nil {
-		t.Fatalf("EvalPinned on view: %v", err)
+	pin := []fact.Fact{fact.New("E", "a", "b")}
+	if got := valuations(t, view, `O(x) :- E(x,y), !E(y,x).`, 0, pin, nil, "x"); len(got) != 1 {
+		t.Fatalf("view negation saw post-snapshot facts: valuations = %v", got)
 	}
-	if len(heads) != 1 {
-		t.Fatalf("view negation saw post-snapshot facts: heads = %v", heads)
+	if got := valuations(t, x, `O(x) :- E(x,y), !E(y,x).`, 0, pin, nil, "x"); len(got) != 0 {
+		t.Fatalf("original negation missed its own fact: valuations = %v", got)
 	}
 }
 

@@ -70,42 +70,6 @@ func ParseEvalMode(s string) (EvalMode, error) {
 	}
 }
 
-// Bindings maps variable names to domain values. It remains the
-// public valuation surface (Valuations, MatchBound, delta hooks); the
-// engines work on compiled slot environments internally and convert
-// at the API boundary.
-type Bindings map[string]fact.Value
-
-// groundAtom applies the bindings to an atom, producing a fact. All
-// variables of the atom must be bound.
-func groundAtom(a Atom, b Bindings) (fact.Fact, error) {
-	args := make(fact.Tuple, len(a.Args))
-	for i, t := range a.Args {
-		if t.IsVar() {
-			v, ok := b[t.Var]
-			if !ok {
-				return fact.Fact{}, fmt.Errorf("datalog: unbound variable %s in %v", t.Var, a)
-			}
-			args[i] = v
-		} else {
-			args[i] = t.Const
-		}
-	}
-	return fact.FromTuple(a.Rel, args), nil
-}
-
-// Valuations enumerates every satisfying valuation of the rule against
-// the instance (Section 2): each valuation binds all variables of the
-// rule, satisfies the positive body, avoids the negative body, and
-// respects the inequalities. Used by the wILOG¬ evaluator, which
-// constructs head facts (possibly with invented values) itself.
-//
-// Valuations indexes the instance on every call; round-based callers
-// should build an IndexedInstance once and use its Valuations method.
-func Valuations(r Rule, data *fact.Instance, emit func(Bindings) error) error {
-	return IndexInstance(data).Valuations(r, emit)
-}
-
 // FixpointOptions configures fixpoint evaluation.
 type FixpointOptions struct {
 	Mode EvalMode
@@ -226,29 +190,7 @@ func naiveLoop(rules []Rule, x *IndexedInstance, maxRounds int, eo *engineObs) e
 			agg = eo.newRoundAgg()
 		}
 		for i := range crs {
-			cr := &crs[i]
-			var err error
-			if agg == nil {
-				err = evalRuleC(cr, x.idx, x.data, -1, nil, nil, func(rel fact.ID, args []fact.ID) error {
-					if !x.hasIDs(rel, args) {
-						derived.AddIDs(rel, args)
-					}
-					return nil
-				})
-			} else {
-				var ts taskStats
-				err = evalRuleC(cr, x.idx, x.data, -1, nil, &ts.candidates, func(rel fact.ID, args []fact.ID) error {
-					if !x.hasIDs(rel, args) {
-						ts.derived++
-						derived.AddIDs(rel, args)
-					} else {
-						ts.duplicates++
-					}
-					return nil
-				})
-				agg.addTask(i, ts)
-			}
-			if err != nil {
+			if err := deriveTask(ruleTask{cr: &crs[i], ruleIdx: i, pin: -1}, x, derived, agg); err != nil {
 				return err
 			}
 		}

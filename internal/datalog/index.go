@@ -1,19 +1,13 @@
 package datalog
 
-import (
-	"sync"
-
-	"repro/internal/fact"
-)
+import "repro/internal/fact"
 
 // This file implements the persistent, incrementally-maintained index
-// the fixpoint engines evaluate against. Historically every call to
-// Valuations rebuilt the full (relation, position, value) index from
-// scratch, which made round-based callers — the wILOG¬ evaluator, the
-// alternating fixpoint — quadratic in the number of rounds. An
-// IndexedInstance is built once and kept in sync fact-by-fact, so it
-// can be shared across fixpoint rounds and across the strata of a
-// stratified evaluation.
+// the fixpoint engines evaluate against. An IndexedInstance is built
+// once and kept in sync fact-by-fact, so round-based callers — the
+// fixpoint loops, the wILOG¬ evaluator, the alternating fixpoint —
+// share it across rounds and across the strata of a stratified
+// evaluation instead of re-indexing.
 //
 // All index keys are interned IDs (see internal/fact intern.go):
 // hashing a probe is integer work, with no string building. Posting
@@ -285,44 +279,6 @@ func (idx *relIndex) candidatesC(a cAtom, env []fact.ID) []fact.Fact {
 	return best
 }
 
-// candidates is candidatesC for a source-level atom under Bindings —
-// kept for white-box tests and ad-hoc probing; the engines compile
-// first. A bound value that was never interned cannot appear in any
-// fact, so it short-circuits to nil.
-func (idx *relIndex) candidates(a Atom, b Bindings) []fact.Fact {
-	relID, ok := fact.LookupValue(fact.Value(a.Rel))
-	if !ok {
-		return nil
-	}
-	best := idx.rel(relID)
-	found := false
-	for p, t := range a.Args {
-		var v fact.Value
-		if t.IsVar() {
-			bound, ok := b[t.Var]
-			if !ok {
-				continue
-			}
-			v = bound
-		} else {
-			v = t.Const
-		}
-		id, ok := fact.LookupValue(v)
-		if !ok {
-			return nil
-		}
-		lp := idx.byArg[idxKey{relID, int32(p), id}]
-		if lp == nil || len(*lp) == 0 {
-			return nil
-		}
-		if cand := *lp; !found || len(cand) < len(best) {
-			best = cand
-			found = true
-		}
-	}
-	return best
-}
-
 // IndexedInstance couples an instance with its join index, maintained
 // incrementally: adding or removing a fact updates both in O(arity).
 // Build one with IndexInstance and reuse it across fixpoint rounds and
@@ -381,23 +337,13 @@ func (x *IndexedInstance) Remove(f fact.Fact) bool {
 	return true
 }
 
-// Clone returns an independent copy of the instance and its index,
-// sharing no mutable state with the receiver. The incremental engine
-// clones the materialization to keep a pre-update view for the
-// delete-phase joins, so Clone copies the existing index rather than
-// rebuilding it.
-func (x *IndexedInstance) Clone() *IndexedInstance {
-	return &IndexedInstance{data: x.data.Clone(), idx: x.idx.clone()}
-}
-
 // CloneView returns a read-only snapshot of the instance for join
 // enumeration: later mutations of the receiver are invisible to the
 // view and vice versa (there is no vice versa — mutating a view
 // panics). The view skips copying the fact store and shares
-// posting-list storage copy-on-write with the receiver, so taking one
-// is much cheaper than Clone; membership checks (negation guards, Has)
-// are answered from the index instead. Instance is unavailable on a
-// view.
+// posting-list storage copy-on-write with the receiver; membership
+// checks (negation guards, Has) are answered from the index instead.
+// Instance is unavailable on a view.
 func (x *IndexedInstance) CloneView() *IndexedInstance {
 	return &IndexedInstance{idx: x.idx.clone(), n: x.data.Len()}
 }
@@ -534,75 +480,4 @@ func (x *IndexedInstance) Instance() *fact.Instance {
 		panic("datalog: Instance on a read-only CloneView")
 	}
 	return x.data
-}
-
-// Valuations enumerates every satisfying valuation of the rule against
-// the indexed instance, like the package-level Valuations but without
-// rebuilding the index. The bindings passed to emit are stable
-// snapshots.
-func (x *IndexedInstance) Valuations(r Rule, emit func(Bindings) error) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	cr := compileRule(r)
-	return cr.match(x.idx, x.data, nil, -1, nil, nil, func(env []fact.ID) error {
-		return emit(cr.bindings(env))
-	})
-}
-
-// ValuationsParallel enumerates the same valuations as Valuations but
-// partitions the enumeration across workers by pinning the rule's
-// first positive atom to chunks of its relation. The instance must not
-// be mutated while the call runs. emit is invoked sequentially after
-// the workers join, in chunk order, so callers need no
-// synchronization; the full call is deterministic.
-func (x *IndexedInstance) ValuationsParallel(r Rule, workers int, emit func(Bindings) error) error {
-	if workers <= 1 || len(r.Pos) == 0 {
-		return x.Valuations(r, emit)
-	}
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	cr := compileRule(r)
-	chunks := chunkFacts(x.idx.rel(cr.pos[0].rel), workers)
-	if len(chunks) <= 1 {
-		return x.Valuations(r, emit)
-	}
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	results := make([][]Bindings, len(chunks))
-	errs := make([]error, len(chunks))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range next {
-				errs[c] = cr.match(x.idx, x.data, nil, 0, chunks[c], nil, func(env []fact.ID) error {
-					results[c] = append(results[c], cr.bindings(env))
-					return nil
-				})
-			}
-		}()
-	}
-	for c := range chunks {
-		next <- c
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	for _, bs := range results {
-		for _, b := range bs {
-			if err := emit(b); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

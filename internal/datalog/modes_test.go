@@ -173,7 +173,7 @@ func TestEvalModeStringParse(t *testing.T) {
 	}
 }
 
-// --- relIndex.candidates unit tests (multi-bound atoms) ---
+// --- candidate selection, observed through the matcher (multi-bound atoms) ---
 
 func mustRule(t *testing.T, src string) Rule {
 	t.Helper()
@@ -184,52 +184,71 @@ func mustRule(t *testing.T, src string) Rule {
 	return r
 }
 
-func TestCandidatesPicksNarrowestBoundPosition(t *testing.T) {
-	idx := indexInstance(fact.MustParseInstance(`E(a,b) E(a,c) E(a,d) E(b,d)`))
-	atom := mustRule(t, `O(x,y) :- E(x,y).`).Pos[0]
+// scanned runs the matcher the way Valuations does — the rule's head
+// unified with head when one is given — and returns how many candidate
+// facts it iterated and how many valuations it found. For a one-atom
+// body the first number is the length of the posting list the matcher
+// chose.
+func scanned(t *testing.T, x *IndexedInstance, src string, head *fact.Fact) (candidates int64, found int) {
+	t.Helper()
+	cr := compileRule(mustRule(t, src))
+	var init []fact.ID
+	if head != nil {
+		var ok bool
+		if init, ok = cr.unifyHead(*head); !ok {
+			t.Fatalf("head of %s does not unify with %v", src, *head)
+		}
+	}
+	if err := cr.match(x.idx, x.data, init, -1, nil, &candidates, func([]fact.ID) error {
+		found++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return candidates, found
+}
 
-	// Nothing bound: the full relation.
-	if got := idx.candidates(atom, Bindings{}); len(got) != 4 {
-		t.Errorf("unbound candidates = %d facts, want 4", len(got))
-	}
-	// x=a narrows to 3.
-	if got := idx.candidates(atom, Bindings{"x": "a"}); len(got) != 3 {
-		t.Errorf("x=a candidates = %d facts, want 3", len(got))
-	}
-	// Both bound: the narrowest position wins (y=d has 2 < x=a's 3).
-	if got := idx.candidates(atom, Bindings{"x": "a", "y": "d"}); len(got) != 2 {
-		t.Errorf("x=a,y=d candidates = %d facts, want 2 (narrowest position)", len(got))
-	}
-	// Reversed binding order must not matter: y=d first, x=b second
-	// (x=b has 1 < y=d's 2).
-	if got := idx.candidates(atom, Bindings{"y": "d", "x": "b"}); len(got) != 1 {
-		t.Errorf("y=d,x=b candidates = %d facts, want 1", len(got))
+func TestCandidatesPicksNarrowestBoundPosition(t *testing.T) {
+	x := IndexInstance(fact.MustParseInstance(`E(a,b) E(a,c) E(a,d) E(b,d)`))
+	for _, tc := range []struct {
+		name, rule string
+		head       *fact.Fact
+		want       int64
+	}{
+		{"nothing bound: the full relation", `O(x,y) :- E(x,y).`, nil, 4},
+		{"x=a narrows to 3", `O(x) :- E(x,y).`, factPtr("O", "a"), 3},
+		{"both bound: y=d has 2 < x=a's 3", `O(x,y) :- E(x,y).`, factPtr("O", "a", "d"), 2},
+		{"slot order must not matter: x=b has 1 < y=d's 2", `O(y,x) :- E(x,y).`, factPtr("O", "d", "b"), 1},
+	} {
+		if got, _ := scanned(t, x, tc.rule, tc.head); got != tc.want {
+			t.Errorf("%s: matcher scanned %d candidates, want %d", tc.name, got, tc.want)
+		}
 	}
 }
 
-func TestCandidatesEmptyProbeShortCircuits(t *testing.T) {
-	idx := indexInstance(fact.MustParseInstance(`E(a,b) E(a,c)`))
-	atom := mustRule(t, `O(x,y) :- E(x,y).`).Pos[0]
+func factPtr(rel string, args ...fact.Value) *fact.Fact {
+	f := fact.New(rel, args...)
+	return &f
+}
 
+func TestCandidatesEmptyProbeShortCircuits(t *testing.T) {
+	x := IndexInstance(fact.MustParseInstance(`E(a,b) E(a,c)`))
 	// A bound value absent from a position proves no fact can match,
-	// even if a later position has many candidates.
-	if got := idx.candidates(atom, Bindings{"x": "zzz", "y": "b"}); len(got) != 0 {
-		t.Errorf("absent x: candidates = %d facts, want 0", len(got))
-	}
-	if got := idx.candidates(atom, Bindings{"x": "a", "y": "zzz"}); len(got) != 0 {
-		t.Errorf("absent y: candidates = %d facts, want 0", len(got))
+	// even if another position has many candidates.
+	for _, head := range []*fact.Fact{factPtr("O", "zzz", "b"), factPtr("O", "a", "zzz")} {
+		if got, found := scanned(t, x, `O(x,y) :- E(x,y).`, head); got != 0 || found != 0 {
+			t.Errorf("head %v: scanned %d candidates, found %d valuations; want 0, 0", *head, got, found)
+		}
 	}
 }
 
 func TestCandidatesConstantArgs(t *testing.T) {
-	idx := indexInstance(fact.MustParseInstance(`E(a,b) E(b,b) E(c,a)`))
-	atom := mustRule(t, `O(x) :- E(x,"b").`).Pos[0]
-	if got := idx.candidates(atom, Bindings{}); len(got) != 2 {
-		t.Errorf("constant-arg candidates = %d facts, want 2", len(got))
+	x := IndexInstance(fact.MustParseInstance(`E(a,b) E(b,b) E(c,a)`))
+	if got, found := scanned(t, x, `O(x) :- E(x,"b").`, nil); got != 2 || found != 2 {
+		t.Errorf("constant arg: scanned %d, found %d; want 2, 2", got, found)
 	}
-	atom = mustRule(t, `O(x) :- E(x,"nope").`).Pos[0]
-	if got := idx.candidates(atom, Bindings{}); len(got) != 0 {
-		t.Errorf("absent-constant candidates = %d facts, want 0", len(got))
+	if got, found := scanned(t, x, `O(x) :- E(x,"nope").`, nil); got != 0 || found != 0 {
+		t.Errorf("absent constant: scanned %d, found %d; want 0, 0", got, found)
 	}
 }
 
@@ -270,30 +289,94 @@ func TestIndexedInstanceIncrementalAdd(t *testing.T) {
 		t.Fatal("duplicate Add returned true")
 	}
 	// The incrementally extended index must agree with a fresh one.
-	atom := mustRule(t, `O(x,y) :- E(x,y).`).Pos[0]
-	fresh := indexInstance(x.Instance())
-	for _, b := range []Bindings{{}, {"x": "b"}, {"y": "c"}} {
-		if len(x.idx.candidates(atom, b)) != len(fresh.candidates(atom, b)) {
-			t.Errorf("incremental index diverged from fresh index under %v", b)
+	fresh := IndexInstance(x.Instance().Clone())
+	for _, probe := range []struct {
+		rule string
+		head *fact.Fact
+	}{
+		{`O(x,y) :- E(x,y).`, nil},
+		{`O(x) :- E(x,y).`, factPtr("O", "b")},
+		{`O(y) :- E(x,y).`, factPtr("O", "c")},
+	} {
+		gotC, gotN := scanned(t, x, probe.rule, probe.head)
+		wantC, wantN := scanned(t, fresh, probe.rule, probe.head)
+		if gotC != wantC || gotN != wantN {
+			t.Errorf("incremental index diverged from fresh index on %s: scanned %d/found %d, fresh %d/%d", probe.rule, gotC, gotN, wantC, wantN)
 		}
 	}
 }
 
-func TestIndexedValuationsMatchPackageValuations(t *testing.T) {
-	r := mustRule(t, `P(x,z) :- E(x,y), E(y,z), !E(z,x).`)
+// Partitioning an enumeration by pinning the first positive atom to
+// chunks of its relation — how ilog's Workers and the parallel rounds
+// split work — finds exactly the unpinned valuations.
+func TestPinnedChunksMatchUnpinned(t *testing.T) {
+	c := Compile(mustRule(t, `P(x,z) :- E(x,y), E(y,z), !E(z,x).`))
 	in := generate.RandomGraph(rand.New(rand.NewSource(5)), "v", 8, 30)
-	count := func(enum func(func(Bindings) error) error) int {
-		n := 0
-		if err := enum(func(Bindings) error { n++; return nil }); err != nil {
+	x := IndexInstance(in)
+	var plain int64
+	if err := x.Valuations(c, -1, nil, nil, func(*Valuation) error { plain++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	chunks := ChunkFacts(in.Rel("E"), 4)
+	perChunk := make([]int64, len(chunks))
+	if err := ParallelEach(4, len(chunks), func(_, i int) error {
+		return x.Valuations(c, 0, chunks[i], nil, func(*Valuation) error { perChunk[i]++; return nil })
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var chunked int64
+	for _, n := range perChunk {
+		chunked += n
+	}
+	if plain == 0 || plain != chunked || len(chunks) < 2 {
+		t.Fatalf("valuation counts diverge: unpinned=%d, over %d chunks=%d", plain, len(chunks), chunked)
+	}
+}
+
+// ParallelEach visits every index exactly once, hands each goroutine
+// its own w, stays on the caller's goroutine when there is nothing to
+// fan out, and reports an error without losing the other indexes' work.
+func TestParallelEach(t *testing.T) {
+	for _, workers := range []int{0, 1, 3, 8} {
+		const n = 50
+		visits := make([]int, n)
+		perW := make([]int, 8)
+		if err := ParallelEach(workers, n, func(w, i int) error {
+			visits[i]++
+			perW[w]++ // racy unless w is private to the goroutine
+			return nil
+		}); err != nil {
 			t.Fatal(err)
 		}
-		return n
+		total := 0
+		for w, k := range perW {
+			if k > 0 && workers > 0 && w >= workers {
+				t.Errorf("workers=%d: fn saw w=%d", workers, w)
+			}
+			total += k
+		}
+		for i, k := range visits {
+			if k != 1 {
+				t.Errorf("workers=%d: index %d visited %d times", workers, i, k)
+			}
+		}
+		if total != n {
+			t.Errorf("workers=%d: %d calls, want %d", workers, total, n)
+		}
 	}
-	plain := count(func(emit func(Bindings) error) error { return Valuations(r, in, emit) })
-	x := IndexInstance(in)
-	indexed := count(func(emit func(Bindings) error) error { return x.Valuations(r, emit) })
-	par := count(func(emit func(Bindings) error) error { return x.ValuationsParallel(r, 4, emit) })
-	if plain != indexed || plain != par {
-		t.Fatalf("valuation counts diverge: plain=%d indexed=%d parallel=%d", plain, indexed, par)
+	sentinel := fmt.Errorf("boom")
+	for _, workers := range []int{1, 4} {
+		err := ParallelEach(workers, 20, func(_, i int) error {
+			if i == 7 {
+				return sentinel
+			}
+			return nil
+		})
+		if err != sentinel {
+			t.Errorf("workers=%d: error = %v, want the sentinel", workers, err)
+		}
+	}
+	if err := ParallelEach(4, 0, func(_, _ int) error { return sentinel }); err != nil {
+		t.Errorf("n=0 called fn: %v", err)
 	}
 }

@@ -50,9 +50,10 @@ type ruleTask struct {
 // balance skewed rules across the pool.
 const chunkTarget = 4
 
-// chunkFacts splits facts into at most workers*chunkTarget contiguous
-// chunks of near-equal size.
-func chunkFacts(facts []fact.Fact, workers int) [][]fact.Fact {
+// ChunkFacts splits facts into at most workers*chunkTarget contiguous
+// chunks of near-equal size — the pin lists of the tasks one rule's
+// enumeration is partitioned into.
+func ChunkFacts(facts []fact.Fact, workers int) [][]fact.Fact {
 	if len(facts) == 0 {
 		return nil
 	}
@@ -72,6 +73,54 @@ func chunkFacts(facts []fact.Fact, workers int) [][]fact.Fact {
 	return chunks
 }
 
+// ParallelEach calls fn(w, i) for every i in [0, n) on up to workers
+// goroutines and returns once all have finished. w identifies the
+// calling goroutine (0 <= w < max(workers, 1)), so callers can fold
+// into per-w accumulators without locking; with workers <= 1 or n < 2
+// everything runs on the caller's goroutine as w = 0. A goroutine stops
+// calling fn after its first error; the error of the lowest such w is
+// returned. This is the fan-out for enumerations outside the fixpoint
+// rounds (which keep their persistent pool): incr's pinned-join and
+// recount phases and ilog's per-round chunks.
+func ParallelEach(workers, n int, fn func(w, i int) error) error {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(0, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	errs := make([]error, workers)
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				if errs[w] == nil {
+					errs[w] = fn(w, i)
+				}
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // fullPassTasks builds the opening-round tasks: every rule evaluated
 // against the full instance. With workers > 1 each rule with a
 // positive body is partitioned by pinning its first atom to chunks of
@@ -85,7 +134,7 @@ func fullPassTasks(crs []cRule, x *IndexedInstance, workers int) []ruleTask {
 			tasks = append(tasks, ruleTask{cr: cr, ruleIdx: i, pin: -1})
 			continue
 		}
-		for _, chunk := range chunkFacts(x.idx.rel(cr.pos[0].rel), workers) {
+		for _, chunk := range ChunkFacts(x.idx.rel(cr.pos[0].rel), workers) {
 			tasks = append(tasks, ruleTask{cr: cr, ruleIdx: i, pin: 0, pinFacts: chunk})
 		}
 	}
@@ -108,7 +157,7 @@ func deltaTasks(crs []cRule, deltaByRel map[fact.ID][]fact.Fact, workers int) []
 				tasks = append(tasks, ruleTask{cr: cr, ruleIdx: i, pin: k, pinFacts: dfacts})
 				continue
 			}
-			for _, chunk := range chunkFacts(dfacts, workers) {
+			for _, chunk := range ChunkFacts(dfacts, workers) {
 				tasks = append(tasks, ruleTask{cr: cr, ruleIdx: i, pin: k, pinFacts: chunk})
 			}
 		}
@@ -189,33 +238,15 @@ func runPoolTask(pt poolTask, w int) {
 		buf = fact.NewInstance()
 		rc.bufs[w] = buf
 	}
-	t := pt.t
 	var err error
 	if rc.eo == nil {
-		err = evalRuleC(t.cr, rc.x.idx, rc.x.data, t.pin, t.pinFacts, nil, func(rel fact.ID, args []fact.ID) error {
-			if !rc.x.hasIDs(rel, args) {
-				buf.AddIDs(rel, args)
-			}
-			return nil
-		})
+		err = deriveTask(pt.t, rc.x, buf, nil)
 	} else {
-		agg := rc.aggs[w]
-		if agg == nil {
-			agg = rc.eo.newRoundAgg()
-			rc.aggs[w] = agg
+		if rc.aggs[w] == nil {
+			rc.aggs[w] = rc.eo.newRoundAgg()
 		}
 		start := time.Now()
-		var ts taskStats
-		err = evalRuleC(t.cr, rc.x.idx, rc.x.data, t.pin, t.pinFacts, &ts.candidates, func(rel fact.ID, args []fact.ID) error {
-			if !rc.x.hasIDs(rel, args) {
-				ts.derived++
-				buf.AddIDs(rel, args)
-			} else {
-				ts.duplicates++
-			}
-			return nil
-		})
-		agg.addTask(t.ruleIdx, ts)
+		err = deriveTask(pt.t, rc.x, buf, rc.aggs[w])
 		rc.wTasks[w]++
 		rc.wBusy[w] += time.Since(start).Nanoseconds()
 	}
@@ -223,6 +254,35 @@ func runPoolTask(pt poolTask, w int) {
 		rc.errs[w] = err
 		rc.failed.Store(true)
 	}
+}
+
+// deriveTask evaluates one task against the frozen x and adds every
+// head x lacks to buf. agg, when non-nil, receives the task's counters:
+// "derived" and "duplicates" are judged against x only, so the counts
+// are the same whichever goroutine ran the task.
+func deriveTask(t ruleTask, x *IndexedInstance, buf *fact.Instance, agg *roundAgg) error {
+	var ts *taskStats
+	var scanned *int64
+	if agg != nil {
+		ts = new(taskStats)
+		scanned = &ts.candidates
+	}
+	err := evalRuleC(t.cr, x.idx, x.data, t.pin, t.pinFacts, scanned, func(rel fact.ID, args []fact.ID) error {
+		switch {
+		case !x.hasIDs(rel, args):
+			buf.AddIDs(rel, args)
+			if ts != nil {
+				ts.derived++
+			}
+		case ts != nil:
+			ts.duplicates++
+		}
+		return nil
+	})
+	if agg != nil {
+		agg.addTask(t.ruleIdx, *ts)
+	}
+	return err
 }
 
 // pinnedWork estimates a round's join fan-out as the total number of
@@ -264,28 +324,7 @@ func runRound(tasks []ruleTask, x *IndexedInstance, p *workerPool, mode EvalMode
 			agg = eo.newRoundAgg()
 		}
 		for _, t := range tasks {
-			var err error
-			if agg == nil {
-				err = evalRuleC(t.cr, x.idx, x.data, t.pin, t.pinFacts, nil, func(rel fact.ID, args []fact.ID) error {
-					if !x.hasIDs(rel, args) {
-						derived.AddIDs(rel, args)
-					}
-					return nil
-				})
-			} else {
-				var ts taskStats
-				err = evalRuleC(t.cr, x.idx, x.data, t.pin, t.pinFacts, &ts.candidates, func(rel fact.ID, args []fact.ID) error {
-					if !x.hasIDs(rel, args) {
-						ts.derived++
-						derived.AddIDs(rel, args)
-					} else {
-						ts.duplicates++
-					}
-					return nil
-				})
-				agg.addTask(t.ruleIdx, ts)
-			}
-			if err != nil {
+			if err := deriveTask(t, x, derived, agg); err != nil {
 				return nil, err
 			}
 		}

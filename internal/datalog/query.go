@@ -25,7 +25,6 @@ type Query struct {
 	prog *Program
 	in   fact.Schema
 	out  fact.Schema
-	opts FixpointOptions
 	name string
 }
 
@@ -64,9 +63,6 @@ func MustQuery(p *Program, outputRels ...string) *Query {
 	return q
 }
 
-// OutputQuery wraps the program with the conventional output relation "O".
-func OutputQuery(p *Program) (*Query, error) { return NewQuery(p, "O") }
-
 // Program returns the underlying program.
 func (q *Query) Program() *Program { return q.prog }
 
@@ -82,12 +78,9 @@ func (q *Query) Name() string { return q.name }
 // SetName overrides the label.
 func (q *Query) SetName(n string) *Query { q.name = n; return q }
 
-// SetOptions overrides the fixpoint evaluation options.
-func (q *Query) SetOptions(opts FixpointOptions) *Query { q.opts = opts; return q }
-
 // Eval computes Q(I) = P(I)|σ'.
 func (q *Query) Eval(input *fact.Instance) (*fact.Instance, error) {
-	full, err := q.prog.EvalStratified(input, q.opts)
+	full, err := q.prog.EvalStratified(input, FixpointOptions{})
 	if err != nil {
 		return nil, err
 	}

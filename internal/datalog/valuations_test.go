@@ -3,86 +3,95 @@ package datalog
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/fact"
 )
 
-func TestValuationsEnumerates(t *testing.T) {
-	r, err := ParseRule(`P(x,z) :- E(x,y), E(y,z).`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := fact.MustParseInstance(`E(a,b) E(b,c) E(b,d)`)
+// valuations runs the one enumeration entry point over a freshly
+// compiled rule and returns, per valuation, the variables named in
+// show grounded as a V(...) fact — in enumeration order.
+func valuations(t *testing.T, x *IndexedInstance, src string, pin int, pinFacts []fact.Fact, head *fact.Fact, show ...string) []string {
+	t.Helper()
 	var got []string
-	err = Valuations(r, data, func(b Bindings) error {
-		got = append(got, fmt.Sprintf("x=%s y=%s z=%s", b["x"], b["y"], b["z"]))
-		return nil
+	err := x.Valuations(Compile(mustRule(t, src)), pin, pinFacts, head, func(v *Valuation) error {
+		g, err := v.Ground(AtomV("V", show...))
+		got = append(got, g.String())
+		return err
 	})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Valuations(%s): %v", src, err)
 	}
-	if len(got) != 2 {
-		t.Fatalf("got %d valuations, want 2: %v", len(got), got)
+	return got
+}
+
+func TestValuationsEnumerates(t *testing.T) {
+	x := IndexInstance(fact.MustParseInstance(`E(a,b) E(b,c) E(b,d)`))
+	got := valuations(t, x, `P(x,z) :- E(x,y), E(y,z).`, -1, nil, nil, "x", "y", "z")
+	sort.Strings(got)
+	if want := []string{"V(a,b,c)", "V(a,b,d)"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("valuations = %v, want %v", got, want)
 	}
 }
 
 func TestValuationsGuards(t *testing.T) {
-	r, err := ParseRule(`P(x,y) :- E(x,y), !F(x), x != y.`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := fact.MustParseInstance(`E(a,b) E(b,b) E(c,d) F(c)`)
-	count := 0
-	err = Valuations(r, data, func(b Bindings) error {
-		count++
-		if b["x"] != "a" {
-			t.Errorf("unexpected valuation %v", b)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := IndexInstance(fact.MustParseInstance(`E(a,b) E(b,b) E(c,d) F(c)`))
 	// E(b,b) fails x != y; E(c,d) fails !F(c); only E(a,b) survives.
-	if count != 1 {
-		t.Errorf("count = %d, want 1", count)
+	got := valuations(t, x, `P(x,y) :- E(x,y), !F(x), x != y.`, -1, nil, nil, "x", "y")
+	if want := []string{"V(a,b)"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("valuations = %v, want %v", got, want)
 	}
 }
 
+// The Valuation handed to emit is a live view, but the facts it
+// materializes (Head, Ground) are the caller's to keep: later
+// valuations must not write through them.
 func TestValuationsSnapshotIsolated(t *testing.T) {
-	// Bindings handed to emit must be stable snapshots.
-	r, err := ParseRule(`P(x) :- E(x,y).`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := fact.MustParseInstance(`E(a,b) E(c,d)`)
-	var seen []Bindings
-	if err := Valuations(r, data, func(b Bindings) error {
-		seen = append(seen, b)
-		return nil
+	x := IndexInstance(fact.MustParseInstance(`E(a,b) E(c,d)`))
+	var heads, grounds []fact.Fact
+	if err := x.Valuations(Compile(mustRule(t, `P(x) :- E(x,y).`)), -1, nil, nil, func(v *Valuation) error {
+		h, err := v.Head()
+		if err != nil {
+			return err
+		}
+		g, err := v.Ground(AtomV("G", "y", "x"))
+		heads, grounds = append(heads, h), append(grounds, g)
+		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != 2 || seen[0]["x"] == seen[1]["x"] {
-		t.Errorf("snapshots aliased: %v", seen)
+	fact.SortFacts(heads)
+	fact.SortFacts(grounds)
+	if fmt.Sprint(heads) != "[P(a) P(c)]" || fmt.Sprint(grounds) != "[G(b,a) G(d,c)]" {
+		t.Errorf("retained facts aliased the live environment: heads %v, grounds %v", heads, grounds)
 	}
 }
 
 func TestValuationsErrorPropagates(t *testing.T) {
-	r, _ := ParseRule(`P(x) :- E(x,y).`)
-	data := fact.MustParseInstance(`E(a,b)`)
+	x := IndexInstance(fact.MustParseInstance(`E(a,b) E(b,c)`))
+	c := Compile(mustRule(t, `P(x) :- E(x,y).`))
 	sentinel := fmt.Errorf("stop")
-	if err := Valuations(r, data, func(Bindings) error { return sentinel }); err != sentinel {
+	calls := 0
+	if err := x.Valuations(c, -1, nil, nil, func(*Valuation) error { calls++; return sentinel }); err != sentinel {
 		t.Errorf("emit error not propagated: %v", err)
+	}
+	if calls != 1 {
+		t.Errorf("enumeration continued after the error: %d calls", calls)
+	}
+	// An unsafe rule compiles; its unbound variable is an enumeration error.
+	unsafe := Compile(Rule{Head: AtomV("P", "x"), Pos: []Atom{AtomV("E", "x", "y")}, Neg: []Atom{AtomV("F", "w")}})
+	if err := x.Valuations(unsafe, -1, nil, nil, func(*Valuation) error { return nil }); err == nil {
+		t.Error("unbound variable in a negated atom was not reported")
 	}
 }
 
 // Valuation count of a single-atom rule equals the relation size; the
 // rule P(x,y) :- E(x,y) has exactly one valuation per fact.
 func TestValuationsCountProperty(t *testing.T) {
-	r, _ := ParseRule(`P(x,y) :- E(x,y).`)
+	c := Compile(mustRule(t, `P(x,y) :- E(x,y).`))
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		data := fact.NewInstance()
@@ -93,7 +102,7 @@ func TestValuationsCountProperty(t *testing.T) {
 				fact.Value(fmt.Sprintf("v%d", rng.Intn(5)))))
 		}
 		count := 0
-		if err := Valuations(r, data, func(Bindings) error { count++; return nil }); err != nil {
+		if err := IndexInstance(data).Valuations(c, -1, nil, nil, func(*Valuation) error { count++; return nil }); err != nil {
 			return false
 		}
 		return count == data.Len()

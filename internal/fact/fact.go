@@ -62,9 +62,6 @@ func (f Fact) Arity() int { return len(f.args) }
 // Arg returns the i-th argument (0-based).
 func (f Fact) Arg(i int) Value { return Value(symbols.lookup(f.args[i])) }
 
-// ArgID returns the i-th argument's interned symbol.
-func (f Fact) ArgID(i int) ID { return f.args[i] }
-
 // ArgIDs returns the fact's argument IDs. The slice is the fact's own
 // backing storage — callers must treat it as read-only.
 func (f Fact) ArgIDs() []ID { return f.args }

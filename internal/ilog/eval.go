@@ -122,26 +122,19 @@ func (p *Program) strata(rho datalog.Stratification) [][]Rule {
 
 // deriveHead grounds the head of the rule under the valuation,
 // inventing a Skolem value for invention rules.
-func deriveHead(r Rule, b datalog.Bindings) (fact.Fact, error) {
-	args := make(fact.Tuple, 0, r.headArity())
-	plain := make([]fact.Value, 0, len(r.Head.Args))
-	for _, t := range r.Head.Args {
-		var v fact.Value
-		if t.IsVar() {
-			bound, ok := b[t.Var]
-			if !ok {
-				return fact.Fact{}, fmt.Errorf("ilog: unbound head variable %s", t.Var)
-			}
-			v = bound
-		} else {
-			v = t.Const
+func deriveHead(r Rule, v *datalog.Valuation) (fact.Fact, error) {
+	if !r.Invents {
+		return v.Head() // compiled as the rule's own head
+	}
+	var plain fact.Tuple
+	if len(r.Head.Args) > 0 {
+		g, err := v.Ground(r.Head)
+		if err != nil {
+			return fact.Fact{}, err
 		}
-		plain = append(plain, v)
+		plain = g.Args()
 	}
-	if r.Invents {
-		args = append(args, SkolemValue(r.Head.Rel, plain))
-	}
-	args = append(args, plain...)
+	args := append(fact.Tuple{SkolemValue(r.Head.Rel, plain)}, plain...)
 	return fact.FromTuple(r.Head.Rel, args), nil
 }
 
@@ -192,40 +185,52 @@ type pendingFact struct {
 	invents bool
 }
 
+// compile lowers the rule's body for valuation enumeration. The head
+// is built from the source rule per valuation (deriveHead), so an
+// invention rule, whose listed head may have no arguments at all,
+// compiles with its first positive atom standing in as a safe head.
+func (r Rule) compile() *datalog.CompiledRule {
+	d := r.asDatalogRule()
+	if r.Invents {
+		d.Head = r.Pos[0]
+	}
+	return datalog.Compile(d)
+}
+
 func fixpoint(rules []Rule, x *datalog.IndexedInstance, opts Options, stratum int) error {
 	instrumented := opts.Reg != nil || opts.Sink != nil
+	compiled := make([]*datalog.CompiledRule, len(rules))
+	for i, r := range rules {
+		compiled[i] = r.compile()
+	}
 	var sDerived, sInvented int64
 	for round := 0; ; round++ {
 		if round >= opts.rounds() {
 			return ErrDiverged
 		}
 		var derived []pendingFact
-		for _, r := range rules {
-			d := r.asDatalogRule()
-			// For invention rules with no head variables the dummy
-			// datalog head would be invalid; enumerate with a safe head.
-			if r.Invents {
-				d.Head = r.Pos[0]
-			}
-			rr := r
-			collect := func(b datalog.Bindings) error {
-				h, err := deriveHead(rr, b)
-				if err != nil {
-					return err
-				}
-				if !x.Has(h) {
-					derived = append(derived, pendingFact{h, rr.Invents})
-				}
-				return nil
-			}
-			var err error
+		for i, r := range rules {
+			// With Workers > 1 the first positive atom is pinned to
+			// chunks of its relation, one enumeration per chunk; the
+			// chunks' heads are concatenated in chunk order.
+			pin, chunks := -1, [][]fact.Fact{nil}
 			if opts.Workers > 1 {
-				err = x.ValuationsParallel(d, opts.Workers, collect)
-			} else {
-				err = x.Valuations(d, collect)
+				pin, chunks = 0, datalog.ChunkFacts(x.Instance().Rel(r.Pos[0].Rel), opts.Workers)
 			}
-			if err != nil {
+			found := make([][]pendingFact, len(chunks))
+			if err := datalog.ParallelEach(opts.Workers, len(chunks), func(_, c int) error {
+				return x.Valuations(compiled[i], pin, chunks[c], nil, func(v *datalog.Valuation) error {
+					h, err := deriveHead(r, v)
+					if err == nil && !x.Has(h) {
+						found[c] = append(found[c], pendingFact{h, r.Invents})
+					}
+					return err
+				})
+			}); err != nil {
 				return err
+			}
+			for _, fs := range found {
+				derived = append(derived, fs...)
 			}
 		}
 		changed := false

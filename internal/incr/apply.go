@@ -616,7 +616,7 @@ func (m *Materialization) dredDelete(s *stratum, a *applyState, sb *stratumStats
 	// order either way.
 	fact.SortFacts(dlist)
 	alive := make([]bool, len(dlist))
-	if err := m.parallelEach(len(dlist), func(i int) error {
+	if err := datalog.ParallelEach(m.workers, len(dlist), func(_, i int) error {
 		ok, err := m.derivable(dlist[i])
 		alive[i] = ok
 		return err
@@ -675,7 +675,7 @@ func (m *Materialization) dredDelete(s *stratum, a *applyState, sb *stratumStats
 func (m *Materialization) recount(cone map[string]fact.Fact, a *applyState, sb *stratumStats) error {
 	fs := sortFactMap(cone)
 	counts := make([]int64, len(fs))
-	if err := m.parallelEach(len(fs), func(i int) error {
+	if err := datalog.ParallelEach(m.workers, len(fs), func(_, i int) error {
 		f := fs[i]
 		if !m.x.Has(f) {
 			return nil

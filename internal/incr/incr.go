@@ -120,7 +120,7 @@ type Materialization struct {
 	idb         fact.Schema
 	schema      fact.Schema
 	strata      []stratum
-	rulesByHead map[string][]headRule
+	rulesByHead map[fact.ID][]*datalog.CompiledRule
 	hasNeg      bool
 	opts        Options
 	workers     int
@@ -173,7 +173,7 @@ func newEmpty(p *datalog.Program, opts Options) (*Materialization, error) {
 		prog:        p,
 		idb:         p.IDB(),
 		schema:      schema,
-		rulesByHead: make(map[string][]headRule),
+		rulesByHead: make(map[fact.ID][]*datalog.CompiledRule),
 		opts:        opts,
 		workers:     opts.workers(),
 		x:           datalog.IndexInstance(fact.NewInstance()),
@@ -184,7 +184,8 @@ func newEmpty(p *datalog.Program, opts Options) (*Materialization, error) {
 		m.strata = append(m.strata, newStratum(rules))
 	}
 	for _, r := range p.Rules {
-		m.rulesByHead[r.Head.Rel] = append(m.rulesByHead[r.Head.Rel], headRule{r: r, c: datalog.Compile(r)})
+		head := fact.InternString(r.Head.Rel)
+		m.rulesByHead[head] = append(m.rulesByHead[head], datalog.Compile(r))
 		if len(r.Neg) > 0 {
 			m.hasNeg = true
 		}
@@ -235,14 +236,6 @@ func newStratum(rules []datalog.Rule) stratum {
 type negCompiled struct {
 	c   *datalog.CompiledRule
 	pin int
-}
-
-// headRule pairs a rule with its compilation for the head-bound
-// entry points (countDerivations, derivable), which run per candidate
-// fact inside DRed and must not recompile.
-type headRule struct {
-	r datalog.Rule
-	c *datalog.CompiledRule
 }
 
 // hasCycle detects a directed cycle via three-color DFS.
@@ -303,29 +296,22 @@ func (m *Materialization) Instance() *fact.Instance { return m.x.Instance().Clon
 // Base returns an independent copy of the base (edb) instance.
 func (m *Materialization) Base() *fact.Instance { return m.base.Clone() }
 
-// Derived returns an independent instance of the derived (idb) facts.
-func (m *Materialization) Derived() *fact.Instance { return m.x.Instance().Minus(m.base) }
-
 // Support returns the maintained derivation count of a derived fact
 // (0 for base or unknown facts).
 func (m *Materialization) Support(f fact.Fact) int64 { return m.support[f.PackedKey()] }
 
-// countDerivations counts the satisfying valuations of all rules
-// deriving exactly f, against the current materialization — via
-// MatchBoundCount, which enumerates compiled slot environments without
-// materializing a Bindings per valuation.
+// countDerivations counts the derivations of exactly f, over all rules
+// for its relation, against the current materialization. The head is
+// unified with f on interned IDs, so nothing is built per fact beyond
+// the matcher's own setup.
 func (m *Materialization) countDerivations(f fact.Fact) (int64, error) {
 	var n int64
-	for _, hr := range m.rulesByHead[f.Rel()] {
-		init, ok := hr.r.BindHead(f)
-		if !ok {
-			continue
-		}
-		c, err := m.x.MatchBoundCountC(hr.c, init)
+	for _, c := range m.rulesByHead[f.RelID()] {
+		k, err := m.x.CountDerivations(c, f)
 		if err != nil {
 			return 0, err
 		}
-		n += c
+		n += k
 	}
 	return n, nil
 }
@@ -333,17 +319,9 @@ func (m *Materialization) countDerivations(f fact.Fact) (int64, error) {
 // derivable reports whether f has at least one derivation against the
 // current materialization, stopping at the first witness.
 func (m *Materialization) derivable(f fact.Fact) (bool, error) {
-	for _, hr := range m.rulesByHead[f.Rel()] {
-		init, ok := hr.r.BindHead(f)
-		if !ok {
-			continue
-		}
-		ok, err := m.x.MatchBoundAnyC(hr.c, init)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			return true, nil
+	for _, c := range m.rulesByHead[f.RelID()] {
+		if ok, err := m.x.Derivable(c, f); ok || err != nil {
+			return ok, err
 		}
 	}
 	return false, nil

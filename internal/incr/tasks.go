@@ -2,7 +2,6 @@ package incr
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/datalog"
 	"repro/internal/fact"
@@ -21,8 +20,8 @@ type pinTask struct {
 	view     *datalog.IndexedInstance
 	// accept filters valuations for exactly-once attribution (nil
 	// admits all). It receives the matcher's live valuation — packed
-	// atom keys only, no Bindings materialization — and must read only
-	// state frozen for the phase.
+	// atom keys only, nothing materialized — and must read only state
+	// frozen for the phase.
 	accept func(v *datalog.Valuation) bool
 }
 
@@ -77,7 +76,7 @@ func (a *headAcc) sortedFacts() []fact.Fact {
 }
 
 func runTask(t pinTask, acc *headAcc) error {
-	return t.view.EvalPinnedVC(t.crule, t.pin, t.pinFacts, func(v *datalog.Valuation) error {
+	return t.view.Valuations(t.crule, t.pin, t.pinFacts, nil, func(v *datalog.Valuation) error {
 		if t.accept != nil && !t.accept(v) {
 			return nil
 		}
@@ -100,126 +99,32 @@ func runTask(t pinTask, acc *headAcc) error {
 // because the merge is a commutative sum, the result is independent of
 // scheduling and of the worker count.
 func (m *Materialization) runTasks(tasks []pinTask) (*headAcc, error) {
-	if m.workers <= 1 || len(tasks) == 0 {
-		acc := newHeadAcc()
+	if m.workers > 1 {
+		var sub []pinTask
 		for _, t := range tasks {
-			if err := runTask(t, acc); err != nil {
-				return nil, err
+			for _, chunk := range datalog.ChunkFacts(t.pinFacts, m.workers) {
+				t.pinFacts = chunk
+				sub = append(sub, t)
 			}
 		}
-		return acc, nil
+		tasks = sub
 	}
-	var sub []pinTask
-	for _, t := range tasks {
-		for _, chunk := range chunkPin(t.pinFacts, m.workers) {
-			t2 := t
-			t2.pinFacts = chunk
-			sub = append(sub, t2)
+	accs := make([]*headAcc, m.workers)
+	accs[0] = newHeadAcc()
+	if err := datalog.ParallelEach(m.workers, len(tasks), func(w, i int) error {
+		if accs[w] == nil {
+			accs[w] = newHeadAcc()
 		}
+		return runTask(tasks[i], accs[w])
+	}); err != nil {
+		return nil, err
 	}
-	workers := m.workers
-	if workers > len(sub) {
-		workers = len(sub)
-	}
-	accs := make([]*headAcc, workers)
-	errs := make([]error, workers)
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		accs[w] = newHeadAcc()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if errs[w] != nil {
-					continue
-				}
-				errs[w] = runTask(sub[i], accs[w])
-			}
-		}()
-	}
-	for i := range sub {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	acc := accs[0]
 	for _, other := range accs[1:] {
-		acc.merge(other)
-	}
-	return acc, nil
-}
-
-// chunkPin splits a pin list into at most 2×workers chunks so a slow
-// chunk cannot serialize the whole phase.
-func chunkPin(fs []fact.Fact, workers int) [][]fact.Fact {
-	if len(fs) == 0 {
-		return nil
-	}
-	target := workers * 2
-	size := (len(fs) + target - 1) / target
-	if size < 1 {
-		size = 1
-	}
-	var chunks [][]fact.Fact
-	for start := 0; start < len(fs); start += size {
-		end := start + size
-		if end > len(fs) {
-			end = len(fs)
-		}
-		chunks = append(chunks, fs[start:end])
-	}
-	return chunks
-}
-
-// parallelEach runs fn for every index, fanning out across the worker
-// pool in parallel mode. fn must not mutate shared state; the DRed
-// phases use this for independent derivability checks and recounts.
-func (m *Materialization) parallelEach(n int, fn func(i int) error) error {
-	if m.workers <= 1 || n < 2 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	workers := m.workers
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, workers)
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if errs[w] == nil {
-					errs[w] = fn(i)
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+		if other != nil {
+			accs[0].merge(other)
 		}
 	}
-	return nil
+	return accs[0], nil
 }
 
 // groupByRel groups facts by relation, preserving slice order.

@@ -125,18 +125,6 @@ type Result struct {
 	WriteP90Ns  int64 `json:"write_p90_ns"`
 	WriteP99Ns  int64 `json:"write_p99_ns"`
 	WriteP999Ns int64 `json:"write_p999_ns"`
-
-	// readHist / writeHist are the merged client-side histograms behind
-	// the quantile fields, kept for the -metrics-url cross-check.
-	readHist  *obs.LatencyHist
-	writeHist *obs.LatencyHist
-}
-
-// Hists returns the merged client-side read and write latency
-// histograms behind the Result's quantile fields (nil on a Result
-// not produced by Run).
-func (r *Result) Hists() (read, write *obs.LatencyHist) {
-	return r.readHist, r.writeHist
 }
 
 // Comparison pairs a pipelined multi-connection run with the serial
@@ -208,7 +196,6 @@ func Run(cfg Config) (*Result, error) {
 	res.P50Ns, res.P90Ns, res.P99Ns, res.P999Ns = quantiles(all)
 	res.ReadP50Ns, res.ReadP90Ns, res.ReadP99Ns, res.ReadP999Ns = quantiles(reads)
 	res.WriteP50Ns, res.WriteP90Ns, res.WriteP99Ns, res.WriteP999Ns = quantiles(writes)
-	res.readHist, res.writeHist = reads, writes
 	return res, nil
 }
 

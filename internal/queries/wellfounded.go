@@ -1,8 +1,6 @@
 package queries
 
 import (
-	"fmt"
-
 	"repro/internal/datalog"
 	"repro/internal/fact"
 	"repro/internal/monotone"
@@ -24,25 +22,28 @@ type WFSResult struct {
 	Undefined *fact.Instance
 }
 
+// posRule is one program rule as gamma evaluates it: the positive part
+// (head, positive atoms, inequalities) compiled for enumeration, and
+// the negated atoms gamma checks against its assumed instance itself.
+type posRule struct {
+	c   *datalog.CompiledRule
+	neg []datalog.Atom
+}
+
 // gamma computes Γ(assumed): the least fixpoint of the program with
 // every negated atom ¬A evaluated against the fixed instance assumed
 // (A is "false" iff A ∉ assumed). The result contains the input facts
 // plus all derived facts. Γ is antimonotone in assumed, which drives
 // the alternating fixpoint.
-func gamma(p *datalog.Program, input, assumed *fact.Instance) (*fact.Instance, error) {
-	// The index over the accumulated facts persists across rounds;
-	// Valuations would rebuild it per rule per round.
+func gamma(rules []posRule, input, assumed *fact.Instance) (*fact.Instance, error) {
+	// The index over the accumulated facts persists across rounds.
 	x := datalog.IndexInstance(input.Clone())
 	for {
 		var derived []fact.Fact
-		for _, r := range p.Rules {
-			// Enumerate valuations of the positive part only; check
-			// negation against `assumed` manually.
-			stripped := datalog.Rule{Head: r.Head, Pos: r.Pos, Ineq: r.Ineq}
-			negAtoms := r.Neg
-			err := x.Valuations(stripped, func(b datalog.Bindings) error {
-				for _, a := range negAtoms {
-					g, err := groundAtomWith(a, b)
+		for _, r := range rules {
+			err := x.Valuations(r.c, -1, nil, nil, func(v *datalog.Valuation) error {
+				for _, a := range r.neg {
+					g, err := v.Ground(a)
 					if err != nil {
 						return err
 					}
@@ -50,14 +51,11 @@ func gamma(p *datalog.Program, input, assumed *fact.Instance) (*fact.Instance, e
 						return nil // negation fails
 					}
 				}
-				h, err := groundAtomWith(r.Head, b)
-				if err != nil {
-					return err
-				}
-				if !x.Has(h) {
+				h, err := v.Head()
+				if err == nil && !x.Has(h) {
 					derived = append(derived, h)
 				}
-				return nil
+				return err
 			})
 			if err != nil {
 				return nil, err
@@ -75,25 +73,6 @@ func gamma(p *datalog.Program, input, assumed *fact.Instance) (*fact.Instance, e
 	}
 }
 
-// groundAtomWith applies bindings to an atom. Negated atoms are safe
-// (their variables occur in the positive body), so every variable is
-// bound.
-func groundAtomWith(a datalog.Atom, b datalog.Bindings) (fact.Fact, error) {
-	args := make(fact.Tuple, len(a.Args))
-	for i, t := range a.Args {
-		if t.IsVar() {
-			v, ok := b[t.Var]
-			if !ok {
-				return fact.Fact{}, fmt.Errorf("queries: unbound variable %s in %v", t.Var, a)
-			}
-			args[i] = v
-		} else {
-			args[i] = t.Const
-		}
-	}
-	return fact.FromTuple(a.Rel, args), nil
-}
-
 // WellFounded computes the well-founded model of the program on the
 // input by the alternating fixpoint: the sequence
 // U₀ = lfp Γ²(∅-assumption), with T the limit of the increasing
@@ -102,13 +81,17 @@ func WellFounded(p *datalog.Program, input *fact.Instance) (*WFSResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	rules := make([]posRule, len(p.Rules))
+	for i, r := range p.Rules {
+		rules[i] = posRule{datalog.Compile(datalog.Rule{Head: r.Head, Pos: r.Pos, Ineq: r.Ineq}), r.Neg}
+	}
 	under := input.Clone() // underestimate of true facts (no idb assumed)
 	for {
-		over, err := gamma(p, input, under) // overestimate (non-false facts)
+		over, err := gamma(rules, input, under) // overestimate (non-false facts)
 		if err != nil {
 			return nil, err
 		}
-		next, err := gamma(p, input, over) // improved underestimate
+		next, err := gamma(rules, input, over) // improved underestimate
 		if err != nil {
 			return nil, err
 		}

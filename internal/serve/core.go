@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -269,8 +270,8 @@ func (c *Core) writer() {
 				case t := <-c.writeq:
 					t.qspan.Finish()
 					t.span.Finish()
-					t.resp <- errResp("server closed")
 					close(t.done)
+					t.resp <- errResp("server closed")
 				default:
 					return
 				}
@@ -344,9 +345,13 @@ drain:
 		// Finish the request span before completing the response, so a
 		// serial session's span stream is deterministic: the client
 		// cannot observe the response until its spans are recorded.
+		// The fence opens before the response is handed over, for the
+		// same reason: the epoch is already published, so a serial
+		// client's next read must find the fence open and not be
+		// counted as having waited for it.
 		t.span.SetEpoch(epochSeq).Finish()
-		t.resp <- resps[i]
 		close(t.done)
+		t.resp <- resps[i]
 		if !t.enq.IsZero() {
 			c.writeNs.Observe(time.Since(t.enq).Nanoseconds())
 		}
@@ -396,20 +401,40 @@ func (c *Core) doSnapshot(req Request) Response {
 	if err != nil {
 		return errResp("%v", err)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return errResp("%v", err)
-	}
-	if err := c.m.Snapshot(f); err != nil {
-		f.Close()
-		return errResp("%v", err)
-	}
-	if err := f.Close(); err != nil {
+	if err := writeFileAtomic(path, c.m.Snapshot); err != nil {
 		return errResp("%v", err)
 	}
 	c.snapshots.Inc()
 	seq := c.m.Seq()
 	return Response{OK: true, Seq: &seq, Path: req.Path}
+}
+
+// writeFileAtomic replaces the file at path with what write produces,
+// or leaves it exactly as it was: the bytes go to a temporary file in
+// the same directory (path + ".tmp", created like os.Create would; only
+// the writer goroutine snapshots, so the name is never contended), are
+// synced, and only then renamed over path. A failed snapshot — a
+// poisoned materialization refuses before its first byte — must not
+// cost the last good one.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path + ".tmp")
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name()) // best effort: the error being returned is the one that matters
+	}
+	return err
 }
 
 // snapshotPath resolves a requested snapshot path under the
@@ -506,8 +531,8 @@ func (c *Core) dispatch(req Request, ch chan Response, fence <-chan struct{}, sp
 			c.errors.Inc()
 			t.qspan.Finish()
 			span.Finish()
-			ch <- errResp("server closed")
 			close(t.done)
+			ch <- errResp("server closed")
 		}
 		return t.done
 

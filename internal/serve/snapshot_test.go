@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -209,4 +210,88 @@ func TestSnapshotRestartByteIdentical(t *testing.T) {
 	if !bytes.Equal(b1, b2) {
 		t.Fatal("snapshot -> restore -> snapshot is not byte-identical")
 	}
+}
+
+// TestFailedSnapshotKeepsPrevious: a snapshot that cannot be written —
+// the materialization is poisoned and refuses, or the write fails part
+// way — leaves the previous file byte-identical and no temporary file
+// behind.
+func TestFailedSnapshotKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	onlyFile := func(name string) {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil || len(ents) != 1 || ents[0].Name() != name {
+			t.Fatalf("directory holds %v (%v), want only %s", ents, err, name)
+		}
+	}
+
+	// A materialization one request can poison: restored from a
+	// snapshot that understates Off(a)'s two derivations, so retracting
+	// both in one delta underflows the count and the apply fails.
+	honest, err := incr.New(datalog.MustParseProgram(testProgram), fact.MustParseInstance(`E(a,b) E(a,c)`), incr.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := honest.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	doctored := bytes.Replace(snap.Bytes(), []byte(`{"f":"Off(a)","n":2}`), []byte(`{"f":"Off(a)","n":1}`), 1)
+	if bytes.Equal(doctored, snap.Bytes()) {
+		t.Fatalf("snapshot has no Off(a) line with support 2:\n%s", snap.Bytes())
+	}
+	m, err := incr.Restore(bytes.NewReader(doctored), incr.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCore(m, Options{SnapshotDir: dir})
+	t.Cleanup(c.Close)
+
+	const req = `{"op":"snapshot","path":"keep.snap"}`
+	if resp := c.HandleLine([]byte(req)); !resp.OK {
+		t.Fatalf("first snapshot: %+v", resp)
+	}
+	path := filepath.Join(dir, "keep.snap")
+	before, err := os.ReadFile(path)
+	if err != nil || len(before) == 0 {
+		t.Fatalf("first snapshot file: %d bytes, %v", len(before), err)
+	}
+	if resp := c.HandleLine([]byte(`{"op":"retract","facts":["E(a,b)","E(a,c)"]}`)); resp.OK {
+		t.Fatal("the poisoning retract succeeded; the fixture no longer underflows")
+	}
+	if resp := c.HandleLine([]byte(req)); resp.OK {
+		t.Fatal("a poisoned materialization answered a snapshot request OK")
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("failed snapshot changed the previous file (%v):\nbefore: %s\nafter:  %s", err, before, after)
+	}
+	onlyFile("keep.snap")
+
+	// A write that fails after some bytes went out.
+	boom := fmt.Errorf("disk full")
+	if err := writeFileAtomic(path, func(w io.Writer) error {
+		if _, err := io.WriteString(w, "half a snapsh"); err != nil {
+			return err
+		}
+		return boom
+	}); err != boom {
+		t.Fatalf("writeFileAtomic = %v, want the write error", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("failed write changed the previous file (%v): %s", err, after)
+	}
+	onlyFile("keep.snap")
+
+	// And a write that succeeds replaces it whole.
+	if err := writeFileAtomic(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, "new")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := os.ReadFile(path); string(after) != "new" {
+		t.Fatalf("successful write left %q", after)
+	}
+	onlyFile("keep.snap")
 }

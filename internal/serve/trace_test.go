@@ -30,7 +30,8 @@ var traceScript = []string{
 func spanStream(t *testing.T) []byte {
 	t.Helper()
 	tr := obs.NewTracer(1024, true)
-	c := newTestCore(t, "E(s,t)\n", Options{Tracer: tr})
+	reg := obs.NewRegistry()
+	c := newTestCore(t, "E(s,t)\n", Options{Tracer: tr, Reg: reg})
 	reqR, reqW := io.Pipe()
 	respR, respW := io.Pipe()
 	done := make(chan error, 1)
@@ -53,6 +54,12 @@ func spanStream(t *testing.T) []byte {
 		t.Fatalf("serve: %v", err)
 	}
 	c.Close()
+	// A serial client never has a write outstanding when it reads: the
+	// fence of each write is open before its response can be seen, so
+	// no read may be counted (or spanned) as having waited on one.
+	if n := reg.Snapshot().Counters[obs.CoordFenceWaits]; n != 0 {
+		t.Errorf("serial session reported %s = %d, want 0", obs.CoordFenceWaits, n)
+	}
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf, 0); err != nil {
 		t.Fatalf("WriteJSONL: %v", err)

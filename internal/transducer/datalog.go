@@ -73,15 +73,6 @@ func DatalogQueryOpts(p *datalog.Program, target fact.Schema, rename map[string]
 	}, nil
 }
 
-// MustDatalogQuery is like DatalogQuery but panics on error.
-func MustDatalogQuery(p *datalog.Program, target fact.Schema, rename map[string]string) Query {
-	q, err := DatalogQuery(p, target, rename)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
-
 // DatalogTransducer assembles a transducer from four Datalog¬ program
 // sources (any may be empty, meaning the constant-empty query). Each
 // program's idb relations matching the respective target schema (Out

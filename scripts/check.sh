@@ -6,6 +6,7 @@
 # serving, cluster, and event-scheduler packages additionally run
 # twice under -race
 # (-count=2 defeats the test cache and catches order-dependent state),
+# the serial span-stream byte-compare runs thirty times under -race,
 # internal/transducer coverage is gated at its pre-fault-layer
 # baseline (84.0%), internal/core (the strategies whose transitions
 # both simulators' hot path runs) at 85.0%, internal/netsim,
@@ -29,6 +30,13 @@ go test -race ./...
 
 echo ">> go test -race -count=2 ./internal/transducer/... ./internal/core/... ./internal/serve/... ./internal/cluster/..."
 go test -race -count=2 ./internal/transducer/... ./internal/core/... ./internal/serve/... ./internal/cluster/...
+
+# The span stream of a serial session is byte-compared between runs;
+# a write's fence closing after its response was handed over made that
+# flake about one run in six (a read counted as a fence wait it never
+# made). Thirty runs keep the ordering fixed.
+echo ">> go test -race -count=30 -run TestSpanStreamDeterministic ./internal/serve/"
+go test -race -count=30 -run 'TestSpanStreamDeterministic' ./internal/serve/
 
 # The event scheduler's determinism battery runs twice under -race in
 # -short mode: the thousand-node acceptance run already executes once
