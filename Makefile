@@ -38,9 +38,11 @@ check:
 # smoke boots an in-process calmd, drives it with the seeded load
 # generator over real TCP (serial baseline + pipelined run), and fails
 # unless both runs complete with nonzero throughput and zero protocol
-# errors.
+# errors. The second leg drives the same session loop pipelined through
+# the cluster router, so both of its backends run over TCP in CI.
 smoke:
 	$(GO) run ./cmd/calmload -smoke -compare -duration 500ms -read-frac 0.98
+	$(GO) run ./cmd/calmload -smoke -self-shards 2 -via-router -window 32 -duration 500ms
 
 # admin-smoke boots a sharded calmd with -admin, drives traffic, and
 # asserts /metrics exposes every srv_*/cluster_*/coord_* family,

@@ -82,7 +82,20 @@ func main() {
 	if *adminAddr != "" && *traceSpans > 0 {
 		tracer = obs.NewTracer(*traceSpans, false)
 	}
-	sink, closeSink := openTrace(*tracePath)
+	sink, closeSink, err := obs.OpenSink(*tracePath)
+	if err != nil {
+		fatal(err)
+	}
+	// finish flushes -trace and dumps -metrics; every way out of main
+	// that is not already a failure runs it.
+	finish := func() {
+		if err := closeSink(); err != nil {
+			fatal(err)
+		}
+		if err := obs.WriteMetrics(reg, *metricsPath); err != nil {
+			fatal(err)
+		}
+	}
 
 	evalMode, err := datalog.ParseEvalMode(*mode)
 	if err != nil {
@@ -90,17 +103,18 @@ func main() {
 	}
 	opts := incr.Options{Mode: evalMode, Workers: *workers, Reg: reg, Sink: sink}
 
+	serveOpts := serve.Options{
+		WriteQueue:  *writeQueue,
+		MaxBatch:    *maxBatch,
+		Pipeline:    *pipeline,
+		SnapshotDir: *snapshotDir,
+		Reg:         reg,
+	}
+
 	if *shardCount > 0 {
 		err := runCluster(*shardCount, *placement, *programPath, *inputPath, *restorePath,
-			*listenAddr, *adminAddr, opts, serve.Options{
-				WriteQueue:  *writeQueue,
-				MaxBatch:    *maxBatch,
-				Pipeline:    *pipeline,
-				SnapshotDir: *snapshotDir,
-				Reg:         reg,
-			}, reg, tracer)
-		closeSink()
-		writeMetrics(reg, *metricsPath)
+			*listenAddr, *adminAddr, opts, serveOpts, reg, tracer)
+		finish()
 		if err != nil {
 			fatal(err)
 		}
@@ -113,14 +127,8 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "calmd: serving %d facts at seq %d\n", m.Len(), m.Seq())
 
-	core := serve.NewCore(m, serve.Options{
-		WriteQueue:  *writeQueue,
-		MaxBatch:    *maxBatch,
-		Pipeline:    *pipeline,
-		SnapshotDir: *snapshotDir,
-		Reg:         reg,
-		Tracer:      tracer,
-	})
+	serveOpts.Tracer = tracer // the cluster hands its router the tracer itself
+	core := serve.NewCore(m, serveOpts)
 	if *adminAddr != "" {
 		adm, err := admin.Start(*adminAddr, admin.Options{
 			Reg:          reg,
@@ -140,26 +148,27 @@ func main() {
 		defer adm.Close()
 		fmt.Fprintf(os.Stderr, "calmd: admin on http://%s\n", adm.Addr())
 	}
-	if *listenAddr == "" {
-		err := core.Serve(os.Stdin, os.Stdout)
-		core.Close()
-		if err != nil {
-			closeSink()
-			writeMetrics(reg, *metricsPath)
-			fatal(err)
-		}
-	} else {
-		srv, err := serve.NewTCPServer(core, *listenAddr, os.Stderr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "calmd: listening on %s\n", srv.Addr())
-		if err := srv.Serve(); err != nil {
-			fatal(err)
-		}
+	err = serveOn(core, *listenAddr)
+	core.Close()
+	finish()
+	if err != nil {
+		fatal(err)
 	}
-	closeSink()
-	writeMetrics(reg, *metricsPath)
+}
+
+// serveOn runs the handler's sessions — a core's or the router's, the
+// same loop either way: one over stdio, or one per connection accepted
+// on listenAddr.
+func serveOn(h serve.Handler, listenAddr string) error {
+	if listenAddr == "" {
+		return h.Serve(os.Stdin, os.Stdout)
+	}
+	srv, err := serve.NewTCPServerFor(h, listenAddr, os.Stderr)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "calmd: listening on %s\n", srv.Addr())
+	return srv.Serve()
 }
 
 // runCluster boots the sharded deployment: a cluster of shard cores
@@ -227,16 +236,7 @@ func runCluster(shards int, placement, programPath, inputPath, restorePath, list
 		fmt.Fprintf(os.Stderr, "calmd: admin on http://%s\n", adm.Addr())
 	}
 
-	router := cluster.NewRouter(c)
-	if listenAddr == "" {
-		return router.Serve(os.Stdin, os.Stdout)
-	}
-	srv, err := serve.NewTCPServerFor(router, listenAddr, os.Stderr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "calmd: listening on %s\n", srv.Addr())
-	return srv.Serve()
+	return serveOn(cluster.NewRouter(c), listenAddr)
 }
 
 // loadProgram reads and parses the program and optional initial
@@ -286,57 +286,6 @@ func buildMaterialization(programPath, inputPath, restorePath string, opts incr.
 		return nil, err
 	}
 	return incr.New(prog, input, opts)
-}
-
-// openTrace opens the JSONL event sink ("" = disabled, "-" = stdout).
-func openTrace(path string) (*obs.Sink, func()) {
-	switch path {
-	case "":
-		return nil, func() {}
-	case "-":
-		sink := obs.NewSink(os.Stdout)
-		return sink, func() { checkSink(sink) }
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	sink := obs.NewSink(f)
-	return sink, func() {
-		checkSink(sink)
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-func checkSink(sink *obs.Sink) {
-	if err := sink.Err(); err != nil {
-		fatal(fmt.Errorf("writing trace: %w", err))
-	}
-}
-
-// writeMetrics dumps the registry as JSON ("" = disabled, "-" = stdout).
-func writeMetrics(reg *obs.Registry, path string) {
-	if reg == nil || path == "" {
-		return
-	}
-	if path == "-" {
-		if err := reg.WriteJSON(os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := reg.WriteJSON(f); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
 }
 
 // epochAge returns wall-clock nanoseconds since the last epoch

@@ -144,13 +144,25 @@ func main() {
 	if *metrics != "" || *pprofAddr != "" {
 		reg = obs.NewRegistry()
 	}
-	startAdmin(*pprofAddr, reg)
-	sink, closeSink := openTrace(*tracePath)
+	admin.StartBackground("calmsim", *pprofAddr, reg)
+	sink, closeSink, err := obs.OpenSink(*tracePath)
+	if err != nil {
+		fatal(err)
+	}
+	// finish flushes -trace and dumps -metrics; every way out of main
+	// that is not already a failure runs it.
+	finish := func() {
+		if err := closeSink(); err != nil {
+			fatal(err)
+		}
+		if err := obs.WriteMetrics(reg, *metrics); err != nil {
+			fatal(err)
+		}
+	}
 
 	if topo != nil {
 		runEventEngine(topo, route, s, q, net, pol, input, plan, sink, reg, *seed, *seeds)
-		closeSink()
-		writeMetrics(reg, *metrics)
+		finish()
 		return
 	}
 
@@ -228,59 +240,7 @@ func main() {
 		}
 	}
 
-	closeSink()
-	writeMetrics(reg, *metrics)
-}
-
-// openTrace opens the JSONL event sink ("" = disabled, "-" = stdout).
-func openTrace(path string) (*obs.Sink, func()) {
-	switch path {
-	case "":
-		return nil, func() {}
-	case "-":
-		sink := obs.NewSink(os.Stdout)
-		return sink, func() { checkSink(sink) }
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	sink := obs.NewSink(f)
-	return sink, func() {
-		checkSink(sink)
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-func checkSink(sink *obs.Sink) {
-	if err := sink.Err(); err != nil {
-		fatal(fmt.Errorf("writing trace: %w", err))
-	}
-}
-
-// writeMetrics dumps the registry as JSON ("" = disabled, "-" = stdout).
-func writeMetrics(reg *obs.Registry, path string) {
-	if reg == nil || path == "" {
-		return
-	}
-	if path == "-" {
-		if err := reg.WriteJSON(os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := reg.WriteJSON(f); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
+	finish()
 }
 
 func lookupQuery(name string) (monotone.Query, *fact.Instance, error) {
@@ -427,19 +387,4 @@ func lookupPolicy(name string, net transducer.Network) (transducer.Policy, error
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "calmsim: %v\n", err)
 	os.Exit(1)
-}
-
-// startAdmin serves the shared admin endpoint (/metrics /debug/pprof)
-// in the background ("" = disabled) — the same routes calmd's -admin
-// exposes, so one curl recipe profiles every binary in the repo.
-func startAdmin(addr string, reg *obs.Registry) {
-	if addr == "" {
-		return
-	}
-	adm, err := admin.Start(addr, admin.Options{Reg: reg})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "calmsim: admin: %v\n", err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "calmsim: admin on http://%s\n", adm.Addr())
 }

@@ -76,13 +76,25 @@ func main() {
 	if *metricsPath != "" || *pprofAddr != "" {
 		reg = obs.NewRegistry()
 	}
-	startAdmin(*pprofAddr, reg)
-	sink, closeSink := openTrace(*tracePath)
+	admin.StartBackground("dlog", *pprofAddr, reg)
+	sink, closeSink, err := obs.OpenSink(*tracePath)
+	if err != nil {
+		fatal(err)
+	}
+	// finish flushes -trace and dumps -metrics; every way out of main
+	// that is not already a failure runs it.
+	finish := func() {
+		if err := closeSink(); err != nil {
+			fatal(err)
+		}
+		if err := obs.WriteMetrics(reg, *metricsPath); err != nil {
+			fatal(err)
+		}
+	}
 
 	if *useIlog {
 		runIlog(string(src), input, *outRels, *workers, reg, sink)
-		closeSink()
-		writeMetrics(reg, *metricsPath)
+		finish()
 		return
 	}
 
@@ -106,8 +118,7 @@ func main() {
 		}
 		printFacts("true", filterRels(res.True.Minus(input), *outRels))
 		printFacts("undefined", filterRels(res.Undefined, *outRels))
-		closeSink()
-		writeMetrics(reg, *metricsPath)
+		finish()
 		return
 	}
 
@@ -121,8 +132,7 @@ func main() {
 		fatal(err)
 	}
 	printFacts("derived", filterRels(out.Minus(input), *outRels))
-	closeSink()
-	writeMetrics(reg, *metricsPath)
+	finish()
 }
 
 // runIlog parses and evaluates an ILOG¬ program with invention.
@@ -158,75 +168,7 @@ func printFacts(label string, i *fact.Instance) {
 	}
 }
 
-// openTrace opens the JSONL event sink ("" = disabled, "-" = stdout).
-// The returned close function flushes the file and surfaces any write
-// error latched by the sink.
-func openTrace(path string) (*obs.Sink, func()) {
-	switch path {
-	case "":
-		return nil, func() {}
-	case "-":
-		sink := obs.NewSink(os.Stdout)
-		return sink, func() { checkSink(sink) }
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	sink := obs.NewSink(f)
-	return sink, func() {
-		checkSink(sink)
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-func checkSink(sink *obs.Sink) {
-	if err := sink.Err(); err != nil {
-		fatal(fmt.Errorf("writing trace: %w", err))
-	}
-}
-
-// writeMetrics dumps the registry as JSON ("" = disabled, "-" = stdout).
-func writeMetrics(reg *obs.Registry, path string) {
-	if reg == nil || path == "" {
-		return
-	}
-	if path == "-" {
-		if err := reg.WriteJSON(os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := reg.WriteJSON(f); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-}
-
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "dlog: %v\n", err)
 	os.Exit(1)
-}
-
-// startAdmin serves the shared admin endpoint (/metrics /debug/pprof)
-// in the background ("" = disabled) — the same routes calmd's -admin
-// exposes, so one curl recipe profiles every binary in the repo.
-func startAdmin(addr string, reg *obs.Registry) {
-	if addr == "" {
-		return
-	}
-	adm, err := admin.Start(addr, admin.Options{Reg: reg})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dlog: admin: %v\n", err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "dlog: admin on http://%s\n", adm.Addr())
 }

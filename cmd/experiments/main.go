@@ -66,7 +66,7 @@ func main() {
 	metricsPath := flag.String("metrics", "", `write the machine-readable result matrix as JSON to this file ("-" = stdout)`)
 	pprofAddr := flag.String("pprof", "", "serve the admin endpoint (/metrics /debug/pprof) on this address (e.g. localhost:6060)")
 	flag.Parse()
-	startAdmin(*pprofAddr)
+	admin.StartBackground("experiments", *pprofAddr, nil)
 
 	exps := []experiment{}
 	exps = append(exps, figure1Experiments()...)
@@ -809,19 +809,4 @@ func netsimExperiments() []experiment {
 				ratio, dense.Clock(), evs.SchedOps()), true
 		}},
 	}
-}
-
-// startAdmin serves the shared admin endpoint (/metrics /debug/pprof)
-// in the background ("" = disabled) — the same routes calmd's -admin
-// exposes, so one curl recipe profiles every binary in the repo.
-func startAdmin(addr string) {
-	if addr == "" {
-		return
-	}
-	adm, err := admin.Start(addr, admin.Options{})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: admin: %v\n", err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "experiments: admin on http://%s\n", adm.Addr())
 }

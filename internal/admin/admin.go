@@ -21,6 +21,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"strconv"
 	"time"
 
@@ -110,6 +111,24 @@ func Start(addr string, opts Options) (*Server, error) {
 	}
 	go func() { s.done <- s.srv.Serve(ln) }()
 	return s, nil
+}
+
+// StartBackground serves the admin routes for the life of a batch
+// command (dlog, calmsim, experiments: their -pprof flag; "" =
+// disabled) — the same routes calmd's -admin exposes, so one curl
+// recipe profiles every binary in the repo. The endpoint is a
+// convenience, never a reason to fail the run: a listen error is
+// reported on stderr under the command's name and the run goes on.
+func StartBackground(prog, addr string, reg *obs.Registry) {
+	if addr == "" {
+		return
+	}
+	adm, err := Start(addr, Options{Reg: reg})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: admin: %v\n", prog, err)
+		return
+	}
+	fmt.Fprintf(os.Stderr, "%s: admin on http://%s\n", prog, adm.Addr())
 }
 
 // Addr returns the bound listen address (resolves ":0").

@@ -2,8 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,17 +69,23 @@ func (o Options) placement() PlacementKind {
 }
 
 // record is one global delta-log entry: a client write split into
-// per-shard sub-requests. subs[j].Op == "" means shard j has nothing
-// to apply at this position — its pump still observes the entry so
-// the watermark advances uniformly. key is the fault-decision key
+// per-shard sub-deltas. subs[j] == nil means shard j has nothing to
+// apply at this position — its pump still observes the entry so the
+// watermark advances uniformly. The log is kept for the life of the
+// cluster (Restart replays it), so an entry holds fact strings and
+// nothing per shard it does not touch. key is the fault-decision key
 // (the write's first fact); writes with no facts take no faults.
 type record struct {
 	g      int
-	subs   []serve.Request
+	subs   []*sub
 	key    fact.Fact
 	hasKey bool
 	enq    time.Time // append wall time; zero when metrics are disabled
 }
+
+// sub is what one shard applies at one log position, delivered to its
+// core as an apply request.
+type sub struct{ ins, ret []string }
 
 // delivery is one inbox item for one shard: a log record to apply, or
 // a flush control message releasing every held delta (quiescence).
@@ -157,6 +163,9 @@ type Cluster struct {
 	ci     *componentIndex
 	comp   map[fact.Value]*compState
 	closed bool
+
+	// gmemo memoizes gathered reads of the last pinned state (gather).
+	gmemo atomic.Pointer[gatherMemo]
 
 	reg    *obs.Registry
 	tracer *obs.Tracer
@@ -325,15 +334,6 @@ func (c *Cluster) LogLen() int {
 	return len(c.log)
 }
 
-// Watermarks returns each shard's applied log prefix.
-func (c *Cluster) Watermarks() []int {
-	wms := make([]int, len(c.shards))
-	for j, sh := range c.shards {
-		wms[j] = sh.watermark()
-	}
-	return wms
-}
-
 // ShardHealth is one shard's live progress: the payload of /healthz
 // and of the NDJSON cluster op's applied/held/lag fields.
 type ShardHealth struct {
@@ -417,27 +417,29 @@ func (c *Cluster) Close() {
 // global log position, the only total order that exists there; apply
 // stats include migration traffic when a write bridges components.
 func (c *Cluster) SubmitWrite(req serve.Request) (serve.Response, int) {
-	return c.SubmitWriteCtx(req, obs.SpanCtx{})
+	return c.submitWrite(req, obs.SpanCtx{})
 }
 
-// SubmitWriteCtx is SubmitWrite with a trace context: the log append
+// submitWrite is SubmitWrite with a trace context: the log append
 // is recorded as a cluster.log_append span and component migrations
 // as coord.migration spans under tc.
-func (c *Cluster) SubmitWriteCtx(req serve.Request, tc obs.SpanCtx) (serve.Response, int) {
+func (c *Cluster) submitWrite(req serve.Request, tc obs.SpanCtx) (serve.Response, int) {
 	c.writes.Inc()
 	if req.Op == "snapshot" {
 		c.errors.Inc()
 		return serve.ErrResp("snapshot is a per-shard operation; connect to a shard endpoint directly"), 0
 	}
-	if !serve.IsWrite(req.Op) {
-		c.errors.Inc()
-		return serve.ErrResp("unknown op %q", req.Op), 0
+	// Parsed and validated by the code a single node runs: a bad write
+	// is refused in its words and never reaches the log.
+	d, err := serve.DeltaOf(req)
+	if err == nil {
+		err = d.Check(c.idb, c.schema)
 	}
-	ins, ret, err := c.parseDelta(req)
 	if err != nil {
 		c.errors.Inc()
 		return serve.ErrResp("%v", err), 0
 	}
+	ins, ret := d.Insert, d.Retract
 
 	ls := tc.Start(obs.SpanLogAppend)
 	var lstart time.Time
@@ -467,20 +469,21 @@ func (c *Cluster) SubmitWriteCtx(req serve.Request, tc obs.SpanCtx) (serve.Respo
 	if c.plan.Partitioned {
 		rec.subs, migrated = c.placeDelta(ins, ret)
 		for j, s := range rec.subs {
-			if s.Op != "" {
+			if s != nil {
 				homes = append(homes, j)
 			}
 		}
 		if len(homes) == 0 {
 			// Empty delta: one shard still acks, so the client gets a
 			// well-formed apply response.
-			rec.subs[0] = serve.Request{Op: "apply"}
+			rec.subs[0] = &sub{}
 			homes = []int{0}
 		}
 	} else {
-		rec.subs = make([]serve.Request, n)
+		all := &sub{ins: fact.FactStrings(ins), ret: fact.FactStrings(ret)}
+		rec.subs = make([]*sub, n)
 		for j := range rec.subs {
-			rec.subs[j] = req
+			rec.subs[j] = all
 		}
 		h := 0
 		if rec.hasKey {
@@ -489,14 +492,10 @@ func (c *Cluster) SubmitWriteCtx(req serve.Request, tc obs.SpanCtx) (serve.Respo
 		homes = []int{h}
 	}
 	c.log = append(c.log, rec)
-	isHome := make(map[int]bool, len(homes))
-	for _, j := range homes {
-		isHome[j] = true
-	}
 	acks := make([]chan serve.Response, 0, len(homes))
 	for j, sh := range c.shards {
 		d := delivery{rec: rec}
-		if isHome[j] {
+		if slices.Contains(homes, j) {
 			d.resp = make(chan serve.Response, 1)
 			acks = append(acks, d.resp)
 		}
@@ -543,59 +542,6 @@ func (c *Cluster) SubmitWriteCtx(req serve.Request, tc obs.SpanCtx) (serve.Respo
 	return agg, g
 }
 
-// parseDelta decodes and validates a write's fact lists: known base
-// relations only, schema arity, no NUL bytes, no fact on both sides.
-func (c *Cluster) parseDelta(req serve.Request) (ins, ret []fact.Fact, err error) {
-	var insStrs, retStrs []string
-	switch req.Op {
-	case "insert":
-		insStrs = req.Facts
-	case "retract":
-		retStrs = req.Facts
-	case "apply":
-		insStrs, retStrs = req.Insert, req.Retract
-	}
-	if ins, err = fact.ParseFacts(insStrs); err != nil {
-		return nil, nil, err
-	}
-	if ret, err = fact.ParseFacts(retStrs); err != nil {
-		return nil, nil, err
-	}
-	seen := make(map[string]bool, len(ins))
-	for _, f := range ins {
-		if err := c.checkFact(f); err != nil {
-			return nil, nil, err
-		}
-		seen[f.Key()] = true
-	}
-	for _, f := range ret {
-		if err := c.checkFact(f); err != nil {
-			return nil, nil, err
-		}
-		if seen[f.Key()] {
-			return nil, nil, fmt.Errorf("cluster: %v appears in both insert and retract", f)
-		}
-	}
-	return ins, ret, nil
-}
-
-// checkFact mirrors the materialization's base-fact validation so a
-// bad write is rejected at the router, before it reaches the log.
-func (c *Cluster) checkFact(f fact.Fact) error {
-	if c.idb.Has(f.Rel()) {
-		return fmt.Errorf("cluster: %v is over derived relation %s; deltas must change base relations only", f, f.Rel())
-	}
-	if ar, ok := c.schema.Arity(f.Rel()); ok && ar != f.Arity() {
-		return fmt.Errorf("cluster: %v has arity %d, program uses %s with arity %d", f, f.Arity(), f.Rel(), ar)
-	}
-	for i := 0; i < f.Arity(); i++ {
-		if strings.ContainsRune(string(f.Arg(i)), 0) {
-			return fmt.Errorf("cluster: %v contains a NUL byte", f)
-		}
-	}
-	return nil
-}
-
 // placeDelta routes a validated delta in partitioned mode: every fact
 // goes to its component's home shard, and an insert that bridges
 // components resident on different shards migrates the absorbed
@@ -605,9 +551,8 @@ func (c *Cluster) checkFact(f fact.Fact) error {
 // are serialized in log order. Retraction never re-splits a merged
 // component: the index only coarsens, which is sound (colocating more
 // than co(I) requires keeps every derivation local) if less sharp.
-func (c *Cluster) placeDelta(ins, ret []fact.Fact) ([]serve.Request, int) {
+func (c *Cluster) placeDelta(ins, ret []fact.Fact) ([]*sub, int) {
 	n := len(c.shards)
-	type sub struct{ ins, ret []string }
 	subs := make([]sub, n)
 	migrated := 0
 
@@ -674,12 +619,11 @@ func (c *Cluster) placeDelta(ins, ret []fact.Fact) ([]serve.Request, int) {
 		subs[home].ins = append(subs[home].ins, f.String())
 	}
 
-	out := make([]serve.Request, n)
-	for j := range out {
-		if len(subs[j].ins) == 0 && len(subs[j].ret) == 0 {
-			continue
+	out := make([]*sub, n)
+	for j, s := range subs {
+		if len(s.ins) > 0 || len(s.ret) > 0 {
+			out[j] = &s // its own copy: the log must not retain all of subs
 		}
-		out[j] = serve.Request{Op: "apply", Insert: subs[j].ins, Retract: subs[j].ret}
 	}
 	return out, migrated
 }
@@ -699,13 +643,13 @@ func (c *Cluster) ensureComp(root fact.Value) {
 // shards); partitioned mode scatters to every live shard and gathers
 // the disjoint union.
 func (c *Cluster) Read(affinity int, req serve.Request, fence int) serve.Response {
-	return c.ReadCtx(affinity, req, fence, obs.SpanCtx{})
+	return c.read(affinity, req, fence, obs.SpanCtx{})
 }
 
-// ReadCtx is Read with a trace context: a partitioned read records
+// read is Read with a trace context: a partitioned read records
 // cluster.gather with fanout/merge phase children; a replicated read
 // traces through the affinity shard's core.
-func (c *Cluster) ReadCtx(affinity int, req serve.Request, fence int, tc obs.SpanCtx) serve.Response {
+func (c *Cluster) read(affinity int, req serve.Request, fence int, tc obs.SpanCtx) serve.Response {
 	c.reads.Inc()
 	if !serve.IsRead(req.Op) {
 		c.errors.Inc()
@@ -726,26 +670,23 @@ func (c *Cluster) ReadCtx(affinity int, req serve.Request, fence int, tc obs.Spa
 }
 
 // gather is the partitioned read: pin one epoch per live shard behind
-// the fence and merge. For connected monotone programs the shard
-// answers are disjoint slices of Q(I) (Theorem 5.3), so the merge is
-// a disjoint union; a down shard's slice is missing — the gathered
-// answer is a subset of Q(I) that recovers with the shard, which is
-// exactly the transducer model's crash semantics. Epoch echoes and
-// stats seq report the minimum watermark across consulted shards:
+// the fence, then ask the reader a core asks (serve.ReadMemo) over the
+// gathered view, the union of the pinned epochs. For connected monotone
+// programs the shard answers are disjoint slices of Q(I) (Theorem 5.3),
+// so the union is disjoint; a down shard's slice is missing — the
+// gathered answer is a subset of Q(I) that recovers with the shard,
+// which is exactly the transducer model's crash semantics. Epoch echoes
+// and stats seq report the minimum watermark across consulted shards:
 // the longest log prefix the whole answer is guaranteed to reflect.
-// The gather path is phase-instrumented (PERF.9 lives on it): fanout
-// is epoch pinning across shards including any watermark fence waits;
-// merge is the cross-shard k-way union; render (the wire encode) is
-// measured by the router. Each phase is both a latency histogram and
-// a child span of the gather span.
+//
+// Each phase is a latency histogram and a child span of cluster.gather
+// (PERF.9 lives here): fanout is epoch pinning including any watermark
+// fence waits; merge (building the merged list) and render (its strings
+// and wire bytes) happen only on a memo miss.
 func (c *Cluster) gather(req serve.Request, fence int, tc obs.SpanCtx) serve.Response {
 	c.gathers.Inc()
 	if req.Op == "ping" {
-		return serve.Response{OK: true}
-	}
-	if req.Op == "query" && req.Rel == "" {
-		c.errors.Inc()
-		return serve.ErrResp("query needs a rel")
+		return serve.Response{OK: true} // liveness asks no shard
 	}
 	gs := tc.Start(obs.SpanGather)
 	var gstart time.Time
@@ -756,76 +697,126 @@ func (c *Cluster) gather(req serve.Request, fence int, tc obs.SpanCtx) serve.Res
 	defer gs.Finish()
 
 	fsp := gs.Ctx().Start(obs.SpanGatherFanout)
-	var eps []*incr.Epoch
-	minWM := -1
+	v := &gathered{c: c, tc: gs.Ctx(), seq: -1, eps: make([]*incr.Epoch, 0, len(c.shards))}
 	for _, sh := range c.shards {
 		if !sh.waitWM(fence) {
 			continue
 		}
 		core := sh.core.Load()
 		wm := sh.watermark()
-		eps = append(eps, core.CurrentEpoch())
-		if minWM == -1 || wm < minWM {
-			minWM = wm
+		v.eps = append(v.eps, core.CurrentEpoch())
+		if v.seq == -1 || wm < v.seq {
+			v.seq = wm
 		}
 	}
-	fsp.SetSeq(minWM).Attr("shards", len(eps)).Finish()
+	fsp.SetSeq(v.seq).Attr("shards", len(v.eps)).Finish()
 	if !gstart.IsZero() {
 		c.fanoutNs.Observe(time.Since(gstart).Nanoseconds())
 	}
-	if len(eps) == 0 {
+	if len(v.eps) == 0 {
 		c.errors.Inc()
 		return serve.ErrResp("cluster: every shard is down")
 	}
-	gs.SetSeq(minWM)
+	gs.SetSeq(v.seq)
 
-	msp := gs.Ctx().Start(obs.SpanGatherMerge)
+	resp := c.memoFor(v).Respond(v, req)
+	v.endRender(resp)
+	if !resp.OK {
+		c.errors.Inc()
+	}
+	return resp
+}
+
+// gatherMemo is the read memo of the last gathered state, good while
+// gathers keep pinning it: the same epoch on every consulted shard
+// (epochs are immutable, so pointer identity is exact; a down or
+// restarted shard changes the vector) under the same minimum watermark
+// (which a no-op write advances, and echoes and stats report).
+type gatherMemo struct {
+	eps  []*incr.Epoch
+	seq  int
+	memo serve.ReadMemo
+}
+
+// memoFor returns the memo for the state v pinned, a fresh one when it
+// differs from the last gather's. Concurrent gathers of different
+// states may replace each other's memo: a re-render, never a wrong
+// answer.
+func (c *Cluster) memoFor(v *gathered) *serve.ReadMemo {
+	if m := c.gmemo.Load(); m != nil && m.seq == v.seq && slices.Equal(m.eps, v.eps) {
+		return &m.memo
+	}
+	m := &gatherMemo{eps: v.eps, seq: v.seq}
+	c.gmemo.Store(m)
+	return &m.memo
+}
+
+// gathered is one read's serve.View of the partitioned cluster: the
+// epochs it pinned, as one state. It is per request so that a merge and
+// render it causes are timed and traced under that request's gather.
+type gathered struct {
+	c   *Cluster
+	tc  obs.SpanCtx
+	eps []*incr.Epoch
+	seq int
+
+	// Set by a merge: the open render phase, closed by endRender.
+	rsp    *obs.ActiveSpan
+	rstart time.Time
+}
+
+func (v *gathered) Seq() int { return v.seq }
+
+func (v *gathered) Len() int     { return v.sum((*incr.Epoch).Len) }
+func (v *gathered) BaseLen() int { return v.sum((*incr.Epoch).BaseLen) }
+
+func (v *gathered) sum(size func(*incr.Epoch) int) (n int) {
+	for _, ep := range v.eps {
+		n += size(ep)
+	}
+	return n
+}
+
+func (v *gathered) Rel(rel string) []fact.Fact {
+	return v.merge(func(ep *incr.Epoch) []fact.Fact { return ep.Rel(rel) })
+}
+
+func (v *gathered) Facts() []fact.Fact { return v.merge((*incr.Epoch).Facts) }
+
+// merge unions one sorted list per pinned epoch. The reader asks for a
+// list only on a memo miss and renders it next, so the merge phase ends
+// here and the render phase starts.
+func (v *gathered) merge(list func(*incr.Epoch) []fact.Fact) []fact.Fact {
+	msp := v.tc.Start(obs.SpanGatherMerge)
 	var mstart time.Time
-	if c.reg != nil {
+	if v.c.reg != nil {
 		mstart = time.Now()
 	}
-	mergeDone := func(facts int) {
-		msp.Attr("facts", facts).Finish()
-		if !mstart.IsZero() {
-			c.mergeNs.Observe(time.Since(mstart).Nanoseconds())
-		}
+	lists := make([][]fact.Fact, len(v.eps))
+	for i, ep := range v.eps {
+		lists[i] = list(ep)
 	}
+	fs := mergeFactLists(lists)
+	msp.Attr("facts", len(fs)).Finish()
+	if !mstart.IsZero() {
+		v.rstart = time.Now()
+		v.c.mergeNs.Observe(v.rstart.Sub(mstart).Nanoseconds())
+	}
+	v.rsp = v.tc.Start(obs.SpanGatherRender)
+	return fs
+}
 
-	switch req.Op {
-	case "query", "facts":
-		rel := req.Rel
-		if req.Op == "facts" {
-			rel = ""
-		}
-		lists := make([][]fact.Fact, len(eps))
-		for i, ep := range eps {
-			if rel == "" {
-				lists[i] = ep.Facts()
-			} else {
-				lists[i] = ep.Rel(rel)
-			}
-		}
-		fs := factStringsMerged(lists)
-		mergeDone(len(fs))
-		ncount := len(fs)
-		resp := serve.Response{OK: true, Count: &ncount, Facts: fs}
-		if req.Epoch {
-			resp.Epoch = &minWM
-		}
-		return resp
-	case "stats":
-		st := &serve.StatsBody{Seq: minWM}
-		for _, ep := range eps {
-			st.Facts += ep.Len()
-			st.Base += ep.BaseLen()
-		}
-		st.Derived = st.Facts - st.Base
-		mergeDone(st.Facts)
-		return serve.Response{OK: true, Stats: st}
+// endRender closes the render phase a merge opened, if one did.
+func (v *gathered) endRender(resp serve.Response) {
+	if !v.rstart.IsZero() {
+		v.c.gatherRenderNs.Observe(time.Since(v.rstart).Nanoseconds())
 	}
-	mergeDone(0)
-	c.errors.Inc()
-	return serve.ErrResp("unknown op %q", req.Op)
+	if v.rsp != nil {
+		if b, err := resp.Encode(); err == nil {
+			v.rsp.Attr("bytes", len(b))
+		}
+		v.rsp.Finish()
+	}
 }
 
 // --- fault lifecycle ----------------------------------------------
@@ -990,8 +981,8 @@ func (sh *shard) pump() {
 		}
 		g := d.rec.g
 		release(g)
-		sub := d.rec.subs[sh.id]
-		mono := sub.Op != "retract" && len(sub.Retract) == 0
+		s := d.rec.subs[sh.id]
+		mono := s == nil || len(s.ret) == 0
 		if !mono && len(held) > 0 {
 			// Retraction barrier: nothing may be reordered past it. This
 			// flush is the delta-stream coordination a non-monotone write
@@ -1028,14 +1019,14 @@ func (sh *shard) pump() {
 // nesting the core's request phases, and its wall-clock lag from log
 // append feeds cluster.delivery_lag_ns.
 func (sh *shard) apply(d delivery, ptc obs.SpanCtx) {
-	req := d.rec.subs[sh.id]
+	s := d.rec.subs[sh.id]
 	var r serve.Response
-	if req.Op == "" {
+	if s == nil {
 		r = serve.Response{OK: true}
 	} else {
 		ds := ptc.Start(obs.SpanDeliver)
 		ds.SetShard(sh.id).SetSeq(d.rec.g)
-		r = sh.core.Load().DoCtx(req, ds.Ctx())
+		r = sh.core.Load().DoCtx(serve.Request{Op: "apply", Insert: s.ins, Retract: s.ret}, ds.Ctx())
 		ds.Finish()
 		sh.c.deliveries.Inc()
 		if !d.rec.enq.IsZero() {

@@ -264,9 +264,10 @@ func TestClusterOp(t *testing.T) {
 		t.Fatalf("watermarks = %v", cb.Watermarks)
 	}
 	c.Quiesce()
-	for j, wm := range c.Watermarks() {
-		if wm != 1 {
-			t.Errorf("shard %d watermark after quiesce = %d, want 1", j, wm)
+	_, hs := c.Health()
+	for j, h := range hs {
+		if h.Watermark != 1 {
+			t.Errorf("shard %d watermark after quiesce = %d, want 1", j, h.Watermark)
 		}
 	}
 }

@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"sync"
 	"testing"
 
 	"repro/internal/datalog"
 	"repro/internal/fact"
+	"repro/internal/serve"
 )
 
 // fuzz state: one long-lived partitioned cluster shared across fuzz
@@ -59,8 +61,7 @@ func FuzzRouteRequest(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, line []byte) {
 		r := fuzzRouter(t)
-		cn := r.newConn()
-		resp := cn.handleLine(line, nil)
+		resp := routeLine(t, r, line)
 		if resp.OK && resp.Err != "" {
 			t.Fatalf("response both ok and error: %+v", resp)
 		}
@@ -87,10 +88,31 @@ func FuzzRouteRequest(f *testing.F) {
 			}
 		}
 		// Liveness: the router still answers after whatever happened.
-		if ping := r.newConn().handleLine([]byte(`{"op":"ping"}`), nil); !ping.OK {
+		if ping := routeLine(t, r, []byte(`{"op":"ping"}`)); !ping.OK {
 			t.Fatalf("router dead after input %q: %+v", line, ping)
 		}
 	})
+}
+
+// routeLine runs one line through a fresh router connection — the
+// shared session loop and the router's dispatcher — and returns its
+// response. The loop frames on newlines and skips blank lines, so a
+// fuzzed line may be answered more than once or not at all: the last
+// answer is returned, a ping's standing in for none.
+func routeLine(t *testing.T, r *Router, line []byte) serve.Response {
+	t.Helper()
+	var out bytes.Buffer
+	if err := r.Serve(bytes.NewReader(line), &out); err != nil {
+		t.Fatalf("router serve %q: %v", line, err)
+	}
+	resp := serve.Response{OK: true}
+	if lines := bytes.Split(bytes.TrimRight(out.Bytes(), "\n"), []byte("\n")); len(out.Bytes()) > 0 {
+		resp = serve.Response{}
+		if err := json.Unmarshal(lines[len(lines)-1], &resp); err != nil {
+			t.Fatalf("router answered %q with a non-response %q: %v", line, lines[len(lines)-1], err)
+		}
+	}
+	return resp
 }
 
 // fuzzSeedLines is the in-code seed corpus, mirrored as files under

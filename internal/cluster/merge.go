@@ -28,15 +28,3 @@ func mergeFactLists(lists [][]fact.Fact) []fact.Fact {
 	}
 	return out
 }
-
-// factStringsMerged renders merged lists in wire form: the gathered
-// response's facts array, byte-identical to what a single node
-// holding the union would render (fact.FactStrings order).
-func factStringsMerged(lists [][]fact.Fact) []string {
-	merged := mergeFactLists(lists)
-	out := make([]string, len(merged))
-	for i, f := range merged {
-		out[i] = f.String()
-	}
-	return out
-}

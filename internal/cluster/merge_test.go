@@ -5,7 +5,22 @@ import (
 	"testing"
 
 	"repro/internal/fact"
+	"repro/internal/serve"
 )
+
+// mergedView is the smallest serve.View over per-shard lists: what the
+// shared renderer (serve.ReadResponse) is handed is mergeFactLists'
+// output, as on the gather path.
+type mergedView [][]fact.Fact
+
+func (v mergedView) Seq() int               { return 0 }
+func (v mergedView) Len() int               { return len(v.Facts()) }
+func (v mergedView) BaseLen() int           { return 0 }
+func (v mergedView) Rel(string) []fact.Fact { return v.Facts() }
+func (v mergedView) Facts() []fact.Fact     { return mergeFactLists(v) }
+func renderMerged(lists [][]fact.Fact) []string {
+	return serve.ReadResponse(mergedView(lists), serve.Request{Op: "facts"}).Facts
+}
 
 func parseAll(t *testing.T, strs ...string) []fact.Fact {
 	t.Helper()
@@ -34,8 +49,8 @@ func TestMergeFactLists(t *testing.T) {
 	// gathered response is byte-identical to a single node holding all
 	// the facts.
 	union := append(append([]fact.Fact{}, a...), b...)
-	if got, want := factStringsMerged([][]fact.Fact{a, b}), fact.FactStrings(union); !reflect.DeepEqual(got, want) {
-		t.Fatalf("factStringsMerged = %v, want %v", got, want)
+	if got, want := renderMerged([][]fact.Fact{a, b}), fact.FactStrings(union); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rendered merge = %v, want %v", got, want)
 	}
 }
 
@@ -52,7 +67,7 @@ func TestMergeFactListsEmpty(t *testing.T) {
 	if got := mergeFactLists(nil); len(got) != 0 {
 		t.Fatalf("merge of nothing = %v", got)
 	}
-	if got := factStringsMerged([][]fact.Fact{nil, {}}); len(got) != 0 {
+	if got := renderMerged([][]fact.Fact{nil, {}}); len(got) != 0 {
 		t.Fatalf("merge of empties = %v", got)
 	}
 }

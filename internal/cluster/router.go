@@ -1,12 +1,8 @@
 package cluster
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
 	"io"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -15,8 +11,11 @@ import (
 // Router speaks the single-node NDJSON protocol over a Cluster: the
 // same request lines, the same response shapes, so every existing
 // client (calmload, scripts, humans with netcat) works against a
-// sharded deployment unchanged. It implements serve.Handler, so
-// serve.NewTCPServerFor gives it the same TCP front end as a Core.
+// sharded deployment unchanged. It is a serve.Handler the way a Core
+// is — serve.Session, the one request loop, plus a per-connection
+// dispatcher — so framing, pipelining, trace identity and encoding are
+// the single node's by construction; the router's own are placement,
+// the log, and which shards a read consults.
 //
 // Each connection gets an affinity shard (round-robin at accept) and
 // an own-write fence: the global log position of its last write.
@@ -26,33 +25,36 @@ import (
 // need (anything later is a superset). Under a fenced plan a read
 // waits for its shards to reach the log tip observed at arrival.
 //
-// Requests are handled synchronously per connection (responses are
-// trivially in request order); concurrency comes from connections,
-// and inside the cluster from the asynchronous shard pumps.
+// A connection's requests are answered synchronously, in arrival
+// order; the pipeline window (Options.Serve.Pipeline) bounds how many
+// answered responses may wait for a slow client. Concurrency comes
+// from connections, and inside the cluster from the shard pumps.
 //
 // Tracing: when the cluster has a Tracer, each request is a srv.req
 // root span with TraceID (connection id, request line number) —
 // positional, never random. The write path nests
 // cluster.log_append → pump deliveries (detached traces); the
-// partitioned read path nests cluster.gather with fanout/merge
-// children, and the wire encode of a gathered fact response is the
-// cluster.gather_render phase.
+// partitioned read path nests cluster.gather with fanout, merge and
+// render children (the last two on a memo miss only).
 type Router struct {
-	c    *Cluster
-	next atomic.Int64
+	c *Cluster
+	// session configures serve.Session: the shard cores' options (one
+	// window, one srv.* registry per deployment), the cluster's tracer.
+	session serve.Options
+	next    atomic.Int64
 }
 
 // NewRouter wraps a cluster in the NDJSON protocol.
-func NewRouter(c *Cluster) *Router { return &Router{c: c} }
-
-// Cluster returns the routed cluster.
-func (r *Router) Cluster() *Cluster { return r.c }
+func NewRouter(c *Cluster) *Router {
+	r := &Router{c: c, session: c.opts.Serve}
+	r.session.Tracer = c.tracer
+	return r
+}
 
 // conn is one connection's routing state.
 type conn struct {
 	r        *Router
 	id       int64 // trace connection id (1-based accept order)
-	seq      int64 // request line number on this connection
 	affinity int
 	lastG    int // global log position of this connection's last write
 }
@@ -95,7 +97,7 @@ func (cn *conn) handle(req serve.Request, tc obs.SpanCtx) serve.Response {
 		}
 		return serve.Response{OK: true, Cluster: body}
 	case serve.IsWrite(req.Op):
-		resp, g := c.SubmitWriteCtx(req, tc)
+		resp, g := c.submitWrite(req, tc)
 		if g > 0 {
 			cn.lastG = g
 		}
@@ -109,95 +111,26 @@ func (cn *conn) handle(req serve.Request, tc obs.SpanCtx) serve.Response {
 			c.fencedReads.Inc()
 			fr := tc.Start(obs.SpanCoordFencedRead)
 			fr.SetSeq(fence)
-			resp := c.ReadCtx(cn.affinity, req, fence, fr.Ctx())
+			resp := c.read(cn.affinity, req, fence, fr.Ctx())
 			fr.Finish()
 			return resp
 		}
-		return c.ReadCtx(cn.affinity, req, fence, tc)
+		return c.read(cn.affinity, req, fence, tc)
 	}
 	c.errors.Inc()
 	return serve.ErrResp("unknown op %q", req.Op)
 }
 
-// handleLine decodes and routes one request line; span is the
-// request's srv.req span (finished by the caller after render).
-func (cn *conn) handleLine(line []byte, span *obs.ActiveSpan) serve.Response {
-	var req serve.Request
-	if err := json.Unmarshal(line, &req); err != nil {
-		cn.r.c.errors.Inc()
-		span.Attr("op", "?")
-		return serve.ErrResp("bad request: %v", err)
-	}
-	span.Attr("op", req.Op)
-	if req.Rel != "" {
-		span.Attr("rel", req.Rel)
-	}
-	return cn.handle(req, span.Ctx())
-}
-
-// Serve runs the request loop until EOF — the cluster twin of
-// Core.Serve, with the same framing and error behavior: malformed
-// JSON answers an error response and continues; a scanner failure
-// sends one final error response and propagates.
+// Serve runs one session over the stream: the shared loop plus this
+// connection's dispatcher, which routes synchronously and finishes the
+// request span before handing the response over.
 func (r *Router) Serve(rd io.Reader, w io.Writer) error {
-	const maxLine = 16 * 1024 * 1024
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
-	bw := bufio.NewWriter(w)
 	cn := r.newConn()
-	c := r.c
-
-	writeResp := func(resp serve.Response, span *obs.ActiveSpan) error {
-		// The wire encode of a gathered fact response is the gather's
-		// render phase (the third leg of the PERF.9 breakdown).
-		gathered := c.plan.Partitioned && resp.Facts != nil
-		var rs *obs.ActiveSpan
-		var start time.Time
-		if gathered {
-			rs = span.Ctx().Start(obs.SpanGatherRender)
-			if c.reg != nil {
-				start = time.Now()
-			}
-		}
-		b, err := resp.Encode()
-		if gathered {
-			rs.Attr("bytes", len(b)).Finish()
-			if !start.IsZero() {
-				c.gatherRenderNs.Observe(time.Since(start).Nanoseconds())
-			}
-		}
+	return serve.Session(rd, w, r.session, cn.id, func(req serve.Request, span *obs.ActiveSpan, ch chan<- serve.Response) {
+		resp := cn.handle(req, span.Ctx())
 		span.Finish()
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write(b); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}
-
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		cn.seq++
-		var span *obs.ActiveSpan
-		if c.tracer != nil {
-			span = c.tracer.Root(obs.TraceID{Conn: cn.id, Seq: cn.seq}).Start(obs.SpanReq)
-		}
-		if err := writeResp(cn.handleLine(line, span), span); err != nil {
-			return err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		writeResp(serve.ErrResp("read: %v", err), nil) // best effort; stream may be gone
-		return fmt.Errorf("read: %w", err)
-	}
-	return bw.Flush()
+		ch <- resp
+	})
 }
 
 var _ serve.Handler = (*Router)(nil)

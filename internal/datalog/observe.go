@@ -143,7 +143,7 @@ func (eo *engineObs) roundDone(mode EvalMode, ntasks int, agg *roundAgg, delta *
 		}
 		for w := range workerTasks {
 			eo.reg.Counter(obs.DlWorkerTasksPrefix + strconv.Itoa(w)).Add(workerTasks[w])
-			eo.reg.Histogram(obs.DlWorkerBusyNs).Observe(workerBusy[w])
+			eo.reg.Latency(obs.DlWorkerBusyNs).Observe(workerBusy[w])
 		}
 	}
 	if eo.sink != nil {

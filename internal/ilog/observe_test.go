@@ -67,7 +67,7 @@ func TestEvalMetrics(t *testing.T) {
 	if snap.Counters[obs.IlogRounds] == 0 {
 		t.Error("rounds not counted")
 	}
-	if snap.Histograms[obs.IlogEvalNs].Count != 1 {
+	if snap.Latencies[obs.IlogEvalNs].Count != 1 {
 		t.Error("eval span not recorded")
 	}
 }

@@ -184,24 +184,43 @@ func (m *Materialization) ApplyTraced(d Delta, tc obs.SpanCtx) (ApplyStats, erro
 	return st, err
 }
 
+// Check validates the delta against a program, given as its idb
+// relations and its schema: every fact passes checkBaseFact, and no
+// fact appears on both sides. It is the whole of Apply's validation and
+// reads no state, so a caller that must refuse a bad delta before it
+// commits to anything — the cluster router, before its log append —
+// runs it up front and answers with exactly the error Apply would.
+func (d Delta) Check(idb, schema fact.Schema) error {
+	retracted := make(map[string]bool, len(d.Retract))
+	for _, f := range d.Retract {
+		if err := checkBaseFact(idb, schema, f); err != nil {
+			return err
+		}
+		retracted[f.PackedKey()] = true
+	}
+	for _, f := range d.Insert {
+		if err := checkBaseFact(idb, schema, f); err != nil {
+			return err
+		}
+		if retracted[f.PackedKey()] {
+			return fmt.Errorf("incr: %v appears in both insert and retract of one delta", f)
+		}
+	}
+	return nil
+}
+
 // netDelta validates and nets the delta down to actual base changes,
 // returned in sorted fact order.
 func (m *Materialization) netDelta(d Delta) (ins, ret []fact.Fact, err error) {
-	retM := make(map[string]fact.Fact)
+	if err := d.Check(m.idb, m.schema); err != nil {
+		return nil, nil, err
+	}
+	retM := make(map[string]fact.Fact, len(d.Retract))
 	for _, f := range d.Retract {
-		if err := m.checkBaseFact(f); err != nil {
-			return nil, nil, err
-		}
 		retM[f.PackedKey()] = f
 	}
-	insM := make(map[string]fact.Fact)
+	insM := make(map[string]fact.Fact, len(d.Insert))
 	for _, f := range d.Insert {
-		if err := m.checkBaseFact(f); err != nil {
-			return nil, nil, err
-		}
-		if _, ok := retM[f.PackedKey()]; ok {
-			return nil, nil, fmt.Errorf("incr: %v appears in both insert and retract of one delta", f)
-		}
 		insM[f.PackedKey()] = f
 	}
 	for k, f := range retM {

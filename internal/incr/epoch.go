@@ -1,6 +1,8 @@
 package incr
 
 import (
+	"sync"
+
 	"repro/internal/datalog"
 	"repro/internal/fact"
 )
@@ -26,13 +28,16 @@ type Epoch struct {
 	seq  int
 	base int
 	view *datalog.RelView
+
+	mu   sync.Mutex
+	rels map[string][]fact.Fact // Rel's sorted lists, built on first use
 }
 
 // Epoch publishes the current committed state as an immutable
 // snapshot. It must be called from the same goroutine that calls
 // Apply (the single writer), between — never during — applies.
 func (m *Materialization) Epoch() *Epoch {
-	return &Epoch{seq: m.seq, base: m.base.Len(), view: m.x.RelView()}
+	return &Epoch{seq: m.seq, base: m.base.Len(), view: m.x.RelView(), rels: make(map[string][]fact.Fact)}
 }
 
 // Seq returns the apply sequence number the epoch was published at.
@@ -45,8 +50,22 @@ func (e *Epoch) Len() int { return e.view.Len() }
 func (e *Epoch) BaseLen() int { return e.base }
 
 // Rel returns the epoch's facts of one relation in canonical sorted
-// order. The result is freshly allocated.
-func (e *Epoch) Rel(rel string) []fact.Fact { return e.view.Rel(rel) }
+// order. The list is sorted once per epoch and shared by every caller:
+// read it, do not modify it. A gathered read re-merges every shard's
+// list after each write, and all but the written shard are unchanged.
+// An empty list is not kept, so asking for relations the epoch does not
+// hold leaves nothing behind.
+func (e *Epoch) Rel(rel string) []fact.Fact {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	fs, ok := e.rels[rel]
+	if !ok {
+		if fs = e.view.Rel(rel); len(fs) > 0 {
+			e.rels[rel] = fs
+		}
+	}
+	return fs
+}
 
 // Facts returns every fact in the epoch in canonical sorted order.
 func (e *Epoch) Facts() []fact.Fact { return e.view.Facts() }

@@ -374,11 +374,11 @@ func (m *Materialization) Verify() error {
 // relation, must match the program schema's arity when the relation is
 // known, and must not contain NUL bytes (which would break key
 // encoding).
-func (m *Materialization) checkBaseFact(f fact.Fact) error {
-	if m.idb.Has(f.Rel()) {
+func checkBaseFact(idb, schema fact.Schema, f fact.Fact) error {
+	if idb.Has(f.Rel()) {
 		return fmt.Errorf("incr: %v is over derived relation %s; deltas must change base relations only", f, f.Rel())
 	}
-	if ar, ok := m.schema.Arity(f.Rel()); ok && ar != f.Arity() {
+	if ar, ok := schema.Arity(f.Rel()); ok && ar != f.Arity() {
 		return fmt.Errorf("incr: %v has arity %d, program uses %s with arity %d", f, f.Arity(), f.Rel(), ar)
 	}
 	for i := 0; i < f.Arity(); i++ {

@@ -2,6 +2,8 @@ package incr
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -258,7 +260,37 @@ func TestCountersPublished(t *testing.T) {
 	if reg2.Snapshot().Counters[obs.IncrSupportDecrements] == 0 {
 		t.Errorf("counting delete published no support decrements")
 	}
-	if snap.Histograms[obs.IncrApplyNs].Count == 0 {
+	if snap.Latencies[obs.IncrApplyNs].Count == 0 {
 		t.Errorf("apply span histogram empty")
+	}
+}
+
+// TestEpochRelSortsOncePerEpoch: an epoch's sorted list of a relation
+// is built on first use and shared after; a later epoch has its own,
+// and the earlier one still answers as of its commit. Asking for
+// relations an epoch does not hold leaves nothing behind in it.
+func TestEpochRelSortsOncePerEpoch(t *testing.T) {
+	m := mustNew(t, tcProg, generate.Path("v", 4), Options{})
+	e1 := m.Epoch()
+	a, b := e1.Rel("T"), e1.Rel("T")
+	if len(a) != 10 || &a[0] != &b[0] {
+		t.Fatalf("epoch 1: |T| = %d, second call shares the first's list: %v", len(a), len(a) > 0 && &a[0] == &b[0])
+	}
+	if !reflect.DeepEqual(a, m.Rel("T")) {
+		t.Errorf("epoch list %v differs from the materialization's %v", a, m.Rel("T"))
+	}
+	if _, err := m.Apply(Delta{Insert: []fact.Fact{fact.MustParseFact("E(v4,v5)")}}); err != nil {
+		t.Fatal(err)
+	}
+	if e2 := m.Epoch(); len(e2.Rel("T")) != 15 || len(e1.Rel("T")) != 10 {
+		t.Errorf("after a commit: new epoch |T| = %d (want 15), old epoch |T| = %d (want 10)", len(e2.Rel("T")), len(e1.Rel("T")))
+	}
+	for i := 0; i < 1000; i++ {
+		if fs := e1.Rel(fmt.Sprintf("junk%d", i)); len(fs) != 0 {
+			t.Fatalf("junk%d: %v", i, fs)
+		}
+	}
+	if len(e1.rels) != 1 {
+		t.Errorf("epoch keeps %d lists after 1000 reads of relations it does not hold, want 1 (T)", len(e1.rels))
 	}
 }

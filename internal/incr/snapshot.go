@@ -122,7 +122,7 @@ func Restore(r io.Reader, opts Options) (*Materialization, error) {
 			return nil, fmt.Errorf("incr: restore: line %d: duplicate fact %v", line, f)
 		}
 		if sf.N == 0 {
-			if err := m.checkBaseFact(f); err != nil {
+			if err := checkBaseFact(m.idb, m.schema, f); err != nil {
 				return nil, fmt.Errorf("incr: restore: line %d: %w", line, err)
 			}
 			m.base.Add(f)

@@ -40,7 +40,7 @@ func StartSelf(chain int, opts serve.Options) (addr string, shutdown func(), err
 		return "", nil, err
 	}
 	core := serve.NewCore(m, opts)
-	srv, err := serve.NewTCPServer(core, "127.0.0.1:0", nil)
+	srv, err := serve.NewTCPServerFor(core, "127.0.0.1:0", nil)
 	if err != nil {
 		core.Close()
 		return "", nil, err
@@ -110,7 +110,7 @@ func StartCluster(chain, shards int, placement cluster.PlacementKind, opts serve
 	servers = append(servers, rsrv)
 	eps := &ClusterEndpoints{Router: rsrv.Addr(), Cluster: c}
 	for j := 0; j < shards; j++ {
-		ssrv, err := serve.NewTCPServer(c.ShardCore(j), "127.0.0.1:0", nil)
+		ssrv, err := serve.NewTCPServerFor(c.ShardCore(j), "127.0.0.1:0", nil)
 		if err != nil {
 			closeAll()
 			return nil, nil, err

@@ -37,7 +37,6 @@ func BenchmarkDisabledOverhead(b *testing.B) {
 	b.Run("disabled", func(b *testing.B) {
 		var c *Counter
 		var g *Gauge
-		var h *Histogram
 		var l *LatencyHist
 		var s *Sink
 		var t *Tracer
@@ -47,7 +46,6 @@ func BenchmarkDisabledOverhead(b *testing.B) {
 			x = work(x)
 			c.Add(1)
 			g.Set(int64(n))
-			h.Observe(int64(n))
 			l.Observe(int64(n))
 			sp := tc.Start("ev")
 			sp.SetEpoch(n)

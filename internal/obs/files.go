@@ -1,0 +1,57 @@
+package obs
+
+import (
+	"fmt"
+	"os"
+)
+
+// This file is what the commands' -trace and -metrics flags share: the
+// path conventions ("" = disabled, "-" = stdout) live here once, and
+// the commands decide only what to do with an error.
+
+// OpenSink opens the JSONL event sink a -trace flag names. A disabled
+// path yields a nil sink, which ignores every event. The returned
+// close function surfaces any write error the sink latched, then
+// closes the file; call it once, after the last event.
+func OpenSink(path string) (*Sink, func() error, error) {
+	if path == "" {
+		return nil, func() error { return nil }, nil
+	}
+	f := os.Stdout
+	if path != "-" {
+		var err error
+		if f, err = os.Create(path); err != nil {
+			return nil, nil, err
+		}
+	}
+	sink := NewSink(f)
+	return sink, func() error {
+		if err := sink.Err(); err != nil {
+			return fmt.Errorf("writing trace: %w", err)
+		}
+		if f == os.Stdout {
+			return nil
+		}
+		return f.Close()
+	}, nil
+}
+
+// WriteMetrics dumps the registry as indented JSON where a -metrics
+// flag names. A nil registry or a disabled path writes nothing.
+func WriteMetrics(reg *Registry, path string) error {
+	if reg == nil || path == "" {
+		return nil
+	}
+	if path == "-" {
+		return reg.WriteJSON(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := reg.WriteJSON(f); err != nil {
+		f.Close() // the write error is the one to report
+		return err
+	}
+	return f.Close()
+}

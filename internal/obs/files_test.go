@@ -1,0 +1,51 @@
+package obs
+
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestFlagFiles pins the -trace/-metrics path conventions: "" disables
+// (a nil sink, nothing written), a path gets the JSONL events and the
+// JSON snapshot, and an unwritable path is an error for the command to
+// report — not an exit from inside the library.
+func TestFlagFiles(t *testing.T) {
+	sink, closeSink, err := OpenSink("")
+	if sink != nil || err != nil || closeSink() != nil {
+		t.Fatalf("disabled trace: sink %v, err %v", sink, err)
+	}
+	if err := WriteMetrics(NewRegistry(), ""); err != nil {
+		t.Fatalf("disabled metrics: %v", err)
+	}
+
+	dir := t.TempDir()
+	tracePath, metricsPath := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "m.json")
+	sink, closeSink, err = OpenSink(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink.Emit("ev", F("k", 1))
+	if err := closeSink(); err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	reg.Counter("c").Add(3)
+	if err := WriteMetrics(reg, metricsPath); err != nil {
+		t.Fatal(err)
+	}
+	trace, _ := os.ReadFile(tracePath)
+	metrics, _ := os.ReadFile(metricsPath)
+	if !strings.Contains(string(trace), `"ev":"ev"`) || !strings.Contains(string(metrics), `"c": 3`) {
+		t.Errorf("trace %q, metrics %q", trace, metrics)
+	}
+
+	missing := filepath.Join(dir, "no", "such", "dir", "f")
+	if _, _, err := OpenSink(missing); err == nil {
+		t.Error("OpenSink into a missing directory succeeded")
+	}
+	if err := WriteMetrics(reg, missing); err == nil {
+		t.Error("WriteMetrics into a missing directory succeeded")
+	}
+}

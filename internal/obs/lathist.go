@@ -6,11 +6,13 @@ import (
 	"sync/atomic"
 )
 
-// This file is the latency-histogram plane: fixed-bucket log-scale
-// distributions built for the serving stack's per-op latencies, where
-// the plain Histogram's count/sum/min/max is not enough — operators
-// need tail quantiles, and the cluster needs to merge per-shard and
-// per-connection distributions without losing them.
+// This file is the registry's one distribution type: a fixed-bucket
+// log-scale histogram with exact count/sum/min/max. It was built for
+// the serving stack's per-op latencies — operators need tail
+// quantiles, and the cluster needs to merge per-shard and
+// per-connection distributions without losing them — and also carries
+// the span timers and the small-count distributions (batch sizes,
+// queue depths), for which the exact aggregates are what is read.
 //
 // The layout is log-linear (the HdrHistogram idea at fixed, tiny
 // size): latSub sub-buckets per power of two, so every bucket's width
@@ -69,7 +71,7 @@ func latBound(idx int) int64 {
 
 // LatencyHist is a fixed-bucket log-scale histogram. The zero value
 // is ready to use; a nil *LatencyHist ignores all observations (the
-// disabled fast path, same contract as Counter/Gauge/Histogram).
+// disabled fast path, same contract as Counter/Gauge).
 type LatencyHist struct {
 	count atomic.Int64
 	sum   atomic.Int64

@@ -75,7 +75,8 @@ const (
 // latencies are scheduling-dependent, so the serving core emits no
 // events.
 const (
-	// SrvConns counts TCP connections accepted.
+	// SrvConns counts sessions started (one per TCP connection, one for
+	// a stdio daemon), on a single node and behind the router alike.
 	SrvConns = "srv.conns"
 	// SrvRequests counts request lines received (including malformed).
 	SrvRequests = "srv.requests"
@@ -100,11 +101,10 @@ const (
 	SrvQueueDepth = "srv.queue_depth"
 	// SrvReadNs / SrvWriteNs are wall-clock latency histograms from
 	// dispatch to response (for writes this includes queue wait, apply,
-	// and the group-commit barrier). Since PR 9 these live in the
-	// latency-histogram plane (LatencyHist), so scrapes get quantiles.
+	// and the group-commit barrier); scrapes get quantiles.
 	SrvReadNs  = "srv.read_ns"
 	SrvWriteNs = "srv.write_ns"
-	// Write-path phase latencies (LatencyHist plane): queue wait from
+	// Write-path phase latencies: queue wait from
 	// enqueue to writer pickup, engine apply, group-commit barrier
 	// (batch drain + publish), and read-side render.
 	SrvQueueWaitNs = "srv.queue_wait_ns"

@@ -91,53 +91,6 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Histogram accumulates an int64 distribution: count, sum, min, max.
-// Observations are cheap (one mutex, four updates); percentile sketches
-// are deliberately out of scope for a reproduction harness. A nil
-// *Histogram ignores all observations.
-type Histogram struct {
-	mu       sync.Mutex
-	count    int64
-	sum      int64
-	min, max int64
-}
-
-// Observe records one value. No-op on a nil histogram.
-func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
-	h.mu.Unlock()
-}
-
-// HistogramSnapshot is the JSON-marshalable summary of a histogram.
-type HistogramSnapshot struct {
-	Count int64 `json:"count"`
-	Sum   int64 `json:"sum"`
-	Min   int64 `json:"min"`
-	Max   int64 `json:"max"`
-	Mean  int64 `json:"mean"`
-}
-
-func (h *Histogram) snapshot() HistogramSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := HistogramSnapshot{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
-	if h.count > 0 {
-		s.Mean = h.sum / h.count
-	}
-	return s
-}
-
 // Registry names and owns a process's metrics. Instruments are created
 // on first use and shared afterwards; all methods are safe for
 // concurrent use. A nil *Registry hands out nil instruments, which in
@@ -146,7 +99,6 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 	lats     map[string]*LatencyHist
 }
 
@@ -155,7 +107,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
 		lats:     make(map[string]*LatencyHist),
 	}
 }
@@ -192,22 +143,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it if needed.
-// Returns nil on a nil registry.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
-}
-
 // Latency returns the named log-scale latency histogram, creating it
 // if needed. Returns nil on a nil registry.
 func (r *Registry) Latency(name string) *LatencyHist {
@@ -239,7 +174,7 @@ func (r *Registry) Span(name string) func() {
 	if r == nil {
 		return nopStop
 	}
-	h := r.Histogram(name)
+	h := r.Latency(name)
 	start := time.Now()
 	return func() { h.Observe(time.Since(start).Nanoseconds()) }
 }
@@ -248,10 +183,9 @@ func (r *Registry) Span(name string) func() {
 // encoding/json (map keys are emitted in sorted order, so the JSON is
 // deterministic for deterministic values).
 type Snapshot struct {
-	Counters   map[string]int64             `json:"counters"`
-	Gauges     map[string]int64             `json:"gauges,omitempty"`
-	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Latencies  map[string]LatencySnapshot   `json:"latencies,omitempty"`
+	Counters  map[string]int64           `json:"counters"`
+	Gauges    map[string]int64           `json:"gauges,omitempty"`
+	Latencies map[string]LatencySnapshot `json:"latencies,omitempty"`
 }
 
 // Snapshot copies the registry's current values. Returns an empty
@@ -270,10 +204,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.gauges {
 		gauges[k] = v
 	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
 	lats := make(map[string]*LatencyHist, len(r.lats))
 	for k, v := range r.lats {
 		lats[k] = v
@@ -286,12 +216,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges = make(map[string]int64, len(gauges))
 		for k, g := range gauges {
 			s.Gauges[k] = g.Value()
-		}
-	}
-	if len(hists) > 0 {
-		s.Histograms = make(map[string]HistogramSnapshot, len(hists))
-		for k, h := range hists {
-			s.Histograms[k] = h.snapshot()
 		}
 	}
 	if len(lats) > 0 {

@@ -30,14 +30,13 @@ func TestCounterGaugeHistogram(t *testing.T) {
 		t.Fatalf("gauge after SetMax = %d, want 11", got)
 	}
 
-	h := r.Histogram("h")
+	h := r.Latency("h")
 	for _, v := range []int64{4, 2, 9} {
 		h.Observe(v)
 	}
-	snap := r.Snapshot().Histograms["h"]
-	want := HistogramSnapshot{Count: 3, Sum: 15, Min: 2, Max: 9, Mean: 5}
-	if snap != want {
-		t.Fatalf("histogram snapshot = %+v, want %+v", snap, want)
+	snap := r.Snapshot().Latencies["h"]
+	if snap.Count != 3 || snap.Sum != 15 || snap.Min != 2 || snap.Max != 9 {
+		t.Fatalf("histogram snapshot = %+v, want count 3 sum 15 min 2 max 9", snap)
 	}
 }
 
@@ -45,7 +44,7 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x")
 	g := r.Gauge("x")
-	h := r.Histogram("x")
+	h := r.Latency("x")
 	var s *Sink
 	if c != nil || g != nil || h != nil {
 		t.Fatal("nil registry must hand out nil instruments")
@@ -74,7 +73,7 @@ func TestSpanRecordsDuration(t *testing.T) {
 	r := NewRegistry()
 	stop := r.Span("work_ns")
 	stop()
-	snap := r.Snapshot().Histograms["work_ns"]
+	snap := r.Snapshot().Latencies["work_ns"]
 	if snap.Count != 1 || snap.Sum < 0 {
 		t.Fatalf("span did not record: %+v", snap)
 	}
@@ -90,7 +89,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				r.Counter("shared").Inc()
 				r.Gauge("peak").SetMax(int64(i))
-				r.Histogram("dist").Observe(int64(i))
+				r.Latency("dist").Observe(int64(i))
 			}
 		}()
 	}
@@ -105,7 +104,7 @@ func TestWriteJSONDeterministicAndValid(t *testing.T) {
 	r.Counter("b.two").Add(2)
 	r.Counter("a.one").Add(1)
 	r.Gauge("g").Set(5)
-	r.Histogram("h").Observe(3)
+	r.Latency("h").Observe(3)
 	var s1, s2 strings.Builder
 	if err := r.WriteJSON(&s1); err != nil {
 		t.Fatal(err)

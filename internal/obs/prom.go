@@ -20,8 +20,6 @@ import (
 // Instrument mapping:
 //   - Counter → counter
 //   - Gauge → gauge
-//   - Histogram (count/sum/min/max plane) → summary with only _sum
-//     and _count, plus <name>_min / <name>_max gauge families
 //   - LatencyHist → histogram with cumulative le buckets (non-empty
 //     buckets only; cumulative totals stay exact), plus a
 //     <name>_quantile gauge family carrying the estimated
@@ -119,15 +117,6 @@ func WriteProm(w io.Writer, s Snapshot) error {
 		family, pairs := promFamily(name)
 		lb := promLabels(pairs)
 		fam(family, "gauge").add(lb, fmt.Sprintf("%s%s %d", family, lb, v))
-	}
-	for name, h := range s.Histograms {
-		family, pairs := promFamily(name)
-		lb := promLabels(pairs)
-		f := fam(family, "summary")
-		f.add(lb+" 0sum", fmt.Sprintf("%s_sum%s %d", family, lb, h.Sum))
-		f.add(lb+" 1count", fmt.Sprintf("%s_count%s %d", family, lb, h.Count))
-		fam(family+"_min", "gauge").add(lb, fmt.Sprintf("%s_min%s %d", family, lb, h.Min))
-		fam(family+"_max", "gauge").add(lb, fmt.Sprintf("%s_max%s %d", family, lb, h.Max))
 	}
 	for name, l := range s.Latencies {
 		family, pairs := promFamily(name)

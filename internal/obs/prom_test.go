@@ -13,8 +13,8 @@ func TestWritePromBasic(t *testing.T) {
 	r.Counter(WithLabel("coord.fence_waits", "shard", "0")).Add(2)
 	r.Counter(WithLabel("coord.fence_waits", "shard", "1")).Add(3)
 	r.Gauge("srv.epoch").Set(42)
-	r.Histogram("srv.batch_writes").Observe(4)
-	r.Histogram("srv.batch_writes").Observe(8)
+	r.Latency("srv.batch_writes").Observe(4)
+	r.Latency("srv.batch_writes").Observe(8)
 
 	var b strings.Builder
 	if err := WriteProm(&b, r.Snapshot()); err != nil {
@@ -27,10 +27,9 @@ func TestWritePromBasic(t *testing.T) {
 		`coord_fence_waits{shard="1"} 3` + "\n",
 		"# TYPE srv_epoch gauge\nsrv_epoch 42\n",
 		"srv_requests 5\n",
+		"# TYPE srv_batch_writes histogram\n",
 		"srv_batch_writes_sum 12\n",
 		"srv_batch_writes_count 2\n",
-		"srv_batch_writes_min 4\n",
-		"srv_batch_writes_max 8\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)

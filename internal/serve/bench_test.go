@@ -54,8 +54,8 @@ func BenchmarkColdReads(b *testing.B) {
 	req := Request{Op: "query", Rel: "T"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		es := &epochState{ep: c.m.Epoch(), cache: make(map[string][]string), resps: make(map[string]Response)}
-		if resp := es.respond(req); !resp.OK {
+		var memo ReadMemo
+		if resp := memo.Respond(c.m.Epoch(), req); !resp.OK {
 			b.Fatalf("query failed: %+v", resp)
 		}
 	}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -11,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/fact"
 	"repro/internal/incr"
 	"repro/internal/obs"
 )
@@ -76,7 +74,7 @@ func (o Options) pipeline() int {
 // a client always reads its own writes.
 type writeTask struct {
 	req  Request
-	resp chan Response
+	resp chan<- Response
 	done chan struct{}
 	enq  time.Time // zero when metrics are disabled
 	// span is the request's srv.req span (nil when tracing is off);
@@ -88,55 +86,12 @@ type writeTask struct {
 	qspan *obs.ActiveSpan
 }
 
-// epochState is one published epoch plus its render cache. Epochs
-// are immutable, so rendered query results are memoized per (epoch,
-// rel): the first query pays the sort+render, every later query on
-// the same epoch serves the cached strings — byte-identical by
-// construction, and the dominant cost on read-heavy workloads.
+// epochState is one published epoch plus the memo of its read
+// responses. Epochs are immutable, so each distinct read renders at
+// most once per epoch no matter how many requests ask.
 type epochState struct {
-	ep    *incr.Epoch
-	mu    sync.Mutex
-	cache map[string][]string // rel → rendered fact strings ("" = all facts)
-	resps map[string]Response // read op key → complete response, raw bytes filled
-}
-
-// facts is the memoizing factsFor provider for this epoch.
-func (es *epochState) facts(rel string) []string {
-	es.mu.Lock()
-	defer es.mu.Unlock()
-	if s, ok := es.cache[rel]; ok {
-		return s
-	}
-	s := epochFacts(es.ep)(rel)
-	es.cache[rel] = s
-	return s
-}
-
-// respond answers one read op, memoizing successful responses —
-// including their encoded wire bytes — per (op, rel, epoch-echo). A
-// read response is a pure function of those inputs on an immutable
-// epoch, so the cache is byte-exact by construction.
-func (es *epochState) respond(req Request) Response {
-	key := req.Op + "\x00" + req.Rel
-	if req.Epoch {
-		key += "\x00e"
-	}
-	es.mu.Lock()
-	if r, ok := es.resps[key]; ok {
-		es.mu.Unlock()
-		return r
-	}
-	es.mu.Unlock()
-	resp := readResponseWith(es.ep, req, es.facts)
-	if resp.OK {
-		if b, err := json.Marshal(resp); err == nil {
-			resp.raw = b
-		}
-		es.mu.Lock()
-		es.resps[key] = resp
-		es.mu.Unlock()
-	}
-	return resp
+	ep   *incr.Epoch
+	memo ReadMemo
 }
 
 // Core is the serving core: one materialization, one writer
@@ -158,19 +113,17 @@ type Core struct {
 	connSeq atomic.Int64
 
 	reg        *obs.Registry
-	tracer     *obs.Tracer
 	requests   *obs.Counter
 	reads      *obs.Counter
 	writes     *obs.Counter
 	errors     *obs.Counter
 	commits    *obs.Counter
 	snapshots  *obs.Counter
-	conns      *obs.Counter
 	coordFence *obs.Counter
 	epochG     *obs.Gauge
 	lastCommit *obs.Gauge
-	batchH     *obs.Histogram
-	queueH     *obs.Histogram
+	batchH     *obs.LatencyHist
+	queueH     *obs.LatencyHist
 	readNs     *obs.LatencyHist
 	writeNs    *obs.LatencyHist
 	queueNs    *obs.LatencyHist
@@ -192,19 +145,17 @@ func NewCore(m *incr.Materialization, opts Options) *Core {
 		done:   make(chan struct{}),
 
 		reg:        opts.Reg,
-		tracer:     opts.Tracer,
 		requests:   opts.Reg.Counter(obs.SrvRequests),
 		reads:      opts.Reg.Counter(obs.SrvReads),
 		writes:     opts.Reg.Counter(obs.SrvWrites),
 		errors:     opts.Reg.Counter(obs.SrvErrors),
 		commits:    opts.Reg.Counter(obs.SrvCommits),
 		snapshots:  opts.Reg.Counter(obs.SrvSnapshots),
-		conns:      opts.Reg.Counter(obs.SrvConns),
 		coordFence: opts.Reg.Counter(obs.CoordFenceWaits),
 		epochG:     opts.Reg.Gauge(obs.SrvEpoch),
 		lastCommit: opts.Reg.Gauge(obs.SrvLastCommitUnixNs),
-		batchH:     opts.Reg.Histogram(obs.SrvBatchWrites),
-		queueH:     opts.Reg.Histogram(obs.SrvQueueDepth),
+		batchH:     opts.Reg.Latency(obs.SrvBatchWrites),
+		queueH:     opts.Reg.Latency(obs.SrvQueueDepth),
 		readNs:     opts.Reg.Latency(obs.SrvReadNs),
 		writeNs:    opts.Reg.Latency(obs.SrvWriteNs),
 		queueNs:    opts.Reg.Latency(obs.SrvQueueWaitNs),
@@ -245,7 +196,7 @@ func (c *Core) publish() {
 		return
 	}
 	e := c.m.Epoch()
-	c.epoch.Store(&epochState{ep: e, cache: make(map[string][]string), resps: make(map[string]Response)})
+	c.epoch.Store(&epochState{ep: e})
 	c.epochG.Set(int64(e.Seq()))
 	if c.reg != nil {
 		c.lastCommit.Set(time.Now().UnixNano())
@@ -271,7 +222,7 @@ func (c *Core) writer() {
 					t.qspan.Finish()
 					t.span.Finish()
 					close(t.done)
-					t.resp <- errResp("server closed")
+					t.resp <- ErrResp("server closed")
 				default:
 					return
 				}
@@ -362,26 +313,13 @@ drain:
 // materialization. Runs only on the writer goroutine. tc nests the
 // incr.apply span under the request's srv.apply span.
 func (c *Core) applyWrite(req Request, tc obs.SpanCtx) Response {
-	var d incr.Delta
-	var err error
-	switch req.Op {
-	case "insert":
-		d.Insert, err = fact.ParseFacts(req.Facts)
-	case "retract":
-		d.Retract, err = fact.ParseFacts(req.Facts)
-	case "apply":
-		if d.Insert, err = fact.ParseFacts(req.Insert); err == nil {
-			d.Retract, err = fact.ParseFacts(req.Retract)
-		}
-	default:
-		return errResp("unknown op %q", req.Op)
-	}
+	d, err := DeltaOf(req)
 	if err != nil {
-		return errResp("bad fact: %v", err)
+		return ErrResp("%v", err)
 	}
 	st, err := c.m.ApplyTraced(d, tc)
 	if err != nil {
-		return errResp("%v", err)
+		return ErrResp("%v", err)
 	}
 	seq := c.m.Seq()
 	return Response{OK: true, Seq: &seq, Apply: &ApplyBody{
@@ -399,10 +337,10 @@ func (c *Core) applyWrite(req Request, tc obs.SpanCtx) Response {
 func (c *Core) doSnapshot(req Request) Response {
 	path, err := c.snapshotPath(req.Path)
 	if err != nil {
-		return errResp("%v", err)
+		return ErrResp("%v", err)
 	}
 	if err := writeFileAtomic(path, c.m.Snapshot); err != nil {
-		return errResp("%v", err)
+		return ErrResp("%v", err)
 	}
 	c.snapshots.Inc()
 	seq := c.m.Seq()
@@ -470,9 +408,9 @@ func (c *Core) snapshotPath(p string) (string, error) {
 // it from here: phase spans nest under it and it is finished before
 // the response is delivered, so a serially driven session observes a
 // deterministic span stream.
-func (c *Core) dispatch(req Request, ch chan Response, fence <-chan struct{}, span *obs.ActiveSpan) <-chan struct{} {
+func (c *Core) dispatch(req Request, ch chan<- Response, fence <-chan struct{}, span *obs.ActiveSpan) <-chan struct{} {
 	switch {
-	case isReadOp(req.Op):
+	case IsRead(req.Op):
 		c.reads.Inc()
 		var start time.Time
 		if c.reg != nil {
@@ -518,7 +456,7 @@ func (c *Core) dispatch(req Request, ch chan Response, fence <-chan struct{}, sp
 		}()
 		return fence
 
-	case isWriteOp(req.Op):
+	case IsWrite(req.Op):
 		c.writes.Inc()
 		t := &writeTask{req: req, resp: ch, done: make(chan struct{}), span: span}
 		if c.reg != nil {
@@ -532,14 +470,14 @@ func (c *Core) dispatch(req Request, ch chan Response, fence <-chan struct{}, sp
 			t.qspan.Finish()
 			span.Finish()
 			close(t.done)
-			ch <- errResp("server closed")
+			ch <- ErrResp("server closed")
 		}
 		return t.done
 
 	default:
 		c.errors.Inc()
 		span.Finish()
-		ch <- errResp("unknown op %q", req.Op)
+		ch <- ErrResp("unknown op %q", req.Op)
 		return fence
 	}
 }
@@ -554,7 +492,7 @@ func (c *Core) readAt(es *epochState, req Request, span *obs.ActiveSpan) Respons
 	if c.reg != nil {
 		rstart = time.Now()
 	}
-	resp := es.respond(req)
+	resp := es.memo.Respond(es.ep, req)
 	if !resp.OK {
 		c.errors.Inc()
 	}
@@ -567,12 +505,24 @@ func (c *Core) readAt(es *epochState, req Request, span *obs.ActiveSpan) Respons
 	return resp
 }
 
+// Serve runs one pipelined session (session.go) over the stream: the
+// shared loop plus this connection's dispatcher, whose only state is
+// the read-your-writes fence of the connection's last write.
+func (c *Core) Serve(r io.Reader, w io.Writer) error {
+	var fence <-chan struct{}
+	return Session(r, w, c.opts, c.connSeq.Add(1), func(req Request, span *obs.ActiveSpan, ch chan<- Response) {
+		fence = c.dispatch(req, ch, fence, span)
+	})
+}
+
 // HandleLine decodes one request line, dispatches it, and waits for
 // the response — the synchronous single-request entry point (the fuzz
 // harness drives it; sessions use the pipelined loop in session.go).
 func (c *Core) HandleLine(line []byte) Response {
 	ch := make(chan Response, 1)
-	c.decodeAndDispatch(line, ch, nil, nil)
+	dispatchLine(line, nil, ch, c.requests, c.errors, func(req Request, span *obs.ActiveSpan, ch chan<- Response) {
+		c.dispatch(req, ch, nil, span)
+	})
 	return <-ch
 }
 

@@ -57,7 +57,7 @@ func runDeterminism(t *testing.T, seed int64) {
 	input := "E(h0,h1)\nE(h1,h2)\nE(h2,h0)\n"
 
 	c := newTestCore(t, input, Options{MaxBatch: 8, Pipeline: 16})
-	srv, err := NewTCPServer(c, "127.0.0.1:0", nil)
+	srv, err := NewTCPServerFor(c, "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func runDeterminism(t *testing.T, seed int64) {
 		if !ok {
 			t.Fatalf("read %d pinned unknown epoch %d", i, r.epoch)
 		}
-		want, err := json.Marshal(readResponse(ep, r.req))
+		want, err := json.Marshal(ReadResponse(ep, r.req))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,11 +152,11 @@ func runDeterminism(t *testing.T, seed int64) {
 
 	// The served end state equals the oracle end state, and the
 	// materialization audits clean after all the concurrency.
-	finalServer, err := json.Marshal(readResponse(c.CurrentEpoch(), Request{Op: "facts"}))
+	finalServer, err := json.Marshal(ReadResponse(c.CurrentEpoch(), Request{Op: "facts"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	finalOracle, err := json.Marshal(readResponse(epochs[maxSeq], Request{Op: "facts"}))
+	finalOracle, err := json.Marshal(ReadResponse(epochs[maxSeq], Request{Op: "facts"}))
 	if err != nil {
 		t.Fatal(err)
 	}

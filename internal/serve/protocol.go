@@ -47,6 +47,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"repro/internal/fact"
 	"repro/internal/incr"
@@ -146,8 +147,6 @@ type Response struct {
 
 // Encode returns the response's wire line (no trailing newline):
 // the memoized raw bytes when present, a fresh json.Marshal otherwise.
-// Session loops outside this package (the cluster router) use it so a
-// memoized read costs zero marshals end to end.
 func (r Response) Encode() ([]byte, error) {
 	if r.raw != nil {
 		return r.raw, nil
@@ -155,26 +154,14 @@ func (r Response) Encode() ([]byte, error) {
 	return json.Marshal(r)
 }
 
-// ErrResp builds a protocol error response. Exported for the cluster
-// router, which speaks the same wire format.
+// ErrResp builds a protocol error response.
 func ErrResp(format string, args ...any) Response {
-	return errResp(format, args...)
-}
-
-// IsRead reports whether the op is a read in the protocol's sense
-// (answered from a pinned epoch, never entering a write queue).
-func IsRead(op string) bool { return isReadOp(op) }
-
-// IsWrite reports whether the op is serialized through a writer.
-func IsWrite(op string) bool { return isWriteOp(op) }
-
-func errResp(format string, args ...any) Response {
 	return Response{Err: fmt.Sprintf(format, args...)}
 }
 
-// isReadOp reports whether the op runs against a pinned epoch without
-// entering the write queue.
-func isReadOp(op string) bool {
+// IsRead reports whether the op is a read in the protocol's sense:
+// answered from a pinned epoch, never entering a write queue.
+func IsRead(op string) bool {
 	switch op {
 	case "ping", "query", "facts", "stats":
 		return true
@@ -182,10 +169,10 @@ func isReadOp(op string) bool {
 	return false
 }
 
-// isWriteOp reports whether the op is serialized through the writer
-// goroutine. Snapshot is a write in the ordering sense: it must
-// observe a commit barrier, never a half-applied batch.
-func isWriteOp(op string) bool {
+// IsWrite reports whether the op is serialized through a writer.
+// Snapshot is a write in the ordering sense: it must observe a commit
+// barrier, never a half-applied batch.
+func IsWrite(op string) bool {
 	switch op {
 	case "insert", "retract", "apply", "snapshot":
 		return true
@@ -193,79 +180,135 @@ func isWriteOp(op string) bool {
 	return false
 }
 
-// factsFor renders the sorted fact strings for one relation, or for
-// the whole epoch when rel is "". The serving path passes a per-epoch
-// memoizing implementation (epochs are immutable, so each (epoch,
-// rel) renders at most once no matter how many queries hit it); the
-// oracle path recomputes directly. Both must produce identical
-// strings — the determinism test byte-compares them.
-type factsFor func(rel string) []string
-
-// epochFacts is the direct, uncached provider over one epoch.
-func epochFacts(ep *incr.Epoch) factsFor {
-	return func(rel string) []string {
-		if rel == "" {
-			return fact.FactStrings(ep.Facts())
+// DeltaOf turns an insert, retract or apply request into its delta.
+// The error is the text the client is answered with: a core and the
+// router both parse a write here, so both refuse it in the same words.
+func DeltaOf(req Request) (incr.Delta, error) {
+	var d incr.Delta
+	var err error
+	switch req.Op {
+	case "insert":
+		d.Insert, err = fact.ParseFacts(req.Facts)
+	case "retract":
+		d.Retract, err = fact.ParseFacts(req.Facts)
+	case "apply":
+		if d.Insert, err = fact.ParseFacts(req.Insert); err == nil {
+			d.Retract, err = fact.ParseFacts(req.Retract)
 		}
-		return fact.FactStrings(ep.Rel(rel))
+	default:
+		return d, fmt.Errorf("unknown op %q", req.Op)
 	}
+	if err != nil {
+		return d, fmt.Errorf("bad fact: %v", err)
+	}
+	return d, nil
 }
 
-// readResponse answers a read op from one immutable epoch. It is a
-// pure function of (epoch, request): the determinism property test
-// replays it against oracle epochs and byte-compares with what the
-// concurrent server produced.
-func readResponse(ep *incr.Epoch, req Request) Response {
-	return readResponseWith(ep, req, epochFacts(ep))
+// View is one committed state as a read response sees it. *incr.Epoch
+// is the single node's; the router's is the union of one pinned epoch
+// per live shard. Rel and Facts return canonical SortFacts order.
+type View interface {
+	Seq() int
+	Len() int
+	BaseLen() int
+	Rel(rel string) []fact.Fact
+	Facts() []fact.Fact
 }
 
-// ReadResponse exposes the pure read function for oracle replays
-// outside this package: the cluster equivalence battery replays
-// committed deltas single-threaded and byte-compares every routed
-// read against this function of the oracle's epoch.
-func ReadResponse(ep *incr.Epoch, req Request) Response {
-	return readResponse(ep, req)
-}
-
-// readResponseWith is readResponse with an explicit fact-string
-// provider (see factsFor).
-func readResponseWith(ep *incr.Epoch, req Request, facts factsFor) Response {
+// ReadResponse answers a read op from one immutable view: a pure
+// function of (view, request), and the only place a query, facts or
+// stats response is built. The serving paths memoize it (ReadMemo); the
+// determinism and equivalence batteries replay it against oracle epochs
+// and byte-compare with what the server and the router produced.
+func ReadResponse(v View, req Request) Response {
 	switch req.Op {
 	case "ping":
 		return Response{OK: true}
 
 	case "query":
 		if req.Rel == "" {
-			return errResp("query needs a rel")
+			return ErrResp("query needs a rel")
 		}
-		fs := facts(req.Rel)
-		n := len(fs)
-		resp := Response{OK: true, Count: &n, Facts: fs}
-		if req.Epoch {
-			seq := ep.Seq()
-			resp.Epoch = &seq
-		}
-		return resp
+		return factsResponse(v, v.Rel(req.Rel), req.Epoch)
 
 	case "facts":
-		fs := facts("")
-		n := len(fs)
-		resp := Response{OK: true, Count: &n, Facts: fs}
-		if req.Epoch {
-			seq := ep.Seq()
-			resp.Epoch = &seq
-		}
-		return resp
+		return factsResponse(v, v.Facts(), req.Epoch)
 
 	case "stats":
 		return Response{OK: true, Stats: &StatsBody{
-			Seq:     ep.Seq(),
-			Facts:   ep.Len(),
-			Base:    ep.BaseLen(),
-			Derived: ep.Len() - ep.BaseLen(),
+			Seq:     v.Seq(),
+			Facts:   v.Len(),
+			Base:    v.BaseLen(),
+			Derived: v.Len() - v.BaseLen(),
 		}}
 
 	default:
-		return errResp("unknown op %q", req.Op)
+		return ErrResp("unknown op %q", req.Op)
 	}
+}
+
+// factsResponse renders an already sorted fact list in wire form.
+func factsResponse(v View, sorted []fact.Fact, echoEpoch bool) Response {
+	fs := make([]string, len(sorted))
+	for i, f := range sorted {
+		fs[i] = f.String()
+	}
+	n := len(fs)
+	resp := Response{OK: true, Count: &n, Facts: fs}
+	if echoEpoch {
+		seq := v.Seq()
+		resp.Epoch = &seq
+	}
+	return resp
+}
+
+// ReadMemo memoizes ReadResponse, wire bytes included, over one
+// immutable view: the first read of a key pays the sort, render and
+// marshal, every later one is a map hit — byte-identical by
+// construction. The zero value is ready. The view is passed per call so
+// a caller can hang per-request instrumentation on it; every call on
+// one memo must pass a view of the same committed state.
+type ReadMemo struct {
+	mu    sync.Mutex
+	resps map[memoKey]Response
+}
+
+// memoKey names one distinct read response: the op, plus the relation
+// and the epoch echo only where the response depends on them, so that
+// strings a client chose and the response ignores add no entries.
+type memoKey struct {
+	op, rel string
+	epoch   bool
+}
+
+// Respond is ReadResponse(v, req), memoized. Errors and empty lists are
+// not stored: they are cheap to rebuild, and a query for a relation the
+// view does not hold must not grow the memo.
+func (m *ReadMemo) Respond(v View, req Request) Response {
+	key := memoKey{op: req.Op}
+	switch req.Op {
+	case "query":
+		key.rel, key.epoch = req.Rel, req.Epoch
+	case "facts":
+		key.epoch = req.Epoch
+	}
+	// One lock across lookup and build: reads that arrive together on a
+	// fresh epoch wait for the first to render, not each render the list.
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if r, ok := m.resps[key]; ok {
+		return r
+	}
+	resp := ReadResponse(v, req)
+	if !resp.OK || (resp.Count != nil && *resp.Count == 0) {
+		return resp
+	}
+	if b, err := json.Marshal(resp); err == nil {
+		resp.raw = b
+	}
+	if m.resps == nil {
+		m.resps = make(map[memoKey]Response)
+	}
+	m.resps[key] = resp
+	return resp
 }

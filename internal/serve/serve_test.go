@@ -295,7 +295,7 @@ func TestEpochResponseCacheBytes(t *testing.T) {
 	if out[0] != out[1] || out[2] != out[3] {
 		t.Fatalf("cached and fresh renders differ:\n%s\n%s\n%s\n%s", out[0], out[1], out[2], out[3])
 	}
-	oracle, err := json.Marshal(readResponse(c.CurrentEpoch(), Request{Op: "query", Rel: "T", Epoch: true}))
+	oracle, err := json.Marshal(ReadResponse(c.CurrentEpoch(), Request{Op: "query", Rel: "T", Epoch: true}))
 	if err != nil {
 		t.Fatal(err)
 	}

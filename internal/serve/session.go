@@ -5,18 +5,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/obs"
 )
 
-// This file is the per-connection request loop. One Serve call runs
-// two goroutines over the stream:
+// This file is the per-connection request loop, the only one in the
+// repository: a Core and the cluster router both serve by calling
+// Session with their own Dispatch. One Session call runs two goroutines
+// over the stream:
 //
 //   - the reader (the calling goroutine) scans request lines, reserves
-//     an ordering slot per request, and dispatches it — reads fan out
-//     to their own goroutines pinned to the arrival epoch, writes flow
-//     into the core's bounded queue;
+//     an ordering slot per request, decodes it and hands it to the
+//     dispatcher — a core answers reads inline or on goroutines pinned
+//     to the arrival epoch and queues writes to its writer, the router
+//     answers synchronously;
 //   - the responder drains the ordering slots IN REQUEST ORDER,
 //     waiting on each response as needed, and flushes opportunistically
 //     (whenever no further response is immediately pending).
@@ -36,66 +38,71 @@ import (
 
 const maxLine = 16 * 1024 * 1024
 
-// decodeAndDispatch parses one request line and routes it; the
-// response is delivered to ch (1-buffered) exactly once. fence is the
-// connection's current write fence; the returned channel is the fence
-// the next request on the connection should carry (see dispatch).
-// span, when non-nil, is the request's srv.req span — stamped with
-// the decoded op here, finished by dispatch.
-func (c *Core) decodeAndDispatch(line []byte, ch chan Response, fence <-chan struct{}, span *obs.ActiveSpan) <-chan struct{} {
-	c.requests.Inc()
+// Dispatch answers one decoded request on one connection. It owes the
+// session two things: exactly one response delivered to ch (which is
+// 1-buffered, so delivering never blocks), now or later, and the
+// request's span — nil when tracing is off — finished before that
+// response is handed over, so a client that has seen response N finds
+// every span of request N recorded. A Dispatch is called from the
+// session's reader goroutine only, one request at a time in arrival
+// order, and so may keep per-connection state without locking.
+type Dispatch func(req Request, span *obs.ActiveSpan, ch chan<- Response)
+
+// dispatchLine decodes one request line and hands it to d; a line that
+// is not a request is answered here. span, when non-nil, is the
+// request's srv.req span, stamped with the decoded op and rel.
+func dispatchLine(line []byte, span *obs.ActiveSpan, ch chan<- Response, requests, errors *obs.Counter, d Dispatch) {
+	requests.Inc()
 	var req Request
 	if err := json.Unmarshal(line, &req); err != nil {
-		c.errors.Inc()
+		errors.Inc()
 		span.Attr("op", "?").Finish()
-		ch <- errResp("bad request: %v", err)
-		return fence
+		ch <- ErrResp("bad request: %v", err)
+		return
 	}
 	span.Attr("op", req.Op)
 	if req.Rel != "" {
 		span.Attr("rel", req.Rel)
 	}
-	return c.dispatch(req, ch, fence, span)
+	d(req, span, ch)
 }
 
-// Serve runs the pipelined request loop until EOF, answering every
-// request line on w in request order.
-func (c *Core) Serve(r io.Reader, w io.Writer) error {
+// Session runs the pipelined request loop over one connection until
+// EOF, answering every request line on w in request order. opts gives
+// the pipeline window, the tracer and the registry the srv.conns,
+// srv.requests and srv.errors counters live in; conn is the
+// connection's positional id, the Conn half of every request's TraceID
+// (the Seq half is the line number), so equal serial sessions produce
+// equal trace ids (DESIGN.md §13).
+func Session(r io.Reader, w io.Writer, opts Options, conn int64, d Dispatch) error {
+	opts.Reg.Counter(obs.SrvConns).Inc()
+	requests := opts.Reg.Counter(obs.SrvRequests)
+	errors := opts.Reg.Counter(obs.SrvErrors)
+
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
 
-	pending := make(chan chan Response, c.opts.pipeline())
+	pending := make(chan chan Response, opts.pipeline())
 	werr := make(chan error, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
 	go func() {
-		defer wg.Done()
 		var failed error
 		for ch := range pending {
 			resp := <-ch
 			if failed != nil {
 				continue // keep draining so dispatched work is reaped
 			}
-			if resp.raw != nil {
-				if _, err := bw.Write(resp.raw); err != nil {
-					failed = err
-					continue
-				}
-				if err := bw.WriteByte('\n'); err != nil {
-					failed = err
-					continue
-				}
-			} else if err := enc.Encode(resp); err != nil {
-				failed = err
-				continue
+			b, err := resp.Encode() // memoized bytes are shared: write, never append
+			if err == nil {
+				_, err = bw.Write(b)
 			}
-			if len(pending) == 0 {
-				if err := bw.Flush(); err != nil {
-					failed = err
-				}
+			if err == nil {
+				err = bw.WriteByte('\n')
 			}
+			if err == nil && len(pending) == 0 {
+				err = bw.Flush()
+			}
+			failed = err
 		}
 		if failed == nil {
 			failed = bw.Flush()
@@ -103,13 +110,7 @@ func (c *Core) Serve(r io.Reader, w io.Writer) error {
 		werr <- failed
 	}()
 
-	// Trace identity: connection ids are allocated positionally, and
-	// each request's TraceID is (conn, line number) — never random, so
-	// equal serial sessions produce equal trace ids (DESIGN.md §13).
-	connID := c.connSeq.Add(1)
 	var reqSeq int64
-
-	var fence <-chan struct{} // last write on this connection (read-your-writes)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
@@ -119,20 +120,19 @@ func (c *Core) Serve(r io.Reader, w io.Writer) error {
 		pending <- ch // reserve the ordering slot; blocks at the pipeline bound
 		reqSeq++
 		var span *obs.ActiveSpan
-		if c.tracer != nil {
-			span = c.tracer.Root(obs.TraceID{Conn: connID, Seq: reqSeq}).Start(obs.SpanReq)
+		if opts.Tracer != nil {
+			span = opts.Tracer.Root(obs.TraceID{Conn: conn, Seq: reqSeq}).Start(obs.SpanReq)
 		}
-		fence = c.decodeAndDispatch(line, ch, fence, span)
+		dispatchLine(line, span, ch, requests, errors, d)
 	}
 	scanErr := sc.Err()
 	if scanErr != nil {
 		// Best-effort final error response; the write side may be gone.
 		ch := make(chan Response, 1)
-		ch <- errResp("read: %v", scanErr)
+		ch <- ErrResp("read: %v", scanErr)
 		pending <- ch
 	}
 	close(pending)
-	wg.Wait()
 	writeErr := <-werr
 
 	if scanErr != nil {

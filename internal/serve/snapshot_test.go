@@ -25,7 +25,7 @@ import (
 func TestSnapshotUnderConcurrentWrites(t *testing.T) {
 	dir := t.TempDir()
 	c := newTestCore(t, "", Options{SnapshotDir: dir, MaxBatch: 5})
-	srv, err := NewTCPServer(c, "127.0.0.1:0", nil)
+	srv, err := NewTCPServerFor(c, "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

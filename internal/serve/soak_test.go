@@ -39,7 +39,7 @@ func TestSoakChurn(t *testing.T) {
 		Pipeline:    4,
 		SnapshotDir: dir,
 	})
-	srv, err := NewTCPServer(c, "127.0.0.1:0", nil)
+	srv, err := NewTCPServerFor(c, "127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

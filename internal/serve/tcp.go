@@ -22,8 +22,6 @@ type Handler interface {
 type TCPServer struct {
 	h  Handler
 	ln net.Listener
-	// core, when the handler is a Core, receives connection metrics.
-	core *Core
 	// errLog receives per-connection serve errors (nil = discard).
 	errLog io.Writer
 
@@ -33,20 +31,10 @@ type TCPServer struct {
 	wg     sync.WaitGroup
 }
 
-// NewTCPServer listens on addr (e.g. "127.0.0.1:0") and returns a
-// server ready to Serve. errLog, when non-nil, receives one line per
-// connection that ended with an error.
-func NewTCPServer(core *Core, addr string, errLog io.Writer) (*TCPServer, error) {
-	s, err := NewTCPServerFor(core, addr, errLog)
-	if err != nil {
-		return nil, err
-	}
-	s.core = core
-	return s, nil
-}
-
-// NewTCPServerFor is NewTCPServer for any Handler (e.g. the cluster
-// router).
+// NewTCPServerFor listens on addr (e.g. "127.0.0.1:0") and returns a
+// server ready to Serve sessions of h — a Core or the cluster router.
+// errLog, when non-nil, receives one line per connection that ended
+// with an error.
 func NewTCPServerFor(h Handler, addr string, errLog io.Writer) (*TCPServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -72,9 +60,6 @@ func (s *TCPServer) Serve() error {
 		if !s.track(conn) {
 			conn.Close()
 			return nil
-		}
-		if s.core != nil {
-			s.core.conns.Inc()
 		}
 		s.wg.Add(1)
 		go func() {

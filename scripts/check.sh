@@ -1,5 +1,6 @@
 #!/bin/sh
-# check.sh runs the full local gate: vet, build, and the test suite
+# check.sh runs the full local gate: vet, build, a structural gate that
+# internal/cluster has grown no wire loop of its own, and the test suite
 # under the race detector (the parallel fixpoint engine, the epoch-
 # pinned serving core, and the simulation determinism tests are the
 # main race-sensitive surfaces). The fault-injection, explorer,
@@ -24,6 +25,16 @@ go vet ./...
 
 echo ">> go build ./..."
 go build ./...
+
+# One server: the request loop and the JSON decode live in
+# internal/serve (session.go) and the cluster router is a backend of
+# it. A scanner or a decode appearing in internal/cluster is a second
+# wire loop growing back, which is how the two drifted before.
+echo ">> structural gate: internal/cluster has no wire loop"
+if grep -nE 'bufio\.NewScanner|json\.Unmarshal' $(ls internal/cluster/*.go | grep -v '_test\.go$'); then
+    echo "check: internal/cluster reads or decodes request lines itself; serve.Session is the one loop"
+    exit 1
+fi
 
 echo ">> go test -race ./..."
 go test -race ./...
