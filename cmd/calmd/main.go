@@ -88,14 +88,7 @@ func main() {
 	}
 	// finish flushes -trace and dumps -metrics; every way out of main
 	// that is not already a failure runs it.
-	finish := func() {
-		if err := closeSink(); err != nil {
-			fatal(err)
-		}
-		if err := obs.WriteMetrics(reg, *metricsPath); err != nil {
-			fatal(err)
-		}
-	}
+	finish := obs.Finisher(closeSink, reg, *metricsPath, fatal)
 
 	evalMode, err := datalog.ParseEvalMode(*mode)
 	if err != nil {

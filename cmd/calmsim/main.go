@@ -151,14 +151,7 @@ func main() {
 	}
 	// finish flushes -trace and dumps -metrics; every way out of main
 	// that is not already a failure runs it.
-	finish := func() {
-		if err := closeSink(); err != nil {
-			fatal(err)
-		}
-		if err := obs.WriteMetrics(reg, *metrics); err != nil {
-			fatal(err)
-		}
-	}
+	finish := obs.Finisher(closeSink, reg, *metrics, fatal)
 
 	if topo != nil {
 		runEventEngine(topo, route, s, q, net, pol, input, plan, sink, reg, *seed, *seeds)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,30 +70,49 @@ func (o Options) placement() PlacementKind {
 }
 
 // record is one global delta-log entry: a client write split into
-// per-shard sub-deltas. subs[j] == nil means shard j has nothing to
-// apply at this position — its pump still observes the entry so the
-// watermark advances uniformly. The log is kept for the life of the
-// cluster (Restart replays it), so an entry holds fact strings and
-// nothing per shard it does not touch. key is the fault-decision key
-// (the write's first fact); writes with no facts take no faults.
+// per-shard sub-deltas. A shard with no sub has nothing to apply at this
+// position — its pump still observes the entry so the watermark advances
+// uniformly. The log is kept for the life of the cluster (Restart
+// replays it), so an entry holds fact text and little else: its position
+// is its index, and key (the write's first fact) is kept under a fault
+// plan only, which decides by it.
 type record struct {
-	g      int
-	subs   []*sub
-	key    fact.Fact
-	hasKey bool
-	enq    time.Time // append wall time; zero when metrics are disabled
+	subs []sub
+	key  *fact.Fact
 }
 
-// sub is what one shard applies at one log position, delivered to its
-// core as an apply request.
-type sub struct{ ins, ret []string }
+// sub is what one shard (every shard, if shard is -1) applies at one log
+// position, as an apply request: facts is nIns inserts, then retracts
+// (mono: none), NUL-joined: no accepted fact holds one, and it is small.
+type sub struct {
+	shard int16
+	mono  bool
+	nIns  int32
+	facts string
+}
 
-// delivery is one inbox item for one shard: a log record to apply, or
-// a flush control message releasing every held delta (quiescence).
-// resp, when non-nil, receives the shard's apply response — the ack
-// the submitting client is waiting on.
+func newSub(shard int, ins, ret []string) sub {
+	return sub{int16(shard), len(ret) == 0, int32(len(ins)), strings.Join(append(ins, ret...), "\x00")}
+}
+
+// sub returns what shard j applies at this record, nil for nothing.
+func (r *record) sub(j int) *sub {
+	for i := range r.subs {
+		if s := &r.subs[i]; int(s.shard) == j || s.shard < 0 {
+			return s
+		}
+	}
+	return nil
+}
+
+// delivery is one inbox item for one shard: a log record to apply, with
+// its log position g and (metrics on, not a replay) append time enq, or
+// a flush control message releasing every held delta. resp, when
+// non-nil, receives the apply response: the ack the client awaits.
 type delivery struct {
 	rec   *record
+	g     int
+	enq   time.Time
 	resp  chan serve.Response
 	flush bool
 }
@@ -455,46 +475,38 @@ func (c *Cluster) submitWrite(req serve.Request, tc obs.SpanCtx) (serve.Response
 		return serve.ErrResp("cluster is closed"), 0
 	}
 	g := len(c.log) + 1
-	rec := &record{g: g}
-	if c.reg != nil {
-		rec.enq = lstart
+	rec := &record{}
+	first := ins // the write's first fact decides its faults and, replicated, its home
+	if len(first) == 0 {
+		first = ret
 	}
-	if len(ins) > 0 {
-		rec.key, rec.hasKey = ins[0], true
-	} else if len(ret) > 0 {
-		rec.key, rec.hasKey = ret[0], true
+	if c.faults != nil && len(first) > 0 {
+		rec.key = &first[0]
 	}
 	var homes []int
 	var migrated int
 	if c.plan.Partitioned {
 		rec.subs, migrated = c.placeDelta(ins, ret)
-		for j, s := range rec.subs {
-			if s != nil {
-				homes = append(homes, j)
-			}
-		}
-		if len(homes) == 0 {
+		if len(rec.subs) == 0 {
 			// Empty delta: one shard still acks, so the client gets a
 			// well-formed apply response.
-			rec.subs[0] = &sub{}
-			homes = []int{0}
+			rec.subs = []sub{newSub(0, nil, nil)}
+		}
+		for _, s := range rec.subs {
+			homes = append(homes, int(s.shard))
 		}
 	} else {
-		all := &sub{ins: fact.FactStrings(ins), ret: fact.FactStrings(ret)}
-		rec.subs = make([]*sub, n)
-		for j := range rec.subs {
-			rec.subs[j] = all
-		}
+		rec.subs = []sub{newSub(-1, fact.FactStrings(ins), fact.FactStrings(ret))}
 		h := 0
-		if rec.hasKey {
-			h = HashPlace(rec.key, n)
+		if len(first) > 0 {
+			h = HashPlace(first[0], n)
 		}
 		homes = []int{h}
 	}
 	c.log = append(c.log, rec)
 	acks := make([]chan serve.Response, 0, len(homes))
 	for j, sh := range c.shards {
-		d := delivery{rec: rec}
+		d := delivery{rec: rec, g: g, enq: lstart}
 		if slices.Contains(homes, j) {
 			d.resp = make(chan serve.Response, 1)
 			acks = append(acks, d.resp)
@@ -551,9 +563,9 @@ func (c *Cluster) submitWrite(req serve.Request, tc obs.SpanCtx) (serve.Response
 // are serialized in log order. Retraction never re-splits a merged
 // component: the index only coarsens, which is sound (colocating more
 // than co(I) requires keeps every derivation local) if less sharp.
-func (c *Cluster) placeDelta(ins, ret []fact.Fact) ([]*sub, int) {
+func (c *Cluster) placeDelta(ins, ret []fact.Fact) ([]sub, int) {
 	n := len(c.shards)
-	subs := make([]sub, n)
+	subs := make([]struct{ ins, ret []string }, n)
 	migrated := 0
 
 	for _, f := range ret {
@@ -619,10 +631,10 @@ func (c *Cluster) placeDelta(ins, ret []fact.Fact) ([]*sub, int) {
 		subs[home].ins = append(subs[home].ins, f.String())
 	}
 
-	out := make([]*sub, n)
+	var out []sub // touched shards only: the log must not retain all of subs
 	for j, s := range subs {
 		if len(s.ins) > 0 || len(s.ret) > 0 {
-			out[j] = &s // its own copy: the log must not retain all of subs
+			out = append(out, newSub(j, s.ins, s.ret))
 		}
 	}
 	return out, migrated
@@ -681,8 +693,8 @@ func (c *Cluster) read(affinity int, req serve.Request, fence int, tc obs.SpanCt
 //
 // Each phase is a latency histogram and a child span of cluster.gather
 // (PERF.9 lives here): fanout is epoch pinning including any watermark
-// fence waits; merge (building the merged list) and render (its strings
-// and wire bytes) happen only on a memo miss.
+// fence waits; merge (the shards' carried runs, k-way) and render (the
+// merged text's wire bytes) happen only on a memo miss.
 func (c *Cluster) gather(req serve.Request, fence int, tc obs.SpanCtx) serve.Response {
 	c.gathers.Inc()
 	if req.Op == "ping" {
@@ -777,33 +789,34 @@ func (v *gathered) sum(size func(*incr.Epoch) int) (n int) {
 	return n
 }
 
-func (v *gathered) Rel(rel string) []fact.Fact {
-	return v.merge(func(ep *incr.Epoch) []fact.Fact { return ep.Rel(rel) })
+func (v *gathered) RelText(rel string) []string {
+	return v.merge(func(ep *incr.Epoch) ([]fact.Fact, []string) { return ep.Rel(rel), ep.RelText(rel) })
 }
 
-func (v *gathered) Facts() []fact.Fact { return v.merge((*incr.Epoch).Facts) }
+func (v *gathered) FactsText() []string {
+	return v.merge(func(ep *incr.Epoch) ([]fact.Fact, []string) { return ep.Facts(), ep.FactsText() })
+}
 
-// merge unions one sorted list per pinned epoch. The reader asks for a
-// list only on a memo miss and renders it next, so the merge phase ends
-// here and the render phase starts.
-func (v *gathered) merge(list func(*incr.Epoch) []fact.Fact) []fact.Fact {
+// merge unions one run per pinned epoch. The reader asks only on a memo
+// miss and marshals next: the merge phase ends here, render starts.
+func (v *gathered) merge(run func(*incr.Epoch) ([]fact.Fact, []string)) []string {
 	msp := v.tc.Start(obs.SpanGatherMerge)
 	var mstart time.Time
 	if v.c.reg != nil {
 		mstart = time.Now()
 	}
-	lists := make([][]fact.Fact, len(v.eps))
+	facts, text := make([][]fact.Fact, len(v.eps)), make([][]string, len(v.eps))
 	for i, ep := range v.eps {
-		lists[i] = list(ep)
+		facts[i], text[i] = run(ep)
 	}
-	fs := mergeFactLists(lists)
-	msp.Attr("facts", len(fs)).Finish()
+	merged := mergeFactLists(facts, text)
+	msp.Attr("facts", len(merged)).Finish()
 	if !mstart.IsZero() {
 		v.rstart = time.Now()
 		v.c.mergeNs.Observe(v.rstart.Sub(mstart).Nanoseconds())
 	}
 	v.rsp = v.tc.Start(obs.SpanGatherRender)
-	return fs
+	return merged
 }
 
 // endRender closes the render phase a merge opened, if one did.
@@ -863,7 +876,7 @@ func (c *Cluster) Restart(j int) error {
 	}
 	backlog := make([]delivery, len(c.log))
 	for i, rec := range c.log {
-		backlog[i] = delivery{rec: rec}
+		backlog[i] = delivery{rec: rec, g: i + 1}
 	}
 	sh.restart(serve.NewCore(m, c.opts.Serve), backlog)
 	c.recoveries.Inc()
@@ -962,8 +975,8 @@ func (sh *shard) pump() {
 	updateWM := func() {
 		wm := maxSeen
 		for _, h := range held {
-			if h.d.rec.g-1 < wm {
-				wm = h.d.rec.g - 1
+			if h.d.g-1 < wm {
+				wm = h.d.g - 1
 			}
 		}
 		sh.setWM(wm)
@@ -979,10 +992,10 @@ func (sh *shard) pump() {
 			updateWM()
 			continue
 		}
-		g := d.rec.g
+		g := d.g
 		release(g)
-		s := d.rec.subs[sh.id]
-		mono := s == nil || len(s.ret) == 0
+		s := d.rec.sub(sh.id)
+		mono := s == nil || s.mono
 		if !mono && len(held) > 0 {
 			// Retraction barrier: nothing may be reordered past it. This
 			// flush is the delta-stream coordination a non-monotone write
@@ -996,16 +1009,16 @@ func (sh *shard) pump() {
 		} else if !mono {
 			release(-1)
 		}
-		if p := sh.c.faults; p != nil && mono && d.resp == nil && d.rec.hasKey {
-			if hold := p.HoldFor(g, routerNode, sh.node, d.rec.key); hold > 0 {
+		if p := sh.c.faults; p != nil && mono && d.resp == nil && d.rec.key != nil {
+			if hold := p.HoldFor(g, routerNode, sh.node, *d.rec.key); hold > 0 {
 				held = append(held, heldDelivery{d: d, release: g + hold})
 				sh.heldN.Store(int64(len(held)))
 				maxSeen = g
 				updateWM()
 				continue
 			}
-			if p.ExtraCopies(g, routerNode, sh.node, d.rec.key) > 0 {
-				sh.apply(delivery{rec: d.rec}, ptc) // duplicate copy; applies are idempotent
+			if p.ExtraCopies(g, routerNode, sh.node, *d.rec.key) > 0 {
+				sh.apply(delivery{rec: d.rec, g: g}, ptc) // duplicate copy; applies are idempotent
 			}
 		}
 		sh.apply(d, ptc)
@@ -1019,18 +1032,22 @@ func (sh *shard) pump() {
 // nesting the core's request phases, and its wall-clock lag from log
 // append feeds cluster.delivery_lag_ns.
 func (sh *shard) apply(d delivery, ptc obs.SpanCtx) {
-	s := d.rec.subs[sh.id]
+	s := d.rec.sub(sh.id)
 	var r serve.Response
 	if s == nil {
 		r = serve.Response{OK: true}
 	} else {
 		ds := ptc.Start(obs.SpanDeliver)
-		ds.SetShard(sh.id).SetSeq(d.rec.g)
-		r = sh.core.Load().DoCtx(serve.Request{Op: "apply", Insert: s.ins, Retract: s.ret}, ds.Ctx())
+		ds.SetShard(sh.id).SetSeq(d.g)
+		var fs []string
+		if s.facts != "" {
+			fs = strings.Split(s.facts, "\x00")
+		}
+		r = sh.core.Load().DoCtx(serve.Request{Op: "apply", Insert: fs[:s.nIns], Retract: fs[s.nIns:]}, ds.Ctx())
 		ds.Finish()
 		sh.c.deliveries.Inc()
-		if !d.rec.enq.IsZero() {
-			sh.c.deliveryLagNs.Observe(time.Since(d.rec.enq).Nanoseconds())
+		if !d.enq.IsZero() {
+			sh.c.deliveryLagNs.Observe(time.Since(d.enq).Nanoseconds())
 		}
 	}
 	if d.resp != nil {

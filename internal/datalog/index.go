@@ -1,6 +1,10 @@
 package datalog
 
-import "repro/internal/fact"
+import (
+	"slices"
+
+	"repro/internal/fact"
+)
 
 // This file implements the persistent, incrementally-maintained index
 // the fixpoint engines evaluate against. An IndexedInstance is built
@@ -120,10 +124,9 @@ func removeFact(fs []fact.Fact, f fact.Fact) []fact.Fact {
 // instead of one linear scan per fact: the incremental engine deletes
 // whole cascade waves and over-deletion cones at a time, where
 // per-fact scans over a large relation turn O(|wave|) maintenance into
-// O(|wave|·|relation|). fs must be duplicate-free. Membership tests
-// run by binary search over per-relation sorted batches, so a filtered
-// pass over a list of n facts costs n·log|batch| comparisons and no
-// allocation beyond the result.
+// O(|wave|·|relation|). fs must be duplicate-free. Membership is a
+// binary search over per-relation batches ordered by interned IDs, so a
+// pass over a list of n facts costs n·log|batch| integer comparisons.
 func (idx *relIndex) removeAll(fs []fact.Fact) {
 	gone := make(map[fact.ID][]fact.Fact)
 	byArg := make(map[idxKey]bool)
@@ -135,7 +138,7 @@ func (idx *relIndex) removeAll(fs []fact.Fact) {
 		}
 	}
 	for rel, gs := range gone {
-		fact.SortFacts(gs)
+		slices.SortFunc(gs, byArgIDs)
 		if lp, ok := idx.byRel[rel]; ok {
 			*lp = filterFacts(*lp, gs)
 		}
@@ -153,36 +156,27 @@ func (idx *relIndex) removeAll(fs []fact.Fact) {
 	}
 }
 
-// filterFacts returns the facts not present in the sorted gone batch.
-// The result is freshly allocated (copy-on-write, like removeFact)
-// unless nothing is dropped.
-func filterFacts(fs []fact.Fact, gone []fact.Fact) []fact.Fact {
-	for i, f := range fs {
-		if containsFact(gone, f) {
-			kept := make([]fact.Fact, 0, len(fs)-1)
-			kept = append(kept, fs[:i]...)
-			for _, g := range fs[i+1:] {
-				if !containsFact(gone, g) {
-					kept = append(kept, g)
-				}
-			}
-			return kept
-		}
-	}
-	return fs
-}
+// byArgIDs orders one relation's facts by interned arguments: for search only.
+func byArgIDs(f, g fact.Fact) int { return slices.Compare(f.ArgIDs(), g.ArgIDs()) }
 
-func containsFact(sorted []fact.Fact, f fact.Fact) bool {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if sorted[mid].Compare(f) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
+// filterFacts returns the facts of one relation not in the gone batch
+// (byArgIDs order), in list order: freshly allocated (copy-on-write),
+// with room for what a rederive re-adds, unless nothing is dropped.
+func filterFacts(fs []fact.Fact, gone []fact.Fact) []fact.Fact {
+	var kept []fact.Fact // allocated at the first drop
+	for i, f := range fs {
+		_, drop := slices.BinarySearchFunc(gone, f, byArgIDs)
+		switch {
+		case drop && kept == nil:
+			kept = append(make([]fact.Fact, 0, len(fs)), fs[:i]...)
+		case !drop && kept != nil:
+			kept = append(kept, f)
 		}
 	}
-	return lo < len(sorted) && sorted[lo].Equal(f)
+	if kept == nil {
+		return fs
+	}
+	return kept
 }
 
 // tupleMatches reports whether the fact is rel(args...).
@@ -348,84 +342,14 @@ func (x *IndexedInstance) CloneView() *IndexedInstance {
 	return &IndexedInstance{idx: x.idx.clone(), n: x.data.Len()}
 }
 
-// RelView is a read-only, point-in-time snapshot of the instance's
-// per-relation posting lists — the storage behind the serving layer's
-// MVCC read epochs (internal/incr Epoch). Taking one costs O(number of
-// relations): the posting-list backing arrays are shared with the
-// receiver copy-on-write, exactly like clone, with each shared slice's
-// capacity capped at its length so later appends on the live index
-// reallocate past what the view can read and removals (which are
-// always copy-on-write) swap in fresh arrays the view never sees.
-//
-// Unlike CloneView — which also clones the (relation, position, value)
-// join index so rule evaluation can run against it — a RelView carries
-// only the by-relation lists, which is all enumeration-shaped reads
-// (query, facts, stats) need. That keeps publication cheap enough to
-// run once per group commit even under write-heavy load.
-//
-// A RelView is immutable and safe for concurrent use by any number of
-// readers, concurrently with mutations of the IndexedInstance it was
-// taken from.
-type RelView struct {
-	rels map[fact.ID][]fact.Fact
-	n    int
-}
-
-// RelView takes a read-only per-relation snapshot of the current
-// instance. It must not run concurrently with Add or Remove (the
-// serving layer's single writer publishes views at commit barriers).
-func (x *IndexedInstance) RelView() *RelView {
-	v := &RelView{rels: make(map[fact.ID][]fact.Fact, len(x.idx.byRel)), n: x.Len()}
-	for k, lp := range x.idx.byRel {
-		if len(*lp) == 0 {
-			continue
-		}
-		v.rels[k] = (*lp)[:len(*lp):len(*lp)]
-	}
-	return v
-}
-
-// Len returns the number of facts in the view.
-func (v *RelView) Len() int { return v.n }
-
-// Rel returns the facts of one relation in canonical sorted order
-// (fact.SortFacts). The result is freshly allocated — the shared
-// posting lists are never reordered in place.
-func (v *RelView) Rel(rel string) []fact.Fact {
-	id, ok := fact.LookupValue(fact.Value(rel))
-	if !ok {
-		return nil
-	}
-	fs := v.rels[id]
-	if len(fs) == 0 {
-		return nil
-	}
-	out := make([]fact.Fact, len(fs))
-	copy(out, fs)
-	fact.SortFacts(out)
-	return out
-}
-
-// Facts returns every fact in the view in canonical sorted order.
-func (v *RelView) Facts() []fact.Fact {
-	out := make([]fact.Fact, 0, v.n)
-	for _, fs := range v.rels {
-		out = append(out, fs...)
-	}
-	fact.SortFacts(out)
-	return out
-}
-
-// Has reports whether the fact is in the view, by scanning its
-// relation's posting list. Serving reads are enumeration-shaped; this
-// linear probe exists for tests and invariant checks, not hot paths.
-func (v *RelView) Has(f fact.Fact) bool {
-	for _, g := range v.rels[f.RelID()] {
-		if g.Equal(f) {
-			return true
-		}
-	}
-	return false
+// RelList returns a read-only, point-in-time snapshot of one relation's
+// posting list, in index order: what a serving epoch with no predecessor
+// sorts on its first read (internal/incr Epoch). It copies a slice
+// header; the array is shared with the index copy-on-write, like clone.
+// Take it between mutations; read it from any goroutine, at any time.
+func (x *IndexedInstance) RelList(rel string) []fact.Fact {
+	id, _ := fact.LookupValue(fact.Value(rel))
+	return slices.Clip(x.idx.rel(id))
 }
 
 // RemoveAll deletes a batch of facts, skipping those not present, and

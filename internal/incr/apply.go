@@ -159,6 +159,12 @@ func (m *Materialization) Apply(d Delta) (ApplyStats, error) {
 			m.emitStratum(si, &sb)
 		}
 	}
+	for rel, fs := range a.delByRel {
+		m.record(rel, fs, false)
+	}
+	for rel, fs := range a.insByRel {
+		m.record(rel, fs, true)
+	}
 	m.publishApply(&a.st)
 	return a.st, nil
 }

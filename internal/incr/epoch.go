@@ -1,9 +1,11 @@
 package incr
 
 import (
+	"maps"
+	"slices"
 	"sync"
+	"sync/atomic"
 
-	"repro/internal/datalog"
 	"repro/internal/fact"
 )
 
@@ -13,9 +15,8 @@ import (
 // keeps applying deltas. This is the evaluation-side shadow of the
 // paper's CALM story — for coordination-free programs reads never need
 // to wait for writes, they only need a consistent grown state to run
-// against — and the reason it is cheap is PR 4/6's copy-on-write
-// index: publishing an epoch copies per-relation slice headers, not
-// facts.
+// against — and an epoch's sorted, rendered relation is its
+// predecessor's, extended by the net delta Apply already computed.
 
 // Epoch is one immutable committed state of a Materialization: the
 // fact set, the apply sequence number that produced it, and the base
@@ -25,53 +26,213 @@ import (
 // materialization answer every query byte-identically — the serving
 // layer's determinism guarantee is anchored here.
 type Epoch struct {
-	seq  int
-	base int
-	view *datalog.RelView
+	seq, base, n int
+	// runs has one run per non-empty relation and is never written once
+	// published; epochs share the runs no commit between them touched.
+	runs map[string]*run
+}
 
-	mu   sync.Mutex
-	rels map[string][]fact.Fact // Rel's sorted lists, built on first use
+// sorted is a relation's answer as a reader sees it: its facts in
+// Fact.Compare order and, aligned, their wire text. Immutable.
+type sorted struct {
+	facts []fact.Fact
+	text  []string
+}
+
+// run is the answer of one relation at one committed state, sorted and
+// rendered by the first read and kept for every later one.
+type run struct {
+	n    int // number of facts, known without building
+	once sync.Once
+	got  atomic.Pointer[sorted]
+	// Until it is read, a run is base's answer without del and with add,
+	// both sorted; the build clears base. base had been read, or had no
+	// base itself, when the run was made, so unread runs never chain. A
+	// run made without one (first publish, restore, a delta past foldShare)
+	// holds the index snapshot, unsorted, in add: the one sort of a relation.
+	base     atomic.Pointer[run]
+	add, del []fact.Fact
+}
+
+// foldShare bounds the delta an unread run carries, and so what a read
+// merges and memory holds, to 1/foldShare of the relation: past it the
+// writer builds the run itself or, its base never read, starts afresh.
+const foldShare = 4
+
+// get builds the run's lists on the first call; a nil run has none.
+func (r *run) get() *sorted {
+	if r == nil {
+		return new(sorted)
+	}
+	r.once.Do(func() {
+		s := new(sorted)
+		if b := r.base.Load(); b != nil {
+			s.facts, s.text = patch(b.get().facts, b.get().text, r.add, r.del)
+		} else {
+			s.facts, r.add = slices.Clone(r.add), nil // nobody reads add once base is nil
+			fact.SortFacts(s.facts)
+			s.text = make([]string, len(s.facts))
+			for i, f := range s.facts {
+				s.text[i] = f.String()
+			}
+		}
+		r.got.Store(s)
+		r.base.Store(nil)
+	})
+	return r.got.Load()
+}
+
+// patch returns the sorted list facts without the members of del and
+// with those of add (both sorted, add disjoint from what is kept), and
+// text kept aligned: unchanged stretches are copied, only add is
+// rendered. A nil text (a delta list) stays nil; no change, no copy.
+func patch(facts []fact.Fact, text []string, add, del []fact.Fact) ([]fact.Fact, []string) {
+	if len(add) == 0 && len(del) == 0 {
+		return facts, text
+	}
+	of := make([]fact.Fact, 0, len(facts)+len(add))
+	var ot []string
+	if text != nil {
+		ot = make([]string, 0, cap(of))
+	}
+	at := 0 // facts[:at] is dealt with
+	emit := func(to int, added ...fact.Fact) {
+		of = append(append(of, facts[at:to]...), added...)
+		if text != nil {
+			ot = append(ot, text[at:to]...)
+			for _, f := range added {
+				ot = append(ot, f.String())
+			}
+		}
+		at = to
+	}
+	for len(add) > 0 || len(del) > 0 {
+		if len(del) == 0 || (len(add) > 0 && add[0].Compare(del[0]) < 0) {
+			i, _ := slices.BinarySearchFunc(facts[at:], add[0], fact.Fact.Compare)
+			emit(at+i, add[0])
+			add = add[1:]
+		} else {
+			i, found := slices.BinarySearchFunc(facts[at:], del[0], fact.Fact.Compare)
+			if emit(at + i); found {
+				at++
+			}
+			del = del[1:]
+		}
+	}
+	emit(len(facts))
+	return of, ot
+}
+
+// flow is what one relation gained and lost since the last Epoch().
+type flow struct{ add, del []fact.Fact }
+
+// record appends one apply's additions (ins) or removals to a
+// relation's flow. One the last epoch did not hold, or whose flow passes
+// foldShare, is not followed (nil): its next run starts from the index.
+func (m *Materialization) record(rel string, fs []fact.Fact, ins bool) {
+	net, seen := m.flow[rel]
+	prev := m.runs[rel]
+	if !seen && prev != nil {
+		net = new(flow)
+	}
+	if net != nil {
+		if ins {
+			net.add = append(net.add, fs...)
+		} else {
+			net.del = append(net.del, fs...)
+		}
+		if len(net.add)+len(net.del) > prev.n/foldShare {
+			net = nil
+		}
+	}
+	m.flow[rel] = net
+}
+
+// extend returns rel's run after the flow since prev, its last one, at
+// the cost of the flow, not the relation, until foldShare says fold.
+func (m *Materialization) extend(prev *run, rel string, net *flow) *run {
+	if net == nil {
+		raw := m.x.RelList(rel)
+		return &run{n: len(raw), add: raw}
+	}
+	fact.SortFacts(net.add)
+	fact.SortFacts(net.del)
+	add, _ := patch(net.add, nil, nil, net.del) // in and out again, or out and back: no change
+	del, _ := patch(net.del, nil, nil, net.add)
+	r, base := &run{n: prev.n + len(add) - len(del), add: add, del: del}, prev
+	if b := prev.base.Load(); b != nil {
+		// Nobody read prev: extend what it extends, by both deltas.
+		back, _ := patch(add, nil, nil, prev.del) // added, unless that restores a base fact
+		gone, _ := patch(del, nil, nil, prev.add) // removed, unless that undoes an addition
+		r.add, _ = patch(prev.add, nil, back, del)
+		r.del, _ = patch(prev.del, nil, gone, add)
+		base = b
+	}
+	r.base.Store(base)
+	if len(r.add)+len(r.del) > r.n/foldShare {
+		if base.got.Load() == nil {
+			return m.extend(nil, rel, nil)
+		}
+		r.get()
+	}
+	return r
 }
 
 // Epoch publishes the current committed state as an immutable
 // snapshot. It must be called from the same goroutine that calls
 // Apply (the single writer), between — never during — applies.
 func (m *Materialization) Epoch() *Epoch {
-	return &Epoch{seq: m.seq, base: m.base.Len(), view: m.x.RelView(), rels: make(map[string][]fact.Fact)}
+	switch {
+	case m.runs == nil:
+		m.runs = make(map[string]*run)
+		for rel := range m.x.Instance().Schema() {
+			m.runs[rel] = m.extend(nil, rel, nil)
+		}
+	case len(m.flow) > 0:
+		m.runs = maps.Clone(m.runs) // the last epoch keeps its own
+		for rel, net := range m.flow {
+			if r := m.extend(m.runs[rel], rel, net); r.n > 0 {
+				m.runs[rel] = r
+			} else {
+				delete(m.runs, rel)
+			}
+		}
+	}
+	clear(m.flow)
+	return &Epoch{seq: m.seq, base: m.base.Len(), n: m.x.Len(), runs: m.runs}
 }
 
-// Seq returns the apply sequence number the epoch was published at.
-func (e *Epoch) Seq() int { return e.seq }
-
-// Len returns the total number of materialized facts in the epoch.
-func (e *Epoch) Len() int { return e.view.Len() }
-
-// BaseLen returns the number of base (edb) facts in the epoch.
+// Seq returns the apply sequence number the epoch was published at, Len
+// its number of materialized facts, BaseLen of base (edb) facts.
+func (e *Epoch) Seq() int     { return e.seq }
+func (e *Epoch) Len() int     { return e.n }
 func (e *Epoch) BaseLen() int { return e.base }
 
 // Rel returns the epoch's facts of one relation in canonical sorted
-// order. The list is sorted once per epoch and shared by every caller:
-// read it, do not modify it. A gathered read re-merges every shard's
-// list after each write, and all but the written shard are unchanged.
-// An empty list is not kept, so asking for relations the epoch does not
-// hold leaves nothing behind.
-func (e *Epoch) Rel(rel string) []fact.Fact {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	fs, ok := e.rels[rel]
-	if !ok {
-		if fs = e.view.Rel(rel); len(fs) > 0 {
-			e.rels[rel] = fs
-		}
+// order, and RelText their wire text, index for index. The lists are
+// built on the first read and shared by every caller, on this epoch and
+// any that has the relation unchanged: read them, do not modify them.
+func (e *Epoch) Rel(rel string) []fact.Fact  { return e.runs[rel].get().facts }
+func (e *Epoch) RelText(rel string) []string { return e.runs[rel].get().text }
+
+// Facts returns every fact in the epoch in canonical sorted order, and
+// FactsText their wire text: the runs in relation-name order.
+func (e *Epoch) Facts() []fact.Fact  { return e.all().facts }
+func (e *Epoch) FactsText() []string { return e.all().text }
+
+func (e *Epoch) all() sorted {
+	rels := make([]string, 0, len(e.runs))
+	for rel := range e.runs {
+		rels = append(rels, rel)
 	}
-	return fs
+	slices.Sort(rels)
+	all := sorted{make([]fact.Fact, 0, e.n), make([]string, 0, e.n)}
+	for _, rel := range rels {
+		s := e.runs[rel].get()
+		all.facts, all.text = append(all.facts, s.facts...), append(all.text, s.text...)
+	}
+	return all
 }
-
-// Facts returns every fact in the epoch in canonical sorted order.
-func (e *Epoch) Facts() []fact.Fact { return e.view.Facts() }
-
-// Has reports whether the fact is in the epoch.
-func (e *Epoch) Has(f fact.Fact) bool { return e.view.Has(f) }
 
 // Err returns the corruption error if a maintenance phase failed and
 // poisoned the materialization, else nil. A server publishing epochs

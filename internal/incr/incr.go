@@ -134,6 +134,11 @@ type Materialization struct {
 	support map[string]int64
 	seq     int
 	corrupt error
+
+	// runs is the last published epoch's run per relation, nil before
+	// the first Epoch(); flow is what each gained and lost since.
+	runs map[string]*run
+	flow map[string]*flow
 }
 
 // New builds a materialization of the program over the initial base
@@ -179,6 +184,7 @@ func newEmpty(p *datalog.Program, opts Options) (*Materialization, error) {
 		x:           datalog.IndexInstance(fact.NewInstance()),
 		base:        fact.NewInstance(),
 		support:     make(map[string]int64),
+		flow:        make(map[string]*flow),
 	}
 	for _, rules := range p.Strata(rho) {
 		m.strata = append(m.strata, newStratum(rules))

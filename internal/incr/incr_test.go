@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -290,7 +291,66 @@ func TestEpochRelSortsOncePerEpoch(t *testing.T) {
 			t.Fatalf("junk%d: %v", i, fs)
 		}
 	}
-	if len(e1.rels) != 1 {
-		t.Errorf("epoch keeps %d lists after 1000 reads of relations it does not hold, want 1 (T)", len(e1.rels))
+	if len(e1.runs) != 2 {
+		t.Errorf("epoch keeps %d runs after 1000 reads of relations it does not hold, want 2 (E, T)", len(e1.runs))
+	}
+}
+
+// TestWriteOnlyCommitsStayBounded: ten thousand commits that nobody
+// reads — over a T nobody ever read, over one read once, and with no
+// Epoch() after the first — leave the delta an unread run carries, the
+// flow recorded for the next epoch and the heap bounded: past foldShare
+// of the relation the writer folds, re-snapshots or stops following.
+func TestWriteOnlyCommitsStayBounded(t *testing.T) {
+	edge := func(i int) []fact.Fact {
+		return []fact.Fact{fact.New("E", fact.Value(fmt.Sprintf("w%d", i%200)), fact.Value(fmt.Sprintf("x%d", i%200)))}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for _, mode := range []string{"never read", "read once", "published once"} {
+		m := mustNew(t, tcProg, generate.Path("v", 16), Options{})
+		if e := m.Epoch(); mode == "read once" {
+			e.Facts()
+		}
+		var before uint64
+		for i := 0; i < 10000; i++ {
+			if i == 1000 {
+				before = heap() // the 200 churned edges are interned and indexed by now
+			}
+			d := Delta{Insert: edge(i)}
+			if i >= 50 {
+				d.Retract = edge(i - 50)
+			}
+			if _, err := m.Apply(d); err != nil {
+				t.Fatal(err)
+			}
+			if mode == "published once" {
+				for rel, net := range m.flow {
+					if net != nil && len(net.add)+len(net.del) > m.runs[rel].n/foldShare {
+						t.Fatalf("%s, apply %d: %d+%d facts of flow recorded for %s, a relation of %d", mode, i, len(net.add), len(net.del), rel, m.runs[rel].n)
+					}
+				}
+				continue
+			}
+			m.Epoch()
+			for rel, r := range m.runs {
+				if r.base.Load() != nil && len(r.add)+len(r.del) > r.n/foldShare {
+					t.Fatalf("%s, commit %d: %s carries a delta of %d+%d over %d facts", mode, i, rel, len(r.add), len(r.del), r.n)
+				}
+			}
+			if len(m.flow) != 0 {
+				t.Fatalf("%s, commit %d: %d relations of flow left after Epoch()", mode, i, len(m.flow))
+			}
+		}
+		if after := heap(); after > before+1<<20 {
+			t.Errorf("%s: heap grew %d → %d bytes over 9000 commits", mode, before, after)
+		}
+		if got, want := m.Epoch().Rel("T"), m.Rel("T"); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: after 10000 commits T = %d facts, the materialization holds %d", mode, len(got), len(want))
+		}
 	}
 }

@@ -55,3 +55,18 @@ func WriteMetrics(reg *Registry, path string) error {
 	}
 	return f.Close()
 }
+
+// Finisher returns what a command runs on every way out of main that is
+// not already a failure: close the -trace sink (OpenSink's close
+// function), then dump -metrics. An error goes to fail, the command's
+// own fatal, which does not return.
+func Finisher(closeSink func() error, reg *Registry, metricsPath string, fail func(error)) func() {
+	return func() {
+		if err := closeSink(); err != nil {
+			fail(err)
+		}
+		if err := WriteMetrics(reg, metricsPath); err != nil {
+			fail(err)
+		}
+	}
+}

@@ -49,3 +49,29 @@ func TestFlagFiles(t *testing.T) {
 		t.Error("WriteMetrics into a missing directory succeeded")
 	}
 }
+
+// TestFinisher: the commands' shared way out closes the trace, then
+// writes the metrics, and hands each failure to the command's fatal.
+func TestFinisher(t *testing.T) {
+	dir := t.TempDir()
+	tracePath, metricsPath := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "m.json")
+	sink, closeSink, err := OpenSink(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink.Emit("ev", F("k", 1))
+	reg := NewRegistry()
+	reg.Counter("c").Add(3)
+	var failed []error
+	fail := func(err error) { failed = append(failed, err) }
+	Finisher(closeSink, reg, metricsPath, fail)()
+	trace, _ := os.ReadFile(tracePath)
+	metrics, _ := os.ReadFile(metricsPath)
+	if len(failed) != 0 || !strings.Contains(string(trace), `"ev":"ev"`) || !strings.Contains(string(metrics), `"c": 3`) {
+		t.Errorf("failed %v, trace %q, metrics %q", failed, trace, metrics)
+	}
+	Finisher(func() error { return os.ErrClosed }, reg, filepath.Join(dir, "no", "such", "f"), fail)()
+	if len(failed) != 2 || failed[0] != os.ErrClosed {
+		t.Errorf("a failing trace and an unwritable metrics path reported %v", failed)
+	}
+}

@@ -47,8 +47,9 @@ func BenchmarkPinnedReads(b *testing.B) {
 	}
 }
 
-// BenchmarkColdReads measures the same read against a fresh epoch
-// every time (cache miss: sort, render, and marshal per op).
+// BenchmarkColdReads measures the same read against a fresh epoch and a
+// fresh memo every time. No commit lies between the epochs, so they
+// share the run the first read built: a memo miss is the marshal.
 func BenchmarkColdReads(b *testing.B) {
 	c := benchCore(b, 16)
 	req := Request{Op: "query", Rel: "T"}
@@ -79,8 +80,8 @@ func BenchmarkWriteCommit(b *testing.B) {
 	}
 }
 
-// BenchmarkEpochPublish measures epoch construction alone: the
-// copy-on-write RelView plus state allocation per group commit.
+// BenchmarkEpochPublish measures Epoch() with no flow to fold in: one
+// Epoch value over the runs the last one published.
 func BenchmarkEpochPublish(b *testing.B) {
 	c := benchCore(b, 64)
 	b.ResetTimer()

@@ -204,15 +204,16 @@ func DeltaOf(req Request) (incr.Delta, error) {
 	return d, nil
 }
 
-// View is one committed state as a read response sees it. *incr.Epoch
-// is the single node's; the router's is the union of one pinned epoch
-// per live shard. Rel and Facts return canonical SortFacts order.
+// View is one committed state as a read response sees it: *incr.Epoch
+// on a single node, the union of one pinned epoch per live shard behind
+// the router. RelText and FactsText are wire text in canonical SortFacts
+// order: the view's own lists, shared, never modified.
 type View interface {
 	Seq() int
 	Len() int
 	BaseLen() int
-	Rel(rel string) []fact.Fact
-	Facts() []fact.Fact
+	RelText(rel string) []string
+	FactsText() []string
 }
 
 // ReadResponse answers a read op from one immutable view: a pure
@@ -229,10 +230,10 @@ func ReadResponse(v View, req Request) Response {
 		if req.Rel == "" {
 			return ErrResp("query needs a rel")
 		}
-		return factsResponse(v, v.Rel(req.Rel), req.Epoch)
+		return factsResponse(v, v.RelText(req.Rel), req.Epoch)
 
 	case "facts":
-		return factsResponse(v, v.Facts(), req.Epoch)
+		return factsResponse(v, v.FactsText(), req.Epoch)
 
 	case "stats":
 		return Response{OK: true, Stats: &StatsBody{
@@ -247,14 +248,10 @@ func ReadResponse(v View, req Request) Response {
 	}
 }
 
-// factsResponse renders an already sorted fact list in wire form.
-func factsResponse(v View, sorted []fact.Fact, echoEpoch bool) Response {
-	fs := make([]string, len(sorted))
-	for i, f := range sorted {
-		fs[i] = f.String()
-	}
-	n := len(fs)
-	resp := Response{OK: true, Count: &n, Facts: fs}
+// factsResponse answers with a view's rendered fact list as it stands.
+func factsResponse(v View, text []string, echoEpoch bool) Response {
+	n := len(text)
+	resp := Response{OK: true, Count: &n, Facts: text}
 	if echoEpoch {
 		seq := v.Seq()
 		resp.Epoch = &seq
@@ -263,7 +260,7 @@ func factsResponse(v View, sorted []fact.Fact, echoEpoch bool) Response {
 }
 
 // ReadMemo memoizes ReadResponse, wire bytes included, over one
-// immutable view: the first read of a key pays the sort, render and
+// immutable view: the first read of a key pays the view's text and the
 // marshal, every later one is a map hit — byte-identical by
 // construction. The zero value is ready. The view is passed per call so
 // a caller can hang per-request instrumentation on it; every call on

@@ -99,39 +99,4 @@ if ! awk -v b="$base" -v d="$disd" 'BEGIN { exit !(d <= 1.5*b + 5) }'; then
 fi
 echo "   baseline ${base} ns/op, disabled ${disd} ns/op"
 
-# Parallel-vs-seminaive gate: the PR6 interned/columnar refactor fixed
-# a perf inversion where the parallel engine lost to serial semi-naive
-# (grid8x8 in BENCH_PR4.json); this keeps it fixed. Parallel must not
-# be slower than seminaive on any BenchmarkParallelTC topology, up to
-# a noise allowance: we take the best of 3 runs per configuration and
-# allow 15% — on single-CPU boxes the parallel engine degenerates to
-# the semi-naive path, so the two times differ only by scheduler and
-# allocator noise, and a real inversion regression shows up far above
-# the tolerance.
-echo ">> parallel-vs-seminaive gate: BenchmarkParallelTC"
-bench=$(go test -run '^$' -bench BenchmarkParallelTC -benchtime 30x -count 3 .)
-echo "$bench" | awk '
-/^BenchmarkParallelTC\// {
-    split($1, parts, "/")
-    topo = parts[2]; mode = parts[3]; sub(/-[0-9]+$/, "", mode)
-    key = topo SUBSEP mode
-    if (!(key in best) || $3 + 0 < best[key]) best[key] = $3 + 0
-    topos[topo] = 1
-}
-END {
-    bad = 0; n = 0
-    for (topo in topos) {
-        n++
-        sn = best[topo SUBSEP "seminaive"]; par = best[topo SUBSEP "parallel"]
-        if (sn == "" || par == "") { print "check: missing BenchmarkParallelTC results for " topo; bad = 1; continue }
-        printf "   %s: seminaive %d ns/op, parallel %d ns/op\n", topo, sn, par
-        if (par > 1.15 * sn) {
-            printf "check: parallel is %.2fx seminaive on %s (limit 1.15x)\n", par / sn, topo
-            bad = 1
-        }
-    }
-    if (n == 0) { print "check: FAILED to read BenchmarkParallelTC results"; bad = 1 }
-    exit bad
-}'
-
 echo "check: OK"
