@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet bench bench-quick check smoke admin-smoke trace-demo ci cover
+.PHONY: build test race vet check smoke admin-smoke trace-demo ci cover
 
 cover:
 	$(GO) test -cover ./internal/transducer/ ./internal/core/
@@ -18,19 +18,6 @@ race:
 
 vet:
 	$(GO) vet ./...
-
-# Full benchmark snapshot rendered to JSON (scripts/bench.sh). Pass
-# OUT= to name the file and BENCHTIME= to trade time for stability,
-# e.g. make bench OUT=BENCH_PR5.json BENCHTIME=5x.
-OUT ?= BENCH.json
-bench:
-	BENCHTIME=$(BENCHTIME) sh scripts/bench.sh $(OUT)
-
-# Quick mode-ablation benchmarks (naive vs semi-naive vs parallel).
-# Use -cpu to size the worker pool, e.g. make bench-quick BENCHFLAGS='-cpu 4'.
-BENCHFLAGS ?=
-bench-quick:
-	$(GO) test -run '^$$' -bench 'NaiveVsSemiNaive|ParallelTC|WFSModes|WinMove' -benchmem $(BENCHFLAGS) .
 
 check:
 	sh scripts/check.sh

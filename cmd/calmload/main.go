@@ -25,9 +25,9 @@
 //	calmload -self-shards 4 -conns 8 -duration 2s
 //	calmload -smoke -duration 300ms   # CI gate: ops > 0, errors == 0
 //
-// -format gobench emits benchmark-formatted lines that
-// scripts/bench.sh folds into the committed BENCH_PR<n>.json
-// snapshots alongside the go test benchmarks.
+// -format gobench emits benchmark-formatted lines, the form the
+// PERF.7–9 figures were recorded in (commits 27ec915 to 6c318c3);
+// the repository's benchmark is go run ./bench.
 package main
 
 import (
@@ -161,9 +161,9 @@ func main() {
 	}
 }
 
-// writeGobench renders results in `go test -bench` line format so
-// scripts/bench.sh's renderer picks them up. Names must not end in
-// -<digits> (the renderer strips a GOMAXPROCS suffix); run shape
+// writeGobench renders results in `go test -bench` line format (go run
+// ./bench measures the same loop end to end). Names must not end in
+// -<digits> (benchmark tooling strips a GOMAXPROCS suffix); run shape
 // lands in the conns/window metric columns instead. nameOverride
 // replaces the derived name — the shard sweep uses it to label one
 // row per shard count (BenchmarkCalmloadShards<n>).

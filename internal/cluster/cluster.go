@@ -589,6 +589,9 @@ func (c *Cluster) placeDelta(ins, ret []fact.Fact) ([]sub, int) {
 		}
 		root := c.ci.find(f.Arg(0))
 		c.ensureComp(root)
+		if _, held := c.comp[root].facts[f.Key()]; held {
+			continue // already placed, by an earlier write or this one: nothing moves
+		}
 		for i := 1; i < f.Arity(); i++ {
 			r2 := c.ci.find(f.Arg(i))
 			if r2 == root {
@@ -614,8 +617,16 @@ func (c *Cluster) placeDelta(ins, ret []fact.Fact) ([]sub, int) {
 				}
 				fact.SortFacts(moved)
 				for _, mf := range moved {
-					subs[loseHome].ret = append(subs[loseHome].ret, mf.String())
-					subs[winHome].ins = append(subs[winHome].ins, mf.String())
+					// Cancel within the record: a fact it put on loseHome
+					// itself never goes there, and one it took off winHome
+					// stays — a shard refuses a fact on both sides.
+					s := mf.String()
+					if !take(&subs[loseHome].ins, s) {
+						subs[loseHome].ret = append(subs[loseHome].ret, s)
+					}
+					if !take(&subs[winHome].ret, s) {
+						subs[winHome].ins = append(subs[winHome].ins, s)
+					}
 				}
 				migrated++
 			}
@@ -638,6 +649,15 @@ func (c *Cluster) placeDelta(ins, ret []fact.Fact) ([]sub, int) {
 		}
 	}
 	return out, migrated
+}
+
+// take removes s from the list, reporting whether it was there.
+func take(list *[]string, s string) bool {
+	i := slices.Index(*list, s)
+	if i >= 0 {
+		*list = slices.Delete(*list, i, i+1)
+	}
+	return i >= 0
 }
 
 func (c *Cluster) ensureComp(root fact.Value) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/datalog"
@@ -29,13 +30,55 @@ func TestPartitionedEquivalence(t *testing.T) {
 		for _, seed := range []int64{1, 2, 3} {
 			shards, seed := shards, seed
 			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
-				runPartitionedEquivalence(t, shards, seed)
+				runPartitionedEquivalence(t, shards, seed, 1)
+			})
+			// Several facts a write: a later fact's bridge migrates what an
+			// earlier one of the same record just placed.
+			t.Run(fmt.Sprintf("shards=%d/seed=%d/multi-fact", shards, seed), func(t *testing.T) {
+				runPartitionedEquivalence(t, shards, seed, 4)
 			})
 		}
 	}
 }
 
-func runPartitionedEquivalence(t *testing.T, shards int, seed int64) {
+// TestMultiFactInsertBridgesItsOwnPlacement: the second fact of one
+// insert joins the component the first was just homed in to one homed
+// elsewhere. The record must carry the first fact to the winner's shard
+// only, not on to the loser's and off it again, which that shard refused
+// after the write was logged and half applied.
+func TestMultiFactInsertBridgesItsOwnPlacement(t *testing.T) {
+	for _, tc := range []struct {
+		held, facts []string
+	}{
+		{nil, []string{"E(x1,x2)", "E(x0,x1)"}},
+		{nil, []string{"E(x1,x3)", "E(x0,x1)"}},
+		{nil, []string{"E(x1,x4)", "E(x0,x1)"}},
+		// Inserted again with the fact that moves it: moved, not left behind too.
+		{[]string{"E(x1,x2)"}, []string{"E(x1,x2)", "E(x0,x1)"}},
+	} {
+		c := newTestCluster(t, tcProgram, strings.Join(tc.held, " "), Options{Shards: 3, Placement: PlaceComponent})
+		req, err := json.Marshal(serve.Request{Op: "insert", Facts: tc.facts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := routerSession(t, NewRouter(c), string(req), `{"op":"query","rel":"T"}`, `{"op":"stats"}`)
+		// (A migration counts as a retract and an insert in the answer.)
+		if resp := decodeResp(t, got[0]); !resp.OK || resp.Apply == nil || resp.Apply.Inserted-resp.Apply.Retracted != 2-len(tc.held) {
+			t.Errorf("%v + insert %v answered %s", tc.held, tc.facts, got[0])
+		}
+		if resp := decodeResp(t, got[1]); !resp.OK || resp.Count == nil || *resp.Count != 3 {
+			t.Errorf("%v + insert %v: T = %s, want its 3 facts", tc.held, tc.facts, got[1])
+		}
+		if resp := decodeResp(t, got[2]); resp.Stats == nil || resp.Stats.Base != 2 || resp.Stats.Facts != 5 {
+			t.Errorf("%v + insert %v: stats %s, want 2 base facts of 5, each on one shard", tc.held, tc.facts, got[2])
+		}
+	}
+}
+
+// runPartitionedEquivalence drives writes of up to batch facts each: a
+// retract of one present edge, or an insert of random edges, present
+// ones among them.
+func runPartitionedEquivalence(t *testing.T, shards int, seed int64, batch int) {
 	const (
 		conns  = 3
 		rounds = 3
@@ -67,13 +110,21 @@ func runPartitionedEquivalence(t *testing.T, shards int, seed int64) {
 				op = "retract"
 			}
 			present[e] = !present[e]
-			f := fmt.Sprintf("E(p%d,p%d)", e[0], e[1])
-			resp := cns[rng.Intn(conns)].handle(serve.Request{Op: op, Facts: []string{f}}, obs.SpanCtx{})
+			f := []string{fmt.Sprintf("E(p%d,p%d)", e[0], e[1])}
+			for op == "insert" && len(f) < batch && rng.Intn(3) > 0 {
+				e := [2]int{rng.Intn(nodes), rng.Intn(nodes)}
+				present[e] = true
+				f = append(f, fmt.Sprintf("E(p%d,p%d)", e[0], e[1]))
+			}
+			resp := cns[rng.Intn(conns)].handle(serve.Request{Op: op, Facts: f}, obs.SpanCtx{})
 			if !resp.OK {
 				t.Fatalf("round %d write %d (%s %s) failed: %s", round, w, op, f, resp.Err)
 			}
 			var d incr.Delta
-			fs := []fact.Fact{fact.MustParseFact(f)}
+			var fs []fact.Fact
+			for _, s := range f {
+				fs = append(fs, fact.MustParseFact(s))
+			}
 			if op == "insert" {
 				d.Insert = fs
 			} else {

@@ -46,7 +46,7 @@ func dedupPassAllocs(t *testing.T, n int) float64 {
 	}
 	avg := testing.AllocsPerRun(20, func() {
 		for i := range crs {
-			if err := evalRuleC(&crs[i], x.idx, x.data, -1, nil, nil, emit); err != nil {
+			if err := evalRuleC(&crs[i], x, -1, nil, nil, emit); err != nil {
 				panic(err)
 			}
 		}

@@ -109,10 +109,9 @@ func termID(t cTerm, env []fact.ID) fact.ID {
 }
 
 // checkGuards verifies the inequalities and negative atoms under a
-// complete environment, against the instance held in data — or, when
-// data is nil (a CloneView), against the index. scratch is the
-// caller's reusable grounding tuple.
-func (cr *cRule) checkGuards(env []fact.ID, idx *relIndex, data *fact.Instance, scratch []fact.ID) (bool, error) {
+// complete environment, against x. scratch is the caller's reusable
+// grounding tuple.
+func (cr *cRule) checkGuards(env []fact.ID, x *IndexedInstance, scratch []fact.ID) (bool, error) {
 	for _, q := range cr.ineq {
 		av, bv := termID(q.a, env), termID(q.b, env)
 		if av == fact.NoID || bv == fact.NoID {
@@ -131,21 +130,16 @@ func (cr *cRule) checkGuards(env []fact.ID, idx *relIndex, data *fact.Instance, 
 			}
 			scratch = append(scratch, v)
 		}
-		if data != nil {
-			if data.HasIDs(a.rel, scratch) {
-				return false, nil
-			}
-		} else if idx.hasIDs(a.rel, scratch) {
+		if x.hasIDs(a.rel, scratch) {
 			return false, nil
 		}
 	}
 	return true, nil
 }
 
-// match enumerates all satisfying environments of cr's body against
-// the index (membership guards against data when non-nil, else the
-// index) and calls yield for each. The environment passed to yield is
-// live — callers needing to retain values must copy.
+// match enumerates all satisfying environments of cr's body against x,
+// at the version x reads, and calls yield for each. The environment
+// passed to yield is live — callers needing to retain values must copy.
 //
 // If pin >= 0, the positive atom at that index is matched first and
 // ranges over pinFacts instead of the index: this implements both the
@@ -159,8 +153,9 @@ func (cr *cRule) checkGuards(env []fact.ID, idx *relIndex, data *fact.Instance, 
 // fewest candidate facts under the current environment is matched
 // next. scanned, when non-nil, accumulates the number of candidate
 // facts iterated.
-func (cr *cRule) match(idx *relIndex, data *fact.Instance, init []fact.ID, pin int, pinFacts []fact.Fact, scanned *int64, yield func(env []fact.ID) error) error {
+func (cr *cRule) match(x *IndexedInstance, init []fact.ID, pin int, pinFacts []fact.Fact, scanned *int64, yield func(env []fact.ID) error) error {
 	n := len(cr.pos)
+	idx, at := x.idx, x.version()
 	env := init
 	if env == nil {
 		env = cr.newEnv()
@@ -171,7 +166,7 @@ func (cr *cRule) match(idx *relIndex, data *fact.Instance, init []fact.ID, pin i
 	var rec func(depth int) error
 	rec = func(depth int) error {
 		if depth == n {
-			ok, err := cr.checkGuards(env, idx, data, guardScratch)
+			ok, err := cr.checkGuards(env, x, guardScratch)
 			if err != nil || !ok {
 				return err
 			}
@@ -180,9 +175,9 @@ func (cr *cRule) match(idx *relIndex, data *fact.Instance, init []fact.ID, pin i
 		// Pick the next atom: the pinned atom first, then greedily the
 		// most selective remaining one.
 		var k int
-		var cand []fact.Fact
+		var cand cands
 		if depth == 0 && pin >= 0 {
-			k, cand = pin, pinFacts
+			k, cand = pin, cands{facts: pinFacts, n: len(pinFacts)}
 		} else {
 			k = -1
 			for j := 0; j < n; j++ {
@@ -190,23 +185,36 @@ func (cr *cRule) match(idx *relIndex, data *fact.Instance, init []fact.ID, pin i
 					continue
 				}
 				c := idx.candidatesC(cr.pos[j], env)
-				if k < 0 || len(c) < len(cand) {
+				if k < 0 || c.n < cand.n {
 					k, cand = j, c
-					if len(cand) == 0 {
+					if cand.n == 0 {
 						break
 					}
 				}
 			}
 		}
 		used[k] = true
-		nscanned += int64(len(cand))
+		nscanned += int64(cand.n)
 		rel, terms := cr.pos[k].rel, cr.pos[k].terms
 		var addedArr [16]int32
-		for _, f := range cand {
-			if f.RelID() != rel {
-				continue
+		for i := 0; i < cand.n; i++ {
+			var args []fact.ID
+			if cand.rows == nil {
+				if cand.facts[i].RelID() != rel {
+					continue
+				}
+				args = cand.facts[i].ArgIDs()
+			} else {
+				id := i
+				if cand.ids != nil {
+					id = int(cand.ids[i])
+				}
+				r := &cand.rows[id]
+				if !r.visible(at) {
+					continue
+				}
+				args = r.f.ArgIDs()
 			}
-			args := f.ArgIDs()
 			if len(args) != len(terms) {
 				continue
 			}
@@ -270,9 +278,9 @@ func (cr *cRule) groundHead(env []fact.ID, dst []fact.ID) error {
 // slice is scratch, valid only for the duration of the emit call — the
 // round executors test membership and insert columnar rows from it
 // without ever materializing a Fact for duplicates.
-func evalRuleC(cr *cRule, idx *relIndex, data *fact.Instance, pin int, pinFacts []fact.Fact, scanned *int64, emit func(rel fact.ID, args []fact.ID) error) error {
+func evalRuleC(cr *cRule, x *IndexedInstance, pin int, pinFacts []fact.Fact, scanned *int64, emit func(rel fact.ID, args []fact.ID) error) error {
 	head := make([]fact.ID, len(cr.head.terms))
-	return cr.match(idx, data, nil, pin, pinFacts, scanned, func(env []fact.ID) error {
+	return cr.match(x, nil, pin, pinFacts, scanned, func(env []fact.ID) error {
 		if err := cr.groundHead(env, head); err != nil {
 			return err
 		}

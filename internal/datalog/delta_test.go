@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -185,7 +186,7 @@ func TestCountMatchesEnumeration(t *testing.T) {
 	}
 }
 
-// --- mutation and view semantics (Remove, RemoveAll, CloneView) ---
+// --- mutation and view semantics (Remove, RemoveAll, Freeze) ---
 
 // relNames lists the facts of one relation as the matcher enumerates
 // them from the index.
@@ -208,37 +209,104 @@ func relNames(t *testing.T, x *IndexedInstance, rel string, arity int) []string 
 	return out
 }
 
-func TestRemoveAllBatches(t *testing.T) {
-	x := IndexInstance(fact.MustParseInstance(`E(a,b) E(b,c) E(c,d) F(a) F(b)`))
-	n := x.RemoveAll([]fact.Fact{
-		fact.New("E", "a", "b"),
-		fact.New("F", "b"),
-		fact.New("E", "z", "z"), // absent: skipped, not counted
-	})
-	if n != 2 {
-		t.Fatalf("RemoveAll removed %d, want 2", n)
+// holdsExactly fails unless every way of reading x — Len, Has, RelList,
+// and a join bound to each value at each argument position — sees the
+// facts of want and none of gone.
+func holdsExactly(t *testing.T, when string, x *IndexedInstance, want *fact.Instance, gone []fact.Fact) {
+	t.Helper()
+	if x.Len() != want.Len() {
+		t.Errorf("%s: Len = %d, want %d", when, x.Len(), want.Len())
 	}
-	if x.Len() != 3 || x.Has(fact.New("E", "a", "b")) || x.Has(fact.New("F", "b")) {
-		t.Fatalf("state after RemoveAll: %v", x.Instance())
+	all := want.Clone()
+	for _, f := range gone {
+		if x.Has(f) {
+			t.Errorf("%s: Has(%v) after its removal", when, f)
+		}
+		all.Add(f)
 	}
-	// The index agrees with the instance.
-	if got := relNames(t, x, "E", 2); len(got) != 2 {
-		t.Fatalf("E posting list = %v, want 2 facts", got)
+	for _, f := range want.Facts() {
+		if !x.Has(f) {
+			t.Errorf("%s: Has(%v) = false for a survivor", when, f)
+		}
 	}
-	// Removed argument keys are gone, shared ones remain.
-	if lp := x.idx.byArg[idxKey{fact.InternString("E"), 0, fact.InternString("a")}]; lp != nil && len(*lp) != 0 {
-		t.Fatalf("byArg[E,0,a] = %v, want empty", *lp)
+	for rel := range all.Schema() {
+		got := fact.FactStrings(x.RelList(rel))
+		sort.Strings(got)
+		if w := fact.FactStrings(want.Rel(rel)); !reflect.DeepEqual(got, w) && len(got)+len(w) > 0 {
+			t.Errorf("%s: RelList(%s) = %v, want %v", when, rel, got, w)
+		}
 	}
-	if lp := x.idx.byArg[idxKey{fact.InternString("E"), 1, fact.InternString("c")}]; lp == nil || len(*lp) != 1 {
-		t.Fatalf("byArg[E,1,c] = %v, want 1 fact", lp)
+	for _, f := range all.Facts() {
+		vars := make([]string, f.Arity())
+		for i := range vars {
+			vars[i] = "v" + string(rune('a'+i))
+		}
+		body := AtomV(f.Rel(), vars...)
+		for p := range vars {
+			// Bound at p to f's value there: the survivors sharing it.
+			head := fact.New("O", f.Arg(p))
+			var got, w []string
+			c := Compile(Rule{Head: AtomV("O", vars[p]), Pos: []Atom{body}})
+			if err := x.Valuations(c, -1, nil, &head, func(v *Valuation) error {
+				g, err := v.Ground(body)
+				got = append(got, g.String())
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for _, g := range want.Rel(f.Rel()) {
+				if g.Arity() == f.Arity() && g.Arg(p) == f.Arg(p) {
+					w = append(w, g.String())
+				}
+			}
+			sort.Strings(got)
+			if !reflect.DeepEqual(got, w) {
+				t.Errorf("%s: %s bound to %s at %d enumerates %v, want %v", when, f.Rel(), f.Arg(p), p, got, w)
+			}
+		}
 	}
 }
 
-// TestCloneIsolation: a CloneView answers reads and joins as of the
-// snapshot, whatever happens to the original afterwards.
-func TestCloneIsolation(t *testing.T) {
+func TestRemoveAllBatches(t *testing.T) {
+	x := IndexInstance(fact.MustParseInstance(`E(a,b) E(b,c) E(c,d) F(a) F(b)`))
+	gone := []fact.Fact{fact.New("E", "a", "b"), fact.New("F", "b")}
+	n := x.RemoveAll(append(gone[:2:2], fact.New("E", "z", "z"))) // absent: skipped, not counted
+	if n != 2 {
+		t.Fatalf("RemoveAll removed %d, want 2", n)
+	}
+	want := fact.MustParseInstance(`E(b,c) E(c,d) F(a)`)
+	holdsExactly(t, "after the batch", x, want, gone)
+	view := x.Freeze()
+	holdsExactly(t, "after the next freeze", x, want, gone)
+	holdsExactly(t, "in the frozen view", view, want, gone)
+
+	// Across a compaction: enough dead rows to outnumber the live ones.
+	var bulk []fact.Fact
+	for i := 0; i < 3*compactFloor; i++ {
+		f := fact.New("E", fact.Value(fmt.Sprint("n", i)), "c")
+		bulk = append(bulk, f)
+		x.Add(f)
+	}
+	if n := x.RemoveAll(bulk[1:]); n != len(bulk)-1 {
+		t.Fatalf("RemoveAll removed %d of the bulk, want %d", n, len(bulk)-1)
+	}
+	want.Add(bulk[0])
+	gone = append(gone, bulk[1:]...)
+	held := x.Rows()
+	holdsExactly(t, "before the compacting freeze", x, want, gone)
+	view = x.Freeze()
+	if x.Rows() != want.Len()+1 { // F(b): one dead row is under the floor, and stays
+		t.Errorf("Rows = %d after compaction (%d before), want the %d live ones and F's dead one", x.Rows(), held, want.Len())
+	}
+	holdsExactly(t, "after the compaction", x, want, gone)
+	holdsExactly(t, "in the view frozen at the compaction", view, want, gone)
+}
+
+// TestFreezeIsolation: a frozen view answers reads and joins as of the
+// freeze, whatever happens to the original afterwards.
+func TestFreezeIsolation(t *testing.T) {
 	x := IndexInstance(fact.MustParseInstance(`E(a,b) E(b,c)`))
-	view := x.CloneView()
+	view := x.Freeze()
 
 	x.Add(fact.New("E", "c", "d"))
 	x.Remove(fact.New("E", "a", "b"))
@@ -265,21 +333,52 @@ func TestCloneIsolation(t *testing.T) {
 	if got := valuations(t, x, `O(x) :- E(x,y), !E(y,x).`, 0, pin, nil, "x"); len(got) != 0 {
 		t.Fatalf("original negation missed its own fact: valuations = %v", got)
 	}
+
+	// A fact removed and re-added inside one version is two rows: the
+	// old view sees the first, the live instance the second, each once.
+	x.Remove(fact.New("E", "b", "c"))
+	x.Add(fact.New("E", "b", "c"))
+	for name, r := range map[string]*IndexedInstance{"view": view, "original": x} {
+		if got := valuations(t, r, `O(y) :- E("b",y).`, -1, nil, factPtr("O", "c"), "y"); len(got) != 1 {
+			t.Errorf("%s sees the removed and re-added E(b,c) %d times, want once", name, len(got))
+		}
+	}
+
+	// A second freeze invalidates the first view: a panic, not stale rows.
+	next := x.Freeze()
+	if got := relNames(t, next, "E", 2); !reflect.DeepEqual(got, []string{"E(b,a)", "E(b,c)", "E(c,d)"}) {
+		t.Errorf("second view enumerates %v", got)
+	}
+	for name, read := range map[string]func(){
+		"Has":        func() { view.Has(fact.New("E", "a", "b")) },
+		"RelList":    func() { view.RelList("E") },
+		"Valuations": func() { relNames(t, view, "E", 2) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a view superseded by a later Freeze did not panic", name)
+				}
+			}()
+			read()
+		}()
+	}
 }
 
-func TestCloneViewIsReadOnly(t *testing.T) {
+func TestFreezeIsReadOnly(t *testing.T) {
 	x := IndexInstance(fact.MustParseInstance(`E(a,b)`))
-	view := x.CloneView()
+	view := x.Freeze()
 	for name, mutate := range map[string]func(){
 		"Add":       func() { view.Add(fact.New("E", "c", "d")) },
 		"Remove":    func() { view.Remove(fact.New("E", "a", "b")) },
 		"RemoveAll": func() { view.RemoveAll([]fact.Fact{fact.New("E", "a", "b")}) },
 		"Instance":  func() { view.Instance() },
+		"Freeze":    func() { view.Freeze() },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s on a CloneView did not panic", name)
+					t.Errorf("%s on a frozen view did not panic", name)
 				}
 			}()
 			mutate()

@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"math"
 	"slices"
 
 	"repro/internal/fact"
@@ -14,50 +15,55 @@ import (
 // evaluation instead of re-indexing.
 //
 // All index keys are interned IDs (see internal/fact intern.go):
-// hashing a probe is integer work, with no string building. Posting
-// lists are appended in the deterministic order the engines add facts
-// (sorted instance enumeration, then sorted per-round deltas), so
-// candidate enumeration — and with it every derivation count in the
-// event stream — is identical across runs and worker counts.
+// hashing a probe is integer work, with no string building. Rows and
+// the lists of their ids are appended in the deterministic order the
+// engines add facts (sorted instance enumeration, then sorted per-round
+// deltas), so candidate enumeration — and with it every derivation
+// count in the event stream — is identical across runs and worker
+// counts.
 
-// idxKey addresses the facts of a relation holding a given value at a
-// given argument position — the access path for index-assisted joins.
-type idxKey struct {
-	rel fact.ID
-	pos int32
-	val fact.ID
+// row is one stored fact and the versions that see it: born <= v < died.
+type row struct {
+	f          fact.Fact
+	born, died uint64
 }
 
-// relIndex indexes an instance by relation and additionally by
-// (relation, position, value), so that rule evaluation can narrow the
-// candidate facts for an atom whose argument is already bound.
-//
-// Posting lists are held behind pointers so the append on every add —
-// the single hottest map operation in a fixpoint — hashes the key once
-// (lookup) instead of twice (lookup + store of the grown slice
-// header).
+// alive is the died stamp of a row nobody removed.
+const alive = math.MaxUint64
+
+func (r *row) visible(at uint64) bool { return r.born <= at && at < r.died }
+
+// relTable holds one relation: every fact once, in the order added, and
+// per (position, value) the ascending ids of the rows holding that value
+// there — the access path for index-assisted joins. Lists are behind
+// pointers so the append on every add, the hottest map operation of a
+// fixpoint, hashes its key once.
+type relTable struct {
+	rows   []row
+	byArg  map[uint64]*[]int32
+	dead   int     // rows with a died stamp
+	killed []int32 // those of them still in their lists: died since the last freeze
+}
+
+func argKey(pos int, val fact.ID) uint64 { return uint64(pos)<<32 | uint64(val) }
+
+// compactFloor is the number of dead rows below which a table is never
+// compacted; above it, one whose dead rows outnumber its live ones is.
+const compactFloor = 64
+
+// relIndex is the join index of an instance, one relTable per relation.
+// Nothing in it is ever copied for a reader: a removal stamps the row
+// with the open version ver, an add appends a row born in it (a fact
+// removed and added again is a new row, so list order is the order of
+// adds and the old row stays what older versions see), and a reader
+// skips the rows its version does not see. freeze closes the version.
 type relIndex struct {
-	byRel map[fact.ID]*[]fact.Fact
-	byArg map[idxKey]*[]fact.Fact
-}
-
-func newRelIndex() *relIndex {
-	return &relIndex{
-		byRel: make(map[fact.ID]*[]fact.Fact),
-		byArg: make(map[idxKey]*[]fact.Fact),
-	}
-}
-
-// rel returns the posting list of a relation (nil when empty).
-func (idx *relIndex) rel(r fact.ID) []fact.Fact {
-	if lp, ok := idx.byRel[r]; ok {
-		return *lp
-	}
-	return nil
+	tabs map[fact.ID]*relTable
+	ver  uint64
 }
 
 func indexInstance(i *fact.Instance) *relIndex {
-	idx := newRelIndex()
+	idx := &relIndex{tabs: make(map[fact.ID]*relTable)}
 	for _, f := range i.Facts() {
 		idx.add(f)
 	}
@@ -65,228 +71,175 @@ func indexInstance(i *fact.Instance) *relIndex {
 }
 
 func (idx *relIndex) add(f fact.Fact) {
-	rel := f.RelID()
-	if lp, ok := idx.byRel[rel]; ok {
-		*lp = append(*lp, f)
-	} else {
-		lp := new([]fact.Fact)
-		*lp = append(*lp, f)
-		idx.byRel[rel] = lp
+	t := idx.tabs[f.RelID()]
+	if t == nil {
+		t = &relTable{byArg: make(map[uint64]*[]int32)}
+		idx.tabs[f.RelID()] = t
 	}
+	id := int32(len(t.rows))
+	t.rows = append(t.rows, row{f, idx.ver, alive})
 	for p, v := range f.ArgIDs() {
-		k := idxKey{rel, int32(p), v}
-		if lp, ok := idx.byArg[k]; ok {
-			*lp = append(*lp, f)
+		if lp, ok := t.byArg[argKey(p, v)]; ok {
+			*lp = append(*lp, id)
 		} else {
-			lp := new([]fact.Fact)
-			*lp = append(*lp, f)
-			idx.byArg[k] = lp
+			t.byArg[argKey(p, v)] = &[]int32{id}
 		}
 	}
 }
 
-// remove drops the fact from every index list it appears in. Removal
-// is copy-on-write — the shrunk list is freshly allocated, never
-// mutated in place — so posting lists may be shared with clones (see
-// clone). Like every mutation, it must not run concurrently with an
-// enumeration.
-func (idx *relIndex) remove(f fact.Fact) {
-	rel := f.RelID()
-	if lp, ok := idx.byRel[rel]; ok {
-		*lp = removeFact(*lp, f)
-	}
-	for p, v := range f.ArgIDs() {
-		k := idxKey{rel, int32(p), v}
-		lp, ok := idx.byArg[k]
-		if !ok {
-			continue
-		}
-		if fs := removeFact(*lp, f); len(fs) == 0 {
-			delete(idx.byArg, k)
-		} else {
-			*lp = fs
-		}
-	}
-}
-
-func removeFact(fs []fact.Fact, f fact.Fact) []fact.Fact {
-	for i := range fs {
-		if fs[i].Equal(f) {
-			out := make([]fact.Fact, 0, len(fs)-1)
-			out = append(out, fs[:i]...)
-			return append(out, fs[i+1:]...)
-		}
-	}
-	return fs
-}
-
-// removeAll drops a batch of facts in one pass per touched index list,
-// instead of one linear scan per fact: the incremental engine deletes
-// whole cascade waves and over-deletion cones at a time, where
-// per-fact scans over a large relation turn O(|wave|) maintenance into
-// O(|wave|·|relation|). fs must be duplicate-free. Membership is a
-// binary search over per-relation batches ordered by interned IDs, so a
-// pass over a list of n facts costs n·log|batch| integer comparisons.
-func (idx *relIndex) removeAll(fs []fact.Fact) {
-	gone := make(map[fact.ID][]fact.Fact)
-	byArg := make(map[idxKey]bool)
-	for _, f := range fs {
-		rel := f.RelID()
-		gone[rel] = append(gone[rel], f)
-		for p, v := range f.ArgIDs() {
-			byArg[idxKey{rel, int32(p), v}] = true
-		}
-	}
-	for rel, gs := range gone {
-		slices.SortFunc(gs, byArgIDs)
-		if lp, ok := idx.byRel[rel]; ok {
-			*lp = filterFacts(*lp, gs)
-		}
-	}
-	for k := range byArg {
-		lp, ok := idx.byArg[k]
-		if !ok {
-			continue
-		}
-		if kept := filterFacts(*lp, gone[k.rel]); len(kept) == 0 {
-			delete(idx.byArg, k)
-		} else {
-			*lp = kept
-		}
-	}
-}
-
-// byArgIDs orders one relation's facts by interned arguments: for search only.
-func byArgIDs(f, g fact.Fact) int { return slices.Compare(f.ArgIDs(), g.ArgIDs()) }
-
-// filterFacts returns the facts of one relation not in the gone batch
-// (byArgIDs order), in list order: freshly allocated (copy-on-write),
-// with room for what a rederive re-adds, unless nothing is dropped.
-func filterFacts(fs []fact.Fact, gone []fact.Fact) []fact.Fact {
-	var kept []fact.Fact // allocated at the first drop
-	for i, f := range fs {
-		_, drop := slices.BinarySearchFunc(gone, f, byArgIDs)
-		switch {
-		case drop && kept == nil:
-			kept = append(make([]fact.Fact, 0, len(fs)), fs[:i]...)
-		case !drop && kept != nil:
-			kept = append(kept, f)
-		}
-	}
-	if kept == nil {
-		return fs
-	}
-	return kept
-}
-
-// tupleMatches reports whether the fact is rel(args...).
-func tupleMatches(f fact.Fact, rel fact.ID, args []fact.ID) bool {
-	if f.RelID() != rel {
-		return false
-	}
-	fa := f.ArgIDs()
-	if len(fa) != len(args) {
-		return false
-	}
-	for i := range fa {
-		if fa[i] != args[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// hasIDs reports membership of rel(args...) by scanning the narrowest
-// posting list the fact could appear in — the membership path for
-// data-less views (CloneView), all integer compares.
-func (idx *relIndex) hasIDs(rel fact.ID, args []fact.ID) bool {
-	best := idx.rel(rel)
+// find returns the id of the row holding args that version at sees, or
+// -1, scanning the shortest list the row must be in: integer compares.
+func (t *relTable) find(args []fact.ID, at uint64) int32 {
+	var best []int32
 	for p, v := range args {
-		lp, ok := idx.byArg[idxKey{rel, int32(p), v}]
-		if !ok {
-			return false
+		lp := t.byArg[argKey(p, v)]
+		if lp == nil {
+			return -1
 		}
-		if cand := *lp; len(cand) < len(best) {
-			best = cand
-		}
-	}
-	for i := range best {
-		if tupleMatches(best[i], rel, args) {
-			return true
+		if p == 0 || len(*lp) < len(best) {
+			best = *lp
 		}
 	}
-	return false
+	for _, id := range best {
+		if r := &t.rows[id]; r.visible(at) && slices.Equal(r.f.ArgIDs(), args) {
+			return id
+		}
+	}
+	return -1
 }
 
-// has is hasIDs for a materialized fact.
-func (idx *relIndex) has(f fact.Fact) bool {
-	return idx.hasIDs(f.RelID(), f.ArgIDs())
+// hasIDs reports whether version at holds rel(args...) — membership
+// for frozen views, which have no fact store to ask.
+func (idx *relIndex) hasIDs(rel fact.ID, args []fact.ID, at uint64) bool {
+	t := idx.tabs[rel]
+	return t != nil && t.find(args, at) >= 0
 }
 
-// clone copies the index maps but shares the posting-list backing
-// arrays, capping each shared slice's capacity at its length. That
-// makes the sharing invisible to both sides: removals are
-// copy-on-write (remove, removeAll), appends to a capped slice must
-// reallocate, and appends on the original past the shared length land
-// beyond what the clone can read.
-func (idx *relIndex) clone() *relIndex {
-	c := &relIndex{
-		byRel: make(map[fact.ID]*[]fact.Fact, len(idx.byRel)),
-		byArg: make(map[idxKey]*[]fact.Fact, len(idx.byArg)),
-	}
-	for k, lp := range idx.byRel {
-		fs := (*lp)[:len(*lp):len(*lp)]
-		c.byRel[k] = &fs
-	}
-	for k, lp := range idx.byArg {
-		fs := (*lp)[:len(*lp):len(*lp)]
-		c.byArg[k] = &fs
-	}
-	return c
+// kill stamps the live row of f, which must be present, as dead from
+// the open version on. It touches no list and allocates nothing; the
+// row leaves its lists at the next freeze.
+func (idx *relIndex) kill(f fact.Fact) {
+	t := idx.tabs[f.RelID()]
+	id := t.find(f.ArgIDs(), idx.ver)
+	t.rows[id].died = idx.ver
+	t.dead++
+	t.killed = append(t.killed, id)
 }
 
-// candidatesC returns the facts that can possibly match the compiled
-// atom under the current environment: the narrowest per-argument index
-// over all bound positions, or the full relation when no argument is
+// freeze closes the open version and opens the next. No reader is left
+// that sees a dead row (the one view of the version before is invalid
+// from here on), so the rows killed since the last freeze leave their
+// lists, O(degree) each, and a table mostly dead is compacted.
+func (idx *relIndex) freeze() {
+	for _, t := range idx.tabs {
+		for _, id := range t.killed {
+			for p, v := range t.rows[id].f.ArgIDs() {
+				lp := t.byArg[argKey(p, v)]
+				i, _ := slices.BinarySearch(*lp, id)
+				if *lp = slices.Delete(*lp, i, i+1); len(*lp) == 0 {
+					delete(t.byArg, argKey(p, v))
+				}
+			}
+		}
+		t.killed = t.killed[:0]
+		if t.dead > compactFloor && t.dead > len(t.rows)-t.dead {
+			t.compact()
+		}
+	}
+	idx.ver++
+}
+
+// compact drops the dead rows, all out of their lists already, and
+// renumbers the rest in order, so every list stays ascending.
+func (t *relTable) compact() {
+	remap := make([]int32, len(t.rows))
+	live := make([]row, 0, len(t.rows)-t.dead)
+	for i := range t.rows {
+		remap[i] = int32(len(live))
+		if t.rows[i].died == alive {
+			live = append(live, t.rows[i])
+		}
+	}
+	for _, lp := range t.byArg {
+		for i, id := range *lp {
+			(*lp)[i] = remap[id]
+		}
+	}
+	t.rows, t.dead = live, 0
+}
+
+// live copies the facts of a relation that version at sees, in row order.
+func (idx *relIndex) live(rel fact.ID, at uint64) []fact.Fact {
+	t := idx.tabs[rel]
+	if t == nil {
+		return nil
+	}
+	out := make([]fact.Fact, 0, len(t.rows)-t.dead)
+	for i := range t.rows {
+		if t.rows[i].visible(at) {
+			out = append(out, t.rows[i].f)
+		}
+	}
+	return out
+}
+
+// cands is what one atom ranges over: a pinned delta list, or the rows
+// of a table — those ids names, all of them when ids is nil. n counts
+// entries, rows the reader's version does not see included.
+type cands struct {
+	facts []fact.Fact
+	rows  []row
+	ids   []int32
+	n     int
+}
+
+// candidatesC returns the rows that can possibly match the compiled
+// atom under the current environment: the narrowest per-argument list
+// over all bound positions, or the whole table when no argument is
 // bound yet. An empty probe short-circuits — no narrower candidate set
 // exists.
-func (idx *relIndex) candidatesC(a cAtom, env []fact.ID) []fact.Fact {
-	best := idx.rel(a.rel)
-	found := false
-	for p, t := range a.terms {
-		v := t.cnst
-		if t.slot >= 0 {
-			v = env[t.slot]
+func (idx *relIndex) candidatesC(a cAtom, env []fact.ID) cands {
+	t := idx.tabs[a.rel]
+	if t == nil {
+		return cands{}
+	}
+	best := cands{rows: t.rows, n: len(t.rows)}
+	for p, term := range a.terms {
+		v := term.cnst
+		if term.slot >= 0 {
+			v = env[term.slot]
 			if v == fact.NoID {
 				continue
 			}
 		}
-		lp := idx.byArg[idxKey{a.rel, int32(p), v}]
-		if lp == nil || len(*lp) == 0 {
-			return nil
+		lp := t.byArg[argKey(p, v)]
+		if lp == nil {
+			return cands{}
 		}
-		if cand := *lp; !found || len(cand) < len(best) {
-			best = cand
-			found = true
+		if best.ids == nil || len(*lp) < best.n {
+			best.ids, best.n = *lp, len(*lp)
 		}
 	}
 	return best
 }
 
 // IndexedInstance couples an instance with its join index, maintained
-// incrementally: adding or removing a fact updates both in O(arity).
-// Build one with IndexInstance and reuse it across fixpoint rounds and
-// strata instead of re-indexing per call.
+// incrementally: adding a fact updates both in O(arity), removing one
+// in O(arity + degree). Build one with IndexInstance and reuse it
+// across fixpoint rounds and strata instead of re-indexing per call.
 //
 // The instance must only change through Add and Remove while indexed;
 // mutating the underlying instance directly desynchronizes the index.
 // Reads of an IndexedInstance are safe from multiple goroutines as long
-// as no Add or Remove is concurrent (the engines mutate only at round
-// or phase barriers).
+// as no Add, Remove or Freeze is concurrent (the engines mutate only at
+// round or phase barriers).
 type IndexedInstance struct {
 	data *fact.Instance
 	idx  *relIndex
-	n    int // fact count when data is nil (CloneView)
+	// A frozen view (Freeze) has no data: it reads idx at version at and
+	// counted n facts when it was taken.
+	at uint64
+	n  int
 }
 
 // IndexInstance builds the index over the instance. The instance is
@@ -296,13 +249,22 @@ func IndexInstance(i *fact.Instance) *IndexedInstance {
 	return &IndexedInstance{data: i, idx: indexInstance(i)}
 }
 
+// version is the index version reads go to: the open one, or the one a
+// view froze — which must still be the last one frozen.
+func (x *IndexedInstance) version() uint64 {
+	if x.data != nil {
+		return x.idx.ver
+	}
+	if x.at+1 != x.idx.ver {
+		panic("datalog: read of a frozen view after a later Freeze")
+	}
+	return x.at
+}
+
 // Add inserts the fact into the instance and the index, reporting
 // whether it was newly added.
 func (x *IndexedInstance) Add(f fact.Fact) bool {
-	if x.data == nil {
-		panic("datalog: Add on a read-only CloneView")
-	}
-	if !x.data.Add(f) {
+	if !x.Instance().Add(f) {
 		return false
 	}
 	x.idx.add(f)
@@ -321,70 +283,66 @@ func (x *IndexedInstance) addNew(f fact.Fact) {
 // whether it was present. Like Add, Remove must not run concurrently
 // with reads; the incremental engine removes only at phase barriers.
 func (x *IndexedInstance) Remove(f fact.Fact) bool {
-	if x.data == nil {
-		panic("datalog: Remove on a read-only CloneView")
-	}
-	if !x.data.Remove(f) {
+	if !x.Instance().Remove(f) {
 		return false
 	}
-	x.idx.remove(f)
+	x.idx.kill(f)
 	return true
 }
 
-// CloneView returns a read-only snapshot of the instance for join
-// enumeration: later mutations of the receiver are invisible to the
-// view and vice versa (there is no vice versa — mutating a view
-// panics). The view skips copying the fact store and shares
-// posting-list storage copy-on-write with the receiver; membership
-// checks (negation guards, Has) are answered from the index instead.
-// Instance is unavailable on a view.
-func (x *IndexedInstance) CloneView() *IndexedInstance {
-	return &IndexedInstance{idx: x.idx.clone(), n: x.data.Len()}
-}
-
-// RelList returns a read-only, point-in-time snapshot of one relation's
-// posting list, in index order: what a serving epoch with no predecessor
-// sorts on its first read (internal/incr Epoch). It copies a slice
-// header; the array is shared with the index copy-on-write, like clone.
-// Take it between mutations; read it from any goroutine, at any time.
-func (x *IndexedInstance) RelList(rel string) []fact.Fact {
-	id, _ := fact.LookupValue(fact.Value(rel))
-	return slices.Clip(x.idx.rel(id))
-}
-
-// RemoveAll deletes a batch of facts, skipping those not present, and
-// returns how many were removed. The index update is one pass per
-// touched posting list — use this over per-fact Remove when deleting
-// cascade waves. Like Remove, it must not run concurrently with reads.
+// RemoveAll removes a batch of facts, skipping those not present, and
+// returns how many were removed.
 func (x *IndexedInstance) RemoveAll(fs []fact.Fact) int {
-	if x.data == nil {
-		panic("datalog: RemoveAll on a read-only CloneView")
-	}
-	present := fs[:0:0]
+	n := 0
 	for _, f := range fs {
-		if x.data.Remove(f) {
-			present = append(present, f)
+		if x.Remove(f) {
+			n++
 		}
 	}
-	if len(present) > 0 {
-		x.idx.removeAll(present)
+	return n
+}
+
+// Freeze returns a read-only view of the instance as it is now, for
+// join enumeration: later mutations of the receiver are invisible to
+// the view, and mutating the view panics. Nothing is copied — the view
+// reads the receiver's index at the version this call closes, and
+// answers membership (negation guards, Has) from it; Instance is
+// unavailable. There is one view at a time: the next Freeze reclaims
+// what only this one could still see, and reading it afterwards panics.
+func (x *IndexedInstance) Freeze() *IndexedInstance {
+	n := x.Instance().Len()
+	x.idx.freeze()
+	return &IndexedInstance{idx: x.idx, at: x.idx.ver - 1, n: n}
+}
+
+// RelList returns the facts of one relation, in index order, in a slice
+// of the caller's own: what a serving epoch with no predecessor sorts
+// (internal/incr Epoch). Take it between mutations.
+func (x *IndexedInstance) RelList(rel string) []fact.Fact {
+	id, _ := fact.LookupValue(fact.Value(rel))
+	return x.idx.live(id, x.version())
+}
+
+// Rows returns the number of rows the index holds, dead ones awaiting
+// compaction included: at most twice Len plus a constant after a Freeze.
+func (x *IndexedInstance) Rows() int {
+	n := 0
+	for _, t := range x.idx.tabs {
+		n += len(t.rows)
 	}
-	return len(present)
+	return n
 }
 
 // Has reports whether the fact is present.
 func (x *IndexedInstance) Has(f fact.Fact) bool {
-	if x.data == nil {
-		return x.idx.has(f)
-	}
-	return x.data.Has(f)
+	return x.hasIDs(f.RelID(), f.ArgIDs())
 }
 
 // hasIDs is Has for an unmaterialized (rel, args) tuple — the round
 // executors' dedup test, allocation-free.
 func (x *IndexedInstance) hasIDs(rel fact.ID, args []fact.ID) bool {
 	if x.data == nil {
-		return x.idx.hasIDs(rel, args)
+		return x.idx.hasIDs(rel, args, x.version())
 	}
 	return x.data.HasIDs(rel, args)
 }
@@ -398,10 +356,10 @@ func (x *IndexedInstance) Len() int {
 }
 
 // Instance returns the underlying instance. Callers must not mutate it
-// except through Add. Panics on a CloneView, which has none.
+// except through Add. Panics on a frozen view, which has none.
 func (x *IndexedInstance) Instance() *fact.Instance {
 	if x.data == nil {
-		panic("datalog: Instance on a read-only CloneView")
+		panic("datalog: a frozen view is read-only and has no Instance")
 	}
 	return x.data
 }

@@ -1,0 +1,153 @@
+package datalog
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"repro/internal/fact"
+)
+
+// diffRules are the reads the differential test compares: a whole
+// table, a join through argument lists, a guard on the relation used at
+// two arities, a repeated variable and constants.
+func diffRules(t *testing.T) []*CompiledRule {
+	rules := []*CompiledRule{Compile(Rule{ // the parser refuses E at two arities
+		Head: AtomV("N", "x", "y"), Pos: []Atom{AtomV("E", "x", "y")}, Neg: []Atom{AtomV("E", "y")},
+	})}
+	for _, src := range []string{
+		`O(x,y) :- E(x,y).`,
+		`J(x,z) :- E(x,y), R(y,z,w).`,
+		`S(x) :- R(x,y,y).`,
+		`B(y) :- E("v0",y), R(y,"v1",z).`,
+	} {
+		rules = append(rules, Compile(mustRule(t, src)))
+	}
+	return rules
+}
+
+// reads is everything one IndexedInstance answers about a universe of
+// facts: exact, so two instances holding the same facts must agree.
+type reads struct {
+	Len    int
+	Has    []bool
+	Vals   [][]string         // per rule: its valuations, sorted
+	Counts []map[string]int64 // per rule: derivations of each head
+}
+
+// readAll collects x's reads, enumerating on workers goroutines at once.
+func readAll(t *testing.T, x *IndexedInstance, universe []fact.Fact, workers int) reads {
+	t.Helper()
+	got := reads{Len: x.Len(), Has: make([]bool, len(universe))}
+	for i, f := range universe {
+		got.Has[i] = x.Has(f)
+	}
+	rules := diffRules(t)
+	got.Vals = make([][]string, len(rules))
+	got.Counts = make([]map[string]int64, len(rules))
+	if err := ParallelEach(workers, len(rules), func(_, i int) error {
+		c := rules[i]
+		heads := map[string]fact.Fact{}
+		if err := x.Valuations(c, -1, nil, nil, func(v *Valuation) error {
+			h, err := v.Head()
+			if err != nil {
+				return err
+			}
+			heads[h.String()] = h
+			g, err := v.Ground(AtomV("V", c.cr.vars...))
+			got.Vals[i] = append(got.Vals[i], g.String())
+			return err
+		}); err != nil {
+			return err
+		}
+		sort.Strings(got.Vals[i])
+		got.Counts[i] = map[string]int64{}
+		for k, h := range heads {
+			n, err := x.CountDerivations(c, h)
+			if ok, _ := x.Derivable(c, h); !ok || err != nil {
+				return fmt.Errorf("%v: Derivable(%v) = false, CountDerivations = %d, %v", c.cr.src, h, n, err)
+			}
+			got.Counts[i][k] = n
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestIndexDifferential (Type 1: exact, one failure is a bug) drives a
+// random Add/RemoveAll/Freeze stream over E (arities 1 and 2) and R
+// (arity 3) and holds the row index to a rebuild: at every freeze the
+// view reads as IndexInstance over a deep copy taken at that moment
+// does, and still does after the live instance moved on; the live
+// instance reads as a rebuild of its own Instance(). Every stream
+// crosses at least one compaction. Run under -race: the view is
+// enumerated by several goroutines at once.
+func TestIndexDifferential(t *testing.T) {
+	vals := []fact.Value{"v0", "v1", "v2", "v3", "v4"}
+	var universe []fact.Fact
+	for _, a := range vals {
+		universe = append(universe, fact.New("E", a))
+		for _, b := range vals {
+			universe = append(universe, fact.New("E", a, b))
+			for _, c := range vals {
+				universe = append(universe, fact.New("R", a, b, c))
+			}
+		}
+	}
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		x := IndexInstance(fact.NewInstance())
+		var view *IndexedInstance
+		var frozen reads
+		compactions := 0
+		check := func(when string, got, want reads) {
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, %s:\n got %+v\nwant %+v", seed, when, got, want)
+			}
+		}
+		for op := 0; op < 400; op++ {
+			switch k := rng.Intn(20); {
+			case k == 0:
+				if view != nil {
+					check("view before the next freeze", readAll(t, view, universe, 4), frozen)
+				}
+				held := x.Rows()
+				view = x.Freeze()
+				if x.Rows() < held {
+					compactions++
+				}
+				frozen = readAll(t, IndexInstance(x.Instance().Clone()), universe, 1)
+				check("view at its freeze", readAll(t, view, universe, 4), frozen)
+				check("live against a rebuild", readAll(t, x, universe, 1), frozen)
+			case k < 9:
+				batch := make([]fact.Fact, 1+rng.Intn(12))
+				for i := range batch {
+					batch[i] = universe[rng.Intn(len(universe))]
+				}
+				want := 0
+				seen := map[string]bool{}
+				for _, f := range batch {
+					if x.Has(f) && !seen[f.Key()] {
+						want++
+					}
+					seen[f.Key()] = true
+				}
+				if n := x.RemoveAll(batch); n != want {
+					t.Fatalf("seed %d: RemoveAll removed %d of %v, want %d", seed, n, batch, want)
+				}
+			default:
+				f := universe[rng.Intn(len(universe))]
+				if had := x.Has(f); x.Add(f) == had {
+					t.Fatalf("seed %d: Add(%v) = %v on an instance that had it: %v", seed, f, !had, had)
+				}
+			}
+		}
+		if compactions == 0 {
+			t.Fatalf("seed %d: the stream crossed no compaction; the generator drifted", seed)
+		}
+	}
+}

@@ -199,7 +199,7 @@ func scanned(t *testing.T, x *IndexedInstance, src string, head *fact.Fact) (can
 			t.Fatalf("head of %s does not unify with %v", src, *head)
 		}
 	}
-	if err := cr.match(x.idx, x.data, init, -1, nil, &candidates, func([]fact.ID) error {
+	if err := cr.match(x, init, -1, nil, &candidates, func([]fact.ID) error {
 		found++
 		return nil
 	}); err != nil {

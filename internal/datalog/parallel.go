@@ -22,7 +22,7 @@ import (
 // The pool is persistent: one fixpoint call spawns its workers once
 // and reuses them every round, instead of paying a goroutine spawn per
 // round — on long chains of small rounds that overhead dominated the
-// joins themselves (the BENCH_PR4 inversion). Rounds whose total
+// joins themselves (the PERF.6 inversion). Rounds whose total
 // pinned work falls below the adaptive inline threshold skip the pool
 // entirely and run on the coordinator: distributing a dozen pinned
 // facts costs more than joining them.
@@ -134,7 +134,7 @@ func fullPassTasks(crs []cRule, x *IndexedInstance, workers int) []ruleTask {
 			tasks = append(tasks, ruleTask{cr: cr, ruleIdx: i, pin: -1})
 			continue
 		}
-		for _, chunk := range ChunkFacts(x.idx.rel(cr.pos[0].rel), workers) {
+		for _, chunk := range ChunkFacts(x.idx.live(cr.pos[0].rel, x.version()), workers) {
 			tasks = append(tasks, ruleTask{cr: cr, ruleIdx: i, pin: 0, pinFacts: chunk})
 		}
 	}
@@ -267,7 +267,7 @@ func deriveTask(t ruleTask, x *IndexedInstance, buf *fact.Instance, agg *roundAg
 		ts = new(taskStats)
 		scanned = &ts.candidates
 	}
-	err := evalRuleC(t.cr, x.idx, x.data, t.pin, t.pinFacts, scanned, func(rel fact.ID, args []fact.ID) error {
+	err := evalRuleC(t.cr, x, t.pin, t.pinFacts, scanned, func(rel fact.ID, args []fact.ID) error {
 		switch {
 		case !x.hasIDs(rel, args):
 			buf.AddIDs(rel, args)

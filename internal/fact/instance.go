@@ -36,8 +36,8 @@ func SortFacts(fs []Fact) {
 }
 
 // FactStrings renders facts in canonical SortFacts order as their
-// textual forms. The input slice is left untouched (the serving layer
-// hands it slices backed by shared copy-on-write storage). The result
+// textual forms. The input slice is left untouched (callers hand it
+// slices other readers share). The result
 // is the wire representation of a fact list: every byte-identical
 // response guarantee in the serving protocol reduces to this function
 // being a pure function of the fact set.

@@ -11,7 +11,7 @@ import (
 // engines join, deduplicate and index on IDs instead of strings: an
 // equality is one integer compare, a hash is an integer hash, and a
 // packed tuple of IDs is a canonical fact key that needs no string
-// building (the Fact.Key() hot-path cost that BENCH_PR4 exposed).
+// building (the Fact.Key() hot-path cost that PERF.6 exposed).
 //
 // The table is append-only and shared by the whole process. Reads
 // (ID -> string, string -> ID for already-interned values) are

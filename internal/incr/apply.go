@@ -27,7 +27,7 @@ import (
 // attributed when their wave ran).
 //
 // Determinism. All enumeration happens against views frozen for the
-// phase (the pre-apply clone for deletions, the current
+// phase (the index frozen before the apply for deletions, the current
 // materialization for insertions); results fold into commutative
 // per-worker accumulators and every mutation is applied in sorted
 // fact order at a barrier. Serial and parallel modes therefore
@@ -102,11 +102,12 @@ func (m *Materialization) Apply(d Delta) (ApplyStats, error) {
 	defer m.opts.Reg.Span(obs.IncrApplyNs)()
 
 	a := newApplyState()
-	// The deletion phases join "what held before" — keep the pre-update
-	// view when anything can be lost: a retraction, or (with negation
-	// anywhere in the program) an insertion into a negated relation.
+	// The deletion phases join "what held before" — freeze the index,
+	// which copies nothing, when anything can be lost: a retraction, or
+	// (with negation anywhere in the program) an insertion into a negated
+	// relation.
 	if len(ret) > 0 || (m.hasNeg && len(ins) > 0) {
-		a.oldX = m.x.CloneView()
+		a.oldX = m.x.Freeze()
 	}
 	for _, f := range ret {
 		m.base.Remove(f)

@@ -69,7 +69,7 @@ func (r *run) get() *sorted {
 		if b := r.base.Load(); b != nil {
 			s.facts, s.text = patch(b.get().facts, b.get().text, r.add, r.del)
 		} else {
-			s.facts, r.add = slices.Clone(r.add), nil // nobody reads add once base is nil
+			s.facts, r.add = r.add, nil // RelList's copy, this run's own: nobody reads add once base is nil
 			fact.SortFacts(s.facts)
 			s.text = make([]string, len(s.facts))
 			for i, f := range s.facts {

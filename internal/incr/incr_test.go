@@ -354,3 +354,81 @@ func TestWriteOnlyCommitsStayBounded(t *testing.T) {
 		}
 	}
 }
+
+// churnNamespace returns a materialization of TC over a chain of n edges
+// beside a private 4-node path, and one round of the serving churn on
+// it: retract the path's middle edge (DRed over-deletes its cone of
+// four), insert it again.
+func churnNamespace(t *testing.T, n int) (*Materialization, func()) {
+	base := generate.Path("c", n+1)
+	for _, e := range [][2]fact.Value{{"p0", "p1"}, {"p1", "p2"}, {"p2", "p3"}} {
+		base.Add(fact.New("E", e[0], e[1]))
+	}
+	m := mustNew(t, tcProg, base, Options{})
+	mid := []fact.Fact{fact.New("E", "p1", "p2")}
+	return m, func() {
+		for _, d := range []Delta{{Retract: mid}, {Insert: mid}} {
+			if st, err := m.Apply(d); err != nil || st.BaseInserted+st.BaseRetracted != 1 {
+				t.Fatalf("apply %+v: %+v, %v", d, st, err)
+			}
+		}
+	}
+}
+
+// TestRetractCostsItsCone is the counter that gates the row index (same
+// input, same number): what a one-edge retract and re-insert allocates
+// follows the cone it moves, not the relation it moves in — under 1.25x
+// from chain-64 to chain-256, a T fifteen times the size — and ten
+// thousand rounds leave neither dead rows nor heap behind.
+func TestRetractCostsItsCone(t *testing.T) {
+	measure := func(n int) (allocs, bytes float64, size int) {
+		m, round := churnNamespace(t, n)
+		round() // the first freeze is behind us
+		allocs = testing.AllocsPerRun(50, round)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 50; i++ {
+			round()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / 50, len(m.Rel("T"))
+	}
+	sa, sb, nSmall := measure(64)
+	la, lb, nLarge := measure(256)
+	t.Logf("retract + re-insert: %.0f allocs, %.0f B at |T| = %d; %.0f allocs, %.0f B at |T| = %d", sa, sb, nSmall, la, lb, nLarge)
+	if nLarge < 15*nSmall {
+		t.Fatalf("|T| grew %d → %d, want about 15x", nSmall, nLarge)
+	}
+	if la >= 1.25*sa || lb >= 1.25*sb {
+		t.Errorf("a round grew %.0f → %.0f allocations, %.0f → %.0f bytes (≥ 1.25x) while |T| grew %d → %d", sa, la, sb, lb, nSmall, nLarge)
+	}
+	if lb >= 32*float64(nLarge) {
+		t.Errorf("%.0f bytes a round over a T of %d facts: a list of the relation is being copied", lb, nLarge)
+	}
+
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	m, round := churnNamespace(t, 64)
+	var early uint64
+	for i := 0; i < 10000; i++ {
+		if i == 1000 {
+			early = heap()
+		}
+		round()
+		// Two relations, each under datalog's compaction floor of 64 dead
+		// rows or at most as many dead as live, and the last retract's cone.
+		if rows, live := m.x.Rows(), m.x.Len(); rows > 2*live+2*64+8 {
+			t.Fatalf("round %d: the index holds %d rows for %d facts", i, rows, live)
+		}
+	}
+	if late := heap(); late > early+1<<20 {
+		t.Errorf("heap grew %d → %d bytes over 9000 rounds", early, late)
+	}
+	if err := m.Verify(); err != nil {
+		t.Error(err)
+	}
+}

@@ -19,7 +19,7 @@ import (
 // logical time idle. The dense schedule (RunToQuiescence) pays one
 // scheduler operation per node per round until the window closes; the
 // event schedule of the same machine pays only for pending work. Rows report events/op,
-// schedops/op, events/s and heapmax so BENCH_PR10.json captures both
+// schedops/op, events/s and heapmax so one run captures both
 // throughput and the scheduler-operation gap.
 
 // stallHorizon scales the idle window with the network so the

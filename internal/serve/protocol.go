@@ -5,7 +5,7 @@
 // (insert/retract/apply, plus snapshot as a barrier op) flow through a
 // bounded queue into a single writer goroutine, which drains them in
 // arrival order as group-committed batches and publishes a fresh
-// immutable read epoch (incr.Epoch, copy-on-write posting lists) at
+// immutable read epoch (incr.Epoch, the sorted runs it carries) at
 // each batch barrier. Read ops (ping/query/facts/stats) never enter
 // the queue: each is pinned, at arrival, to the epoch current at that
 // moment and evaluated concurrently — any number of reads in flight,
