@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/fact"
@@ -149,5 +150,51 @@ func TestRecountAllocs(t *testing.T) {
 	const budget = 3
 	if small > budget {
 		t.Errorf("one recount allocated %v objects, budget %d", small, budget)
+	}
+}
+
+// probeAllocs measures, over a relation of n rows, membership on a
+// frozen view of a fact the live instance has since removed and added
+// again, and one round of removing a present fact, adding it back and
+// freezing.
+func probeAllocs(t *testing.T, n int) (has, churn float64) {
+	t.Helper()
+	in := fact.NewInstance()
+	for i := 0; i < n; i++ {
+		in.Add(fact.New("R", fact.Value(fmt.Sprint("a", i)), fact.Value(fmt.Sprint("b", i)), "c"))
+	}
+	x := IndexInstance(in)
+	f := fact.New("R", "a7", "b7", "c")
+	view := x.Freeze()
+	if !x.Remove(f) || !x.Add(f) {
+		t.Fatalf("remove and re-add of %v failed", f)
+	}
+	has = testing.AllocsPerRun(100, func() {
+		if !view.Has(f) || !x.Has(f) {
+			panic("a removed and re-added fact is missing")
+		}
+	})
+	churn = testing.AllocsPerRun(50, func() {
+		if !x.Remove(f) || !x.Add(f) {
+			panic("remove and re-add failed")
+		}
+		x.Freeze()
+	})
+	return has, churn
+}
+
+// TestProbeAllocs (Type 1): Has on a frozen view is a hash probe and a
+// removal a stamp, whatever the relation holds — no list of it is
+// walked, copied or built.
+func TestProbeAllocs(t *testing.T) {
+	sh, sc := probeAllocs(t, 128)
+	lh, lc := probeAllocs(t, 8192)
+	if sh != 0 || lh != 0 {
+		t.Errorf("Has on a frozen view allocated %v (n=128) and %v (n=8192) objects, want 0", sh, lh)
+	}
+	// Measured: 2, the view Freeze returns and the string a key of arity
+	// 3 is stored under.
+	if sc != lc || sc > 2 {
+		t.Errorf("remove + re-add + freeze allocated %v (n=128) and %v (n=8192) objects, want the same and at most 2", sc, lc)
 	}
 }

@@ -199,24 +199,21 @@ func (cr *cRule) match(x *IndexedInstance, init []fact.ID, pin int, pinFacts []f
 		var addedArr [16]int32
 		for i := 0; i < cand.n; i++ {
 			var args []fact.ID
-			if cand.rows == nil {
-				if cand.facts[i].RelID() != rel {
+			if cand.t == nil {
+				f := cand.facts[i]
+				if f.RelID() != rel || f.Arity() != len(terms) {
 					continue
 				}
-				args = cand.facts[i].ArgIDs()
+				args = f.ArgIDs()
 			} else {
 				id := i
 				if cand.ids != nil {
 					id = int(cand.ids[i])
 				}
-				r := &cand.rows[id]
-				if !r.visible(at) {
+				if !cand.t.stamps[id].visible(at) {
 					continue
 				}
-				args = r.f.ArgIDs()
-			}
-			if len(args) != len(terms) {
-				continue
+				args = cand.t.row(id)
 			}
 			added := addedArr[:0]
 			ok := true

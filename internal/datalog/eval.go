@@ -145,15 +145,24 @@ func (p *Program) Fixpoint(input *fact.Instance, opts FixpointOptions) (*fact.In
 	if !p.IsSemiPositive() {
 		return nil, fmt.Errorf("datalog: Fixpoint requires a semi-positive program; use EvalStratified")
 	}
+	return evalStrata([][]Rule{p.Rules}, input, opts)
+}
+
+// evalStrata evaluates the strata in order over one IndexedInstance: the
+// input is indexed once, each stratum's fixpoint extends the same index
+// instead of re-indexing its input, and the result is materialized once.
+func evalStrata(strata [][]Rule, input *fact.Instance, opts FixpointOptions) (*fact.Instance, error) {
 	eo := newEngineObs(opts)
 	stop := opts.Reg.Span(obs.DlFixpointNs)
-	x := IndexInstance(input.Clone())
-	eo.beginStratum(1, p.Rules)
-	if err := evalStratum(p.Rules, x, opts, eo); err != nil {
-		return nil, err
+	x := IndexInstance(input)
+	for i, stratum := range strata {
+		eo.beginStratum(i+1, stratum)
+		if err := evalStratum(stratum, x, opts, eo); err != nil {
+			return nil, err
+		}
+		eo.endStratum(x)
 	}
-	eo.endStratum(x)
-	eo.endFixpoint(1, x)
+	eo.endFixpoint(len(strata), x)
 	stop()
 	return x.Instance(), nil
 }

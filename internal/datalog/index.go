@@ -7,78 +7,88 @@ import (
 	"repro/internal/fact"
 )
 
-// This file implements the persistent, incrementally-maintained index
-// the fixpoint engines evaluate against. An IndexedInstance is built
-// once and kept in sync fact-by-fact, so round-based callers — the
-// fixpoint loops, the wILOG¬ evaluator, the alternating fixpoint —
-// share it across rounds and across the strata of a stratified
-// evaluation instead of re-indexing.
+// This file implements the store the fixpoint engines evaluate against:
+// an IndexedInstance holds every fact once, as a row of a relTable, and
+// is extended fact by fact, so round-based callers — the fixpoint
+// loops, the wILOG¬ evaluator, the alternating fixpoint — share it
+// across rounds and across the strata of a stratified evaluation. A
+// fact.Instance goes in (IndexInstance) and comes out (Instance) at the
+// two ends of an evaluation; in between there is no other copy.
 //
-// All index keys are interned IDs (see internal/fact intern.go):
-// hashing a probe is integer work, with no string building. Rows and
+// Everything stored and every key is an interned ID (see internal/fact
+// intern.go): a probe is integer work, with no string building. Rows and
 // the lists of their ids are appended in the deterministic order the
 // engines add facts (sorted instance enumeration, then sorted per-round
 // deltas), so candidate enumeration — and with it every derivation
 // count in the event stream — is identical across runs and worker
 // counts.
 
-// row is one stored fact and the versions that see it: born <= v < died.
-type row struct {
-	f          fact.Fact
-	born, died uint64
+// stamp is the versions that see a row: born <= v < died.
+type stamp struct{ born, died uint64 }
+
+// alive is the died stamp of a row nobody removed, and latest the
+// version a live instance reads at: it sees exactly the rows still alive.
+const (
+	alive  = math.MaxUint64
+	latest = alive - 1
+)
+
+func (s stamp) visible(at uint64) bool { return s.born <= at && at < s.died }
+
+// relTable is the one store of a relation at one arity: row i holds the
+// interned arguments args[i*arity:(i+1)*arity], in the order added, and
+// is seen by the versions stamps[i] says. byArg gives, per (position,
+// value), the ascending ids of the rows holding that value there — the
+// access path for index-assisted joins; the lists are behind pointers so
+// the append on every add, the hottest map operation of a fixpoint,
+// hashes its key once. byKey maps a packed tuple to the one row holding
+// it that some version may still see — the membership probe.
+type relTable struct {
+	arity  int
+	args   []fact.ID
+	stamps []stamp
+	byArg  map[uint64]*[]int32
+	byKey  fact.TupleIndex
+	dead   int     // rows with a died stamp
+	killed []int32 // rows stamped dead since the last freeze, still in lists and key hash
 }
 
-// alive is the died stamp of a row nobody removed.
-const alive = math.MaxUint64
-
-func (r *row) visible(at uint64) bool { return r.born <= at && at < r.died }
-
-// relTable holds one relation: every fact once, in the order added, and
-// per (position, value) the ascending ids of the rows holding that value
-// there — the access path for index-assisted joins. Lists are behind
-// pointers so the append on every add, the hottest map operation of a
-// fixpoint, hashes its key once.
-type relTable struct {
-	rows   []row
-	byArg  map[uint64]*[]int32
-	dead   int     // rows with a died stamp
-	killed []int32 // those of them still in their lists: died since the last freeze
+type tabKey struct {
+	rel   fact.ID
+	arity int32
 }
 
 func argKey(pos int, val fact.ID) uint64 { return uint64(pos)<<32 | uint64(val) }
+
+func (t *relTable) row(id int) []fact.ID { return t.args[id*t.arity : (id+1)*t.arity] }
 
 // compactFloor is the number of dead rows below which a table is never
 // compacted; above it, one whose dead rows outnumber its live ones is.
 const compactFloor = 64
 
-// relIndex is the join index of an instance, one relTable per relation.
-// Nothing in it is ever copied for a reader: a removal stamps the row
-// with the open version ver, an add appends a row born in it (a fact
-// removed and added again is a new row, so list order is the order of
-// adds and the old row stays what older versions see), and a reader
-// skips the rows its version does not see. freeze closes the version.
+// relIndex is every table of an instance. Nothing in it is ever copied
+// for a reader: a removal stamps the row with the open version ver, an
+// add appends a row born in it — or, when the open version itself
+// removed the tuple, takes the stamp back, so the row is what the
+// frozen view and the live instance both see — and a reader skips the
+// rows its version does not see. freeze closes the version.
 type relIndex struct {
-	tabs map[fact.ID]*relTable
+	tabs map[tabKey]*relTable
 	ver  uint64
 }
 
-func indexInstance(i *fact.Instance) *relIndex {
-	idx := &relIndex{tabs: make(map[fact.ID]*relTable)}
-	for _, f := range i.Facts() {
-		idx.add(f)
-	}
-	return idx
+func (idx *relIndex) table(rel fact.ID, arity int) *relTable {
+	return idx.tabs[tabKey{rel, int32(arity)}]
 }
 
-func (idx *relIndex) add(f fact.Fact) {
-	t := idx.tabs[f.RelID()]
-	if t == nil {
-		t = &relTable{byArg: make(map[uint64]*[]int32)}
-		idx.tabs[f.RelID()] = t
-	}
-	id := int32(len(t.rows))
-	t.rows = append(t.rows, row{f, idx.ver, alive})
-	for p, v := range f.ArgIDs() {
+// add appends a row for a tuple byKey does not hold, born in version
+// ver.
+func (t *relTable) add(args []fact.ID, ver uint64) {
+	id := int32(len(t.stamps))
+	t.args = append(t.args, args...)
+	t.stamps = append(t.stamps, stamp{ver, alive})
+	t.byKey.Put(args, id)
+	for p, v := range args {
 		if lp, ok := t.byArg[argKey(p, v)]; ok {
 			*lp = append(*lp, id)
 		} else {
@@ -87,77 +97,58 @@ func (idx *relIndex) add(f fact.Fact) {
 	}
 }
 
-// find returns the id of the row holding args that version at sees, or
-// -1, scanning the shortest list the row must be in: integer compares.
-func (t *relTable) find(args []fact.ID, at uint64) int32 {
-	var best []int32
-	for p, v := range args {
-		lp := t.byArg[argKey(p, v)]
-		if lp == nil {
-			return -1
-		}
-		if p == 0 || len(*lp) < len(best) {
-			best = *lp
-		}
+// find returns the table and id of the row holding rel(args), if
+// version at sees it: one hash probe, at every version.
+func (idx *relIndex) find(rel fact.ID, args []fact.ID, at uint64) (*relTable, int32, bool) {
+	t := idx.table(rel, len(args))
+	if t == nil {
+		return nil, 0, false
 	}
-	for _, id := range best {
-		if r := &t.rows[id]; r.visible(at) && slices.Equal(r.f.ArgIDs(), args) {
-			return id
-		}
-	}
-	return -1
-}
-
-// hasIDs reports whether version at holds rel(args...) — membership
-// for frozen views, which have no fact store to ask.
-func (idx *relIndex) hasIDs(rel fact.ID, args []fact.ID, at uint64) bool {
-	t := idx.tabs[rel]
-	return t != nil && t.find(args, at) >= 0
-}
-
-// kill stamps the live row of f, which must be present, as dead from
-// the open version on. It touches no list and allocates nothing; the
-// row leaves its lists at the next freeze.
-func (idx *relIndex) kill(f fact.Fact) {
-	t := idx.tabs[f.RelID()]
-	id := t.find(f.ArgIDs(), idx.ver)
-	t.rows[id].died = idx.ver
-	t.dead++
-	t.killed = append(t.killed, id)
+	id, ok := t.byKey.Get(args)
+	return t, id, ok && t.stamps[id].visible(at)
 }
 
 // freeze closes the open version and opens the next. No reader is left
 // that sees a dead row (the one view of the version before is invalid
-// from here on), so the rows killed since the last freeze leave their
-// lists, O(degree) each, and a table mostly dead is compacted.
+// from here on), so the rows killed since the last freeze and not added
+// back leave the key hash and, O(degree) each, their lists, and a table
+// mostly dead is compacted.
 func (idx *relIndex) freeze() {
 	for _, t := range idx.tabs {
-		for _, id := range t.killed {
-			for p, v := range t.rows[id].f.ArgIDs() {
+		slices.Sort(t.killed) // killed, added back and killed again: listed twice
+		for _, id := range slices.Compact(t.killed) {
+			if t.stamps[id].died == alive {
+				continue
+			}
+			args := t.row(int(id))
+			for p, v := range args {
 				lp := t.byArg[argKey(p, v)]
 				i, _ := slices.BinarySearch(*lp, id)
 				if *lp = slices.Delete(*lp, i, i+1); len(*lp) == 0 {
 					delete(t.byArg, argKey(p, v))
 				}
 			}
+			t.byKey.Delete(args)
 		}
 		t.killed = t.killed[:0]
-		if t.dead > compactFloor && t.dead > len(t.rows)-t.dead {
+		if t.dead > compactFloor && t.dead > len(t.stamps)-t.dead {
 			t.compact()
 		}
 	}
 	idx.ver++
 }
 
-// compact drops the dead rows, all out of their lists already, and
-// renumbers the rest in order, so every list stays ascending.
+// compact drops the dead rows, all out of their lists and the key hash
+// already, and renumbers the rest in order, so every list stays
+// ascending.
 func (t *relTable) compact() {
-	remap := make([]int32, len(t.rows))
-	live := make([]row, 0, len(t.rows)-t.dead)
-	for i := range t.rows {
-		remap[i] = int32(len(live))
-		if t.rows[i].died == alive {
-			live = append(live, t.rows[i])
+	remap := make([]int32, len(t.stamps))
+	n := len(t.stamps) - t.dead
+	args, stamps := make([]fact.ID, 0, n*t.arity), make([]stamp, 0, n)
+	for i, s := range t.stamps {
+		remap[i] = int32(len(stamps))
+		if s.died == alive {
+			args, stamps = append(args, t.row(i)...), append(stamps, s)
 		}
 	}
 	for _, lp := range t.byArg {
@@ -165,22 +156,8 @@ func (t *relTable) compact() {
 			(*lp)[i] = remap[id]
 		}
 	}
-	t.rows, t.dead = live, 0
-}
-
-// live copies the facts of a relation that version at sees, in row order.
-func (idx *relIndex) live(rel fact.ID, at uint64) []fact.Fact {
-	t := idx.tabs[rel]
-	if t == nil {
-		return nil
-	}
-	out := make([]fact.Fact, 0, len(t.rows)-t.dead)
-	for i := range t.rows {
-		if t.rows[i].visible(at) {
-			out = append(out, t.rows[i].f)
-		}
-	}
-	return out
+	t.byKey.Renumber(remap)
+	t.args, t.stamps, t.dead = args, stamps, 0
 }
 
 // cands is what one atom ranges over: a pinned delta list, or the rows
@@ -188,7 +165,7 @@ func (idx *relIndex) live(rel fact.ID, at uint64) []fact.Fact {
 // entries, rows the reader's version does not see included.
 type cands struct {
 	facts []fact.Fact
-	rows  []row
+	t     *relTable
 	ids   []int32
 	n     int
 }
@@ -199,11 +176,11 @@ type cands struct {
 // bound yet. An empty probe short-circuits — no narrower candidate set
 // exists.
 func (idx *relIndex) candidatesC(a cAtom, env []fact.ID) cands {
-	t := idx.tabs[a.rel]
+	t := idx.table(a.rel, len(a.terms))
 	if t == nil {
 		return cands{}
 	}
-	best := cands{rows: t.rows, n: len(t.rows)}
+	best := cands{t: t, n: len(t.stamps)}
 	for p, term := range a.terms {
 		v := term.cnst
 		if term.slot >= 0 {
@@ -223,70 +200,96 @@ func (idx *relIndex) candidatesC(a cAtom, env []fact.ID) cands {
 	return best
 }
 
-// IndexedInstance couples an instance with its join index, maintained
-// incrementally: adding a fact updates both in O(arity), removing one
-// in O(arity + degree). Build one with IndexInstance and reuse it
-// across fixpoint rounds and strata instead of re-indexing per call.
+// IndexedInstance is an instance as the engines evaluate against it:
+// every fact stored once, in the row tables of a relIndex, read at one
+// version. Adding a fact costs O(arity), removing one a stamp now and
+// O(arity + degree) at the next Freeze, membership a hash probe at
+// every version. Build one with IndexInstance and reuse it across
+// fixpoint rounds and strata instead of re-indexing per call.
 //
-// The instance must only change through Add and Remove while indexed;
-// mutating the underlying instance directly desynchronizes the index.
 // Reads of an IndexedInstance are safe from multiple goroutines as long
 // as no Add, Remove or Freeze is concurrent (the engines mutate only at
 // round or phase barriers).
 type IndexedInstance struct {
-	data *fact.Instance
-	idx  *relIndex
-	// A frozen view (Freeze) has no data: it reads idx at version at and
-	// counted n facts when it was taken.
-	at uint64
-	n  int
+	idx *relIndex
+	at  uint64 // latest, or the version a view froze
+	n   int    // facts version at holds
 }
 
-// IndexInstance builds the index over the instance. The instance is
-// NOT copied: the IndexedInstance takes ownership, and the caller must
-// only grow it through Add.
+// IndexInstance indexes a copy of the instance's facts, in sorted order.
 func IndexInstance(i *fact.Instance) *IndexedInstance {
-	return &IndexedInstance{data: i, idx: indexInstance(i)}
+	x := &IndexedInstance{idx: &relIndex{tabs: make(map[tabKey]*relTable)}, at: latest}
+	for _, f := range i.Facts() {
+		x.addNew(f)
+	}
+	return x
 }
 
-// version is the index version reads go to: the open one, or the one a
-// view froze — which must still be the last one frozen.
+// version is the index version reads go to; a view's must still be the
+// last one frozen.
 func (x *IndexedInstance) version() uint64 {
-	if x.data != nil {
-		return x.idx.ver
-	}
-	if x.at+1 != x.idx.ver {
+	if x.at != latest && x.at+1 != x.idx.ver {
 		panic("datalog: read of a frozen view after a later Freeze")
 	}
 	return x.at
 }
 
-// Add inserts the fact into the instance and the index, reporting
-// whether it was newly added.
-func (x *IndexedInstance) Add(f fact.Fact) bool {
-	if !x.Instance().Add(f) {
-		return false
+// open returns the version mutations are stamped with; a view has none.
+func (x *IndexedInstance) open() uint64 {
+	if x.at != latest {
+		panic("datalog: a frozen view is read-only")
 	}
-	x.idx.add(f)
+	return x.idx.ver
+}
+
+// Add inserts the fact, reporting whether it was newly added.
+func (x *IndexedInstance) Add(f fact.Fact) bool {
+	ver := x.open()
+	t := x.idx.table(f.RelID(), f.Arity())
+	if t == nil {
+		x.addNew(f)
+		return true
+	}
+	switch id, held := t.byKey.Get(f.ArgIDs()); {
+	case !held:
+		t.add(f.ArgIDs(), ver)
+	case t.stamps[id].died == alive:
+		return false
+	default: // removed in the open version: the row the view sees is live again
+		t.stamps[id].died = alive
+		t.dead--
+	}
+	x.n++
 	return true
 }
 
-// addNew inserts a fact known to be absent — a delta fact already
-// judged against the frozen instance — skipping the membership probe
-// that Add pays.
+// addNew inserts a fact known to be absent from every version still
+// read — a delta fact already judged against the frozen instance —
+// skipping the membership probe that Add pays.
 func (x *IndexedInstance) addNew(f fact.Fact) {
-	x.data.AddNewIDs(f.RelID(), f.ArgIDs())
-	x.idx.add(f)
+	k := tabKey{f.RelID(), int32(f.Arity())}
+	t := x.idx.tabs[k]
+	if t == nil {
+		t = &relTable{arity: f.Arity(), byArg: make(map[uint64]*[]int32), byKey: fact.NewTupleIndex(f.Arity())}
+		x.idx.tabs[k] = t
+	}
+	t.add(f.ArgIDs(), x.idx.ver)
+	x.n++
 }
 
-// Remove deletes the fact from the instance and the index, reporting
-// whether it was present. Like Add, Remove must not run concurrently
-// with reads; the incremental engine removes only at phase barriers.
+// Remove deletes the fact, reporting whether it was present: its row is
+// stamped dead from the open version on, no list is touched and nothing
+// allocated; the row leaves lists and key hash at the next Freeze.
 func (x *IndexedInstance) Remove(f fact.Fact) bool {
-	if !x.Instance().Remove(f) {
+	ver := x.open()
+	t, id, ok := x.idx.find(f.RelID(), f.ArgIDs(), latest)
+	if !ok {
 		return false
 	}
-	x.idx.kill(f)
+	t.stamps[id].died = ver
+	t.dead++
+	t.killed = append(t.killed, id)
+	x.n--
 	return true
 }
 
@@ -302,25 +305,53 @@ func (x *IndexedInstance) RemoveAll(fs []fact.Fact) int {
 	return n
 }
 
-// Freeze returns a read-only view of the instance as it is now, for
-// join enumeration: later mutations of the receiver are invisible to
-// the view, and mutating the view panics. Nothing is copied — the view
-// reads the receiver's index at the version this call closes, and
-// answers membership (negation guards, Has) from it; Instance is
-// unavailable. There is one view at a time: the next Freeze reclaims
-// what only this one could still see, and reading it afterwards panics.
+// Freeze returns a read-only view of the instance as it is now: later
+// mutations of the receiver are invisible to the view, and mutating the
+// view panics. Nothing is copied — the view is the receiver's index
+// read at the version this call closes. There is one view at a time:
+// the next Freeze reclaims what only this one could still see, and
+// reading it afterwards panics.
 func (x *IndexedInstance) Freeze() *IndexedInstance {
-	n := x.Instance().Len()
+	at := x.open()
 	x.idx.freeze()
-	return &IndexedInstance{idx: x.idx, at: x.idx.ver - 1, n: n}
+	return &IndexedInstance{idx: x.idx, at: at, n: x.n}
 }
 
-// RelList returns the facts of one relation, in index order, in a slice
-// of the caller's own: what a serving epoch with no predecessor sorts
-// (internal/incr Epoch). Take it between mutations.
+// Rels returns the names of the relations holding at least one fact, in
+// no particular order: what a serving epoch with no predecessor starts
+// a run for (internal/incr Epoch).
+func (x *IndexedInstance) Rels() []string {
+	at := x.version()
+	var rels []string
+	for k, t := range x.idx.tabs {
+		name := string(fact.Symbol(k.rel))
+		if !slices.Contains(rels, name) && slices.ContainsFunc(t.stamps, func(s stamp) bool { return s.visible(at) }) {
+			rels = append(rels, name)
+		}
+	}
+	return rels
+}
+
+// RelList returns the facts of one relation, in index order (arity by
+// arity, for a name used at several): what a serving epoch with no
+// predecessor sorts (internal/incr Epoch), and what the opening round
+// of a parallel fixpoint pins chunks of. Take it between mutations.
 func (x *IndexedInstance) RelList(rel string) []fact.Fact {
 	id, _ := fact.LookupValue(fact.Value(rel))
-	return x.idx.live(id, x.version())
+	at := x.version()
+	var out []fact.Fact
+	for k, t := range x.idx.tabs {
+		if k.rel != id {
+			continue
+		}
+		out = slices.Grow(out, len(t.stamps)-t.dead)
+		for i, s := range t.stamps {
+			if s.visible(at) {
+				out = append(out, fact.FromIDs(id, t.row(i)))
+			}
+		}
+	}
+	return out
 }
 
 // Rows returns the number of rows the index holds, dead ones awaiting
@@ -328,7 +359,7 @@ func (x *IndexedInstance) RelList(rel string) []fact.Fact {
 func (x *IndexedInstance) Rows() int {
 	n := 0
 	for _, t := range x.idx.tabs {
-		n += len(t.rows)
+		n += len(t.stamps)
 	}
 	return n
 }
@@ -338,28 +369,28 @@ func (x *IndexedInstance) Has(f fact.Fact) bool {
 	return x.hasIDs(f.RelID(), f.ArgIDs())
 }
 
-// hasIDs is Has for an unmaterialized (rel, args) tuple — the round
-// executors' dedup test, allocation-free.
+// hasIDs is Has for an unmaterialized (rel, args) tuple — the negation
+// guards and the round executors' dedup test, allocation-free.
 func (x *IndexedInstance) hasIDs(rel fact.ID, args []fact.ID) bool {
-	if x.data == nil {
-		return x.idx.hasIDs(rel, args, x.version())
-	}
-	return x.data.HasIDs(rel, args)
+	_, _, ok := x.idx.find(rel, args, x.version())
+	return ok
 }
 
 // Len returns the number of facts.
-func (x *IndexedInstance) Len() int {
-	if x.data == nil {
-		return x.n
-	}
-	return x.data.Len()
-}
+func (x *IndexedInstance) Len() int { return x.n }
 
-// Instance returns the underlying instance. Callers must not mutate it
-// except through Add. Panics on a frozen view, which has none.
+// Instance materializes the facts as a fact.Instance of the caller's
+// own: a copy of every row the version sees, paid once where an
+// evaluation hands its result over, not on a request path.
 func (x *IndexedInstance) Instance() *fact.Instance {
-	if x.data == nil {
-		panic("datalog: a frozen view is read-only and has no Instance")
+	at := x.version()
+	out := fact.NewInstance()
+	for k, t := range x.idx.tabs {
+		for id, s := range t.stamps {
+			if s.visible(at) {
+				out.AddIDs(k.rel, t.row(id))
+			}
+		}
 	}
-	return x.data
+	return out
 }

@@ -80,12 +80,16 @@ func readAll(t *testing.T, x *IndexedInstance, universe []fact.Fact, workers int
 
 // TestIndexDifferential (Type 1: exact, one failure is a bug) drives a
 // random Add/RemoveAll/Freeze stream over E (arities 1 and 2) and R
-// (arity 3) and holds the row index to a rebuild: at every freeze the
-// view reads as IndexInstance over a deep copy taken at that moment
-// does, and still does after the live instance moved on; the live
-// instance reads as a rebuild of its own Instance(). Every stream
-// crosses at least one compaction. Run under -race: the view is
-// enumerated by several goroutines at once.
+// (arity 3) and holds the row index to a fact.Instance the test keeps
+// itself, fact by fact, beside the stream: every Add and RemoveAll
+// answers as the reference does; at every freeze the view, and the live
+// instance, read as IndexInstance over the reference at that moment
+// does, and the view still does after the live instance moved on — past
+// facts removed and added again in the version the view cannot see;
+// Instance() of the live index, killed rows not yet purged, and of the
+// view equal the reference. Every stream crosses at least one
+// compaction. Run under -race: the view is enumerated by several
+// goroutines at once.
 func TestIndexDifferential(t *testing.T) {
 	vals := []fact.Value{"v0", "v1", "v2", "v3", "v4"}
 	var universe []fact.Fact
@@ -100,10 +104,11 @@ func TestIndexDifferential(t *testing.T) {
 	}
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		x := IndexInstance(fact.NewInstance())
+		x, ref := IndexInstance(fact.NewInstance()), fact.NewInstance()
 		var view *IndexedInstance
 		var frozen reads
-		compactions := 0
+		compactions, readded := 0, 0
+		sinceFreeze := map[string]bool{} // removed since the last freeze
 		check := func(when string, got, want reads) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d, %s:\n got %+v\nwant %+v", seed, when, got, want)
@@ -115,39 +120,50 @@ func TestIndexDifferential(t *testing.T) {
 				if view != nil {
 					check("view before the next freeze", readAll(t, view, universe, 4), frozen)
 				}
+				if got := x.Instance(); !got.Equal(ref) {
+					t.Fatalf("seed %d: Instance() over %d rows = %v, want %v", seed, x.Rows(), got, ref)
+				}
 				held := x.Rows()
 				view = x.Freeze()
 				if x.Rows() < held {
 					compactions++
 				}
-				frozen = readAll(t, IndexInstance(x.Instance().Clone()), universe, 1)
+				clear(sinceFreeze)
+				frozen = readAll(t, IndexInstance(ref), universe, 1)
 				check("view at its freeze", readAll(t, view, universe, 4), frozen)
-				check("live against a rebuild", readAll(t, x, universe, 1), frozen)
+				check("live against the reference", readAll(t, x, universe, 1), frozen)
+				if got := view.Instance(); !got.Equal(ref) {
+					t.Fatalf("seed %d: the view's Instance() = %v, want %v", seed, got, ref)
+				}
 			case k < 9:
 				batch := make([]fact.Fact, 1+rng.Intn(12))
+				want := 0
 				for i := range batch {
 					batch[i] = universe[rng.Intn(len(universe))]
-				}
-				want := 0
-				seen := map[string]bool{}
-				for _, f := range batch {
-					if x.Has(f) && !seen[f.Key()] {
+					if ref.Remove(batch[i]) {
 						want++
+						sinceFreeze[batch[i].Key()] = true
 					}
-					seen[f.Key()] = true
 				}
 				if n := x.RemoveAll(batch); n != want {
 					t.Fatalf("seed %d: RemoveAll removed %d of %v, want %d", seed, n, batch, want)
 				}
 			default:
 				f := universe[rng.Intn(len(universe))]
-				if had := x.Has(f); x.Add(f) == had {
-					t.Fatalf("seed %d: Add(%v) = %v on an instance that had it: %v", seed, f, !had, had)
+				added := ref.Add(f)
+				if x.Add(f) != added {
+					t.Fatalf("seed %d: Add(%v) = %v, the reference says %v", seed, f, !added, added)
+				}
+				if added && sinceFreeze[f.Key()] {
+					readded++
 				}
 			}
+			if x.Len() != ref.Len() {
+				t.Fatalf("seed %d, op %d: Len = %d, want %d", seed, op, x.Len(), ref.Len())
+			}
 		}
-		if compactions == 0 {
-			t.Fatalf("seed %d: the stream crossed no compaction; the generator drifted", seed)
+		if compactions == 0 || readded == 0 {
+			t.Fatalf("seed %d: the stream crossed %d compactions and %d re-adds inside one version; the generator drifted", seed, compactions, readded)
 		}
 	}
 }

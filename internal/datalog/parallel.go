@@ -134,7 +134,7 @@ func fullPassTasks(crs []cRule, x *IndexedInstance, workers int) []ruleTask {
 			tasks = append(tasks, ruleTask{cr: cr, ruleIdx: i, pin: -1})
 			continue
 		}
-		for _, chunk := range ChunkFacts(x.idx.live(cr.pos[0].rel, x.version()), workers) {
+		for _, chunk := range ChunkFacts(x.RelList(cr.src.Pos[0].Rel), workers) {
 			tasks = append(tasks, ruleTask{cr: cr, ruleIdx: i, pin: 0, pinFacts: chunk})
 		}
 	}

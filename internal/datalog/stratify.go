@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/fact"
-	"repro/internal/obs"
 )
 
 // This file implements syntactic stratification and the stratified
@@ -151,22 +150,7 @@ func (p *Program) EvalStratified(input *fact.Instance, opts FixpointOptions) (*f
 	if err != nil {
 		return nil, err
 	}
-	// One IndexedInstance accumulates across all strata: each stratum's
-	// fixpoint extends the same index instead of re-indexing its input.
-	eo := newEngineObs(opts)
-	stop := opts.Reg.Span(obs.DlFixpointNs)
-	x := IndexInstance(input.Clone())
-	strata := p.Strata(rho)
-	for i, stratum := range strata {
-		eo.beginStratum(i+1, stratum)
-		if err := evalStratum(stratum, x, opts, eo); err != nil {
-			return nil, err
-		}
-		eo.endStratum(x)
-	}
-	eo.endFixpoint(len(strata), x)
-	stop()
-	return x.Instance(), nil
+	return evalStrata(p.Strata(rho), input, opts)
 }
 
 // Eval computes P(I) with default options (semi-naive evaluation),

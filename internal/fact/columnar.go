@@ -1,14 +1,18 @@
 package fact
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"maps"
+	"slices"
+)
 
-// This file implements the columnar relation store behind Instance:
-// per (relation, arity) the argument tuples live in flat parallel
-// column slices (struct-of-arrays) of interned IDs, with a packed-key
-// hash index for O(1) set semantics. Nothing here touches strings —
-// membership, insertion and removal are pure integer work, which is
-// what makes the fixpoint engines' dedup hot path allocation-free for
-// duplicate derivations.
+// This file implements the relation store behind Instance: per
+// (relation, arity) the argument tuples live in one flat row-major slice
+// of interned IDs, with a packed-key hash index for O(1) set semantics —
+// the layout the join index's row tables (internal/datalog) share.
+// Nothing here touches strings — membership, insertion and removal are
+// pure integer work, which is what makes the fixpoint engines' dedup hot
+// path allocation-free for duplicate derivations.
 
 // colKey addresses one column group. Arity is part of the key so an
 // instance may (as before) hold same-named facts of differing arities
@@ -18,30 +22,23 @@ type colKey struct {
 	arity int32
 }
 
-// column stores all tuples of one (relation, arity) as parallel
-// columns. Row order is insertion order; removal is swap-delete, so
-// row indices are not stable across removals. The index maps a packed
-// tuple to its row: a uint64 key for arity <= 2 (the common case —
-// edges, unary flags), a packed byte-string key for wider tuples.
-type column struct {
-	arity int
-	n     int
-	cols  [][]ID // len(cols) == arity; all of length n
-	k64   map[uint64]int32
-	kstr  map[string]int32
+// TupleIndex maps the tuples of one arity to row numbers by packed key:
+// a uint64 for arity <= 2 (the common case — edges, unary flags), a
+// packed byte string for wider tuples. It is the set index of a column
+// here and the membership probe of the row tables the join index keeps
+// (internal/datalog); what a row number means is the holder's business.
+type TupleIndex struct {
+	k64  map[uint64]int32
+	kstr map[string]int32
 }
 
-func newColumn(arity int) *column {
-	c := &column{arity: arity, cols: make([][]ID, arity)}
+// NewTupleIndex returns an empty index for tuples of the given arity.
+func NewTupleIndex(arity int) TupleIndex {
 	if arity <= 2 {
-		c.k64 = make(map[uint64]int32)
-	} else {
-		c.kstr = make(map[string]int32)
+		return TupleIndex{k64: make(map[uint64]int32)}
 	}
-	return c
+	return TupleIndex{kstr: make(map[string]int32)}
 }
-
-func (c *column) rows() int { return c.n }
 
 // key64 packs a tuple of arity <= 2 into one uint64. (Arity 0 — the
 // zero Fact, representable though not constructible via New — packs
@@ -57,7 +54,7 @@ func key64(args []ID) uint64 {
 }
 
 // packTuple appends the little-endian encoding of the tuple to buf
-// (used for the arity >= 3 index and scratch lookups).
+// (the arity >= 3 key, built in a stack scratch per probe).
 func packTuple(buf []byte, args []ID) []byte {
 	for _, id := range args {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
@@ -65,128 +62,119 @@ func packTuple(buf []byte, args []ID) []byte {
 	return buf
 }
 
-// has reports whether the tuple is present.
-func (c *column) has(args []ID) bool {
-	if c.k64 != nil {
-		_, ok := c.k64[key64(args)]
-		return ok
+// Get returns the row the tuple maps to.
+func (x TupleIndex) Get(args []ID) (int32, bool) {
+	if x.k64 != nil {
+		row, ok := x.k64[key64(args)]
+		return row, ok
 	}
 	var scratch [64]byte
-	_, ok := c.kstr[string(packTuple(scratch[:0], args))]
+	row, ok := x.kstr[string(packTuple(scratch[:0], args))]
+	return row, ok
+}
+
+// Put maps the tuple to row, replacing what it mapped to.
+func (x TupleIndex) Put(args []ID, row int32) {
+	if x.k64 != nil {
+		x.k64[key64(args)] = row
+		return
+	}
+	var scratch [64]byte
+	x.kstr[string(packTuple(scratch[:0], args))] = row
+}
+
+// Delete removes the tuple's entry, if any.
+func (x TupleIndex) Delete(args []ID) {
+	if x.k64 != nil {
+		delete(x.k64, key64(args))
+		return
+	}
+	var scratch [64]byte
+	delete(x.kstr, string(packTuple(scratch[:0], args)))
+}
+
+// Renumber replaces every row r the index maps to by remap[r].
+func (x TupleIndex) Renumber(remap []int32) {
+	for k, r := range x.k64 {
+		x.k64[k] = remap[r]
+	}
+	for k, r := range x.kstr {
+		x.kstr[k] = remap[r]
+	}
+}
+
+func (x TupleIndex) clone() TupleIndex {
+	return TupleIndex{k64: maps.Clone(x.k64), kstr: maps.Clone(x.kstr)}
+}
+
+// column stores all tuples of one (relation, arity), row-major: row i
+// is args[i*arity:(i+1)*arity]. Row order is insertion order; removal is
+// swap-delete, so row indices are not stable across removals.
+type column struct {
+	arity int
+	n     int
+	args  []ID
+	idx   TupleIndex
+}
+
+func newColumn(arity int) *column {
+	return &column{arity: arity, idx: NewTupleIndex(arity)}
+}
+
+func (c *column) rows() int { return c.n }
+
+// row returns row i's tuple: the column's own storage, read-only and
+// valid until the next mutation.
+func (c *column) row(i int) []ID { return c.args[i*c.arity : (i+1)*c.arity] }
+
+// has reports whether the tuple is present.
+func (c *column) has(args []ID) bool {
+	_, ok := c.idx.Get(args)
 	return ok
 }
 
 // add inserts the tuple if absent, reporting whether it was new. The
-// IDs are copied into the columns; the caller keeps args.
+// IDs are copied into the column; the caller keeps args.
 func (c *column) add(args []ID) bool {
-	row := int32(c.rows())
-	if c.k64 != nil {
-		k := key64(args)
-		if _, ok := c.k64[k]; ok {
-			return false
-		}
-		c.k64[k] = row
-	} else {
-		var scratch [64]byte
-		k := packTuple(scratch[:0], args)
-		if _, ok := c.kstr[string(k)]; ok {
-			return false
-		}
-		c.kstr[string(k)] = row
+	if c.has(args) {
+		return false
 	}
-	for j := range c.cols {
-		c.cols[j] = append(c.cols[j], args[j])
-	}
+	c.idx.Put(args, int32(c.n))
+	c.args = append(c.args, args...)
 	c.n++
 	return true
-}
-
-// addNew inserts a tuple the caller asserts is absent, skipping the
-// existence probe (one map hash instead of two). Inserting a
-// duplicate through addNew corrupts the set.
-func (c *column) addNew(args []ID) {
-	row := int32(c.n)
-	if c.k64 != nil {
-		c.k64[key64(args)] = row
-	} else {
-		var scratch [64]byte
-		c.kstr[string(packTuple(scratch[:0], args))] = row
-	}
-	for j := range c.cols {
-		c.cols[j] = append(c.cols[j], args[j])
-	}
-	c.n++
 }
 
 // remove deletes the tuple if present (swap-delete), reporting whether
 // it was there.
 func (c *column) remove(args []ID) bool {
-	var row int32
-	if c.k64 != nil {
-		k := key64(args)
-		r, ok := c.k64[k]
-		if !ok {
-			return false
-		}
-		row = r
-		delete(c.k64, k)
-	} else {
-		var scratch [64]byte
-		k := packTuple(scratch[:0], args)
-		r, ok := c.kstr[string(k)]
-		if !ok {
-			return false
-		}
-		row = r
-		delete(c.kstr, string(k))
+	row, ok := c.idx.Get(args)
+	if !ok {
+		return false
 	}
-	last := c.rows() - 1
-	if int(row) != last {
-		moved := make([]ID, c.arity)
-		for j := range c.cols {
-			c.cols[j][row] = c.cols[j][last]
-			moved[j] = c.cols[j][row]
-		}
-		if c.k64 != nil {
-			c.k64[key64(moved)] = row
-		} else {
-			var scratch [64]byte
-			c.kstr[string(packTuple(scratch[:0], moved))] = row
-		}
-	}
-	for j := range c.cols {
-		c.cols[j] = c.cols[j][:last]
-	}
+	c.idx.Delete(args)
 	c.n--
-	return true
-}
-
-// rowArgs copies row i's tuple into a fresh slice.
-func (c *column) rowArgs(i int) []ID {
-	args := make([]ID, c.arity)
-	for j := range c.cols {
-		args[j] = c.cols[j][i]
+	if int(row) != c.n { // the last row moves into the hole
+		last := c.row(c.n)
+		copy(c.row(int(row)), last)
+		c.idx.Put(last, row)
 	}
-	return args
+	c.args = c.args[:c.n*c.arity]
+	return true
 }
 
 // fact materializes row i as a Fact. The args are copied: a returned
 // Fact stays valid (and immutable) across later mutations of the
 // column.
 func (c *column) fact(rel ID, i int) Fact {
-	return Fact{rel: rel, args: c.rowArgs(i)}
+	return FromIDs(rel, c.row(i))
 }
 
 // each calls fn for every row in insertion order, stopping early on
-// false. fn receives a scratch tuple valid only for the call.
+// false. fn receives the row itself, valid only for the call.
 func (c *column) each(fn func(args []ID) bool) {
-	n := c.rows()
-	scratch := make([]ID, c.arity)
-	for i := 0; i < n; i++ {
-		for j := range c.cols {
-			scratch[j] = c.cols[j][i]
-		}
-		if !fn(scratch) {
+	for i := 0; i < c.n; i++ {
+		if !fn(c.row(i)) {
 			return
 		}
 	}
@@ -194,20 +182,5 @@ func (c *column) each(fn func(args []ID) bool) {
 
 // clone returns an independent copy of the column.
 func (c *column) clone() *column {
-	out := &column{arity: c.arity, n: c.n, cols: make([][]ID, c.arity)}
-	for j := range c.cols {
-		out.cols[j] = append([]ID(nil), c.cols[j]...)
-	}
-	if c.k64 != nil {
-		out.k64 = make(map[uint64]int32, len(c.k64))
-		for k, v := range c.k64 {
-			out.k64[k] = v
-		}
-	} else {
-		out.kstr = make(map[string]int32, len(c.kstr))
-		for k, v := range c.kstr {
-			out.kstr[k] = v
-		}
-	}
-	return out
+	return &column{arity: c.arity, n: c.n, args: slices.Clone(c.args), idx: c.idx.clone()}
 }

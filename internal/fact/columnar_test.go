@@ -72,30 +72,6 @@ func TestColumnSetSemantics(t *testing.T) {
 	}
 }
 
-// TestColumnAddNew checks the unchecked insert leaves the same state
-// as the checked one, including the row index used by later removals.
-func TestColumnAddNew(t *testing.T) {
-	for _, arity := range []int{2, 3} {
-		c := newColumn(arity)
-		tup := func(s string) []ID {
-			args := make([]ID, arity)
-			for j := range args {
-				args[j] = InternString(s)
-			}
-			return args
-		}
-		c.add(tup("x"))
-		c.addNew(tup("y"))
-		c.addNew(tup("z"))
-		if c.rows() != 3 || !c.has(tup("y")) || !c.has(tup("z")) {
-			t.Fatalf("arity %d: addNew state wrong: rows=%d", arity, c.rows())
-		}
-		if !c.remove(tup("x")) || !c.remove(tup("z")) || !c.remove(tup("y")) {
-			t.Fatalf("arity %d: remove after addNew failed", arity)
-		}
-	}
-}
-
 // TestColumnEachAndFact checks insertion-order iteration and that
 // materialized facts stay valid across later mutation.
 func TestColumnEachAndFact(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 // have set semantics (adding a fact twice is a no-op).
 //
 // Facts are stored columnar: per (relation, arity) the argument
-// tuples live in flat parallel slices of interned IDs with a
+// tuples live in one flat slice of interned IDs with a
 // packed-key hash index (see columnar.go). Membership and mutation
 // are integer work — no fact key strings are built — and the ID-level
 // accessors (HasIDs, AddIDs) let the fixpoint engines deduplicate
@@ -93,15 +93,6 @@ func (i *Instance) AddIDs(rel ID, args []ID) bool {
 	}
 	i.n++
 	return true
-}
-
-// AddNewIDs inserts the fact rel(args...) asserting it is absent,
-// skipping the membership probe. The fixpoint engines use it to apply
-// deltas that were already judged against the instance; inserting a
-// duplicate through it corrupts the set. The IDs are copied.
-func (i *Instance) AddNewIDs(rel ID, args []ID) {
-	i.colFor(rel, len(args)).addNew(args)
-	i.n++
 }
 
 // AddAll inserts every fact of j, reporting how many were newly added.
@@ -193,7 +184,7 @@ func (i *Instance) Each(fn func(Fact) bool) {
 
 // Rel returns the facts of relation rel in sorted order.
 func (i *Instance) Rel(rel string) []Fact {
-	id := InternString(rel)
+	id, _ := LookupValue(Value(rel)) // not interned: NoID, the relation of no fact, for a name never seen
 	var fs []Fact
 	for k, c := range i.rels {
 		if k.rel != id {
@@ -211,10 +202,8 @@ func (i *Instance) Rel(rel string) []Fact {
 func (i *Instance) ADom() ValueSet {
 	s := make(ValueSet)
 	for _, c := range i.rels {
-		for _, col := range c.cols {
-			for _, id := range col {
-				s.Add(Value(symbols.lookup(id)))
-			}
+		for _, id := range c.args {
+			s.Add(Value(symbols.lookup(id)))
 		}
 	}
 	return s
@@ -252,7 +241,7 @@ func (i *Instance) Restrict(s Schema) *Instance {
 
 // RestrictRel returns the subset of I whose facts use the given relation name.
 func (i *Instance) RestrictRel(rel string) *Instance {
-	id := InternString(rel)
+	id, _ := LookupValue(Value(rel)) // as in Rel
 	out := NewInstance()
 	for k, c := range i.rels {
 		if k.rel != id {

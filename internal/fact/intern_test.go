@@ -42,6 +42,22 @@ func TestLookupValueDoesNotIntern(t *testing.T) {
 	}
 }
 
+// Asking an instance about a relation nobody stored is a probe too: the
+// name must not enter the process-wide, never-shrinking table.
+func TestRelProbesDoNotIntern(t *testing.T) {
+	const rel = "never-seen-rel"
+	i := NewInstance(New("E", "a", "b"))
+	if fs := i.Rel(rel); len(fs) != 0 {
+		t.Errorf("Rel(%s) = %v, want none", rel, fs)
+	}
+	if got := i.RestrictRel(rel); !got.Empty() {
+		t.Errorf("RestrictRel(%s) = %v, want empty", rel, got)
+	}
+	if id, ok := LookupValue(rel); ok {
+		t.Fatalf("Rel/RestrictRel interned the relation name they were asked about as %d", id)
+	}
+}
+
 // TestConcurrentInterning hammers the symbol table from many
 // goroutines with overlapping value sets large enough to force spine
 // growth (symChunkSize new symbols cross a chunk boundary), then

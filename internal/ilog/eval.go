@@ -167,7 +167,7 @@ func (p *Program) Eval(input *fact.Instance, opts Options) (*fact.Instance, erro
 	// every stratum; rebuilding it per valuation call made the
 	// evaluator quadratic in the number of rounds.
 	stop := opts.Reg.Span(obs.IlogEvalNs)
-	x := datalog.IndexInstance(input.Clone())
+	x := datalog.IndexInstance(input)
 	for i, stratum := range p.strata(rho) {
 		if err := fixpoint(stratum, x, opts, i+1); err != nil {
 			return nil, err
@@ -209,13 +209,19 @@ func fixpoint(rules []Rule, x *datalog.IndexedInstance, opts Options, stratum in
 			return ErrDiverged
 		}
 		var derived []pendingFact
+		pinned := make(map[string][]fact.Fact) // the round's sorted list per pinned relation
 		for i, r := range rules {
 			// With Workers > 1 the first positive atom is pinned to
 			// chunks of its relation, one enumeration per chunk; the
 			// chunks' heads are concatenated in chunk order.
 			pin, chunks := -1, [][]fact.Fact{nil}
 			if opts.Workers > 1 {
-				pin, chunks = 0, datalog.ChunkFacts(x.Instance().Rel(r.Pos[0].Rel), opts.Workers)
+				rel := r.Pos[0].Rel
+				if _, ok := pinned[rel]; !ok {
+					pinned[rel] = x.RelList(rel)
+					fact.SortFacts(pinned[rel])
+				}
+				pin, chunks = 0, datalog.ChunkFacts(pinned[rel], opts.Workers)
 			}
 			found := make([][]pendingFact, len(chunks))
 			if err := datalog.ParallelEach(opts.Workers, len(chunks), func(_, c int) error {

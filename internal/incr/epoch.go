@@ -185,7 +185,7 @@ func (m *Materialization) Epoch() *Epoch {
 	switch {
 	case m.runs == nil:
 		m.runs = make(map[string]*run)
-		for rel := range m.x.Instance().Schema() {
+		for _, rel := range m.x.Rels() {
 			m.runs[rel] = m.extend(nil, rel, nil)
 		}
 	case len(m.flow) > 0:

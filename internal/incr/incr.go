@@ -294,10 +294,14 @@ func (m *Materialization) Len() int { return m.x.Len() }
 func (m *Materialization) Has(f fact.Fact) bool { return m.x.Has(f) }
 
 // Rel returns the materialized facts of one relation in sorted order.
-func (m *Materialization) Rel(rel string) []fact.Fact { return m.x.Instance().Rel(rel) }
+func (m *Materialization) Rel(rel string) []fact.Fact {
+	fs := m.x.RelList(rel)
+	fact.SortFacts(fs)
+	return fs
+}
 
 // Instance returns an independent copy of the full materialization.
-func (m *Materialization) Instance() *fact.Instance { return m.x.Instance().Clone() }
+func (m *Materialization) Instance() *fact.Instance { return m.x.Instance() }
 
 // Base returns an independent copy of the base (edb) instance.
 func (m *Materialization) Base() *fact.Instance { return m.base.Clone() }

@@ -377,9 +377,10 @@ func churnNamespace(t *testing.T, n int) (*Materialization, func()) {
 
 // TestRetractCostsItsCone is the counter that gates the row index (same
 // input, same number): what a one-edge retract and re-insert allocates
-// follows the cone it moves, not the relation it moves in — under 1.25x
-// from chain-64 to chain-256, a T fifteen times the size — and ten
-// thousand rounds leave neither dead rows nor heap behind.
+// follows the cone it moves, not the relation it moves in — allocations
+// under 1.05x and bytes under 1.25x from chain-64 to chain-256, a T
+// fifteen times the size — and ten thousand rounds leave neither dead
+// rows nor heap behind.
 func TestRetractCostsItsCone(t *testing.T) {
 	measure := func(n int) (allocs, bytes float64, size int) {
 		m, round := churnNamespace(t, n)
@@ -399,8 +400,8 @@ func TestRetractCostsItsCone(t *testing.T) {
 	if nLarge < 15*nSmall {
 		t.Fatalf("|T| grew %d → %d, want about 15x", nSmall, nLarge)
 	}
-	if la >= 1.25*sa || lb >= 1.25*sb {
-		t.Errorf("a round grew %.0f → %.0f allocations, %.0f → %.0f bytes (≥ 1.25x) while |T| grew %d → %d", sa, la, sb, lb, nSmall, nLarge)
+	if la >= 1.05*sa || lb >= 1.25*sb {
+		t.Errorf("a round grew %.0f → %.0f allocations (≥ 1.05x), %.0f → %.0f bytes (≥ 1.25x) while |T| grew %d → %d", sa, la, sb, lb, nSmall, nLarge)
 	}
 	if lb >= 32*float64(nLarge) {
 		t.Errorf("%.0f bytes a round over a T of %d facts: a list of the relation is being copied", lb, nLarge)

@@ -37,7 +37,7 @@ type posRule struct {
 // the alternating fixpoint.
 func gamma(rules []posRule, input, assumed *fact.Instance) (*fact.Instance, error) {
 	// The index over the accumulated facts persists across rounds.
-	x := datalog.IndexInstance(input.Clone())
+	x := datalog.IndexInstance(input)
 	for {
 		var derived []fact.Fact
 		for _, r := range rules {

@@ -1,6 +1,7 @@
 #!/bin/sh
-# check.sh runs the full local gate: vet, build, a structural gate that
-# internal/cluster has grown no wire loop of its own, and the test suite
+# check.sh runs the full local gate: vet, build, two structural gates
+# (internal/cluster has grown no wire loop of its own, IndexedInstance no
+# second fact store), and the test suite
 # under the race detector (the parallel fixpoint engine, the epoch-
 # pinned serving core, and the simulation determinism tests are the
 # main race-sensitive surfaces). The fault-injection, explorer,
@@ -33,6 +34,16 @@ go build ./...
 echo ">> structural gate: internal/cluster has no wire loop"
 if grep -nE 'bufio\.NewScanner|json\.Unmarshal' $(ls internal/cluster/*.go | grep -v '_test\.go$'); then
     echo "check: internal/cluster reads or decodes request lines itself; serve.Session is the one loop"
+    exit 1
+fi
+
+# One store: the row tables of internal/datalog index.go hold every
+# fact of an IndexedInstance once. A *fact.Instance field appearing in
+# it is the second store growing back — two shapes written in lockstep,
+# which is how a frozen view came to answer Has by scanning a list.
+echo ">> structural gate: IndexedInstance has no second store"
+if awk '/^type IndexedInstance struct/,/^}/' $(ls internal/datalog/*.go | grep -v '_test\.go$') | grep -n '\*fact\.Instance'; then
+    echo "check: IndexedInstance declares a *fact.Instance field; the row tables are its only store"
     exit 1
 fi
 
