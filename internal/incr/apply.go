@@ -2,6 +2,7 @@ package incr
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/datalog"
 	"repro/internal/fact"
@@ -9,11 +10,12 @@ import (
 )
 
 // This file is the maintenance algorithm. One Apply runs, per stratum
-// in order: a deletion phase (exact-counting cascade on non-recursive
-// strata, DRed on recursive ones), an insertion phase (semi-naive
-// delta propagation with support counting), and — after the insertion
-// phase, for DRed strata — a support recount over the over-deleted
-// cone, since DRed discards counts instead of maintaining them.
+// in order: a deletion phase (a cascade of exact support decrements in
+// which a fact dies when its count reaches zero or, in a recursive
+// component, when no derivation over lower ranks is left to vouch for
+// it) and an insertion phase (semi-naive delta propagation with
+// support counting, seeded also with the facts the deletion phase
+// removed while their count was still positive).
 //
 // Exactly-once attribution. Support counts are exact, so every
 // gained/lost derivation must be counted exactly once even though a
@@ -58,28 +60,28 @@ func newApplyState() *applyState {
 	}
 }
 
-func (a *applyState) ins(f fact.Fact) {
-	a.insSet[f.PackedKey()] = true
+// ins and del commit a fact, under its packed key, to the flow.
+func (a *applyState) ins(f fact.Fact, k string) {
+	a.insSet[k] = true
 	a.insByRel[f.Rel()] = append(a.insByRel[f.Rel()], f)
 }
 
-func (a *applyState) del(f fact.Fact) {
-	a.delSet[f.PackedKey()] = true
+func (a *applyState) del(f fact.Fact, k string) {
+	a.delSet[k] = true
 	a.delByRel[f.Rel()] = append(a.delByRel[f.Rel()], f)
 }
 
 // stratumStats is the per-stratum event payload.
 type stratumStats struct {
-	alg         string
 	overdeleted int
 	rederived   int
+	kept        int
 	added       int
 	removed     int
-	recounts    int
 }
 
 func (sb *stratumStats) any() bool {
-	return sb.overdeleted > 0 || sb.rederived > 0 || sb.added > 0 || sb.removed > 0 || sb.recounts > 0
+	return sb.overdeleted > 0 || sb.rederived > 0 || sb.kept > 0 || sb.added > 0 || sb.removed > 0
 }
 
 // Apply incrementally maintains the materialization under the delta
@@ -111,13 +113,13 @@ func (m *Materialization) Apply(d Delta) (ApplyStats, error) {
 	}
 	for _, f := range ret {
 		m.base.Remove(f)
-		a.del(f)
+		a.del(f, f.PackedKey())
 	}
 	m.x.RemoveAll(ret)
 	for _, f := range ins {
 		m.base.Add(f)
 		m.x.Add(f)
-		a.ins(f)
+		a.ins(f, f.PackedKey())
 	}
 	a.st.BaseInserted, a.st.BaseRetracted = len(ins), len(ret)
 	m.seq++
@@ -128,35 +130,36 @@ func (m *Materialization) Apply(d Delta) (ApplyStats, error) {
 	}
 	for si := range m.strata {
 		s := &m.strata[si]
-		sb := stratumStats{alg: "count"}
-		var cone map[string]fact.Fact
+		var sb stratumStats
+		var dead, back []*headEntry
 		if m.deletionWork(s, a) {
-			if s.recursive {
-				sb.alg = "dred"
-				cone, err = m.dredDelete(s, a, &sb)
-			} else {
-				err = m.countingDelete(s, a, &sb)
-			}
-			if err != nil {
+			if dead, back, err = m.deletePropagate(s, a, &sb); err != nil {
 				return fail(err)
 			}
 		}
-		if m.insertionWork(s, a) {
-			if err := m.insertPropagate(s, a, &sb); err != nil {
+		if len(back) > 0 || m.insertionWork(s, a) {
+			if err := m.insertPropagate(s, a, &sb, back); err != nil {
 				return fail(err)
 			}
 		}
-		if len(cone) > 0 {
-			if err := m.recount(cone, a, &sb); err != nil {
-				return fail(err)
+		// A dead fact the insertion phase brought back was there before
+		// the apply and is there after it: it leaves the deleted set, and
+		// only the others join the flow later strata see.
+		for _, e := range dead {
+			if _, held := m.derived[e.k]; held {
+				delete(a.delSet, e.k)
+				sb.rederived++
+				continue
 			}
+			a.delByRel[e.f.Rel()] = append(a.delByRel[e.f.Rel()], e.f)
+			sb.removed++
 		}
 		if sb.any() {
 			a.st.Overdeleted += sb.overdeleted
 			a.st.Rederived += sb.rederived
+			a.st.Kept += sb.kept
 			a.st.DerivedAdded += sb.added
 			a.st.DerivedRemoved += sb.removed
-			a.st.Recounts += sb.recounts
 			m.emitStratum(si, &sb)
 		}
 	}
@@ -184,6 +187,7 @@ func (m *Materialization) ApplyTraced(d Delta, tc obs.SpanCtx) (ApplyStats, erro
 	sp.SetSeq(m.seq)
 	sp.Attr("inserted", st.BaseInserted).Attr("retracted", st.BaseRetracted)
 	sp.Attr("added", st.DerivedAdded).Attr("removed", st.DerivedRemoved)
+	sp.Attr("overdeleted", st.Overdeleted).Attr("rederived", st.Rederived).Attr("kept", st.Kept)
 	if err != nil {
 		sp.Attr("error", err.Error())
 	}
@@ -328,13 +332,6 @@ func (m *Materialization) deleteSeedTasks(s *stratum, a *applyState) []pinTask {
 			tasks = append(tasks, pinTask{
 				crule: nc.c, pin: pin, pinFacts: pinFacts, view: a.oldX,
 				accept: func(v *datalog.Valuation) bool {
-					// A pinned fact that was deleted and re-added this
-					// apply was present before — the valuation was
-					// already blocked, nothing is lost. PosKey(pin) is
-					// the converted r.Neg[k].
-					if a.delSet[string(v.PosKey(pin))] {
-						return false
-					}
 					for k2 := 0; k2 < k; k2++ {
 						if a.insSet[string(v.NegKey(k2))] {
 							return false
@@ -384,13 +381,8 @@ func (m *Materialization) insertSeedTasks(s *stratum, a *applyState) []pinTask {
 			tasks = append(tasks, pinTask{
 				crule: nc.c, pin: pin, pinFacts: pinFacts, view: m.x,
 				accept: func(v *datalog.Valuation) bool {
-					// A pinned fact that was re-added after deletion is
-					// present again — the valuation is still blocked,
-					// nothing is gained. PosKey(pin) is the converted
-					// r.Neg[k]; j < pin ranges over r.Pos.
-					if a.insSet[string(v.PosKey(pin))] {
-						return false
-					}
+					// j < pin ranges over r.Pos; the pinned atom, the
+					// converted r.Neg[k], sits at pin.
 					for j := 0; j < pin; j++ {
 						if a.insSet[string(v.PosKey(j))] {
 							return false
@@ -413,10 +405,9 @@ func (m *Materialization) insertSeedTasks(s *stratum, a *applyState) []pinTask {
 // ever join positively (a stratum never negates its own heads), and
 // attribution is first-wave-position with committed-delta facts
 // excluded implicitly (a valuation through one was counted at its
-// seed or earlier wave — see the accept filter in insertSeedTasks,
-// whose insSet grows as waves commit).
-func (m *Materialization) insertWaveTasks(s *stratum, wave []fact.Fact, waveSet map[string]bool) []pinTask {
-	waveByRel := groupByRel(wave)
+// seed or earlier wave, which ran before this wave's facts existed).
+func (m *Materialization) insertWaveTasks(s *stratum, wave []*headEntry) []pinTask {
+	waveByRel, waveSet := groupByRel(wave), keySet(wave)
 	var tasks []pinTask
 	for ri, r := range s.rules {
 		for i, at := range r.Pos {
@@ -442,54 +433,71 @@ func (m *Materialization) insertWaveTasks(s *stratum, wave []fact.Fact, waveSet 
 }
 
 // insertPropagate runs semi-naive delta insertion with support
-// counting: seeds from the committed delta, then waves of newly
+// counting: seeds from the committed delta and from back, the facts the
+// deletion phase removed with derivations to spare, then waves of newly
 // derived facts until none appear. New facts are committed to the
 // apply's insert flow so later strata see them.
-func (m *Materialization) insertPropagate(s *stratum, a *applyState, sb *stratumStats) error {
+func (m *Materialization) insertPropagate(s *stratum, a *applyState, sb *stratumStats, back []*headEntry) error {
 	acc, err := m.runTasks(m.insertSeedTasks(s, a))
 	if err != nil {
 		return err
 	}
 	for {
-		wave := m.applyIncrements(acc, a, sb)
-		if len(wave) == 0 {
-			return nil
+		wave, err := m.applyIncrements(acc, back, a, sb)
+		if len(wave) == 0 || err != nil {
+			return err
 		}
-		acc, err = m.runTasks(m.insertWaveTasks(s, wave, keySet(wave)))
-		if err != nil {
+		back = nil
+		if acc, err = m.runTasks(m.insertWaveTasks(s, wave)); err != nil {
 			return err
 		}
 	}
 }
 
 // applyIncrements commits one wave of gained derivations in sorted
-// order: existing facts gain support; new facts enter the
-// materialization and form the next wave.
-func (m *Materialization) applyIncrements(acc *headAcc, a *applyState, sb *stratumStats) []fact.Fact {
-	var wave []fact.Fact
-	for _, e := range acc.entries() {
-		f, n := e.f, e.n
-		k := f.PackedKey()
-		a.st.SupportIncrements += n
-		if m.x.Has(f) {
-			m.support[k] += n
-			continue
-		}
-		m.x.Add(f)
-		m.support[k] = n
-		wave = append(wave, f)
-		sb.added++
-		a.ins(f)
+// order, under a fresh tick of the clock: existing facts gain support;
+// new facts enter the materialization with the tick as their rank and,
+// after the returning ones, form the next wave. A returning fact's
+// count is the derivations it never lost, all of them over facts that
+// were never removed, which is what the fresh rank promises. A fact
+// the deletion phase removed is not new to later strata, whichever way
+// it returns. A count that outgrows its 32 bits fails the apply.
+func (m *Materialization) applyIncrements(acc *headAcc, back []*headEntry, a *applyState, sb *stratumStats) ([]*headEntry, error) {
+	rank := m.tick()
+	wave := back
+	for _, e := range back {
+		m.x.Add(e.f)
+		d := m.derived[e.k]
+		d.rank = rank
+		m.derived[e.k] = d
 	}
-	return wave
+	for _, e := range acc.entries() {
+		a.st.SupportIncrements += e.n
+		d, held := m.derived[e.k]
+		if e.n > math.MaxUint32-int64(d.n) {
+			return nil, fmt.Errorf("incr: support overflow on %v: have %d, gained %d derivations", e.f, d.n, e.n)
+		}
+		if !held {
+			m.x.Add(e.f)
+			d.rank = rank
+			wave = append(wave, e)
+			if !a.delSet[e.k] {
+				sb.added++
+				a.ins(e.f, e.k)
+			}
+		}
+		d.n += uint32(e.n)
+		m.derived[e.k] = d
+	}
+	return wave, nil
 }
 
 // deleteWaveTasks pins a wave of facts that just died, joining against
 // the pre-update view. Valuations through facts of previously
 // committed deletions were attributed there and are skipped at any
 // position; within the wave, first-position attribution applies.
-func (m *Materialization) deleteWaveTasks(s *stratum, a *applyState, wave []fact.Fact, waveSet map[string]bool) []pinTask {
-	waveByRel := groupByRel(wave)
+func (m *Materialization) deleteWaveTasks(s *stratum, a *applyState, wave []*headEntry) []pinTask {
+	waveByRel, waveSet := groupByRel(wave), keySet(wave)
 	var tasks []pinTask
 	for ri, r := range s.rules {
 		for i, at := range r.Pos {
@@ -526,203 +534,102 @@ func (m *Materialization) deleteWaveTasks(s *stratum, a *applyState, wave []fact
 	return tasks
 }
 
-// countingDelete maintains a non-recursive stratum under deletions by
-// exact support counting: enumerate lost derivations against the
-// pre-update view, decrement, and cascade facts whose count reaches
-// zero. Soundness rests on acyclicity — within the stratum no fact's
-// support can depend on itself, so "count reaches zero" is exactly
-// "no derivation remains".
-func (m *Materialization) countingDelete(s *stratum, a *applyState, sb *stratumStats) error {
+// deletePropagate maintains a stratum under lost derivations: enumerate
+// them against the pre-update view, decrement, and cascade the facts
+// that die, wave by wave, each leaving the materialization with its
+// wave. It returns the dead and, among them, those to come back. Counts
+// stay exact for the dead too, so when the cascade stops one whose count
+// is positive still has a derivation over facts that were never
+// removed, and the insertion phase seeds with it; one whose count is
+// zero gives up its record.
+func (m *Materialization) deletePropagate(s *stratum, a *applyState, sb *stratumStats) (dead, back []*headEntry, err error) {
 	lost, err := m.runTasks(m.deleteSeedTasks(s, a))
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
+	spared := make(map[string]bool)
 	for {
-		wave, err := m.applyDecrements(lost, a, sb)
+		wave, err := m.applyDecrements(lost, a, spared)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		if len(wave) == 0 {
-			return nil
+			break
 		}
 		// Enumerate the wave's consequences before committing the wave
-		// to the delta flow: the wave's own tasks must still see these
+		// to the deleted set: the wave's own tasks must still see these
 		// facts as "current wave", not "already attributed".
-		lost, err = m.runTasks(m.deleteWaveTasks(s, a, wave, keySet(wave)))
-		if err != nil {
-			return err
+		if lost, err = m.runTasks(m.deleteWaveTasks(s, a, wave)); err != nil {
+			return nil, nil, err
 		}
-		for _, f := range wave {
-			a.del(f)
+		for _, e := range wave {
+			a.delSet[e.k] = true
+		}
+		dead = append(dead, wave...)
+	}
+	ranked := len(spared) > 0
+	for _, e := range dead {
+		ranked = ranked || m.byHead[e.f.RelID()].recursive
+		if m.derived[e.k].n > 0 {
+			back = append(back, e)
+		} else {
+			delete(m.derived, e.k)
 		}
 	}
+	if ranked {
+		sb.overdeleted = len(dead)
+	}
+	sb.kept = len(spared)
+	return dead, back, nil
 }
 
-// applyDecrements commits one wave of lost derivations in sorted
-// order. A support underflow is impossible by the attribution
-// invariant (total decrements = lost derivations ≤ support), so
-// hitting one means the engine is corrupt and the error says so
-// loudly.
-func (m *Materialization) applyDecrements(lost *headAcc, a *applyState, sb *stratumStats) ([]fact.Fact, error) {
-	var wave []fact.Fact
+// applyDecrements commits one wave of lost derivations in sorted order
+// and returns the facts that die of it. A fact whose count reaches
+// zero dies. Where support cannot be cyclic a positive count is a
+// surviving derivation; a fact of a recursive component must also pass
+// the witness check, every time a wave reaches it — against the
+// pre-update view, the one the cascade's joins enumerate, so that a
+// derivation that vouches for a fact is one whose loss would reach the
+// fact again — and spared holds those it passed last time. A support
+// underflow is impossible by the attribution invariant (total
+// decrements = lost derivations ≤ support), so hitting one means the
+// engine is corrupt and the error says so loudly.
+func (m *Materialization) applyDecrements(lost *headAcc, a *applyState, spared map[string]bool) ([]*headEntry, error) {
+	var wave, reached []*headEntry
 	for _, e := range lost.entries() {
-		f, n := e.f, e.n
-		k := f.PackedKey()
-		cur, ok := m.support[k]
-		if !ok || cur < n {
-			return nil, fmt.Errorf("incr: support underflow on %v: have %d, lost %d derivations", f, cur, n)
+		d, ok := m.derived[e.k]
+		if !ok || int64(d.n) < e.n {
+			return nil, fmt.Errorf("incr: support underflow on %v: have %d, lost %d derivations", e.f, d.n, e.n)
 		}
-		a.st.SupportDecrements += n
-		if cur > n {
-			m.support[k] = cur - n
-			continue
+		a.st.SupportDecrements += e.n
+		d.n -= uint32(e.n)
+		m.derived[e.k] = d
+		switch {
+		case a.delSet[e.k]: // died in an earlier wave; only its count moves
+		case d.n == 0:
+			wave = append(wave, e)
+		case m.byHead[e.f.RelID()].recursive:
+			reached = append(reached, e)
 		}
-		delete(m.support, k)
-		wave = append(wave, f)
-		sb.removed++
 	}
-	m.x.RemoveAll(wave)
+	holds := make([]bool, len(reached))
+	if err := datalog.ParallelEach(m.workers, len(reached), func(_, i int) (err error) {
+		e := reached[i]
+		holds[i], err = m.witnessed(a.oldX, e.f, m.derived[e.k].rank, a.delSet, a.insSet)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	for i, e := range reached {
+		if holds[i] {
+			spared[e.k] = true
+		} else {
+			wave = append(wave, e)
+		}
+	}
+	for _, e := range wave {
+		delete(spared, e.k)
+		m.x.Remove(e.f)
+	}
 	return wave, nil
-}
-
-// dredDelete maintains a recursive stratum by delete–rederive:
-// over-delete the full cone of facts with some derivation through the
-// deleted inputs (support counts are useless here — cyclic support
-// can keep a dead fact alive), then rederive survivors bottom-up from
-// what remains. Returns the cone so Apply can recount supports after
-// the insertion phase.
-func (m *Materialization) dredDelete(s *stratum, a *applyState, sb *stratumStats) (map[string]fact.Fact, error) {
-	cone := make(map[string]fact.Fact)
-	var dlist []fact.Fact
-	collect := func(acc *headAcc) []fact.Fact {
-		var wave []fact.Fact
-		for _, f := range acc.sortedFacts() {
-			k := f.PackedKey()
-			if _, ok := cone[k]; ok {
-				continue
-			}
-			cone[k] = f
-			dlist = append(dlist, f)
-			wave = append(wave, f)
-		}
-		return wave
-	}
-	acc, err := m.runTasks(m.deleteSeedTasks(s, a))
-	if err != nil {
-		return nil, err
-	}
-	wave := collect(acc)
-	for len(wave) > 0 {
-		// Cone expansion needs no attribution filters: the cone is a
-		// set, and over-collection is deduplicated right here.
-		waveByRel := groupByRel(wave)
-		var tasks []pinTask
-		for ri, r := range s.rules {
-			for i, at := range r.Pos {
-				if pinFacts := waveByRel[at.Rel]; len(pinFacts) > 0 {
-					tasks = append(tasks, pinTask{crule: s.crules[ri], pin: i, pinFacts: pinFacts, view: a.oldX})
-				}
-			}
-		}
-		if acc, err = m.runTasks(tasks); err != nil {
-			return nil, err
-		}
-		wave = collect(acc)
-	}
-
-	m.x.RemoveAll(dlist)
-	for _, f := range dlist {
-		delete(m.support, f.PackedKey())
-	}
-	sb.overdeleted = len(dlist)
-
-	// Rederivation pass 1: batch-frozen derivability check of every
-	// cone fact against the remainder — independent reads, so parallel
-	// mode fans them out; the adds happen after the pass in sorted
-	// order either way.
-	fact.SortFacts(dlist)
-	alive := make([]bool, len(dlist))
-	if err := datalog.ParallelEach(m.workers, len(dlist), func(_, i int) error {
-		ok, err := m.derivable(dlist[i])
-		alive[i] = ok
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	var back []fact.Fact
-	for i, f := range dlist {
-		if alive[i] {
-			m.x.Add(f)
-			back = append(back, f)
-			sb.rederived++
-		}
-	}
-	// Waves: a rederived fact can witness derivations of other cone
-	// members; any such head is derivable from the current view by
-	// construction, so it comes straight back.
-	for len(back) > 0 {
-		waveByRel := groupByRel(back)
-		var tasks []pinTask
-		for ri, r := range s.rules {
-			for i, at := range r.Pos {
-				if pinFacts := waveByRel[at.Rel]; len(pinFacts) > 0 {
-					tasks = append(tasks, pinTask{crule: s.crules[ri], pin: i, pinFacts: pinFacts, view: m.x})
-				}
-			}
-		}
-		acc, err := m.runTasks(tasks)
-		if err != nil {
-			return nil, err
-		}
-		back = back[:0]
-		for _, f := range acc.sortedFacts() {
-			if _, inCone := cone[f.PackedKey()]; !inCone || m.x.Has(f) {
-				continue
-			}
-			m.x.Add(f)
-			back = append(back, f)
-			sb.rederived++
-		}
-	}
-
-	for _, f := range dlist {
-		if !m.x.Has(f) {
-			a.del(f)
-			sb.removed++
-		}
-	}
-	return cone, nil
-}
-
-// recount rebuilds exact support counts for the cone facts that
-// survived (or were re-added by the insertion phase) — DRed tracks
-// the fact set, not the counts, so they are recomputed from the final
-// materialization.
-func (m *Materialization) recount(cone map[string]fact.Fact, a *applyState, sb *stratumStats) error {
-	fs := sortFactMap(cone)
-	counts := make([]int64, len(fs))
-	if err := datalog.ParallelEach(m.workers, len(fs), func(_, i int) error {
-		f := fs[i]
-		if !m.x.Has(f) {
-			return nil
-		}
-		n, err := m.countDerivations(f)
-		if err != nil {
-			return err
-		}
-		if n <= 0 {
-			return fmt.Errorf("incr: recount found no derivation for materialized fact %v", f)
-		}
-		counts[i] = n
-		return nil
-	}); err != nil {
-		return err
-	}
-	for i, f := range fs {
-		if counts[i] > 0 {
-			m.support[f.PackedKey()] = counts[i]
-			sb.recounts++
-		}
-	}
-	return nil
 }

@@ -4,8 +4,8 @@
 // under streams of base-fact insertions and retractions, without
 // recomputing from scratch.
 //
-// The maintenance algorithm is the classic counting/DRed split,
-// aligned with the paper's monotonicity hierarchy:
+// The maintenance algorithm is counting with a well-founded witness
+// check, aligned with the paper's monotonicity hierarchy:
 //
 //   - Insertions propagate by semi-naive delta evaluation over the warm
 //     materialization — for the monotone fragments (Datalog(≠), and
@@ -13,14 +13,18 @@
 //     evaluation-side shadow of the CALM results: no derived fact is
 //     ever invalidated, so no coordination (re-examination of past
 //     conclusions) is needed. Each new derivation increments a support
-//     count on its head fact, attributed exactly once (see apply.go).
-//   - Retractions, and insertions into negated relations, run
-//     delete–rederive (DRed) on recursive strata: over-delete the cone
-//     of facts with a derivation through the changed inputs, then
-//     rederive survivors from the remainder. On non-recursive strata
-//     the exact support counts shortcut DRed entirely: lost derivations
-//     are decremented and a fact dies exactly when its count reaches
-//     zero (counting is sound there because support cannot be cyclic).
+//     count on its head fact, attributed exactly once (see apply.go),
+//     and a new fact takes the tick of the wave it entered in as its
+//     rank.
+//   - Retractions, and insertions into negated relations, decrement:
+//     each lost derivation is attributed exactly once and a fact dies
+//     when its count reaches zero. Where support can be cyclic — a fact
+//     of a recursive component — a positive count proves nothing, so a
+//     fact the cascade reaches must also keep a derivation resting,
+//     inside its component, only on facts of smaller rank; one that
+//     does not is deleted and, if its count stayed positive, comes back
+//     with the insertion phase (delete–rederive, confined to the facts
+//     that fail the check).
 //
 // The maintained materialization is provably equal to full
 // recomputation — Verify checks it against EvalStratified, and the
@@ -29,9 +33,10 @@
 package incr
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"runtime"
-	"sort"
 	"strings"
 
 	"repro/internal/datalog"
@@ -78,14 +83,17 @@ type Delta struct {
 
 // ApplyStats reports the work one Apply performed. Base* count the
 // netted edb changes; Derived* count derived facts added/removed by
-// the phases (a fact deleted by DRed and re-added by the insertion
-// phase counts in both). Overdeleted/Rederived measure DRed churn;
-// Support* count derivation-count updates.
+// the apply, net (a fact the deletion phase removes and the insertion
+// phase restores counts in neither). Overdeleted counts the facts
+// removed by deletion phases that reached a recursive component, where
+// a removal is provisional; Rederived the facts a deletion phase
+// removed and the insertion phase of the same stratum brought back;
+// Kept the facts the deletion phases reached and the witness check
+// spared; Support* count derivation-count updates.
 type ApplyStats struct {
 	BaseInserted, BaseRetracted  int
 	DerivedAdded, DerivedRemoved int
-	Overdeleted, Rederived       int
-	Recounts                     int
+	Overdeleted, Rederived, Kept int
 	SupportIncrements            int64
 	SupportDecrements            int64
 }
@@ -100,14 +108,38 @@ type stratum struct {
 	// these on every delta and must not recompile per call.
 	crules []*datalog.CompiledRule
 	cneg   [][]negCompiled
-	// heads is the set of idb relations defined by this stratum.
-	heads map[string]bool
 	// posRels / negRels are the relations occurring in positive /
 	// negated body atoms of the stratum's rules.
 	posRels, negRels map[string]bool
-	// recursive reports whether the positive dependency graph among
-	// this stratum's head relations has a cycle. Non-recursive strata
-	// use exact counting for deletions; recursive strata need DRed.
+}
+
+// derived is the record of one derived fact, eight bytes of it: its
+// exact derivation count and its rank, the clock tick of the insertion
+// wave it entered in. By semi-naive construction a fact has a
+// derivation whose body facts over its own recursive component all
+// rank lower. Rank 0 is no rank (a snapshot line without one, or a
+// clock that ran out).
+type derived struct {
+	n    uint32
+	rank uint32
+}
+
+// headRule is one rule as the witness check and Verify enumerate it,
+// head bound: ranked[j] reports whether positive atom j is over the
+// head's own recursive component — the head relation reaches the
+// atom's in the positive dependency graph — so that the body fact must
+// rank below the head.
+type headRule struct {
+	c      *datalog.CompiledRule
+	nneg   int
+	ranked []bool // one per positive atom
+}
+
+// headRules are the rules defining one relation; recursive reports
+// whether any of them has a ranked atom, which is when a positive
+// count does not prove a fact.
+type headRules struct {
+	rules     []headRule
 	recursive bool
 }
 
@@ -116,22 +148,25 @@ type stratum struct {
 // per derived fact. Not safe for concurrent use; callers serialize
 // (cmd/calmd holds a mutex).
 type Materialization struct {
-	prog        *datalog.Program
-	idb         fact.Schema
-	schema      fact.Schema
-	strata      []stratum
-	rulesByHead map[fact.ID][]*datalog.CompiledRule
-	hasNeg      bool
-	opts        Options
-	workers     int
+	prog    *datalog.Program
+	idb     fact.Schema
+	schema  fact.Schema
+	strata  []stratum
+	byHead  map[fact.ID]*headRules
+	hasNeg  bool
+	opts    Options
+	workers int
 
 	x    *datalog.IndexedInstance
 	base *fact.Instance
-	// support maps a derived fact's packed key (Fact.PackedKey — the
+	// derived maps a derived fact's packed key (Fact.PackedKey — the
 	// interned-ID encoding, valid within this process only) to its
-	// exact derivation count. Anything persisted (snapshots) stores
-	// facts textually, never packed keys.
-	support map[string]int64
+	// record. Anything persisted (snapshots) stores facts textually,
+	// never packed keys.
+	derived map[string]derived
+	// clock ticks once per insertion wave; the facts a wave adds take
+	// the tick as their rank.
+	clock   uint32
 	seq     int
 	corrupt error
 
@@ -175,26 +210,43 @@ func newEmpty(p *datalog.Program, opts Options) (*Materialization, error) {
 		return nil, err
 	}
 	m := &Materialization{
-		prog:        p,
-		idb:         p.IDB(),
-		schema:      schema,
-		rulesByHead: make(map[fact.ID][]*datalog.CompiledRule),
-		opts:        opts,
-		workers:     opts.workers(),
-		x:           datalog.IndexInstance(fact.NewInstance()),
-		base:        fact.NewInstance(),
-		support:     make(map[string]int64),
-		flow:        make(map[string]*flow),
+		prog:    p,
+		idb:     p.IDB(),
+		schema:  schema,
+		byHead:  make(map[fact.ID]*headRules),
+		opts:    opts,
+		workers: opts.workers(),
+		x:       datalog.IndexInstance(fact.NewInstance()),
+		base:    fact.NewInstance(),
+		derived: make(map[string]derived),
+		flow:    make(map[string]*flow),
+	}
+	// adj is the positive dependency graph, body relation → head
+	// relation.
+	adj := make(map[string][]string)
+	for _, r := range p.Rules {
+		for _, a := range r.Pos {
+			adj[a.Rel] = append(adj[a.Rel], r.Head.Rel)
+		}
 	}
 	for _, rules := range p.Strata(rho) {
-		m.strata = append(m.strata, newStratum(rules))
-	}
-	for _, r := range p.Rules {
-		head := fact.InternString(r.Head.Rel)
-		m.rulesByHead[head] = append(m.rulesByHead[head], datalog.Compile(r))
-		if len(r.Neg) > 0 {
-			m.hasNeg = true
+		s := newStratum(rules)
+		for ri, r := range rules {
+			id := fact.InternString(r.Head.Rel)
+			h := m.byHead[id]
+			if h == nil {
+				h = new(headRules)
+				m.byHead[id] = h
+			}
+			hr := headRule{c: s.crules[ri], nneg: len(r.Neg), ranked: make([]bool, len(r.Pos))}
+			for j, a := range r.Pos {
+				hr.ranked[j] = reaches(adj, r.Head.Rel, a.Rel)
+				h.recursive = h.recursive || hr.ranked[j]
+			}
+			h.rules = append(h.rules, hr)
+			m.hasNeg = m.hasNeg || len(r.Neg) > 0
 		}
+		m.strata = append(m.strata, s)
 	}
 	return m, nil
 }
@@ -202,30 +254,16 @@ func newEmpty(p *datalog.Program, opts Options) (*Materialization, error) {
 func newStratum(rules []datalog.Rule) stratum {
 	s := stratum{
 		rules:   rules,
-		heads:   make(map[string]bool),
 		posRels: make(map[string]bool),
 		negRels: make(map[string]bool),
 	}
 	for _, r := range rules {
-		s.heads[r.Head.Rel] = true
-	}
-	// adj is the positive dependency graph restricted to the stratum's
-	// own head relations; a cycle in it (including a self-loop) makes
-	// the stratum recursive.
-	adj := make(map[string][]string)
-	for _, r := range rules {
 		for _, a := range r.Pos {
 			s.posRels[a.Rel] = true
-			if s.heads[a.Rel] {
-				adj[a.Rel] = append(adj[a.Rel], r.Head.Rel)
-			}
 		}
 		for _, a := range r.Neg {
 			s.negRels[a.Rel] = true
 		}
-	}
-	s.recursive = hasCycle(adj)
-	for _, r := range rules {
 		s.crules = append(s.crules, datalog.Compile(r))
 		nc := make([]negCompiled, len(r.Neg))
 		for k := range r.Neg {
@@ -244,38 +282,21 @@ type negCompiled struct {
 	pin int
 }
 
-// hasCycle detects a directed cycle via three-color DFS.
-func hasCycle(adj map[string][]string) bool {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make(map[string]int)
-	var visit func(string) bool
-	visit = func(u string) bool {
-		color[u] = gray
-		for _, v := range adj[u] {
-			switch color[v] {
-			case gray:
-				return true
-			case white:
-				if visit(v) {
-					return true
-				}
-			}
-		}
-		color[u] = black
-		return false
-	}
-	nodes := make([]string, 0, len(adj))
-	for u := range adj {
-		nodes = append(nodes, u)
-	}
-	sort.Strings(nodes)
-	for _, u := range nodes {
-		if color[u] == white && visit(u) {
+// reaches reports whether the graph has a path, possibly empty, from
+// one relation to the other.
+func reaches(adj map[string][]string, from, to string) bool {
+	seen := map[string]bool{from: true}
+	for stack := []string{from}; len(stack) > 0; {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if u == to {
 			return true
+		}
+		for _, v := range adj[u] {
+			if !seen[v] {
+				seen[v] = true
+				stack = append(stack, v)
+			}
 		}
 	}
 	return false
@@ -308,39 +329,67 @@ func (m *Materialization) Base() *fact.Instance { return m.base.Clone() }
 
 // Support returns the maintained derivation count of a derived fact
 // (0 for base or unknown facts).
-func (m *Materialization) Support(f fact.Fact) int64 { return m.support[f.PackedKey()] }
+func (m *Materialization) Support(f fact.Fact) int64 { return int64(m.derived[f.PackedKey()].n) }
 
-// countDerivations counts the derivations of exactly f, over all rules
-// for its relation, against the current materialization. The head is
-// unified with f on interned IDs, so nothing is built per fact beyond
-// the matcher's own setup.
-func (m *Materialization) countDerivations(f fact.Fact) (int64, error) {
-	var n int64
-	for _, c := range m.rulesByHead[f.RelID()] {
-		k, err := m.x.CountDerivations(c, f)
-		if err != nil {
-			return 0, err
+// tick advances the clock and returns the rank of the wave it starts.
+// When 32 bits of ranks run out every fact goes unranked — sound, since
+// an unranked fact is never spared, only over-deleted and ranked again
+// on its way back — and the clock starts over above them.
+func (m *Materialization) tick() uint32 {
+	if m.clock == math.MaxUint32 {
+		for k, d := range m.derived {
+			d.rank = 0
+			m.derived[k] = d
 		}
-		n += k
+		m.clock = 0
 	}
-	return n, nil
+	m.clock++
+	return m.clock
 }
 
-// derivable reports whether f has at least one derivation against the
-// current materialization, stopping at the first witness.
-func (m *Materialization) derivable(f fact.Fact) (bool, error) {
-	for _, c := range m.rulesByHead[f.RelID()] {
-		if ok, err := m.x.Derivable(c, f); ok || err != nil {
-			return ok, err
+var errWitness = errors.New("incr: witness found")
+
+// witnessed reports whether f, of the given rank, has a derivation in
+// the view that none of the gone facts and none of the blocked negated
+// atoms touch and whose body facts over f's own recursive component
+// all rank below f. A fact so witnessed is derivable from the facts of
+// smaller rank that are left, so by induction on rank it needs no
+// cyclic support; an unranked fact is never witnessed.
+func (m *Materialization) witnessed(view *datalog.IndexedInstance, f fact.Fact, rank uint32, gone, blocked map[string]bool) (bool, error) {
+	if rank == 0 {
+		return false, nil
+	}
+	for _, hr := range m.byHead[f.RelID()].rules {
+		err := view.Valuations(hr.c, -1, nil, &f, func(v *datalog.Valuation) error {
+			for k := 0; k < hr.nneg; k++ {
+				if blocked[string(v.NegKey(k))] {
+					return nil
+				}
+			}
+			for j, ranked := range hr.ranked {
+				key := v.PosKey(j)
+				if gone[string(key)] || (ranked && m.derived[string(key)].rank >= rank) {
+					return nil
+				}
+			}
+			return errWitness
+		})
+		if err == errWitness {
+			return true, nil
+		}
+		if err != nil {
+			return false, err
 		}
 	}
 	return false, nil
 }
 
 // Verify checks the materialization against full recomputation: the
-// fact set must equal EvalStratified(base) and every derived fact's
-// support count must equal its derivation count. It is O(full
-// evaluation) and meant for tests, snapshots audits, and debugging.
+// fact set must equal EvalStratified(base), every derived fact's
+// support count must equal its derivation count, and every ranked fact
+// must have the derivation over lower ranks that its rank promises. It
+// is O(full evaluation) and meant for tests, snapshots audits, and
+// debugging.
 func (m *Materialization) Verify() error {
 	if m.corrupt != nil {
 		return m.corrupt
@@ -354,28 +403,43 @@ func (m *Materialization) Verify() error {
 		return fmt.Errorf("incr: materialization diverged from recomputation:\nextra:   %v\nmissing: %v",
 			got.Minus(want), want.Minus(got))
 	}
-	derived := 0
+	nderived := 0
 	for _, f := range got.Facts() {
+		d, ok := m.derived[f.PackedKey()]
 		if m.base.Has(f) {
-			if _, ok := m.support[f.PackedKey()]; ok {
+			if ok {
 				return fmt.Errorf("incr: base fact %v has a support entry", f)
 			}
 			continue
 		}
-		derived++
-		n, err := m.countDerivations(f)
-		if err != nil {
-			return err
+		nderived++
+		var n int64
+		for _, hr := range m.byHead[f.RelID()].rules {
+			k, err := m.x.CountDerivations(hr.c, f)
+			if err != nil {
+				return err
+			}
+			n += k
 		}
-		if have := m.support[f.PackedKey()]; have != n {
-			return fmt.Errorf("incr: support count for %v is %d, want %d", f, have, n)
+		if int64(d.n) != n {
+			return fmt.Errorf("incr: support count for %v is %d, want %d", f, d.n, n)
 		}
 		if n <= 0 {
 			return fmt.Errorf("incr: materialized fact %v has no derivation", f)
 		}
+		if d.rank > m.clock {
+			return fmt.Errorf("incr: %v has rank %d, the clock reads %d", f, d.rank, m.clock)
+		}
+		if d.rank > 0 {
+			if ok, err := m.witnessed(m.x, f, d.rank, nil, nil); err != nil {
+				return err
+			} else if !ok {
+				return fmt.Errorf("incr: %v has rank %d but no derivation over lower ranks", f, d.rank)
+			}
+		}
 	}
-	if len(m.support) != derived {
-		return fmt.Errorf("incr: %d support entries for %d derived facts", len(m.support), derived)
+	if len(m.derived) != nderived {
+		return fmt.Errorf("incr: %d support entries for %d derived facts", len(m.derived), nderived)
 	}
 	return nil
 }

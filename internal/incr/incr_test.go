@@ -112,7 +112,7 @@ func TestSupportCountsSurviveSharedDerivations(t *testing.T) {
 	checkAgainstRecompute(t, m)
 }
 
-// TestNegationFlips exercises the DRed path: inserting an edge that
+// TestNegationFlips exercises the recursive path: inserting an edge that
 // closes a cycle flips Off facts away; retracting it flips them back.
 func TestNegationFlips(t *testing.T) {
 	m := mustNew(t, noLoopProg, generate.Path("v", 3), Options{})
@@ -244,13 +244,26 @@ func TestCountersPublished(t *testing.T) {
 	if _, err := m.Apply(Delta{Retract: []fact.Fact{fact.MustParseFact("E(v0,v1)")}}); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	// Retraction from recursive TC runs DRed: overdeletion plus
-	// recount-style bookkeeping, no support decrements.
+	// A retraction from recursive TC reaches facts of a recursive
+	// component: what it removes counts as over-deleted.
 	snap := reg.Snapshot()
-	for _, name := range []string{obs.IncrApplies, obs.IncrBaseInserted, obs.IncrDerivedAdded, obs.IncrBaseRetracted, obs.IncrDerivedRemoved, obs.IncrSupportIncrements, obs.IncrOverdeleted} {
+	for _, name := range []string{obs.IncrApplies, obs.IncrBaseInserted, obs.IncrDerivedAdded, obs.IncrBaseRetracted, obs.IncrDerivedRemoved, obs.IncrSupportIncrements, obs.IncrSupportDecrements, obs.IncrOverdeleted} {
 		if snap.Counters[name] == 0 {
 			t.Errorf("counter %s not published (snapshot %v)", name, snap.Counters)
 		}
+	}
+	// One edge of a diamond going spares T(a,d), the other side's; the
+	// second, with a longer way round left, sends it through delete and
+	// rederive.
+	reg3 := obs.NewRegistry()
+	m3 := mustNew(t, tcProg, fact.MustParseInstance("E(a,b) E(b,d) E(a,c) E(c,d) E(c,e) E(e,d)"), Options{Reg: reg3})
+	for _, f := range []string{"E(b,d)", "E(c,d)"} {
+		if _, err := m3.Apply(Delta{Retract: []fact.Fact{fact.MustParseFact(f)}}); err != nil {
+			t.Fatalf("Apply: %v", err)
+		}
+	}
+	if c := reg3.Snapshot().Counters; c[obs.IncrKept] == 0 || c[obs.IncrRederived] == 0 {
+		t.Errorf("kept %d, rederived %d: both want publishing", c[obs.IncrKept], c[obs.IncrRederived])
 	}
 	// A non-recursive stratum deletes by counting, which decrements.
 	reg2 := obs.NewRegistry()
@@ -352,13 +365,16 @@ func TestWriteOnlyCommitsStayBounded(t *testing.T) {
 		if got, want := m.Epoch().Rel("T"), m.Rel("T"); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: after 10000 commits T = %d facts, the materialization holds %d", mode, len(got), len(want))
 		}
+		if recs, derived := len(m.derived), len(m.Rel("T")); recs != derived {
+			t.Errorf("%s: after 10000 commits %d rank and support records for %d derived facts", mode, recs, derived)
+		}
 	}
 }
 
 // churnNamespace returns a materialization of TC over a chain of n edges
 // beside a private 4-node path, and one round of the serving churn on
-// it: retract the path's middle edge (DRed over-deletes its cone of
-// four), insert it again.
+// it: retract the path's middle edge (four facts go with it), insert it
+// again.
 func churnNamespace(t *testing.T, n int) (*Materialization, func()) {
 	base := generate.Path("c", n+1)
 	for _, e := range [][2]fact.Value{{"p0", "p1"}, {"p1", "p2"}, {"p2", "p3"}} {
@@ -377,10 +393,11 @@ func churnNamespace(t *testing.T, n int) (*Materialization, func()) {
 
 // TestRetractCostsItsCone is the counter that gates the row index (same
 // input, same number): what a one-edge retract and re-insert allocates
-// follows the cone it moves, not the relation it moves in — allocations
-// under 1.05x and bytes under 1.25x from chain-64 to chain-256, a T
-// fifteen times the size — and ten thousand rounds leave neither dead
-// rows nor heap behind.
+// follows the cone it moves, not the relation it moves in — at most 199
+// objects at chain-64, allocations under 1.05x and bytes under 1.25x
+// from there to chain-256, a T fifteen times the size — and ten thousand
+// rounds leave neither dead rows, nor records of facts that are gone,
+// nor heap behind.
 func TestRetractCostsItsCone(t *testing.T) {
 	measure := func(n int) (allocs, bytes float64, size int) {
 		m, round := churnNamespace(t, n)
@@ -399,6 +416,9 @@ func TestRetractCostsItsCone(t *testing.T) {
 	t.Logf("retract + re-insert: %.0f allocs, %.0f B at |T| = %d; %.0f allocs, %.0f B at |T| = %d", sa, sb, nSmall, la, lb, nLarge)
 	if nLarge < 15*nSmall {
 		t.Fatalf("|T| grew %d → %d, want about 15x", nSmall, nLarge)
+	}
+	if sa > 199 {
+		t.Errorf("a round allocates %.0f objects at |T| = %d, want at most 199", sa, nSmall)
 	}
 	if la >= 1.05*sa || lb >= 1.25*sb {
 		t.Errorf("a round grew %.0f → %.0f allocations (≥ 1.05x), %.0f → %.0f bytes (≥ 1.25x) while |T| grew %d → %d", sa, la, sb, lb, nSmall, nLarge)
@@ -424,6 +444,9 @@ func TestRetractCostsItsCone(t *testing.T) {
 		// rows or at most as many dead as live, and the last retract's cone.
 		if rows, live := m.x.Rows(), m.x.Len(); rows > 2*live+2*64+8 {
 			t.Fatalf("round %d: the index holds %d rows for %d facts", i, rows, live)
+		}
+		if recs, derived := len(m.derived), m.x.Len()-m.base.Len(); recs != derived {
+			t.Fatalf("round %d: %d records for %d derived facts", i, recs, derived)
 		}
 	}
 	if late := heap(); late > early+1<<20 {

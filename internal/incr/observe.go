@@ -10,17 +10,24 @@ import "repro/internal/obs"
 // internal/obs for the two-plane discipline.
 
 // emitStratum reports one stratum's maintenance work (only emitted
-// when the stratum did any).
+// when the stratum did any). alg is "dred" when the deletion phase
+// reached a fact of a recursive component — one a count alone does not
+// prove, so ranks were compared — and "count" otherwise.
 func (m *Materialization) emitStratum(si int, sb *stratumStats) {
 	if m.opts.Sink == nil {
 		return
 	}
+	alg := "count"
+	if sb.overdeleted+sb.kept > 0 {
+		alg = "dred"
+	}
 	m.opts.Sink.Emit(obs.EvIncrStratum,
 		obs.F("seq", m.seq),
 		obs.F("stratum", si+1),
-		obs.F("alg", sb.alg),
+		obs.F("alg", alg),
 		obs.F("overdeleted", sb.overdeleted),
 		obs.F("rederived", sb.rederived),
+		obs.F("kept", sb.kept),
 		obs.F("added", sb.added),
 		obs.F("removed", sb.removed),
 	)
@@ -36,9 +43,9 @@ func (m *Materialization) publishApply(st *ApplyStats) {
 	reg.Counter(obs.IncrDerivedRemoved).Add(int64(st.DerivedRemoved))
 	reg.Counter(obs.IncrOverdeleted).Add(int64(st.Overdeleted))
 	reg.Counter(obs.IncrRederived).Add(int64(st.Rederived))
+	reg.Counter(obs.IncrKept).Add(int64(st.Kept))
 	reg.Counter(obs.IncrSupportIncrements).Add(st.SupportIncrements)
 	reg.Counter(obs.IncrSupportDecrements).Add(st.SupportDecrements)
-	reg.Counter(obs.IncrRecounts).Add(int64(st.Recounts))
 	if m.opts.Sink == nil {
 		return
 	}

@@ -15,8 +15,11 @@ import (
 // property: over hundreds of seeded random programs and mixed
 // insert/retract update streams, the incrementally maintained
 // materialization is set-equal to full stratified recomputation after
-// EVERY delta, in both serial and parallel modes, and the support
-// counts audit clean at the end.
+// EVERY delta, in both serial and parallel modes, and Verify audits the
+// support counts and the rank invariant clean after every delta too —
+// with every derived fact ranked, so that a rank lost along the way
+// fails here instead of quietly sending its fact through delete and
+// rederive.
 func TestPropertyIncrementalEqualsRecompute(t *testing.T) {
 	seeds := 300
 	if testing.Short() {
@@ -82,13 +85,18 @@ func TestPropertyIncrementalEqualsRecompute(t *testing.T) {
 						t.Fatalf("step %d: %s materialization diverged\nprogram:\n%s\nbase: %v\nextra: %v\nmissing: %v",
 							step, name, prog, cur, got.Minus(want), want.Minus(got))
 					}
+					if err := m.Verify(); err != nil {
+						t.Fatalf("step %d: %s Verify: %v\nprogram:\n%s", step, name, err, prog)
+					}
+					for k, d := range m.derived {
+						if d.rank == 0 {
+							t.Fatalf("step %d: %s: derived fact %q has no rank\nprogram:\n%s", step, name, k, prog)
+						}
+					}
 				}
-			}
-			if err := serial.Verify(); err != nil {
-				t.Fatalf("serial Verify: %v\nprogram:\n%s", err, prog)
-			}
-			if err := par.Verify(); err != nil {
-				t.Fatalf("parallel Verify: %v\nprogram:\n%s", err, prog)
+				if s, p := snapshotString(t, serial), snapshotString(t, par); s != p {
+					t.Fatalf("step %d: serial and parallel snapshots differ\n--- serial ---\n%s--- parallel ---\n%s", step, s, p)
+				}
 			}
 		})
 	}

@@ -11,13 +11,15 @@ import (
 )
 
 // Snapshot format: JSON lines. The first line is a header carrying
-// the format tag, the program source, and the apply sequence number;
-// every following line is one materialized fact — base facts bare,
-// derived facts with their support count:
+// the format tag, the program source, the apply sequence number and
+// the rank clock; every following line is one materialized fact — base
+// facts bare, derived facts with their support count and their rank (a
+// line without one restores as an unranked fact, which the witness
+// check never spares):
 //
-//	{"snapshot":"calm.incr","v":1,"seq":3,"program":"T(x,y) :- E(x,y).\n..."}
+//	{"snapshot":"calm.incr","v":1,"seq":3,"clock":7,"program":"T(x,y) :- E(x,y).\n..."}
 //	{"f":"E(a,b)"}
-//	{"f":"T(a,b)","n":1}
+//	{"f":"T(a,b)","n":1,"r":2}
 //
 // Facts are written in sorted order and the header field order is
 // fixed, so snapshotting is deterministic: snapshot → restore →
@@ -33,12 +35,14 @@ type snapshotHeader struct {
 	Snapshot string `json:"snapshot"`
 	V        int    `json:"v"`
 	Seq      int    `json:"seq"`
+	Clock    uint32 `json:"clock"`
 	Program  string `json:"program"`
 }
 
 type snapshotFact struct {
 	F string `json:"f"`
-	N int64  `json:"n,omitempty"`
+	N uint32 `json:"n,omitempty"`
+	R uint32 `json:"r,omitempty"`
 }
 
 // Snapshot writes the full materialization state to w.
@@ -52,6 +56,7 @@ func (m *Materialization) Snapshot(w io.Writer) error {
 		Snapshot: snapshotTag,
 		V:        snapshotVersion,
 		Seq:      m.seq,
+		Clock:    m.clock,
 		Program:  m.prog.String(),
 	}); err != nil {
 		return err
@@ -60,11 +65,11 @@ func (m *Materialization) Snapshot(w io.Writer) error {
 	for _, f := range facts {
 		line := snapshotFact{F: f.String()}
 		if !m.base.Has(f) {
-			n := m.support[f.PackedKey()]
-			if n <= 0 {
-				return fmt.Errorf("incr: snapshot: derived fact %v has support %d", f, n)
+			d := m.derived[f.PackedKey()]
+			if d.n == 0 {
+				return fmt.Errorf("incr: snapshot: derived fact %v has no support", f)
 			}
-			line.N = n
+			line.N, line.R = d.n, d.rank
 		}
 		if err := enc.Encode(line); err != nil {
 			return err
@@ -75,8 +80,8 @@ func (m *Materialization) Snapshot(w io.Writer) error {
 
 // Restore rebuilds a materialization from a snapshot stream, with the
 // given runtime options (mode, workers, instrumentation — these are
-// not part of the snapshot). The fact set and support counts are
-// taken on faith for speed; call Verify to audit a restored
+// not part of the snapshot). The fact set, support counts and ranks
+// are taken on faith for speed; call Verify to audit a restored
 // materialization against full recomputation.
 func Restore(r io.Reader, opts Options) (*Materialization, error) {
 	sc := bufio.NewScanner(r)
@@ -105,7 +110,7 @@ func Restore(r io.Reader, opts Options) (*Materialization, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.seq = hdr.Seq
+	m.seq, m.clock = hdr.Seq, hdr.Clock
 	for line := 2; sc.Scan(); line++ {
 		if len(sc.Bytes()) == 0 {
 			continue
@@ -128,13 +133,13 @@ func Restore(r io.Reader, opts Options) (*Materialization, error) {
 			m.base.Add(f)
 			continue
 		}
-		if sf.N < 0 {
-			return nil, fmt.Errorf("incr: restore: line %d: negative support on %v", line, f)
-		}
 		if !m.idb.Has(f.Rel()) {
 			return nil, fmt.Errorf("incr: restore: line %d: %v carries a support count but %s is not a derived relation", line, f, f.Rel())
 		}
-		m.support[f.PackedKey()] = sf.N
+		if sf.R > m.clock {
+			return nil, fmt.Errorf("incr: restore: line %d: %v has rank %d, the clock reads %d", line, f, sf.R, m.clock)
+		}
+		m.derived[f.PackedKey()] = derived{n: sf.N, rank: sf.R}
 	}
 	return m, sc.Err()
 }

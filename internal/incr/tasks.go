@@ -25,9 +25,11 @@ type pinTask struct {
 	accept func(v *datalog.Valuation) bool
 }
 
-// headEntry is one accumulated head fact with its derivation count.
+// headEntry is one accumulated head fact with its packed key and its
+// derivation count.
 type headEntry struct {
 	f fact.Fact
+	k string
 	n int64
 }
 
@@ -65,16 +67,6 @@ func (a *headAcc) entries() []*headEntry {
 	return es
 }
 
-// sortedFacts returns the accumulated head facts in sorted order.
-func (a *headAcc) sortedFacts() []fact.Fact {
-	fs := make([]fact.Fact, 0, len(a.m))
-	for _, e := range a.m {
-		fs = append(fs, e.f)
-	}
-	fact.SortFacts(fs)
-	return fs
-}
-
 func runTask(t pinTask, acc *headAcc) error {
 	return t.view.Valuations(t.crule, t.pin, t.pinFacts, nil, func(v *datalog.Valuation) error {
 		if t.accept != nil && !t.accept(v) {
@@ -89,7 +81,8 @@ func runTask(t pinTask, acc *headAcc) error {
 		if err != nil {
 			return err
 		}
-		acc.m[string(k)] = &headEntry{f: h, n: 1}
+		e := &headEntry{f: h, k: string(k), n: 1}
+		acc.m[e.k] = e
 		return nil
 	})
 }
@@ -127,23 +120,21 @@ func (m *Materialization) runTasks(tasks []pinTask) (*headAcc, error) {
 	return accs[0], nil
 }
 
-// groupByRel groups facts by relation, preserving slice order.
-func groupByRel(fs []fact.Fact) map[string][]fact.Fact {
+// groupByRel groups a wave's facts by relation, preserving slice order.
+func groupByRel(wave []*headEntry) map[string][]fact.Fact {
 	g := make(map[string][]fact.Fact)
-	for _, f := range fs {
-		g[f.Rel()] = append(g[f.Rel()], f)
+	for _, e := range wave {
+		g[e.f.Rel()] = append(g[e.f.Rel()], e.f)
 	}
 	return g
 }
 
-// keySet builds the packed-key set of a fact slice, probed by the
-// accept filters with the matcher's scratch key bytes.
-func keySet(fs []fact.Fact) map[string]bool {
-	s := make(map[string]bool, len(fs))
-	var buf []byte
-	for _, f := range fs {
-		buf = f.AppendPacked(buf[:0])
-		s[string(buf)] = true
+// keySet builds the packed-key set of a wave, probed by the accept
+// filters with the matcher's scratch key bytes.
+func keySet(wave []*headEntry) map[string]bool {
+	s := make(map[string]bool, len(wave))
+	for _, e := range wave {
+		s[e.k] = true
 	}
 	return s
 }

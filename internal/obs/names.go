@@ -54,18 +54,18 @@ const (
 	// derived (idb) portion of the materialization.
 	IncrDerivedAdded   = "incr.derived_added"
 	IncrDerivedRemoved = "incr.derived_removed"
-	// IncrOverdeleted counts facts removed by the DRed over-deletion
-	// phase (before rederivation); IncrRederived counts how many of
-	// those came back — together they measure rederivation work.
+	// IncrOverdeleted counts facts removed by deletion phases that
+	// reached a recursive component; IncrRederived counts the facts a
+	// deletion phase removed and the insertion phase brought back —
+	// together they measure rederivation work. IncrKept counts the
+	// facts a deletion phase reached and the witness check spared.
 	IncrOverdeleted = "incr.overdeleted"
 	IncrRederived   = "incr.rederived"
+	IncrKept        = "incr.kept"
 	// IncrSupportIncrements / IncrSupportDecrements count changes to
 	// per-fact derivation support counts — the support-count churn.
 	IncrSupportIncrements = "incr.support_increments"
 	IncrSupportDecrements = "incr.support_decrements"
-	// IncrRecounts counts facts whose support was recomputed from
-	// scratch after a DRed phase.
-	IncrRecounts = "incr.recounts"
 	// IncrApplyNs is the wall-clock span histogram of Apply calls.
 	IncrApplyNs = "incr.apply_ns"
 )

@@ -237,7 +237,7 @@ func TestFailedSnapshotKeepsPrevious(t *testing.T) {
 	if err := honest.Snapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
-	doctored := bytes.Replace(snap.Bytes(), []byte(`{"f":"Off(a)","n":2}`), []byte(`{"f":"Off(a)","n":1}`), 1)
+	doctored := bytes.Replace(snap.Bytes(), []byte(`{"f":"Off(a)","n":2,`), []byte(`{"f":"Off(a)","n":1,`), 1)
 	if bytes.Equal(doctored, snap.Bytes()) {
 		t.Fatalf("snapshot has no Off(a) line with support 2:\n%s", snap.Bytes())
 	}

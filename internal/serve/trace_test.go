@@ -89,6 +89,9 @@ func TestSpanStreamDeterministic(t *testing.T) {
 		`"span":"srv.req"`,
 		`"span":"srv.queue_wait"`,
 		`"span":"incr.apply"`,
+		`"overdeleted":`, // the apply span says what the deletion phase did
+		`"rederived":`,
+		`"kept":`,
 		`"span":"srv.apply"`,
 		`"span":"srv.commit"`,
 		`"span":"srv.render"`,

@@ -5,13 +5,15 @@
 # under the race detector (the parallel fixpoint engine, the epoch-
 # pinned serving core, and the simulation determinism tests are the
 # main race-sensitive surfaces). The fault-injection, explorer,
-# serving, cluster, and event-scheduler packages additionally run
+# serving, cluster, incremental-maintenance (its clock and ranks are
+# order-dependent state), and event-scheduler packages additionally run
 # twice under -race
 # (-count=2 defeats the test cache and catches order-dependent state),
 # the serial span-stream byte-compare runs thirty times under -race,
 # internal/transducer coverage is gated at its pre-fault-layer
 # baseline (84.0%), internal/core (the strategies whose transitions
-# both simulators' hot path runs) at 85.0%, internal/netsim,
+# both simulators' hot path runs) at 85.0%, internal/incr at 88.0%,
+# internal/netsim,
 # internal/generate, internal/obs, internal/serve, internal/cluster,
 # and internal/admin at 80.0%, and the
 # instrumentation's disabled (nil) fast path is benchmarked against a
@@ -50,8 +52,8 @@ fi
 echo ">> go test -race ./..."
 go test -race ./...
 
-echo ">> go test -race -count=2 ./internal/transducer/... ./internal/core/... ./internal/serve/... ./internal/cluster/..."
-go test -race -count=2 ./internal/transducer/... ./internal/core/... ./internal/serve/... ./internal/cluster/...
+echo ">> go test -race -count=2 ./internal/transducer/... ./internal/core/... ./internal/serve/... ./internal/cluster/... ./internal/incr/..."
+go test -race -count=2 ./internal/transducer/... ./internal/core/... ./internal/serve/... ./internal/cluster/... ./internal/incr/...
 
 # The span stream of a serial session is byte-compared between runs;
 # a write's fence closing after its response was handed over made that
@@ -85,6 +87,7 @@ coverage_gate() {
 
 coverage_gate ./internal/transducer/ 84.0
 coverage_gate ./internal/core/ 85.0
+coverage_gate ./internal/incr/ 88.0
 coverage_gate ./internal/netsim/ 80.0
 coverage_gate ./internal/generate/ 80.0
 coverage_gate ./internal/obs/ 80.0
