@@ -127,37 +127,6 @@ func BenchmarkNaiveVsSemiNaive(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelTC is the PERF.4 ablation: transitive closure on
-// larger graphs under the incremental strategies, where per-round
-// deltas are big enough for the parallel engine's fan-out to matter.
-// Naive mode is omitted (its quadratic re-derivation dominates and
-// PERF.1 already records it).
-func BenchmarkParallelTC(b *testing.B) {
-	tc := queries.TCProgram()
-	inputs := []struct {
-		name string
-		in   *fact.Instance
-	}{
-		{"chain96", generate.Path("v", 96)},
-		{"random240", generate.RandomGraph(newRand(3), "v", 60, 240)},
-		{"grid8x8", generate.Grid("g", 8, 8)},
-	}
-	for _, c := range inputs {
-		for _, m := range evalModes {
-			if m.mode == datalog.Naive {
-				continue
-			}
-			b.Run(c.name+"/"+m.name, func(b *testing.B) {
-				for n := 0; n < b.N; n++ {
-					if _, err := tc.Fixpoint(c.in, datalog.FixpointOptions{Mode: m.mode}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkStrategyMessages is the PERF.2 ablation: message and
 // transition counts of the three coordination-free strategies on the
 // same workload (reported as custom metrics).
@@ -250,32 +219,6 @@ func BenchmarkInputScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkExplore measures the exhaustive schedule explorer (used by
-// the safety tests) at increasing depth.
-func BenchmarkExplore(b *testing.B) {
-	net := transducer.MustNetwork("n1", "n2")
-	in := fact.MustParseInstance(`E(a,b) E(b,a)`)
-	q := queries.TC()
-	want, err := q.Eval(in)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := core.MustBuild(core.Broadcast, q)
-	for _, depth := range []int{2, 3, 4} {
-		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
-			for n := 0; n < b.N; n++ {
-				v, err := transducer.Explore(net, tr, transducer.HashPolicy(net), core.Broadcast.RequiredModel(), in, want, depth)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if v != nil {
-					b.Fatal("unexpected violation")
-				}
-			}
-		})
-	}
-}
-
 // winMoveGame builds the game graph used by the win-move benchmarks: a
 // chain of moves with some back-edges, mixing won, lost and drawn
 // positions.
@@ -329,27 +272,6 @@ func BenchmarkWFSDirectVsDoubled(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkWFSModes compares the three fixpoint modes inside the
-// doubled-program route to the well-founded semantics of win-move
-// (the doubling workload of PERF.4): the doubled program is stratified,
-// so every EvalMode applies directly.
-func BenchmarkWFSModes(b *testing.B) {
-	prog := queries.WinMoveProgram()
-	for _, size := range []int{16, 32} {
-		game := winMoveGame(size)
-		for _, m := range evalModes {
-			b.Run(fmt.Sprintf("positions%d/%s", size+1, m.name), func(b *testing.B) {
-				for n := 0; n < b.N; n++ {
-					opts := datalog.FixpointOptions{Mode: m.mode}
-					if _, err := queries.WellFoundedViaDoubledOpts(prog, game, opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkCoordinationFreeWitness measures the Definition 3 check

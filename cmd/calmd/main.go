@@ -57,8 +57,6 @@ func main() {
 		listenAddr  = flag.String("listen", "", "serve the protocol on this TCP address (default: stdin/stdout)")
 		shardCount  = flag.Int("shards", 0, "run as a sharded cluster with this many shards (0 = single node)")
 		placement   = flag.String("placement", "hash", "shard placement strategy for -shards: hash or component")
-		mode        = flag.String("mode", "seminaive", "maintenance evaluation mode: seminaive or parallel")
-		workers     = flag.Int("workers", 0, "worker goroutines for -mode parallel (0 = GOMAXPROCS)")
 		writeQueue  = flag.Int("write-queue", 0, "bound of the shared write queue (0 = default 256)")
 		maxBatch    = flag.Int("max-batch", 0, "max deltas per group commit (0 = default 64)")
 		pipeline    = flag.Int("pipeline", 0, "max in-flight requests per connection (0 = default 64)")
@@ -67,12 +65,8 @@ func main() {
 		tracePath   = flag.String("trace", "", `write structured JSONL maintenance events to this file ("-" = stdout)`)
 		adminAddr   = flag.String("admin", "", "serve the admin endpoint (/metrics /healthz /trace /debug/pprof) on this address (e.g. localhost:6060)")
 		traceSpans  = flag.Int("trace-spans", 4096, "span ring capacity for -admin request tracing (0 = tracing off)")
-		pprofAddr   = flag.String("pprof", "", "deprecated alias for -admin")
 	)
 	flag.Parse()
-	if *adminAddr == "" {
-		*adminAddr = *pprofAddr
-	}
 
 	var reg *obs.Registry
 	if *metricsPath != "" || *adminAddr != "" {
@@ -90,11 +84,7 @@ func main() {
 	// that is not already a failure runs it.
 	finish := obs.Finisher(closeSink, reg, *metricsPath, fatal)
 
-	evalMode, err := datalog.ParseEvalMode(*mode)
-	if err != nil {
-		fatal(err)
-	}
-	opts := incr.Options{Mode: evalMode, Workers: *workers, Reg: reg, Sink: sink}
+	opts := incr.Options{Reg: reg, Sink: sink}
 
 	serveOpts := serve.Options{
 		WriteQueue:  *writeQueue,

@@ -112,7 +112,7 @@ func TestEndToEndSnapshotRestart(t *testing.T) {
 	}
 
 	// Restart: a fresh daemon restored from the snapshot.
-	m2, err := buildMaterialization("", "", snapPath, incr.Options{Mode: datalog.Parallel, Workers: 3})
+	m2, err := buildMaterialization("", "", snapPath, incr.Options{})
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}

@@ -38,8 +38,7 @@ func main() {
 		programPath = flag.String("program", "", "path to the Datalog¬ program (required)")
 		inputPath   = flag.String("input", "", "path to the input instance (default: empty instance)")
 		outRels     = flag.String("out", "", "comma-separated output relations (default: print all derived facts)")
-		mode        = flag.String("mode", "seminaive", "fixpoint evaluation mode: seminaive, naive or parallel")
-		workers     = flag.Int("workers", 0, "worker goroutines for -mode parallel and -ilog (0 = GOMAXPROCS)")
+		mode        = flag.String("mode", "seminaive", "fixpoint evaluation mode: seminaive, naive or parallel (wide rounds fan out over GOMAXPROCS goroutines)")
 		wfs         = flag.Bool("wfs", false, "evaluate under the well-founded semantics (alternating fixpoint)")
 		useIlog     = flag.Bool("ilog", false, "parse as an ILOG¬ program with invention heads like Id(*, x, y)")
 		adom        = flag.Bool("adom", false, "append rules computing the conventional Adom relation")
@@ -86,7 +85,7 @@ func main() {
 	finish := obs.Finisher(closeSink, reg, *metricsPath, fatal)
 
 	if *useIlog {
-		runIlog(string(src), input, *outRels, *workers, reg, sink)
+		runIlog(string(src), input, *outRels, reg, sink)
 		finish()
 		return
 	}
@@ -119,7 +118,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := datalog.FixpointOptions{Mode: evalMode, Workers: *workers, Reg: reg, Sink: sink}
+	opts := datalog.FixpointOptions{Mode: evalMode, Reg: reg, Sink: sink}
 	out, err := prog.EvalStratified(input, opts)
 	if err != nil {
 		fatal(err)
@@ -129,13 +128,13 @@ func main() {
 }
 
 // runIlog parses and evaluates an ILOG¬ program with invention.
-func runIlog(src string, input *fact.Instance, outRels string, workers int, reg *obs.Registry, sink *obs.Sink) {
+func runIlog(src string, input *fact.Instance, outRels string, reg *obs.Registry, sink *obs.Sink) {
 	prog, err := ilog.ParseProgram(src)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("semi-connected: %v\n", prog.IsSemiConnected())
-	full, err := prog.Eval(input, ilog.Options{Workers: workers, Reg: reg, Sink: sink})
+	full, err := prog.Eval(input, ilog.Options{Reg: reg, Sink: sink})
 	if err != nil {
 		fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"repro/internal/fact"
+	"repro/internal/obs"
 	"repro/internal/transducer"
 )
 
@@ -77,7 +78,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sim.TraceTo(os.Stdout)
+	sim.Observe(obs.NewSink(os.Stdout))
 	out, err := sim.RunToQuiescence(64)
 	if err != nil {
 		log.Fatal(err)

@@ -105,53 +105,3 @@ func TestGatherPhaseTelemetry(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkGatherPhases measures the partitioned scatter/gather read
-// path end to end through the router wire loop (the PERF.9 subject),
-// with phase attribution left to the latency histograms.
-func BenchmarkGatherPhases(b *testing.B) {
-	reg := obs.NewRegistry()
-	c := newTestCluster(b, tcProgram, chainFacts(64), Options{
-		Shards: 4, Placement: PlaceComponent, Reg: reg,
-	})
-	if !c.Plan().Partitioned {
-		b.Fatalf("want partitioned plan, got %+v", c.Plan())
-	}
-	r := NewRouter(c)
-	line := `{"op":"query","rel":"T"}` + "\n"
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var out bytes.Buffer
-		if err := r.Serve(strings.NewReader(line), &out); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	report := func(name, metric string) {
-		h := reg.Latency(name)
-		if h.Count() > 0 {
-			b.ReportMetric(float64(h.Sum())/float64(h.Count()), metric)
-		}
-	}
-	report(obs.ClusterGatherNs, "gather-ns/op")
-	report(obs.ClusterGatherFanoutNs, "fanout-ns/op")
-	report(obs.ClusterGatherMergeNs, "merge-ns/op")
-	report(obs.ClusterGatherRenderNs, "render-ns/op")
-}
-
-// BenchmarkGatherBaseline is the single-node comparison leg for
-// PERF.9: the same chain and query served by one core, no router.
-func BenchmarkGatherBaseline(b *testing.B) {
-	c := newTestCluster(b, tcProgram, chainFacts(64), Options{
-		Shards: 1, Placement: PlaceHash,
-	})
-	r := NewRouter(c)
-	line := `{"op":"query","rel":"T"}` + "\n"
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var out bytes.Buffer
-		if err := r.Serve(strings.NewReader(line), &out); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

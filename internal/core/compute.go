@@ -98,12 +98,6 @@ func ComputeRandom(s Strategy, q monotone.Query, net transducer.Network, pol tra
 	return ComputeRun(s, q, net, pol, input, RunConfig{MaxRounds: maxRounds, Seed: seed, RandomSteps: randomSteps})
 }
 
-// ComputeFaulty is Compute with a fault plan installed; see
-// RunConfig.Plan for the fault semantics.
-func ComputeFaulty(s Strategy, q monotone.Query, net transducer.Network, pol transducer.Policy, input *fact.Instance, plan *transducer.FaultPlan, maxRounds int) (*Result, error) {
-	return ComputeRun(s, q, net, pol, input, RunConfig{MaxRounds: maxRounds, Plan: plan})
-}
-
 // FaultConfigFor returns the fault mix a strategy is expected to
 // survive on queries inside its class. Broadcast and Absence tolerate
 // the full default mix including crash-restart, because every message

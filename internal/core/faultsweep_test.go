@@ -130,8 +130,8 @@ func TestFaultConfigFor(t *testing.T) {
 	}
 }
 
-// ComputeFaulty end-to-end: a concrete parsed plan with every fault
-// kind still converges for an in-class strategy.
+// ComputeRun under a fault plan, end-to-end: a concrete parsed plan
+// with every fault kind still converges for an in-class strategy.
 func TestComputeFaultyConverges(t *testing.T) {
 	plan, err := transducer.ParseFaultPlan("dup=0.3,delay=0.5:4,stall=n2@2-6,crash=n3@8,part=3-7:n1", 9)
 	if err != nil {
@@ -141,7 +141,7 @@ func TestComputeFaultyConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ComputeFaulty(Broadcast, queries.TC(), sweepNet, transducer.HashPolicy(sweepNet), sweepGraph, plan, 0)
+	res, err := ComputeRun(Broadcast, queries.TC(), sweepNet, transducer.HashPolicy(sweepNet), sweepGraph, RunConfig{Plan: plan})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package datalog
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/fact"
 	"repro/internal/obs"
@@ -14,7 +13,8 @@ import (
 // naive (recompute all rules each round; the correctness oracle),
 // semi-naive (each round only joins that touch at least one
 // newly-derived fact; the default), and parallel (semi-naive with the
-// per-round joins fanned across a worker pool; see parallel.go).
+// joins of a wide round fanned across GOMAXPROCS goroutines; see
+// parallel.go).
 // Stratified programs are evaluated stratum by stratum in stratify.go.
 //
 // All loops evaluate compiled rules (compile.go): joins bind interned
@@ -33,11 +33,11 @@ const (
 	// ablation benchmark.
 	Naive
 	// Parallel is semi-naive with each round's (rule, delta-chunk)
-	// join tasks fanned across a worker pool. Workers derive into
+	// join tasks fanned across GOMAXPROCS goroutines. They derive into
 	// private buffers that are merged at the round barrier, so the
 	// result is identical to SemiNaive. Rounds whose pinned work is
 	// below the inline threshold run on the coordinator instead (see
-	// FixpointOptions.InlineBelow).
+	// parallel.go).
 	Parallel
 )
 
@@ -81,54 +81,16 @@ type FixpointOptions struct {
 	// identically: a program whose fixpoint needs k productive rounds
 	// succeeds iff MaxRounds == 0 or MaxRounds >= k.
 	MaxRounds int
-	// Workers sets the worker-pool size for Parallel mode; 0 means
-	// GOMAXPROCS. Ignored by the other modes.
-	Workers int
-	// InlineBelow is the Parallel-mode adaptive threshold: a round
-	// whose total pinned work (sum of pinned-fact list lengths across
-	// its tasks) is below it runs inline on the coordinator, skipping
-	// the pool barrier — small deltas cost more to distribute than to
-	// evaluate. 0 means the built-in default; negative disables
-	// inlining (every multi-task round uses the pool). The threshold
-	// changes scheduling only, never results or the event stream.
-	InlineBelow int
 	// Reg, when non-nil, receives engine metrics (counters, per-rule
 	// work, worker utilization, wall-clock spans). See internal/obs
 	// names.go for the dl.* vocabulary.
 	Reg *obs.Registry
 	// Sink, when non-nil, receives the deterministic structured event
 	// stream (dl.round / dl.stratum / dl.fixpoint): a pure function of
-	// (program, input, mode, workers), byte-identical across repeated
+	// (program, input, mode, GOMAXPROCS), byte-identical across repeated
 	// runs regardless of scheduling. Leaving both nil keeps the
 	// disabled fast path.
 	Sink *obs.Sink
-}
-
-func (o FixpointOptions) workers() int {
-	if o.Mode != Parallel {
-		return 1
-	}
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// defaultInlineBelow is the pinned-work threshold below which a
-// parallel round runs inline. Tuned on the BenchmarkParallelTC
-// topologies: chain-shaped fixpoints (many rounds of tiny deltas) run
-// almost entirely inline, grid- and random-shaped ones (few rounds of
-// wide deltas) still fan out.
-const defaultInlineBelow = 256
-
-func (o FixpointOptions) inlineBelow() int {
-	if o.InlineBelow == 0 {
-		return defaultInlineBelow
-	}
-	if o.InlineBelow < 0 {
-		return 0
-	}
-	return o.InlineBelow
 }
 
 // Fixpoint computes the minimal fixpoint of the TP operator for a
@@ -173,7 +135,7 @@ func evalStrata(strata [][]Rule, input *fact.Instance, opts FixpointOptions) (*f
 // index reuse across strata possible.
 func evalStratum(rules []Rule, x *IndexedInstance, opts FixpointOptions, eo *engineObs) error {
 	if eo != nil && opts.Mode == Parallel {
-		eo.reg.Gauge(obs.DlWorkers).SetMax(int64(opts.workers()))
+		eo.reg.Gauge(obs.DlWorkers).SetMax(int64(opts.Mode.width()))
 	}
 	switch opts.Mode {
 	case Naive:
@@ -220,29 +182,13 @@ func naiveLoop(rules []Rule, x *IndexedInstance, maxRounds int, eo *engineObs) e
 // semiNaiveLoop is the delta-driven fixpoint: round 0 is a full pass;
 // afterwards each rule is re-evaluated once per positive atom whose
 // relation gained facts, with that atom pinned to the delta. In
-// Parallel mode every round's tasks run on a persistent worker pool
-// (parallel.go) unless the round's pinned work falls below the inline
-// threshold; the derived facts are identical either way.
+// Parallel mode a round whose pinned work reaches the inline threshold
+// fans out (parallel.go); the derived facts are identical either way.
 func semiNaiveLoop(rules []Rule, x *IndexedInstance, opts FixpointOptions, eo *engineObs) error {
 	crs := compileRules(rules)
-	workers := opts.workers()
+	workers := opts.Mode.width()
 	maxRounds := opts.MaxRounds
-	var p *workerPool
-	if opts.Mode == Parallel && workers > 1 {
-		p = newWorkerPool(workers, opts.inlineBelow())
-		defer p.close()
-	}
-	// Rounds below the inline threshold run on the coordinator, where
-	// chunking a tiny delta into per-worker fragments only multiplies
-	// matcher setup: when the chunked task list would run inline
-	// anyway, rebuild it unchunked (one task per rule and pinned atom).
-	// The threshold test matches the one runRound applies — pinned work
-	// is the same sum either way — so the decision is deterministic.
-	tasks := fullPassTasks(crs, x, workers)
-	if p != nil && len(tasks) > 1 && pinnedWork(tasks) < p.inlineBelow {
-		tasks = fullPassTasks(crs, x, 1)
-	}
-	delta, err := runRound(tasks, x, p, opts.Mode, eo)
+	delta, err := runRound(func(w int) []ruleTask { return fullPassTasks(crs, x, w) }, x, workers, opts.Mode, eo)
 	if err != nil {
 		return err
 	}
@@ -257,11 +203,7 @@ func semiNaiveLoop(rules []Rule, x *IndexedInstance, opts FixpointOptions, eo *e
 			x.addNew(h)
 			deltaByRel[h.RelID()] = append(deltaByRel[h.RelID()], h)
 		}
-		tasks := deltaTasks(crs, deltaByRel, workers)
-		if p != nil && len(tasks) > 1 && pinnedWork(tasks) < p.inlineBelow {
-			tasks = deltaTasks(crs, deltaByRel, 1)
-		}
-		delta, err = runRound(tasks, x, p, opts.Mode, eo)
+		delta, err = runRound(func(w int) []ruleTask { return deltaTasks(crs, deltaByRel, w) }, x, workers, opts.Mode, eo)
 		if err != nil {
 			return err
 		}

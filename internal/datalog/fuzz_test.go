@@ -67,7 +67,7 @@ func FuzzEvalSmall(f *testing.F) {
 		}
 		a, errA := p.EvalStratified(in, FixpointOptions{Mode: Naive, MaxRounds: 64})
 		b, errB := p.EvalStratified(in, FixpointOptions{Mode: SemiNaive, MaxRounds: 64})
-		c, errC := p.EvalStratified(in, FixpointOptions{Mode: Parallel, MaxRounds: 64, Workers: 4})
+		c, errC := p.EvalStratified(in, FixpointOptions{Mode: Parallel, MaxRounds: 64})
 		if (errA == nil) != (errB == nil) || (errA == nil) != (errC == nil) {
 			t.Fatalf("modes disagree on error: naive=%v seminaive=%v parallel=%v", errA, errB, errC)
 		}

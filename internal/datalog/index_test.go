@@ -47,7 +47,7 @@ func readAll(t *testing.T, x *IndexedInstance, universe []fact.Fact, workers int
 	rules := diffRules(t)
 	got.Vals = make([][]string, len(rules))
 	got.Counts = make([]map[string]int64, len(rules))
-	if err := ParallelEach(workers, len(rules), func(_, i int) error {
+	if err := parallelEach(workers, len(rules), func(_, i int) error {
 		c := rules[i]
 		heads := map[string]fact.Fact{}
 		if err := x.Valuations(c, -1, nil, nil, func(v *Valuation) error {

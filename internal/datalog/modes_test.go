@@ -3,23 +3,30 @@ package datalog
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/fact"
 	"repro/internal/generate"
+	"repro/internal/obs"
 )
 
 // Differential tests across the three evaluation modes: Naive is the
 // oracle; SemiNaive and Parallel must agree with it exactly, on
-// hand-picked programs and on randomly generated safe programs.
+// hand-picked programs and on randomly generated safe programs. A
+// Parallel round is GOMAXPROCS wide and fans out from inlineBelow
+// pinned facts up, so tests that mean the fan-out pin the width with
+// runtime.GOMAXPROCS and bring an input whose rounds are wide enough.
 
 func evalAllModes(t *testing.T, p *Program, in *fact.Instance, maxRounds int) map[string]*fact.Instance {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	out := make(map[string]*fact.Instance)
 	for _, opts := range []FixpointOptions{
 		{Mode: Naive, MaxRounds: maxRounds},
 		{Mode: SemiNaive, MaxRounds: maxRounds},
-		{Mode: Parallel, MaxRounds: maxRounds, Workers: 4},
+		{Mode: Parallel, MaxRounds: maxRounds},
 	} {
 		res, err := p.EvalStratified(in, opts)
 		if err != nil {
@@ -61,28 +68,47 @@ func TestCrossModeRandomPrograms(t *testing.T) {
 	}
 }
 
+// fannedOut reports how many tasks the snapshot saw run on a fanned-out
+// round's goroutines (inline rounds are attributed to no worker).
+func fannedOut(snap obs.Snapshot) int64 {
+	var n int64
+	for name, v := range snap.Counters {
+		if strings.HasPrefix(name, obs.DlWorkerTasksPrefix) {
+			n += v
+		}
+	}
+	return n
+}
+
 // TestParallelMatchesSemiNaiveWorkloads pins the agreement on the
-// benchmark workloads at several worker counts.
+// benchmark shapes at several widths: chain and cycle stay under the
+// inline threshold, the random graph's rounds fan out.
 func TestParallelMatchesSemiNaiveWorkloads(t *testing.T) {
 	tc := MustParseProgram(tcProgram)
 	inputs := map[string]*fact.Instance{
 		"chain":  generate.Path("v", 24),
 		"cycle":  generate.Cycle("v", 16),
-		"random": generate.RandomGraph(rand.New(rand.NewSource(3)), "v", 12, 40),
+		"random": generate.RandomGraph(rand.New(rand.NewSource(3)), "v", 40, 300),
 		"empty":  fact.NewInstance(),
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for name, in := range inputs {
 		want, err := tc.Fixpoint(in, FixpointOptions{Mode: SemiNaive})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{0, 1, 2, 4, 8} {
-			got, err := tc.Fixpoint(in, FixpointOptions{Mode: Parallel, Workers: workers})
+		for _, width := range []int{1, 2, 4, 8} {
+			runtime.GOMAXPROCS(width)
+			reg := obs.NewRegistry()
+			got, err := tc.Fixpoint(in, FixpointOptions{Mode: Parallel, Reg: reg})
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
+				t.Fatalf("%s width=%d: %v", name, width, err)
 			}
 			if !got.Equal(want) {
-				t.Fatalf("%s workers=%d: parallel=%v want %v", name, workers, got, want)
+				t.Fatalf("%s width=%d: parallel=%v want %v", name, width, got, want)
+			}
+			if n, wide := fannedOut(reg.Snapshot()), name == "random" && width > 1; (n > 0) != wide {
+				t.Errorf("%s width=%d: %d tasks ran fanned out, want some: %v", name, width, n, wide)
 			}
 		}
 	}
@@ -116,7 +142,7 @@ func TestMaxRoundsBoundary(t *testing.T) {
 	for _, opts := range []FixpointOptions{
 		{Mode: Naive},
 		{Mode: SemiNaive},
-		{Mode: Parallel, Workers: 4},
+		{Mode: Parallel},
 	} {
 		exact := opts
 		exact.MaxRounds = edges
@@ -307,8 +333,8 @@ func TestIndexedInstanceIncrementalAdd(t *testing.T) {
 }
 
 // Partitioning an enumeration by pinning the first positive atom to
-// chunks of its relation — how ilog's Workers and the parallel rounds
-// split work — finds exactly the unpinned valuations.
+// chunks of its relation — how a fanned-out full pass splits work —
+// finds exactly the unpinned valuations.
 func TestPinnedChunksMatchUnpinned(t *testing.T) {
 	c := Compile(mustRule(t, `P(x,z) :- E(x,y), E(y,z), !E(z,x).`))
 	in := generate.RandomGraph(rand.New(rand.NewSource(5)), "v", 8, 30)
@@ -317,9 +343,9 @@ func TestPinnedChunksMatchUnpinned(t *testing.T) {
 	if err := x.Valuations(c, -1, nil, nil, func(*Valuation) error { plain++; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	chunks := ChunkFacts(in.Rel("E"), 4)
+	chunks := chunkFacts(in.Rel("E"), 4)
 	perChunk := make([]int64, len(chunks))
-	if err := ParallelEach(4, len(chunks), func(_, i int) error {
+	if err := parallelEach(4, len(chunks), func(_, i int) error {
 		return x.Valuations(c, 0, chunks[i], nil, func(*Valuation) error { perChunk[i]++; return nil })
 	}); err != nil {
 		t.Fatal(err)
@@ -333,7 +359,7 @@ func TestPinnedChunksMatchUnpinned(t *testing.T) {
 	}
 }
 
-// ParallelEach visits every index exactly once, hands each goroutine
+// parallelEach visits every index exactly once, hands each goroutine
 // its own w, stays on the caller's goroutine when there is nothing to
 // fan out, and reports an error without losing the other indexes' work.
 func TestParallelEach(t *testing.T) {
@@ -341,7 +367,7 @@ func TestParallelEach(t *testing.T) {
 		const n = 50
 		visits := make([]int, n)
 		perW := make([]int, 8)
-		if err := ParallelEach(workers, n, func(w, i int) error {
+		if err := parallelEach(workers, n, func(w, i int) error {
 			visits[i]++
 			perW[w]++ // racy unless w is private to the goroutine
 			return nil
@@ -366,7 +392,7 @@ func TestParallelEach(t *testing.T) {
 	}
 	sentinel := fmt.Errorf("boom")
 	for _, workers := range []int{1, 4} {
-		err := ParallelEach(workers, 20, func(_, i int) error {
+		err := parallelEach(workers, 20, func(_, i int) error {
 			if i == 7 {
 				return sentinel
 			}
@@ -376,7 +402,7 @@ func TestParallelEach(t *testing.T) {
 			t.Errorf("workers=%d: error = %v, want the sentinel", workers, err)
 		}
 	}
-	if err := ParallelEach(4, 0, func(_, _ int) error { return sentinel }); err != nil {
+	if err := parallelEach(4, 0, func(_, _ int) error { return sentinel }); err != nil {
 		t.Errorf("n=0 called fn: %v", err)
 	}
 }

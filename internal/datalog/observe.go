@@ -19,10 +19,10 @@ import (
 //
 // Determinism contract: everything emitted to the Sink (round, stratum
 // and fixpoint events) is a pure function of (program, input, mode,
-// workers) — repeated runs of the same configuration produce
+// GOMAXPROCS) — repeated runs of the same configuration produce
 // byte-identical streams, regardless of scheduling. The aggregate
 // counts (candidates, derived, duplicates, delta) are additionally
-// invariant across worker counts; only the task count reflects the
+// invariant across widths; only the task count reflects the
 // chunking. Scheduling-dependent measurements — per-worker task
 // counts, busy and wall times — go only to the Registry.
 
@@ -115,9 +115,9 @@ func (eo *engineObs) beginStratum(stratum int, rules []Rule) {
 
 // roundDone publishes one round's aggregate: counters and per-rule
 // counters into the registry, one deterministic round event into the
-// sink. workerTasks/workerBusy are per-worker load figures from the
-// parallel executor (nil for inline rounds); they stay in the
-// Registry plane.
+// sink. workerTasks/workerBusy are per-worker load figures of a
+// fanned-out round (nil for inline rounds); they stay in the Registry
+// plane.
 func (eo *engineObs) roundDone(mode EvalMode, ntasks int, agg *roundAgg, delta *fact.Instance, workerTasks, workerBusy []int64) {
 	if eo == nil {
 		return

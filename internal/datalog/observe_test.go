@@ -2,12 +2,15 @@ package datalog
 
 import (
 	"flag"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/fact"
+	"repro/internal/generate"
 	"repro/internal/obs"
 )
 
@@ -57,15 +60,16 @@ func TestGoldenStratifiedTrace(t *testing.T) {
 // mode, and the semi-naive and parallel judgements agree exactly.
 func TestEngineMetricsAcrossModes(t *testing.T) {
 	p := MustParseProgram(complementTC)
-	in := fact.MustParseInstance(`E(a,b) E(b,c) E(c,d) E(d,a) E(b,d)`)
+	// 300 edges put the opening pass and the early delta rounds over
+	// inlineBelow: a smaller fixture would run inline throughout and
+	// leave the per-worker counters untouched.
+	in := generate.RandomGraph(rand.New(rand.NewSource(7)), "v", 40, 300)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	snaps := make(map[EvalMode]obs.Snapshot)
 	var outLen int
 	for _, mode := range []EvalMode{SemiNaive, Naive, Parallel} {
 		reg := obs.NewRegistry()
-		// InlineBelow: -1 forces every multi-task round onto the pool —
-		// the fixture is small enough that adaptive inlining would
-		// otherwise leave the per-worker counters untouched.
-		out, err := p.EvalStratified(in, FixpointOptions{Mode: mode, Workers: 4, InlineBelow: -1, Reg: reg})
+		out, err := p.EvalStratified(in, FixpointOptions{Mode: mode, Reg: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,38 +90,34 @@ func TestEngineMetricsAcrossModes(t *testing.T) {
 	}
 	// The per-task judgement against the frozen instance makes the
 	// derivation and duplicate counts identical between inline and
-	// pooled semi-naive execution.
+	// fanned-out semi-naive execution.
 	for _, name := range []string{obs.DlDerivations, obs.DlDuplicates, obs.DlCandidates} {
 		if sn, par := snaps[SemiNaive].Counters[name], snaps[Parallel].Counters[name]; sn != par {
 			t.Errorf("%s: seminaive %d != parallel %d", name, sn, par)
 		}
 	}
-	// Parallel mode reports its pool.
+	// Parallel mode reports its width.
 	if snaps[Parallel].Gauges[obs.DlWorkers] != 4 {
 		t.Errorf("workers gauge = %d, want 4", snaps[Parallel].Gauges[obs.DlWorkers])
 	}
 	// Rounds with a single task run inline and are not attributed to a
 	// worker, so the per-worker counts sum to at most the task total.
-	var workerTasks int64
-	for name, v := range snaps[Parallel].Counters {
-		if strings.HasPrefix(name, obs.DlWorkerTasksPrefix) {
-			workerTasks += v
-		}
-	}
+	workerTasks := fannedOut(snaps[Parallel])
 	if total := snaps[Parallel].Counters[obs.DlTasks]; workerTasks == 0 || workerTasks > total {
 		t.Errorf("worker task counts sum to %d, want in (0, %d]", workerTasks, total)
 	}
 }
 
 // TestParallelTraceDeterministic verifies the event-plane contract:
-// repeated runs of the same configuration are byte-identical even with
-// a contended worker pool.
+// repeated runs of the same configuration are byte-identical even when
+// the rounds fan out over more goroutines than the box has cores.
 func TestParallelTraceDeterministic(t *testing.T) {
 	p := MustParseProgram(complementTC)
-	in := fact.MustParseInstance(`E(a,b) E(b,c) E(c,d) E(d,e) E(e,a) E(a,d)`)
+	in := generate.RandomGraph(rand.New(rand.NewSource(11)), "v", 40, 300)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	run := func() string {
 		var sb strings.Builder
-		_, err := p.EvalStratified(in, FixpointOptions{Mode: Parallel, Workers: 8, Sink: obs.NewSink(&sb)})
+		_, err := p.EvalStratified(in, FixpointOptions{Mode: Parallel, Sink: obs.NewSink(&sb)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,37 +1,33 @@
 package datalog
 
 import (
+	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/fact"
 	"repro/internal/obs"
 )
 
-// This file implements the parallel round executor of the semi-naive
-// fixpoint: each round's (rule, pinned-atom, fact-chunk) join tasks
-// are fanned across a worker pool. Workers read the shared
-// IndexedInstance (frozen for the duration of a round) and derive into
-// private buffers; the buffers are merged into the next delta at the
-// round barrier, on a single goroutine. Rule evaluation is a pure
-// function of (rule, index, instance, chunk), and derived facts carry
-// set semantics, so the merged result is independent of scheduling —
-// Parallel mode is deterministic and agrees with SemiNaive exactly.
+// This file is the one place evaluation fans out: a round of the
+// semi-naive fixpoint in Parallel mode. A round's (rule, pinned-atom,
+// fact-chunk) join tasks go to up to GOMAXPROCS goroutines that read
+// the shared IndexedInstance (frozen for the round) and derive into
+// private buffers, merged into the next delta at the round barrier on
+// one goroutine. Rule evaluation is a pure function of (rule, index,
+// instance, chunk) and derived facts carry set semantics, so the
+// result is independent of scheduling: Parallel is deterministic and
+// agrees with SemiNaive exactly.
 //
-// The pool is persistent: one fixpoint call spawns its workers once
-// and reuses them every round, instead of paying a goroutine spawn per
-// round — on long chains of small rounds that overhead dominated the
-// joins themselves (the PERF.6 inversion). Rounds whose total
-// pinned work falls below the adaptive inline threshold skip the pool
-// entirely and run on the coordinator: distributing a dozen pinned
-// facts costs more than joining them.
-//
-// The design follows the coordination-free evaluation direction of
-// Interlandi & Tanca ("A Datalog-based Computational Model for
-// Coordination-free, Data-Parallel Systems"): semi-naive deltas
-// partition freely across evaluators as long as every evaluator sees
-// the full instance for the non-pinned atoms.
+// A round with a barrier is the superstep of Interlandi & Tanca ("A
+// Datalog-based Computational Model for Coordination-free,
+// Data-Parallel Systems"): semi-naive deltas partition freely across
+// evaluators as long as every evaluator sees the full instance for the
+// non-pinned atoms. Nothing else in the engine is data-parallel in that
+// sense — incr's cone is a couple of facts a write, ilog's rounds are
+// bounded by invention — so nothing else starts a goroutine, and
+// neither the width nor the threshold is an option;
+// TestParallelWorkSpan gates the work/span bound that keeps the mode.
 
 // ruleTask is one unit of parallel work: evaluate the compiled rule
 // with the positive atom at index pin ranging over pinFacts (pin = -1
@@ -47,42 +43,51 @@ type ruleTask struct {
 
 // chunkTarget is how many chunks each pinned fact list is split into
 // per worker — small enough to amortize task overhead, large enough to
-// balance skewed rules across the pool.
+// balance skewed rules across the workers.
 const chunkTarget = 4
 
-// ChunkFacts splits facts into at most workers*chunkTarget contiguous
+// inlineBelow is the pinned-work threshold below which a Parallel round
+// runs inline on the coordinator: distributing a dozen pinned facts
+// costs more than joining them, and goroutines are spawned per
+// fanned-out round. Chain-shaped fixpoints (many rounds of tiny deltas)
+// run almost entirely inline, grid- and random-shaped ones (few rounds
+// of wide deltas) fan out. It changes scheduling only, never results or
+// the aggregate counts of the event stream.
+const inlineBelow = 256
+
+// width is how many goroutines a round of the mode may use: GOMAXPROCS
+// in Parallel mode, one otherwise.
+func (m EvalMode) width() int {
+	if m != Parallel {
+		return 1
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// chunkFacts splits facts into at most workers*chunkTarget contiguous
 // chunks of near-equal size — the pin lists of the tasks one rule's
 // enumeration is partitioned into.
-func ChunkFacts(facts []fact.Fact, workers int) [][]fact.Fact {
+func chunkFacts(facts []fact.Fact, workers int) [][]fact.Fact {
 	if len(facts) == 0 {
 		return nil
 	}
-	n := workers * chunkTarget
-	if n > len(facts) {
-		n = len(facts)
-	}
+	n := min(workers*chunkTarget, len(facts))
 	size := (len(facts) + n - 1) / n
 	chunks := make([][]fact.Fact, 0, n)
 	for start := 0; start < len(facts); start += size {
-		end := start + size
-		if end > len(facts) {
-			end = len(facts)
-		}
-		chunks = append(chunks, facts[start:end])
+		chunks = append(chunks, facts[start:min(start+size, len(facts))])
 	}
 	return chunks
 }
 
-// ParallelEach calls fn(w, i) for every i in [0, n) on up to workers
+// parallelEach calls fn(w, i) for every i in [0, n) on up to workers
 // goroutines and returns once all have finished. w identifies the
 // calling goroutine (0 <= w < max(workers, 1)), so callers can fold
 // into per-w accumulators without locking; with workers <= 1 or n < 2
 // everything runs on the caller's goroutine as w = 0. A goroutine stops
 // calling fn after its first error; the error of the lowest such w is
-// returned. This is the fan-out for enumerations outside the fixpoint
-// rounds (which keep their persistent pool): incr's pinned-join and
-// recount phases and ilog's per-round chunks.
-func ParallelEach(workers, n int, fn func(w, i int) error) error {
+// returned. runRound is its one caller.
+func parallelEach(workers, n int, fn func(w, i int) error) error {
 	if workers > n {
 		workers = n
 	}
@@ -134,7 +139,7 @@ func fullPassTasks(crs []cRule, x *IndexedInstance, workers int) []ruleTask {
 			tasks = append(tasks, ruleTask{cr: cr, ruleIdx: i, pin: -1})
 			continue
 		}
-		for _, chunk := range ChunkFacts(x.RelList(cr.src.Pos[0].Rel), workers) {
+		for _, chunk := range chunkFacts(x.RelList(cr.src.Pos[0].Rel), workers) {
 			tasks = append(tasks, ruleTask{cr: cr, ruleIdx: i, pin: 0, pinFacts: chunk})
 		}
 	}
@@ -143,7 +148,7 @@ func fullPassTasks(crs []cRule, x *IndexedInstance, workers int) []ruleTask {
 
 // deltaTasks builds a semi-naive round's tasks: for every rule and
 // every positive atom whose relation gained facts last round, the atom
-// is pinned to the delta (chunked across the pool when parallel).
+// is pinned to the delta (chunked across the workers when parallel).
 func deltaTasks(crs []cRule, deltaByRel map[fact.ID][]fact.Fact, workers int) []ruleTask {
 	var tasks []ruleTask
 	for i := range crs {
@@ -157,103 +162,12 @@ func deltaTasks(crs []cRule, deltaByRel map[fact.ID][]fact.Fact, workers int) []
 				tasks = append(tasks, ruleTask{cr: cr, ruleIdx: i, pin: k, pinFacts: dfacts})
 				continue
 			}
-			for _, chunk := range ChunkFacts(dfacts, workers) {
+			for _, chunk := range chunkFacts(dfacts, workers) {
 				tasks = append(tasks, ruleTask{cr: cr, ruleIdx: i, pin: k, pinFacts: chunk})
 			}
 		}
 	}
 	return tasks
-}
-
-// roundCtx is one pooled round's shared state: per-worker derivation
-// buffers, errors and instrumentation, all indexed by worker id and
-// merged by the coordinator after the barrier.
-type roundCtx struct {
-	x      *IndexedInstance
-	eo     *engineObs
-	bufs   []*fact.Instance
-	errs   []error
-	aggs   []*roundAgg
-	wTasks []int64
-	wBusy  []int64
-	failed atomic.Bool
-	wg     sync.WaitGroup
-}
-
-// poolTask couples a task with its round.
-type poolTask struct {
-	t  ruleTask
-	rc *roundCtx
-}
-
-// workerPool is the persistent executor owned by one semi-naive
-// fixpoint call: workers are spawned lazily on the first pooled round
-// and live until close. Rounds are separated by the roundCtx barrier,
-// so workers never observe a mutating instance.
-type workerPool struct {
-	workers     int
-	inlineBelow int
-	tasks       chan poolTask
-	started     bool
-}
-
-func newWorkerPool(workers, inlineBelow int) *workerPool {
-	return &workerPool{
-		workers:     workers,
-		inlineBelow: inlineBelow,
-		tasks:       make(chan poolTask, workers*chunkTarget),
-	}
-}
-
-func (p *workerPool) start() {
-	if p.started {
-		return
-	}
-	p.started = true
-	for w := 0; w < p.workers; w++ {
-		go p.run(w)
-	}
-}
-
-func (p *workerPool) close() {
-	if p.started {
-		close(p.tasks)
-	}
-}
-
-func (p *workerPool) run(w int) {
-	for pt := range p.tasks {
-		runPoolTask(pt, w)
-		pt.rc.wg.Done()
-	}
-}
-
-func runPoolTask(pt poolTask, w int) {
-	rc := pt.rc
-	if rc.failed.Load() {
-		return // drain remaining tasks after a failure
-	}
-	buf := rc.bufs[w]
-	if buf == nil {
-		buf = fact.NewInstance()
-		rc.bufs[w] = buf
-	}
-	var err error
-	if rc.eo == nil {
-		err = deriveTask(pt.t, rc.x, buf, nil)
-	} else {
-		if rc.aggs[w] == nil {
-			rc.aggs[w] = rc.eo.newRoundAgg()
-		}
-		start := time.Now()
-		err = deriveTask(pt.t, rc.x, buf, rc.aggs[w])
-		rc.wTasks[w]++
-		rc.wBusy[w] += time.Since(start).Nanoseconds()
-	}
-	if err != nil {
-		rc.errs[w] = err
-		rc.failed.Store(true)
-	}
 }
 
 // deriveTask evaluates one task against the frozen x and adds every
@@ -287,7 +201,7 @@ func deriveTask(t ruleTask, x *IndexedInstance, buf *fact.Instance, agg *roundAg
 
 // pinnedWork estimates a round's join fan-out as the total number of
 // pinned facts across its tasks (an unpinned task counts 1): the
-// adaptive-inline measure compared against the pool threshold.
+// measure compared against inlineBelow.
 func pinnedWork(tasks []ruleTask) int {
 	work := 0
 	for i := range tasks {
@@ -300,25 +214,30 @@ func pinnedWork(tasks []ruleTask) int {
 	return work
 }
 
-// runRound evaluates one round's tasks against the frozen x and
-// returns the newly derived facts (those not already in x). With no
-// pool — or when the round's pinned work is below the pool's inline
-// threshold — the tasks run inline on the coordinator; otherwise they
-// are distributed over the persistent pool and the per-worker buffers
-// are merged at the barrier.
+// runRound evaluates one round against the frozen x and returns the
+// newly derived facts (those not already in x). build yields the
+// round's tasks chunked for a number of workers. With one worker the
+// tasks run inline on the coordinator, and so does a chunked round
+// whose pinned work is below inlineBelow — rebuilt unchunked, one task
+// per rule and pinned atom, since fragments of a tiny delta only
+// multiply matcher setup. Otherwise the tasks are distributed over
+// workers goroutines and the per-worker buffers merged at the barrier.
 //
 // Instrumentation (eo non-nil) accumulates per-task stats into
 // worker-private roundAggs merged at the barrier; "derived" and
 // "duplicates" are judged against the frozen x only, so the counts —
-// and the emitted round event — are identical in inline and pooled
-// execution.
-func runRound(tasks []ruleTask, x *IndexedInstance, p *workerPool, mode EvalMode, eo *engineObs) (*fact.Instance, error) {
+// and the emitted round event — are identical inline and fanned out.
+func runRound(build func(workers int) []ruleTask, x *IndexedInstance, workers int, mode EvalMode, eo *engineObs) (*fact.Instance, error) {
+	tasks := build(workers)
+	if workers > 1 && len(tasks) > 1 && pinnedWork(tasks) < inlineBelow {
+		workers, tasks = 1, build(1)
+	}
 	var stopRound func()
 	if eo != nil {
 		stopRound = eo.reg.Span(obs.DlRoundNs)
 	}
 	derived := fact.NewInstance()
-	if p == nil || len(tasks) <= 1 || pinnedWork(tasks) < p.inlineBelow {
+	if workers <= 1 || len(tasks) <= 1 {
 		var agg *roundAgg
 		if eo != nil {
 			agg = eo.newRoundAgg()
@@ -335,42 +254,45 @@ func runRound(tasks []ruleTask, x *IndexedInstance, p *workerPool, mode EvalMode
 		return derived, nil
 	}
 
-	p.start()
-	rc := &roundCtx{
-		x:    x,
-		eo:   eo,
-		bufs: make([]*fact.Instance, p.workers),
-		errs: make([]error, p.workers),
-	}
+	bufs := make([]*fact.Instance, workers)
+	var aggs []*roundAgg
+	var wTasks, wBusy []int64
 	if eo != nil {
-		rc.aggs = make([]*roundAgg, p.workers)
-		rc.wTasks = make([]int64, p.workers)
-		rc.wBusy = make([]int64, p.workers)
+		aggs = make([]*roundAgg, workers)
+		wTasks = make([]int64, workers)
+		wBusy = make([]int64, workers)
 	}
-	rc.wg.Add(len(tasks))
-	for i := range tasks {
-		p.tasks <- poolTask{t: tasks[i], rc: rc}
-	}
-	rc.wg.Wait()
-
-	for _, err := range rc.errs {
-		if err != nil {
-			return nil, err
+	if err := parallelEach(workers, len(tasks), func(w, i int) error {
+		if bufs[w] == nil {
+			bufs[w] = fact.NewInstance()
 		}
+		if eo == nil {
+			return deriveTask(tasks[i], x, bufs[w], nil)
+		}
+		if aggs[w] == nil {
+			aggs[w] = eo.newRoundAgg()
+		}
+		start := time.Now()
+		err := deriveTask(tasks[i], x, bufs[w], aggs[w])
+		wTasks[w]++
+		wBusy[w] += time.Since(start).Nanoseconds()
+		return err
+	}); err != nil {
+		return nil, err
 	}
-	for _, buf := range rc.bufs {
+	for _, buf := range bufs {
 		if buf != nil {
 			derived.AddAll(buf)
 		}
 	}
 	if eo != nil {
 		agg := eo.newRoundAgg()
-		for _, a := range rc.aggs {
+		for _, a := range aggs {
 			if a != nil {
 				agg.merge(a)
 			}
 		}
-		eo.roundDone(mode, len(tasks), agg, derived, rc.wTasks, rc.wBusy)
+		eo.roundDone(mode, len(tasks), agg, derived, wTasks, wBusy)
 		stopRound()
 	}
 	return derived, nil

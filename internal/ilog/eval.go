@@ -26,11 +26,6 @@ type Options struct {
 	// MaxFacts caps the size of the accumulated instance. Zero means
 	// DefaultMaxFacts.
 	MaxFacts int
-	// Workers fans each round's valuation enumeration across a worker
-	// pool; 0 or 1 evaluates sequentially. Skolem invention is a
-	// deterministic function of the valuation, so the output is
-	// identical at any worker count.
-	Workers int
 	// Reg, when non-nil, receives evaluator metrics (the ilog.*
 	// vocabulary of internal/obs names.go).
 	Reg *obs.Registry
@@ -209,34 +204,15 @@ func fixpoint(rules []Rule, x *datalog.IndexedInstance, opts Options, stratum in
 			return ErrDiverged
 		}
 		var derived []pendingFact
-		pinned := make(map[string][]fact.Fact) // the round's sorted list per pinned relation
 		for i, r := range rules {
-			// With Workers > 1 the first positive atom is pinned to
-			// chunks of its relation, one enumeration per chunk; the
-			// chunks' heads are concatenated in chunk order.
-			pin, chunks := -1, [][]fact.Fact{nil}
-			if opts.Workers > 1 {
-				rel := r.Pos[0].Rel
-				if _, ok := pinned[rel]; !ok {
-					pinned[rel] = x.RelList(rel)
-					fact.SortFacts(pinned[rel])
+			if err := x.Valuations(compiled[i], -1, nil, nil, func(v *datalog.Valuation) error {
+				h, err := deriveHead(r, v)
+				if err == nil && !x.Has(h) {
+					derived = append(derived, pendingFact{h, r.Invents})
 				}
-				pin, chunks = 0, datalog.ChunkFacts(pinned[rel], opts.Workers)
-			}
-			found := make([][]pendingFact, len(chunks))
-			if err := datalog.ParallelEach(opts.Workers, len(chunks), func(_, c int) error {
-				return x.Valuations(compiled[i], pin, chunks[c], nil, func(v *datalog.Valuation) error {
-					h, err := deriveHead(r, v)
-					if err == nil && !x.Has(h) {
-						found[c] = append(found[c], pendingFact{h, r.Invents})
-					}
-					return err
-				})
+				return err
 			}); err != nil {
 				return err
-			}
-			for _, fs := range found {
-				derived = append(derived, fs...)
 			}
 		}
 		changed := false

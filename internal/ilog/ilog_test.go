@@ -286,41 +286,3 @@ func TestZeroArgInvention(t *testing.T) {
 		t.Errorf("zero-arg invention should create exactly one value, got %v", ids)
 	}
 }
-
-// TestWorkersAgree: fanning a round's enumeration over pin-0 chunks
-// derives exactly what the sequential enumeration derives — invention
-// heads, a zero-argument invention, negation above invention, a
-// constant in a head and a recursive join included.
-func TestWorkersAgree(t *testing.T) {
-	c := datalog.Term{Const: "k"}
-	progs := map[string]*Program{
-		"edge ids": edgeIDProgram(),
-		"zero-arg": NewProgram(
-			Rule{Head: datalog.Atom{Rel: "Id"}, Invents: true, Pos: []datalog.Atom{datalog.AtomV("E", "x", "y")}}),
-		"negation above invention": NewProgram(
-			Rule{Head: datalog.AtomV("Id", "x"), Invents: true, Pos: []datalog.Atom{datalog.AtomV("E", "x", "y")}},
-			Rule{Head: datalog.Atom{Rel: "O", Args: []datalog.Term{datalog.V("x"), c}},
-				Pos: []datalog.Atom{datalog.AtomV("Id", "i", "x")}, Neg: []datalog.Atom{datalog.AtomV("E", "x", "x")}}),
-		"recursive": NewProgram(
-			Rule{Head: datalog.AtomV("T", "x", "y"), Pos: []datalog.Atom{datalog.AtomV("E", "x", "y")}},
-			Rule{Head: datalog.AtomV("T", "x", "z"), Pos: []datalog.Atom{datalog.AtomV("T", "x", "y"), datalog.AtomV("E", "y", "z")}},
-			Rule{Head: datalog.AtomV("Id", "x", "y"), Invents: true, Pos: []datalog.Atom{datalog.AtomV("T", "x", "y")},
-				Ineq: []datalog.Inequality{{A: datalog.V("x"), B: datalog.V("y")}}}),
-	}
-	in := fact.MustParseInstance(`E(a,b) E(b,c) E(c,d) E(d,a) E(d,d) E(e,f)`)
-	for name, p := range progs {
-		want, err := p.Eval(in, Options{Workers: 1})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for _, workers := range []int{2, 4, 16} {
-			got, err := p.Eval(in, Options{Workers: workers})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
-			}
-			if !got.Equal(want) {
-				t.Errorf("%s workers=%d: %v, sequential %v", name, workers, got, want)
-			}
-		}
-	}
-}

@@ -71,23 +71,3 @@ func TestEvalMetrics(t *testing.T) {
 		t.Error("eval span not recorded")
 	}
 }
-
-// TestEvalTraceWorkerInvariant checks the evaluator's event stream is
-// identical with and without the valuation worker pool.
-func TestEvalTraceWorkerInvariant(t *testing.T) {
-	p := edgeIDProgram()
-	in := fact.MustParseInstance(`E(a,b) E(b,c) E(c,d) E(d,a)`)
-	run := func(workers int) string {
-		var sb strings.Builder
-		if _, err := p.Eval(in, Options{Workers: workers, Sink: obs.NewSink(&sb)}); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String()
-	}
-	seq := run(1)
-	for i := 0; i < 3; i++ {
-		if par := run(4); par != seq {
-			t.Fatalf("worker pool changed the event stream:\nseq:\n%s\npar:\n%s", seq, par)
-		}
-	}
-}

@@ -30,11 +30,10 @@ import (
 //
 // Determinism. All enumeration happens against views frozen for the
 // phase (the index frozen before the apply for deletions, the current
-// materialization for insertions); results fold into commutative
-// per-worker accumulators and every mutation is applied in sorted
-// fact order at a barrier. Serial and parallel modes therefore
-// produce identical materializations, support tables, and event
-// streams.
+// materialization for insertions); results fold into a per-phase
+// accumulator and every mutation is applied in sorted fact order at a
+// barrier, so materializations, support tables, and event streams are
+// a function of the update history alone.
 
 // applyState carries one Apply's delta bookkeeping across strata:
 // the pre-update view and the committed fact flow (everything
@@ -438,7 +437,7 @@ func (m *Materialization) insertWaveTasks(s *stratum, wave []*headEntry) []pinTa
 // derived facts until none appear. New facts are committed to the
 // apply's insert flow so later strata see them.
 func (m *Materialization) insertPropagate(s *stratum, a *applyState, sb *stratumStats, back []*headEntry) error {
-	acc, err := m.runTasks(m.insertSeedTasks(s, a))
+	acc, err := runTasks(m.insertSeedTasks(s, a))
 	if err != nil {
 		return err
 	}
@@ -448,7 +447,7 @@ func (m *Materialization) insertPropagate(s *stratum, a *applyState, sb *stratum
 			return err
 		}
 		back = nil
-		if acc, err = m.runTasks(m.insertWaveTasks(s, wave)); err != nil {
+		if acc, err = runTasks(m.insertWaveTasks(s, wave)); err != nil {
 			return err
 		}
 	}
@@ -543,7 +542,7 @@ func (m *Materialization) deleteWaveTasks(s *stratum, a *applyState, wave []*hea
 // removed, and the insertion phase seeds with it; one whose count is
 // zero gives up its record.
 func (m *Materialization) deletePropagate(s *stratum, a *applyState, sb *stratumStats) (dead, back []*headEntry, err error) {
-	lost, err := m.runTasks(m.deleteSeedTasks(s, a))
+	lost, err := runTasks(m.deleteSeedTasks(s, a))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -559,7 +558,7 @@ func (m *Materialization) deletePropagate(s *stratum, a *applyState, sb *stratum
 		// Enumerate the wave's consequences before committing the wave
 		// to the deleted set: the wave's own tasks must still see these
 		// facts as "current wave", not "already attributed".
-		if lost, err = m.runTasks(m.deleteWaveTasks(s, a, wave)); err != nil {
+		if lost, err = runTasks(m.deleteWaveTasks(s, a, wave)); err != nil {
 			return nil, nil, err
 		}
 		for _, e := range wave {
@@ -595,7 +594,7 @@ func (m *Materialization) deletePropagate(s *stratum, a *applyState, sb *stratum
 // decrements = lost derivations ≤ support), so hitting one means the
 // engine is corrupt and the error says so loudly.
 func (m *Materialization) applyDecrements(lost *headAcc, a *applyState, spared map[string]bool) ([]*headEntry, error) {
-	var wave, reached []*headEntry
+	var wave []*headEntry
 	for _, e := range lost.entries() {
 		d, ok := m.derived[e.k]
 		if !ok || int64(d.n) < e.n {
@@ -609,22 +608,15 @@ func (m *Materialization) applyDecrements(lost *headAcc, a *applyState, spared m
 		case d.n == 0:
 			wave = append(wave, e)
 		case m.byHead[e.f.RelID()].recursive:
-			reached = append(reached, e)
-		}
-	}
-	holds := make([]bool, len(reached))
-	if err := datalog.ParallelEach(m.workers, len(reached), func(_, i int) (err error) {
-		e := reached[i]
-		holds[i], err = m.witnessed(a.oldX, e.f, m.derived[e.k].rank, a.delSet, a.insSet)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	for i, e := range reached {
-		if holds[i] {
-			spared[e.k] = true
-		} else {
-			wave = append(wave, e)
+			holds, err := m.witnessed(a.oldX, e.f, d.rank, a.delSet, a.insSet)
+			if err != nil {
+				return nil, err
+			}
+			if holds {
+				spared[e.k] = true
+			} else {
+				wave = append(wave, e)
+			}
 		}
 	}
 	for _, e := range wave {

@@ -28,15 +28,15 @@
 //
 // The maintained materialization is provably equal to full
 // recomputation — Verify checks it against EvalStratified, and the
-// property tests replay hundreds of seeded mixed update streams in
-// both serial and parallel modes.
+// property tests replay hundreds of seeded mixed update streams. An
+// apply runs on the caller's goroutine: the cone of a write is a couple
+// of facts, far below what a fan-out would repay (DESIGN.md §6).
 package incr
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 
 	"repro/internal/datalog"
@@ -46,30 +46,13 @@ import (
 
 // Options configures a materialization.
 type Options struct {
-	// Mode selects the evaluation strategy for delta propagation:
-	// SemiNaive (default) runs phases inline; Parallel fans each
-	// phase's pinned-join tasks across a worker pool. Naive is not
-	// meaningful for incremental maintenance and is rejected.
-	Mode datalog.EvalMode
-	// Workers sets the pool size for Parallel mode; 0 means GOMAXPROCS.
-	Workers int
 	// Reg, when non-nil, receives incr.* counters and the apply-span
 	// histogram (see internal/obs names.go).
 	Reg *obs.Registry
 	// Sink, when non-nil, receives the deterministic incr.apply /
 	// incr.stratum event stream: a pure function of (program, update
-	// history), byte-identical across runs and across modes.
+	// history), byte-identical across runs.
 	Sink *obs.Sink
-}
-
-func (o Options) workers() int {
-	if o.Mode != datalog.Parallel {
-		return 1
-	}
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Delta is one batch of base-instance changes: facts to insert and
@@ -148,14 +131,13 @@ type headRules struct {
 // per derived fact. Not safe for concurrent use; callers serialize
 // (cmd/calmd holds a mutex).
 type Materialization struct {
-	prog    *datalog.Program
-	idb     fact.Schema
-	schema  fact.Schema
-	strata  []stratum
-	byHead  map[fact.ID]*headRules
-	hasNeg  bool
-	opts    Options
-	workers int
+	prog   *datalog.Program
+	idb    fact.Schema
+	schema fact.Schema
+	strata []stratum
+	byHead map[fact.ID]*headRules
+	hasNeg bool
+	opts   Options
 
 	x    *datalog.IndexedInstance
 	base *fact.Instance
@@ -195,9 +177,6 @@ func New(p *datalog.Program, initial *fact.Instance, opts Options) (*Materializa
 
 // newEmpty builds the static program structure with an empty base.
 func newEmpty(p *datalog.Program, opts Options) (*Materialization, error) {
-	if opts.Mode == datalog.Naive {
-		return nil, fmt.Errorf("incr: naive mode is not meaningful for incremental maintenance; use seminaive or parallel")
-	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -215,7 +194,6 @@ func newEmpty(p *datalog.Program, opts Options) (*Materialization, error) {
 		schema:  schema,
 		byHead:  make(map[fact.ID]*headRules),
 		opts:    opts,
-		workers: opts.workers(),
 		x:       datalog.IndexInstance(fact.NewInstance()),
 		base:    fact.NewInstance(),
 		derived: make(map[string]derived),

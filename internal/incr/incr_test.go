@@ -48,12 +48,10 @@ func checkAgainstRecompute(t *testing.T, m *Materialization) {
 }
 
 func TestInitialBuildEqualsRecompute(t *testing.T) {
-	for _, mode := range []datalog.EvalMode{datalog.SemiNaive, datalog.Parallel} {
-		m := mustNew(t, tcProg, generate.Path("v", 5), Options{Mode: mode})
-		checkAgainstRecompute(t, m)
-		if got := len(m.Rel("T")); got != 15 {
-			t.Fatalf("mode %v: |T| = %d, want 15 on a 5-edge path", mode, got)
-		}
+	m := mustNew(t, tcProg, generate.Path("v", 5), Options{})
+	checkAgainstRecompute(t, m)
+	if got := len(m.Rel("T")); got != 15 {
+		t.Fatalf("|T| = %d, want 15 on a 5-edge path", got)
 	}
 }
 
@@ -182,12 +180,6 @@ func TestDeltaValidation(t *testing.T) {
 	checkAgainstRecompute(t, m)
 }
 
-func TestNaiveModeRejected(t *testing.T) {
-	if _, err := New(datalog.MustParseProgram(tcProg), nil, Options{Mode: datalog.Naive}); err == nil {
-		t.Fatalf("New accepted naive mode")
-	}
-}
-
 func TestUnknownRelationsPassThrough(t *testing.T) {
 	m := mustNew(t, tcProg, nil, Options{})
 	f := fact.MustParseFact("Meta(run1)")
@@ -207,13 +199,12 @@ func TestUnknownRelationsPassThrough(t *testing.T) {
 }
 
 // TestEventStreamDeterministic checks the two-plane contract: the
-// incr event stream is byte-identical between serial and parallel
-// modes and across worker counts.
+// incr event stream is a function of the update history, byte-identical
+// from one run to the next.
 func TestEventStreamDeterministic(t *testing.T) {
-	run := func(mode datalog.EvalMode, workers int) string {
+	run := func() string {
 		var buf bytes.Buffer
-		m := mustNew(t, noLoopProg, generate.Path("v", 4),
-			Options{Mode: mode, Workers: workers, Sink: obs.NewSink(&buf)})
+		m := mustNew(t, noLoopProg, generate.Path("v", 4), Options{Sink: obs.NewSink(&buf)})
 		deltas := []Delta{
 			{Insert: []fact.Fact{fact.MustParseFact("E(v4,v0)"), fact.MustParseFact("E(v2,v2)")}},
 			{Retract: []fact.Fact{fact.MustParseFact("E(v2,v2)"), fact.MustParseFact("E(v1,v2)")}},
@@ -221,20 +212,18 @@ func TestEventStreamDeterministic(t *testing.T) {
 		}
 		for i, d := range deltas {
 			if _, err := m.Apply(d); err != nil {
-				t.Fatalf("mode %v workers %d delta %d: %v", mode, workers, i, err)
+				t.Fatalf("delta %d: %v", i, err)
 			}
 		}
 		checkAgainstRecompute(t, m)
 		return buf.String()
 	}
-	want := run(datalog.SemiNaive, 0)
+	want := run()
 	if !strings.Contains(want, obs.EvIncrApply) || !strings.Contains(want, obs.EvIncrStratum) {
 		t.Fatalf("event stream missing incr kinds:\n%s", want)
 	}
-	for _, workers := range []int{1, 2, 7} {
-		if got := run(datalog.Parallel, workers); got != want {
-			t.Fatalf("parallel(%d) event stream diverged:\n--- serial ---\n%s--- parallel ---\n%s", workers, want, got)
-		}
+	if got := run(); got != want {
+		t.Fatalf("event stream diverged between runs:\n--- first ---\n%s--- second ---\n%s", want, got)
 	}
 }
 

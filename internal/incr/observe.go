@@ -6,8 +6,8 @@ import "repro/internal/obs"
 // to the Registry (nil-safe, scheduling-dependent values allowed);
 // events go to the Sink and carry only set-derived counts, so the
 // event stream is a pure function of (program, update history) —
-// byte-identical across runs, modes, and worker counts. See
-// internal/obs for the two-plane discipline.
+// byte-identical across runs. See internal/obs for the two-plane
+// discipline.
 
 // emitStratum reports one stratum's maintenance work (only emitted
 // when the stratum did any). alg is "dred" when the deletion phase

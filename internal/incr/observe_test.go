@@ -76,14 +76,3 @@ func TestGoldenIncrTrace(t *testing.T) {
 	}
 	goldenCompare(t, "trace_incr.jsonl", got)
 }
-
-// TestParallelTraceMatchesGolden pins the cross-mode contract against
-// the same golden file: parallel maintenance emits the identical
-// byte stream.
-func TestParallelTraceMatchesGolden(t *testing.T) {
-	for _, workers := range []int{2, 5} {
-		var sb strings.Builder
-		incrTraceSession(t, Options{Mode: datalog.Parallel, Workers: workers, Sink: obs.NewSink(&sb)})
-		goldenCompare(t, "trace_incr.jsonl", sb.String())
-	}
-}

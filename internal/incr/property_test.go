@@ -15,7 +15,7 @@ import (
 // property: over hundreds of seeded random programs and mixed
 // insert/retract update streams, the incrementally maintained
 // materialization is set-equal to full stratified recomputation after
-// EVERY delta, in both serial and parallel modes, and Verify audits the
+// EVERY delta, and Verify audits the
 // support counts and the rank invariant clean after every delta too —
 // with every derived fact ranked, so that a rank lost along the way
 // fails here instead of quietly sending its fact through delete and
@@ -51,23 +51,16 @@ func TestPropertyIncrementalEqualsRecompute(t *testing.T) {
 			base := generate.Random(rng, edb, pool, rng.Intn(8))
 			stream := generate.UpdateStream(rng, edb, pool, base, 6, 3)
 
-			serial, err := New(prog, base, Options{Mode: datalog.SemiNaive})
+			m, err := New(prog, base, Options{})
 			if err != nil {
-				t.Fatalf("New serial: %v", err)
-			}
-			par, err := New(prog, base, Options{Mode: datalog.Parallel, Workers: 1 + rng.Intn(4)})
-			if err != nil {
-				t.Fatalf("New parallel: %v", err)
+				t.Fatalf("New: %v", err)
 			}
 
 			cur := base.Clone()
 			for step, u := range stream {
 				d := Delta{Insert: u.Insert, Retract: u.Retract}
-				if _, err := serial.Apply(d); err != nil {
-					t.Fatalf("step %d: serial Apply: %v\nprogram:\n%s", step, err, prog)
-				}
-				if _, err := par.Apply(d); err != nil {
-					t.Fatalf("step %d: parallel Apply: %v\nprogram:\n%s", step, err, prog)
+				if _, err := m.Apply(d); err != nil {
+					t.Fatalf("step %d: Apply: %v\nprogram:\n%s", step, err, prog)
 				}
 				for _, f := range u.Insert {
 					cur.Add(f)
@@ -79,23 +72,18 @@ func TestPropertyIncrementalEqualsRecompute(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d: recompute: %v\nprogram:\n%s", step, err, prog)
 				}
-				for name, m := range map[string]*Materialization{"serial": serial, "parallel": par} {
-					got := m.Instance()
-					if !got.Equal(want) {
-						t.Fatalf("step %d: %s materialization diverged\nprogram:\n%s\nbase: %v\nextra: %v\nmissing: %v",
-							step, name, prog, cur, got.Minus(want), want.Minus(got))
-					}
-					if err := m.Verify(); err != nil {
-						t.Fatalf("step %d: %s Verify: %v\nprogram:\n%s", step, name, err, prog)
-					}
-					for k, d := range m.derived {
-						if d.rank == 0 {
-							t.Fatalf("step %d: %s: derived fact %q has no rank\nprogram:\n%s", step, name, k, prog)
-						}
-					}
+				got := m.Instance()
+				if !got.Equal(want) {
+					t.Fatalf("step %d: materialization diverged\nprogram:\n%s\nbase: %v\nextra: %v\nmissing: %v",
+						step, prog, cur, got.Minus(want), want.Minus(got))
 				}
-				if s, p := snapshotString(t, serial), snapshotString(t, par); s != p {
-					t.Fatalf("step %d: serial and parallel snapshots differ\n--- serial ---\n%s--- parallel ---\n%s", step, s, p)
+				if err := m.Verify(); err != nil {
+					t.Fatalf("step %d: Verify: %v\nprogram:\n%s", step, err, prog)
+				}
+				for k, d := range m.derived {
+					if d.rank == 0 {
+						t.Fatalf("step %d: derived fact %q has no rank\nprogram:\n%s", step, k, prog)
+					}
 				}
 			}
 		})

@@ -79,10 +79,10 @@ func (m *Materialization) Snapshot(w io.Writer) error {
 }
 
 // Restore rebuilds a materialization from a snapshot stream, with the
-// given runtime options (mode, workers, instrumentation — these are
-// not part of the snapshot). The fact set, support counts and ranks
-// are taken on faith for speed; call Verify to audit a restored
-// materialization against full recomputation.
+// given runtime options (instrumentation — not part of the snapshot).
+// The fact set, support counts and ranks are taken on faith for speed;
+// call Verify to audit a restored materialization against full
+// recomputation.
 func Restore(r io.Reader, opts Options) (*Materialization, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)

@@ -9,10 +9,9 @@ import (
 
 // A pinTask is one unit of delta enumeration: evaluate rule with its
 // pinned atom ranging over pinFacts against a frozen view, keeping
-// only valuations the accept filter admits. Tasks never mutate shared
-// state — each enumeration folds into a private headAcc and the
-// accumulators merge additively at the phase barrier, which is what
-// makes serial and parallel execution produce identical results.
+// only valuations the accept filter admits. Tasks never mutate the
+// materialization — a phase's enumerations fold into one headAcc whose
+// entries are committed in sorted order at the phase barrier.
 type pinTask struct {
 	crule    *datalog.CompiledRule
 	pin      int
@@ -43,16 +42,6 @@ type headAcc struct {
 
 func newHeadAcc() *headAcc {
 	return &headAcc{m: make(map[string]*headEntry)}
-}
-
-func (a *headAcc) merge(b *headAcc) {
-	for k, be := range b.m {
-		if e, ok := a.m[k]; ok {
-			e.n += be.n
-		} else {
-			a.m[k] = be
-		}
-	}
 }
 
 // entries returns the accumulated entries with their facts in sorted
@@ -87,37 +76,15 @@ func runTask(t pinTask, acc *headAcc) error {
 	})
 }
 
-// runTasks executes the tasks and returns the merged accumulator. In
-// parallel mode large pin lists are chunked so the pool stays busy;
-// because the merge is a commutative sum, the result is independent of
-// scheduling and of the worker count.
-func (m *Materialization) runTasks(tasks []pinTask) (*headAcc, error) {
-	if m.workers > 1 {
-		var sub []pinTask
-		for _, t := range tasks {
-			for _, chunk := range datalog.ChunkFacts(t.pinFacts, m.workers) {
-				t.pinFacts = chunk
-				sub = append(sub, t)
-			}
-		}
-		tasks = sub
-	}
-	accs := make([]*headAcc, m.workers)
-	accs[0] = newHeadAcc()
-	if err := datalog.ParallelEach(m.workers, len(tasks), func(w, i int) error {
-		if accs[w] == nil {
-			accs[w] = newHeadAcc()
-		}
-		return runTask(tasks[i], accs[w])
-	}); err != nil {
-		return nil, err
-	}
-	for _, other := range accs[1:] {
-		if other != nil {
-			accs[0].merge(other)
+// runTasks executes the tasks into one accumulator.
+func runTasks(tasks []pinTask) (*headAcc, error) {
+	acc := newHeadAcc()
+	for _, t := range tasks {
+		if err := runTask(t, acc); err != nil {
+			return nil, err
 		}
 	}
-	return accs[0], nil
+	return acc, nil
 }
 
 // groupByRel groups a wave's facts by relation, preserving slice order.

@@ -26,10 +26,10 @@ const (
 	DlDeltaFacts = "dl.delta_facts"
 	// DlTasks counts (rule, pinned-chunk) evaluation tasks executed.
 	DlTasks = "dl.tasks"
-	// DlWorkers is the configured worker-pool size (gauge).
+	// DlWorkers is the width of a Parallel round, GOMAXPROCS (gauge).
 	DlWorkers = "dl.workers"
 	// DlWorkerTasksPrefix + "<w>" counts tasks executed by worker w —
-	// compare across workers for pool utilization (Registry plane only:
+	// compare across workers for utilization (Registry plane only:
 	// the task distribution is scheduling-dependent).
 	DlWorkerTasksPrefix = "dl.worker_tasks."
 	// DlFixpointNs / DlRoundNs / DlWorkerBusyNs are wall-clock span

@@ -19,69 +19,10 @@ type Field struct {
 // F builds a Field.
 func F(key string, value any) Field { return Field{Key: key, Value: value} }
 
-// Event is one typed trace record: a kind (see the Ev* constants in
-// names.go) plus ordered fields.
-type Event struct {
-	Kind   string
-	Fields []Field
-}
-
-// Get returns the value of the named field.
-func (e *Event) Get(key string) (any, bool) {
-	for _, f := range e.Fields {
-		if f.Key == key {
-			return f.Value, true
-		}
-	}
-	return nil, false
-}
-
-// Int returns the named field as an int64 (0 when absent or not an
-// integer type).
-func (e *Event) Int(key string) int64 {
-	v, _ := e.Get(key)
-	switch n := v.(type) {
-	case int:
-		return int64(n)
-	case int64:
-		return n
-	case uint64:
-		return int64(n)
-	}
-	return 0
-}
-
-// Str returns the named field as a string ("" when absent; Stringers
-// are rendered).
-func (e *Event) Str(key string) string {
-	v, ok := e.Get(key)
-	if !ok {
-		return ""
-	}
-	switch s := v.(type) {
-	case string:
-		return s
-	case fmt.Stringer:
-		return s.String()
-	}
-	return fmt.Sprint(v)
-}
-
-// Bool returns the named field as a bool (false when absent).
-func (e *Event) Bool(key string) bool {
-	v, _ := e.Get(key)
-	b, _ := v.(bool)
-	return b
-}
-
-// RenderFunc appends a rendering of the event to buf and returns the
-// extended buffer. Returning buf unchanged drops the event (how the
-// legacy text adapter skips structured-only kinds).
-type RenderFunc func(buf []byte, e *Event) []byte
-
-// Sink serializes events to a writer through a render function —
-// JSONL by default. All methods are safe for concurrent use and no-ops
-// on a nil *Sink, so holders guard hot paths with a plain nil check:
+// Sink serializes events to a writer as JSONL, one object per line:
+// {"ev":"<kind>","<key>":<value>,...}. All methods are safe for
+// concurrent use and no-ops on a nil *Sink, so holders guard hot paths
+// with a plain nil check:
 //
 //	if s.sink != nil { s.sink.Emit(...) }
 //
@@ -90,32 +31,18 @@ type RenderFunc func(buf []byte, e *Event) []byte
 type Sink struct {
 	mu     sync.Mutex
 	w      io.Writer
-	render RenderFunc
 	buf    []byte
 	events uint64
 	err    error
 }
 
-// NewSink returns a sink rendering events as JSONL, one object per
-// line: {"ev":"<kind>","<key>":<value>,...}.
-func NewSink(w io.Writer) *Sink { return NewSinkFunc(w, AppendJSONL) }
+// NewSink returns a sink writing to w.
+func NewSink(w io.Writer) *Sink { return &Sink{w: w} }
 
-// NewSinkFunc returns a sink with a custom renderer.
-func NewSinkFunc(w io.Writer, render RenderFunc) *Sink {
-	return &Sink{w: w, render: render}
-}
-
-// Emit renders and writes one event. No-op on a nil sink. The first
-// write error latches (see Err) and later events are dropped.
+// Emit renders and writes one event: a kind (see the Ev* constants in
+// names.go) plus ordered fields. No-op on a nil sink. The first write
+// error latches (see Err) and later events are dropped.
 func (s *Sink) Emit(kind string, fields ...Field) {
-	if s == nil {
-		return
-	}
-	s.EmitEvent(&Event{Kind: kind, Fields: fields})
-}
-
-// EmitEvent is Emit for a prebuilt event.
-func (s *Sink) EmitEvent(e *Event) {
 	if s == nil {
 		return
 	}
@@ -125,17 +52,13 @@ func (s *Sink) EmitEvent(e *Event) {
 		return
 	}
 	s.events++
-	s.buf = s.render(s.buf[:0], e)
-	if len(s.buf) == 0 {
-		return
-	}
+	s.buf = appendJSONL(s.buf[:0], kind, fields)
 	if _, err := s.w.Write(s.buf); err != nil {
 		s.err = err
 	}
 }
 
-// Events returns the number of events emitted (including any dropped
-// by the renderer; 0 on a nil sink).
+// Events returns the number of events emitted (0 on a nil sink).
 func (s *Sink) Events() uint64 {
 	if s == nil {
 		return 0
@@ -155,15 +78,14 @@ func (s *Sink) Err() error {
 	return s.err
 }
 
-// AppendJSONL is the default renderer: one compact JSON object per
-// event, fields in emission order, terminated by a newline. Rendering
-// is hand-rolled (rather than encoding/json) precisely to preserve
-// field order — byte-identical traces for equal seeds are a tested
-// contract.
-func AppendJSONL(buf []byte, e *Event) []byte {
+// appendJSONL renders one event: one compact JSON object, fields in
+// emission order, terminated by a newline. Rendering is hand-rolled
+// (rather than encoding/json) precisely to preserve field order —
+// byte-identical traces for equal seeds are a tested contract.
+func appendJSONL(buf []byte, kind string, fields []Field) []byte {
 	buf = append(buf, `{"ev":`...)
-	buf = appendJSONString(buf, e.Kind)
-	for _, f := range e.Fields {
+	buf = appendJSONString(buf, kind)
+	for _, f := range fields {
 		buf = append(buf, ',')
 		buf = appendJSONString(buf, f.Key)
 		buf = append(buf, ':')

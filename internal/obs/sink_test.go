@@ -57,26 +57,6 @@ func TestSinkEscaping(t *testing.T) {
 	}
 }
 
-func TestEventAccessors(t *testing.T) {
-	e := &Event{Kind: "k", Fields: []Field{
-		F("i", 3), F("i64", int64(4)), F("u", uint64(5)),
-		F("s", "x"), F("st", stringer{}), F("f", 2.5),
-		F("b", true),
-	}}
-	if e.Int("i") != 3 || e.Int("i64") != 4 || e.Int("u") != 5 || e.Int("missing") != 0 || e.Int("s") != 0 {
-		t.Fatal("Int accessor wrong")
-	}
-	if e.Str("s") != "x" || e.Str("st") != "rendered" || e.Str("missing") != "" || e.Str("f") != "2.5" {
-		t.Fatal("Str accessor wrong")
-	}
-	if !e.Bool("b") || e.Bool("s") || e.Bool("missing") {
-		t.Fatal("Bool accessor wrong")
-	}
-	if _, ok := e.Get("i"); !ok {
-		t.Fatal("Get missed existing field")
-	}
-}
-
 type failWriter struct{ n int }
 
 func (w *failWriter) Write(p []byte) (int, error) {
@@ -101,24 +81,6 @@ func TestSinkLatchesWriteError(t *testing.T) {
 	s.Emit("c")
 	if w.n != 2 {
 		t.Fatalf("sink kept writing after error: %d writes", w.n)
-	}
-}
-
-func TestSinkCustomRendererCanDrop(t *testing.T) {
-	var sb strings.Builder
-	s := NewSinkFunc(&sb, func(buf []byte, e *Event) []byte {
-		if e.Kind != "keep" {
-			return buf
-		}
-		return append(buf, "kept\n"...)
-	})
-	s.Emit("drop")
-	s.Emit("keep")
-	if sb.String() != "kept\n" {
-		t.Fatalf("custom renderer output %q", sb.String())
-	}
-	if s.Events() != 2 {
-		t.Fatalf("dropped events must still count: %d", s.Events())
 	}
 }
 

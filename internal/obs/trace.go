@@ -151,7 +151,7 @@ func (t *Tracer) WriteJSONL(w io.Writer, n int) error {
 }
 
 // AppendSpanJSON renders one span as a compact JSON line (with
-// trailing newline). Hand-rolled like AppendJSONL, and for the same
+// trailing newline). Hand-rolled like appendJSONL, and for the same
 // reason: field order is part of the format, so equal span sequences
 // render byte-identically.
 func AppendSpanJSON(buf []byte, s *Span) []byte {

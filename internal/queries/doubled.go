@@ -99,13 +99,6 @@ func DoubledProgram(p *datalog.Program) (*datalog.Program, error) {
 // every program and input (asserted in tests); it exists to make the
 // conclusion's doubled-program argument executable.
 func WellFoundedViaDoubled(p *datalog.Program, input *fact.Instance) (*WFSResult, error) {
-	return WellFoundedViaDoubledOpts(p, input, datalog.FixpointOptions{})
-}
-
-// WellFoundedViaDoubledOpts is WellFoundedViaDoubled with explicit
-// fixpoint options, so each alternation step can run under any
-// evaluation mode (naive, semi-naive or parallel).
-func WellFoundedViaDoubledOpts(p *datalog.Program, input *fact.Instance, opts datalog.FixpointOptions) (*WFSResult, error) {
 	d, err := DoubledProgram(p)
 	if err != nil {
 		return nil, err
@@ -119,7 +112,7 @@ func WellFoundedViaDoubledOpts(p *datalog.Program, input *fact.Instance, opts da
 		for _, f := range under.Facts() {
 			din.Add(fact.FromTuple(f.Rel()+underSuffix, f.Args()))
 		}
-		res, err := d.EvalStratified(din, opts)
+		res, err := d.EvalStratified(din, datalog.FixpointOptions{})
 		if err != nil {
 			return nil, err
 		}

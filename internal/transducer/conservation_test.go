@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fact"
+	"repro/internal/obs"
 )
 
 // Property test: across arbitrary interleavings of the delivery
@@ -142,7 +143,7 @@ func TestClonePairEqualSeedsIdenticalTraces(t *testing.T) {
 	}
 	run := func(sim *Simulation) []byte {
 		var buf bytes.Buffer
-		sim.TraceTo(&buf)
+		sim.Observe(obs.NewSink(&buf))
 		if _, err := sim.RunRandom(99, 30, 60); err != nil {
 			t.Fatal(err)
 		}

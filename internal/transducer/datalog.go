@@ -22,13 +22,6 @@ import (
 // The program's idb relations are scratch space: they must not collide
 // with any schema relation visible in D.
 func DatalogQuery(p *datalog.Program, target fact.Schema, rename map[string]string) (Query, error) {
-	return DatalogQueryOpts(p, target, rename, datalog.FixpointOptions{})
-}
-
-// DatalogQueryOpts is DatalogQuery with explicit fixpoint options, so
-// every local transducer step can run under any evaluation mode
-// (naive, semi-naive or parallel).
-func DatalogQueryOpts(p *datalog.Program, target fact.Schema, rename map[string]string, opts datalog.FixpointOptions) (Query, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -59,7 +52,7 @@ func DatalogQueryOpts(p *datalog.Program, target fact.Schema, rename map[string]
 			}
 			return true
 		})
-		full, err := p.EvalStratified(edb, opts)
+		full, err := p.EvalStratified(edb, datalog.FixpointOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -79,12 +72,6 @@ func DatalogQueryOpts(p *datalog.Program, target fact.Schema, rename map[string]
 // for out, Mem for ins and del, Msg for snd) provide that query's
 // result.
 func DatalogTransducer(schema Schema, outSrc, insSrc, delSrc, sndSrc string) (*Transducer, error) {
-	return DatalogTransducerOpts(schema, outSrc, insSrc, delSrc, sndSrc, datalog.FixpointOptions{})
-}
-
-// DatalogTransducerOpts is DatalogTransducer with explicit fixpoint
-// options applied to all four component queries.
-func DatalogTransducerOpts(schema Schema, outSrc, insSrc, delSrc, sndSrc string, opts datalog.FixpointOptions) (*Transducer, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
 	}
@@ -96,7 +83,7 @@ func DatalogTransducerOpts(schema Schema, outSrc, insSrc, delSrc, sndSrc string,
 		if err != nil {
 			return nil, fmt.Errorf("transducer: %s program: %w", what, err)
 		}
-		q, err := DatalogQueryOpts(p, target, nil, opts)
+		q, err := DatalogQuery(p, target, nil)
 		if err != nil {
 			return nil, fmt.Errorf("transducer: %s program: %w", what, err)
 		}

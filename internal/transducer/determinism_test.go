@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/fact"
+	"repro/internal/obs"
 )
 
 // Regression tests for seeded-run reproducibility: takeRandom and
@@ -59,7 +60,7 @@ func runSeeded(t *testing.T, seed int64) (trace []byte, out *fact.Instance, metr
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	sim.TraceTo(&buf)
+	sim.Observe(obs.NewSink(&buf))
 	res, err := sim.RunRandom(seed, 40, 50)
 	if err != nil {
 		t.Fatal(err)

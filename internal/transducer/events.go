@@ -1,32 +1,9 @@
 package transducer
 
 import (
-	"fmt"
-
 	"repro/internal/fact"
 	"repro/internal/obs"
 )
-
-// legacyTraceRender renders the simulation's typed events in the
-// original text trace format, byte for byte. TraceTo installs it so
-// pre-existing consumers (and the golden expectations in trace_test.go)
-// keep working on top of the structured pipeline. Kinds that had no
-// text form — holds, quiescence, explorer events — are dropped.
-func legacyTraceRender(buf []byte, e *obs.Event) []byte {
-	switch e.Kind {
-	case obs.EvTransition:
-		return append(buf, fmt.Sprintf("[%04d] %-9s at %-4s delivered=%d sent=%d changed=%-5v out=%d msgs=%s\n",
-			e.Int("step"), e.Str("kind"), e.Str("node"), e.Int("delivered"),
-			e.Int("sent"), e.Bool("changed"), e.Int("out"), e.Str("msgs"))...)
-	case obs.EvStall:
-		return append(buf, fmt.Sprintf("[%04d] stalled   at %-4s (window pending)\n",
-			e.Int("step"), e.Str("node"))...)
-	case obs.EvCrash:
-		return append(buf, fmt.Sprintf("[%04d] crash     at %-4s dropped=%d rebuffered=%d\n",
-			e.Int("step"), e.Str("node"), e.Int("dropped"), e.Int("rebuffered"))...)
-	}
-	return buf
-}
 
 // The emit* helpers below are the single construction sites for the
 // sim.* event kinds: field names, order and types are part of the

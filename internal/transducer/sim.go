@@ -2,7 +2,6 @@ package transducer
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 
@@ -240,21 +239,6 @@ func (s *Simulation) Observe(sink *obs.Sink) { s.sink = sink }
 // Sink returns the attached event sink (nil when none), for a
 // scheduler that adds its own event kinds to the same stream.
 func (s *Simulation) Sink() *obs.Sink { return s.sink }
-
-// TraceTo makes the simulation log one line per transition to w:
-// the active node, how many message instances were delivered, whether
-// the state changed, and the node's output size. Pass nil to disable.
-//
-// TraceTo is the compatibility adapter over Observe: the same typed
-// events, rendered through the legacy text format (structured-only
-// kinds are dropped).
-func (s *Simulation) TraceTo(w io.Writer) {
-	if w == nil {
-		s.sink = nil
-		return
-	}
-	s.sink = obs.NewSinkFunc(w, legacyTraceRender)
-}
 
 // NewSimulation validates the components and builds the start
 // configuration (all states and buffers empty) with the paper's

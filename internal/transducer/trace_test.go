@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fact"
+	"repro/internal/obs"
 )
 
 func TestTraceOutput(t *testing.T) {
@@ -15,7 +16,7 @@ func TestTraceOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf strings.Builder
-	sim.TraceTo(&buf)
+	sim.Observe(obs.NewSink(&buf))
 	if _, err := sim.Heartbeat("n1"); err != nil {
 		t.Fatal(err)
 	}
@@ -27,15 +28,15 @@ func TestTraceOutput(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("trace has %d lines, want 2:\n%s", len(lines), out)
 	}
-	if !strings.Contains(lines[0], "heartbeat") || !strings.Contains(lines[0], "n1") {
+	if !strings.Contains(lines[0], `"ev":"sim.transition"`) || !strings.Contains(lines[0], `"node":"n1","kind":"heartbeat"`) {
 		t.Errorf("first trace line wrong: %q", lines[0])
 	}
-	if !strings.Contains(lines[1], "deliver") || !strings.Contains(lines[1], "delivered=1") {
+	if !strings.Contains(lines[1], `"node":"n2","kind":"deliver","delivered":1`) {
 		t.Errorf("second trace line wrong: %q", lines[1])
 	}
 
 	// Disabling stops further output.
-	sim.TraceTo(nil)
+	sim.Observe(nil)
 	if _, err := sim.Heartbeat("n1"); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestCloneDropsTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf strings.Builder
-	sim.TraceTo(&buf)
+	sim.Observe(obs.NewSink(&buf))
 	clone := sim.Clone()
 	if _, err := clone.Heartbeat("n1"); err != nil {
 		t.Fatal(err)

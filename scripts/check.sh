@@ -1,10 +1,12 @@
 #!/bin/sh
-# check.sh runs the full local gate: vet, build, two structural gates
+# check.sh runs the full local gate: vet, build, four structural gates
 # (internal/cluster has grown no wire loop of its own, IndexedInstance no
-# second fact store), and the test suite
-# under the race detector (the parallel fixpoint engine, the epoch-
-# pinned serving core, and the simulation determinism tests are the
-# main race-sensitive surfaces). The fault-injection, explorer,
+# second fact store, internal/incr and internal/ilog start no goroutine,
+# internal/datalog starts them in one place), the exported-identifier
+# ratchet (scripts/exports.go), and the test suite
+# under the race detector (the fanned-out rounds of the batch fixpoint,
+# the epoch-pinned serving core, and the simulation determinism tests
+# are the main race-sensitive surfaces). The fault-injection, explorer,
 # serving, cluster, incremental-maintenance (its clock and ranks are
 # order-dependent state), and event-scheduler packages additionally run
 # twice under -race
@@ -46,6 +48,44 @@ fi
 echo ">> structural gate: IndexedInstance has no second store"
 if awk '/^type IndexedInstance struct/,/^}/' $(ls internal/datalog/*.go | grep -v '_test\.go$') | grep -n '\*fact\.Instance'; then
     echo "check: IndexedInstance declares a *fact.Instance field; the row tables are its only store"
+    exit 1
+fi
+
+# One fan-out: evaluation goes parallel in the rounds of the batch
+# fixpoint (internal/datalog parallel.go, runRound through parallelEach)
+# and nowhere else. incr's cone is a couple of facts a write and ilog's
+# rounds are bounded by invention; a goroutine in either is the second
+# and third fan-out growing back, each with its own width knob.
+echo ">> structural gate: internal/incr and internal/ilog start no goroutine"
+if grep -nE 'go func|sync\.WaitGroup' $(ls internal/incr/*.go internal/ilog/*.go | grep -v '_test\.go$'); then
+    echo "check: internal/incr or internal/ilog fans out; datalog's runRound is the one place evaluation does"
+    exit 1
+fi
+echo ">> structural gate: internal/datalog starts goroutines in one place"
+n=$(cat $(ls internal/datalog/*.go | grep -v '_test\.go$') | grep -c 'go func')
+if [ "$n" -ne 1 ]; then
+    echo "check: internal/datalog has $n 'go func' sites, want exactly 1 (parallelEach)"
+    exit 1
+fi
+
+# The exported surface is a ratchet: scripts/exports.go counts the
+# exported funcs/methods under internal/ and calm/ that no non-test
+# file refers to, and those only their own package refers to. Neither
+# may grow past the figure recorded here; a PR that unexports or
+# deletes lowers the figure with it.
+max_unreferenced=94
+max_package_only=64
+echo ">> exported-identifier ratchet: unreferenced <= $max_unreferenced, package-only <= $max_package_only"
+exports=$(go run scripts/exports.go)
+echo "$exports" | sed 's/^/   /'
+unref=$(echo "$exports" | sed -n 's/^exports: .*unreferenced=\([0-9]*\).*/\1/p')
+ponly=$(echo "$exports" | sed -n 's/^exports: .*package-only=\([0-9]*\).*/\1/p')
+if [ -z "$unref" ] || [ -z "$ponly" ]; then
+    echo "check: FAILED to read scripts/exports.go counts"
+    exit 1
+fi
+if [ "$unref" -gt "$max_unreferenced" ] || [ "$ponly" -gt "$max_package_only" ]; then
+    echo "check: exported surface grew: $unref unreferenced (max $max_unreferenced), $ponly package-only (max $max_package_only); run 'go run scripts/exports.go -v'"
     exit 1
 fi
 
