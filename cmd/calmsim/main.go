@@ -60,7 +60,7 @@ func main() {
 		explore   = flag.Int("explore", 0, "when > 0, exhaustively explore all schedules to this depth and check output safety")
 		tracePath = flag.String("trace", "", `write structured JSONL events (sim.* transitions/faults, explore.* schedules) to this file ("-" = stdout)`)
 		metrics   = flag.String("metrics", "", `write run metrics (sim.* / explore.* counters) as JSON to this file ("-" = stdout)`)
-		pprofAddr = flag.String("pprof", "", "serve the admin endpoint (/metrics /debug/pprof) on this address (e.g. localhost:6060)")
+		adminAddr = flag.String("admin", "", "serve the admin endpoint (/metrics /debug/pprof) on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
 
@@ -141,10 +141,10 @@ func main() {
 	}
 
 	var reg *obs.Registry
-	if *metrics != "" || *pprofAddr != "" {
+	if *metrics != "" || *adminAddr != "" {
 		reg = obs.NewRegistry()
 	}
-	admin.StartBackground("calmsim", *pprofAddr, reg)
+	admin.StartBackground("calmsim", *adminAddr, reg)
 	sink, closeSink, err := obs.OpenSink(*tracePath)
 	if err != nil {
 		fatal(err)

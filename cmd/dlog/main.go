@@ -45,7 +45,7 @@ func main() {
 		classify    = flag.Bool("classify", true, "print the fragment classification")
 		metricsPath = flag.String("metrics", "", `write engine metrics (dl.* / ilog.* counters) as JSON to this file ("-" = stdout)`)
 		tracePath   = flag.String("trace", "", `write structured JSONL evaluation events to this file ("-" = stdout)`)
-		pprofAddr   = flag.String("pprof", "", "serve the admin endpoint (/metrics /debug/pprof) on this address (e.g. localhost:6060)")
+		adminAddr   = flag.String("admin", "", "serve the admin endpoint (/metrics /debug/pprof) on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
 	if *programPath == "" {
@@ -72,10 +72,10 @@ func main() {
 	}
 
 	var reg *obs.Registry
-	if *metricsPath != "" || *pprofAddr != "" {
+	if *metricsPath != "" || *adminAddr != "" {
 		reg = obs.NewRegistry()
 	}
-	admin.StartBackground("dlog", *pprofAddr, reg)
+	admin.StartBackground("dlog", *adminAddr, reg)
 	sink, closeSink, err := obs.OpenSink(*tracePath)
 	if err != nil {
 		fatal(err)

@@ -64,18 +64,11 @@ type report struct {
 
 func main() {
 	metricsPath := flag.String("metrics", "", `write the machine-readable result matrix as JSON to this file ("-" = stdout)`)
-	pprofAddr := flag.String("pprof", "", "serve the admin endpoint (/metrics /debug/pprof) on this address (e.g. localhost:6060)")
+	adminAddr := flag.String("admin", "", "serve the admin endpoint (/metrics /debug/pprof) on this address (e.g. localhost:6060)")
 	flag.Parse()
-	admin.StartBackground("experiments", *pprofAddr, nil)
+	admin.StartBackground("experiments", *adminAddr, nil)
 
-	exps := []experiment{}
-	exps = append(exps, figure1Experiments()...)
-	exps = append(exps, lemma32Experiments()...)
-	exps = append(exps, figure2FragmentExperiments()...)
-	exps = append(exps, transducerExperiments()...)
-	exps = append(exps, faultExperiments()...)
-	exps = append(exps, netsimExperiments()...)
-
+	exps := allExperiments()
 	fmt.Println("Reproduction matrix — Ameloot, Ketsman, Neven, Zinn: \"Weaker Forms of Monotonicity\" (PODS 2014)")
 	fmt.Println()
 	rep := report{Paper: "Ameloot, Ketsman, Neven, Zinn: Weaker Forms of Monotonicity for Declarative Networking (PODS 2014)"}
@@ -83,12 +76,10 @@ func main() {
 	for _, e := range exps {
 		reg := obs.NewRegistry()
 		observed, ok := e.run(reg)
-		status := "ok  "
 		if !ok {
-			status = "FAIL"
 			failures++
 		}
-		fmt.Printf("[%s] %-8s %-58s  %s\n", status, e.id, e.claim, observed)
+		fmt.Println(formatRow(e, observed, ok))
 		snap := reg.Snapshot()
 		rep.Rows = append(rep.Rows, reportRow{
 			ID: e.id, Claim: e.claim, OK: ok, Observed: observed,
@@ -113,6 +104,26 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("all %d experiments and the bounded-hierarchy matrix reproduced\n", len(exps))
+}
+
+// allExperiments lists the rows of the reproduction matrix in print
+// order.
+func allExperiments() []experiment {
+	var exps []experiment
+	for _, part := range [][]experiment{figure1Experiments(), lemma32Experiments(), figure2FragmentExperiments(),
+		transducerExperiments(), faultExperiments(), netsimExperiments()} {
+		exps = append(exps, part...)
+	}
+	return exps
+}
+
+// formatRow renders one result row as experiments_output.txt holds it.
+func formatRow(e experiment, observed string, ok bool) string {
+	status := "ok  "
+	if !ok {
+		status = "FAIL"
+	}
+	return fmt.Sprintf("[%s] %-8s %-58s  %s", status, e.id, e.claim, observed)
 }
 
 // writeReport dumps the JSON report ("" = disabled, "-" = stdout).

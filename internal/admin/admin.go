@@ -114,8 +114,8 @@ func Start(addr string, opts Options) (*Server, error) {
 }
 
 // StartBackground serves the admin routes for the life of a batch
-// command (dlog, calmsim, experiments: their -pprof flag; "" =
-// disabled) — the same routes calmd's -admin exposes, so one curl
+// command (dlog, calmsim, experiments: their -admin flag, named as
+// calmd's; "" = disabled) — the same routes calmd -admin exposes, so one curl
 // recipe profiles every binary in the repo. The endpoint is a
 // convenience, never a reason to fail the run: a listen error is
 // reported on stderr under the command's name and the run goes on.

@@ -18,6 +18,11 @@ import (
 // Q ∈ Mdistinct, so no wrong facts are ever output; and since every
 // fact and every absence is eventually everywhere (node identifiers
 // travel in hello announcements), every node eventually computes Q(I).
+//
+// Out, Ins and Snd are the Section 4.1.2 definition. Delta is the same
+// transition read off the node's parts and the System view by probe
+// (DESIGN.md §16); it evaluates the query at every complete transition,
+// as Out does.
 func buildAbsence(q monotone.Query, in, out fact.Schema) (*transducer.Transducer, error) {
 	msg := fact.MustSchema(map[string]int{relHello: 1})
 	mem := fact.MustSchema(map[string]int{relVal: 1, relHelloS: 1})
@@ -32,6 +37,30 @@ func buildAbsence(q monotone.Query, in, out fact.Schema) (*transducer.Transducer
 	sch := transducer.Schema{In: in, Out: out, Msg: msg, Mem: mem}
 	if err := sch.Validate(); err != nil {
 		return nil, err
+	}
+	// The relations derived from one input relation, interned for the
+	// insert-only form; byRel finds them from a local fact, byMsg from a
+	// delivered one.
+	type ids struct {
+		rel, fwd, got, sent, abs, absGot, absSent fact.ID
+		arity                                     int
+	}
+	var rels []*ids
+	byRel, byMsg := make(map[fact.ID]*ids), make(map[fact.ID]*ids)
+	for _, rel := range inputRels(in) {
+		r := &ids{fact.InternString(rel), fact.InternString(relFwd(rel)), fact.InternString(relGot(rel)), fact.InternString(relSent(rel)),
+			fact.InternString(relAbs(rel)), fact.InternString(relAbsGot(rel)), fact.InternString(relAbsSent(rel)), in[rel]}
+		rels = append(rels, r)
+		byRel[r.rel], byMsg[r.fwd], byMsg[r.abs] = r, r, r
+	}
+	hello, val, helloS := fact.InternString(relHello), fact.InternString(relVal), fact.InternString(relHelloS)
+	known := newKnown(in, relGot, relFwd)
+	eval := func(k *fact.Instance) (*fact.Instance, error) {
+		res, err := q.Eval(k)
+		if err != nil {
+			return nil, fmt.Errorf("core: absence strategy evaluating %s: %w", q.Name(), err)
+		}
+		return res, nil
 	}
 
 	// detectAbsences lists the candidate facts over MyAdom that the
@@ -59,14 +88,14 @@ func buildAbsence(q monotone.Query, in, out fact.Schema) (*transducer.Transducer
 	// complete reports whether MyAdom is complete: every candidate
 	// fact over MyAdom is known present (collected) or known absent
 	// (stored, just delivered, or locally detectable).
-	complete := func(d *fact.Instance, known *fact.Instance) bool {
+	complete := func(d *fact.Instance, k *fact.Instance) bool {
 		adom := myAdom(d)
 		for _, rel := range inputRels(in) {
 			ar := in[rel]
 			local := d.RestrictRel(rel)
 			for _, tup := range allTuples(adom, ar) {
 				f := fact.FromTuple(rel, tup)
-				if known.Has(f) {
+				if k.Has(f) {
 					continue
 				}
 				if d.Has(fact.FromTuple(relAbsGot(rel), tup)) || d.Has(fact.FromTuple(relAbs(rel), tup)) {
@@ -84,15 +113,11 @@ func buildAbsence(q monotone.Query, in, out fact.Schema) (*transducer.Transducer
 	t := &transducer.Transducer{
 		Schema: sch,
 		Out: func(d *fact.Instance) (*fact.Instance, error) {
-			known := knownFacts(in, d)
-			if !complete(d, known) {
+			k := known.of(d)
+			if !complete(d, k) {
 				return fact.NewInstance(), nil
 			}
-			res, err := q.Eval(known)
-			if err != nil {
-				return nil, fmt.Errorf("core: absence strategy evaluating %s: %w", q.Name(), err)
-			}
-			return res, nil
+			return eval(k)
 		},
 		Ins: func(d *fact.Instance) (*fact.Instance, error) {
 			ins := fact.NewInstance()
@@ -139,6 +164,53 @@ func buildAbsence(q monotone.Query, in, out fact.Schema) (*transducer.Transducer
 				snd.Add(fact.New(relHello, id))
 			}
 			return snd, nil
+		},
+		Delta: func(local, state, m *fact.Instance, sys transducer.System) (transducer.Delta, error) {
+			d := delta{state: state}
+			if id, ok := sys.Id(); ok {
+				d.insSend(helloS, hello, []fact.ID{fact.Intern(id)})
+			}
+			m.EachIDs(func(rel fact.ID, args []fact.ID) bool {
+				if rel == hello {
+					d.ins(val, args)
+				} else if r, ok := byMsg[rel]; ok {
+					if rel == r.fwd {
+						d.ins(r.got, args)
+					} else {
+						d.ins(r.absGot, args)
+					}
+				}
+				return true
+			})
+			local.EachIDs(func(rel fact.ID, args []fact.ID) bool {
+				if r, ok := byRel[rel]; ok {
+					d.insSend(r.sent, r.fwd, args)
+				}
+				return true
+			})
+			// One walk over the candidate facts detects the absences and
+			// decides completeness, as detectAbsences and complete do.
+			base := sys.Base()
+			complete := true
+			for _, r := range rels {
+				fact.EachTuple(base.MyAdom(), r.arity, func(t []fact.ID) bool {
+					switch {
+					case local.HasIDs(r.rel, t):
+					case base.Responsible(r.rel, t):
+						d.ins(r.absGot, t)
+						d.insSend(r.absSent, r.abs, t)
+					case complete:
+						complete = state.HasIDs(r.got, t) || m.HasIDs(r.fwd, t) ||
+							state.HasIDs(r.absGot, t) || m.HasIDs(r.abs, t)
+					}
+					return true
+				})
+			}
+			var err error
+			if complete {
+				d.Out, err = eval(known.of(local, state, m))
+			}
+			return d.Delta, err
 		},
 	}
 	return t, nil

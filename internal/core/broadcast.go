@@ -45,8 +45,9 @@ func buildFlood(s Strategy, q monotone.Query, in, out fact.Schema) (*transducer.
 	if err := sch.Validate(); err != nil {
 		return nil, err
 	}
-	eval := func(known *fact.Instance) (*fact.Instance, error) {
-		res, err := q.Eval(known)
+	known := newKnown(in, relGot, relFwd)
+	eval := func(k *fact.Instance) (*fact.Instance, error) {
+		res, err := q.Eval(k)
 		if err != nil {
 			return nil, fmt.Errorf("core: %v strategy evaluating %s: %w", s, q.Name(), err)
 		}
@@ -56,7 +57,7 @@ func buildFlood(s Strategy, q monotone.Query, in, out fact.Schema) (*transducer.
 	t := &transducer.Transducer{
 		Schema: sch,
 		Out: func(d *fact.Instance) (*fact.Instance, error) {
-			return eval(knownFacts(in, d))
+			return eval(known.of(d))
 		},
 		Ins: func(d *fact.Instance) (*fact.Instance, error) {
 			ins := fact.NewInstance()
@@ -95,7 +96,7 @@ func buildFlood(s Strategy, q monotone.Query, in, out fact.Schema) (*transducer.
 			}
 			return snd, nil
 		},
-		Delta: func(local, state, m *fact.Instance) (transducer.Delta, error) {
+		Delta: func(local, state, m *fact.Instance, _ transducer.System) (transducer.Delta, error) {
 			d := transducer.Delta{Ins: fact.NewInstance(), Snd: fact.NewInstance()}
 			grew := state.Empty()
 			// send forwards a fact unless marked sent; true if it did.
@@ -130,7 +131,7 @@ func buildFlood(s Strategy, q monotone.Query, in, out fact.Schema) (*transducer.
 			})
 			var err error
 			if grew {
-				d.Out, err = eval(knownFacts(in, local, state, m))
+				d.Out, err = eval(known.of(local, state, m))
 			}
 			return d, err
 		},

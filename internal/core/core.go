@@ -191,25 +191,72 @@ func inputRels(in fact.Schema) []string {
 	return names
 }
 
-// knownFacts reconstructs the input facts visible at a node from D, or
-// from the node's parts: its local input fragment, stored received
-// facts, and facts delivered in this very transition.
-func knownFacts(in fact.Schema, parts ...*fact.Instance) *fact.Instance {
-	k := fact.NewInstance()
+// known maps each relation that carries input facts of relation R —
+// R itself and the strategy's carriers of R — to R.
+type known map[fact.ID]fact.ID
+
+// newKnown interns the carriers, e.g. relGot (stored received facts)
+// and relFwd (facts delivered in this very transition).
+func newKnown(in fact.Schema, carriers ...func(string) string) known {
+	k := make(known)
 	for rel := range in {
-		id, carriers := fact.InternString(rel), []string{relGot(rel), relFwd(rel)}
-		for _, d := range parts {
-			for _, f := range d.Rel(rel) {
-				k.Add(f)
-			}
-			for _, from := range carriers {
-				for _, f := range d.Rel(from) {
-					k.AddIDs(id, f.ArgIDs())
-				}
-			}
+		id := fact.InternString(rel)
+		k[id] = id
+		for _, c := range carriers {
+			k[fact.InternString(c(rel))] = id
 		}
 	}
 	return k
+}
+
+// of reconstructs the input facts visible at a node from D, or from the
+// node's parts: its local input fragment, its state and the delivered
+// message set.
+func (k known) of(parts ...*fact.Instance) *fact.Instance {
+	out := fact.NewInstance()
+	for _, d := range parts {
+		d.EachIDs(func(rel fact.ID, args []fact.ID) bool {
+			if id, ok := k[rel]; ok {
+				out.AddIDs(id, args)
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// delta accumulates the insert-only form of one transition. ins leaves
+// out what the state already holds, so a settled transition builds
+// nothing, and both instances are made on first use.
+type delta struct {
+	transducer.Delta
+	state *fact.Instance
+}
+
+func (d *delta) ins(rel fact.ID, args []fact.ID) {
+	if d.state.HasIDs(rel, args) {
+		return
+	}
+	if d.Ins == nil {
+		d.Ins = fact.NewInstance()
+	}
+	d.Ins.AddIDs(rel, args)
+}
+
+func (d *delta) send(rel fact.ID, args []fact.ID) {
+	if d.Snd == nil {
+		d.Snd = fact.NewInstance()
+	}
+	d.Snd.AddIDs(rel, args)
+}
+
+// insSend stores the marker fact rel(args) and sends msg(args), the
+// first time only: a marker in the state means the message went out.
+func (d *delta) insSend(rel, msg fact.ID, args []fact.ID) {
+	if !d.state.HasIDs(rel, args) {
+		d.ins(rel, args)
+		d.send(msg, args)
+	}
 }
 
 // myAdom reads the MyAdom system relation.

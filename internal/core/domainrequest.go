@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fact"
 	"repro/internal/monotone"
@@ -22,6 +23,11 @@ import (
 // an OK. Its collected facts I' then satisfy
 // I' = {f ∈ I | adom(f) ∩ MyAdom ≠ ∅}, the rest of the input is
 // domain-disjoint from I', and Q(I') ⊆ Q(I) for every Q ∈ Mdisjoint.
+//
+// Out, Ins and Snd are the Section 4.1.2 definition. Delta is the same
+// transition read off the node's parts and the System view by probe,
+// responsibility asked per value (DESIGN.md §16); it evaluates the
+// query at every complete transition, as Out does.
 func buildDomainRequest(q monotone.Query, in, out fact.Schema) (*transducer.Transducer, error) {
 	msg := fact.MustSchema(map[string]int{relHello: 1, relAnn: 1, relReq: 2, relOk: 2})
 	mem := fact.MustSchema(map[string]int{
@@ -39,6 +45,37 @@ func buildDomainRequest(q monotone.Query, in, out fact.Schema) (*transducer.Tran
 	sch := transducer.Schema{In: in, Out: out, Msg: msg, Mem: mem}
 	if err := sch.Validate(); err != nil {
 		return nil, err
+	}
+	// The relations derived from one input relation, interned for the
+	// insert-only form; byRel finds them from a local fact, byMsg from a
+	// delivered response or acknowledgment.
+	type ids struct {
+		rel, got, resp, ack, respS, ackG, ackS fact.ID
+		arity                                  int
+	}
+	var rels []*ids
+	byRel, byMsg := make(map[fact.ID]*ids), make(map[fact.ID]*ids)
+	maxArity := 0
+	for _, rel := range inputRels(in) {
+		r := &ids{fact.InternString(rel), fact.InternString(relGot(rel)), fact.InternString(relResp(rel)), fact.InternString(relAck(rel)),
+			fact.InternString(relRespS(rel)), fact.InternString(relAckG(rel)), fact.InternString(relAckS(rel)), in[rel]}
+		rels = append(rels, r)
+		byRel[r.rel], byMsg[r.resp], byMsg[r.ack] = r, r, r
+		maxArity = max(maxArity, r.arity)
+	}
+	var (
+		hello, ann, req, ok = fact.InternString(relHello), fact.InternString(relAnn), fact.InternString(relReq), fact.InternString(relOk)
+		val, helloS, annS   = fact.InternString(relVal), fact.InternString(relHelloS), fact.InternString(relAnnS)
+		reqS, okGot         = fact.InternString(relReqS), fact.InternString(relOkGot)
+		reqG, okS           = fact.InternString(relReqG()), fact.InternString(relOkS())
+	)
+	known := newKnown(in, relGot)
+	eval := func(k *fact.Instance) (*fact.Instance, error) {
+		res, err := q.Eval(k)
+		if err != nil {
+			return nil, fmt.Errorf("core: domain-request strategy evaluating %s: %w", q.Name(), err)
+		}
+		return res, nil
 	}
 
 	// localADom returns the active domain of the node's input fragment.
@@ -127,12 +164,7 @@ func buildDomainRequest(q monotone.Query, in, out fact.Schema) (*transducer.Tran
 			if !complete(d) {
 				return fact.NewInstance(), nil
 			}
-			known := knownFacts(in, d)
-			res, err := q.Eval(known)
-			if err != nil {
-				return nil, fmt.Errorf("core: domain-request strategy evaluating %s: %w", q.Name(), err)
-			}
-			return res, nil
+			return eval(known.of(d))
 		},
 		Ins: func(d *fact.Instance) (*fact.Instance, error) {
 			ins := fact.NewInstance()
@@ -259,6 +291,112 @@ func buildDomainRequest(q monotone.Query, in, out fact.Schema) (*transducer.Tran
 				}
 			}
 			return snd, nil
+		},
+		Delta: func(local, state, m *fact.Instance, sys transducer.System) (transducer.Delta, error) {
+			d := delta{state: state}
+			base := sys.Base()
+			// responsible is responsibleForValue: one policy probe per input
+			// relation on the all-a tuple.
+			diag := make([]fact.ID, maxArity)
+			responsible := func(a fact.ID) bool {
+				for _, r := range rels {
+					t := diag[:r.arity]
+					for i := range t {
+						t[i] = a
+					}
+					if base.Responsible(r.rel, t) {
+						return true
+					}
+				}
+				return false
+			}
+			id, hasID := sys.Id()
+			var self fact.ID
+			if hasID {
+				self = fact.Intern(id)
+				d.insSend(helloS, hello, []fact.ID{self})
+			}
+			local.EachIDs(func(rel fact.ID, args []fact.ID) bool {
+				if byRel[rel] != nil {
+					for i := range args {
+						d.insSend(annS, ann, args[i:i+1])
+					}
+				}
+				return true
+			})
+
+			// answer serves one pending request (requester, a) of a value
+			// this node is responsible for, as pendingRequests and
+			// respFactsFor do.
+			args := make([]fact.ID, 0, 2+maxArity)
+			answer := func(pair []fact.ID) {
+				if !responsible(pair[1]) {
+					return
+				}
+				acked := true
+				local.EachIDs(func(rel fact.ID, t []fact.ID) bool {
+					r := byRel[rel]
+					if r == nil || !slices.Contains(t, pair[1]) {
+						return true
+					}
+					args = append(append(args[:0], pair...), t...)
+					d.insSend(r.respS, r.resp, args)
+					acked = acked && state.HasIDs(r.ackG, args)
+					return true
+				})
+				if acked {
+					d.insSend(okS, ok, pair)
+				}
+			}
+			m.EachIDs(func(rel fact.ID, t []fact.ID) bool {
+				switch r := byMsg[rel]; {
+				case rel == ann || rel == hello:
+					d.ins(val, t)
+				case rel == ok:
+					if hasID && t[0] == self {
+						d.ins(okGot, t[1:])
+					}
+				case rel == req:
+					if !state.HasIDs(reqG, t) { // stored ones are answered below
+						d.ins(reqG, t)
+						answer(t)
+					}
+				case r != nil && rel == r.resp:
+					if hasID && t[0] == self {
+						d.ins(r.got, t[2:])
+						d.insSend(r.ackS, r.ack, t)
+					}
+				case r != nil:
+					d.ins(r.ackG, t)
+				}
+				return true
+			})
+			state.EachIDs(func(rel fact.ID, t []fact.ID) bool {
+				if rel == reqG {
+					answer(t)
+				}
+				return true
+			})
+
+			// Request every uncovered value, and decide completeness.
+			complete := true
+			pair := []fact.ID{self, 0}
+			for _, a := range base.MyAdom() {
+				if responsible(a) {
+					continue
+				}
+				pair[1] = a
+				if hasID && !state.HasIDs(reqS, pair[1:]) {
+					d.ins(reqS, pair[1:])
+					d.send(req, pair)
+				}
+				complete = complete && (state.HasIDs(okGot, pair[1:]) || hasID && m.HasIDs(ok, pair))
+			}
+			var err error
+			if complete {
+				d.Out, err = eval(known.of(local, state, m))
+			}
+			return d.Delta, err
 		},
 	}
 	return t, nil

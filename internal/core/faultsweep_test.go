@@ -55,6 +55,24 @@ func TestInClassStrategiesSurviveFaultSchedules(t *testing.T) {
 	}
 }
 
+// rediscovery is where an explored violation surfaced: the wrong fact,
+// the schedule and its step, and the schedules and transitions run up
+// to it. The rediscovery tests pin it exactly, to the values the
+// four-query arm produced before the strategies had insert-only forms,
+// so a form that hides or delays a violation fails them.
+type rediscovery struct {
+	bad, schedule                string
+	step, schedules, transitions int
+}
+
+func rediscovered(v *transducer.ScheduleViolation, stats transducer.ExploreStats) rediscovery {
+	r := rediscovery{schedule: v.Schedule, step: v.Step, schedules: stats.Schedules, transitions: stats.Transitions}
+	if v.Kind == transducer.WrongFact {
+		r.bad = v.Bad.String()
+	}
+	return r
+}
+
 func TestExplorerRediscoversOutOfClassDivergences(t *testing.T) {
 	cases := []struct {
 		name string
@@ -62,13 +80,17 @@ func TestExplorerRediscoversOutOfClassDivergences(t *testing.T) {
 		q    monotone.Query
 		pol  transducer.Policy
 		in   *fact.Instance
+		want rediscovery
 	}{
 		// broadcast handles M only; NoLoop ∈ Mdistinct \ M.
-		{"broadcast/NoLoop", Broadcast, queries.NoLoop(), transducer.HashPolicy(sweepNet), sweepGraph},
+		{"broadcast/NoLoop", Broadcast, queries.NoLoop(), transducer.HashPolicy(sweepNet), sweepGraph,
+			rediscovery{"O(d)", "fair", 1, 1, 1}},
 		// absence handles Mdistinct; QTC ∈ Mdisjoint \ Mdistinct.
-		{"absence/QTC", Absence, queries.ComplementTC(), transducer.HashPolicy(sweepNet), sweepCycle},
+		{"absence/QTC", Absence, queries.ComplementTC(), transducer.HashPolicy(sweepNet), sweepCycle,
+			rediscovery{"O(b,b)", "adv-starve-fresh:n1", 4, 6, 83}},
 		// domainreq handles Mdisjoint; triangles ∈ C \ Mdisjoint.
-		{"domainreq/triangles", DomainRequest, queries.TrianglesUnlessTwoDisjoint(), sweepGuided(), twoTriangles},
+		{"domainreq/triangles", DomainRequest, queries.TrianglesUnlessTwoDisjoint(), sweepGuided(), twoTriangles,
+			rediscovery{"O(x,y,z)", "adv-starve-fresh:n1", 10, 6, 137}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -83,7 +105,9 @@ func TestExplorerRediscoversOutOfClassDivergences(t *testing.T) {
 			if v.Kind != transducer.WrongFact {
 				t.Errorf("Kind = %v, want wrong-fact", v.Kind)
 			}
-			t.Logf("rediscovered via %s: %v", v.Schedule, v.Bad)
+			if got := rediscovered(v, stats); got != c.want {
+				t.Errorf("rediscovered %+v, want %+v", got, c.want)
+			}
 		})
 	}
 }
@@ -109,7 +133,10 @@ func TestCrashRestartBreaksDomainRequestCertificates(t *testing.T) {
 	if v.Kind != transducer.WrongFact {
 		t.Errorf("Kind = %v, want wrong-fact", v.Kind)
 	}
-	t.Logf("crash schedule: %s → %v", v.Schedule, v.Bad)
+	want := rediscovery{"O(a,a)", "seed:59 faults[dup=0.2,delay=0.25:6,stall=n3@6-19,crash=n3@30,part=8-15:n3]", 28, 67, 2663}
+	if got := rediscovered(v, stats); got != want {
+		t.Errorf("rediscovered %+v, want %+v", got, want)
+	}
 }
 
 func TestFaultConfigFor(t *testing.T) {

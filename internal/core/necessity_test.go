@@ -46,6 +46,7 @@ func TestAbsenceNeedsPolicyAwareness(t *testing.T) {
 	if !out.Equal(want) {
 		t.Fatalf("policy-aware run wrong: %v, want %v", out, want)
 	}
+	pinRun(t, "policy-aware", sim.Metrics, transducer.Metrics{Transitions: 6, Heartbeats: 3, MessagesSent: 18, MessagesDelivered: 18})
 
 	// In the original model (Id + All only) it emits the premature O(a).
 	sim, err = transducer.NewSimulation(net, tr, pol, transducer.Original, in)
@@ -59,8 +60,18 @@ func TestAbsenceNeedsPolicyAwareness(t *testing.T) {
 	if out.Equal(want) {
 		t.Fatal("absence strategy unexpectedly correct without policy relations; necessity witness broken")
 	}
-	if !out.Has(fact.New("O", "a")) {
+	if out.String() != "{O(a), O(b)}" {
 		t.Errorf("expected premature O(a) in the original model; got %v", out)
+	}
+	pinRun(t, "original", sim.Metrics, transducer.Metrics{Transitions: 6, Heartbeats: 4, MessagesSent: 4, MessagesDelivered: 4})
+}
+
+// pinRun compares a necessity run's counters with the values the
+// four-query arm produced before the strategies had insert-only forms.
+func pinRun(t *testing.T, run string, got, want transducer.Metrics) {
+	t.Helper()
+	if got != want {
+		t.Errorf("%s run: metrics %+v, want %+v", run, got, want)
 	}
 }
 
@@ -98,7 +109,8 @@ func TestDomainRequestNeedsDomainGuidance(t *testing.T) {
 	if res.Output.Empty() {
 		t.Fatal("domain-request strategy unexpectedly correct on a non-guided policy; necessity witness broken")
 	}
-	if !res.Output.Has(fact.New("O", "b", "a")) && !res.Output.Has(fact.New("O", "a", "a")) {
+	if res.Output.String() != "{O(a,a), O(b,a), O(b,b)}" {
 		t.Errorf("expected premature complement facts; got %v", res.Output)
 	}
+	pinRun(t, "non-guided", res.Metrics, transducer.Metrics{Transitions: 10, Heartbeats: 5, MessagesSent: 18, MessagesDelivered: 18})
 }

@@ -182,6 +182,49 @@ func (i *Instance) Each(fn func(Fact) bool) {
 	}
 }
 
+// EachIDs is Each over interned IDs: fn receives every fact's relation
+// and its argument row — the instance's own storage, read-only and
+// valid only for the call — so a walk materialises no Fact.
+func (i *Instance) EachIDs(fn func(rel ID, args []ID) bool) {
+	for k, c := range i.rels {
+		for r := 0; r < c.rows(); r++ {
+			if !fn(k.rel, c.row(r)) {
+				return
+			}
+		}
+	}
+}
+
+// EachTuple calls fn with every tuple of the given arity over vals, in
+// odometer order over vals' order, until fn returns false. The slice fn
+// receives is reused between calls; copy it to keep it.
+func EachTuple(vals []ID, arity int, fn func(args []ID) bool) {
+	if len(vals) == 0 && arity > 0 {
+		return
+	}
+	pos := make([]int, arity)
+	args := make([]ID, arity)
+	for k := range args {
+		args[k] = vals[0]
+	}
+	for {
+		if !fn(args) {
+			return
+		}
+		k := arity - 1
+		for ; k >= 0; k-- {
+			if pos[k]++; pos[k] < len(vals) {
+				args[k] = vals[pos[k]]
+				break
+			}
+			pos[k], args[k] = 0, vals[0]
+		}
+		if k < 0 {
+			return
+		}
+	}
+}
+
 // Rel returns the facts of relation rel in sorted order.
 func (i *Instance) Rel(rel string) []Fact {
 	id, _ := LookupValue(Value(rel)) // not interned: NoID, the relation of no fact, for a name never seen

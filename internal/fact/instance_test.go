@@ -2,6 +2,7 @@ package fact
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -115,6 +116,41 @@ func TestInstanceFactsSorted(t *testing.T) {
 	}
 	if i.String() != "{A(z), E(a,b), E(b,c)}" {
 		t.Errorf("String() = %q", i.String())
+	}
+}
+
+func TestEachIDsWalksEveryFact(t *testing.T) {
+	i := inst("E(b,c)", "E(a,b)", "A(z)")
+	got := NewInstance()
+	i.EachIDs(func(rel ID, args []ID) bool {
+		got.AddIDs(rel, args)
+		return true
+	})
+	if !got.Equal(i) {
+		t.Errorf("EachIDs walked %v, want %v", got, i)
+	}
+	n := 0
+	i.EachIDs(func(ID, []ID) bool { n++; return false })
+	if n != 1 {
+		t.Errorf("EachIDs went on after false: %d calls", n)
+	}
+}
+
+func TestEachTuple(t *testing.T) {
+	ab := []ID{Intern("a"), Intern("b")}
+	var got []string
+	EachTuple(ab, 2, func(args []ID) bool {
+		got = append(got, FromIDs(InternString("T"), args).String())
+		return true
+	})
+	if want := []string{"T(a,a)", "T(a,b)", "T(b,a)", "T(b,b)"}; !slices.Equal(got, want) {
+		t.Errorf("2 values arity 2: %v, want %v", got, want)
+	}
+	n := 0
+	EachTuple(nil, 1, func([]ID) bool { n++; return true })
+	EachTuple(ab, 3, func([]ID) bool { n++; return n < 5 })
+	if n != 5 {
+		t.Errorf("no values gave tuples, or the walk went on after false: %d calls", n)
 	}
 }
 

@@ -270,47 +270,36 @@ func IsDomainGuidedOn(p Policy, schema fact.Schema, values []fact.Value) bool {
 		}
 		return set
 	}
+	ids := make([]fact.ID, len(values))
+	for i, v := range values {
+		ids[i] = fact.Intern(v)
+	}
+	guided := true
 	for rel, ar := range schema {
 		// The assignment candidate α(a) is read off the all-a fact.
-		tuples := enumerateTuples(values, ar)
-		for _, tup := range tuples {
+		fact.EachTuple(ids, ar, func(args []fact.ID) bool {
+			f := fact.FromIDs(fact.InternString(rel), args)
 			want := make(map[NodeID]bool)
-			for _, a := range tup {
-				for x := range singleton(rel, ar, a) {
+			for i := 0; i < ar; i++ {
+				for x := range singleton(rel, ar, f.Arg(i)) {
 					want[x] = true
 				}
 			}
 			got := make(map[NodeID]bool)
-			for _, x := range p.Nodes(fact.FromTuple(rel, tup)) {
+			for _, x := range p.Nodes(f) {
 				got[x] = true
 			}
 			if len(got) != len(want) {
-				return false
+				guided = false
 			}
 			for x := range want {
-				if !got[x] {
-					return false
-				}
+				guided = guided && got[x]
 			}
+			return guided
+		})
+		if !guided {
+			return false
 		}
 	}
 	return true
-}
-
-// enumerateTuples returns all tuples of the given arity over values.
-func enumerateTuples(values []fact.Value, arity int) []fact.Tuple {
-	if arity == 0 {
-		return []fact.Tuple{{}}
-	}
-	var out []fact.Tuple
-	sub := enumerateTuples(values, arity-1)
-	for _, t := range sub {
-		for _, v := range values {
-			nt := make(fact.Tuple, 0, arity)
-			nt = append(nt, t...)
-			nt = append(nt, v)
-			out = append(out, nt)
-		}
-	}
-	return out
 }

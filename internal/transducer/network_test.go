@@ -162,13 +162,3 @@ func TestSchemaValidate(t *testing.T) {
 		t.Error("Policy_ prefix accepted")
 	}
 }
-
-func TestEnumerateTuples(t *testing.T) {
-	ts := enumerateTuples([]fact.Value{"a", "b"}, 2)
-	if len(ts) != 4 {
-		t.Errorf("2 values arity 2: %d tuples, want 4", len(ts))
-	}
-	if len(enumerateTuples(nil, 1)) != 0 {
-		t.Error("no values should give no tuples")
-	}
-}

@@ -312,6 +312,7 @@ func (s *Simulation) Clock() int { return s.clock }
 func (s *Simulation) Clone() *Simulation {
 	c := *s // plans are immutable and decision-pure; idx and recipients never change
 	c.sink = nil
+	c.step.memo = nil // the clone asks the policy afresh rather than share a map
 	c.WrongFacts = append([]fact.Fact(nil), s.WrongFacts...)
 	c.nodes = make([]node, len(s.nodes))
 	for i, n := range s.nodes {

@@ -1,6 +1,7 @@
 package transducer
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/fact"
@@ -271,6 +272,93 @@ func TestNoAllShrinksBase(t *testing.T) {
 	want := fact.MustParseInstance(`SawAdom(n1) SawAdom(a) SawAdom(b) SawAdom(n2)`)
 	if !out.Equal(want) {
 		t.Errorf("MyAdom without All = %v, want %v", out, want)
+	}
+}
+
+// The System view answers by probe exactly what SystemFacts
+// materialises: Id, the base A, MyAdom and Policy_R, each only where the
+// model shows it, Policy_R only over A.
+func TestSystemViewMatchesSystemFacts(t *testing.T) {
+	tr := &Transducer{Schema: Schema{In: fact.MustSchema(map[string]int{"E": 2})}}
+	net := MustNetwork("n1", "n2")
+	local, state, m := fact.MustParseInstance(`E(a,b)`), fact.MustParseInstance(`E(b,c)`), fact.MustParseInstance(`E(c,d)`)
+	j := local.Union(state).Union(m)
+	edge := fact.InternString("E")
+	for _, mod := range []Model{Original, PolicyAware, PolicyAwareNoAll, OriginalNoAll, Oblivious} {
+		sp := &Stepper{Net: net, Trans: tr, Pol: FirstAttrPolicy(net), Mod: mod}
+		s := System{sp: sp, x: "n1", j: [3]*fact.Instance{local, state, m}}
+		want := sp.SystemFacts("n1", j)
+		got := fact.NewInstance()
+		if id, ok := s.Id(); ok {
+			got.Add(fact.New(RelId, id))
+		}
+		if mod.ShowAll {
+			for _, y := range net {
+				got.Add(fact.New(RelAll, y))
+			}
+		}
+		b := s.Base()
+		for _, v := range b.MyAdom() {
+			got.AddIDs(fact.InternString(RelMyAdom), []fact.ID{v})
+		}
+		// Probe every pair over A and one value beyond it, twice: the
+		// second round answers from the memo.
+		vals := append(append([]fact.ID(nil), b.vals...), fact.Intern("z"))
+		for round := 0; round < 2; round++ {
+			fact.EachTuple(vals, 2, func(args []fact.ID) bool {
+				if b.Responsible(edge, args) {
+					got.AddIDs(fact.InternString(PolicyRel("E")), args)
+				}
+				return true
+			})
+		}
+		if !got.Equal(want) {
+			t.Errorf("%+v: view shows %v, SystemFacts %v", mod, got, want)
+		}
+	}
+}
+
+// A clone does not share its original's policy memo: the two may be
+// stepped on different goroutines (the race detector watches) and
+// still agree.
+func TestCloneAsksThePolicyAfresh(t *testing.T) {
+	spy := &Transducer{
+		Schema: Schema{
+			In:  fact.MustSchema(map[string]int{"E": 2}),
+			Out: fact.MustSchema(map[string]int{"SawPol": 2}),
+		},
+		Out: func(d *fact.Instance) (*fact.Instance, error) {
+			out := fact.NewInstance()
+			for _, f := range d.Rel(PolicyRel("E")) {
+				out.Add(fact.New("SawPol", f.Arg(0), f.Arg(1)))
+			}
+			return out, nil
+		},
+	}
+	net := MustNetwork("n1", "n2")
+	sim, err := NewSimulation(net, spy, HashPolicy(net), PolicyAware, fact.MustParseInstance(`E(a,b) E(b,c)`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Heartbeat("n1"); err != nil { // makes the memo
+		t.Fatal(err)
+	}
+	clone := sim.Clone()
+	var wg sync.WaitGroup
+	for _, s := range []*Simulation{sim, clone} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, x := range net {
+				if _, err := s.Heartbeat(x); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if !sim.Output().Equal(clone.Output()) || sim.Output().Empty() {
+		t.Errorf("original output %v, clone %v", sim.Output(), clone.Output())
 	}
 }
 

@@ -102,18 +102,20 @@ type Transducer struct {
 	// broadcast to every other node.
 	Snd Query
 	// Delta, when set, is the insert-only form of the four queries, for
-	// a transducer that never deletes and reads no system relation. It
-	// must add to the state and send exactly what Out, Ins and Snd would
-	// from every configuration the transducer's own transitions (and
-	// crashes) reach. Stepper.Step then runs it in place of the four
-	// queries; clearing the field restores full re-evaluation.
+	// a transducer that never deletes. It reads the system relations
+	// only through the System view it is handed. It must add to the
+	// state and send exactly what Out, Ins and Snd would from every
+	// configuration the transducer's own transitions (and crashes)
+	// reach. Stepper.Step then runs it in place of the four queries;
+	// clearing the field restores full re-evaluation.
 	Delta DeltaFunc
 }
 
 // DeltaFunc is a pure function of the active node's parts — its input
-// fragment, its state and the delivered message set — that probes them
-// by membership, without materialising the visible instance D.
-type DeltaFunc func(local, state, m *fact.Instance) (Delta, error)
+// fragment, its state and the delivered message set — and of the system
+// relations the model shows it, read through sys. It probes them by
+// membership, without materialising the visible instance D or S.
+type DeltaFunc func(local, state, m *fact.Instance, sys System) (Delta, error)
 
 // Delta is what one insert-only transition adds: output facts, memory
 // insertions and the send set, each over the same target schema as the

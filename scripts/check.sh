@@ -1,8 +1,11 @@
 #!/bin/sh
-# check.sh runs the full local gate: vet, build, four structural gates
+# check.sh runs the full local gate: vet, build, five structural gates
 # (internal/cluster has grown no wire loop of its own, IndexedInstance no
 # second fact store, internal/incr and internal/ilog start no goroutine,
-# internal/datalog starts them in one place), the exported-identifier
+# internal/datalog starts them in one place, and only Stepper.Step's
+# four-query arm materialises the system facts S — no insert-only form
+# does, and internal/core's TestEveryStrategyCarriesDelta checks that
+# every strategy has one), the exported-identifier
 # ratchet (scripts/exports.go), and the test suite
 # under the race detector (the fanned-out rounds of the batch fixpoint,
 # the epoch-pinned serving core, and the simulation determinism tests
@@ -65,6 +68,19 @@ echo ">> structural gate: internal/datalog starts goroutines in one place"
 n=$(cat $(ls internal/datalog/*.go | grep -v '_test\.go$') | grep -c 'go func')
 if [ "$n" -ne 1 ]; then
     echo "check: internal/datalog has $n 'go func' sites, want exactly 1 (parallelEach)"
+    exit 1
+fi
+
+# One S: a transition reads the system relations through the System
+# view (internal/transducer step.go), by probe. SystemFacts materialises
+# it, and only the four-query arm of Stepper.Step calls it; a second
+# caller is an insert-only form building S again, the cost it exists to
+# avoid.
+echo ">> structural gate: SystemFacts is called only by Step's four-query arm"
+calls=$(grep -rn --include='*.go' --exclude='*_test.go' 'SystemFacts(' internal cmd calm examples bench | grep -v 'func (sp \*Stepper) SystemFacts(')
+if [ "$(echo "$calls" | grep -c .)" -ne 1 ] || ! echo "$calls" | grep -q '^internal/transducer/step\.go:.*j\.Union(sp\.SystemFacts(x, j))'; then
+    echo "$calls"
+    echo "check: SystemFacts has a caller besides Stepper.Step's four-query arm"
     exit 1
 fi
 
