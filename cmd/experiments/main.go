@@ -1,11 +1,13 @@
 // Command experiments regenerates every result of the paper in one
 // run: the monotonicity hierarchy of Figure 1 (Theorem 3.1, with the
 // explicit separating witnesses), the preservation-class equalities of
-// Lemma 3.2, the fragment inclusions of Figure 2 (Theorem 5.3,
+// Lemma 3.2, the fragment inclusions of Figure 2 (Theorems 5.3 and 5.4,
 // Lemma 5.2, Example 5.1), and the transducer-network equalities
 // F0 = M, F1 = Mdistinct, F2 = Mdisjoint with their
 // coordination-freeness witnesses (Theorems 4.3–4.5). Each row prints
-// the paper's claim next to the machine-checked observation.
+// the paper's claim next to the machine-checked observation; a row
+// prints ok only when every check it makes holds, and `go test` compares
+// the whole printout with experiments_output.txt.
 package main
 
 import (
@@ -13,15 +15,18 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math/rand"
 	"os"
+	"runtime"
+	"sync"
 
 	"repro/internal/admin"
 	"repro/internal/core"
 	"repro/internal/datalog"
-	"repro/internal/experiments"
 	"repro/internal/fact"
 	"repro/internal/generate"
+	"repro/internal/ilog"
 	"repro/internal/monotone"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -48,13 +53,6 @@ type reportRow struct {
 	Gauges   map[string]int64 `json:"gauges,omitempty"`
 }
 
-type matrixRow struct {
-	Query    string `json:"query"`
-	Class    string `json:"class"`
-	Expected bool   `json:"expected"`
-	Observed bool   `json:"observed"`
-}
-
 type report struct {
 	Paper    string      `json:"paper"`
 	Rows     []reportRow `json:"rows"`
@@ -68,42 +66,68 @@ func main() {
 	flag.Parse()
 	admin.StartBackground("experiments", *adminAddr, nil)
 
+	rep := run(os.Stdout)
+	writeReport(rep, *metricsPath)
+	if rep.Failures > 0 {
+		os.Exit(1)
+	}
+}
+
+// run checks every row and the bounded matrix and prints them to w in
+// table order, as experiments_output.txt holds them. The rows and the
+// matrix run concurrently, at most GOMAXPROCS at once, each row on a
+// registry of its own.
+func run(w io.Writer) report {
+	const maxBound = 3
 	exps := allExperiments()
-	fmt.Println("Reproduction matrix — Ameloot, Ketsman, Neven, Zinn: \"Weaker Forms of Monotonicity\" (PODS 2014)")
-	fmt.Println()
-	rep := report{Paper: "Ameloot, Ketsman, Neven, Zinn: Weaker Forms of Monotonicity for Declarative Networking (PODS 2014)"}
-	failures := 0
-	for _, e := range exps {
-		reg := obs.NewRegistry()
-		observed, ok := e.run(reg)
-		if !ok {
-			failures++
-		}
-		fmt.Println(formatRow(e, observed, ok))
-		snap := reg.Snapshot()
-		rep.Rows = append(rep.Rows, reportRow{
-			ID: e.id, Claim: e.claim, OK: ok, Observed: observed,
-			Counters: snap.Counters, Gauges: snap.Gauges,
+	rep := report{
+		Paper: "Ameloot, Ketsman, Neven, Zinn: Weaker Forms of Monotonicity for Declarative Networking (PODS 2014)",
+		Rows:  make([]reportRow, len(exps)),
+	}
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	spawn := func(f func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			slots <- struct{}{}
+			defer func() { <-slots }()
+			f()
+		}()
+	}
+	for k, e := range exps {
+		spawn(func() {
+			reg := obs.NewRegistry()
+			observed, ok := e.run(reg)
+			snap := reg.Snapshot()
+			rep.Rows[k] = reportRow{
+				ID: e.id, Claim: e.claim, OK: ok, Observed: observed,
+				Counters: snap.Counters, Gauges: snap.Gauges,
+			}
 		})
 	}
-	fmt.Println()
-	matrixFailures, matrix, err := printBoundedMatrix()
-	if err != nil {
-		fmt.Printf("bounded matrix error: %v\n", err)
-		os.Exit(1)
-	}
-	failures += matrixFailures
-	rep.Matrix = matrix
-	rep.Failures = failures
+	spawn(func() { rep.Matrix = boundedMatrix(maxBound, 150) })
+	wg.Wait()
 
-	writeReport(rep, *metricsPath)
-
-	fmt.Println()
-	if failures > 0 {
-		fmt.Printf("%d experiments FAILED\n", failures)
-		os.Exit(1)
+	fmt.Fprintln(w, "Reproduction matrix — Ameloot, Ketsman, Neven, Zinn: \"Weaker Forms of Monotonicity\" (PODS 2014)")
+	fmt.Fprintln(w)
+	for _, r := range rep.Rows {
+		status := "ok  "
+		if !r.OK {
+			status = "FAIL"
+			rep.Failures++
+		}
+		fmt.Fprintf(w, "[%s] %-8s %-58s  %s\n", status, r.ID, r.Claim, r.Observed)
 	}
-	fmt.Printf("all %d experiments and the bounded-hierarchy matrix reproduced\n", len(exps))
+	fmt.Fprintln(w)
+	rep.Failures += printMatrix(w, rep.Matrix, 2*maxBound)
+	fmt.Fprintln(w)
+	if rep.Failures > 0 {
+		fmt.Fprintf(w, "%d experiments FAILED\n", rep.Failures)
+	} else {
+		fmt.Fprintf(w, "all %d experiments and the bounded-hierarchy matrix reproduced\n", len(exps))
+	}
+	return rep
 }
 
 // allExperiments lists the rows of the reproduction matrix in print
@@ -115,15 +139,6 @@ func allExperiments() []experiment {
 		exps = append(exps, part...)
 	}
 	return exps
-}
-
-// formatRow renders one result row as experiments_output.txt holds it.
-func formatRow(e experiment, observed string, ok bool) string {
-	status := "ok  "
-	if !ok {
-		status = "FAIL"
-	}
-	return fmt.Sprintf("[%s] %-8s %-58s  %s", status, e.id, e.claim, observed)
 }
 
 // writeReport dumps the JSON report ("" = disabled, "-" = stdout).
@@ -150,65 +165,6 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// printBoundedMatrix renders the Figure 1 bounded-class membership
-// matrix (Theorem 3.1's parameterized families), one series per query.
-func printBoundedMatrix() (failures int, report []matrixRow, err error) {
-	rows, err := experiments.BoundedMatrix(3, 150)
-	if err != nil {
-		return 0, nil, err
-	}
-	fmt.Println("Bounded-hierarchy matrix (✓ = member; paper-expected vs measured):")
-	fmt.Println()
-	// Group by query, print one line per query with class columns.
-	type cell struct{ expected, observed bool }
-	byQuery := map[string]map[string]cell{}
-	var order []string
-	var classes []string
-	seenClass := map[string]bool{}
-	for _, r := range rows {
-		if byQuery[r.Query] == nil {
-			byQuery[r.Query] = map[string]cell{}
-			order = append(order, r.Query)
-		}
-		cl := r.Class.String()
-		byQuery[r.Query][cl] = cell{r.Expected, r.Observed}
-		if !seenClass[cl] {
-			seenClass[cl] = true
-			classes = append(classes, cl)
-		}
-		if !r.Agrees() {
-			failures++
-		}
-		report = append(report, matrixRow{Query: r.Query, Class: cl, Expected: r.Expected, Observed: r.Observed})
-	}
-	fmt.Printf("%-16s", "")
-	for _, cl := range classes {
-		fmt.Printf(" %-14s", cl)
-	}
-	fmt.Println()
-	for _, q := range order {
-		fmt.Printf("%-16s", q)
-		for _, cl := range classes {
-			c, ok := byQuery[q][cl]
-			switch {
-			case !ok:
-				fmt.Printf(" %-14s", "-")
-			case c.expected == c.observed && c.observed:
-				fmt.Printf(" %-14s", "✓")
-			case c.expected == c.observed:
-				fmt.Printf(" %-14s", "·")
-			default:
-				fmt.Printf(" %-14s", "MISMATCH")
-			}
-		}
-		fmt.Println()
-	}
-	if failures > 0 {
-		fmt.Printf("\n%d matrix cells disagree with Theorem 3.1\n", failures)
-	}
-	return failures, report, nil
-}
-
 // separation checks that (i, j) — allowed by class c — is a
 // monotonicity violation for q: the exact witness that q ∉ c.
 func separation(q monotone.Query, c monotone.Class, i, j *fact.Instance) (string, bool) {
@@ -225,15 +181,10 @@ func separation(q monotone.Query, c monotone.Class, i, j *fact.Instance) (string
 	return fmt.Sprintf("%s ∉ %v: %v dropped", q.Name(), c, w.Missing), true
 }
 
-// membership runs randomized violation search; clean = evidence.
-func membership(q monotone.Query, c monotone.Class, trials int) (string, bool) {
-	sampler := monotone.ClassSampler(c, func(rng *rand.Rand) (*fact.Instance, *fact.Instance) {
-		i := generate.RandomGraph(rng, "v", 4, 5)
-		pool := append(generate.Values("v", 4), generate.Values("w", 4)...)
-		j := generate.Random(rng, fact.GraphSchema(), pool, 4)
-		return i, j
-	})
-	w, err := monotone.FindViolation(q, c, sampler, 1234, trials)
+// membership searches trials pairs drawn by s and allowed by c for a
+// violation; a clean search is the evidence that q ∈ c.
+func membership(q monotone.Query, c monotone.Class, s monotone.Sampler, trials int) (string, bool) {
+	w, err := monotone.FindViolation(q, c, monotone.ClassSampler(c, s), 1234, trials)
 	if err != nil {
 		return err.Error(), false
 	}
@@ -241,6 +192,15 @@ func membership(q monotone.Query, c monotone.Class, trials int) (string, bool) {
 		return fmt.Sprintf("unexpected violation: %v", w), false
 	}
 	return fmt.Sprintf("%s ∈ %v (%d sampled pairs clean)", q.Name(), c, trials), true
+}
+
+// graphPairs samples a random graph I and a graph J over I's values and
+// as many fresh ones, so every class keeps candidates after restriction.
+func graphPairs(rng *rand.Rand) (*fact.Instance, *fact.Instance) {
+	i := generate.RandomGraph(rng, "v", 4, 5)
+	pool := append(generate.Values("v", 4), generate.Values("w", 4)...)
+	j := generate.Random(rng, fact.GraphSchema(), pool, 4)
+	return i, j
 }
 
 func figure1Experiments() []experiment {
@@ -251,7 +211,7 @@ func figure1Experiments() []experiment {
 			if !ok1 {
 				return s1, false
 			}
-			return membership(queries.NoLoop(), monotone.MDistinct, 300)
+			return membership(queries.NoLoop(), monotone.MDistinct, graphPairs, 300)
 		}},
 		{"F1.1b", "QTC ∈ Mdisjoint \\ Mdistinct (Mdistinct ⊊ Mdisjoint)", func(reg *obs.Registry) (string, bool) {
 			s1, ok1 := separation(queries.ComplementTC(), monotone.MDistinct,
@@ -259,15 +219,29 @@ func figure1Experiments() []experiment {
 			if !ok1 {
 				return s1, false
 			}
-			return membership(queries.ComplementTC(), monotone.MDisjoint, 300)
+			return membership(queries.ComplementTC(), monotone.MDisjoint, graphPairs, 300)
 		}},
 		{"F1.1c", "Q_triangles ∈ C \\ Mdisjoint (Mdisjoint ⊊ C)", func(reg *obs.Registry) (string, bool) {
 			return separation(queries.TrianglesUnlessTwoDisjoint(), monotone.MDisjoint,
 				generate.Triangle("a", "b", "c"), generate.Triangle("x", "y", "z"))
 		}},
 		{"F1.2", "M = Mⁱ (violations shrink to |J| = 1)", func(reg *obs.Registry) (string, bool) {
-			return separation(queries.NoLoop(), monotone.Mi(1),
+			s, ok := separation(queries.NoLoop(), monotone.Mi(1),
 				fact.MustParseInstance(`E(a,b)`), fact.MustParseInstance(`E(a,a)`))
+			if !ok {
+				return s, false
+			}
+			if s, ok := separation(queries.ComplementTC(), monotone.Mi(1),
+				fact.MustParseInstance(`E(a,x) E(y,b)`), fact.MustParseInstance(`E(x,y)`)); !ok {
+				return s, false
+			}
+			// TC ∈ M stays clean in every bounded class.
+			for i := 1; i <= 3; i++ {
+				if s, ok := membership(queries.TC(), monotone.Mi(i), graphPairs, 200); !ok {
+					return s, false
+				}
+			}
+			return s, true
 		}},
 		{"F1.3", "Q⁴clique ∈ M²distinct \\ M³distinct", func(reg *obs.Registry) (string, bool) {
 			i := generate.Clique("v", 3)
@@ -279,7 +253,7 @@ func figure1Experiments() []experiment {
 			if !ok1 {
 				return s1, false
 			}
-			return membership(queries.KClique(4), monotone.MiDistinct(2), 300)
+			return membership(queries.KClique(4), monotone.MiDistinct(2), graphPairs, 300)
 		}},
 		{"F1.4", "Q³star ∈ M²disjoint \\ M³disjoint", func(reg *obs.Registry) (string, bool) {
 			s1, ok1 := separation(queries.KStar(3), monotone.MiDisjoint(3),
@@ -287,7 +261,7 @@ func figure1Experiments() []experiment {
 			if !ok1 {
 				return s1, false
 			}
-			return membership(queries.KStar(3), monotone.MiDisjoint(2), 300)
+			return membership(queries.KStar(3), monotone.MiDisjoint(2), graphPairs, 300)
 		}},
 		{"F1.5", "Q³clique ∈ M²disjoint \\ M²distinct", func(reg *obs.Registry) (string, bool) {
 			i := generate.Clique("v", 2)
@@ -296,7 +270,7 @@ func figure1Experiments() []experiment {
 			if !ok1 {
 				return s1, false
 			}
-			return membership(queries.KClique(3), monotone.MiDisjoint(2), 300)
+			return membership(queries.KClique(3), monotone.MiDisjoint(2), graphPairs, 300)
 		}},
 		{"F1.6", "Q³star ∈ M²disjoint \\ Mⁱdistinct", func(reg *obs.Registry) (string, bool) {
 			return separation(queries.KStar(3), monotone.MiDistinct(1),
@@ -323,6 +297,24 @@ func lemma32Experiments() []experiment {
 			if w == nil {
 				return "no collapse violation", false
 			}
+			// Hinj = M: NoLoop ∉ M is not preserved into a superset, and
+			// TC ∈ M is preserved under injective homomorphisms.
+			nw, err := monotone.CheckHomPair(queries.NoLoop(), i, fact.MustParseInstance(`E(a,b) E(a,a)`), fact.Hom{"a": "a", "b": "b"})
+			if err != nil {
+				return err.Error(), false
+			}
+			if nw == nil {
+				return "NoLoop preserved under an injective homomorphism", false
+			}
+			hv, err := monotone.FindHomViolation(queries.TC(), func(rng *rand.Rand) *fact.Instance {
+				return generate.RandomGraph(rng, "v", 4, 5)
+			}, true, 11, 200)
+			if err != nil {
+				return err.Error(), false
+			}
+			if hv != nil {
+				return fmt.Sprintf("TC not preserved: %v", hv), false
+			}
 			return fmt.Sprintf("collapse drops %v", w.From), true
 		}},
 		{"L3.2b", "E = Mdistinct: QTC violates extension preservation", func(reg *obs.Registry) (string, bool) {
@@ -335,6 +327,16 @@ func lemma32Experiments() []experiment {
 			if w == nil {
 				return "no extension violation", false
 			}
+			// NoLoop ∈ Mdistinct = E is preserved under extensions.
+			xv, err := monotone.FindExtensionViolation(queries.NoLoop(), func(rng *rand.Rand) *fact.Instance {
+				return generate.RandomGraph(rng, "v", 5, 6)
+			}, 13, 300)
+			if err != nil {
+				return err.Error(), false
+			}
+			if xv != nil {
+				return fmt.Sprintf("NoLoop not preserved: %v", xv), false
+			}
 			return fmt.Sprintf("extension drops %v", w.Missing), true
 		}},
 	}
@@ -343,18 +345,52 @@ func lemma32Experiments() []experiment {
 func figure2FragmentExperiments() []experiment {
 	return []experiment{
 		{"F2.1", "Datalog(≠) ⊆ M", func(reg *obs.Registry) (string, bool) {
-			q := datalog.MustQuery(datalog.MustParseProgram(`O(x,y) :- E(x,y), x != y.`), "O")
-			return membership(q, monotone.M, 300)
+			// The ≠-restricted edges and TC; both print the same query name.
+			var s string
+			for _, src := range []string{
+				`O(x,y) :- E(x,y), x != y.`,
+				`O(x,y) :- E(x,y). O(x,z) :- O(x,y), E(y,z).`,
+			} {
+				p := datalog.MustParseProgram(src)
+				if f := p.Classify(); f != datalog.FragDatalog && f != datalog.FragDatalogNeq {
+					return fmt.Sprintf("%s classified %s", src, f), false
+				}
+				var ok bool
+				if s, ok = membership(datalog.MustQuery(p, "O"), monotone.M, graphPairs, 300); !ok {
+					return s, false
+				}
+			}
+			return s, true
 		}},
 		{"F2.2", "SP-Datalog ⊆ Mdistinct (= E)", func(reg *obs.Registry) (string, bool) {
-			return membership(queries.NoLoopDatalog(), monotone.MDistinct, 300)
+			nonEdges := datalog.MustParseProgram(`
+				Adom(x) :- E(x,y).
+				Adom(y) :- E(x,y).
+				O(x,y) :- Adom(x), Adom(y), !E(x,y), !E(y,x), x != y.
+			`)
+			for _, p := range []*datalog.Program{queries.NoLoopProgram(), nonEdges} {
+				if f := p.Classify(); f != datalog.FragSPDatalog {
+					return fmt.Sprintf("SP program classified %s", f), false
+				}
+			}
+			if s, ok := membership(datalog.MustQuery(nonEdges, "O"), monotone.MDistinct, graphPairs, 300); !ok {
+				return s, false
+			}
+			return membership(queries.NoLoopDatalog(), monotone.MDistinct, graphPairs, 300)
 		}},
 		{"F2.3", "Thm 5.3: semicon-Datalog¬ ⊆ Mdisjoint (QTC program)", func(reg *obs.Registry) (string, bool) {
-			p := queries.ComplementTCProgram()
-			if !p.IsSemiConnected() {
+			if !queries.ComplementTCProgram().IsSemiConnected() {
 				return "QTC program not classified semicon", false
 			}
-			return membership(queries.ComplementTCDatalog(), monotone.MDisjoint, 300)
+			for _, p := range []*datalog.Program{queries.Example51P1(), queries.NoLoopProgram()} {
+				if !p.IsSemiConnected() {
+					return fmt.Sprintf("not classified semicon: %s", p), false
+				}
+				if s, ok := membership(datalog.MustQuery(p, "O"), monotone.MDisjoint, graphPairs, 300); !ok {
+					return s, false
+				}
+			}
+			return membership(queries.ComplementTCDatalog(), monotone.MDisjoint, graphPairs, 300)
 		}},
 		{"F2.4", "Lemma 5.2: con-Datalog¬ distributes over components", func(reg *obs.Registry) (string, bool) {
 			p := queries.Example51P1()
@@ -376,6 +412,9 @@ func figure2FragmentExperiments() []experiment {
 					pc, err := q.Eval(c)
 					if err != nil {
 						return err.Error(), false
+					}
+					if len(pc.ADom().Minus(c.ADom())) > 0 {
+						return fmt.Sprintf("output %v escapes its component %v", pc, c), false
 					}
 					parts.AddAll(pc)
 				}
@@ -408,6 +447,28 @@ func figure2FragmentExperiments() []experiment {
 			}
 			return separation(queries.KClique(3), monotone.MDisjoint,
 				fact.MustParseInstance(`E(a,b)`), generate.Triangle("x", "y", "z"))
+		}},
+		{"F2.7", "Thm 5.4: semicon-wILOG¬ ⊆ Mdisjoint (invention program)", func(reg *obs.Registry) (string, bool) {
+			// Invent an id per edge, then join ids along paths of length 2.
+			p := ilog.MustParseProgram(`
+				Id(*, x, y) :- E(x,y).
+				O(x,z)      :- Id(i, x, y), Id(j, y, z).
+			`)
+			if !p.IsSemiConnected() || !p.IsWeaklySafe("O") {
+				return "invention program not semicon and weakly safe for O", false
+			}
+			q := monotone.NewGraphFunc("wILOG-path2", fact.MustSchema(map[string]int{"O": 2}),
+				func(i *fact.Instance) (*fact.Instance, error) {
+					return p.EvalQuery(i, []string{"O"}, ilog.Options{})
+				})
+			out, err := q.Eval(fact.MustParseInstance(`E(a,b) E(b,c)`))
+			if err != nil {
+				return err.Error(), false
+			}
+			if !out.Equal(fact.MustParseInstance(`O(a,c)`)) {
+				return fmt.Sprintf("path2 = %v", out), false
+			}
+			return membership(q, monotone.MDisjoint, graphPairs, 300)
 		}},
 	}
 }

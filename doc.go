@@ -2,8 +2,8 @@
 // Monotonicity for Declarative Networking: a More Fine-grained Answer
 // to the CALM-conjecture" (Ameloot, Ketsman, Neven, Zinn; PODS 2014).
 //
-// The public API lives in the calm subpackage; the experiment suite
-// regenerating the paper's Figure 1 and Figure 2 lives in
-// figures_test.go and bench_test.go next to this file, and can also be
-// run through cmd/experiments.
+// The public API lives in the calm subpackage; cmd/experiments
+// regenerates the paper's Figure 1 and Figure 2 and its test checks the
+// printout against experiments_output.txt, and bench_test.go next to
+// this file holds one benchmark per figure.
 package repro

@@ -92,15 +92,28 @@ func (p *Program) IsSemiConnected() bool {
 		return false
 	}
 	idb := p.IDB()
+	closure := p.disconnectedClosure()
+	// No predicate of L may occur negated anywhere.
+	for _, r := range p.Rules {
+		for _, a := range r.Neg {
+			if idb.Has(a.Rel) && closure[a.Rel] {
+				return false
+			}
+		}
+	}
+	return true
+}
 
-	// U: heads of disconnected rules.
+// disconnectedClosure computes L of IsSemiConnected: the heads of the
+// disconnected rules, closed upward under positive occurrence in rule
+// bodies.
+func (p *Program) disconnectedClosure() map[string]bool {
 	closure := make(map[string]bool)
 	for _, r := range p.Rules {
 		if !r.IsConnected() {
 			closure[r.Head.Rel] = true
 		}
 	}
-	// L: close U upward under positive occurrence in rule bodies.
 	for {
 		changed := false
 		for _, r := range p.Rules {
@@ -116,18 +129,9 @@ func (p *Program) IsSemiConnected() bool {
 			}
 		}
 		if !changed {
-			break
+			return closure
 		}
 	}
-	// No predicate of L may occur negated anywhere.
-	for _, r := range p.Rules {
-		for _, a := range r.Neg {
-			if idb.Has(a.Rel) && closure[a.Rel] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // SemiConnectedStratification returns a stratification witnessing
@@ -142,32 +146,8 @@ func (p *Program) SemiConnectedStratification() (Stratification, bool) {
 	if err != nil {
 		return nil, false
 	}
-	// Recompute the closure L as in IsSemiConnected and push it to a
-	// fresh final stratum.
-	closure := make(map[string]bool)
-	for _, r := range p.Rules {
-		if !r.IsConnected() {
-			closure[r.Head.Rel] = true
-		}
-	}
-	for {
-		changed := false
-		for _, r := range p.Rules {
-			if closure[r.Head.Rel] {
-				continue
-			}
-			for _, a := range r.Pos {
-				if closure[a.Rel] {
-					closure[r.Head.Rel] = true
-					changed = true
-					break
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
+	// Push the closure L to a fresh final stratum.
+	closure := p.disconnectedClosure()
 	if len(closure) == 0 {
 		return rho, true
 	}

@@ -54,47 +54,13 @@ func (o Options) facts() int {
 	return DefaultMaxFacts
 }
 
-// Stratify computes a minimal stratification of the head relations,
-// exactly as for Datalog¬.
-func (p *Program) Stratify() (datalog.Stratification, error) {
-	idb := p.IDB()
-	rho := make(datalog.Stratification, len(idb))
-	for rel := range idb {
-		rho[rel] = 1
-	}
-	limit := len(idb)
-	for {
-		changed := false
-		for _, r := range p.Rules {
-			h := r.Head.Rel
-			for _, a := range r.Pos {
-				if idb.Has(a.Rel) && rho[a.Rel] > rho[h] {
-					rho[h] = rho[a.Rel]
-					changed = true
-				}
-			}
-			for _, a := range r.Neg {
-				if idb.Has(a.Rel) && rho[a.Rel]+1 > rho[h] {
-					rho[h] = rho[a.Rel] + 1
-					changed = true
-				}
-			}
-			if rho[h] > limit {
-				return nil, fmt.Errorf("ilog: program is not syntactically stratifiable (cycle through negation involving %s)", h)
-			}
-		}
-		if !changed {
-			return rho, nil
-		}
-	}
-}
+// Stratify computes Datalog¬'s minimal stratification of the head
+// relations.
+func (p *Program) Stratify() (datalog.Stratification, error) { return p.body().Stratify() }
 
 // IsStratifiable reports whether the program admits a syntactic
 // stratification.
-func (p *Program) IsStratifiable() bool {
-	_, err := p.Stratify()
-	return err == nil
-}
+func (p *Program) IsStratifiable() bool { return p.body().IsStratifiable() }
 
 // strata partitions the rules by head stratum number.
 func (p *Program) strata(rho datalog.Stratification) [][]Rule {

@@ -69,9 +69,8 @@ func (r Rule) headArity() int {
 	return len(r.Head.Args)
 }
 
-// body returns the rule as a headless Datalog¬ rule for valuation
-// enumeration; the dummy head repeats the first positive atom so the
-// rule is trivially safe for the head.
+// asDatalogRule returns the rule as a Datalog¬ rule whose head lists
+// the non-invention arguments only.
 func (r Rule) asDatalogRule() datalog.Rule {
 	return datalog.Rule{
 		Head: r.Head,
@@ -130,6 +129,18 @@ func FromDatalog(p *datalog.Program) *Program {
 	return out
 }
 
+// body returns the program as Datalog¬, each rule through
+// asDatalogRule. Stratification and connectivity read it: invention
+// adds a head position, not a dependency, and the invention position is
+// no body variable.
+func (p *Program) body() *datalog.Program {
+	d := datalog.NewProgram()
+	for _, r := range p.Rules {
+		d.Rules = append(d.Rules, r.asDatalogRule())
+	}
+	return d
+}
+
 // InventionRelations returns the relations that appear as invention
 // heads.
 func (p *Program) InventionRelations() map[string]bool {
@@ -168,15 +179,6 @@ func (p *Program) IDB() fact.Schema {
 	return s
 }
 
-// EDB returns sch(P) minus the idb relations.
-func (p *Program) EDB() (fact.Schema, error) {
-	s, err := p.Schema()
-	if err != nil {
-		return nil, err
-	}
-	return s.Minus(p.IDB()), nil
-}
-
 // Validate checks every rule, schema consistency, and that invention
 // relations are used consistently (every rule deriving an invention
 // relation must invent; invention relations must not also be derived
@@ -193,30 +195,6 @@ func (p *Program) Validate() error {
 	}
 	_, err := p.Schema()
 	return err
-}
-
-// IsPositive reports whether no rule has negative body atoms.
-func (p *Program) IsPositive() bool {
-	for _, r := range p.Rules {
-		if len(r.Neg) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// IsSemiPositive reports whether every negated atom is over the edb
-// (the class SP-wILOG of Section 5.2).
-func (p *Program) IsSemiPositive() bool {
-	idb := p.IDB()
-	for _, r := range p.Rules {
-		for _, a := range r.Neg {
-			if idb.Has(a.Rel) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // String renders the program one rule per line.

@@ -1,10 +1,6 @@
 package ilog
 
-import (
-	"sort"
-
-	"repro/internal/datalog"
-)
+import "sort"
 
 // This file implements the weak-safety analysis of Section 5.2: the
 // set S of unsafe positions is the smallest set of pairs (R, i) such
@@ -95,65 +91,13 @@ func (p *Program) IsWeaklySafe(outputRels ...string) bool {
 // IsConnectedRule reports whether graph+(ϕ) of the ILOG¬ rule is
 // connected; the invention position plays no role (it is not a body
 // variable).
-func (r Rule) IsConnectedRule() bool {
-	d := datalog.Rule{Head: r.Head, Pos: r.Pos, Neg: r.Neg, Ineq: r.Ineq}
-	return d.IsConnected()
-}
+func (r Rule) IsConnectedRule() bool { return r.asDatalogRule().IsConnected() }
 
 // IsSemiConnected reports whether the program is in semicon-wILOG¬:
 // some stratification makes every stratum except possibly the last a
-// connected SP-wILOG program. The decision procedure mirrors
-// datalog.Program.IsSemiConnected: the positive-dependency closure of
-// the disconnected rule heads must never be negated.
-func (p *Program) IsSemiConnected() bool {
-	if !p.IsStratifiable() {
-		return false
-	}
-	idb := p.IDB()
-	closure := make(map[string]bool)
-	for _, r := range p.Rules {
-		if !r.IsConnectedRule() {
-			closure[r.Head.Rel] = true
-		}
-	}
-	for {
-		changed := false
-		for _, r := range p.Rules {
-			if closure[r.Head.Rel] {
-				continue
-			}
-			for _, a := range r.Pos {
-				if closure[a.Rel] {
-					closure[r.Head.Rel] = true
-					changed = true
-					break
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	for _, r := range p.Rules {
-		for _, a := range r.Neg {
-			if idb.Has(a.Rel) && closure[a.Rel] {
-				return false
-			}
-		}
-	}
-	return true
-}
+// connected SP-wILOG program. Datalog¬'s decision procedure decides it.
+func (p *Program) IsSemiConnected() bool { return p.body().IsSemiConnected() }
 
 // IsConnectedProgram reports whether every rule is connected and the
 // program is stratifiable (con-wILOG¬).
-func (p *Program) IsConnectedProgram() bool {
-	if !p.IsStratifiable() {
-		return false
-	}
-	for _, r := range p.Rules {
-		if !r.IsConnectedRule() {
-			return false
-		}
-	}
-	return true
-}
+func (p *Program) IsConnectedProgram() bool { return p.body().IsConnectedProgram() }

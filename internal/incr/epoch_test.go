@@ -368,19 +368,19 @@ func TestCarriedRunsConcurrentReaders(t *testing.T) {
 	}
 	const readers, commits = 4, 150
 	got := make([][]seen, readers)
+	// done closes only after every reader has finished one read, so a
+	// commit loop that outruns the scheduler cannot leave a reader idle.
 	done := make(chan struct{})
-	var wg sync.WaitGroup
+	var wg, read sync.WaitGroup
+	read.Add(readers)
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			firstRead := sync.OnceFunc(read.Done)
+			defer firstRead()
 			rng := rand.New(rand.NewSource(int64(r)))
 			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
 				mu.Lock()
 				i := len(eps) - 1 - rng.Intn(min(4, len(eps)))
 				ep := eps[i]
@@ -392,6 +392,12 @@ func TestCarriedRunsConcurrentReaders(t *testing.T) {
 					return
 				}
 				got[r] = append(got[r], seen{i, q, b})
+				firstRead()
+				select {
+				case <-done:
+					return
+				default:
+				}
 			}
 		}(r)
 	}
@@ -405,12 +411,15 @@ func TestCarriedRunsConcurrentReaders(t *testing.T) {
 		eps, bases = append(eps, ep), append(bases, base)
 		mu.Unlock()
 	}
+	read.Wait()
 	close(done)
 	wg.Wait()
 
 	oracle := map[[2]int][]byte{}
-	reads := 0
-	for _, rs := range got {
+	for r, rs := range got {
+		if len(rs) == 0 {
+			t.Fatalf("reader %d got no read in", r)
+		}
 		for _, s := range rs {
 			k := [2]int{s.epoch, s.req}
 			if oracle[k] == nil {
@@ -419,11 +428,7 @@ func TestCarriedRunsConcurrentReaders(t *testing.T) {
 			if !bytes.Equal(s.line, oracle[k]) {
 				t.Fatalf("epoch %d, %v:\n got %s\nwant %s", s.epoch, reqs[s.req], s.line, oracle[k])
 			}
-			reads++
 		}
-	}
-	if reads == 0 {
-		t.Fatal("no reader got a read in")
 	}
 }
 

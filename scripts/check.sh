@@ -89,8 +89,8 @@ fi
 # file refers to, and those only their own package refers to. Neither
 # may grow past the figure recorded here; a PR that unexports or
 # deletes lowers the figure with it.
-max_unreferenced=94
-max_package_only=64
+max_unreferenced=89
+max_package_only=61
 echo ">> exported-identifier ratchet: unreferenced <= $max_unreferenced, package-only <= $max_package_only"
 exports=$(go run scripts/exports.go)
 echo "$exports" | sed 's/^/   /'
