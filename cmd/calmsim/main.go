@@ -84,6 +84,14 @@ func main() {
 			fatal(err)
 		}
 	}
+	// Both engines evaluate Q centrally on the input, so the input is
+	// checked against Q's schema once, before either runs.
+	in := q.InputSchema()
+	for _, f := range input.Facts() {
+		if !in.Covers(f) {
+			fatal(fmt.Errorf("input fact %v not over input schema %v", f, in))
+		}
+	}
 
 	net, topo, err := buildNetwork(*topology, *nodes, *seed)
 	if err != nil {

@@ -1,6 +1,11 @@
 package main
 
 import (
+	"flag"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -71,5 +76,36 @@ func TestLookupStrategy(t *testing.T) {
 	}
 	if _, err := generate.ParseTopoKind(generate.TopoWAN.String()); err != nil {
 		t.Errorf("TopoKind String/Parse broken: %v", err)
+	}
+}
+
+// TestOffSchemaInput runs calmsim, as a child process of the test
+// binary, on an input holding an E fact of the wrong arity: the flat
+// engine and the event engine both refuse it with the same error
+// before running anything. Started with arguments after "--", the test
+// is the child and runs main on them.
+func TestOffSchemaInput(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 {
+		os.Args = append([]string{"calmsim"}, args...)
+		flag.CommandLine = flag.NewFlagSet("calmsim", flag.ExitOnError)
+		main()
+		return
+	}
+	path := filepath.Join(t.TempDir(), "f.facts")
+	if err := os.WriteFile(path, []byte("E(a) E(a,b)\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const want = "calmsim: input fact E(a) not over input schema {E/2}\n"
+	for name, args := range map[string][]string{
+		"flat":  {"-strategy", "gossip", "-input", path},
+		"event": {"-topology", "ring", "-strategy", "gossip", "-routing", "neighbors", "-input", path},
+	} {
+		cmd := exec.Command(os.Args[0], append([]string{"-test.run=^TestOffSchemaInput$", "--"}, args...)...)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 1 || stderr.String() != want {
+			t.Errorf("%s engine: exit %v, stderr %q; want exit status 1, stderr %q", name, err, stderr.String(), want)
+		}
 	}
 }

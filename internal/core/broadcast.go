@@ -97,35 +97,24 @@ func buildFlood(s Strategy, q monotone.Query, in, out fact.Schema) (*transducer.
 			return snd, nil
 		},
 		Delta: func(local, state, m *fact.Instance, _ transducer.System) (transducer.Delta, error) {
-			d := transducer.Delta{Ins: fact.NewInstance(), Snd: fact.NewInstance()}
+			d := delta{state: state}
 			grew := state.Empty()
-			// send forwards a fact unless marked sent; true if it did.
-			send := func(r ids, args []fact.ID) bool {
-				if state.HasIDs(r.sent, args) {
-					return false
-				}
-				d.Ins.AddIDs(r.sent, args)
-				d.Snd.AddIDs(r.fwd, args)
-				return true
-			}
-			local.Each(func(f fact.Fact) bool {
-				if r, ok := byRel[f.RelID()]; ok && send(r, f.ArgIDs()) {
+			local.EachIDs(func(rel fact.ID, args []fact.ID) bool {
+				if r, ok := byRel[rel]; ok && d.insSend(r.sent, r.fwd, args) {
 					grew = true
 				}
 				return true
 			})
-			m.Each(func(f fact.Fact) bool {
-				r, ok := byRel[f.RelID()]
+			m.EachIDs(func(rel fact.ID, args []fact.ID) bool {
+				r, ok := byRel[rel]
 				if !ok {
 					return true
 				}
-				args := f.ArgIDs()
-				if !state.HasIDs(r.got, args) {
-					d.Ins.AddIDs(r.got, args)
+				if d.ins(r.got, args) {
 					grew = grew || !local.HasIDs(r.rel, args)
 				}
 				if relay {
-					send(r, args)
+					d.insSend(r.sent, r.fwd, args)
 				}
 				return true
 			})
@@ -133,7 +122,7 @@ func buildFlood(s Strategy, q monotone.Query, in, out fact.Schema) (*transducer.
 			if grew {
 				d.Out, err = eval(known.of(local, state, m))
 			}
-			return d, err
+			return d.Delta, err
 		},
 	}
 	return t, nil

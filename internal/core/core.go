@@ -233,14 +233,17 @@ type delta struct {
 	state *fact.Instance
 }
 
-func (d *delta) ins(rel fact.ID, args []fact.ID) {
+// ins inserts rel(args) unless the state holds it, reporting whether it
+// did.
+func (d *delta) ins(rel fact.ID, args []fact.ID) bool {
 	if d.state.HasIDs(rel, args) {
-		return
+		return false
 	}
 	if d.Ins == nil {
 		d.Ins = fact.NewInstance()
 	}
 	d.Ins.AddIDs(rel, args)
+	return true
 }
 
 func (d *delta) send(rel fact.ID, args []fact.ID) {
@@ -252,11 +255,13 @@ func (d *delta) send(rel fact.ID, args []fact.ID) {
 
 // insSend stores the marker fact rel(args) and sends msg(args), the
 // first time only: a marker in the state means the message went out.
-func (d *delta) insSend(rel, msg fact.ID, args []fact.ID) {
-	if !d.state.HasIDs(rel, args) {
-		d.ins(rel, args)
-		d.send(msg, args)
+// It reports whether it sent.
+func (d *delta) insSend(rel, msg fact.ID, args []fact.ID) bool {
+	if !d.ins(rel, args) {
+		return false
 	}
+	d.send(msg, args)
+	return true
 }
 
 // myAdom reads the MyAdom system relation.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/fact"
@@ -483,11 +484,13 @@ func TestDeltaExploreEvaluationCount(t *testing.T) {
 }
 
 // TestDeltaStepAllocs pins the allocations of the transitions the
-// insert-only forms exist for, on nodes that have settled. For the
-// flood strategies: a gossip node on the full five-edge input (one
-// local fact, thirty in the state); beside each pin is what the same
-// Step allocated at the commit before the form, where the four-query
-// arm was the only one. For absence and domain-request: a heartbeat of
+// insert-only forms exist for. For the flood strategies: a gossip node
+// on the full five-edge input (one local fact, thirty in the state),
+// settled, and the same node receiving the one edge it lacks, which
+// makes it evaluate TC; beside each pin is what the same Step allocated
+// at an earlier commit — for the settled rows the one before the form,
+// where the four-query arm was the only one, for the growing row the one
+// before the ID kernels. For absence and domain-request: a heartbeat of
 // a node that has settled on sweepGraph. The node is complete, so both
 // arms build the same known set and evaluate Q on it; counted apart
 // from that, the insert-only arm must cost at most a tenth of the
@@ -515,8 +518,8 @@ func TestDeltaStepAllocs(t *testing.T) {
 		m           *fact.Instance
 		pin, parent float64
 	}{
-		{"settled heartbeat", fact.NewInstance(), 9, 311},
-		{"duplicate-only delivery", dup, 11, 383},
+		{"settled heartbeat", fact.NewInstance(), 3, 311},
+		{"duplicate-only delivery", dup, 3, 383},
 	} {
 		arm := func(tr *transducer.Transducer) float64 {
 			return measure(transducer.Stepper{Net: s.Net, Trans: tr, Pol: s.Pol, Mod: s.Mod}, x, local, state, c.m)
@@ -531,13 +534,57 @@ func TestDeltaStepAllocs(t *testing.T) {
 		}
 	}
 
+	// Growing delivery: x's state as it stands before the edge e, which x
+	// does not hold locally, first arrives — without e's got and sent
+	// markers and without the closure pairs only e contributes. Each run
+	// delivers e, which relays it and adds the missing pairs; the added
+	// facts are removed again afterwards, which allocates nothing.
+	var e fact.Fact
+	for _, f := range in.Facts() {
+		if !local.Has(f) {
+			e = f
+			break
+		}
+	}
+	without, err := queries.TC().Eval(fact.NewInstance(slices.DeleteFunc(in.Facts(), e.Equal)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	added := []fact.Fact{fact.FromIDs(fact.InternString(relGot("E")), e.ArgIDs()), fact.FromIDs(fact.InternString(relSent("E")), e.ArgIDs())}
+	for _, f := range state.Rel("O") {
+		if !without.Has(f) {
+			added = append(added, f)
+		}
+	}
+	lacking := state.Clone()
+	for _, f := range added {
+		lacking.Remove(f)
+	}
+	sp := transducer.Stepper{Net: s.Net, Trans: built, Pol: s.Pol, Mod: s.Mod}
+	m := fact.NewInstance(fact.FromIDs(fact.InternString(relFwd("E")), e.ArgIDs()))
+	const growPin, growParent = 68, 161
+	got := testing.AllocsPerRun(50, func() {
+		res, err := sp.Step(x, local, lacking, m)
+		if err != nil || len(res.OutNew) != len(added)-2 || res.Sent.Len() != 1 {
+			panic(fmt.Sprint("not the growing transition: ", res, err))
+		}
+		for _, f := range added {
+			lacking.Remove(f)
+		}
+	})
+	t.Logf("growing delivery of %v: %v allocs, %d new outputs", e, got, len(added)-2)
+	if got > growPin {
+		t.Errorf("growing delivery: %v allocs per step, pinned at %v (commit before the ID kernels: %v)", got, growPin, growParent)
+	}
+
 	for _, c := range []struct {
-		s   Strategy
-		q   monotone.Query
-		pol transducer.Policy
+		s        Strategy
+		q        monotone.Query
+		pol      transducer.Policy
+		kqParent float64
 	}{
-		{Absence, queries.NoLoop(), transducer.HashPolicy(sweepNet)},
-		{DomainRequest, queries.ComplementTC(), sweepGuided()},
+		{Absence, queries.NoLoop(), transducer.HashPolicy(sweepNet), 27},
+		{DomainRequest, queries.ComplementTC(), sweepGuided(), 132},
 	} {
 		built := MustBuild(c.s, c.q)
 		sim, err := transducer.NewSimulation(sweepNet, built, c.pol, c.s.RequiredModel(), sweepGraph)
@@ -560,7 +607,7 @@ func TestDeltaStepAllocs(t *testing.T) {
 				panic(err)
 			}
 		})
-		t.Logf("%v settled heartbeat: %v allocs insert-only, %v four-query, %v of them building K and evaluating Q", c.s, got, oracle, q)
+		t.Logf("%v settled heartbeat: %v allocs insert-only, %v four-query, %v of them building K and evaluating Q (%v before the ID kernels)", c.s, got, oracle, q, c.kqParent)
 		if got < q || 10*(got-q) > oracle-q {
 			t.Errorf("%v settled heartbeat: %v allocs insert-only, %v four-query, %v in K and Q: the form costs more than a tenth", c.s, got, oracle, q)
 		}

@@ -5,13 +5,15 @@ import (
 	"strings"
 )
 
-// Instance is a database instance: a finite set of facts. The zero
-// value is not usable; create instances with NewInstance. Instances
-// have set semantics (adding a fact twice is a no-op).
+// Instance is a database instance: a finite set of facts. Create
+// instances with NewInstance. Instances have set semantics (adding a
+// fact twice is a no-op).
 //
 // Facts are stored columnar: per (relation, arity) the argument
 // tuples live in one flat slice of interned IDs with a
-// packed-key hash index (see columnar.go). Membership and mutation
+// packed-key hash index (see columnar.go). The column map is made on
+// the first insert, so an instance that stays empty — most of what a
+// settled transition builds — costs one allocation. Membership and mutation
 // are integer work — no fact key strings are built — and the ID-level
 // accessors (HasIDs, AddIDs) let the fixpoint engines deduplicate
 // derived tuples without materializing a Fact at all.
@@ -54,7 +56,7 @@ func FactStrings(fs []Fact) []string {
 
 // NewInstance creates an instance containing the given facts.
 func NewInstance(facts ...Fact) *Instance {
-	i := &Instance{rels: make(map[colKey]*column)}
+	i := &Instance{}
 	for _, f := range facts {
 		i.Add(f)
 	}
@@ -72,6 +74,9 @@ func (i *Instance) colFor(rel ID, arity int) *column {
 	}
 	c := i.rels[k]
 	if c == nil {
+		if i.rels == nil {
+			i.rels = make(map[colKey]*column)
+		}
 		c = newColumn(arity)
 		i.rels[k] = c
 	}
@@ -290,6 +295,9 @@ func (i *Instance) RestrictRel(rel string) *Instance {
 		if k.rel != id {
 			continue
 		}
+		if out.rels == nil {
+			out.rels = make(map[colKey]*column)
+		}
 		out.rels[k] = c.clone()
 		out.n += c.rows()
 	}
@@ -378,7 +386,10 @@ func (i *Instance) Equal(j *Instance) bool {
 
 // Clone returns an independent copy of the instance.
 func (i *Instance) Clone() *Instance {
-	out := &Instance{rels: make(map[colKey]*column, len(i.rels)), n: i.n}
+	out := &Instance{n: i.n}
+	if len(i.rels) > 0 {
+		out.rels = make(map[colKey]*column, len(i.rels))
+	}
 	for k, c := range i.rels {
 		out.rels[k] = c.clone()
 	}

@@ -97,8 +97,8 @@ func TestInducedSubinstanceProperties(t *testing.T) {
 			return false
 		}
 		// Monotonicity in C: a larger C yields a superset.
-		bigger := c.Clone()
-		bigger.AddAll(i.ADom())
+		bigger := i.ADom()
+		bigger.AddAll(c)
 		return j.SubsetOf(InducedSubinstance(i, bigger))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {

@@ -216,10 +216,3 @@ func (s ValueSet) Sorted() []Value {
 	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
 	return vs
 }
-
-// Clone returns an independent copy of the set.
-func (s ValueSet) Clone() ValueSet {
-	c := make(ValueSet, len(s))
-	c.AddAll(s)
-	return c
-}

@@ -53,6 +53,7 @@ func TestExhaustiveNativeVsDatalogN3(t *testing.T) {
 		dl     monotone.Query
 	}{
 		{"TC", TC(), TCDatalog()},
+		{"QTC", ComplementTC(), ComplementTCDatalog()},
 		{"NoLoop", NoLoop(), NoLoopDatalog()},
 		{"Q3clique", KClique(3), KCliqueDatalog(3)},
 	}

@@ -12,11 +12,26 @@ package queries
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/fact"
 	"repro/internal/monotone"
 )
+
+// eachEdge calls fn with the argument pair of every E/2 fact — the
+// instance's own storage, valid only for the call. The graph queries
+// ignore every other fact, E facts of other arities included, as the
+// rules of their Datalog forms do.
+func eachEdge(i *fact.Instance, fn func(xy []fact.ID)) {
+	e, _ := fact.LookupValue("E") // NoID, the relation of no fact, before any E fact exists
+	i.EachIDs(func(rel fact.ID, args []fact.ID) bool {
+		if rel == e && len(args) == 2 {
+			fn(args)
+		}
+		return true
+	})
+}
 
 // undirectedNeighbors returns, for each value, its set of undirected
 // neighbors under E (self-loops excluded). The paper's clique and star
@@ -32,10 +47,10 @@ func undirectedNeighbors(i *fact.Instance) map[fact.Value]fact.ValueSet {
 		}
 		adj[a].Add(b)
 	}
-	for _, f := range i.Rel("E") {
-		add(f.Arg(0), f.Arg(1))
-		add(f.Arg(1), f.Arg(0))
-	}
+	eachEdge(i, func(xy []fact.ID) {
+		add(fact.Symbol(xy[0]), fact.Symbol(xy[1]))
+		add(fact.Symbol(xy[1]), fact.Symbol(xy[0]))
+	})
 	return adj
 }
 
@@ -103,12 +118,13 @@ func HasKStar(i *fact.Instance, k int) bool {
 // rotations, matching the Datalog formulation).
 func Triangles(i *fact.Instance) []fact.Fact {
 	edges := make(map[fact.Value]fact.ValueSet)
-	for _, f := range i.Rel("E") {
-		if edges[f.Arg(0)] == nil {
-			edges[f.Arg(0)] = make(fact.ValueSet)
+	eachEdge(i, func(xy []fact.ID) {
+		x := fact.Symbol(xy[0])
+		if edges[x] == nil {
+			edges[x] = make(fact.ValueSet)
 		}
-		edges[f.Arg(0)].Add(f.Arg(1))
-	}
+		edges[x].Add(fact.Symbol(xy[1]))
+	})
 	var out []fact.Fact
 	for x, xs := range edges {
 		for y := range xs {
@@ -147,9 +163,8 @@ func HasTwoDisjointTriangles(i *fact.Instance) bool {
 // edgeOutput returns the input's E facts relabeled as O facts.
 func edgeOutput(i *fact.Instance) *fact.Instance {
 	out := fact.NewInstance()
-	for _, f := range i.Rel("E") {
-		out.Add(fact.New("O", f.Arg(0), f.Arg(1)))
-	}
+	o := fact.InternString("O")
+	eachEdge(i, func(xy []fact.ID) { out.AddIDs(o, xy) })
 	return out
 }
 
@@ -159,60 +174,54 @@ var graphOut2 = fact.MustSchema(map[string]int{"O": 2})
 // monotone query (∈ M ⊆ Mdistinct ⊆ Mdisjoint).
 func TC() monotone.Query {
 	return monotone.NewGraphFunc("TC", graphOut2, func(i *fact.Instance) (*fact.Instance, error) {
-		reach := make(map[fact.Value]fact.ValueSet)
-		for _, f := range i.Rel("E") {
-			if reach[f.Arg(0)] == nil {
-				reach[f.Arg(0)] = make(fact.ValueSet)
-			}
-			reach[f.Arg(0)].Add(f.Arg(1))
-		}
-		// Floyd-Warshall-style saturation.
-		for {
-			changed := false
-			for x, xs := range reach {
-				for y := range xs.Clone() {
-					for z := range reach[y] {
-						if !xs.Has(z) {
-							xs.Add(z)
-							changed = true
-						}
-					}
-				}
-				_ = x
-			}
-			if !changed {
-				break
-			}
-		}
-		out := fact.NewInstance()
-		for x, xs := range reach {
-			for y := range xs {
-				out.Add(fact.New("O", x, y))
-			}
-		}
-		return out, nil
+		return closure(i), nil
 	})
+}
+
+// closure returns TC(i) over IDs: an adjacency map built in one walk
+// over the edges, then one depth-first search per source, the output
+// itself serving as the visited set.
+func closure(i *fact.Instance) *fact.Instance {
+	adj := make(map[fact.ID][]fact.ID)
+	eachEdge(i, func(xy []fact.ID) { adj[xy[0]] = append(adj[xy[0]], xy[1]) })
+	out := fact.NewInstance()
+	o := fact.InternString("O")
+	var stack []fact.ID
+	pair := make([]fact.ID, 2)
+	for x, ys := range adj {
+		pair[0] = x
+		stack = append(stack[:0], ys...)
+		for len(stack) > 0 {
+			pair[1], stack = stack[len(stack)-1], stack[:len(stack)-1]
+			if out.AddIDs(o, pair) {
+				stack = append(stack, adj[pair[1]]...)
+			}
+		}
+	}
+	return out
+}
+
+// adom returns the values of the edges, sorted by ID.
+func adom(i *fact.Instance) []fact.ID {
+	var vals []fact.ID
+	eachEdge(i, func(xy []fact.ID) { vals = append(vals, xy...) })
+	slices.Sort(vals)
+	return slices.Compact(vals)
 }
 
 // ComplementTC returns QTC from Theorem 3.1(1): all pairs (a, b) of
 // active-domain values with no directed path from a to b. The paper's
 // witness for Mdisjoint \ Mdistinct.
 func ComplementTC() monotone.Query {
-	tc := TC()
 	return monotone.NewGraphFunc("QTC(¬TC)", graphOut2, func(i *fact.Instance) (*fact.Instance, error) {
-		reach, err := tc.Eval(i)
-		if err != nil {
-			return nil, err
-		}
-		out := fact.NewInstance()
-		ad := i.ADom().Sorted()
-		for _, a := range ad {
-			for _, b := range ad {
-				if !reach.Has(fact.New("O", a, b)) {
-					out.Add(fact.New("O", a, b))
-				}
+		reach, out := closure(i), fact.NewInstance()
+		o := fact.InternString("O")
+		fact.EachTuple(adom(i), 2, func(pair []fact.ID) bool {
+			if !reach.HasIDs(o, pair) {
+				out.AddIDs(o, pair)
 			}
-		}
+			return true
+		})
 		return out, nil
 	})
 }
@@ -223,11 +232,16 @@ func NoLoop() monotone.Query {
 	out1 := fact.MustSchema(map[string]int{"O": 1})
 	return monotone.NewGraphFunc("NoLoop", out1, func(i *fact.Instance) (*fact.Instance, error) {
 		out := fact.NewInstance()
-		for v := range i.ADom() {
-			if !i.Has(fact.New("E", v, v)) {
-				out.Add(fact.New("O", v))
+		e, _ := fact.LookupValue("E")
+		o := fact.InternString("O")
+		loop := make([]fact.ID, 2)
+		eachEdge(i, func(xy []fact.ID) {
+			for _, v := range xy {
+				if loop[0], loop[1] = v, v; !i.HasIDs(e, loop) {
+					out.AddIDs(o, loop[:1])
+				}
 			}
-		}
+		})
 		return out, nil
 	})
 }

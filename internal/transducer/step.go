@@ -234,7 +234,6 @@ func (sp *Stepper) Step(x NodeID, local, state, m *fact.Instance) (StepResult, e
 		if snd, err = checkTarget(d.Snd, t.Schema.Msg, "send"); err != nil {
 			return StepResult{}, err
 		}
-		del = fact.NewInstance()
 	} else {
 		j := local.Union(state).Union(m)
 		d := j.Union(sp.SystemFacts(x, j))
@@ -251,25 +250,34 @@ func (sp *Stepper) Step(x NodeID, local, state, m *fact.Instance) (StepResult, e
 		if snd, err = runQuery(t.Snd, d, t.Schema.Msg, "send"); err != nil {
 			return StepResult{}, err
 		}
-	}
-
-	res := StepResult{Sent: snd}
-	for _, f := range out.Facts() {
-		if state.Add(f) {
-			res.Changed = true
-			res.OutNew = append(res.OutNew, f)
+		if !del.Empty() {
+			ins, del = ins.Minus(del), del.Minus(ins)
 		}
 	}
-	if !del.Empty() {
-		ins, del = ins.Minus(del), del.Minus(ins)
+
+	// Only the output facts the state lacks are materialised; they enter
+	// the state in sorted order.
+	res := StepResult{Sent: snd}
+	out.EachIDs(func(rel fact.ID, args []fact.ID) bool {
+		if !state.HasIDs(rel, args) {
+			res.OutNew = append(res.OutNew, fact.FromIDs(rel, args))
+		}
+		return true
+	})
+	fact.SortFacts(res.OutNew)
+	for _, f := range res.OutNew {
+		state.Add(f)
 	}
-	ins.Each(func(f fact.Fact) bool {
-		res.Changed = state.Add(f) || res.Changed
+	res.Changed = len(res.OutNew) > 0
+	ins.EachIDs(func(rel fact.ID, args []fact.ID) bool {
+		res.Changed = state.AddIDs(rel, args) || res.Changed
 		return true
 	})
-	del.Each(func(f fact.Fact) bool {
-		res.Changed = state.Remove(f) || res.Changed
-		return true
-	})
+	if del != nil {
+		del.Each(func(f fact.Fact) bool {
+			res.Changed = state.Remove(f) || res.Changed
+			return true
+		})
+	}
 	return res, nil
 }

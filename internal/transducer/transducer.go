@@ -144,18 +144,24 @@ func runQuery(q Query, d *fact.Instance, target fact.Schema, what string) (*fact
 }
 
 // checkTarget verifies that what a query (or its insert-only form)
-// produced is over the target schema; nil reads as empty.
+// produced is over the target schema; nil reads as empty. The walk is
+// by IDs and looks a column's relation up once, at its first row.
 func checkTarget(out *fact.Instance, target fact.Schema, what string) (*fact.Instance, error) {
 	if out == nil {
 		return fact.NewInstance(), nil
 	}
 	var bad *fact.Fact
-	out.Each(func(f fact.Fact) bool {
-		if !target.Covers(f) {
-			g := f
-			bad = &g
+	okRel, okArity := fact.NoID, 0
+	out.EachIDs(func(rel fact.ID, args []fact.ID) bool {
+		if rel == okRel && len(args) == okArity {
+			return true
+		}
+		if ar, ok := target.Arity(string(fact.Symbol(rel))); !ok || ar != len(args) {
+			f := fact.FromIDs(rel, args)
+			bad = &f
 			return false
 		}
+		okRel, okArity = rel, len(args)
 		return true
 	})
 	if bad != nil {

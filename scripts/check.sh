@@ -18,7 +18,8 @@
 # internal/transducer coverage is gated at its pre-fault-layer
 # baseline (84.0%), internal/core (the strategies whose transitions
 # both simulators' hot path runs) at 85.0%, internal/incr at 88.0%,
-# internal/netsim,
+# internal/queries (the evaluators behind every strategy's output)
+# at 90.0%, internal/fact at 88.0%, internal/netsim,
 # internal/generate, internal/obs, internal/serve, internal/cluster,
 # and internal/admin at 80.0%, and the
 # instrumentation's disabled (nil) fast path is benchmarked against a
@@ -144,6 +145,8 @@ coverage_gate() {
 coverage_gate ./internal/transducer/ 84.0
 coverage_gate ./internal/core/ 85.0
 coverage_gate ./internal/incr/ 88.0
+coverage_gate ./internal/queries/ 90.0
+coverage_gate ./internal/fact/ 88.0
 coverage_gate ./internal/netsim/ 80.0
 coverage_gate ./internal/generate/ 80.0
 coverage_gate ./internal/obs/ 80.0
