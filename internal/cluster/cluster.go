@@ -154,13 +154,6 @@ type shard struct {
 	down   bool
 }
 
-// compState is the partition-mode bookkeeping for one co(I)
-// component: its base facts, all resident on the shard given by the
-// hash of the component's minimum value.
-type compState struct {
-	facts map[string]fact.Fact
-}
-
 // Cluster is N in-process shards behind one global delta log. All
 // client traffic flows through SubmitWrite/Read (the Router wraps
 // them in the NDJSON protocol); per-shard serving cores may also be
@@ -178,10 +171,11 @@ type Cluster struct {
 	share  []*fact.Instance
 	faults *transducer.FaultPlan
 
-	mu     sync.Mutex
-	log    []*record
-	ci     *componentIndex
-	comp   map[fact.Value]*compState
+	mu  sync.Mutex
+	log []*record
+	// comps holds, in partitioned mode, every placed base fact under its
+	// co(I) component; a component lives on rootShard of its root.
+	comps  *fact.ComponentIndex
 	closed bool
 
 	// gmemo memoizes gathered reads of the last pinned state (gather).
@@ -234,8 +228,7 @@ func New(p *datalog.Program, initial *fact.Instance, opts Options) (*Cluster, er
 		idb:    p.IDB(),
 		schema: schema,
 		faults: opts.Faults,
-		ci:     newComponentIndex(n),
-		comp:   make(map[fact.Value]*compState),
+		comps:  fact.NewComponentIndex(),
 
 		reg:    opts.Reg,
 		tracer: opts.Tracer,
@@ -291,10 +284,10 @@ func New(p *datalog.Program, initial *fact.Instance, opts Options) (*Cluster, er
 }
 
 // splitInitial computes each shard's share of the initial instance.
-// Partitioned mode seeds the component index with the whole instance
+// Partitioned mode adds the whole instance to the component index
 // first (so initial placement equals the static PlaceInstance answer)
-// and routes each fact by its final component; replicated mode gives
-// every shard the full instance.
+// and routes each fact by its final root; replicated mode gives every
+// shard the full instance.
 func (c *Cluster) splitInitial(initial *fact.Instance, n int) []*fact.Instance {
 	share := make([]*fact.Instance, n)
 	if !c.plan.Partitioned {
@@ -310,26 +303,11 @@ func (c *Cluster) splitInitial(initial *fact.Instance, n int) []*fact.Instance {
 		return share
 	}
 	initial.Each(func(f fact.Fact) bool {
-		if f.Arity() > 0 {
-			c.ci.observe(f)
-		}
+		c.comps.Add(f, nil)
 		return true
 	})
 	initial.Each(func(f fact.Fact) bool {
-		var home int
-		if f.Arity() == 0 {
-			home = hashShard(f.Key(), n)
-		} else {
-			root := c.ci.find(f.Arg(0))
-			st := c.comp[root]
-			if st == nil {
-				st = &compState{facts: make(map[string]fact.Fact)}
-				c.comp[root] = st
-			}
-			st.facts[f.Key()] = f
-			home = c.ci.shardOf(root)
-		}
-		share[home].Add(f)
+		share[rootShard(c.comps.Root(f.ArgIDs()[0]), n)].Add(f)
 		return true
 	})
 	return share
@@ -346,9 +324,9 @@ func (c *Cluster) ShardCount() int { return len(c.shards) }
 // the current incarnation; after a Crash/Restart cycle it is stale.
 func (c *Cluster) ShardCore(j int) *serve.Core { return c.shards[j].core.Load() }
 
-// LogLen returns the global delta-log length — the fence a
+// logLen returns the global delta-log length — the fence a
 // coordinated read waits for.
-func (c *Cluster) LogLen() int {
+func (c *Cluster) logLen() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.log)
@@ -372,7 +350,7 @@ type ShardHealth struct {
 
 // Health reports the log length and every shard's live progress.
 func (c *Cluster) Health() (log int, shards []ShardHealth) {
-	log = c.LogLen()
+	log = c.logLen()
 	shards = make([]ShardHealth, len(c.shards))
 	for j, sh := range c.shards {
 		h := ShardHealth{
@@ -499,7 +477,7 @@ func (c *Cluster) submitWrite(req serve.Request, tc obs.SpanCtx) (serve.Response
 		rec.subs = []sub{newSub(-1, fact.FactStrings(ins), fact.FactStrings(ret))}
 		h := 0
 		if len(first) > 0 {
-			h = HashPlace(first[0], n)
+			h = hashShard(first[0].Key(), n)
 		}
 		homes = []int{h}
 	}
@@ -561,84 +539,46 @@ func (c *Cluster) submitWrite(req serve.Request, tc obs.SpanCtx) (serve.Response
 // the same log record, so each base fact lives on exactly one shard
 // at every log position). Called with c.mu held — placement decisions
 // are serialized in log order. Retraction never re-splits a merged
-// component: the index only coarsens, which is sound (colocating more
-// than co(I) requires keeps every derivation local) if less sharp.
+// component (see fact.ComponentIndex): colocating more than co(I)
+// requires keeps every derivation local, if less sharp.
 func (c *Cluster) placeDelta(ins, ret []fact.Fact) ([]sub, int) {
 	n := len(c.shards)
 	subs := make([]struct{ ins, ret []string }, n)
 	migrated := 0
 
 	for _, f := range ret {
-		var target int
-		if f.Arity() == 0 {
-			target = hashShard(f.Key(), n)
-		} else {
-			root := c.ci.find(f.Arg(0))
-			if st := c.comp[root]; st != nil {
-				delete(st.facts, f.Key())
-			}
-			target = c.ci.shardOf(root)
-		}
+		root, _ := c.comps.Remove(f)
+		target := rootShard(root, n)
 		subs[target].ret = append(subs[target].ret, f.String())
 	}
 
-	for _, f := range ins {
-		if f.Arity() == 0 {
-			subs[hashShard(f.Key(), n)].ins = append(subs[hashShard(f.Key(), n)].ins, f.String())
-			continue
+	// The absorbed root's home is the hash of its pre-merge minimum; the
+	// survivor's is unchanged, because a merge keeps the overall minimum.
+	migrate := func(win, lose fact.ID, moved *fact.Instance) {
+		loseHome, winHome := rootShard(lose, n), rootShard(win, n)
+		if loseHome == winHome {
+			return
 		}
-		root := c.ci.find(f.Arg(0))
-		c.ensureComp(root)
-		if _, held := c.comp[root].facts[f.Key()]; held {
+		for _, mf := range moved.Facts() {
+			// Cancel within the record: a fact it put on loseHome itself
+			// never goes there, and one it took off winHome stays — a
+			// shard refuses a fact on both sides.
+			s := mf.String()
+			if !take(&subs[loseHome].ins, s) {
+				subs[loseHome].ret = append(subs[loseHome].ret, s)
+			}
+			if !take(&subs[winHome].ret, s) {
+				subs[winHome].ins = append(subs[winHome].ins, s)
+			}
+		}
+		migrated++
+	}
+	for _, f := range ins {
+		root, added := c.comps.Add(f, migrate)
+		if !added {
 			continue // already placed, by an earlier write or this one: nothing moves
 		}
-		for i := 1; i < f.Arity(); i++ {
-			r2 := c.ci.find(f.Arg(i))
-			if r2 == root {
-				continue
-			}
-			c.ensureComp(r2)
-			// The absorbed root's home is the hash of its (still
-			// recorded) pre-merge minimum; the survivor's home is
-			// unchanged because union keeps the overall minimum.
-			win, lose, merged := c.ci.union(root, r2)
-			if !merged {
-				root = win
-				continue
-			}
-			loseHome := hashShard(string(c.ci.min[lose]), n)
-			winHome := c.ci.shardOf(win)
-			lst := c.comp[lose]
-			wst := c.comp[win]
-			if loseHome != winHome && len(lst.facts) > 0 {
-				moved := make([]fact.Fact, 0, len(lst.facts))
-				for _, mf := range lst.facts {
-					moved = append(moved, mf)
-				}
-				fact.SortFacts(moved)
-				for _, mf := range moved {
-					// Cancel within the record: a fact it put on loseHome
-					// itself never goes there, and one it took off winHome
-					// stays — a shard refuses a fact on both sides.
-					s := mf.String()
-					if !take(&subs[loseHome].ins, s) {
-						subs[loseHome].ret = append(subs[loseHome].ret, s)
-					}
-					if !take(&subs[winHome].ret, s) {
-						subs[winHome].ins = append(subs[winHome].ins, s)
-					}
-				}
-				migrated++
-			}
-			for k, mf := range lst.facts {
-				wst.facts[k] = mf
-			}
-			delete(c.comp, lose)
-			root = win
-		}
-		st := c.comp[root]
-		st.facts[f.Key()] = f
-		home := c.ci.shardOf(root)
+		home := rootShard(root, n)
 		subs[home].ins = append(subs[home].ins, f.String())
 	}
 
@@ -658,12 +598,6 @@ func take(list *[]string, s string) bool {
 		*list = slices.Delete(*list, i, i+1)
 	}
 	return i >= 0
-}
-
-func (c *Cluster) ensureComp(root fact.Value) {
-	if c.comp[root] == nil {
-		c.comp[root] = &compState{facts: make(map[string]fact.Fact)}
-	}
 }
 
 // --- read path ----------------------------------------------------

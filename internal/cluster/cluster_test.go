@@ -236,8 +236,8 @@ func TestRouterValidation(t *testing.T) {
 	}
 	// Rejected writes left no trace: nothing reached the log or the
 	// shards.
-	if c.LogLen() != 0 {
-		t.Errorf("rejected writes reached the log: len %d", c.LogLen())
+	if c.logLen() != 0 {
+		t.Errorf("rejected writes reached the log: len %d", c.logLen())
 	}
 	stats := decodeResp(t, got[7])
 	if stats.Stats == nil || stats.Stats.Facts != 0 {

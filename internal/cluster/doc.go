@@ -39,7 +39,10 @@
 //     a write bridges two components resident on different shards,
 //     the router migrates the absorbed component to the winner
 //     (synthetic retract+insert entries at one log position),
-//     restoring the every-component-whole invariant.
+//     restoring the every-component-whole invariant. The router's one
+//     record of placement is a fact.ComponentIndex: every placed base
+//     fact, once, under its component's root (the minimum value, whose
+//     hash is the home); its merge report is the migration.
 //
 //   - The fragment classifier picks the weakest coordination plan.
 //     Monotone programs (Datalog, Datalog(≠)) get coordination-free

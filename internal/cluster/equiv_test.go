@@ -16,26 +16,34 @@ import (
 
 // TestPartitionedEquivalence is the cross-shard equivalence battery
 // for partitioned mode: a seeded driver submits random edge toggles
-// over a small shared node pool — components merge and migrate
-// constantly — through several router connections, mirroring every
-// committed delta into a single-node oracle in submission order
-// (writes are driven from one goroutine, so submission order IS
-// global log order). At quiesced cuts the gathered reads must be
-// byte-identical to the oracle's pure read function, and the shard
-// slices must be disjoint: per Theorem 5.3 the answer of a connected
-// monotone program on I is the disjoint union of its answers on the
-// co(I) components, so fact counts must sum with no overlap.
+// over a small shared node pool — components merge, and 1–4 times in
+// each run's 90 writes a merge migrates one — through several router
+// connections, mirroring every committed delta into a single-node
+// oracle in submission order (writes are driven from one goroutine, so
+// submission order IS global log order). At quiesced cuts the gathered
+// reads must be byte-identical to the oracle's pure read function, and
+// the shard slices must be disjoint: per Theorem 5.3 the answer of a
+// connected monotone program on I is the disjoint union of its answers
+// on the co(I) components, so fact counts must sum with no overlap.
+// Each run's migration count is pinned: placement is a pure function
+// of the write stream.
 func TestPartitionedEquivalence(t *testing.T) {
+	// migrations[shards][seed-1] = {one fact a write, up to four}
+	migrations := map[int][3][2]int64{
+		2: {{1, 1}, {1, 3}, {2, 2}},
+		4: {{1, 1}, {4, 3}, {3, 4}},
+	}
 	for _, shards := range []int{2, 4} {
 		for _, seed := range []int64{1, 2, 3} {
 			shards, seed := shards, seed
+			want := migrations[shards][seed-1]
 			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
-				runPartitionedEquivalence(t, shards, seed, 1)
+				runPartitionedEquivalence(t, shards, seed, 1, want[0])
 			})
 			// Several facts a write: a later fact's bridge migrates what an
 			// earlier one of the same record just placed.
 			t.Run(fmt.Sprintf("shards=%d/seed=%d/multi-fact", shards, seed), func(t *testing.T) {
-				runPartitionedEquivalence(t, shards, seed, 4)
+				runPartitionedEquivalence(t, shards, seed, 4, want[1])
 			})
 		}
 	}
@@ -77,15 +85,16 @@ func TestMultiFactInsertBridgesItsOwnPlacement(t *testing.T) {
 
 // runPartitionedEquivalence drives writes of up to batch facts each: a
 // retract of one present edge, or an insert of random edges, present
-// ones among them.
-func runPartitionedEquivalence(t *testing.T, shards int, seed int64, batch int) {
+// ones among them, and checks the run migrated migrations components.
+func runPartitionedEquivalence(t *testing.T, shards int, seed int64, batch int, migrations int64) {
 	const (
 		conns  = 3
 		rounds = 3
 		writes = 30
 		nodes  = 10
 	)
-	c := newTestCluster(t, tcProgram, "", Options{Shards: shards, Placement: PlaceComponent})
+	reg := obs.NewRegistry()
+	c := newTestCluster(t, tcProgram, "", Options{Shards: shards, Placement: PlaceComponent, Reg: reg})
 	if !c.Plan().Partitioned {
 		t.Fatal("component placement over tc must partition")
 	}
@@ -137,6 +146,9 @@ func runPartitionedEquivalence(t *testing.T, shards int, seed int64, batch int) 
 		c.Quiesce()
 		compareCut(t, c, r, oracle, round)
 	}
+	if got := reg.Counter(obs.ClusterMigrations).Value(); got != migrations {
+		t.Errorf("%d migrations in %d writes, want %d", got, rounds*writes, migrations)
+	}
 }
 
 // compareCut byte-compares the gathered reads at a quiesced cut
@@ -169,8 +181,8 @@ func compareCut(t *testing.T, c *Cluster, r *Router, oracle *incr.Materializatio
 		stats.Stats.Derived != ep.Len()-ep.BaseLen() {
 		t.Fatalf("round %d gathered stats %+v != oracle (facts %d, base %d)", round, stats.Stats, ep.Len(), ep.BaseLen())
 	}
-	if stats.Stats.Seq != c.LogLen() {
-		t.Fatalf("round %d quiesced stats seq %d != log tip %d", round, stats.Stats.Seq, c.LogLen())
+	if stats.Stats.Seq != c.logLen() {
+		t.Fatalf("round %d quiesced stats seq %d != log tip %d", round, stats.Stats.Seq, c.logLen())
 	}
 	// Disjointness: per-shard sizes sum exactly to the oracle sizes.
 	// Any double-homed base fact or cross-shard duplicate derivation

@@ -26,7 +26,7 @@ func fuzzRouter(t *testing.T) *Router {
 	t.Helper()
 	fuzzMu.Lock()
 	defer fuzzMu.Unlock()
-	if fuzzR != nil && fuzzR.c.LogLen() > 20000 {
+	if fuzzR != nil && fuzzR.c.logLen() > 20000 {
 		fuzzR.c.Close()
 		fuzzR = nil
 	}

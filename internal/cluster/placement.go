@@ -43,96 +43,30 @@ func hashShard(key string, shards int) int {
 	return int(h.Sum64() % uint64(shards))
 }
 
-// HashPlace returns the hash-placement home shard of one fact.
-func HashPlace(f fact.Fact, shards int) int {
-	return hashShard(f.Key(), shards)
-}
-
-// componentIndex is a dynamic union-find over values that tracks, per
-// component, the minimum active-domain value — the pure placement key.
-// It mirrors fact.Components incrementally: after any sequence of
-// Observe calls, the components of the observed fact multiset equal
-// co(I) of the observed instance, and Shard agrees with PlaceInstance
-// on the final state.
-type componentIndex struct {
-	shards int
-	parent map[fact.Value]fact.Value
-	min    map[fact.Value]fact.Value // root → minimum value in the class
-}
-
-func newComponentIndex(shards int) *componentIndex {
-	return &componentIndex{
-		shards: shards,
-		parent: make(map[fact.Value]fact.Value),
-		min:    make(map[fact.Value]fact.Value),
-	}
-}
-
-func (ci *componentIndex) find(v fact.Value) fact.Value {
-	r, ok := ci.parent[v]
-	if !ok {
-		ci.parent[v] = v
-		ci.min[v] = v
-		return v
-	}
-	if r == v {
-		return v
-	}
-	root := ci.find(r)
-	ci.parent[v] = root
-	return root
-}
-
-// union merges the classes of a and b. It returns the surviving root
-// and, when a real merge happened, the absorbed root (merged=true) —
-// the cluster write path uses the absorbed root to find which
-// component's facts must migrate.
-func (ci *componentIndex) union(a, b fact.Value) (root, absorbed fact.Value, merged bool) {
-	ra, rb := ci.find(a), ci.find(b)
-	if ra == rb {
-		return ra, "", false
-	}
-	// Attach by the min-value order so the surviving root's min is the
-	// overall min — deterministic regardless of observation order, and
-	// the survivor's placement hash (of its min) never changes.
-	if ci.min[rb] < ci.min[ra] {
-		ra, rb = rb, ra
-	}
-	ci.parent[rb] = ra
-	return ra, rb, true
-}
-
-// observe unions the fact's values and returns the component root.
-func (ci *componentIndex) observe(f fact.Fact) fact.Value {
-	root := ci.find(f.Arg(0))
-	for n := 1; n < f.Arity(); n++ {
-		root, _, _ = ci.union(root, f.Arg(n))
-	}
-	return root
-}
-
-// shardOf returns the shard of the component containing v: the hash of
-// the component's minimum value. A pure function of the component's
-// content — placing I and placing I ⊎ J (domain disjoint) agree on
-// I's facts, which is the Theorem 5.3 union property the placement
-// tests pin.
-func (ci *componentIndex) shardOf(v fact.Value) int {
-	return hashShard(string(ci.min[ci.find(v)]), ci.shards)
+// rootShard returns the home shard of the component rooted at root:
+// the hash of its minimum value, which the root is. A pure function of
+// the component's content — placing I and placing I ⊎ J (domain
+// disjoint) agree on I's facts, which is the Theorem 5.3 union property
+// the placement tests pin — and a survivor's home never moves when it
+// absorbs another component.
+func rootShard(root fact.ID, shards int) int {
+	return hashShard(string(fact.Symbol(root)), shards)
 }
 
 // PlaceInstance computes the component placement of a whole instance:
-// co(I) via fact.Components, each component assigned by the hash of
-// its minimum active-domain value. The returned map sends every fact's
-// canonical Key to its shard.
+// co(I) through a fact.ComponentIndex, each component assigned by the
+// hash of its minimum active-domain value. The returned map sends every
+// fact's canonical Key to its shard.
 func PlaceInstance(i *fact.Instance, shards int) map[string]int {
+	x := fact.NewComponentIndex()
+	i.Each(func(f fact.Fact) bool {
+		x.Add(f, nil)
+		return true
+	})
 	out := make(map[string]int, i.Len())
-	for _, comp := range fact.Components(i) {
-		min := comp.ADom().Sorted()[0]
-		s := hashShard(string(min), shards)
-		comp.Each(func(f fact.Fact) bool {
-			out[f.Key()] = s
-			return true
-		})
-	}
+	i.Each(func(f fact.Fact) bool {
+		out[f.Key()] = rootShard(x.Root(f.ArgIDs()[0]), shards)
+		return true
+	})
 	return out
 }

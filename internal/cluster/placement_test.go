@@ -58,10 +58,6 @@ func TestHashShardStable(t *testing.T) {
 			t.Errorf("hashShard(%q, %d) = %d, want %d", g.key, g.shards, got, g.want)
 		}
 	}
-	f := fact.MustParseFact("E(a,b)")
-	if HashPlace(f, 4) != hashShard(f.Key(), 4) {
-		t.Error("HashPlace must hash the fact's canonical key")
-	}
 }
 
 // TestPlaceInstanceAgreesWithComponents checks the defining property
@@ -119,57 +115,6 @@ func TestPlacementUnionProperty(t *testing.T) {
 				return true
 			})
 		}
-	}
-}
-
-// TestDynamicIndexAgreesWithStatic feeds the same instance to the
-// incremental componentIndex in a random order and checks it ends at
-// the static PlaceInstance assignment: observation order must not
-// matter, or replicas of the router state would diverge.
-func TestDynamicIndexAgreesWithStatic(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		for trial := 0; trial < 50; trial++ {
-			inst := randomGraph(rng, 7, 8, "d")
-			shards := 2 + rng.Intn(3)
-			var facts []fact.Fact
-			inst.Each(func(f fact.Fact) bool { facts = append(facts, f); return true })
-			rng.Shuffle(len(facts), func(i, j int) { facts[i], facts[j] = facts[j], facts[i] })
-
-			ci := newComponentIndex(shards)
-			for _, f := range facts {
-				ci.observe(f)
-			}
-			static := PlaceInstance(inst, shards)
-			for _, f := range facts {
-				if got := ci.shardOf(f.Arg(0)); got != static[f.Key()] {
-					t.Fatalf("seed %d trial %d: dynamic shard %d != static %d for %v",
-						seed, trial, got, static[f.Key()], f)
-				}
-			}
-		}
-	}
-}
-
-// TestUnionKeepsMin pins the migration invariant: union survives the
-// root whose class holds the overall minimum, so the survivor's home
-// shard (hash of its min) never changes when it absorbs a component.
-func TestUnionKeepsMin(t *testing.T) {
-	ci := newComponentIndex(2)
-	ci.observe(fact.New("E", "b", "c"))
-	ci.observe(fact.New("E", "x", "y"))
-	root, absorbed, merged := ci.union("c", "x")
-	if !merged {
-		t.Fatal("distinct components must merge")
-	}
-	if ci.min[root] != "b" {
-		t.Errorf("surviving min = %s, want b", ci.min[root])
-	}
-	if absorbed != "x" || ci.min[absorbed] != "x" {
-		t.Errorf("absorbed root %s keeps its pre-merge min %s for migration lookup", absorbed, ci.min[absorbed])
-	}
-	if _, _, again := ci.union("b", "y"); again {
-		t.Error("union of an already-merged pair must report merged=false")
 	}
 }
 

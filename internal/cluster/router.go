@@ -107,7 +107,7 @@ func (cn *conn) handle(req serve.Request, tc obs.SpanCtx) serve.Response {
 		if c.plan.Coordination == CoordFenced {
 			// A fenced read is coordination by plan: every consulted
 			// shard must reach the log tip observed at arrival.
-			fence = c.LogLen()
+			fence = c.logLen()
 			c.fencedReads.Inc()
 			fr := tc.Start(obs.SpanCoordFencedRead)
 			fr.SetSeq(fence)

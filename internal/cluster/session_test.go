@@ -288,8 +288,8 @@ func TestRejectedWritesAnswerAlike(t *testing.T) {
 		if got[0] != got[len(got)-1] {
 			t.Errorf("%s: stats moved across refused writes:\n%s\n%s", b.name, got[0], got[len(got)-1])
 		}
-		if b.c != nil && b.c.LogLen() != 0 {
-			t.Errorf("%s: %d refused writes reached the log", b.name, b.c.LogLen())
+		if b.c != nil && b.c.logLen() != 0 {
+			t.Errorf("%s: %d refused writes reached the log", b.name, b.c.logLen())
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package datalog
 
+import "repro/internal/fact"
+
 // This file implements the connectivity analysis of Section 5.1:
 // graph+(ϕ) is the graph whose nodes are the variables occurring in
 // positive body atoms of ϕ, with an edge between two variables when
@@ -10,46 +12,24 @@ package datalog
 // when some stratification makes every stratum except possibly the
 // last one connected.
 
-// IsConnected reports whether graph+(ϕ) is connected. Rules whose
-// positive body mentions at most one variable are trivially connected.
+// IsConnected reports whether graph+(ϕ) is connected. graph+(ϕ) is
+// co(I) drawn over variables: one fact per positive atom over that
+// atom's variables (constants are not nodes), and the rule is connected
+// when those facts form at most one component.
 func (r Rule) IsConnected() bool {
-	vars := r.posVars()
-	if len(vars) <= 1 {
-		return true
-	}
-	// Union-find over the variables, merging per positive atom.
-	parent := make(map[string]string, len(vars))
-	for v := range vars {
-		parent[v] = v
-	}
-	var find func(string) string
-	find = func(x string) string {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
+	g := fact.NewInstance()
 	for _, a := range r.Pos {
-		var first string
-		for v := range a.Vars() {
-			if first == "" {
-				first = v
-				continue
+		var vars []fact.Value
+		for _, t := range a.Args {
+			if t.IsVar() {
+				vars = append(vars, fact.Value(t.Var))
 			}
-			parent[find(v)] = find(first)
+		}
+		if len(vars) > 0 {
+			g.Add(fact.New("V", vars...))
 		}
 	}
-	root := ""
-	for v := range vars {
-		r := find(v)
-		if root == "" {
-			root = r
-		} else if r != root {
-			return false
-		}
-	}
-	return true
+	return len(fact.Components(g)) <= 1
 }
 
 // AllRulesConnected reports whether every rule of the program is

@@ -25,6 +25,10 @@ func TestRuleIsConnected(t *testing.T) {
 		{`T(x) :- E(x,y), E(y,z), E(z,x), y != x, y != z, x != z.`, true},
 		// Single unary positive atom plus negation (Example 5.1 P1 rule 2).
 		{`O(x) :- ¬T(x), Adom(x).`, true},
+		// Constants are not nodes: a shared constant joins nothing.
+		{`O(x,u) :- E(x,"c"), E(u,"c").`, false},
+		// An atom of constants only adds no node.
+		{`O(x) :- E(x,x), A("c").`, true},
 	}
 	for _, c := range cases {
 		r, err := ParseRule(c.src)
