@@ -165,8 +165,8 @@ func buildAbsence(q monotone.Query, in, out fact.Schema) (*transducer.Transducer
 			}
 			return snd, nil
 		},
-		Delta: func(local, state, m *fact.Instance, sys transducer.System) (transducer.Delta, error) {
-			d := delta{state: state}
+		Delta: func(local, state, m *fact.Instance, sys transducer.System, acc *transducer.Delta) error {
+			d := delta{acc, state}
 			if id, ok := sys.Id(); ok {
 				d.insSend(helloS, hello, []fact.ID{fact.Intern(id)})
 			}
@@ -206,11 +206,10 @@ func buildAbsence(q monotone.Query, in, out fact.Schema) (*transducer.Transducer
 					return true
 				})
 			}
-			var err error
-			if complete {
-				d.Out, err = eval(known.of(local, state, m))
+			if !complete {
+				return nil
 			}
-			return d.Delta, err
+			return d.evalInto(eval, known, local, m)
 		},
 	}
 	return t, nil

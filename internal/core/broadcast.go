@@ -22,11 +22,15 @@ import (
 //
 // Out, Ins and Snd are the Section 4.1.2 definition. Delta is the same
 // transition read off the node's parts (DESIGN.md §16): it inserts and
-// sends what m and the unsent local facts call for, and evaluates the
-// query only when the known input set local ∪ Got ∪ m grew. Otherwise
-// that set is the one of an earlier evaluated transition whose outputs
+// sends what m and the unsent local facts call for, and computes output
+// only when the known input set K = local ∪ Got ∪ m grew. Otherwise K
+// is the set of an earlier transition that computed Q(K), whose outputs
 // are all still in the state (nothing is ever deleted, and a crash
-// wipes Got and the outputs together), so Out would add nothing.
+// wipes Got and the outputs together), so Out would add nothing. When K
+// grew by ΔK at a node holding a state, the state holds Q(K) for the
+// old K, and a query that is a monotone.Grower adds Q(K ∪ ΔK) \ Q(K)
+// alone; a fresh or just-crashed node, or any other query, evaluates Q
+// on K.
 func buildFlood(s Strategy, q monotone.Query, in, out fact.Schema) (*transducer.Transducer, error) {
 	relay := s == Gossip
 	msg, mem := make(fact.Schema), make(fact.Schema)
@@ -46,6 +50,7 @@ func buildFlood(s Strategy, q monotone.Query, in, out fact.Schema) (*transducer.
 		return nil, err
 	}
 	known := newKnown(in, relGot, relFwd)
+	grower, _ := q.(monotone.Grower)
 	eval := func(k *fact.Instance) (*fact.Instance, error) {
 		res, err := q.Eval(k)
 		if err != nil {
@@ -96,12 +101,18 @@ func buildFlood(s Strategy, q monotone.Query, in, out fact.Schema) (*transducer.
 			}
 			return snd, nil
 		},
-		Delta: func(local, state, m *fact.Instance, _ transducer.System) (transducer.Delta, error) {
-			d := delta{state: state}
+		Delta: func(local, state, m *fact.Instance, _ transducer.System, acc *transducer.Delta) error {
+			d := delta{acc, state}
+			// A node holding a state holds Q(K) for its known input K:
+			// ΔK, collected in Scratch, is all a Grower needs.
+			grow := grower != nil && !state.Empty()
 			grew := state.Empty()
 			local.EachIDs(func(rel fact.ID, args []fact.ID) bool {
 				if r, ok := byRel[rel]; ok && d.insSend(r.sent, r.fwd, args) {
 					grew = true
+					if grow {
+						d.Scratch.AddIDs(rel, args)
+					}
 				}
 				return true
 			})
@@ -110,19 +121,26 @@ func buildFlood(s Strategy, q monotone.Query, in, out fact.Schema) (*transducer.
 				if !ok {
 					return true
 				}
-				if d.ins(r.got, args) {
-					grew = grew || !local.HasIDs(r.rel, args)
+				if d.ins(r.got, args) && !local.HasIDs(r.rel, args) {
+					grew = true
+					if grow {
+						d.Scratch.AddIDs(r.rel, args)
+					}
 				}
 				if relay {
 					d.insSend(r.sent, r.fwd, args)
 				}
 				return true
 			})
-			var err error
-			if grew {
-				d.Out, err = eval(known.of(local, state, m))
+			switch {
+			case !grew:
+				return nil
+			case grow:
+				grower.Grow(state, d.Scratch, d.Out)
+				return nil
+			default:
+				return d.evalInto(eval, known, local, m)
 			}
-			return d.Delta, err
 		},
 	}
 	return t, nil

@@ -213,7 +213,11 @@ func newKnown(in fact.Schema, carriers ...func(string) string) known {
 // node's parts: its local input fragment, its state and the delivered
 // message set.
 func (k known) of(parts ...*fact.Instance) *fact.Instance {
-	out := fact.NewInstance()
+	return k.into(fact.NewInstance(), parts...)
+}
+
+// into is of, adding the input facts to out.
+func (k known) into(out *fact.Instance, parts ...*fact.Instance) *fact.Instance {
 	for _, d := range parts {
 		d.EachIDs(func(rel fact.ID, args []fact.ID) bool {
 			if id, ok := k[rel]; ok {
@@ -225,43 +229,47 @@ func (k known) of(parts ...*fact.Instance) *fact.Instance {
 	return out
 }
 
-// delta accumulates the insert-only form of one transition. ins leaves
-// out what the state already holds, so a settled transition builds
-// nothing, and both instances are made on first use.
+// delta writes the insert-only form of one transition into the
+// Stepper's accumulators. ins leaves out what the state already holds,
+// so a settled transition adds nothing.
 type delta struct {
-	transducer.Delta
+	*transducer.Delta
 	state *fact.Instance
 }
 
 // ins inserts rel(args) unless the state holds it, reporting whether it
 // did.
-func (d *delta) ins(rel fact.ID, args []fact.ID) bool {
+func (d delta) ins(rel fact.ID, args []fact.ID) bool {
 	if d.state.HasIDs(rel, args) {
 		return false
-	}
-	if d.Ins == nil {
-		d.Ins = fact.NewInstance()
 	}
 	d.Ins.AddIDs(rel, args)
 	return true
 }
 
-func (d *delta) send(rel fact.ID, args []fact.ID) {
-	if d.Snd == nil {
-		d.Snd = fact.NewInstance()
-	}
-	d.Snd.AddIDs(rel, args)
-}
+func (d delta) send(rel fact.ID, args []fact.ID) { d.Snd.AddIDs(rel, args) }
 
 // insSend stores the marker fact rel(args) and sends msg(args), the
 // first time only: a marker in the state means the message went out.
 // It reports whether it sent.
-func (d *delta) insSend(rel, msg fact.ID, args []fact.ID) bool {
+func (d delta) insSend(rel, msg fact.ID, args []fact.ID) bool {
 	if !d.ins(rel, args) {
 		return false
 	}
 	d.send(msg, args)
 	return true
+}
+
+// evalInto evaluates the query on the input facts visible at the node,
+// gathered in the transition's scratch set, and adds the answer to its
+// output.
+func (d delta) evalInto(eval func(*fact.Instance) (*fact.Instance, error), k known, local, m *fact.Instance) error {
+	res, err := eval(k.into(d.Scratch, local, d.state, m))
+	if err != nil {
+		return err
+	}
+	d.Out.AddAll(res)
+	return nil
 }
 
 // myAdom reads the MyAdom system relation.

@@ -292,8 +292,8 @@ func buildDomainRequest(q monotone.Query, in, out fact.Schema) (*transducer.Tran
 			}
 			return snd, nil
 		},
-		Delta: func(local, state, m *fact.Instance, sys transducer.System) (transducer.Delta, error) {
-			d := delta{state: state}
+		Delta: func(local, state, m *fact.Instance, sys transducer.System, acc *transducer.Delta) error {
+			d := delta{acc, state}
 			base := sys.Base()
 			// responsible is responsibleForValue: one policy probe per input
 			// relation on the all-a tuple.
@@ -392,11 +392,10 @@ func buildDomainRequest(q monotone.Query, in, out fact.Schema) (*transducer.Tran
 				}
 				complete = complete && (state.HasIDs(okGot, pair[1:]) || hasID && m.HasIDs(ok, pair))
 			}
-			var err error
-			if complete {
-				d.Out, err = eval(known.of(local, state, m))
+			if !complete {
+				return nil
 			}
-			return d.Delta, err
+			return d.evalInto(eval, known, local, m)
 		},
 	}
 	return t, nil

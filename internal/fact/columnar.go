@@ -145,6 +145,17 @@ func (c *column) add(args []ID) bool {
 	return true
 }
 
+// reset drops every row and keeps the storage: the args slice's
+// capacity and the index's map.
+func (c *column) reset() {
+	if c.n == 0 {
+		return
+	}
+	c.n, c.args = 0, c.args[:0]
+	clear(c.idx.k64)
+	clear(c.idx.kstr)
+}
+
 // remove deletes the tuple if present (swap-delete), reporting whether
 // it was there.
 func (c *column) remove(args []ID) bool {

@@ -119,6 +119,17 @@ func (i *Instance) AddAll(j *Instance) int {
 	return n
 }
 
+// Reset empties the instance and keeps its storage: every column stays,
+// with no rows, so refilling it with facts of the relations it held
+// before allocates nothing. Whoever resets an instance owns it; a reader
+// handed it before must be done with it.
+func (i *Instance) Reset() {
+	for _, c := range i.rels {
+		c.reset()
+	}
+	i.n = 0
+}
+
 // Remove deletes f, reporting whether it was present.
 func (i *Instance) Remove(f Fact) bool {
 	c := i.col(f.rel, len(f.args))
@@ -198,6 +209,16 @@ func (i *Instance) EachIDs(fn func(rel ID, args []ID) bool) {
 			}
 		}
 	}
+}
+
+// Rows returns the argument rows of relation rel with the given arity,
+// row-major in one flat slice: the instance's own storage, read-only
+// and valid until the next mutation.
+func (i *Instance) Rows(rel ID, arity int) []ID {
+	if c := i.col(rel, arity); c != nil {
+		return c.args
+	}
+	return nil
 }
 
 // EachTuple calls fn with every tuple of the given arity over vals, in

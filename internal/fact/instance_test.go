@@ -136,6 +136,47 @@ func TestEachIDsWalksEveryFact(t *testing.T) {
 	}
 }
 
+// TestReset: a reset instance reads as a new one through every
+// accessor, takes the same facts back as new, and — its columns kept —
+// refills allocating only the index keys of wide tuples.
+func TestReset(t *testing.T) {
+	facts := []string{"E(a,b)", "E(b,c)", "A(z)", "T(a,b,c)", "E(a)"}
+	i := inst(facts...)
+	i.Reset()
+	empty := NewInstance()
+	if i.Len() != 0 || !i.Empty() || len(i.Schema()) != 0 || len(i.ADom()) != 0 || len(i.Facts()) != 0 ||
+		!i.Equal(empty) || !empty.Equal(i) || i.String() != empty.String() {
+		t.Errorf("reset instance reads %v (len %d, schema %v, adom %v), want %v", i, i.Len(), i.Schema(), i.ADom(), empty)
+	}
+	i.EachIDs(func(rel ID, args []ID) bool {
+		t.Errorf("EachIDs walked %v%v on a reset instance", Symbol(rel), args)
+		return true
+	})
+	if rows := i.Rows(Intern("E"), 2); len(rows) != 0 {
+		t.Errorf("Rows(E/2) = %v on a reset instance", rows)
+	}
+	for _, f := range facts {
+		if !i.Add(MustParseFact(f)) {
+			t.Errorf("re-adding %s after Reset reported it present", f)
+		}
+	}
+	if want := inst(facts...); !i.Equal(want) {
+		t.Errorf("refilled instance %v, want %v", i, want)
+	}
+	parsed, err := ParseFacts(facts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		i.Reset()
+		for _, f := range parsed {
+			i.Add(f)
+		}
+	}); n != 1 { // T(a,b,c)'s packed key: a wide tuple's index key is a string
+		t.Errorf("reset and refill: %v allocations, want 1", n)
+	}
+}
+
 func TestEachTuple(t *testing.T) {
 	ab := []ID{Intern("a"), Intern("b")}
 	var got []string

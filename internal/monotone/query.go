@@ -34,6 +34,17 @@ type Query interface {
 	Name() string
 }
 
+// Grower is a query in class M that extends an answer it already
+// holds. In M, Q(K) ⊆ Q(K ∪ ΔK), so a holder of Q(K) only lacks what
+// ΔK adds. Grow adds to into exactly Q(K ∪ ΔK) \ Q(K), where the facts
+// of held over the output schema are Q(K) and added is ΔK (it may
+// overlap K). Grow reads held and added only, and into must hold no
+// output facts on entry.
+type Grower interface {
+	Query
+	Grow(held, added, into *fact.Instance)
+}
+
 // Func adapts a plain Go function to the Query interface.
 type Func struct {
 	name string

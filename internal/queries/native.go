@@ -171,10 +171,48 @@ func edgeOutput(i *fact.Instance) *fact.Instance {
 var graphOut2 = fact.MustSchema(map[string]int{"O": 2})
 
 // TC returns the transitive-closure query over E, the canonical
-// monotone query (∈ M ⊆ Mdistinct ⊆ Mdisjoint).
+// monotone query (∈ M ⊆ Mdistinct ⊆ Mdisjoint). It is a
+// monotone.Grower: a holder of TC(K) extends it by new edges.
 func TC() monotone.Query {
-	return monotone.NewGraphFunc("TC", graphOut2, func(i *fact.Instance) (*fact.Instance, error) {
+	return tc{monotone.NewGraphFunc("TC", graphOut2, func(i *fact.Instance) (*fact.Instance, error) {
 		return closure(i), nil
+	})}
+}
+
+type tc struct{ *monotone.Func }
+
+// Grow adds to into TC(K ∪ ΔK) \ TC(K), reading TC(K) from the O facts
+// of held. It takes the new edges one at a time: an edge (a,b) not yet
+// in the closure joins every p with p = a or O(p,a) to every s with
+// s = b or O(b,s), the closure so far being held ∪ into.
+func (tc) Grow(held, added, into *fact.Instance) {
+	o := fact.InternString("O")
+	var fromBuf, toBuf [32]fact.ID
+	from, to, pair := fromBuf[:0], toBuf[:0], make([]fact.ID, 2)
+	eachEdge(added, func(ab []fact.ID) {
+		a, b := ab[0], ab[1]
+		if held.HasIDs(o, ab) || into.HasIDs(o, ab) {
+			return // a path from a to b already closes every pair the edge could
+		}
+		from, to = append(from[:0], a), append(to[:0], b)
+		for _, part := range [2]*fact.Instance{held, into} {
+			rows := part.Rows(o, 2)
+			for k := 0; k < len(rows); k += 2 {
+				if rows[k+1] == a {
+					from = append(from, rows[k])
+				}
+				if rows[k] == b {
+					to = append(to, rows[k+1])
+				}
+			}
+		}
+		for _, pair[0] = range from {
+			for _, pair[1] = range to {
+				if !held.HasIDs(o, pair) {
+					into.AddIDs(o, pair)
+				}
+			}
+		}
 	})
 }
 

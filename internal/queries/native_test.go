@@ -309,6 +309,72 @@ func TestNativeVsDatalog(t *testing.T) {
 	}
 }
 
+// TestTCGrowMatchesEval: on seeded random graphs with self-loops and
+// cycles, each fact dealt to K, to ΔK or to both, and E facts of other
+// arities among them, a holder of TC(K) grown by ΔK holds
+// TC(K ∪ ΔK), and Grow adds nothing TC(K) already holds.
+func TestTCGrowMatchesEval(t *testing.T) {
+	g, ok := TC().(monotone.Grower)
+	if !ok {
+		t.Fatal("TC is not a monotone.Grower")
+	}
+	rng := rand.New(rand.NewSource(53))
+	loops, overlaps, cyclic := 0, 0, 0
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(9)
+		vals := generate.Values("v", n)
+		v := func() fact.Value { return vals[rng.Intn(n)] }
+		k, dk := fact.NewInstance(), fact.NewInstance()
+		for e := rng.Intn(3 * n); e > 0; e-- {
+			f := fact.New("E", v(), v())
+			switch rng.Intn(8) {
+			case 0:
+				f = fact.New("E", v())
+			case 1:
+				f = fact.New("E", v(), v(), v())
+			}
+			if f.Arity() == 2 && f.Arg(0) == f.Arg(1) {
+				loops++
+			}
+			switch rng.Intn(5) {
+			case 0, 1:
+				k.Add(f)
+			case 2, 3:
+				dk.Add(f)
+			default:
+				k.Add(f)
+				dk.Add(f)
+				overlaps++
+			}
+		}
+		old, err := g.Eval(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := g.Eval(k.Union(dk))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Has(fact.New("O", vals[0], vals[0])) {
+			cyclic++
+		}
+		// The holder's state: TC(K) beside facts of other relations
+		// and arities, which Grow must not read as closure pairs.
+		held := old.Union(fact.MustParseInstance(`Xg_E(v0,v1) O(v0) O(v1,v0,v1)`))
+		into := fact.NewInstance()
+		g.Grow(held, dk, into)
+		if inter := into.Intersect(old); !inter.Empty() {
+			t.Fatalf("K %v, ΔK %v: Grow added %v, which TC(K) holds", k, dk, inter)
+		}
+		if got := old.Union(into); !got.Equal(want) {
+			t.Fatalf("K %v, ΔK %v: TC(K) ∪ Grow = %v, TC(K ∪ ΔK) = %v", k, dk, got, want)
+		}
+	}
+	if loops == 0 || overlaps == 0 || cyclic == 0 {
+		t.Fatalf("the seed draws %d self-loops, %d overlapping facts, %d cyclic graphs: pick another", loops, overlaps, cyclic)
+	}
+}
+
 // The graph queries read E/2 only: E facts of other arities are
 // ignored, as the rules of the Datalog forms ignore them, and never
 // make an evaluator panic.

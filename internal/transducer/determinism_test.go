@@ -39,8 +39,9 @@ func TestTakeRandomDeterministic(t *testing.T) {
 	}
 	for seed := int64(0); seed < 20; seed++ {
 		m1, m2 := build(), build()
-		out1, n1 := m1.takeRandom(rand.New(rand.NewSource(seed)))
-		out2, n2 := m2.takeRandom(rand.New(rand.NewSource(seed)))
+		out1, out2 := fact.NewInstance(), fact.NewInstance()
+		n1 := m1.takeRandom(rand.New(rand.NewSource(seed)), out1)
+		n2 := m2.takeRandom(rand.New(rand.NewSource(seed)), out2)
 		if !out1.Equal(out2) || n1 != n2 {
 			t.Fatalf("seed %d: takeRandom diverged: %v (%d) vs %v (%d)", seed, out1, n1, out2, n2)
 		}

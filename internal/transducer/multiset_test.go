@@ -17,7 +17,8 @@ func TestMultisetCounts(t *testing.T) {
 	if m.size() != 4 {
 		t.Errorf("size = %d, want 4", m.size())
 	}
-	set, delivered := m.takeAll()
+	set := fact.NewInstance()
+	delivered := m.takeAll(set)
 	if delivered != 4 {
 		t.Errorf("delivered = %d, want 4", delivered)
 	}
@@ -41,8 +42,7 @@ func TestMultisetTakeRandomConserves(t *testing.T) {
 		}
 		delivered := 0
 		for !m.empty() {
-			_, d := m.takeRandom(rng)
-			delivered += d
+			delivered += m.takeRandom(rng, fact.NewInstance())
 		}
 		if delivered != total {
 			t.Fatalf("delivered %d of %d messages", delivered, total)
@@ -119,7 +119,8 @@ func TestMultisetEdgeCases(t *testing.T) {
 			if m.empty() != (c.wantSize == 0) {
 				t.Errorf("empty = %v with size %d", m.empty(), c.wantSize)
 			}
-			set, delivered := m.takeAll()
+			set := fact.NewInstance()
+			delivered := m.takeAll(set)
 			if set.Len() != c.wantSetLen || delivered != c.wantDelivered {
 				t.Errorf("takeAll = (%d facts, %d delivered), want (%d, %d)",
 					set.Len(), delivered, c.wantSetLen, c.wantDelivered)
@@ -128,8 +129,8 @@ func TestMultisetEdgeCases(t *testing.T) {
 				t.Errorf("buffer not drained: size %d", m.size())
 			}
 			// takeAll on the now-empty buffer is a no-op.
-			set, delivered = m.takeAll()
-			if set.Len() != 0 || delivered != 0 {
+			set.Reset()
+			if delivered = m.takeAll(set); set.Len() != 0 || delivered != 0 {
 				t.Errorf("takeAll on empty = (%d, %d)", set.Len(), delivered)
 			}
 		})
@@ -151,7 +152,8 @@ func TestMultisetTakeRandomDrainingOrderStable(t *testing.T) {
 		m := build()
 		var order []string
 		for !m.empty() {
-			set, _ := m.takeRandom(rng)
+			set := fact.NewInstance()
+			m.takeRandom(rng, set)
 			order = append(order, set.String())
 		}
 		return order
@@ -167,8 +169,8 @@ func TestMultisetTakeRandomDrainingOrderStable(t *testing.T) {
 	}
 	// takeRandom on an empty buffer returns an empty set and no count.
 	m := newMultiset()
-	set, n := m.takeRandom(rand.New(rand.NewSource(1)))
-	if set.Len() != 0 || n != 0 {
+	set := fact.NewInstance()
+	if n := m.takeRandom(rand.New(rand.NewSource(1)), set); set.Len() != 0 || n != 0 {
 		t.Errorf("takeRandom on empty = (%d, %d)", set.Len(), n)
 	}
 }

@@ -51,10 +51,9 @@ func (m *multiset) sortedKeys() []string {
 	return keys
 }
 
-// takeAll removes and returns the whole buffer collapsed to a set,
-// plus the number of message instances delivered.
-func (m *multiset) takeAll() (*fact.Instance, int) {
-	out := fact.NewInstance()
+// takeAll removes the whole buffer, adds it to out collapsed to a set,
+// and returns the number of message instances delivered.
+func (m *multiset) takeAll(out *fact.Instance) int {
 	delivered := 0
 	for k, f := range m.facts {
 		out.Add(f)
@@ -62,15 +61,15 @@ func (m *multiset) takeAll() (*fact.Instance, int) {
 		delete(m.counts, k)
 		delete(m.facts, k)
 	}
-	return out, delivered
+	return delivered
 }
 
 // takeRandom removes a random submultiset (each copy kept or delivered
-// with probability 1/2) and returns the delivered facts as a set. The
-// buffer is consumed in sorted key order so that the rng draws are
-// reproducible across runs.
-func (m *multiset) takeRandom(rng *rand.Rand) (*fact.Instance, int) {
-	out := fact.NewInstance()
+// with probability 1/2), adds the delivered facts to out as a set, and
+// returns the number of message instances delivered. The buffer is
+// consumed in sorted key order so that the rng draws are reproducible
+// across runs.
+func (m *multiset) takeRandom(rng *rand.Rand, out *fact.Instance) int {
 	delivered := 0
 	for _, k := range m.sortedKeys() {
 		f := m.facts[k]
@@ -93,7 +92,7 @@ func (m *multiset) takeRandom(rng *rand.Rand) (*fact.Instance, int) {
 			m.counts[k] = c - take
 		}
 	}
-	return out, delivered
+	return delivered
 }
 
 // Metrics accumulates counters over a simulation, used by the
@@ -202,8 +201,12 @@ type Simulation struct {
 
 	input *fact.Instance
 	step  Stepper
-	idx   map[NodeID]int
-	nodes []node
+	// delivered is the message set of the current transition, refilled
+	// from a buffer for each one (see inbox): it is valid until the next
+	// transition, and a clone has its own.
+	delivered *fact.Instance
+	idx       map[NodeID]int
+	nodes     []node
 	// recipients[i] lists the Net indices receiving node i's sends;
 	// nil is the paper's broadcast to every other node.
 	recipients [][]int32
@@ -280,6 +283,7 @@ func NewSimulationOver(net Network, t *Transducer, p Policy, mod Model, input *f
 		Mod:        mod,
 		input:      input.Clone(),
 		step:       Stepper{Net: net, Trans: t, Pol: p, Mod: mod},
+		delivered:  fact.NewInstance(),
 		idx:        make(map[NodeID]int, len(net)),
 		nodes:      make([]node, len(net)),
 		recipients: recipients,
@@ -312,7 +316,10 @@ func (s *Simulation) Clock() int { return s.clock }
 func (s *Simulation) Clone() *Simulation {
 	c := *s // plans are immutable and decision-pure; idx and recipients never change
 	c.sink = nil
-	c.step.memo = nil // the clone asks the policy afresh rather than share a map
+	// The clone asks the policy afresh and steps into accumulators and a
+	// delivered set of its own rather than share maps.
+	c.step.memo, c.step.acc = nil, Delta{}
+	c.delivered = fact.NewInstance()
 	c.WrongFacts = append([]fact.Fact(nil), s.WrongFacts...)
 	c.nodes = make([]node, len(s.nodes))
 	for i, n := range s.nodes {
@@ -521,9 +528,28 @@ func (s *Simulation) send(from, to int, f fact.Fact, place placer) {
 func (s *Simulation) Output() *fact.Instance {
 	out := fact.NewInstance()
 	for i := range s.nodes {
-		out.AddAll(s.nodes[i].state.Restrict(s.Trans.Schema.Out))
+		s.eachOutput(i, func(rel fact.ID, args []fact.ID) { out.AddIDs(rel, args) })
 	}
 	return out
+}
+
+// eachOutput calls fn with every output fact of node i's state, by IDs
+// (the state's own storage, valid only for the call). The walk goes
+// column by column, so it looks each column up in the output schema at
+// its first row.
+func (s *Simulation) eachOutput(i int, fn func(rel fact.ID, args []fact.ID)) {
+	rel, arity, out := fact.NoID, -1, false
+	s.nodes[i].state.EachIDs(func(r fact.ID, args []fact.ID) bool {
+		if r != rel || len(args) != arity {
+			rel, arity = r, len(args)
+			ar, ok := s.Trans.Schema.Out.Arity(string(fact.Symbol(r)))
+			out = ok && ar == arity
+		}
+		if out {
+			fn(r, args)
+		}
+		return true
+	})
 }
 
 // transition performs one transition of the active node i with the
@@ -564,17 +590,25 @@ func (s *Simulation) transition(i int, m *fact.Instance, place placer) (changed 
 		s.Metrics.Heartbeats++
 	}
 	if s.sink != nil {
+		outputs := 0
+		s.eachOutput(i, func(fact.ID, []fact.ID) { outputs++ })
 		emitTransition(s.sink, s.Metrics.Transitions, s.clock, s.Net[i], m, res.Sent.Len(), changed,
-			n.state.Restrict(s.Trans.Schema.Out).Len(), n.buf.size(), s.heldAt(i))
+			outputs, n.buf.size(), s.heldAt(i))
 	}
 	return changed, nil
+}
+
+// inbox returns the delivered set emptied for the next transition.
+func (s *Simulation) inbox() *fact.Instance {
+	s.delivered.Reset()
+	return s.delivered
 }
 
 // deliverAll performs a transition of node i delivering its entire
 // buffer.
 func (s *Simulation) deliverAll(i int, place placer) (bool, error) {
-	m, n := s.nodes[i].buf.takeAll()
-	s.Metrics.MessagesDelivered += n
+	m := s.inbox()
+	s.Metrics.MessagesDelivered += s.nodes[i].buf.takeAll(m)
 	return s.transition(i, m, place)
 }
 
@@ -585,7 +619,7 @@ func (s *Simulation) Heartbeat(x NodeID) (bool, error) {
 	if err != nil || s.begin(i) {
 		return false, err
 	}
-	return s.transition(i, fact.NewInstance(), nil)
+	return s.transition(i, s.inbox(), nil)
 }
 
 // Deliver performs a transition of x delivering its entire buffer.
@@ -603,7 +637,7 @@ func (s *Simulation) Deliver(x NodeID) (bool, error) {
 // sequence.
 func (s *Simulation) takeBatch(i int, keep func(fact.Fact) bool) *fact.Instance {
 	b := s.nodes[i].buf
-	m := fact.NewInstance()
+	m := s.inbox()
 	for _, k := range b.sortedKeys() {
 		f := b.facts[k]
 		if !keep(f) {
@@ -645,8 +679,8 @@ func (s *Simulation) DeliverRandom(x NodeID, rng *rand.Rand) (bool, error) {
 	if err != nil || s.begin(i) {
 		return false, err
 	}
-	m, n := s.nodes[i].buf.takeRandom(rng)
-	s.Metrics.MessagesDelivered += n
+	m := s.inbox()
+	s.Metrics.MessagesDelivered += s.nodes[i].buf.takeRandom(rng, m)
 	return s.transition(i, m, nil)
 }
 

@@ -362,6 +362,68 @@ func TestCloneAsksThePolicyAfresh(t *testing.T) {
 	}
 }
 
+// forwardDelta is forwardTransducer with an insert-only form, which
+// writes every accumulator the Stepper hands it: the delivered pairs
+// pass through Scratch on their way to Out.
+func forwardDelta() *Transducer {
+	tr := forwardTransducer()
+	o, f, seen, sent := fact.InternString("O"), fact.InternString("F"), fact.InternString("Seen"), fact.InternString("Sent")
+	tr.Delta = func(local, state, m *fact.Instance, _ System, d *Delta) error {
+		local.EachIDs(func(_ fact.ID, args []fact.ID) bool {
+			d.Out.AddIDs(o, args)
+			if !state.HasIDs(sent, args) {
+				d.Ins.AddIDs(sent, args)
+				d.Snd.AddIDs(f, args)
+			}
+			return true
+		})
+		m.EachIDs(func(_ fact.ID, args []fact.ID) bool {
+			d.Ins.AddIDs(seen, args)
+			d.Scratch.AddIDs(o, args)
+			return true
+		})
+		d.Out.AddAll(d.Scratch)
+		return nil
+	}
+	return tr
+}
+
+// TestCloneStepsIntoItsOwnSets: a clone steps into accumulators and a
+// delivered set of its own. A Simulation that has made both is cloned,
+// and the two run on two goroutines: under -race, sharing either trips
+// the detector.
+func TestCloneStepsIntoItsOwnSets(t *testing.T) {
+	net := MustNetwork("n1", "n2", "n3")
+	sim, err := NewSimulation(net, forwardDelta(), HashPolicy(net), Oblivious, graphIn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range net { // sends, so the next deliveries fill the delivered set
+		if _, err := sim.Deliver(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clone := sim.Clone()
+	outs := make([]*fact.Instance, 2)
+	var wg sync.WaitGroup
+	for k, s := range []*Simulation{sim, clone} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out, err := s.RunToQuiescence(16)
+			if err != nil {
+				t.Error(err)
+			}
+			outs[k] = out
+		}()
+	}
+	wg.Wait()
+	want := fact.MustParseInstance(`O(a,b) O(b,c) O(c,d)`)
+	if !outs[0].Equal(want) || !outs[1].Equal(want) {
+		t.Errorf("original output %v, clone %v, want %v", outs[0], outs[1], want)
+	}
+}
+
 func TestHeartbeatDoesNotRead(t *testing.T) {
 	// A heartbeat never consumes buffered messages.
 	net := MustNetwork("n1", "n2")

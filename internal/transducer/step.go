@@ -26,6 +26,24 @@ type Stepper struct {
 	// memo caches the policy answers behind the Policy_R relations. It
 	// is made on the first probe, when the model shows them.
 	memo policyMemo
+	// acc holds the insert-only form's accumulators, made on its first
+	// transition and reset at the start of every later one. Like memo,
+	// it is the Stepper's own: a Simulation's clone starts without.
+	acc Delta
+}
+
+// accumulators returns acc emptied for one insert-only transition:
+// its instances keep their maps and row storage, so a transition
+// allocates only where it adds more than an earlier one did.
+func (sp *Stepper) accumulators() *Delta {
+	if sp.acc.Out == nil {
+		sp.acc = Delta{Out: fact.NewInstance(), Ins: fact.NewInstance(), Snd: fact.NewInstance(), Scratch: fact.NewInstance()}
+	}
+	sp.acc.Out.Reset()
+	sp.acc.Ins.Reset()
+	sp.acc.Snd.Reset()
+	sp.acc.Scratch.Reset()
+	return &sp.acc
 }
 
 // policyMemo caches, for one run, whether a node is responsible for an
@@ -155,10 +173,12 @@ func (sp *Stepper) responsible(x NodeID, rel fact.ID, args []fact.ID) bool {
 }
 
 // StepResult reports one transition's effects. Sent is the send set
-// (for the scheduler to route and log); Changed reports whether the
-// node's state changed; OutNew lists the output facts added to the
-// state by this transition, in evaluation order — the material for
-// incremental output unions and per-step soundness checks.
+// (for the scheduler to route and log); after an insert-only transition
+// it is the Stepper's accumulator, valid until the Stepper's next Step.
+// Changed reports whether the node's state changed; OutNew lists the
+// output facts added to the state by this transition, in sorted order —
+// the material for incremental output unions and per-step soundness
+// checks, the caller's to keep.
 type StepResult struct {
 	Sent    *fact.Instance
 	Changed bool
@@ -210,8 +230,8 @@ func (sp *Stepper) SystemFacts(x NodeID, j *fact.Instance) *fact.Instance {
 // outputs accumulate, memory applies ins/del with the cancellation
 // semantics of Section 4.1.3. What the transition produces comes from
 // the transducer's insert-only form when it has one (a delta over the
-// node's parts and the System view of S, nothing to delete), and
-// otherwise from evaluating
+// node's parts and the System view of S, nothing to delete, written
+// into the Stepper's accumulators), and otherwise from evaluating
 // Out/Ins/Del/Snd on local ∪ state ∪ m ∪ systemFacts; both arms check
 // every produced fact against its target schema. The send set is
 // returned unrouted; the caller decides recipients, fault treatment and
@@ -221,7 +241,8 @@ func (sp *Stepper) Step(x NodeID, local, state, m *fact.Instance) (StepResult, e
 	t := sp.Trans
 	var out, ins, del, snd *fact.Instance
 	if t.Delta != nil {
-		d, err := t.Delta(local, state, m, System{sp: sp, x: x, j: [3]*fact.Instance{local, state, m}})
+		d := sp.accumulators()
+		err := t.Delta(local, state, m, System{sp: sp, x: x, j: [3]*fact.Instance{local, state, m}}, d)
 		if err != nil {
 			return StepResult{}, fmt.Errorf("transducer: insert-only form: %w", err)
 		}
@@ -260,6 +281,9 @@ func (sp *Stepper) Step(x NodeID, local, state, m *fact.Instance) (StepResult, e
 	res := StepResult{Sent: snd}
 	out.EachIDs(func(rel fact.ID, args []fact.ID) bool {
 		if !state.HasIDs(rel, args) {
+			if res.OutNew == nil {
+				res.OutNew = make([]fact.Fact, 0, out.Len())
+			}
 			res.OutNew = append(res.OutNew, fact.FromIDs(rel, args))
 		}
 		return true

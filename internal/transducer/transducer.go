@@ -114,15 +114,21 @@ type Transducer struct {
 // DeltaFunc is a pure function of the active node's parts — its input
 // fragment, its state and the delivered message set — and of the system
 // relations the model shows it, read through sys. It probes them by
-// membership, without materialising the visible instance D or S.
-type DeltaFunc func(local, state, m *fact.Instance, sys System) (Delta, error)
+// membership, without materialising the visible instance D or S, and
+// writes what the transition adds into d, whose instances the Stepper
+// owns and hands over empty.
+type DeltaFunc func(local, state, m *fact.Instance, sys System, d *Delta) error
 
 // Delta is what one insert-only transition adds: output facts, memory
 // insertions and the send set, each over the same target schema as the
-// query it stands for. A nil instance is empty; Out and Ins may list
-// facts the state already holds.
+// query it stands for. Out and Ins may list facts the state already
+// holds. Scratch is the form's own, for a set it builds on the way (the
+// input facts the transition adds to what the node knows, or all of
+// them); Step does not read it. The instances are the Stepper's
+// accumulators: a form adds to them and never replaces them, and they
+// are valid until the Stepper's next Step, which resets them.
 type Delta struct {
-	Out, Ins, Snd *fact.Instance
+	Out, Ins, Snd, Scratch *fact.Instance
 }
 
 // Validate checks the schema.
@@ -144,12 +150,9 @@ func runQuery(q Query, d *fact.Instance, target fact.Schema, what string) (*fact
 }
 
 // checkTarget verifies that what a query (or its insert-only form)
-// produced is over the target schema; nil reads as empty. The walk is
-// by IDs and looks a column's relation up once, at its first row.
+// produced is over the target schema. The walk is by IDs and looks a
+// column's relation up once, at its first row.
 func checkTarget(out *fact.Instance, target fact.Schema, what string) (*fact.Instance, error) {
-	if out == nil {
-		return fact.NewInstance(), nil
-	}
 	var bad *fact.Fact
 	okRel, okArity := fact.NoID, 0
 	out.EachIDs(func(rel fact.ID, args []fact.ID) bool {

@@ -1,12 +1,15 @@
 #!/bin/sh
-# check.sh runs the full local gate: vet, build, six structural gates
+# check.sh runs the full local gate: vet, build, seven structural gates
 # (internal/cluster has grown no wire loop of its own, IndexedInstance no
 # second fact store, internal/incr and internal/ilog start no goroutine,
 # internal/datalog starts them in one place, only Stepper.Step's
 # four-query arm materialises the system facts S — no insert-only form
 # does, and internal/core's TestEveryStrategyCarriesDelta checks that
-# every strategy has one — and one union-find: co(I) is computed by
-# fact.ComponentIndex and nowhere else), the exported-identifier
+# every strategy has one — one union-find: co(I) is computed by
+# fact.ComponentIndex and nowhere else — and only internal/transducer
+# resets a fact.Instance, the Stepper's accumulators and the
+# Simulation's delivered set: a reset instance keeps its storage for the
+# next transition, so it must not outlive its own), the exported-identifier
 # ratchet (scripts/exports.go), and the test suite
 # under the race detector (the fanned-out rounds of the batch fixpoint,
 # the epoch-pinned serving core, and the simulation determinism tests
@@ -94,6 +97,23 @@ fi
 echo ">> structural gate: one union-find"
 if grep -rn --include='*.go' --exclude='*_test.go' 'parent\[' internal cmd calm | grep -v '^internal/fact/component\.go:'; then
     echo "check: a union-find outside internal/fact/component.go; fact.ComponentIndex is the one co(I)"
+    exit 1
+fi
+
+# One lifetime for a reset: fact.Instance.Reset empties an instance and
+# keeps its storage, and the next transition refills it. Only the sets a
+# transition owns outright are reset — the Stepper's accumulators, at the
+# start of each insert-only Step (internal/transducer step.go), and the
+# Simulation's delivered set (sim.go, inbox) — and a caller may read
+# them only until the next transition. A Reset anywhere else is an
+# instance some reader may still hold being emptied under it.
+echo ">> structural gate: only a transition's own sets are Reset"
+calls=$(grep -rn --include='*.go' --exclude='*_test.go' '\.Reset()' internal cmd calm examples bench || true)
+bad=$(echo "$calls" | grep . | grep -vE '^internal/transducer/step\.go:[0-9]+:[[:space:]]*sp\.acc\.(Out|Ins|Snd|Scratch)\.Reset\(\)$' |
+    grep -vE '^internal/transducer/sim\.go:[0-9]+:[[:space:]]*s\.delivered\.Reset\(\)$' || true)
+if [ -n "$bad" ] || [ "$(echo "$calls" | grep -c .)" -ne 5 ]; then
+    echo "$calls"
+    echo "check: fact.Instance.Reset is called outside Stepper.Step's accumulators and the Simulation's delivered set"
     exit 1
 fi
 
