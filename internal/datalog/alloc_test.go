@@ -47,7 +47,7 @@ func dedupPassAllocs(t *testing.T, n int) float64 {
 	}
 	avg := testing.AllocsPerRun(20, func() {
 		for i := range crs {
-			if err := evalRuleC(&crs[i], x, -1, nil, nil, emit); err != nil {
+			if err := evalRuleC(&crs[i], x, -1, cands{}, nil, emit); err != nil {
 				panic(err)
 			}
 		}
@@ -78,9 +78,13 @@ func TestDedupHotPathAllocs(t *testing.T) {
 
 // TestFixpointAllocsPerDerivedFact bounds the whole engine: a
 // semi-naive fixpoint run may allocate only a fixed small number of
-// objects per derived fact (columnar row append, index posting, delta
-// materialization). A regression that reintroduces per-candidate
-// string keys or boxed tuples multiplies this severalfold.
+// objects per derived fact (row and posting-list growth; a round's
+// delta is a row range, never a list of Facts). Measured: 1.32 with
+// task buffers appended at the barrier and the tables handed over as
+// the result; 4.00 when each round's delta was materialized as sorted
+// Facts, re-inserted and the result copied out. A regression that
+// reintroduces per-candidate string keys, boxed tuples or a Fact per
+// derived head multiplies this.
 func TestFixpointAllocsPerDerivedFact(t *testing.T) {
 	prog := MustParseProgram(allocProgram)
 	in := generate.Path("v", 64)
@@ -98,9 +102,9 @@ func TestFixpointAllocsPerDerivedFact(t *testing.T) {
 		}
 	})
 	perFact := avg / float64(derived)
-	const budget = 8.0
+	const budget = 2.0
 	if perFact > budget {
-		t.Errorf("fixpoint allocates %.2f objects per derived fact (%v total / %d derived), budget %.0f", perFact, avg, derived, budget)
+		t.Errorf("fixpoint allocates %.2f objects per derived fact (%v total / %d derived), budget %.0f (measured 1.32; 4.00 with a Fact per derived head)", perFact, avg, derived, budget)
 	}
 }
 

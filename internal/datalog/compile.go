@@ -142,18 +142,19 @@ func (cr *cRule) checkGuards(env []fact.ID, x *IndexedInstance, scratch []fact.I
 // passed to yield is live — callers needing to retain values must copy.
 //
 // If pin >= 0, the positive atom at that index is matched first and
-// ranges over pinFacts instead of the index: this implements both the
-// semi-naive delta discipline and the parallel engine's work
-// partitioning. init, when non-nil, becomes the environment (the
-// caller gives it up): its bound slots (from unifyHead; NoID means
-// unbound) restrict the enumeration to environments extending it.
+// ranges over pinned — a range of its table's rows, or a list of facts
+// — instead of the index: this implements both the semi-naive delta
+// discipline and the parallel engine's work partitioning. init, when
+// non-nil, becomes the environment (the caller gives it up): its bound
+// slots (from unifyHead; NoID means unbound) restrict the enumeration
+// to environments extending it.
 //
 // The remaining atoms are ordered by selectivity exactly as the
 // string-based matcher did: at each step the unmatched atom with the
 // fewest candidate facts under the current environment is matched
 // next. scanned, when non-nil, accumulates the number of candidate
 // facts iterated.
-func (cr *cRule) match(x *IndexedInstance, init []fact.ID, pin int, pinFacts []fact.Fact, scanned *int64, yield func(env []fact.ID) error) error {
+func (cr *cRule) match(x *IndexedInstance, init []fact.ID, pin int, pinned cands, scanned *int64, yield func(env []fact.ID) error) error {
 	n := len(cr.pos)
 	idx, at := x.idx, x.version()
 	env := init
@@ -177,7 +178,7 @@ func (cr *cRule) match(x *IndexedInstance, init []fact.ID, pin int, pinFacts []f
 		var k int
 		var cand cands
 		if depth == 0 && pin >= 0 {
-			k, cand = pin, cands{facts: pinFacts, n: len(pinFacts)}
+			k, cand = pin, pinned
 		} else {
 			k = -1
 			for j := 0; j < n; j++ {
@@ -206,7 +207,7 @@ func (cr *cRule) match(x *IndexedInstance, init []fact.ID, pin int, pinFacts []f
 				}
 				args = f.ArgIDs()
 			} else {
-				id := i
+				id := cand.lo + i
 				if cand.ids != nil {
 					id = int(cand.ids[i])
 				}
@@ -273,11 +274,11 @@ func (cr *cRule) groundHead(env []fact.ID, dst []fact.ID) error {
 // evalRuleC enumerates all satisfying environments of cr and passes
 // the derived head tuple to emit as (relation, args) IDs. The args
 // slice is scratch, valid only for the duration of the emit call — the
-// round executors test membership and insert columnar rows from it
-// without ever materializing a Fact for duplicates.
-func evalRuleC(cr *cRule, x *IndexedInstance, pin int, pinFacts []fact.Fact, scanned *int64, emit func(rel fact.ID, args []fact.ID) error) error {
+// round executors test membership and buffer the new heads' IDs from
+// it without ever materializing a Fact.
+func evalRuleC(cr *cRule, x *IndexedInstance, pin int, pinned cands, scanned *int64, emit func(rel fact.ID, args []fact.ID) error) error {
 	head := make([]fact.ID, len(cr.head.terms))
-	return cr.match(x, nil, pin, pinFacts, scanned, func(env []fact.ID) error {
+	return cr.match(x, nil, pin, pinned, scanned, func(env []fact.ID) error {
 		if err := cr.groundHead(env, head); err != nil {
 			return err
 		}

@@ -137,7 +137,7 @@ func (x *IndexedInstance) Valuations(c *CompiledRule, pin int, pinFacts []fact.F
 		}
 	}
 	val := &Valuation{cr: cr}
-	return cr.match(x, init, pin, pinFacts, nil, func(env []fact.ID) error {
+	return cr.match(x, init, pin, cands{facts: pinFacts, n: len(pinFacts)}, nil, func(env []fact.ID) error {
 		val.env = env
 		return emit(val)
 	})

@@ -17,10 +17,12 @@ import (
 // parallel.go).
 // Stratified programs are evaluated stratum by stratum in stratify.go.
 //
-// All loops evaluate compiled rules (compile.go): joins bind interned
-// IDs into slot environments and derived heads are deduplicated
-// against packed ID tuples, so the per-candidate and per-duplicate
-// hot path performs no string work and no allocation.
+// All modes run the same round (parallel.go) over compiled rules
+// (compile.go): joins bind interned IDs into slot environments and
+// derived heads are deduplicated against packed ID tuples, so the
+// per-candidate and per-duplicate hot path performs no string work and
+// no allocation, and a new head is appended to a row table without
+// ever becoming a Fact.
 
 // EvalMode selects the fixpoint evaluation strategy.
 type EvalMode int
@@ -34,8 +36,8 @@ const (
 	Naive
 	// Parallel is semi-naive with each round's (rule, delta-chunk)
 	// join tasks fanned across GOMAXPROCS goroutines. They derive into
-	// private buffers that are merged at the round barrier, so the
-	// result is identical to SemiNaive. Rounds whose pinned work is
+	// private buffers that the round barrier appends in task order, so
+	// the result is identical to SemiNaive. Rounds whose pinned work is
 	// below the inline threshold run on the coordinator instead (see
 	// parallel.go).
 	Parallel
@@ -112,7 +114,8 @@ func (p *Program) Fixpoint(input *fact.Instance, opts FixpointOptions) (*fact.In
 
 // evalStrata evaluates the strata in order over one IndexedInstance: the
 // input is indexed once, each stratum's fixpoint extends the same index
-// instead of re-indexing its input, and the result is materialized once.
+// instead of re-indexing its input, and the index's tables are handed
+// over as the result, not copied.
 func evalStrata(strata [][]Rule, input *fact.Instance, opts FixpointOptions) (*fact.Instance, error) {
 	eo := newEngineObs(opts)
 	stop := opts.Reg.Span(obs.DlFixpointNs)
@@ -126,87 +129,38 @@ func evalStrata(strata [][]Rule, input *fact.Instance, opts FixpointOptions) (*f
 	}
 	eo.endFixpoint(len(strata), x)
 	stop()
-	return x.Instance(), nil
+	return x.handOver(), nil
 }
 
 // evalStratum runs the fixpoint loop for one stratum in place on x,
 // assuming negated relations are static (semi-positive, or a stratum
 // of a stratified program). The shared IndexedInstance is what makes
-// index reuse across strata possible.
+// index reuse across strata possible. Round 0 is a full pass; after it
+// Naive repeats the full pass, while SemiNaive and Parallel re-evaluate
+// each rule once per positive atom whose table gained rows, with that
+// atom pinned to the rows the last round appended. In Parallel mode a
+// round whose pinned work reaches the inline threshold fans out
+// (parallel.go); the derived facts are identical either way.
 func evalStratum(rules []Rule, x *IndexedInstance, opts FixpointOptions, eo *engineObs) error {
+	if opts.Mode != SemiNaive && opts.Mode != Naive && opts.Mode != Parallel {
+		return fmt.Errorf("datalog: unknown evaluation mode %d", opts.Mode)
+	}
 	if eo != nil && opts.Mode == Parallel {
 		eo.reg.Gauge(obs.DlWorkers).SetMax(int64(opts.Mode.width()))
 	}
-	switch opts.Mode {
-	case Naive:
-		return naiveLoop(rules, x, opts.MaxRounds, eo)
-	case SemiNaive, Parallel:
-		return semiNaiveLoop(rules, x, opts, eo)
-	default:
-		return fmt.Errorf("datalog: unknown evaluation mode %d", opts.Mode)
-	}
-}
-
-func errMaxRounds(maxRounds int) error {
-	return fmt.Errorf("datalog: fixpoint exceeded %d rounds", maxRounds)
-}
-
-func naiveLoop(rules []Rule, x *IndexedInstance, maxRounds int, eo *engineObs) error {
 	crs := compileRules(rules)
-	productive := 0
-	for {
-		derived := fact.NewInstance()
-		var agg *roundAgg
-		if eo != nil {
-			agg = eo.newRoundAgg()
-		}
-		for i := range crs {
-			if err := deriveTask(ruleTask{cr: &crs[i], ruleIdx: i, pin: -1}, x, derived, agg); err != nil {
-				return err
-			}
-		}
-		eo.roundDone(Naive, len(crs), agg, derived, nil, nil)
-		if derived.Empty() {
-			return nil
-		}
-		productive++
-		if maxRounds > 0 && productive > maxRounds {
-			return errMaxRounds(maxRounds)
-		}
-		for _, h := range derived.Facts() {
-			x.addNew(h)
-		}
+	l := &stratumLoop{x: x, workers: opts.Mode.width(), mode: opts.Mode, eo: eo}
+	full := func(w int) []ruleTask { return fullPassTasks(crs, x, w) }
+	next := func(w int) []ruleTask { return deltaTasks(crs, l.delta, w) }
+	if opts.Mode == Naive {
+		next = full
 	}
-}
-
-// semiNaiveLoop is the delta-driven fixpoint: round 0 is a full pass;
-// afterwards each rule is re-evaluated once per positive atom whose
-// relation gained facts, with that atom pinned to the delta. In
-// Parallel mode a round whose pinned work reaches the inline threshold
-// fans out (parallel.go); the derived facts are identical either way.
-func semiNaiveLoop(rules []Rule, x *IndexedInstance, opts FixpointOptions, eo *engineObs) error {
-	crs := compileRules(rules)
-	workers := opts.Mode.width()
-	maxRounds := opts.MaxRounds
-	delta, err := runRound(func(w int) []ruleTask { return fullPassTasks(crs, x, w) }, x, workers, opts.Mode, eo)
-	if err != nil {
-		return err
+	err := l.runRound(full)
+	for productive := 1; err == nil && len(l.delta) > 0; productive++ {
+		if opts.MaxRounds > 0 && productive > opts.MaxRounds {
+			return fmt.Errorf("datalog: fixpoint exceeded %d rounds", opts.MaxRounds)
+		}
+		err = l.runRound(next)
 	}
-	productive := 0
-	for !delta.Empty() {
-		productive++
-		if maxRounds > 0 && productive > maxRounds {
-			return errMaxRounds(maxRounds)
-		}
-		deltaByRel := make(map[fact.ID][]fact.Fact)
-		for _, h := range delta.Facts() {
-			x.addNew(h)
-			deltaByRel[h.RelID()] = append(deltaByRel[h.RelID()], h)
-		}
-		delta, err = runRound(func(w int) []ruleTask { return deltaTasks(crs, deltaByRel, w) }, x, workers, opts.Mode, eo)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }

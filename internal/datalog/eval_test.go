@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fact"
+	"repro/internal/generate"
 )
 
 var tcProgram = `
@@ -114,6 +115,57 @@ func TestFixpointConstants(t *testing.T) {
 	}
 	if !out.Has(fact.MustParseFact("O(a)")) || out.Len() != 3 {
 		t.Errorf("constant matching broken: %v", out)
+	}
+}
+
+// TestResultIsHandedOver: the result of Fixpoint and EvalStratified
+// takes the index's tables over instead of copying them, and must
+// still behave as an ordinary instance — swap-delete removal, re-adds,
+// Clone, Equal, Facts and AddAll agree with an instance built by Add,
+// so its key index stayed consistent — and share nothing with the
+// input in either direction.
+func TestResultIsHandedOver(t *testing.T) {
+	in := generate.RandomGraph(rand.New(rand.NewSource(3)), "v", 12, 30)
+	before := in.Clone()
+	for name, eval := range map[string]func() (*fact.Instance, error){
+		"Fixpoint":       func() (*fact.Instance, error) { return MustParseProgram(tcProgram).Fixpoint(in, FixpointOptions{}) },
+		"EvalStratified": func() (*fact.Instance, error) { return MustParseProgram(complementTC).Eval(in) },
+	} {
+		out, err := eval()
+		if err != nil {
+			t.Fatal(err)
+		}
+		facts := out.Facts()
+		want := fact.NewInstance(facts...)
+		for k, f := range facts {
+			if k%3 == 0 && (!out.Remove(f) || !want.Remove(f)) {
+				t.Fatalf("%s: Remove(%v) reported it absent", name, f)
+			}
+		}
+		for k, f := range append(facts, fact.New("T", "new1", "new2"), fact.New("E", "new2", "new3")) {
+			if k%6 == 0 || k >= len(facts) {
+				out.Add(f)
+				want.Add(f)
+			}
+		}
+		for _, f := range facts {
+			if out.Has(f) != want.Has(f) {
+				t.Errorf("%s: Has(%v) = %v after the mutations, want %v", name, f, out.Has(f), want.Has(f))
+			}
+		}
+		all := fact.NewInstance()
+		if !out.Equal(want) || !want.Equal(out) || out.Clone().String() != want.String() ||
+			all.AddAll(out) != want.Len() || !all.Equal(want) {
+			t.Errorf("%s: mutated result %v, want %v", name, out, want)
+		}
+		if !in.Equal(before) {
+			t.Fatalf("%s: mutating the result changed the input to %v", name, in)
+		}
+		in.Add(fact.New("E", "in1", "in2"))
+		if out.Has(fact.New("E", "in1", "in2")) {
+			t.Errorf("%s: a fact added to the input shows in the result", name)
+		}
+		in.Remove(fact.New("E", "in1", "in2"))
 	}
 }
 

@@ -12,16 +12,17 @@ import (
 // is extended fact by fact, so round-based callers — the fixpoint
 // loops, the wILOG¬ evaluator, the alternating fixpoint — share it
 // across rounds and across the strata of a stratified evaluation. A
-// fact.Instance goes in (IndexInstance) and comes out (Instance) at the
-// two ends of an evaluation; in between there is no other copy.
+// fact.Instance goes in (IndexInstance) and comes out (Instance, or
+// handOver where the evaluation owns the index) at the two ends of an
+// evaluation; in between there is no other copy.
 //
 // Everything stored and every key is an interned ID (see internal/fact
 // intern.go): a probe is integer work, with no string building. Rows and
 // the lists of their ids are appended in the deterministic order the
-// engines add facts (sorted instance enumeration, then sorted per-round
-// deltas), so candidate enumeration — and with it every derivation
-// count in the event stream — is identical across runs and worker
-// counts.
+// engines add facts (sorted instance enumeration, then each round's
+// heads in task order at its barrier), so candidate enumeration is
+// identical across runs. A fixpoint only appends, so the rows one round
+// added are a range of each table — the next round's delta.
 
 // stamp is the versions that see a row: born <= v < died.
 type stamp struct{ born, died uint64 }
@@ -160,14 +161,14 @@ func (t *relTable) compact() {
 	t.args, t.stamps, t.dead = args, stamps, 0
 }
 
-// cands is what one atom ranges over: a pinned delta list, or the rows
-// of a table — those ids names, all of them when ids is nil. n counts
-// entries, rows the reader's version does not see included.
+// cands is what one atom ranges over: a list of pinned facts, or rows
+// of a table — those ids names, or, when ids is nil, the n rows from lo
+// on. n counts entries, rows the reader's version does not see included.
 type cands struct {
 	facts []fact.Fact
 	t     *relTable
 	ids   []int32
-	n     int
+	lo, n int
 }
 
 // candidatesC returns the rows that can possibly match the compiled
@@ -219,9 +220,10 @@ type IndexedInstance struct {
 // IndexInstance indexes a copy of the instance's facts, in sorted order.
 func IndexInstance(i *fact.Instance) *IndexedInstance {
 	x := &IndexedInstance{idx: &relIndex{tabs: make(map[tabKey]*relTable)}, at: latest}
-	for _, f := range i.Facts() {
-		x.addNew(f)
+	for _, f := range i.Facts() { // a set: no fact needs the probe
+		x.idx.tableFor(f.RelID(), f.Arity()).add(f.ArgIDs(), x.idx.ver)
 	}
+	x.n = i.Len()
 	return x
 }
 
@@ -244,15 +246,29 @@ func (x *IndexedInstance) open() uint64 {
 
 // Add inserts the fact, reporting whether it was newly added.
 func (x *IndexedInstance) Add(f fact.Fact) bool {
-	ver := x.open()
-	t := x.idx.table(f.RelID(), f.Arity())
+	x.open()
+	return x.addIDs(x.idx.tableFor(f.RelID(), f.Arity()), f.ArgIDs())
+}
+
+// tableFor returns the table of rel at arity, made empty if there is
+// none.
+func (idx *relIndex) tableFor(rel fact.ID, arity int) *relTable {
+	k := tabKey{rel, int32(arity)}
+	t := idx.tabs[k]
 	if t == nil {
-		x.addNew(f)
-		return true
+		t = &relTable{arity: arity, byArg: make(map[uint64]*[]int32), byKey: fact.NewTupleIndex(arity)}
+		idx.tabs[k] = t
 	}
-	switch id, held := t.byKey.Get(f.ArgIDs()); {
+	return t
+}
+
+// addIDs inserts the tuple into t, a table of the live x, unless x
+// holds it, reporting whether it did: one byKey probe. The round
+// barrier adds every head through it, and Add every fact.
+func (x *IndexedInstance) addIDs(t *relTable, args []fact.ID) bool {
+	switch id, held := t.byKey.Get(args); {
 	case !held:
-		t.add(f.ArgIDs(), ver)
+		t.add(args, x.idx.ver)
 	case t.stamps[id].died == alive:
 		return false
 	default: // removed in the open version: the row the view sees is live again
@@ -261,20 +277,6 @@ func (x *IndexedInstance) Add(f fact.Fact) bool {
 	}
 	x.n++
 	return true
-}
-
-// addNew inserts a fact known to be absent from every version still
-// read — a delta fact already judged against the frozen instance —
-// skipping the membership probe that Add pays.
-func (x *IndexedInstance) addNew(f fact.Fact) {
-	k := tabKey{f.RelID(), int32(f.Arity())}
-	t := x.idx.tabs[k]
-	if t == nil {
-		t = &relTable{arity: f.Arity(), byArg: make(map[uint64]*[]int32), byKey: fact.NewTupleIndex(f.Arity())}
-		x.idx.tabs[k] = t
-	}
-	t.add(f.ArgIDs(), x.idx.ver)
-	x.n++
 }
 
 // Remove deletes the fact, reporting whether it was present: its row is
@@ -380,8 +382,9 @@ func (x *IndexedInstance) hasIDs(rel fact.ID, args []fact.ID) bool {
 func (x *IndexedInstance) Len() int { return x.n }
 
 // Instance materializes the facts as a fact.Instance of the caller's
-// own: a copy of every row the version sees, paid once where an
-// evaluation hands its result over, not on a request path.
+// own: a copy of every row the version sees, for an evaluation that
+// keeps its index (incr, ilog, the alternating fixpoint), not for a
+// request path.
 func (x *IndexedInstance) Instance() *fact.Instance {
 	at := x.version()
 	out := fact.NewInstance()
@@ -393,4 +396,20 @@ func (x *IndexedInstance) Instance() *fact.Instance {
 		}
 	}
 	return out
+}
+
+// handOver returns the facts as a fact.Instance that takes over every
+// table's rows and key index instead of copying them: the end of an
+// evaluation that owns x, which is unusable afterwards. It needs
+// tables no row of which was removed, which a fixpoint never does.
+func (x *IndexedInstance) handOver() *fact.Instance {
+	tabs := make([]fact.Table, 0, len(x.idx.tabs))
+	for k, t := range x.idx.tabs {
+		if t.dead > 0 {
+			panic("datalog: hand-over of a table with removed rows")
+		}
+		tabs = append(tabs, fact.Table{Rel: k.rel, Arity: t.arity, Args: t.args, Index: t.byKey})
+	}
+	x.idx = nil
+	return fact.FromTables(tabs)
 }

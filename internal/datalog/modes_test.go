@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -110,6 +111,89 @@ func TestParallelMatchesSemiNaiveWorkloads(t *testing.T) {
 			if n, wide := fannedOut(reg.Snapshot()), name == "random" && width > 1; (n > 0) != wide {
 				t.Errorf("%s width=%d: %d tasks ran fanned out, want some: %v", name, width, n, wide)
 			}
+		}
+	}
+}
+
+// TestParallelRowOrderDeterministic: no sort fixes the order of a
+// round's rows — the barrier appends the tasks' buffers in task order —
+// so Parallel's tables must come out in one row order however its
+// fanned-out tasks were scheduled, and every round must append the rows
+// SemiNaive's round appends, as a set.
+func TestParallelRowOrderDeterministic(t *testing.T) {
+	p := MustParseProgram(complementTC)
+	in := generate.RandomGraph(rand.New(rand.NewSource(7)), "v", 40, 300)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	rowSeqs := func(out *fact.Instance) map[string][]fact.ID {
+		seqs := make(map[string][]fact.ID)
+		for rel, arity := range out.Schema() {
+			seqs[rel] = slices.Clone(out.Rows(fact.InternString(rel), arity))
+		}
+		return seqs
+	}
+	first, err := p.EvalStratified(in, FixpointOptions{Mode: Parallel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rowSeqs(first)
+	for run := 2; run <= 5; run++ {
+		out, err := p.EvalStratified(in, FixpointOptions{Mode: Parallel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rel, seq := range rowSeqs(out) {
+			if !slices.Equal(seq, want[rel]) {
+				t.Fatalf("run %d: the rows of %s come out in another order", run, rel)
+			}
+		}
+	}
+
+	// Round by round, through the loop evalStratum runs: the rows each
+	// barrier appends, rendered and sorted.
+	rho, err := p.Stratify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRound := func(mode EvalMode) ([][]string, *IndexedInstance) {
+		x := IndexInstance(in)
+		var appended [][]string
+		for _, rules := range p.Strata(rho) {
+			crs := compileRules(rules)
+			l := &stratumLoop{x: x, workers: mode.width(), mode: mode}
+			build := func(w int) []ruleTask { return fullPassTasks(crs, x, w) }
+			for {
+				if err := l.runRound(build); err != nil {
+					t.Fatal(err)
+				}
+				if len(l.delta) == 0 {
+					break
+				}
+				var rows []string
+				for _, s := range l.delta {
+					for id := s.lo; id < s.hi; id++ {
+						rows = append(rows, fact.FromIDs(s.rel, s.t.row(id)).String())
+					}
+				}
+				slices.Sort(rows)
+				appended = append(appended, rows)
+				build = func(w int) []ruleTask { return deltaTasks(crs, l.delta, w) }
+			}
+		}
+		return appended, x
+	}
+	semi, _ := perRound(SemiNaive)
+	par, x := perRound(Parallel)
+	if len(semi) != len(par) {
+		t.Fatalf("SemiNaive appends in %d rounds, Parallel in %d", len(semi), len(par))
+	}
+	for k := range semi {
+		if !slices.Equal(semi[k], par[k]) {
+			t.Errorf("round %d: SemiNaive appends %d rows, Parallel %d, or other ones", k, len(semi[k]), len(par[k]))
+		}
+	}
+	for rel, seq := range rowSeqs(x.handOver()) {
+		if !slices.Equal(seq, want[rel]) {
+			t.Errorf("the loop driven round by round leaves %s in another row order than EvalStratified", rel)
 		}
 	}
 }
@@ -225,7 +309,7 @@ func scanned(t *testing.T, x *IndexedInstance, src string, head *fact.Fact) (can
 			t.Fatalf("head of %s does not unify with %v", src, *head)
 		}
 	}
-	if err := cr.match(x, init, -1, nil, &candidates, func([]fact.ID) error {
+	if err := cr.match(x, init, -1, cands{}, &candidates, func([]fact.ID) error {
 		found++
 		return nil
 	}); err != nil {
@@ -333,7 +417,7 @@ func TestIndexedInstanceIncrementalAdd(t *testing.T) {
 }
 
 // Partitioning an enumeration by pinning the first positive atom to
-// chunks of its relation — how a fanned-out full pass splits work —
+// chunks of its table's rows — how a fanned-out full pass splits work —
 // finds exactly the unpinned valuations.
 func TestPinnedChunksMatchUnpinned(t *testing.T) {
 	c := Compile(mustRule(t, `P(x,z) :- E(x,y), E(y,z), !E(z,x).`))
@@ -343,10 +427,10 @@ func TestPinnedChunksMatchUnpinned(t *testing.T) {
 	if err := x.Valuations(c, -1, nil, nil, func(*Valuation) error { plain++; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	chunks := chunkFacts(in.Rel("E"), 4)
+	chunks := fullPassTasks([]cRule{c.cr}, x, 4)
 	perChunk := make([]int64, len(chunks))
 	if err := parallelEach(4, len(chunks), func(_, i int) error {
-		return x.Valuations(c, 0, chunks[i], nil, func(*Valuation) error { perChunk[i]++; return nil })
+		return c.cr.match(x, nil, chunks[i].pin, chunks[i].pinned, nil, func([]fact.ID) error { perChunk[i]++; return nil })
 	}); err != nil {
 		t.Fatal(err)
 	}

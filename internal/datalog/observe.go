@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"repro/internal/fact"
 	"repro/internal/obs"
 )
 
@@ -118,19 +117,19 @@ func (eo *engineObs) beginStratum(stratum int, rules []Rule) {
 // sink. workerTasks/workerBusy are per-worker load figures of a
 // fanned-out round (nil for inline rounds); they stay in the Registry
 // plane.
-func (eo *engineObs) roundDone(mode EvalMode, ntasks int, agg *roundAgg, delta *fact.Instance, workerTasks, workerBusy []int64) {
+func (eo *engineObs) roundDone(mode EvalMode, ntasks int, agg *roundAgg, delta int, workerTasks, workerBusy []int64) {
 	if eo == nil {
 		return
 	}
 	round := eo.round
 	eo.round++
-	eo.sDerived += int64(delta.Len())
+	eo.sDerived += int64(delta)
 	eo.rounds.Inc()
 	eo.tasks.Add(int64(ntasks))
 	eo.derivations.Add(agg.derived)
 	eo.duplicates.Add(agg.duplicates)
 	eo.candidates.Add(agg.candidates)
-	eo.deltaFacts.Add(int64(delta.Len()))
+	eo.deltaFacts.Add(int64(delta))
 	if eo.reg != nil {
 		for i, ra := range agg.perRule {
 			if ra == (ruleAgg{}) {
@@ -155,7 +154,7 @@ func (eo *engineObs) roundDone(mode EvalMode, ntasks int, agg *roundAgg, delta *
 			obs.F("candidates", agg.candidates),
 			obs.F("derived", agg.derived),
 			obs.F("duplicates", agg.duplicates),
-			obs.F("delta", delta.Len()))
+			obs.F("delta", delta))
 	}
 }
 

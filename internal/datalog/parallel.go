@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -9,15 +10,17 @@ import (
 	"repro/internal/obs"
 )
 
-// This file is the one place evaluation fans out: a round of the
-// semi-naive fixpoint in Parallel mode. A round's (rule, pinned-atom,
-// fact-chunk) join tasks go to up to GOMAXPROCS goroutines that read
-// the shared IndexedInstance (frozen for the round) and derive into
-// private buffers, merged into the next delta at the round barrier on
-// one goroutine. Rule evaluation is a pure function of (rule, index,
-// instance, chunk) and derived facts carry set semantics, so the
-// result is independent of scheduling: Parallel is deterministic and
-// agrees with SemiNaive exactly.
+// This file holds a fixpoint round — its tasks, its barrier — and is
+// the one place evaluation fans out: a round in Parallel mode. A
+// round's (rule, pinned-atom, row-chunk) join tasks go to up to
+// GOMAXPROCS goroutines that read the shared IndexedInstance (frozen
+// for the round) and buffer the heads it lacks privately, one buffer a
+// task. The barrier, on one goroutine, appends the buffers to the row
+// tables in task order, and the rows each table gained are the next
+// round's delta. Rule evaluation is a pure function of (rule, index,
+// instance, chunk), so the rows are independent of scheduling:
+// Parallel derives what SemiNaive derives, round by round, and its row
+// order is a function of (program, input, GOMAXPROCS).
 //
 // A round with a barrier is the superstep of Interlandi & Tanca ("A
 // Datalog-based Computational Model for Coordination-free,
@@ -29,19 +32,19 @@ import (
 // neither the width nor the threshold is an option;
 // TestParallelWorkSpan gates the work/span bound that keeps the mode.
 
-// ruleTask is one unit of parallel work: evaluate the compiled rule
-// with the positive atom at index pin ranging over pinFacts (pin = -1
-// means a full evaluation, used by body-less rules and single-worker
-// passes). ruleIdx is the rule's index within its stratum, keying
-// per-rule instrumentation.
+// ruleTask is one unit of round work: evaluate the compiled rule with
+// the positive atom at index pin ranging over pinned, a range of its
+// table's rows (pin = -1 means a full evaluation, used by body-less
+// rules and single-worker passes). ruleIdx is the rule's index within
+// its stratum, keying per-rule instrumentation.
 type ruleTask struct {
-	cr       *cRule
-	ruleIdx  int
-	pin      int
-	pinFacts []fact.Fact
+	cr      *cRule
+	ruleIdx int
+	pin     int
+	pinned  cands
 }
 
-// chunkTarget is how many chunks each pinned fact list is split into
+// chunkTarget is how many chunks each pinned row range is split into
 // per worker — small enough to amortize task overhead, large enough to
 // balance skewed rules across the workers.
 const chunkTarget = 4
@@ -64,20 +67,23 @@ func (m EvalMode) width() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// chunkFacts splits facts into at most workers*chunkTarget contiguous
-// chunks of near-equal size — the pin lists of the tasks one rule's
-// enumeration is partitioned into.
-func chunkFacts(facts []fact.Fact, workers int) [][]fact.Fact {
-	if len(facts) == 0 {
-		return nil
+// pinChunks appends t once per chunk of rows [lo, hi) of tab, its
+// pinned atom ranging over the chunk: one chunk for one worker, else at
+// most workers*chunkTarget contiguous chunks of near-equal size.
+func pinChunks(tasks []ruleTask, t ruleTask, tab *relTable, lo, hi, workers int) []ruleTask {
+	if hi <= lo {
+		return tasks
 	}
-	n := min(workers*chunkTarget, len(facts))
-	size := (len(facts) + n - 1) / n
-	chunks := make([][]fact.Fact, 0, n)
-	for start := 0; start < len(facts); start += size {
-		chunks = append(chunks, facts[start:min(start+size, len(facts))])
+	n := 1
+	if workers > 1 {
+		n = min(workers*chunkTarget, hi-lo)
 	}
-	return chunks
+	size := (hi - lo + n - 1) / n
+	for start := lo; start < hi; start += size {
+		t.pinned = cands{t: tab, lo: start, n: min(size, hi-start)}
+		tasks = append(tasks, t)
+	}
+	return tasks
 }
 
 // parallelEach calls fn(w, i) for every i in [0, n) on up to workers
@@ -129,7 +135,7 @@ func parallelEach(workers, n int, fn func(w, i int) error) error {
 // fullPassTasks builds the opening-round tasks: every rule evaluated
 // against the full instance. With workers > 1 each rule with a
 // positive body is partitioned by pinning its first atom to chunks of
-// that atom's relation; rules with empty positive bodies evaluate as a
+// that atom's table; rules with empty positive bodies evaluate as a
 // single unpinned task.
 func fullPassTasks(crs []cRule, x *IndexedInstance, workers int) []ruleTask {
 	tasks := make([]ruleTask, 0, len(crs))
@@ -139,52 +145,55 @@ func fullPassTasks(crs []cRule, x *IndexedInstance, workers int) []ruleTask {
 			tasks = append(tasks, ruleTask{cr: cr, ruleIdx: i, pin: -1})
 			continue
 		}
-		for _, chunk := range chunkFacts(x.RelList(cr.src.Pos[0].Rel), workers) {
-			tasks = append(tasks, ruleTask{cr: cr, ruleIdx: i, pin: 0, pinFacts: chunk})
+		if tab := x.idx.table(cr.pos[0].rel, len(cr.pos[0].terms)); tab != nil {
+			tasks = pinChunks(tasks, ruleTask{cr: cr, ruleIdx: i, pin: 0}, tab, 0, len(tab.stamps), workers)
 		}
 	}
 	return tasks
+}
+
+// span is the rows [lo, hi) a round's barrier appended to t, the table
+// of rel: that table's share of the next round's delta.
+type span struct {
+	rel    fact.ID
+	t      *relTable
+	lo, hi int
 }
 
 // deltaTasks builds a semi-naive round's tasks: for every rule and
-// every positive atom whose relation gained facts last round, the atom
-// is pinned to the delta (chunked across the workers when parallel).
-func deltaTasks(crs []cRule, deltaByRel map[fact.ID][]fact.Fact, workers int) []ruleTask {
+// every positive atom whose table gained rows last round, the atom is
+// pinned to those rows (chunked across the workers when parallel).
+func deltaTasks(crs []cRule, delta []span, workers int) []ruleTask {
 	var tasks []ruleTask
 	for i := range crs {
 		cr := &crs[i]
-		for k := range cr.pos {
-			dfacts := deltaByRel[cr.pos[k].rel]
-			if len(dfacts) == 0 {
-				continue
-			}
-			if workers <= 1 {
-				tasks = append(tasks, ruleTask{cr: cr, ruleIdx: i, pin: k, pinFacts: dfacts})
-				continue
-			}
-			for _, chunk := range chunkFacts(dfacts, workers) {
-				tasks = append(tasks, ruleTask{cr: cr, ruleIdx: i, pin: k, pinFacts: chunk})
+		for k, a := range cr.pos {
+			for _, s := range delta {
+				if s.rel == a.rel && s.t.arity == len(a.terms) {
+					tasks = pinChunks(tasks, ruleTask{cr: cr, ruleIdx: i, pin: k}, s.t, s.lo, s.hi, workers)
+				}
 			}
 		}
 	}
 	return tasks
 }
 
-// deriveTask evaluates one task against the frozen x and adds every
-// head x lacks to buf. agg, when non-nil, receives the task's counters:
-// "derived" and "duplicates" are judged against x only, so the counts
-// are the same whichever goroutine ran the task.
-func deriveTask(t ruleTask, x *IndexedInstance, buf *fact.Instance, agg *roundAgg) error {
+// deriveTask evaluates one task against the frozen x and appends every
+// head x lacks to buf, row-major, returning the buffer. agg, when
+// non-nil, receives the task's counters: "derived" and "duplicates" are
+// judged against x only, so the counts are the same whichever goroutine
+// ran the task.
+func deriveTask(t ruleTask, x *IndexedInstance, buf []fact.ID, agg *roundAgg) ([]fact.ID, error) {
 	var ts *taskStats
 	var scanned *int64
 	if agg != nil {
 		ts = new(taskStats)
 		scanned = &ts.candidates
 	}
-	err := evalRuleC(t.cr, x, t.pin, t.pinFacts, scanned, func(rel fact.ID, args []fact.ID) error {
+	err := evalRuleC(t.cr, x, t.pin, t.pinned, scanned, func(rel fact.ID, args []fact.ID) error {
 		switch {
 		case !x.hasIDs(rel, args):
-			buf.AddIDs(rel, args)
+			buf = append(buf, args...)
 			if ts != nil {
 				ts.derived++
 			}
@@ -196,17 +205,17 @@ func deriveTask(t ruleTask, x *IndexedInstance, buf *fact.Instance, agg *roundAg
 	if agg != nil {
 		agg.addTask(t.ruleIdx, *ts)
 	}
-	return err
+	return buf, err
 }
 
 // pinnedWork estimates a round's join fan-out as the total number of
-// pinned facts across its tasks (an unpinned task counts 1): the
+// pinned rows across its tasks (an unpinned task counts 1): the
 // measure compared against inlineBelow.
 func pinnedWork(tasks []ruleTask) int {
 	work := 0
 	for i := range tasks {
-		if n := len(tasks[i].pinFacts); n > 0 {
-			work += n
+		if tasks[i].pin >= 0 {
+			work += tasks[i].pinned.n
 		} else {
 			work++
 		}
@@ -214,77 +223,80 @@ func pinnedWork(tasks []ruleTask) int {
 	return work
 }
 
-// runRound evaluates one round against the frozen x and returns the
-// newly derived facts (those not already in x). build yields the
-// round's tasks chunked for a number of workers. With one worker the
-// tasks run inline on the coordinator, and so does a chunked round
-// whose pinned work is below inlineBelow — rebuilt unchunked, one task
-// per rule and pinned atom, since fragments of a tiny delta only
-// multiply matcher setup. Otherwise the tasks are distributed over
-// workers goroutines and the per-worker buffers merged at the barrier.
+// stratumLoop is what one stratum's fixpoint loop keeps between
+// rounds: the head buffer of each task, so that a round appends into
+// the capacity earlier ones grew, and the spans the last barrier
+// appended.
+type stratumLoop struct {
+	x       *IndexedInstance
+	workers int
+	mode    EvalMode
+	eo      *engineObs
+	bufs    [][]fact.ID
+	delta   []span
+}
+
+// runRound evaluates one round against the frozen x and appends the
+// heads it derived to x, leaving the rows each table gained in l.delta.
+// build yields the round's tasks chunked for a number of workers. With
+// one worker the tasks run inline on the coordinator, and so does a
+// chunked round whose pinned work is below inlineBelow — rebuilt
+// unchunked, one task per rule and pinned atom, since fragments of a
+// tiny delta only multiply matcher setup. Otherwise the tasks are
+// distributed over workers goroutines.
 //
+// Every task buffers its new heads privately, and the barrier appends
+// the buffers in task order, so the rows a round appends — and their
+// order — do not depend on which goroutine ran which task.
 // Instrumentation (eo non-nil) accumulates per-task stats into
 // worker-private roundAggs merged at the barrier; "derived" and
 // "duplicates" are judged against the frozen x only, so the counts —
 // and the emitted round event — are identical inline and fanned out.
-func runRound(build func(workers int) []ruleTask, x *IndexedInstance, workers int, mode EvalMode, eo *engineObs) (*fact.Instance, error) {
-	tasks := build(workers)
+func (l *stratumLoop) runRound(build func(workers int) []ruleTask) error {
+	workers, tasks := l.workers, build(l.workers)
 	if workers > 1 && len(tasks) > 1 && pinnedWork(tasks) < inlineBelow {
 		workers, tasks = 1, build(1)
 	}
+	if len(tasks) <= 1 {
+		workers = 1
+	}
+	eo := l.eo
 	var stopRound func()
+	var aggs []*roundAgg
+	var wTasks, wBusy []int64 // per-worker load of a fanned-out round
 	if eo != nil {
 		stopRound = eo.reg.Span(obs.DlRoundNs)
-	}
-	derived := fact.NewInstance()
-	if workers <= 1 || len(tasks) <= 1 {
-		var agg *roundAgg
-		if eo != nil {
-			agg = eo.newRoundAgg()
-		}
-		for _, t := range tasks {
-			if err := deriveTask(t, x, derived, agg); err != nil {
-				return nil, err
-			}
-		}
-		if eo != nil {
-			eo.roundDone(mode, len(tasks), agg, derived, nil, nil)
-			stopRound()
-		}
-		return derived, nil
-	}
-
-	bufs := make([]*fact.Instance, workers)
-	var aggs []*roundAgg
-	var wTasks, wBusy []int64
-	if eo != nil {
 		aggs = make([]*roundAgg, workers)
-		wTasks = make([]int64, workers)
-		wBusy = make([]int64, workers)
+		if workers > 1 {
+			wTasks, wBusy = make([]int64, workers), make([]int64, workers)
+		}
+	}
+	for len(l.bufs) < len(tasks) {
+		l.bufs = append(l.bufs, nil)
 	}
 	if err := parallelEach(workers, len(tasks), func(w, i int) error {
-		if bufs[w] == nil {
-			bufs[w] = fact.NewInstance()
+		var agg *roundAgg
+		if eo != nil {
+			if aggs[w] == nil {
+				aggs[w] = eo.newRoundAgg()
+			}
+			agg = aggs[w]
 		}
-		if eo == nil {
-			return deriveTask(tasks[i], x, bufs[w], nil)
+		var start time.Time
+		if wTasks != nil {
+			start = time.Now()
 		}
-		if aggs[w] == nil {
-			aggs[w] = eo.newRoundAgg()
+		var err error
+		l.bufs[i], err = deriveTask(tasks[i], l.x, l.bufs[i][:0], agg)
+		if wTasks != nil {
+			wTasks[w]++
+			wBusy[w] += time.Since(start).Nanoseconds()
 		}
-		start := time.Now()
-		err := deriveTask(tasks[i], x, bufs[w], aggs[w])
-		wTasks[w]++
-		wBusy[w] += time.Since(start).Nanoseconds()
 		return err
 	}); err != nil {
-		return nil, err
+		return err
 	}
-	for _, buf := range bufs {
-		if buf != nil {
-			derived.AddAll(buf)
-		}
-	}
+	appended := l.barrier(tasks)
 	if eo != nil {
 		agg := eo.newRoundAgg()
 		for _, a := range aggs {
@@ -292,8 +304,35 @@ func runRound(build func(workers int) []ruleTask, x *IndexedInstance, workers in
 				agg.merge(a)
 			}
 		}
-		eo.roundDone(mode, len(tasks), agg, derived, wTasks, wBusy)
+		eo.roundDone(l.mode, len(tasks), agg, appended, wTasks, wBusy)
 		stopRound()
 	}
-	return derived, nil
+	return nil
+}
+
+// barrier appends the heads the round's tasks buffered to x in task
+// order, a duplicate among them one byKey probe each, sets l.delta to
+// the rows each table gained and returns how many rows that is.
+func (l *stratumLoop) barrier(tasks []ruleTask) int {
+	l.delta = l.delta[:0]
+	appended := 0
+	for i, t := range tasks {
+		buf, head := l.bufs[i], t.cr.head
+		if len(buf) == 0 {
+			continue
+		}
+		tab := l.x.idx.tableFor(head.rel, len(head.terms))
+		j := slices.IndexFunc(l.delta, func(s span) bool { return s.t == tab })
+		if j < 0 {
+			j = len(l.delta)
+			l.delta = append(l.delta, span{rel: head.rel, t: tab, lo: len(tab.stamps), hi: len(tab.stamps)})
+		}
+		for k := 0; k < len(buf); k += tab.arity {
+			l.x.addIDs(tab, buf[k:k+tab.arity])
+		}
+		appended += len(tab.stamps) - l.delta[j].hi
+		l.delta[j].hi = len(tab.stamps)
+	}
+	l.delta = slices.DeleteFunc(l.delta, func(s span) bool { return s.hi == s.lo })
+	return appended
 }

@@ -24,12 +24,14 @@ func workSpan(t *testing.T, prog *Program, in *fact.Instance, p int) float64 {
 	var work, span float64
 	for _, rules := range prog.Strata(rho) {
 		crs := compileRules(rules)
-		round := func(tasks []ruleTask) *fact.Instance {
-			derived := fact.NewInstance()
+		l := &stratumLoop{x: x, workers: p}
+		round := func(tasks []ruleTask) {
 			var w, s int64
-			for _, task := range tasks {
+			l.bufs = make([][]fact.ID, len(tasks))
+			for i, task := range tasks {
 				agg := &roundAgg{perRule: make([]ruleAgg, len(crs))}
-				if err := deriveTask(task, x, derived, agg); err != nil {
+				var err error
+				if l.bufs[i], err = deriveTask(task, x, nil, agg); err != nil {
 					t.Fatal(err)
 				}
 				w += agg.candidates
@@ -37,15 +39,10 @@ func workSpan(t *testing.T, prog *Program, in *fact.Instance, p int) float64 {
 			}
 			work += float64(w)
 			span += max(float64(s), float64(w)/float64(p))
-			return derived
+			l.barrier(tasks)
 		}
-		for delta := round(fullPassTasks(crs, x, p)); !delta.Empty(); {
-			deltaByRel := make(map[fact.ID][]fact.Fact)
-			for _, h := range delta.Facts() {
-				x.addNew(h)
-				deltaByRel[h.RelID()] = append(deltaByRel[h.RelID()], h)
-			}
-			delta = round(deltaTasks(crs, deltaByRel, p))
+		for round(fullPassTasks(crs, x, p)); len(l.delta) > 0; {
+			round(deltaTasks(crs, l.delta, p))
 		}
 	}
 	return work / span

@@ -63,6 +63,36 @@ func NewInstance(facts ...Fact) *Instance {
 	return i
 }
 
+// Table is the rows of one relation at one arity as an Instance stores
+// them: the argument tuples row-major in Args, and Index mapping each
+// tuple to its row number.
+type Table struct {
+	Rel   ID
+	Arity int
+	Args  []ID
+	Index TupleIndex
+}
+
+// FromTables returns the instance holding the tables' rows. It takes
+// them over instead of copying: the caller gives up Args and Index. A
+// table's tuples must be distinct, each indexed at its row, and no two
+// tables may share relation and arity.
+func FromTables(tabs []Table) *Instance {
+	i := &Instance{}
+	for _, t := range tabs {
+		n := len(t.Index.k64) + len(t.Index.kstr)
+		if n == 0 {
+			continue
+		}
+		if i.rels == nil {
+			i.rels = make(map[colKey]*column, len(tabs))
+		}
+		i.rels[colKey{rel: t.Rel, arity: int32(t.Arity)}] = &column{arity: t.Arity, n: n, args: t.Args, idx: t.Index}
+		i.n += n
+	}
+	return i
+}
+
 func (i *Instance) col(rel ID, arity int) *column {
 	return i.rels[colKey{rel: rel, arity: int32(arity)}]
 }

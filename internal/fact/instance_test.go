@@ -177,6 +177,58 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// TestFromTables: an instance built by taking tables over holds their
+// rows without a copy, behaves as one built by Add — swap-delete
+// removal, re-adds, clones and set algebra keep its key index
+// consistent — and skips an empty table.
+func TestFromTables(t *testing.T) {
+	table := func(rel string, rows ...[]Value) Table {
+		tab := Table{Rel: InternString(rel), Arity: len(rows[0]), Index: NewTupleIndex(len(rows[0]))}
+		for r, row := range rows {
+			for _, v := range row {
+				tab.Args = append(tab.Args, Intern(v))
+			}
+			tab.Index.Put(tab.Args[r*tab.Arity:(r+1)*tab.Arity], int32(r))
+		}
+		return tab
+	}
+	e := table("E", []Value{"a", "b"}, []Value{"b", "c"}, []Value{"c", "d"})
+	w := table("W", []Value{"a", "b", "c"}, []Value{"b", "c", "d"})
+	empty := Table{Rel: InternString("Z"), Arity: 1, Index: NewTupleIndex(1)}
+	i := FromTables([]Table{e, w, empty})
+	want := inst("E(a,b)", "E(b,c)", "E(c,d)", "W(a,b,c)", "W(b,c,d)")
+	if !i.Equal(want) || !want.Equal(i) || i.Len() != 5 || len(i.Schema()) != 2 {
+		t.Fatalf("FromTables = %v (len %d, schema %v), want %v", i, i.Len(), i.Schema(), want)
+	}
+	if rows := i.Rows(InternString("E"), 2); &rows[0] != &e.Args[0] {
+		t.Error("FromTables copied the rows it was handed")
+	}
+	c := i.Clone()
+	for _, f := range []string{"E(a,b)", "W(a,b,c)"} { // first rows: the last moves into each hole
+		if !i.Remove(MustParseFact(f)) || !want.Remove(MustParseFact(f)) {
+			t.Fatalf("Remove(%s) reported it absent", f)
+		}
+	}
+	for _, f := range []string{"E(a,b)", "E(d,e)", "W(c,d,e)", "Z(q)"} {
+		if !i.Add(MustParseFact(f)) || !want.Add(MustParseFact(f)) {
+			t.Fatalf("Add(%s) reported it present", f)
+		}
+	}
+	if i.Add(MustParseFact("E(c,d)")) || i.Has(MustParseFact("W(a,b,c)")) {
+		t.Error("a moved row or a removed one answers wrongly")
+	}
+	if !i.Equal(want) || !want.Equal(i) || !slices.Equal(FactStrings(i.Facts()), FactStrings(want.Facts())) {
+		t.Errorf("after removes and adds: %v, want %v", i, want)
+	}
+	u := NewInstance()
+	if u.AddAll(i) != want.Len() || !u.Equal(want) {
+		t.Errorf("AddAll of the taken-over instance = %v, want %v", u, want)
+	}
+	if !c.Equal(inst("E(a,b)", "E(b,c)", "E(c,d)", "W(a,b,c)", "W(b,c,d)")) {
+		t.Errorf("a clone taken before the mutations reads %v", c)
+	}
+}
+
 func TestEachTuple(t *testing.T) {
 	ab := []ID{Intern("a"), Intern("b")}
 	var got []string

@@ -1,8 +1,9 @@
 #!/bin/sh
-# check.sh runs the full local gate: vet, build, seven structural gates
+# check.sh runs the full local gate: vet, build, eight structural gates
 # (internal/cluster has grown no wire loop of its own, IndexedInstance no
 # second fact store, internal/incr and internal/ilog start no goroutine,
-# internal/datalog starts them in one place, only Stepper.Step's
+# internal/datalog starts them in one place, a fixpoint round never
+# materializes its delta as facts, only Stepper.Step's
 # four-query arm materialises the system facts S — no insert-only form
 # does, and internal/core's TestEveryStrategyCarriesDelta checks that
 # every strategy has one — one union-find: co(I) is computed by
@@ -73,6 +74,17 @@ echo ">> structural gate: internal/datalog starts goroutines in one place"
 n=$(cat $(ls internal/datalog/*.go | grep -v '_test\.go$') | grep -c 'go func')
 if [ "$n" -ne 1 ]; then
     echo "check: internal/datalog has $n 'go func' sites, want exactly 1 (parallelEach)"
+    exit 1
+fi
+
+# A round's delta is rows: each task buffers its new heads as IDs, the
+# barrier appends them to the row tables in task order, and the next
+# round pins atoms to the row range each table gained. A fixpoint never
+# materializes its delta as facts — no fact.Instance per round, no
+# Facts() list, no sort — and hands its tables over as the result.
+echo ">> structural gate: a fixpoint round never materializes its delta as facts"
+if grep -nE '\.Facts\(\)|SortFacts|fact\.NewInstance' internal/datalog/eval.go internal/datalog/parallel.go; then
+    echo "check: the fixpoint loop builds facts again; a round's delta is the row range its barrier appended"
     exit 1
 fi
 
