@@ -74,11 +74,26 @@ func (o Options) placement() PlacementKind {
 // position — its pump still observes the entry so the watermark advances
 // uniformly. The log is kept for the life of the cluster (Restart
 // replays it), so an entry holds fact text and little else: its position
-// is its index, and key (the write's first fact) is kept under a fault
-// plan only, which decides by it.
+// is its index, and the usual record — one shard touched, no fault plan
+// — is its one sub-delta and a nil pointer. A write placed on several
+// shards, or any write under a fault plan, hangs the rest off more.
 type record struct {
-	subs []sub
-	key  *fact.Fact
+	first sub
+	more  *recordMore
+}
+
+// recordMore is the part of a record few writes need.
+type recordMore struct {
+	subs []sub      // the sub-deltas after first
+	key  *fact.Fact // the write's first fact, under a fault plan, which decides by it
+}
+
+func newRecord(subs []sub, key *fact.Fact) *record {
+	r := &record{first: subs[0]}
+	if len(subs) > 1 || key != nil {
+		r.more = &recordMore{subs: slices.Clone(subs[1:]), key: key}
+	}
+	return r
 }
 
 // sub is what one shard (every shard, if shard is -1) applies at one log
@@ -97,12 +112,26 @@ func newSub(shard int, ins, ret []string) sub {
 
 // sub returns what shard j applies at this record, nil for nothing.
 func (r *record) sub(j int) *sub {
-	for i := range r.subs {
-		if s := &r.subs[i]; int(s.shard) == j || s.shard < 0 {
-			return s
+	if s := &r.first; int(s.shard) == j || s.shard < 0 {
+		return s
+	}
+	if r.more != nil {
+		for i := range r.more.subs {
+			if s := &r.more.subs[i]; int(s.shard) == j {
+				return s
+			}
 		}
 	}
 	return nil
+}
+
+// key returns the fact a fault plan decides this record's delivery by,
+// nil when the cluster runs without one.
+func (r *record) key() *fact.Fact {
+	if r.more == nil {
+		return nil
+	}
+	return r.more.key
 }
 
 // delivery is one inbox item for one shard: a log record to apply, with
@@ -453,34 +482,36 @@ func (c *Cluster) submitWrite(req serve.Request, tc obs.SpanCtx) (serve.Response
 		return serve.ErrResp("cluster is closed"), 0
 	}
 	g := len(c.log) + 1
-	rec := &record{}
 	first := ins // the write's first fact decides its faults and, replicated, its home
 	if len(first) == 0 {
 		first = ret
 	}
+	var key *fact.Fact
 	if c.faults != nil && len(first) > 0 {
-		rec.key = &first[0]
+		key = &first[0]
 	}
+	var subs []sub
 	var homes []int
 	var migrated int
 	if c.plan.Partitioned {
-		rec.subs, migrated = c.placeDelta(ins, ret)
-		if len(rec.subs) == 0 {
+		subs, migrated = c.placeDelta(ins, ret)
+		if len(subs) == 0 {
 			// Empty delta: one shard still acks, so the client gets a
 			// well-formed apply response.
-			rec.subs = []sub{newSub(0, nil, nil)}
+			subs = []sub{newSub(0, nil, nil)}
 		}
-		for _, s := range rec.subs {
+		for _, s := range subs {
 			homes = append(homes, int(s.shard))
 		}
 	} else {
-		rec.subs = []sub{newSub(-1, fact.FactStrings(ins), fact.FactStrings(ret))}
+		subs = []sub{newSub(-1, fact.FactStrings(ins), fact.FactStrings(ret))}
 		h := 0
 		if len(first) > 0 {
 			h = hashShard(first[0].Key(), n)
 		}
 		homes = []int{h}
 	}
+	rec := newRecord(subs, key)
 	c.log = append(c.log, rec)
 	acks := make([]chan serve.Response, 0, len(homes))
 	for j, sh := range c.shards {
@@ -647,8 +678,9 @@ func (c *Cluster) read(affinity int, req serve.Request, fence int, tc obs.SpanCt
 //
 // Each phase is a latency histogram and a child span of cluster.gather
 // (PERF.9 lives here): fanout is epoch pinning including any watermark
-// fence waits; merge (the shards' carried runs, k-way) and render (the
-// merged text's wire bytes) happen only on a memo miss.
+// fence waits; merge (collecting the shards' carried runs) and render
+// (the k-way merge of their chunks into the wire line) happen only on a
+// memo miss.
 func (c *Cluster) gather(req serve.Request, fence int, tc obs.SpanCtx) serve.Response {
 	c.gathers.Inc()
 	if req.Op == "ping" {
@@ -743,34 +775,32 @@ func (v *gathered) sum(size func(*incr.Epoch) int) (n int) {
 	return n
 }
 
-func (v *gathered) RelText(rel string) []string {
-	return v.merge(func(ep *incr.Epoch) ([]fact.Fact, []string) { return ep.Rel(rel), ep.RelText(rel) })
-}
-
-func (v *gathered) FactsText() []string {
-	return v.merge(func(ep *incr.Epoch) ([]fact.Fact, []string) { return ep.Facts(), ep.FactsText() })
-}
-
-// merge unions one run per pinned epoch. The reader asks only on a memo
-// miss and marshals next: the merge phase ends here, render starts.
-func (v *gathered) merge(run func(*incr.Epoch) ([]fact.Fact, []string)) []string {
+// Wire is the union of the pinned epochs' runs of rel (every
+// relation's when rel is ""), which the response writes as a k-way merge
+// of the shards' chunks, by Fact.Compare, copying their elements. For a
+// connected monotone program the runs are disjoint (Theorem 5.3), so
+// the duplicate drop is insurance — but the fuzzer asserts it, because
+// a placement bug that double-homes a fact must fail a test, not
+// double-count an answer. The reader asks only on a memo miss: the
+// merge phase is collecting the runs, render writes the merged line.
+func (v *gathered) Wire(rel string) incr.Wire {
 	msp := v.tc.Start(obs.SpanGatherMerge)
 	var mstart time.Time
 	if v.c.reg != nil {
 		mstart = time.Now()
 	}
-	facts, text := make([][]fact.Fact, len(v.eps)), make([][]string, len(v.eps))
+	ws := make([]incr.Wire, len(v.eps))
 	for i, ep := range v.eps {
-		facts[i], text[i] = run(ep)
+		ws[i] = ep.Wire(rel)
 	}
-	merged := mergeFactLists(facts, text)
-	msp.Attr("facts", len(merged)).Finish()
+	w := incr.Union(ws...)
+	msp.Attr("facts", w.Len()).Finish()
 	if !mstart.IsZero() {
 		v.rstart = time.Now()
 		v.c.mergeNs.Observe(v.rstart.Sub(mstart).Nanoseconds())
 	}
 	v.rsp = v.tc.Start(obs.SpanGatherRender)
-	return merged
+	return w
 }
 
 // endRender closes the render phase a merge opened, if one did.
@@ -963,15 +993,15 @@ func (sh *shard) pump() {
 		} else if !mono {
 			release(-1)
 		}
-		if p := sh.c.faults; p != nil && mono && d.resp == nil && d.rec.key != nil {
-			if hold := p.HoldFor(g, routerNode, sh.node, *d.rec.key); hold > 0 {
+		if p, key := sh.c.faults, d.rec.key(); p != nil && mono && d.resp == nil && key != nil {
+			if hold := p.HoldFor(g, routerNode, sh.node, *key); hold > 0 {
 				held = append(held, heldDelivery{d: d, release: g + hold})
 				sh.heldN.Store(int64(len(held)))
 				maxSeen = g
 				updateWM()
 				continue
 			}
-			if p.ExtraCopies(g, routerNode, sh.node, *d.rec.key) > 0 {
+			if p.ExtraCopies(g, routerNode, sh.node, *key) > 0 {
 				sh.apply(delivery{rec: d.rec, g: g}, ptc) // duplicate copy; applies are idempotent
 			}
 		}

@@ -360,8 +360,8 @@ func TestCrashRestartBasics(t *testing.T) {
 	c.Quiesce()
 	// The recovered shard replayed the full log: both shards hold the
 	// identical fact set.
-	e0 := fact.FactStrings(c.ShardCore(0).CurrentEpoch().Facts())
-	e1 := fact.FactStrings(c.ShardCore(1).CurrentEpoch().Facts())
+	e0 := decodeResp(t, encodeResp(t, c.ShardCore(0).Do(serve.Request{Op: "facts"}))).Facts
+	e1 := decodeResp(t, encodeResp(t, c.ShardCore(1).Do(serve.Request{Op: "facts"}))).Facts
 	if strings.Join(e0, ";") != strings.Join(e1, ";") {
 		t.Fatalf("shards diverge after recovery:\ns0: %v\ns1: %v", e0, e1)
 	}

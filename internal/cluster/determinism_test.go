@@ -103,7 +103,7 @@ func runClusterDeterminism(t *testing.T, shards int, seed int64) {
 		if !ok {
 			t.Fatalf("read %d pinned unknown epoch %d", i, r.epoch)
 		}
-		want, err := json.Marshal(serve.ReadResponse(ep, r.req))
+		want, err := serve.ReadResponse(ep, r.req).Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,12 +115,12 @@ func runClusterDeterminism(t *testing.T, shards int, seed int64) {
 
 	// Every shard converged to the oracle end state, byte for byte.
 	c.Quiesce()
-	finalOracle, err := json.Marshal(serve.ReadResponse(epochs[maxSeq], serve.Request{Op: "facts"}))
+	finalOracle, err := serve.ReadResponse(epochs[maxSeq], serve.Request{Op: "facts"}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for j := 0; j < c.ShardCount(); j++ {
-		finalShard, err := json.Marshal(serve.ReadResponse(c.ShardCore(j).CurrentEpoch(), serve.Request{Op: "facts"}))
+		finalShard, err := serve.ReadResponse(c.ShardCore(j).CurrentEpoch(), serve.Request{Op: "facts"}).Encode()
 		if err != nil {
 			t.Fatal(err)
 		}

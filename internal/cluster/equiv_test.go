@@ -167,7 +167,7 @@ func compareCut(t *testing.T, c *Cluster, r *Router, oracle *incr.Materializatio
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := json.Marshal(serve.ReadResponse(ep, req))
+		want, err := serve.ReadResponse(ep, req).Encode()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -103,13 +102,13 @@ func faultRun(t *testing.T, shards int, seed int64, place PlacementKind, crashSh
 	c.Quiesce()
 
 	ep := oracle.Epoch()
-	want, err := json.Marshal(serve.ReadResponse(ep, serve.Request{Op: "facts"}))
+	want, err := serve.ReadResponse(ep, serve.Request{Op: "facts"}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	finals := make([]string, shards)
 	for j := 0; j < shards; j++ {
-		b, err := json.Marshal(serve.ReadResponse(c.ShardCore(j).CurrentEpoch(), serve.Request{Op: "facts"}))
+		b, err := serve.ReadResponse(c.ShardCore(j).CurrentEpoch(), serve.Request{Op: "facts"}).Encode()
 		if err != nil {
 			t.Fatal(err)
 		}

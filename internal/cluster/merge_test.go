@@ -2,44 +2,53 @@ package cluster
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/datalog"
 	"repro/internal/fact"
+	"repro/internal/incr"
 	"repro/internal/serve"
 )
 
-// mergeLists hands mergeFactLists what the gather path does: each list
-// as a run, canonically sorted and carrying its text. It returns the
-// merged text and the facts that text parses back to.
-func mergeLists(t testing.TB, lists [][]fact.Fact) ([]fact.Fact, []string) {
-	facts, text := make([][]fact.Fact, len(lists)), make([][]string, len(lists))
-	for i, l := range lists {
-		facts[i] = append([]fact.Fact(nil), l...)
-		fact.SortFacts(facts[i])
-		text[i] = fact.FactStrings(l)
+// The tests of this file hand the gathered view's merge what the gather
+// path does: one epoch per shard, each list its run, and read the facts
+// response the shared reader (serve.ReadResponse) writes from the union
+// of their wire forms.
+
+// bystander derives from a relation no list holds, so every listed fact
+// is a base fact of whatever relation and arity.
+const bystander = "Z(x) :- Y(x).\n"
+
+// mergedView is the smallest serve.View over per-shard lists: one epoch
+// of each, the union of their runs as its wire.
+type mergedView struct{ eps []*incr.Epoch }
+
+func (v mergedView) Seq() int     { return 0 }
+func (v mergedView) Len() int     { return 0 }
+func (v mergedView) BaseLen() int { return 0 }
+func (v mergedView) Wire(rel string) incr.Wire {
+	ws := make([]incr.Wire, len(v.eps))
+	for i, ep := range v.eps {
+		ws[i] = ep.Wire(rel)
 	}
-	merged := mergeFactLists(facts, text)
-	return parseAll(t, merged...), merged
+	return incr.Union(ws...)
 }
 
-// mergedView is the smallest serve.View over per-shard lists: what the
-// shared reader (serve.ReadResponse) is handed is mergeFactLists'
-// output, as on the gather path.
-type mergedView struct {
-	t     testing.TB
-	lists [][]fact.Fact
-}
-
-func (v mergedView) Seq() int                { return 0 }
-func (v mergedView) Len() int                { return len(v.FactsText()) }
-func (v mergedView) BaseLen() int            { return 0 }
-func (v mergedView) RelText(string) []string { return v.FactsText() }
-func (v mergedView) FactsText() []string {
-	_, text := mergeLists(v.t, v.lists)
-	return text
-}
-func renderMerged(t testing.TB, lists [][]fact.Fact) []string {
-	return serve.ReadResponse(mergedView{t, lists}, serve.Request{Op: "facts"}).Facts
+// mergeLists returns the merged list as the facts response carries it:
+// its text, and the facts that text parses back to.
+func mergeLists(t testing.TB, lists [][]fact.Fact) ([]fact.Fact, []string) {
+	t.Helper()
+	v := mergedView{}
+	for _, l := range lists {
+		m, err := incr.New(datalog.MustParseProgram(bystander), fact.NewInstance(l...), incr.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.eps = append(v.eps, m.Epoch())
+	}
+	text := decodeResp(t, encodeResp(t, serve.ReadResponse(v, serve.Request{Op: "facts"}))).Facts
+	return parseAll(t, text...), text
 }
 
 func parseAll(t testing.TB, strs ...string) []fact.Fact {
@@ -55,7 +64,7 @@ func TestMergeFactLists(t *testing.T) {
 	a := parseAll(t, "T(b,c)", "E(a,b)")
 	b := parseAll(t, "E(x,y)", "T(a,b)")
 
-	merged, _ := mergeLists(t, [][]fact.Fact{a, b})
+	merged, text := mergeLists(t, [][]fact.Fact{a, b})
 	if len(merged) != 4 {
 		t.Fatalf("merged %d facts, want 4: %v", len(merged), merged)
 	}
@@ -69,8 +78,8 @@ func TestMergeFactLists(t *testing.T) {
 	// gathered response is byte-identical to a single node holding all
 	// the facts.
 	union := append(append([]fact.Fact{}, a...), b...)
-	if got, want := renderMerged(t, [][]fact.Fact{a, b}), fact.FactStrings(union); !reflect.DeepEqual(got, want) {
-		t.Fatalf("rendered merge = %v, want %v", got, want)
+	if want := fact.FactStrings(union); !reflect.DeepEqual(text, want) {
+		t.Fatalf("rendered merge = %v, want %v", text, want)
 	}
 }
 
@@ -84,17 +93,20 @@ func TestMergeFactListsDedup(t *testing.T) {
 }
 
 func TestMergeFactListsEmpty(t *testing.T) {
-	if got := mergeFactLists(nil, nil); len(got) != 0 {
-		t.Fatalf("merge of nothing = %v", got)
+	if b, n := incr.Union().AppendTo(nil); n != 0 || len(b) != 0 {
+		t.Fatalf("merge of nothing = %q, %d facts", b, n)
 	}
-	if got := renderMerged(t, [][]fact.Fact{nil, {}}); len(got) != 0 {
+	if _, got := mergeLists(t, [][]fact.Fact{nil, {}}); len(got) != 0 {
 		t.Fatalf("merge of empties = %v", got)
 	}
 }
 
 // TestMergeFactListsRuns: the k-way merge over uneven runs, an empty
 // one and a single-fact one among them, with one fact planted on two
-// shards: the text comes out in order, the planted fact once.
+// shards: the text comes out in order, the planted fact once. Long
+// runs of several chunks interleave with short ones and run ahead of
+// them, so a merge copies whole chunks, single elements, and drops the
+// planted duplicate wherever it falls.
 func TestMergeFactListsRuns(t *testing.T) {
 	_, text := mergeLists(t, [][]fact.Fact{
 		parseAll(t, "T(a,c)", "T(a,b)", "E(a,b)", "T(c,d)"),
@@ -106,5 +118,25 @@ func TestMergeFactListsRuns(t *testing.T) {
 	want := []string{"E(a,b)", "S(a,b,c)", "T(a)", "T(a,b)", "T(a,c)", "T(b,c)", "T(c,d)"}
 	if !reflect.DeepEqual(text, want) {
 		t.Fatalf("merged text = %v, want %v", text, want)
+	}
+
+	var long, evens, planted []fact.Fact
+	var union []fact.Fact
+	for i := 0; i < 500; i++ {
+		f := fact.New("E", fact.Value(strings.Repeat("n", 1+i%3)), fact.Value(string(rune('a'+i%26))+string(rune('a'+i/26))))
+		switch {
+		case i < 300:
+			long = append(long, f)
+		case i%2 == 0:
+			evens = append(evens, f)
+		default:
+			planted = append(planted, f)
+		}
+		union = append(union, f)
+	}
+	planted = append(planted, long[7], long[150], evens[3]) // double-homed, three times
+	_, text = mergeLists(t, [][]fact.Fact{long, evens, planted})
+	if want := fact.FactStrings(union); !reflect.DeepEqual(text, want) {
+		t.Fatalf("merge of %d+%d+%d facts: %d out, want the %d of the union", len(long), len(evens), len(planted), len(text), len(want))
 	}
 }

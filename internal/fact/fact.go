@@ -50,6 +50,13 @@ func FromIDs(rel ID, args []ID) Fact {
 	return Fact{rel: rel, args: ids}
 }
 
+// Alias returns the fact rel(args...) over args itself, not a copy:
+// the constructor for callers that keep IDs in immutable storage of
+// their own and hand out facts over it. args must never change after.
+func Alias(rel ID, args []ID) Fact {
+	return Fact{rel: rel, args: args[:len(args):len(args)]}
+}
+
 // Rel returns the relation name of the fact.
 func (f Fact) Rel() string { return symbols.lookup(f.rel) }
 
@@ -180,25 +187,22 @@ func (f Fact) Map(h map[Value]Value) Fact {
 }
 
 // String renders the fact in the conventional syntax, e.g. "E(a,b)".
-// Built directly rather than via fmt: rendering is on calmd's query
-// hot path (a cold epoch renders every requested fact once).
+// The text is built on the stack and copied out at its exact size: a
+// rendered fact the cluster log keeps holds no spare capacity.
 func (f Fact) String() string {
-	rel := symbols.lookup(f.rel)
-	var b strings.Builder
-	b.Grow(len(rel) + 2 + 12*len(f.args))
-	b.WriteString(rel)
-	b.WriteByte('(')
+	var buf [64]byte
+	return string(f.AppendString(buf[:0]))
+}
+
+// AppendString appends the fact's String form to dst: the serving
+// layer renders a fact straight into its wire buffer with it.
+func (f Fact) AppendString(dst []byte) []byte {
+	dst = append(append(dst, symbols.lookup(f.rel)...), '(')
 	for i, id := range f.args {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		v := Value(symbols.lookup(id))
-		if isBareValue(v) {
-			b.WriteString(string(v))
-		} else {
-			b.WriteString(QuoteValue(v))
-		}
+		dst = appendValue(dst, Value(symbols.lookup(id)))
 	}
-	b.WriteByte(')')
-	return b.String()
+	return append(dst, ')')
 }

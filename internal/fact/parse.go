@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // This file implements a small textual format for facts and instances,
@@ -179,9 +180,10 @@ func (p *parser) value() (Value, error) {
 	}
 	start := p.pos
 	for !p.eof() {
-		c := rune(p.peek())
+		// By rune, as isBareValue decides: a value printed bare parses back.
+		c, size := utf8.DecodeRuneInString(p.input[p.pos:])
 		if unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_' || c == '-' || c == '.' {
-			p.pos++
+			p.pos += size
 			continue
 		}
 		break

@@ -17,6 +17,9 @@ func TestParseFact(t *testing.T) {
 		{"T(a,b,c)", "T(a,b,c)"},
 		{"lower(x)", "lower(x)"},
 		{"R(v-1, v.2, v_3)", "R(v-1,v.2,v_3)"},
+		// Bare letters beyond ASCII print bare, so they parse bare.
+		{`E(é,"日本")`, "E(é,日本)"},
+		{"E(\"a\u2028b\",\"<&>\")", "E(\"a\u2028b\",\"<&>\")"},
 	}
 	for _, c := range cases {
 		f, err := ParseFact(c.in)

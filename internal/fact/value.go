@@ -91,17 +91,23 @@ func QuoteValue(v Value) string {
 	if isBareValue(v) {
 		return string(v)
 	}
-	var b strings.Builder
-	b.WriteByte('"')
-	for i := 0; i < len(v); i++ {
-		c := v[i]
-		if c == '"' || c == '\\' {
-			b.WriteByte('\\')
-		}
-		b.WriteByte(c)
+	return string(appendValue(nil, v))
+}
+
+// appendValue appends v as a fact prints it: bare when the parser reads
+// it back bare, else double-quoted with '"' and '\' escaped.
+func appendValue(dst []byte, v Value) []byte {
+	if isBareValue(v) {
+		return append(dst, v...)
 	}
-	b.WriteByte('"')
-	return b.String()
+	dst = append(dst, '"')
+	for i := 0; i < len(v); i++ {
+		if c := v[i]; c == '"' || c == '\\' {
+			dst = append(dst, '\\')
+		}
+		dst = append(dst, v[i])
+	}
+	return append(dst, '"')
 }
 
 // isBareValue reports whether the value prints safely without quotes,

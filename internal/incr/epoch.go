@@ -15,8 +15,8 @@ import (
 // keeps applying deltas. This is the evaluation-side shadow of the
 // paper's CALM story — for coordination-free programs reads never need
 // to wait for writes, they only need a consistent grown state to run
-// against — and an epoch's sorted, rendered relation is its
-// predecessor's, extended by the net delta Apply already computed.
+// against — and an epoch's relation, sorted and encoded for the wire,
+// is its predecessor's, patched by the net delta Apply already computed.
 
 // Epoch is one immutable committed state of a Materialization: the
 // fact set, the apply sequence number that produced it, and the base
@@ -32,15 +32,8 @@ type Epoch struct {
 	runs map[string]*run
 }
 
-// sorted is a relation's answer as a reader sees it: its facts in
-// Fact.Compare order and, aligned, their wire text. Immutable.
-type sorted struct {
-	facts []fact.Fact
-	text  []string
-}
-
-// run is the answer of one relation at one committed state, sorted and
-// rendered by the first read and kept for every later one.
+// run is the answer of one relation at one committed state, laid out
+// in chunks (wire.go) by the first read and kept for every later one.
 type run struct {
 	n    int // number of facts, known without building
 	once sync.Once
@@ -54,27 +47,29 @@ type run struct {
 	add, del []fact.Fact
 }
 
+// sorted is a run as a reader sees it: its chunks and, built from them
+// by the first Rel, its facts as one list. Immutable once built.
+type sorted struct {
+	chunks []*chunk
+	list   sync.Once
+	facts  []fact.Fact
+}
+
 // foldShare bounds the delta an unread run carries, and so what a read
 // merges and memory holds, to 1/foldShare of the relation: past it the
 // writer builds the run itself or, its base never read, starts afresh.
 const foldShare = 4
 
-// get builds the run's lists on the first call; a nil run has none.
+// get builds the run's chunks on the first call: its base's, patched by
+// the delta, or its own index snapshot sorted and encoded.
 func (r *run) get() *sorted {
-	if r == nil {
-		return new(sorted)
-	}
 	r.once.Do(func() {
 		s := new(sorted)
 		if b := r.base.Load(); b != nil {
-			s.facts, s.text = patch(b.get().facts, b.get().text, r.add, r.del)
+			s.chunks = patch(b.get().chunks, r.add, r.del)
 		} else {
-			s.facts, r.add = r.add, nil // RelList's copy, this run's own: nobody reads add once base is nil
-			fact.SortFacts(s.facts)
-			s.text = make([]string, len(s.facts))
-			for i, f := range s.facts {
-				s.text[i] = f.String()
-			}
+			fact.SortFacts(r.add) // RelList's copy, this run's own: nobody reads add once base is nil
+			s.chunks, r.add = chunked(r.add), nil
 		}
 		r.got.Store(s)
 		r.base.Store(nil)
@@ -82,45 +77,29 @@ func (r *run) get() *sorted {
 	return r.got.Load()
 }
 
-// patch returns the sorted list facts without the members of del and
-// with those of add (both sorted, add disjoint from what is kept), and
-// text kept aligned: unchanged stretches are copied, only add is
-// rendered. A nil text (a delta list) stays nil; no change, no copy.
-func patch(facts []fact.Fact, text []string, add, del []fact.Fact) ([]fact.Fact, []string) {
+// patchFacts returns the sorted list facts without the members of del
+// and with those of add (both sorted, add disjoint from what is kept):
+// the algebra of the deltas unread runs carry. No change, no copy.
+func patchFacts(facts, add, del []fact.Fact) []fact.Fact {
 	if len(add) == 0 && len(del) == 0 {
-		return facts, text
+		return facts
 	}
-	of := make([]fact.Fact, 0, len(facts)+len(add))
-	var ot []string
-	if text != nil {
-		ot = make([]string, 0, cap(of))
-	}
+	out := make([]fact.Fact, 0, len(facts)+len(add))
 	at := 0 // facts[:at] is dealt with
-	emit := func(to int, added ...fact.Fact) {
-		of = append(append(of, facts[at:to]...), added...)
-		if text != nil {
-			ot = append(ot, text[at:to]...)
-			for _, f := range added {
-				ot = append(ot, f.String())
-			}
-		}
-		at = to
-	}
 	for len(add) > 0 || len(del) > 0 {
 		if len(del) == 0 || (len(add) > 0 && add[0].Compare(del[0]) < 0) {
 			i, _ := slices.BinarySearchFunc(facts[at:], add[0], fact.Fact.Compare)
-			emit(at+i, add[0])
-			add = add[1:]
+			out = append(append(out, facts[at:at+i]...), add[0])
+			at, add = at+i, add[1:]
 		} else {
 			i, found := slices.BinarySearchFunc(facts[at:], del[0], fact.Fact.Compare)
-			if emit(at + i); found {
+			if out, at = append(out, facts[at:at+i]...), at+i; found {
 				at++
 			}
 			del = del[1:]
 		}
 	}
-	emit(len(facts))
-	return of, ot
+	return append(out, facts[at:]...)
 }
 
 // flow is what one relation gained and lost since the last Epoch().
@@ -157,15 +136,15 @@ func (m *Materialization) extend(prev *run, rel string, net *flow) *run {
 	}
 	fact.SortFacts(net.add)
 	fact.SortFacts(net.del)
-	add, _ := patch(net.add, nil, nil, net.del) // in and out again, or out and back: no change
-	del, _ := patch(net.del, nil, nil, net.add)
+	add := patchFacts(net.add, nil, net.del) // in and out again, or out and back: no change
+	del := patchFacts(net.del, nil, net.add)
 	r, base := &run{n: prev.n + len(add) - len(del), add: add, del: del}, prev
 	if b := prev.base.Load(); b != nil {
 		// Nobody read prev: extend what it extends, by both deltas.
-		back, _ := patch(add, nil, nil, prev.del) // added, unless that restores a base fact
-		gone, _ := patch(del, nil, nil, prev.add) // removed, unless that undoes an addition
-		r.add, _ = patch(prev.add, nil, back, del)
-		r.del, _ = patch(prev.del, nil, gone, add)
+		back := patchFacts(add, nil, prev.del) // added, unless that restores a base fact
+		gone := patchFacts(del, nil, prev.add) // removed, unless that undoes an addition
+		r.add = patchFacts(prev.add, back, del)
+		r.del = patchFacts(prev.del, gone, add)
 		base = b
 	}
 	r.base.Store(base)
@@ -209,29 +188,46 @@ func (e *Epoch) Len() int     { return e.n }
 func (e *Epoch) BaseLen() int { return e.base }
 
 // Rel returns the epoch's facts of one relation in canonical sorted
-// order, and RelText their wire text, index for index. The lists are
-// built on the first read and shared by every caller, on this epoch and
-// any that has the relation unchanged: read them, do not modify them.
-func (e *Epoch) Rel(rel string) []fact.Fact  { return e.runs[rel].get().facts }
-func (e *Epoch) RelText(rel string) []string { return e.runs[rel].get().text }
+// order. The list is built from the run's chunks on the first call and
+// shared by every caller, on this epoch and any that has the relation
+// unchanged: read it, do not modify it. No serving path asks for it.
+func (e *Epoch) Rel(rel string) []fact.Fact {
+	r := e.runs[rel]
+	if r == nil {
+		return nil
+	}
+	s := r.get()
+	s.list.Do(func() {
+		s.facts = make([]fact.Fact, 0, r.n)
+		for _, c := range s.chunks {
+			for i := range c.len() {
+				s.facts = append(s.facts, c.fact(i))
+			}
+		}
+	})
+	return s.facts
+}
 
-// Facts returns every fact in the epoch in canonical sorted order, and
-// FactsText their wire text: the runs in relation-name order.
-func (e *Epoch) Facts() []fact.Fact  { return e.all().facts }
-func (e *Epoch) FactsText() []string { return e.all().text }
-
-func (e *Epoch) all() sorted {
+// Wire returns the epoch's facts of rel — of every relation, in
+// relation-name order, when rel is "" — in wire form: the runs' chunks,
+// which this and every later read only copy.
+func (e *Epoch) Wire(rel string) Wire {
+	if rel != "" {
+		if r := e.runs[rel]; r != nil {
+			return wireOf(r.get().chunks)
+		}
+		return Wire{}
+	}
 	rels := make([]string, 0, len(e.runs))
 	for rel := range e.runs {
 		rels = append(rels, rel)
 	}
 	slices.Sort(rels)
-	all := sorted{make([]fact.Fact, 0, e.n), make([]string, 0, e.n)}
+	var cs []*chunk
 	for _, rel := range rels {
-		s := e.runs[rel].get()
-		all.facts, all.text = append(all.facts, s.facts...), append(all.text, s.text...)
+		cs = append(cs, e.runs[rel].get().chunks...)
 	}
-	return all
+	return wireOf(cs)
 }
 
 // Err returns the corruption error if a maintenance phase failed and

@@ -9,7 +9,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -116,7 +117,7 @@ func sameFacts(a, b []fact.Fact) bool {
 }
 
 // checkEpoch compares a carried epoch with the parentless epoch of a
-// fresh materialization of the same base: lists, text and wire bytes.
+// fresh materialization of the same base: lists and wire bytes.
 func checkEpoch(t *testing.T, what string, prog *datalog.Program, got *incr.Epoch, base *fact.Instance, rels []string) {
 	t.Helper()
 	want := mustNew(t, prog, base).Epoch()
@@ -127,16 +128,10 @@ func checkEpoch(t *testing.T, what string, prog *datalog.Program, got *incr.Epoc
 		if !sameFacts(got.Rel(rel), want.Rel(rel)) {
 			t.Fatalf("%s: Rel(%s)\n got %v\nwant %v", what, rel, got.Rel(rel), want.Rel(rel))
 		}
-		if text := got.RelText(rel); len(text) != len(want.Rel(rel)) || (len(text) > 0 && !reflect.DeepEqual(text, fact.FactStrings(want.Rel(rel)))) {
-			t.Fatalf("%s: RelText(%s) = %v, want the text of %v", what, rel, text, want.Rel(rel))
-		}
 		req := serve.Request{Op: "query", Rel: rel}
 		if g, w := encode(t, got, req), encode(t, want, req); !bytes.Equal(g, w) {
 			t.Fatalf("%s: query %s\n got %s\nwant %s", what, rel, g, w)
 		}
-	}
-	if !sameFacts(got.Facts(), want.Facts()) || !reflect.DeepEqual(got.FactsText(), want.FactsText()) {
-		t.Fatalf("%s: Facts\n got %v\nwant %v", what, got.FactsText(), want.FactsText())
 	}
 	if g, w := encode(t, got, serve.Request{Op: "facts"}), encode(t, want, serve.Request{Op: "facts"}); !bytes.Equal(g, w) {
 		t.Fatalf("%s: facts\n got %s\nwant %s", what, g, w)
@@ -432,25 +427,41 @@ func TestCarriedRunsConcurrentReaders(t *testing.T) {
 	}
 }
 
-// coldQueryAllocs counts the allocations of one commit of a fresh
-// isolated edge followed by the first query T on the new epoch, over a
-// chain of n edges whose T the previous epoch had read.
-func coldQueryAllocs(t *testing.T, n int) (allocs float64, size int) {
+// coldQuery measures one commit of a fresh isolated edge followed by
+// the first query T on the new epoch, over a chain of n edges whose T
+// the previous epoch had read: its allocations, the bytes they take
+// (MemStats.TotalAlloc) and the response line it answers with.
+func coldQuery(t *testing.T, n int) (allocs, bytes float64, line, size int) {
 	m := mustNew(t, datalog.MustParseProgram(tcSrc), generate.Path("c", n+1))
 	req := serve.Request{Op: "query", Rel: "T"}
 	i := 0
-	allocs = testing.AllocsPerRun(20, func() {
+	round := func() {
 		i++
 		f := fact.New("E", fact.Value(fmt.Sprintf("p%d", i)), fact.Value(fmt.Sprintf("q%d", i)))
 		if _, err := m.Apply(incr.Delta{Insert: []fact.Fact{f}}); err != nil {
 			t.Fatal(err)
 		}
 		var memo serve.ReadMemo
-		if resp := memo.Respond(m.Epoch(), req); !resp.OK {
-			t.Fatal(resp.Err)
+		resp := memo.Respond(m.Epoch(), req)
+		b, err := resp.Encode()
+		if !resp.OK || err != nil {
+			t.Fatal(resp.Err, err)
 		}
-	})
-	return allocs, len(m.Epoch().Rel("T"))
+		line = len(b)
+	}
+	allocs = testing.AllocsPerRun(20, round)
+	return allocs, totalAlloc(20, round), line, len(m.Epoch().Rel("T"))
+}
+
+// totalAlloc returns the bytes one call of f allocates, over runs calls.
+func totalAlloc(runs int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 0; k < runs; k++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // TestColdQueryAllocsFollowTheDelta is the counter that gates the
@@ -459,8 +470,8 @@ func coldQueryAllocs(t *testing.T, n int) (allocs float64, size int) {
 // once per fact of T — less than twice as much on a T sixteen times
 // the size.
 func TestColdQueryAllocsFollowTheDelta(t *testing.T) {
-	small, nSmall := coldQueryAllocs(t, 64)
-	large, nLarge := coldQueryAllocs(t, 256)
+	small, _, _, nSmall := coldQuery(t, 64)
+	large, _, _, nLarge := coldQuery(t, 256)
 	t.Logf("cold query T after a one-edge commit: %.0f allocs at |T| = %d, %.0f at |T| = %d", small, nSmall, large, nLarge)
 	if nLarge < 15*nSmall {
 		t.Fatalf("|T| grew %d → %d, want about 16x", nSmall, nLarge)
@@ -471,6 +482,171 @@ func TestColdQueryAllocsFollowTheDelta(t *testing.T) {
 	if small >= float64(nSmall) {
 		t.Errorf("%.0f allocations for a cold read of %d facts: the run is being rendered again", small, nSmall)
 	}
+}
+
+// TestColdQueryBytesFollowTheLine is the counter beside it, in bytes: a
+// one-edge commit and the first query T allocate at most twice the
+// response line — the line itself, the chunks the edge reached and
+// the commit — on a single node at chain-64 and chain-256, and through
+// a 3-shard partitioned router, whose gather merges the shards' chunks
+// into the line. A run copied, rendered and marshaled whole, as before
+// chunks, read 150,434 B for a 27 KB line at chain-64 (5.5x).
+func TestColdQueryBytesFollowTheLine(t *testing.T) {
+	for _, n := range []int{64, 256} {
+		_, bytes, line, size := coldQuery(t, n)
+		t.Logf("chain-%d: %.0f B for a %d B line (%.2fx), |T| = %d", n, bytes, line, bytes/float64(line), size)
+		if bytes > 2*float64(line) {
+			t.Errorf("chain-%d: a one-edge commit and a cold query T allocate %.0f B for a %d B line, want at most 2x", n, bytes, line)
+		}
+	}
+
+	c, err := cluster.New(datalog.MustParseProgram(tcSrc), generate.Path("c", 65), cluster.Options{Shards: 3, Placement: cluster.PlaceComponent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if !c.Plan().Partitioned {
+		t.Fatalf("plan %+v is not partitioned", c.Plan())
+	}
+	req, i, line := serve.Request{Op: "query", Rel: "T"}, 0, 0
+	round := func() {
+		i++
+		write := serve.Request{Op: "insert", Facts: []string{fmt.Sprintf("E(p%d,q%d)", i, i)}}
+		resp, g := c.SubmitWrite(write)
+		if !resp.OK {
+			t.Fatal(resp.Err)
+		}
+		b, err := c.Read(-1, req, g).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		line = len(b)
+	}
+	round()
+	bytes := totalAlloc(20, round)
+	t.Logf("partitioned, 3 shards: %.0f B for a %d B gathered line (%.2fx)", bytes, line, bytes/float64(line))
+	if bytes > 2*float64(line) {
+		t.Errorf("a one-edge write and a cold gathered query T allocate %.0f B for a %d B line, want at most 2x", bytes, line)
+	}
+}
+
+// awkward is a value built from pieces JSON writes escaped: quote and
+// backslash, the HTML-sensitive '<' '>' '&', control bytes, U+2028 and
+// U+2029, multi-byte UTF-8 and invalid UTF-8, among plain letters.
+func awkward(rng *rand.Rand) string {
+	pieces := []string{"a", "b", "7", " ", `"`, `\`, "<", ">", "&", "\x01", "\n", "\t", "\x1f", "\x7f", "\u2028", "\u2029", "é", "日本", "\xff", "\xc3"}
+	var v string
+	for k := 1 + rng.Intn(4); k > 0; k-- {
+		v += pieces[rng.Intn(len(pieces))]
+	}
+	return v
+}
+
+// quoted writes v in fact syntax, always quoted: the parser reads any
+// byte between quotes but NUL, '"' and '\\' escaped.
+func quoted(v string) string {
+	var b strings.Builder
+	b.WriteByte('"')
+	for i := 0; i < len(v); i++ {
+		if v[i] == '"' || v[i] == '\\' {
+			b.WriteByte('\\')
+		}
+		b.WriteByte(v[i])
+	}
+	b.WriteByte('"')
+	return b.String()
+}
+
+// TestFactsLineIsJSONMarshal is the byte-exactness property of the wire
+// elements: every query and facts line a core and a partitioned router
+// write from their chunks, with and without "epoch":true, is the bytes
+// json.Marshal writes for the same Response with the facts as a list of
+// strings. The facts hold awkward values and reach the server as fact
+// text through fact.ParseFacts; requests go in as Go values, so even
+// invalid UTF-8 arrives unreplaced.
+func TestFactsLineIsJSONMarshal(t *testing.T) {
+	prog := datalog.MustParseProgram(tcSrc)
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		core := serve.NewCore(mustNew(t, prog, fact.NewInstance()), serve.Options{})
+		t.Cleanup(core.Close)
+		c, err := cluster.New(prog, nil, cluster.Options{Shards: 3, Placement: cluster.PlaceComponent})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		cur := fact.NewInstance()
+		var text []string
+		for step := 0; step < 30; step++ {
+			req := serve.Request{Op: "insert"}
+			if present := fact.FactStrings(cur.Facts()); len(present) > 0 && rng.Intn(4) == 0 {
+				req = serve.Request{Op: "retract", Facts: []string{quotedFact(t, present[rng.Intn(len(present))])}}
+			} else {
+				req.Facts = []string{fmt.Sprintf("E(%s,%s)", quoted(awkward(rng)), quoted(awkward(rng)))}
+			}
+			fs, err := fact.ParseFacts(req.Facts)
+			if err != nil {
+				t.Fatalf("%q: %v", req.Facts, err)
+			}
+			if req.Op == "insert" {
+				cur.Add(fs[0])
+			} else {
+				cur.Remove(fs[0])
+			}
+			if resp := core.Do(req); !resp.OK {
+				t.Fatalf("core %v: %s", req, resp.Err)
+			}
+			resp, g := c.SubmitWrite(req)
+			if !resp.OK {
+				t.Fatalf("router %v: %s", req, resp.Err)
+			}
+			text = text[:0]
+			oracle := mustNew(t, prog, cur).Epoch()
+			for _, read := range []serve.Request{{Op: "query", Rel: "E"}, {Op: "query", Rel: "T"}, {Op: "query", Rel: "nope"}, {Op: "facts"}} {
+				var want []fact.Fact
+				if read.Op == "facts" {
+					want = append(oracle.Rel("E"), oracle.Rel("T")...)
+				} else {
+					want = oracle.Rel(read.Rel)
+				}
+				text = fact.FactStrings(want)
+				for _, echo := range []bool{false, true} {
+					read.Epoch = echo
+					for _, d := range []struct {
+						name string
+						resp serve.Response
+					}{{"core", core.Do(read)}, {"router", c.Read(-1, read, g)}} {
+						got, err := d.resp.Encode()
+						if err != nil {
+							t.Fatal(err)
+						}
+						n := len(text)
+						wantResp := serve.Response{OK: true, Count: &n, Facts: text}
+						if echo {
+							wantResp.Epoch = d.resp.Epoch
+						}
+						w, err := json.Marshal(wantResp)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(got, w) {
+							t.Fatalf("seed %d step %d, %s %+v:\n got %s\nwant %s", seed, step, d.name, read, got, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// quotedFact rewrites a printed E fact with both values quoted, so that
+// a value Fact.String prints bare parses back as itself.
+func quotedFact(t *testing.T, s string) string {
+	f, err := fact.ParseFact(s)
+	if err != nil {
+		t.Fatalf("%q: %v", s, err)
+	}
+	return fmt.Sprintf("E(%s,%s)", quoted(string(f.Arg(0))), quoted(string(f.Arg(1))))
 }
 
 // TestRestoreAnswersLikeTheWriter: a core that has carried its runs

@@ -3,8 +3,10 @@ package incr
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -316,7 +318,7 @@ func TestWriteOnlyCommitsStayBounded(t *testing.T) {
 	for _, mode := range []string{"never read", "read once", "published once"} {
 		m := mustNew(t, tcProg, generate.Path("v", 16), Options{})
 		if e := m.Epoch(); mode == "read once" {
-			e.Facts()
+			e.Wire("")
 		}
 		var before uint64
 		for i := 0; i < 10000; i++ {
@@ -357,6 +359,101 @@ func TestWriteOnlyCommitsStayBounded(t *testing.T) {
 		if recs, derived := len(m.derived), len(m.Rel("T")); recs != derived {
 			t.Errorf("%s: after 10000 commits %d rank and support records for %d derived facts", mode, recs, derived)
 		}
+	}
+}
+
+// TestChunkFillStaysBounded: ten thousand seeded commits of random
+// edges in and out, among the nodes of a chain and sorting between its
+// facts, with reads of the newest epoch in between (some commits go
+// unread, so a run may carry a delta past several). Whatever splits and
+// joins the patches made, every built run holds at most
+// 2·⌈|R|/chunkSize⌉ + 1 chunks, none empty and none past 2·chunkSize,
+// and a run retains at most 64 B a fact — a run of facts and their
+// rendered text took about 80.
+func TestChunkFillStaysBounded(t *testing.T) {
+	commits := 10000
+	if testing.Short() {
+		commits = 2000
+	}
+	m := mustNew(t, tcProg, generate.Path("c", 64), Options{})
+	rng := rand.New(rand.NewSource(34))
+	node := func() fact.Value { return fact.Value(fmt.Sprintf("c%dr", rng.Intn(200))) }
+	var live []fact.Fact
+	check := func(when string) {
+		for rel, r := range m.runs {
+			s := r.got.Load()
+			if s == nil {
+				continue
+			}
+			n := 0
+			for _, c := range s.chunks {
+				if c.len() == 0 || c.len() > 2*chunkSize {
+					t.Fatalf("%s: %s has a chunk of %d facts", when, rel, c.len())
+				}
+				n += c.len()
+			}
+			if bound := 2*((r.n+chunkSize-1)/chunkSize) + 1; n != r.n || len(s.chunks) > bound {
+				t.Fatalf("%s: %s holds %d facts in %d chunks, want %d facts in at most %d", when, rel, n, len(s.chunks), r.n, bound)
+			}
+		}
+	}
+	for i := 0; i < commits; i++ {
+		var d Delta
+		for k := rng.Intn(4); k > 0; k-- {
+			d.Insert = append(d.Insert, fact.New("E", node(), node()))
+		}
+		for k := rng.Intn(4); k > 0 && len(live) > 40; k-- {
+			j := rng.Intn(len(live))
+			d.Retract = append(d.Retract, live[j])
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		d.Insert = slices.DeleteFunc(d.Insert, func(f fact.Fact) bool { return m.Has(f) || slices.ContainsFunc(d.Retract, f.Equal) })
+		d.Insert = slices.CompactFunc(d.Insert, fact.Fact.Equal)
+		if _, err := m.Apply(d); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range d.Insert {
+			if !slices.ContainsFunc(live, f.Equal) {
+				live = append(live, f)
+			}
+		}
+		e := m.Epoch()
+		if rng.Intn(3) > 0 {
+			e.Wire([]string{"", "E", "T"}[rng.Intn(3)])
+			check(fmt.Sprintf("commit %d", i))
+		}
+	}
+	e := m.Epoch()
+	e.Wire("")
+	var got []fact.Fact // read off the chunks: a Rel list would count as retained below
+	for _, c := range e.runs["T"].get().chunks {
+		for i := range c.len() {
+			got = append(got, c.fact(i))
+		}
+	}
+	if want := m.Rel("T"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after %d commits T = %d facts, the materialization holds %d", commits, len(got), len(want))
+	}
+
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	// What the runs retain: the heap with every run built, against the
+	// heap once the materialization lets them go and builds none.
+	n := e.Len()
+	got, e = nil, nil
+	with := heap()
+	m.runs = nil
+	without := heap()
+	runtime.KeepAlive(m)
+	per := (float64(with) - float64(without)) / float64(n)
+	t.Logf("%d facts in runs retain %.1f B a fact", n, per)
+	if per > 64 {
+		t.Errorf("a run retains %.1f B a fact, want at most 64", per)
 	}
 }
 

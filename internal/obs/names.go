@@ -154,8 +154,9 @@ const (
 	ClusterCrashes    = "cluster.crashes"
 	ClusterRecoveries = "cluster.recoveries"
 	// Gather-path phase latencies (LatencyHist plane): whole gather,
-	// scatter fan-out until every shard leg returned, cross-shard merge,
-	// and response render.
+	// scatter fan-out until every shard leg returned, pinning the
+	// shards' runs, and the render that merges their chunks into the
+	// response line.
 	ClusterGatherNs       = "cluster.gather_ns"
 	ClusterGatherFanoutNs = "cluster.gather_fanout_ns"
 	ClusterGatherMergeNs  = "cluster.gather_merge_ns"

@@ -29,7 +29,7 @@ import (
 //     stats carries its seq natively), pinning each response to the
 //     epoch that served it;
 //   - a query response is a pure function of (epoch, request), so the
-//     oracle's json.Marshal must reproduce the server's wire line
+//     oracle epoch's ReadResponse must reproduce the server's wire line
 //     byte for byte.
 func TestDeterminismUnderConcurrency(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
@@ -137,7 +137,7 @@ func runDeterminism(t *testing.T, seed int64) {
 		if !ok {
 			t.Fatalf("read %d pinned unknown epoch %d", i, r.epoch)
 		}
-		want, err := json.Marshal(ReadResponse(ep, r.req))
+		want, err := ReadResponse(ep, r.req).Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,11 +152,11 @@ func runDeterminism(t *testing.T, seed int64) {
 
 	// The served end state equals the oracle end state, and the
 	// materialization audits clean after all the concurrency.
-	finalServer, err := json.Marshal(ReadResponse(c.CurrentEpoch(), Request{Op: "facts"}))
+	finalServer, err := ReadResponse(c.CurrentEpoch(), Request{Op: "facts"}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	finalOracle, err := json.Marshal(ReadResponse(epochs[maxSeq], Request{Op: "facts"}))
+	finalOracle, err := ReadResponse(epochs[maxSeq], Request{Op: "facts"}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}

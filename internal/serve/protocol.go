@@ -47,6 +47,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"repro/internal/fact"
@@ -137,11 +138,11 @@ type Response struct {
 	Cluster *ClusterBody `json:"cluster,omitempty"`
 
 	// raw, when non-nil, is this response's already-encoded wire line
-	// (no trailing newline). The session loop writes it verbatim
-	// instead of re-marshaling; the epoch render cache fills it so a
-	// repeated query costs one map hit, not one json.Marshal.
-	// Unexported: encoding/json ignores it, so marshaling a Response
-	// that carries raw reproduces exactly raw.
+	// (no trailing newline), which Encode returns and the session loop
+	// writes verbatim. A facts or query response is built as bytes
+	// (factsResponse) and leaves Facts nil: its list exists only on the
+	// wire. ReadMemo fills raw for every response it keeps, so a
+	// repeated read costs one map hit.
 	raw []byte
 }
 
@@ -206,14 +207,14 @@ func DeltaOf(req Request) (incr.Delta, error) {
 
 // View is one committed state as a read response sees it: *incr.Epoch
 // on a single node, the union of one pinned epoch per live shard behind
-// the router. RelText and FactsText are wire text in canonical SortFacts
-// order: the view's own lists, shared, never modified.
+// the router. Wire is its facts of one relation — of every relation
+// when rel is "" — in canonical SortFacts order and wire form: the
+// view's own chunks, which a response copies.
 type View interface {
 	Seq() int
 	Len() int
 	BaseLen() int
-	RelText(rel string) []string
-	FactsText() []string
+	Wire(rel string) incr.Wire
 }
 
 // ReadResponse answers a read op from one immutable view: a pure
@@ -230,10 +231,10 @@ func ReadResponse(v View, req Request) Response {
 		if req.Rel == "" {
 			return ErrResp("query needs a rel")
 		}
-		return factsResponse(v, v.RelText(req.Rel), req.Epoch)
+		return factsResponse(v, v.Wire(req.Rel), req.Epoch)
 
 	case "facts":
-		return factsResponse(v, v.FactsText(), req.Epoch)
+		return factsResponse(v, v.Wire(""), req.Epoch)
 
 	case "stats":
 		return Response{OK: true, Stats: &StatsBody{
@@ -248,21 +249,46 @@ func ReadResponse(v View, req Request) Response {
 	}
 }
 
-// factsResponse answers with a view's rendered fact list as it stands.
-func factsResponse(v View, text []string, echoEpoch bool) Response {
-	n := len(text)
-	resp := Response{OK: true, Count: &n, Facts: text}
+// factsResponse answers with a view's fact list as it stands, its wire
+// line written here rather than by json.Marshal:
+//
+//	{"ok":true,"count":N,"facts":[ELEM,ELEM,...ELEM],"epoch":S}
+//
+// the elements copied from w with the last comma dropped — the bytes
+// json.Marshal writes for Response{OK, Count, Facts, Epoch}, in one
+// buffer. w.Len bounds N, so the head is written last, right-aligned
+// before the elements in the room left for the longest count.
+func factsResponse(v View, w incr.Wire, echoEpoch bool) Response {
+	resp := Response{OK: true}
 	if echoEpoch {
 		seq := v.Seq()
 		resp.Epoch = &seq
 	}
+	if w.Len() == 0 {
+		resp.Count = new(int)
+		return resp // json.Marshal's to write: no facts key
+	}
+	const open, facts = `{"ok":true,"count":`, `,"facts":[`
+	var hb [64]byte
+	room := len(open) + len(strconv.AppendInt(hb[:0], int64(w.Len()), 10)) + len(facts)
+	b := make([]byte, room, room+w.Size()+len(`,"epoch":}`)+20)
+	b, n := w.AppendTo(b)
+	b[len(b)-1] = ']'
+	if resp.Epoch != nil {
+		b = strconv.AppendInt(append(b, `,"epoch":`...), int64(*resp.Epoch), 10)
+	}
+	b = append(b, '}')
+	head := append(strconv.AppendInt(append(hb[:0], open...), int64(n), 10), facts...)
+	at := room - len(head)
+	copy(b[at:], head)
+	resp.Count, resp.raw = &n, b[at:]
 	return resp
 }
 
 // ReadMemo memoizes ReadResponse, wire bytes included, over one
-// immutable view: the first read of a key pays the view's text and the
-// marshal, every later one is a map hit — byte-identical by
-// construction. The zero value is ready. The view is passed per call so
+// immutable view: the first read of a key pays the copy of the view's
+// chunks (or, for stats, a json.Marshal), every later one is a map hit
+// — byte-identical by construction. The zero value is ready. The view is passed per call so
 // a caller can hang per-request instrumentation on it; every call on
 // one memo must pass a view of the same committed state.
 type ReadMemo struct {
@@ -300,8 +326,10 @@ func (m *ReadMemo) Respond(v View, req Request) Response {
 	if !resp.OK || (resp.Count != nil && *resp.Count == 0) {
 		return resp
 	}
-	if b, err := json.Marshal(resp); err == nil {
-		resp.raw = b
+	if resp.raw == nil {
+		if b, err := json.Marshal(resp); err == nil {
+			resp.raw = b
+		}
 	}
 	if m.resps == nil {
 		m.resps = make(map[memoKey]Response)

@@ -1,5 +1,5 @@
 #!/bin/sh
-# check.sh runs the full local gate: vet, build, eight structural gates
+# check.sh runs the full local gate: vet, build, nine structural gates
 # (internal/cluster has grown no wire loop of its own, IndexedInstance no
 # second fact store, internal/incr and internal/ilog start no goroutine,
 # internal/datalog starts them in one place, a fixpoint round never
@@ -10,7 +10,9 @@
 # fact.ComponentIndex and nowhere else — and only internal/transducer
 # resets a fact.Instance, the Stepper's accumulators and the
 # Simulation's delivered set: a reset instance keeps its storage for the
-# next transition, so it must not outlive its own), the exported-identifier
+# next transition, so it must not outlive its own — and a fact list
+# reaches the wire one way: an epoch's chunks, encoded once, copied into
+# the line), the exported-identifier
 # ratchet (scripts/exports.go), and the test suite
 # under the race detector (the fanned-out rounds of the batch fixpoint,
 # the epoch-pinned serving core, and the simulation determinism tests
@@ -126,6 +128,18 @@ bad=$(echo "$calls" | grep . | grep -vE '^internal/transducer/step\.go:[0-9]+:[[
 if [ -n "$bad" ] || [ "$(echo "$calls" | grep -c .)" -ne 5 ]; then
     echo "$calls"
     echo "check: fact.Instance.Reset is called outside Stepper.Step's accumulators and the Simulation's delivered set"
+    exit 1
+fi
+
+# One render path: a query or facts line is the epoch's chunks — each
+# fact's JSON string encoded once, when it enters a chunk (internal/incr
+# wire.go) — copied into the line by serve's factsResponse, a gather
+# merging the shards' chunks on the way. A RelText, a FactsText or a
+# mergeFactLists in non-test Go is a second path growing back: a
+# []string of rendered facts, kept beside the chunks and marshaled again.
+echo ">> structural gate: one render path for fact lists"
+if grep -rn --include='*.go' --exclude='*_test.go' -E 'RelText|FactsText|mergeFactLists' internal cmd calm examples bench; then
+    echo "check: a second fact-list render path; reads write the epoch's chunks (incr.Wire)"
     exit 1
 fi
 
