@@ -28,7 +28,7 @@ func TestEndpoints(t *testing.T) {
 	reg.Counter("srv.requests").Add(7)
 	reg.Latency("srv.read_ns").Observe(1500)
 	tr := obs.NewTracer(16, true)
-	sp := tr.Root(obs.TraceID{Conn: 1, Seq: 1}).Start("srv.req")
+	sp := tr.Root(obs.TraceID{Conn: 1, Seq: 1}).Start("srv.req", nil)
 	sp.Attr("op", "ping").Finish()
 
 	scrapes := 0

@@ -213,10 +213,9 @@ type Cluster struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
 
-	writes, reads, errors  *obs.Counter
-	deliveries, migrations *obs.Counter
-	fenceWaits, gathers    *obs.Counter
-	crashes, recoveries    *obs.Counter
+	writes, reads, errors *obs.Counter
+	deliveries, gathers   *obs.Counter
+	crashes, recoveries   *obs.Counter
 
 	// Coordination budget (coord.*) — see internal/obs names.go.
 	coordFences     *obs.Counter
@@ -266,8 +265,6 @@ func New(p *datalog.Program, initial *fact.Instance, opts Options) (*Cluster, er
 		reads:      opts.Reg.Counter(obs.ClusterReads),
 		errors:     opts.Reg.Counter(obs.ClusterErrors),
 		deliveries: opts.Reg.Counter(obs.ClusterDeliveries),
-		migrations: opts.Reg.Counter(obs.ClusterMigrations),
-		fenceWaits: opts.Reg.Counter(obs.ClusterFenceWaits),
 		gathers:    opts.Reg.Counter(obs.ClusterGathers),
 		crashes:    opts.Reg.Counter(obs.ClusterCrashes),
 		recoveries: opts.Reg.Counter(obs.ClusterRecoveries),
@@ -468,10 +465,12 @@ func (c *Cluster) submitWrite(req serve.Request, tc obs.SpanCtx) (serve.Response
 	}
 	ins, ret := d.Insert, d.Retract
 
-	ls := tc.Start(obs.SpanLogAppend)
-	var lstart time.Time
+	ls := tc.Start(obs.SpanLogAppend, c.logAppendNs)
+	var enq time.Time
 	if c.reg != nil {
-		lstart = time.Now()
+		// Not a span: cluster.delivery_lag_ns runs from this append to
+		// each shard pump's apply of it, on the pump's goroutine.
+		enq = time.Now()
 	}
 	n := len(c.shards)
 	c.mu.Lock()
@@ -515,7 +514,7 @@ func (c *Cluster) submitWrite(req serve.Request, tc obs.SpanCtx) (serve.Response
 	c.log = append(c.log, rec)
 	acks := make([]chan serve.Response, 0, len(homes))
 	for j, sh := range c.shards {
-		d := delivery{rec: rec, g: g, enq: lstart}
+		d := delivery{rec: rec, g: g, enq: enq}
 		if slices.Contains(homes, j) {
 			d.resp = make(chan serve.Response, 1)
 			acks = append(acks, d.resp)
@@ -524,16 +523,12 @@ func (c *Cluster) submitWrite(req serve.Request, tc obs.SpanCtx) (serve.Response
 	}
 	c.mu.Unlock()
 	ls.SetSeq(g).Finish()
-	if !lstart.IsZero() {
-		c.logAppendNs.Observe(time.Since(lstart).Nanoseconds())
-	}
 	if migrated > 0 {
-		c.migrations.Add(int64(migrated))
 		// A migration is coordination the placement layer performed on
 		// the write's behalf: base facts moved shards inside this log
 		// record so every derivation stays local.
 		c.coordMigrations.Add(int64(migrated))
-		ms := tc.Start(obs.SpanCoordMigration)
+		ms := tc.Start(obs.SpanCoordMigration, nil)
 		ms.SetSeq(g).Attr("components", migrated)
 		ms.Finish()
 	}
@@ -686,15 +681,10 @@ func (c *Cluster) gather(req serve.Request, fence int, tc obs.SpanCtx) serve.Res
 	if req.Op == "ping" {
 		return serve.Response{OK: true} // liveness asks no shard
 	}
-	gs := tc.Start(obs.SpanGather)
-	var gstart time.Time
-	if c.reg != nil {
-		gstart = time.Now()
-		defer func() { c.gatherNs.Observe(time.Since(gstart).Nanoseconds()) }()
-	}
+	gs := tc.Start(obs.SpanGather, c.gatherNs)
 	defer gs.Finish()
 
-	fsp := gs.Ctx().Start(obs.SpanGatherFanout)
+	fsp := gs.Ctx().Start(obs.SpanGatherFanout, c.fanoutNs)
 	v := &gathered{c: c, tc: gs.Ctx(), seq: -1, eps: make([]*incr.Epoch, 0, len(c.shards))}
 	for _, sh := range c.shards {
 		if !sh.waitWM(fence) {
@@ -708,9 +698,6 @@ func (c *Cluster) gather(req serve.Request, fence int, tc obs.SpanCtx) serve.Res
 		}
 	}
 	fsp.SetSeq(v.seq).Attr("shards", len(v.eps)).Finish()
-	if !gstart.IsZero() {
-		c.fanoutNs.Observe(time.Since(gstart).Nanoseconds())
-	}
 	if len(v.eps) == 0 {
 		c.errors.Inc()
 		return serve.ErrResp("cluster: every shard is down")
@@ -759,8 +746,7 @@ type gathered struct {
 	seq int
 
 	// Set by a merge: the open render phase, closed by endRender.
-	rsp    *obs.ActiveSpan
-	rstart time.Time
+	rsp obs.ActiveSpan
 }
 
 func (v *gathered) Seq() int { return v.seq }
@@ -784,36 +770,25 @@ func (v *gathered) sum(size func(*incr.Epoch) int) (n int) {
 // double-count an answer. The reader asks only on a memo miss: the
 // merge phase is collecting the runs, render writes the merged line.
 func (v *gathered) Wire(rel string) incr.Wire {
-	msp := v.tc.Start(obs.SpanGatherMerge)
-	var mstart time.Time
-	if v.c.reg != nil {
-		mstart = time.Now()
-	}
+	msp := v.tc.Start(obs.SpanGatherMerge, v.c.mergeNs)
 	ws := make([]incr.Wire, len(v.eps))
 	for i, ep := range v.eps {
 		ws[i] = ep.Wire(rel)
 	}
 	w := incr.Union(ws...)
 	msp.Attr("facts", w.Len()).Finish()
-	if !mstart.IsZero() {
-		v.rstart = time.Now()
-		v.c.mergeNs.Observe(v.rstart.Sub(mstart).Nanoseconds())
-	}
-	v.rsp = v.tc.Start(obs.SpanGatherRender)
+	v.rsp = v.tc.Start(obs.SpanGatherRender, v.c.gatherRenderNs)
 	return w
 }
 
 // endRender closes the render phase a merge opened, if one did.
 func (v *gathered) endRender(resp serve.Response) {
-	if !v.rstart.IsZero() {
-		v.c.gatherRenderNs.Observe(time.Since(v.rstart).Nanoseconds())
-	}
-	if v.rsp != nil {
+	if v.rsp.Ctx().Enabled() {
 		if b, err := resp.Encode(); err == nil {
 			v.rsp.Attr("bytes", len(b))
 		}
-		v.rsp.Finish()
 	}
+	v.rsp.Finish()
 }
 
 // --- fault lifecycle ----------------------------------------------
@@ -984,7 +959,7 @@ func (sh *shard) pump() {
 			// Retraction barrier: nothing may be reordered past it. This
 			// flush is the delta-stream coordination a non-monotone write
 			// costs — budgeted under coord.*.
-			hs := ptc.Start(obs.SpanCoordHoldFlush)
+			hs := ptc.Start(obs.SpanCoordHoldFlush, nil)
 			n := release(-1)
 			hs.SetShard(sh.id).SetSeq(g).Attr("released", n)
 			hs.Finish()
@@ -1021,7 +996,7 @@ func (sh *shard) apply(d delivery, ptc obs.SpanCtx) {
 	if s == nil {
 		r = serve.Response{OK: true}
 	} else {
-		ds := ptc.Start(obs.SpanDeliver)
+		ds := ptc.Start(obs.SpanDeliver, nil)
 		ds.SetShard(sh.id).SetSeq(d.g)
 		var fs []string
 		if s.facts != "" {
@@ -1062,31 +1037,26 @@ func (sh *shard) isDown() bool {
 
 // waitWM blocks until the shard's watermark reaches g; false means
 // the shard is down (the caller should route around it). A wait that
-// actually blocks is coordination: it is counted under both the
-// legacy cluster.fence_waits and the coord.* budget, with its
-// duration in coord.fence_wait_ns.
+// actually blocks is coordination: it is counted under coord.fence_waits
+// and timed into coord.fence_wait_ns, the histogram the core's
+// coord.fence span feeds.
 func (sh *shard) waitWM(g int) bool {
 	sh.wmMu.Lock()
 	defer sh.wmMu.Unlock()
 	if sh.down {
 		return false
 	}
-	var start time.Time
-	if sh.wm < g {
-		sh.c.fenceWaits.Inc()
-		sh.c.coordFences.Inc()
-		if sh.c.reg != nil {
-			start = time.Now()
-		}
+	if sh.wm >= g {
+		return true
 	}
+	sh.c.coordFences.Inc()
+	fw := obs.SpanCtx{}.Start(obs.SpanCoordFence, sh.c.coordFenceNs)
+	defer fw.Finish()
 	for sh.wm < g {
 		if sh.down {
 			return false
 		}
 		sh.wmCond.Wait()
-	}
-	if !start.IsZero() {
-		sh.c.coordFenceNs.Observe(time.Since(start).Nanoseconds())
 	}
 	return true
 }

@@ -192,7 +192,7 @@ func TestPartitionedMigration(t *testing.T) {
 	if got[2] != want {
 		t.Errorf("post-migration gather:\n got %s\nwant %s", got[2], want)
 	}
-	if got := c.migrations.Value(); got != 1 {
+	if got := c.coordMigrations.Value(); got != 1 {
 		t.Errorf("migrations counter = %d, want 1", got)
 	}
 	// Single homing: base facts across shards sum to the base size.

@@ -146,7 +146,7 @@ func runPartitionedEquivalence(t *testing.T, shards int, seed int64, batch int, 
 		c.Quiesce()
 		compareCut(t, c, r, oracle, round)
 	}
-	if got := reg.Counter(obs.ClusterMigrations).Value(); got != migrations {
+	if got := reg.Counter(obs.CoordMigrations).Value(); got != migrations {
 		t.Errorf("%d migrations in %d writes, want %d", got, rounds*writes, migrations)
 	}
 }

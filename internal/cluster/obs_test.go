@@ -105,3 +105,48 @@ func TestGatherPhaseTelemetry(t *testing.T) {
 		}
 	}
 }
+
+// TestGatherPhaseSpansMatchHistograms checks that each router-side
+// phase of a partitioned cluster has one clock: with a wall-clock
+// tracer and a registry on, every phase histogram counts exactly the
+// spans of that phase over a session of writes and gathered reads.
+func TestGatherPhaseSpansMatchHistograms(t *testing.T) {
+	reg := obs.NewRegistry()
+	tr := obs.NewTracer(1<<14, false)
+	c := newTestCluster(t, tcProgram, chainFacts(6), Options{
+		Shards: 3, Placement: PlaceComponent, Reg: reg, Tracer: tr,
+	})
+	if !c.Plan().Partitioned {
+		t.Fatalf("want partitioned plan, got %+v", c.Plan())
+	}
+	before := reg.Snapshot().Latencies
+	routerSession(t, NewRouter(c),
+		`{"op":"insert","facts":["E(x1,x2)"]}`,
+		`{"op":"query","rel":"T"}`,
+		`{"op":"insert","facts":["E(y1,y2)","E(z1,z2)"]}`,
+		`{"op":"facts"}`,
+		`{"op":"query","rel":"T"}`,
+		`{"op":"retract","facts":["E(x1,x2)"]}`,
+		`{"op":"stats"}`,
+		`{"op":"query","rel":"E"}`,
+	)
+	c.Quiesce()
+
+	spans := map[string]int64{}
+	for _, s := range tr.Spans(0) {
+		spans[s.Name]++
+	}
+	after := reg.Snapshot().Latencies
+	for _, p := range []struct{ span, hist string }{
+		{obs.SpanLogAppend, obs.ClusterLogAppendNs},
+		{obs.SpanGather, obs.ClusterGatherNs},
+		{obs.SpanGatherFanout, obs.ClusterGatherFanoutNs},
+		{obs.SpanGatherMerge, obs.ClusterGatherMergeNs},
+		{obs.SpanGatherRender, obs.ClusterGatherRenderNs},
+	} {
+		timed := after[p.hist].Count - before[p.hist].Count
+		if timed == 0 || timed != spans[p.span] {
+			t.Errorf("%s timed %d times and spanned %d times, want equal and nonzero", p.hist, timed, spans[p.span])
+		}
+	}
+}

@@ -109,7 +109,7 @@ func (cn *conn) handle(req serve.Request, tc obs.SpanCtx) serve.Response {
 			// shard must reach the log tip observed at arrival.
 			fence = c.logLen()
 			c.fencedReads.Inc()
-			fr := tc.Start(obs.SpanCoordFencedRead)
+			fr := tc.Start(obs.SpanCoordFencedRead, nil)
 			fr.SetSeq(fence)
 			resp := c.read(cn.affinity, req, fence, fr.Ctx())
 			fr.Finish()
@@ -126,7 +126,7 @@ func (cn *conn) handle(req serve.Request, tc obs.SpanCtx) serve.Response {
 // request span before handing the response over.
 func (r *Router) Serve(rd io.Reader, w io.Writer) error {
 	cn := r.newConn()
-	return serve.Session(rd, w, r.session, cn.id, func(req serve.Request, span *obs.ActiveSpan, ch chan<- serve.Response) {
+	return serve.Session(rd, w, r.session, cn.id, func(req serve.Request, span obs.ActiveSpan, ch chan<- serve.Response) {
 		resp := cn.handle(req, span.Ctx())
 		span.Finish()
 		ch <- resp

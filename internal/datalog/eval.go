@@ -118,7 +118,7 @@ func (p *Program) Fixpoint(input *fact.Instance, opts FixpointOptions) (*fact.In
 // over as the result, not copied.
 func evalStrata(strata [][]Rule, input *fact.Instance, opts FixpointOptions) (*fact.Instance, error) {
 	eo := newEngineObs(opts)
-	stop := opts.Reg.Span(obs.DlFixpointNs)
+	sp := obs.SpanCtx{}.Start("", opts.Reg.Latency(obs.DlFixpointNs))
 	x := IndexInstance(input)
 	for i, stratum := range strata {
 		eo.beginStratum(i+1, stratum)
@@ -128,7 +128,7 @@ func evalStrata(strata [][]Rule, input *fact.Instance, opts FixpointOptions) (*f
 		eo.endStratum(x)
 	}
 	eo.endFixpoint(len(strata), x)
-	stop()
+	sp.Finish()
 	return x.handOver(), nil
 }
 

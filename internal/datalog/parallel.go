@@ -261,11 +261,11 @@ func (l *stratumLoop) runRound(build func(workers int) []ruleTask) error {
 		workers = 1
 	}
 	eo := l.eo
-	var stopRound func()
+	var round obs.ActiveSpan
 	var aggs []*roundAgg
 	var wTasks, wBusy []int64 // per-worker load of a fanned-out round
 	if eo != nil {
-		stopRound = eo.reg.Span(obs.DlRoundNs)
+		round = obs.SpanCtx{}.Start("", eo.reg.Latency(obs.DlRoundNs))
 		aggs = make([]*roundAgg, workers)
 		if workers > 1 {
 			wTasks, wBusy = make([]int64, workers), make([]int64, workers)
@@ -305,7 +305,7 @@ func (l *stratumLoop) runRound(build func(workers int) []ruleTask) error {
 			}
 		}
 		eo.roundDone(l.mode, len(tasks), agg, appended, wTasks, wBusy)
-		stopRound()
+		round.Finish()
 	}
 	return nil
 }

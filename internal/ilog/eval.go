@@ -127,7 +127,7 @@ func (p *Program) Eval(input *fact.Instance, opts Options) (*fact.Instance, erro
 	// One incrementally-maintained index is shared by every round of
 	// every stratum; rebuilding it per valuation call made the
 	// evaluator quadratic in the number of rounds.
-	stop := opts.Reg.Span(obs.IlogEvalNs)
+	sp := obs.SpanCtx{}.Start("", opts.Reg.Latency(obs.IlogEvalNs))
 	x := datalog.IndexInstance(input)
 	for i, stratum := range p.strata(rho) {
 		if err := fixpoint(stratum, x, opts, i+1); err != nil {
@@ -135,7 +135,7 @@ func (p *Program) Eval(input *fact.Instance, opts Options) (*fact.Instance, erro
 		}
 	}
 	opts.Reg.Gauge(obs.IlogFacts).Set(int64(x.Len()))
-	stop()
+	sp.Finish()
 	return x.Instance(), nil
 }
 

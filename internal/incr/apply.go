@@ -90,6 +90,30 @@ func (sb *stratumStats) any() bool {
 // the maintenance phases (as opposed to delta validation) marks the
 // materialization corrupt and every later call fails fast.
 func (m *Materialization) Apply(d Delta) (ApplyStats, error) {
+	return m.ApplyTraced(d, obs.SpanCtx{})
+}
+
+// ApplyTraced is Apply with a trace context: the call is one incr.apply
+// span, stamped with the resulting sequence number and the
+// (deterministic) apply stats, which also times it into incr.apply_ns.
+// The serving core's writer uses it so a request trace reaches all the
+// way into view maintenance; Apply is ApplyTraced on a disabled
+// context.
+func (m *Materialization) ApplyTraced(d Delta, tc obs.SpanCtx) (ApplyStats, error) {
+	sp := tc.Start(obs.SpanIncrApply, m.opts.Reg.Latency(obs.IncrApplyNs))
+	st, err := m.apply(d)
+	sp.SetSeq(m.seq)
+	sp.Attr("inserted", st.BaseInserted).Attr("retracted", st.BaseRetracted)
+	sp.Attr("added", st.DerivedAdded).Attr("removed", st.DerivedRemoved)
+	sp.Attr("overdeleted", st.Overdeleted).Attr("rederived", st.Rederived).Attr("kept", st.Kept)
+	if err != nil {
+		sp.Attr("error", err.Error())
+	}
+	sp.Finish()
+	return st, err
+}
+
+func (m *Materialization) apply(d Delta) (ApplyStats, error) {
 	if m.corrupt != nil {
 		return ApplyStats{}, m.corrupt
 	}
@@ -100,7 +124,6 @@ func (m *Materialization) Apply(d Delta) (ApplyStats, error) {
 	if len(ins) == 0 && len(ret) == 0 {
 		return ApplyStats{}, nil
 	}
-	defer m.opts.Reg.Span(obs.IncrApplyNs)()
 
 	a := newApplyState()
 	// The deletion phases join "what held before" — freeze the index,
@@ -170,28 +193,6 @@ func (m *Materialization) Apply(d Delta) (ApplyStats, error) {
 	}
 	m.publishApply(&a.st)
 	return a.st, nil
-}
-
-// ApplyTraced is Apply with a trace context: the maintenance run is
-// recorded as one incr.apply span stamped with the resulting sequence
-// number and the (deterministic) apply stats. The serving core's
-// writer uses it so a request trace reaches all the way into view
-// maintenance; with a disabled context it is exactly Apply.
-func (m *Materialization) ApplyTraced(d Delta, tc obs.SpanCtx) (ApplyStats, error) {
-	if !tc.Enabled() {
-		return m.Apply(d)
-	}
-	sp := tc.Start(obs.SpanIncrApply)
-	st, err := m.Apply(d)
-	sp.SetSeq(m.seq)
-	sp.Attr("inserted", st.BaseInserted).Attr("retracted", st.BaseRetracted)
-	sp.Attr("added", st.DerivedAdded).Attr("removed", st.DerivedRemoved)
-	sp.Attr("overdeleted", st.Overdeleted).Attr("rederived", st.Rederived).Attr("kept", st.Kept)
-	if err != nil {
-		sp.Attr("error", err.Error())
-	}
-	sp.Finish()
-	return st, err
 }
 
 // Check validates the delta against a program, given as its idb

@@ -24,7 +24,8 @@ func work(x uint64) uint64 {
 // BenchmarkDisabledOverhead is the contract behind "disabled
 // instrumentation costs ~zero": "baseline" is the bare workload,
 // "disabled" adds the exact call shapes the engines use — nil-receiver
-// counter/gauge updates and a nil-guarded sink emit. scripts/check.sh
+// counter/gauge/histogram updates, a phase span started on a disabled
+// context with a nil histogram, and a nil-guarded sink emit. scripts/check.sh
 // runs both and gates the delta.
 func BenchmarkDisabledOverhead(b *testing.B) {
 	b.Run("baseline", func(b *testing.B) {
@@ -47,8 +48,9 @@ func BenchmarkDisabledOverhead(b *testing.B) {
 			c.Add(1)
 			g.Set(int64(n))
 			l.Observe(int64(n))
-			sp := tc.Start("ev")
+			sp := tc.Start("ev", l)
 			sp.SetEpoch(n)
+			sp.Ctx().Start("child", l).Finish()
 			sp.Finish()
 			if s != nil {
 				s.Emit("ev", F("n", n))

@@ -6,6 +6,9 @@ package obs
 // metric or event names. Names are dotted, lower_snake within a
 // segment, and suffixed _ns for wall-clock histograms (which never
 // appear in event streams — see the package comment).
+// A phase has one clock: its _ns histogram is fed by the span that
+// covers it (SpanCtx.Start takes the histogram). The few durations no
+// single span covers are observed directly, and their comments say so.
 
 // Datalog engine metrics (internal/datalog).
 const (
@@ -32,8 +35,9 @@ const (
 	// compare across workers for utilization (Registry plane only:
 	// the task distribution is scheduling-dependent).
 	DlWorkerTasksPrefix = "dl.worker_tasks."
-	// DlFixpointNs / DlRoundNs / DlWorkerBusyNs are wall-clock span
-	// histograms (nanoseconds).
+	// DlFixpointNs / DlRoundNs time one evaluation and one round, each
+	// a span on no trace; DlWorkerBusyNs is a worker's summed task
+	// time in a fanned-out round, observed directly (nanoseconds).
 	DlFixpointNs   = "dl.fixpoint_ns"
 	DlRoundNs      = "dl.round_ns"
 	DlWorkerBusyNs = "dl.worker_busy_ns"
@@ -66,7 +70,8 @@ const (
 	// per-fact derivation support counts — the support-count churn.
 	IncrSupportIncrements = "incr.support_increments"
 	IncrSupportDecrements = "incr.support_decrements"
-	// IncrApplyNs is the wall-clock span histogram of Apply calls.
+	// IncrApplyNs times every Apply call (no-op deltas included): the
+	// incr.apply span.
 	IncrApplyNs = "incr.apply_ns"
 )
 
@@ -101,19 +106,17 @@ const (
 	SrvQueueDepth = "srv.queue_depth"
 	// SrvReadNs / SrvWriteNs are wall-clock latency histograms from
 	// dispatch to response (for writes this includes queue wait, apply,
-	// and the group-commit barrier); scrapes get quantiles.
+	// and the group-commit barrier), observed directly; scrapes get
+	// quantiles.
 	SrvReadNs  = "srv.read_ns"
 	SrvWriteNs = "srv.write_ns"
-	// Write-path phase latencies: queue wait from
-	// enqueue to writer pickup, engine apply, group-commit barrier
-	// (batch drain + publish), and read-side render.
+	// Phase latencies, each timed by the span of the same name: queue
+	// wait from enqueue to writer pickup, engine apply, group-commit
+	// barrier (batch drain + publish), and read-side render.
 	SrvQueueWaitNs = "srv.queue_wait_ns"
 	SrvApplyNs     = "srv.apply_ns"
 	SrvCommitNs    = "srv.commit_ns"
 	SrvRenderNs    = "srv.render_ns"
-	// SrvFenceWaitNs is the latency histogram of reads that blocked on
-	// a read-your-writes fence inside the core.
-	SrvFenceWaitNs = "srv.fence_wait_ns"
 	// SrvLastCommitUnixNs is a gauge holding the wall-clock unix-nano
 	// timestamp of the most recent epoch publication; /healthz and the
 	// srv_epoch_age_ns scrape gauge derive epoch age from it.
@@ -140,32 +143,27 @@ const (
 	// ClusterDeliveries counts log-entry deliveries applied by shard
 	// pumps (replicated mode: one per shard per write).
 	ClusterDeliveries = "cluster.deliveries"
-	// ClusterMigrations counts component migrations (a write bridged
-	// co(I) components resident on different shards, and the absorbed
-	// component moved to the winner).
-	ClusterMigrations = "cluster.migrations"
-	// ClusterFenceWaits counts reads that actually blocked on an
-	// epoch-vector fence (read-your-writes or fenced-gather).
-	ClusterFenceWaits = "cluster.fence_waits"
 	// ClusterGathers counts scatter/gather reads (partitioned mode).
 	ClusterGathers = "cluster.gathers"
 	// ClusterCrashes / ClusterRecoveries count shard crash-restarts
 	// and completed log-replay recoveries.
 	ClusterCrashes    = "cluster.crashes"
 	ClusterRecoveries = "cluster.recoveries"
-	// Gather-path phase latencies (LatencyHist plane): whole gather,
-	// scatter fan-out until every shard leg returned, pinning the
-	// shards' runs, and the render that merges their chunks into the
-	// response line.
+	// Gather-path phase latencies, each timed by the span of the same
+	// name: whole gather, scatter fan-out until every shard leg
+	// returned, pinning the shards' runs, and the render that merges
+	// their chunks into the response line.
 	ClusterGatherNs       = "cluster.gather_ns"
 	ClusterGatherFanoutNs = "cluster.gather_fanout_ns"
 	ClusterGatherMergeNs  = "cluster.gather_merge_ns"
 	ClusterGatherRenderNs = "cluster.gather_render_ns"
 	// ClusterLogAppendNs is the latency of appending a write to the
-	// global delta log under the cluster lock (placement included).
+	// global delta log under the cluster lock (placement included):
+	// the cluster.log_append span.
 	ClusterLogAppendNs = "cluster.log_append_ns"
 	// ClusterDeliveryLagNs is the wall-clock lag from log append to a
-	// shard pump applying the entry (one observation per delivery).
+	// shard pump applying the entry (one observation per delivery),
+	// observed directly: append and apply run on different goroutines.
 	ClusterDeliveryLagNs = "cluster.delivery_lag_ns"
 	// ClusterPumpLag is a per-shard labeled gauge family
 	// (WithLabel(ClusterPumpLag, "shard", j)): log tip minus the
@@ -182,8 +180,9 @@ const (
 // measurable budget; PERF.9 and /metrics surface them as coord_*.
 const (
 	// CoordFenceWaits counts reads that blocked on an epoch fence
-	// (read-your-writes in the core, fenced gathers in the cluster);
-	// CoordFenceWaitNs is the matching latency histogram.
+	// (read-your-writes in the core, watermark waits in the cluster);
+	// CoordFenceWaitNs is the matching latency histogram, timed by the
+	// core's coord.fence span and by the cluster's watermark wait.
 	CoordFenceWaits  = "coord.fence_waits"
 	CoordFenceWaitNs = "coord.fence_wait_ns"
 	// CoordHoldFlushes counts retract-triggered hold flushes (a
@@ -201,10 +200,9 @@ const (
 // Span names (the tracing plane, trace.go). Spans are grouped by the
 // subsystem that opens them; coord.* spans mark coordination events.
 const (
-	// SpanConn wraps one serving connection; SpanReq wraps one request
-	// on it (root spans of every request trace).
-	SpanConn = "srv.conn"
-	SpanReq  = "srv.req"
+	// SpanReq wraps one request (the root span of every request
+	// trace).
+	SpanReq = "srv.req"
 	// Serving-core write-path phases.
 	SpanQueueWait = "srv.queue_wait"
 	SpanApply     = "srv.apply"
@@ -235,7 +233,8 @@ const (
 	// (each invention fact introduces exactly one).
 	IlogInvented = "ilog.invented"
 	// IlogFacts is the final instance size (gauge).
-	IlogFacts  = "ilog.facts"
+	IlogFacts = "ilog.facts"
+	// IlogEvalNs times one evaluation, a span on no trace.
 	IlogEvalNs = "ilog.eval_ns"
 )
 

@@ -1,7 +1,8 @@
 // Package obs is the repository-wide instrumentation substrate:
-// counters, gauges, histograms and span timers collected in a
-// Registry, plus a structured event Sink (sink.go) that renders typed
-// events as JSONL. It has no dependencies outside the standard
+// counters, gauges and latency histograms collected in a Registry,
+// phase spans (trace.go) that time into those histograms, plus a
+// structured event Sink (sink.go) that renders typed events as JSONL.
+// It has no dependencies outside the standard
 // library and, crucially, a nil fast path: every method is a no-op on
 // a nil receiver, so disabled instrumentation costs one predictable
 // branch per call site (gated by the BenchmarkDisabledOverhead check
@@ -15,8 +16,11 @@
 //     counts. Events therefore never carry wall-clock times or
 //     scheduling-dependent values.
 //   - Metrics (Registry) are aggregates for humans and dashboards:
-//     span timers and worker-utilization counters live here, and the
-//     snapshot is allowed to vary run to run.
+//     phase durations and worker-utilization counters live here, and
+//     the snapshot is allowed to vary run to run. A phase is timed by
+//     the span that covers it (SpanCtx.Start), never beside it, and
+//     its duration is never emitted as an event, or same-seed event
+//     streams stop being byte-identical.
 //
 // The canonical metric and event names shared by all packages are in
 // names.go and documented in DESIGN.md §8.
@@ -28,7 +32,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing atomic counter. The zero value
@@ -157,26 +160,6 @@ func (r *Registry) Latency(name string) *LatencyHist {
 		r.lats[name] = h
 	}
 	return h
-}
-
-var nopStop = func() {}
-
-// Span starts a wall-clock span timer; the returned stop function
-// records the elapsed nanoseconds into the named histogram. Use as
-//
-//	defer reg.Span(obs.DlFixpointNs)()
-//
-// On a nil registry the returned function does nothing and no clock is
-// read. Span durations live only in the Registry plane — never emit
-// them as events, or same-seed event streams stop being
-// byte-identical.
-func (r *Registry) Span(name string) func() {
-	if r == nil {
-		return nopStop
-	}
-	h := r.Latency(name)
-	start := time.Now()
-	return func() { h.Observe(time.Since(start).Nanoseconds()) }
 }
 
 // Snapshot is a point-in-time copy of a registry, marshalable with

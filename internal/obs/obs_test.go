@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterGaugeHistogram(t *testing.T) {
@@ -55,7 +56,7 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	g.SetMax(2)
 	h.Observe(9)
 	s.Emit("ev", F("k", 1))
-	r.Span("span")()
+	SpanCtx{}.Start("span", h).Finish()
 	if c.Value() != 0 || g.Value() != 0 || s.Events() != 0 || s.Err() != nil {
 		t.Fatal("nil instruments must read as zero")
 	}
@@ -69,13 +70,37 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	}
 }
 
+// TestSpanRecordsDuration checks that a span is its phase's timer:
+// with tracing off it still observes its histogram, and with a
+// tracer on the histogram and the recorded span share one duration —
+// the real one, even when a deterministic tracer zeroes the span's.
 func TestSpanRecordsDuration(t *testing.T) {
 	r := NewRegistry()
-	stop := r.Span("work_ns")
-	stop()
-	snap := r.Snapshot().Latencies["work_ns"]
-	if snap.Count != 1 || snap.Sum < 0 {
+	SpanCtx{}.Start("work", r.Latency("work_ns")).Finish()
+	if snap := r.Snapshot().Latencies["work_ns"]; snap.Count != 1 || snap.Sum < 0 {
 		t.Fatalf("span did not record: %+v", snap)
+	}
+
+	for _, det := range []bool{false, true} {
+		tr := NewTracer(8, det)
+		h := &LatencyHist{}
+		sp := tr.Root(TraceID{Conn: 1}).Start("work", h)
+		time.Sleep(time.Millisecond)
+		sp.Finish()
+		s := tr.Spans(0)
+		if len(s) != 1 || h.Count() != 1 {
+			t.Fatalf("det=%v: %d spans, %d observations, want 1 and 1", det, len(s), h.Count())
+		}
+		if h.Snapshot().Sum < int64(time.Millisecond) {
+			t.Errorf("det=%v: histogram got %d ns for a 1 ms phase", det, h.Snapshot().Sum)
+		}
+		want := h.Snapshot().Sum
+		if det {
+			want = 0
+		}
+		if s[0].DurNs != want || (s[0].StartNs == 0) != det {
+			t.Errorf("det=%v: span start_ns %d dur_ns %d, histogram %d", det, s[0].StartNs, s[0].DurNs, h.Snapshot().Sum)
+		}
 	}
 }
 

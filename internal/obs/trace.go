@@ -17,17 +17,19 @@ import (
 // Determinism contract (DESIGN.md §13): trace IDs are derived from
 // (connection, request-sequence) — never random — and spans carry
 // logical timestamps (epoch, seq, shard) alongside wall-clock fields.
-// Under a deterministic Tracer the wall-clock fields are never read
+// Under a deterministic Tracer the wall-clock fields are never stamped
 // and render as zero, so a serially driven session produces a
 // byte-identical span stream for equal inputs; the golden span tests
 // in internal/serve pin exactly that. Span attributes must therefore
 // be deterministic values (counts, logical positions) — never
 // durations, never scheduling-dependent observations.
 //
-// Nil-safety matches the rest of the package: a nil *Tracer hands out
-// disabled SpanCtx values, whose Start returns a nil *ActiveSpan,
-// whose methods all no-op — disabled tracing costs one branch per
-// call site, gated by BenchmarkDisabledOverhead.
+// A span is also its phase's only timer: Finish feeds the phase's
+// LatencyHist and the ring from one clock reading. Nil-safety matches
+// the rest of the package: a nil *Tracer hands out disabled SpanCtx
+// values, whose Start with a nil histogram returns the zero
+// ActiveSpan, whose methods all no-op — disabled tracing costs one
+// branch per call site, gated by BenchmarkDisabledOverhead.
 
 // TraceID identifies one request's trace: the serving connection id
 // and the request's sequence number on that connection. Negative Conn
@@ -74,37 +76,20 @@ type Tracer struct {
 	det bool
 	cap int
 
-	mu    sync.Mutex
-	ring  []Span
-	next  int
-	total uint64
+	mu   sync.Mutex
+	ring []Span
+	next int
 }
 
 // NewTracer returns a tracer keeping the last capacity spans
-// (default 4096 when capacity <= 0). A deterministic tracer never
-// reads the wall clock: spans carry logical timestamps only.
+// (default 4096 when capacity <= 0). A deterministic tracer stamps no
+// wall-clock fields: spans carry logical timestamps only (a phase
+// histogram passed to Start still gets the real duration).
 func NewTracer(capacity int, deterministic bool) *Tracer {
 	if capacity <= 0 {
 		capacity = 4096
 	}
 	return &Tracer{det: deterministic, cap: capacity}
-}
-
-// Deterministic reports whether wall-clock fields are suppressed.
-func (t *Tracer) Deterministic() bool { return t != nil && t.det }
-
-// Enabled reports whether spans are being recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
-
-// Total returns the number of spans recorded since creation
-// (including ones the ring has since dropped; 0 on nil).
-func (t *Tracer) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
 }
 
 // record appends one finished span to the ring.
@@ -116,7 +101,6 @@ func (t *Tracer) record(s Span) {
 		t.ring[t.next] = s
 		t.next = (t.next + 1) % t.cap
 	}
-	t.total++
 	t.mu.Unlock()
 }
 
@@ -128,12 +112,18 @@ func (t *Tracer) Spans(n int) []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, 0, len(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
-	if n > 0 && n < len(out) {
-		out = out[len(out)-n:]
+	held := len(t.ring)
+	if n <= 0 || n > held {
+		n = held
 	}
+	out := make([]Span, n)
+	if n == 0 {
+		return out
+	}
+	// Oldest-first the ring reads ring[next:] then ring[:next]; the
+	// newest n start n back from the write cursor and may wrap.
+	k := copy(out, t.ring[(t.next+held-n)%held:])
+	copy(out[k:], t.ring)
 	return out
 }
 
@@ -189,9 +179,10 @@ func AppendSpanJSON(buf []byte, s *Span) []byte {
 }
 
 // SpanCtx is a position in a trace: everything needed to start child
-// spans. The zero value is a disabled context (Start returns nil).
-// SpanCtx values are plain values — copy them across goroutines
-// freely; the span-id allocator is shared and atomic.
+// spans. The zero value is a disabled context: spans started from it
+// are timed into their histogram but never recorded. SpanCtx values
+// are plain values — copy them across goroutines freely; the span-id
+// allocator is shared and atomic.
 type SpanCtx struct {
 	t     *Tracer
 	trace TraceID
@@ -212,89 +203,114 @@ func (t *Tracer) Root(id TraceID) SpanCtx {
 // recorded.
 func (c SpanCtx) Enabled() bool { return c.t != nil }
 
-// Start opens a child span. Returns nil (whose methods all no-op) on
-// a disabled context.
-func (c SpanCtx) Start(name string) *ActiveSpan {
-	if c.t == nil {
-		return nil
+// Start opens a child span named name, its phase's one timer: Finish
+// observes the duration into h (nil when no Registry is on) and records
+// the span when the context is enabled, from one clock reading. The
+// span allocates only when it is recorded. A phase no trace reaches
+// (the engines' evaluation and round timers) starts from the zero
+// SpanCtx, where the name is unused.
+func (c SpanCtx) Start(name string, h *LatencyHist) ActiveSpan {
+	if c.t == nil && h == nil {
+		return ActiveSpan{} // small enough to inline: the disabled path is one branch
 	}
-	a := &ActiveSpan{
-		ctx: SpanCtx{t: c.t, trace: c.trace, id: c.ctr.Add(1), ctr: c.ctr},
-		s: Span{
-			Trace:  c.trace,
-			Parent: c.id,
-			Name:   name,
-			Epoch:  -1,
-			Seq:    -1,
-			Shard:  -1,
-		},
+	return c.start(name, h)
+}
+
+func (c SpanCtx) start(name string, h *LatencyHist) ActiveSpan {
+	a := ActiveSpan{h: h}
+	if c.t != nil {
+		id := c.ctr.Add(1)
+		a.rec = &spanRec{
+			ctx: SpanCtx{t: c.t, trace: c.trace, id: id, ctr: c.ctr},
+			s:   Span{Trace: c.trace, ID: id, Parent: c.id, Name: name, Epoch: -1, Seq: -1, Shard: -1},
+		}
 	}
-	a.s.ID = a.ctx.id
-	if !c.t.det {
+	if h != nil || (c.t != nil && !c.t.det) {
 		a.start = time.Now()
-		a.s.StartNs = a.start.UnixNano()
+		if a.rec != nil && !c.t.det {
+			a.rec.s.StartNs = a.start.UnixNano()
+		}
 	}
 	return a
 }
 
-// ActiveSpan is one span between Start and Finish. All methods no-op
-// on nil, so call sites never guard.
+// ActiveSpan is one phase between Start and Finish. The zero value is
+// disabled: every method no-ops, so call sites never guard. Copies
+// share the span being recorded; finish exactly one of them, once.
 type ActiveSpan struct {
-	ctx   SpanCtx
-	s     Span
-	start time.Time
+	h     *LatencyHist
+	start time.Time // zero when no histogram or wall-clock tracer reads it
+	rec   *spanRec  // nil when the span is not recorded
 }
 
-// Ctx returns the context for nesting children under this span
-// (disabled context on nil).
-func (a *ActiveSpan) Ctx() SpanCtx {
-	if a == nil {
+// spanRec is the recorded half of an ActiveSpan: the context children
+// nest under and the span record its setters stamp.
+type spanRec struct {
+	ctx SpanCtx
+	s   Span
+}
+
+// Ctx returns the context for nesting children under this span (a
+// disabled context when the span is not recorded).
+func (a ActiveSpan) Ctx() SpanCtx {
+	if a.rec == nil {
 		return SpanCtx{}
 	}
-	return a.ctx
+	return a.rec.ctx
 }
 
 // SetEpoch stamps the epoch-sequence logical timestamp.
-func (a *ActiveSpan) SetEpoch(e int) *ActiveSpan {
-	if a != nil {
-		a.s.Epoch = int64(e)
+func (a ActiveSpan) SetEpoch(e int) ActiveSpan {
+	if a.rec != nil {
+		a.rec.s.Epoch = int64(e)
 	}
 	return a
 }
 
 // SetSeq stamps the log/request-sequence logical timestamp.
-func (a *ActiveSpan) SetSeq(s int) *ActiveSpan {
-	if a != nil {
-		a.s.Seq = int64(s)
+func (a ActiveSpan) SetSeq(s int) ActiveSpan {
+	if a.rec != nil {
+		a.rec.s.Seq = int64(s)
 	}
 	return a
 }
 
 // SetShard stamps the shard logical timestamp.
-func (a *ActiveSpan) SetShard(j int) *ActiveSpan {
-	if a != nil {
-		a.s.Shard = int64(j)
+func (a ActiveSpan) SetShard(j int) ActiveSpan {
+	if a.rec != nil {
+		a.rec.s.Shard = int64(j)
 	}
 	return a
 }
 
 // Attr appends one ordered attribute. Values must be deterministic
 // (counts, names, logical positions — never durations).
-func (a *ActiveSpan) Attr(key string, value any) *ActiveSpan {
-	if a != nil {
-		a.s.Attrs = append(a.s.Attrs, Field{Key: key, Value: value})
+func (a ActiveSpan) Attr(key string, value any) ActiveSpan {
+	if a.rec != nil {
+		a.rec.s.Attrs = append(a.rec.s.Attrs, Field{Key: key, Value: value})
 	}
 	return a
 }
 
-// Finish records the span. Safe to call on nil; calling twice records
-// twice (don't).
-func (a *ActiveSpan) Finish() {
-	if a == nil {
-		return
+// Finish reads the clock once, observes the duration into the span's
+// histogram and records the span. A deterministic tracer records zero
+// wall-clock fields while the histogram still gets the real duration.
+func (a ActiveSpan) Finish() {
+	if a.h != nil || a.rec != nil {
+		a.finish()
 	}
-	if !a.ctx.t.det {
-		a.s.DurNs = time.Since(a.start).Nanoseconds()
+}
+
+func (a ActiveSpan) finish() {
+	var d int64
+	if !a.start.IsZero() {
+		d = time.Since(a.start).Nanoseconds()
+		a.h.Observe(d)
 	}
-	a.ctx.t.record(a.s)
+	if r := a.rec; r != nil {
+		if !r.ctx.t.det {
+			r.s.DurNs = d
+		}
+		r.ctx.t.record(r.s)
+	}
 }

@@ -13,9 +13,9 @@ func TestTracerDeterministic(t *testing.T) {
 	run := func() string {
 		tr := NewTracer(64, true)
 		tc := tr.Root(TraceID{Conn: 3, Seq: 7})
-		req := tc.Start(SpanReq).SetSeq(7)
+		req := tc.Start(SpanReq, nil).SetSeq(7)
 		req.Attr("op", "insert")
-		apply := req.Ctx().Start(SpanApply)
+		apply := req.Ctx().Start(SpanApply, nil)
 		apply.SetEpoch(12).SetShard(1)
 		apply.Finish()
 		req.SetEpoch(12)
@@ -44,7 +44,7 @@ func TestTracerWallClock(t *testing.T) {
 	tr := NewTracer(4, false)
 	tc := tr.Root(TraceID{Conn: 1})
 	for i := 0; i < 10; i++ {
-		tc.Start(SpanReq).SetSeq(i).Finish()
+		tc.Start(SpanReq, nil).SetSeq(i).Finish()
 	}
 	spans := tr.Spans(0)
 	if len(spans) != 4 {
@@ -59,30 +59,38 @@ func TestTracerWallClock(t *testing.T) {
 			t.Fatal("wall-clock tracer must stamp start_ns")
 		}
 	}
-	if tr.Total() != 10 {
-		t.Fatalf("total = %d, want 10", tr.Total())
-	}
-	if got := tr.Spans(2); len(got) != 2 || got[1].Seq != 9 {
-		t.Fatalf("Spans(2) = %+v", got)
+	// Ten spans through four slots leave the write cursor at 2: the
+	// newest n sit before it for n <= 2 and wrap past the end above.
+	for n := 1; n <= 6; n++ {
+		got := tr.Spans(n)
+		want := min(n, 4)
+		if len(got) != want {
+			t.Fatalf("Spans(%d) returned %d spans, want %d", n, len(got), want)
+		}
+		for i, s := range got {
+			if s.Seq != int64(10-want+i) {
+				t.Fatalf("Spans(%d)[%d] has seq %d, want %d", n, i, s.Seq, 10-want+i)
+			}
+		}
 	}
 }
 
 // TestTracerNil checks the whole disabled surface: nil tracer, zero
-// SpanCtx, nil ActiveSpan.
+// SpanCtx, zero ActiveSpan.
 func TestTracerNil(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() || tr.Deterministic() || tr.Total() != 0 || tr.Spans(5) != nil {
+	if tr.Spans(5) != nil {
 		t.Fatal("nil tracer must be fully disabled")
 	}
 	tc := tr.Root(TraceID{Conn: 9})
 	if tc.Enabled() {
 		t.Fatal("nil tracer root must be disabled")
 	}
-	sp := tc.Start("x")
-	if sp != nil {
-		t.Fatal("disabled Start must return nil")
+	sp := tc.Start("x", nil)
+	if sp != (ActiveSpan{}) {
+		t.Fatal("disabled Start must return the zero span")
 	}
-	// Every nil-span method no-ops.
+	// Every zero-span method no-ops.
 	sp.SetEpoch(1).SetSeq(2).SetShard(3).Attr("k", "v").Finish()
 	if sp.Ctx().Enabled() {
 		t.Fatal("nil span ctx must be disabled")
@@ -95,28 +103,33 @@ func TestTracerNil(t *testing.T) {
 // TestTracerConcurrent hammers one tracer from many goroutines (the
 // -race test for the ring and the shared span-id allocator).
 func TestTracerConcurrent(t *testing.T) {
-	tr := NewTracer(128, true)
+	const workers, iters = 8, 500
+	tr := NewTracer(workers*iters*2, true)
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(conn int64) {
 			defer wg.Done()
 			tc := tr.Root(TraceID{Conn: conn})
-			for i := 0; i < 500; i++ {
-				sp := tc.Start(SpanReq)
-				child := sp.Ctx().Start(SpanApply)
+			for i := 0; i < iters; i++ {
+				sp := tc.Start(SpanReq, nil)
+				child := sp.Ctx().Start(SpanApply, nil)
 				child.Finish()
 				sp.Finish()
 			}
 		}(int64(w))
 	}
 	wg.Wait()
-	if tr.Total() != 8*500*2 {
-		t.Fatalf("total = %d, want %d", tr.Total(), 8*500*2)
+	// The ring is sized to hold every span: each Finish under
+	// contention must have recorded exactly one.
+	spans := tr.Spans(0)
+	if len(spans) != workers*iters*2 {
+		t.Fatalf("ring holds %d spans, want %d", len(spans), workers*iters*2)
 	}
-	// Span ids within one trace must be unique (shared atomic counter).
+	// Span ids within one trace must be unique (shared atomic counter),
+	// and each worker's trace holds all of its spans.
 	seen := map[TraceID]map[int32]bool{}
-	for _, s := range tr.Spans(0) {
+	for _, s := range spans {
 		m := seen[s.Trace]
 		if m == nil {
 			m = map[int32]bool{}
@@ -126,6 +139,14 @@ func TestTracerConcurrent(t *testing.T) {
 			t.Fatalf("duplicate span id %d in trace %+v", s.ID, s.Trace)
 		}
 		m[s.ID] = true
+	}
+	if len(seen) != workers {
+		t.Fatalf("%d traces, want %d", len(seen), workers)
+	}
+	for id, m := range seen {
+		if len(m) != iters*2 {
+			t.Fatalf("trace %+v holds %d spans, want %d", id, len(m), iters*2)
+		}
 	}
 }
 

@@ -76,14 +76,16 @@ type writeTask struct {
 	req  Request
 	resp chan<- Response
 	done chan struct{}
-	enq  time.Time // zero when metrics are disabled
-	// span is the request's srv.req span (nil when tracing is off);
-	// the writer finishes it before completing the response, so a
-	// serially driven session records spans in a deterministic order.
-	// qspan is the srv.queue_wait child, open from enqueue to writer
-	// pickup.
-	span  *obs.ActiveSpan
-	qspan *obs.ActiveSpan
+	// enq is the dispatch time srv.write_ns is measured from (zero
+	// when metrics are disabled).
+	enq time.Time
+	// span is the request's srv.req span (disabled when tracing is
+	// off); the writer finishes it before completing the response, so
+	// a serially driven session records spans in a deterministic
+	// order. qspan is the srv.queue_wait phase, open from enqueue to
+	// writer pickup.
+	span  obs.ActiveSpan
+	qspan obs.ActiveSpan
 }
 
 // epochState is one published epoch plus the memo of its read
@@ -162,7 +164,7 @@ func NewCore(m *incr.Materialization, opts Options) *Core {
 		applyNs:    opts.Reg.Latency(obs.SrvApplyNs),
 		commitNs:   opts.Reg.Latency(obs.SrvCommitNs),
 		renderNs:   opts.Reg.Latency(obs.SrvRenderNs),
-		fenceNs:    opts.Reg.Latency(obs.SrvFenceWaitNs),
+		fenceNs:    opts.Reg.Latency(obs.CoordFenceWaitNs),
 	}
 	c.publish()
 	go c.writer()
@@ -199,6 +201,8 @@ func (c *Core) publish() {
 	c.epoch.Store(&epochState{ep: e})
 	c.epochG.Set(int64(e.Seq()))
 	if c.reg != nil {
+		// Not a span: a gauge holding the wall-clock instant of the
+		// publication, for the epoch age a scrape derives from it.
 		c.lastCommit.Set(time.Now().UnixNano())
 	}
 }
@@ -249,9 +253,6 @@ drain:
 	writes := 0
 	for i, t := range batch {
 		t.qspan.Finish()
-		if !t.enq.IsZero() {
-			c.queueNs.Observe(time.Since(t.enq).Nanoseconds())
-		}
 		if t.req.Op == "snapshot" {
 			// Commit barrier: everything applied so far in this batch
 			// becomes visible first, then the snapshot captures exactly
@@ -260,30 +261,16 @@ drain:
 			resps[i] = c.doSnapshot(t.req)
 			continue
 		}
-		as := t.span.Ctx().Start(obs.SpanApply)
-		var astart time.Time
-		if c.reg != nil {
-			astart = time.Now()
-		}
+		as := t.span.Ctx().Start(obs.SpanApply, c.applyNs)
 		resps[i] = c.applyWrite(t.req, as.Ctx())
-		if !astart.IsZero() {
-			c.applyNs.Observe(time.Since(astart).Nanoseconds())
-		}
 		as.SetSeq(c.m.Seq()).Finish()
 		writes++
 	}
 	// The commit span is parented to the batch leader's trace: group
 	// commit is one shared barrier, attributed to the request that
 	// opened the batch.
-	cs := first.span.Ctx().Start(obs.SpanCommit)
-	var cstart time.Time
-	if c.reg != nil {
-		cstart = time.Now()
-	}
+	cs := first.span.Ctx().Start(obs.SpanCommit, c.commitNs)
 	c.publish()
-	if !cstart.IsZero() {
-		c.commitNs.Observe(time.Since(cstart).Nanoseconds())
-	}
 	epochSeq := c.epoch.Load().ep.Seq()
 	cs.SetEpoch(epochSeq).Attr("writes", writes).Finish()
 	c.commits.Inc()
@@ -404,16 +391,18 @@ func (c *Core) snapshotPath(p string) (string, error) {
 // dispatch returns the fence later requests on the connection should
 // carry — the new write's, or the caller's unchanged.
 //
-// span, when non-nil, is the request's srv.req span. dispatch owns
-// it from here: phase spans nest under it and it is finished before
-// the response is delivered, so a serially driven session observes a
-// deterministic span stream.
-func (c *Core) dispatch(req Request, ch chan<- Response, fence <-chan struct{}, span *obs.ActiveSpan) <-chan struct{} {
+// span is the request's srv.req span (disabled when tracing is off).
+// dispatch owns it from here: phase spans nest under it and it is
+// finished before the response is delivered, so a serially driven
+// session observes a deterministic span stream.
+func (c *Core) dispatch(req Request, ch chan<- Response, fence <-chan struct{}, span obs.ActiveSpan) <-chan struct{} {
 	switch {
 	case IsRead(req.Op):
 		c.reads.Inc()
 		var start time.Time
 		if c.reg != nil {
+			// Not a span: srv.read_ns runs from dispatch to the response,
+			// across the fence wait and the render, which are its spans.
 			start = time.Now()
 		}
 		ready := fence == nil
@@ -438,17 +427,10 @@ func (c *Core) dispatch(req Request, ch chan<- Response, fence <-chan struct{}, 
 			// Read-your-writes: pin only after the write's epoch
 			// publishes. The wait is coordination — count it and span
 			// it as coord.fence.
-			fsp := span.Ctx().Start(obs.SpanCoordFence)
-			var fstart time.Time
-			if c.reg != nil {
-				fstart = time.Now()
-			}
+			fsp := span.Ctx().Start(obs.SpanCoordFence, c.fenceNs)
 			<-fence
 			fsp.Finish()
 			c.coordFence.Inc()
-			if !fstart.IsZero() {
-				c.fenceNs.Observe(time.Since(fstart).Nanoseconds())
-			}
 			ch <- c.readAt(c.epoch.Load(), req, span)
 			if !start.IsZero() {
 				c.readNs.Observe(time.Since(start).Nanoseconds())
@@ -460,9 +442,12 @@ func (c *Core) dispatch(req Request, ch chan<- Response, fence <-chan struct{}, 
 		c.writes.Inc()
 		t := &writeTask{req: req, resp: ch, done: make(chan struct{}), span: span}
 		if c.reg != nil {
+			// Not a span: srv.write_ns runs from dispatch to the
+			// response, across queue wait, apply and commit, which are
+			// its spans, and the writer completes it on another goroutine.
 			t.enq = time.Now()
 		}
-		t.qspan = span.Ctx().Start(obs.SpanQueueWait)
+		t.qspan = span.Ctx().Start(obs.SpanQueueWait, c.queueNs)
 		select {
 		case c.writeq <- t:
 		case <-c.quit:
@@ -486,18 +471,11 @@ func (c *Core) dispatch(req Request, ch chan<- Response, fence <-chan struct{}, 
 // memoized responses from the epoch's render cache. The render phase
 // is recorded as a srv.render child span; the request span finishes
 // here, before the response is delivered.
-func (c *Core) readAt(es *epochState, req Request, span *obs.ActiveSpan) Response {
-	rs := span.Ctx().Start(obs.SpanRender)
-	var rstart time.Time
-	if c.reg != nil {
-		rstart = time.Now()
-	}
+func (c *Core) readAt(es *epochState, req Request, span obs.ActiveSpan) Response {
+	rs := span.Ctx().Start(obs.SpanRender, c.renderNs)
 	resp := es.memo.Respond(es.ep, req)
 	if !resp.OK {
 		c.errors.Inc()
-	}
-	if !rstart.IsZero() {
-		c.renderNs.Observe(time.Since(rstart).Nanoseconds())
 	}
 	seq := es.ep.Seq()
 	rs.SetEpoch(seq).Finish()
@@ -510,7 +488,7 @@ func (c *Core) readAt(es *epochState, req Request, span *obs.ActiveSpan) Respons
 // the read-your-writes fence of the connection's last write.
 func (c *Core) Serve(r io.Reader, w io.Writer) error {
 	var fence <-chan struct{}
-	return Session(r, w, c.opts, c.connSeq.Add(1), func(req Request, span *obs.ActiveSpan, ch chan<- Response) {
+	return Session(r, w, c.opts, c.connSeq.Add(1), func(req Request, span obs.ActiveSpan, ch chan<- Response) {
 		fence = c.dispatch(req, ch, fence, span)
 	})
 }
@@ -520,7 +498,7 @@ func (c *Core) Serve(r io.Reader, w io.Writer) error {
 // harness drives it; sessions use the pipelined loop in session.go).
 func (c *Core) HandleLine(line []byte) Response {
 	ch := make(chan Response, 1)
-	dispatchLine(line, nil, ch, c.requests, c.errors, func(req Request, span *obs.ActiveSpan, ch chan<- Response) {
+	dispatchLine(line, obs.ActiveSpan{}, ch, c.requests, c.errors, func(req Request, span obs.ActiveSpan, ch chan<- Response) {
 		c.dispatch(req, ch, nil, span)
 	})
 	return <-ch
@@ -541,7 +519,7 @@ func (c *Core) Do(req Request) Response {
 // on.
 func (c *Core) DoCtx(req Request, tc obs.SpanCtx) Response {
 	ch := make(chan Response, 1)
-	sp := tc.Start(obs.SpanReq)
+	sp := tc.Start(obs.SpanReq, nil)
 	sp.Attr("op", req.Op)
 	c.dispatch(req, ch, nil, sp)
 	return <-ch

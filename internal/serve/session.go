@@ -41,17 +41,17 @@ const maxLine = 16 * 1024 * 1024
 // Dispatch answers one decoded request on one connection. It owes the
 // session two things: exactly one response delivered to ch (which is
 // 1-buffered, so delivering never blocks), now or later, and the
-// request's span — nil when tracing is off — finished before that
+// request's span — disabled when tracing is off — finished before that
 // response is handed over, so a client that has seen response N finds
 // every span of request N recorded. A Dispatch is called from the
 // session's reader goroutine only, one request at a time in arrival
 // order, and so may keep per-connection state without locking.
-type Dispatch func(req Request, span *obs.ActiveSpan, ch chan<- Response)
+type Dispatch func(req Request, span obs.ActiveSpan, ch chan<- Response)
 
 // dispatchLine decodes one request line and hands it to d; a line that
-// is not a request is answered here. span, when non-nil, is the
-// request's srv.req span, stamped with the decoded op and rel.
-func dispatchLine(line []byte, span *obs.ActiveSpan, ch chan<- Response, requests, errors *obs.Counter, d Dispatch) {
+// is not a request is answered here. span is the request's srv.req
+// span, stamped with the decoded op and rel.
+func dispatchLine(line []byte, span obs.ActiveSpan, ch chan<- Response, requests, errors *obs.Counter, d Dispatch) {
 	requests.Inc()
 	var req Request
 	if err := json.Unmarshal(line, &req); err != nil {
@@ -119,10 +119,7 @@ func Session(r io.Reader, w io.Writer, opts Options, conn int64, d Dispatch) err
 		ch := make(chan Response, 1)
 		pending <- ch // reserve the ordering slot; blocks at the pipeline bound
 		reqSeq++
-		var span *obs.ActiveSpan
-		if opts.Tracer != nil {
-			span = opts.Tracer.Root(obs.TraceID{Conn: conn, Seq: reqSeq}).Start(obs.SpanReq)
-		}
+		span := opts.Tracer.Root(obs.TraceID{Conn: conn, Seq: reqSeq}).Start(obs.SpanReq, nil)
 		dispatchLine(line, span, ch, requests, errors, d)
 	}
 	scanErr := sc.Err()

@@ -3,12 +3,20 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/datalog"
+	"repro/internal/fact"
+	"repro/internal/incr"
 	"repro/internal/obs"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/spans.golden")
 
 // traceScript is a serial session mixing writes (queue_wait / apply /
 // commit phases), plain reads (render phase), and a malformed line.
@@ -32,27 +40,7 @@ func spanStream(t *testing.T) []byte {
 	tr := obs.NewTracer(1024, true)
 	reg := obs.NewRegistry()
 	c := newTestCore(t, "E(s,t)\n", Options{Tracer: tr, Reg: reg})
-	reqR, reqW := io.Pipe()
-	respR, respW := io.Pipe()
-	done := make(chan error, 1)
-	go func() {
-		err := c.Serve(reqR, respW)
-		respW.Close()
-		done <- err
-	}()
-	br := bufio.NewReader(respR)
-	for _, line := range traceScript {
-		if _, err := io.WriteString(reqW, line+"\n"); err != nil {
-			t.Fatalf("send: %v", err)
-		}
-		if _, err := br.ReadString('\n'); err != nil {
-			t.Fatalf("recv: %v", err)
-		}
-	}
-	reqW.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("serve: %v", err)
-	}
+	pingPong(t, c, traceScript)
 	c.Close()
 	// A serial client never has a write outstanding when it reads: the
 	// fence of each write is open before its response can be seen, so
@@ -67,12 +55,41 @@ func spanStream(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
+// pingPong runs lines through one Serve call as a serial client: each
+// line is sent only after the previous response has been read.
+func pingPong(t *testing.T, c *Core, lines []string) {
+	t.Helper()
+	reqR, reqW := io.Pipe()
+	respR, respW := io.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		err := c.Serve(reqR, respW)
+		respW.Close()
+		done <- err
+	}()
+	br := bufio.NewReader(respR)
+	for _, line := range lines {
+		if _, err := io.WriteString(reqW, line+"\n"); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+		if _, err := br.ReadString('\n'); err != nil {
+			t.Fatalf("recv: %v", err)
+		}
+	}
+	reqW.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+}
+
 // TestSpanStreamDeterministic is the span plane's determinism
 // contract (DESIGN.md §13): equal serial sessions against equal cores
 // under a deterministic tracer produce byte-identical span streams —
 // trace ids are positional, span ids are per-trace counters, logical
 // timestamps are epoch sequence numbers, and wall-clock fields are
-// zeroed.
+// zeroed. The stream is also pinned across changes: it must equal
+// testdata/spans.golden byte for byte (regenerate with -update only
+// after an intended change to the span plane).
 func TestSpanStreamDeterministic(t *testing.T) {
 	a := spanStream(t)
 	b := spanStream(t)
@@ -81,6 +98,17 @@ func TestSpanStreamDeterministic(t *testing.T) {
 	}
 	if len(a) == 0 {
 		t.Fatal("no spans recorded")
+	}
+	golden := filepath.Join("testdata", "spans.golden")
+	if *update {
+		if err := os.WriteFile(golden, a, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want, err := os.ReadFile(golden); err != nil {
+		t.Fatalf("missing golden file (run go test -run %s -update): %v", t.Name(), err)
+	} else if !bytes.Equal(a, want) {
+		t.Fatalf("span stream differs from %s:\n--- got ---\n%s--- want ---\n%s", golden, a, want)
 	}
 
 	// Structural spot checks on the stream, not just self-equality.
@@ -112,4 +140,86 @@ func TestSpanStreamDeterministic(t *testing.T) {
 	if got := strings.Count(stream, `"span":"srv.req"`); got != len(traceScript) {
 		t.Errorf("srv.req spans = %d, want %d:\n%s", got, len(traceScript), stream)
 	}
+}
+
+// TestPhaseSpansMatchHistograms checks that a timed phase has one
+// clock: with a wall-clock tracer and one registry shared by the core
+// and its materialization, every phase histogram counts exactly the
+// spans of that phase over a session — the trace script, whose writes
+// and reads each pass every phase once, and a no-op insert, which is
+// queued, applied and committed like any other write.
+func TestPhaseSpansMatchHistograms(t *testing.T) {
+	reg := obs.NewRegistry()
+	tr := obs.NewTracer(1<<12, false)
+	inst, err := fact.ParseInstance("E(s,t)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := incr.New(datalog.MustParseProgram(testProgram), inst, incr.Options{Reg: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCore(m, Options{Reg: reg, Tracer: tr})
+	t.Cleanup(c.Close)
+	// The initial materialization is an apply no request traces.
+	before := reg.Snapshot().Latencies
+	pingPong(t, c, append(traceScript[:len(traceScript):len(traceScript)], `{"op":"insert","facts":["E(b,c)"]}`))
+
+	spans := map[string]int64{}
+	for _, s := range tr.Spans(0) {
+		spans[s.Name]++
+	}
+	after := reg.Snapshot().Latencies
+	for _, p := range []struct{ span, hist string }{
+		{obs.SpanQueueWait, obs.SrvQueueWaitNs},
+		{obs.SpanApply, obs.SrvApplyNs},
+		{obs.SpanCommit, obs.SrvCommitNs},
+		{obs.SpanRender, obs.SrvRenderNs},
+		{obs.SpanIncrApply, obs.IncrApplyNs},
+	} {
+		timed := after[p.hist].Count - before[p.hist].Count
+		if timed != 3 || spans[p.span] != 3 {
+			t.Errorf("%s timed %d times and spanned %d times, want 3 and 3", p.hist, timed, spans[p.span])
+		}
+	}
+}
+
+// TestMetricsCostNoAllocation checks that a registry without a tracer
+// times every phase without allocating: Do costs as many allocations
+// with metrics on as with instrumentation off, for a read and for a
+// write that changes the state.
+func TestMetricsCostNoAllocation(t *testing.T) {
+	allocs := func(reg *obs.Registry) (read, write float64) {
+		inst, err := fact.ParseInstance("E(a,b)\nE(b,c)\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := incr.New(datalog.MustParseProgram(testProgram), inst, incr.Options{Reg: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewCore(m, Options{Reg: reg})
+		defer c.Close()
+		query := Request{Op: "query", Rel: "T"}
+		read = testing.AllocsPerRun(100, func() { c.Do(query) })
+		ops := [2]Request{
+			{Op: "insert", Facts: []string{"E(c,d)"}},
+			{Op: "retract", Facts: []string{"E(c,d)"}},
+		}
+		n := 0
+		write = testing.AllocsPerRun(100, func() {
+			if r := c.Do(ops[n%2]); !r.OK {
+				t.Fatalf("%s: %s", ops[n%2].Op, r.Err)
+			}
+			n++
+		})
+		return read, write
+	}
+	offRead, offWrite := allocs(nil)
+	onRead, onWrite := allocs(obs.NewRegistry())
+	if onRead != offRead || onWrite != offWrite {
+		t.Errorf("allocations per Do with metrics on: read %.1f, write %.1f; with metrics off: read %.1f, write %.1f",
+			onRead, onWrite, offRead, offWrite)
+	}
+	t.Logf("allocations per Do: read %.1f, write %.1f", onRead, onWrite)
 }
