@@ -500,6 +500,8 @@ func TestDeltaExploreEvaluationCount(t *testing.T) {
 // Stepper reused its accumulators and the flood form grew TC from the
 // held output; the commit before the form allocated 311 and 383 on the
 // settled rows, the one before the ID kernels 161 on the growing row.
+// The ring's parent is the figure before instances found their columns
+// in a slice and buffers stopped keying facts by strings (7.36 since).
 // For absence and domain-request: a heartbeat of a node that has
 // settled on sweepGraph. The node is complete, so both arms build the
 // same known set and evaluate Q on it; counted apart from that, the
@@ -511,7 +513,7 @@ func TestDeltaStepAllocs(t *testing.T) {
 	// Allocations of Sim.Run per delivered message, the figure behind
 	// netsim-ring's throughput: the transitions, the sends, the events
 	// and the output, on runs built beforehand.
-	const runs, ringPin, ringParent = 10, 16, 32.3
+	const runs, ringPin, ringParent = 10, 8.0, 9.86
 	sims := make([]*netsim.Sim, runs+1)
 	for k := range sims {
 		sims[k] = ringRun(t, 16, built, in)

@@ -14,14 +14,6 @@ import (
 // pure integer work, which is what makes the fixpoint engines' dedup hot
 // path allocation-free for duplicate derivations.
 
-// colKey addresses one column group. Arity is part of the key so an
-// instance may (as before) hold same-named facts of differing arities
-// without their packed tuples colliding.
-type colKey struct {
-	rel   ID
-	arity int32
-}
-
 // TupleIndex maps the tuples of one arity to row numbers by packed key:
 // a uint64 for arity <= 2 (the common case — edges, unary flags), a
 // packed byte string for wider tuples. It is the set index of a column
@@ -109,16 +101,18 @@ func (x TupleIndex) clone() TupleIndex {
 
 // column stores all tuples of one (relation, arity), row-major: row i
 // is args[i*arity:(i+1)*arity]. Row order is insertion order; removal is
-// swap-delete, so row indices are not stable across removals.
+// swap-delete, so row indices are not stable across removals. Arity is
+// part of a column's name, so same-named facts of two arities never mix.
 type column struct {
+	rel   ID
 	arity int
 	n     int
 	args  []ID
 	idx   TupleIndex
 }
 
-func newColumn(arity int) *column {
-	return &column{arity: arity, idx: NewTupleIndex(arity)}
+func newColumn(rel ID, arity int) column {
+	return column{rel: rel, arity: arity, idx: NewTupleIndex(arity)}
 }
 
 func (c *column) rows() int { return c.n }
@@ -140,6 +134,9 @@ func (c *column) add(args []ID) bool {
 		return false
 	}
 	c.idx.Put(args, int32(c.n))
+	if c.args == nil {
+		c.args = make([]ID, 0, 4*c.arity) // four rows skip the first doublings of a growing column
+	}
 	c.args = append(c.args, args...)
 	c.n++
 	return true
@@ -177,8 +174,8 @@ func (c *column) remove(args []ID) bool {
 // fact materializes row i as a Fact. The args are copied: a returned
 // Fact stays valid (and immutable) across later mutations of the
 // column.
-func (c *column) fact(rel ID, i int) Fact {
-	return FromIDs(rel, c.row(i))
+func (c *column) fact(i int) Fact {
+	return FromIDs(c.rel, c.row(i))
 }
 
 // each calls fn for every row in insertion order, stopping early on
@@ -192,6 +189,6 @@ func (c *column) each(fn func(args []ID) bool) {
 }
 
 // clone returns an independent copy of the column.
-func (c *column) clone() *column {
-	return &column{arity: c.arity, n: c.n, args: slices.Clone(c.args), idx: c.idx.clone()}
+func (c *column) clone() column {
+	return column{rel: c.rel, arity: c.arity, n: c.n, args: slices.Clone(c.args), idx: c.idx.clone()}
 }

@@ -25,7 +25,7 @@ func TestColumnSetSemantics(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newColumn(tc.arity)
+			c := newColumn(0, tc.arity)
 			for i, tup := range tc.tuples {
 				if !c.add(tup) {
 					t.Fatalf("add(%v) = false on first insert", tup)
@@ -76,10 +76,10 @@ func TestColumnSetSemantics(t *testing.T) {
 // materialized facts stay valid across later mutation.
 func TestColumnEachAndFact(t *testing.T) {
 	rel := InternString("E")
-	c := newColumn(2)
+	c := newColumn(rel, 2)
 	c.add(ids("a", "b"))
 	c.add(ids("b", "c"))
-	f := c.fact(rel, 0)
+	f := c.fact(0)
 	var seen [][]ID
 	c.each(func(args []ID) bool {
 		seen = append(seen, append([]ID(nil), args...))
@@ -97,7 +97,7 @@ func TestColumnEachAndFact(t *testing.T) {
 // TestColumnClone checks clones are fully independent.
 func TestColumnClone(t *testing.T) {
 	for _, arity := range []int{2, 3} {
-		c := newColumn(arity)
+		c := newColumn(0, arity)
 		mk := func(s string) []ID {
 			args := make([]ID, arity)
 			for j := range args {

@@ -93,21 +93,24 @@ func (f Fact) ADom() ValueSet {
 }
 
 // Key returns a canonical string encoding of the fact, usable as a map
-// key. Distinct facts have distinct keys provided no value contains a
-// NUL byte (which the parsers reject). The engines avoid Key on hot
-// paths — packed ID keys (AppendPacked) carry the same identity with
-// no string building — but the textual key remains the canonical
+// key: the relation name, then each argument after a NUL byte.
+// Distinct facts have distinct keys provided no value contains a NUL
+// byte (which the parsers reject). The engines avoid Key on hot paths —
+// packed ID keys (AppendPacked) carry the same identity with no string
+// building — but the textual key remains the canonical
 // process-independent encoding.
 func (f Fact) Key() string {
-	rel := symbols.lookup(f.rel)
-	var b strings.Builder
-	b.Grow(len(rel) + 8*len(f.args))
-	b.WriteString(rel)
+	var buf [64]byte
+	return string(f.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the fact's Key to dst.
+func (f Fact) AppendKey(dst []byte) []byte {
+	dst = append(dst, symbols.lookup(f.rel)...)
 	for _, id := range f.args {
-		b.WriteByte(0)
-		b.WriteString(symbols.lookup(id))
+		dst = append(append(dst, 0), symbols.lookup(id)...)
 	}
-	return b.String()
+	return dst
 }
 
 // AppendPacked appends the fact's packed binary key — the relation ID

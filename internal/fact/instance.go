@@ -11,21 +11,16 @@ import (
 //
 // Facts are stored columnar: per (relation, arity) the argument
 // tuples live in one flat slice of interned IDs with a
-// packed-key hash index (see columnar.go). The column map is made on
-// the first insert, so an instance that stays empty — most of what a
-// settled transition builds — costs one allocation. Membership and mutation
-// are integer work — no fact key strings are built — and the ID-level
-// accessors (HasIDs, AddIDs) let the fixpoint engines deduplicate
-// derived tuples without materializing a Fact at all.
+// packed-key hash index (see columnar.go). The columns are a slice in
+// first-insert order, searched linearly: an instance holds one to a few
+// relations (under thirty at the widest), where a scan beats a map and
+// a walk needs no iterator. Membership and mutation are integer work —
+// no fact key strings are built — and the ID-level accessors (HasIDs,
+// AddIDs) let the fixpoint engines deduplicate derived tuples without
+// materializing a Fact at all.
 type Instance struct {
-	rels map[colKey]*column
+	rels []column
 	n    int
-	// Write-path memo for colFor: fixpoint engines insert long runs of
-	// facts into the same relation, and the memo turns the per-insert
-	// column lookup into a comparison. Only the mutation path uses it —
-	// concurrent readers go through col, which never touches the memo.
-	lastK colKey
-	lastC *column
 }
 
 // SortFacts sorts facts in place into the package's canonical
@@ -84,34 +79,30 @@ func FromTables(tabs []Table) *Instance {
 		if n == 0 {
 			continue
 		}
-		if i.rels == nil {
-			i.rels = make(map[colKey]*column, len(tabs))
-		}
-		i.rels[colKey{rel: t.Rel, arity: int32(t.Arity)}] = &column{arity: t.Arity, n: n, args: t.Args, idx: t.Index}
+		i.rels = append(i.rels, column{rel: t.Rel, arity: t.Arity, n: n, args: t.Args, idx: t.Index})
 		i.n += n
 	}
 	return i
 }
 
+// col returns the column of rel at the given arity, or nil. The pointer
+// is into the slice: it is valid until colFor adds a column.
 func (i *Instance) col(rel ID, arity int) *column {
-	return i.rels[colKey{rel: rel, arity: int32(arity)}]
+	for k := range i.rels {
+		if c := &i.rels[k]; c.rel == rel && c.arity == arity {
+			return c
+		}
+	}
+	return nil
 }
 
+// colFor is col, adding the column if there is none.
 func (i *Instance) colFor(rel ID, arity int) *column {
-	k := colKey{rel: rel, arity: int32(arity)}
-	if i.lastC != nil && i.lastK == k {
-		return i.lastC
+	if c := i.col(rel, arity); c != nil {
+		return c
 	}
-	c := i.rels[k]
-	if c == nil {
-		if i.rels == nil {
-			i.rels = make(map[colKey]*column)
-		}
-		c = newColumn(arity)
-		i.rels[k] = c
-	}
-	i.lastK, i.lastC = k, c
-	return c
+	i.rels = append(i.rels, newColumn(rel, arity))
+	return &i.rels[len(i.rels)-1]
 }
 
 // Add inserts f, reporting whether it was newly added.
@@ -133,11 +124,11 @@ func (i *Instance) AddIDs(rel ID, args []ID) bool {
 // AddAll inserts every fact of j, reporting how many were newly added.
 func (i *Instance) AddAll(j *Instance) int {
 	n := 0
-	for k, c := range j.rels {
+	for _, c := range j.rels {
 		if c.rows() == 0 {
 			continue
 		}
-		dst := i.colFor(k.rel, int(k.arity))
+		dst := i.colFor(c.rel, c.arity)
 		c.each(func(args []ID) bool {
 			if dst.add(args) {
 				i.n++
@@ -154,8 +145,8 @@ func (i *Instance) AddAll(j *Instance) int {
 // before allocates nothing. Whoever resets an instance owns it; a reader
 // handed it before must be done with it.
 func (i *Instance) Reset() {
-	for _, c := range i.rels {
-		c.reset()
+	for k := range i.rels {
+		i.rels[k].reset()
 	}
 	i.n = 0
 }
@@ -172,8 +163,8 @@ func (i *Instance) Remove(f Fact) bool {
 
 // RemoveAll deletes every fact of j from i.
 func (i *Instance) RemoveAll(j *Instance) {
-	for k, c := range j.rels {
-		dst := i.col(k.rel, int(k.arity))
+	for _, c := range j.rels {
+		dst := i.col(c.rel, c.arity)
 		if dst == nil {
 			continue
 		}
@@ -207,9 +198,9 @@ func (i *Instance) Empty() bool { return i.n == 0 }
 // Facts returns all facts in deterministic (sorted) order.
 func (i *Instance) Facts() []Fact {
 	fs := make([]Fact, 0, i.n)
-	for k, c := range i.rels {
+	for _, c := range i.rels {
 		for r := 0; r < c.rows(); r++ {
-			fs = append(fs, c.fact(k.rel, r))
+			fs = append(fs, c.fact(r))
 		}
 	}
 	SortFacts(fs)
@@ -219,9 +210,9 @@ func (i *Instance) Facts() []Fact {
 // Each calls fn for every fact in unspecified order; it stops early if
 // fn returns false. Use Facts for deterministic order.
 func (i *Instance) Each(fn func(Fact) bool) {
-	for k, c := range i.rels {
+	for _, c := range i.rels {
 		for r := 0; r < c.rows(); r++ {
-			if !fn(c.fact(k.rel, r)) {
+			if !fn(c.fact(r)) {
 				return
 			}
 		}
@@ -230,11 +221,12 @@ func (i *Instance) Each(fn func(Fact) bool) {
 
 // EachIDs is Each over interned IDs: fn receives every fact's relation
 // and its argument row — the instance's own storage, read-only and
-// valid only for the call — so a walk materialises no Fact.
+// valid only for the call — so a walk materialises no Fact. Relations
+// come in first-insert order, so walks of an unchanged instance agree.
 func (i *Instance) EachIDs(fn func(rel ID, args []ID) bool) {
-	for k, c := range i.rels {
+	for _, c := range i.rels {
 		for r := 0; r < c.rows(); r++ {
-			if !fn(k.rel, c.row(r)) {
+			if !fn(c.rel, c.row(r)) {
 				return
 			}
 		}
@@ -285,12 +277,12 @@ func EachTuple(vals []ID, arity int, fn func(args []ID) bool) {
 func (i *Instance) Rel(rel string) []Fact {
 	id, _ := LookupValue(Value(rel)) // not interned: NoID, the relation of no fact, for a name never seen
 	var fs []Fact
-	for k, c := range i.rels {
-		if k.rel != id {
+	for _, c := range i.rels {
+		if c.rel != id {
 			continue
 		}
 		for r := 0; r < c.rows(); r++ {
-			fs = append(fs, c.fact(k.rel, r))
+			fs = append(fs, c.fact(r))
 		}
 	}
 	SortFacts(fs)
@@ -311,9 +303,9 @@ func (i *Instance) ADom() ValueSet {
 // Schema returns the minimal schema the instance is over.
 func (i *Instance) Schema() Schema {
 	s := make(Schema)
-	for k, c := range i.rels {
+	for _, c := range i.rels {
 		if c.rows() > 0 {
-			s[symbols.lookup(k.rel)] = int(k.arity)
+			s[symbols.lookup(c.rel)] = c.arity
 		}
 	}
 	return s
@@ -322,12 +314,11 @@ func (i *Instance) Schema() Schema {
 // Restrict returns I|σ, the maximal subset of I over the schema σ.
 func (i *Instance) Restrict(s Schema) *Instance {
 	out := NewInstance()
-	for k, c := range i.rels {
-		rel := symbols.lookup(k.rel)
-		if ar, ok := s.Arity(rel); !ok || ar != int(k.arity) {
+	for _, c := range i.rels {
+		if ar, ok := s.Arity(symbols.lookup(c.rel)); !ok || ar != c.arity {
 			continue
 		}
-		dst := out.colFor(k.rel, int(k.arity))
+		dst := out.colFor(c.rel, c.arity)
 		c.each(func(args []ID) bool {
 			if dst.add(args) {
 				out.n++
@@ -342,15 +333,11 @@ func (i *Instance) Restrict(s Schema) *Instance {
 func (i *Instance) RestrictRel(rel string) *Instance {
 	id, _ := LookupValue(Value(rel)) // as in Rel
 	out := NewInstance()
-	for k, c := range i.rels {
-		if k.rel != id {
-			continue
+	for _, c := range i.rels {
+		if c.rel == id {
+			out.rels = append(out.rels, c.clone())
+			out.n += c.rows()
 		}
-		if out.rels == nil {
-			out.rels = make(map[colKey]*column)
-		}
-		out.rels[k] = c.clone()
-		out.n += c.rows()
 	}
 	return out
 }
@@ -365,9 +352,9 @@ func (i *Instance) Union(j *Instance) *Instance {
 // Minus returns a fresh instance I \ J.
 func (i *Instance) Minus(j *Instance) *Instance {
 	out := NewInstance()
-	for k, c := range i.rels {
-		other := j.col(k.rel, int(k.arity))
-		dst := out.colFor(k.rel, int(k.arity))
+	for _, c := range i.rels {
+		other := j.col(c.rel, c.arity)
+		dst := out.colFor(c.rel, c.arity)
 		c.each(func(args []ID) bool {
 			if other == nil || !other.has(args) {
 				if dst.add(args) {
@@ -387,12 +374,12 @@ func (i *Instance) Intersect(j *Instance) *Instance {
 		small, large = large, small
 	}
 	out := NewInstance()
-	for k, c := range small.rels {
-		other := large.col(k.rel, int(k.arity))
+	for _, c := range small.rels {
+		other := large.col(c.rel, c.arity)
 		if other == nil {
 			continue
 		}
-		dst := out.colFor(k.rel, int(k.arity))
+		dst := out.colFor(c.rel, c.arity)
 		c.each(func(args []ID) bool {
 			if other.has(args) {
 				if dst.add(args) {
@@ -410,8 +397,8 @@ func (i *Instance) SubsetOf(j *Instance) bool {
 	if i.Len() > j.Len() {
 		return false
 	}
-	for k, c := range i.rels {
-		other := j.col(k.rel, int(k.arity))
+	for _, c := range i.rels {
+		other := j.col(c.rel, c.arity)
 		if other == nil && c.rows() > 0 {
 			return false
 		}
@@ -439,10 +426,10 @@ func (i *Instance) Equal(j *Instance) bool {
 func (i *Instance) Clone() *Instance {
 	out := &Instance{n: i.n}
 	if len(i.rels) > 0 {
-		out.rels = make(map[colKey]*column, len(i.rels))
+		out.rels = make([]column, len(i.rels))
 	}
-	for k, c := range i.rels {
-		out.rels[k] = c.clone()
+	for k := range i.rels {
+		out.rels[k] = i.rels[k].clone()
 	}
 	return out
 }
@@ -460,9 +447,9 @@ func (i *Instance) Map(h map[Value]Value) *Instance {
 		}
 	}
 	out := NewInstance()
-	for k, c := range i.rels {
-		dst := out.colFor(k.rel, int(k.arity))
-		mapped := make([]ID, int(k.arity))
+	for _, c := range i.rels {
+		dst := out.colFor(c.rel, c.arity)
+		mapped := make([]ID, c.arity)
 		c.each(func(args []ID) bool {
 			for x, id := range args {
 				if w, ok := hid[id]; ok {
@@ -481,7 +468,7 @@ func (i *Instance) Map(h map[Value]Value) *Instance {
 }
 
 // String renders the instance as a sorted, brace-delimited fact list,
-// e.g. "{E(a,b), E(b,c)}".
+// c.g. "{E(a,b), E(b,c)}".
 func (i *Instance) String() string {
 	fs := i.Facts()
 	parts := make([]string, len(fs))

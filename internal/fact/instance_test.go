@@ -136,6 +136,67 @@ func TestEachIDsWalksEveryFact(t *testing.T) {
 	}
 }
 
+// TestEachIDsFirstInsertOrder: the directory walks relations in the
+// order the instance first held them — not by name, arity or row count
+// — and two walks of an unchanged instance agree.
+func TestEachIDsFirstInsertOrder(t *testing.T) {
+	i := inst("T(a,b,c)", "E(b,c)", "A(z)", "E(a)", "E(a,b)", "A(y)")
+	i.Remove(MustParseFact("A(z)")) // a swap-delete inside a column leaves the directory alone
+	walk := func() []string {
+		var got []string
+		i.EachIDs(func(rel ID, args []ID) bool {
+			got = append(got, FromIDs(rel, args).String())
+			return true
+		})
+		return got
+	}
+	want := []string{"T(a,b,c)", "E(b,c)", "E(a,b)", "A(y)", "E(a)"}
+	if got := walk(); !slices.Equal(got, want) {
+		t.Errorf("EachIDs walked %v, want %v", got, want)
+	}
+	if a, b := walk(), walk(); !slices.Equal(a, b) {
+		t.Errorf("two walks of an unchanged instance differ: %v, %v", a, b)
+	}
+}
+
+// TestTwoAritiesTwoColumns: facts of one relation name at two arities
+// live in two columns, so no operation confuses E(a) with E(a,b) — the
+// same IDs under different arities — or drops one with the other.
+func TestTwoAritiesTwoColumns(t *testing.T) {
+	unary, binary := MustParseFact("E(a)"), MustParseFact("E(a,a)")
+	i := NewInstance(unary, binary, MustParseFact("E(b)"))
+	if i.Len() != 3 || !i.Has(unary) || !i.Has(binary) || len(i.Rel("E")) != 3 {
+		t.Fatalf("Add: %v", i)
+	}
+	c := i.Clone()
+	if !i.Remove(unary) || !i.Has(binary) || i.Has(unary) || i.Len() != 2 {
+		t.Errorf("Remove(E(a)): %v", i)
+	}
+	if !c.Has(unary) || c.Len() != 3 {
+		t.Errorf("the clone lost E(a) with the original: %v", c)
+	}
+	if got := c.Minus(inst("E(a)")); !got.Equal(inst("E(a,a)", "E(b)")) {
+		t.Errorf("Minus {E(a)} = %v", got)
+	}
+	if got := c.Intersect(inst("E(a,a)", "E(b,b)")); !got.Equal(inst("E(a,a)")) {
+		t.Errorf("Intersect {E(a,a), E(b,b)} = %v", got)
+	}
+	tab := func(arity int, vals ...Value) Table {
+		tb := Table{Rel: InternString("E"), Arity: arity, Index: NewTupleIndex(arity)}
+		for r := 0; r*arity < len(vals); r++ {
+			for _, v := range vals[r*arity : (r+1)*arity] {
+				tb.Args = append(tb.Args, Intern(v))
+			}
+			tb.Index.Put(tb.Args[r*arity:(r+1)*arity], int32(r))
+		}
+		return tb
+	}
+	f := FromTables([]Table{tab(1, "a", "b"), tab(2, "a", "a")})
+	if !f.Equal(c) || !c.Equal(f) || len(f.Rows(InternString("E"), 1)) != 2 || len(f.Rows(InternString("E"), 2)) != 2 {
+		t.Errorf("FromTables = %v, want %v", f, c)
+	}
+}
+
 // TestReset: a reset instance reads as a new one through every
 // accessor, takes the same facts back as new, and — its columns kept —
 // refills allocating only the index keys of wide tuples.

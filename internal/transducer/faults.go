@@ -80,10 +80,15 @@ type Crash struct {
 
 // roll returns a deterministic pseudo-uniform value in [0,1) for one
 // decision point; kind namespaces independent decisions on the same
-// message.
-func (p *FaultPlan) roll(kind byte, clock int, from, to NodeID, key string) float64 {
+// message. It hashes (FNV-1a) the decimal seed, NUL, kind, decimal
+// clock, NUL, from, NUL, to, NUL and the fact's Key, built on the stack.
+func (p *FaultPlan) roll(kind byte, clock int, from, to NodeID, f fact.Fact) float64 {
+	var scratch [128]byte
+	b := append(strconv.AppendInt(scratch[:0], p.Seed, 10), 0, kind)
+	b = append(strconv.AppendInt(b, int64(clock), 10), 0)
+	b = f.AppendKey(append(append(append(append(b, from...), 0), to...), 0))
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d\x00%c%d\x00%s\x00%s\x00%s", p.Seed, kind, clock, from, to, key)
+	h.Write(b)
 	return float64(h.Sum64()>>11) / float64(uint64(1)<<53)
 }
 
@@ -99,7 +104,7 @@ func (p *FaultPlan) ExtraCopies(clock int, from, to NodeID, f fact.Fact) int {
 	if p.DupProb <= 0 {
 		return 0
 	}
-	if p.roll('d', clock, from, to, f.Key()) < p.DupProb {
+	if p.roll('d', clock, from, to, f) < p.DupProb {
 		return 1
 	}
 	return 0
@@ -111,8 +116,8 @@ func (p *FaultPlan) ExtraCopies(clock int, from, to NodeID, f fact.Fact) int {
 func (p *FaultPlan) HoldFor(clock int, from, to NodeID, f fact.Fact) int {
 	d := 0
 	if p.DelayProb > 0 && p.MaxDelay > 0 &&
-		p.roll('h', clock, from, to, f.Key()) < p.DelayProb {
-		d = 1 + int(p.roll('l', clock, from, to, f.Key())*float64(p.MaxDelay))
+		p.roll('h', clock, from, to, f) < p.DelayProb {
+		d = 1 + int(p.roll('l', clock, from, to, f)*float64(p.MaxDelay))
 		if d > p.MaxDelay {
 			d = p.MaxDelay
 		}

@@ -324,3 +324,48 @@ func TestFaultPlanStringNoSpec(t *testing.T) {
 		t.Error("dup missing from String")
 	}
 }
+
+// roll's outputs are pinned: X1–X7 and every seeded faulty run depend
+// on them. The values were recorded when roll hashed the fmt-formatted
+// bytes of the seed, kind, clock, endpoints and Fact.Key(); building the
+// same bytes any other way must reproduce them exactly.
+func TestFaultRollsPinned(t *testing.T) {
+	for k, c := range []struct {
+		seed     int64
+		kind     byte
+		clock    int
+		from, to NodeID
+		f        fact.Fact
+		want     float64
+	}{
+		{0, 'd', 0, "n1", "n2", fact.New("F", "a"), 0.7093502518922109},
+		{1, 'd', 1, "n1", "n2", fact.New("E", "a", "b"), 0.6922321006576565},
+		{1, 'h', 1, "n1", "n2", fact.New("E", "a", "b"), 0.7529225834583856},
+		{1, 'l', 1, "n1", "n2", fact.New("E", "a", "b"), 0.940851115929954},
+		{42, 'd', 3, "n2", "n1", fact.New("F", "a", "b"), 0.6533182461482322},
+		{42, 'h', 17, "n012", "n013", fact.New("Xf_E", "v1", "v2"), 0.5505311012391029},
+		{42, 'l', 17, "n012", "n013", fact.New("Xf_E", "v1", "v2"), 0.5190429999124684},
+		{-7, 'd', 5, "n3", "n1", fact.New("T", "a", "b", "c"), 0.011035295139158352},
+		{-7, 'h', 5, "n3", "n1", fact.New("T", "a", "b", "c"), 0.23519767759902843},
+		{-7, 'l', 5, "n3", "n1", fact.New("T", "a", "b", "c"), 0.6023731581891909},
+		{1 << 40, 'd', 12345, "router", "shard3", fact.New("E", "é", "日本"), 0.8487466236935604},
+		{1 << 40, 'h', 12345, "router", "shard3", fact.New("E", "é", "日本"), 0.8481993532614458},
+		{9, 'l', 99, "1", "2", fact.New("E", "é", "日本"), 0.40824210444880527},
+		{-9223372036854775808, 'd', 2, "n1", "n2", fact.New("E", "1", "3"), 0.1837851964348981},
+		{5, 'd', -1, "n1", "n2", fact.New("E", "1", "3"), 0.8250633353349593},
+		{5, 'h', 1000000, "", "n2", fact.New("Ea", "x"), 0.5349270167349875},
+		{5, 'l', 7, "n1", "", fact.New("E_1", "a b", "c,d"), 0.33198552198557907},
+		{123456789, 'd', 31, "n7", "n8", fact.New("Fwd", "a", "b", "c", "d"), 0.6350148064794233},
+		{123456789, 'h', 31, "n7", "n8", fact.New("Got", ""), 0.32392292191985395},
+		{2, 'l', 4, "α", "β", fact.New("Ω", "ß", "ü", "ÿ"), 0.6790007504581834},
+	} {
+		p := &FaultPlan{Seed: c.seed}
+		if got := p.roll(c.kind, c.clock, c.from, c.to, c.f); got != c.want {
+			t.Errorf("case %d: roll(%c, %d, %q, %q, %v) = %v, want %v", k, c.kind, c.clock, c.from, c.to, c.f, got, c.want)
+		}
+	}
+	p, f := &FaultPlan{Seed: -7}, fact.New("T", "a", "b", "c")
+	if n := testing.AllocsPerRun(100, func() { p.roll('d', 5, "n3", "n1", f) }); n != 0 {
+		t.Errorf("roll allocates %v times, want 0", n)
+	}
+}

@@ -1,6 +1,8 @@
 package transducer
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -235,5 +237,139 @@ func TestExample42SystemFacts(t *testing.T) {
 	}
 	if out.Has(fact.New("SawPol", "4", "1")) {
 		t.Error("policyE(4,1) should not be shown to node 1")
+	}
+}
+
+// The buffer's observable order — BufferedFacts and the coin flips of
+// takeRandom — is Fact.Compare order: the byte order of the textual
+// fact keys the buffer was once keyed by, since every relation here has
+// one arity. The sequences below were recorded from that keyed buffer,
+// on duplicate copies of facts over several relations.
+func TestBufferOrderPinned(t *testing.T) {
+	adds := []struct {
+		f fact.Fact
+		n int
+	}{
+		{fact.New("E", "b", "c"), 2}, {fact.New("F", "a"), 1}, {fact.New("E", "a", "b"), 3},
+		{fact.New("Xf_E", "a", "b"), 1}, {fact.New("E", "a", "c"), 1}, {fact.New("F", "é"), 2},
+		{fact.New("T", "a", "b", "c"), 2}, {fact.New("E", "b", "c"), 1}, {fact.New("F", "b"), 1},
+		{fact.New("Ea", "z"), 1}, {fact.New("E", "ab", "a"), 2}, {fact.New("F", "a"), 4},
+	}
+	tr := &Transducer{Schema: Schema{In: fact.MustSchema(map[string]int{"E": 2})}}
+	sim, err := NewSimulation(MustNetwork("n1", "n2"), tr, AllToNode("n1"), Original, fact.NewInstance())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newMultiset()
+	for _, a := range adds {
+		sim.Arrive(1, a.f, a.n)
+		m.add(a.f, a.n)
+	}
+	const want = "[E(a,b) E(a,c) E(ab,a) E(b,c) Ea(z) F(a) F(b) F(é) T(a,b,c) Xf_E(a,b)]"
+	if got := fmt.Sprint(sim.BufferedFacts("n2")); got != want {
+		t.Errorf("BufferedFacts = %s, want %s", got, want)
+	}
+	draws := []struct {
+		n   int
+		set string
+	}{
+		{16, "{E(a,b), E(ab,a), E(b,c), Ea(z), F(a), F(b), F(é), T(a,b,c), Xf_E(a,b)}"},
+		{1, "{E(a,b)}"},
+		{0, "{}"},
+		{2, "{E(a,c), F(a)}"},
+		{0, "{}"},
+		{1, "{F(a)}"},
+		{1, "{T(a,b,c)}"},
+	}
+	rng := rand.New(rand.NewSource(7))
+	for k, d := range draws {
+		out := fact.NewInstance()
+		if n := m.takeRandom(rng, out); n != d.n || out.String() != d.set {
+			t.Fatalf("draw %d: took %d as %s, want %d as %s", k, n, out, d.n, d.set)
+		}
+	}
+	if !m.empty() || m.size() != 0 {
+		t.Errorf("buffer holds %d copies after the pinned draws", m.size())
+	}
+}
+
+// The buffer against a model keyed by Fact.Key: after every arrival,
+// partial take and full drain, each fact's copies and the total agree,
+// and a clone is independent of its original.
+func TestMultisetMatchesCountModel(t *testing.T) {
+	pool := []fact.Fact{
+		fact.New("F", "a"), fact.New("F", "b"), fact.New("E", "a", "b"), fact.New("E", "b", "a"),
+		fact.New("E", "a", "a"), fact.New("T", "a", "b", "c"), fact.New("T", "c", "b", "a"), fact.New("E", "a"),
+	}
+	counts := func(m *multiset) map[string]int {
+		got := map[string]int{}
+		for _, c := range m.sorted() {
+			if _, dup := got[c.f.Key()]; dup {
+				t.Fatalf("sorted lists %v twice", c.f)
+			}
+			got[c.f.Key()] = c.n
+		}
+		return got
+	}
+	check := func(step string, m *multiset, model map[string]int) {
+		t.Helper()
+		total := 0
+		for _, c := range model {
+			total += c
+		}
+		if got := counts(m); !maps.Equal(got, model) || m.size() != total || m.empty() != (total == 0) {
+			t.Fatalf("%s: buffer %v (size %d), model %v (size %d)", step, got, m.size(), model, total)
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	m, model := newMultiset(), map[string]int{}
+	for step := 0; step < 2000; step++ {
+		switch op := rng.Intn(10); {
+		case op < 6:
+			f, n := pool[rng.Intn(len(pool))], 1+rng.Intn(3)
+			m.add(f, n)
+			model[f.Key()] += n
+		case op < 8:
+			out := fact.NewInstance()
+			taken := m.takeRandom(rng, out)
+			out.Each(func(f fact.Fact) bool {
+				if model[f.Key()] == 0 {
+					t.Fatalf("step %d: took %v, which the buffer did not hold", step, f)
+				}
+				return true
+			})
+			left := counts(m)
+			for k, c := range model {
+				taken -= c - left[k]
+				if left[k] == 0 {
+					delete(model, k)
+				} else {
+					model[k] = left[k]
+				}
+			}
+			if taken != 0 {
+				t.Fatalf("step %d: takeRandom's count is off by %d", step, taken)
+			}
+		case op < 9:
+			keep := pool[rng.Intn(len(pool))]
+			n := m.take(func(f fact.Fact, c int) int {
+				if f.Equal(keep) {
+					return c
+				}
+				return 0
+			})
+			if n != model[keep.Key()] {
+				t.Fatalf("step %d: took %d copies of %v, model holds %d", step, n, keep, model[keep.Key()])
+			}
+			delete(model, keep.Key())
+		default:
+			c := m.clone()
+			c.add(pool[0], 1)
+			c.takeAll(fact.NewInstance())
+			check(fmt.Sprintf("step %d, after a clone was drained", step), m, model)
+			m.takeAll(fact.NewInstance())
+			clear(model)
+		}
+		check(fmt.Sprintf("step %d", step), m, model)
 	}
 }

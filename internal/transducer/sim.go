@@ -3,7 +3,7 @@ package transducer
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/fact"
 	"repro/internal/obs"
@@ -11,88 +11,104 @@ import (
 
 // multiset is a message buffer: facts with multiplicities
 // (Section 4.1.3 uses multisets because the same message can be sent
-// several times and float around simultaneously).
+// several times and float around simultaneously). It logs arrivals, so
+// one builds no key and probes no index: takeAll collapses copies into
+// its set, and the walks that need each fact once sort and merge.
 type multiset struct {
-	counts map[string]int
-	facts  map[string]fact.Fact
+	msgs  []counted
+	total int
 }
 
-func newMultiset() *multiset {
-	return &multiset{counts: make(map[string]int), facts: make(map[string]fact.Fact)}
+// counted is a fact and a number of its copies.
+type counted struct {
+	f fact.Fact
+	n int
 }
+
+func newMultiset() *multiset { return &multiset{} }
 
 func (m *multiset) add(f fact.Fact, n int) {
-	k := f.Key()
-	m.counts[k] += n
-	m.facts[k] = f
+	m.msgs = append(m.msgs, counted{f, n})
+	m.total += n
 }
 
-func (m *multiset) size() int {
-	total := 0
-	for _, c := range m.counts {
-		total += c
-	}
-	return total
-}
+func (m *multiset) size() int { return m.total }
 
-func (m *multiset) empty() bool { return len(m.counts) == 0 }
+func (m *multiset) empty() bool { return m.total == 0 }
 
-// sortedKeys returns the buffer's fact keys in sorted order. Every
-// iteration that consumes randomness (or feeds observable output) must
-// walk the buffer in this order: ranging over the Go map directly
-// would let map-iteration order decide which fact each coin flip
-// applies to, breaking same-seed reproducibility.
-func (m *multiset) sortedKeys() []string {
-	keys := make([]string, 0, len(m.facts))
-	for k := range m.facts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+// drop empties the buffer and keeps the log's storage.
+func (m *multiset) drop() {
+	clear(m.msgs)
+	m.msgs, m.total = m.msgs[:0], 0
 }
 
 // takeAll removes the whole buffer, adds it to out collapsed to a set,
 // and returns the number of message instances delivered.
 func (m *multiset) takeAll(out *fact.Instance) int {
-	delivered := 0
-	for k, f := range m.facts {
-		out.Add(f)
-		delivered += m.counts[k]
-		delete(m.counts, k)
-		delete(m.facts, k)
+	delivered := m.total
+	for _, c := range m.msgs {
+		out.Add(c.f)
 	}
+	m.drop()
 	return delivered
+}
+
+// sorted returns each buffered fact once, with all its copies, in
+// Fact.Compare order: every walk that consumes randomness or feeds
+// observable output uses it. Schedules and outputs were pinned in
+// Fact.Key byte order, which is this order as every message relation
+// has one arity.
+func (m *multiset) sorted() []counted {
+	cs := slices.Clone(m.msgs)
+	slices.SortFunc(cs, func(a, b counted) int { return a.f.Compare(b.f) })
+	merged := cs[:0]
+	for _, c := range cs {
+		if k := len(merged) - 1; k >= 0 && merged[k].f.Equal(c.f) {
+			merged[k].n += c.n
+		} else {
+			merged = append(merged, c)
+		}
+	}
+	return merged
+}
+
+// take walks the buffer in sorted order, removes as many copies of each
+// fact as fn returns (at most the count it is given), and returns the
+// number removed.
+func (m *multiset) take(fn func(f fact.Fact, count int) int) int {
+	cs, taken := m.sorted(), 0
+	m.drop()
+	for _, c := range cs {
+		n := fn(c.f, c.n)
+		if taken += n; n < c.n {
+			m.add(c.f, c.n-n)
+		}
+	}
+	return taken
 }
 
 // takeRandom removes a random submultiset (each copy kept or delivered
 // with probability 1/2), adds the delivered facts to out as a set, and
-// returns the number of message instances delivered. The buffer is
-// consumed in sorted key order so that the rng draws are reproducible
-// across runs.
+// returns the number of message instances delivered. The coins are
+// drawn in take's order, so the draws are reproducible across runs.
 func (m *multiset) takeRandom(rng *rand.Rand, out *fact.Instance) int {
-	delivered := 0
-	for _, k := range m.sortedKeys() {
-		f := m.facts[k]
-		c := m.counts[k]
-		take := 0
-		for n := 0; n < c; n++ {
+	return m.take(func(f fact.Fact, count int) int {
+		n := 0
+		for c := 0; c < count; c++ {
 			if rng.Intn(2) == 0 {
-				take++
+				n++
 			}
 		}
-		if take == 0 {
-			continue
+		if n > 0 {
+			out.Add(f)
 		}
-		delivered += take
-		out.Add(f)
-		if take == c {
-			delete(m.counts, k)
-			delete(m.facts, k)
-		} else {
-			m.counts[k] = c - take
-		}
-	}
-	return delivered
+		return n
+	})
+}
+
+// clone returns an independent copy of the buffer (facts are immutable).
+func (m *multiset) clone() *multiset {
+	return &multiset{msgs: slices.Clone(m.msgs), total: m.total}
 }
 
 // Metrics accumulates counters over a simulation, used by the
@@ -323,15 +339,10 @@ func (s *Simulation) Clone() *Simulation {
 	c.WrongFacts = append([]fact.Fact(nil), s.WrongFacts...)
 	c.nodes = make([]node, len(s.nodes))
 	for i, n := range s.nodes {
-		nb := newMultiset()
-		for k, f := range n.buf.facts {
-			nb.facts[k] = f
-			nb.counts[k] = n.buf.counts[k]
-		}
 		c.nodes[i] = node{
 			local:   n.local, // fragments are never mutated after construction
 			state:   n.state.Clone(),
-			buf:     nb,
+			buf:     n.buf.clone(),
 			held:    append([]heldMsg(nil), n.held...),
 			sentLog: n.sentLog.Clone(),
 		}
@@ -633,21 +644,17 @@ func (s *Simulation) Deliver(x NodeID) (bool, error) {
 
 // takeBatch removes from node i's buffer every fact selected by keep
 // (all copies of each) and returns the batch as a set. The buffer is
-// walked in sorted key order so a stateful keep sees a reproducible
+// walked in Fact.Compare order so a stateful keep sees a reproducible
 // sequence.
 func (s *Simulation) takeBatch(i int, keep func(fact.Fact) bool) *fact.Instance {
-	b := s.nodes[i].buf
 	m := s.inbox()
-	for _, k := range b.sortedKeys() {
-		f := b.facts[k]
+	s.Metrics.MessagesDelivered += s.nodes[i].buf.take(func(f fact.Fact, count int) int {
 		if !keep(f) {
-			continue
+			return 0
 		}
-		s.Metrics.MessagesDelivered += b.counts[k]
 		m.Add(f)
-		delete(b.counts, k)
-		delete(b.facts, k)
-	}
+		return count
+	})
 	return m
 }
 
@@ -771,15 +778,14 @@ func (s *Simulation) FaultsDone() bool {
 func (s *Simulation) RunMetrics() Metrics { return s.Metrics }
 
 // BufferedFacts returns the facts currently buffered at node x, in
-// sorted key order — the reproducible iteration order every observable
-// buffer walk must use. Copies are collapsed: each distinct fact
-// appears once.
+// Fact.Compare order — the reproducible iteration order every
+// observable buffer walk must use. Copies are collapsed: each distinct
+// fact appears once.
 func (s *Simulation) BufferedFacts(x NodeID) []fact.Fact {
-	b := s.nodes[s.idx[x]].buf
-	keys := b.sortedKeys()
-	fs := make([]fact.Fact, 0, len(keys))
-	for _, k := range keys {
-		fs = append(fs, b.facts[k])
+	cs := s.nodes[s.idx[x]].buf.sorted()
+	fs := make([]fact.Fact, len(cs))
+	for k, c := range cs {
+		fs[k] = c.f
 	}
 	return fs
 }

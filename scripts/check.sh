@@ -1,5 +1,5 @@
 #!/bin/sh
-# check.sh runs the full local gate: vet, build, ten structural gates
+# check.sh runs the full local gate: vet, build, eleven structural gates
 # (internal/cluster has grown no wire loop of its own, IndexedInstance no
 # second fact store, internal/incr and internal/ilog start no goroutine,
 # internal/datalog starts them in one place, a fixpoint round never
@@ -10,7 +10,9 @@
 # fact.ComponentIndex and nowhere else — and only internal/transducer
 # resets a fact.Instance, the Stepper's accumulators and the
 # Simulation's delivered set: a reset instance keeps its storage for the
-# next transition, so it must not outlive its own — and a fact list
+# next transition, so it must not outlive its own — an instance finds
+# its columns in a slice and a message buffer builds no Fact.Key string
+# — and a fact list
 # reaches the wire one way: an epoch's chunks, encoded once, copied into
 # the line — and a timed phase has one clock: its span, which feeds its
 # histogram; no Registry.Span, no time.Now beside a span in
@@ -130,6 +132,21 @@ bad=$(echo "$calls" | grep . | grep -vE '^internal/transducer/step\.go:[0-9]+:[[
 if [ -n "$bad" ] || [ "$(echo "$calls" | grep -c .)" -ne 5 ]; then
     echo "$calls"
     echo "check: fact.Instance.Reset is called outside Stepper.Step's accumulators and the Simulation's delivered set"
+    exit 1
+fi
+
+# No map in the small-instance paths: fact.Instance finds its columns
+# by a linear scan of a slice (a map ranged over one or two entries
+# cost more than the transitions that walk it), and the simulator's
+# message buffer logs its arrivals as facts (a Fact.Key string built
+# per arrival cost more than the arrival).
+echo ">> structural gate: instance columns are a slice, message buffer builds no key"
+if grep -nE 'map\[colKey\]|map\[[^]]*\]\*?column\b' $(ls internal/fact/*.go | grep -v '_test\.go$'); then
+    echo "check: internal/fact keys columns by a map again; an Instance's directory is a slice"
+    exit 1
+fi
+if grep -nE 'f\.Key\(\)|map\[string\]' internal/transducer/sim.go; then
+    echo "check: internal/transducer/sim.go keys facts by strings again; the buffer logs facts as they arrive"
     exit 1
 fi
 
