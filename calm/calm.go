@@ -175,6 +175,9 @@ type (
 	Simulation = transducer.Simulation
 	// Model selects the visible system relations.
 	Model = transducer.Model
+	// ScheduleViolation is a schedule on which a network failed to
+	// compute its query (Explore's finding).
+	ScheduleViolation = transducer.ScheduleViolation
 )
 
 // Network and policy constructors.
@@ -190,7 +193,9 @@ var (
 	ReplicateAll     = transducer.ReplicateAll
 	NewSimulation    = transducer.NewSimulation
 	CheckComputes    = transducer.CheckComputes
-	ExploreSchedules = transducer.Explore
+	// Explore model-checks every heartbeat/deliver-all schedule to a
+	// bounded depth for an output fact outside the expected answer.
+	Explore = transducer.Explore
 	// NewSimulationOver is NewSimulation over given links (per-node
 	// recipient lists) instead of the paper's broadcast.
 	NewSimulationOver = transducer.NewSimulationOver

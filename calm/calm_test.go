@@ -112,3 +112,36 @@ func TestComponentsFlow(t *testing.T) {
 		t.Error("DomainDisjoint misbehaves through the facade")
 	}
 }
+
+// Explore model-checks every heartbeat/deliver-all schedule to a
+// bounded depth: the broadcast strategy keeps TC's output inside the
+// answer on every schedule, and on NoLoop, one class up, a schedule
+// outputs a fact the answer lacks.
+func TestExploreFlow(t *testing.T) {
+	net := calm.MustNetwork("n1", "n2")
+	in := calm.MustParseInstance(`E(a,b) E(b,b)`)
+	for _, c := range []struct {
+		q      calm.Query
+		unsafe bool
+	}{{calm.TC(), false}, {calm.NoLoop(), true}} {
+		tr, err := calm.BuildStrategy(calm.Broadcast, c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := c.q.Eval(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v *calm.ScheduleViolation
+		v, err = calm.Explore(net, tr, calm.HashPolicy(net), calm.Broadcast.RequiredModel(), in, want, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (v != nil) != c.unsafe {
+			t.Errorf("%s: violation %v, want unsafe=%v", c.q.Name(), v, c.unsafe)
+		}
+		if v != nil && (v.Schedule != "n1:hb n1:hb n2:hb" || v.Step != 3 || !v.Bad.Equal(calm.MustParseFact("O(b)"))) {
+			t.Errorf("%s: %v, want O(b) at step 3 of n1:hb n1:hb n2:hb", c.q.Name(), v)
+		}
+	}
+}

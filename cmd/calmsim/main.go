@@ -363,9 +363,9 @@ func runEventEngine(topo *generate.Topology, route netsim.Routing, s core.Strate
 		stats.Publish(reg)
 		if v == nil {
 			fmt.Printf("sweep: %d event runs clean (%d events, %d sched ops, heap max %d)\n",
-				stats.Runs, stats.Events, stats.SchedOps, stats.HeapMax)
+				stats.Schedules, stats.Events, stats.SchedOps, stats.HeapMax)
 		} else {
-			fmt.Printf("sweep: VIOLATION after %d runs: %v\n", stats.Runs, v)
+			fmt.Printf("sweep: VIOLATION after %d runs: %v\n", stats.Schedules, v)
 		}
 	}
 }

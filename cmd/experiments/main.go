@@ -780,7 +780,7 @@ func netsimExperiments() []experiment {
 					return fmt.Sprintf("%v: %v", kind, v), false
 				}
 				stats.Publish(reg)
-				runs += stats.Runs
+				runs += stats.Schedules
 				events += stats.Events
 			}
 			return fmt.Sprintf("5 topologies x 256 nodes: %d faulty runs clean (%d events), conservation held", runs, events), true

@@ -71,4 +71,9 @@ func TestExploreFindsStrategyBoundary(t *testing.T) {
 	if v == nil {
 		t.Fatal("explorer failed to find the premature-output schedule for a query outside Mdistinct")
 	}
+	// n1 holds E(a,b) alone and outputs its complement at its first
+	// heartbeat; O(a,a) is the first of it in out(R).
+	if v.Kind != transducer.WrongFact || v.Schedule != "n1:hb" || v.Step != 1 || !v.Bad.Equal(fact.New("O", "a", "a")) {
+		t.Errorf("first violation = %v, want O(a,a) at step 1 of schedule n1:hb", v)
+	}
 }

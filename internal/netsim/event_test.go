@@ -125,7 +125,7 @@ func TestSweepCleanPowerLaw(t *testing.T) {
 	if v != nil {
 		t.Fatalf("clean sweep found a violation: %v", v)
 	}
-	if stats.Runs != 5 || stats.Violations != 0 || stats.Aborted != 0 {
+	if stats.Schedules != 5 || stats.Violations != 0 || stats.Aborted != 0 {
 		t.Fatalf("stats off: %+v", stats)
 	}
 	if stats.Events == 0 || stats.SchedOps == 0 || stats.HeapMax == 0 {
@@ -136,7 +136,7 @@ func TestSweepCleanPowerLaw(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	stats.Publish(reg)
-	if reg.Counter(obs.ExploreSchedules).Value() != int64(stats.Runs) {
+	if reg.Counter(obs.ExploreSchedules).Value() != int64(stats.Schedules) {
 		t.Fatal("Publish did not export run count")
 	}
 }
@@ -166,7 +166,7 @@ func TestSweepDetectsDivergence(t *testing.T) {
 	if v == nil || v.Kind != transducer.Divergence {
 		t.Fatalf("expected a divergence violation, got %v", v)
 	}
-	if stats.Violations != 1 || stats.Aborted != 1 || stats.Runs != 1 {
+	if stats.Violations != 1 || stats.Aborted != 1 || stats.Schedules != 1 {
 		t.Fatalf("stats off after violation: %+v", stats)
 	}
 	if !bytes.Contains(buf.Bytes(), []byte(obs.EvViolation)) {
@@ -206,11 +206,37 @@ func TestSweepSeparatesErrorsFromNoQuiescence(t *testing.T) {
 	if v != nil || err == nil || errors.Is(err, transducer.ErrNoQuiescence) || !strings.Contains(err.Error(), "outside its target schema") {
 		t.Fatalf("off-schema output: want the query error back, got %v, %v", v, err)
 	}
-	if stats.Runs != 1 || stats.Violations != 0 || stats.Aborted != 1 {
+	if stats.Schedules != 1 || stats.Violations != 0 || stats.Aborted != 1 {
 		t.Fatalf("stats off after an error: %+v", stats)
 	}
 	if !bytes.Contains(buf.Bytes(), []byte(`"aborted":true`)) || bytes.Contains(buf.Bytes(), []byte(obs.EvViolation)) {
 		t.Fatalf("an errored run is an aborted schedule, not a violation: %s", buf.Bytes())
+	}
+}
+
+// TestSweepReportsFirstWrongStep: a wrong fact's Step is the transition
+// that appended it, not the end of the run. Broadcast computes only
+// monotone queries, so on NoLoop a node that has seen E(c,d) but not
+// yet E(d,d) outputs O(d): at transition 3 of the fault-free run, which
+// goes on to transition 11.
+func TestSweepReportsFirstWrongStep(t *testing.T) {
+	topo := generate.MustTopology(generate.TopoRing, 4, 1)
+	net := netsim.NetworkOf(topo)
+	in := fact.MustParseInstance(`E(a,b) E(b,c) E(c,d) E(d,d)`)
+	want, err := queries.NoLoop().Eval(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, stats, err := netsim.Sweep(topo, netsim.RouteBroadcast, core.MustBuild(core.Broadcast, queries.NoLoop()),
+		transducer.HashPolicy(net), core.Broadcast.RequiredModel(), in, want, netsim.SweepOptions{Seeds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v == nil || v.Kind != transducer.WrongFact || !v.Bad.Equal(fact.New("O", "d")) {
+		t.Fatalf("want the wrong fact O(d), got %v", v)
+	}
+	if v.Step != 3 || stats.Transitions != 11 {
+		t.Fatalf("O(d) reported at step %d of a %d-transition run, want step 3 of 11", v.Step, stats.Transitions)
 	}
 }
 
@@ -281,7 +307,7 @@ func TestThousandNodePowerLaw(t *testing.T) {
 	if v != nil {
 		t.Fatalf("thousand-node sweep violated: %v", v)
 	}
-	if stats.Runs != 3 {
+	if stats.Schedules != 3 {
 		t.Fatalf("expected 3 runs, got %+v", stats)
 	}
 

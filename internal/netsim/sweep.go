@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -14,9 +13,9 @@ import (
 // This file is the large-network counterpart of the transducer
 // package's ExploreSchedules: a seeded sweep of event-driven runs over
 // one generated topology, each under a topology-aware fault plan,
-// checking the same property — no reachable output outside Q(I), and
-// convergence to Q(I) at quiescence — plus the message conservation
-// invariant after every run. ExploreSchedules enumerates adversarial
+// judged by the same verdict (transducer.ExploreStats.Record) — no
+// reachable output outside Q(I), convergence to Q(I) at quiescence,
+// and message conservation. ExploreSchedules enumerates adversarial
 // schedules on small networks; this sweep varies the event queue's
 // tiebreak seed and the fault plan instead, which is the scheduling
 // nondeterminism that remains meaningful at 10^3–10^4 nodes.
@@ -37,31 +36,23 @@ type SweepOptions struct {
 	Sink *obs.Sink
 }
 
-// SweepStats reports how much a sweep explored.
+// SweepStats reports how much a sweep explored: the explorer's stats
+// (a run is a schedule) plus the event scheduler's work.
 type SweepStats struct {
-	// Runs counts event-driven runs executed (the fault-free baseline
-	// included); Aborted counts runs cut short by a violation or an
-	// error; Violations counts property breaks (at most 1 — the sweep
-	// stops at the first).
-	Runs, Aborted, Violations int
+	transducer.ExploreStats
 	// Events and SchedOps total the scheduler work across all runs.
 	Events, SchedOps int
 	// HeapMax is the deepest event queue any run saw.
 	HeapMax int
-	// Sim folds every run's simulation Metrics into one total.
-	Sim transducer.Metrics
 }
 
 // Publish adds the stats into the registry (explore.*, sim.* and
 // netsim.* vocabularies). Safe on a nil registry.
 func (st SweepStats) Publish(reg *obs.Registry) {
-	reg.Counter(obs.ExploreSchedules).Add(int64(st.Runs))
-	reg.Counter(obs.ExploreAborted).Add(int64(st.Aborted))
-	reg.Counter(obs.ExploreViolations).Add(int64(st.Violations))
+	st.ExploreStats.Publish(reg)
 	reg.Counter(obs.NetsimEvents).Add(int64(st.Events))
 	reg.Counter(obs.NetsimSchedOps).Add(int64(st.SchedOps))
 	reg.Gauge(obs.NetsimHeapMax).SetMax(int64(st.HeapMax))
-	st.Sim.Publish(reg)
 }
 
 // TopologyFaultPlan derives a seeded fault plan whose partitions
@@ -122,76 +113,15 @@ func Sweep(topo *generate.Topology, routing Routing, t *transducer.Transducer, p
 		if err != nil {
 			return nil, err
 		}
-		if plan != nil && !plan.Empty() {
+		if !plan.Empty() {
 			label = fmt.Sprintf("%s faults[%s]", label, plan)
 			s.SetFaults(plan)
 		}
 		out, err := s.Run()
-
-		m := s.RunMetrics()
-		stats.Runs++
 		stats.Events += s.Events()
 		stats.SchedOps += s.SchedOps()
-		if s.HeapMax() > stats.HeapMax {
-			stats.HeapMax = s.HeapMax()
-		}
-		stats.Sim.Merge(m)
-
-		var v *transducer.ScheduleViolation
-		switch {
-		case errors.Is(err, transducer.ErrNoQuiescence):
-			err = nil
-			v = &transducer.ScheduleViolation{
-				Kind: transducer.NoQuiescence, Schedule: label,
-				Step: m.Transitions, Output: s.Output(), Want: want,
-			}
-		case err != nil:
-			// A failed transition is no verdict on the schedule: the
-			// error goes back to the caller as it is.
-		case len(s.WrongFacts) > 0:
-			bad := s.WrongFacts[0]
-			v = &transducer.ScheduleViolation{
-				Kind: transducer.WrongFact, Schedule: label,
-				Step: m.Transitions, Bad: &bad, Output: s.Output(), Want: want,
-			}
-		case !out.Equal(want):
-			v = &transducer.ScheduleViolation{
-				Kind: transducer.Divergence, Schedule: label,
-				Step: m.Transitions, Output: out, Want: want,
-			}
-		case !s.Conserved():
-			err = fmt.Errorf("netsim: %s broke conservation: sent=%d delivered=%d buffered=%d held=%d inflight=%d dropped=%d",
-				label, m.MessagesSent, m.MessagesDelivered, s.TotalBuffered(), s.TotalHeld(), s.Inflight(), m.MessagesDropped)
-		}
-		aborted := v != nil || err != nil
-		if aborted {
-			stats.Aborted++
-		}
-		if v != nil {
-			stats.Violations++
-		}
-		if sink := opts.Sink; sink != nil {
-			sink.Emit(obs.EvSchedule,
-				obs.F("label", label),
-				obs.F("transitions", m.Transitions),
-				obs.F("sent", m.MessagesSent),
-				obs.F("delivered", m.MessagesDelivered),
-				obs.F("aborted", aborted))
-			if v != nil {
-				bad := ""
-				if v.Bad != nil {
-					bad = v.Bad.String()
-				}
-				sink.Emit(obs.EvViolation,
-					obs.F("kind", v.Kind.String()),
-					obs.F("schedule", v.Schedule),
-					obs.F("step", v.Step),
-					obs.F("bad", bad),
-					obs.F("output", v.Output.Len()),
-					obs.F("want", v.Want.Len()))
-			}
-		}
-		return v, err
+		stats.HeapMax = max(stats.HeapMax, s.HeapMax())
+		return stats.Record(s.Simulation, label, out, err, opts.Sink)
 	}
 
 	// Fault-free baseline on the default tiebreak seed.

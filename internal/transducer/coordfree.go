@@ -17,22 +17,21 @@ import (
 // them, so a true result witnesses the Definition 3 prefix for this
 // input and policy.
 func HeartbeatPrefixComputes(s *Simulation, x NodeID, want *fact.Instance, maxSteps int) (bool, error) {
-	for n := 0; n < maxSteps; n++ {
-		if want.SubsetOf(s.Output()) {
-			return true, nil
-		}
+	covered := want.SubsetOf(s.Output())
+	for n := 0; n < maxSteps && !covered; n++ {
 		changed, err := s.Heartbeat(x)
 		if err != nil {
 			return false, err
 		}
-		if !changed && !want.SubsetOf(s.Output()) {
-			// The node has stabilized without producing the output;
-			// more heartbeats cannot help (heartbeat transitions of a
-			// deterministic transducer with unchanged state repeat).
-			return want.SubsetOf(s.Output()), nil
+		covered = want.SubsetOf(s.Output())
+		if !changed {
+			// The node has stabilized: heartbeat transitions of a
+			// deterministic transducer with unchanged state repeat, so
+			// more of them cannot help.
+			return covered, nil
 		}
 	}
-	return want.SubsetOf(s.Output()), nil
+	return covered, nil
 }
 
 // CoordinationFreeWitness checks the Definition 3 condition for one

@@ -1,8 +1,10 @@
 package transducer
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"repro/internal/fact"
 	"repro/internal/obs"
@@ -16,28 +18,19 @@ import (
 // a strict subset, but it already exercises the races that matter for
 // the safety property checked here (no wrong outputs in any reachable
 // configuration).
-
-// Violation describes a safety violation found by Explore: a schedule
-// (sequence of node/delivery choices) after which the network output
-// contains a fact outside the allowed set.
-type Violation struct {
-	Schedule []string
-	Output   *fact.Instance
-	Bad      fact.Fact
-}
-
-// Error renders the violation.
-func (v *Violation) Error() string {
-	return fmt.Sprintf("transducer: schedule %v produced out-of-answer fact %v (output %v)", v.Schedule, v.Bad, v.Output)
-}
+//
+// Both explorers test soundness the one way the machine does: a
+// Simulation with Want set appends every new output fact outside it
+// to WrongFacts (sim.go, transition), and an explorer reads that.
 
 // Explore enumerates every schedule of at most depth steps from the
-// start configuration of (net, t, pol, mod) on input, checking after
-// every step that the network output stays within `allowed`. It
-// returns the first violation found, or nil if all reachable outputs
-// are sound. The number of explored runs is (2·|N|)^depth; keep depth
-// and the network small.
-func Explore(net Network, t *Transducer, pol Policy, mod Model, input, allowed *fact.Instance, depth int) (*Violation, error) {
+// start configuration of (net, t, pol, mod) on input, with want as the
+// machine's oracle. It returns the first schedule that reaches an
+// output fact outside want as a WrongFact violation (its Schedule the
+// choices, space-separated), or nil if all reachable outputs are
+// sound. The number of explored runs is (2·|N|)^depth; keep depth and
+// the network small.
+func Explore(net Network, t *Transducer, pol Policy, mod Model, input, want *fact.Instance, depth int) (*ScheduleViolation, error) {
 	type choice struct {
 		node    NodeID
 		deliver bool
@@ -48,20 +41,10 @@ func Explore(net Network, t *Transducer, pol Policy, mod Model, input, allowed *
 	}
 
 	var schedule []string
-	var rec func(s *Simulation, remaining int) (*Violation, error)
-	rec = func(s *Simulation, remaining int) (*Violation, error) {
-		out := s.Output()
-		var bad *fact.Fact
-		out.Each(func(f fact.Fact) bool {
-			if !allowed.Has(f) {
-				g := f
-				bad = &g
-				return false
-			}
-			return true
-		})
-		if bad != nil {
-			return &Violation{Schedule: append([]string{}, schedule...), Output: out, Bad: *bad}, nil
+	var rec func(s *Simulation, remaining int) (*ScheduleViolation, error)
+	rec = func(s *Simulation, remaining int) (*ScheduleViolation, error) {
+		if len(s.WrongFacts) > 0 {
+			return wrongFact(s, strings.Join(schedule, " ")), nil
 		}
 		if remaining == 0 {
 			return nil, nil
@@ -93,6 +76,7 @@ func Explore(net Network, t *Transducer, pol Policy, mod Model, input, allowed *
 	if err != nil {
 		return nil, err
 	}
+	start.Want = want
 	return rec(start, depth)
 }
 
@@ -232,96 +216,115 @@ func ExploreSchedules(net Network, t *Transducer, pol Policy, mod Model, input, 
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = 32 + input.Len() + 4*len(net)
 	}
-	e := &explorer{net: net, t: t, pol: pol, mod: mod, input: input, want: want, opts: opts}
-
-	run := func(f func() (*ScheduleViolation, error)) (*ScheduleViolation, error) {
-		e.current = nil
-		v, err := f()
-		e.record(v, err)
-		return v, err
+	start, err := NewSimulation(net, t, pol, mod, input)
+	if err != nil {
+		return nil, ExploreStats{}, err
 	}
+	start.Want = want
+	e := &explorer{start: start, opts: opts}
 
-	// Fair round-robin baseline.
-	if v, err := run(e.fairRun); v != nil || err != nil {
-		return v, e.stats, err
+	// play runs one schedule unless an earlier one ended the search.
+	var v *ScheduleViolation
+	play := func(label string, plan *FaultPlan, prefix func(*Simulation) error) {
+		if v == nil && err == nil {
+			v, err = e.run(label, plan, prefix)
+		}
 	}
+	play("fair", nil, nil)
 	if !opts.SkipStarvation {
-		for _, victim := range net {
-			x := victim
-			if v, err := run(func() (*ScheduleViolation, error) { return e.starveRun(x) }); v != nil || err != nil {
-				return v, e.stats, err
-			}
+		for _, x := range net {
+			play(fmt.Sprintf("starve:%s", x), nil, func(s *Simulation) error { return e.starve(s, x) })
 		}
 	}
 	if !opts.SkipAdversary {
-		if v, err := run(e.freshFloodRun); v != nil || err != nil {
-			return v, e.stats, err
-		}
-		for _, victim := range net {
-			x := victim
-			if v, err := run(func() (*ScheduleViolation, error) { return e.freshStarveRun(x) }); v != nil || err != nil {
-				return v, e.stats, err
-			}
+		play("adv-flood-fresh", nil, e.freshFlood)
+		for _, x := range net {
+			play(fmt.Sprintf("adv-starve-fresh:%s", x), nil, func(s *Simulation) error { return e.freshStarve(s, x) })
 		}
 	}
-	for k := 0; k < opts.Seeds; k++ {
+	for k := 0; k < opts.Seeds && v == nil && err == nil; k++ {
 		seed := opts.BaseSeed + int64(k)
-		if v, err := run(func() (*ScheduleViolation, error) { return e.seedRun(seed) }); v != nil || err != nil {
-			return v, e.stats, err
-		}
+		play(fmt.Sprintf("seed:%d", seed), RandomFaultPlan(net, seed, opts.Faults), func(s *Simulation) error { return e.seeded(s, seed) })
 	}
-	return nil, e.stats, nil
+	return v, e.stats, err
 }
 
 // explorer carries the fixed exploration context.
 type explorer struct {
-	net   Network
-	t     *Transducer
-	pol   Policy
-	mod   Model
-	input *fact.Instance
-	want  *fact.Instance
+	// start is the start configuration with Want set; every schedule
+	// runs on a clone of it.
+	start *Simulation
 	opts  ExploreOptions
 	stats ExploreStats
-	// current is the schedule being run, registered by newRun so the
-	// run wrapper can account for it even when the runner bails out
-	// before reaching finish — the old per-finish accounting silently
-	// undercounted schedules aborted by an early violation.
-	current *scheduleRun
 }
 
-func (e *explorer) newRun(label string) (*scheduleRun, error) {
-	sim, err := NewSimulation(e.net, e.t, e.pol, e.mod, e.input)
-	if err != nil {
-		return nil, err
+// run plays one schedule on a copy of the start configuration. A
+// nonempty fault plan is installed first, named in the label and adds
+// its horizon to the round bound; prefix (nil for none) takes the
+// schedule's own steps and returns at an error or the first wrong
+// fact; a fair drive takes the rest to quiescence; Record gives the
+// verdict.
+func (e *explorer) run(label string, plan *FaultPlan, prefix func(*Simulation) error) (*ScheduleViolation, error) {
+	s := e.start.Clone()
+	rounds := e.opts.MaxRounds
+	if !plan.Empty() {
+		label = fmt.Sprintf("%s faults[%s]", label, plan)
+		s.SetFaults(plan)
+		rounds += plan.Horizon()
 	}
-	r := &scheduleRun{e: e, sim: sim, label: label}
-	e.current = r
-	return r, nil
+	var out *fact.Instance
+	var err error
+	if prefix != nil {
+		err = prefix(s)
+	}
+	if err == nil && len(s.WrongFacts) == 0 {
+		out, err = s.RunToQuiescence(rounds)
+	}
+	return e.stats.Record(s, label, out, err, e.opts.Sink)
 }
 
-// record folds one schedule's outcome into the stats and emits the
-// schedule-level events. Called once per schedule by the run wrapper,
-// whether the schedule completed, violated, or errored.
-func (e *explorer) record(v *ScheduleViolation, err error) {
-	e.stats.Schedules++
-	r := e.current
-	if r == nil {
-		return
+// Record is the one verdict on an explored run. s ran as schedule
+// label with s.Want as its oracle and ended with (out, err): out(R) at
+// quiescence, or the error that stopped it. Record names the run's
+// violation — a run that did not quiesce, else the first wrong fact
+// the machine appended, else a quiescent output other than Want —
+// checks message conservation, folds the run into st, whether it
+// completed, violated or failed, and emits explore.schedule (and
+// explore.violation) on sink. An error other than ErrNoQuiescence, or
+// a broken conservation, comes back as the error. Both explorers call
+// it: ExploreSchedules and netsim.Sweep.
+func (st *ExploreStats) Record(s *Simulation, label string, out *fact.Instance, err error, sink *obs.Sink) (*ScheduleViolation, error) {
+	m := s.Metrics
+	var v *ScheduleViolation
+	switch {
+	case errors.Is(err, ErrNoQuiescence):
+		err = nil
+		v = &ScheduleViolation{Kind: NoQuiescence, Schedule: label, Step: m.Transitions, Output: s.Output(), Want: s.Want}
+	case err != nil:
+		// A failed transition is no verdict on the schedule: the error
+		// goes back to the caller as it is.
+	case len(s.WrongFacts) > 0:
+		v = wrongFact(s, label)
+	case !out.Equal(s.Want):
+		v = &ScheduleViolation{Kind: Divergence, Schedule: label, Step: m.Transitions, Output: out, Want: s.Want}
+	case !s.Conserved():
+		err = fmt.Errorf("transducer: schedule %s broke conservation: sent=%d delivered=%d buffered=%d held=%d inflight=%d dropped=%d",
+			label, m.MessagesSent, m.MessagesDelivered, s.TotalBuffered(), s.TotalHeld(), s.Inflight(), m.MessagesDropped)
 	}
-	m := r.sim.RunMetrics()
-	e.stats.Transitions += m.Transitions
-	e.stats.Sim.Merge(m)
+
+	st.Schedules++
+	st.Transitions += m.Transitions
+	st.Sim.Merge(m)
 	aborted := v != nil || err != nil
 	if aborted {
-		e.stats.Aborted++
+		st.Aborted++
 	}
 	if v != nil {
-		e.stats.Violations++
+		st.Violations++
 	}
-	if sink := e.opts.Sink; sink != nil {
+	if sink != nil {
 		sink.Emit(obs.EvSchedule,
-			obs.F("label", r.label),
+			obs.F("label", label),
 			obs.F("transitions", m.Transitions),
 			obs.F("sent", m.MessagesSent),
 			obs.F("delivered", m.MessagesDelivered),
@@ -340,113 +343,35 @@ func (e *explorer) record(v *ScheduleViolation, err error) {
 				obs.F("want", v.Want.Len()))
 		}
 	}
+	return v, err
 }
 
-// scheduleRun wraps one simulation with per-step soundness checking.
-type scheduleRun struct {
-	e     *explorer
-	sim   *Simulation
-	label string
+// wrongFact is the violation of a machine that has appended a wrong
+// fact: the first one, at the transition that appended it.
+func wrongFact(s *Simulation, schedule string) *ScheduleViolation {
+	bad := s.WrongFacts[0]
+	return &ScheduleViolation{Kind: WrongFact, Schedule: schedule, Step: s.WrongAt, Bad: &bad, Output: s.Output(), Want: s.Want}
 }
 
-// checkSound verifies output ⊆ want after a step.
-func (r *scheduleRun) checkSound() *ScheduleViolation {
-	out := r.sim.Output()
-	var bad *fact.Fact
-	out.Each(func(f fact.Fact) bool {
-		if !r.e.want.Has(f) {
-			g := f
-			bad = &g
-			return false
-		}
-		return true
-	})
-	if bad == nil {
-		return nil
-	}
-	return &ScheduleViolation{
-		Kind:     WrongFact,
-		Schedule: r.label,
-		Step:     r.sim.RunMetrics().Transitions,
-		Bad:      bad,
-		Output:   out,
-		Want:     r.e.want,
-	}
-}
+// The schedule prefixes below step the machine and return at the
+// first error or wrong fact; run drives whatever they leave fairly to
+// quiescence.
 
-// finish drives the run fairly to quiescence (still checking every
-// step) and verifies the final output equals want. extraRounds widens
-// the bound for runs whose fault plan has a late horizon.
-func (r *scheduleRun) finish(extraRounds int) (*ScheduleViolation, error) {
-	maxRounds := r.e.opts.MaxRounds + extraRounds
-	for round := 0; round < maxRounds; round++ {
-		anyChanged := false
-		for _, x := range r.e.net {
-			changed, err := r.sim.Deliver(x)
-			if err != nil {
-				return nil, err
-			}
-			if v := r.checkSound(); v != nil {
-				return v, nil
-			}
-			if changed {
-				anyChanged = true
-			}
-		}
-		if !anyChanged && r.sim.TotalBuffered() == 0 && r.sim.TotalHeld() == 0 && r.sim.FaultsDone() {
-			out := r.sim.Output()
-			if !out.Equal(r.e.want) {
-				return &ScheduleViolation{
-					Kind:     Divergence,
-					Schedule: r.label,
-					Step:     r.sim.RunMetrics().Transitions,
-					Output:   out,
-					Want:     r.e.want,
-				}, nil
-			}
-			return nil, nil
-		}
-	}
-	return &ScheduleViolation{
-		Kind:     NoQuiescence,
-		Schedule: r.label,
-		Step:     r.sim.RunMetrics().Transitions,
-		Output:   r.sim.Output(),
-		Want:     r.e.want,
-	}, nil
-}
-
-// fairRun is the round-robin baseline with per-step checking.
-func (e *explorer) fairRun() (*ScheduleViolation, error) {
-	r, err := e.newRun("fair")
-	if err != nil {
-		return nil, err
-	}
-	return r.finish(0)
-}
-
-// starveRun keeps the victim from taking any transition while the rest
+// starve keeps the victim from taking any transition while the rest
 // of the network runs round-robin to a fixed point — the victim's
 // local facts stay invisible for the whole starvation phase. The
 // fairness deadline then admits the victim and the run must still
 // converge to want.
-func (e *explorer) starveRun(victim NodeID) (*ScheduleViolation, error) {
-	r, err := e.newRun(fmt.Sprintf("starve:%s", victim))
-	if err != nil {
-		return nil, err
-	}
+func (e *explorer) starve(s *Simulation, victim NodeID) error {
 	for round := 0; round < e.opts.MaxRounds; round++ {
 		progress := false
-		for _, x := range e.net {
+		for _, x := range s.Net {
 			if x == victim {
 				continue
 			}
-			changed, err := r.sim.Deliver(x)
-			if err != nil {
-				return nil, err
-			}
-			if v := r.checkSound(); v != nil {
-				return v, nil
+			changed, err := s.Deliver(x)
+			if err != nil || len(s.WrongFacts) > 0 {
+				return err
 			}
 			if changed {
 				progress = true
@@ -456,7 +381,7 @@ func (e *explorer) starveRun(victim NodeID) (*ScheduleViolation, error) {
 			break
 		}
 	}
-	return r.finish(0)
+	return nil
 }
 
 // freshCount counts the argument values of f that x has not seen yet.
@@ -470,26 +395,22 @@ func freshCount(known fact.ValueSet, f fact.Fact) int {
 	return fresh
 }
 
-// freshFloodRun is the greedy fresh-value adversary: at every step it
+// freshFlood is the greedy fresh-value adversary: at every step it
 // delivers exactly ONE buffered fact — the one introducing the most
 // values its recipient has never seen — so each node's active domain
 // expands as far ahead of its data as any schedule allows. This is the
 // single-fact generalization of the race behind premature outputs:
 // a node that learns a value before the facts about it evaluates the
 // query on an inflated, incomplete picture.
-func (e *explorer) freshFloodRun() (*ScheduleViolation, error) {
-	r, err := e.newRun("adv-flood-fresh")
-	if err != nil {
-		return nil, err
-	}
-	budget := e.opts.MaxRounds * len(e.net)
+func (e *explorer) freshFlood(s *Simulation) error {
+	budget := e.opts.MaxRounds * len(s.Net)
 	for step := 0; step < budget; step++ {
 		bestScore := 0
 		var bestNode NodeID
 		var bestFact fact.Fact
-		for _, x := range e.net {
-			known := r.sim.KnownValues(x)
-			for _, f := range r.sim.BufferedFacts(x) {
+		for _, x := range s.Net {
+			known := s.knownValues(x)
+			for _, f := range s.BufferedFacts(x) {
 				if n := freshCount(known, f); n > bestScore {
 					bestScore, bestNode, bestFact = n, x, f
 				}
@@ -499,13 +420,10 @@ func (e *explorer) freshFloodRun() (*ScheduleViolation, error) {
 			// No delivery introduces a fresh value; heartbeat everyone
 			// once to let protocols emit, then retry or finish.
 			progress := false
-			for _, x := range e.net {
-				changed, err := r.sim.Heartbeat(x)
-				if err != nil {
-					return nil, err
-				}
-				if v := r.checkSound(); v != nil {
-					return v, nil
+			for _, x := range s.Net {
+				changed, err := s.Heartbeat(x)
+				if err != nil || len(s.WrongFacts) > 0 {
+					return err
 				}
 				if changed {
 					progress = true
@@ -516,59 +434,46 @@ func (e *explorer) freshFloodRun() (*ScheduleViolation, error) {
 			}
 			continue
 		}
-		if _, err := r.sim.DeliverBatch(bestNode, fact.NewInstance(bestFact)); err != nil {
-			return nil, err
-		}
-		if v := r.checkSound(); v != nil {
-			return v, nil
+		if _, err := s.DeliverWhere(bestNode, bestFact.Equal); err != nil || len(s.WrongFacts) > 0 {
+			return err
 		}
 	}
-	return r.finish(0)
+	return nil
 }
 
-// freshStarveRun is the dual adversary, aimed at one victim: every
-// other node runs fairly, while the victim is delivered only messages
-// whose values it already knows. Absence announcements, acknowledgments
-// and data over the victim's current domain flow freely; anything
+// freshStarve is the dual adversary, aimed at one victim: every other
+// node runs fairly, while the victim is delivered only messages whose
+// values it already knows. Absence announcements, acknowledgments and
+// data over the victim's current domain flow freely; anything
 // mentioning a fresh value is withheld. A strategy that declares its
 // picture of the input complete from such a confined domain emits its
 // wrong facts here — this is the schedule shape behind the known
 // out-of-class divergences of the absence and domain-request
 // strategies. The fairness deadline then delivers everything.
-func (e *explorer) freshStarveRun(victim NodeID) (*ScheduleViolation, error) {
-	r, err := e.newRun(fmt.Sprintf("adv-starve-fresh:%s", victim))
-	if err != nil {
-		return nil, err
-	}
+func (e *explorer) freshStarve(s *Simulation, victim NodeID) error {
 	for round := 0; round < e.opts.MaxRounds; round++ {
 		progress := false
-		known := r.sim.KnownValues(victim)
+		known := s.knownValues(victim)
 		stale := fact.NewInstance()
-		for _, f := range r.sim.BufferedFacts(victim) {
+		for _, f := range s.BufferedFacts(victim) {
 			if freshCount(known, f) == 0 {
 				stale.Add(f)
 			}
 		}
-		changed, err := r.sim.DeliverBatch(victim, stale)
-		if err != nil {
-			return nil, err
-		}
-		if v := r.checkSound(); v != nil {
-			return v, nil
+		changed, err := s.DeliverWhere(victim, stale.Has)
+		if err != nil || len(s.WrongFacts) > 0 {
+			return err
 		}
 		if changed {
 			progress = true
 		}
-		for _, x := range e.net {
+		for _, x := range s.Net {
 			if x == victim {
 				continue
 			}
-			changed, err := r.sim.Deliver(x)
-			if err != nil {
-				return nil, err
-			}
-			if v := r.checkSound(); v != nil {
-				return v, nil
+			changed, err := s.Deliver(x)
+			if err != nil || len(s.WrongFacts) > 0 {
+				return err
 			}
 			if changed {
 				progress = true
@@ -578,49 +483,34 @@ func (e *explorer) freshStarveRun(victim NodeID) (*ScheduleViolation, error) {
 			break
 		}
 	}
-	return r.finish(0)
+	return nil
 }
 
-// seedRun runs one seeded random schedule under a fault plan derived
-// from the same seed: a random prefix mixing heartbeats, full, random
-// and planned-batch deliveries across random nodes, then a fair drive
-// to quiescence. Reproducible from (seed, opts.Faults) alone.
-func (e *explorer) seedRun(seed int64) (*ScheduleViolation, error) {
-	plan := RandomFaultPlan(e.net, seed, e.opts.Faults)
-	label := fmt.Sprintf("seed:%d", seed)
-	extra := 0
-	r, err := e.newRun(label)
-	if err != nil {
-		return nil, err
-	}
-	if !plan.Empty() {
-		r.label = fmt.Sprintf("seed:%d faults[%s]", seed, plan)
-		r.sim.SetFaults(plan)
-		extra = plan.Horizon()
-	}
+// seeded is the random prefix of seed's schedule, run under the fault
+// plan derived from the same seed: heartbeats, full, random and
+// planned-batch deliveries across random nodes. Reproducible from
+// (seed, opts.Faults) alone.
+func (e *explorer) seeded(s *Simulation, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
-	steps := 4 * len(e.net) * 2
+	steps := 4 * len(s.Net) * 2
 	for n := 0; n < steps; n++ {
-		x := e.net[rng.Intn(len(e.net))]
+		x := s.Net[rng.Intn(len(s.Net))]
 		var err error
 		switch rng.Intn(4) {
 		case 0:
-			_, err = r.sim.Heartbeat(x)
+			_, err = s.Heartbeat(x)
 		case 1:
-			_, err = r.sim.Deliver(x)
+			_, err = s.Deliver(x)
 		case 2:
-			_, err = r.sim.DeliverRandom(x, rng)
+			_, err = s.DeliverRandom(x, rng)
 		default:
 			// A random planned batch: each buffered fact kept or
 			// withheld by coin flip (all copies at once).
-			_, err = r.sim.DeliverWhere(x, func(fact.Fact) bool { return rng.Intn(2) == 0 })
+			_, err = s.DeliverWhere(x, func(fact.Fact) bool { return rng.Intn(2) == 0 })
 		}
-		if err != nil {
-			return nil, err
-		}
-		if v := r.checkSound(); v != nil {
-			return v, nil
+		if err != nil || len(s.WrongFacts) > 0 {
+			return err
 		}
 	}
-	return r.finish(extra)
+	return nil
 }

@@ -74,6 +74,66 @@ func TestExploreFindsViolations(t *testing.T) {
 	}
 }
 
+// The first wrong fact the machine reports is the first wrong fact of
+// Output(), also when one transition outputs wrong facts in two
+// relations: here out(R) walks B first, as n1 output it first, while
+// the transition's own sorted order puts A first.
+func TestWrongFactsFollowOutputOrder(t *testing.T) {
+	tr := &Transducer{
+		Schema: Schema{
+			In:  fact.MustSchema(map[string]int{"E": 2}),
+			Out: fact.MustSchema(map[string]int{"A": 1, "B": 1}),
+		},
+		Out: func(d *fact.Instance) (*fact.Instance, error) {
+			out := fact.NewInstance()
+			if d.Has(fact.New("E", "a", "b")) {
+				out.Add(fact.New("B", "ok"))
+			}
+			if d.Has(fact.New("E", "c", "d")) {
+				out.Add(fact.New("A", "bad"))
+				out.Add(fact.New("B", "bad"))
+			}
+			return out, nil
+		},
+	}
+	net := MustNetwork("n1", "n2")
+	pol := PolicyFunc(func(f fact.Fact) []NodeID {
+		if f.Arg(0) == "a" {
+			return []NodeID{"n1"}
+		}
+		return []NodeID{"n2"}
+	})
+	in := fact.MustParseInstance(`E(a,b) E(c,d)`)
+	want := fact.MustParseInstance(`B(ok)`)
+
+	sim, err := NewSimulation(net, tr, pol, Original, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Want = want
+	for _, x := range net {
+		if _, err := sim.Heartbeat(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var first fact.Fact
+	sim.Output().Each(func(f fact.Fact) bool {
+		first = f
+		return want.Has(f)
+	})
+	if len(sim.WrongFacts) != 2 || !sim.WrongFacts[0].Equal(first) || !first.Equal(fact.New("B", "bad")) || sim.WrongAt != 2 {
+		t.Fatalf("WrongFacts = %v at %d; first wrong fact of out(R) is %v", sim.WrongFacts, sim.WrongAt, first)
+	}
+
+	v, err := Explore(net, tr, pol, Original, in, want, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v == nil || v.Schedule != "n1:hb n2:hb" || v.Step != 2 || !v.Bad.Equal(first) {
+		t.Fatalf("Explore = %v, want %v at step 2 of n1:hb n2:hb", v, first)
+	}
+}
+
 // The schedule explorer finds the forwarder clean across starvation,
 // greedy adversaries, and seeded fault plans — and counts its work.
 func TestExploreSchedulesForwarderClean(t *testing.T) {

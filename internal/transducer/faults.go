@@ -136,9 +136,9 @@ func (p *FaultPlan) HoldFor(clock int, from, to NodeID, f fact.Fact) int {
 	return d
 }
 
-// StalledAt reports whether node x is inside a stall window at the
+// stalledAt reports whether node x is inside a stall window at the
 // given clock value.
-func (p *FaultPlan) StalledAt(x NodeID, clock int) bool {
+func (p *FaultPlan) stalledAt(x NodeID, clock int) bool {
 	for _, st := range p.Stalls {
 		if st.Node == x && clock >= st.From && clock < st.To {
 			return true
@@ -171,9 +171,10 @@ func (p *FaultPlan) Horizon() int {
 	return h
 }
 
-// Empty reports whether the plan injects no fault at all.
+// Empty reports whether the plan injects no fault at all; a nil plan
+// is empty.
 func (p *FaultPlan) Empty() bool {
-	return p.DupProb <= 0 && p.DelayProb <= 0 &&
+	return p == nil || p.DupProb <= 0 && p.DelayProb <= 0 &&
 		len(p.Partitions) == 0 && len(p.Stalls) == 0 && len(p.Crashes) == 0
 }
 

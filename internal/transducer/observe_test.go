@@ -166,22 +166,29 @@ func TestCloneDropsSink(t *testing.T) {
 // to the stats (the old accounting only summed inside finish()).
 func TestExploreStatsCountPartialSchedules(t *testing.T) {
 	net := MustNetwork("n1", "n2")
-	in := fact.MustParseInstance(`E(a,b)`)
-	e := &explorer{net: net, t: forwardTransducer(), pol: HashPolicy(net), mod: Original, input: in, want: wantO(in)}
-	r, err := e.newRun("partial")
+	start, err := NewSimulation(net, forwardTransducer(), AllToNode("n2"), Original, fact.MustParseInstance(`E(a,b)`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range net {
-		if _, err := r.sim.Deliver(x); err != nil {
-			t.Fatal(err)
+	// Every output is wrong: n2's first transition outputs O(a,b).
+	start.Want = fact.NewInstance()
+	e := &explorer{start: start, opts: ExploreOptions{MaxRounds: 8}}
+	// The prefix stops at the wrong fact, as the starvation and adversary
+	// prefixes do, so the fair drive never runs.
+	v, err := e.run("partial", nil, func(s *Simulation) error {
+		for _, x := range net {
+			if _, err := s.Deliver(x); err != nil || len(s.WrongFacts) > 0 {
+				return err
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Abort before finish(), as the starvation and adversary runners do
-	// when checkSound trips mid-schedule.
-	v := &ScheduleViolation{Kind: WrongFact, Schedule: "partial", Step: 2,
-		Output: fact.NewInstance(), Want: e.want}
-	e.record(v, nil)
+	if v == nil || v.Kind != WrongFact || v.Step != 2 || !v.Bad.Equal(fact.New("O", "a", "b")) {
+		t.Fatalf("violation = %v, want O(a,b) at step 2", v)
+	}
 	if e.stats.Schedules != 1 || e.stats.Aborted != 1 || e.stats.Violations != 1 {
 		t.Errorf("stats = %+v, want 1 schedule, 1 aborted, 1 violation", e.stats)
 	}

@@ -57,7 +57,7 @@ func TestNeighbourRoutedPrimitives(t *testing.T) {
 		case 3:
 			_, err = sim.DeliverWhere(x, func(fact.Fact) bool { return rng.Intn(2) == 0 })
 		default:
-			_, err = sim.DeliverBatch(x, fact.NewInstance(sim.BufferedFacts(x)...))
+			_, err = sim.DeliverWhere(x, fact.NewInstance(sim.BufferedFacts(x)...).Has)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -238,10 +238,14 @@ type Simulation struct {
 	// Metrics accumulates counters; reset freely between phases.
 	Metrics Metrics
 
-	// Want, when set, is the oracle Q(I): any output fact outside it is
-	// appended to WrongFacts as it appears.
+	// Want, when set, is the oracle Q(I) and the one soundness test:
+	// every output fact outside it is appended to WrongFacts as a
+	// transition adds it, and WrongAt is the transition count at the
+	// first. A node's output only grows until a crash clears it, so
+	// testing each transition's new outputs tests every reachable out(R).
 	Want       *fact.Instance
 	WrongFacts []fact.Fact
+	WrongAt    int
 
 	// sink, when set, receives one typed event per transition, stall,
 	// crash, hold and quiescence (the sim.* kinds of internal/obs).
@@ -436,7 +440,7 @@ func (s *Simulation) begin(i int) (stalled bool) {
 // activation is a no-op — the node performs no transition at all
 // during its window.
 func (s *Simulation) stalled(i int) bool {
-	if s.faults == nil || !s.faults.StalledAt(s.Net[i], s.clock) {
+	if s.faults == nil || !s.faults.stalledAt(s.Net[i], s.clock) {
 		return false
 	}
 	s.Metrics.StalledSteps++
@@ -588,15 +592,19 @@ func (s *Simulation) transition(i int, m *fact.Instance, place placer) (changed 
 			n.sentLog.Add(f)
 		}
 	}
+	s.Metrics.Transitions++
 	if s.Want != nil {
+		first := len(s.WrongFacts) == 0
 		for _, f := range res.OutNew {
 			if !s.Want.Has(f) {
 				s.WrongFacts = append(s.WrongFacts, f)
 			}
 		}
+		if first && len(s.WrongFacts) > 0 {
+			s.WrongAt = s.Metrics.Transitions
+			s.inOutputOrder(s.WrongFacts)
+		}
 	}
-
-	s.Metrics.Transitions++
 	if m.Empty() {
 		s.Metrics.Heartbeats++
 	}
@@ -607,6 +615,26 @@ func (s *Simulation) transition(i int, m *fact.Instance, place placer) (changed 
 			outputs, n.buf.size(), s.heldAt(i))
 	}
 	return changed, nil
+}
+
+// inOutputOrder puts a transition's first wrong facts in the order
+// Output walks them, so WrongFacts[0] is the first wrong fact of
+// out(R). They are new rows of one node's state, held by no other
+// node, so within a relation they already come in OutNew's sorted
+// order; Output orders relations as the nodes, in network order, first
+// output them.
+func (s *Simulation) inOutputOrder(fs []fact.Fact) {
+	var rels []fact.ID
+	for i := range s.nodes {
+		s.eachOutput(i, func(rel fact.ID, _ []fact.ID) {
+			if !slices.Contains(rels, rel) {
+				rels = append(rels, rel)
+			}
+		})
+	}
+	slices.SortStableFunc(fs, func(a, b fact.Fact) int {
+		return slices.Index(rels, a.RelID()) - slices.Index(rels, b.RelID())
+	})
 }
 
 // inbox returns the delivered set emptied for the next transition.
@@ -661,22 +689,14 @@ func (s *Simulation) takeBatch(i int, keep func(fact.Fact) bool) *fact.Instance 
 // DeliverWhere performs a transition of x delivering exactly the
 // buffered facts satisfying pred (all copies of each). Runs are free
 // to deliver any submultiset, so this models an adversarial but fair
-// scheduler; tests use it to open race windows deterministically.
+// scheduler; the schedule explorer builds its adversarial schedules
+// from it, and tests use it to open race windows deterministically.
 func (s *Simulation) DeliverWhere(x NodeID, pred func(fact.Fact) bool) (bool, error) {
 	i, err := s.at(x)
 	if err != nil || s.begin(i) {
 		return false, err
 	}
 	return s.transition(i, s.takeBatch(i, pred), nil)
-}
-
-// DeliverBatch performs a transition of x delivering exactly the
-// planned batch: every buffered fact listed in batch is delivered with
-// all its copies; listed facts not currently buffered are ignored.
-// This is the planned-delivery primitive the schedule explorer builds
-// its adversarial schedules from.
-func (s *Simulation) DeliverBatch(x NodeID, batch *fact.Instance) (bool, error) {
-	return s.DeliverWhere(x, batch.Has)
 }
 
 // DeliverRandom performs a transition of x delivering a random
@@ -746,6 +766,9 @@ var ErrNoQuiescence = fmt.Errorf("transducer: network did not quiesce within the
 // output out(R). Transducers whose runs do not stabilize within
 // maxRounds yield ErrNoQuiescence. Every node is visited every round,
 // so Clock() is also the dense schedule's scheduler-operation count.
+// A machine with Want set stops at its first wrong fact: the run
+// returns out(R) right after the transition that appended it, without
+// quiescing, and WrongFacts holds the verdict.
 func (s *Simulation) RunToQuiescence(maxRounds int) (*fact.Instance, error) {
 	for round := 0; round < maxRounds; round++ {
 		roundChanged := false
@@ -754,23 +777,27 @@ func (s *Simulation) RunToQuiescence(maxRounds int) (*fact.Instance, error) {
 			if err != nil {
 				return nil, err
 			}
+			if len(s.WrongFacts) > 0 {
+				return s.Output(), nil
+			}
 			if changed {
 				roundChanged = true
 			}
 		}
-		if !roundChanged && s.TotalBuffered() == 0 && s.TotalHeld() == 0 && s.FaultsDone() {
-			emitQuiesce(s.sink, s.clock, round+1, s.Output().Len())
-			return s.Output(), nil
+		if !roundChanged && s.TotalBuffered() == 0 && s.TotalHeld() == 0 && s.faultsDone() {
+			out := s.Output()
+			emitQuiesce(s.sink, s.clock, round+1, out.Len())
+			return out, nil
 		}
 	}
 	return nil, fmt.Errorf("%w (maxRounds=%d)", ErrNoQuiescence, maxRounds)
 }
 
-// FaultsDone reports whether every fault-plan window lies behind the
+// faultsDone reports whether every fault-plan window lies behind the
 // clock. A network must not be declared quiescent while a crash or
 // stall is still scheduled: the rounds keep ticking (empty deliveries)
 // until the plan's horizon passes and any late fault has played out.
-func (s *Simulation) FaultsDone() bool {
+func (s *Simulation) faultsDone() bool {
 	return s.faults == nil || s.clock >= s.faults.Horizon()
 }
 
@@ -790,9 +817,9 @@ func (s *Simulation) BufferedFacts(x NodeID) []fact.Fact {
 	return fs
 }
 
-// KnownValues returns the values node x has already seen: its own
+// knownValues returns the values node x has already seen: its own
 // identifier plus the active domains of its input fragment and state.
-func (s *Simulation) KnownValues(x NodeID) fact.ValueSet {
+func (s *Simulation) knownValues(x NodeID) fact.ValueSet {
 	n := &s.nodes[s.idx[x]]
 	known := n.local.ADom()
 	for v := range n.state.ADom() {
