@@ -14,7 +14,10 @@
 //   - the paper's query library (QTC, Q^k_clique, Q^k_star,
 //     Q^j_duplicate, win-move under the well-founded semantics);
 //   - the relational transducer network simulator (original,
-//     policy-aware, and domain-guided models, with or without All);
+//     policy-aware, and domain-guided models, with or without All)
+//     and its schedule explorer: "Π computes Q" is checked by
+//     ExploreSchedules, whose fair, adversarial and seeded fault
+//     schedules are judged after every transition and at quiescence;
 //   - the three coordination-free evaluation strategies from the
 //     proofs of Theorems 4.3 and 4.4.
 //
@@ -178,6 +181,8 @@ type (
 	// ScheduleViolation is a schedule on which a network failed to
 	// compute its query (Explore's finding).
 	ScheduleViolation = transducer.ScheduleViolation
+	// ExploreOptions tunes ExploreSchedules.
+	ExploreOptions = transducer.ExploreOptions
 )
 
 // Network and policy constructors.
@@ -192,7 +197,7 @@ var (
 	AllToNode        = transducer.AllToNode
 	ReplicateAll     = transducer.ReplicateAll
 	NewSimulation    = transducer.NewSimulation
-	CheckComputes    = transducer.CheckComputes
+	ExploreSchedules = transducer.ExploreSchedules
 	// Explore model-checks every heartbeat/deliver-all schedule to a
 	// bounded depth for an output fact outside the expected answer.
 	Explore = transducer.Explore
@@ -216,6 +221,9 @@ type (
 	Strategy = core.Strategy
 	// Result is a distributed evaluation result with metrics.
 	Result = core.Result
+	// RunConfig collects ComputeRun's knobs: round bound, fault plan,
+	// seeded random prefix, event sink and metrics registry.
+	RunConfig = core.RunConfig
 )
 
 // The three strategies.
@@ -229,7 +237,7 @@ const (
 var (
 	BuildStrategy          = core.Build
 	Compute                = core.Compute
-	ComputeRandom          = core.ComputeRandom
+	ComputeRun             = core.ComputeRun
 	VerifyCoordinationFree = core.VerifyCoordinationFree
 )
 

@@ -143,5 +143,16 @@ func TestExploreFlow(t *testing.T) {
 		if v != nil && (v.Schedule != "n1:hb n1:hb n2:hb" || v.Step != 3 || !v.Bad.Equal(calm.MustParseFact("O(b)"))) {
 			t.Errorf("%s: %v, want O(b) at step 3 of n1:hb n1:hb n2:hb", c.q.Name(), v)
 		}
+		v, _, err = calm.ExploreSchedules(net, tr, calm.HashPolicy(net), calm.Broadcast.RequiredModel(), in, want, calm.ExploreOptions{Seeds: 5})
+		if err != nil || (v != nil) != c.unsafe {
+			t.Errorf("%s: ExploreSchedules violation %v, error %v, want unsafe=%v", c.q.Name(), v, err, c.unsafe)
+		}
+		if c.unsafe {
+			continue
+		}
+		res, err := calm.ComputeRun(calm.Broadcast, c.q, net, calm.HashPolicy(net), in, calm.RunConfig{Seed: 3, RandomSteps: 10})
+		if err != nil || !res.Output.Equal(want) {
+			t.Errorf("%s: seeded run gave %v, error %v, want %v", c.q.Name(), res, err, want)
+		}
 	}
 }

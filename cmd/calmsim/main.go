@@ -168,7 +168,7 @@ func main() {
 	}
 
 	cfg := core.RunConfig{Plan: plan, Sink: sink, Reg: reg}
-	if plan == nil && *seed != 0 {
+	if *seed != 0 {
 		cfg.Seed, cfg.RandomSteps = *seed, *steps
 	}
 	res, err := core.ComputeRun(s, q, net, pol, input, cfg)

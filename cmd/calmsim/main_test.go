@@ -79,16 +79,35 @@ func TestLookupStrategy(t *testing.T) {
 	}
 }
 
-// TestOffSchemaInput runs calmsim, as a child process of the test
-// binary, on an input holding an E fact of the wrong arity: the flat
-// engine and the event engine both refuse it with the same error
-// before running anything. Started with arguments after "--", the test
-// is the child and runs main on them.
+// asChild runs main on the arguments after "--" and reports whether
+// it did: a test that calls it first is the child when calmsim (below)
+// starts the test binary on it.
+func asChild() bool {
+	args := flag.Args()
+	if len(args) == 0 {
+		return false
+	}
+	os.Args = append([]string{"calmsim"}, args...)
+	flag.CommandLine = flag.NewFlagSet("calmsim", flag.ExitOnError)
+	main()
+	return true
+}
+
+// calmsim runs calmsim on args as a child process of the test binary,
+// through the test named test, and returns its stdout and stderr.
+func calmsim(test string, args ...string) (stdout, stderr string, err error) {
+	cmd := exec.Command(os.Args[0], append([]string{"-test.run=^" + test + "$", "--"}, args...)...)
+	var out, errOut strings.Builder
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err = cmd.Run()
+	return out.String(), errOut.String(), err
+}
+
+// TestOffSchemaInput runs calmsim on an input holding an E fact of the
+// wrong arity: the flat engine and the event engine both refuse it
+// with the same error before running anything.
 func TestOffSchemaInput(t *testing.T) {
-	if args := flag.Args(); len(args) > 0 {
-		os.Args = append([]string{"calmsim"}, args...)
-		flag.CommandLine = flag.NewFlagSet("calmsim", flag.ExitOnError)
-		main()
+	if asChild() {
 		return
 	}
 	path := filepath.Join(t.TempDir(), "f.facts")
@@ -100,12 +119,36 @@ func TestOffSchemaInput(t *testing.T) {
 		"flat":  {"-strategy", "gossip", "-input", path},
 		"event": {"-topology", "ring", "-strategy", "gossip", "-routing", "neighbors", "-input", path},
 	} {
-		cmd := exec.Command(os.Args[0], append([]string{"-test.run=^TestOffSchemaInput$", "--"}, args...)...)
-		var stderr strings.Builder
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 1 || stderr.String() != want {
-			t.Errorf("%s engine: exit %v, stderr %q; want exit status 1, stderr %q", name, err, stderr.String(), want)
+		_, stderr, err := calmsim("TestOffSchemaInput", args...)
+		if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 1 || stderr != want {
+			t.Errorf("%s engine: exit %v, stderr %q; want exit status 1, stderr %q", name, err, stderr, want)
 		}
+	}
+}
+
+// TestSeedPrefixRunsUnderFaults: -seed's random prefix also runs under
+// a -faults plan, so -steps changes the run it prefixes.
+func TestSeedPrefixRunsUnderFaults(t *testing.T) {
+	if asChild() {
+		return
+	}
+	runs := map[string]bool{}
+	for _, steps := range []string{"0", "12", "40"} {
+		out, stderr, err := calmsim("TestSeedPrefixRunsUnderFaults",
+			"-query", "tc", "-strategy", "broadcast", "-faults", "random", "-seed", "3", "-steps", steps)
+		if err != nil {
+			t.Fatalf("-steps %s: %v\n%s", steps, err, stderr)
+		}
+		if !strings.Contains(out, "CONSISTENT:") {
+			t.Errorf("-steps %s: run not consistent:\n%s", steps, out)
+		}
+		i := strings.Index(out, "transitions: ")
+		if i < 0 {
+			t.Fatalf("-steps %s: no transitions line:\n%s", steps, out)
+		}
+		runs[strings.SplitN(out[i:], "\n", 2)[0]] = true
+	}
+	if len(runs) != 3 {
+		t.Errorf("-steps 0, 12 and 40 under -faults gave only the runs %v; the prefix is not run", runs)
 	}
 }

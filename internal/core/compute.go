@@ -20,9 +20,8 @@ type Result struct {
 // The zero value is a plain fair run: round-robin to quiescence with
 // the default round bound and no instrumentation.
 type RunConfig struct {
-	// MaxRounds bounds the fair drive; <= 0 selects the default
-	// 32 + |I| + 4|N| (plus the fault plan's horizon, if any), ample
-	// for the built-in strategies.
+	// MaxRounds bounds the fair drive; Simulation.RoundBound picks
+	// its default for <= 0 and adds the fault plan's horizon.
 	MaxRounds int
 
 	// Plan installs a fault plan between send and buffer: messages may
@@ -31,9 +30,9 @@ type RunConfig struct {
 	// the plan's seed. Faults are transient, so the run stays fair.
 	Plan *transducer.FaultPlan
 
-	// RandomSteps > 0 (or Seed != 0) prefixes the fair drive with that
-	// many random (nondeterministic) transitions under Seed,
-	// exercising run confluence.
+	// RandomSteps > 0 prefixes the fair drive with that many random
+	// transitions under Seed (Simulation.RandomPrefix, run under the
+	// fault plan), exercising run confluence.
 	Seed        int64
 	RandomSteps int
 
@@ -63,19 +62,10 @@ func ComputeRun(s Strategy, q monotone.Query, net transducer.Network, pol transd
 		sim.SetFaults(cfg.Plan)
 	}
 	sim.Observe(cfg.Sink)
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 32 + input.Len() + 4*len(net)
-		if cfg.Plan != nil {
-			maxRounds += cfg.Plan.Horizon()
-		}
+	if err := sim.RandomPrefix(cfg.Seed, cfg.RandomSteps); err != nil {
+		return nil, err
 	}
-	var out *fact.Instance
-	if cfg.Seed != 0 || cfg.RandomSteps > 0 {
-		out, err = sim.RunRandom(cfg.Seed, cfg.RandomSteps, maxRounds)
-	} else {
-		out, err = sim.RunToQuiescence(maxRounds)
-	}
+	out, err := sim.RunToQuiescence(sim.RoundBound(cfg.MaxRounds))
 	if err != nil {
 		return nil, err
 	}
@@ -90,12 +80,6 @@ func ComputeRun(s Strategy, q monotone.Query, net transducer.Network, pol transd
 // quiescence. maxRounds <= 0 selects the default bound.
 func Compute(s Strategy, q monotone.Query, net transducer.Network, pol transducer.Policy, input *fact.Instance, maxRounds int) (*Result, error) {
 	return ComputeRun(s, q, net, pol, input, RunConfig{MaxRounds: maxRounds})
-}
-
-// ComputeRandom is Compute with a prefix of random (nondeterministic)
-// transitions before the round-robin drive, exercising run confluence.
-func ComputeRandom(s Strategy, q monotone.Query, net transducer.Network, pol transducer.Policy, input *fact.Instance, seed int64, randomSteps, maxRounds int) (*Result, error) {
-	return ComputeRun(s, q, net, pol, input, RunConfig{MaxRounds: maxRounds, Seed: seed, RandomSteps: randomSteps})
 }
 
 // FaultConfigFor returns the fault mix a strategy is expected to
@@ -153,7 +137,5 @@ func VerifyCoordinationFree(s Strategy, q monotone.Query, net transducer.Network
 		return false, err
 	}
 	x := net[0]
-	maxSteps := 4 + input.Len()
-	maxRounds := 32 + input.Len() + 4*len(net)
-	return transducer.CoordinationFreeWitness(net, t, s.IdealPolicy(x), s.RequiredModel(), input, want, x, maxSteps, maxRounds)
+	return transducer.CoordinationFreeWitness(net, t, s.IdealPolicy(x), s.RequiredModel(), input, want, x, 4+input.Len(), 0)
 }

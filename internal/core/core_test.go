@@ -297,7 +297,7 @@ func TestStrategiesConfluent(t *testing.T) {
 			t.Fatalf("%v: %v", c.s, err)
 		}
 		for seed := int64(0); seed < 5; seed++ {
-			res, err := ComputeRandom(c.s, c.q, net, c.pol, in, seed, 20, 0)
+			res, err := ComputeRun(c.s, c.q, net, c.pol, in, RunConfig{Seed: seed, RandomSteps: 20})
 			if err != nil {
 				t.Fatalf("%v seed %d: %v", c.s, seed, err)
 			}

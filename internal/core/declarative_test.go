@@ -86,10 +86,10 @@ func TestDeclarativeAbsenceStrategyNoLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, pol := range policies {
-			err := transducer.CheckComputes(net, tr, pol, transducer.PolicyAwareNoAll, in, want,
-				transducer.ConformanceOptions{RandomRuns: 3})
-			if err != nil {
-				t.Errorf("declarative absence strategy, %s on %v: %v", name, in, err)
+			v, _, err := transducer.ExploreSchedules(net, tr, pol, transducer.PolicyAwareNoAll, in, want,
+				transducer.ExploreOptions{Seeds: 3})
+			if err != nil || v != nil {
+				t.Errorf("declarative absence strategy, %s on %v: violation %v, error %v", name, in, v, err)
 			}
 		}
 	}

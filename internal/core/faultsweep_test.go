@@ -179,3 +179,24 @@ func TestComputeFaultyConverges(t *testing.T) {
 		t.Errorf("plan not exercised: %+v", res.Metrics)
 	}
 }
+
+// An explicit round bound still has the plan's horizon added: a run
+// that may not quiesce before a crash at clock 40 gets the rounds to
+// reach it, and then settles on Q(I).
+func TestExplicitBoundAddsPlanHorizon(t *testing.T) {
+	plan, err := transducer.ParseFaultPlan("crash=n2@40", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := queries.TC().Eval(sweepGraph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ComputeRun(Broadcast, queries.TC(), sweepNet, transducer.HashPolicy(sweepNet), sweepGraph, RunConfig{MaxRounds: 4, Plan: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Output.Equal(want) || res.Metrics.Crashes != 1 {
+		t.Errorf("output %v after %d crashes, want %v after 1", res.Output, res.Metrics.Crashes, want)
+	}
+}

@@ -139,23 +139,3 @@ func WellFoundedViaDoubled(p *datalog.Program, input *fact.Instance) (*WFSResult
 		under = next
 	}
 }
-
-// DoubledPreservesConnectivity reports whether the doubled program of
-// P has the same per-rule connectivity as P — true for every program,
-// since graph+ ignores relation names; exposed for the Lemma 5.2
-// argument in tests and experiments.
-func DoubledPreservesConnectivity(p *datalog.Program) (bool, error) {
-	d, err := DoubledProgram(p)
-	if err != nil {
-		return false, err
-	}
-	if len(d.Rules) != 2*len(p.Rules) {
-		return false, fmt.Errorf("queries: doubled program has %d rules, want %d", len(d.Rules), 2*len(p.Rules))
-	}
-	for i, r := range p.Rules {
-		if d.Rules[2*i].IsConnected() != r.IsConnected() || d.Rules[2*i+1].IsConnected() != r.IsConnected() {
-			return false, nil
-		}
-	}
-	return true, nil
-}

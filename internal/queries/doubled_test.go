@@ -1,6 +1,7 @@
 package queries
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestDoubledProgramShape(t *testing.T) {
 		t.Errorf("overestimate must sit strictly below the new underestimate: %v", rho)
 	}
 	// Connectivity is preserved — the paper's Lemma 5.2 hook.
-	ok, err := DoubledPreservesConnectivity(p)
+	ok, err := doubledPreservesConnectivity(p)
 	if err != nil || !ok {
 		t.Errorf("connectivity not preserved: %v %v", ok, err)
 	}
@@ -134,4 +135,23 @@ func TestDoubledWinMoveInMdisjoint(t *testing.T) {
 	if w != nil {
 		t.Errorf("doubled win-move should be in Mdisjoint: %v", w)
 	}
+}
+
+// doubledPreservesConnectivity reports whether the doubled program of
+// P has the same per-rule connectivity as P — true for every program,
+// since graph+ ignores relation names (the Lemma 5.2 argument).
+func doubledPreservesConnectivity(p *datalog.Program) (bool, error) {
+	d, err := DoubledProgram(p)
+	if err != nil {
+		return false, err
+	}
+	if len(d.Rules) != 2*len(p.Rules) {
+		return false, fmt.Errorf("queries: doubled program has %d rules, want %d", len(d.Rules), 2*len(p.Rules))
+	}
+	for i, r := range p.Rules {
+		if d.Rules[2*i].IsConnected() != r.IsConnected() || d.Rules[2*i+1].IsConnected() != r.IsConnected() {
+			return false, nil
+		}
+	}
+	return true, nil
 }

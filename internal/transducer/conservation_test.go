@@ -144,7 +144,10 @@ func TestClonePairEqualSeedsIdenticalTraces(t *testing.T) {
 	run := func(sim *Simulation) []byte {
 		var buf bytes.Buffer
 		sim.Observe(obs.NewSink(&buf))
-		if _, err := sim.RunRandom(99, 30, 60); err != nil {
+		if err := sim.RandomPrefix(99, 30); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.RunToQuiescence(sim.RoundBound(60)); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

@@ -11,12 +11,12 @@ import (
 // which a run computes the full query answer in a prefix consisting of
 // heartbeat transitions only (no communication read).
 
-// HeartbeatPrefixComputes performs heartbeat transitions of node x
+// heartbeatPrefixComputes performs heartbeat transitions of node x
 // only and reports whether the network output covers want within
 // maxSteps transitions. Heartbeats may send messages but never read
 // them, so a true result witnesses the Definition 3 prefix for this
 // input and policy.
-func HeartbeatPrefixComputes(s *Simulation, x NodeID, want *fact.Instance, maxSteps int) (bool, error) {
+func heartbeatPrefixComputes(s *Simulation, x NodeID, want *fact.Instance, maxSteps int) (bool, error) {
 	covered := want.SubsetOf(s.Output())
 	for n := 0; n < maxSteps && !covered; n++ {
 		changed, err := s.Heartbeat(x)
@@ -39,18 +39,18 @@ func HeartbeatPrefixComputes(s *Simulation, x NodeID, want *fact.Instance, maxSt
 // policy, run a heartbeat-only prefix at node x, and verify the full
 // expected output appears. It then confirms the prefix extends to a
 // fair run still producing exactly `want` (no wrong facts), by driving
-// the network to quiescence.
+// the network to quiescence within sim.RoundBound(maxRounds).
 func CoordinationFreeWitness(net Network, t *Transducer, ideal Policy, mod Model, input, want *fact.Instance, x NodeID, maxSteps, maxRounds int) (bool, error) {
 	sim, err := NewSimulation(net, t, ideal, mod, input)
 	if err != nil {
 		return false, err
 	}
-	ok, err := HeartbeatPrefixComputes(sim, x, want, maxSteps)
+	ok, err := heartbeatPrefixComputes(sim, x, want, maxSteps)
 	if err != nil || !ok {
 		return ok, err
 	}
 	// Extend to a full fair run; the final output must be exactly want.
-	final, err := sim.RunToQuiescence(maxRounds)
+	final, err := sim.RunToQuiescence(sim.RoundBound(maxRounds))
 	if err != nil {
 		return false, err
 	}

@@ -51,8 +51,8 @@ func TestTakeRandomDeterministic(t *testing.T) {
 	}
 }
 
-// runSeeded performs one full seeded run and returns its trace and
-// final state.
+// runSeeded performs one full seeded run — the random prefix, then a
+// fair drive — and returns its trace and final state.
 func runSeeded(t *testing.T, seed int64) (trace []byte, out *fact.Instance, metrics Metrics) {
 	t.Helper()
 	net := MustNetwork("n1", "n2", "n3")
@@ -62,7 +62,10 @@ func runSeeded(t *testing.T, seed int64) (trace []byte, out *fact.Instance, metr
 	}
 	var buf bytes.Buffer
 	sim.Observe(obs.NewSink(&buf))
-	res, err := sim.RunRandom(seed, 40, 50)
+	if err := sim.RandomPrefix(seed, 40); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.RunToQuiescence(50)
 	if err != nil {
 		t.Fatal(err)
 	}

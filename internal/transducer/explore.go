@@ -3,7 +3,6 @@ package transducer
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"repro/internal/fact"
@@ -155,8 +154,9 @@ type ExploreOptions struct {
 	// Faults bounds the fault plans derived for the seeded schedules.
 	// The zero value injects no faults (pure schedule randomization).
 	Faults FaultConfig
-	// MaxRounds bounds each run's fair drive; 0 picks a generous
-	// default (extended by each fault plan's horizon).
+	// MaxRounds bounds each run's fair drive (and each adversary's
+	// prefix); Simulation.RoundBound reads it, picking its default for
+	// 0 and adding each fault plan's horizon.
 	MaxRounds int
 	// SkipStarvation and SkipAdversary disable the deterministic
 	// schedule families, leaving only the seed sweep.
@@ -213,14 +213,12 @@ func ExploreSchedules(net Network, t *Transducer, pol Policy, mod Model, input, 
 	if opts.BaseSeed == 0 {
 		opts.BaseSeed = 1
 	}
-	if opts.MaxRounds <= 0 {
-		opts.MaxRounds = 32 + input.Len() + 4*len(net)
-	}
 	start, err := NewSimulation(net, t, pol, mod, input)
 	if err != nil {
 		return nil, ExploreStats{}, err
 	}
 	start.Want = want
+	opts.MaxRounds = start.RoundBound(opts.MaxRounds)
 	e := &explorer{start: start, opts: opts}
 
 	// play runs one schedule unless an earlier one ended the search.
@@ -244,7 +242,7 @@ func ExploreSchedules(net Network, t *Transducer, pol Policy, mod Model, input, 
 	}
 	for k := 0; k < opts.Seeds && v == nil && err == nil; k++ {
 		seed := opts.BaseSeed + int64(k)
-		play(fmt.Sprintf("seed:%d", seed), RandomFaultPlan(net, seed, opts.Faults), func(s *Simulation) error { return e.seeded(s, seed) })
+		play(fmt.Sprintf("seed:%d", seed), RandomFaultPlan(net, seed, opts.Faults), func(s *Simulation) error { return s.RandomPrefix(seed, 8*len(net)) })
 	}
 	return v, e.stats, err
 }
@@ -266,12 +264,11 @@ type explorer struct {
 // verdict.
 func (e *explorer) run(label string, plan *FaultPlan, prefix func(*Simulation) error) (*ScheduleViolation, error) {
 	s := e.start.Clone()
-	rounds := e.opts.MaxRounds
 	if !plan.Empty() {
 		label = fmt.Sprintf("%s faults[%s]", label, plan)
 		s.SetFaults(plan)
-		rounds += plan.Horizon()
 	}
+	rounds := s.RoundBound(e.opts.MaxRounds)
 	var out *fact.Instance
 	var err error
 	if prefix != nil {
@@ -481,35 +478,6 @@ func (e *explorer) freshStarve(s *Simulation, victim NodeID) error {
 		}
 		if !progress {
 			break
-		}
-	}
-	return nil
-}
-
-// seeded is the random prefix of seed's schedule, run under the fault
-// plan derived from the same seed: heartbeats, full, random and
-// planned-batch deliveries across random nodes. Reproducible from
-// (seed, opts.Faults) alone.
-func (e *explorer) seeded(s *Simulation, seed int64) error {
-	rng := rand.New(rand.NewSource(seed))
-	steps := 4 * len(s.Net) * 2
-	for n := 0; n < steps; n++ {
-		x := s.Net[rng.Intn(len(s.Net))]
-		var err error
-		switch rng.Intn(4) {
-		case 0:
-			_, err = s.Heartbeat(x)
-		case 1:
-			_, err = s.Deliver(x)
-		case 2:
-			_, err = s.DeliverRandom(x, rng)
-		default:
-			// A random planned batch: each buffered fact kept or
-			// withheld by coin flip (all copies at once).
-			_, err = s.DeliverWhere(x, func(fact.Fact) bool { return rng.Intn(2) == 0 })
-		}
-		if err != nil || len(s.WrongFacts) > 0 {
-			return err
 		}
 	}
 	return nil

@@ -230,3 +230,109 @@ func TestViolationKindString(t *testing.T) {
 		}
 	}
 }
+
+// "Π computes Q" is ExploreSchedules' verdict: the forwarder computes
+// O on every explored schedule, and no bounded heartbeat/deliver-all
+// schedule leaves the answer.
+func TestCheckComputesForwarder(t *testing.T) {
+	net := MustNetwork("n1", "n2")
+	in := fact.MustParseInstance(`E(a,b) E(b,c)`)
+	v, _, err := ExploreSchedules(net, forwardTransducer(), HashPolicy(net), Original, in, wantO(in), ExploreOptions{Seeds: 5})
+	if err != nil || v != nil {
+		t.Fatalf("forwarder should compute O: violation %v, error %v", v, err)
+	}
+	if v, err := Explore(net, forwardTransducer(), HashPolicy(net), Original, in, wantO(in), 4); err != nil || v != nil {
+		t.Fatalf("forwarder should be safe to depth 4: violation %v, error %v", v, err)
+	}
+}
+
+// The echo transducer outputs only its fragment; against a wrong
+// expected set the first schedule, the fair one, already fails.
+func TestCheckComputesDetectsWrongOutput(t *testing.T) {
+	net := MustNetwork("n1")
+	in := fact.MustParseInstance(`E(a,b)`)
+	v, _, err := ExploreSchedules(net, echoTransducer(), HashPolicy(net), Original, in,
+		fact.MustParseInstance(`O(z,z)`), ExploreOptions{Seeds: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v == nil || v.Schedule != "fair" {
+		t.Fatalf("violation = %v, want one on schedule fair", v)
+	}
+}
+
+// A transducer that emits a wrong fact as soon as any message is
+// delivered to it: correct under heartbeats only, wrong in every fair
+// run — the explorer must catch it.
+func TestCheckComputesDetectsScheduleRace(t *testing.T) {
+	bad := &Transducer{
+		Schema: Schema{
+			In:  fact.MustSchema(map[string]int{"E": 2}),
+			Out: fact.MustSchema(map[string]int{"O": 2}),
+			Msg: fact.MustSchema(map[string]int{"F": 1}),
+		},
+		Out: func(d *fact.Instance) (*fact.Instance, error) {
+			if !d.RestrictRel("F").Empty() {
+				return fact.MustParseInstance(`O(bad,bad)`), nil
+			}
+			out := fact.NewInstance()
+			for _, f := range d.Rel("E") {
+				out.Add(fact.New("O", f.Arg(0), f.Arg(1)))
+			}
+			return out, nil
+		},
+		Snd: func(d *fact.Instance) (*fact.Instance, error) {
+			return fact.MustParseInstance(`F(ping)`), nil
+		},
+	}
+	net := MustNetwork("n1", "n2")
+	in := fact.MustParseInstance(`E(a,b)`)
+	v, _, err := ExploreSchedules(net, bad, ReplicateAll(net), Original, in, wantO(in), ExploreOptions{Seeds: 5, MaxRounds: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v == nil || v.Kind != WrongFact || !v.Bad.Equal(fact.New("O", "bad", "bad")) {
+		t.Fatalf("violation = %v, want the delivery-triggered O(bad,bad)", v)
+	}
+}
+
+// An explorer's seed:k schedule is RandomPrefix(k, 8·|N|) and a fair
+// drive under RandomFaultPlan(net, k, cfg) — the same run a caller
+// drives by hand, transition for transition.
+func TestExploreSeedScheduleIsRandomPrefix(t *testing.T) {
+	net := MustNetwork("n1", "n2", "n3")
+	in := bigGraphIn()
+	cfg := DefaultFaultConfig()
+	drive := func(plan *FaultPlan, seed int64, steps int) Metrics {
+		s, err := NewSimulation(net, forwardTransducer(), HashPolicy(net), Original, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Want = wantO(in)
+		s.SetFaults(plan)
+		if err := s.RandomPrefix(seed, steps); err != nil {
+			t.Fatal(err)
+		}
+		out, err := s.RunToQuiescence(s.RoundBound(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.Equal(s.Want) {
+			t.Fatalf("seed %d: hand-driven run quiesced on %v", seed, out)
+		}
+		return s.Metrics
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		opts := ExploreOptions{Seeds: 1, BaseSeed: seed, Faults: cfg, SkipStarvation: true, SkipAdversary: true}
+		v, stats, err := ExploreSchedules(net, forwardTransducer(), HashPolicy(net), Original, in, wantO(in), opts)
+		if err != nil || v != nil {
+			t.Fatalf("seed %d: violation %v, error %v", seed, v, err)
+		}
+		// The explored runs are fair and seed:k, both quiescent on want.
+		want := drive(nil, 0, 0)
+		want.Merge(drive(RandomFaultPlan(net, seed, cfg), seed, 8*len(net)))
+		if stats.Schedules != 2 || stats.Sim != want {
+			t.Fatalf("seed %d: explored %d schedules, metrics %+v; hand-driven %+v", seed, stats.Schedules, stats.Sim, want)
+		}
+	}
+}

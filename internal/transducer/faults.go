@@ -147,11 +147,11 @@ func (p *FaultPlan) stalledAt(x NodeID, clock int) bool {
 	return false
 }
 
-// Horizon returns the first clock value at which every scheduled
+// horizon returns the first clock value at which every scheduled
 // window and event of the plan lies in the past. Random delays extend
 // at most MaxDelay past the last send, which the quiescence check
 // already covers through TotalHeld.
-func (p *FaultPlan) Horizon() int {
+func (p *FaultPlan) horizon() int {
 	h := 0
 	for _, cut := range p.Partitions {
 		if cut.To > h {

@@ -110,8 +110,8 @@ func TestRandomFaultPlanReproducible(t *testing.T) {
 				t.Fatalf("seed %d: degenerate partition group %v", seed, cut.Group)
 			}
 		}
-		if a.Horizon() <= 0 {
-			t.Fatalf("seed %d: plan with scheduled events has horizon %d", seed, a.Horizon())
+		if a.horizon() <= 0 {
+			t.Fatalf("seed %d: plan with scheduled events has horizon %d", seed, a.horizon())
 		}
 	}
 }
@@ -122,12 +122,12 @@ func TestFaultPlanHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Latest event is the crash at 14; recovery takes one more tick.
-	if got := p.Horizon(); got != 15 {
-		t.Errorf("Horizon = %d, want 15", got)
+	if got := p.horizon(); got != 15 {
+		t.Errorf("horizon = %d, want 15", got)
 	}
 	var empty FaultPlan
-	if empty.Horizon() != 0 {
-		t.Errorf("empty plan horizon = %d", empty.Horizon())
+	if empty.horizon() != 0 {
+		t.Errorf("empty plan horizon = %d", empty.horizon())
 	}
 }
 

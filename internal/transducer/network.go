@@ -249,11 +249,6 @@ type GuidedPolicy struct {
 	Policy
 }
 
-// NewGuidedPolicy builds a GuidedPolicy from a domain assignment.
-func NewGuidedPolicy(alpha DomainAssignment) *GuidedPolicy {
-	return &GuidedPolicy{Alpha: alpha, Policy: DomainGuided(alpha)}
-}
-
 // IsDomainGuidedOn verifies (by exhaustive check over the given value
 // set and schema) that the policy behaves as the domain-guided policy
 // of some assignment — used in tests. It checks

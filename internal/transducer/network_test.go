@@ -116,7 +116,8 @@ func TestPolicies(t *testing.T) {
 
 func TestGuidedPolicyRespectsAssignment(t *testing.T) {
 	net := MustNetwork("a", "b")
-	gp := NewGuidedPolicy(HashAssignment(net))
+	alpha := HashAssignment(net)
+	gp := &GuidedPolicy{Alpha: alpha, Policy: DomainGuided(alpha)}
 	f := fact.New("E", "u", "v")
 	want := make(map[NodeID]bool)
 	for _, x := range gp.Alpha.Assign("u") {

@@ -105,7 +105,8 @@ func TestGoldenExploreTrace(t *testing.T) {
 
 // TestRunRandomSameSeedIdenticalEvents is the structured-stream twin
 // of TestRunRandomSameSeedIdenticalTrace: equal seeds must produce
-// byte-identical JSONL event streams, fault plan included.
+// byte-identical JSONL event streams, fault plan included (the random
+// prefix runs under it).
 func TestRunRandomSameSeedIdenticalEvents(t *testing.T) {
 	run := func(seed int64) ([]byte, *fact.Instance) {
 		net := MustNetwork("n1", "n2", "n3")
@@ -116,7 +117,10 @@ func TestRunRandomSameSeedIdenticalEvents(t *testing.T) {
 		sim.SetFaults(RandomFaultPlan(net, seed, DefaultFaultConfig()))
 		var buf bytes.Buffer
 		sim.Observe(obs.NewSink(&buf))
-		out, err := sim.RunRandom(seed, 40, 80)
+		if err := sim.RandomPrefix(seed, 40); err != nil {
+			t.Fatal(err)
+		}
+		out, err := sim.RunToQuiescence(sim.RoundBound(80))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -798,7 +798,21 @@ func (s *Simulation) RunToQuiescence(maxRounds int) (*fact.Instance, error) {
 // stall is still scheduled: the rounds keep ticking (empty deliveries)
 // until the plan's horizon passes and any late fault has played out.
 func (s *Simulation) faultsDone() bool {
-	return s.faults == nil || s.clock >= s.faults.Horizon()
+	return s.faults == nil || s.clock >= s.faults.horizon()
+}
+
+// RoundBound is the one round bound of a fair drive: maxRounds, or
+// when it is <= 0 the default 32 + |I| + 4|N| (ample for the built-in
+// strategies), plus the installed fault plan's horizon — the rounds a
+// run must keep ticking before it may quiesce.
+func (s *Simulation) RoundBound(maxRounds int) int {
+	if maxRounds <= 0 {
+		maxRounds = 32 + s.input.Len() + 4*len(s.Net)
+	}
+	if s.faults != nil {
+		maxRounds += s.faults.horizon()
+	}
+	return maxRounds
 }
 
 // RunMetrics returns the accumulated counters.
@@ -829,23 +843,32 @@ func (s *Simulation) knownValues(x NodeID) fact.ValueSet {
 	return known
 }
 
-// RunRandom interleaves randomSteps random transitions (random active
-// node, random submultiset delivery — exercising the nondeterminism of
-// runs) and then drives the network to quiescence round-robin. The
-// seed makes runs reproducible.
-func (s *Simulation) RunRandom(seed int64, randomSteps, maxRounds int) (*fact.Instance, error) {
+// RandomPrefix takes steps random transitions — heartbeats, full,
+// random and planned-batch deliveries across random nodes — and stops
+// at the first error or wrong fact. It is the one random schedule: the
+// explorer's seed:k schedules and ComputeRun's Seed/RandomSteps prefix
+// a fair drive with it, so a run is reproducible from the seed and the
+// installed fault plan alone.
+func (s *Simulation) RandomPrefix(seed int64, steps int) error {
 	rng := rand.New(rand.NewSource(seed))
-	for n := 0; n < randomSteps; n++ {
+	for n := 0; n < steps; n++ {
 		x := s.Net[rng.Intn(len(s.Net))]
-		if rng.Intn(4) == 0 {
-			if _, err := s.Heartbeat(x); err != nil {
-				return nil, err
-			}
-			continue
+		var err error
+		switch rng.Intn(4) {
+		case 0:
+			_, err = s.Heartbeat(x)
+		case 1:
+			_, err = s.Deliver(x)
+		case 2:
+			_, err = s.DeliverRandom(x, rng)
+		default:
+			// A random planned batch: each buffered fact kept or
+			// withheld by coin flip (all copies at once).
+			_, err = s.DeliverWhere(x, func(fact.Fact) bool { return rng.Intn(2) == 0 })
 		}
-		if _, err := s.DeliverRandom(x, rng); err != nil {
-			return nil, err
+		if err != nil || len(s.WrongFacts) > 0 {
+			return err
 		}
 	}
-	return s.RunToQuiescence(maxRounds)
+	return nil
 }

@@ -130,7 +130,10 @@ func TestSimulationConfluence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := sim.RunRandom(seed, 15, 30)
+		if err := sim.RandomPrefix(seed, 15); err != nil {
+			t.Fatal(err)
+		}
+		out, err := sim.RunToQuiescence(30)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -565,7 +568,7 @@ func TestHeartbeatPrefixComputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err = HeartbeatPrefixComputes(sim, "n1", wantO(graphIn), 10)
+	ok, err = heartbeatPrefixComputes(sim, "n1", wantO(graphIn), 10)
 	if err != nil {
 		t.Fatal(err)
 	}

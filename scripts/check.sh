@@ -1,5 +1,5 @@
 #!/bin/sh
-# check.sh runs the full local gate: vet, build, twelve structural gates
+# check.sh runs the full local gate: vet, build, thirteen structural gates
 # (internal/cluster has grown no wire loop of its own, IndexedInstance no
 # second fact store, internal/incr and internal/ilog start no goroutine,
 # internal/datalog starts them in one place, a fixpoint round never
@@ -14,7 +14,9 @@
 # its columns in a slice and a message buffer builds no Fact.Key string
 # — one soundness oracle: only Simulation.transition tests an output
 # against the expected answer, and the explorers read its WrongFacts —
-# and a fact list
+# one seeded schedule and one round bound: Simulation.RandomPrefix and
+# Simulation.RoundBound, with no RunRandom or CheckComputes beside
+# them — and a fact list
 # reaches the wire one way: an epoch's chunks, encoded once, copied into
 # the line — and a timed phase has one clock: its span, which feeds its
 # histogram; no Registry.Span, no time.Now beside a span in
@@ -102,7 +104,7 @@ fi
 # caller is an insert-only form building S again, the cost it exists to
 # avoid.
 echo ">> structural gate: SystemFacts is called only by Step's four-query arm"
-calls=$(grep -rn --include='*.go' --exclude='*_test.go' 'SystemFacts(' internal cmd calm examples bench | grep -v 'func (sp \*Stepper) SystemFacts(')
+calls=$(grep -rn --include='*.go' --exclude='*_test.go' 'SystemFacts(' internal cmd calm bench | grep -v 'func (sp \*Stepper) SystemFacts(')
 if [ "$(echo "$calls" | grep -c .)" -ne 1 ] || ! echo "$calls" | grep -q '^internal/transducer/step\.go:.*j\.Union(sp\.SystemFacts(x, j))'; then
     echo "$calls"
     echo "check: SystemFacts has a caller besides Stepper.Step's four-query arm"
@@ -128,7 +130,7 @@ fi
 # them only until the next transition. A Reset anywhere else is an
 # instance some reader may still hold being emptied under it.
 echo ">> structural gate: only a transition's own sets are Reset"
-calls=$(grep -rn --include='*.go' --exclude='*_test.go' '\.Reset()' internal cmd calm examples bench || true)
+calls=$(grep -rn --include='*.go' --exclude='*_test.go' '\.Reset()' internal cmd calm bench || true)
 bad=$(echo "$calls" | grep . | grep -vE '^internal/transducer/step\.go:[0-9]+:[[:space:]]*sp\.acc\.(Out|Ins|Snd|Scratch)\.Reset\(\)$' |
     grep -vE '^internal/transducer/sim\.go:[0-9]+:[[:space:]]*s\.delivered\.Reset\(\)$' || true)
 if [ -n "$bad" ] || [ "$(echo "$calls" | grep -c .)" -ne 5 ]; then
@@ -169,6 +171,29 @@ if [ "$(echo "$calls" | grep -c .)" -ne 1 ] || [ "$inside" -ne 1 ]; then
     exit 1
 fi
 
+# One seeded schedule, one round bound: Simulation.RandomPrefix is the
+# only random schedule — the explorer's seed:k schedules and
+# ComputeRun's Seed/RandomSteps (calmsim -seed/-steps) run it — and
+# Simulation.RoundBound the only place the default bound 32 + |I| +
+# 4|N| is written, so an explicit bound and the default both get the
+# fault plan's horizon. "Π computes Q" is judged by ExploreSchedules
+# and ExploreStats.Record alone. RunRandom, CheckComputes,
+# ConformanceOptions or ComputeRandom in non-test Go, or the bound
+# written outside RoundBound, is a second schedule, verdict or bound
+# growing back.
+echo ">> structural gate: one seeded schedule, one round bound"
+if grep -rnwE --include='*.go' --exclude='*_test.go' 'RunRandom|CheckComputes|ConformanceOptions|ComputeRandom' internal cmd calm bench; then
+    echo "check: a second random schedule or conformance check; use Simulation.RandomPrefix and ExploreSchedules"
+    exit 1
+fi
+bounds=$(grep -rnE --include='*.go' --exclude='*_test.go' '\b32 ?\+.*4 ?\* ?len\(' internal cmd calm bench || true)
+inside=$(awk '/^func \(s \*Simulation\) RoundBound\(/,/^}/' internal/transducer/sim.go | grep -cE '\b32 ?\+.*4 ?\* ?len\(' || true)
+if [ "$(echo "$bounds" | grep -c .)" -ne 1 ] || [ "$inside" -ne 1 ]; then
+    echo "$bounds"
+    echo "check: the default round bound is written outside Simulation.RoundBound"
+    exit 1
+fi
+
 # One render path: a query or facts line is the epoch's chunks — each
 # fact's JSON string encoded once, when it enters a chunk (internal/incr
 # wire.go) — copied into the line by serve's factsResponse, a gather
@@ -176,7 +201,7 @@ fi
 # mergeFactLists in non-test Go is a second path growing back: a
 # []string of rendered facts, kept beside the chunks and marshaled again.
 echo ">> structural gate: one render path for fact lists"
-if grep -rn --include='*.go' --exclude='*_test.go' -E 'RelText|FactsText|mergeFactLists' internal cmd calm examples bench; then
+if grep -rn --include='*.go' --exclude='*_test.go' -E 'RelText|FactsText|mergeFactLists' internal cmd calm bench; then
     echo "check: a second fact-list render path; reads write the epoch's chunks (incr.Wire)"
     exit 1
 fi
@@ -192,7 +217,7 @@ fi
 # cluster.delivery_lag_ns runs from an append to an apply on another
 # goroutine.
 echo ">> structural gate: one clock per phase"
-if grep -rnE --include='*.go' --exclude='*_test.go' 'func \([a-z]* ?\*?Registry\) Span\(|\.Span\(obs\.' internal cmd calm examples bench; then
+if grep -rnE --include='*.go' --exclude='*_test.go' 'func \([a-z]* ?\*?Registry\) Span\(|\.Span\(obs\.' internal cmd calm bench; then
     echo "check: Registry.Span is back; time a phase with SpanCtx.Start(name, hist)"
     exit 1
 fi
