@@ -22,14 +22,14 @@ vet:
 check:
 	sh scripts/check.sh
 
-# smoke boots an in-process calmd, drives it with the seeded load
-# generator over real TCP (serial baseline + pipelined run), and fails
-# unless both runs complete with nonzero throughput and zero protocol
-# errors. The second leg drives the same session loop pipelined through
-# the cluster router, so both of its backends run over TCP in CI.
+# smoke runs the benchmark's three serving workloads briefly: each
+# boots calmd in process (a single node, then a 4-shard cluster behind
+# the router), drives it over loopback TCP and checks every answer
+# against an oracle, and exits non-zero on a wrong or failed answer.
 smoke:
-	$(GO) run ./cmd/calmload -smoke -compare -duration 500ms -read-frac 0.98
-	$(GO) run ./cmd/calmload -smoke -self-shards 2 -via-router -window 32 -duration 500ms
+	$(GO) run ./bench -workload serve-read -seconds 0.5
+	$(GO) run ./bench -workload serve-write -seconds 0.5
+	$(GO) run ./bench -workload cluster-gather -seconds 0.5
 
 # admin-smoke boots a sharded calmd with -admin, drives traffic, and
 # asserts /metrics exposes every srv_*/cluster_*/coord_* family,
@@ -45,6 +45,6 @@ trace-demo:
 	sh scripts/trace_demo.sh
 
 # ci is the entry point GitHub Actions runs (.github/workflows/ci.yml);
-# it is deliberately the same gate as `make check` plus the calmload
+# it is deliberately the same gate as `make check` plus the serving
 # and admin-endpoint smoke stages.
 ci: check smoke admin-smoke

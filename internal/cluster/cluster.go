@@ -632,8 +632,9 @@ func take(list *[]string, s string) bool {
 // must observe: the connection's last own write under a
 // coordination-free plan, the log tip at arrival under a fenced plan.
 // Replicated mode routes to the affinity shard (skipping down
-// shards); partitioned mode scatters to every live shard and gathers
-// the disjoint union.
+// shards; a negative affinity, "no preference", starts at shard 0);
+// partitioned mode scatters to every live shard and gathers the
+// disjoint union.
 func (c *Cluster) Read(affinity int, req serve.Request, fence int) serve.Response {
 	return c.read(affinity, req, fence, obs.SpanCtx{})
 }
@@ -651,6 +652,7 @@ func (c *Cluster) read(affinity int, req serve.Request, fence int, tc obs.SpanCt
 		return c.gather(req, fence, tc)
 	}
 	n := len(c.shards)
+	affinity = max(affinity, 0)
 	for k := 0; k < n; k++ {
 		sh := c.shards[(affinity+k)%n]
 		if sh.waitWM(fence) {

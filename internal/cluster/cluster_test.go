@@ -111,6 +111,23 @@ func TestRouterBasicReplicated(t *testing.T) {
 	}
 }
 
+// TestReadNegativeAffinity: a negative affinity means "no preference",
+// which a replicated cluster answers from shard 0 instead of indexing
+// its shard list at a negative position.
+func TestReadNegativeAffinity(t *testing.T) {
+	c := newTestCluster(t, tcProgram, "E(a,b)\nE(b,c)\n", Options{Shards: 3, Placement: PlaceHash})
+	if c.Plan().Partitioned {
+		t.Fatalf("hash placement should replicate: %+v", c.Plan())
+	}
+	for _, aff := range []int{-1, -4} {
+		got := encodeResp(t, c.Read(aff, serve.Request{Op: "query", Rel: "T"}, 0))
+		want := `{"ok":true,"count":3,"facts":["T(a,b)","T(a,c)","T(b,c)"]}`
+		if got != want {
+			t.Errorf("Read(%d, query T) = %s, want %s", aff, got, want)
+		}
+	}
+}
+
 func TestRouterBasicPartitioned(t *testing.T) {
 	c := newTestCluster(t, tcProgram, "E(a,b)\nE(x,y)\n", Options{Shards: 4, Placement: PlaceComponent})
 	if !c.Plan().Partitioned {

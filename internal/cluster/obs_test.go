@@ -50,13 +50,13 @@ func TestGatherPhaseTelemetry(t *testing.T) {
 		obs.ClusterGatherRenderNs,
 		obs.ClusterLogAppendNs,
 	} {
-		if n := reg.Latency(name).Count(); n == 0 {
+		if n := reg.Latency(name).Snapshot().Count; n == 0 {
 			t.Errorf("latency %s recorded no observations", name)
 		}
 	}
 	// Delivery lag is recorded by the asynchronous pumps; the gathered
 	// read above fenced on the write, so the delivery already happened.
-	if n := reg.Latency(obs.ClusterDeliveryLagNs).Count(); n == 0 {
+	if n := reg.Latency(obs.ClusterDeliveryLagNs).Snapshot().Count; n == 0 {
 		t.Errorf("latency %s recorded no observations", obs.ClusterDeliveryLagNs)
 	}
 

@@ -10,12 +10,12 @@ import (
 
 // Router speaks the single-node NDJSON protocol over a Cluster: the
 // same request lines, the same response shapes, so every existing
-// client (calmload, scripts, humans with netcat) works against a
-// sharded deployment unchanged. It is a serve.Handler the way a Core
-// is — serve.Session, the one request loop, plus a per-connection
-// dispatcher — so framing, pipelining, trace identity and encoding are
-// the single node's by construction; the router's own are placement,
-// the log, and which shards a read consults.
+// client (the benchmark's generator, scripts, humans with netcat)
+// works against a sharded deployment unchanged. It is a serve.Handler
+// the way a Core is — serve.Session, the one request loop, plus a
+// per-connection dispatcher — so framing, pipelining, trace identity
+// and encoding are the single node's by construction; the router's own
+// are placement, the log, and which shards a read consults.
 //
 // Each connection gets an affinity shard (round-robin at accept) and
 // an own-write fence: the global log position of its last write.

@@ -9,21 +9,18 @@ import (
 // This file is the registry's one distribution type: a fixed-bucket
 // log-scale histogram with exact count/sum/min/max. It was built for
 // the serving stack's per-op latencies — operators need tail
-// quantiles, and the cluster needs to merge per-shard and
-// per-connection distributions without losing them — and also carries
-// the span timers and the small-count distributions (batch sizes,
-// queue depths), for which the exact aggregates are what is read.
+// quantiles — and also carries the span timers and the small-count
+// distributions (batch sizes, queue depths), for which the exact
+// aggregates are what is read.
 //
 // The layout is log-linear (the HdrHistogram idea at fixed, tiny
 // size): latSub sub-buckets per power of two, so every bucket's width
 // is at most lower/latSub — a recorded value is reconstructible to
 // within 1/latSub relative error, and a quantile estimate (bucket
 // midpoint) to within 1/(2·latSub). Bucket boundaries are a pure
-// function of the value, never of the data, which makes Merge a plain
-// bucket-wise sum: associative, commutative, and exact. All updates
-// are lock-free atomic adds, so concurrent Observe calls scale; reads
-// (Snapshot, Quantile) are monotonic-consistent, which is all a
-// telemetry scrape needs.
+// function of the value, never of the data. All updates are lock-free
+// atomic adds, so concurrent Observe calls scale; a Snapshot is
+// monotonic-consistent, which is all a telemetry scrape needs.
 const (
 	// latSubBits sets the resolution: 1<<latSubBits sub-buckets per
 	// octave, i.e. at most 12.5% bucket width at 3 bits.
@@ -109,80 +106,21 @@ func (h *LatencyHist) Observe(v int64) {
 	}
 }
 
-// Merge folds o's observations into h, bucket-exact: merging is
-// associative and commutative, so per-shard or per-connection
-// histograms fold into a global one in any order with the same
-// result. No-op when either side is nil.
-func (h *LatencyHist) Merge(o *LatencyHist) {
-	if h == nil || o == nil {
-		return
-	}
-	for i := range o.buckets {
-		if n := o.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(o.count.Load())
-	h.sum.Add(o.sum.Load())
-	if op1 := o.minP1.Load(); op1 != 0 {
-		for {
-			cur := h.minP1.Load()
-			if cur != 0 && cur <= op1 || h.minP1.CompareAndSwap(cur, op1) {
-				break
-			}
-		}
-	}
-	om := o.max.Load()
-	for {
-		cur := h.max.Load()
-		if cur >= om || h.max.CompareAndSwap(cur, om) {
-			break
-		}
-	}
-}
-
-// Count returns the number of observations (0 on nil).
-func (h *LatencyHist) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observed values (0 on nil).
-func (h *LatencyHist) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
-// Min returns the smallest observed value (0 when empty or nil).
-func (h *LatencyHist) Min() int64 {
-	if h == nil {
-		return 0
-	}
+// minimum returns the smallest observed value (0 when empty).
+func (h *LatencyHist) minimum() int64 {
 	if p1 := h.minP1.Load(); p1 > 0 {
 		return p1 - 1
 	}
 	return 0
 }
 
-// Max returns the largest observed value (0 when empty or nil).
-func (h *LatencyHist) Max() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.max.Load()
-}
-
-// Quantile estimates the q-quantile (0 <= q <= 1) as the midpoint of
+// quantile estimates the q-quantile (0 <= q <= 1) as the midpoint of
 // the bucket holding the q·count-th observation, clamped to the
 // recorded min/max. The estimate is within 1/(2·latSub) (6.25%)
 // relative error of the true order statistic for in-range values; the
 // overflow bucket answers its lower bound. Returns 0 when empty, nil,
 // or q is NaN.
-func (h *LatencyHist) Quantile(q float64) int64 {
+func (h *LatencyHist) quantile(q float64) int64 {
 	if h == nil {
 		return 0
 	}
@@ -217,7 +155,7 @@ func (h *LatencyHist) Quantile(q float64) int64 {
 		} else {
 			est = (latBound(i) + latBound(i+1)) / 2
 		}
-		if min := h.Min(); est < min {
+		if min := h.minimum(); est < min {
 			est = min
 		}
 		if max := h.max.Load(); est > max {
@@ -260,12 +198,12 @@ func (h *LatencyHist) Snapshot() LatencySnapshot {
 	s := LatencySnapshot{
 		Count: h.count.Load(),
 		Sum:   h.sum.Load(),
-		Min:   h.Min(),
+		Min:   h.minimum(),
 		Max:   h.max.Load(),
-		P50:   h.Quantile(0.50),
-		P90:   h.Quantile(0.90),
-		P99:   h.Quantile(0.99),
-		P999:  h.Quantile(0.999),
+		P50:   h.quantile(0.50),
+		P90:   h.quantile(0.90),
+		P99:   h.quantile(0.99),
+		P999:  h.quantile(0.999),
 	}
 	for i := 0; i < latBuckets; i++ {
 		if n := h.buckets[i].Load(); n != 0 {

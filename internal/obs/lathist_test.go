@@ -55,12 +55,12 @@ func TestLatBucketOverflow(t *testing.T) {
 	var h LatencyHist
 	h.Observe(math.MaxInt64)
 	h.Observe(-1) // clamps to 0
-	if h.Count() != 2 || h.Min() != 0 || h.Max() != math.MaxInt64 {
-		t.Fatalf("count=%d min=%d max=%d", h.Count(), h.Min(), h.Max())
+	if s := h.Snapshot(); s.Count != 2 || s.Min != 0 || s.Max != math.MaxInt64 {
+		t.Fatalf("count=%d min=%d max=%d", s.Count, s.Min, s.Max)
 	}
 	// The overflow quantile answers the overflow bucket's lower bound
 	// (clamped to max, which is larger here).
-	if q := h.Quantile(1.0); q != latBound(latBuckets-1) {
+	if q := h.quantile(1.0); q != latBound(latBuckets-1) {
 		t.Fatalf("overflow quantile = %d, want %d", q, latBound(latBuckets-1))
 	}
 	snap := h.Snapshot()
@@ -69,57 +69,6 @@ func TestLatBucketOverflow(t *testing.T) {
 	}
 	if snap.Buckets[len(snap.Buckets)-1].Le != math.MaxInt64 {
 		t.Fatalf("overflow bucket Le = %d, want MaxInt64", snap.Buckets[len(snap.Buckets)-1].Le)
-	}
-}
-
-// TestLatencyHistMergeAssociative checks Merge is exact: (a⊎b)⊎c and
-// a⊎(b⊎c) produce identical snapshots, equal to observing the union.
-func TestLatencyHistMergeAssociative(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	obs := make([][]int64, 3)
-	for i := range obs {
-		for j := 0; j < 500; j++ {
-			obs[i] = append(obs[i], rng.Int63n(1<<uint(rng.Intn(40))))
-		}
-	}
-	fill := func(sets ...[]int64) *LatencyHist {
-		h := &LatencyHist{}
-		for _, s := range sets {
-			for _, v := range s {
-				h.Observe(v)
-			}
-		}
-		return h
-	}
-	left := fill(obs[0])
-	ab := fill(obs[1])
-	left.Merge(ab)
-	left.Merge(fill(obs[2]))
-
-	right := fill(obs[1])
-	right.Merge(fill(obs[2]))
-	r0 := fill(obs[0])
-	r0.Merge(right)
-
-	direct := fill(obs[0], obs[1], obs[2])
-
-	snapEq := func(a, b LatencySnapshot) bool {
-		if a.Count != b.Count || a.Sum != b.Sum || a.Min != b.Min || a.Max != b.Max ||
-			a.P50 != b.P50 || a.P99 != b.P99 || len(a.Buckets) != len(b.Buckets) {
-			return false
-		}
-		for i := range a.Buckets {
-			if a.Buckets[i] != b.Buckets[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if !snapEq(left.Snapshot(), r0.Snapshot()) {
-		t.Fatalf("merge not associative:\n(a+b)+c %+v\na+(b+c) %+v", left.Snapshot(), r0.Snapshot())
-	}
-	if !snapEq(left.Snapshot(), direct.Snapshot()) {
-		t.Fatalf("merge != direct observation:\nmerged %+v\ndirect %+v", left.Snapshot(), direct.Snapshot())
 	}
 }
 
@@ -140,28 +89,23 @@ func TestLatencyHistQuantileError(t *testing.T) {
 	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
 		rank := int(math.Ceil(q * float64(len(vals))))
 		truth := vals[rank-1]
-		got := h.Quantile(q)
+		got := h.quantile(q)
 		relErr := math.Abs(float64(got)-float64(truth)) / float64(truth)
 		if relErr > 1.0/(2*latSub)+0.01 {
 			t.Fatalf("q=%v: got %d truth %d relErr %.4f > %.4f", q, got, truth, relErr, 1.0/(2*latSub)+0.01)
 		}
 	}
 	// Degenerate inputs.
-	if h.Quantile(math.NaN()) != 0 {
+	if h.quantile(math.NaN()) != 0 {
 		t.Fatal("NaN quantile must be 0")
 	}
-	if got := h.Quantile(-1); got != h.Quantile(0) {
-		t.Fatalf("q<0 must clamp: %d vs %d", got, h.Quantile(0))
+	if got := h.quantile(-1); got != h.quantile(0) {
+		t.Fatalf("q<0 must clamp: %d vs %d", got, h.quantile(0))
 	}
 	var empty *LatencyHist
-	if empty.Quantile(0.5) != 0 || empty.Count() != 0 || empty.Sum() != 0 || empty.Min() != 0 || empty.Max() != 0 {
-		t.Fatal("nil hist must answer zeros")
-	}
 	empty.Observe(1) // no-op, must not panic
-	empty.Merge(&h)  // no-op
-	(&h).Merge(nil)  // no-op
-	if empty.Snapshot().Count != 0 {
-		t.Fatal("nil snapshot must be zero")
+	if empty.quantile(0.5) != 0 || empty.Snapshot().Count != 0 {
+		t.Fatal("nil hist must answer zeros")
 	}
 }
 
@@ -181,25 +125,26 @@ func TestLatencyHistConcurrent(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				h.Observe(rng.Int63n(1 << 30))
 				if i%1000 == 0 {
-					_ = h.Quantile(0.99) // concurrent reads must be safe
+					_ = h.quantile(0.99) // concurrent reads must be safe
 					_ = h.Snapshot()
 				}
 			}
 		}(int64(w))
 	}
 	wg.Wait()
-	if h.Count() != workers*perWorker {
-		t.Fatalf("count = %d, want %d", h.Count(), workers*perWorker)
+	snap := h.Snapshot()
+	if snap.Count != workers*perWorker {
+		t.Fatalf("count = %d, want %d", snap.Count, workers*perWorker)
 	}
 	var bucketTotal int64
-	for _, b := range h.Snapshot().Buckets {
+	for _, b := range snap.Buckets {
 		bucketTotal += b.Count
 	}
-	if bucketTotal != h.Count() {
-		t.Fatalf("bucket total %d != count %d", bucketTotal, h.Count())
+	if bucketTotal != snap.Count {
+		t.Fatalf("bucket total %d != count %d", bucketTotal, snap.Count)
 	}
-	if h.Min() < 0 || h.Max() >= 1<<30 {
-		t.Fatalf("min/max out of range: %d %d", h.Min(), h.Max())
+	if snap.Min < 0 || snap.Max >= 1<<30 {
+		t.Fatalf("min/max out of range: %d %d", snap.Min, snap.Max)
 	}
 }
 

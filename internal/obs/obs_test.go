@@ -88,8 +88,8 @@ func TestSpanRecordsDuration(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		sp.Finish()
 		s := tr.Spans(0)
-		if len(s) != 1 || h.Count() != 1 {
-			t.Fatalf("det=%v: %d spans, %d observations, want 1 and 1", det, len(s), h.Count())
+		if len(s) != 1 || h.Snapshot().Count != 1 {
+			t.Fatalf("det=%v: %d spans, %d observations, want 1 and 1", det, len(s), h.Snapshot().Count)
 		}
 		if h.Snapshot().Sum < int64(time.Millisecond) {
 			t.Errorf("det=%v: histogram got %d ns for a 1 ms phase", det, h.Snapshot().Sum)

@@ -23,8 +23,8 @@ import (
 //   - LatencyHist → histogram with cumulative le buckets (non-empty
 //     buckets only; cumulative totals stay exact), plus a
 //     <name>_quantile gauge family carrying the estimated
-//     p50/p90/p99/p999 so scrapers and the calmload cross-check read
-//     quantiles without re-deriving them from buckets
+//     p50/p90/p99/p999 so scrapers read quantiles without
+//     re-deriving them from buckets
 
 // WithLabel appends a label to a registry metric name, e.g.
 // WithLabel("cluster.pump_lag", "shard", "0"). The JSON snapshot

@@ -51,7 +51,7 @@ func TestWritePromBasic(t *testing.T) {
 
 // TestWritePromLatency pins the histogram rendering: cumulative le
 // buckets ending in +Inf, exact _count/_sum, and the _quantile gauge
-// family the calmload cross-check scrapes.
+// family a scraper reads quantiles from.
 func TestWritePromLatency(t *testing.T) {
 	r := NewRegistry()
 	l := r.Latency("srv.read_ns")
