@@ -222,7 +222,7 @@ type (
 	// Result is a distributed evaluation result with metrics.
 	Result = core.Result
 	// RunConfig collects ComputeRun's knobs: round bound, fault plan,
-	// seeded random prefix, event sink and metrics registry.
+	// seeded random prefix, event tracer and metrics registry.
 	RunConfig = core.RunConfig
 )
 

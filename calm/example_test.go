@@ -504,7 +504,7 @@ func Example_declarative() {
 	if err != nil {
 		panic(err)
 	}
-	sim.Observe(obs.NewSink(os.Stdout))
+	sim.Observe(obs.NewStream(os.Stdout))
 	out, err := sim.RunToQuiescence(64)
 	if err != nil {
 		panic(err)

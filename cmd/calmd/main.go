@@ -61,30 +61,34 @@ func main() {
 		maxBatch    = flag.Int("max-batch", 0, "max deltas per group commit (0 = default 64)")
 		pipeline    = flag.Int("pipeline", 0, "max in-flight requests per connection (0 = default 64)")
 		snapshotDir = flag.String("snapshot-dir", "", "confine snapshot ops to bare file names inside this directory")
-		metricsPath = flag.String("metrics", "", `write incr.*/srv.* engine metrics as JSON to this file on exit ("-" = stdout)`)
-		tracePath   = flag.String("trace", "", `write structured JSONL maintenance events to this file ("-" = stdout)`)
+		metricsPath = flag.String("metrics", "", `write incr.*/srv.* engine metrics as JSON to this file on exit ("-" = stdout, with -listen)`)
+		tracePath   = flag.String("trace", "", `write structured JSONL maintenance events to this file ("-" = stdout, with -listen)`)
 		adminAddr   = flag.String("admin", "", "serve the admin endpoint (/metrics /healthz /trace /debug/pprof) on this address (e.g. localhost:6060)")
-		traceSpans  = flag.Int("trace-spans", 4096, "span ring capacity for -admin request tracing (0 = tracing off)")
 	)
 	flag.Parse()
+	if err := checkFlags(*shardCount, *restorePath, *listenAddr, *tracePath, *metricsPath); err != nil {
+		fatal(err)
+	}
 
 	var reg *obs.Registry
 	if *metricsPath != "" || *adminAddr != "" {
 		reg = obs.NewRegistry()
 	}
+	// Two tracers, one destination each: -trace streams incr's events,
+	// and -admin's /trace reads a ring of request spans.
 	var tracer *obs.Tracer
-	if *adminAddr != "" && *traceSpans > 0 {
-		tracer = obs.NewTracer(*traceSpans, false)
+	if *adminAddr != "" {
+		tracer = obs.NewTracer(0, false)
 	}
-	sink, closeSink, err := obs.OpenSink(*tracePath)
+	events, closeTrace, err := obs.OpenTrace(*tracePath)
 	if err != nil {
 		fatal(err)
 	}
 	// finish flushes -trace and dumps -metrics; every way out of main
 	// that is not already a failure runs it.
-	finish := obs.Finisher(closeSink, reg, *metricsPath, fatal)
+	finish := obs.Finisher(closeTrace, reg, *metricsPath, fatal)
 
-	opts := incr.Options{Reg: reg, Sink: sink}
+	opts := incr.Options{Reg: reg, Tracer: events}
 
 	serveOpts := serve.Options{
 		WriteQueue:  *writeQueue,
@@ -95,7 +99,7 @@ func main() {
 	}
 
 	if *shardCount > 0 {
-		err := runCluster(*shardCount, *placement, *programPath, *inputPath, *restorePath,
+		err := runCluster(*shardCount, *placement, *programPath, *inputPath,
 			*listenAddr, *adminAddr, opts, serveOpts, reg, tracer)
 		finish()
 		if err != nil {
@@ -139,6 +143,23 @@ func main() {
 	}
 }
 
+// checkFlags refuses the flag combinations calmd cannot honour. main
+// calls it before it opens any file, so a refused run leaves a -trace
+// or -metrics file as it found it.
+func checkFlags(shards int, restorePath, listenAddr, tracePath, metricsPath string) error {
+	switch {
+	case shards > 0 && restorePath != "":
+		return fmt.Errorf("-restore is not supported with -shards (snapshots are per-shard; restore each shard endpoint directly)")
+	case shards > 0 && tracePath != "":
+		return fmt.Errorf("-trace is not supported with -shards (per-shard event streams interleave nondeterministically)")
+	case listenAddr == "" && tracePath == "-":
+		return fmt.Errorf("-trace - needs -listen (without it the protocol answers on stdout)")
+	case listenAddr == "" && metricsPath == "-":
+		return fmt.Errorf("-metrics - needs -listen (without it the protocol answers on stdout)")
+	}
+	return nil
+}
+
 // serveOn runs the handler's sessions — a core's or the router's, the
 // same loop either way: one over stdio, or one per connection accepted
 // on listenAddr.
@@ -156,14 +177,8 @@ func serveOn(h serve.Handler, listenAddr string) error {
 
 // runCluster boots the sharded deployment: a cluster of shard cores
 // behind a router serving the same protocol on stdio or TCP.
-func runCluster(shards int, placement, programPath, inputPath, restorePath, listenAddr, adminAddr string,
+func runCluster(shards int, placement, programPath, inputPath, listenAddr, adminAddr string,
 	incrOpts incr.Options, serveOpts serve.Options, reg *obs.Registry, tracer *obs.Tracer) error {
-	if restorePath != "" {
-		return fmt.Errorf("-restore is not supported with -shards (snapshots are per-shard; restore each shard endpoint directly)")
-	}
-	if incrOpts.Sink != nil {
-		return fmt.Errorf("-trace is not supported with -shards (per-shard event streams interleave nondeterministically)")
-	}
 	place, err := cluster.ParsePlacement(placement)
 	if err != nil {
 		return err

@@ -153,21 +153,21 @@ func main() {
 		reg = obs.NewRegistry()
 	}
 	admin.StartBackground("calmsim", *adminAddr, reg)
-	sink, closeSink, err := obs.OpenSink(*tracePath)
+	tracer, closeTrace, err := obs.OpenTrace(*tracePath)
 	if err != nil {
 		fatal(err)
 	}
 	// finish flushes -trace and dumps -metrics; every way out of main
 	// that is not already a failure runs it.
-	finish := obs.Finisher(closeSink, reg, *metrics, fatal)
+	finish := obs.Finisher(closeTrace, reg, *metrics, fatal)
 
 	if topo != nil {
-		runEventEngine(topo, route, s, q, net, pol, input, plan, sink, reg, *seed, *seeds)
+		runEventEngine(topo, route, s, q, net, pol, input, plan, tracer, reg, *seed, *seeds)
 		finish()
 		return
 	}
 
-	cfg := core.RunConfig{Plan: plan, Sink: sink, Reg: reg}
+	cfg := core.RunConfig{Plan: plan, Tracer: tracer, Reg: reg}
 	if *seed != 0 {
 		cfg.Seed, cfg.RandomSteps = *seed, *steps
 	}
@@ -208,7 +208,7 @@ func main() {
 	}
 
 	if *seeds > 0 {
-		opts := transducer.ExploreOptions{Seeds: *seeds, Faults: core.FaultConfigFor(s), Sink: sink}
+		opts := transducer.ExploreOptions{Seeds: *seeds, Faults: core.FaultConfigFor(s), Tracer: tracer}
 		if *seed != 0 {
 			opts.BaseSeed = *seed
 		}
@@ -306,7 +306,7 @@ func buildNetwork(topology string, nodes int, seed int64) (transducer.Network, *
 // topology fault sweep) on the netsim engine — the -topology path.
 func runEventEngine(topo *generate.Topology, route netsim.Routing, s core.Strategy, q monotone.Query,
 	net transducer.Network, pol transducer.Policy, input *fact.Instance, plan *transducer.FaultPlan,
-	sink *obs.Sink, reg *obs.Registry, seed int64, seeds int) {
+	tracer *obs.Tracer, reg *obs.Registry, seed int64, seeds int) {
 	tr, err := core.Build(s, q)
 	if err != nil {
 		fatal(err)
@@ -321,7 +321,7 @@ func runEventEngine(topo *generate.Topology, route netsim.Routing, s core.Strate
 	if err != nil {
 		fatal(err)
 	}
-	sim.Observe(sink)
+	sim.Observe(tracer)
 	if plan != nil {
 		sim.SetFaults(plan)
 	}
@@ -352,7 +352,7 @@ func runEventEngine(topo *generate.Topology, route netsim.Routing, s core.Strate
 	}
 
 	if seeds > 0 {
-		opts := netsim.SweepOptions{Seeds: seeds, Faults: core.FaultConfigFor(s), Sink: sink}
+		opts := netsim.SweepOptions{Seeds: seeds, Faults: core.FaultConfigFor(s), Tracer: tracer}
 		if seed != 0 {
 			opts.BaseSeed = seed
 		}

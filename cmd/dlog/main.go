@@ -76,16 +76,16 @@ func main() {
 		reg = obs.NewRegistry()
 	}
 	admin.StartBackground("dlog", *adminAddr, reg)
-	sink, closeSink, err := obs.OpenSink(*tracePath)
+	tracer, closeTrace, err := obs.OpenTrace(*tracePath)
 	if err != nil {
 		fatal(err)
 	}
 	// finish flushes -trace and dumps -metrics; every way out of main
 	// that is not already a failure runs it.
-	finish := obs.Finisher(closeSink, reg, *metricsPath, fatal)
+	finish := obs.Finisher(closeTrace, reg, *metricsPath, fatal)
 
 	if *useIlog {
-		runIlog(string(src), input, *outRels, reg, sink)
+		runIlog(string(src), input, *outRels, reg, tracer)
 		finish()
 		return
 	}
@@ -118,7 +118,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := datalog.FixpointOptions{Mode: evalMode, Reg: reg, Sink: sink}
+	opts := datalog.FixpointOptions{Mode: evalMode, Reg: reg, Tracer: tracer}
 	out, err := prog.EvalStratified(input, opts)
 	if err != nil {
 		fatal(err)
@@ -128,13 +128,13 @@ func main() {
 }
 
 // runIlog parses and evaluates an ILOG¬ program with invention.
-func runIlog(src string, input *fact.Instance, outRels string, reg *obs.Registry, sink *obs.Sink) {
+func runIlog(src string, input *fact.Instance, outRels string, reg *obs.Registry, tracer *obs.Tracer) {
 	prog, err := ilog.ParseProgram(src)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("semi-connected: %v\n", prog.IsSemiConnected())
-	full, err := prog.Eval(input, ilog.Options{Reg: reg, Sink: sink})
+	full, err := prog.Eval(input, ilog.Options{Reg: reg, Tracer: tracer})
 	if err != nil {
 		fatal(err)
 	}

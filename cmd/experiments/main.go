@@ -821,7 +821,7 @@ func netsimExperiments() []experiment {
 					return 0, err
 				}
 				h := fnv.New64a()
-				s.Observe(obs.NewSink(h))
+				s.Observe(obs.NewStream(h))
 				if _, err := s.Run(); err != nil {
 					return 0, err
 				}

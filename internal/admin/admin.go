@@ -5,7 +5,7 @@
 //
 //	/metrics        Prometheus text format 0.0.4 from an obs.Registry
 //	/healthz        JSON health body; 200 when healthy, 503 when not
-//	/trace?n=K      last K finished spans as JSONL (obs.Tracer ring)
+//	/trace?n=K      the ring's last K records, events and spans, as JSONL (obs.Tracer)
 //	/debug/pprof/*  the standard runtime profiles
 //
 // The server is deliberately passive: it holds no state of its own
@@ -34,7 +34,8 @@ import (
 type Options struct {
 	// Reg is the metrics registry rendered by /metrics.
 	Reg *obs.Registry
-	// Tracer's ring of finished spans backs /trace.
+	// Tracer's ring of records backs /trace: the events and finished
+	// spans it holds, oldest first.
 	Tracer *obs.Tracer
 	// BeforeScrape, when non-nil, runs before each /metrics and
 	// /healthz render — the place to refresh scrape-time gauges

@@ -117,3 +117,31 @@ func TestNilPlanes(t *testing.T) {
 		t.Errorf("nil-tracer /trace = %d %q", code, body)
 	}
 }
+
+// TestTraceServesEventsAndSpans: one ring holds events and spans as
+// one kind of record, in the order they were recorded, and /trace
+// serves both as the ring holds them — the oldest dropped first.
+func TestTraceServesEventsAndSpans(t *testing.T) {
+	tr := obs.NewTracer(3, true)
+	tr.Emit("a.dropped", obs.F("n", 0))
+	sp := tr.Root(obs.TraceID{Conn: 2, Seq: 5}).Start("srv.req", nil).SetSeq(5)
+	tr.Emit("incr.apply", obs.F("seq", 1), obs.F("facts", 4))
+	sp.Attr("op", "insert").Finish()
+	tr.Emit("b.last")
+
+	s, err := Start("127.0.0.1:0", Options{Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	want := `{"ev":"incr.apply","seq":1,"facts":4}
+{"span":"srv.req","trace":"c2-5","id":1,"parent":0,"seq":5,"start_ns":0,"dur_ns":0,"op":"insert"}
+{"ev":"b.last"}
+`
+	if code, _, body := get(t, "http://"+s.Addr()+"/trace"); code != 200 || body != want {
+		t.Errorf("/trace = %d\n%s\nwant\n%s", code, body, want)
+	}
+	if _, _, body := get(t, "http://"+s.Addr()+"/trace?n=1"); body != "{\"ev\":\"b.last\"}\n" {
+		t.Errorf("/trace?n=1 = %q, want the newest record", body)
+	}
+}

@@ -28,9 +28,9 @@ type Options struct {
 	Shards int
 	// Placement selects the placement strategy (default PlaceHash).
 	Placement PlacementKind
-	// Incr configures each shard's materialization. Incr.Sink must be
+	// Incr configures each shard's materialization. Incr.Tracer must be
 	// nil: per-shard event streams would interleave nondeterministically
-	// through one sink, and the repo's event contract is deterministic.
+	// through one tracer, and the repo's event contract is deterministic.
 	Incr incr.Options
 	// Serve configures each shard's serving core.
 	Serve serve.Options
@@ -239,8 +239,8 @@ type Cluster struct {
 // split by co(I) component; otherwise every shard materializes the
 // full instance.
 func New(p *datalog.Program, initial *fact.Instance, opts Options) (*Cluster, error) {
-	if opts.Incr.Sink != nil {
-		return nil, fmt.Errorf("cluster: Incr.Sink must be nil (per-shard event streams interleave nondeterministically)")
+	if opts.Incr.Tracer != nil {
+		return nil, fmt.Errorf("cluster: Incr.Tracer must be nil (per-shard event streams interleave nondeterministically)")
 	}
 	n := opts.shards()
 	place := opts.placement()

@@ -392,8 +392,8 @@ func TestCrashRestartBasics(t *testing.T) {
 
 func TestSinkRejected(t *testing.T) {
 	prog := datalog.MustParseProgram(tcProgram)
-	opts := Options{Incr: incr.Options{Sink: obs.NewSink(io.Discard)}}
-	if _, err := New(prog, nil, opts); err == nil || !strings.Contains(err.Error(), "Sink") {
-		t.Fatalf("New with event sink = %v, want sink rejection", err)
+	opts := Options{Incr: incr.Options{Tracer: obs.NewStream(io.Discard)}}
+	if _, err := New(prog, nil, opts); err == nil || !strings.Contains(err.Error(), "Tracer") {
+		t.Fatalf("New with event tracer = %v, want tracer rejection", err)
 	}
 }

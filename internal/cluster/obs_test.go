@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -132,10 +133,7 @@ func TestGatherPhaseSpansMatchHistograms(t *testing.T) {
 	)
 	c.Quiesce()
 
-	spans := map[string]int64{}
-	for _, s := range tr.Spans(0) {
-		spans[s.Name]++
-	}
+	spans := spanCounts(t, tr)
 	after := reg.Snapshot().Latencies
 	for _, p := range []struct{ span, hist string }{
 		{obs.SpanLogAppend, obs.ClusterLogAppendNs},
@@ -149,4 +147,25 @@ func TestGatherPhaseSpansMatchHistograms(t *testing.T) {
 			t.Errorf("%s timed %d times and spanned %d times, want equal and nonzero", p.hist, timed, spans[p.span])
 		}
 	}
+}
+
+// spanCounts counts the spans the tracer's ring holds, by name, from
+// the JSONL the ring renders.
+func spanCounts(t *testing.T, tr *obs.Tracer) map[string]int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int64{}
+	for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+		var r struct {
+			Span string `json:"span"`
+		}
+		if err := json.Unmarshal(line, &r); err != nil {
+			t.Fatalf("span line %q: %v", line, err)
+		}
+		counts[r.Span]++
+	}
+	return counts
 }

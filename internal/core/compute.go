@@ -36,9 +36,9 @@ type RunConfig struct {
 	Seed        int64
 	RandomSteps int
 
-	// Sink receives the simulation's structured events (transitions,
+	// Tracer receives the simulation's structured events (transitions,
 	// stalls, crashes, holds, quiescence). Nil disables event tracing.
-	Sink *obs.Sink
+	Tracer *obs.Tracer
 
 	// Reg, when non-nil, receives the run metrics as sim.* counters
 	// plus the sim.quiescence_tick gauge after the run completes.
@@ -61,7 +61,7 @@ func ComputeRun(s Strategy, q monotone.Query, net transducer.Network, pol transd
 	if cfg.Plan != nil {
 		sim.SetFaults(cfg.Plan)
 	}
-	sim.Observe(cfg.Sink)
+	sim.Observe(cfg.Tracer)
 	if err := sim.RandomPrefix(cfg.Seed, cfg.RandomSteps); err != nil {
 		return nil, err
 	}

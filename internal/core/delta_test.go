@@ -135,7 +135,7 @@ func TestDeltaMatchesFourQueriesUnderExplorer(t *testing.T) {
 			explore := func(tr *transducer.Transducer) (*transducer.ScheduleViolation, transducer.ExploreStats, []byte) {
 				var buf bytes.Buffer
 				v, stats, err := transducer.ExploreSchedules(sweepNet, tr, c.pol(sweepNet), c.mod, c.input, want,
-					transducer.ExploreOptions{Seeds: seeds, Faults: FaultConfigFor(c.s), Sink: obs.NewSink(&buf)})
+					transducer.ExploreOptions{Seeds: seeds, Faults: FaultConfigFor(c.s), Tracer: obs.NewStream(&buf)})
 				if err != nil || (v != nil) == c.inClass {
 					t.Fatalf("exploration (in class %v) found %v, %v", c.inClass, v, err)
 				}
@@ -182,7 +182,7 @@ func TestDeltaMatchesFourQueriesPerTransition(t *testing.T) {
 					}
 					sim.SetFaults(plan)
 					var buf bytes.Buffer
-					sim.Observe(obs.NewSink(&buf))
+					sim.Observe(obs.NewStream(&buf))
 					var out *fact.Instance
 					err = sim.RandomPrefix(seed, 24)
 					if err == nil {
@@ -245,7 +245,7 @@ func TestDeltaMatchesFourQueriesInEventMode(t *testing.T) {
 				}
 				s.SetFaults(plan)
 				var buf bytes.Buffer
-				s.Observe(obs.NewSink(&buf))
+				s.Observe(obs.NewStream(&buf))
 				out, err := s.Run()
 				if err != nil {
 					t.Fatal(err)

@@ -87,12 +87,12 @@ type FixpointOptions struct {
 	// work, worker utilization, wall-clock spans). See internal/obs
 	// names.go for the dl.* vocabulary.
 	Reg *obs.Registry
-	// Sink, when non-nil, receives the deterministic structured event
+	// Tracer, when non-nil, receives the deterministic structured event
 	// stream (dl.round / dl.stratum / dl.fixpoint): a pure function of
 	// (program, input, mode, GOMAXPROCS), byte-identical across repeated
 	// runs regardless of scheduling. Leaving both nil keeps the
 	// disabled fast path.
-	Sink *obs.Sink
+	Tracer *obs.Tracer
 }
 
 // Fixpoint computes the minimal fixpoint of the TP operator for a

@@ -16,7 +16,7 @@ import (
 // barrier, so the parallel engine's determinism argument (workers
 // never share mutable state mid-round) extends to the metrics.
 //
-// Determinism contract: everything emitted to the Sink (round, stratum
+// Determinism contract: everything emitted to the Tracer (round, stratum
 // and fixpoint events) is a pure function of (program, input, mode,
 // GOMAXPROCS) — repeated runs of the same configuration produce
 // byte-identical streams, regardless of scheduling. The aggregate
@@ -67,8 +67,8 @@ func (a *roundAgg) merge(b *roundAgg) {
 // engineObs carries the instrumentation state of one stratified
 // evaluation. All methods are no-ops on a nil receiver.
 type engineObs struct {
-	reg  *obs.Registry
-	sink *obs.Sink
+	reg    *obs.Registry
+	tracer *obs.Tracer
 
 	rounds, derivations, duplicates, candidates, deltaFacts, tasks *obs.Counter
 
@@ -78,15 +78,15 @@ type engineObs struct {
 	sDerived int64  // delta facts accumulated in this stratum
 }
 
-// newEngineObs returns nil when both sinks are absent — the disabled
-// fast path the hot loops test for.
+// newEngineObs returns nil when both the registry and the tracer are
+// absent — the disabled fast path the hot loops test for.
 func newEngineObs(opts FixpointOptions) *engineObs {
-	if opts.Reg == nil && opts.Sink == nil {
+	if opts.Reg == nil && opts.Tracer == nil {
 		return nil
 	}
 	return &engineObs{
 		reg:         opts.Reg,
-		sink:        opts.Sink,
+		tracer:      opts.Tracer,
 		rounds:      opts.Reg.Counter(obs.DlRounds),
 		derivations: opts.Reg.Counter(obs.DlDerivations),
 		duplicates:  opts.Reg.Counter(obs.DlDuplicates),
@@ -114,7 +114,7 @@ func (eo *engineObs) beginStratum(stratum int, rules []Rule) {
 
 // roundDone publishes one round's aggregate: counters and per-rule
 // counters into the registry, one deterministic round event into the
-// sink. workerTasks/workerBusy are per-worker load figures of a
+// tracer. workerTasks/workerBusy are per-worker load figures of a
 // fanned-out round (nil for inline rounds); they stay in the Registry
 // plane.
 func (eo *engineObs) roundDone(mode EvalMode, ntasks int, agg *roundAgg, delta int, workerTasks, workerBusy []int64) {
@@ -145,8 +145,8 @@ func (eo *engineObs) roundDone(mode EvalMode, ntasks int, agg *roundAgg, delta i
 			eo.reg.Latency(obs.DlWorkerBusyNs).Observe(workerBusy[w])
 		}
 	}
-	if eo.sink != nil {
-		eo.sink.Emit(obs.EvDlRound,
+	if eo.tracer != nil {
+		eo.tracer.Emit(obs.EvDlRound,
 			obs.F("stratum", eo.stratum),
 			obs.F("round", round),
 			obs.F("mode", mode.String()),
@@ -163,8 +163,8 @@ func (eo *engineObs) endStratum(x *IndexedInstance) {
 	if eo == nil {
 		return
 	}
-	if eo.sink != nil {
-		eo.sink.Emit(obs.EvDlStratum,
+	if eo.tracer != nil {
+		eo.tracer.Emit(obs.EvDlStratum,
 			obs.F("stratum", eo.stratum),
 			obs.F("rules", len(eo.rules)),
 			obs.F("rounds", eo.round),
@@ -178,8 +178,8 @@ func (eo *engineObs) endFixpoint(strata int, x *IndexedInstance) {
 	if eo == nil {
 		return
 	}
-	if eo.sink != nil {
-		eo.sink.Emit(obs.EvDlFixpoint,
+	if eo.tracer != nil {
+		eo.tracer.Emit(obs.EvDlFixpoint,
 			obs.F("strata", strata),
 			obs.F("facts", x.Len()))
 	}

@@ -43,7 +43,7 @@ func TestGoldenStratifiedTrace(t *testing.T) {
 	p := MustParseProgram(complementTC)
 	in := fact.MustParseInstance(`E(a,b) E(b,c)`)
 	var sb strings.Builder
-	if _, err := p.EvalStratified(in, FixpointOptions{Mode: SemiNaive, Sink: obs.NewSink(&sb)}); err != nil {
+	if _, err := p.EvalStratified(in, FixpointOptions{Mode: SemiNaive, Tracer: obs.NewStream(&sb)}); err != nil {
 		t.Fatal(err)
 	}
 	got := sb.String()
@@ -117,7 +117,7 @@ func TestParallelTraceDeterministic(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	run := func() string {
 		var sb strings.Builder
-		_, err := p.EvalStratified(in, FixpointOptions{Mode: Parallel, Sink: obs.NewSink(&sb)})
+		_, err := p.EvalStratified(in, FixpointOptions{Mode: Parallel, Tracer: obs.NewStream(&sb)})
 		if err != nil {
 			t.Fatal(err)
 		}

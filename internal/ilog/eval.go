@@ -29,9 +29,9 @@ type Options struct {
 	// Reg, when non-nil, receives evaluator metrics (the ilog.*
 	// vocabulary of internal/obs names.go).
 	Reg *obs.Registry
-	// Sink, when non-nil, receives the deterministic round/stratum
+	// Tracer, when non-nil, receives the deterministic round/stratum
 	// event stream. Leaving both nil keeps the disabled fast path.
-	Sink *obs.Sink
+	Tracer *obs.Tracer
 }
 
 // Default evaluation bounds.
@@ -159,7 +159,7 @@ func (r Rule) compile() *datalog.CompiledRule {
 }
 
 func fixpoint(rules []Rule, x *datalog.IndexedInstance, opts Options, stratum int) error {
-	instrumented := opts.Reg != nil || opts.Sink != nil
+	instrumented := opts.Reg != nil || opts.Tracer != nil
 	compiled := make([]*datalog.CompiledRule, len(rules))
 	for i, r := range rules {
 		compiled[i] = r.compile()
@@ -198,8 +198,8 @@ func fixpoint(rules []Rule, x *datalog.IndexedInstance, opts Options, stratum in
 			opts.Reg.Counter(obs.IlogRounds).Inc()
 			opts.Reg.Counter(obs.IlogDerivations).Add(rDerived)
 			opts.Reg.Counter(obs.IlogInvented).Add(rInvented)
-			if opts.Sink != nil {
-				opts.Sink.Emit(obs.EvIlogRound,
+			if opts.Tracer != nil {
+				opts.Tracer.Emit(obs.EvIlogRound,
 					obs.F("stratum", stratum),
 					obs.F("round", round),
 					obs.F("derived", rDerived),
@@ -211,8 +211,8 @@ func fixpoint(rules []Rule, x *datalog.IndexedInstance, opts Options, stratum in
 			return ErrDiverged
 		}
 		if !changed {
-			if opts.Sink != nil {
-				opts.Sink.Emit(obs.EvIlogStratum,
+			if opts.Tracer != nil {
+				opts.Tracer.Emit(obs.EvIlogStratum,
 					obs.F("stratum", stratum),
 					obs.F("rounds", round+1),
 					obs.F("derived", sDerived),

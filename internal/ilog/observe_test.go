@@ -17,7 +17,7 @@ func TestGoldenEvalTrace(t *testing.T) {
 	p := edgeIDProgram()
 	in := fact.MustParseInstance(`E(a,b) E(b,c)`)
 	var sb strings.Builder
-	if _, err := p.Eval(in, Options{Sink: obs.NewSink(&sb)}); err != nil {
+	if _, err := p.Eval(in, Options{Tracer: obs.NewStream(&sb)}); err != nil {
 		t.Fatal(err)
 	}
 	got := sb.String()

@@ -49,10 +49,10 @@ type Options struct {
 	// Reg, when non-nil, receives incr.* counters and the apply-span
 	// histogram (see internal/obs names.go).
 	Reg *obs.Registry
-	// Sink, when non-nil, receives the deterministic incr.apply /
+	// Tracer, when non-nil, receives the deterministic incr.apply /
 	// incr.stratum event stream: a pure function of (program, update
 	// history), byte-identical across runs.
-	Sink *obs.Sink
+	Tracer *obs.Tracer
 }
 
 // Delta is one batch of base-instance changes: facts to insert and

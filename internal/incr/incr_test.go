@@ -206,7 +206,7 @@ func TestUnknownRelationsPassThrough(t *testing.T) {
 func TestEventStreamDeterministic(t *testing.T) {
 	run := func() string {
 		var buf bytes.Buffer
-		m := mustNew(t, noLoopProg, generate.Path("v", 4), Options{Sink: obs.NewSink(&buf)})
+		m := mustNew(t, noLoopProg, generate.Path("v", 4), Options{Tracer: obs.NewStream(&buf)})
 		deltas := []Delta{
 			{Insert: []fact.Fact{fact.MustParseFact("E(v4,v0)"), fact.MustParseFact("E(v2,v2)")}},
 			{Retract: []fact.Fact{fact.MustParseFact("E(v2,v2)"), fact.MustParseFact("E(v1,v2)")}},

@@ -4,7 +4,7 @@ import "repro/internal/obs"
 
 // Instrumentation plumbing. Counters and the apply-span histogram go
 // to the Registry (nil-safe, scheduling-dependent values allowed);
-// events go to the Sink and carry only set-derived counts, so the
+// events go to the Tracer and carry only set-derived counts, so the
 // event stream is a pure function of (program, update history) —
 // byte-identical across runs. See internal/obs for the two-plane
 // discipline.
@@ -14,14 +14,14 @@ import "repro/internal/obs"
 // reached a fact of a recursive component — one a count alone does not
 // prove, so ranks were compared — and "count" otherwise.
 func (m *Materialization) emitStratum(si int, sb *stratumStats) {
-	if m.opts.Sink == nil {
+	if m.opts.Tracer == nil {
 		return
 	}
 	alg := "count"
 	if sb.overdeleted+sb.kept > 0 {
 		alg = "dred"
 	}
-	m.opts.Sink.Emit(obs.EvIncrStratum,
+	m.opts.Tracer.Emit(obs.EvIncrStratum,
 		obs.F("seq", m.seq),
 		obs.F("stratum", si+1),
 		obs.F("alg", alg),
@@ -46,10 +46,10 @@ func (m *Materialization) publishApply(st *ApplyStats) {
 	reg.Counter(obs.IncrKept).Add(int64(st.Kept))
 	reg.Counter(obs.IncrSupportIncrements).Add(st.SupportIncrements)
 	reg.Counter(obs.IncrSupportDecrements).Add(st.SupportDecrements)
-	if m.opts.Sink == nil {
+	if m.opts.Tracer == nil {
 		return
 	}
-	m.opts.Sink.Emit(obs.EvIncrApply,
+	m.opts.Tracer.Emit(obs.EvIncrApply,
 		obs.F("seq", m.seq),
 		obs.F("inserted", st.BaseInserted),
 		obs.F("retracted", st.BaseRetracted),

@@ -62,7 +62,7 @@ func incrTraceSession(t *testing.T, opts Options) {
 
 func TestGoldenIncrTrace(t *testing.T) {
 	var sb strings.Builder
-	incrTraceSession(t, Options{Sink: obs.NewSink(&sb)})
+	incrTraceSession(t, Options{Tracer: obs.NewStream(&sb)})
 	got := sb.String()
 	for _, kind := range []string{obs.EvIncrApply, obs.EvIncrStratum} {
 		if !strings.Contains(got, `"ev":"`+kind+`"`) {

@@ -199,7 +199,7 @@ R(y)   :- R(x), G(x,y).
 func churnSession(t *testing.T, restart, unranked bool) string {
 	t.Helper()
 	var sb strings.Builder
-	opts := Options{Sink: obs.NewSink(&sb)}
+	opts := Options{Tracer: obs.NewStream(&sb)}
 	m := mustNew(t, noLoopProg, generate.Path("n", 6), opts)
 	for i, d := range toggleChurn(7, 120, "n") {
 		if i == 60 {

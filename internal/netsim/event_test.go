@@ -88,7 +88,7 @@ func TestBroadcastRoutingMatchesNilTopo(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		s.Observe(obs.NewSink(&buf))
+		s.Observe(obs.NewStream(&buf))
 		out, err := s.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -118,7 +118,7 @@ func TestSweepCleanPowerLaw(t *testing.T) {
 	var buf bytes.Buffer
 	v, stats, err := netsim.Sweep(topo, netsim.RouteNeighbors, tr,
 		transducer.HashPolicy(net), core.Gossip.RequiredModel(), in, want,
-		netsim.SweepOptions{Seeds: 4, Faults: core.FaultConfigFor(core.Gossip), Sink: obs.NewSink(&buf)})
+		netsim.SweepOptions{Seeds: 4, Faults: core.FaultConfigFor(core.Gossip), Tracer: obs.NewStream(&buf)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestSweepCleanPowerLaw(t *testing.T) {
 
 // TestSweepDetectsDivergence: a wrong oracle must surface as a
 // Divergence violation on the baseline run, with a violation event on
-// the sink.
+// the tracer.
 func TestSweepDetectsDivergence(t *testing.T) {
 	topo := generate.MustTopology(generate.TopoRing, 16, 1)
 	in := sixGraph()
@@ -159,7 +159,7 @@ func TestSweepDetectsDivergence(t *testing.T) {
 	var buf bytes.Buffer
 	v, stats, err := netsim.Sweep(topo, netsim.RouteNeighbors, tr,
 		transducer.HashPolicy(net), core.Gossip.RequiredModel(), in, bogus,
-		netsim.SweepOptions{Seeds: 3, Sink: obs.NewSink(&buf)})
+		netsim.SweepOptions{Seeds: 3, Tracer: obs.NewStream(&buf)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestSweepDetectsDivergence(t *testing.T) {
 		t.Fatalf("stats off after violation: %+v", stats)
 	}
 	if !bytes.Contains(buf.Bytes(), []byte(obs.EvViolation)) {
-		t.Fatal("violation never hit the sink")
+		t.Fatal("violation never hit the tracer")
 	}
 }
 
@@ -202,7 +202,7 @@ func TestSweepSeparatesErrorsFromNoQuiescence(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	v, stats, err = sweep(offSchema, netsim.SweepOptions{Seeds: 1, Sink: obs.NewSink(&buf)})
+	v, stats, err = sweep(offSchema, netsim.SweepOptions{Seeds: 1, Tracer: obs.NewStream(&buf)})
 	if v != nil || err == nil || errors.Is(err, transducer.ErrNoQuiescence) || !strings.Contains(err.Error(), "outside its target schema") {
 		t.Fatalf("off-schema output: want the query error back, got %v, %v", v, err)
 	}
@@ -315,7 +315,7 @@ func TestThousandNodePowerLaw(t *testing.T) {
 		s := buildTopoSim(t, topo, in, netsim.Options{Seed: seed})
 		s.SetFaults(netsim.TopologyFaultPlan(topo, net, seed, core.FaultConfigFor(core.Gossip)))
 		w := &hashWriter{h: fnv.New64a()}
-		s.Observe(obs.NewSink(w))
+		s.Observe(obs.NewStream(w))
 		out, err := s.Run()
 		if err != nil {
 			t.Fatal(err)

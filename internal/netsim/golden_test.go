@@ -34,7 +34,7 @@ func TestGoldenEventTrace(t *testing.T) {
 		Crashes:   []transducer.Crash{{Node: "n07", At: 6}},
 	})
 	var buf bytes.Buffer
-	s.Observe(obs.NewSink(&buf))
+	s.Observe(obs.NewStream(&buf))
 	out, err := s.Run()
 	if err != nil {
 		t.Fatal(err)

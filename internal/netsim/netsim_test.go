@@ -170,7 +170,7 @@ func TestEventDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		ev.Observe(obs.NewSink(&buf))
+		ev.Observe(obs.NewStream(&buf))
 		ev.SetFaults(mustPlan(t, "dup=0.3,delay=0.3:5,crash=n4@6", 21))
 		out, err := ev.Run()
 		if err != nil {

@@ -88,7 +88,7 @@ func (s *Sim) arrive(from, to int, f fact.Fact, copies, hold int) {
 
 // Run drives the network to quiescence on the event scheduler and
 // returns out(R). The same seed yields the same event sequence, the
-// same event stream on the sink, and the same output. Logical time is
+// same event stream on the tracer, and the same output. Logical time is
 // the machine's one fault clock: Run starts at Clock(), so a machine
 // stepped in lockstep first (or run before) replays no crash it has
 // already been through.
@@ -152,18 +152,18 @@ func (s *Sim) Run() (*fact.Instance, error) {
 		}
 	}
 	out := s.Output()
-	emitNetsimQuiesce(s.Sink(), s.now, s.events, s.schedOps, out.Len())
+	emitNetsimQuiesce(s.Tracer(), s.now, s.events, s.schedOps, out.Len())
 	return out, nil
 }
 
 // emitNetsimQuiesce is the single construction site for the
-// netsim.quiesce event kind (nil-sink safe, like the transducer emit
+// netsim.quiesce event kind (nil-tracer safe, like the transducer emit
 // helpers).
-func emitNetsimQuiesce(sink *obs.Sink, time int64, events, schedOps, out int) {
-	if sink == nil {
+func emitNetsimQuiesce(tracer *obs.Tracer, time int64, events, schedOps, out int) {
+	if tracer == nil {
 		return
 	}
-	sink.Emit(obs.EvNetsimQuiesce,
+	tracer.Emit(obs.EvNetsimQuiesce,
 		obs.F("time", int(time)),
 		obs.F("events", events),
 		obs.F("sched_ops", schedOps),

@@ -31,9 +31,9 @@ type SweepOptions struct {
 	Faults transducer.FaultConfig
 	// MaxEvents bounds each run; 0 scales with the network.
 	MaxEvents int
-	// Sink receives one explore.schedule event per run and an
+	// Tracer receives one explore.schedule event per run and an
 	// explore.violation event on failure.
-	Sink *obs.Sink
+	Tracer *obs.Tracer
 }
 
 // SweepStats reports how much a sweep explored: the explorer's stats
@@ -121,7 +121,7 @@ func Sweep(topo *generate.Topology, routing Routing, t *transducer.Transducer, p
 		stats.Events += s.Events()
 		stats.SchedOps += s.SchedOps()
 		stats.HeapMax = max(stats.HeapMax, s.HeapMax())
-		return stats.Record(s.Simulation, label, out, err, opts.Sink)
+		return stats.Record(s.Simulation, label, out, err, opts.Tracer)
 	}
 
 	// Fault-free baseline on the default tiebreak seed.

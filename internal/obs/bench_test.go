@@ -25,8 +25,8 @@ func work(x uint64) uint64 {
 // instrumentation costs ~zero": "baseline" is the bare workload,
 // "disabled" adds the exact call shapes the engines use — nil-receiver
 // counter/gauge/histogram updates, a phase span started on a disabled
-// context with a nil histogram, and a nil-guarded sink emit. scripts/check.sh
-// runs both and gates the delta.
+// context with a nil histogram, and a nil-guarded event emit on the
+// same nil tracer. scripts/check.sh runs both and gates the delta.
 func BenchmarkDisabledOverhead(b *testing.B) {
 	b.Run("baseline", func(b *testing.B) {
 		x := uint64(1)
@@ -39,7 +39,6 @@ func BenchmarkDisabledOverhead(b *testing.B) {
 		var c *Counter
 		var g *Gauge
 		var l *LatencyHist
-		var s *Sink
 		var t *Tracer
 		tc := t.Root(TraceID{})
 		x := uint64(1)
@@ -52,8 +51,8 @@ func BenchmarkDisabledOverhead(b *testing.B) {
 			sp.SetEpoch(n)
 			sp.Ctx().Start("child", l).Finish()
 			sp.Finish()
-			if s != nil {
-				s.Emit("ev", F("n", n))
+			if t != nil {
+				t.Emit("ev", F("n", n))
 			}
 		}
 		sinkhole = x
@@ -71,7 +70,7 @@ func BenchmarkEnabled(b *testing.B) {
 		}
 	})
 	b.Run("emit", func(b *testing.B) {
-		s := NewSink(io.Discard)
+		s := NewStream(io.Discard)
 		for n := 0; n < b.N; n++ {
 			s.Emit("bench.event", F("n", n), F("s", "x"))
 		}

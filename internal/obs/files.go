@@ -9,11 +9,11 @@ import (
 // path conventions ("" = disabled, "-" = stdout) live here once, and
 // the commands decide only what to do with an error.
 
-// OpenSink opens the JSONL event sink a -trace flag names. A disabled
-// path yields a nil sink, which ignores every event. The returned
-// close function surfaces any write error the sink latched, then
-// closes the file; call it once, after the last event.
-func OpenSink(path string) (*Sink, func() error, error) {
+// OpenTrace opens the stream tracer a -trace flag names. A disabled
+// path yields a nil tracer, which ignores every record. The returned
+// close function surfaces any write error the stream latched, then
+// closes the file; call it once, after the last record.
+func OpenTrace(path string) (*Tracer, func() error, error) {
 	if path == "" {
 		return nil, func() error { return nil }, nil
 	}
@@ -24,9 +24,9 @@ func OpenSink(path string) (*Sink, func() error, error) {
 			return nil, nil, err
 		}
 	}
-	sink := NewSink(f)
-	return sink, func() error {
-		if err := sink.Err(); err != nil {
+	t := NewStream(f)
+	return t, func() error {
+		if err := t.writeErr(); err != nil {
 			return fmt.Errorf("writing trace: %w", err)
 		}
 		if f == os.Stdout {
@@ -57,12 +57,12 @@ func WriteMetrics(reg *Registry, path string) error {
 }
 
 // Finisher returns what a command runs on every way out of main that is
-// not already a failure: close the -trace sink (OpenSink's close
+// not already a failure: close the -trace stream (OpenTrace's close
 // function), then dump -metrics. An error goes to fail, the command's
 // own fatal, which does not return.
-func Finisher(closeSink func() error, reg *Registry, metricsPath string, fail func(error)) func() {
+func Finisher(closeTrace func() error, reg *Registry, metricsPath string, fail func(error)) func() {
 	return func() {
-		if err := closeSink(); err != nil {
+		if err := closeTrace(); err != nil {
 			fail(err)
 		}
 		if err := WriteMetrics(reg, metricsPath); err != nil {

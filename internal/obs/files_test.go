@@ -8,13 +8,13 @@ import (
 )
 
 // TestFlagFiles pins the -trace/-metrics path conventions: "" disables
-// (a nil sink, nothing written), a path gets the JSONL events and the
+// (a nil tracer, nothing written), a path gets the JSONL events and the
 // JSON snapshot, and an unwritable path is an error for the command to
 // report — not an exit from inside the library.
 func TestFlagFiles(t *testing.T) {
-	sink, closeSink, err := OpenSink("")
-	if sink != nil || err != nil || closeSink() != nil {
-		t.Fatalf("disabled trace: sink %v, err %v", sink, err)
+	tr, closeTrace, err := OpenTrace("")
+	if tr != nil || err != nil || closeTrace() != nil {
+		t.Fatalf("disabled trace: tracer %v, err %v", tr, err)
 	}
 	if err := WriteMetrics(NewRegistry(), ""); err != nil {
 		t.Fatalf("disabled metrics: %v", err)
@@ -22,12 +22,12 @@ func TestFlagFiles(t *testing.T) {
 
 	dir := t.TempDir()
 	tracePath, metricsPath := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "m.json")
-	sink, closeSink, err = OpenSink(tracePath)
+	tr, closeTrace, err = OpenTrace(tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink.Emit("ev", F("k", 1))
-	if err := closeSink(); err != nil {
+	tr.Emit("ev", F("k", 1))
+	if err := closeTrace(); err != nil {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
@@ -42,8 +42,8 @@ func TestFlagFiles(t *testing.T) {
 	}
 
 	missing := filepath.Join(dir, "no", "such", "dir", "f")
-	if _, _, err := OpenSink(missing); err == nil {
-		t.Error("OpenSink into a missing directory succeeded")
+	if _, _, err := OpenTrace(missing); err == nil {
+		t.Error("OpenTrace into a missing directory succeeded")
 	}
 	if err := WriteMetrics(reg, missing); err == nil {
 		t.Error("WriteMetrics into a missing directory succeeded")
@@ -55,16 +55,16 @@ func TestFlagFiles(t *testing.T) {
 func TestFinisher(t *testing.T) {
 	dir := t.TempDir()
 	tracePath, metricsPath := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "m.json")
-	sink, closeSink, err := OpenSink(tracePath)
+	tr, closeTrace, err := OpenTrace(tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink.Emit("ev", F("k", 1))
+	tr.Emit("ev", F("k", 1))
 	reg := NewRegistry()
 	reg.Counter("c").Add(3)
 	var failed []error
 	fail := func(err error) { failed = append(failed, err) }
-	Finisher(closeSink, reg, metricsPath, fail)()
+	Finisher(closeTrace, reg, metricsPath, fail)()
 	trace, _ := os.ReadFile(tracePath)
 	metrics, _ := os.ReadFile(metricsPath)
 	if len(failed) != 0 || !strings.Contains(string(trace), `"ev":"ev"`) || !strings.Contains(string(metrics), `"c": 3`) {

@@ -294,8 +294,8 @@ const (
 
 	// EvIncrApply: seq, inserted, retracted, added, removed, facts.
 	EvIncrApply = "incr.apply"
-	// EvIncrStratum: seq, stratum, alg, overdeleted, rederived, added,
-	// removed.
+	// EvIncrStratum: seq, stratum, alg, overdeleted, rederived, kept,
+	// added, removed.
 	EvIncrStratum = "incr.stratum"
 
 	// EvIlogRound: stratum, round, derived, invented, facts.

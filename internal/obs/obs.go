@@ -1,29 +1,28 @@
-// Package obs is the repository-wide instrumentation substrate:
-// counters, gauges and latency histograms collected in a Registry,
-// phase spans (trace.go) that time into those histograms, plus a
-// structured event Sink (sink.go) that renders typed events as JSONL.
-// It has no dependencies outside the standard
-// library and, crucially, a nil fast path: every method is a no-op on
-// a nil receiver, so disabled instrumentation costs one predictable
-// branch per call site (gated by the BenchmarkDisabledOverhead check
-// in scripts/check.sh). Engines hold possibly-nil handles and never
-// need an "is instrumentation on?" flag.
+// Package obs is the repository-wide instrumentation substrate, in two
+// planes with different determinism contracts:
 //
-// Two observability planes with different determinism contracts:
-//
-//   - Events (Sink) are part of a run's observable record: for a fixed
-//     seed they must be byte-identical across runs and across worker
-//     counts. Events therefore never carry wall-clock times or
-//     scheduling-dependent values.
+//   - Records (Tracer, trace.go) are a run's observable record: events
+//     an engine emits and the spans a request passes through, one
+//     record type rendered by one encoder as JSONL, kept in a ring or
+//     written to a stream. Under a deterministic tracer they must be
+//     byte-identical for a fixed seed across runs and worker counts, so
+//     they never carry wall-clock times or scheduling-dependent values.
 //   - Metrics (Registry) are aggregates for humans and dashboards:
-//     phase durations and worker-utilization counters live here, and
-//     the snapshot is allowed to vary run to run. A phase is timed by
-//     the span that covers it (SpanCtx.Start), never beside it, and
-//     its duration is never emitted as an event, or same-seed event
-//     streams stop being byte-identical.
+//     counters, gauges and latency histograms, phase durations and
+//     worker-utilization figures among them, and the snapshot is
+//     allowed to vary run to run. A phase is timed by the span that
+//     covers it (SpanCtx.Start), never beside it, and its duration is
+//     never emitted as an event field.
 //
-// The canonical metric and event names shared by all packages are in
-// names.go and documented in DESIGN.md §8.
+// It has no dependencies outside the standard library and, crucially,
+// a nil fast path: every method is a no-op on a nil receiver, so
+// disabled instrumentation costs one predictable branch per call site
+// (gated by the BenchmarkDisabledOverhead check in scripts/check.sh).
+// Engines hold possibly-nil handles and never need an "is
+// instrumentation on?" flag.
+//
+// The canonical metric, event and span names shared by all packages
+// are in names.go and documented in DESIGN.md §8.
 package obs
 
 import (

@@ -46,7 +46,7 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	c := r.Counter("x")
 	g := r.Gauge("x")
 	h := r.Latency("x")
-	var s *Sink
+	var tr *Tracer
 	if c != nil || g != nil || h != nil {
 		t.Fatal("nil registry must hand out nil instruments")
 	}
@@ -55,9 +55,9 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	g.Set(1)
 	g.SetMax(2)
 	h.Observe(9)
-	s.Emit("ev", F("k", 1))
+	tr.Emit("ev", F("k", 1))
 	SpanCtx{}.Start("span", h).Finish()
-	if c.Value() != 0 || g.Value() != 0 || s.Events() != 0 || s.Err() != nil {
+	if c.Value() != 0 || g.Value() != 0 || tr.records(0) != nil {
 		t.Fatal("nil instruments must read as zero")
 	}
 	snap := r.Snapshot()
@@ -87,7 +87,7 @@ func TestSpanRecordsDuration(t *testing.T) {
 		sp := tr.Root(TraceID{Conn: 1}).Start("work", h)
 		time.Sleep(time.Millisecond)
 		sp.Finish()
-		s := tr.Spans(0)
+		s := tr.records(0)
 		if len(s) != 1 || h.Snapshot().Count != 1 {
 			t.Fatalf("det=%v: %d spans, %d observations, want 1 and 1", det, len(s), h.Snapshot().Count)
 		}
@@ -98,8 +98,8 @@ func TestSpanRecordsDuration(t *testing.T) {
 		if det {
 			want = 0
 		}
-		if s[0].DurNs != want || (s[0].StartNs == 0) != det {
-			t.Errorf("det=%v: span start_ns %d dur_ns %d, histogram %d", det, s[0].StartNs, s[0].DurNs, h.Snapshot().Sum)
+		if s[0].durNs != want || (s[0].startNs == 0) != det {
+			t.Errorf("det=%v: span start_ns %d dur_ns %d, histogram %d", det, s[0].startNs, s[0].durNs, h.Snapshot().Sum)
 		}
 	}
 }

@@ -1,35 +1,55 @@
 package obs
 
 import (
+	"fmt"
 	"io"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
-// This file is the request-tracing plane: deterministic trace
-// contexts threaded end-to-end through the serving stack (session →
-// router → write log → shard pump → serving core → incremental
-// apply), recording nestable spans into a bounded in-memory ring that
-// the admin endpoint streams as JSONL (/trace?n=K).
+// This file is the record plane: one Tracer records a run's events
+// (Emit) and its request spans (SpanCtx.Start … Finish) as one record
+// type, rendered by one encoder (appendRecord) as one JSONL line —
+// {"ev":…} for an event, {"span":…} for a span, which is an event with
+// a trace position, a parent and a duration. A tracer has one
+// destination, fixed when it is built: NewTracer keeps the last
+// records in a bounded ring the admin endpoint streams (/trace?n=K),
+// and NewStream writes each record to a writer as it finishes (the
+// commands' -trace files).
 //
-// Determinism contract (DESIGN.md §13): trace IDs are derived from
-// (connection, request-sequence) — never random — and spans carry
-// logical timestamps (epoch, seq, shard) alongside wall-clock fields.
-// Under a deterministic Tracer the wall-clock fields are never stamped
-// and render as zero, so a serially driven session produces a
-// byte-identical span stream for equal inputs; the golden span tests
-// in internal/serve pin exactly that. Span attributes must therefore
-// be deterministic values (counts, logical positions) — never
-// durations, never scheduling-dependent observations.
+// Determinism contract (DESIGN.md §13): events carry only
+// deterministic values — counts, logical positions, set-derived sizes
+// — so for a fixed seed the event stream is byte-identical across runs
+// and worker counts. Trace IDs are derived from (connection,
+// request-sequence) — never random — and spans carry logical
+// timestamps (epoch, seq, shard) alongside wall-clock fields. Under a
+// deterministic Tracer (every stream is one) the wall-clock fields are
+// never stamped and render as zero, so a serially driven session
+// produces a byte-identical span stream for equal inputs; the golden
+// span tests in internal/serve pin exactly that. Span attributes must
+// therefore be deterministic values too — never durations, never
+// scheduling-dependent observations.
 //
 // A span is also its phase's only timer: Finish feeds the phase's
-// LatencyHist and the ring from one clock reading. Nil-safety matches
-// the rest of the package: a nil *Tracer hands out disabled SpanCtx
-// values, whose Start with a nil histogram returns the zero
-// ActiveSpan, whose methods all no-op — disabled tracing costs one
-// branch per call site, gated by BenchmarkDisabledOverhead.
+// LatencyHist and the tracer from one clock reading. Nil-safety matches
+// the rest of the package: a nil *Tracer ignores every Emit and hands
+// out disabled SpanCtx values, whose Start with a nil histogram returns
+// the zero ActiveSpan, whose methods all no-op — disabled tracing costs
+// one branch per call site, gated by BenchmarkDisabledOverhead.
+
+// Field is one ordered key/value pair of a record. Field order is part
+// of the trace format: the encoder emits fields in the order given, so
+// a fixed emission site produces a byte-stable line.
+type Field struct {
+	Key   string
+	Value any
+}
+
+// F builds a Field.
+func F(key string, value any) Field { return Field{Key: key, Value: value} }
 
 // TraceID identifies one request's trace: the serving connection id
 // and the request's sequence number on that connection. Negative Conn
@@ -48,40 +68,40 @@ func appendTraceID(buf []byte, id TraceID) []byte {
 	return strconv.AppendInt(buf, id.Seq, 10)
 }
 
-// Span is one finished span record. Logical fields use -1 for
-// "unset"; wall-clock fields are 0 under a deterministic tracer.
-type Span struct {
-	Trace  TraceID
-	ID     int32 // span id within the trace, 1-based in Finish order of Start
-	Parent int32 // parent span id; 0 = root
-	Name   string
+// record is one entry of a tracer: an event (id 0) or a finished span
+// (span ids are 1-based). An event leaves the span fields unused.
+// Logical fields use -1 for "unset"; wall-clock fields are 0 under a
+// deterministic tracer.
+type record struct {
+	name   string // event kind or span name
+	trace  TraceID
+	id     int32 // span id within the trace, 1-based in Start order
+	parent int32 // parent span id; 0 = root
 	// Logical timestamp: the epoch sequence the span observed or
 	// produced, the log/request sequence position, and the shard.
-	Epoch int64
-	Seq   int64
-	Shard int64
+	epoch, seq, shard int64
 	// Wall-clock fields: span start (unix nanoseconds) and duration.
-	// Both stay 0 under a deterministic tracer.
-	StartNs int64
-	DurNs   int64
-	// Attrs are optional ordered extras; values must be deterministic
-	// (see the package comment).
-	Attrs []Field
+	startNs, durNs int64
+	// fields are the event's fields or the span's attributes, in order.
+	fields []Field
 }
 
-// Tracer collects finished spans into a fixed-capacity ring. Create
-// with NewTracer; a nil *Tracer disables tracing everywhere it is
-// handed to.
+// Tracer records events and spans to one destination: a ring of the
+// last records (NewTracer) or a writer (NewStream). All methods are
+// safe for concurrent use; a nil *Tracer records nothing.
 type Tracer struct {
 	det bool
+	w   io.Writer // the stream; nil for a ring
 	cap int
 
 	mu   sync.Mutex
-	ring []Span
+	ring []record
 	next int
+	buf  []byte // the stream's line buffer
+	err  error  // the stream's first write error
 }
 
-// NewTracer returns a tracer keeping the last capacity spans
+// NewTracer returns a tracer keeping the last capacity records
 // (default 4096 when capacity <= 0). A deterministic tracer stamps no
 // wall-clock fields: spans carry logical timestamps only (a phase
 // histogram passed to Start still gets the real duration).
@@ -92,21 +112,51 @@ func NewTracer(capacity int, deterministic bool) *Tracer {
 	return &Tracer{det: deterministic, cap: capacity}
 }
 
-// record appends one finished span to the ring.
-func (t *Tracer) record(s Span) {
-	t.mu.Lock()
-	if len(t.ring) < t.cap {
-		t.ring = append(t.ring, s)
-	} else {
-		t.ring[t.next] = s
-		t.next = (t.next + 1) % t.cap
+// NewStream returns a deterministic tracer that writes each record to w
+// as one JSONL line when it finishes. The first write error latches
+// and later records are dropped.
+func NewStream(w io.Writer) *Tracer { return &Tracer{det: true, w: w} }
+
+// Emit records one event: a kind (see the Ev* constants in names.go)
+// plus ordered fields. No-op on a nil tracer. Holders guard hot paths
+// with a plain nil check, because building the variadic field list
+// allocates even when nothing records it:
+//
+//	if s.tracer != nil { s.tracer.Emit(...) }
+func (t *Tracer) Emit(kind string, fields ...Field) {
+	if t != nil {
+		t.record(&record{name: kind, fields: fields})
 	}
-	t.mu.Unlock()
 }
 
-// Spans returns the most recent n spans in record order (oldest
-// first). n <= 0 or n larger than the ring returns everything held.
-func (t *Tracer) Spans(n int) []Span {
+// record appends one finished record to the ring or writes it to the
+// stream.
+func (t *Tracer) record(r *record) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	switch {
+	case t.w == nil && len(t.ring) < t.cap:
+		t.ring = append(t.ring, *r)
+	case t.w == nil:
+		t.ring[t.next] = *r
+		t.next = (t.next + 1) % t.cap
+	case t.err == nil:
+		t.buf = appendRecord(t.buf[:0], r)
+		_, t.err = t.w.Write(t.buf)
+	}
+}
+
+// writeErr returns the stream's first write error, if any.
+func (t *Tracer) writeErr() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.err
+}
+
+// records returns the ring's most recent n records in record order
+// (oldest first). n <= 0 or n larger than the ring returns everything
+// held; a stream holds nothing.
+func (t *Tracer) records(n int) []record {
 	if t == nil {
 		return nil
 	}
@@ -116,7 +166,7 @@ func (t *Tracer) Spans(n int) []Span {
 	if n <= 0 || n > held {
 		n = held
 	}
-	out := make([]Span, n)
+	out := make([]record, n)
 	if n == 0 {
 		return out
 	}
@@ -127,12 +177,12 @@ func (t *Tracer) Spans(n int) []Span {
 	return out
 }
 
-// WriteJSONL streams the most recent n spans (see Spans) as JSONL,
-// one object per line, oldest first.
+// WriteJSONL writes the ring's most recent n records (see records) as
+// JSONL, oldest first.
 func (t *Tracer) WriteJSONL(w io.Writer, n int) error {
 	var buf []byte
-	for _, s := range t.Spans(n) {
-		buf = AppendSpanJSON(buf[:0], &s)
+	for _, r := range t.records(n) {
+		buf = appendRecord(buf[:0], &r)
 		if _, err := w.Write(buf); err != nil {
 			return err
 		}
@@ -140,42 +190,111 @@ func (t *Tracer) WriteJSONL(w io.Writer, n int) error {
 	return nil
 }
 
-// AppendSpanJSON renders one span as a compact JSON line (with
-// trailing newline). Hand-rolled like appendJSONL, and for the same
-// reason: field order is part of the format, so equal span sequences
-// render byte-identically.
-func AppendSpanJSON(buf []byte, s *Span) []byte {
-	buf = append(buf, `{"span":`...)
-	buf = appendJSONString(buf, s.Name)
-	buf = append(buf, `,"trace":"`...)
-	buf = appendTraceID(buf, s.Trace)
-	buf = append(buf, `","id":`...)
-	buf = strconv.AppendInt(buf, int64(s.ID), 10)
-	buf = append(buf, `,"parent":`...)
-	buf = strconv.AppendInt(buf, int64(s.Parent), 10)
-	if s.Epoch >= 0 {
-		buf = append(buf, `,"epoch":`...)
-		buf = strconv.AppendInt(buf, s.Epoch, 10)
+// appendRecord renders one record as one compact JSON object and a
+// newline: {"ev":kind,fields…} or {"span":name,"trace":…,fields…}.
+// Rendering is hand-rolled (rather than encoding/json) precisely to
+// preserve field order — byte-identical traces for equal seeds are a
+// tested contract.
+func appendRecord(buf []byte, r *record) []byte {
+	if r.id == 0 {
+		buf = append(buf, `{"ev":`...)
+		buf = appendJSONString(buf, r.name)
+	} else {
+		buf = append(buf, `{"span":`...)
+		buf = appendJSONString(buf, r.name)
+		buf = append(buf, `,"trace":"`...)
+		buf = appendTraceID(buf, r.trace)
+		buf = append(buf, `","id":`...)
+		buf = strconv.AppendInt(buf, int64(r.id), 10)
+		buf = append(buf, `,"parent":`...)
+		buf = strconv.AppendInt(buf, int64(r.parent), 10)
+		if r.epoch >= 0 {
+			buf = append(buf, `,"epoch":`...)
+			buf = strconv.AppendInt(buf, r.epoch, 10)
+		}
+		if r.seq >= 0 {
+			buf = append(buf, `,"seq":`...)
+			buf = strconv.AppendInt(buf, r.seq, 10)
+		}
+		if r.shard >= 0 {
+			buf = append(buf, `,"shard":`...)
+			buf = strconv.AppendInt(buf, r.shard, 10)
+		}
+		buf = append(buf, `,"start_ns":`...)
+		buf = strconv.AppendInt(buf, r.startNs, 10)
+		buf = append(buf, `,"dur_ns":`...)
+		buf = strconv.AppendInt(buf, r.durNs, 10)
 	}
-	if s.Seq >= 0 {
-		buf = append(buf, `,"seq":`...)
-		buf = strconv.AppendInt(buf, s.Seq, 10)
-	}
-	if s.Shard >= 0 {
-		buf = append(buf, `,"shard":`...)
-		buf = strconv.AppendInt(buf, s.Shard, 10)
-	}
-	buf = append(buf, `,"start_ns":`...)
-	buf = strconv.AppendInt(buf, s.StartNs, 10)
-	buf = append(buf, `,"dur_ns":`...)
-	buf = strconv.AppendInt(buf, s.DurNs, 10)
-	for _, f := range s.Attrs {
+	for _, f := range r.fields {
 		buf = append(buf, ',')
 		buf = appendJSONString(buf, f.Key)
 		buf = append(buf, ':')
 		buf = appendJSONValue(buf, f.Value)
 	}
 	return append(buf, '}', '\n')
+}
+
+func appendJSONValue(buf []byte, v any) []byte {
+	switch x := v.(type) {
+	case nil:
+		return append(buf, "null"...)
+	case bool:
+		return strconv.AppendBool(buf, x)
+	case int:
+		return strconv.AppendInt(buf, int64(x), 10)
+	case int64:
+		return strconv.AppendInt(buf, x, 10)
+	case uint64:
+		return strconv.AppendUint(buf, x, 10)
+	case float64:
+		return strconv.AppendFloat(buf, x, 'g', -1, 64)
+	case string:
+		return appendJSONString(buf, x)
+	case fmt.Stringer:
+		return appendJSONString(buf, x.String())
+	default:
+		return appendJSONString(buf, fmt.Sprint(x))
+	}
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString appends s as a JSON string literal. Control
+// characters, quotes and backslashes are escaped; valid UTF-8 passes
+// through raw (JSON permits it), and invalid bytes are escaped so the
+// output is always well-formed.
+func appendJSONString(buf []byte, s string) []byte {
+	buf = append(buf, '"')
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			switch {
+			case c == '"' || c == '\\':
+				buf = append(buf, '\\', c)
+			case c == '\n':
+				buf = append(buf, '\\', 'n')
+			case c == '\t':
+				buf = append(buf, '\\', 't')
+			case c == '\r':
+				buf = append(buf, '\\', 'r')
+			case c < 0x20:
+				buf = append(buf, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
+			default:
+				buf = append(buf, c)
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 {
+			buf = append(buf, '\\', 'u', 'f', 'f', 'f', 'd')
+			i++
+			continue
+		}
+		buf = append(buf, s[i:i+size]...)
+		i += size
+	}
+	return append(buf, '"')
 }
 
 // SpanCtx is a position in a trace: everything needed to start child
@@ -222,13 +341,13 @@ func (c SpanCtx) start(name string, h *LatencyHist) ActiveSpan {
 		id := c.ctr.Add(1)
 		a.rec = &spanRec{
 			ctx: SpanCtx{t: c.t, trace: c.trace, id: id, ctr: c.ctr},
-			s:   Span{Trace: c.trace, ID: id, Parent: c.id, Name: name, Epoch: -1, Seq: -1, Shard: -1},
+			r:   record{trace: c.trace, id: id, parent: c.id, name: name, epoch: -1, seq: -1, shard: -1},
 		}
 	}
 	if h != nil || (c.t != nil && !c.t.det) {
 		a.start = time.Now()
 		if a.rec != nil && !c.t.det {
-			a.rec.s.StartNs = a.start.UnixNano()
+			a.rec.r.startNs = a.start.UnixNano()
 		}
 	}
 	return a
@@ -244,10 +363,10 @@ type ActiveSpan struct {
 }
 
 // spanRec is the recorded half of an ActiveSpan: the context children
-// nest under and the span record its setters stamp.
+// nest under and the record its setters stamp.
 type spanRec struct {
 	ctx SpanCtx
-	s   Span
+	r   record
 }
 
 // Ctx returns the context for nesting children under this span (a
@@ -262,7 +381,7 @@ func (a ActiveSpan) Ctx() SpanCtx {
 // SetEpoch stamps the epoch-sequence logical timestamp.
 func (a ActiveSpan) SetEpoch(e int) ActiveSpan {
 	if a.rec != nil {
-		a.rec.s.Epoch = int64(e)
+		a.rec.r.epoch = int64(e)
 	}
 	return a
 }
@@ -270,7 +389,7 @@ func (a ActiveSpan) SetEpoch(e int) ActiveSpan {
 // SetSeq stamps the log/request-sequence logical timestamp.
 func (a ActiveSpan) SetSeq(s int) ActiveSpan {
 	if a.rec != nil {
-		a.rec.s.Seq = int64(s)
+		a.rec.r.seq = int64(s)
 	}
 	return a
 }
@@ -278,7 +397,7 @@ func (a ActiveSpan) SetSeq(s int) ActiveSpan {
 // SetShard stamps the shard logical timestamp.
 func (a ActiveSpan) SetShard(j int) ActiveSpan {
 	if a.rec != nil {
-		a.rec.s.Shard = int64(j)
+		a.rec.r.shard = int64(j)
 	}
 	return a
 }
@@ -287,7 +406,7 @@ func (a ActiveSpan) SetShard(j int) ActiveSpan {
 // (counts, names, logical positions — never durations).
 func (a ActiveSpan) Attr(key string, value any) ActiveSpan {
 	if a.rec != nil {
-		a.rec.s.Attrs = append(a.rec.s.Attrs, Field{Key: key, Value: value})
+		a.rec.r.fields = append(a.rec.r.fields, Field{Key: key, Value: value})
 	}
 	return a
 }
@@ -309,8 +428,8 @@ func (a ActiveSpan) finish() {
 	}
 	if r := a.rec; r != nil {
 		if !r.ctx.t.det {
-			r.s.DurNs = d
+			r.r.durNs = d
 		}
-		r.ctx.t.record(r.s)
+		r.ctx.t.record(&r.r)
 	}
 }

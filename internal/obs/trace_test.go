@@ -46,30 +46,30 @@ func TestTracerWallClock(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tc.Start(SpanReq, nil).SetSeq(i).Finish()
 	}
-	spans := tr.Spans(0)
+	spans := tr.records(0)
 	if len(spans) != 4 {
 		t.Fatalf("ring holds %d spans, want 4", len(spans))
 	}
 	// Oldest-first: seqs 6,7,8,9.
 	for i, s := range spans {
-		if s.Seq != int64(6+i) {
-			t.Fatalf("span %d has seq %d, want %d", i, s.Seq, 6+i)
+		if s.seq != int64(6+i) {
+			t.Fatalf("span %d has seq %d, want %d", i, s.seq, 6+i)
 		}
-		if s.StartNs == 0 {
+		if s.startNs == 0 {
 			t.Fatal("wall-clock tracer must stamp start_ns")
 		}
 	}
 	// Ten spans through four slots leave the write cursor at 2: the
 	// newest n sit before it for n <= 2 and wrap past the end above.
 	for n := 1; n <= 6; n++ {
-		got := tr.Spans(n)
+		got := tr.records(n)
 		want := min(n, 4)
 		if len(got) != want {
-			t.Fatalf("Spans(%d) returned %d spans, want %d", n, len(got), want)
+			t.Fatalf("records(%d) returned %d spans, want %d", n, len(got), want)
 		}
 		for i, s := range got {
-			if s.Seq != int64(10-want+i) {
-				t.Fatalf("Spans(%d)[%d] has seq %d, want %d", n, i, s.Seq, 10-want+i)
+			if s.seq != int64(10-want+i) {
+				t.Fatalf("records(%d)[%d] has seq %d, want %d", n, i, s.seq, 10-want+i)
 			}
 		}
 	}
@@ -79,7 +79,7 @@ func TestTracerWallClock(t *testing.T) {
 // SpanCtx, zero ActiveSpan.
 func TestTracerNil(t *testing.T) {
 	var tr *Tracer
-	if tr.Spans(5) != nil {
+	if tr.records(5) != nil {
 		t.Fatal("nil tracer must be fully disabled")
 	}
 	tc := tr.Root(TraceID{Conn: 9})
@@ -122,7 +122,7 @@ func TestTracerConcurrent(t *testing.T) {
 	wg.Wait()
 	// The ring is sized to hold every span: each Finish under
 	// contention must have recorded exactly one.
-	spans := tr.Spans(0)
+	spans := tr.records(0)
 	if len(spans) != workers*iters*2 {
 		t.Fatalf("ring holds %d spans, want %d", len(spans), workers*iters*2)
 	}
@@ -130,15 +130,15 @@ func TestTracerConcurrent(t *testing.T) {
 	// and each worker's trace holds all of its spans.
 	seen := map[TraceID]map[int32]bool{}
 	for _, s := range spans {
-		m := seen[s.Trace]
+		m := seen[s.trace]
 		if m == nil {
 			m = map[int32]bool{}
-			seen[s.Trace] = m
+			seen[s.trace] = m
 		}
-		if m[s.ID] {
-			t.Fatalf("duplicate span id %d in trace %+v", s.ID, s.Trace)
+		if m[s.id] {
+			t.Fatalf("duplicate span id %d in trace %+v", s.id, s.trace)
 		}
-		m[s.ID] = true
+		m[s.id] = true
 	}
 	if len(seen) != workers {
 		t.Fatalf("%d traces, want %d", len(seen), workers)

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"flag"
 	"io"
 	"os"
@@ -165,10 +166,7 @@ func TestPhaseSpansMatchHistograms(t *testing.T) {
 	before := reg.Snapshot().Latencies
 	pingPong(t, c, append(traceScript[:len(traceScript):len(traceScript)], `{"op":"insert","facts":["E(b,c)"]}`))
 
-	spans := map[string]int64{}
-	for _, s := range tr.Spans(0) {
-		spans[s.Name]++
-	}
+	spans := spanCounts(t, tr)
 	after := reg.Snapshot().Latencies
 	for _, p := range []struct{ span, hist string }{
 		{obs.SpanQueueWait, obs.SrvQueueWaitNs},
@@ -222,4 +220,25 @@ func TestMetricsCostNoAllocation(t *testing.T) {
 			onRead, onWrite, offRead, offWrite)
 	}
 	t.Logf("allocations per Do: read %.1f, write %.1f", onRead, onWrite)
+}
+
+// spanCounts counts the spans the tracer's ring holds, by name, from
+// the JSONL the ring renders.
+func spanCounts(t *testing.T, tr *obs.Tracer) map[string]int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int64{}
+	for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+		var r struct {
+			Span string `json:"span"`
+		}
+		if err := json.Unmarshal(line, &r); err != nil {
+			t.Fatalf("span line %q: %v", line, err)
+		}
+		counts[r.Span]++
+	}
+	return counts
 }

@@ -143,7 +143,7 @@ func TestClonePairEqualSeedsIdenticalTraces(t *testing.T) {
 	}
 	run := func(sim *Simulation) []byte {
 		var buf bytes.Buffer
-		sim.Observe(obs.NewSink(&buf))
+		sim.Observe(obs.NewStream(&buf))
 		if err := sim.RandomPrefix(99, 30); err != nil {
 			t.Fatal(err)
 		}

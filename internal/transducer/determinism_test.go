@@ -61,7 +61,7 @@ func runSeeded(t *testing.T, seed int64) (trace []byte, out *fact.Instance, metr
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	sim.Observe(obs.NewSink(&buf))
+	sim.Observe(obs.NewStream(&buf))
 	if err := sim.RandomPrefix(seed, 40); err != nil {
 		t.Fatal(err)
 	}

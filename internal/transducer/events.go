@@ -7,22 +7,22 @@ import (
 
 // The emit* helpers below are the single construction sites for the
 // sim.* event kinds: field names, order and types are part of the
-// byte-stable trace format. All are no-ops on a nil sink, keeping the
+// byte-stable trace format. All are no-ops on a nil tracer, keeping the
 // disabled-instrumentation path allocation-free.
 
 // emitTransition emits one sim.transition event. The delivered set m
 // is part of the event (sorted rendering) so a trace is a complete,
 // comparable record of the run: two runs with the same seed must
 // produce byte-identical streams.
-func emitTransition(sink *obs.Sink, step, clock int, x NodeID, m *fact.Instance, sent int, changed bool, out, buffered, held int) {
-	if sink == nil {
+func emitTransition(tracer *obs.Tracer, step, clock int, x NodeID, m *fact.Instance, sent int, changed bool, out, buffered, held int) {
+	if tracer == nil {
 		return
 	}
 	kind := "deliver"
 	if m.Empty() {
 		kind = "heartbeat"
 	}
-	sink.Emit(obs.EvTransition,
+	tracer.Emit(obs.EvTransition,
 		obs.F("step", step),
 		obs.F("clock", clock),
 		obs.F("node", string(x)),
@@ -38,22 +38,22 @@ func emitTransition(sink *obs.Sink, step, clock int, x NodeID, m *fact.Instance,
 
 // emitStall emits one sim.stall event (an activation swallowed by a
 // stall window).
-func emitStall(sink *obs.Sink, step, clock int, x NodeID) {
-	if sink == nil {
+func emitStall(tracer *obs.Tracer, step, clock int, x NodeID) {
+	if tracer == nil {
 		return
 	}
-	sink.Emit(obs.EvStall,
+	tracer.Emit(obs.EvStall,
 		obs.F("step", step),
 		obs.F("clock", clock),
 		obs.F("node", string(x)))
 }
 
 // emitCrash emits one sim.crash event.
-func emitCrash(sink *obs.Sink, step, clock int, x NodeID, dropped, rebuffered int) {
-	if sink == nil {
+func emitCrash(tracer *obs.Tracer, step, clock int, x NodeID, dropped, rebuffered int) {
+	if tracer == nil {
 		return
 	}
-	sink.Emit(obs.EvCrash,
+	tracer.Emit(obs.EvCrash,
 		obs.F("step", step),
 		obs.F("clock", clock),
 		obs.F("node", string(x)),
@@ -63,11 +63,11 @@ func emitCrash(sink *obs.Sink, step, clock int, x NodeID, dropped, rebuffered in
 
 // emitHold emits one sim.hold event (a message the fault plan held
 // back).
-func emitHold(sink *obs.Sink, clock int, from, to NodeID, f fact.Fact, copies, release int) {
-	if sink == nil {
+func emitHold(tracer *obs.Tracer, clock int, from, to NodeID, f fact.Fact, copies, release int) {
+	if tracer == nil {
 		return
 	}
-	sink.Emit(obs.EvHold,
+	tracer.Emit(obs.EvHold,
 		obs.F("clock", clock),
 		obs.F("from", string(from)),
 		obs.F("to", string(to)),
@@ -77,11 +77,11 @@ func emitHold(sink *obs.Sink, clock int, from, to NodeID, f fact.Fact, copies, r
 }
 
 // emitQuiesce emits one sim.quiesce event.
-func emitQuiesce(sink *obs.Sink, clock, rounds, out int) {
-	if sink == nil {
+func emitQuiesce(tracer *obs.Tracer, clock, rounds, out int) {
+	if tracer == nil {
 		return
 	}
-	sink.Emit(obs.EvQuiesce,
+	tracer.Emit(obs.EvQuiesce,
 		obs.F("clock", clock),
 		obs.F("rounds", rounds),
 		obs.F("out", out))

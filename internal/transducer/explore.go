@@ -162,11 +162,11 @@ type ExploreOptions struct {
 	// schedule families, leaving only the seed sweep.
 	SkipStarvation bool
 	SkipAdversary  bool
-	// Sink, when non-nil, receives one explore.schedule event per
+	// Tracer, when non-nil, receives one explore.schedule event per
 	// schedule run (and an explore.violation event when a schedule
 	// breaks the property). Per-transition simulation events are not
-	// attached here — wire a sink to an individual Simulation for that.
-	Sink *obs.Sink
+	// attached here — wire a tracer to an individual Simulation for that.
+	Tracer *obs.Tracer
 }
 
 // ExploreStats reports how much was explored. Every schedule counts,
@@ -277,7 +277,7 @@ func (e *explorer) run(label string, plan *FaultPlan, prefix func(*Simulation) e
 	if err == nil && len(s.WrongFacts) == 0 {
 		out, err = s.RunToQuiescence(rounds)
 	}
-	return e.stats.Record(s, label, out, err, e.opts.Sink)
+	return e.stats.Record(s, label, out, err, e.opts.Tracer)
 }
 
 // Record is the one verdict on an explored run. s ran as schedule
@@ -287,10 +287,10 @@ func (e *explorer) run(label string, plan *FaultPlan, prefix func(*Simulation) e
 // the machine appended, else a quiescent output other than Want —
 // checks message conservation, folds the run into st, whether it
 // completed, violated or failed, and emits explore.schedule (and
-// explore.violation) on sink. An error other than ErrNoQuiescence, or
+// explore.violation) on tracer. An error other than ErrNoQuiescence, or
 // a broken conservation, comes back as the error. Both explorers call
 // it: ExploreSchedules and netsim.Sweep.
-func (st *ExploreStats) Record(s *Simulation, label string, out *fact.Instance, err error, sink *obs.Sink) (*ScheduleViolation, error) {
+func (st *ExploreStats) Record(s *Simulation, label string, out *fact.Instance, err error, tracer *obs.Tracer) (*ScheduleViolation, error) {
 	m := s.Metrics
 	var v *ScheduleViolation
 	switch {
@@ -319,8 +319,8 @@ func (st *ExploreStats) Record(s *Simulation, label string, out *fact.Instance, 
 	if v != nil {
 		st.Violations++
 	}
-	if sink != nil {
-		sink.Emit(obs.EvSchedule,
+	if tracer != nil {
+		tracer.Emit(obs.EvSchedule,
 			obs.F("label", label),
 			obs.F("transitions", m.Transitions),
 			obs.F("sent", m.MessagesSent),
@@ -331,7 +331,7 @@ func (st *ExploreStats) Record(s *Simulation, label string, out *fact.Instance, 
 			if v.Bad != nil {
 				bad = v.Bad.String()
 			}
-			sink.Emit(obs.EvViolation,
+			tracer.Emit(obs.EvViolation,
 				obs.F("kind", v.Kind.String()),
 				obs.F("schedule", v.Schedule),
 				obs.F("step", v.Step),

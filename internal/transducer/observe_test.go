@@ -55,7 +55,7 @@ func TestGoldenSimTrace(t *testing.T) {
 		Crashes:   []Crash{{Node: "n1", At: 6}},
 	})
 	var sb strings.Builder
-	sim.Observe(obs.NewSink(&sb))
+	sim.Observe(obs.NewStream(&sb))
 	if _, err := sim.RunToQuiescence(64); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestGoldenExploreTrace(t *testing.T) {
 	net := MustNetwork("n1", "n2")
 	in := fact.MustParseInstance(`E(a,b)`)
 	var sb strings.Builder
-	opts := ExploreOptions{Seeds: 1, Sink: obs.NewSink(&sb)}
+	opts := ExploreOptions{Seeds: 1, Tracer: obs.NewStream(&sb)}
 	v, stats, err := ExploreSchedules(net, bad, HashPolicy(net), Original, in, wantO(in), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestRunRandomSameSeedIdenticalEvents(t *testing.T) {
 		}
 		sim.SetFaults(RandomFaultPlan(net, seed, DefaultFaultConfig()))
 		var buf bytes.Buffer
-		sim.Observe(obs.NewSink(&buf))
+		sim.Observe(obs.NewStream(&buf))
 		if err := sim.RandomPrefix(seed, 40); err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestRunRandomSameSeedIdenticalEvents(t *testing.T) {
 	}
 }
 
-// Clones never inherit the structured sink, exactly as they never
+// Clones never inherit the structured tracer, exactly as they never
 // inherited the text trace (TestCloneDropsTrace).
 func TestCloneDropsSink(t *testing.T) {
 	net := MustNetwork("n1")
@@ -147,20 +147,20 @@ func TestCloneDropsSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	sim.Observe(obs.NewSink(&sb))
+	sim.Observe(obs.NewStream(&sb))
 	clone := sim.Clone()
 	if _, err := clone.Heartbeat("n1"); err != nil {
 		t.Fatal(err)
 	}
 	if sb.Len() != 0 {
-		t.Error("clone wrote to the parent's event sink")
+		t.Error("clone wrote to the parent's event tracer")
 	}
 	// The parent still observes its own steps.
 	if _, err := sim.Heartbeat("n1"); err != nil {
 		t.Fatal(err)
 	}
 	if sb.Len() == 0 {
-		t.Error("parent sink detached by cloning")
+		t.Error("parent tracer detached by cloning")
 	}
 }
 

@@ -247,21 +247,21 @@ type Simulation struct {
 	WrongFacts []fact.Fact
 	WrongAt    int
 
-	// sink, when set, receives one typed event per transition, stall,
+	// tracer, when set, receives one typed event per transition, stall,
 	// crash, hold and quiescence (the sim.* kinds of internal/obs).
-	sink *obs.Sink
+	tracer *obs.Tracer
 }
 
-// Observe attaches a structured event sink to the simulation: every
+// Observe attaches a structured event tracer to the simulation: every
 // transition, stall, crash, message hold and quiescence emits one
 // typed event (the sim.* kinds of internal/obs names.go). Events are a
 // deterministic function of the schedule, so equal-seed runs produce
 // byte-identical streams. Pass nil to disable.
-func (s *Simulation) Observe(sink *obs.Sink) { s.sink = sink }
+func (s *Simulation) Observe(tracer *obs.Tracer) { s.tracer = tracer }
 
-// Sink returns the attached event sink (nil when none), for a
+// Tracer returns the attached event tracer (nil when none), for a
 // scheduler that adds its own event kinds to the same stream.
-func (s *Simulation) Sink() *obs.Sink { return s.sink }
+func (s *Simulation) Tracer() *obs.Tracer { return s.tracer }
 
 // NewSimulation validates the components and builds the start
 // configuration (all states and buffers empty) with the paper's
@@ -335,7 +335,7 @@ func (s *Simulation) Clock() int { return s.clock }
 // untouched. Used by the exhaustive run explorer.
 func (s *Simulation) Clone() *Simulation {
 	c := *s // plans are immutable and decision-pure; idx and recipients never change
-	c.sink = nil
+	c.tracer = nil
 	// The clone asks the policy afresh and steps into accumulators and a
 	// delivered set of its own rather than share maps.
 	c.step.memo, c.step.acc = nil, Delta{}
@@ -444,7 +444,7 @@ func (s *Simulation) stalled(i int) bool {
 		return false
 	}
 	s.Metrics.StalledSteps++
-	emitStall(s.sink, s.Metrics.Transitions, s.clock, s.Net[i])
+	emitStall(s.tracer, s.Metrics.Transitions, s.clock, s.Net[i])
 	return true
 }
 
@@ -507,7 +507,7 @@ func (s *Simulation) crash(i int) {
 		}
 	})
 	s.Metrics.Crashes++
-	emitCrash(s.sink, s.Metrics.Transitions, s.clock, s.Net[i], dropped, n.buf.size())
+	emitCrash(s.tracer, s.Metrics.Transitions, s.clock, s.Net[i], dropped, n.buf.size())
 }
 
 // send routes one (fact, recipient) pair through the fault plan: the
@@ -524,7 +524,7 @@ func (s *Simulation) send(from, to int, f fact.Fact, place placer) {
 	s.Metrics.MessagesDuplicated += copies - 1
 	if delay > 0 {
 		s.Metrics.MessagesDelayed += copies
-		emitHold(s.sink, s.clock, s.Net[from], s.Net[to], f, copies, s.clock+delay)
+		emitHold(s.tracer, s.clock, s.Net[from], s.Net[to], f, copies, s.clock+delay)
 	}
 	n := &s.nodes[to]
 	switch {
@@ -608,10 +608,10 @@ func (s *Simulation) transition(i int, m *fact.Instance, place placer) (changed 
 	if m.Empty() {
 		s.Metrics.Heartbeats++
 	}
-	if s.sink != nil {
+	if s.tracer != nil {
 		outputs := 0
 		s.eachOutput(i, func(fact.ID, []fact.ID) { outputs++ })
-		emitTransition(s.sink, s.Metrics.Transitions, s.clock, s.Net[i], m, res.Sent.Len(), changed,
+		emitTransition(s.tracer, s.Metrics.Transitions, s.clock, s.Net[i], m, res.Sent.Len(), changed,
 			outputs, n.buf.size(), s.heldAt(i))
 	}
 	return changed, nil
@@ -786,7 +786,7 @@ func (s *Simulation) RunToQuiescence(maxRounds int) (*fact.Instance, error) {
 		}
 		if !roundChanged && s.TotalBuffered() == 0 && s.TotalHeld() == 0 && s.faultsDone() {
 			out := s.Output()
-			emitQuiesce(s.sink, s.clock, round+1, out.Len())
+			emitQuiesce(s.tracer, s.clock, round+1, out.Len())
 			return out, nil
 		}
 	}

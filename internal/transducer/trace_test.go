@@ -16,7 +16,7 @@ func TestTraceOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf strings.Builder
-	sim.Observe(obs.NewSink(&buf))
+	sim.Observe(obs.NewStream(&buf))
 	if _, err := sim.Heartbeat("n1"); err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestTraceOutput(t *testing.T) {
 	}
 }
 
-// Clones never inherit the trace sink (the explorer would flood it).
+// Clones never inherit the tracer (the explorer would flood it).
 func TestCloneDropsTrace(t *testing.T) {
 	net := MustNetwork("n1")
 	sim, err := NewSimulation(net, echoTransducer(), HashPolicy(net), Original, fact.MustParseInstance(`E(a,b)`))
@@ -53,12 +53,12 @@ func TestCloneDropsTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf strings.Builder
-	sim.Observe(obs.NewSink(&buf))
+	sim.Observe(obs.NewStream(&buf))
 	clone := sim.Clone()
 	if _, err := clone.Heartbeat("n1"); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 0 {
-		t.Error("clone wrote to the parent's trace sink")
+		t.Error("clone wrote to the parent's tracer")
 	}
 }

@@ -1,5 +1,5 @@
 #!/bin/sh
-# check.sh runs the full local gate: vet, build, fourteen structural gates
+# check.sh runs the full local gate: vet, build, fifteen structural gates
 # (internal/cluster has grown no wire loop of its own, IndexedInstance no
 # second fact store, internal/incr and internal/ilog start no goroutine,
 # internal/datalog starts them in one place, a fixpoint round never
@@ -21,7 +21,9 @@
 # the line — and a timed phase has one clock: its span, which feeds its
 # histogram; no Registry.Span, no time.Now beside a span in
 # internal/serve or internal/cluster — and one load generator: go run
-# ./bench, with no cmd/calmload or internal/load beside it), the
+# ./bench, with no cmd/calmload or internal/load beside it — and one
+# recorder: obs.Tracer, whose one encoder renders every event and span
+# line, with no obs.Sink beside it), the
 # exported-identifier ratchet (scripts/exports.go), and the test suite
 # under the race detector (the fanned-out rounds of the batch fixpoint,
 # the epoch-pinned serving core, and the simulation determinism tests
@@ -244,13 +246,34 @@ if [ -n "$bad" ] || [ "$(echo "$calls" | grep -c .)" -ne 4 ]; then
     exit 1
 fi
 
+# One recorder: obs.Tracer records a run's events (Emit) and its
+# spans (SpanCtx.Start … Finish) as one record type, and appendRecord
+# (internal/obs trace.go) renders every JSONL line, {"ev":…} and
+# {"span":…} alike, for a ring (NewTracer) or a stream (NewStream).
+# obs.Sink was a second recorder beside it, with its own type, line
+# encoder, nil-guard idiom and calmd flag (-trace-spans sized the
+# ring). Any of them in non-test Go, or a line opened outside
+# appendRecord, is that second recorder growing back.
+echo ">> structural gate: one recorder"
+if grep -rnE --include='*.go' --exclude='*_test.go' 'type Sink\b|NewSink|appendJSONL|AppendSpanJSON|trace-spans' internal cmd calm bench; then
+    echo "check: obs.Sink, its encoder or calmd -trace-spans is back; record through obs.Tracer (NewTracer or NewStream)"
+    exit 1
+fi
+opens=$(grep -rnF --include='*.go' --exclude='*_test.go' -e '`{"ev":`' -e '`{"span":`' internal cmd calm bench || true)
+inside=$(awk '/^func appendRecord\(/,/^}/' internal/obs/trace.go | grep -cF -e '`{"ev":`' -e '`{"span":`' || true)
+if [ "$(echo "$opens" | grep -c .)" -ne 2 ] || [ "$inside" -ne 2 ]; then
+    echo "$opens"
+    echo "check: a JSONL record line is opened outside obs appendRecord; one encoder renders every line"
+    exit 1
+fi
+
 # The exported surface is a ratchet: scripts/exports.go counts the
 # exported funcs/methods under internal/ and calm/ that no non-test
 # file refers to, and those only their own package refers to. Neither
 # may grow past the figure recorded here; a PR that unexports or
 # deletes lowers the figure with it.
-max_unreferenced=82
-max_package_only=57
+max_unreferenced=81
+max_package_only=54
 echo ">> exported-identifier ratchet: unreferenced <= $max_unreferenced, package-only <= $max_package_only"
 exports=$(go run scripts/exports.go)
 echo "$exports" | sed 's/^/   /'
@@ -313,7 +336,7 @@ coverage_gate ./internal/serve/ 80.0
 coverage_gate ./internal/cluster/ 80.0
 coverage_gate ./internal/admin/ 80.0
 
-# Disabled-instrumentation overhead gate: the nil-receiver/nil-sink
+# Disabled-instrumentation overhead gate: the nil-receiver/nil-tracer
 # fast path must stay within noise of the bare workload. "disabled"
 # adds the exact call shapes the engines use per inner-loop iteration;
 # it may cost at most 1.5x baseline + 5ns.
