@@ -36,8 +36,9 @@ type cIneq struct{ a, b cTerm }
 // cRule is a compiled rule. Variables are numbered by first
 // occurrence scanning the positive body, then the negative body, the
 // head, and the inequalities; vars maps slots back to names for error
-// messages and Valuation.Ground. A compiled rule is immutable after
-// compileRule returns and safe to share across goroutines.
+// messages. A compiled rule is immutable once its stratum loop starts
+// (evalStratum gives an invention rule its hook first) and safe to
+// share across goroutines.
 type cRule struct {
 	src      Rule
 	head     cAtom
@@ -45,7 +46,8 @@ type cRule struct {
 	neg      []cAtom
 	ineq     []cIneq
 	vars     []string
-	negArity int // max arity over neg, for the guard scratch tuple
+	negArity int      // max arity over neg, for the guard scratch tuple
+	hook     HeadHook // fills head position 0 of an invention rule
 }
 
 func compileRule(r Rule) cRule {
@@ -281,6 +283,9 @@ func evalRuleC(cr *cRule, x *IndexedInstance, pin int, pinned cands, scanned *in
 	return cr.match(x, nil, pin, pinned, scanned, func(env []fact.ID) error {
 		if err := cr.groundHead(env, head); err != nil {
 			return err
+		}
+		if cr.hook != nil {
+			cr.hook(head)
 		}
 		return emit(cr.head.rel, head)
 	})

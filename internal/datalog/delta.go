@@ -28,7 +28,6 @@ type Valuation struct {
 	cr  *cRule
 	env []fact.ID
 	buf []byte
-	ids []fact.ID // Ground's scratch tuple
 }
 
 // appendAtomKey packs (relation, grounded args) of a compiled atom
@@ -62,32 +61,6 @@ func (v *Valuation) Head() (fact.Fact, error) {
 		return fact.Fact{}, err
 	}
 	return fact.FromIDs(v.cr.head.rel, args), nil
-}
-
-// Ground applies the valuation to a source-level atom and returns the
-// resulting fact (safe to retain). Every variable of the atom must be
-// a variable of the compiled rule — the rule's own head or a negated
-// atom its caller checks against another instance, say.
-func (v *Valuation) Ground(a Atom) (fact.Fact, error) {
-	v.ids = v.ids[:0]
-	for _, t := range a.Args {
-		id := fact.NoID
-		if !t.IsVar() {
-			id = fact.Intern(t.Const)
-		} else {
-			for s, name := range v.cr.vars {
-				if name == t.Var {
-					id = v.env[s]
-					break
-				}
-			}
-		}
-		if id == fact.NoID {
-			return fact.Fact{}, fmt.Errorf("datalog: unbound variable %s in %v", t.Var, a)
-		}
-		v.ids = append(v.ids, id)
-	}
-	return fact.FromIDs(fact.InternString(a.Rel), v.ids), nil
 }
 
 // CompiledRule is a rule pre-compiled to the matcher's slot/ID form.

@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/fact"
@@ -77,7 +78,8 @@ type FixpointOptions struct {
 	Mode EvalMode
 	// MaxRounds bounds the number of productive TP applications —
 	// rounds that derive at least one new fact; the final pass that
-	// merely confirms the fixpoint is free. 0 means unbounded.
+	// merely confirms the fixpoint is free. 0 means unbounded, and a
+	// negative bound admits none.
 	// Datalog¬ fixpoints always terminate on finite inputs, so the
 	// bound exists only for defensive use. All modes enforce the bound
 	// identically: a program whose fixpoint needs k productive rounds
@@ -109,20 +111,37 @@ func (p *Program) Fixpoint(input *fact.Instance, opts FixpointOptions) (*fact.In
 	if !p.IsSemiPositive() {
 		return nil, fmt.Errorf("datalog: Fixpoint requires a semi-positive program; use EvalStratified")
 	}
-	return evalStrata([][]Rule{p.Rules}, input, opts)
+	return EvalStrata([][]Rule{p.Rules}, nil, 0, input, opts)
 }
 
-// evalStrata evaluates the strata in order over one IndexedInstance: the
-// input is indexed once, each stratum's fixpoint extends the same index
-// instead of re-indexing its input, and the index's tables are handed
-// over as the result, not copied.
-func evalStrata(strata [][]Rule, input *fact.Instance, opts FixpointOptions) (*fact.Instance, error) {
-	eo := newEngineObs(opts)
+// HeadHook fills position 0 of an invention rule's head, the position
+// its head atom does not list, from positions 1.., which the engine
+// grounds from the atom. It runs once per derivation, before the
+// duplicate test, and must be a function of its arguments.
+type HeadHook func(head []fact.ID)
+
+// ErrBound is wrapped by the error of an evaluation that passes its
+// round bound (MaxRounds) or its fact bound (EvalStrata's maxFacts).
+var ErrBound = errors.New("datalog: fixpoint exceeded")
+
+// EvalStrata evaluates the strata in order over one IndexedInstance:
+// the input is indexed once, each stratum's fixpoint extends the same
+// index instead of re-indexing its input, and the index's tables are
+// handed over as the result, not copied. It validates nothing; Fixpoint
+// and EvalStratified do.
+//
+// A non-nil hooks makes it the evaluator of wILOG¬ (internal/ilog): a
+// rule whose head relation has a hook derives its heads through it, a
+// stratum holding such a rule fails once the instance has more than
+// maxFacts facts, and the trace carries ilog.round and ilog.stratum
+// events in place of dl.* ones.
+func EvalStrata(strata [][]Rule, hooks map[string]HeadHook, maxFacts int, input *fact.Instance, opts FixpointOptions) (*fact.Instance, error) {
+	eo := newEngineObs(opts, hooks != nil)
 	sp := obs.SpanCtx{}.Start("", opts.Reg.Latency(obs.DlFixpointNs))
 	x := IndexInstance(input)
 	for i, stratum := range strata {
 		eo.beginStratum(i+1, stratum)
-		if err := evalStratum(stratum, x, opts, eo); err != nil {
+		if err := evalStratum(stratum, x, opts, eo, hooks, maxFacts); err != nil {
 			return nil, err
 		}
 		eo.endStratum(x)
@@ -140,8 +159,9 @@ func evalStrata(strata [][]Rule, input *fact.Instance, opts FixpointOptions) (*f
 // each rule once per positive atom whose table gained rows, with that
 // atom pinned to the rows the last round appended. In Parallel mode a
 // round whose pinned work reaches the inline threshold fans out
-// (parallel.go); the derived facts are identical either way.
-func evalStratum(rules []Rule, x *IndexedInstance, opts FixpointOptions, eo *engineObs) error {
+// (parallel.go); the derived facts are identical either way. A hooked
+// rule's head gains position 0, written by its hook (EvalStrata).
+func evalStratum(rules []Rule, x *IndexedInstance, opts FixpointOptions, eo *engineObs, hooks map[string]HeadHook, maxFacts int) error {
 	if opts.Mode != SemiNaive && opts.Mode != Naive && opts.Mode != Parallel {
 		return fmt.Errorf("datalog: unknown evaluation mode %d", opts.Mode)
 	}
@@ -150,6 +170,13 @@ func evalStratum(rules []Rule, x *IndexedInstance, opts FixpointOptions, eo *eng
 	}
 	crs := compileRules(rules)
 	l := &stratumLoop{x: x, workers: opts.Mode.width(), mode: opts.Mode, eo: eo}
+	for i := range crs {
+		if h := hooks[rules[i].Head.Rel]; h != nil {
+			crs[i].hook = h
+			crs[i].head.terms = append([]cTerm{{slot: -1}}, crs[i].head.terms...)
+			l.maxFacts = maxFacts
+		}
+	}
 	full := func(w int) []ruleTask { return fullPassTasks(crs, x, w) }
 	next := func(w int) []ruleTask { return deltaTasks(crs, l.delta, w) }
 	if opts.Mode == Naive {
@@ -157,8 +184,8 @@ func evalStratum(rules []Rule, x *IndexedInstance, opts FixpointOptions, eo *eng
 	}
 	err := l.runRound(full)
 	for productive := 1; err == nil && len(l.delta) > 0; productive++ {
-		if opts.MaxRounds > 0 && productive > opts.MaxRounds {
-			return fmt.Errorf("datalog: fixpoint exceeded %d rounds", opts.MaxRounds)
+		if opts.MaxRounds != 0 && productive > opts.MaxRounds {
+			return fmt.Errorf("%w %d rounds", ErrBound, opts.MaxRounds)
 		}
 		err = l.runRound(next)
 	}

@@ -383,8 +383,7 @@ func (x *IndexedInstance) Len() int { return x.n }
 
 // Instance materializes the facts as a fact.Instance of the caller's
 // own: a copy of every row the version sees, for an evaluation that
-// keeps its index (incr, ilog, the alternating fixpoint), not for a
-// request path.
+// keeps its index (incr), not for a request path.
 func (x *IndexedInstance) Instance() *fact.Instance {
 	at := x.version()
 	out := fact.NewInstance()

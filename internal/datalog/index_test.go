@@ -56,7 +56,7 @@ func readAll(t *testing.T, x *IndexedInstance, universe []fact.Fact, workers int
 				return err
 			}
 			heads[h.String()] = h
-			g, err := v.Ground(AtomV("V", c.cr.vars...))
+			g, err := ground(v, AtomV("V", c.cr.vars...))
 			got.Vals[i] = append(got.Vals[i], g.String())
 			return err
 		}); err != nil {

@@ -72,19 +72,22 @@ type engineObs struct {
 
 	rounds, derivations, duplicates, candidates, deltaFacts, tasks *obs.Counter
 
-	stratum  int    // 1-based ordinal of the stratum being evaluated
-	rules    []Rule // rules of the current stratum
-	round    int    // next round number within the stratum
-	sDerived int64  // delta facts accumulated in this stratum
+	ilog      bool   // an ILOG run: ilog.* events replace dl.* ones
+	stratum   int    // 1-based ordinal of the stratum being evaluated
+	rules     []Rule // rules of the current stratum
+	round     int    // next round number within the stratum
+	sDerived  int64  // delta facts accumulated in this stratum
+	sInvented int64  // of them, appended by hooked rules
 }
 
 // newEngineObs returns nil when both the registry and the tracer are
 // absent — the disabled fast path the hot loops test for.
-func newEngineObs(opts FixpointOptions) *engineObs {
+func newEngineObs(opts FixpointOptions, ilog bool) *engineObs {
 	if opts.Reg == nil && opts.Tracer == nil {
 		return nil
 	}
 	return &engineObs{
+		ilog:        ilog,
 		reg:         opts.Reg,
 		tracer:      opts.Tracer,
 		rounds:      opts.Reg.Counter(obs.DlRounds),
@@ -108,22 +111,30 @@ func (eo *engineObs) beginStratum(stratum int, rules []Rule) {
 	eo.stratum = stratum
 	eo.rules = rules
 	eo.round = 0
-	eo.sDerived = 0
+	eo.sDerived, eo.sInvented = 0, 0
 	eo.reg.Counter(obs.DlStrata).Inc()
 }
 
 // roundDone publishes one round's aggregate: counters and per-rule
 // counters into the registry, one deterministic round event into the
-// tracer. workerTasks/workerBusy are per-worker load figures of a
-// fanned-out round (nil for inline rounds); they stay in the Registry
-// plane.
-func (eo *engineObs) roundDone(mode EvalMode, ntasks int, agg *roundAgg, delta int, workerTasks, workerBusy []int64) {
+// tracer. delta is the rows the barrier appended, invented those hooked
+// rules appended and facts the instance's size after it; an ILOG run
+// also counts them as ilog.* counters. workerTasks/workerBusy are
+// per-worker load figures of a fanned-out round (nil for inline
+// rounds); they stay in the Registry plane.
+func (eo *engineObs) roundDone(mode EvalMode, ntasks int, agg *roundAgg, delta, invented, facts int, workerTasks, workerBusy []int64) {
 	if eo == nil {
 		return
 	}
 	round := eo.round
 	eo.round++
 	eo.sDerived += int64(delta)
+	eo.sInvented += int64(invented)
+	if eo.ilog {
+		eo.reg.Counter(obs.IlogRounds).Inc()
+		eo.reg.Counter(obs.IlogDerivations).Add(int64(delta))
+		eo.reg.Counter(obs.IlogInvented).Add(int64(invented))
+	}
 	eo.rounds.Inc()
 	eo.tasks.Add(int64(ntasks))
 	eo.derivations.Add(agg.derived)
@@ -145,7 +156,16 @@ func (eo *engineObs) roundDone(mode EvalMode, ntasks int, agg *roundAgg, delta i
 			eo.reg.Latency(obs.DlWorkerBusyNs).Observe(workerBusy[w])
 		}
 	}
-	if eo.tracer != nil {
+	switch {
+	case eo.tracer == nil:
+	case eo.ilog:
+		eo.tracer.Emit(obs.EvIlogRound,
+			obs.F("stratum", eo.stratum),
+			obs.F("round", round),
+			obs.F("derived", delta),
+			obs.F("invented", invented),
+			obs.F("facts", facts))
+	default:
 		eo.tracer.Emit(obs.EvDlRound,
 			obs.F("stratum", eo.stratum),
 			obs.F("round", round),
@@ -163,7 +183,15 @@ func (eo *engineObs) endStratum(x *IndexedInstance) {
 	if eo == nil {
 		return
 	}
-	if eo.tracer != nil {
+	switch {
+	case eo.tracer == nil:
+	case eo.ilog:
+		eo.tracer.Emit(obs.EvIlogStratum,
+			obs.F("stratum", eo.stratum),
+			obs.F("rounds", eo.round),
+			obs.F("derived", eo.sDerived),
+			obs.F("invented", eo.sInvented))
+	default:
 		eo.tracer.Emit(obs.EvDlStratum,
 			obs.F("stratum", eo.stratum),
 			obs.F("rules", len(eo.rules)),
@@ -178,7 +206,7 @@ func (eo *engineObs) endFixpoint(strata int, x *IndexedInstance) {
 	if eo == nil {
 		return
 	}
-	if eo.tracer != nil {
+	if eo.tracer != nil && !eo.ilog {
 		eo.tracer.Emit(obs.EvDlFixpoint,
 			obs.F("strata", strata),
 			obs.F("facts", x.Len()))

@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -27,8 +28,8 @@ import (
 // Data-Parallel Systems"): semi-naive deltas partition freely across
 // evaluators as long as every evaluator sees the full instance for the
 // non-pinned atoms. Nothing else in the engine is data-parallel in that
-// sense — incr's cone is a couple of facts a write, ilog's rounds are
-// bounded by invention — so nothing else starts a goroutine, and
+// sense — incr's cone is a couple of facts a write, and ILOG's rounds
+// are these rounds (EvalStrata) — so nothing else starts a goroutine, and
 // neither the width nor the threshold is an option;
 // TestParallelWorkSpan gates the work/span bound that keeps the mode.
 
@@ -228,12 +229,13 @@ func pinnedWork(tasks []ruleTask) int {
 // the capacity earlier ones grew, and the spans the last barrier
 // appended.
 type stratumLoop struct {
-	x       *IndexedInstance
-	workers int
-	mode    EvalMode
-	eo      *engineObs
-	bufs    [][]fact.ID
-	delta   []span
+	x        *IndexedInstance
+	workers  int
+	mode     EvalMode
+	eo       *engineObs
+	bufs     [][]fact.ID
+	delta    []span
+	maxFacts int // a bound on x.Len() after each round; 0 for none
 }
 
 // runRound evaluates one round against the frozen x and appends the
@@ -296,7 +298,7 @@ func (l *stratumLoop) runRound(build func(workers int) []ruleTask) error {
 	}); err != nil {
 		return err
 	}
-	appended := l.barrier(tasks)
+	appended, invented := l.barrier(tasks)
 	if eo != nil {
 		agg := eo.newRoundAgg()
 		for _, a := range aggs {
@@ -304,18 +306,21 @@ func (l *stratumLoop) runRound(build func(workers int) []ruleTask) error {
 				agg.merge(a)
 			}
 		}
-		eo.roundDone(l.mode, len(tasks), agg, appended, wTasks, wBusy)
+		eo.roundDone(l.mode, len(tasks), agg, appended, invented, l.x.Len(), wTasks, wBusy)
 		round.Finish()
+	}
+	if l.maxFacts > 0 && l.x.Len() > l.maxFacts {
+		return fmt.Errorf("%w %d facts", ErrBound, l.maxFacts)
 	}
 	return nil
 }
 
 // barrier appends the heads the round's tasks buffered to x in task
 // order, a duplicate among them one byKey probe each, sets l.delta to
-// the rows each table gained and returns how many rows that is.
-func (l *stratumLoop) barrier(tasks []ruleTask) int {
+// the rows each table gained and returns how many rows that is, and
+// how many of them hooked rules appended.
+func (l *stratumLoop) barrier(tasks []ruleTask) (appended, invented int) {
 	l.delta = l.delta[:0]
-	appended := 0
 	for i, t := range tasks {
 		buf, head := l.bufs[i], t.cr.head
 		if len(buf) == 0 {
@@ -330,9 +335,13 @@ func (l *stratumLoop) barrier(tasks []ruleTask) int {
 		for k := 0; k < len(buf); k += tab.arity {
 			l.x.addIDs(tab, buf[k:k+tab.arity])
 		}
-		appended += len(tab.stamps) - l.delta[j].hi
+		n := len(tab.stamps) - l.delta[j].hi
+		appended += n
+		if t.cr.hook != nil {
+			invented += n
+		}
 		l.delta[j].hi = len(tab.stamps)
 	}
 	l.delta = slices.DeleteFunc(l.delta, func(s span) bool { return s.hi == s.lo })
-	return appended
+	return appended, invented
 }

@@ -150,7 +150,7 @@ func (p *Program) EvalStratified(input *fact.Instance, opts FixpointOptions) (*f
 	if err != nil {
 		return nil, err
 	}
-	return evalStrata(p.Strata(rho), input, opts)
+	return EvalStrata(p.Strata(rho), nil, 0, input, opts)
 }
 
 // Eval computes P(I) with default options (semi-naive evaluation),

@@ -171,7 +171,7 @@ func TestStratificationIndependence(t *testing.T) {
 	}
 	x := IndexInstance(in.Clone())
 	for _, stratum := range p.Strata(padded) {
-		if err := evalStratum(stratum, x, FixpointOptions{}, nil); err != nil {
+		if err := evalStratum(stratum, x, FixpointOptions{}, nil, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -18,7 +18,7 @@ func valuations(t *testing.T, x *IndexedInstance, src string, pin int, pinFacts 
 	t.Helper()
 	var got []string
 	err := x.Valuations(Compile(mustRule(t, src)), pin, pinFacts, head, func(v *Valuation) error {
-		g, err := v.Ground(AtomV("V", show...))
+		g, err := ground(v, AtomV("V", show...))
 		got = append(got, g.String())
 		return err
 	})
@@ -57,7 +57,7 @@ func TestValuationsSnapshotIsolated(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		g, err := v.Ground(AtomV("G", "y", "x"))
+		g, err := ground(v, AtomV("G", "y", "x"))
 		heads, grounds = append(heads, h), append(grounds, g)
 		return err
 	}); err != nil {

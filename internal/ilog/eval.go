@@ -1,33 +1,37 @@
 package ilog
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/datalog"
 	"repro/internal/fact"
 	"repro/internal/obs"
 )
 
-// This file evaluates ILOG¬ programs under the stratified semantics:
-// strata are evaluated in order, each as a fixpoint where valuations
-// of the Skolemized rules are taken over the Herbrand universe — in
-// practice, over the facts accumulated so far, whose values may
-// already be invented terms. A fresh invention for the same valuation
-// always yields the same Skolem value, as Skolemization requires.
+// This file evaluates ILOG¬ programs under the stratified semantics on
+// the Datalog engine's stratum loop (datalog.EvalStrata): each rule is
+// lowered through body(), and an invention rule's head gains position
+// 0, which a head hook fills with the Skolem value of the rest of the
+// head, so the same valuation always invents the same value, as
+// Skolemization requires. The loop is semi-naive: an invented value is
+// a function of its valuation, so a valuation that touches no new row
+// invents nothing new.
 
 // Options bounds the fixpoint. Because value invention can diverge
 // (the output is then undefined), both a round bound and a size bound
 // are enforced; exceeding either yields ErrDiverged.
 type Options struct {
 	// MaxRounds caps the number of immediate-consequence rounds per
-	// stratum. Zero means DefaultMaxRounds.
+	// stratum, the round that confirms the fixpoint included. Zero
+	// means DefaultMaxRounds.
 	MaxRounds int
-	// MaxFacts caps the size of the accumulated instance. Zero means
+	// MaxFacts caps the size of the accumulated instance, checked
+	// after every round of a stratum that invents. Zero means
 	// DefaultMaxFacts.
 	MaxFacts int
-	// Reg, when non-nil, receives evaluator metrics (the ilog.*
-	// vocabulary of internal/obs names.go).
+	// Reg, when non-nil, receives the ilog.* metrics of internal/obs
+	// names.go and the engine's dl.* counters.
 	Reg *obs.Registry
 	// Tracer, when non-nil, receives the deterministic round/stratum
 	// event stream. Leaving both nil keeps the disabled fast path.
@@ -40,11 +44,16 @@ const (
 	DefaultMaxFacts  = 1_000_000
 )
 
+// rounds is MaxRounds as the engine's bound, which counts productive
+// rounds only: one fewer, where -1 admits none.
 func (o Options) rounds() int {
-	if o.MaxRounds > 0 {
-		return o.MaxRounds
+	switch {
+	case o.MaxRounds <= 0:
+		return DefaultMaxRounds - 1
+	case o.MaxRounds == 1:
+		return -1
 	}
-	return DefaultMaxRounds
+	return o.MaxRounds - 1
 }
 
 func (o Options) facts() int {
@@ -54,49 +63,20 @@ func (o Options) facts() int {
 	return DefaultMaxFacts
 }
 
-// Stratify computes Datalog¬'s minimal stratification of the head
-// relations.
-func (p *Program) Stratify() (datalog.Stratification, error) { return p.body().Stratify() }
-
 // IsStratifiable reports whether the program admits a syntactic
 // stratification.
 func (p *Program) IsStratifiable() bool { return p.body().IsStratifiable() }
 
-// strata partitions the rules by head stratum number.
-func (p *Program) strata(rho datalog.Stratification) [][]Rule {
-	byStratum := make(map[int][]Rule)
-	for _, r := range p.Rules {
-		n := rho[r.Head.Rel]
-		byStratum[n] = append(byStratum[n], r)
-	}
-	nums := make([]int, 0, len(byStratum))
-	for n := range byStratum {
-		nums = append(nums, n)
-	}
-	sort.Ints(nums)
-	out := make([][]Rule, 0, len(nums))
-	for _, n := range nums {
-		out = append(out, byStratum[n])
-	}
-	return out
-}
-
-// deriveHead grounds the head of the rule under the valuation,
-// inventing a Skolem value for invention rules.
-func deriveHead(r Rule, v *datalog.Valuation) (fact.Fact, error) {
-	if !r.Invents {
-		return v.Head() // compiled as the rule's own head
-	}
-	var plain fact.Tuple
-	if len(r.Head.Args) > 0 {
-		g, err := v.Ground(r.Head)
-		if err != nil {
-			return fact.Fact{}, err
+// skolemHook returns the head hook of invention relation rel: position
+// 0 becomes the interned Skolem value of the positions after it.
+func skolemHook(rel string) datalog.HeadHook {
+	return func(head []fact.ID) {
+		args := make([]fact.Value, len(head)-1)
+		for i, id := range head[1:] {
+			args[i] = fact.Symbol(id)
 		}
-		plain = g.Args()
+		head[0] = fact.Intern(SkolemValue(rel, args))
 	}
-	args := append(fact.Tuple{SkolemValue(r.Head.Rel, plain)}, plain...)
-	return fact.FromTuple(r.Head.Rel, args), nil
 }
 
 // Eval computes the output of the program on the input under the
@@ -107,120 +87,32 @@ func (p *Program) Eval(input *fact.Instance, opts Options) (*fact.Instance, erro
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	idb := p.IDB()
-	var badFact *fact.Fact
-	input.Each(func(f fact.Fact) bool {
-		if idb.Has(f.Rel()) {
-			g := f
-			badFact = &g
-			return false
+	for _, r := range p.Rules {
+		if fs := input.Rel(r.Head.Rel); len(fs) > 0 {
+			return nil, fmt.Errorf("ilog: input fact %v is over idb relation %s", fs[0], r.Head.Rel)
 		}
-		return true
-	})
-	if badFact != nil {
-		return nil, fmt.Errorf("ilog: input fact %v is over idb relation %s", *badFact, badFact.Rel())
 	}
-	rho, err := p.Stratify()
+	d := p.body()
+	rho, err := d.Stratify()
 	if err != nil {
 		return nil, err
 	}
-	// One incrementally-maintained index is shared by every round of
-	// every stratum; rebuilding it per valuation call made the
-	// evaluator quadratic in the number of rounds.
+	hooks := make(map[string]datalog.HeadHook)
+	for rel := range p.inventionRelations() {
+		hooks[rel] = skolemHook(rel)
+	}
 	sp := obs.SpanCtx{}.Start("", opts.Reg.Latency(obs.IlogEvalNs))
-	x := datalog.IndexInstance(input)
-	for i, stratum := range p.strata(rho) {
-		if err := fixpoint(stratum, x, opts, i+1); err != nil {
-			return nil, err
-		}
+	out, err := datalog.EvalStrata(d.Strata(rho), hooks, opts.facts(), input,
+		datalog.FixpointOptions{MaxRounds: opts.rounds(), Reg: opts.Reg, Tracer: opts.Tracer})
+	if errors.Is(err, datalog.ErrBound) {
+		return nil, ErrDiverged
 	}
-	opts.Reg.Gauge(obs.IlogFacts).Set(int64(x.Len()))
+	if err != nil {
+		return nil, err
+	}
+	opts.Reg.Gauge(obs.IlogFacts).Set(int64(out.Len()))
 	sp.Finish()
-	return x.Instance(), nil
-}
-
-// pendingFact is one head fact awaiting the round barrier, tagged with
-// whether its rule invents (for the ilog.invented counter).
-type pendingFact struct {
-	f       fact.Fact
-	invents bool
-}
-
-// compile lowers the rule's body for valuation enumeration. The head
-// is built from the source rule per valuation (deriveHead), so an
-// invention rule, whose listed head may have no arguments at all,
-// compiles with its first positive atom standing in as a safe head.
-func (r Rule) compile() *datalog.CompiledRule {
-	d := r.asDatalogRule()
-	if r.Invents {
-		d.Head = r.Pos[0]
-	}
-	return datalog.Compile(d)
-}
-
-func fixpoint(rules []Rule, x *datalog.IndexedInstance, opts Options, stratum int) error {
-	instrumented := opts.Reg != nil || opts.Tracer != nil
-	compiled := make([]*datalog.CompiledRule, len(rules))
-	for i, r := range rules {
-		compiled[i] = r.compile()
-	}
-	var sDerived, sInvented int64
-	for round := 0; ; round++ {
-		if round >= opts.rounds() {
-			return ErrDiverged
-		}
-		var derived []pendingFact
-		for i, r := range rules {
-			if err := x.Valuations(compiled[i], -1, nil, nil, func(v *datalog.Valuation) error {
-				h, err := deriveHead(r, v)
-				if err == nil && !x.Has(h) {
-					derived = append(derived, pendingFact{h, r.Invents})
-				}
-				return err
-			}); err != nil {
-				return err
-			}
-		}
-		changed := false
-		var rDerived, rInvented int64
-		for _, p := range derived {
-			if x.Add(p.f) {
-				changed = true
-				rDerived++
-				if p.invents {
-					rInvented++
-				}
-			}
-		}
-		if instrumented {
-			sDerived += rDerived
-			sInvented += rInvented
-			opts.Reg.Counter(obs.IlogRounds).Inc()
-			opts.Reg.Counter(obs.IlogDerivations).Add(rDerived)
-			opts.Reg.Counter(obs.IlogInvented).Add(rInvented)
-			if opts.Tracer != nil {
-				opts.Tracer.Emit(obs.EvIlogRound,
-					obs.F("stratum", stratum),
-					obs.F("round", round),
-					obs.F("derived", rDerived),
-					obs.F("invented", rInvented),
-					obs.F("facts", x.Len()))
-			}
-		}
-		if x.Len() > opts.facts() {
-			return ErrDiverged
-		}
-		if !changed {
-			if opts.Tracer != nil {
-				opts.Tracer.Emit(obs.EvIlogStratum,
-					obs.F("stratum", stratum),
-					obs.F("rounds", round+1),
-					obs.F("derived", sDerived),
-					obs.F("invented", sInvented))
-			}
-			return nil
-		}
-	}
+	return out, nil
 }
 
 // EvalQuery evaluates the program and restricts the result to the
@@ -232,7 +124,7 @@ func (p *Program) EvalQuery(input *fact.Instance, outputRels []string, opts Opti
 	if err != nil {
 		return nil, err
 	}
-	idb := p.IDB()
+	idb := p.idb()
 	out := make(fact.Schema)
 	for _, rel := range outputRels {
 		ar, ok := idb.Arity(rel)
@@ -242,19 +134,12 @@ func (p *Program) EvalQuery(input *fact.Instance, outputRels []string, opts Opti
 		out[rel] = ar
 	}
 	result := full.Restrict(out)
-	var leaked *fact.Fact
-	result.Each(func(f fact.Fact) bool {
+	for _, f := range result.Facts() {
 		for i := 0; i < f.Arity(); i++ {
 			if IsInvented(f.Arg(i)) {
-				g := f
-				leaked = &g
-				return false
+				return nil, fmt.Errorf("ilog: unsafe program: invented value leaked into output fact %v", f)
 			}
 		}
-		return true
-	})
-	if leaked != nil {
-		return nil, fmt.Errorf("ilog: unsafe program: invented value leaked into output fact %v", *leaked)
 	}
 	return result, nil
 }

@@ -141,9 +141,9 @@ func (p *Program) body() *datalog.Program {
 	return d
 }
 
-// InventionRelations returns the relations that appear as invention
+// inventionRelations returns the relations that appear as invention
 // heads.
-func (p *Program) InventionRelations() map[string]bool {
+func (p *Program) inventionRelations() map[string]bool {
 	out := make(map[string]bool)
 	for _, r := range p.Rules {
 		if r.Invents {
@@ -153,9 +153,9 @@ func (p *Program) InventionRelations() map[string]bool {
 	return out
 }
 
-// Schema returns sch(P) with invention relations at their full arity
+// schema returns sch(P) with invention relations at their full arity
 // (invention position included).
-func (p *Program) Schema() (fact.Schema, error) {
+func (p *Program) schema() (fact.Schema, error) {
 	s := make(fact.Schema)
 	for _, r := range p.Rules {
 		if err := s.Declare(r.Head.Rel, r.headArity()); err != nil {
@@ -170,8 +170,8 @@ func (p *Program) Schema() (fact.Schema, error) {
 	return s, nil
 }
 
-// IDB returns the head relations with their full arities.
-func (p *Program) IDB() fact.Schema {
+// idb returns the head relations with their full arities.
+func (p *Program) idb() fact.Schema {
 	s := make(fact.Schema)
 	for _, r := range p.Rules {
 		s[r.Head.Rel] = r.headArity()
@@ -184,7 +184,7 @@ func (p *Program) IDB() fact.Schema {
 // relation must invent; invention relations must not also be derived
 // without invention).
 func (p *Program) Validate() error {
-	invents := p.InventionRelations()
+	invents := p.inventionRelations()
 	for _, r := range p.Rules {
 		if err := r.Validate(); err != nil {
 			return err
@@ -193,7 +193,7 @@ func (p *Program) Validate() error {
 			return fmt.Errorf("ilog: relation %s derived both with and without invention", r.Head.Rel)
 		}
 	}
-	_, err := p.Schema()
+	_, err := p.schema()
 	return err
 }
 

@@ -22,7 +22,7 @@ type Position struct {
 // program, returned in deterministic order.
 func (p *Program) UnsafePositions() []Position {
 	unsafe := make(map[Position]bool)
-	for rel := range p.InventionRelations() {
+	for rel := range p.inventionRelations() {
 		unsafe[Position{rel, 1}] = true
 	}
 	for {

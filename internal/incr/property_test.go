@@ -3,11 +3,13 @@ package incr
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/datalog"
+	"repro/internal/fact"
 	"repro/internal/generate"
 )
 
@@ -152,4 +154,41 @@ func snapshotString(t *testing.T, m *Materialization) string {
 		t.Fatalf("Snapshot: %v", err)
 	}
 	return b.String()
+}
+
+// reseal replaces the crc32 trailer of an edited snapshot with the
+// checksum of its edited lines, as a writer of that content would have.
+func reseal(snap string) string {
+	body := snap[:strings.LastIndex(strings.TrimSuffix(snap, "\n"), "\n")+1]
+	return body + fmt.Sprintf("{\"crc32\":%d}\n", crc32.ChecksumIEEE([]byte(body)))
+}
+
+// TestRestoreRejectsTornSnapshots: a snapshot cut at any line boundary
+// short of its end, or with any one byte changed, does not restore, and
+// the error names a line.
+func TestRestoreRejectsTornSnapshots(t *testing.T) {
+	m, err := New(datalog.MustParseProgram("T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z)."),
+		fact.MustParseInstance("E(a,b) E(b,c) E(c,d)"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := snapshotString(t, m)
+	if _, err := Restore(strings.NewReader(snap), Options{}); err != nil {
+		t.Fatalf("the whole snapshot: %v", err)
+	}
+	lines := strings.SplitAfter(snap, "\n")
+	for k := 1; k < len(lines)-1; k++ {
+		torn := strings.Join(lines[:k], "")
+		_, err := Restore(strings.NewReader(torn), Options{})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("line %d:", k+1)) {
+			t.Errorf("cut after %d of %d lines: %v, want an error naming line %d", k, len(lines)-1, err, k+1)
+		}
+	}
+	for i := range snap {
+		b := []byte(snap)
+		b[i] ^= 0x01
+		if _, err := Restore(bytes.NewReader(b), Options{}); err == nil {
+			t.Errorf("byte %d (%q) flipped: restored", i, snap[i])
+		}
+	}
 }

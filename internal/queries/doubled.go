@@ -37,9 +37,9 @@ const (
 	overSuffix  = "__over"
 )
 
-// DoubledProgram builds the stratified doubled program of P. It fails
-// when P's relation names collide with the doubled namespace.
-func DoubledProgram(p *datalog.Program) (*datalog.Program, error) {
+// doubledIDB validates P and returns its idb relations, failing when
+// P's relation names collide with the doubled namespace.
+func doubledIDB(p *datalog.Program) (fact.Schema, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -52,41 +52,59 @@ func DoubledProgram(p *datalog.Program) (*datalog.Program, error) {
 			return nil, fmt.Errorf("queries: relation %s collides with the doubled-program namespace", rel)
 		}
 	}
-	idb := p.IDB()
+	return p.IDB(), nil
+}
 
+// renamed returns P's rules with their heads and positive idb atoms
+// renamed by the suffix pos and their negated idb atoms by neg. With
+// neg naming input copies, the rules are semi-positive: Γ's program
+// when pos is empty, a stratum of the doubled program otherwise.
+func renamed(p *datalog.Program, idb fact.Schema, pos, neg string) []datalog.Rule {
 	rename := func(a datalog.Atom, suffix string) datalog.Atom {
 		if !idb.Has(a.Rel) {
 			return a
 		}
 		return datalog.Atom{Rel: a.Rel + suffix, Args: a.Args}
 	}
+	out := make([]datalog.Rule, len(p.Rules))
+	for i, r := range p.Rules {
+		out[i] = datalog.Rule{Head: rename(r.Head, pos), Ineq: r.Ineq}
+		for _, a := range r.Pos {
+			out[i].Pos = append(out[i].Pos, rename(a, pos))
+		}
+		for _, a := range r.Neg {
+			out[i].Neg = append(out[i].Neg, rename(a, neg))
+		}
+	}
+	return out
+}
 
+// withCopies returns the input plus a copy of every fact of assumed
+// over the __under name of its relation.
+func withCopies(input, assumed *fact.Instance) *fact.Instance {
+	in := input.Clone()
+	assumed.Each(func(f fact.Fact) bool {
+		in.Add(fact.FromTuple(f.Rel()+underSuffix, f.Args()))
+		return true
+	})
+	return in
+}
+
+// DoubledProgram builds the stratified doubled program of P. It fails
+// when P's relation names collide with the doubled namespace.
+func DoubledProgram(p *datalog.Program) (*datalog.Program, error) {
+	idb, err := doubledIDB(p)
+	if err != nil {
+		return nil, err
+	}
+	// Stratum 1, the overestimate: positive idb atoms → __over
+	// (recursive), negated idb → __under (input). Stratum 2, the improved
+	// underestimate: positive idb recursive on the plain names, negated
+	// idb → __over.
+	over, under := renamed(p, idb, overSuffix, underSuffix), renamed(p, idb, "", overSuffix)
 	out := datalog.NewProgram()
-	for _, r := range p.Rules {
-		// Stratum 1: overestimate. Positive idb → __over (recursive);
-		// negated idb → __under (input).
-		over := datalog.Rule{
-			Head: datalog.Atom{Rel: r.Head.Rel + overSuffix, Args: r.Head.Args},
-			Ineq: r.Ineq,
-		}
-		for _, a := range r.Pos {
-			over.Pos = append(over.Pos, rename(a, overSuffix))
-		}
-		for _, a := range r.Neg {
-			over.Neg = append(over.Neg, rename(a, underSuffix))
-		}
-		out.Rules = append(out.Rules, over)
-
-		// Stratum 2: improved underestimate. Positive idb recursive on
-		// the plain names; negated idb → __over.
-		under := datalog.Rule{Head: r.Head, Ineq: r.Ineq}
-		for _, a := range r.Pos {
-			under.Pos = append(under.Pos, a)
-		}
-		for _, a := range r.Neg {
-			under.Neg = append(under.Neg, rename(a, overSuffix))
-		}
-		out.Rules = append(out.Rules, under)
+	for i := range over {
+		out.Rules = append(out.Rules, over[i], under[i])
 	}
 	if err := out.Validate(); err != nil {
 		return nil, err
@@ -103,39 +121,21 @@ func WellFoundedViaDoubled(p *datalog.Program, input *fact.Instance) (*WFSResult
 	if err != nil {
 		return nil, err
 	}
-	idb := p.IDB()
-
-	under := fact.NewInstance()
-	for {
+	idb, overs := p.IDB(), make(fact.Schema)
+	for rel, ar := range idb {
+		overs[rel+overSuffix] = ar
+	}
+	return alternate(input, fact.NewInstance(), func(under *fact.Instance) (over, next *fact.Instance, err error) {
 		// Feed the current underestimate through the __under input copies.
-		din := input.Clone()
-		for _, f := range under.Facts() {
-			din.Add(fact.FromTuple(f.Rel()+underSuffix, f.Args()))
-		}
-		res, err := d.EvalStratified(din, datalog.FixpointOptions{})
+		res, err := d.EvalStratified(withCopies(input, under), datalog.FixpointOptions{})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		next := fact.NewInstance()
-		over := fact.NewInstance()
-		res.Each(func(f fact.Fact) bool {
-			switch {
-			case idb.Has(f.Rel()):
-				next.Add(f)
-			case strings.HasSuffix(f.Rel(), overSuffix):
-				base := strings.TrimSuffix(f.Rel(), overSuffix)
-				if idb.Has(base) {
-					over.Add(fact.FromTuple(base, f.Args()))
-				}
-			}
+		over = fact.NewInstance()
+		res.Restrict(overs).Each(func(f fact.Fact) bool {
+			over.Add(fact.FromTuple(strings.TrimSuffix(f.Rel(), overSuffix), f.Args()))
 			return true
 		})
-		if next.Equal(under) {
-			return &WFSResult{
-				True:      input.Union(under),
-				Undefined: over.Minus(under),
-			}, nil
-		}
-		under = next
-	}
+		return over, res.Restrict(idb), nil
+	})
 }

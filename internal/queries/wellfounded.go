@@ -22,54 +22,20 @@ type WFSResult struct {
 	Undefined *fact.Instance
 }
 
-// posRule is one program rule as gamma evaluates it: the positive part
-// (head, positive atoms, inequalities) compiled for enumeration, and
-// the negated atoms gamma checks against its assumed instance itself.
-type posRule struct {
-	c   *datalog.CompiledRule
-	neg []datalog.Atom
-}
-
-// gamma computes Γ(assumed): the least fixpoint of the program with
-// every negated atom ¬A evaluated against the fixed instance assumed
-// (A is "false" iff A ∉ assumed). The result contains the input facts
-// plus all derived facts. Γ is antimonotone in assumed, which drives
-// the alternating fixpoint.
-func gamma(rules []posRule, input, assumed *fact.Instance) (*fact.Instance, error) {
-	// The index over the accumulated facts persists across rounds.
-	x := datalog.IndexInstance(input)
+// alternate runs the alternating fixpoint from the underestimate under:
+// step(U) returns the overestimate Γ(U) and the improved underestimate
+// Γ(Γ(U)), idb facts only, and at the fixed point U = Γ(Γ(U)) the
+// well-founded model has U true and Γ(U) \ U undefined.
+func alternate(input, under *fact.Instance, step func(under *fact.Instance) (over, next *fact.Instance, err error)) (*WFSResult, error) {
 	for {
-		var derived []fact.Fact
-		for _, r := range rules {
-			err := x.Valuations(r.c, -1, nil, nil, func(v *datalog.Valuation) error {
-				for _, a := range r.neg {
-					g, err := v.Ground(a)
-					if err != nil {
-						return err
-					}
-					if assumed.Has(g) {
-						return nil // negation fails
-					}
-				}
-				h, err := v.Head()
-				if err == nil && !x.Has(h) {
-					derived = append(derived, h)
-				}
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
+		over, next, err := step(under)
+		if err != nil {
+			return nil, err
 		}
-		changed := false
-		for _, h := range derived {
-			if x.Add(h) {
-				changed = true
-			}
+		if next.Equal(under) {
+			return &WFSResult{True: input.Union(under), Undefined: over.Minus(under)}, nil
 		}
-		if !changed {
-			return x.Instance(), nil
-		}
+		under = next
 	}
 }
 
@@ -77,32 +43,29 @@ func gamma(rules []posRule, input, assumed *fact.Instance) (*fact.Instance, erro
 // input by the alternating fixpoint: the sequence
 // U₀ = lfp Γ²(∅-assumption), with T the limit of the increasing
 // underestimates and Γ(T) the limit of the decreasing overestimates.
+// Γ(A) is the least fixpoint of the program with every negated idb atom
+// ¬R(t) read as R(t) ∉ A: one Fixpoint of the semi-positive program
+// whose negated idb atoms name input copies holding A (renamed). Γ is
+// antimonotone in A, which drives the alternation.
 func WellFounded(p *datalog.Program, input *fact.Instance) (*WFSResult, error) {
-	if err := p.Validate(); err != nil {
+	idb, err := doubledIDB(p)
+	if err != nil {
 		return nil, err
 	}
-	rules := make([]posRule, len(p.Rules))
-	for i, r := range p.Rules {
-		rules[i] = posRule{datalog.Compile(datalog.Rule{Head: r.Head, Pos: r.Pos, Ineq: r.Ineq}), r.Neg}
-	}
-	under := input.Clone() // underestimate of true facts (no idb assumed)
-	for {
-		over, err := gamma(rules, input, under) // overestimate (non-false facts)
+	g := &datalog.Program{Rules: renamed(p, idb, "", underSuffix)}
+	lfp := func(assumed *fact.Instance) (*fact.Instance, error) {
+		res, err := g.Fixpoint(withCopies(input, assumed), datalog.FixpointOptions{})
 		if err != nil {
 			return nil, err
 		}
-		next, err := gamma(rules, input, over) // improved underestimate
-		if err != nil {
-			return nil, err
-		}
-		if next.Equal(under) {
-			return &WFSResult{
-				True:      under,
-				Undefined: over.Minus(under),
-			}, nil
-		}
-		under = next
+		return res.Restrict(idb), nil
 	}
+	return alternate(input, input.Restrict(idb), func(under *fact.Instance) (over, next *fact.Instance, err error) {
+		if over, err = lfp(under); err == nil {
+			next, err = lfp(over)
+		}
+		return over, next, err
+	})
 }
 
 // WinMoveProgram returns the win-move program

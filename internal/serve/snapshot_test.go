@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"os"
@@ -241,6 +242,10 @@ func TestFailedSnapshotKeepsPrevious(t *testing.T) {
 	if bytes.Equal(doctored, snap.Bytes()) {
 		t.Fatalf("snapshot has no Off(a) line with support 2:\n%s", snap.Bytes())
 	}
+	// Re-seal the doctored lines with their own crc32 trailer, as a
+	// writer holding the understated count would have.
+	body := doctored[:bytes.LastIndexByte(doctored[:len(doctored)-1], '\n')+1]
+	doctored = fmt.Appendf(body, "{\"crc32\":%d}\n", crc32.ChecksumIEEE(body))
 	m, err := incr.Restore(bytes.NewReader(doctored), incr.Options{})
 	if err != nil {
 		t.Fatal(err)
