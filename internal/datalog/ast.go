@@ -282,9 +282,9 @@ func (p *Program) HasInequalities() bool {
 	return false
 }
 
-// HasConstants reports whether any rule mentions a constant term; such
+// hasConstants reports whether any rule mentions a constant term; such
 // programs express non-generic mappings.
-func (p *Program) HasConstants() bool {
+func (p *Program) hasConstants() bool {
 	hasConst := func(a Atom) bool {
 		for _, t := range a.Args {
 			if !t.IsVar() {

@@ -139,13 +139,13 @@ func TestProgramClassPredicates(t *testing.T) {
 }
 
 func TestHasConstants(t *testing.T) {
-	if MustParseProgram(`O(x) :- E(x,y).`).HasConstants() {
+	if MustParseProgram(`O(x) :- E(x,y).`).hasConstants() {
 		t.Error("constant-free program reported constants")
 	}
-	if !MustParseProgram(`O(x) :- E(x,"a").`).HasConstants() {
+	if !MustParseProgram(`O(x) :- E(x,"a").`).hasConstants() {
 		t.Error("constant in body not detected")
 	}
-	if !MustParseProgram(`O(x) :- E(x,y), x != "b".`).HasConstants() {
+	if !MustParseProgram(`O(x) :- E(x,y), x != "b".`).hasConstants() {
 		t.Error("constant in inequality not detected")
 	}
 }

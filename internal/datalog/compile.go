@@ -158,12 +158,18 @@ func (cr *cRule) checkGuards(env []fact.ID, x *IndexedInstance, scratch []fact.I
 // facts iterated.
 func (cr *cRule) match(x *IndexedInstance, init []fact.ID, pin int, pinned cands, scanned *int64, yield func(env []fact.ID) error) error {
 	n := len(cr.pos)
-	idx, at := x.idx, x.version()
+	at := x.version()
 	env := init
 	if env == nil {
 		env = cr.newEnv()
 	}
-	used := make([]bool, n)
+	// Each positive atom's table, resolved once for the whole
+	// enumeration (nothing mutates x during it), and whether the atom
+	// is matched at the current depth.
+	atoms := make([]posAtom, n)
+	for j, a := range cr.pos {
+		atoms[j].t = x.idx.table(a.rel, len(a.terms))
+	}
 	guardScratch := make([]fact.ID, 0, cr.negArity)
 	var nscanned int64
 	var rec func(depth int) error
@@ -184,10 +190,10 @@ func (cr *cRule) match(x *IndexedInstance, init []fact.ID, pin int, pinned cands
 		} else {
 			k = -1
 			for j := 0; j < n; j++ {
-				if used[j] {
+				if atoms[j].used {
 					continue
 				}
-				c := idx.candidatesC(cr.pos[j], env)
+				c := candidatesC(cr.pos[j], atoms[j].t, env)
 				if k < 0 || c.n < cand.n {
 					k, cand = j, c
 					if cand.n == 0 {
@@ -196,7 +202,7 @@ func (cr *cRule) match(x *IndexedInstance, init []fact.ID, pin int, pinned cands
 				}
 			}
 		}
-		used[k] = true
+		atoms[k].used = true
 		nscanned += int64(cand.n)
 		rel, terms := cr.pos[k].rel, cr.pos[k].terms
 		var addedArr [16]int32
@@ -213,7 +219,7 @@ func (cr *cRule) match(x *IndexedInstance, init []fact.ID, pin int, pinned cands
 				if cand.ids != nil {
 					id = int(cand.ids[i])
 				}
-				if !cand.t.stamps[id].visible(at) {
+				if !cand.t.sees(int32(id), at) {
 					continue
 				}
 				args = cand.t.row(id)
@@ -237,7 +243,7 @@ func (cr *cRule) match(x *IndexedInstance, init []fact.ID, pin int, pinned cands
 			}
 			if ok {
 				if err := rec(depth + 1); err != nil {
-					used[k] = false
+					atoms[k].used = false
 					return err
 				}
 			}
@@ -245,7 +251,7 @@ func (cr *cRule) match(x *IndexedInstance, init []fact.ID, pin int, pinned cands
 				env[s] = fact.NoID
 			}
 		}
-		used[k] = false
+		atoms[k].used = false
 		return nil
 	}
 	err := rec(0)
@@ -253,6 +259,12 @@ func (cr *cRule) match(x *IndexedInstance, init []fact.ID, pin int, pinned cands
 		*scanned += nscanned
 	}
 	return err
+}
+
+// posAtom is what match keeps per positive atom of its rule.
+type posAtom struct {
+	t    *relTable // the atom's table, nil when there is none
+	used bool      // matched at a depth above the current one
 }
 
 // groundHead writes the head tuple under env into dst (which must have

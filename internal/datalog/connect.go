@@ -131,7 +131,7 @@ func (p *Program) SemiConnectedStratification() (Stratification, bool) {
 	if len(closure) == 0 {
 		return rho, true
 	}
-	last := rho.NumStrata() + 1
+	last := rho.numStrata() + 1
 	out := make(Stratification, len(rho))
 	for rel, n := range rho {
 		if closure[rel] {

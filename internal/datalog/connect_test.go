@@ -157,7 +157,7 @@ func TestSemiConnectedStratification(t *testing.T) {
 	if err := p.CheckStratification(rho); err != nil {
 		t.Fatalf("witness stratification invalid: %v", err)
 	}
-	last := rho.NumStrata()
+	last := rho.numStrata()
 	// Every disconnected rule's head sits in the final stratum, and
 	// every rule below the final stratum is connected.
 	for _, r := range p.Rules {

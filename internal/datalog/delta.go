@@ -42,7 +42,7 @@ func (v *Valuation) appendAtomKey(a cAtom) []byte {
 }
 
 // HeadKey returns the packed key of the valuation's ground head — the
-// same bytes Fact.AppendPacked produces for the head fact. Valid until
+// same bytes Fact.PackedKey holds for the head fact. Valid until
 // the next *Key call on this valuation.
 func (v *Valuation) HeadKey() []byte { return v.appendAtomKey(v.cr.head) }
 

@@ -23,6 +23,12 @@ import (
 // heads in task order at its barrier), so candidate enumeration is
 // identical across runs. A fixpoint only appends, so the rows one round
 // added are a range of each table — the next round's delta.
+//
+// Every probe — membership by packed tuple, a posting list by
+// (position, value) — is one fact.TupleIndex lookup: an open-addressed
+// slot table, no Go map on the hot path. A table resolved once per
+// enumeration (match) or per task (deriveTask) is not looked up again
+// per candidate or per head.
 
 // stamp is the versions that see a row: born <= v < died.
 type stamp struct{ born, died uint64 }
@@ -38,17 +44,21 @@ func (s stamp) visible(at uint64) bool { return s.born <= at && at < s.died }
 
 // relTable is the one store of a relation at one arity: row i holds the
 // interned arguments args[i*arity:(i+1)*arity], in the order added, and
-// is seen by the versions stamps[i] says. byArg gives, per (position,
-// value), the ascending ids of the rows holding that value there — the
-// access path for index-assisted joins; the lists are behind pointers so
-// the append on every add, the hottest map operation of a fixpoint,
-// hashes its key once. byKey maps a packed tuple to the one row holding
-// it that some version may still see — the membership probe.
+// is seen by the versions stamps[i] says. byArg maps (position, value),
+// packed as a pair by argKey, to a slot of lists, which holds the
+// ascending ids of the rows with that value there — the access path for
+// index-assisted joins. A list freeze empties gives its slot back:
+// its key leaves byArg and the slot goes on free, for the next new key.
+// byKey maps a packed tuple to the one row holding it that some version
+// may still see — the membership probe.
 type relTable struct {
+	rel    fact.ID
 	arity  int
 	args   []fact.ID
 	stamps []stamp
-	byArg  map[uint64]*[]int32
+	byArg  fact.TupleIndex
+	lists  [][]int32
+	free   []int32 // slots of lists no key maps to
 	byKey  fact.TupleIndex
 	dead   int     // rows with a died stamp
 	killed []int32 // rows stamped dead since the last freeze, still in lists and key hash
@@ -59,7 +69,8 @@ type tabKey struct {
 	arity int32
 }
 
-func argKey(pos int, val fact.ID) uint64 { return uint64(pos)<<32 | uint64(val) }
+// argKey is the byArg key of value val at position pos.
+func argKey(pos int, val fact.ID) [2]fact.ID { return [2]fact.ID{fact.ID(pos), val} }
 
 func (t *relTable) row(id int) []fact.ID { return t.args[id*t.arity : (id+1)*t.arity] }
 
@@ -82,20 +93,53 @@ func (idx *relIndex) table(rel fact.ID, arity int) *relTable {
 	return idx.tabs[tabKey{rel, int32(arity)}]
 }
 
-// add appends a row for a tuple byKey does not hold, born in version
-// ver.
+// add appends a row, born in version ver, for a tuple byKey has just
+// mapped to it, and lists it under each of its arguments: one byArg
+// probe an argument, which finds the list or takes a slot for it.
 func (t *relTable) add(args []fact.ID, ver uint64) {
 	id := int32(len(t.stamps))
 	t.args = append(t.args, args...)
 	t.stamps = append(t.stamps, stamp{ver, alive})
-	t.byKey.Put(args, id)
 	for p, v := range args {
-		if lp, ok := t.byArg[argKey(p, v)]; ok {
-			*lp = append(*lp, id)
-		} else {
-			t.byArg[argKey(p, v)] = &[]int32{id}
+		next := int32(len(t.lists))
+		if n := len(t.free); n > 0 {
+			next = t.free[n-1]
 		}
+		k := argKey(p, v)
+		s, added := t.byArg.PutNew(k[:], next)
+		switch {
+		case !added: // the list is there
+		case int(s) == len(t.lists):
+			t.lists = append(t.lists, nil)
+		default:
+			t.free = t.free[:len(t.free)-1]
+		}
+		t.lists[s] = append(t.lists[s], id)
 	}
+}
+
+// list returns the ids of the rows holding val at position pos.
+func (t *relTable) list(pos int, val fact.ID) ([]int32, bool) {
+	k := argKey(pos, val)
+	s, ok := t.byArg.Get(k[:])
+	if !ok {
+		return nil, false
+	}
+	return t.lists[s], true
+}
+
+// has reports whether version at sees a row holding args: one byKey
+// probe.
+func (t *relTable) has(args []fact.ID, at uint64) bool {
+	id, ok := t.byKey.Get(args)
+	return ok && t.sees(id, at)
+}
+
+// sees reports whether version at sees row id. The live instance sees
+// every row of a table with no dead one — every table of a batch
+// evaluation — and then no stamp is read.
+func (t *relTable) sees(id int32, at uint64) bool {
+	return at == latest && t.dead == 0 || t.stamps[id].visible(at)
 }
 
 // find returns the table and id of the row holding rel(args), if
@@ -106,14 +150,15 @@ func (idx *relIndex) find(rel fact.ID, args []fact.ID, at uint64) (*relTable, in
 		return nil, 0, false
 	}
 	id, ok := t.byKey.Get(args)
-	return t, id, ok && t.stamps[id].visible(at)
+	return t, id, ok && t.sees(id, at)
 }
 
 // freeze closes the open version and opens the next. No reader is left
 // that sees a dead row (the one view of the version before is invalid
 // from here on), so the rows killed since the last freeze and not added
-// back leave the key hash and, O(degree) each, their lists, and a table
-// mostly dead is compacted.
+// back leave the key hash and, O(degree) each, their lists — a list
+// left empty gives its slot back — and a table mostly dead is
+// compacted.
 func (idx *relIndex) freeze() {
 	for _, t := range idx.tabs {
 		slices.Sort(t.killed) // killed, added back and killed again: listed twice
@@ -123,10 +168,13 @@ func (idx *relIndex) freeze() {
 			}
 			args := t.row(int(id))
 			for p, v := range args {
-				lp := t.byArg[argKey(p, v)]
-				i, _ := slices.BinarySearch(*lp, id)
-				if *lp = slices.Delete(*lp, i, i+1); len(*lp) == 0 {
-					delete(t.byArg, argKey(p, v))
+				k := argKey(p, v)
+				s, _ := t.byArg.Get(k[:])
+				l := t.lists[s]
+				i, _ := slices.BinarySearch(l, id)
+				if t.lists[s] = slices.Delete(l, i, i+1); len(t.lists[s]) == 0 {
+					t.byArg.Delete(k[:])
+					t.free = append(t.free, s)
 				}
 			}
 			t.byKey.Delete(args)
@@ -152,9 +200,9 @@ func (t *relTable) compact() {
 			args, stamps = append(args, t.row(i)...), append(stamps, s)
 		}
 	}
-	for _, lp := range t.byArg {
-		for i, id := range *lp {
-			(*lp)[i] = remap[id]
+	for _, l := range t.lists {
+		for i, id := range l {
+			l[i] = remap[id]
 		}
 	}
 	t.byKey.Renumber(remap)
@@ -171,13 +219,12 @@ type cands struct {
 	lo, n int
 }
 
-// candidatesC returns the rows that can possibly match the compiled
-// atom under the current environment: the narrowest per-argument list
-// over all bound positions, or the whole table when no argument is
-// bound yet. An empty probe short-circuits — no narrower candidate set
-// exists.
-func (idx *relIndex) candidatesC(a cAtom, env []fact.ID) cands {
-	t := idx.table(a.rel, len(a.terms))
+// candidatesC returns the rows of t, the atom's table (nil when there
+// is none), that can possibly match the compiled atom under the current
+// environment: the narrowest per-argument list over all bound
+// positions, or the whole table when no argument is bound yet. An empty
+// probe short-circuits — no narrower candidate set exists.
+func candidatesC(a cAtom, t *relTable, env []fact.ID) cands {
 	if t == nil {
 		return cands{}
 	}
@@ -190,12 +237,12 @@ func (idx *relIndex) candidatesC(a cAtom, env []fact.ID) cands {
 				continue
 			}
 		}
-		lp := t.byArg[argKey(p, v)]
-		if lp == nil {
+		l, ok := t.list(p, v)
+		if !ok {
 			return cands{}
 		}
-		if best.ids == nil || len(*lp) < best.n {
-			best.ids, best.n = *lp, len(*lp)
+		if best.ids == nil || len(l) < best.n {
+			best.ids, best.n = l, len(l)
 		}
 	}
 	return best
@@ -217,13 +264,17 @@ type IndexedInstance struct {
 	n   int    // facts version at holds
 }
 
-// IndexInstance indexes a copy of the instance's facts, in sorted order.
+// IndexInstance indexes a copy of the instance's facts: each relation's
+// rows in Fact.Compare order, copied ID by ID with no Fact built.
 func IndexInstance(i *fact.Instance) *IndexedInstance {
 	x := &IndexedInstance{idx: &relIndex{tabs: make(map[tabKey]*relTable)}, at: latest}
-	for _, f := range i.Facts() { // a set: no fact needs the probe
-		x.idx.tableFor(f.RelID(), f.Arity()).add(f.ArgIDs(), x.idx.ver)
-	}
-	x.n = i.Len()
+	var t *relTable
+	i.EachSortedIDs(func(rel fact.ID, args []fact.ID) {
+		if t == nil || t.rel != rel || t.arity != len(args) {
+			t = x.idx.tableFor(rel, len(args))
+		}
+		x.addIDs(t, args)
+	})
 	return x
 }
 
@@ -256,18 +307,19 @@ func (idx *relIndex) tableFor(rel fact.ID, arity int) *relTable {
 	k := tabKey{rel, int32(arity)}
 	t := idx.tabs[k]
 	if t == nil {
-		t = &relTable{arity: arity, byArg: make(map[uint64]*[]int32), byKey: fact.NewTupleIndex(arity)}
+		t = &relTable{rel: rel, arity: arity, byArg: fact.NewTupleIndex(2), byKey: fact.NewTupleIndex(arity)}
 		idx.tabs[k] = t
 	}
 	return t
 }
 
 // addIDs inserts the tuple into t, a table of the live x, unless x
-// holds it, reporting whether it did: one byKey probe. The round
-// barrier adds every head through it, and Add every fact.
+// holds it, reporting whether it did: one byKey probe, which maps the
+// tuple to the next row when it is new. The round barrier adds every
+// head through it, and Add and IndexInstance every fact.
 func (x *IndexedInstance) addIDs(t *relTable, args []fact.ID) bool {
-	switch id, held := t.byKey.Get(args); {
-	case !held:
+	switch id, added := t.byKey.PutNew(args, int32(len(t.stamps))); {
+	case added:
 		t.add(args, x.idx.ver)
 	case t.stamps[id].died == alive:
 		return false

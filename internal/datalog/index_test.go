@@ -167,3 +167,51 @@ func TestIndexDifferential(t *testing.T) {
 		}
 	}
 }
+
+// slotsOf returns the slot count of an open-addressed fact.TupleIndex
+// (arity <= 2), read through reflection: the table is fact's own.
+func slotsOf(x fact.TupleIndex) int {
+	return reflect.ValueOf(x).FieldByName("t").Elem().FieldByName("slots").Len()
+}
+
+// TestChurnIsBounded (Type 1) runs 10⁴ cycles of Add, Remove and
+// Freeze over the same 100 facts, each of whose values is its own, so
+// every removal empties two posting lists and every re-add needs them
+// again. Afterwards the posting-list slots, the slot tables of byArg and
+// byKey and Rows() stay within a constant factor of the 100 facts: a
+// list freeze empties gives its slot back, and a new key takes it.
+func TestChurnIsBounded(t *testing.T) {
+	const facts = 100
+	universe := make([]fact.Fact, facts)
+	for i := range universe {
+		universe[i] = fact.New("E", fact.Value(fmt.Sprint("a", i)), fact.Value(fmt.Sprint("b", i)))
+	}
+	rng := rand.New(rand.NewSource(1))
+	x := IndexInstance(fact.NewInstance())
+	for cycle := 0; cycle < 10000; cycle++ {
+		for k := 0; k < 4; k++ {
+			f := universe[rng.Intn(facts)]
+			if !x.Remove(f) {
+				x.Add(f)
+			}
+		}
+		x.Freeze()
+	}
+	tab := x.idx.table(fact.InternString("E"), 2)
+	if tab == nil || x.Len() == 0 {
+		t.Fatalf("the churn left no E table or no fact (Len %d)", x.Len())
+	}
+	keys := 2 * facts // distinct (position, value) pairs
+	if got := len(tab.lists); got > keys {
+		t.Errorf("%d posting-list slots after the churn, want at most the %d keys there are", got, keys)
+	}
+	if got := slotsOf(tab.byArg); got > 4*keys {
+		t.Errorf("byArg holds %d slots after the churn, want at most %d", got, 4*keys)
+	}
+	if got := slotsOf(tab.byKey); got > 4*facts {
+		t.Errorf("byKey holds %d slots after the churn, want at most %d", got, 4*facts)
+	}
+	if got := x.Rows(); got > 2*facts+compactFloor {
+		t.Errorf("Rows = %d after the churn, want at most %d", got, 2*facts+compactFloor)
+	}
+}

@@ -180,10 +180,11 @@ func deltaTasks(crs []cRule, delta []span, workers int) []ruleTask {
 }
 
 // deriveTask evaluates one task against the frozen x and appends every
-// head x lacks to buf, row-major, returning the buffer. agg, when
-// non-nil, receives the task's counters: "derived" and "duplicates" are
-// judged against x only, so the counts are the same whichever goroutine
-// ran the task.
+// head x lacks to buf, row-major, returning the buffer. The head's
+// table is resolved once for the task, so each head is one byKey probe.
+// agg, when non-nil, receives the task's counters: "derived" and
+// "duplicates" are judged against x only, so the counts are the same
+// whichever goroutine ran the task.
 func deriveTask(t ruleTask, x *IndexedInstance, buf []fact.ID, agg *roundAgg) ([]fact.ID, error) {
 	var ts *taskStats
 	var scanned *int64
@@ -191,9 +192,11 @@ func deriveTask(t ruleTask, x *IndexedInstance, buf []fact.ID, agg *roundAgg) ([
 		ts = new(taskStats)
 		scanned = &ts.candidates
 	}
-	err := evalRuleC(t.cr, x, t.pin, t.pinned, scanned, func(rel fact.ID, args []fact.ID) error {
+	head := t.cr.head
+	ht, at := x.idx.table(head.rel, len(head.terms)), x.version()
+	err := evalRuleC(t.cr, x, t.pin, t.pinned, scanned, func(_ fact.ID, args []fact.ID) error {
 		switch {
-		case !x.hasIDs(rel, args):
+		case ht == nil || !ht.has(args, at):
 			buf = append(buf, args...)
 			if ts != nil {
 				ts.derived++

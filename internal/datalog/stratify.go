@@ -17,8 +17,8 @@ import (
 // Stratification assigns a stratum number to every idb predicate.
 type Stratification map[string]int
 
-// NumStrata returns the largest stratum number (0 for an empty program).
-func (s Stratification) NumStrata() int {
+// numStrata returns the largest stratum number (0 for an empty program).
+func (s Stratification) numStrata() int {
 	max := 0
 	for _, n := range s {
 		if n > max {

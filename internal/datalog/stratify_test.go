@@ -58,8 +58,8 @@ func TestStratifyPositiveRecursionOK(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Stratify: %v", err)
 	}
-	if rho.NumStrata() != 1 {
-		t.Errorf("positive program should have one stratum, got %d", rho.NumStrata())
+	if rho.numStrata() != 1 {
+		t.Errorf("positive program should have one stratum, got %d", rho.numStrata())
 	}
 }
 
@@ -94,8 +94,8 @@ func TestEvalStratifiedThreeStrata(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Stratify: %v", err)
 	}
-	if rho.NumStrata() != 3 {
-		t.Errorf("want 3 strata, got %d (%v)", rho.NumStrata(), rho)
+	if rho.numStrata() != 3 {
+		t.Errorf("want 3 strata, got %d (%v)", rho.numStrata(), rho)
 	}
 	in := fact.MustParseInstance(`A(a,b) A(b,c)`)
 	out, err := p.EvalStratified(in, FixpointOptions{})

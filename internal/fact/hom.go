@@ -29,8 +29,8 @@ func IsHomomorphism(h Hom, i, j *Instance) bool {
 	return ok
 }
 
-// IsInjective reports whether h maps distinct values to distinct values.
-func (h Hom) IsInjective() bool {
+// isInjective reports whether h maps distinct values to distinct values.
+func (h Hom) isInjective() bool {
 	seen := make(ValueSet, len(h))
 	for _, w := range h {
 		if seen.Has(w) {
@@ -104,8 +104,8 @@ func FindHomomorphism(i, j *Instance, injective bool) (Hom, bool) {
 	return nil, false
 }
 
-// IdentityHom returns the identity mapping on the given value set.
-func IdentityHom(s ValueSet) Hom {
+// identityHom returns the identity mapping on the given value set.
+func identityHom(s ValueSet) Hom {
 	h := make(Hom, len(s))
 	for v := range s {
 		h[v] = v

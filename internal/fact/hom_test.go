@@ -56,27 +56,27 @@ func TestInjectiveHomIsEmbedding(t *testing.T) {
 	if !ok {
 		t.Fatal("no injective homomorphism from edge into path")
 	}
-	if !h.IsInjective() {
+	if !h.isInjective() {
 		t.Fatalf("mapping %v claimed injective but is not", h)
 	}
 }
 
 func TestHomIsInjective(t *testing.T) {
-	if (Hom{"a": "x", "b": "x"}).IsInjective() {
+	if (Hom{"a": "x", "b": "x"}).isInjective() {
 		t.Error("collapsing mapping reported injective")
 	}
-	if !(Hom{"a": "x", "b": "y"}).IsInjective() {
+	if !(Hom{"a": "x", "b": "y"}).isInjective() {
 		t.Error("injective mapping reported non-injective")
 	}
 }
 
 func TestIdentityHom(t *testing.T) {
 	i := inst("E(a,b)", "E(b,c)")
-	h := IdentityHom(i.ADom())
+	h := identityHom(i.ADom())
 	if !IsHomomorphism(h, i, i) {
 		t.Error("identity is not a homomorphism from I to I")
 	}
-	if !h.IsInjective() {
+	if !h.isInjective() {
 		t.Error("identity not injective")
 	}
 }

@@ -75,7 +75,7 @@ type Table struct {
 func FromTables(tabs []Table) *Instance {
 	i := &Instance{}
 	for _, t := range tabs {
-		n := len(t.Index.k64) + len(t.Index.kstr)
+		n := t.Index.len()
 		if n == 0 {
 			continue
 		}
@@ -205,6 +205,62 @@ func (i *Instance) Facts() []Fact {
 	}
 	SortFacts(fs)
 	return fs
+}
+
+// EachSortedIDs is EachIDs with each column's rows in the order Facts
+// lists them (Fact.Compare): one (relation, arity) after another, in
+// first-insert order, each column sorted by its arguments' strings. fn
+// receives the column's own storage, read-only and valid only for the
+// call, so the walk builds no Fact. Strings are compared only to rank a
+// column's distinct values; the rows are then put in order by a radix
+// sort on the ranks, last position first, which is linear.
+func (i *Instance) EachSortedIDs(fn func(rel ID, args []ID)) {
+	rank := NewTupleIndex(1) // value -> its index in vals, then its rank
+	var vals []ID
+	var ranks, count []uint32
+	var perm, next []int32
+	for k := range i.rels {
+		c := &i.rels[k]
+		rank.reset()
+		vals = vals[:0]
+		for j := range c.args {
+			if _, added := rank.PutNew(c.args[j:j+1], int32(len(vals))); added {
+				vals = append(vals, c.args[j])
+			}
+		}
+		slices.SortFunc(vals, compareSyms)
+		for r := range vals {
+			rank.Put(vals[r:r+1], int32(r))
+		}
+		ranks = ranks[:0]
+		for j := range c.args {
+			r, _ := rank.Get(c.args[j : j+1])
+			ranks = append(ranks, uint32(r))
+		}
+		perm, next = perm[:0], slices.Grow(next[:0], c.n)[:c.n]
+		for r := range c.n {
+			perm = append(perm, int32(r))
+		}
+		count = slices.Grow(count[:0], len(vals)+1)[:len(vals)+1]
+		for p := c.arity - 1; p >= 0; p-- { // a stable counting sort per position
+			clear(count)
+			for _, r := range perm {
+				count[ranks[int(r)*c.arity+p]+1]++
+			}
+			for v := 1; v < len(count); v++ {
+				count[v] += count[v-1]
+			}
+			for _, r := range perm {
+				v := ranks[int(r)*c.arity+p]
+				next[count[v]] = r
+				count[v]++
+			}
+			perm, next = next, perm
+		}
+		for _, r := range perm {
+			fn(c.rel, c.row(int(r)))
+		}
+	}
 }
 
 // Each calls fn for every fact in unspecified order; it stops early if
@@ -367,8 +423,8 @@ func (i *Instance) Minus(j *Instance) *Instance {
 	return out
 }
 
-// Intersect returns a fresh instance I ∩ J.
-func (i *Instance) Intersect(j *Instance) *Instance {
+// intersect returns a fresh instance I ∩ J.
+func (i *Instance) intersect(j *Instance) *Instance {
 	small, large := i, j
 	if large.Len() < small.Len() {
 		small, large = large, small

@@ -50,7 +50,7 @@ func TestInstanceAlgebra(t *testing.T) {
 	if got := i.Minus(j); got.Len() != 1 || !got.Has(New("E", "a", "b")) {
 		t.Errorf("Minus = %v, want {E(a,b)}", got)
 	}
-	if got := i.Intersect(j); got.Len() != 1 || !got.Has(New("E", "b", "c")) {
+	if got := i.intersect(j); got.Len() != 1 || !got.Has(New("E", "b", "c")) {
 		t.Errorf("Intersect = %v, want {E(b,c)}", got)
 	}
 	if i.SubsetOf(j) {
@@ -178,7 +178,7 @@ func TestTwoAritiesTwoColumns(t *testing.T) {
 	if got := c.Minus(inst("E(a)")); !got.Equal(inst("E(a,a)", "E(b)")) {
 		t.Errorf("Minus {E(a)} = %v", got)
 	}
-	if got := c.Intersect(inst("E(a,a)", "E(b,b)")); !got.Equal(inst("E(a,a)")) {
+	if got := c.intersect(inst("E(a,a)", "E(b,b)")); !got.Equal(inst("E(a,a)")) {
 		t.Errorf("Intersect {E(a,a), E(b,b)} = %v", got)
 	}
 	tab := func(arity int, vals ...Value) Table {
@@ -420,7 +420,7 @@ func TestInstanceUnionProperties(t *testing.T) {
 		return u.Equal(b.Union(a)) &&
 			a.SubsetOf(u) && b.SubsetOf(u) &&
 			u.Union(u).Equal(u) &&
-			a.Minus(b).Union(a.Intersect(b)).Equal(a)
+			a.Minus(b).Union(a.intersect(b)).Equal(a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

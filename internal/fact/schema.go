@@ -97,8 +97,8 @@ func (s Schema) Minus(t Schema) Schema {
 	return u
 }
 
-// DisjointNames reports whether the two schemas share no relation name.
-func (s Schema) DisjointNames(t Schema) bool {
+// disjointNames reports whether the two schemas share no relation name.
+func (s Schema) disjointNames(t Schema) bool {
 	for name := range s {
 		if t.Has(name) {
 			return false

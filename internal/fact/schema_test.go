@@ -64,10 +64,10 @@ func TestSchemaUnionMinus(t *testing.T) {
 	if len(m) != 1 || !m.Has("E") {
 		t.Errorf("Minus = %v", m)
 	}
-	if a.DisjointNames(b) {
+	if a.disjointNames(b) {
 		t.Error("schemas sharing V reported disjoint")
 	}
-	if !a.DisjointNames(MustSchema(map[string]int{"Z": 1})) {
+	if !a.disjointNames(MustSchema(map[string]int{"Z": 1})) {
 		t.Error("disjoint schemas reported overlapping")
 	}
 }

@@ -43,16 +43,6 @@ func (t Tuple) Equal(u Tuple) bool {
 	return true
 }
 
-// Clone returns an independent copy of the tuple.
-func (t Tuple) Clone() Tuple {
-	if t == nil {
-		return nil
-	}
-	c := make(Tuple, len(t))
-	copy(c, t)
-	return c
-}
-
 // Compare orders tuples first by length, then lexicographically.
 func (t Tuple) Compare(u Tuple) int {
 	if len(t) != len(u) {

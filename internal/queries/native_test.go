@@ -309,6 +309,9 @@ func TestNativeVsDatalog(t *testing.T) {
 	}
 }
 
+// intersect returns the facts a and b share.
+func intersect(a, b *fact.Instance) *fact.Instance { return a.Minus(a.Minus(b)) }
+
 // TestTCGrowMatchesEval: on seeded random graphs with self-loops and
 // cycles, each fact dealt to K, to ΔK or to both, and E facts of other
 // arities among them, a holder of TC(K) grown by ΔK holds
@@ -363,7 +366,7 @@ func TestTCGrowMatchesEval(t *testing.T) {
 		held := old.Union(fact.MustParseInstance(`Xg_E(v0,v1) O(v0) O(v1,v0,v1)`))
 		into := fact.NewInstance()
 		g.Grow(held, dk, into)
-		if inter := into.Intersect(old); !inter.Empty() {
+		if inter := intersect(into, old); !inter.Empty() {
 			t.Fatalf("K %v, ΔK %v: Grow added %v, which TC(K) holds", k, dk, inter)
 		}
 		if got := old.Union(into); !got.Equal(want) {

@@ -1,5 +1,5 @@
 #!/bin/sh
-# check.sh runs the full local gate: vet, build, sixteen structural gates
+# check.sh runs the full local gate: vet, build, seventeen structural gates
 # (internal/cluster has grown no wire loop of its own, IndexedInstance no
 # second fact store, internal/incr and internal/ilog start no goroutine,
 # internal/datalog starts them in one place, a fixpoint round never
@@ -25,7 +25,9 @@
 # recorder: obs.Tracer, whose one encoder renders every event and span
 # line, with no obs.Sink beside it — and one fixpoint loop: ILOG's
 # invention and the well-founded Γ run on datalog's stratum loop, with no
-# naive loop of their own in internal/ilog or internal/queries), the
+# naive loop of their own in internal/ilog or internal/queries — and
+# probe tables are open-addressed: no map[uint64] in fact's columnar
+# store or datalog's join index), the
 # exported-identifier ratchet (scripts/exports.go), and the test suite
 # under the race detector (the fanned-out rounds of the batch fixpoint,
 # the epoch-pinned serving core, and the simulation determinism tests
@@ -282,13 +284,25 @@ if grep -nE '\.Valuations\(|func gamma\b|func fixpoint\b' $(ls internal/ilog/*.g
     exit 1
 fi
 
+# Probe tables are open-addressed: fact.TupleIndex keeps tuples of
+# arity <= 2 in a linear-probing slot table (internal/fact columnar.go),
+# and the join index (internal/datalog index.go) keys its posting lists
+# with the same table. A map[uint64] in either file is a Go map growing
+# back on the probe path, which is where a batch fixpoint spent most of
+# its time before.
+echo ">> structural gate: probe tables are open-addressed"
+if grep -n 'map\[uint64\]' internal/fact/columnar.go internal/datalog/index.go; then
+    echo "check: a map[uint64] in internal/fact/columnar.go or internal/datalog/index.go; probe through fact.TupleIndex"
+    exit 1
+fi
+
 # The exported surface is a ratchet: scripts/exports.go counts the
 # exported funcs/methods under internal/ and calm/ that no non-test
 # file refers to, and those only their own package refers to. Neither
 # may grow past the figure recorded here; a PR that unexports or
 # deletes lowers the figure with it.
-max_unreferenced=81
-max_package_only=50
+max_unreferenced=75
+max_package_only=48
 echo ">> exported-identifier ratchet: unreferenced <= $max_unreferenced, package-only <= $max_package_only"
 exports=$(go run scripts/exports.go)
 echo "$exports" | sed 's/^/   /'
