@@ -20,9 +20,10 @@
 // With -shards N the daemon runs as a sharded cluster behind a
 // router speaking the same protocol (internal/cluster): base facts
 // are partitioned or replicated across N in-process shards, deltas
-// stream to shard pumps asynchronously, and the fragment classifier
-// picks the weakest sound coordination plan — coordination-free reads
-// for monotone programs, fenced reads under stratified negation.
+// stream to shard pumps asynchronously, and the plan reads the
+// program's licence from Figure 2 — reads fence only on the last write
+// it does not cover: a retract for monotone programs, every write
+// otherwise.
 //
 // Usage:
 //

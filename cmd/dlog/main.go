@@ -1,6 +1,6 @@
 // Command dlog evaluates Datalog¬ programs: it parses a program and an
-// input instance, reports the program's fragment classification
-// (Figure 2 of the paper), and prints the derived facts — under the
+// input instance, reports the program's Figure 2 fragments and
+// licence, and prints the derived facts — under the
 // stratified semantics by default, or under the well-founded semantics
 // with -wfs (needed for non-stratifiable programs such as win-move).
 //
@@ -29,6 +29,7 @@ import (
 	"repro/internal/datalog"
 	"repro/internal/fact"
 	"repro/internal/ilog"
+	"repro/internal/monotone"
 	"repro/internal/obs"
 	"repro/internal/queries"
 )
@@ -100,6 +101,9 @@ func main() {
 
 	if *classify {
 		fmt.Printf("fragment: %s\n", prog.Classify())
+		if m := prog.Memberships(); m != 0 {
+			fmt.Printf("memberships: %s — licence: %s\n", m.String(), monotone.Licence(m).String())
+		}
 		fmt.Printf("edb: %v  idb: %v\n", prog.EDB(), prog.IDB())
 	}
 

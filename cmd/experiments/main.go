@@ -394,7 +394,7 @@ func figure2FragmentExperiments() []experiment {
 		}},
 		{"F2.4", "Lemma 5.2: con-Datalog¬ distributes over components", func(reg *obs.Registry) (string, bool) {
 			p := queries.Example51P1()
-			if !p.IsConnectedProgram() {
+			if !p.Memberships().Has(datalog.FragConDatalog) {
 				return "P1 not con", false
 			}
 			q := datalog.MustQuery(p, "O")
@@ -575,7 +575,7 @@ func transducerExperiments() []experiment {
 			if err != nil {
 				return err.Error(), false
 			}
-			if !d.IsStratifiable() || !d.IsConnectedProgram() {
+			if !d.Memberships().Has(datalog.FragConDatalog) {
 				return "doubled win-move not stratifiable+connected", false
 			}
 			// Agreement with the direct alternating fixpoint on samples.

@@ -202,6 +202,8 @@ type Cluster struct {
 
 	mu  sync.Mutex
 	log []*record
+	// u is U of Plan's read rule, stored under mu at append.
+	u atomic.Int64
 	// comps holds, in partitioned mode, every placed base fact under its
 	// co(I) component; a component lives on rootShard of its root.
 	comps  *fact.ComponentIndex
@@ -350,8 +352,7 @@ func (c *Cluster) ShardCount() int { return len(c.shards) }
 // the current incarnation; after a Crash/Restart cycle it is stale.
 func (c *Cluster) ShardCore(j int) *serve.Core { return c.shards[j].core.Load() }
 
-// logLen returns the global delta-log length — the fence a
-// coordinated read waits for.
+// logLen returns the global delta-log length, the log tip.
 func (c *Cluster) logLen() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -512,6 +513,9 @@ func (c *Cluster) submitWrite(req serve.Request, tc obs.SpanCtx) (serve.Response
 	}
 	rec := newRecord(subs, key)
 	c.log = append(c.log, rec)
+	if c.plan.raisesU(len(ret) > 0) {
+		c.u.Store(int64(g))
+	}
 	acks := make([]chan serve.Response, 0, len(homes))
 	for j, sh := range c.shards {
 		d := delivery{rec: rec, g: g, enq: enq}
@@ -629,8 +633,8 @@ func take(list *[]string, s string) bool {
 // --- read path ----------------------------------------------------
 
 // Read answers one read request. fence is the log position the read
-// must observe: the connection's last own write under a
-// coordination-free plan, the log tip at arrival under a fenced plan.
+// must observe: the router passes max(the connection's last own
+// write, U), the read rule of Plan.
 // Replicated mode routes to the affinity shard (skipping down
 // shards; a negative affinity, "no preference", starts at shard 0);
 // partitioned mode scatters to every live shard and gathers the

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -273,7 +274,7 @@ func TestClusterOp(t *testing.T) {
 	if cb == nil {
 		t.Fatalf("cluster op returned no body: %s", got[1])
 	}
-	if cb.Shards != 3 || cb.Placement != "component" || cb.Plan != string(CoordFree) ||
+	if cb.Shards != 3 || cb.Placement != "component" || cb.Plan != "coordination-free" ||
 		cb.Fragment != string(datalog.FragDatalog) || cb.Log != 1 || cb.Affinity != -1 {
 		t.Errorf("cluster body = %s", got[1])
 	}
@@ -290,31 +291,47 @@ func TestClusterOp(t *testing.T) {
 }
 
 func TestPlanSelection(t *testing.T) {
+	const free, fenced = "coordination-free", "fenced"
 	cases := []struct {
 		program     string
 		place       PlacementKind
 		partitioned bool
-		coord       Coordination
+		coord       string
 	}{
-		{tcProgram, PlaceHash, false, CoordFree},
-		{tcProgram, PlaceComponent, true, CoordFree},
-		{negProgram, PlaceHash, false, CoordFenced},
-		{negProgram, PlaceComponent, false, CoordFenced},
+		{tcProgram, PlaceHash, false, free},
+		{tcProgram, PlaceComponent, true, free},
+		{negProgram, PlaceHash, false, fenced},
+		{negProgram, PlaceComponent, false, fenced},
 		// Disconnected monotone rules: the cross product joins values
 		// across components, so partitioning is demoted but reads stay
 		// coordination-free (the program is still monotone).
-		{"P(x,y) :- A(x), B(y).", PlaceComponent, false, CoordFree},
+		{"P(x,y) :- A(x), B(y).", PlaceComponent, false, free},
+		// The two probe programs of the membership table: each is in
+		// con-Datalog¬ but licensed only M_distinct or M_disjoint, which
+		// the log does not check, so both stay fenced and replicated.
+		{spConProbe, PlaceComponent, false, fenced},
+		{spConProbe, PlaceHash, false, fenced},
+		{tcConProbe, PlaceComponent, false, fenced},
+		{tcConProbe, PlaceHash, false, fenced},
 	}
+	theorem := regexp.MustCompile(`\((Prop|Thm|Lemma|Example) [0-9.]+, F2\.[0-9]+\)`)
 	for i, tc := range cases {
 		plan := PlanFor(datalog.MustParseProgram(tc.program), tc.place)
 		if plan.Partitioned != tc.partitioned || plan.Coordination != tc.coord {
 			t.Errorf("case %d: plan = %+v, want partitioned=%v coord=%s", i, plan, tc.partitioned, tc.coord)
 		}
-		if plan.Reason == "" {
-			t.Errorf("case %d: empty reason", i)
+		if !theorem.MatchString(plan.Reason) {
+			t.Errorf("case %d: reason %q names no theorem", i, plan.Reason)
 		}
 	}
 }
+
+// The probe programs of Figure 2's overlap: the first is in SP-Datalog
+// and in con-Datalog¬, the second in con-Datalog¬ but not SP-Datalog.
+const (
+	spConProbe = `O(x,y) :- E(x,y), !E(y,x).`
+	tcConProbe = tcProgram + `O(x,y) :- T(x,y), !T(y,x).`
+)
 
 // TestReadYourWrites hammers the own-write fence in both modes: on one
 // connection every read issued after a write must observe it, even

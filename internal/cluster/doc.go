@@ -44,16 +44,12 @@
 //     fact, once, under its component's root (the minimum value, whose
 //     hash is the home); its merge report is the migration.
 //
-//   - The fragment classifier picks the weakest coordination plan.
-//     Monotone programs (Datalog, Datalog(≠)) get coordination-free
-//     reads: a read fences only on the connection's own writes (an
-//     epoch vector of global log positions per shard — read your
-//     writes, nothing more), because a monotone answer read early is
-//     merely a subset of the answer read late, never a retraction.
-//     Programs with stratified negation get fenced reads: each read
-//     first waits for its shards to reach the log tip observed at
-//     arrival, because non-monotone answers at stale prefixes can
-//     lie. This is the CALM boundary drawn inside one server.
+//   - The plan (plan.go) reads the program's licence from Figure 2:
+//     a read fences on its own last write and on U, the last write the
+//     licence does not cover. Programs in M (Datalog, Datalog(≠)) are
+//     coordination-free: only a retract raises U. Every other program
+//     raises U on every write. This is the CALM boundary drawn inside
+//     one server, per write rather than per program.
 //
 // Crash-restart recovery is rebroadcast: a restarted shard rebuilds
 // from the program plus a replay of the global delta log (plus its

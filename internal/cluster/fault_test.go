@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/datalog"
@@ -203,3 +205,63 @@ func TestFaultPlanHooks(t *testing.T) {
 }
 
 func inPartitionWindow(g int) bool { return g >= 5 && g < 15 }
+
+// homedOn returns the first count of the facts mk(0), mk(1), ... whose
+// replicated home, the hash of the fact's key, is shard j of n.
+func homedOn(j, n, count int, mk func(int) string) []string {
+	var out []string
+	for i := 0; len(out) < count; i++ {
+		if f := mk(i); hashShard(fact.MustParseFact(f).Key(), n) == j {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// TestAcknowledgedRetractIsNeverStale: once a retract is acknowledged,
+// no read through the router shows what it removed. Two replicated
+// shards run TC, and a partition holds every delivery to s1 from log
+// position 2 on. Connection A (affinity s0) inserts E(x,y) homed on s0,
+// and connection B (affinity s1) waits until s1 derives T(x,y). A then
+// inserts 150 edges s1 holds and retracts E(x,y): s0 acks at once,
+// while s1 must release the holds before it can apply the retract. A
+// read that fences only on B's own writes answers from s1's backlog
+// and serves T(x,y); the retract raises U, so the read waits for s1.
+func TestAcknowledgedRetractIsNeverStale(t *testing.T) {
+	const trials, backlog = 20, 150
+	// E(pK,qK) always hashes to shard 1 at two shards (its key bytes'
+	// low bits cancel), so the watched edge is E(pK,qK+1).
+	e := homedOn(0, 2, 1, func(i int) string { return fmt.Sprintf("E(p%d,q%d)", i, i+1) })[0]
+	tf := `"T` + e[1:] + `"`
+	edges := homedOn(0, 2, backlog, func(i int) string { return fmt.Sprintf("E(c%d,c%d)", i, i+1) })
+	stale := 0
+	for trial := 0; trial < trials; trial++ {
+		c := newTestCluster(t, tcProgram, "", Options{Shards: 2, Faults: &transducer.FaultPlan{
+			Partitions: []transducer.Partition{{From: 2, To: 100000, Group: []transducer.NodeID{"s1"}}},
+		}})
+		r := NewRouter(c)
+		a, b := r.newConn(), r.newConn()
+		do := func(cn *conn, op string, facts ...string) string {
+			resp := cn.handle(serve.Request{Op: op, Facts: facts, Rel: "T"}, obs.SpanCtx{})
+			if !resp.OK {
+				t.Fatalf("%s %v: %s", op, facts, resp.Err)
+			}
+			return encodeResp(t, resp)
+		}
+		do(a, "insert", e)
+		for !strings.Contains(do(b, "query"), tf) {
+			runtime.Gosched()
+		}
+		for _, f := range edges {
+			do(a, "insert", f)
+		}
+		do(a, "retract", e)
+		if strings.Contains(do(b, "query"), tf) {
+			stale++
+		}
+		c.Close()
+	}
+	if stale > 0 {
+		t.Fatalf("%d of %d reads after an acknowledged retract of %s still showed %s", stale, trials, e, tf)
+	}
+}

@@ -2,75 +2,71 @@ package cluster
 
 import (
 	"repro/internal/datalog"
+	"repro/internal/monotone"
 )
 
-// Coordination is the read-side coordination level a plan prescribes.
-type Coordination string
-
-const (
-	// CoordFree: reads fence only on the connection's own writes (the
-	// epoch vector). Sound exactly for the monotone fragment — an
-	// early read of a monotone query is a subset of a late read, so
-	// waiting buys nothing but latency (the CALM direction).
-	CoordFree Coordination = "coordination-free"
-	// CoordFenced: every read first waits for its shards to catch up
-	// to the global log tip observed at arrival. Required once
-	// stratified negation makes answers non-monotone: a stale prefix
-	// can assert facts the full prefix retracts.
-	CoordFenced Coordination = "fenced"
-)
-
-// Plan is the execution plan the fragment classifier selects: how
-// deltas move between shards and how much coordination reads pay.
+// Plan is the execution plan read from the program's rows of Figure 2
+// (monotone.Figure2): how deltas move between shards and which writes
+// reads wait for. The cluster keeps one watermark U, the log position
+// of the last write the plan's licence does not cover, and a read
+// fences on max(own last write, U). Every write after U is licensed,
+// so for any prefix p ≥ U a lagging shard serves, Q(I_U) ⊆ Q(I_p) ⊆
+// Q(I_tip): a read never shows a fact the tip lacks, such as one an
+// acknowledged retract removed.
 type Plan struct {
-	// Fragment is the program's classified Datalog fragment.
+	// Fragment is the program's most specific Datalog fragment.
 	Fragment datalog.Fragment
-	// Coordination is the read-side coordination level.
-	Coordination Coordination
+	// Licence is the row of the program's strongest class.
+	Licence monotone.Row
+	// Coordination is the wire label: "coordination-free" when the
+	// licence covers every insert (M), "fenced" when it covers none.
+	Coordination string
 	// Partitioned reports the data layout: true means co(I) components
 	// are partitioned across shards and reads scatter/gather
 	// (Theorem 5.3); false means every shard replicates the full base
 	// in global log order and reads route to one shard.
 	Partitioned bool
-	// Reason is a one-line human explanation of the choice.
+	// Reason is a one-line explanation naming the rows it used.
 	Reason string
 }
 
-// monotoneFragment reports whether the fragment is syntactically
-// inside the paper's class M: positive programs (with or without
-// inequalities) are monotone, Proposition 3.1. SP-Datalog sits in
-// Mdistinct only — coordination-free just for domain-distinct deltas,
-// a promise the general write stream cannot keep — so it is fenced
-// here along with the rest of Datalog¬.
-func monotoneFragment(f datalog.Fragment) bool {
-	return f == datalog.FragDatalog || f == datalog.FragDatalogNeq
-}
-
 // PlanFor selects the weakest-coordination plan for the program under
-// the requested placement. Component placement partitions only when
-// it is sound: a monotone program whose rules are all connected keeps
-// every derivation inside one co(I) component, so per-shard evaluation
-// loses nothing (Lemma 3.2 / Theorem 5.3). Otherwise the plan falls
-// back to replicated mode and says why.
+// the requested placement. Component placement partitions only a
+// program licensed M that is in a fragment distributing over co(I):
+// every derivation stays inside one component, so per-shard evaluation
+// loses nothing (Lemma 5.2). Otherwise the plan replicates.
 func PlanFor(p *datalog.Program, place PlacementKind) Plan {
-	frag := p.Classify()
-	plan := Plan{Fragment: frag, Coordination: CoordFenced}
-	if monotoneFragment(frag) {
-		plan.Coordination = CoordFree
-		plan.Reason = "monotone fragment " + string(frag) + ": reads fence only on own writes"
-	} else {
-		plan.Reason = "fragment " + string(frag) + " is not monotone: reads fence on the log tip"
+	m := p.Memberships()
+	plan := Plan{Fragment: p.Classify(), Licence: monotone.Licence(m), Coordination: "fenced"}
+	why := "only M is checked per write, so every write fences reads"
+	if plan.insertsLicensed() {
+		plan.Coordination, why = "coordination-free", "reads fence on own writes and the last retract"
 	}
-	if place == PlaceComponent {
-		switch {
-		case !monotoneFragment(frag):
-			plan.Reason += "; component placement demoted to replication (negation needs the full base)"
-		case !p.AllRulesConnected():
-			plan.Reason += "; component placement demoted to replication (disconnected rules join across components)"
-		default:
+	for _, r := range monotone.Figure2 {
+		if place == PlaceComponent && plan.insertsLicensed() && r.Distributes && m.Has(r.Fragment) {
 			plan.Partitioned = true
-			plan.Reason += "; co(I) components partitioned, gathered reads are a disjoint union (Thm 5.3)"
+			why = string(r.Fragment) + " distributes over co(I) (" + r.Theorem + ", " + r.Experiment + "): components partitioned, reads fence on own writes"
 		}
 	}
+	if place == PlaceComponent && !plan.Partitioned {
+		why += "; component placement demoted to replication"
+	}
+	plan.Reason = "licence " + plan.Licence.String() + ": " + why
 	return plan
+}
+
+// insertsLicensed reports whether the licence is M, which Allows every
+// insert-only write. Mdistinct and Mdisjoint allow only writes fresh
+// to adom(I), a check the log does not make, so here they cover none.
+func (p Plan) insertsLicensed() bool {
+	return p.Licence.Class != nil && p.Licence.Class.Implies(monotone.M)
+}
+
+// raisesU reports whether an appended write moves U. A partitioned
+// plan leaves U alone: its writes are acknowledged by every shard that
+// holds their facts, so an acknowledged retract is in every later
+// gather — unless a migration of the fact is still in flight: its old
+// home may not have applied it yet (ROADMAP item 11, finding (l)).
+func (p Plan) raisesU(retracts bool) bool {
+	return !p.Partitioned && (retracts || !p.insertsLicensed())
 }

@@ -18,12 +18,10 @@ import (
 // are placement, the log, and which shards a read consults.
 //
 // Each connection gets an affinity shard (round-robin at accept) and
-// an own-write fence: the global log position of its last write.
-// Under a coordination-free plan a read waits only for that fence —
-// read-your-writes, nothing more, the weakest sequencing that is
-// still sane to program against and exactly what monotone queries
-// need (anything later is a superset). Under a fenced plan a read
-// waits for its shards to reach the log tip observed at arrival.
+// an own-write fence: the global log position of its last write. A
+// read waits for its shards to reach max(that fence, U), the read rule
+// of Plan: under a coordination-free plan U is the last retract, under
+// a fenced plan the log tip observed at arrival.
 //
 // A connection's requests are answered synchronously, in arrival
 // order; the pipeline window (Options.Serve.Pipeline) bounds how many
@@ -80,7 +78,7 @@ func (cn *conn) handle(req serve.Request, tc obs.SpanCtx) serve.Response {
 		body := &serve.ClusterBody{
 			Shards:     len(c.shards),
 			Placement:  string(c.place),
-			Plan:       string(c.plan.Coordination),
+			Plan:       c.plan.Coordination,
 			Fragment:   string(c.plan.Fragment),
 			Log:        logLen,
 			Watermarks: make([]int, len(hs)),
@@ -103,19 +101,18 @@ func (cn *conn) handle(req serve.Request, tc obs.SpanCtx) serve.Response {
 		}
 		return resp
 	case serve.IsRead(req.Op):
-		fence := cn.lastG
-		if c.plan.Coordination == CoordFenced {
-			// A fenced read is coordination by plan: every consulted
-			// shard must reach the log tip observed at arrival.
-			fence = c.logLen()
-			c.fencedReads.Inc()
-			fr := tc.Start(obs.SpanCoordFencedRead, nil)
-			fr.SetSeq(fence)
-			resp := c.read(cn.affinity, req, fence, fr.Ctx())
-			fr.Finish()
-			return resp
+		fence := max(cn.lastG, int(c.u.Load()))
+		if fence == cn.lastG {
+			return c.read(cn.affinity, req, fence, tc)
 		}
-		return c.read(cn.affinity, req, fence, tc)
+		// U raised the fence above the connection's own writes: the read
+		// waits for a write the plan does not license, which is
+		// coordination (coord.fenced_reads).
+		c.fencedReads.Inc()
+		fr := tc.Start(obs.SpanCoordFencedRead, nil)
+		fr.SetSeq(fence)
+		defer fr.Finish()
+		return c.read(cn.affinity, req, fence, fr.Ctx())
 	}
 	c.errors.Inc()
 	return serve.ErrResp("unknown op %q", req.Op)

@@ -155,12 +155,6 @@ func (r Rule) posVars() map[string]struct{} {
 	return s
 }
 
-// IsPositive reports whether the rule has no negative body atoms.
-func (r Rule) IsPositive() bool { return len(r.Neg) == 0 }
-
-// HasInequalities reports whether the rule uses any ≠ constraint.
-func (r Rule) HasInequalities() bool { return len(r.Ineq) > 0 }
-
 // Validate checks well-formedness: nonempty positive body, arity at
 // least one everywhere, and safety (every variable of the rule occurs
 // in a positive body atom).
@@ -261,27 +255,6 @@ func (p *Program) EDB() fact.Schema {
 	return s.Minus(p.IDB())
 }
 
-// IsPositive reports whether all rules are positive (the class Datalog
-// when additionally inequality-free, or Datalog(≠) with inequalities).
-func (p *Program) IsPositive() bool {
-	for _, r := range p.Rules {
-		if !r.IsPositive() {
-			return false
-		}
-	}
-	return true
-}
-
-// HasInequalities reports whether any rule uses a ≠ constraint.
-func (p *Program) HasInequalities() bool {
-	for _, r := range p.Rules {
-		if r.HasInequalities() {
-			return true
-		}
-	}
-	return false
-}
-
 // hasConstants reports whether any rule mentions a constant term; such
 // programs express non-generic mappings.
 func (p *Program) hasConstants() bool {
@@ -316,9 +289,9 @@ func (p *Program) hasConstants() bool {
 	return false
 }
 
-// IsSemiPositive reports whether every negated body atom is over
+// isSemiPositive reports whether every negated body atom is over
 // edb(P): the class SP-Datalog.
-func (p *Program) IsSemiPositive() bool {
+func (p *Program) isSemiPositive() bool {
 	idb := p.IDB()
 	for _, r := range p.Rules {
 		for _, a := range r.Neg {

@@ -114,27 +114,18 @@ func TestProgramSchemaArityConflict(t *testing.T) {
 }
 
 func TestProgramClassPredicates(t *testing.T) {
-	pos := MustParseProgram(`T(x,y) :- E(x,y). T(x,z) :- T(x,y), E(y,z).`)
-	if !pos.IsPositive() || pos.HasInequalities() || !pos.IsSemiPositive() {
-		t.Error("positive TC program misclassified")
-	}
-
-	withNeq := MustParseProgram(`O(x,y) :- E(x,y), x != y.`)
-	if !withNeq.IsPositive() || !withNeq.HasInequalities() {
-		t.Error("Datalog(≠) program misclassified")
-	}
-
-	sp := MustParseProgram(`O(x,y) :- E(x,y), !F(x,y).`)
-	if sp.IsPositive() || !sp.IsSemiPositive() {
-		t.Error("semi-positive program misclassified")
-	}
-
-	strat := MustParseProgram(`
-		T(x,y) :- E(x,y).
-		O(x,y) :- E(x,y), !T(y,x).
-	`)
-	if strat.IsSemiPositive() {
-		t.Error("program negating an idb relation claimed semi-positive")
+	for _, c := range []struct{ src, want string }{
+		{`T(x,y) :- E(x,y). T(x,z) :- T(x,y), E(y,z).`,
+			"Datalog, Datalog(≠), SP-Datalog, con-Datalog¬, semicon-Datalog¬, Datalog¬"},
+		{`O(x,y) :- E(x,y), x != y.`, "Datalog(≠), SP-Datalog, con-Datalog¬, semicon-Datalog¬, Datalog¬"},
+		{`O(x,y) :- E(x,y), !F(x,y).`, "SP-Datalog, con-Datalog¬, semicon-Datalog¬, Datalog¬"},
+		// Negating an idb relation leaves SP-Datalog.
+		{`T(x,y) :- E(x,y). O(x,y) :- E(x,y), !T(y,x).`, "con-Datalog¬, semicon-Datalog¬, Datalog¬"},
+		{`W(x) :- M(x,y), !W(y).`, ""},
+	} {
+		if got := MustParseProgram(c.src).Memberships().String(); got != c.want {
+			t.Errorf("Memberships(%s) = %q, want %q", c.src, got, c.want)
+		}
 	}
 }
 

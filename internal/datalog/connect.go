@@ -1,6 +1,12 @@
 package datalog
 
-import "repro/internal/fact"
+import (
+	"math/bits"
+	"slices"
+	"strings"
+
+	"repro/internal/fact"
+)
 
 // This file implements the connectivity analysis of Section 5.1:
 // graph+(ϕ) is the graph whose nodes are the variables occurring in
@@ -30,26 +36,6 @@ func (r Rule) IsConnected() bool {
 		}
 	}
 	return len(fact.Components(g)) <= 1
-}
-
-// AllRulesConnected reports whether every rule of the program is
-// connected.
-func (p *Program) AllRulesConnected() bool {
-	for _, r := range p.Rules {
-		if !r.IsConnected() {
-			return false
-		}
-	}
-	return true
-}
-
-// IsConnectedProgram reports whether P is in con-Datalog¬: P is
-// syntactically stratifiable and some stratification makes every
-// stratum connected. Because connectivity is a per-rule property and
-// every rule belongs to exactly one stratum, this holds iff P is
-// stratifiable and every rule is connected.
-func (p *Program) IsConnectedProgram() bool {
-	return p.IsStratifiable() && p.AllRulesConnected()
 }
 
 // IsSemiConnected reports whether P is in semicon-Datalog¬: there is a
@@ -143,8 +129,7 @@ func (p *Program) SemiConnectedStratification() (Stratification, bool) {
 	return out, true
 }
 
-// Classify names the smallest fragment of Figure 2 that the program
-// syntactically belongs to.
+// Fragment names one Datalog fragment of Figure 2.
 type Fragment string
 
 // The Datalog fragments of the paper, ordered roughly by
@@ -155,33 +140,62 @@ const (
 	FragSPDatalog      Fragment = "SP-Datalog"       // negation on edb only
 	FragConDatalog     Fragment = "con-Datalog¬"     // stratified, all rules connected
 	FragSemiconDatalog Fragment = "semicon-Datalog¬" // stratified, disconnected rules confined to the last stratum
-	FragStratified     Fragment = "Datalog¬"         // stratified, beyond semicon
+	FragStratified     Fragment = "Datalog¬"         // stratified
 	FragUnstratifiable Fragment = "unstratifiable"
 )
 
-// Classify returns the most specific fragment label for the program.
-// Note the fragments are not totally ordered (con-Datalog¬ and
-// SP-Datalog are incomparable); the order of preference here is
-// Datalog, Datalog(≠), SP-Datalog, con-Datalog¬, semicon-Datalog¬,
-// Datalog¬.
-func (p *Program) Classify() Fragment {
-	if !p.IsStratifiable() {
-		return FragUnstratifiable
-	}
-	if p.IsPositive() {
-		if p.HasInequalities() {
-			return FragDatalogNeq
+// fragments lists Figure 2's fragments most specific first, bit i of
+// Memberships standing for fragments[i]. SP-Datalog and con-Datalog¬
+// are incomparable: between those two the order is a preference.
+var fragments = []Fragment{FragDatalog, FragDatalogNeq, FragSPDatalog, FragConDatalog, FragSemiconDatalog, FragStratified}
+
+// Memberships is a set of Figure 2 fragments.
+type Memberships uint8
+
+// Has reports whether f is in the set.
+func (m Memberships) Has(f Fragment) bool {
+	i := slices.Index(fragments, f)
+	return i >= 0 && m&(1<<i) != 0
+}
+
+// String lists the set's fragments, most specific first.
+func (m Memberships) String() string {
+	var names []string
+	for _, f := range fragments {
+		if m.Has(f) {
+			names = append(names, string(f))
 		}
-		return FragDatalog
 	}
-	if p.IsSemiPositive() {
-		return FragSPDatalog
+	return strings.Join(names, ", ")
+}
+
+// Memberships returns every fragment of Figure 2 the program
+// syntactically belongs to, none if it is unstratifiable. Each rule
+// sits in one stratum, so a stratifiable program is in con-Datalog¬
+// iff every rule is connected.
+func (p *Program) Memberships() Memberships {
+	if !p.IsStratifiable() {
+		return 0
 	}
-	if p.IsConnectedProgram() {
-		return FragConDatalog
+	pos, neq, con := true, false, true
+	for _, r := range p.Rules {
+		pos = pos && len(r.Neg) == 0
+		neq = neq || len(r.Ineq) > 0
+		con = con && r.IsConnected()
 	}
-	if p.IsSemiConnected() {
-		return FragSemiconDatalog
+	var m Memberships
+	for i, in := range []bool{pos && !neq, pos, p.isSemiPositive(), con, p.IsSemiConnected(), true} {
+		if in {
+			m |= 1 << i
+		}
 	}
-	return FragStratified
+	return m
+}
+
+// Classify returns the most specific fragment of Memberships.
+func (p *Program) Classify() Fragment {
+	if m := p.Memberships(); m != 0 {
+		return fragments[bits.TrailingZeros8(uint8(m))]
+	}
+	return FragUnstratifiable
 }

@@ -65,28 +65,20 @@ var example51P2 = `
 
 func TestExample51Classification(t *testing.T) {
 	p1 := MustParseProgram(example51P1)
-	if !p1.IsConnectedProgram() {
-		t.Error("P1 should be in con-Datalog¬")
-	}
-	if !p1.IsSemiConnected() {
-		t.Error("P1 should be in semicon-Datalog¬ (con ⊆ semicon)")
-	}
-	if p1.IsSemiPositive() {
-		t.Error("P1 negates the idb relation T; not SP-Datalog")
+	// P1 negates the idb relation T, so it is not in SP-Datalog, and
+	// con ⊆ semicon.
+	if got, want := p1.Memberships().String(), "con-Datalog¬, semicon-Datalog¬, Datalog¬"; got != want {
+		t.Errorf("Memberships(P1) = %q, want %q", got, want)
 	}
 	if got := p1.Classify(); got != FragConDatalog {
 		t.Errorf("Classify(P1) = %v, want %v", got, FragConDatalog)
 	}
 
 	p2 := MustParseProgram(example51P2)
-	if p2.AllRulesConnected() {
-		t.Error("P2's D-rule should be disconnected")
-	}
-	if p2.IsSemiConnected() {
-		t.Error("P2 should NOT be in semicon-Datalog¬ (D is disconnected and negated)")
-	}
-	if !p2.IsStratifiable() {
-		t.Error("P2 is stratifiable")
+	// P2's D-rule is disconnected and D is negated: stratifiable, but
+	// in neither con-Datalog¬ nor semicon-Datalog¬.
+	if got, want := p2.Memberships().String(), "Datalog¬"; got != want {
+		t.Errorf("Memberships(P2) = %q, want %q", got, want)
 	}
 	if got := p2.Classify(); got != FragStratified {
 		t.Errorf("Classify(P2) = %v, want %v", got, FragStratified)
@@ -103,7 +95,7 @@ func TestSemiConnectedLastStratumExemption(t *testing.T) {
 	if !p.IsSemiConnected() {
 		t.Error("disconnected final rule should be allowed in semicon-Datalog¬")
 	}
-	if p.IsConnectedProgram() {
+	if p.Memberships().Has(FragConDatalog) {
 		t.Error("program with a disconnected rule is not con-Datalog¬")
 	}
 
@@ -206,21 +198,23 @@ func TestFragmentInclusionWitnesses(t *testing.T) {
 	// An SP-Datalog program with a disconnected rule: in semicon
 	// (single stratum = last), not in con.
 	sp := MustParseProgram(`O(x,u) :- V(x), V(u), !E(x,u).`)
-	if !sp.IsSemiPositive() {
+	m := sp.Memberships()
+	if !m.Has(FragSPDatalog) {
 		t.Fatal("witness not SP")
 	}
-	if !sp.IsSemiConnected() {
+	if !m.Has(FragSemiconDatalog) {
 		t.Error("(i) violated: SP program not semicon")
 	}
-	if sp.IsConnectedProgram() {
+	if m.Has(FragConDatalog) {
 		t.Error("(ii) violated: disconnected SP program claimed con")
 	}
 	// A con-Datalog¬ program that is not SP (negates an idb relation).
 	con := MustParseProgram(example51P1)
-	if con.IsSemiPositive() {
+	m = con.Memberships()
+	if m.Has(FragSPDatalog) {
 		t.Error("P1 should not be SP")
 	}
-	if !con.IsSemiConnected() {
+	if !m.Has(FragSemiconDatalog) {
 		t.Error("(iii) violated: con program not semicon")
 	}
 }

@@ -108,7 +108,7 @@ func (p *Program) Fixpoint(input *fact.Instance, opts FixpointOptions) (*fact.In
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if !p.IsSemiPositive() {
+	if !p.isSemiPositive() {
 		return nil, fmt.Errorf("datalog: Fixpoint requires a semi-positive program; use EvalStratified")
 	}
 	return EvalStrata([][]Rule{p.Rules}, nil, 0, input, opts)

@@ -63,10 +63,6 @@ func (o Options) facts() int {
 	return DefaultMaxFacts
 }
 
-// IsStratifiable reports whether the program admits a syntactic
-// stratification.
-func (p *Program) IsStratifiable() bool { return p.body().IsStratifiable() }
-
 // skolemHook returns the head hook of invention relation rel: position
 // 0 becomes the interned Skolem value of the positions after it.
 func skolemHook(rel string) datalog.HeadHook {

@@ -142,8 +142,8 @@ func TestUnstratifiableRejected(t *testing.T) {
 			Pos: []datalog.Atom{datalog.AtomV("M", "x", "y")},
 			Neg: []datalog.Atom{datalog.AtomV("W", "y")}},
 	)
-	if p.IsStratifiable() {
-		t.Error("win-move-style ILOG program claimed stratifiable")
+	if m := p.body().Memberships(); m != 0 {
+		t.Errorf("win-move-style ILOG program claimed stratifiable: in %v", m)
 	}
 	if _, err := p.Eval(fact.MustParseInstance(`M(a,b)`), Options{}); err == nil {
 		t.Error("Eval should reject unstratifiable program")
@@ -247,7 +247,7 @@ func TestIlogConnectivity(t *testing.T) {
 	}
 
 	p := NewProgram(connected)
-	if !p.IsConnectedProgram() || !p.IsSemiConnected() {
+	if !p.body().Memberships().Has(datalog.FragConDatalog) || !p.IsSemiConnected() {
 		t.Error("connected program misclassified")
 	}
 	q := NewProgram(

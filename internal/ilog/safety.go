@@ -97,7 +97,3 @@ func (r Rule) IsConnectedRule() bool { return r.asDatalogRule().IsConnected() }
 // some stratification makes every stratum except possibly the last a
 // connected SP-wILOG program. Datalog¬'s decision procedure decides it.
 func (p *Program) IsSemiConnected() bool { return p.body().IsSemiConnected() }
-
-// IsConnectedProgram reports whether every rule is connected and the
-// program is stratifiable (con-wILOG¬).
-func (p *Program) IsConnectedProgram() bool { return p.body().IsConnectedProgram() }

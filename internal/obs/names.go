@@ -192,8 +192,9 @@ const (
 	CoordHoldsReleased = "coord.holds_released"
 	// CoordMigrations counts component migrations between shards.
 	CoordMigrations = "coord.migrations"
-	// CoordFencedReads counts gathers that had to run fenced (wait for
-	// every shard to reach the fence epoch) rather than free.
+	// CoordFencedReads counts cluster reads whose fence U — the last
+	// write the plan's licence does not cover — was above the
+	// connection's own last write.
 	CoordFencedReads = "coord.fenced_reads"
 )
 

@@ -33,7 +33,7 @@ func TestDoubledProgramShape(t *testing.T) {
 	if err != nil || !ok {
 		t.Errorf("connectivity not preserved: %v %v", ok, err)
 	}
-	if !d.IsConnectedProgram() {
+	if !d.Memberships().Has(datalog.FragConDatalog) {
 		t.Error("doubled win-move should be in con-Datalog¬")
 	}
 }

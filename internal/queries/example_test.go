@@ -3,6 +3,7 @@ package queries_test
 import (
 	"fmt"
 
+	"repro/internal/datalog"
 	"repro/internal/fact"
 	"repro/internal/queries"
 )
@@ -61,7 +62,7 @@ func ExampleDoubledProgram() {
 	}
 	fmt.Println(d)
 	fmt.Println("stratifiable:", d.IsStratifiable())
-	fmt.Println("connected:   ", d.IsConnectedProgram())
+	fmt.Println("connected:   ", d.Memberships().Has(datalog.FragConDatalog))
 	// Output:
 	// Win__over(x) :- Move(x,y), !Win__under(y).
 	// Win(x) :- Move(x,y), !Win__over(y).
