@@ -204,6 +204,9 @@ type Cluster struct {
 	log []*record
 	// u is U of Plan's read rule, stored under mu at append.
 	u atomic.Int64
+	// migratedAt is the log position of the last write that migrated a
+	// component, under mu.
+	migratedAt int
 	// comps holds, in partitioned mode, every placed base fact under its
 	// co(I) component; a component lives on rootShard of its root.
 	comps  *fact.ComponentIndex
@@ -513,8 +516,15 @@ func (c *Cluster) submitWrite(req serve.Request, tc obs.SpanCtx) (serve.Response
 	}
 	rec := newRecord(subs, key)
 	c.log = append(c.log, rec)
+	if migrated > 0 {
+		c.migratedAt = g
+	}
 	if c.plan.raisesU(len(ret) > 0) {
 		c.u.Store(int64(g))
+	} else if len(ret) > 0 && c.behind(c.migratedAt) {
+		// A partitioned retract may remove a fact whose old home has not
+		// applied its migration yet: reads wait for that write.
+		c.u.Store(int64(c.migratedAt))
 	}
 	acks := make([]chan serve.Response, 0, len(homes))
 	for j, sh := range c.shards {
@@ -1018,6 +1028,12 @@ func (sh *shard) apply(d delivery, ptc obs.SpanCtx) {
 	if d.resp != nil {
 		d.resp <- r
 	}
+}
+
+// behind reports whether some shard has yet to apply log position g.
+// Callers hold c.mu.
+func (c *Cluster) behind(g int) bool {
+	return slices.ContainsFunc(c.shards, func(sh *shard) bool { return sh.watermark() < g })
 }
 
 func (sh *shard) setWM(wm int) {

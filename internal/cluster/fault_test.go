@@ -265,3 +265,73 @@ func TestAcknowledgedRetractIsNeverStale(t *testing.T) {
 		t.Fatalf("%d of %d reads after an acknowledged retract of %s still showed %s", stale, trials, e, tf)
 	}
 }
+
+// TestRetractDuringMigrationIsNeverStale: an acknowledged retract is
+// not served stale by a partitioned read while the fact's migration is
+// in flight. Two shards place TC's input by component. E(a,b) lives on
+// s1; connection C writes a 300-edge chain homed on s1 without waiting,
+// which keeps s1 busy; D bridges with E(b,x), whose component is homed
+// on s0 and absorbs a's, so one log record takes E(a,b) off s1 and puts
+// it on s0; A retracts E(a,b), which s0 alone holds now and acks. A
+// gather by B that fences only on its own writes pins s1 before it has
+// applied the migration, and shows T(a,b). The retract raises U to the
+// migrating write, so the read waits for s1 to apply it.
+func TestRetractDuringMigrationIsNeverStale(t *testing.T) {
+	const trials, chain = 20, 300
+	// A component is homed by its least value (by string).
+	value := func(prefix string, shard int) string {
+		for i := 0; ; i++ {
+			if v := fmt.Sprintf("%s%d", prefix, i); hashShard(v, 2) == shard {
+				return v
+			}
+		}
+	}
+	a := value("p", 1)
+	b, x := "q"+a[1:], value("e", 0) // "eK" < "pK": x's component absorbs a's
+	e, tf := "E("+a+","+b+")", `"T(`+a+","+b+`)"`
+	c0 := value("c", 1)
+	long := []string{"E(" + c0 + "," + c0 + "_1)"}
+	for i := 1; i < chain; i++ {
+		long = append(long, fmt.Sprintf("E(%s_%d,%s_%d)", c0, i, c0, i+1))
+	}
+	stale := 0
+	for trial := 0; trial < trials; trial++ {
+		c := newTestCluster(t, tcProgram, "", Options{Shards: 2, Placement: PlaceComponent})
+		r := NewRouter(c)
+		cA, cB, cC, cD := r.newConn(), r.newConn(), r.newConn(), r.newConn()
+		do := func(cn *conn, op string, facts ...string) string {
+			resp := cn.handle(serve.Request{Op: op, Facts: facts, Rel: "T"}, obs.SpanCtx{})
+			if !resp.OK {
+				t.Errorf("%s %v: %s", op, facts, resp.Err)
+			}
+			return encodeResp(t, resp)
+		}
+		logged := func(g int) {
+			for {
+				c.mu.Lock()
+				n := len(c.log)
+				c.mu.Unlock()
+				if n >= g {
+					return
+				}
+				runtime.Gosched()
+			}
+		}
+		do(cA, "insert", e)
+		done := make(chan bool, 2)
+		go func() { do(cC, "insert", long...); done <- true }()
+		logged(2)
+		go func() { do(cD, "insert", "E("+b+","+x+")"); done <- true }()
+		logged(3)
+		do(cA, "retract", e)
+		if strings.Contains(do(cB, "query"), tf) {
+			stale++
+		}
+		<-done
+		<-done
+		c.Close()
+	}
+	if stale > 0 {
+		t.Fatalf("%d of %d reads after an acknowledged retract of %s still showed %s", stale, trials, e, tf)
+	}
+}

@@ -62,11 +62,12 @@ func (p Plan) insertsLicensed() bool {
 	return p.Licence.Class != nil && p.Licence.Class.Implies(monotone.M)
 }
 
-// raisesU reports whether an appended write moves U. A partitioned
-// plan leaves U alone: its writes are acknowledged by every shard that
-// holds their facts, so an acknowledged retract is in every later
-// gather — unless a migration of the fact is still in flight: its old
-// home may not have applied it yet (ROADMAP item 11, finding (l)).
+// raisesU reports whether an appended write moves U to itself. A
+// partitioned plan does not: its writes are acknowledged by every shard
+// that holds their facts, so an acknowledged retract is in every later
+// gather — unless a migration of the fact is still in flight, whose old
+// home may not have applied it yet. There a retract raises U to the
+// last migrating write while a shard is behind it (Cluster.submitWrite).
 func (p Plan) raisesU(retracts bool) bool {
 	return !p.Partitioned && (retracts || !p.insertsLicensed())
 }

@@ -21,8 +21,8 @@ import (
 //
 // Out, Ins and Snd are the Section 4.1.2 definition. Delta is the same
 // transition read off the node's parts and the System view by probe
-// (DESIGN.md §16); it evaluates the query at every complete transition,
-// as Out does.
+// (DESIGN.md §16), walking only what the node's memory has not seen; it
+// evaluates the query at a complete transition where K grew.
 func buildAbsence(q monotone.Query, in, out fact.Schema) (*transducer.Transducer, error) {
 	msg := fact.MustSchema(map[string]int{relHello: 1})
 	mem := fact.MustSchema(map[string]int{relVal: 1, relHelloS: 1})
@@ -167,48 +167,62 @@ func buildAbsence(q monotone.Query, in, out fact.Schema) (*transducer.Transducer
 		},
 		Delta: func(local, state, m *fact.Instance, sys transducer.System, acc *transducer.Delta) error {
 			d := delta{acc, state}
-			if id, ok := sys.Id(); ok {
-				d.insSend(helloS, hello, []fact.ID{fact.Intern(id)})
+			base := sys.Base()
+			memo := base.Memo()
+			// The hello and the local facts go out once per memory.
+			if memo.Open == nil {
+				memo.Open = make([][]fact.ID, len(rels))
+				if id, ok := sys.Id(); ok {
+					d.insSend(helloS, hello, []fact.ID{fact.Intern(id)})
+				}
+				local.EachIDs(func(rel fact.ID, args []fact.ID) bool {
+					if r, ok := byRel[rel]; ok {
+						d.insSend(r.sent, r.fwd, args)
+					}
+					return true
+				})
 			}
+			k := 0 // |K| once the transition's Xg_ rows are in
 			m.EachIDs(func(rel fact.ID, args []fact.ID) bool {
 				if rel == hello {
 					d.ins(val, args)
 				} else if r, ok := byMsg[rel]; ok {
 					if rel == r.fwd {
-						d.ins(r.got, args)
+						if d.ins(r.got, args) {
+							k++
+						}
 					} else {
 						d.ins(r.absGot, args)
 					}
 				}
 				return true
 			})
-			local.EachIDs(func(rel fact.ID, args []fact.ID) bool {
-				if r, ok := byRel[rel]; ok {
-					d.insSend(r.sent, r.fwd, args)
-				}
-				return true
-			})
-			// One walk over the candidate facts detects the absences and
-			// decides completeness, as detectAbsences and complete do.
-			base := sys.Base()
+			// A candidate is classified once, when it has a new value, as
+			// detectAbsences and complete do; the open ones wait.
 			complete := true
-			for _, r := range rels {
-				fact.EachTuple(base.MyAdom(), r.arity, func(t []fact.ID) bool {
+			for i, r := range rels {
+				k += state.Count(r.got, r.arity)
+				fact.EachNewTuple(base.MyAdom(), base.New(), r.arity, func(t []fact.ID) bool {
 					switch {
 					case local.HasIDs(r.rel, t):
 					case base.Responsible(r.rel, t):
 						d.ins(r.absGot, t)
 						d.insSend(r.absSent, r.abs, t)
-					case complete:
-						complete = state.HasIDs(r.got, t) || m.HasIDs(r.fwd, t) ||
-							state.HasIDs(r.absGot, t) || m.HasIDs(r.abs, t)
+					default:
+						memo.Open[i] = append(memo.Open[i], t...)
 					}
 					return true
 				})
+				if complete {
+					memo.Open[i], complete = settle(memo.Open[i], r.arity,
+						func(t []fact.ID) bool { return state.HasIDs(r.got, t) || state.HasIDs(r.absGot, t) },
+						func(t []fact.ID) bool { return m.HasIDs(r.fwd, t) || m.HasIDs(r.abs, t) })
+				}
 			}
-			if !complete {
+			if !complete || k == memo.K {
 				return nil
 			}
+			memo.K = k
 			return d.evalInto(eval, known, local, m)
 		},
 	}

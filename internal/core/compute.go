@@ -137,5 +137,5 @@ func VerifyCoordinationFree(s Strategy, q monotone.Query, net transducer.Network
 		return false, err
 	}
 	x := net[0]
-	return transducer.CoordinationFreeWitness(net, t, s.IdealPolicy(x), s.RequiredModel(), input, want, x, 4+input.Len(), 0)
+	return transducer.CoordinationFreeWitness(net, t, s.idealPolicy(x), s.RequiredModel(), input, want, x, 4+input.Len(), 0)
 }

@@ -109,10 +109,10 @@ func (s Strategy) RequiredModel() transducer.Model {
 	return transducer.PolicyAwareNoAll
 }
 
-// IdealPolicy returns the Definition 3 witness policy for the strategy
+// idealPolicy returns the Definition 3 witness policy for the strategy
 // on the given network: the distribution under which node x computes
 // the full query answer with heartbeat transitions only.
-func (s Strategy) IdealPolicy(x transducer.NodeID) transducer.Policy {
+func (s Strategy) idealPolicy(x transducer.NodeID) transducer.Policy {
 	if s == DomainRequest {
 		// Must be domain-guided: assign every value to x.
 		return transducer.DomainGuided(transducer.AssignAllTo(x))
@@ -270,6 +270,22 @@ func (d delta) evalInto(eval func(*fact.Instance) (*fact.Instance, error), k kno
 	}
 	d.Out.AddAll(res)
 	return nil
+}
+
+// settle drops the open candidates (rows of the arity) that are done
+// for good and reports whether the rest are resolved now, stopping at
+// the first that is not.
+func settle(open []fact.ID, arity int, done, now func([]fact.ID) bool) ([]fact.ID, bool) {
+	kept := 0
+	for at := 0; at < len(open); at += arity {
+		if t := open[at : at+arity]; !done(t) {
+			if !now(t) {
+				return open[:kept+copy(open[kept:], open[at:])], false
+			}
+			kept += copy(open[kept:], t)
+		}
+	}
+	return open[:kept], true
 }
 
 // myAdom reads the MyAdom system relation.

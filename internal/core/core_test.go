@@ -361,7 +361,7 @@ func TestStrategyMetadata(t *testing.T) {
 		if s.String() == "" {
 			t.Error("empty strategy name")
 		}
-		pol := s.IdealPolicy("n1")
+		pol := s.idealPolicy("n1")
 		f := fact.New("E", "u", "v")
 		nodes := pol.Nodes(f)
 		if len(nodes) != 1 || nodes[0] != "n1" {
@@ -370,7 +370,7 @@ func TestStrategyMetadata(t *testing.T) {
 	}
 	// The DomainRequest ideal policy must be domain-guided.
 	net := transducer.MustNetwork("n1", "n2")
-	if !transducer.IsDomainGuidedOn(DomainRequest.IdealPolicy("n1"), fact.GraphSchema(), []fact.Value{"a", "b", "n1"}) {
+	if !transducer.IsDomainGuidedOn(DomainRequest.idealPolicy("n1"), fact.GraphSchema(), []fact.Value{"a", "b", "n1"}) {
 		t.Error("DomainRequest ideal policy is not domain-guided")
 	}
 	_ = net

@@ -26,8 +26,9 @@ import (
 //
 // Out, Ins and Snd are the Section 4.1.2 definition. Delta is the same
 // transition read off the node's parts and the System view by probe,
-// responsibility asked per value (DESIGN.md §16); it evaluates the
-// query at every complete transition, as Out does.
+// responsibility asked per value (DESIGN.md §16), walking only what the
+// node's memory has not seen; it evaluates the query at a complete
+// transition where K grew.
 func buildDomainRequest(q monotone.Query, in, out fact.Schema) (*transducer.Transducer, error) {
 	msg := fact.MustSchema(map[string]int{relHello: 1, relAnn: 1, relReq: 2, relOk: 2})
 	mem := fact.MustSchema(map[string]int{
@@ -55,13 +56,11 @@ func buildDomainRequest(q monotone.Query, in, out fact.Schema) (*transducer.Tran
 	}
 	var rels []*ids
 	byRel, byMsg := make(map[fact.ID]*ids), make(map[fact.ID]*ids)
-	maxArity := 0
 	for _, rel := range inputRels(in) {
 		r := &ids{fact.InternString(rel), fact.InternString(relGot(rel)), fact.InternString(relResp(rel)), fact.InternString(relAck(rel)),
 			fact.InternString(relRespS(rel)), fact.InternString(relAckG(rel)), fact.InternString(relAckS(rel)), in[rel]}
 		rels = append(rels, r)
 		byRel[r.rel], byMsg[r.resp], byMsg[r.ack] = r, r, r
-		maxArity = max(maxArity, r.arity)
 	}
 	var (
 		hello, ann, req, ok = fact.InternString(relHello), fact.InternString(relAnn), fact.InternString(relReq), fact.InternString(relOk)
@@ -296,15 +295,16 @@ func buildDomainRequest(q monotone.Query, in, out fact.Schema) (*transducer.Tran
 			d := delta{acc, state}
 			base := sys.Base()
 			// responsible is responsibleForValue: one policy probe per input
-			// relation on the all-a tuple.
-			diag := make([]fact.ID, maxArity)
+			// relation on the all-a tuple. diag and args below have a
+			// constant capacity, which keeps them on the stack.
+			diag := make([]fact.ID, 0, 8)
 			responsible := func(a fact.ID) bool {
 				for _, r := range rels {
-					t := diag[:r.arity]
-					for i := range t {
-						t[i] = a
+					diag = diag[:0]
+					for range r.arity {
+						diag = append(diag, a)
 					}
-					if base.Responsible(r.rel, t) {
+					if base.Responsible(r.rel, diag) {
 						return true
 					}
 				}
@@ -314,21 +314,30 @@ func buildDomainRequest(q monotone.Query, in, out fact.Schema) (*transducer.Tran
 			var self fact.ID
 			if hasID {
 				self = fact.Intern(id)
-				d.insSend(helloS, hello, []fact.ID{self})
 			}
-			local.EachIDs(func(rel fact.ID, args []fact.ID) bool {
-				if byRel[rel] != nil {
-					for i := range args {
-						d.insSend(annS, ann, args[i:i+1])
-					}
+			// The hello and the announcements go out once per memory,
+			// whose first transition answers every stored request.
+			memo := base.Memo()
+			if memo.Open == nil {
+				memo.Open = make([][]fact.ID, 1)
+				memo.Wake = append(memo.Wake[:0], state.Rows(reqG, 2)...)
+				if hasID {
+					d.insSend(helloS, hello, []fact.ID{self})
 				}
-				return true
-			})
+				local.EachIDs(func(rel fact.ID, args []fact.ID) bool {
+					if byRel[rel] != nil {
+						for i := range args {
+							d.insSend(annS, ann, args[i:i+1])
+						}
+					}
+					return true
+				})
+			}
 
 			// answer serves one pending request (requester, a) of a value
 			// this node is responsible for, as pendingRequests and
 			// respFactsFor do.
-			args := make([]fact.ID, 0, 2+maxArity)
+			args := make([]fact.ID, 0, 8)
 			answer := func(pair []fact.ID) {
 				if !responsible(pair[1]) {
 					return
@@ -348,6 +357,13 @@ func buildDomainRequest(q monotone.Query, in, out fact.Schema) (*transducer.Tran
 					d.insSend(okS, ok, pair)
 				}
 			}
+			// A stored request is answered again after an ack of it is.
+			for at := 0; at < len(memo.Wake); at += 2 {
+				if pair := memo.Wake[at : at+2]; state.HasIDs(reqG, pair) {
+					answer(pair)
+				}
+			}
+			memo.Wake = memo.Wake[:0]
 			m.EachIDs(func(rel fact.ID, t []fact.ID) bool {
 				switch r := byMsg[rel]; {
 				case rel == ann || rel == hello:
@@ -367,21 +383,17 @@ func buildDomainRequest(q monotone.Query, in, out fact.Schema) (*transducer.Tran
 						d.insSend(r.ackS, r.ack, t)
 					}
 				case r != nil:
-					d.ins(r.ackG, t)
-				}
-				return true
-			})
-			state.EachIDs(func(rel fact.ID, t []fact.ID) bool {
-				if rel == reqG {
-					answer(t)
+					if d.ins(r.ackG, t) {
+						memo.Wake = append(memo.Wake, t[:2]...)
+					}
 				}
 				return true
 			})
 
-			// Request every uncovered value, and decide completeness.
-			complete := true
+			// Request each uncovered value once; the open ones wait for
+			// their OK (a value leaves A only if the model hides Id).
 			pair := []fact.ID{self, 0}
-			for _, a := range base.MyAdom() {
+			for _, a := range base.New() {
 				if responsible(a) {
 					continue
 				}
@@ -390,11 +402,24 @@ func buildDomainRequest(q monotone.Query, in, out fact.Schema) (*transducer.Tran
 					d.ins(reqS, pair[1:])
 					d.send(req, pair)
 				}
-				complete = complete && (state.HasIDs(okGot, pair[1:]) || hasID && m.HasIDs(ok, pair))
+				memo.Open[0] = append(memo.Open[0], a)
 			}
-			if !complete {
+			var complete bool
+			memo.Open[0], complete = settle(memo.Open[0], 1,
+				func(a []fact.ID) bool { return state.HasIDs(okGot, a) },
+				func(a []fact.ID) bool {
+					pair[1] = a[0]
+					_, inA := slices.BinarySearch(base.MyAdom(), a[0])
+					return !inA || hasID && m.HasIDs(ok, pair)
+				})
+			k := 0 // |K|, up to input facts held twice
+			for _, r := range rels {
+				k += state.Count(r.got, r.arity)
+			}
+			if !complete || k == memo.K {
 				return nil
 			}
+			memo.K = k
 			return d.evalInto(eval, known, local, m)
 		},
 	}

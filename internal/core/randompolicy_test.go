@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/fact"
@@ -88,7 +89,7 @@ func TestRandomPolicyWellFormed(t *testing.T) {
 			t.Errorf("policy unstable for %v", f)
 		}
 		for _, x := range nodes {
-			if !net.Has(x) {
+			if !slices.Contains(net, x) {
 				t.Errorf("foreign node %s", x)
 			}
 		}

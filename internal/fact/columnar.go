@@ -222,8 +222,8 @@ func (x TupleIndex) Get(args []ID) (int32, bool) {
 	return row, ok
 }
 
-// Put maps the tuple to row, replacing what it mapped to.
-func (x TupleIndex) Put(args []ID, row int32) {
+// put maps the tuple to row, replacing what it mapped to.
+func (x TupleIndex) put(args []ID, row int32) {
 	if x.t != nil {
 		x.t.put(key64(args), row, true)
 		return
@@ -233,7 +233,7 @@ func (x TupleIndex) Put(args []ID, row int32) {
 }
 
 // PutNew maps the tuple to row unless it is mapped already: one probe
-// that is a Get when the tuple is there and a Put when it is not. It
+// that is a Get when the tuple is there and a put when it is not. It
 // returns the row the tuple maps to afterwards and whether it was new.
 func (x TupleIndex) PutNew(args []ID, row int32) (int32, bool) {
 	if x.t != nil {
@@ -358,7 +358,7 @@ func (c *column) remove(args []ID) bool {
 	if int(row) != c.n { // the last row moves into the hole
 		last := c.row(c.n)
 		copy(c.row(int(row)), last)
-		c.idx.Put(last, row)
+		c.idx.put(last, row)
 	}
 	c.args = c.args[:c.n*c.arity]
 	return true

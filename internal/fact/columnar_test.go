@@ -195,7 +195,7 @@ func TestTupleIndexProperty(t *testing.T) {
 					if phase == 1 && step < steps/2 && rng.Intn(3) > 0 {
 						args = tuple(universe) // growth: inserts outweigh deletes
 						row := int32(rng.Intn(1000))
-						x.Put(args, row)
+						x.put(args, row)
 						oracle[key(args)] = row
 						check("Put", args)
 						continue
@@ -203,7 +203,7 @@ func TestTupleIndexProperty(t *testing.T) {
 					switch op := rng.Intn(20); {
 					case op < 5:
 						row := int32(rng.Intn(1000))
-						x.Put(args, row)
+						x.put(args, row)
 						oracle[key(args)] = row
 						check("Put", args)
 					case op < 10:
@@ -241,7 +241,7 @@ func TestTupleIndexProperty(t *testing.T) {
 						checkAll("Renumber")
 					case op < 19:
 						c := x.clone()
-						x.Put(tuple(universe), 1) // the original moves on;
+						x.put(tuple(universe), 1) // the original moves on;
 						x.Delete(tuple(universe)) // the clone must not see it
 						x = c
 						checkAll("clone")

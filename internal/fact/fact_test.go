@@ -139,12 +139,6 @@ func TestTupleCompare(t *testing.T) {
 func TestValueSetOps(t *testing.T) {
 	s := NewValueSet("a", "b")
 	u := NewValueSet("b", "c")
-	if got := s.Union(u); len(got) != 3 {
-		t.Errorf("Union size = %d, want 3", len(got))
-	}
-	if got := s.Intersect(u); len(got) != 1 || !got.Has("b") {
-		t.Errorf("Intersect = %v, want {b}", got.Sorted())
-	}
 	if got := s.Minus(u); len(got) != 1 || !got.Has("a") {
 		t.Errorf("Minus = %v, want {a}", got.Sorted())
 	}

@@ -230,7 +230,7 @@ func (i *Instance) EachSortedIDs(fn func(rel ID, args []ID)) {
 		}
 		slices.SortFunc(vals, compareSyms)
 		for r := range vals {
-			rank.Put(vals[r:r+1], int32(r))
+			rank.put(vals[r:r+1], int32(r))
 		}
 		ranks = ranks[:0]
 		for j := range c.args {
@@ -299,6 +299,15 @@ func (i *Instance) Rows(rel ID, arity int) []ID {
 	return nil
 }
 
+// Count returns the number of facts of relation rel with the given
+// arity.
+func (i *Instance) Count(rel ID, arity int) int {
+	if c := i.col(rel, arity); c != nil {
+		return c.rows()
+	}
+	return 0
+}
+
 // EachTuple calls fn with every tuple of the given arity over vals, in
 // odometer order over vals' order, until fn returns false. The slice fn
 // receives is reused between calls; copy it to keep it.
@@ -327,6 +336,40 @@ func EachTuple(vals []ID, arity int, fn func(args []ID) bool) {
 			return
 		}
 	}
+}
+
+// EachNewTuple is EachTuple over the tuples that hold a value of fresh,
+// a subset of vals; both are sorted by ID. Those are the tuples over
+// vals that are not over vals ∖ fresh, and fn sees each once, in
+// odometer order, at a cost in proportion to their number: a tuple with
+// no fresh value before its last position takes its last from fresh.
+func EachNewTuple(vals, fresh []ID, arity int, fn func(args []ID) bool) {
+	if len(fresh) == 0 || arity == 0 {
+		return
+	}
+	if len(fresh) == len(vals) {
+		EachTuple(vals, arity, fn)
+		return
+	}
+	args := make([]ID, arity)
+	var walk func(k int, touched bool) bool
+	walk = func(k int, touched bool) bool {
+		if k == arity {
+			return fn(args)
+		}
+		from := vals
+		if !touched && k == arity-1 {
+			from = fresh
+		}
+		for _, v := range from {
+			args[k] = v
+			if !walk(k+1, touched || slices.Contains(fresh, v)) {
+				return false
+			}
+		}
+		return true
+	}
+	walk(0, false)
 }
 
 // Rel returns the facts of relation rel in sorted order.

@@ -187,7 +187,7 @@ func TestTwoAritiesTwoColumns(t *testing.T) {
 			for _, v := range vals[r*arity : (r+1)*arity] {
 				tb.Args = append(tb.Args, Intern(v))
 			}
-			tb.Index.Put(tb.Args[r*arity:(r+1)*arity], int32(r))
+			tb.Index.put(tb.Args[r*arity:(r+1)*arity], int32(r))
 		}
 		return tb
 	}
@@ -249,7 +249,7 @@ func TestFromTables(t *testing.T) {
 			for _, v := range row {
 				tab.Args = append(tab.Args, Intern(v))
 			}
-			tab.Index.Put(tab.Args[r*tab.Arity:(r+1)*tab.Arity], int32(r))
+			tab.Index.put(tab.Args[r*tab.Arity:(r+1)*tab.Arity], int32(r))
 		}
 		return tab
 	}
@@ -443,4 +443,35 @@ func randomGraphValues(rng *rand.Rand, n, m int, prefix string) *Instance {
 		i.Add(New("E", vals[rng.Intn(n)], vals[rng.Intn(n)]))
 	}
 	return i
+}
+
+// EachNewTuple visits exactly the tuples of EachTuple that hold a value
+// of fresh, in the same order, for every subset fresh of vals.
+func TestEachNewTuple(t *testing.T) {
+	vals := []ID{Intern("nt-a"), Intern("nt-b"), Intern("nt-c"), Intern("nt-d")}
+	slices.Sort(vals)
+	for arity := 0; arity <= 3; arity++ {
+		for mask := 0; mask < 1<<len(vals); mask++ {
+			var fresh []ID
+			for i, v := range vals {
+				if mask&(1<<i) != 0 {
+					fresh = append(fresh, v)
+				}
+			}
+			var want, got [][]ID
+			EachTuple(vals, arity, func(args []ID) bool {
+				if slices.ContainsFunc(args, func(v ID) bool { return slices.Contains(fresh, v) }) {
+					want = append(want, slices.Clone(args))
+				}
+				return true
+			})
+			EachNewTuple(vals, fresh, arity, func(args []ID) bool {
+				got = append(got, slices.Clone(args))
+				return true
+			})
+			if !slices.EqualFunc(got, want, slices.Equal[[]ID]) {
+				t.Errorf("arity %d, fresh %v: got %v, want %v", arity, fresh, got, want)
+			}
+		}
+	}
 }

@@ -142,29 +142,6 @@ func (s ValueSet) AddAll(t ValueSet) {
 	}
 }
 
-// Union returns a new set containing the values of both operands.
-func (s ValueSet) Union(t ValueSet) ValueSet {
-	u := make(ValueSet, len(s)+len(t))
-	u.AddAll(s)
-	u.AddAll(t)
-	return u
-}
-
-// Intersect returns a new set with the values present in both operands.
-func (s ValueSet) Intersect(t ValueSet) ValueSet {
-	small, large := s, t
-	if len(large) < len(small) {
-		small, large = large, small
-	}
-	u := make(ValueSet)
-	for v := range small {
-		if large.Has(v) {
-			u.Add(v)
-		}
-	}
-	return u
-}
-
 // Minus returns a new set with the values of s that are not in t.
 func (s ValueSet) Minus(t ValueSet) ValueSet {
 	u := make(ValueSet)

@@ -2,7 +2,6 @@ package transducer
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -87,9 +86,7 @@ func (p *FaultPlan) roll(kind byte, clock int, from, to NodeID, f fact.Fact) flo
 	b := append(strconv.AppendInt(scratch[:0], p.Seed, 10), 0, kind)
 	b = append(strconv.AppendInt(b, int64(clock), 10), 0)
 	b = f.AppendKey(append(append(append(append(b, from...), 0), to...), 0))
-	h := fnv.New64a()
-	h.Write(b)
-	return float64(h.Sum64()>>11) / float64(uint64(1)<<53)
+	return float64(fnv64a(b)>>11) / float64(uint64(1)<<53)
 }
 
 // ExtraCopies returns how many duplicate copies of the message to

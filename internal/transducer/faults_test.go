@@ -305,7 +305,7 @@ func TestCrashDropsVolatileState(t *testing.T) {
 	}
 	// The local input fragment survives (it is empty under AllToNode n1,
 	// so check on n1's side that local inputs are never touched).
-	if !sim.LocalInput("n1").Equal(graphIn) {
+	if !sim.nodes[sim.idx["n1"]].local.Equal(graphIn) {
 		t.Error("crash of n2 disturbed n1's local input")
 	}
 	// Recovery rebroadcast refilled the buffer from n1's send log.

@@ -22,7 +22,7 @@ package transducer
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 
 	"repro/internal/fact"
@@ -62,21 +62,12 @@ func MustNetwork(nodes ...NodeID) Network {
 	return n
 }
 
-// Has reports whether the node belongs to the network.
-func (n Network) Has(x NodeID) bool {
-	for _, y := range n {
-		if y == x {
-			return true
-		}
-	}
-	return false
-}
-
 // Policy is a distribution policy P for a schema σ and a network N: a
 // total function from facts over σ to nonempty sets of nodes
 // (Section 4.1.1). Implementations must be deterministic.
 type Policy interface {
-	// Nodes returns the nonempty set of nodes responsible for the fact.
+	// Nodes returns the nonempty set of nodes responsible for the fact,
+	// for the caller to read only.
 	Nodes(f fact.Fact) []NodeID
 }
 
@@ -85,17 +76,6 @@ type PolicyFunc func(f fact.Fact) []NodeID
 
 // Nodes implements Policy.
 func (p PolicyFunc) Nodes(f fact.Fact) []NodeID { return p(f) }
-
-// Responsible reports whether node x is responsible for the fact
-// under the policy.
-func Responsible(p Policy, x NodeID, f fact.Fact) bool {
-	for _, y := range p.Nodes(f) {
-		if y == x {
-			return true
-		}
-	}
-	return false
-}
 
 // Dist computes dist_P(I): the distributed database instance mapping
 // each node to its fragment of the input.
@@ -118,11 +98,21 @@ func Dist(p Policy, net Network, input *fact.Instance) map[NodeID]*fact.Instance
 // HashPolicy assigns each fact to a single node chosen by hashing the
 // whole fact; a generic non-domain-guided policy.
 func HashPolicy(net Network) Policy {
+	one := singletons(net)
 	return PolicyFunc(func(f fact.Fact) []NodeID {
-		h := fnv.New32a()
-		h.Write([]byte(f.Key()))
-		return []NodeID{net[int(h.Sum32())%len(net)]}
+		var buf [64]byte
+		return one[int(fnv32a(f.AppendKey(buf[:0])))%len(net)]
 	})
+}
+
+// singletons returns {y} for each node y of net, as one shared slice
+// each: a policy's answer is read, not written.
+func singletons(net Network) [][]NodeID {
+	nodes, one := slices.Clone(net), make([][]NodeID, len(net))
+	for i := range nodes {
+		one[i] = nodes[i : i+1 : i+1]
+	}
+	return one
 }
 
 // FirstAttrPolicy assigns each fact to a node by hashing its first
@@ -130,9 +120,7 @@ func HashPolicy(net Network) Policy {
 // partitions E by its first attribute). Not domain-guided.
 func FirstAttrPolicy(net Network) Policy {
 	return PolicyFunc(func(f fact.Fact) []NodeID {
-		h := fnv.New32a()
-		h.Write([]byte(f.Arg(0)))
-		return []NodeID{net[int(h.Sum32())%len(net)]}
+		return []NodeID{net[int(fnv32a(f.Arg(0)))%len(net)]}
 	})
 }
 
@@ -154,21 +142,25 @@ func ReplicateAll(net Network) Policy {
 // quantifier of Section 4.1.4.
 func RandomPolicy(net Network, seed int64) Policy {
 	return PolicyFunc(func(f fact.Fact) []NodeID {
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%d\x00%s", seed, f.Key())
-		bits := h.Sum64()
-		var out []NodeID
-		for i, x := range net {
-			if bits&(1<<uint(i%63)) != 0 {
-				out = append(out, x)
-			}
-			bits = bits*6364136223846793005 + 1442695040888963407
-		}
-		if len(out) == 0 {
-			out = []NodeID{net[int(bits>>32)%len(net)]}
-		}
-		return out
+		return randomNodes(net, fmt.Sprintf("%d\x00%s", seed, f.Key()))
 	})
+}
+
+// randomNodes derives a nonempty node subset from the FNV-1a hash of
+// key.
+func randomNodes(net Network, key string) []NodeID {
+	bits := fnv64a(key)
+	var out []NodeID
+	for i, x := range net {
+		if bits&(1<<uint(i%63)) != 0 {
+			out = append(out, x)
+		}
+		bits = bits*6364136223846793005 + 1442695040888963407
+	}
+	if len(out) == 0 {
+		out = []NodeID{net[int(bits>>32)%len(net)]}
+	}
+	return out
 }
 
 // RandomAssignment returns a deterministic pseudo-random domain
@@ -176,20 +168,7 @@ func RandomPolicy(net Network, seed int64) Policy {
 // from the seed and the value.
 func RandomAssignment(net Network, seed int64) DomainAssignment {
 	return AssignFunc(func(a fact.Value) []NodeID {
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%d\x01%s", seed, a)
-		bits := h.Sum64()
-		var out []NodeID
-		for i, x := range net {
-			if bits&(1<<uint(i%63)) != 0 {
-				out = append(out, x)
-			}
-			bits = bits*6364136223846793005 + 1442695040888963407
-		}
-		if len(out) == 0 {
-			out = []NodeID{net[int(bits>>32)%len(net)]}
-		}
-		return out
+		return randomNodes(net, fmt.Sprintf("%d\x01%s", seed, a))
 	})
 }
 
@@ -197,7 +176,8 @@ func RandomAssignment(net Network, seed int64) DomainAssignment {
 // nonempty node sets (Section 4.1.1). It induces the domain-guided
 // policy P(R(a1..ak)) = α(a1) ∪ ... ∪ α(ak).
 type DomainAssignment interface {
-	// Assign returns the nonempty set of nodes value a is assigned to.
+	// Assign returns the nonempty set of nodes value a is assigned to,
+	// for the caller to read only.
 	Assign(a fact.Value) []NodeID
 }
 
@@ -209,11 +189,28 @@ func (f AssignFunc) Assign(a fact.Value) []NodeID { return f(a) }
 
 // HashAssignment assigns each value to one node by hash.
 func HashAssignment(net Network) DomainAssignment {
+	one := singletons(net)
 	return AssignFunc(func(a fact.Value) []NodeID {
-		h := fnv.New32a()
-		h.Write([]byte(a))
-		return []NodeID{net[int(h.Sum32())%len(net)]}
+		return one[int(fnv32a(a))%len(net)]
 	})
+}
+
+// fnv32a and fnv64a are the 32- and 64-bit FNV-1a hashes of s, as
+// hash/fnv computes them, without the hasher's allocation.
+func fnv32a[T ~string | ~[]byte](s T) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
+	}
+	return h
+}
+
+func fnv64a[T ~string | ~[]byte](s T) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return h
 }
 
 // AssignAllTo maps every value to the single node x — the ideal
@@ -227,17 +224,15 @@ func AssignAllTo(x NodeID) DomainAssignment {
 // assigned to.
 func DomainGuided(alpha DomainAssignment) Policy {
 	return PolicyFunc(func(f fact.Fact) []NodeID {
-		seen := make(map[NodeID]bool)
 		var out []NodeID
 		for i := 0; i < f.Arity(); i++ {
 			for _, x := range alpha.Assign(f.Arg(i)) {
-				if !seen[x] {
-					seen[x] = true
+				if !slices.Contains(out, x) {
 					out = append(out, x)
 				}
 			}
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		slices.Sort(out)
 		return out
 	})
 }

@@ -281,7 +281,7 @@ func NewSimulationOver(net Network, t *Transducer, p Policy, mod Model, input *f
 	if recipients != nil && len(recipients) != len(net) {
 		return nil, fmt.Errorf("transducer: recipients for %d nodes, network has %d", len(recipients), len(net))
 	}
-	if err := t.Validate(); err != nil {
+	if err := t.Schema.Validate(); err != nil {
 		return nil, err
 	}
 	var bad *fact.Fact
@@ -336,9 +336,9 @@ func (s *Simulation) Clock() int { return s.clock }
 func (s *Simulation) Clone() *Simulation {
 	c := *s // plans are immutable and decision-pure; idx and recipients never change
 	c.tracer = nil
-	// The clone asks the policy afresh and steps into accumulators and a
-	// delivered set of its own rather than share maps.
-	c.step.memo, c.step.acc = nil, Delta{}
+	// The clone steps into accumulators, node memories and a delivered
+	// set of its own rather than share maps.
+	c.step.acc, c.step.mem = Delta{}, nil
 	c.delivered = fact.NewInstance()
 	c.WrongFacts = append([]fact.Fact(nil), s.WrongFacts...)
 	c.nodes = make([]node, len(s.nodes))
@@ -363,9 +363,6 @@ func (s *Simulation) at(x NodeID) (int, error) {
 	}
 	return i, nil
 }
-
-// LocalInput returns node x's input fragment dist_P(I)(x).
-func (s *Simulation) LocalInput(x NodeID) *fact.Instance { return s.nodes[s.idx[x]].local.Clone() }
 
 // LocalSize returns the number of facts in node x's input fragment.
 func (s *Simulation) LocalSize(x NodeID) int { return s.nodes[s.idx[x]].local.Len() }
@@ -497,6 +494,7 @@ func (s *Simulation) crash(i int) {
 	dropped := n.buf.size() + s.heldAt(i)
 	s.Metrics.MessagesDropped += dropped
 	n.state = fact.NewInstance()
+	delete(s.step.mem, s.Net[i]) // the Stepper's memory of the old state
 	n.buf = newMultiset()
 	n.held = nil
 	s.eachRecipient(i, func(j int) {

@@ -278,7 +278,7 @@ func TestNoAllShrinksBase(t *testing.T) {
 	}
 }
 
-// The System view answers by probe exactly what SystemFacts
+// The System view answers by probe exactly what systemFacts
 // materialises: Id, the base A, MyAdom and Policy_R, each only where the
 // model shows it, Policy_R only over A.
 func TestSystemViewMatchesSystemFacts(t *testing.T) {
@@ -290,7 +290,7 @@ func TestSystemViewMatchesSystemFacts(t *testing.T) {
 	for _, mod := range []Model{Original, PolicyAware, PolicyAwareNoAll, OriginalNoAll, Oblivious} {
 		sp := &Stepper{Net: net, Trans: tr, Pol: FirstAttrPolicy(net), Mod: mod}
 		s := System{sp: sp, x: "n1", j: [3]*fact.Instance{local, state, m}}
-		want := sp.SystemFacts("n1", j)
+		want := sp.systemFacts("n1", j)
 		got := fact.NewInstance()
 		if id, ok := s.Id(); ok {
 			got.Add(fact.New(RelId, id))
@@ -304,8 +304,8 @@ func TestSystemViewMatchesSystemFacts(t *testing.T) {
 		for _, v := range b.MyAdom() {
 			got.AddIDs(fact.InternString(RelMyAdom), []fact.ID{v})
 		}
-		// Probe every pair over A and one value beyond it, twice: the
-		// second round answers from the memo.
+		// Probe every pair over A and one value beyond it, twice: an
+		// answer does not change between rounds.
 		vals := append(append([]fact.ID(nil), b.vals...), fact.Intern("z"))
 		for round := 0; round < 2; round++ {
 			fact.EachTuple(vals, 2, func(args []fact.ID) bool {
@@ -316,14 +316,15 @@ func TestSystemViewMatchesSystemFacts(t *testing.T) {
 			})
 		}
 		if !got.Equal(want) {
-			t.Errorf("%+v: view shows %v, SystemFacts %v", mod, got, want)
+			t.Errorf("%+v: view shows %v, systemFacts %v", mod, got, want)
 		}
 	}
 }
 
-// A clone does not share its original's policy memo: the two may be
-// stepped on different goroutines (the race detector watches) and
-// still agree.
+// A clone shares no Stepper state with its original — accumulators,
+// node memories — and asks the policy afresh: the two may be stepped
+// on different goroutines (the race detector watches) and still agree,
+// through the four queries and through an insert-only form.
 func TestCloneAsksThePolicyAfresh(t *testing.T) {
 	spy := &Transducer{
 		Schema: Schema{
@@ -338,30 +339,44 @@ func TestCloneAsksThePolicyAfresh(t *testing.T) {
 			return out, nil
 		},
 	}
-	net := MustNetwork("n1", "n2")
-	sim, err := NewSimulation(net, spy, HashPolicy(net), PolicyAware, fact.MustParseInstance(`E(a,b) E(b,c)`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Heartbeat("n1"); err != nil { // makes the memo
-		t.Fatal(err)
-	}
-	clone := sim.Clone()
-	var wg sync.WaitGroup
-	for _, s := range []*Simulation{sim, clone} {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, x := range net {
-				if _, err := s.Heartbeat(x); err != nil {
-					t.Error(err)
-				}
+	form := *spy
+	form.Delta = func(_, _, _ *fact.Instance, sys System, d *Delta) error {
+		base := sys.Base()
+		e, saw := fact.InternString("E"), fact.InternString("SawPol")
+		fact.EachTuple(base.MyAdom(), 2, func(args []fact.ID) bool {
+			if base.Responsible(e, args) {
+				d.Out.AddIDs(saw, args)
 			}
-		}()
+			return true
+		})
+		return nil
 	}
-	wg.Wait()
-	if !sim.Output().Equal(clone.Output()) || sim.Output().Empty() {
-		t.Errorf("original output %v, clone %v", sim.Output(), clone.Output())
+	net := MustNetwork("n1", "n2")
+	for _, tr := range []*Transducer{spy, &form} {
+		sim, err := NewSimulation(net, tr, HashPolicy(net), PolicyAware, fact.MustParseInstance(`E(a,b) E(b,c)`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.Heartbeat("n1"); err != nil { // makes n1's memory
+			t.Fatal(err)
+		}
+		clone := sim.Clone()
+		var wg sync.WaitGroup
+		for _, s := range []*Simulation{sim, clone} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, x := range net {
+					if _, err := s.Heartbeat(x); err != nil {
+						t.Error(err)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if !sim.Output().Equal(clone.Output()) || sim.Output().Empty() {
+			t.Errorf("original output %v, clone %v", sim.Output(), clone.Output())
+		}
 	}
 }
 

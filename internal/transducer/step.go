@@ -23,13 +23,91 @@ type Stepper struct {
 	Pol   Policy
 	Mod   Model
 
-	// memo caches the policy answers behind the Policy_R relations. It
-	// is made on the first probe, when the model shows them.
-	memo policyMemo
 	// acc holds the insert-only form's accumulators, made on its first
-	// transition and reset at the start of every later one. Like memo,
-	// it is the Stepper's own: a Simulation's clone starts without.
+	// transition and reset at the start of every later one. It is the
+	// Stepper's own: a Simulation's clone starts without.
 	acc Delta
+	// mem holds each node's memory, made by its form's first Base call.
+	mem map[NodeID]*memory
+}
+
+// memory is what the Stepper carries between a node's transitions for
+// its insert-only form. It describes one state instance, which only
+// grows between crashes, and learns what Step applies; any other state
+// (a crash's, a clone's, one changed outside Step) gets a fresh memory.
+type memory struct {
+	state *fact.Instance
+	rows  int       // state.Len() as the memory last saw it
+	adom  []fact.ID // x (N when the model shows All) ∪ adom(local ∪ state), sorted
+	grew  bool      // adom grew since the last Base
+	seen  []fact.ID // every value of A so far, sorted
+	// buffers for A, its unseen values and its values beyond adom
+	vals, fresh, extra []fact.ID
+	Memo
+}
+
+// Memo is what an insert-only form keeps of one node between its
+// transitions, dropped with the memory.
+type Memo struct {
+	Open [][]fact.ID // candidates still unresolved, row-major; nil at first
+	Wake []fact.ID   // what to revisit at the node's next transition
+	K    int         // |K| at the last evaluation of Q, -1 before it
+}
+
+// memory returns x's memory of state, made afresh unless it saw it last.
+func (sp *Stepper) memory(x NodeID, local, state *fact.Instance) *memory {
+	mem := sp.valid(x, state)
+	if mem == nil {
+		if sp.mem == nil {
+			sp.mem = make(map[NodeID]*memory)
+		}
+		mem = sp.newMemory(x, local, state)
+		sp.mem[x] = mem
+	}
+	return mem
+}
+
+// valid returns x's memory if it describes state as it stands.
+func (sp *Stepper) valid(x NodeID, state *fact.Instance) *memory {
+	if mem := sp.mem[x]; mem != nil && mem.state == state && mem.rows == state.Len() {
+		return mem
+	}
+	return nil
+}
+
+// newMemory scans adom(local ∪ state); state may be nil.
+func (sp *Stepper) newMemory(x NodeID, local, state *fact.Instance) *memory {
+	mem := &memory{state: state, adom: []fact.ID{fact.Intern(x)}, Memo: Memo{K: -1}}
+	if sp.Mod.ShowAll {
+		for _, y := range sp.Net {
+			mem.adom = append(mem.adom, fact.Intern(y))
+		}
+	}
+	for _, part := range []*fact.Instance{local, state} {
+		if part != nil {
+			mem.rows = part.Len()
+			part.EachIDs(func(_ fact.ID, args []fact.ID) bool {
+				mem.adom = append(mem.adom, args...)
+				return true
+			})
+		}
+	}
+	slices.Sort(mem.adom)
+	mem.adom = slices.Compact(mem.adom)
+	return mem
+}
+
+// add puts the values of a row Step added to the state into adom.
+func (mem *memory) add(args []fact.ID) {
+	if mem == nil {
+		return
+	}
+	mem.rows++
+	for _, v := range args {
+		if k, ok := slices.BinarySearch(mem.adom, v); !ok {
+			mem.adom, mem.grew = slices.Insert(mem.adom, k, v), true
+		}
+	}
 }
 
 // accumulators returns acc emptied for one insert-only transition:
@@ -46,66 +124,60 @@ func (sp *Stepper) accumulators() *Delta {
 	return &sp.acc
 }
 
-// policyMemo caches, for one run, whether a node is responsible for an
-// input fact R(ā) under the run's policy — a pure function of (policy,
-// node, fact). Per node, the tuples of one relation share a TupleIndex
-// whose row is 1 for yes and 0 for no. It is keyed by IDs the probed
-// tuples already carry, so it interns nothing. Like the Simulation, it
-// is not safe for concurrent use; a Simulation's clone starts its own.
-type policyMemo map[NodeID]map[relArity]fact.TupleIndex
-
-type relArity struct {
-	rel   fact.ID
-	arity int
-}
-
 // System is the system instance S that the model shows active node x
 // in one transition (Section 4.1.3), over its visible data
 // J = local ∪ state ∪ m, read by probe instead of materialised.
-// SystemFacts is its materialisation, so S has one definition. Id
+// systemFacts is its materialisation, so S has one definition. Id
 // costs nothing; the base A, and with it MyAdom and the Policy_R
-// relations, takes a scan of J and is computed only when Base is
-// called.
+// relations, is computed only when Base is called.
 type System struct {
 	sp *Stepper
 	x  NodeID
-	j  [3]*fact.Instance // the parts of J; unused slots are nil
+	j  [3]*fact.Instance // local, state and m
 }
 
 // Id returns x and whether the model shows Id(x).
 func (s System) Id() (NodeID, bool) { return s.x, s.sp.Mod.ShowId }
 
 // Base computes the base A of the transition: N ∪ adom(J) when the
-// model shows All, {x} ∪ adom(J) otherwise.
+// model shows All, {x} ∪ adom(J) otherwise. All but adom(m) comes from
+// the node's memory, so a transition merges in only adom(m).
 func (s System) Base() Base {
-	var vals []fact.ID
-	if s.sp.Mod.ShowAll {
-		for _, y := range s.sp.Net {
-			vals = append(vals, fact.Intern(y))
-		}
-	} else {
-		vals = append(vals, fact.Intern(s.x))
+	return s.sp.memory(s.x, s.j[0], s.j[1]).base(s, s.j[2])
+}
+
+// base is Base over the memory's adom and m. A value is new if it is
+// unseen: only values beyond adom or added to it since the last Base
+// can be.
+func (mem *memory) base(s System, m *fact.Instance) Base {
+	extra := mem.extra[:0]
+	if m != nil {
+		m.EachIDs(func(_ fact.ID, args []fact.ID) bool {
+			for _, v := range args {
+				if _, ok := slices.BinarySearch(mem.adom, v); !ok {
+					extra = append(extra, v)
+				}
+			}
+			return true
+		})
 	}
-	for _, part := range s.j {
-		if part != nil {
-			part.EachIDs(func(_ fact.ID, args []fact.ID) bool {
-				vals = append(vals, args...)
-				return true
-			})
-		}
+	vals, fresh := mem.adom, mem.fresh[:0]
+	if len(extra) > 0 {
+		vals = append(append(mem.vals[:0], mem.adom...), extra...)
+		slices.Sort(vals)
+		vals, mem.vals = slices.Compact(vals), vals
 	}
-	slices.Sort(vals)
-	b := Base{sys: s, vals: slices.Compact(vals)}
-	if s.sp.Mod.ShowPolicy {
-		if s.sp.memo == nil {
-			s.sp.memo = make(policyMemo)
+	if len(extra) > 0 || mem.grew || mem.seen == nil {
+		for _, v := range vals {
+			if _, ok := slices.BinarySearch(mem.seen, v); !ok {
+				fresh = append(fresh, v)
+			}
 		}
-		if b.memo = s.sp.memo[s.x]; b.memo == nil {
-			b.memo = make(map[relArity]fact.TupleIndex)
-			s.sp.memo[s.x] = b.memo
-		}
+		mem.seen = append(mem.seen, fresh...)
+		slices.Sort(mem.seen)
 	}
-	return b
+	mem.extra, mem.fresh, mem.grew = extra, fresh, false
+	return Base{sys: s, vals: vals, mem: mem}
 }
 
 // Base is the base A of one transition and the system relations
@@ -113,7 +185,7 @@ func (s System) Base() Base {
 type Base struct {
 	sys  System
 	vals []fact.ID // A, sorted by ID
-	memo map[relArity]fact.TupleIndex
+	mem  *memory
 }
 
 // has reports whether v is in A.
@@ -132,6 +204,18 @@ func (b *Base) MyAdom() []fact.ID {
 	return b.vals
 }
 
+// New returns the values of MyAdom the node's memory had not seen: all
+// of them on its first transition. Read it only.
+func (b *Base) New() []fact.ID {
+	if !b.sys.sp.Mod.ShowMyAdom {
+		return nil
+	}
+	return b.mem.fresh
+}
+
+// Memo returns what the node's form keeps between its transitions.
+func (b *Base) Memo() *Memo { return &b.mem.Memo }
+
 // Responsible reports whether Policy_R(args) is in S for the input
 // relation rel: the model shows the policy relations, args is a tuple
 // over A, and x is responsible for rel(args) under the policy.
@@ -145,22 +229,7 @@ func (b *Base) Responsible(rel fact.ID, args []fact.ID) bool {
 			return false
 		}
 	}
-	k := relArity{rel, len(args)}
-	idx, ok := b.memo[k]
-	if !ok {
-		idx = fact.NewTupleIndex(len(args))
-		b.memo[k] = idx
-	}
-	if yes, ok := idx.Get(args); ok {
-		return yes == 1
-	}
-	yes := sp.responsible(b.sys.x, rel, args)
-	if yes {
-		idx.Put(args, 1)
-	} else {
-		idx.Put(args, 0)
-	}
-	return yes
+	return sp.responsible(b.sys.x, rel, args)
 }
 
 // responsible asks the policy whether x is responsible for rel(args),
@@ -169,7 +238,7 @@ func (sp *Stepper) responsible(x NodeID, rel fact.ID, args []fact.ID) bool {
 	if ar, ok := sp.Trans.Schema.In.Arity(string(fact.Symbol(rel))); !ok || ar != len(args) {
 		return false
 	}
-	return Responsible(sp.Pol, x, fact.FromIDs(rel, args))
+	return slices.Contains(sp.Pol.Nodes(fact.FromIDs(rel, args)), x)
 }
 
 // StepResult reports one transition's effects. Sent is the send set
@@ -185,11 +254,11 @@ type StepResult struct {
 	OutNew  []fact.Fact
 }
 
-// SystemFacts materialises the System view of active node x over its
+// systemFacts materialises the System view of active node x over its
 // visible data J: the set S of Section 4.1.3 (and of its All-free
 // modification from Section 4.3).
-func (sp *Stepper) SystemFacts(x NodeID, j *fact.Instance) *fact.Instance {
-	s := System{sp: sp, x: x, j: [3]*fact.Instance{j}}
+func (sp *Stepper) systemFacts(x NodeID, j *fact.Instance) *fact.Instance {
+	s := System{sp: sp, x: x}
 	sys := fact.NewInstance()
 	if id, ok := s.Id(); ok {
 		sys.Add(fact.New(RelId, id))
@@ -205,7 +274,7 @@ func (sp *Stepper) SystemFacts(x NodeID, j *fact.Instance) *fact.Instance {
 			sys.Add(fact.New(RelAll, y))
 		}
 	}
-	b := s.Base()
+	b := sp.newMemory(x, j, nil).base(s, nil)
 	if vals := b.MyAdom(); len(vals) > 0 {
 		rel := fact.InternString(RelMyAdom)
 		for i := range vals {
@@ -236,28 +305,30 @@ func (sp *Stepper) SystemFacts(x NodeID, j *fact.Instance) *fact.Instance {
 // every produced fact against its target schema. The send set is
 // returned unrouted; the caller decides recipients, fault treatment and
 // logging. Changed does NOT account for sends (schedulers fold that in
-// after routing).
+// after routing). The node's memory, if its form made one, learns the
+// facts the transition applies; a failed transition drops it.
 func (sp *Stepper) Step(x NodeID, local, state, m *fact.Instance) (StepResult, error) {
 	t := sp.Trans
 	var out, ins, del, snd *fact.Instance
+	var mem *memory
 	if t.Delta != nil {
 		d := sp.accumulators()
 		err := t.Delta(local, state, m, System{sp: sp, x: x, j: [3]*fact.Instance{local, state, m}}, d)
 		if err != nil {
-			return StepResult{}, fmt.Errorf("transducer: insert-only form: %w", err)
+			err = fmt.Errorf("transducer: insert-only form: %w", err)
+		} else if out, err = checkTarget(d.Out, t.Schema.Out, "output"); err == nil {
+			if ins, err = checkTarget(d.Ins, t.Schema.Mem, "insertion"); err == nil {
+				snd, err = checkTarget(d.Snd, t.Schema.Msg, "send")
+			}
 		}
-		if out, err = checkTarget(d.Out, t.Schema.Out, "output"); err != nil {
+		if err != nil {
+			delete(sp.mem, x)
 			return StepResult{}, err
 		}
-		if ins, err = checkTarget(d.Ins, t.Schema.Mem, "insertion"); err != nil {
-			return StepResult{}, err
-		}
-		if snd, err = checkTarget(d.Snd, t.Schema.Msg, "send"); err != nil {
-			return StepResult{}, err
-		}
+		mem = sp.valid(x, state)
 	} else {
 		j := local.Union(state).Union(m)
-		d := j.Union(sp.SystemFacts(x, j))
+		d := j.Union(sp.systemFacts(x, j))
 		var err error
 		if out, err = runQuery(t.Out, d, t.Schema.Out, "output"); err != nil {
 			return StepResult{}, err
@@ -291,10 +362,14 @@ func (sp *Stepper) Step(x NodeID, local, state, m *fact.Instance) (StepResult, e
 	fact.SortFacts(res.OutNew)
 	for _, f := range res.OutNew {
 		state.Add(f)
+		mem.add(f.ArgIDs())
 	}
 	res.Changed = len(res.OutNew) > 0
 	ins.EachIDs(func(rel fact.ID, args []fact.ID) bool {
-		res.Changed = state.AddIDs(rel, args) || res.Changed
+		if state.AddIDs(rel, args) {
+			res.Changed = true
+			mem.add(args)
+		}
 		return true
 	})
 	if del != nil {

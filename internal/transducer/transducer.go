@@ -131,11 +131,6 @@ type Delta struct {
 	Out, Ins, Snd, Scratch *fact.Instance
 }
 
-// Validate checks the schema.
-func (t *Transducer) Validate() error {
-	return t.Schema.Validate()
-}
-
 // runQuery evaluates a possibly-nil query and verifies the result is
 // over the target schema.
 func runQuery(q Query, d *fact.Instance, target fact.Schema, what string) (*fact.Instance, error) {

@@ -1,5 +1,5 @@
 #!/bin/sh
-# check.sh runs the full local gate: vet, build, eighteen structural gates
+# check.sh runs the full local gate: vet, build, nineteen structural gates
 # (internal/cluster has grown no wire loop of its own, IndexedInstance no
 # second fact store, internal/incr and internal/ilog start no goroutine,
 # internal/datalog starts them in one place, a fixpoint round never
@@ -28,7 +28,10 @@
 # naive loop of their own in internal/ilog or internal/queries — and
 # probe tables are open-addressed: no map[uint64] in fact's columnar
 # store or datalog's join index — and one Figure 2: the cluster plans
-# from monotone.Figure2's rows, not from fragment names), the
+# from monotone.Figure2's rows, not from fragment names — and the
+# insert-only forms keep no memory of their own: no lock and no
+# package-level map or slice in internal/core, whose transducers every
+# clone of a simulation shares; a node's memory is the Stepper's), the
 # exported-identifier ratchet (scripts/exports.go), and the test suite
 # under the race detector (the fanned-out rounds of the batch fixpoint,
 # the epoch-pinned serving core, and the simulation determinism tests
@@ -107,15 +110,37 @@ if grep -nE '\.Facts\(\)|SortFacts|fact\.NewInstance' internal/datalog/eval.go i
 fi
 
 # One S: a transition reads the system relations through the System
-# view (internal/transducer step.go), by probe. SystemFacts materialises
+# view (internal/transducer step.go), by probe. systemFacts materialises
 # it, and only the four-query arm of Stepper.Step calls it; a second
 # caller is an insert-only form building S again, the cost it exists to
 # avoid.
-echo ">> structural gate: SystemFacts is called only by Step's four-query arm"
-calls=$(grep -rn --include='*.go' --exclude='*_test.go' 'SystemFacts(' internal cmd calm bench | grep -v 'func (sp \*Stepper) SystemFacts(')
-if [ "$(echo "$calls" | grep -c .)" -ne 1 ] || ! echo "$calls" | grep -q '^internal/transducer/step\.go:.*j\.Union(sp\.SystemFacts(x, j))'; then
+echo ">> structural gate: systemFacts is called only by Step's four-query arm"
+calls=$(grep -rn --include='*.go' --exclude='*_test.go' 'systemFacts(' internal cmd calm bench | grep -v 'func (sp \*Stepper) systemFacts(')
+if [ "$(echo "$calls" | grep -c .)" -ne 1 ] || ! echo "$calls" | grep -q '^internal/transducer/step\.go:.*j\.Union(sp\.systemFacts(x, j))'; then
     echo "$calls"
-    echo "check: SystemFacts has a caller besides Stepper.Step's four-query arm"
+    echo "check: systemFacts has a caller besides Stepper.Step's four-query arm"
+    exit 1
+fi
+
+# The insert-only forms keep no memory of their own. What a node
+# carries from one transition to the next (its base, open candidates,
+# the K it last evaluated Q on) is the Stepper's per-node memory,
+# dropped with the node's state on a crash or a clone. A built
+# transducer is shared by every clone the explorer makes, so a memo in
+# internal/core would be shared between them: it needs a lock (sync) or
+# lives in a package-level map or slice, the memo under a lock that
+# the per-node memory replaces.
+echo ">> structural gate: the insert-only forms keep no memory of their own"
+core_go=$(ls internal/core/*.go | grep -v '_test\.go$')
+bad=$(grep -n -E '"sync(/atomic)?"' $core_go || true)
+bad=$bad$(awk '
+    FNR == 1 { blk = 0 }
+    /^var \($/ { blk = 1; next }
+    blk && /^\)/ { blk = 0 }
+    (blk || /^var /) && /map\[|\[\]|make\(/ { print FILENAME ":" FNR ": " $0 }' $core_go)
+if [ -n "$bad" ]; then
+    echo "$bad"
+    echo "check: internal/core keeps memory of its own (a lock or a package-level map or slice); a node's memory belongs in the Stepper"
     exit 1
 fi
 
@@ -314,8 +339,8 @@ fi
 # file refers to, and those only their own package refers to. Neither
 # may grow past the figure recorded here; a PR that unexports or
 # deletes lowers the figure with it.
-max_unreferenced=72
-max_package_only=43
+max_unreferenced=68
+max_package_only=39
 echo ">> exported-identifier ratchet: unreferenced <= $max_unreferenced, package-only <= $max_package_only"
 exports=$(go run scripts/exports.go)
 echo "$exports" | sed 's/^/   /'
