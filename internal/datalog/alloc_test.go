@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/fact"
@@ -78,13 +79,15 @@ func TestDedupHotPathAllocs(t *testing.T) {
 
 // TestFixpointAllocsPerDerivedFact bounds the whole engine: a
 // semi-naive fixpoint run may allocate only a fixed small number of
-// objects per derived fact (row and posting-list growth; a round's
-// delta is a row range, never a list of Facts). Measured: 1.32 with
-// task buffers appended at the barrier and the tables handed over as
-// the result; 4.00 when each round's delta was materialized as sorted
-// Facts, re-inserted and the result copied out. A regression that
-// reintroduces per-candidate string keys, boxed tuples or a Fact per
-// derived head multiplies this.
+// objects, and of heap bytes, per derived fact (row growth, and list
+// growth at the positions a round probes; a round's delta is a row
+// range, never a list of Facts). Measured: 0.70 objects and 142 B with
+// stamps and posting lists made only for their readers; 1.12 and 237 B
+// when every row was stamped and listed at every position; 4.00
+// objects when each round's delta was materialized as sorted Facts,
+// re-inserted and the result copied out. A regression that
+// reintroduces per-candidate string keys, boxed tuples, a Fact per
+// derived head or a structure no reader asked for breaks a budget.
 func TestFixpointAllocsPerDerivedFact(t *testing.T) {
 	prog := MustParseProgram(allocProgram)
 	in := generate.Path("v", 64)
@@ -96,15 +99,26 @@ func TestFixpointAllocsPerDerivedFact(t *testing.T) {
 	if derived < 1000 {
 		t.Fatalf("test instance too small: %d derived facts", derived)
 	}
-	avg := testing.AllocsPerRun(5, func() {
+	run := func() {
 		if _, err := prog.Fixpoint(in, FixpointOptions{}); err != nil {
 			panic(err)
 		}
-	})
-	perFact := avg / float64(derived)
-	const budget = 2.0
+	}
+	perFact := testing.AllocsPerRun(5, run) / float64(derived)
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	bytesPerFact := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(derived)
+	const budget, bytesBudget = 0.84, 170.0 // the measured figures plus 20%
 	if perFact > budget {
-		t.Errorf("fixpoint allocates %.2f objects per derived fact (%v total / %d derived), budget %.0f (measured 1.32; 4.00 with a Fact per derived head)", perFact, avg, derived, budget)
+		t.Errorf("fixpoint allocates %.2f objects per derived fact (%d derived), budget %.2f (measured 0.70; 1.12 with every row stamped and listed at every position)", perFact, derived, budget)
+	}
+	if bytesPerFact > bytesBudget {
+		t.Errorf("fixpoint allocates %.0f heap bytes per derived fact (%d derived), budget %.0f (measured 142; 237 with every row stamped and listed at every position)", bytesPerFact, derived, bytesBudget)
 	}
 }
 

@@ -146,7 +146,7 @@ func TestSemiConnectedStratification(t *testing.T) {
 	if !ok {
 		t.Fatal("expected semicon witness stratification")
 	}
-	if err := p.CheckStratification(rho); err != nil {
+	if err := p.checkStratification(rho); err != nil {
 		t.Fatalf("witness stratification invalid: %v", err)
 	}
 	last := rho.numStrata()

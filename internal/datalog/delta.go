@@ -15,7 +15,7 @@ import (
 // discipline (one positive atom pinned to a fact list), the parallel
 // partitioning (the same pin over chunks) and head-bound enumeration
 // (derivations of one given fact) are arguments of that call;
-// CountDerivations and Derivable are its two thin forms. Everything
+// CountDerivations and derivable are its two thin forms. Everything
 // here reads the IndexedInstance only; mutation stays with Add and
 // Remove.
 
@@ -71,7 +71,7 @@ func (v *Valuation) Head() (fact.Fact, error) {
 type CompiledRule struct{ cr cRule }
 
 // Compile pre-compiles a rule for Valuations, CountDerivations and
-// Derivable. It does not validate: an unsafe rule compiles, and its
+// derivable. It does not validate: an unsafe rule compiles, and its
 // unbound variables surface as errors from the enumeration.
 func Compile(r Rule) *CompiledRule {
 	return &CompiledRule{cr: compileRule(r)}
@@ -131,10 +131,10 @@ func (x *IndexedInstance) CountDerivations(c *CompiledRule, f fact.Fact) (int64,
 
 var errStopMatch = errors.New("datalog: stop enumeration")
 
-// Derivable reports whether f has at least one derivation through the
+// derivable reports whether f has at least one derivation through the
 // rule — the test of the DRed rederivation pass, stopping at the first
 // witness.
-func (x *IndexedInstance) Derivable(c *CompiledRule, f fact.Fact) (bool, error) {
+func (x *IndexedInstance) derivable(c *CompiledRule, f fact.Fact) (bool, error) {
 	err := x.Valuations(c, -1, nil, &f, func(*Valuation) error { return errStopMatch })
 	if err == errStopMatch {
 		return true, nil

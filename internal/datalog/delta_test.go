@@ -12,7 +12,7 @@ import (
 	"repro/internal/generate"
 )
 
-// --- the valuation surface (Valuations, CountDerivations, Derivable) ---
+// --- the valuation surface (Valuations, CountDerivations, derivable) ---
 
 // ground applies the valuation to a source-level atom and returns the
 // resulting fact. Every variable of the atom must be a variable of the
@@ -89,9 +89,9 @@ func TestHeadUnification(t *testing.T) {
 		if err != nil || n != int64(len(tc.want)) {
 			t.Errorf("%s: CountDerivations = %d, %v; want %d", tc.name, n, err, len(tc.want))
 		}
-		any, err := x.Derivable(c, tc.head)
+		any, err := x.derivable(c, tc.head)
 		if err != nil || any != (len(tc.want) > 0) {
-			t.Errorf("%s: Derivable = %v, %v; want %v", tc.name, any, err, len(tc.want) > 0)
+			t.Errorf("%s: derivable = %v, %v; want %v", tc.name, any, err, len(tc.want) > 0)
 		}
 	}
 }
@@ -137,18 +137,18 @@ func TestCountDerivations(t *testing.T) {
 	if n, err := x.CountDerivations(c, fact.New("T", "a", "d")); err != nil || n != 2 {
 		t.Fatalf("CountDerivations(T(a,d)) = %d, %v; want 2", n, err)
 	}
-	if ok, err := x.Derivable(c, fact.New("T", "a", "d")); err != nil || !ok {
-		t.Fatalf("Derivable(T(a,d)) = %v, %v", ok, err)
+	if ok, err := x.derivable(c, fact.New("T", "a", "d")); err != nil || !ok {
+		t.Fatalf("derivable(T(a,d)) = %v, %v", ok, err)
 	}
-	if ok, err := x.Derivable(c, fact.New("T", "d", "a")); err != nil || ok {
-		t.Fatalf("Derivable(T(d,a)) = %v, %v", ok, err)
+	if ok, err := x.derivable(c, fact.New("T", "d", "a")); err != nil || ok {
+		t.Fatalf("derivable(T(d,a)) = %v, %v", ok, err)
 	}
 }
 
 // TestCountMatchesEnumeration is the differential for the two thin
 // forms: over random programs evaluated to their stratified fixpoint,
 // CountDerivations(f) is the number of enumerated valuations whose head
-// is f, and Derivable(f) holds exactly when that number is positive —
+// is f, and derivable(f) holds exactly when that number is positive —
 // for every fact of the head relation and for heads nothing derives.
 func TestCountMatchesEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
@@ -187,7 +187,7 @@ func TestCountMatchesEnumeration(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				any, err := x.Derivable(c, f)
+				any, err := x.derivable(c, f)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -3,6 +3,7 @@ package datalog
 import (
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/fact"
 )
@@ -29,48 +30,59 @@ import (
 // slot table, no Go map on the hot path. A table resolved once per
 // enumeration (match) or per task (deriveTask) is not looked up again
 // per candidate or per head.
+//
+// A row pays only for its readers: its arguments and byKey entry
+// always, a version stamp once a Freeze or a removal can make versions
+// differ, a posting-list entry at a position once a join probed it.
 
 // stamp is the versions that see a row: born <= v < died.
 type stamp struct{ born, died uint64 }
 
-// alive is the died stamp of a row nobody removed, and latest the
-// version a live instance reads at: it sees exactly the rows still alive.
+// alive is the died stamp of a row nobody removed, latest the version a
+// live instance reads at (it sees exactly the rows still alive), and
+// purged the born stamp of a row freeze took out of lists and key hash.
 const (
 	alive  = math.MaxUint64
 	latest = alive - 1
+	purged = alive
 )
 
 func (s stamp) visible(at uint64) bool { return s.born <= at && at < s.died }
 
 // relTable is the one store of a relation at one arity: row i holds the
 // interned arguments args[i*arity:(i+1)*arity], in the order added, and
-// is seen by the versions stamps[i] says. byArg maps (position, value),
-// packed as a pair by argKey, to a slot of lists, which holds the
-// ascending ids of the rows with that value there — the access path for
-// index-assisted joins. A list freeze empties gives its slot back:
-// its key leaves byArg and the slot goes on free, for the next new key.
-// byKey maps a packed tuple to the one row holding it that some version
-// may still see — the membership probe.
+// is seen by the versions stamps[i] says (all, while stamps is nil).
+// pos[p] holds the posting lists of position p from its first probe on.
+// byKey maps a packed tuple to the one row some version may still see.
 type relTable struct {
 	rel    fact.ID
 	arity  int
+	rows   int // rows held, dead ones awaiting compaction included
 	args   []fact.ID
 	stamps []stamp
-	byArg  fact.TupleIndex
-	lists  [][]int32
-	free   []int32 // slots of lists no key maps to
+	pos    []postings
 	byKey  fact.TupleIndex
 	dead   int     // rows with a died stamp
 	killed []int32 // rows stamped dead since the last freeze, still in lists and key hash
+}
+
+// postings is one position's lists: byVal maps a value to a slot of
+// lists, which holds the ascending ids of the rows with that value
+// there. A list freeze empties gives its slot back: its key leaves
+// byVal and the slot goes on free, for the next new key. Once built,
+// add and freeze keep the lists as they keep byKey.
+type postings struct {
+	once  sync.Once
+	built bool
+	byVal fact.TupleIndex
+	lists [][]int32
+	free  []int32 // slots of lists no key maps to
 }
 
 type tabKey struct {
 	rel   fact.ID
 	arity int32
 }
-
-// argKey is the byArg key of value val at position pos.
-func argKey(pos int, val fact.ID) [2]fact.ID { return [2]fact.ID{fact.ID(pos), val} }
 
 func (t *relTable) row(id int) []fact.ID { return t.args[id*t.arity : (id+1)*t.arity] }
 
@@ -94,38 +106,68 @@ func (idx *relIndex) table(rel fact.ID, arity int) *relTable {
 }
 
 // add appends a row, born in version ver, for a tuple byKey has just
-// mapped to it, and lists it under each of its arguments: one byArg
-// probe an argument, which finds the list or takes a slot for it.
+// mapped to it: its id on the lists there are, and a stamp if the table
+// has stamps or the row, born after a freeze, is one a view must not see.
 func (t *relTable) add(args []fact.ID, ver uint64) {
-	id := int32(len(t.stamps))
+	id := int32(t.rows)
+	t.rows++
 	t.args = append(t.args, args...)
-	t.stamps = append(t.stamps, stamp{ver, alive})
-	for p, v := range args {
-		next := int32(len(t.lists))
-		if n := len(t.free); n > 0 {
-			next = t.free[n-1]
+	if t.stamps != nil || ver > 0 {
+		t.stamps = append(t.stamps, stamp{ver, alive})
+	}
+	for p := range t.pos {
+		if t.pos[p].built {
+			t.pos[p].put(args[p], id)
 		}
-		k := argKey(p, v)
-		s, added := t.byArg.PutNew(k[:], next)
-		switch {
-		case !added: // the list is there
-		case int(s) == len(t.lists):
-			t.lists = append(t.lists, nil)
-		default:
-			t.free = t.free[:len(t.free)-1]
-		}
-		t.lists[s] = append(t.lists[s], id)
 	}
 }
 
-// list returns the ids of the rows holding val at position pos.
-func (t *relTable) list(pos int, val fact.ID) ([]int32, bool) {
-	k := argKey(pos, val)
-	s, ok := t.byArg.Get(k[:])
-	if !ok {
-		return nil, false
+// put lists row id under v: one byVal probe finds the list or its slot.
+func (ps *postings) put(v fact.ID, id int32) {
+	next := int32(len(ps.lists))
+	if n := len(ps.free); n > 0 {
+		next = ps.free[n-1]
 	}
-	return t.lists[s], true
+	s, added := ps.byVal.PutNew([]fact.ID{v}, next)
+	switch {
+	case !added: // the list is there
+	case int(s) == len(ps.lists):
+		ps.lists = append(ps.lists, nil)
+	default:
+		ps.free = ps.free[:len(ps.free)-1]
+	}
+	ps.lists[s] = append(ps.lists[s], id)
+}
+
+// list returns the ids of the rows holding val at position pos. The
+// first probe of pos builds its lists; concurrent ones wait for it.
+func (t *relTable) list(pos int, val fact.ID) ([]int32, bool) {
+	ps := &t.pos[pos]
+	ps.once.Do(func() { t.build(pos) })
+	if s, ok := ps.byVal.Get([]fact.ID{val}); ok {
+		return ps.lists[s], true
+	}
+	return nil, false
+}
+
+// build lists every row not purged under its value at pos, ascending:
+// the lists add would hold had it kept pos from the first row on.
+func (t *relTable) build(pos int) {
+	ps := &t.pos[pos]
+	ps.byVal, ps.built = fact.NewTupleIndex(1), true
+	for id := range t.rows {
+		if t.stamps == nil || t.stamps[id].born != purged {
+			ps.put(t.args[id*t.arity+pos], int32(id))
+		}
+	}
+}
+
+// stampRows gives the rows of a table with no stamps theirs, {0, alive}:
+// all were added before the first freeze.
+func (t *relTable) stampRows() {
+	for len(t.stamps) < t.rows {
+		t.stamps = append(t.stamps, stamp{0, alive})
+	}
 }
 
 // has reports whether version at sees a row holding args: one byKey
@@ -135,11 +177,11 @@ func (t *relTable) has(args []fact.ID, at uint64) bool {
 	return ok && t.sees(id, at)
 }
 
-// sees reports whether version at sees row id. The live instance sees
-// every row of a table with no dead one — every table of a batch
-// evaluation — and then no stamp is read.
+// sees reports whether version at sees row id. No stamp is read in a
+// table with none — every table of a batch evaluation — nor by the
+// live instance in a table with no dead row.
 func (t *relTable) sees(id int32, at uint64) bool {
-	return at == latest && t.dead == 0 || t.stamps[id].visible(at)
+	return t.stamps == nil || at == latest && t.dead == 0 || t.stamps[id].visible(at)
 }
 
 // find returns the table and id of the row holding rel(args), if
@@ -153,34 +195,37 @@ func (idx *relIndex) find(rel fact.ID, args []fact.ID, at uint64) (*relTable, in
 	return t, id, ok && t.sees(id, at)
 }
 
-// freeze closes the open version and opens the next. No reader is left
-// that sees a dead row (the one view of the version before is invalid
-// from here on), so the rows killed since the last freeze and not added
-// back leave the key hash and, O(degree) each, their lists — a list
-// left empty gives its slot back — and a table mostly dead is
-// compacted.
+// freeze closes the open version, stamping every table, and opens the
+// next. No reader is left that sees a dead row (the one view of the
+// version before is invalid from here on), so the rows killed since
+// the last freeze and not added back are purged from the key hash and,
+// O(degree) each, the lists there are — a list left empty gives its
+// slot back — and a table mostly dead is compacted.
 func (idx *relIndex) freeze() {
 	for _, t := range idx.tabs {
+		t.stampRows()
 		slices.Sort(t.killed) // killed, added back and killed again: listed twice
 		for _, id := range slices.Compact(t.killed) {
 			if t.stamps[id].died == alive {
 				continue
 			}
 			args := t.row(int(id))
-			for p, v := range args {
-				k := argKey(p, v)
-				s, _ := t.byArg.Get(k[:])
-				l := t.lists[s]
-				i, _ := slices.BinarySearch(l, id)
-				if t.lists[s] = slices.Delete(l, i, i+1); len(t.lists[s]) == 0 {
-					t.byArg.Delete(k[:])
-					t.free = append(t.free, s)
+			for p := range t.pos {
+				if ps := &t.pos[p]; ps.built {
+					k := [1]fact.ID{args[p]}
+					s, _ := ps.byVal.Get(k[:])
+					i, _ := slices.BinarySearch(ps.lists[s], id)
+					if ps.lists[s] = slices.Delete(ps.lists[s], i, i+1); len(ps.lists[s]) == 0 {
+						ps.byVal.Delete(k[:])
+						ps.free = append(ps.free, s)
+					}
 				}
 			}
 			t.byKey.Delete(args)
+			t.stamps[id].born = purged
 		}
 		t.killed = t.killed[:0]
-		if t.dead > compactFloor && t.dead > len(t.stamps)-t.dead {
+		if t.dead > compactFloor && t.dead > t.rows-t.dead {
 			t.compact()
 		}
 	}
@@ -191,8 +236,8 @@ func (idx *relIndex) freeze() {
 // already, and renumbers the rest in order, so every list stays
 // ascending.
 func (t *relTable) compact() {
-	remap := make([]int32, len(t.stamps))
-	n := len(t.stamps) - t.dead
+	remap := make([]int32, t.rows)
+	n := t.rows - t.dead
 	args, stamps := make([]fact.ID, 0, n*t.arity), make([]stamp, 0, n)
 	for i, s := range t.stamps {
 		remap[i] = int32(len(stamps))
@@ -200,13 +245,15 @@ func (t *relTable) compact() {
 			args, stamps = append(args, t.row(i)...), append(stamps, s)
 		}
 	}
-	for _, l := range t.lists {
-		for i, id := range l {
-			l[i] = remap[id]
+	for p := range t.pos {
+		for _, l := range t.pos[p].lists {
+			for i, id := range l {
+				l[i] = remap[id]
+			}
 		}
 	}
 	t.byKey.Renumber(remap)
-	t.args, t.stamps, t.dead = args, stamps, 0
+	t.args, t.stamps, t.rows, t.dead = args, stamps, n, 0
 }
 
 // cands is what one atom ranges over: a list of pinned facts, or rows
@@ -228,7 +275,7 @@ func candidatesC(a cAtom, t *relTable, env []fact.ID) cands {
 	if t == nil {
 		return cands{}
 	}
-	best := cands{t: t, n: len(t.stamps)}
+	best := cands{t: t, n: t.rows}
 	for p, term := range a.terms {
 		v := term.cnst
 		if term.slot >= 0 {
@@ -307,7 +354,7 @@ func (idx *relIndex) tableFor(rel fact.ID, arity int) *relTable {
 	k := tabKey{rel, int32(arity)}
 	t := idx.tabs[k]
 	if t == nil {
-		t = &relTable{rel: rel, arity: arity, byArg: fact.NewTupleIndex(2), byKey: fact.NewTupleIndex(arity)}
+		t = &relTable{rel: rel, arity: arity, pos: make([]postings, arity), byKey: fact.NewTupleIndex(arity)}
 		idx.tabs[k] = t
 	}
 	return t
@@ -318,10 +365,10 @@ func (idx *relIndex) tableFor(rel fact.ID, arity int) *relTable {
 // tuple to the next row when it is new. The round barrier adds every
 // head through it, and Add and IndexInstance every fact.
 func (x *IndexedInstance) addIDs(t *relTable, args []fact.ID) bool {
-	switch id, added := t.byKey.PutNew(args, int32(len(t.stamps))); {
+	switch id, added := t.byKey.PutNew(args, int32(t.rows)); {
 	case added:
 		t.add(args, x.idx.ver)
-	case t.stamps[id].died == alive:
+	case t.stamps == nil || t.stamps[id].died == alive:
 		return false
 	default: // removed in the open version: the row the view sees is live again
 		t.stamps[id].died = alive
@@ -340,6 +387,7 @@ func (x *IndexedInstance) Remove(f fact.Fact) bool {
 	if !ok {
 		return false
 	}
+	t.stampRows()
 	t.stamps[id].died = ver
 	t.dead++
 	t.killed = append(t.killed, id)
@@ -379,8 +427,10 @@ func (x *IndexedInstance) Rels() []string {
 	var rels []string
 	for k, t := range x.idx.tabs {
 		name := string(fact.Symbol(k.rel))
-		if !slices.Contains(rels, name) && slices.ContainsFunc(t.stamps, func(s stamp) bool { return s.visible(at) }) {
-			rels = append(rels, name)
+		for id := int32(0); id < int32(t.rows) && !slices.Contains(rels, name); id++ {
+			if t.sees(id, at) {
+				rels = append(rels, name)
+			}
 		}
 	}
 	return rels
@@ -398,9 +448,9 @@ func (x *IndexedInstance) RelList(rel string) []fact.Fact {
 		if k.rel != id {
 			continue
 		}
-		out = slices.Grow(out, len(t.stamps)-t.dead)
-		for i, s := range t.stamps {
-			if s.visible(at) {
+		out = slices.Grow(out, t.rows-t.dead)
+		for i := range t.rows {
+			if t.sees(int32(i), at) {
 				out = append(out, fact.FromIDs(id, t.row(i)))
 			}
 		}
@@ -413,7 +463,7 @@ func (x *IndexedInstance) RelList(rel string) []fact.Fact {
 func (x *IndexedInstance) Rows() int {
 	n := 0
 	for _, t := range x.idx.tabs {
-		n += len(t.stamps)
+		n += t.rows
 	}
 	return n
 }
@@ -440,8 +490,8 @@ func (x *IndexedInstance) Instance() *fact.Instance {
 	at := x.version()
 	out := fact.NewInstance()
 	for k, t := range x.idx.tabs {
-		for id, s := range t.stamps {
-			if s.visible(at) {
+		for id := range t.rows {
+			if t.sees(int32(id), at) {
 				out.AddIDs(k.rel, t.row(id))
 			}
 		}

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/fact"
+	"repro/internal/generate"
 )
 
 // diffRules are the reads the differential test compares: a whole
@@ -66,8 +68,8 @@ func readAll(t *testing.T, x *IndexedInstance, universe []fact.Fact, workers int
 		got.Counts[i] = map[string]int64{}
 		for k, h := range heads {
 			n, err := x.CountDerivations(c, h)
-			if ok, _ := x.Derivable(c, h); !ok || err != nil {
-				return fmt.Errorf("%v: Derivable(%v) = false, CountDerivations = %d, %v", c.cr.src, h, n, err)
+			if ok, _ := x.derivable(c, h); !ok || err != nil {
+				return fmt.Errorf("%v: derivable(%v) = false, CountDerivations = %d, %v", c.cr.src, h, n, err)
 			}
 			got.Counts[i][k] = n
 		}
@@ -174,20 +176,33 @@ func slotsOf(x fact.TupleIndex) int {
 	return reflect.ValueOf(x).FieldByName("t").Elem().FieldByName("slots").Len()
 }
 
-// TestChurnIsBounded (Type 1) runs 10⁴ cycles of Add, Remove and
-// Freeze over the same 100 facts, each of whose values is its own, so
-// every removal empties two posting lists and every re-add needs them
-// again. Afterwards the posting-list slots, the slot tables of byArg and
-// byKey and Rows() stay within a constant factor of the 100 facts: a
-// list freeze empties gives its slot back, and a new key takes it.
+// TestChurnIsBounded (Type 1) runs the churn of churnIsBounded on an
+// empty index.
 func TestChurnIsBounded(t *testing.T) {
+	churnIsBounded(t, IndexInstance(fact.NewInstance()))
+}
+
+// churnIsBounded runs 10⁴ cycles of Add, Remove and Freeze on x over
+// the same 100 facts of a relation C of its own, each of whose values
+// is its own, so every removal empties two posting lists and every
+// re-add needs them again. Both positions are probed before the churn,
+// so both keep lists throughout. Afterwards the posting-list slots, the
+// slot tables of byVal and byKey and the rows of C stay within a
+// constant factor of the 100 facts: a list freeze empties gives its
+// slot back, and a new key takes it.
+func churnIsBounded(t *testing.T, x *IndexedInstance) {
+	t.Helper()
 	const facts = 100
 	universe := make([]fact.Fact, facts)
 	for i := range universe {
-		universe[i] = fact.New("E", fact.Value(fmt.Sprint("a", i)), fact.Value(fmt.Sprint("b", i)))
+		universe[i] = fact.New("C", fact.Value(fmt.Sprint("a", i)), fact.Value(fmt.Sprint("b", i)))
 	}
 	rng := rand.New(rand.NewSource(1))
-	x := IndexInstance(fact.NewInstance())
+	x.Add(universe[0])
+	tab := x.idx.table(fact.InternString("C"), 2)
+	for p, v := range universe[0].ArgIDs() {
+		tab.list(p, v)
+	}
 	for cycle := 0; cycle < 10000; cycle++ {
 		for k := 0; k < 4; k++ {
 			f := universe[rng.Intn(facts)]
@@ -197,21 +212,205 @@ func TestChurnIsBounded(t *testing.T) {
 		}
 		x.Freeze()
 	}
-	tab := x.idx.table(fact.InternString("E"), 2)
-	if tab == nil || x.Len() == 0 {
-		t.Fatalf("the churn left no E table or no fact (Len %d)", x.Len())
+	if tab.rows == tab.dead {
+		t.Fatal("the churn left no C fact")
 	}
 	keys := 2 * facts // distinct (position, value) pairs
-	if got := len(tab.lists); got > keys {
-		t.Errorf("%d posting-list slots after the churn, want at most the %d keys there are", got, keys)
+	lists, slots := 0, 0
+	for p := range tab.pos {
+		if !tab.pos[p].built {
+			t.Fatalf("position %d lost its lists in the churn", p)
+		}
+		lists, slots = lists+len(tab.pos[p].lists), slots+slotsOf(tab.pos[p].byVal)
 	}
-	if got := slotsOf(tab.byArg); got > 4*keys {
-		t.Errorf("byArg holds %d slots after the churn, want at most %d", got, 4*keys)
+	if lists > keys {
+		t.Errorf("%d posting-list slots after the churn, want at most the %d keys there are", lists, keys)
+	}
+	if slots > 4*keys {
+		t.Errorf("byVal holds %d slots after the churn, want at most %d", slots, 4*keys)
 	}
 	if got := slotsOf(tab.byKey); got > 4*facts {
 		t.Errorf("byKey holds %d slots after the churn, want at most %d", got, 4*facts)
 	}
-	if got := x.Rows(); got > 2*facts+compactFloor {
-		t.Errorf("Rows = %d after the churn, want at most %d", got, 2*facts+compactFloor)
+	if tab.rows > 2*facts+compactFloor {
+		t.Errorf("C holds %d rows after the churn, want at most %d", tab.rows, 2*facts+compactFloor)
 	}
+}
+
+// builtPositions returns the positions of tab that have posting lists.
+func builtPositions(tab *relTable) []int {
+	var ps []int
+	for p := range tab.pos {
+		if tab.pos[p].built {
+			ps = append(ps, p)
+		}
+	}
+	return ps
+}
+
+// TestBatchStoresOnlyWhatItReads (Type 1): a batch fixpoint neither
+// freezes nor removes, and the one position its rounds probe is E's
+// second (the pinned T binds z in E(x,z)), so after TC over a chain no
+// table has stamps, T has no posting list and E has lists at position
+// 1 alone. One Freeze stamps every table and builds no list, and the
+// churn bound then holds on the same index.
+func TestBatchStoresOnlyWhatItReads(t *testing.T) {
+	prog := MustParseProgram(`
+		T(x,y) :- E(x,y).
+		T(x,y) :- E(x,z), T(z,y).`)
+	x := IndexInstance(generate.Path("v", 64))
+	if err := evalStratum(prog.Rules, x, FixpointOptions{}, nil, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	e, tc := x.idx.table(fact.InternString("E"), 2), x.idx.table(fact.InternString("T"), 2)
+	if tc == nil || tc.rows != 65*64/2 {
+		t.Fatal("TC over a 64-edge chain left no T or not all of it")
+	}
+	check := func(when string) {
+		if got := builtPositions(e); !slices.Equal(got, []int{1}) {
+			t.Errorf("%s: E has lists at positions %v, want [1]", when, got)
+		}
+		if got := builtPositions(tc); len(got) != 0 {
+			t.Errorf("%s: T has lists at positions %v, want none", when, got)
+		}
+	}
+	check("after the fixpoint")
+	for _, tab := range x.idx.tabs {
+		if tab.stamps != nil {
+			t.Errorf("table %s has %d stamps after a batch fixpoint, want none", fact.Symbol(tab.rel), len(tab.stamps))
+		}
+	}
+	x.Freeze()
+	check("after a Freeze")
+	for _, tab := range x.idx.tabs {
+		if len(tab.stamps) != tab.rows || tab.stamps == nil {
+			t.Errorf("table %s has %d stamps for %d rows after a Freeze", fact.Symbol(tab.rel), len(tab.stamps), tab.rows)
+		}
+	}
+	churnIsBounded(t, x)
+	if x.Len() < tc.rows+e.rows {
+		t.Errorf("the churn lost facts of E or T: Len %d", x.Len())
+	}
+}
+
+// TestLazyListsMatchEager (Type 1, exact) feeds one seeded
+// Add/RemoveAll/Freeze stream, long enough to compact, to two indexes:
+// an eager one, whose tables had every position probed when they were
+// made empty, so add kept every list from the first row on, and a lazy
+// one, each of whose positions is first probed at a random point of the
+// stream. From that point on, at random points, one random (position,
+// value) is probed on both: the lists must be equal id for id, and,
+// read through sees, hold exactly the rows a scan of the table finds
+// at the live version and at the last view's. Across the seeds some
+// position must be first probed after its table compacted, and some
+// while rows killed since the last freeze await the next.
+func TestLazyListsMatchEager(t *testing.T) {
+	vals := []fact.Value{"v0", "v1", "v2", "v3", "v4"}
+	var universe []fact.Fact
+	for _, a := range vals {
+		for _, b := range vals {
+			universe = append(universe, fact.New("E", a, b))
+			for _, c := range vals {
+				universe = append(universe, fact.New("R", a, b, c))
+			}
+		}
+	}
+	e, r := fact.InternString("E"), fact.InternString("R")
+	type position struct {
+		rel        fact.ID
+		arity, pos int
+	}
+	positions := []position{{e, 2, 0}, {e, 2, 1}, {r, 3, 0}, {r, 3, 1}, {r, 3, 2}}
+	afterCompaction, whileKilled := 0, 0
+	const ops = 600
+	for seed := int64(0); seed < 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		lazy, eager := IndexInstance(fact.NewInstance()), IndexInstance(fact.NewInstance())
+		first := make([]int, len(positions)) // the op after which position i is first probed
+		for i, ps := range positions {
+			lazy.idx.tableFor(ps.rel, ps.arity)
+			eager.idx.tableFor(ps.rel, ps.arity).list(ps.pos, fact.NoID)
+			first[i] = rng.Intn(ops)
+		}
+		compacted := map[fact.ID]bool{}
+		var view *IndexedInstance
+		for op := 0; op < ops; op++ {
+			switch k := rng.Intn(20); {
+			case k == 0:
+				held := map[*relTable]int{}
+				for _, tab := range lazy.idx.tabs {
+					held[tab] = tab.rows
+				}
+				view = lazy.Freeze()
+				eager.Freeze()
+				for tab, n := range held {
+					if tab.rows < n {
+						compacted[tab.rel] = true
+					}
+				}
+			case k < 9:
+				batch := make([]fact.Fact, 1+rng.Intn(12))
+				for i := range batch {
+					batch[i] = universe[rng.Intn(len(universe))]
+				}
+				if n, m := lazy.RemoveAll(batch), eager.RemoveAll(batch); n != m {
+					t.Fatalf("seed %d: RemoveAll removed %d and %d", seed, n, m)
+				}
+			default:
+				f := universe[rng.Intn(len(universe))]
+				if lazy.Add(f) != eager.Add(f) {
+					t.Fatalf("seed %d: Add(%v) answers differently", seed, f)
+				}
+			}
+			for i, ps := range positions {
+				if op < first[i] || op > first[i] && rng.Intn(4) != 0 {
+					continue
+				}
+				lt, et := lazy.idx.table(ps.rel, ps.arity), eager.idx.table(ps.rel, ps.arity)
+				if op == first[i] {
+					if lt.pos[ps.pos].built {
+						t.Fatalf("seed %d: position %d of %s has lists before its first probe", seed, ps.pos, fact.Symbol(ps.rel))
+					}
+					if compacted[ps.rel] {
+						afterCompaction++
+					}
+					if slices.ContainsFunc(lt.killed, func(id int32) bool { return lt.stamps[id].died != alive }) {
+						whileKilled++
+					}
+				}
+				v := fact.InternString(string(vals[rng.Intn(len(vals))]))
+				got, gok := lt.list(ps.pos, v)
+				want, wok := et.list(ps.pos, v)
+				if gok != wok || !slices.Equal(got, want) {
+					t.Fatalf("seed %d, op %d: %s position %d value %s: lazy list %v, %v; eager %v, %v",
+						seed, op, fact.Symbol(ps.rel), ps.pos, fact.Symbol(v), got, gok, want, wok)
+				}
+				ats := []uint64{latest}
+				if view != nil {
+					ats = append(ats, view.version())
+				}
+				for _, at := range ats {
+					var seen, scan []int32
+					for _, id := range got {
+						if lt.sees(id, at) {
+							seen = append(seen, id)
+						}
+					}
+					for id := range lt.rows {
+						if (lt.stamps == nil || lt.stamps[id].visible(at)) && lt.row(id)[ps.pos] == v {
+							scan = append(scan, int32(id))
+						}
+					}
+					if !slices.Equal(seen, scan) {
+						t.Fatalf("seed %d, op %d, version %d: %s position %d value %s: the list shows %v, a scan finds %v",
+							seed, op, at, fact.Symbol(ps.rel), ps.pos, fact.Symbol(v), seen, scan)
+					}
+				}
+			}
+		}
+	}
+	if afterCompaction == 0 || whileKilled == 0 {
+		t.Fatalf("%d positions first probed after a compaction and %d while killed rows awaited a freeze; the generator drifted", afterCompaction, whileKilled)
+	}
+	t.Logf("first probes after a compaction: %d, with killed rows pending: %d", afterCompaction, whileKilled)
 }

@@ -115,6 +115,49 @@ func TestParallelMatchesSemiNaiveWorkloads(t *testing.T) {
 	}
 }
 
+// TestParallelFanOutFirstProbes: the opening round of a three-atom
+// rule over a wide input fans out, and its workers are the first to
+// probe E at position 0 and F at position 0, several at once; the lists
+// they build must be the ones SemiNaive's inline round builds, so the
+// results agree. Run under -race: the build is the one write a round's
+// readers make.
+func TestParallelFanOutFirstProbes(t *testing.T) {
+	p := MustParseProgram(`P(x,w) :- E(x,y), E(y,z), F(z,w).`)
+	in := generate.RandomGraph(rand.New(rand.NewSource(13)), "v", 80, 400)
+	for _, f := range in.Rel("E") {
+		in.Add(fact.New("F", f.Args()...))
+	}
+	want, err := p.Fixpoint(in, FixpointOptions{Mode: SemiNaive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for run := 0; run < 4; run++ {
+		x := IndexInstance(in)
+		for _, tab := range x.idx.tabs {
+			if ps := builtPositions(tab); len(ps) != 0 {
+				t.Fatalf("%s has lists at %v before any probe", fact.Symbol(tab.rel), ps)
+			}
+		}
+		reg := obs.NewRegistry()
+		eo := newEngineObs(FixpointOptions{Mode: Parallel, Reg: reg}, false)
+		if err := evalStratum(p.Rules, x, FixpointOptions{Mode: Parallel}, eo, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		if n := fannedOut(reg.Snapshot()); n == 0 {
+			t.Fatal("the opening round ran inline; the input is too narrow to fan out")
+		}
+		for rel, ps := range map[string][]int{"E": {0}, "F": {0}} {
+			if got := builtPositions(x.idx.table(fact.InternString(rel), 2)); !slices.Equal(got, ps) {
+				t.Errorf("%s has lists at %v after the round, want %v", rel, got, ps)
+			}
+		}
+		if got := x.handOver(); !got.Equal(want) {
+			t.Fatalf("run %d: Parallel derived %d facts, SemiNaive %d", run, got.Len(), want.Len())
+		}
+	}
+}
+
 // TestParallelRowOrderDeterministic: no sort fixes the order of a
 // round's rows — the barrier appends the tasks' buffers in task order —
 // so Parallel's tables must come out in one row order however its

@@ -147,7 +147,7 @@ func fullPassTasks(crs []cRule, x *IndexedInstance, workers int) []ruleTask {
 			continue
 		}
 		if tab := x.idx.table(cr.pos[0].rel, len(cr.pos[0].terms)); tab != nil {
-			tasks = pinChunks(tasks, ruleTask{cr: cr, ruleIdx: i, pin: 0}, tab, 0, len(tab.stamps), workers)
+			tasks = pinChunks(tasks, ruleTask{cr: cr, ruleIdx: i, pin: 0}, tab, 0, tab.rows, workers)
 		}
 	}
 	return tasks
@@ -333,17 +333,17 @@ func (l *stratumLoop) barrier(tasks []ruleTask) (appended, invented int) {
 		j := slices.IndexFunc(l.delta, func(s span) bool { return s.t == tab })
 		if j < 0 {
 			j = len(l.delta)
-			l.delta = append(l.delta, span{rel: head.rel, t: tab, lo: len(tab.stamps), hi: len(tab.stamps)})
+			l.delta = append(l.delta, span{rel: head.rel, t: tab, lo: tab.rows, hi: tab.rows})
 		}
 		for k := 0; k < len(buf); k += tab.arity {
 			l.x.addIDs(tab, buf[k:k+tab.arity])
 		}
-		n := len(tab.stamps) - l.delta[j].hi
+		n := tab.rows - l.delta[j].hi
 		appended += n
 		if t.cr.hook != nil {
 			invented += n
 		}
-		l.delta[j].hi = len(tab.stamps)
+		l.delta[j].hi = tab.rows
 	}
 	l.delta = slices.DeleteFunc(l.delta, func(s span) bool { return s.hi == s.lo })
 	return appended, invented

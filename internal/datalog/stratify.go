@@ -98,9 +98,9 @@ func (p *Program) Strata(rho Stratification) [][]Rule {
 	return out
 }
 
-// CheckStratification verifies that rho is a valid syntactic
+// checkStratification verifies that rho is a valid syntactic
 // stratification for the program.
-func (p *Program) CheckStratification(rho Stratification) error {
+func (p *Program) checkStratification(rho Stratification) error {
 	idb := p.IDB()
 	for rel := range idb {
 		if _, ok := rho[rel]; !ok {

@@ -22,8 +22,8 @@ func TestStratifyComplementTC(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Stratify: %v", err)
 	}
-	if err := p.CheckStratification(rho); err != nil {
-		t.Fatalf("CheckStratification: %v", err)
+	if err := p.checkStratification(rho); err != nil {
+		t.Fatalf("checkStratification: %v", err)
 	}
 	if rho["O"] <= rho["T"] {
 		t.Errorf("O must be strictly above T: rho = %v", rho)
@@ -129,12 +129,12 @@ func TestCheckStratificationRejects(t *testing.T) {
 	p := MustParseProgram(complementTC)
 	// Flat stratification violates the negative edge T -> O.
 	flat := Stratification{"T": 1, "Adom": 1, "O": 1}
-	if err := p.CheckStratification(flat); err == nil {
+	if err := p.checkStratification(flat); err == nil {
 		t.Error("flat stratification should be invalid for complementTC")
 	}
 	// Missing a predicate.
 	missing := Stratification{"T": 1, "O": 2}
-	if err := p.CheckStratification(missing); err == nil {
+	if err := p.checkStratification(missing); err == nil {
 		t.Error("stratification missing Adom should be invalid")
 	}
 }
@@ -166,7 +166,7 @@ func TestStratificationIndependence(t *testing.T) {
 	}
 	// Padded: push O even higher; semantics must agree.
 	padded := Stratification{"T": 1, "Adom": 2, "O": 3}
-	if err := p.CheckStratification(padded); err != nil {
+	if err := p.checkStratification(padded); err != nil {
 		t.Fatalf("padded stratification invalid: %v", err)
 	}
 	x := IndexInstance(in.Clone())

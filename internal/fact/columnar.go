@@ -27,7 +27,7 @@ import (
 // in a linear-probing slot table, and a packed byte string in a Go map
 // for wider tuples. It is the set index of a column here, the
 // membership probe of the row tables the join index keeps and, keyed
-// by (position, value), the directory of their posting lists
+// by value, the directory of one position's posting lists
 // (internal/datalog); what a row number means is the holder's business.
 // A TupleIndex is a handle: copies share one table, which may grow
 // under them. Get never writes, so one index may be read from several

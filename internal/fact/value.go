@@ -67,17 +67,17 @@ func (t Tuple) Compare(u Tuple) int {
 func (t Tuple) String() string {
 	parts := make([]string, len(t))
 	for i, v := range t {
-		parts[i] = QuoteValue(v)
+		parts[i] = quoteValue(v)
 	}
 	return strings.Join(parts, ",")
 }
 
-// QuoteValue renders a value in the textual syntax accepted by the
+// quoteValue renders a value in the textual syntax accepted by the
 // parsers: bare when it consists solely of letters, digits, '_', '-'
 // and '.', double-quoted with minimal escaping otherwise. The printed
 // form always parses back to the same value (except for values
 // containing a NUL byte, which the parsers reject).
-func QuoteValue(v Value) string {
+func quoteValue(v Value) string {
 	if isBareValue(v) {
 		return string(v)
 	}

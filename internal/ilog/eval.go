@@ -71,7 +71,7 @@ func skolemHook(rel string) datalog.HeadHook {
 		for i, id := range head[1:] {
 			args[i] = fact.Symbol(id)
 		}
-		head[0] = fact.Intern(SkolemValue(rel, args))
+		head[0] = fact.Intern(skolemValue(rel, args))
 	}
 }
 
@@ -132,7 +132,7 @@ func (p *Program) EvalQuery(input *fact.Instance, outputRels []string, opts Opti
 	result := full.Restrict(out)
 	for _, f := range result.Facts() {
 		for i := 0; i < f.Arity(); i++ {
-			if IsInvented(f.Arg(i)) {
+			if isInvented(f.Arg(i)) {
 				return nil, fmt.Errorf("ilog: unsafe program: invented value leaked into output fact %v", f)
 			}
 		}

@@ -33,14 +33,14 @@ var ErrDiverged = errors.New("ilog: fixpoint did not converge (output undefined)
 // InventedPrefix marks invented values in the fact.Value encoding.
 const InventedPrefix = "$"
 
-// IsInvented reports whether the value is an invented (Skolem) value.
-func IsInvented(v fact.Value) bool {
+// isInvented reports whether the value is an invented (Skolem) value.
+func isInvented(v fact.Value) bool {
 	return strings.HasPrefix(string(v), InventedPrefix)
 }
 
-// SkolemValue builds the ground Skolem term fR(args...) as an encoded
+// skolemValue builds the ground Skolem term fR(args...) as an encoded
 // value. The functor is named after the invention relation.
-func SkolemValue(rel string, args []fact.Value) fact.Value {
+func skolemValue(rel string, args []fact.Value) fact.Value {
 	parts := make([]string, len(args))
 	for i, a := range args {
 		parts[i] = string(a)
@@ -119,9 +119,9 @@ type Program struct {
 // NewProgram builds a program from rules.
 func NewProgram(rules ...Rule) *Program { return &Program{Rules: rules} }
 
-// FromDatalog lifts a plain Datalog¬ program into an ILOG¬ program
+// fromDatalog lifts a plain Datalog¬ program into an ILOG¬ program
 // with no invention.
-func FromDatalog(p *datalog.Program) *Program {
+func fromDatalog(p *datalog.Program) *Program {
 	out := NewProgram()
 	for _, r := range p.Rules {
 		out.Rules = append(out.Rules, Rule{Head: r.Head, Pos: r.Pos, Neg: r.Neg, Ineq: r.Ineq})

@@ -20,25 +20,25 @@ func edgeIDProgram() *Program {
 }
 
 func TestSkolemValueInjective(t *testing.T) {
-	a := SkolemValue("R", []fact.Value{"x", "y"})
-	b := SkolemValue("R", []fact.Value{"xy"})
-	c := SkolemValue("R", []fact.Value{"x", "y"})
-	d := SkolemValue("S", []fact.Value{"x", "y"})
+	a := skolemValue("R", []fact.Value{"x", "y"})
+	b := skolemValue("R", []fact.Value{"xy"})
+	c := skolemValue("R", []fact.Value{"x", "y"})
+	d := skolemValue("S", []fact.Value{"x", "y"})
 	if a == b || a == d {
-		t.Error("SkolemValue collided across different functors/args")
+		t.Error("skolemValue collided across different functors/args")
 	}
 	if a != c {
-		t.Error("SkolemValue not deterministic")
+		t.Error("skolemValue not deterministic")
 	}
-	if !IsInvented(a) {
+	if !isInvented(a) {
 		t.Error("Skolem value not marked invented")
 	}
-	if IsInvented("plain") {
+	if isInvented("plain") {
 		t.Error("plain value marked invented")
 	}
 	// Nested invention stays invented and distinct.
-	n1 := SkolemValue("R", []fact.Value{a})
-	n2 := SkolemValue("R", []fact.Value{b})
+	n1 := skolemValue("R", []fact.Value{a})
+	n2 := skolemValue("R", []fact.Value{b})
 	if n1 == n2 {
 		t.Error("nested Skolem terms collided")
 	}
@@ -60,7 +60,7 @@ func TestInventionBasic(t *testing.T) {
 		t.Error("two distinct edges share an invented id")
 	}
 	for _, f := range ids {
-		if !IsInvented(f.Arg(0)) {
+		if !isInvented(f.Arg(0)) {
 			t.Errorf("id %v not an invented value", f.Arg(0))
 		}
 	}
@@ -222,7 +222,7 @@ func TestWeaklySafeImpliesSafeEmpirically(t *testing.T) {
 
 func TestFromDatalog(t *testing.T) {
 	dp := datalog.MustParseProgram(`T(x,y) :- E(x,y). T(x,z) :- T(x,y), E(y,z).`)
-	p := FromDatalog(dp)
+	p := fromDatalog(dp)
 	in := fact.MustParseInstance(`E(a,b) E(b,c)`)
 	out, err := p.EvalQuery(in, []string{"T"}, Options{})
 	if err != nil {

@@ -225,10 +225,10 @@ func TestRestrictClassPair(t *testing.T) {
 
 func TestCheckInput(t *testing.T) {
 	q := tcQuery()
-	if err := CheckInput(q, fact.MustParseInstance(`E(a,b)`)); err != nil {
+	if err := checkInput(q, fact.MustParseInstance(`E(a,b)`)); err != nil {
 		t.Errorf("valid input rejected: %v", err)
 	}
-	if err := CheckInput(q, fact.MustParseInstance(`R(a)`)); err == nil {
+	if err := checkInput(q, fact.MustParseInstance(`R(a)`)); err == nil {
 		t.Error("out-of-schema input accepted")
 	}
 }

@@ -78,8 +78,8 @@ func (f *Func) Name() string { return f.name }
 
 var _ Query = (*Func)(nil)
 
-// CheckInput verifies that the instance is over the query's input schema.
-func CheckInput(q Query, i *fact.Instance) error {
+// checkInput verifies that the instance is over the query's input schema.
+func checkInput(q Query, i *fact.Instance) error {
 	sigma := q.InputSchema()
 	var bad *fact.Fact
 	i.Each(func(f fact.Fact) bool {

@@ -36,9 +36,9 @@ func OpenTrace(path string) (*Tracer, func() error, error) {
 	}, nil
 }
 
-// WriteMetrics dumps the registry as indented JSON where a -metrics
+// writeMetrics dumps the registry as indented JSON where a -metrics
 // flag names. A nil registry or a disabled path writes nothing.
-func WriteMetrics(reg *Registry, path string) error {
+func writeMetrics(reg *Registry, path string) error {
 	if reg == nil || path == "" {
 		return nil
 	}
@@ -65,7 +65,7 @@ func Finisher(closeTrace func() error, reg *Registry, metricsPath string, fail f
 		if err := closeTrace(); err != nil {
 			fail(err)
 		}
-		if err := WriteMetrics(reg, metricsPath); err != nil {
+		if err := writeMetrics(reg, metricsPath); err != nil {
 			fail(err)
 		}
 	}

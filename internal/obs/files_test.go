@@ -16,7 +16,7 @@ func TestFlagFiles(t *testing.T) {
 	if tr != nil || err != nil || closeTrace() != nil {
 		t.Fatalf("disabled trace: tracer %v, err %v", tr, err)
 	}
-	if err := WriteMetrics(NewRegistry(), ""); err != nil {
+	if err := writeMetrics(NewRegistry(), ""); err != nil {
 		t.Fatalf("disabled metrics: %v", err)
 	}
 
@@ -32,7 +32,7 @@ func TestFlagFiles(t *testing.T) {
 	}
 	reg := NewRegistry()
 	reg.Counter("c").Add(3)
-	if err := WriteMetrics(reg, metricsPath); err != nil {
+	if err := writeMetrics(reg, metricsPath); err != nil {
 		t.Fatal(err)
 	}
 	trace, _ := os.ReadFile(tracePath)
@@ -45,8 +45,8 @@ func TestFlagFiles(t *testing.T) {
 	if _, _, err := OpenTrace(missing); err == nil {
 		t.Error("OpenTrace into a missing directory succeeded")
 	}
-	if err := WriteMetrics(reg, missing); err == nil {
-		t.Error("WriteMetrics into a missing directory succeeded")
+	if err := writeMetrics(reg, missing); err == nil {
+		t.Error("writeMetrics into a missing directory succeeded")
 	}
 }
 

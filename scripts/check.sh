@@ -37,8 +37,10 @@
 # the epoch-pinned serving core, and the simulation determinism tests
 # are the main race-sensitive surfaces). The fault-injection, explorer,
 # serving, cluster, incremental-maintenance (its clock and ranks are
-# order-dependent state), and event-scheduler packages additionally run
-# twice under -race
+# order-dependent state), batch-fixpoint (a position's posting lists
+# are built by its first probe, which a fanned-out round's workers may
+# race to make) and event-scheduler packages additionally run twice
+# under -race
 # (-count=2 defeats the test cache and catches order-dependent state),
 # the serial span-stream byte-compare runs thirty times under -race,
 # internal/transducer coverage is gated at its pre-fault-layer
@@ -339,8 +341,8 @@ fi
 # file refers to, and those only their own package refers to. Neither
 # may grow past the figure recorded here; a PR that unexports or
 # deletes lowers the figure with it.
-max_unreferenced=68
-max_package_only=39
+max_unreferenced=64
+max_package_only=35
 echo ">> exported-identifier ratchet: unreferenced <= $max_unreferenced, package-only <= $max_package_only"
 exports=$(go run scripts/exports.go)
 echo "$exports" | sed 's/^/   /'
@@ -358,8 +360,8 @@ fi
 echo ">> go test -race ./..."
 go test -race ./...
 
-echo ">> go test -race -count=2 ./internal/transducer/... ./internal/core/... ./internal/serve/... ./internal/cluster/... ./internal/incr/..."
-go test -race -count=2 ./internal/transducer/... ./internal/core/... ./internal/serve/... ./internal/cluster/... ./internal/incr/...
+echo ">> go test -race -count=2 ./internal/transducer/... ./internal/core/... ./internal/serve/... ./internal/cluster/... ./internal/incr/... ./internal/datalog/..."
+go test -race -count=2 ./internal/transducer/... ./internal/core/... ./internal/serve/... ./internal/cluster/... ./internal/incr/... ./internal/datalog/...
 
 # The span stream of a serial session is byte-compared between runs;
 # a write's fence closing after its response was handed over made that
