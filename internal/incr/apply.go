@@ -19,14 +19,24 @@ import (
 //
 // Exactly-once attribution. Support counts are exact, so every
 // gained/lost derivation must be counted exactly once even though a
-// valuation can contain several delta facts. The discipline: a
-// valuation is attributed to the FIRST body position holding a
-// current-delta fact — pinned-join tasks at position i skip any
-// valuation whose earlier position j < i also grounds into the delta
-// (and, for mixed pos/neg deltas, pos pins win over neg pins). Waves
-// of a cascade use the same rule against the wave's fact set, with
-// facts from previously committed waves excluded entirely (they were
-// attributed when their wave ran).
+// valuation can contain several delta facts. The rule, written once as
+// the phase table of pins (tasks.go): a valuation is attributed to the
+// FIRST body position holding a fact pinned by the phase. Each phase
+// (the seeds and the cascade waves of deletion and of insertion) is
+// one row of that table, and tasks builds its pinned joins.
+//
+// Where a valuation can be pinned both ways, one side wins. In
+// deletion NEG pins win: pos-side deaths accumulate wave by wave, so a
+// seed cannot yet know that a pos fact will die, but the inserted
+// facts of lower strata are all committed before the stratum's
+// deletion phase starts, so insSet membership of neg grounds is
+// already final (were pos pins to win, a valuation lost both ways
+// would be counted at the neg seed AND again when its pos fact dies in
+// a later wave). In insertion pos pins win. A deletion wave skips
+// valuations through facts of earlier waves and seeds (delSet), which
+// were attributed when those ran; an insertion wave needs no such skip,
+// since a valuation through a committed-delta fact was counted at its
+// seed or wave, which ran before this wave's facts existed.
 //
 // Determinism. All enumeration happens against views frozen for the
 // phase (the index frozen before the apply for deletions, the current
@@ -134,12 +144,10 @@ func (m *Materialization) apply(d Delta) (ApplyStats, error) {
 		a.oldX = m.x.Freeze()
 	}
 	for _, f := range ret {
-		m.base.Remove(f)
 		a.del(f, f.PackedKey())
 	}
 	m.x.RemoveAll(ret)
 	for _, f := range ins {
-		m.base.Add(f)
 		m.x.Add(f)
 		a.ins(f, f.PackedKey())
 	}
@@ -150,17 +158,21 @@ func (m *Materialization) apply(d Delta) (ApplyStats, error) {
 		m.corrupt = fmt.Errorf("incr: materialization corrupt after failed apply %d: %w", m.seq, err)
 		return a.st, m.corrupt
 	}
+	// The seed rows of the phase table (tasks.go): a stratum whose seed
+	// list is empty has nothing to lose, or to gain, in that phase.
+	delSeed := &pins{view: a.oldX, pos: a.delByRel, posSet: a.delSet, neg: a.insByRel, negSet: a.insSet, posSkipsNeg: a.insSet}
+	insSeed := &pins{view: m.x, pos: a.insByRel, posSet: a.insSet, neg: a.delByRel, negSet: a.delSet, negSkipsPos: a.insSet}
 	for si := range m.strata {
 		s := &m.strata[si]
 		var sb stratumStats
 		var dead, back []*headEntry
-		if m.deletionWork(s, a) {
-			if dead, back, err = m.deletePropagate(s, a, &sb); err != nil {
+		if seeds := delSeed.tasks(s); len(seeds) > 0 {
+			if dead, back, err = m.deletePropagate(s, a, &sb, seeds); err != nil {
 				return fail(err)
 			}
 		}
-		if len(back) > 0 || m.insertionWork(s, a) {
-			if err := m.insertPropagate(s, a, &sb, back); err != nil {
+		if seeds := insSeed.tasks(s); len(seeds) > 0 || len(back) > 0 {
+			if err := m.insertPropagate(s, a, &sb, seeds, back); err != nil {
 				return fail(err)
 			}
 		}
@@ -221,7 +233,8 @@ func (d Delta) Check(idb, schema fact.Schema) error {
 }
 
 // netDelta validates and nets the delta down to actual base changes,
-// returned in sorted fact order.
+// returned in sorted fact order. A delta fact is never over an idb
+// relation, so m.x holds it exactly when the base does.
 func (m *Materialization) netDelta(d Delta) (ins, ret []fact.Fact, err error) {
 	if err := d.Check(m.idb, m.schema); err != nil {
 		return nil, nil, err
@@ -235,12 +248,12 @@ func (m *Materialization) netDelta(d Delta) (ins, ret []fact.Fact, err error) {
 		insM[f.PackedKey()] = f
 	}
 	for k, f := range retM {
-		if !m.base.Has(f) {
+		if !m.x.Has(f) {
 			delete(retM, k)
 		}
 	}
 	for k, f := range insM {
-		if m.base.Has(f) {
+		if m.x.Has(f) {
 			delete(insM, k)
 		}
 	}
@@ -256,189 +269,13 @@ func sortFactMap(fm map[string]fact.Fact) []fact.Fact {
 	return fs
 }
 
-func relsIntersect(rels map[string]bool, byRel map[string][]fact.Fact) bool {
-	for rel, fs := range byRel {
-		if rels[rel] && len(fs) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// deletionWork reports whether the stratum can lose derivations:
-// something it joins positively was removed, or something it negates
-// was added.
-func (m *Materialization) deletionWork(s *stratum, a *applyState) bool {
-	return relsIntersect(s.posRels, a.delByRel) || relsIntersect(s.negRels, a.insByRel)
-}
-
-// insertionWork reports whether the stratum can gain derivations:
-// something it joins positively was added, or something it negates
-// was removed.
-func (m *Materialization) insertionWork(s *stratum, a *applyState) bool {
-	return relsIntersect(s.posRels, a.insByRel) || relsIntersect(s.negRels, a.delByRel)
-}
-
-// deleteSeedTasks builds the pinned joins enumerating, against the
-// pre-update view, every valuation of a stratum rule that held before
-// the apply and is destroyed by the committed delta — each valuation
-// admitted by exactly one task.
-//
-// Attribution priority: NEG pins win. A lost valuation whose negated
-// atom grounds into an inserted fact is counted at its first such neg
-// position, and every pos pin — seed or cascade wave — skips it. The
-// priority must be this way around: pos-side deaths accumulate wave
-// by wave, so a seed cannot yet know that a pos fact will die, but
-// the inserted facts of lower strata are all committed before the
-// stratum's deletion phase starts, so insSet membership of neg
-// grounds is already final. (Were pos pins to win, a valuation lost
-// both ways would be counted at the neg seed AND again when its pos
-// fact dies in a later wave.)
-func (m *Materialization) deleteSeedTasks(s *stratum, a *applyState) []pinTask {
-	var tasks []pinTask
-	for ri, r := range s.rules {
-		for i, at := range r.Pos {
-			pinFacts := a.delByRel[at.Rel]
-			if len(pinFacts) == 0 {
-				continue
-			}
-			i := i
-			nneg := len(r.Neg)
-			tasks = append(tasks, pinTask{
-				crule: s.crules[ri], pin: i, pinFacts: pinFacts, view: a.oldX,
-				accept: func(v *datalog.Valuation) bool {
-					for k := 0; k < nneg; k++ {
-						if a.insSet[string(v.NegKey(k))] {
-							return false
-						}
-					}
-					for j := 0; j < i; j++ {
-						if a.delSet[string(v.PosKey(j))] {
-							return false
-						}
-					}
-					return true
-				},
-			})
-		}
-		for k, at := range r.Neg {
-			pinFacts := a.insByRel[at.Rel]
-			if len(pinFacts) == 0 {
-				continue
-			}
-			k := k
-			nc := s.cneg[ri][k]
-			pin := nc.pin
-			tasks = append(tasks, pinTask{
-				crule: nc.c, pin: pin, pinFacts: pinFacts, view: a.oldX,
-				accept: func(v *datalog.Valuation) bool {
-					for k2 := 0; k2 < k; k2++ {
-						if a.insSet[string(v.NegKey(k2))] {
-							return false
-						}
-					}
-					return true
-				},
-			})
-		}
-	}
-	return tasks
-}
-
-// insertSeedTasks is the mirror image against the current view:
-// valuations that hold now and contain a committed-delta change — a
-// newly inserted positive fact, or a negated atom grounding into a
-// removed fact.
-func (m *Materialization) insertSeedTasks(s *stratum, a *applyState) []pinTask {
-	var tasks []pinTask
-	for ri, r := range s.rules {
-		for i, at := range r.Pos {
-			pinFacts := a.insByRel[at.Rel]
-			if len(pinFacts) == 0 {
-				continue
-			}
-			i := i
-			tasks = append(tasks, pinTask{
-				crule: s.crules[ri], pin: i, pinFacts: pinFacts, view: m.x,
-				accept: func(v *datalog.Valuation) bool {
-					for j := 0; j < i; j++ {
-						if a.insSet[string(v.PosKey(j))] {
-							return false
-						}
-					}
-					return true
-				},
-			})
-		}
-		for k, at := range r.Neg {
-			pinFacts := a.delByRel[at.Rel]
-			if len(pinFacts) == 0 {
-				continue
-			}
-			k := k
-			nc := s.cneg[ri][k]
-			pin := nc.pin
-			tasks = append(tasks, pinTask{
-				crule: nc.c, pin: pin, pinFacts: pinFacts, view: m.x,
-				accept: func(v *datalog.Valuation) bool {
-					// j < pin ranges over r.Pos; the pinned atom, the
-					// converted r.Neg[k], sits at pin.
-					for j := 0; j < pin; j++ {
-						if a.insSet[string(v.PosKey(j))] {
-							return false
-						}
-					}
-					for k2 := 0; k2 < k; k2++ {
-						if a.delSet[string(v.NegKey(k2))] {
-							return false
-						}
-					}
-					return true
-				},
-			})
-		}
-	}
-	return tasks
-}
-
-// insertWaveTasks pins this stratum's newly derived facts: waves only
-// ever join positively (a stratum never negates its own heads), and
-// attribution is first-wave-position with committed-delta facts
-// excluded implicitly (a valuation through one was counted at its
-// seed or earlier wave, which ran before this wave's facts existed).
-func (m *Materialization) insertWaveTasks(s *stratum, wave []*headEntry) []pinTask {
-	waveByRel, waveSet := groupByRel(wave), keySet(wave)
-	var tasks []pinTask
-	for ri, r := range s.rules {
-		for i, at := range r.Pos {
-			pinFacts := waveByRel[at.Rel]
-			if len(pinFacts) == 0 {
-				continue
-			}
-			i := i
-			tasks = append(tasks, pinTask{
-				crule: s.crules[ri], pin: i, pinFacts: pinFacts, view: m.x,
-				accept: func(v *datalog.Valuation) bool {
-					for j := 0; j < i; j++ {
-						if waveSet[string(v.PosKey(j))] {
-							return false
-						}
-					}
-					return true
-				},
-			})
-		}
-	}
-	return tasks
-}
-
 // insertPropagate runs semi-naive delta insertion with support
 // counting: seeds from the committed delta and from back, the facts the
 // deletion phase removed with derivations to spare, then waves of newly
 // derived facts until none appear. New facts are committed to the
 // apply's insert flow so later strata see them.
-func (m *Materialization) insertPropagate(s *stratum, a *applyState, sb *stratumStats, back []*headEntry) error {
-	acc, err := runTasks(m.insertSeedTasks(s, a))
+func (m *Materialization) insertPropagate(s *stratum, a *applyState, sb *stratumStats, seeds []pinTask, back []*headEntry) error {
+	acc, err := runTasks(seeds)
 	if err != nil {
 		return err
 	}
@@ -448,7 +285,7 @@ func (m *Materialization) insertPropagate(s *stratum, a *applyState, sb *stratum
 			return err
 		}
 		back = nil
-		if acc, err = runTasks(m.insertWaveTasks(s, wave)); err != nil {
+		if acc, err = runTasks(wavePins(m.x, wave).tasks(s)); err != nil {
 			return err
 		}
 	}
@@ -492,48 +329,6 @@ func (m *Materialization) applyIncrements(acc *headAcc, back []*headEntry, a *ap
 	return wave, nil
 }
 
-// deleteWaveTasks pins a wave of facts that just died, joining against
-// the pre-update view. Valuations through facts of previously
-// committed deletions were attributed there and are skipped at any
-// position; within the wave, first-position attribution applies.
-func (m *Materialization) deleteWaveTasks(s *stratum, a *applyState, wave []*headEntry) []pinTask {
-	waveByRel, waveSet := groupByRel(wave), keySet(wave)
-	var tasks []pinTask
-	for ri, r := range s.rules {
-		for i, at := range r.Pos {
-			pinFacts := waveByRel[at.Rel]
-			if len(pinFacts) == 0 {
-				continue
-			}
-			i := i
-			npos, nneg := len(r.Pos), len(r.Neg)
-			tasks = append(tasks, pinTask{
-				crule: s.crules[ri], pin: i, pinFacts: pinFacts, view: a.oldX,
-				accept: func(v *datalog.Valuation) bool {
-					for k := 0; k < nneg; k++ {
-						if a.insSet[string(v.NegKey(k))] {
-							return false
-						}
-					}
-					for j := 0; j < npos; j++ {
-						if j == i {
-							continue
-						}
-						if a.delSet[string(v.PosKey(j))] {
-							return false
-						}
-						if j < i && waveSet[string(v.PosKey(j))] {
-							return false
-						}
-					}
-					return true
-				},
-			})
-		}
-	}
-	return tasks
-}
-
 // deletePropagate maintains a stratum under lost derivations: enumerate
 // them against the pre-update view, decrement, and cascade the facts
 // that die, wave by wave, each leaving the materialization with its
@@ -542,8 +337,8 @@ func (m *Materialization) deleteWaveTasks(s *stratum, a *applyState, wave []*hea
 // is positive still has a derivation over facts that were never
 // removed, and the insertion phase seeds with it; one whose count is
 // zero gives up its record.
-func (m *Materialization) deletePropagate(s *stratum, a *applyState, sb *stratumStats) (dead, back []*headEntry, err error) {
-	lost, err := runTasks(m.deleteSeedTasks(s, a))
+func (m *Materialization) deletePropagate(s *stratum, a *applyState, sb *stratumStats, seeds []pinTask) (dead, back []*headEntry, err error) {
+	lost, err := runTasks(seeds)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -559,7 +354,9 @@ func (m *Materialization) deletePropagate(s *stratum, a *applyState, sb *stratum
 		// Enumerate the wave's consequences before committing the wave
 		// to the deleted set: the wave's own tasks must still see these
 		// facts as "current wave", not "already attributed".
-		if lost, err = runTasks(m.deleteWaveTasks(s, a, wave)); err != nil {
+		p := wavePins(a.oldX, wave)
+		p.posSkipsPos, p.posSkipsNeg = a.delSet, a.insSet
+		if lost, err = runTasks(p.tasks(s)); err != nil {
 			return nil, nil, err
 		}
 		for _, e := range wave {

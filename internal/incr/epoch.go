@@ -178,7 +178,7 @@ func (m *Materialization) Epoch() *Epoch {
 		}
 	}
 	clear(m.flow)
-	return &Epoch{seq: m.seq, base: m.base.Len(), n: m.x.Len(), runs: m.runs}
+	return &Epoch{seq: m.seq, base: m.x.Len() - len(m.derived), n: m.x.Len(), runs: m.runs}
 }
 
 // Seq returns the apply sequence number the epoch was published at, Len

@@ -91,9 +91,6 @@ type stratum struct {
 	// these on every delta and must not recompile per call.
 	crules []*datalog.CompiledRule
 	cneg   [][]negCompiled
-	// posRels / negRels are the relations occurring in positive /
-	// negated body atoms of the stratum's rules.
-	posRels, negRels map[string]bool
 }
 
 // derived is the record of one derived fact, eight bytes of it: its
@@ -139,8 +136,11 @@ type Materialization struct {
 	hasNeg bool
 	opts   Options
 
-	x    *datalog.IndexedInstance
-	base *fact.Instance
+	// x is the one store of the materialized facts. Its facts over idb
+	// relations are the derived facts, each with a record in derived;
+	// the others are the base (edb), since a delta never holds an idb
+	// fact and every derived fact is an idb head.
+	x *datalog.IndexedInstance
 	// derived maps a derived fact's packed key (Fact.PackedKey — the
 	// interned-ID encoding, valid within this process only) to its
 	// record. Anything persisted (snapshots) stores facts textually,
@@ -195,7 +195,6 @@ func newEmpty(p *datalog.Program, opts Options) (*Materialization, error) {
 		byHead:  make(map[fact.ID]*headRules),
 		opts:    opts,
 		x:       datalog.IndexInstance(fact.NewInstance()),
-		base:    fact.NewInstance(),
 		derived: make(map[string]derived),
 		flow:    make(map[string]*flow),
 	}
@@ -230,18 +229,8 @@ func newEmpty(p *datalog.Program, opts Options) (*Materialization, error) {
 }
 
 func newStratum(rules []datalog.Rule) stratum {
-	s := stratum{
-		rules:   rules,
-		posRels: make(map[string]bool),
-		negRels: make(map[string]bool),
-	}
+	s := stratum{rules: rules}
 	for _, r := range rules {
-		for _, a := range r.Pos {
-			s.posRels[a.Rel] = true
-		}
-		for _, a := range r.Neg {
-			s.negRels[a.Rel] = true
-		}
 		s.crules = append(s.crules, datalog.Compile(r))
 		nc := make([]negCompiled, len(r.Neg))
 		for k := range r.Neg {
@@ -280,9 +269,6 @@ func reaches(adj map[string][]string, from, to string) bool {
 	return false
 }
 
-// Program returns the maintained program.
-func (m *Materialization) Program() *datalog.Program { return m.prog }
-
 // Seq returns the number of non-empty Apply calls performed.
 func (m *Materialization) Seq() int { return m.seq }
 
@@ -292,8 +278,8 @@ func (m *Materialization) Len() int { return m.x.Len() }
 // Has reports whether the fact is materialized.
 func (m *Materialization) Has(f fact.Fact) bool { return m.x.Has(f) }
 
-// Rel returns the materialized facts of one relation in sorted order.
-func (m *Materialization) Rel(rel string) []fact.Fact {
+// rel returns the materialized facts of one relation in sorted order.
+func (m *Materialization) rel(rel string) []fact.Fact {
 	fs := m.x.RelList(rel)
 	fact.SortFacts(fs)
 	return fs
@@ -302,12 +288,23 @@ func (m *Materialization) Rel(rel string) []fact.Fact {
 // Instance returns an independent copy of the full materialization.
 func (m *Materialization) Instance() *fact.Instance { return m.x.Instance() }
 
-// Base returns an independent copy of the base (edb) instance.
-func (m *Materialization) Base() *fact.Instance { return m.base.Clone() }
+// Base returns an independent copy of the base (edb) instance: the
+// materialized facts over relations the program does not derive.
+func (m *Materialization) Base() *fact.Instance {
+	b := fact.NewInstance()
+	for _, rel := range m.x.Rels() {
+		if !m.idb.Has(rel) {
+			for _, f := range m.x.RelList(rel) {
+				b.Add(f)
+			}
+		}
+	}
+	return b
+}
 
-// Support returns the maintained derivation count of a derived fact
+// support returns the maintained derivation count of a derived fact
 // (0 for base or unknown facts).
-func (m *Materialization) Support(f fact.Fact) int64 { return int64(m.derived[f.PackedKey()].n) }
+func (m *Materialization) support(f fact.Fact) int64 { return int64(m.derived[f.PackedKey()].n) }
 
 // tick advances the clock and returns the rank of the wave it starts.
 // When 32 bits of ranks run out every fact goes unranked — sound, since
@@ -372,7 +369,7 @@ func (m *Materialization) Verify() error {
 	if m.corrupt != nil {
 		return m.corrupt
 	}
-	want, err := m.prog.EvalStratified(m.base, datalog.FixpointOptions{Mode: datalog.SemiNaive})
+	want, err := m.prog.EvalStratified(m.Base(), datalog.FixpointOptions{Mode: datalog.SemiNaive})
 	if err != nil {
 		return fmt.Errorf("incr: verify recomputation: %w", err)
 	}
@@ -384,7 +381,7 @@ func (m *Materialization) Verify() error {
 	nderived := 0
 	for _, f := range got.Facts() {
 		d, ok := m.derived[f.PackedKey()]
-		if m.base.Has(f) {
+		if !m.idb.Has(f.Rel()) {
 			if ok {
 				return fmt.Errorf("incr: base fact %v has a support entry", f)
 			}
@@ -430,13 +427,22 @@ func checkBaseFact(idb, schema fact.Schema, f fact.Fact) error {
 	if idb.Has(f.Rel()) {
 		return fmt.Errorf("incr: %v is over derived relation %s; deltas must change base relations only", f, f.Rel())
 	}
-	if ar, ok := schema.Arity(f.Rel()); ok && ar != f.Arity() {
-		return fmt.Errorf("incr: %v has arity %d, program uses %s with arity %d", f, f.Arity(), f.Rel(), ar)
+	if err := checkArity(schema, f); err != nil {
+		return err
 	}
 	for i := 0; i < f.Arity(); i++ {
 		if strings.ContainsRune(string(f.Arg(i)), 0) {
 			return fmt.Errorf("incr: %v contains a NUL byte", f)
 		}
+	}
+	return nil
+}
+
+// checkArity refuses a fact whose relation the schema knows at another
+// arity: the rule for base facts and for a snapshot's derived lines.
+func checkArity(schema fact.Schema, f fact.Fact) error {
+	if ar, ok := schema.Arity(f.Rel()); ok && ar != f.Arity() {
+		return fmt.Errorf("incr: %v has arity %d, program uses %s with arity %d", f, f.Arity(), f.Rel(), ar)
 	}
 	return nil
 }

@@ -52,7 +52,7 @@ func checkAgainstRecompute(t *testing.T, m *Materialization) {
 func TestInitialBuildEqualsRecompute(t *testing.T) {
 	m := mustNew(t, tcProg, generate.Path("v", 5), Options{})
 	checkAgainstRecompute(t, m)
-	if got := len(m.Rel("T")); got != 15 {
+	if got := len(m.rel("T")); got != 15 {
 		t.Fatalf("|T| = %d, want 15 on a 5-edge path", got)
 	}
 }
@@ -97,7 +97,7 @@ func TestSupportCountsSurviveSharedDerivations(t *testing.T) {
 	`)
 	m := mustNew(t, tcProg, init, Options{})
 	ad := fact.MustParseFact("T(a,d)")
-	if n := m.Support(ad); n != 2 {
+	if n := m.support(ad); n != 2 {
 		t.Fatalf("Support(T(a,d)) = %d, want 2", n)
 	}
 	if _, err := m.Apply(Delta{Retract: []fact.Fact{fact.MustParseFact("E(b,d)")}}); err != nil {
@@ -106,7 +106,7 @@ func TestSupportCountsSurviveSharedDerivations(t *testing.T) {
 	if !m.Has(ad) {
 		t.Fatalf("T(a,d) deleted despite surviving derivation via c")
 	}
-	if n := m.Support(ad); n != 1 {
+	if n := m.support(ad); n != 1 {
 		t.Fatalf("Support(T(a,d)) = %d after retract, want 1", n)
 	}
 	checkAgainstRecompute(t, m)
@@ -281,8 +281,8 @@ func TestEpochRelSortsOncePerEpoch(t *testing.T) {
 	if len(a) != 10 || &a[0] != &b[0] {
 		t.Fatalf("epoch 1: |T| = %d, second call shares the first's list: %v", len(a), len(a) > 0 && &a[0] == &b[0])
 	}
-	if !reflect.DeepEqual(a, m.Rel("T")) {
-		t.Errorf("epoch list %v differs from the materialization's %v", a, m.Rel("T"))
+	if !reflect.DeepEqual(a, m.rel("T")) {
+		t.Errorf("epoch list %v differs from the materialization's %v", a, m.rel("T"))
 	}
 	if _, err := m.Apply(Delta{Insert: []fact.Fact{fact.MustParseFact("E(v4,v5)")}}); err != nil {
 		t.Fatal(err)
@@ -353,10 +353,10 @@ func TestWriteOnlyCommitsStayBounded(t *testing.T) {
 		if after := heap(); after > before+1<<20 {
 			t.Errorf("%s: heap grew %d → %d bytes over 9000 commits", mode, before, after)
 		}
-		if got, want := m.Epoch().Rel("T"), m.Rel("T"); !reflect.DeepEqual(got, want) {
+		if got, want := m.Epoch().Rel("T"), m.rel("T"); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: after 10000 commits T = %d facts, the materialization holds %d", mode, len(got), len(want))
 		}
-		if recs, derived := len(m.derived), len(m.Rel("T")); recs != derived {
+		if recs, derived := len(m.derived), len(m.rel("T")); recs != derived {
 			t.Errorf("%s: after 10000 commits %d rank and support records for %d derived facts", mode, recs, derived)
 		}
 	}
@@ -432,7 +432,7 @@ func TestChunkFillStaysBounded(t *testing.T) {
 			got = append(got, c.fact(i))
 		}
 	}
-	if want := m.Rel("T"); !reflect.DeepEqual(got, want) {
+	if want := m.rel("T"); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after %d commits T = %d facts, the materialization holds %d", commits, len(got), len(want))
 	}
 
@@ -495,7 +495,7 @@ func TestRetractCostsItsCone(t *testing.T) {
 			round()
 		}
 		runtime.ReadMemStats(&after)
-		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / 50, len(m.Rel("T"))
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / 50, len(m.rel("T"))
 	}
 	sa, sb, nSmall := measure(64)
 	la, lb, nLarge := measure(256)
@@ -531,7 +531,7 @@ func TestRetractCostsItsCone(t *testing.T) {
 		if rows, live := m.x.Rows(), m.x.Len(); rows > 2*live+2*64+8 {
 			t.Fatalf("round %d: the index holds %d rows for %d facts", i, rows, live)
 		}
-		if recs, derived := len(m.derived), m.x.Len()-m.base.Len(); recs != derived {
+		if recs, derived := len(m.derived), m.x.Len()-m.Base().Len(); recs != derived {
 			t.Fatalf("round %d: %d records for %d derived facts", i, recs, derived)
 		}
 	}

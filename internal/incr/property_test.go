@@ -82,6 +82,13 @@ func TestPropertyIncrementalEqualsRecompute(t *testing.T) {
 				if err := m.Verify(); err != nil {
 					t.Fatalf("step %d: Verify: %v\nprogram:\n%s", step, err, prog)
 				}
+				// The base is computed from the one store: its edb facts.
+				if b := m.Base(); !b.Equal(cur) {
+					t.Fatalf("step %d: Base() = %v, want %v\nprogram:\n%s", step, b, cur, prog)
+				}
+				if n := m.Epoch().BaseLen(); n != cur.Len() {
+					t.Fatalf("step %d: epoch base count %d, want %d\nprogram:\n%s", step, n, cur.Len(), prog)
+				}
 				for k, d := range m.derived {
 					if d.rank == 0 {
 						t.Fatalf("step %d: derived fact %q has no rank\nprogram:\n%s", step, k, prog)
@@ -189,6 +196,23 @@ func TestRestoreRejectsTornSnapshots(t *testing.T) {
 		b[i] ^= 0x01
 		if _, err := Restore(bytes.NewReader(b), Options{}); err == nil {
 			t.Errorf("byte %d (%q) flipped: restored", i, snap[i])
+		}
+	}
+}
+
+// TestRestoreRejectsDerivedLinesOfTheWrongArity: a derived line is held
+// to the program's arity as a base line is, so an edited line fails the
+// restore, naming the line, instead of being served until Verify runs.
+func TestRestoreRejectsDerivedLinesOfTheWrongArity(t *testing.T) {
+	m := mustNew(t, tcProg, fact.MustParseInstance("E(a,b)"), Options{})
+	snap := snapshotString(t, m)
+	if !strings.Contains(snap, `"f":"T(a,b)"`) {
+		t.Fatalf("snapshot holds no T(a,b) line:\n%s", snap)
+	}
+	for _, edit := range []string{"T(a)", "T(a,b,c)"} {
+		_, err := Restore(strings.NewReader(reseal(strings.Replace(snap, `"f":"T(a,b)"`, `"f":"`+edit+`"`, 1))), Options{})
+		if err == nil || !strings.Contains(err.Error(), "line 3:") || !strings.Contains(err.Error(), "arity") {
+			t.Errorf("T(a,b) edited to %s: %v, want an arity error naming line 3", edit, err)
 		}
 	}
 }

@@ -72,7 +72,7 @@ func (m *Materialization) Snapshot(w io.Writer) error {
 	facts := m.x.Instance().Facts() // already in canonical SortFacts order
 	for _, f := range facts {
 		line := snapshotLine{F: f.String()}
-		if !m.base.Has(f) {
+		if m.idb.Has(f.Rel()) {
 			d := m.derived[f.PackedKey()]
 			if d.n == 0 {
 				return fmt.Errorf("incr: snapshot: derived fact %v has no support", f)
@@ -165,11 +165,13 @@ func Restore(r io.Reader, opts Options) (*Materialization, error) {
 			if err := checkBaseFact(m.idb, m.schema, f); err != nil {
 				return nil, fmt.Errorf("incr: restore: line %d: %w", line, err)
 			}
-			m.base.Add(f)
 			continue
 		}
 		if !m.idb.Has(f.Rel()) {
 			return nil, fmt.Errorf("incr: restore: line %d: %v carries a support count but %s is not a derived relation", line, f, f.Rel())
+		}
+		if err := checkArity(m.schema, f); err != nil {
+			return nil, fmt.Errorf("incr: restore: line %d: %w", line, err)
 		}
 		if sf.R > m.clock {
 			return nil, fmt.Errorf("incr: restore: line %d: %v has rank %d, the clock reads %d", line, f, sf.R, m.clock)

@@ -17,10 +17,10 @@ type pinTask struct {
 	pin      int
 	pinFacts []fact.Fact
 	view     *datalog.IndexedInstance
-	// accept filters valuations for exactly-once attribution (nil
-	// admits all). It receives the matcher's live valuation — packed
-	// atom keys only, nothing materialized — and must read only state
-	// frozen for the phase.
+	// accept filters valuations for exactly-once attribution (pins.tasks
+	// builds it). It receives the matcher's live valuation — packed atom
+	// keys only, nothing materialized — and must read only state frozen
+	// for the phase.
 	accept func(v *datalog.Valuation) bool
 }
 
@@ -40,10 +40,6 @@ type headAcc struct {
 	m map[string]*headEntry
 }
 
-func newHeadAcc() *headAcc {
-	return &headAcc{m: make(map[string]*headEntry)}
-}
-
 // entries returns the accumulated entries with their facts in sorted
 // order. Packed keys sort in process-dependent interning order, so all
 // observable ordering goes through fact.SortFacts instead.
@@ -56,54 +52,128 @@ func (a *headAcc) entries() []*headEntry {
 	return es
 }
 
-func runTask(t pinTask, acc *headAcc) error {
-	return t.view.Valuations(t.crule, t.pin, t.pinFacts, nil, func(v *datalog.Valuation) error {
-		if t.accept != nil && !t.accept(v) {
-			return nil
-		}
-		k := v.HeadKey()
-		if e, ok := acc.m[string(k)]; ok {
-			e.n++
-			return nil
-		}
-		h, err := v.Head()
-		if err != nil {
-			return err
-		}
-		e := &headEntry{f: h, k: string(k), n: 1}
-		acc.m[e.k] = e
-		return nil
-	})
-}
-
 // runTasks executes the tasks into one accumulator.
 func runTasks(tasks []pinTask) (*headAcc, error) {
-	acc := newHeadAcc()
+	acc := &headAcc{m: make(map[string]*headEntry)}
 	for _, t := range tasks {
-		if err := runTask(t, acc); err != nil {
+		err := t.view.Valuations(t.crule, t.pin, t.pinFacts, nil, func(v *datalog.Valuation) error {
+			if !t.accept(v) {
+				return nil
+			}
+			k := v.HeadKey()
+			if e, ok := acc.m[string(k)]; ok {
+				e.n++
+				return nil
+			}
+			h, err := v.Head()
+			if err != nil {
+				return err
+			}
+			e := &headEntry{f: h, k: string(k), n: 1}
+			acc.m[e.k] = e
+			return nil
+		})
+		if err != nil {
 			return nil, err
 		}
 	}
 	return acc, nil
 }
 
-// groupByRel groups a wave's facts by relation, preserving slice order.
-func groupByRel(wave []*headEntry) map[string][]fact.Fact {
-	g := make(map[string][]fact.Fact)
-	for _, e := range wave {
-		g[e.f.Rel()] = append(g[e.f.Rel()], e.f)
-	}
-	return g
+// pins is one phase of the attribution rule: each valuation the phase
+// gains or loses is counted once, at its first pinned position. It holds
+// the view the phase joins against, the facts pinned at positive and at
+// negated atoms (by relation, and as a packed-key set each), and the
+// sets that make a pin skip a valuation another task counts:
+//
+//	phase        view  positive pins  negated pins  extra skips
+//	delete seed  oldX  deleted        inserted      a positive pin skips any negated atom in insSet: negated pins win
+//	delete wave  oldX  the wave       —             a positive pin also skips another positive atom in delSet, or a negated atom in insSet
+//	insert seed  m.x   inserted       deleted       a negated pin skips any positive atom in insSet: positive pins win
+//	insert wave  m.x   the wave       —             —
+//
+// The sets are read when the tasks run, not when they are built.
+type pins struct {
+	view           *datalog.IndexedInstance
+	pos, neg       map[string][]fact.Fact
+	posSet, negSet map[string]bool
+	// A positive pin skips a valuation with another positive atom in
+	// posSkipsPos or a negated atom in posSkipsNeg; a negated pin one
+	// with a positive atom in negSkipsPos. nil skips nothing.
+	posSkipsPos, posSkipsNeg, negSkipsPos map[string]bool
 }
 
-// keySet builds the packed-key set of a wave, probed by the accept
-// filters with the matcher's scratch key bytes.
-func keySet(wave []*headEntry) map[string]bool {
-	s := make(map[string]bool, len(wave))
+// wavePins pins a wave's facts at positive atoms: waves only ever join
+// positively, since a stratum never negates its own heads.
+func wavePins(view *datalog.IndexedInstance, wave []*headEntry) *pins {
+	p := &pins{view: view, pos: make(map[string][]fact.Fact), posSet: make(map[string]bool, len(wave))}
 	for _, e := range wave {
-		s[e.k] = true
+		p.pos[e.f.Rel()] = append(p.pos[e.f.Rel()], e.f)
+		p.posSet[e.k] = true
 	}
-	return s
+	return p
+}
+
+// tasks builds the phase's pinned joins over one stratum, one per atom
+// whose relation has facts pinned, each admitting exactly the
+// valuations attributed to it. No task means the phase has no work.
+func (p *pins) tasks(s *stratum) []pinTask {
+	var tasks []pinTask
+	for ri, r := range s.rules {
+		npos, nneg := len(r.Pos), len(r.Neg)
+		for i, at := range r.Pos {
+			fs := p.pos[at.Rel]
+			if len(fs) == 0 {
+				continue
+			}
+			tasks = append(tasks, pinTask{
+				crule: s.crules[ri], pin: i, pinFacts: fs, view: p.view,
+				accept: func(v *datalog.Valuation) bool {
+					for k := 0; p.posSkipsNeg != nil && k < nneg; k++ {
+						if p.posSkipsNeg[string(v.NegKey(k))] {
+							return false
+						}
+					}
+					for j := 0; j < npos && (j < i || p.posSkipsPos != nil); j++ {
+						if j == i {
+							continue
+						}
+						key := v.PosKey(j)
+						if (j < i && p.posSet[string(key)]) || p.posSkipsPos[string(key)] {
+							return false
+						}
+					}
+					return true
+				},
+			})
+		}
+		for k, at := range r.Neg {
+			fs := p.neg[at.Rel]
+			if len(fs) == 0 {
+				continue
+			}
+			// In the converted rule the pinned atom sits at nc.pin, after
+			// r.Pos; NegKey(k2) for k2 < k still addresses r.Neg[k2].
+			nc := s.cneg[ri][k]
+			tasks = append(tasks, pinTask{
+				crule: nc.c, pin: nc.pin, pinFacts: fs, view: p.view,
+				accept: func(v *datalog.Valuation) bool {
+					for j := 0; p.negSkipsPos != nil && j < nc.pin; j++ {
+						if p.negSkipsPos[string(v.PosKey(j))] {
+							return false
+						}
+					}
+					for k2 := 0; k2 < k; k2++ {
+						if p.negSet[string(v.NegKey(k2))] {
+							return false
+						}
+					}
+					return true
+				},
+			})
+		}
+	}
+	return tasks
 }
 
 // convertNeg rewrites the rule so its k-th negated atom becomes a

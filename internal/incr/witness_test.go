@@ -113,7 +113,7 @@ func TestCyclesWithoutOutsideSupportDie(t *testing.T) {
 		m := mustNew(t, reachProg, fact.MustParseInstance("S(s) E(s,a) "+cycle), Options{})
 		n := len(facts(cycle))
 		st := mustApply(t, m, Delta{Retract: facts("E(s,a)")})
-		if got := m.Rel("R"); len(got) != 1 {
+		if got := m.rel("R"); len(got) != 1 {
 			t.Errorf("%s: R = %v after the entry edge went, want R(s) alone", cycle, got)
 		}
 		if st.DerivedRemoved != n || st.Rederived != 0 || st.Kept != 0 {
@@ -252,8 +252,8 @@ func TestUnrankedFactsAreNeverSpared(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	if r := rankOf(m, "R(a)"); r != 0 || m.Support(fact.MustParseFact("R(a)")) != 2 {
-		t.Fatalf("R(a) restored with rank %d, support %d; want unranked, 2", r, m.Support(fact.MustParseFact("R(a)")))
+	if r := rankOf(m, "R(a)"); r != 0 || m.support(fact.MustParseFact("R(a)")) != 2 {
+		t.Fatalf("R(a) restored with rank %d, support %d; want unranked, 2", r, m.support(fact.MustParseFact("R(a)")))
 	}
 	st := mustApply(t, m, Delta{Retract: facts("E(s,a)")})
 	if st.Kept != 0 || st.Overdeleted != 2 || st.Rederived != 2 {

@@ -1,7 +1,8 @@
 #!/bin/sh
-# check.sh runs the full local gate: vet, build, nineteen structural gates
+# check.sh runs the full local gate: vet, build, twenty structural gates
 # (internal/cluster has grown no wire loop of its own, IndexedInstance no
-# second fact store, internal/incr and internal/ilog start no goroutine,
+# second fact store, nor incr's Materialization, whose base is its
+# index's edb, internal/incr and internal/ilog start no goroutine,
 # internal/datalog starts them in one place, a fixpoint round never
 # materializes its delta as facts, only Stepper.Step's
 # four-query arm materialises the system facts S — no insert-only form
@@ -80,6 +81,16 @@ fi
 echo ">> structural gate: IndexedInstance has no second store"
 if awk '/^type IndexedInstance struct/,/^}/' $(ls internal/datalog/*.go | grep -v '_test\.go$') | grep -n '\*fact\.Instance'; then
     echo "check: IndexedInstance declares a *fact.Instance field; the row tables are its only store"
+    exit 1
+fi
+
+# One store in incr: a Materialization's index holds every fact, and its
+# facts over relations the program does not derive are the base. A
+# *fact.Instance field appearing in it is a second copy of the base
+# growing back, written in lockstep with the index on every apply.
+echo ">> structural gate: Materialization has no second store"
+if awk '/^type Materialization struct/,/^}/' $(ls internal/incr/*.go | grep -v '_test\.go$') | grep -n '\*fact\.Instance'; then
+    echo "check: Materialization declares a *fact.Instance field; the base is the index's edb"
     exit 1
 fi
 
@@ -341,7 +352,7 @@ fi
 # file refers to, and those only their own package refers to. Neither
 # may grow past the figure recorded here; a PR that unexports or
 # deletes lowers the figure with it.
-max_unreferenced=64
+max_unreferenced=61
 max_package_only=35
 echo ">> exported-identifier ratchet: unreferenced <= $max_unreferenced, package-only <= $max_package_only"
 exports=$(go run scripts/exports.go)
