@@ -182,10 +182,11 @@ func TestSessionPipelinedOrder(t *testing.T) {
 
 // TestSessionWindow stalls the client: nobody reads the responses, and
 // each (the closure of a 40-chain) is too large for the session's write
-// buffer, so the responder blocks on the first. The session must go on accepting requests until
-// its window is full — the response being written, Pipeline slots, and
-// the request in the reader's hand — and then stop. A router that
-// ignored Options.Pipeline would stop at its first unflushed response.
+// buffer, so the responder blocks on the first. The session must go on
+// accepting requests until its window is full — Pipeline requests read
+// and unanswered, the one whose response is being written among them —
+// and then stop. A router that ignored Options.Pipeline would stop at
+// its first unflushed response.
 func TestSessionWindow(t *testing.T) {
 	line := []byte(`{"op":"query","rel":"T"}` + "\n")
 	for _, window := range []int{1, 64} {
@@ -211,7 +212,7 @@ func TestSessionWindow(t *testing.T) {
 					accepted.Add(1)
 				}
 			}()
-			full := int64(window + 2)
+			full := int64(window)
 			deadline := time.Now().Add(10 * time.Second)
 			for accepted.Load() < full {
 				if time.Now().After(deadline) {

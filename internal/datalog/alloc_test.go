@@ -18,8 +18,9 @@ import (
 // budget, and it does not grow with the instance (zero marginal
 // allocation per candidate/duplicate).
 
-// allocProgram exercises both dedup index shapes: T is arity 2
-// (packed uint64 key), P is arity 3 (packed byte-string key).
+// allocProgram exercises both dedup key shapes: T is arity 2 (the
+// packed tuple is its key), P is arity 3 (a hashed key, confirmed by
+// the row it names).
 const allocProgram = `
 T(x,y) :- E(x,y).
 T(x,y) :- E(x,z), T(z,y).

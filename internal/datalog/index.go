@@ -25,11 +25,11 @@ import (
 // identical across runs. A fixpoint only appends, so the rows one round
 // added are a range of each table — the next round's delta.
 //
-// Every probe — membership by packed tuple, a posting list by
-// (position, value) — is one fact.TupleIndex lookup: an open-addressed
-// slot table, no Go map on the hot path. A table resolved once per
-// enumeration (match) or per task (deriveTask) is not looked up again
-// per candidate or per head.
+// Every probe — membership by tuple, a posting list by (position,
+// value) — is one fact.TupleIndex lookup: an open-addressed slot table,
+// no Go map on the hot path. A table resolved once per enumeration
+// (match) or per task (deriveTask) is not looked up again per candidate
+// or per head.
 //
 // A row pays only for its readers: its arguments and byKey entry
 // always, a version stamp once a Freeze or a removal can make versions
@@ -53,7 +53,7 @@ func (s stamp) visible(at uint64) bool { return s.born <= at && at < s.died }
 // interned arguments args[i*arity:(i+1)*arity], in the order added, and
 // is seen by the versions stamps[i] says (all, while stamps is nil).
 // pos[p] holds the posting lists of position p from its first probe on.
-// byKey maps a packed tuple to the one row some version may still see.
+// byKey, built over args, maps a tuple to its row some version may see.
 type relTable struct {
 	rel    fact.ID
 	arity  int
@@ -128,7 +128,7 @@ func (ps *postings) put(v fact.ID, id int32) {
 	if n := len(ps.free); n > 0 {
 		next = ps.free[n-1]
 	}
-	s, added := ps.byVal.PutNew([]fact.ID{v}, next)
+	s, added := ps.byVal.PutNew([]fact.ID{v}, nil, next)
 	switch {
 	case !added: // the list is there
 	case int(s) == len(ps.lists):
@@ -144,7 +144,7 @@ func (ps *postings) put(v fact.ID, id int32) {
 func (t *relTable) list(pos int, val fact.ID) ([]int32, bool) {
 	ps := &t.pos[pos]
 	ps.once.Do(func() { t.build(pos) })
-	if s, ok := ps.byVal.Get([]fact.ID{val}); ok {
+	if s, ok := ps.byVal.Get([]fact.ID{val}, nil); ok {
 		return ps.lists[s], true
 	}
 	return nil, false
@@ -154,7 +154,7 @@ func (t *relTable) list(pos int, val fact.ID) ([]int32, bool) {
 // the lists add would hold had it kept pos from the first row on.
 func (t *relTable) build(pos int) {
 	ps := &t.pos[pos]
-	ps.byVal, ps.built = fact.NewTupleIndex(1), true
+	ps.byVal, ps.built = fact.NewTupleIndex(), true
 	for id := range t.rows {
 		if t.stamps == nil || t.stamps[id].born != purged {
 			ps.put(t.args[id*t.arity+pos], int32(id))
@@ -173,7 +173,7 @@ func (t *relTable) stampRows() {
 // has reports whether version at sees a row holding args: one byKey
 // probe.
 func (t *relTable) has(args []fact.ID, at uint64) bool {
-	id, ok := t.byKey.Get(args)
+	id, ok := t.byKey.Get(args, t.args)
 	return ok && t.sees(id, at)
 }
 
@@ -191,7 +191,7 @@ func (idx *relIndex) find(rel fact.ID, args []fact.ID, at uint64) (*relTable, in
 	if t == nil {
 		return nil, 0, false
 	}
-	id, ok := t.byKey.Get(args)
+	id, ok := t.byKey.Get(args, t.args)
 	return t, id, ok && t.sees(id, at)
 }
 
@@ -213,15 +213,15 @@ func (idx *relIndex) freeze() {
 			for p := range t.pos {
 				if ps := &t.pos[p]; ps.built {
 					k := [1]fact.ID{args[p]}
-					s, _ := ps.byVal.Get(k[:])
+					s, _ := ps.byVal.Get(k[:], nil)
 					i, _ := slices.BinarySearch(ps.lists[s], id)
 					if ps.lists[s] = slices.Delete(ps.lists[s], i, i+1); len(ps.lists[s]) == 0 {
-						ps.byVal.Delete(k[:])
+						ps.byVal.Delete(k[:], nil)
 						ps.free = append(ps.free, s)
 					}
 				}
 			}
-			t.byKey.Delete(args)
+			t.byKey.Delete(args, t.args)
 			t.stamps[id].born = purged
 		}
 		t.killed = t.killed[:0]
@@ -354,7 +354,7 @@ func (idx *relIndex) tableFor(rel fact.ID, arity int) *relTable {
 	k := tabKey{rel, int32(arity)}
 	t := idx.tabs[k]
 	if t == nil {
-		t = &relTable{rel: rel, arity: arity, pos: make([]postings, arity), byKey: fact.NewTupleIndex(arity)}
+		t = &relTable{rel: rel, arity: arity, pos: make([]postings, arity), byKey: fact.NewTupleIndex()}
 		idx.tabs[k] = t
 	}
 	return t
@@ -365,7 +365,7 @@ func (idx *relIndex) tableFor(rel fact.ID, arity int) *relTable {
 // tuple to the next row when it is new. The round barrier adds every
 // head through it, and Add and IndexInstance every fact.
 func (x *IndexedInstance) addIDs(t *relTable, args []fact.ID) bool {
-	switch id, added := t.byKey.PutNew(args, int32(t.rows)); {
+	switch id, added := t.byKey.PutNew(args, t.args, int32(t.rows)); {
 	case added:
 		t.add(args, x.idx.ver)
 	case t.stamps == nil || t.stamps[id].died == alive:

@@ -170,8 +170,8 @@ func TestIndexDifferential(t *testing.T) {
 	}
 }
 
-// slotsOf returns the slot count of an open-addressed fact.TupleIndex
-// (arity <= 2), read through reflection: the table is fact's own.
+// slotsOf returns the slot count of a fact.TupleIndex, read through
+// reflection: the table is fact's own.
 func slotsOf(x fact.TupleIndex) int {
 	return reflect.ValueOf(x).FieldByName("t").Elem().FieldByName("slots").Len()
 }

@@ -1,8 +1,6 @@
 package fact
 
 import (
-	"encoding/binary"
-	"maps"
 	"math/bits"
 	"math/rand/v2"
 	"slices"
@@ -10,61 +8,53 @@ import (
 
 // This file implements the relation store behind Instance: per
 // (relation, arity) the argument tuples live in one flat row-major slice
-// of interned IDs, with a packed-key hash index for O(1) set semantics —
-// the layout the join index's row tables (internal/datalog) share.
-// Nothing here touches strings — membership, insertion and removal are
-// pure integer work, which is what makes the fixpoint engines' dedup hot
-// path allocation-free for duplicate derivations.
-//
-// The index of arity <= 2 — every tuple the engines and the simulators
-// store — is an open-addressed table of its own rather than a Go map: a
-// probe hashes one packed key and walks a short run of adjacent slots,
-// with no bucket indirection, and the datalog join index keys its
-// posting lists with the same table.
+// of interned IDs, with an open-addressed hash index for O(1) set
+// semantics — the layout the join index's row tables (internal/datalog)
+// share. Membership, insertion and removal are pure integer work, which
+// is what makes the fixpoint engines' dedup hot path allocation-free.
 
-// TupleIndex maps the tuples of one arity to row numbers by packed key:
-// a uint64 for arity <= 2 (the common case — edges, unary flags), held
-// in a linear-probing slot table, and a packed byte string in a Go map
-// for wider tuples. It is the set index of a column here, the
-// membership probe of the row tables the join index keeps and, keyed
-// by value, the directory of one position's posting lists
-// (internal/datalog); what a row number means is the holder's business.
-// A TupleIndex is a handle: copies share one table, which may grow
-// under them. Get never writes, so one index may be read from several
-// goroutines while nobody mutates it.
-type TupleIndex struct {
-	t    *probeTable      // arity <= 2
-	kstr map[string]int32 // arity >= 3
-}
+// TupleIndex maps the tuples of one arity to row numbers: the set index
+// of a column here, the membership probe of the join index's row tables
+// and, keyed by value, the directory of one position's posting lists
+// (internal/datalog). Every arity shares one slot table and differs
+// only in the key. A tuple of arity <= 2 is its own key, packed into a
+// uint64. A wider one is keyed by a seeded hash of its IDs, which two
+// tuples may share, so a key match is a hit only if the row it names
+// holds the tuple: the probing calls take the holder's row-major
+// storage, and at arity >= 3 row r must be rows[r*arity:(r+1)*arity]
+// (at arity <= 2 rows is never read and may be nil). The index keeps no
+// pointer to rows, since a holder may move (a column lives by value in
+// a growing slice). A TupleIndex is a handle: copies share one table,
+// which may grow under them. Get never writes, so one index may be read
+// from several goroutines while nobody mutates it.
+type TupleIndex struct{ t *probeTable }
 
-// NewTupleIndex returns an empty index for tuples of the given arity.
-// It reserves no slot: the first insert does.
-func NewTupleIndex(arity int) TupleIndex {
-	if arity <= 2 {
-		return TupleIndex{t: new(probeTable)}
-	}
-	return TupleIndex{kstr: make(map[string]int32)}
-}
+// NewTupleIndex returns an empty index. It reserves no slot: the first
+// insert does.
+func NewTupleIndex() TupleIndex { return TupleIndex{new(probeTable)} }
 
-// probeTable is an open-addressed hash table from packed keys to rows
+// probeTable is an open-addressed hash table from 64-bit keys to rows
 // with linear probing. A slot holds the key and row+1, so a zeroed slot
 // is empty and a fresh slot array needs no fill. Deletion is
-// backward-shift: the entries after the hole that may move into it do,
-// so there are no tombstones, a probe stops at the first empty slot and
-// the load is exactly n over the slot count. The array is a power of
-// two and doubles when an insert would take the load past 13/16.
+// backward-shift (Delete), so there are no tombstones, a probe stops at
+// the first empty slot and the load is exactly n over the slot count.
+// The array is a power of two and doubles when an insert would take
+// the load past 13/16. Only a probe reads rows: growing, deleting,
+// renumbering and cloning work from the stored keys alone.
 type probeTable struct {
 	slots []probeSlot
 	n     int
 	shift uint // 64 - log2(len(slots))
 }
 
-// probeSlot is one slot: the packed key split in two words, so a slot
-// is 12 bytes, and row+1 (0 marks the slot empty).
+// probeSlot is one slot: the key split in two words, so a slot is 12
+// bytes, and row+1 (0 marks the slot empty).
 type probeSlot struct {
 	lo, hi uint32
 	row    int32
 }
+
+func (s probeSlot) key() uint64 { return uint64(s.hi)<<32 | uint64(s.lo) }
 
 // minSlots is the slot count of a table's first insert, and
 // maxLoadNum/maxLoadDen the load an insert may not take a table past.
@@ -74,9 +64,9 @@ const (
 	maxLoadDen = 16
 )
 
-// hashSeed perturbs every probe table's hash, drawn once per process:
-// the tables index client-chosen facts (calmd), so slot positions must
-// not be predictable from the keys. Nothing observable depends on slot
+// hashSeed perturbs every slot hash and wide key, drawn once per
+// process: the tables index client-chosen facts (calmd), so neither may
+// be predictable from the tuple. Nothing observable depends on slot
 // order — Renumber, the only walk, is order-free.
 var hashSeed = rand.Uint64()
 
@@ -88,12 +78,37 @@ func (t *probeTable) home(k uint64) int {
 	return int((k * 0x9e3779b97f4a7c15) >> t.shift)
 }
 
-// find returns the slot holding key k, or the empty slot that ends its
-// probe run, and whether k is there. The table has at least one slot.
-func (t *probeTable) find(k uint64) (int, bool) {
+// key64 packs a tuple of arity <= 2 into one uint64. (Arity 0 — the
+// zero Fact, representable though not constructible via New — packs
+// to the single key 0.)
+func key64(args []ID) uint64 {
+	switch len(args) {
+	case 0:
+		return 0
+	case 1:
+		return uint64(args[0])
+	}
+	return uint64(args[0])<<32 | uint64(args[1])
+}
+
+// wideKey is the key of a tuple of arity >= 3: its IDs folded, one
+// multiply-xorshift round each, into a hash seeded from hashSeed.
+func wideKey(args []ID) uint64 {
+	h := hashSeed
+	for _, id := range args {
+		h = (h ^ uint64(id)) * 0xbf58476d1ce4e5b9
+		h ^= h >> 31
+	}
+	return h
+}
+
+// find returns the first slot from i on holding key k, or the empty
+// slot that ends the probe run, and whether k is there. The table has
+// at least one slot.
+func (t *probeTable) find(i int, k uint64) (int, bool) {
 	lo, hi := uint32(k), uint32(k>>32)
 	mask := len(t.slots) - 1
-	for i := t.home(k); ; i = (i + 1) & mask {
+	for ; ; i = (i + 1) & mask {
 		s := &t.slots[i]
 		if s.row == 0 {
 			return i, false
@@ -104,25 +119,36 @@ func (t *probeTable) find(k uint64) (int, bool) {
 	}
 }
 
-// get returns the row of key k.
-func (t *probeTable) get(k uint64) (int32, bool) {
-	if t.n == 0 {
-		return 0, false
+// lookup returns the tuple's key, the slot holding it (or the empty
+// slot that ends its probe run) and whether it is there. A narrow
+// tuple is found by its key; a wide one by a key whose slot names a
+// row of rows that holds it.
+func (t *probeTable) lookup(args, rows []ID) (uint64, int, bool) {
+	if len(args) <= 2 {
+		k := key64(args)
+		i, ok := t.find(t.home(k), k)
+		return k, i, ok
 	}
-	i, ok := t.find(k)
-	return t.slots[i].row - 1, ok
+	k, a := wideKey(args), len(args)
+	for i := t.home(k); ; i = (i + 1) & (len(t.slots) - 1) {
+		var ok bool
+		i, ok = t.find(i, k)
+		if r := int(t.slots[i].row - 1); !ok || slices.Equal(rows[r*a:(r+1)*a], args) {
+			return k, i, ok
+		}
+	}
 }
 
-// put maps k to row unless it is mapped already; replace says whether
-// an existing mapping is overwritten. It returns the row k maps to
-// afterwards and whether k was new. The table grows before the probe,
-// so an insert probes once: at the load bound, a key already there
-// costs a doubling one insert early.
-func (t *probeTable) put(k uint64, row int32, replace bool) (int32, bool) {
+// put maps the tuple to row unless it is mapped already; replace says
+// whether an existing mapping is overwritten. It returns the row the
+// tuple maps to afterwards and whether it was new. The table grows
+// before the probe, so an insert probes once: at the load bound, a
+// tuple already there costs a doubling one insert early.
+func (t *probeTable) put(args, rows []ID, row int32, replace bool) (int32, bool) {
 	if maxLoadDen*(t.n+1) > maxLoadNum*len(t.slots) {
 		t.grow()
 	}
-	i, ok := t.find(k)
+	k, i, ok := t.lookup(args, rows)
 	s := &t.slots[i]
 	if ok {
 		if replace {
@@ -147,7 +173,7 @@ func (t *probeTable) grow() {
 		if s.row == 0 {
 			continue
 		}
-		i := t.home(uint64(s.hi)<<32 | uint64(s.lo))
+		i := t.home(s.key())
 		for t.slots[i].row != 0 {
 			i = (i + 1) & mask
 		}
@@ -155,24 +181,44 @@ func (t *probeTable) grow() {
 	}
 }
 
-// del removes key k, if present, by backward shift: walking the run
-// after the hole, an entry whose home is not cyclically inside (hole,
-// its slot] moves into the hole, which moves to where it was. The run
-// may wrap past the end of the array; the distances are taken modulo
-// its size.
-func (t *probeTable) del(k uint64) {
+// Get returns the row the tuple maps to.
+func (x TupleIndex) Get(args, rows []ID) (int32, bool) {
+	if x.t.n == 0 {
+		return 0, false
+	}
+	_, i, ok := x.t.lookup(args, rows)
+	return x.t.slots[i].row - 1, ok
+}
+
+// put maps the tuple to row, replacing what it mapped to.
+func (x TupleIndex) put(args, rows []ID, row int32) { x.t.put(args, rows, row, true) }
+
+// PutNew maps the tuple to row unless it is mapped already: one probe
+// that is a Get when the tuple is there and a put when it is not. It
+// returns the row the tuple maps to afterwards and whether it was new.
+// A new tuple's row is not read: the holder may store it afterwards.
+func (x TupleIndex) PutNew(args, rows []ID, row int32) (int32, bool) {
+	return x.t.put(args, rows, row, false)
+}
+
+// Delete removes the tuple's entry, if any, by backward shift: walking
+// the run after the hole, an entry whose home is not cyclically inside
+// (hole, its slot] moves into the hole, which moves to where it was.
+// The run may wrap past the end of the array; the distances are taken
+// modulo its size.
+func (x TupleIndex) Delete(args, rows []ID) {
+	t := x.t
 	if t.n == 0 {
 		return
 	}
-	hole, ok := t.find(k)
+	_, hole, ok := t.lookup(args, rows)
 	if !ok {
 		return
 	}
 	mask := len(t.slots) - 1
 	for j := (hole + 1) & mask; t.slots[j].row != 0; j = (j + 1) & mask {
 		s := t.slots[j]
-		h := t.home(uint64(s.hi)<<32 | uint64(s.lo))
-		if (j-h)&mask >= (j-hole)&mask {
+		if h := t.home(s.key()); (j-h)&mask >= (j-hole)&mask {
 			t.slots[hole] = s
 			hole = j
 		}
@@ -181,117 +227,28 @@ func (t *probeTable) del(k uint64) {
 	t.n--
 }
 
-// renumber replaces every row r by remap[r].
-func (t *probeTable) renumber(remap []int32) {
-	for i := range t.slots {
-		if r := t.slots[i].row; r != 0 {
-			t.slots[i].row = remap[r-1] + 1
+// Renumber replaces every row r the index maps to by remap[r].
+func (x TupleIndex) Renumber(remap []int32) {
+	for i := range x.t.slots {
+		if r := x.t.slots[i].row; r != 0 {
+			x.t.slots[i].row = remap[r-1] + 1
 		}
 	}
 }
 
-// key64 packs a tuple of arity <= 2 into one uint64. (Arity 0 — the
-// zero Fact, representable though not constructible via New — packs
-// to the single key 0.)
-func key64(args []ID) uint64 {
-	switch len(args) {
-	case 0:
-		return 0
-	case 1:
-		return uint64(args[0])
-	}
-	return uint64(args[0])<<32 | uint64(args[1])
-}
-
-// packTuple appends the little-endian encoding of the tuple to buf
-// (the arity >= 3 key, built in a stack scratch per probe).
-func packTuple(buf []byte, args []ID) []byte {
-	for _, id := range args {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
-	}
-	return buf
-}
-
-// Get returns the row the tuple maps to.
-func (x TupleIndex) Get(args []ID) (int32, bool) {
-	if x.t != nil {
-		return x.t.get(key64(args))
-	}
-	var scratch [64]byte
-	row, ok := x.kstr[string(packTuple(scratch[:0], args))]
-	return row, ok
-}
-
-// put maps the tuple to row, replacing what it mapped to.
-func (x TupleIndex) put(args []ID, row int32) {
-	if x.t != nil {
-		x.t.put(key64(args), row, true)
-		return
-	}
-	var scratch [64]byte
-	x.kstr[string(packTuple(scratch[:0], args))] = row
-}
-
-// PutNew maps the tuple to row unless it is mapped already: one probe
-// that is a Get when the tuple is there and a put when it is not. It
-// returns the row the tuple maps to afterwards and whether it was new.
-func (x TupleIndex) PutNew(args []ID, row int32) (int32, bool) {
-	if x.t != nil {
-		return x.t.put(key64(args), row, false)
-	}
-	var scratch [64]byte
-	key := packTuple(scratch[:0], args)
-	if old, ok := x.kstr[string(key)]; ok {
-		return old, false
-	}
-	x.kstr[string(key)] = row
-	return row, true
-}
-
-// Delete removes the tuple's entry, if any.
-func (x TupleIndex) Delete(args []ID) {
-	if x.t != nil {
-		x.t.del(key64(args))
-		return
-	}
-	var scratch [64]byte
-	delete(x.kstr, string(packTuple(scratch[:0], args)))
-}
-
-// Renumber replaces every row r the index maps to by remap[r].
-func (x TupleIndex) Renumber(remap []int32) {
-	if x.t != nil {
-		x.t.renumber(remap)
-	}
-	for k, r := range x.kstr {
-		x.kstr[k] = remap[r]
-	}
-}
-
 // len returns the number of tuples indexed.
-func (x TupleIndex) len() int {
-	if x.t != nil {
-		return x.t.n
-	}
-	return len(x.kstr)
-}
+func (x TupleIndex) len() int { return x.t.n }
 
 // reset drops every entry and keeps the storage.
 func (x TupleIndex) reset() {
-	if x.t != nil {
-		clear(x.t.slots)
-		x.t.n = 0
-	}
-	clear(x.kstr)
+	clear(x.t.slots)
+	x.t.n = 0
 }
 
 func (x TupleIndex) clone() TupleIndex {
-	if x.t != nil {
-		t := *x.t
-		t.slots = slices.Clone(t.slots)
-		return TupleIndex{t: &t}
-	}
-	return TupleIndex{kstr: maps.Clone(x.kstr)}
+	t := *x.t
+	t.slots = slices.Clone(t.slots)
+	return TupleIndex{&t}
 }
 
 // column stores all tuples of one (relation, arity), row-major: row i
@@ -307,7 +264,7 @@ type column struct {
 }
 
 func newColumn(rel ID, arity int) column {
-	return column{rel: rel, arity: arity, idx: NewTupleIndex(arity)}
+	return column{rel: rel, arity: arity, idx: NewTupleIndex()}
 }
 
 func (c *column) rows() int { return c.n }
@@ -318,14 +275,14 @@ func (c *column) row(i int) []ID { return c.args[i*c.arity : (i+1)*c.arity] }
 
 // has reports whether the tuple is present.
 func (c *column) has(args []ID) bool {
-	_, ok := c.idx.Get(args)
+	_, ok := c.idx.Get(args, c.args)
 	return ok
 }
 
 // add inserts the tuple if absent, reporting whether it was new: one
 // probe. The IDs are copied into the column; the caller keeps args.
 func (c *column) add(args []ID) bool {
-	if _, added := c.idx.PutNew(args, int32(c.n)); !added {
+	if _, added := c.idx.PutNew(args, c.args, int32(c.n)); !added {
 		return false
 	}
 	if c.args == nil {
@@ -349,16 +306,16 @@ func (c *column) reset() {
 // remove deletes the tuple if present (swap-delete), reporting whether
 // it was there.
 func (c *column) remove(args []ID) bool {
-	row, ok := c.idx.Get(args)
+	row, ok := c.idx.Get(args, c.args)
 	if !ok {
 		return false
 	}
-	c.idx.Delete(args)
+	c.idx.Delete(args, c.args)
 	c.n--
 	if int(row) != c.n { // the last row moves into the hole
 		last := c.row(c.n)
 		copy(c.row(int(row)), last)
-		c.idx.put(last, row)
+		c.idx.put(last, c.args, row)
 	}
 	c.args = c.args[:c.n*c.arity]
 	return true

@@ -2,6 +2,7 @@ package fact
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -15,8 +16,8 @@ func ids(ss ...string) []ID {
 }
 
 // TestColumnSetSemantics runs the same add/has/remove script against
-// both index shapes: arity 2 (uint64-keyed) and arity 3 (byte-string
-// keyed).
+// both key shapes: arity 2 (the packed tuple is the key) and arity 3
+// (a hashed key, confirmed by the row it names).
 func TestColumnSetSemantics(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -24,7 +25,7 @@ func TestColumnSetSemantics(t *testing.T) {
 		tuples [][]ID
 	}{
 		{"arity2_k64", 2, [][]ID{ids("a", "b"), ids("b", "c"), ids("c", "a"), ids("a", "a")}},
-		{"arity3_kstr", 3, [][]ID{ids("a", "b", "c"), ids("b", "c", "a"), ids("a", "a", "a"), ids("c", "b", "a")}},
+		{"arity3_hashed", 3, [][]ID{ids("a", "b", "c"), ids("b", "c", "a"), ids("a", "a", "a"), ids("c", "b", "a")}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -139,24 +140,29 @@ func runWraps(t *probeTable, k uint64) bool {
 
 // TestTupleIndexProperty (Type 1: exact) drives random sequences of
 // Put, PutNew, Get, Delete, Renumber, clone and reset against a Go map
-// of the same tuples, for every arity from 0 to 3, and checks every
+// of the same tuples, for every arity from 0 to 4, and checks every
 // answer and the length after each step, and every tuple the oracle
-// holds at the end of each phase. A first phase stays small (a few
+// holds at the end of each phase. At arity <= 2 the rows are arbitrary
+// numbers; at arity >= 3 each row put is a fresh row of a row-major
+// holder that stores the tuple, as the index requires, and Renumber
+// permutes the holder with the index. A first phase stays small (a few
 // slots, most deletes inside one run, many runs wrapping past the end
 // of the array); a second grows the index across several doublings and
-// back. The test fails unless, for each open-addressed arity, some
-// delete's run wrapped.
+// back. The test fails unless, for each arity from 1 on, some delete's
+// run wrapped.
 func TestTupleIndexProperty(t *testing.T) {
-	var wrapsByArity [3]int
-	grown := []int{1, 3000, 60, 16} // per arity: a universe of about 3000 tuples
-	for arity := 0; arity <= 3; arity++ {
+	const maxArity = 4
+	var wrapsByArity [maxArity + 1]int
+	grown := []int{1, 3000, 60, 16, 8} // per arity: a universe of about 3000 tuples
+	for arity := 0; arity <= maxArity; arity++ {
 		for seed := int64(0); seed < 20; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			x := NewTupleIndex(arity)
-			if arity <= 2 && x.t.slots != nil {
+			x := NewTupleIndex()
+			if x.t.slots != nil {
 				t.Fatalf("arity %d: a new index holds %d slots before its first insert", arity, len(x.t.slots))
 			}
-			oracle := map[[3]ID]int32{}
+			oracle := map[[maxArity]ID]int32{}
+			var holder []ID // arity >= 3: row r is holder[r*arity:(r+1)*arity]
 			wraps, maxSlots := 0, 0
 			tuple := func(universe int) []ID {
 				args := make([]ID, arity)
@@ -165,22 +171,29 @@ func TestTupleIndexProperty(t *testing.T) {
 				}
 				return args
 			}
-			key := func(args []ID) (k [3]ID) {
+			key := func(args []ID) (k [maxArity]ID) {
 				copy(k[:], args)
 				return k
+			}
+			rowFor := func(args []ID) int32 {
+				if arity <= 2 {
+					return int32(rng.Intn(1000))
+				}
+				holder = append(holder, args...)
+				return int32(len(holder)/arity - 1)
 			}
 			check := func(step string, args []ID) {
 				if got := x.len(); got != len(oracle) {
 					t.Fatalf("arity %d seed %d, %s %v: len = %d, want %d", arity, seed, step, args, got, len(oracle))
 				}
 				want, held := oracle[key(args)]
-				if row, ok := x.Get(args); ok != held || (held && row != want) {
+				if row, ok := x.Get(args, holder); ok != held || (held && row != want) {
 					t.Fatalf("arity %d seed %d, %s %v: Get = %d, %v; want %d, %v", arity, seed, step, args, row, ok, want, held)
 				}
 			}
 			checkAll := func(step string) {
 				for k, want := range oracle {
-					if row, ok := x.Get(k[:arity]); !ok || row != want {
+					if row, ok := x.Get(k[:arity], holder); !ok || row != want {
 						t.Fatalf("arity %d seed %d, %s: Get(%v) = %d, %v; want %d", arity, seed, step, k[:arity], row, ok, want)
 					}
 				}
@@ -194,21 +207,21 @@ func TestTupleIndexProperty(t *testing.T) {
 					args := tuple(universe)
 					if phase == 1 && step < steps/2 && rng.Intn(3) > 0 {
 						args = tuple(universe) // growth: inserts outweigh deletes
-						row := int32(rng.Intn(1000))
-						x.put(args, row)
+						row := rowFor(args)
+						x.put(args, holder, row)
 						oracle[key(args)] = row
 						check("Put", args)
 						continue
 					}
 					switch op := rng.Intn(20); {
 					case op < 5:
-						row := int32(rng.Intn(1000))
-						x.put(args, row)
+						row := rowFor(args)
+						x.put(args, holder, row)
 						oracle[key(args)] = row
 						check("Put", args)
 					case op < 10:
-						row := int32(rng.Intn(1000))
-						got, added := x.PutNew(args, row)
+						row := rowFor(args)
+						got, added := x.PutNew(args, holder, row)
 						want, held := oracle[key(args)]
 						if !held {
 							want = row
@@ -219,20 +232,31 @@ func TestTupleIndexProperty(t *testing.T) {
 						}
 						check("PutNew", args)
 					case op < 16:
-						if arity <= 2 && x.t.n > 0 {
-							if _, ok := x.t.find(key64(args)); ok && runWraps(x.t, key64(args)) {
+						if x.t.n > 0 {
+							if k, _, ok := x.t.lookup(args, holder); ok && runWraps(x.t, k) {
 								wraps++
 							}
 						}
-						x.Delete(args)
+						x.Delete(args, holder)
 						delete(oracle, key(args))
 						check("Delete", args)
 					case op < 17:
 						check("Get", args)
 					case op < 18:
-						remap := make([]int32, 1000)
-						for r := range remap {
-							remap[r] = int32(rng.Intn(1000))
+						var remap []int32
+						if arity <= 2 {
+							remap = make([]int32, 1000)
+							for r := range remap {
+								remap[r] = int32(rng.Intn(1000))
+							}
+						} else { // a permutation, which the holder follows
+							remap = make([]int32, len(holder)/arity)
+							moved := make([]ID, len(holder))
+							for r, to := range rng.Perm(len(remap)) {
+								remap[r] = int32(to)
+								copy(moved[to*arity:(to+1)*arity], holder[r*arity:(r+1)*arity])
+							}
+							holder = moved
 						}
 						x.Renumber(remap)
 						for k, r := range oracle {
@@ -241,8 +265,9 @@ func TestTupleIndexProperty(t *testing.T) {
 						checkAll("Renumber")
 					case op < 19:
 						c := x.clone()
-						x.put(tuple(universe), 1) // the original moves on;
-						x.Delete(tuple(universe)) // the clone must not see it
+						moved := tuple(universe)
+						x.put(moved, holder, rowFor(moved)) // the original moves on;
+						x.Delete(tuple(universe), holder)   // the clone must not see it
 						x = c
 						checkAll("clone")
 					default:
@@ -252,24 +277,111 @@ func TestTupleIndexProperty(t *testing.T) {
 							check("reset", args)
 						}
 					}
-					if arity <= 2 {
-						maxSlots = max(maxSlots, len(x.t.slots))
-					}
+					maxSlots = max(maxSlots, len(x.t.slots))
 				}
 				checkAll("end of phase")
 			}
-			if arity >= 1 && arity <= 2 && maxSlots < 32*minSlots {
+			if arity >= 1 && maxSlots < 32*minSlots {
 				t.Fatalf("arity %d seed %d: the index peaked at %d slots; the growth phase drifted", arity, seed, maxSlots)
 			}
-			if arity <= 2 {
-				wrapsByArity[arity] += wraps
-			}
+			wrapsByArity[arity] += wraps
 		}
 	}
 	t.Logf("deletes whose probe run wrapped, per arity: %v", wrapsByArity)
-	for arity := 1; arity <= 2; arity++ {
+	for arity := 1; arity <= maxArity; arity++ {
 		if wrapsByArity[arity] == 0 {
 			t.Errorf("arity %d: no delete's probe run wrapped past the end of the slot array; the generator drifted", arity)
 		}
+	}
+}
+
+// collidingWide returns two distinct arity-3 tuples with one wideKey.
+// wideKey xors each ID into the running hash before mixing it, and the
+// running hash of a prefix is the wideKey of that prefix; so once two
+// two-ID prefixes give hashes that differ only in their low 32 bits (a
+// birthday search over the high ones), third IDs c and c ^ that
+// difference steer both tuples into one state.
+func collidingWide(t *testing.T) (p, q []ID) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1))
+	seen := map[uint32][2]ID{}
+	for range 1 << 20 {
+		pre := [2]ID{ID(rng.Uint32()), ID(rng.Uint32())}
+		h := wideKey(pre[:])
+		prev, ok := seen[uint32(h>>32)]
+		if !ok {
+			seen[uint32(h>>32)] = pre
+			continue
+		}
+		if prev == pre {
+			continue
+		}
+		diff := ID(wideKey(prev[:]) ^ h)
+		p, q = []ID{prev[0], prev[1], 9}, []ID{pre[0], pre[1], 9 ^ diff}
+		if wideKey(p) != wideKey(q) {
+			t.Fatalf("%v and %v were steered together but their keys differ", p, q)
+		}
+		return p, q
+	}
+	t.Fatal("no two prefixes share their high 32 hash bits")
+	return nil, nil
+}
+
+// TestTupleIndexWideCollision plants two distinct arity-3 tuples on one
+// key, in both insertion orders, and checks that each is found,
+// replaced, renumbered, cloned and deleted on its own: a slot whose key
+// matches is a hit only if the row it names holds the tuple.
+func TestTupleIndexWideCollision(t *testing.T) {
+	p, q := collidingWide(t)
+	for _, pair := range [][2][]ID{{p, q}, {q, p}} {
+		a, b := pair[0], pair[1]
+		holder := slices.Concat(a, b, b, a) // rows 0 and 3 hold a, rows 1 and 2 hold b
+		x := NewTupleIndex()
+		want := func(step string, x TupleIndex, holder []ID, rowA, rowB int32) {
+			t.Helper()
+			n := 0
+			for _, c := range []struct {
+				args []ID
+				row  int32
+			}{{a, rowA}, {b, rowB}} {
+				got, ok := x.Get(c.args, holder)
+				if ok != (c.row >= 0) || ok && got != c.row {
+					t.Fatalf("%s: Get(%v) = %d, %v; want row %d", step, c.args, got, ok, c.row)
+				}
+				if ok {
+					n++
+				}
+			}
+			if x.len() != n {
+				t.Fatalf("%s: len = %d, want %d", step, x.len(), n)
+			}
+		}
+		if _, added := x.PutNew(a, holder, 0); !added {
+			t.Fatal("PutNew(a) on an empty index: not added")
+		}
+		if got, added := x.PutNew(b, holder, 1); !added || got != 1 {
+			t.Fatalf("PutNew(b) = %d, %v: b was taken for a, which shares its key", got, added)
+		}
+		_, i, _ := x.t.lookup(a, holder)
+		_, j, _ := x.t.lookup(b, holder)
+		if i == j || x.t.slots[i].key() != x.t.slots[j].key() {
+			t.Fatalf("a and b hold slots %d and %d with keys %x and %x; want two slots, one key", i, j, x.t.slots[i].key(), x.t.slots[j].key())
+		}
+		want("PutNew", x, holder, 0, 1)
+		x.put(a, holder, 3)
+		want("put(a)", x, holder, 3, 1)
+		x.put(b, holder, 2)
+		want("put(b)", x, holder, 3, 2)
+		x.Renumber([]int32{-1, -1, 1, 0}) // rows 3 (a) and 2 (b) move to 0 and 1
+		holder = slices.Concat(a, b)
+		want("Renumber", x, holder, 0, 1)
+		c := x.clone()
+		x.Delete(a, holder)
+		want("Delete(a)", x, holder, -1, 1)
+		want("clone after Delete(a)", c, holder, 0, 1)
+		c.Delete(b, holder)
+		want("clone Delete(b)", c, holder, 0, -1)
+		x.Delete(b, holder)
+		want("Delete(b)", x, holder, -1, -1)
 	}
 }

@@ -60,7 +60,8 @@ func NewInstance(facts ...Fact) *Instance {
 
 // Table is the rows of one relation at one arity as an Instance stores
 // them: the argument tuples row-major in Args, and Index mapping each
-// tuple to its row number.
+// tuple to its row number, built over Args (the rows a probe of a wide
+// tuple reads to confirm its key): row r of Index is row r of Args.
 type Table struct {
 	Rel   ID
 	Arity int
@@ -215,7 +216,7 @@ func (i *Instance) Facts() []Fact {
 // column's distinct values; the rows are then put in order by a radix
 // sort on the ranks, last position first, which is linear.
 func (i *Instance) EachSortedIDs(fn func(rel ID, args []ID)) {
-	rank := NewTupleIndex(1) // value -> its index in vals, then its rank
+	rank := NewTupleIndex() // value -> its index in vals, then its rank
 	var vals []ID
 	var ranks, count []uint32
 	var perm, next []int32
@@ -224,17 +225,17 @@ func (i *Instance) EachSortedIDs(fn func(rel ID, args []ID)) {
 		rank.reset()
 		vals = vals[:0]
 		for j := range c.args {
-			if _, added := rank.PutNew(c.args[j:j+1], int32(len(vals))); added {
+			if _, added := rank.PutNew(c.args[j:j+1], nil, int32(len(vals))); added {
 				vals = append(vals, c.args[j])
 			}
 		}
 		slices.SortFunc(vals, compareSyms)
 		for r := range vals {
-			rank.put(vals[r:r+1], int32(r))
+			rank.put(vals[r:r+1], nil, int32(r))
 		}
 		ranks = ranks[:0]
 		for j := range c.args {
-			r, _ := rank.Get(c.args[j : j+1])
+			r, _ := rank.Get(c.args[j:j+1], nil)
 			ranks = append(ranks, uint32(r))
 		}
 		perm, next = perm[:0], slices.Grow(next[:0], c.n)[:c.n]

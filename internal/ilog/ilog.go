@@ -116,13 +116,13 @@ type Program struct {
 	Rules []Rule
 }
 
-// NewProgram builds a program from rules.
-func NewProgram(rules ...Rule) *Program { return &Program{Rules: rules} }
+// newProgram builds a program from rules.
+func newProgram(rules ...Rule) *Program { return &Program{Rules: rules} }
 
 // fromDatalog lifts a plain Datalog¬ program into an ILOG¬ program
 // with no invention.
 func fromDatalog(p *datalog.Program) *Program {
-	out := NewProgram()
+	out := newProgram()
 	for _, r := range p.Rules {
 		out.Rules = append(out.Rules, Rule{Head: r.Head, Pos: r.Pos, Neg: r.Neg, Ineq: r.Ineq})
 	}

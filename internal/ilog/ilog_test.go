@@ -13,7 +13,7 @@ import (
 //	Id(*, x, y) :- E(x,y).
 //	O(x,y)      :- Id(i, x, y).
 func edgeIDProgram() *Program {
-	return NewProgram(
+	return newProgram(
 		Rule{Head: datalog.AtomV("Id", "x", "y"), Invents: true, Pos: []datalog.Atom{datalog.AtomV("E", "x", "y")}},
 		Rule{Head: datalog.AtomV("O", "x", "y"), Pos: []datalog.Atom{datalog.AtomV("Id", "i", "x", "y")}},
 	)
@@ -106,7 +106,7 @@ func TestEvalQueryRejectsUnsafeOutput(t *testing.T) {
 
 func TestDivergenceDetected(t *testing.T) {
 	// N(*, x) :- E(x,y).  N(*, n) :- N(n, x). — feeds on itself.
-	p := NewProgram(
+	p := newProgram(
 		Rule{Head: datalog.AtomV("N", "x"), Invents: true, Pos: []datalog.Atom{datalog.AtomV("E", "x", "y")}},
 		Rule{Head: datalog.AtomV("N", "n"), Invents: true, Pos: []datalog.Atom{datalog.AtomV("N", "n", "x")}},
 	)
@@ -121,7 +121,7 @@ func TestStratifiedNegationWithInvention(t *testing.T) {
 	// Invent an id per value, then output values whose id-fact is not
 	// "blocked": Blocked is empty here, exercising negation above
 	// invention.
-	p := NewProgram(
+	p := newProgram(
 		Rule{Head: datalog.AtomV("Id", "x"), Invents: true, Pos: []datalog.Atom{datalog.AtomV("V", "x")}},
 		Rule{Head: datalog.AtomV("O", "x"), Pos: []datalog.Atom{datalog.AtomV("Id", "i", "x")},
 			Neg: []datalog.Atom{datalog.AtomV("B", "x")}},
@@ -137,7 +137,7 @@ func TestStratifiedNegationWithInvention(t *testing.T) {
 }
 
 func TestUnstratifiableRejected(t *testing.T) {
-	p := NewProgram(
+	p := newProgram(
 		Rule{Head: datalog.AtomV("W", "x"),
 			Pos: []datalog.Atom{datalog.AtomV("M", "x", "y")},
 			Neg: []datalog.Atom{datalog.AtomV("W", "y")}},
@@ -151,7 +151,7 @@ func TestUnstratifiableRejected(t *testing.T) {
 }
 
 func TestValidateMixedInvention(t *testing.T) {
-	p := NewProgram(
+	p := newProgram(
 		Rule{Head: datalog.AtomV("R", "x"), Invents: true, Pos: []datalog.Atom{datalog.AtomV("V", "x")}},
 		Rule{Head: datalog.AtomV("R", "x", "y"), Pos: []datalog.Atom{datalog.AtomV("E", "x", "y")}},
 	)
@@ -162,7 +162,7 @@ func TestValidateMixedInvention(t *testing.T) {
 
 func TestUnsafePositions(t *testing.T) {
 	// Id(*, x) :- V(x). P(i, x) :- Id(i, x). O(x) :- P(i, x).
-	p := NewProgram(
+	p := newProgram(
 		Rule{Head: datalog.AtomV("Id", "x"), Invents: true, Pos: []datalog.Atom{datalog.AtomV("V", "x")}},
 		Rule{Head: datalog.AtomV("P", "i", "x"), Pos: []datalog.Atom{datalog.AtomV("Id", "i", "x")}},
 		Rule{Head: datalog.AtomV("O", "x"), Pos: []datalog.Atom{datalog.AtomV("P", "i", "x")}},
@@ -189,7 +189,7 @@ func TestUnsafePositionPropagationIntoInventionArgs(t *testing.T) {
 	// An invented value flowing into a non-invention argument of
 	// another invention relation taints position 2 (after the
 	// invention offset).
-	p := NewProgram(
+	p := newProgram(
 		Rule{Head: datalog.AtomV("A", "x"), Invents: true, Pos: []datalog.Atom{datalog.AtomV("V", "x")}},
 		Rule{Head: datalog.AtomV("B", "i"), Invents: true, Pos: []datalog.Atom{datalog.AtomV("A", "i", "x")}},
 	)
@@ -246,11 +246,11 @@ func TestIlogConnectivity(t *testing.T) {
 		t.Error("cartesian rule should be disconnected")
 	}
 
-	p := NewProgram(connected)
+	p := newProgram(connected)
 	if !p.body().Memberships().Has(datalog.FragConDatalog) || !p.IsSemiConnected() {
 		t.Error("connected program misclassified")
 	}
-	q := NewProgram(
+	q := newProgram(
 		disconnected,
 		Rule{Head: datalog.AtomV("O", "x"), Pos: []datalog.Atom{datalog.AtomV("V", "x")},
 			Neg: []datalog.Atom{datalog.AtomV("P", "x", "x")}},
@@ -275,7 +275,7 @@ func TestRuleString(t *testing.T) {
 
 func TestZeroArgInvention(t *testing.T) {
 	// Id(*) :- V(x): one shared invented constant regardless of x.
-	p := NewProgram(
+	p := newProgram(
 		Rule{Head: datalog.Atom{Rel: "Id"}, Invents: true, Pos: []datalog.Atom{datalog.AtomV("V", "x")}},
 	)
 	out, err := p.Eval(fact.MustParseInstance(`V(a) V(b)`), Options{})

@@ -17,7 +17,7 @@ func ParseProgram(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := NewProgram()
+	p := newProgram()
 	for i, r := range rules {
 		p.Rules = append(p.Rules, Rule{
 			Head:    r.Head,

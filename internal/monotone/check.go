@@ -104,19 +104,19 @@ func ExhaustiveCheck(q Query, c Class, enumerate func(yield func(i, j *fact.Inst
 }
 
 // ClassSampler wraps a sampler so that every produced pair is allowed
-// by the class, by restricting J with RestrictClassPair.
+// by the class, by restricting J with restrictClassPair.
 func ClassSampler(c Class, s Sampler) Sampler {
 	return func(rng *rand.Rand) (*fact.Instance, *fact.Instance) {
 		i, j := s(rng)
-		return i, RestrictClassPair(c, i, j)
+		return i, restrictClassPair(c, i, j)
 	}
 }
 
-// RestrictClassPair adapts an arbitrary pair (I, J) to a class: it
+// restrictClassPair adapts an arbitrary pair (I, J) to a class: it
 // strips from J every fact violating the class's kind condition
 // against I and truncates to the bound. Useful for samplers that want
 // high acceptance rates.
-func RestrictClassPair(c Class, i, j *fact.Instance) *fact.Instance {
+func restrictClassPair(c Class, i, j *fact.Instance) *fact.Instance {
 	out := fact.NewInstance()
 	for _, f := range j.Facts() {
 		if c.Bound > 0 && out.Len() >= c.Bound {

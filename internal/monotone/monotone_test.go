@@ -212,13 +212,13 @@ func TestClassString(t *testing.T) {
 func TestRestrictClassPair(t *testing.T) {
 	i := fact.MustParseInstance(`E(a,b)`)
 	j := fact.MustParseInstance(`E(a,b) E(a,x) E(y,z)`)
-	if got := RestrictClassPair(MDistinct, i, j); got.Len() != 2 {
+	if got := restrictClassPair(MDistinct, i, j); got.Len() != 2 {
 		t.Errorf("distinct restriction = %v", got)
 	}
-	if got := RestrictClassPair(MDisjoint, i, j); got.Len() != 1 || !got.Has(fact.New("E", "y", "z")) {
+	if got := restrictClassPair(MDisjoint, i, j); got.Len() != 1 || !got.Has(fact.New("E", "y", "z")) {
 		t.Errorf("disjoint restriction = %v", got)
 	}
-	if got := RestrictClassPair(MiDisjoint(0), i, j); got.Len() != 1 {
+	if got := restrictClassPair(MiDisjoint(0), i, j); got.Len() != 1 {
 		t.Errorf("zero bound treated as unbounded: %v", got)
 	}
 }

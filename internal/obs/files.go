@@ -43,13 +43,13 @@ func writeMetrics(reg *Registry, path string) error {
 		return nil
 	}
 	if path == "-" {
-		return reg.WriteJSON(os.Stdout)
+		return reg.writeJSON(os.Stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := reg.WriteJSON(f); err != nil {
+	if err := reg.writeJSON(f); err != nil {
 		f.Close() // the write error is the one to report
 		return err
 	}

@@ -224,9 +224,9 @@ func (r *Registry) CounterNames() []string {
 	return names
 }
 
-// WriteJSON writes the registry snapshot as indented JSON. Safe on a
+// writeJSON writes the registry snapshot as indented JSON. Safe on a
 // nil registry (writes an empty snapshot).
-func (r *Registry) WriteJSON(w io.Writer) error {
+func (r *Registry) writeJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())

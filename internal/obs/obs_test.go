@@ -65,7 +65,7 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 		t.Fatal("nil registry snapshot must be empty")
 	}
 	var sb strings.Builder
-	if err := r.WriteJSON(&sb); err != nil {
+	if err := r.writeJSON(&sb); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -131,10 +131,10 @@ func TestWriteJSONDeterministicAndValid(t *testing.T) {
 	r.Gauge("g").Set(5)
 	r.Latency("h").Observe(3)
 	var s1, s2 strings.Builder
-	if err := r.WriteJSON(&s1); err != nil {
+	if err := r.writeJSON(&s1); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.WriteJSON(&s2); err != nil {
+	if err := r.writeJSON(&s2); err != nil {
 		t.Fatal(err)
 	}
 	if s1.String() != s2.String() {

@@ -30,9 +30,9 @@ type CatalogEntry struct {
 	Program *datalog.Program
 }
 
-// Catalog returns the fixed entries of the query library (the
+// catalog returns the fixed entries of the query library (the
 // parameterized families are resolved through Lookup).
-func Catalog() []CatalogEntry {
+func catalog() []CatalogEntry {
 	return []CatalogEntry{
 		{
 			Name:        "tc",
@@ -79,7 +79,7 @@ func Catalog() []CatalogEntry {
 // Lookup resolves a query by catalog name, including the parameterized
 // families "clique:K", "star:K" and "duplicate:J".
 func Lookup(name string) (CatalogEntry, error) {
-	for _, e := range Catalog() {
+	for _, e := range catalog() {
 		if e.Name == name {
 			return e, nil
 		}

@@ -10,7 +10,7 @@ import (
 )
 
 func TestCatalogEntriesConsistent(t *testing.T) {
-	for _, e := range Catalog() {
+	for _, e := range catalog() {
 		if e.Name == "" || e.Query == nil {
 			t.Errorf("malformed entry %+v", e)
 			continue
@@ -79,7 +79,7 @@ func TestLookup(t *testing.T) {
 // Catalog classes are sound: each query with an unbounded class passes
 // sampling in that class.
 func TestCatalogClassesSound(t *testing.T) {
-	for _, e := range Catalog() {
+	for _, e := range catalog() {
 		if e.InC {
 			continue
 		}

@@ -54,9 +54,9 @@ func undirectedNeighbors(i *fact.Instance) map[fact.Value]fact.ValueSet {
 	return adj
 }
 
-// HasKClique reports whether the undirected version of E contains a
+// hasKClique reports whether the undirected version of E contains a
 // clique on k distinct vertices.
-func HasKClique(i *fact.Instance, k int) bool {
+func hasKClique(i *fact.Instance, k int) bool {
 	if k <= 1 {
 		// A single vertex is a 1-clique; any nonempty graph has one.
 		return k == 1 && !i.Empty()
@@ -99,9 +99,9 @@ func HasKClique(i *fact.Instance, k int) bool {
 	return rec(0)
 }
 
-// HasKStar reports whether some vertex has at least k distinct
+// hasKStar reports whether some vertex has at least k distinct
 // undirected neighbors (a star with k spokes).
-func HasKStar(i *fact.Instance, k int) bool {
+func hasKStar(i *fact.Instance, k int) bool {
 	if k == 0 {
 		return true
 	}
@@ -145,9 +145,9 @@ func Triangles(i *fact.Instance) []fact.Fact {
 	return out
 }
 
-// HasTwoDisjointTriangles reports whether the graph contains two
+// hasTwoDisjointTriangles reports whether the graph contains two
 // vertex-disjoint directed triangles.
-func HasTwoDisjointTriangles(i *fact.Instance) bool {
+func hasTwoDisjointTriangles(i *fact.Instance) bool {
 	tris := Triangles(i)
 	for a := 0; a < len(tris); a++ {
 		va := tris[a].ADom()
@@ -290,7 +290,7 @@ func NoLoop() monotone.Query {
 func KClique(k int) monotone.Query {
 	name := fmt.Sprintf("Q^%d_clique", k)
 	return monotone.NewGraphFunc(name, graphOut2, func(i *fact.Instance) (*fact.Instance, error) {
-		if HasKClique(i, k) {
+		if hasKClique(i, k) {
 			return fact.NewInstance(), nil
 		}
 		return edgeOutput(i), nil
@@ -304,7 +304,7 @@ func KClique(k int) monotone.Query {
 func KStar(k int) monotone.Query {
 	name := fmt.Sprintf("Q^%d_star", k)
 	return monotone.NewGraphFunc(name, graphOut2, func(i *fact.Instance) (*fact.Instance, error) {
-		if HasKStar(i, k) {
+		if hasKStar(i, k) {
 			return fact.NewInstance(), nil
 		}
 		return edgeOutput(i), nil
@@ -354,7 +354,7 @@ func Duplicate(j int) monotone.Query {
 func TrianglesUnlessTwoDisjoint() monotone.Query {
 	out3 := fact.MustSchema(map[string]int{"O": 3})
 	return monotone.NewGraphFunc("Q_triangles", out3, func(i *fact.Instance) (*fact.Instance, error) {
-		if HasTwoDisjointTriangles(i) {
+		if hasTwoDisjointTriangles(i) {
 			return fact.NewInstance(), nil
 		}
 		return fact.NewInstance(Triangles(i)...), nil

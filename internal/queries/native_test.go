@@ -12,40 +12,40 @@ import (
 func TestHasKClique(t *testing.T) {
 	k4 := generate.Clique("v", 4)
 	for k := 1; k <= 4; k++ {
-		if !HasKClique(k4, k) {
+		if !hasKClique(k4, k) {
 			t.Errorf("K4 should contain a %d-clique", k)
 		}
 	}
-	if HasKClique(k4, 5) {
+	if hasKClique(k4, 5) {
 		t.Error("K4 should not contain a 5-clique")
 	}
 	// Direction is ignored: a one-directional triangle is a 3-clique.
 	tri := generate.Triangle("a", "b", "c")
-	if !HasKClique(tri, 3) {
+	if !hasKClique(tri, 3) {
 		t.Error("directed triangle should count as an undirected 3-clique")
 	}
 	// Self-loops do not make cliques.
 	loop := fact.MustParseInstance(`E(a,a)`)
-	if HasKClique(loop, 2) {
+	if hasKClique(loop, 2) {
 		t.Error("self-loop is not a 2-clique")
 	}
-	if HasKClique(fact.NewInstance(), 1) {
+	if hasKClique(fact.NewInstance(), 1) {
 		t.Error("empty graph has no 1-clique")
 	}
 }
 
 func TestHasKStar(t *testing.T) {
 	s := generate.Star("c", "s", 3)
-	if !HasKStar(s, 3) || HasKStar(s, 4) {
+	if !hasKStar(s, 3) || hasKStar(s, 4) {
 		t.Error("star spoke counting wrong")
 	}
 	// Incoming edges count too (undirected).
 	in := fact.MustParseInstance(`E(a,c) E(b,c) E(c,d)`)
-	if !HasKStar(in, 3) {
+	if !hasKStar(in, 3) {
 		t.Error("mixed-direction star not detected")
 	}
 	// Self-loop is not a spoke.
-	if HasKStar(fact.MustParseInstance(`E(a,a)`), 1) {
+	if hasKStar(fact.MustParseInstance(`E(a,a)`), 1) {
 		t.Error("self-loop counted as spoke")
 	}
 }
@@ -67,16 +67,16 @@ func TestTriangles(t *testing.T) {
 
 func TestHasTwoDisjointTriangles(t *testing.T) {
 	one := generate.Triangle("a", "b", "c")
-	if HasTwoDisjointTriangles(one) {
+	if hasTwoDisjointTriangles(one) {
 		t.Error("one triangle is not two")
 	}
 	two := generate.DisjointUnion(generate.Triangle("a", "b", "c"), generate.Triangle("x", "y", "z"))
-	if !HasTwoDisjointTriangles(two) {
+	if !hasTwoDisjointTriangles(two) {
 		t.Error("two disjoint triangles not detected")
 	}
 	// Sharing a vertex: not disjoint.
 	shared := one.Union(generate.Triangle("a", "y", "z"))
-	if HasTwoDisjointTriangles(shared) {
+	if hasTwoDisjointTriangles(shared) {
 		t.Error("vertex-sharing triangles reported disjoint")
 	}
 }

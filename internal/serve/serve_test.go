@@ -6,12 +6,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/datalog"
 	"repro/internal/fact"
 	"repro/internal/incr"
+	"repro/internal/obs"
 )
 
 // testProgram exercises both maintenance algorithms: T is recursive
@@ -318,5 +322,55 @@ func TestServeReportsScannerError(t *testing.T) {
 	}
 	if r := decodeResp(t, resps[1]); r.OK || !strings.Contains(r.Err, "read:") {
 		t.Fatalf("final response must report the read error: %s", resps[1])
+	}
+}
+
+// writerFunc is an io.Writer made of a function.
+type writerFunc func(p []byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// TestPipelineOneIsSerial: at Pipeline 1 a session reads no request
+// while an earlier one is unanswered, so request 2 is dispatched only
+// after response 1 reaches the writer. Request 1's dispatcher holds its
+// response until request 2 is dispatched, or for a bound when nothing
+// dispatches it: a session one request too wide lets request 2 through
+// first.
+func TestPipelineOneIsSerial(t *testing.T) {
+	var mu sync.Mutex
+	var events []string
+	note := func(e string) {
+		mu.Lock()
+		events = append(events, e)
+		mu.Unlock()
+	}
+	second := make(chan struct{})
+	d := func(req Request, span obs.ActiveSpan, ch chan<- Response) {
+		span.Finish()
+		note("dispatch " + req.Rel)
+		if req.Rel != "1" {
+			close(second)
+			ch <- Response{OK: true, Path: req.Rel}
+			return
+		}
+		go func() {
+			select { // the wait is for request 2 not to be dispatched
+			case <-second:
+			case <-time.After(200 * time.Millisecond):
+			}
+			ch <- Response{OK: true, Path: req.Rel}
+		}()
+	}
+	w := writerFunc(func(p []byte) (int, error) {
+		note("write " + strings.TrimSpace(string(p)))
+		return len(p), nil
+	})
+	in := `{"op":"ping","rel":"1"}` + "\n" + `{"op":"ping","rel":"2"}` + "\n"
+	if err := Session(strings.NewReader(in), w, Options{Pipeline: 1}, 0, d); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"dispatch 1", `write {"ok":true,"path":"1"}`, "dispatch 2", `write {"ok":true,"path":"2"}`}
+	if !slices.Equal(events, want) {
+		t.Errorf("at Pipeline 1 the session ran\n  %q\nwant\n  %q", events, want)
 	}
 }

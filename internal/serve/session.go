@@ -14,20 +14,20 @@ import (
 // Session with their own Dispatch. One Session call runs two goroutines
 // over the stream:
 //
-//   - the reader (the calling goroutine) scans request lines, reserves
-//     an ordering slot per request, decodes it and hands it to the
-//     dispatcher — a core answers reads inline or on goroutines pinned
-//     to the arrival epoch and queues writes to its writer, the router
-//     answers synchronously;
+//   - the reader (the calling goroutine) takes a window slot, scans a
+//     request line, reserves an ordering slot for it, decodes it and
+//     hands it to the dispatcher — a core answers reads inline or on
+//     goroutines pinned to the arrival epoch and queues writes to its
+//     writer, the router answers synchronously;
 //   - the responder drains the ordering slots IN REQUEST ORDER,
 //     waiting on each response as needed, and flushes opportunistically
 //     (whenever no further response is immediately pending).
 //
-// The ordering buffer is a bounded channel of response slots, which is
-// also the pipeline window: with it full the reader stops consuming
-// input, so a client that pipelines faster than it reads responses is
-// throttled by its own socket — bounded memory per connection, no
-// matter how the client behaves.
+// The pipeline window is a semaphore, taken before a line is scanned
+// and given back once its response is written: with Pipeline requests
+// unanswered the reader stops consuming input, so a client that
+// pipelines faster than it reads is throttled by its own socket —
+// bounded memory per connection, no matter how the client behaves.
 //
 // Error handling mirrors the single-threaded daemon exactly: malformed
 // JSON answers an error response and the loop continues; a scanner
@@ -83,26 +83,27 @@ func Session(r io.Reader, w io.Writer, opts Options, conn int64, d Dispatch) err
 	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
 	bw := bufio.NewWriter(w)
 
+	window := make(chan struct{}, opts.pipeline())
 	pending := make(chan chan Response, opts.pipeline())
 	werr := make(chan error, 1)
 	go func() {
 		var failed error
 		for ch := range pending {
 			resp := <-ch
-			if failed != nil {
-				continue // keep draining so dispatched work is reaped
+			if failed == nil { // once failed, keep draining so dispatched work is reaped
+				b, err := resp.Encode() // memoized bytes are shared: write, never append
+				if err == nil {
+					_, err = bw.Write(b)
+				}
+				if err == nil {
+					err = bw.WriteByte('\n')
+				}
+				if err == nil && len(pending) == 0 {
+					err = bw.Flush()
+				}
+				failed = err
 			}
-			b, err := resp.Encode() // memoized bytes are shared: write, never append
-			if err == nil {
-				_, err = bw.Write(b)
-			}
-			if err == nil {
-				err = bw.WriteByte('\n')
-			}
-			if err == nil && len(pending) == 0 {
-				err = bw.Flush()
-			}
-			failed = err
+			<-window
 		}
 		if failed == nil {
 			failed = bw.Flush()
@@ -111,23 +112,25 @@ func Session(r io.Reader, w io.Writer, opts Options, conn int64, d Dispatch) err
 	}()
 
 	var reqSeq int64
+	window <- struct{}{} // the next line's window slot; blocks while Pipeline requests are unanswered
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
-			continue
+			continue // the slot waits for the next line
 		}
 		ch := make(chan Response, 1)
-		pending <- ch // reserve the ordering slot; blocks at the pipeline bound
+		pending <- ch // reserve the ordering slot
 		reqSeq++
 		span := opts.Tracer.Root(obs.TraceID{Conn: conn, Seq: reqSeq}).Start(obs.SpanReq, nil)
 		dispatchLine(line, span, ch, requests, errors, d)
+		window <- struct{}{}
 	}
 	scanErr := sc.Err()
 	if scanErr != nil {
 		// Best-effort final error response; the write side may be gone.
 		ch := make(chan Response, 1)
 		ch <- ErrResp("read: %v", scanErr)
-		pending <- ch
+		pending <- ch // in the slot the failed scan took
 	}
 	close(pending)
 	writeErr := <-werr

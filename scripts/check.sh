@@ -27,8 +27,9 @@
 # line, with no obs.Sink beside it — and one fixpoint loop: ILOG's
 # invention and the well-founded Γ run on datalog's stratum loop, with no
 # naive loop of their own in internal/ilog or internal/queries — and
-# probe tables are open-addressed: no map[uint64] in fact's columnar
-# store or datalog's join index — and one Figure 2: the cluster plans
+# probe tables are open-addressed: no Go map in fact's columnar store,
+# whose one slot table keys every arity, and no map[uint64] in
+# datalog's join index — and one Figure 2: the cluster plans
 # from monotone.Figure2's rows, not from fragment names — and the
 # insert-only forms keep no memory of their own: no lock and no
 # package-level map or slice in internal/core, whose transducers every
@@ -323,15 +324,18 @@ if grep -nE '\.Valuations\(|func gamma\b|func fixpoint\b' $(ls internal/ilog/*.g
     exit 1
 fi
 
-# Probe tables are open-addressed: fact.TupleIndex keeps tuples of
-# arity <= 2 in a linear-probing slot table (internal/fact columnar.go),
-# and the join index (internal/datalog index.go) keys its posting lists
-# with the same table. A map[uint64] in either file is a Go map growing
-# back on the probe path, which is where a batch fixpoint spent most of
-# its time before.
+# Probe tables are open-addressed: fact.TupleIndex keeps the tuples of
+# every arity in one linear-probing slot table (internal/fact
+# columnar.go), a wide tuple under a hashed key its row confirms, and
+# the join index (internal/datalog index.go) keys its posting lists
+# with the same table. Any Go map in columnar.go is a second key path
+# beside the table (a map[string] over packed bytes for wide tuples was
+# one), and a map[uint64] in index.go is a Go map growing back on the
+# probe path, which is where a batch fixpoint spent most of its time
+# before.
 echo ">> structural gate: probe tables are open-addressed"
-if grep -n 'map\[uint64\]' internal/fact/columnar.go internal/datalog/index.go; then
-    echo "check: a map[uint64] in internal/fact/columnar.go or internal/datalog/index.go; probe through fact.TupleIndex"
+if grep -nE '(^|[^[:alnum:]_])map\[' internal/fact/columnar.go || grep -n 'map\[uint64\]' internal/datalog/index.go; then
+    echo "check: a Go map in internal/fact/columnar.go or a map[uint64] in internal/datalog/index.go; probe through fact.TupleIndex"
     exit 1
 fi
 
@@ -353,7 +357,7 @@ fi
 # may grow past the figure recorded here; a PR that unexports or
 # deletes lowers the figure with it.
 max_unreferenced=61
-max_package_only=35
+max_package_only=28
 echo ">> exported-identifier ratchet: unreferenced <= $max_unreferenced, package-only <= $max_package_only"
 exports=$(go run scripts/exports.go)
 echo "$exports" | sed 's/^/   /'
