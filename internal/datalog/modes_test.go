@@ -169,8 +169,10 @@ func TestParallelRowOrderDeterministic(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	rowSeqs := func(out *fact.Instance) map[string][]fact.ID {
 		seqs := make(map[string][]fact.ID)
-		for rel, arity := range out.Schema() {
-			seqs[rel] = slices.Clone(out.Rows(fact.InternString(rel), arity))
+		for _, f := range out.Facts() {
+			if _, ok := seqs[f.Rel()]; !ok {
+				seqs[f.Rel()] = slices.Clone(out.Rows(f.RelID(), f.Arity()))
+			}
 		}
 		return seqs
 	}

@@ -7,26 +7,28 @@ import (
 )
 
 // This file implements the relation store behind Instance: per
-// (relation, arity) the argument tuples live in one flat row-major slice
-// of interned IDs, with an open-addressed hash index for O(1) set
-// semantics — the layout the join index's row tables (internal/datalog)
-// share. Membership, insertion and removal are pure integer work, which
-// is what makes the fixpoint engines' dedup hot path allocation-free.
+// (relation, arity) the argument tuples live in one flat row-major
+// slice of interned IDs, with an open-addressed hash index for O(1)
+// set semantics once it holds more than a few rows — the layout the
+// join index's row tables (internal/datalog) share. Membership,
+// insertion and removal are pure integer work, which is what makes
+// the fixpoint engines' dedup hot path allocation-free.
 
-// TupleIndex maps the tuples of one arity to row numbers: the set index
-// of a column here, the membership probe of the join index's row tables
-// and, keyed by value, the directory of one position's posting lists
-// (internal/datalog). Every arity shares one slot table and differs
-// only in the key. A tuple of arity <= 2 is its own key, packed into a
-// uint64. A wider one is keyed by a seeded hash of its IDs, which two
-// tuples may share, so a key match is a hit only if the row it names
-// holds the tuple: the probing calls take the holder's row-major
-// storage, and at arity >= 3 row r must be rows[r*arity:(r+1)*arity]
-// (at arity <= 2 rows is never read and may be nil). The index keeps no
-// pointer to rows, since a holder may move (a column lives by value in
-// a growing slice). A TupleIndex is a handle: copies share one table,
-// which may grow under them. Get never writes, so one index may be read
-// from several goroutines while nobody mutates it.
+// TupleIndex maps the tuples of one arity to row numbers: the set
+// index of a column of more than smallRows rows here, the membership
+// probe of the join index's row tables and, keyed by value, the
+// directory of one position's posting lists (internal/datalog). Every
+// arity shares one slot table and differs only in the key. A tuple of
+// arity <= 2 is its own key, packed into a uint64. A wider one is
+// keyed by a seeded hash of its IDs, which two tuples may share, so a
+// key match is a hit only if the row it names holds the tuple: the
+// probing calls take the holder's row-major storage, and at arity >=
+// 3 row r must be rows[r*arity:(r+1)*arity] (at arity <= 2 rows is
+// never read and may be nil). The index keeps no pointer to rows,
+// since a holder may move (a column lives by value in a growing
+// slice). A TupleIndex is a handle: copies share one table, which may
+// grow under them. Get never writes, so one index may be read from
+// several goroutines while nobody mutates it.
 type TupleIndex struct{ t *probeTable }
 
 // NewTupleIndex returns an empty index. It reserves no slot: the first
@@ -245,16 +247,30 @@ func (x TupleIndex) reset() {
 	x.t.n = 0
 }
 
+// clone returns an independent copy; the zero TupleIndex clones to
+// itself.
 func (x TupleIndex) clone() TupleIndex {
+	if x.t == nil {
+		return x
+	}
 	t := *x.t
 	t.slots = slices.Clone(t.slots)
 	return TupleIndex{&t}
 }
 
+// smallRows is the most rows a column holds without a key index: up to
+// it a probe scans the rows, which for the node states, inboxes and
+// send sets of a simulation is as fast as hashing and saves the index's
+// table. The index is built when the column gains row smallRows+1 and
+// kept from then on.
+const smallRows = 8
+
 // column stores all tuples of one (relation, arity), row-major: row i
 // is args[i*arity:(i+1)*arity]. Row order is insertion order; removal is
 // swap-delete, so row indices are not stable across removals. Arity is
 // part of a column's name, so same-named facts of two arities never mix.
+// idx is the zero TupleIndex until the column first holds more than
+// smallRows rows.
 type column struct {
 	rel   ID
 	arity int
@@ -264,7 +280,7 @@ type column struct {
 }
 
 func newColumn(rel ID, arity int) column {
-	return column{rel: rel, arity: arity, idx: NewTupleIndex()}
+	return column{rel: rel, arity: arity}
 }
 
 func (c *column) rows() int { return c.n }
@@ -273,16 +289,35 @@ func (c *column) rows() int { return c.n }
 // valid until the next mutation.
 func (c *column) row(i int) []ID { return c.args[i*c.arity : (i+1)*c.arity] }
 
+// find returns the row holding the tuple: the index's probe, or a scan
+// of the rows while there is no index.
+func (c *column) find(args []ID) (int, bool) {
+	if c.idx.t != nil {
+		r, ok := c.idx.Get(args, c.args)
+		return int(r), ok
+	}
+	for r, a := 0, c.arity; r < c.n; r++ {
+		if slices.Equal(c.args[r*a:(r+1)*a], args) {
+			return r, true
+		}
+	}
+	return 0, false
+}
+
 // has reports whether the tuple is present.
 func (c *column) has(args []ID) bool {
-	_, ok := c.idx.Get(args, c.args)
+	_, ok := c.find(args)
 	return ok
 }
 
 // add inserts the tuple if absent, reporting whether it was new: one
 // probe. The IDs are copied into the column; the caller keeps args.
 func (c *column) add(args []ID) bool {
-	if _, added := c.idx.PutNew(args, c.args, int32(c.n)); !added {
+	if c.idx.t != nil {
+		if _, added := c.idx.PutNew(args, c.args, int32(c.n)); !added {
+			return false
+		}
+	} else if _, ok := c.find(args); ok {
 		return false
 	}
 	if c.args == nil {
@@ -290,32 +325,45 @@ func (c *column) add(args []ID) bool {
 	}
 	c.args = append(c.args, args...)
 	c.n++
+	if c.n == smallRows+1 && c.idx.t == nil {
+		c.idx = NewTupleIndex()
+		for r := range c.n {
+			c.idx.put(c.row(r), c.args, int32(r))
+		}
+	}
 	return true
 }
 
 // reset drops every row and keeps the storage: the args slice's
-// capacity and the index's slots.
+// capacity and the index's slots, if it has one.
 func (c *column) reset() {
 	if c.n == 0 {
 		return
 	}
 	c.n, c.args = 0, c.args[:0]
-	c.idx.reset()
+	if c.idx.t != nil {
+		c.idx.reset()
+	}
 }
 
 // remove deletes the tuple if present (swap-delete), reporting whether
 // it was there.
 func (c *column) remove(args []ID) bool {
-	row, ok := c.idx.Get(args, c.args)
+	row, ok := c.find(args)
 	if !ok {
 		return false
 	}
-	c.idx.Delete(args, c.args)
+	indexed := c.idx.t != nil
+	if indexed {
+		c.idx.Delete(args, c.args)
+	}
 	c.n--
-	if int(row) != c.n { // the last row moves into the hole
+	if row != c.n { // the last row moves into the hole
 		last := c.row(c.n)
-		copy(c.row(int(row)), last)
-		c.idx.put(last, c.args, row)
+		copy(c.row(row), last)
+		if indexed {
+			c.idx.put(last, c.args, int32(row))
+		}
 	}
 	c.args = c.args[:c.n*c.arity]
 	return true

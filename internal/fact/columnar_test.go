@@ -385,3 +385,100 @@ func TestTupleIndexWideCollision(t *testing.T) {
 		want("Delete(b)", x, holder, -1, -1)
 	}
 }
+
+// TestSmallColumnProperty runs random AddIDs/Remove/HasIDs/Reset/Clone
+// streams over one relation at arities 1–4 (from 3 on, the wide-key
+// path), holding 0–20 rows, against a map. The streams cross the
+// promotion at row smallRows+1 in both directions — a promoted column
+// shrinks below smallRows by swap-delete and keeps its index — and some
+// start from a FromTables instance. After every step the instance
+// answers as the map does, holds an index exactly when it has ever held
+// more than smallRows rows, and walks its rows in EachSortedIDs in
+// Facts order.
+func TestSmallColumnProperty(t *testing.T) {
+	const maxRows = 20
+	rel := InternString("P")
+	shrunk := 0 // streams that went below smallRows rows with an index
+	for arity := 1; arity <= 4; arity++ {
+		universe := make([][]ID, 24) // distinct tuples, more than maxRows
+		for k := range universe {
+			universe[k] = make([]ID, arity)
+			for j := range universe[k] {
+				universe[k][j] = Intern(Value(string(rune('a' + (k>>j)%5))))
+			}
+			universe[k][arity-1] = Intern(Value(rune('A' + k)))
+		}
+		for seed := int64(0); seed < 40; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			oracle := map[int]bool{}
+			var i *Instance
+			if seed%4 == 0 { // a handed-over table of 0–20 rows
+				tab := Table{Rel: rel, Arity: arity, Index: NewTupleIndex()}
+				for k := range rng.Intn(maxRows + 1) {
+					tab.Args = append(tab.Args, universe[k]...)
+					tab.Index.put(universe[k], tab.Args, int32(k))
+					oracle[k] = true
+				}
+				i = FromTables([]Table{tab})
+			} else {
+				i = NewInstance()
+			}
+			promoted, low := len(oracle) > smallRows, false
+			for step := range 300 {
+				k := rng.Intn(len(universe))
+				switch op := rng.Intn(20); {
+				case op < 10 && len(oracle) < maxRows:
+					if i.AddIDs(rel, universe[k]) == oracle[k] {
+						t.Fatalf("arity %d seed %d step %d: AddIDs(%v) disagrees with the map", arity, seed, step, universe[k])
+					}
+					oracle[k] = true
+				case op < 17:
+					if i.Remove(FromIDs(rel, universe[k])) != oracle[k] {
+						t.Fatalf("arity %d seed %d step %d: Remove(%v) disagrees with the map", arity, seed, step, universe[k])
+					}
+					delete(oracle, k)
+				case op < 18:
+					i.Reset()
+					clear(oracle)
+				case op < 19:
+					c := i.Clone()
+					if rng.Intn(2) == 0 {
+						i.Reset() // the clone must not share the original's rows
+					}
+					i = c
+				}
+				promoted = promoted || len(oracle) > smallRows
+				if promoted && len(oracle) < smallRows {
+					low = true
+				}
+				if i.Len() != len(oracle) {
+					t.Fatalf("arity %d seed %d step %d: Len = %d, want %d", arity, seed, step, i.Len(), len(oracle))
+				}
+				var want []Fact
+				for k, tup := range universe {
+					if i.HasIDs(rel, tup) != oracle[k] {
+						t.Fatalf("arity %d seed %d step %d: HasIDs(%v) = %v", arity, seed, step, tup, !oracle[k])
+					}
+					if oracle[k] {
+						want = append(want, FromIDs(rel, tup))
+					}
+				}
+				if c := i.col(rel, arity); c != nil && (c.idx.t != nil) != promoted {
+					t.Fatalf("arity %d seed %d step %d: %d rows, index %v, ever above %d rows %v", arity, seed, step, c.n, c.idx.t != nil, smallRows, promoted)
+				}
+				SortFacts(want)
+				var got []Fact
+				i.EachSortedIDs(func(r ID, args []ID) { got = append(got, FromIDs(r, args)) })
+				if !slices.EqualFunc(got, want, Fact.Equal) {
+					t.Fatalf("arity %d seed %d step %d: EachSortedIDs walked %v, want %v", arity, seed, step, got, want)
+				}
+			}
+			if low {
+				shrunk++
+			}
+		}
+	}
+	if shrunk == 0 {
+		t.Fatal("no stream shrank below smallRows rows after its promotion")
+	}
+}

@@ -47,14 +47,3 @@ func ExampleComponents() {
 	// {E(a,b), E(b,c)}
 	// {E(x,y)}
 }
-
-// A homomorphism maps one instance into another; a path maps onto a
-// loop by collapsing all values.
-func ExampleFindHomomorphism() {
-	path := fact.MustParseInstance(`E(a,b) E(b,c)`)
-	loop := fact.MustParseInstance(`E(x,x)`)
-	h, ok := fact.FindHomomorphism(path, loop, false)
-	fmt.Println(ok, h["a"], h["b"], h["c"])
-	// Output:
-	// true x x x
-}

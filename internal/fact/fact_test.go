@@ -130,7 +130,7 @@ func TestTupleCompare(t *testing.T) {
 		{Tuple{"a", "b"}, Tuple{"a", "c"}, -1},
 	}
 	for _, c := range cases {
-		if got := c.a.Compare(c.b); got != c.want {
+		if got := c.a.compare(c.b); got != c.want {
 			t.Errorf("Compare(%v,%v) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}

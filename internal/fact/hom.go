@@ -41,10 +41,10 @@ func (h Hom) isInjective() bool {
 	return true
 }
 
-// FindHomomorphism searches for a homomorphism from I to J, returning
+// findHomomorphism searches for a homomorphism from I to J, returning
 // it and true on success. If injective is set, only injective
 // homomorphisms are considered.
-func FindHomomorphism(i, j *Instance, injective bool) (Hom, bool) {
+func findHomomorphism(i, j *Instance, injective bool) (Hom, bool) {
 	src := i.ADom().Sorted()
 	dst := j.ADom().Sorted()
 	facts := i.Facts()

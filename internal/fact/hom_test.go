@@ -1,6 +1,7 @@
 package fact
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -9,7 +10,7 @@ func TestFindHomomorphismBasic(t *testing.T) {
 	// A path of length 2 maps homomorphically onto a single loop edge.
 	path := inst("E(a,b)", "E(b,c)")
 	loop := inst("E(x,x)")
-	h, ok := FindHomomorphism(path, loop, false)
+	h, ok := findHomomorphism(path, loop, false)
 	if !ok {
 		t.Fatal("no homomorphism from path to loop found")
 	}
@@ -17,26 +18,26 @@ func TestFindHomomorphismBasic(t *testing.T) {
 		t.Fatalf("returned mapping %v is not a homomorphism", h)
 	}
 	// But not injectively.
-	if _, ok := FindHomomorphism(path, loop, true); ok {
+	if _, ok := findHomomorphism(path, loop, true); ok {
 		t.Error("injective homomorphism from 3-value path to 1-value loop should not exist")
 	}
 }
 
 func TestFindHomomorphismNone(t *testing.T) {
 	// An edge cannot map into an empty instance.
-	if _, ok := FindHomomorphism(inst("E(a,b)"), NewInstance(), false); ok {
+	if _, ok := findHomomorphism(inst("E(a,b)"), NewInstance(), false); ok {
 		t.Error("found homomorphism into empty instance")
 	}
 	// A triangle does not map into a single directed edge.
 	tri := inst("E(a,b)", "E(b,c)", "E(c,a)")
 	edge := inst("E(x,y)")
-	if _, ok := FindHomomorphism(tri, edge, false); ok {
+	if _, ok := findHomomorphism(tri, edge, false); ok {
 		t.Error("triangle should not map homomorphically to a single edge")
 	}
 }
 
 func TestFindHomomorphismEmptySource(t *testing.T) {
-	h, ok := FindHomomorphism(NewInstance(), inst("E(a,b)"), true)
+	h, ok := findHomomorphism(NewInstance(), inst("E(a,b)"), true)
 	if !ok || len(h) != 0 {
 		t.Error("empty instance should map anywhere via the empty mapping")
 	}
@@ -52,7 +53,7 @@ func TestIsHomomorphismRequiresTotality(t *testing.T) {
 func TestInjectiveHomIsEmbedding(t *testing.T) {
 	small := inst("E(a,b)")
 	big := inst("E(x,y)", "E(y,z)")
-	h, ok := FindHomomorphism(small, big, true)
+	h, ok := findHomomorphism(small, big, true)
 	if !ok {
 		t.Fatal("no injective homomorphism from edge into path")
 	}
@@ -88,7 +89,7 @@ func TestHomomorphismIntoSuperset(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		i := randomGraph(rng, 4, 4)
 		j := i.Union(randomGraph(rng, 4, 2))
-		h, ok := FindHomomorphism(i, j, true)
+		h, ok := findHomomorphism(i, j, true)
 		if !ok {
 			t.Fatalf("no injective hom from %v into superset %v", i, j)
 		}
@@ -105,8 +106,8 @@ func TestHomomorphismComposition(t *testing.T) {
 		i := randomGraph(rng, 3, 3)
 		j := randomGraph(rng, 3, 4).Union(i)
 		k := j.Union(randomGraph(rng, 3, 2))
-		h1, ok1 := FindHomomorphism(i, j, false)
-		h2, ok2 := FindHomomorphism(j, k, false)
+		h1, ok1 := findHomomorphism(i, j, false)
+		h2, ok2 := findHomomorphism(j, k, false)
 		if !ok1 || !ok2 {
 			continue
 		}
@@ -122,4 +123,15 @@ func TestHomomorphismComposition(t *testing.T) {
 			t.Fatalf("composition of homomorphisms not a homomorphism: %v ; %v", h1, h2)
 		}
 	}
+}
+
+// A homomorphism maps one instance into another; a path maps onto a
+// loop by collapsing all values.
+func Example_findHomomorphism() {
+	path := MustParseInstance(`E(a,b) E(b,c)`)
+	loop := MustParseInstance(`E(x,x)`)
+	h, ok := findHomomorphism(path, loop, false)
+	fmt.Println(ok, h["a"], h["b"], h["c"])
+	// Output:
+	// true x x x
 }

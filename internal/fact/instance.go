@@ -10,14 +10,14 @@ import (
 // fact twice is a no-op).
 //
 // Facts are stored columnar: per (relation, arity) the argument
-// tuples live in one flat slice of interned IDs with a
-// packed-key hash index (see columnar.go). The columns are a slice in
-// first-insert order, searched linearly: an instance holds one to a few
-// relations (under thirty at the widest), where a scan beats a map and
-// a walk needs no iterator. Membership and mutation are integer work —
-// no fact key strings are built — and the ID-level accessors (HasIDs,
-// AddIDs) let the fixpoint engines deduplicate derived tuples without
-// materializing a Fact at all.
+// tuples live in one flat slice of interned IDs, with a packed-key
+// hash index from the ninth row on (see columnar.go). The columns are
+// a slice in first-insert order, searched linearly: an instance holds
+// one to a few relations (under thirty at the widest), where a scan
+// beats a map and a walk needs no iterator. Membership and mutation
+// are integer work — no fact key strings are built — and the ID-level
+// accessors (HasIDs, AddIDs) let the fixpoint engines deduplicate
+// derived tuples without materializing a Fact at all.
 type Instance struct {
 	rels []column
 	n    int
@@ -70,9 +70,10 @@ type Table struct {
 }
 
 // FromTables returns the instance holding the tables' rows. It takes
-// them over instead of copying: the caller gives up Args and Index. A
-// table's tuples must be distinct, each indexed at its row, and no two
-// tables may share relation and arity.
+// them over instead of copying: the caller gives up Args and Index (a
+// table of at most smallRows rows drops its Index, as a column that
+// small keeps none). A table's tuples must be distinct, each indexed at
+// its row, and no two tables may share relation and arity.
 func FromTables(tabs []Table) *Instance {
 	i := &Instance{}
 	for _, t := range tabs {
@@ -80,7 +81,11 @@ func FromTables(tabs []Table) *Instance {
 		if n == 0 {
 			continue
 		}
-		i.rels = append(i.rels, column{rel: t.Rel, arity: t.Arity, n: n, args: t.Args, idx: t.Index})
+		c := column{rel: t.Rel, arity: t.Arity, n: n, args: t.Args}
+		if n > smallRows {
+			c.idx = t.Index
+		}
+		i.rels = append(i.rels, c)
 		i.n += n
 	}
 	return i
@@ -160,22 +165,6 @@ func (i *Instance) Remove(f Fact) bool {
 	}
 	i.n--
 	return true
-}
-
-// RemoveAll deletes every fact of j from i.
-func (i *Instance) RemoveAll(j *Instance) {
-	for _, c := range j.rels {
-		dst := i.col(c.rel, c.arity)
-		if dst == nil {
-			continue
-		}
-		c.each(func(args []ID) bool {
-			if dst.remove(args) {
-				i.n--
-			}
-			return true
-		})
-	}
 }
 
 // Has reports whether f is in the instance.
@@ -400,8 +389,8 @@ func (i *Instance) ADom() ValueSet {
 	return s
 }
 
-// Schema returns the minimal schema the instance is over.
-func (i *Instance) Schema() Schema {
+// schema returns the minimal schema the instance is over.
+func (i *Instance) schema() Schema {
 	s := make(Schema)
 	for _, c := range i.rels {
 		if c.rows() > 0 {

@@ -70,7 +70,7 @@ func TestInstanceADomAndSchema(t *testing.T) {
 	if len(ad) != 4 {
 		t.Errorf("ADom size = %d, want 4", len(ad))
 	}
-	s := i.Schema()
+	s := i.schema()
 	if ar, _ := s.Arity("E"); ar != 2 {
 		t.Errorf("E arity = %d, want 2", ar)
 	}
@@ -205,9 +205,9 @@ func TestReset(t *testing.T) {
 	i := inst(facts...)
 	i.Reset()
 	empty := NewInstance()
-	if i.Len() != 0 || !i.Empty() || len(i.Schema()) != 0 || len(i.ADom()) != 0 || len(i.Facts()) != 0 ||
+	if i.Len() != 0 || !i.Empty() || len(i.schema()) != 0 || len(i.ADom()) != 0 || len(i.Facts()) != 0 ||
 		!i.Equal(empty) || !empty.Equal(i) || i.String() != empty.String() {
-		t.Errorf("reset instance reads %v (len %d, schema %v, adom %v), want %v", i, i.Len(), i.Schema(), i.ADom(), empty)
+		t.Errorf("reset instance reads %v (len %d, schema %v, adom %v), want %v", i, i.Len(), i.schema(), i.ADom(), empty)
 	}
 	i.EachIDs(func(rel ID, args []ID) bool {
 		t.Errorf("EachIDs walked %v%v on a reset instance", Symbol(rel), args)
@@ -258,8 +258,8 @@ func TestFromTables(t *testing.T) {
 	empty := Table{Rel: InternString("Z"), Arity: 1, Index: NewTupleIndex()}
 	i := FromTables([]Table{e, w, empty})
 	want := inst("E(a,b)", "E(b,c)", "E(c,d)", "W(a,b,c)", "W(b,c,d)")
-	if !i.Equal(want) || !want.Equal(i) || i.Len() != 5 || len(i.Schema()) != 2 {
-		t.Fatalf("FromTables = %v (len %d, schema %v), want %v", i, i.Len(), i.Schema(), want)
+	if !i.Equal(want) || !want.Equal(i) || i.Len() != 5 || len(i.schema()) != 2 {
+		t.Fatalf("FromTables = %v (len %d, schema %v), want %v", i, i.Len(), i.schema(), want)
 	}
 	if rows := i.Rows(InternString("E"), 2); &rows[0] != &e.Args[0] {
 		t.Error("FromTables copied the rows it was handed")

@@ -74,9 +74,9 @@ func (s Schema) Covers(f Fact) bool {
 	return ok && ar == f.Arity()
 }
 
-// Union returns a schema declaring the relations of both operands.
+// union returns a schema declaring the relations of both operands.
 // Conflicting arities are an error.
-func (s Schema) Union(t Schema) (Schema, error) {
+func (s Schema) union(t Schema) (Schema, error) {
 	u := s.Clone()
 	for name, ar := range t {
 		if err := u.Declare(name, ar); err != nil {

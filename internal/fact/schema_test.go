@@ -50,14 +50,14 @@ func TestSchemaCovers(t *testing.T) {
 func TestSchemaUnionMinus(t *testing.T) {
 	a := MustSchema(map[string]int{"E": 2, "V": 1})
 	b := MustSchema(map[string]int{"V": 1, "T": 3})
-	u, err := a.Union(b)
+	u, err := a.union(b)
 	if err != nil {
 		t.Fatalf("Union: %v", err)
 	}
 	if len(u) != 3 {
 		t.Errorf("Union size = %d, want 3", len(u))
 	}
-	if _, err := a.Union(MustSchema(map[string]int{"E": 3})); err == nil {
+	if _, err := a.union(MustSchema(map[string]int{"E": 3})); err == nil {
 		t.Error("Union with conflicting arity should fail")
 	}
 	m := a.Minus(b)

@@ -30,21 +30,8 @@ type Value string
 // Tuple is an ordered sequence of domain values, the argument list of a fact.
 type Tuple []Value
 
-// Equal reports whether two tuples have the same length and components.
-func (t Tuple) Equal(u Tuple) bool {
-	if len(t) != len(u) {
-		return false
-	}
-	for i := range t {
-		if t[i] != u[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Compare orders tuples first by length, then lexicographically.
-func (t Tuple) Compare(u Tuple) int {
+// compare orders tuples first by length, then lexicographically.
+func (t Tuple) compare(u Tuple) int {
 	if len(t) != len(u) {
 		if len(t) < len(u) {
 			return -1

@@ -103,7 +103,7 @@ func TestPatchDifferential(t *testing.T) {
 			}
 			before := slices.Clone(cs)
 			cs = patch(cs, add.Facts(), del.Facts())
-			cur.RemoveAll(del)
+			cur = cur.Minus(del)
 			cur.AddAll(add)
 			checkChunks(t, what, cs)
 			want := cur.Facts()

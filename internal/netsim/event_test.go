@@ -377,6 +377,45 @@ func TestMaxEventsBound(t *testing.T) {
 	}
 }
 
+// TestBoundCountsActivations: the F1 and F2 forms (absence on NoLoop,
+// domain-request on QTC) broadcast ≈ n³ messages on n nodes, so a bound
+// that counted arrivals gave up on a 32-node star that quiesces after a
+// few hundred activations. The bound counts activations and crashes:
+// at its default both runs quiesce on Q(I), with more arrivals than
+// the whole default bound.
+func TestBoundCountsActivations(t *testing.T) {
+	const n = 32
+	topo := generate.MustTopology(generate.TopoStar, n, 1)
+	net := netsim.NetworkOf(topo)
+	in := fact.MustParseInstance(`E(a,b) E(b,c) E(c,a) E(d,d) E(d,e)`)
+	for _, fx := range fixtures() {
+		if fx.s != core.Absence && fx.s != core.DomainRequest {
+			continue
+		}
+		t.Run(fx.name, func(t *testing.T) {
+			want, err := fx.q.Eval(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := netsim.New(net, core.MustBuild(fx.s, fx.q), fx.pol(net), fx.s.RequiredModel(), in,
+				netsim.Options{Topo: topo, Seed: 1, Want: want})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !out.Equal(want) || len(s.WrongFacts) > 0 || !s.Conserved() {
+				t.Fatalf("output %v (want %v), wrong facts %v, conserved %v", out, want, s.WrongFacts, s.Conserved())
+			}
+			if bound := 10000 + netsim.DefaultMaxEventsPerNode*n; s.Events() <= bound {
+				t.Fatalf("%d events, within the default bound %d: the run no longer tests what is counted", s.Events(), bound)
+			}
+		})
+	}
+}
+
 // TestPublishTo: the run's counters land in the registry under the
 // netsim.* vocabulary.
 func TestPublishTo(t *testing.T) {

@@ -53,8 +53,9 @@ type Options struct {
 	Routing Routing
 	// Seed drives the event queue's tiebreak hash.
 	Seed int64
-	// MaxEvents bounds the event-driven run; 0 picks a default scaled
-	// to the network size. Exhausting it yields ErrNoQuiescence.
+	// MaxEvents bounds the event-driven run's activations and crashes
+	// (arrivals are not counted); 0 picks a default scaled to the
+	// network size. Exhausting it yields ErrNoQuiescence.
 	MaxEvents int
 	// Want, when set, is the oracle Q(I): any output fact outside it
 	// is recorded in WrongFacts as it appears.

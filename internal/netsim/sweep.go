@@ -29,7 +29,8 @@ type SweepOptions struct {
 	// Faults bounds the per-seed fault plans. The zero value injects
 	// no faults (pure tiebreak-seed variation).
 	Faults transducer.FaultConfig
-	// MaxEvents bounds each run; 0 scales with the network.
+	// MaxEvents bounds each run's activations and crashes; 0 scales
+	// with the network.
 	MaxEvents int
 	// Tracer receives one explore.schedule event per run and an
 	// explore.violation event on failure.

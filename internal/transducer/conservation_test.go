@@ -29,7 +29,7 @@ func TestMessageConservationRandomInterleavings(t *testing.T) {
 			case 1:
 				_, err = sim.Deliver(x)
 			case 2:
-				_, err = sim.DeliverRandom(x, rng)
+				_, err = sim.deliverRandom(x, rng)
 			default:
 				keep := rng.Intn(2) == 0
 				_, err = sim.DeliverWhere(x, func(f fact.Fact) bool {
@@ -68,7 +68,7 @@ func TestMessageConservationUnderFaults(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				_, err = sim.Deliver(x)
 			} else {
-				_, err = sim.DeliverRandom(x, rng)
+				_, err = sim.deliverRandom(x, rng)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -78,7 +78,7 @@ func TestMessageConservationUnderFaults(t *testing.T) {
 	}
 }
 
-// Regression test: Clone is a deep copy. Mutating the clone's buffers,
+// Regression test: clone is a deep copy. Mutating the clone's buffers,
 // state, held queues, send logs, or Metrics never aliases the parent.
 func TestCloneIsDeepCopy(t *testing.T) {
 	net := MustNetwork("n1", "n2")
@@ -99,7 +99,7 @@ func TestCloneIsDeepCopy(t *testing.T) {
 		state          *fact.Instance
 	}{sim.TotalBuffered(), sim.TotalHeld(), sim.Metrics, sim.State("n2")}
 
-	clone := sim.Clone()
+	clone := sim.clone()
 	// Drive the clone hard; crash it too.
 	clone.SetFaults(&FaultPlan{Seed: 3, Crashes: []Crash{{Node: "n2", At: clone.Clock() + 1}}})
 	for i := 0; i < 6; i++ {
@@ -152,7 +152,7 @@ func TestClonePairEqualSeedsIdenticalTraces(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	c1, c2 := base.Clone(), base.Clone()
+	c1, c2 := base.clone(), base.clone()
 	t1, t2 := run(c1), run(c2)
 	if !bytes.Equal(t1, t2) {
 		t.Fatalf("equal-seed clone traces differ:\n--- clone 1 ---\n%s\n--- clone 2 ---\n%s", t1, t2)

@@ -11,7 +11,7 @@ import (
 )
 
 // Regression tests for seeded-run reproducibility: takeRandom and
-// DeliverRandom used to draw from the rng while ranging over Go maps,
+// deliverRandom used to draw from the rng while ranging over Go maps,
 // so map-iteration order decided which facts each coin flip applied
 // to, and two runs with the same seed could diverge. The buffer is now
 // consumed in sorted key order; same seed must mean byte-identical

@@ -49,7 +49,7 @@ func Explore(net Network, t *Transducer, pol Policy, mod Model, input, want *fac
 			return nil, nil
 		}
 		for _, c := range choices {
-			branch := s.Clone()
+			branch := s.clone()
 			var err error
 			label := fmt.Sprintf("%s:hb", c.node)
 			if c.deliver {
@@ -263,7 +263,7 @@ type explorer struct {
 // fact; a fair drive takes the rest to quiescence; Record gives the
 // verdict.
 func (e *explorer) run(label string, plan *FaultPlan, prefix func(*Simulation) error) (*ScheduleViolation, error) {
-	s := e.start.Clone()
+	s := e.start.clone()
 	if !plan.Empty() {
 		label = fmt.Sprintf("%s faults[%s]", label, plan)
 		s.SetFaults(plan)

@@ -15,7 +15,7 @@ func TestSimulationClone(t *testing.T) {
 	if _, err := sim.Heartbeat("n1"); err != nil {
 		t.Fatal(err)
 	}
-	clone := sim.Clone()
+	clone := sim.clone()
 	// Step the clone; original must be unaffected.
 	if _, err := clone.Deliver("n2"); err != nil {
 		t.Fatal(err)

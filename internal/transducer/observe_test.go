@@ -148,7 +148,7 @@ func TestCloneDropsSink(t *testing.T) {
 	}
 	var sb strings.Builder
 	sim.Observe(obs.NewStream(&sb))
-	clone := sim.Clone()
+	clone := sim.clone()
 	if _, err := clone.Heartbeat("n1"); err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func TestNeighbourRoutedPrimitives(t *testing.T) {
 		case 1:
 			_, err = sim.Deliver(x)
 		case 2:
-			_, err = sim.DeliverRandom(x, rng)
+			_, err = transducer.DeliverRandom(sim, x, rng)
 		case 3:
 			_, err = sim.DeliverWhere(x, func(fact.Fact) bool { return rng.Intn(2) == 0 })
 		default:

@@ -330,10 +330,10 @@ func (s *Simulation) Faults() *FaultPlan { return s.faults }
 // CrashAt. The fault plan's windows are expressed on this clock.
 func (s *Simulation) Clock() int { return s.clock }
 
-// Clone returns an independent copy of the simulation: states and
+// clone returns an independent copy of the simulation: states and
 // buffers are deep-copied, so stepping the clone leaves the original
 // untouched. Used by the exhaustive run explorer.
-func (s *Simulation) Clone() *Simulation {
+func (s *Simulation) clone() *Simulation {
 	c := *s // plans are immutable and decision-pure; idx and recipients never change
 	c.tracer = nil
 	// The clone steps into accumulators, node memories and a delivered
@@ -697,9 +697,9 @@ func (s *Simulation) DeliverWhere(x NodeID, pred func(fact.Fact) bool) (bool, er
 	return s.transition(i, s.takeBatch(i, pred), nil)
 }
 
-// DeliverRandom performs a transition of x delivering a random
+// deliverRandom performs a transition of x delivering a random
 // submultiset of its buffer.
-func (s *Simulation) DeliverRandom(x NodeID, rng *rand.Rand) (bool, error) {
+func (s *Simulation) deliverRandom(x NodeID, rng *rand.Rand) (bool, error) {
 	i, err := s.at(x)
 	if err != nil || s.begin(i) {
 		return false, err
@@ -858,7 +858,7 @@ func (s *Simulation) RandomPrefix(seed int64, steps int) error {
 		case 1:
 			_, err = s.Deliver(x)
 		case 2:
-			_, err = s.DeliverRandom(x, rng)
+			_, err = s.deliverRandom(x, rng)
 		default:
 			// A random planned batch: each buffered fact kept or
 			// withheld by coin flip (all copies at once).

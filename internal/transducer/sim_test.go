@@ -360,7 +360,7 @@ func TestCloneAsksThePolicyAfresh(t *testing.T) {
 		if _, err := sim.Heartbeat("n1"); err != nil { // makes n1's memory
 			t.Fatal(err)
 		}
-		clone := sim.Clone()
+		clone := sim.clone()
 		var wg sync.WaitGroup
 		for _, s := range []*Simulation{sim, clone} {
 			wg.Add(1)
@@ -421,7 +421,7 @@ func TestCloneStepsIntoItsOwnSets(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	clone := sim.Clone()
+	clone := sim.clone()
 	outs := make([]*fact.Instance, 2)
 	var wg sync.WaitGroup
 	for k, s := range []*Simulation{sim, clone} {

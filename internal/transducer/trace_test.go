@@ -54,7 +54,7 @@ func TestCloneDropsTrace(t *testing.T) {
 	}
 	var buf strings.Builder
 	sim.Observe(obs.NewStream(&buf))
-	clone := sim.Clone()
+	clone := sim.clone()
 	if _, err := clone.Heartbeat("n1"); err != nil {
 		t.Fatal(err)
 	}

@@ -356,8 +356,8 @@ fi
 # file refers to, and those only their own package refers to. Neither
 # may grow past the figure recorded here; a PR that unexports or
 # deletes lowers the figure with it.
-max_unreferenced=61
-max_package_only=28
+max_unreferenced=55
+max_package_only=26
 echo ">> exported-identifier ratchet: unreferenced <= $max_unreferenced, package-only <= $max_package_only"
 exports=$(go run scripts/exports.go)
 echo "$exports" | sed 's/^/   /'
