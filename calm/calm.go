@@ -57,7 +57,7 @@ type (
 	ValueSet = fact.ValueSet
 )
 
-// Data model constructors and predicates.
+// Data model constructors and co(I).
 var (
 	NewFact           = fact.New
 	NewInstance       = fact.NewInstance
@@ -68,8 +68,6 @@ var (
 	NewSchema         = fact.NewSchema
 	MustSchema        = fact.MustSchema
 	GraphSchema       = fact.GraphSchema
-	DomainDistinct    = fact.DomainDistinct
-	DomainDisjoint    = fact.DomainDisjoint
 	Components        = fact.Components
 )
 

@@ -66,7 +66,7 @@ func TestMonotonicityFlow(t *testing.T) {
 	if w == nil {
 		t.Error("NoLoop should violate M")
 	}
-	if !calm.MDistinct.Allows(calm.MustParseInstance(`E(a,c)`), i) {
+	if !calm.MDistinct.Allows(calm.MustParseInstance(`E(a,c)`), i.Known()) {
 		t.Error("Allows misbehaves through the facade")
 	}
 }
@@ -108,8 +108,8 @@ func TestComponentsFlow(t *testing.T) {
 	if got := len(calm.Components(i)); got != 2 {
 		t.Errorf("components = %d", got)
 	}
-	if !calm.DomainDisjoint(calm.MustParseInstance(`E(p,q)`), i) {
-		t.Error("DomainDisjoint misbehaves through the facade")
+	if !calm.MDisjoint.Allows(calm.MustParseInstance(`E(p,q)`), i.Known()) {
+		t.Error("MDisjoint.Allows misbehaves through the facade")
 	}
 }
 

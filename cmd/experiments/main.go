@@ -168,7 +168,7 @@ func fatal(err error) {
 // separation checks that (i, j) — allowed by class c — is a
 // monotonicity violation for q: the exact witness that q ∉ c.
 func separation(q monotone.Query, c monotone.Class, i, j *fact.Instance) (string, bool) {
-	if !c.Allows(j, i) {
+	if !c.Allows(j, i.Known()) {
 		return "witness pair not allowed by class", false
 	}
 	w, err := monotone.CheckPair(q, i, j)

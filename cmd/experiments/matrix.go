@@ -114,7 +114,7 @@ func boundedMatrix(maxBound, trials int) []matrixRow {
 				{monotone.MiDisjoint(i), f.disjoint, f.inDisjoint(i)},
 			} {
 				observed := true
-				if cell.c.Allows(cell.pair[1], cell.pair[0]) {
+				if cell.c.Allows(cell.pair[1], cell.pair[0].Known()) {
 					_, separated := separation(f.q, cell.c, cell.pair[0], cell.pair[1])
 					observed = !separated
 				}

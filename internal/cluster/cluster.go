@@ -255,7 +255,7 @@ func New(p *datalog.Program, initial *fact.Instance, opts Options) (*Cluster, er
 	}
 	c := &Cluster{
 		prog:   p,
-		plan:   PlanFor(p, place),
+		plan:   planFor(p, place),
 		place:  place,
 		opts:   opts,
 		idb:    p.IDB(),

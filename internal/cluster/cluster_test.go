@@ -316,7 +316,7 @@ func TestPlanSelection(t *testing.T) {
 	}
 	theorem := regexp.MustCompile(`\((Prop|Thm|Lemma|Example) [0-9.]+, F2\.[0-9]+\)`)
 	for i, tc := range cases {
-		plan := PlanFor(datalog.MustParseProgram(tc.program), tc.place)
+		plan := planFor(datalog.MustParseProgram(tc.program), tc.place)
 		if plan.Partitioned != tc.partitioned || plan.Coordination != tc.coord {
 			t.Errorf("case %d: plan = %+v, want partitioned=%v coord=%s", i, plan, tc.partitioned, tc.coord)
 		}

@@ -30,12 +30,12 @@ type Plan struct {
 	Reason string
 }
 
-// PlanFor selects the weakest-coordination plan for the program under
+// planFor selects the weakest-coordination plan for the program under
 // the requested placement. Component placement partitions only a
 // program licensed M that is in a fragment distributing over co(I):
 // every derivation stays inside one component, so per-shard evaluation
 // loses nothing (Lemma 5.2). Otherwise the plan replicates.
-func PlanFor(p *datalog.Program, place PlacementKind) Plan {
+func planFor(p *datalog.Program, place PlacementKind) Plan {
 	m := p.Memberships()
 	plan := Plan{Fragment: p.Classify(), Licence: monotone.Licence(m), Coordination: "fenced"}
 	why := "only M is checked per write, so every write fences reads"

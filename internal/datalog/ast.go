@@ -32,9 +32,6 @@ type Term struct {
 // V returns a variable term.
 func V(name string) Term { return Term{Var: name} }
 
-// C returns a constant term.
-func C(v fact.Value) Term { return Term{Const: v} }
-
 // IsVar reports whether the term is a variable.
 func (t Term) IsVar() bool { return t.Var != "" }
 
@@ -73,8 +70,8 @@ func AtomV(rel string, vars ...string) Atom {
 	return Atom{Rel: rel, Args: args}
 }
 
-// Vars returns the set of variable names occurring in the atom.
-func (a Atom) Vars() map[string]struct{} {
+// vars returns the set of variable names occurring in the atom.
+func (a Atom) vars() map[string]struct{} {
 	s := make(map[string]struct{})
 	for _, t := range a.Args {
 		if t.IsVar() {
@@ -113,11 +110,11 @@ type Rule struct {
 	Ineq []Inequality
 }
 
-// Vars returns the sorted variable names of the rule, vars(ϕ).
-func (r Rule) Vars() []string {
+// vars returns the sorted variable names of the rule, vars(ϕ).
+func (r Rule) vars() []string {
 	set := make(map[string]struct{})
 	collect := func(a Atom) {
-		for v := range a.Vars() {
+		for v := range a.vars() {
 			set[v] = struct{}{}
 		}
 	}
@@ -148,7 +145,7 @@ func (r Rule) Vars() []string {
 func (r Rule) posVars() map[string]struct{} {
 	s := make(map[string]struct{})
 	for _, a := range r.Pos {
-		for v := range a.Vars() {
+		for v := range a.vars() {
 			s[v] = struct{}{}
 		}
 	}
@@ -173,7 +170,7 @@ func (r Rule) Validate() error {
 		}
 	}
 	pv := r.posVars()
-	for _, v := range r.Vars() {
+	for _, v := range r.vars() {
 		if _, ok := pv[v]; !ok {
 			return fmt.Errorf("rule %v: unsafe variable %s does not occur in a positive body atom", r, v)
 		}

@@ -64,7 +64,7 @@ func TestRuleVars(t *testing.T) {
 		Neg:  []Atom{AtomV("S", "y")},
 		Ineq: []Inequality{{V("x"), V("y")}},
 	}
-	got := r.Vars()
+	got := r.vars()
 	if strings.Join(got, ",") != "x,y" {
 		t.Errorf("Vars = %v, want [x y]", got)
 	}
@@ -145,7 +145,7 @@ func TestTermString(t *testing.T) {
 	if V("x").String() != "x" {
 		t.Error("variable string")
 	}
-	if C("a").String() != `"a"` {
+	if (Term{Const: "a"}).String() != `"a"` {
 		t.Error("constant string")
 	}
 }

@@ -395,7 +395,7 @@ func (p *ruleParser) term() (Term, error) {
 		return V(t.text), nil
 	case tokConst:
 		p.i++
-		return C(fact.Value(t.text)), nil
+		return Term{Const: fact.Value(t.text)}, nil
 	default:
 		return Term{}, fmt.Errorf("datalog: expected term, got %q at offset %d", t.text, t.pos)
 	}

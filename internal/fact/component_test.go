@@ -112,7 +112,7 @@ func TestComponentsOfDisjointUnion(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		i := randomGraph(rng, 4, 4)
 		j := randomGraphValues(rng, 4, 4, "w")
-		if !DomainDisjoint(j, i) {
+		if !j.ADom().Disjoint(i.ADom()) {
 			t.Fatal("generator broke disjointness")
 		}
 		all := Components(i.Union(j))

@@ -1,61 +1,37 @@
 package fact
 
-// This file implements the notions of Section 3.1 of the paper:
-// domain-distinct and domain-disjoint facts and instances. They underpin
-// the weaker forms of monotonicity (Mdistinct and Mdisjoint).
+// This file implements the value probes behind Section 3.1 of the
+// paper (which values of a fact an instance already knows; the kinds
+// domain-distinct and domain-disjoint are decided from that count in
+// internal/monotone) and the induced subinstances of Section 3.2.
 
-// DomainDistinctFact reports whether f is domain distinct from I:
-// adom(f) \ adom(I) ≠ ∅, i.e. f contains at least one value that does
-// not occur in I.
-func DomainDistinctFact(f Fact, i *Instance) bool {
-	ad := i.ADom()
-	for n := 0; n < f.Arity(); n++ {
-		if !ad.Has(f.Arg(n)) {
-			return true
+// Fresh counts the values of f that the probe known does not hold.
+// Against the probe of I (I.Known()), f is domain distinct from I when
+// some value is fresh and domain disjoint from I when every value is.
+func Fresh(f Fact, known func(ID) bool) int {
+	n := 0
+	for _, id := range f.args {
+		if !known(id) {
+			n++
 		}
 	}
-	return false
+	return n
 }
 
-// DomainDisjointFact reports whether f is domain disjoint from I:
-// adom(f) ∩ adom(I) = ∅, i.e. f contains only values not occurring in I.
-func DomainDisjointFact(f Fact, i *Instance) bool {
-	ad := i.ADom()
-	for n := 0; n < f.Arity(); n++ {
-		if ad.Has(f.Arg(n)) {
-			return false
+// Known returns the probe of adom(I): membership in the set of the
+// interned ids in the instance's columns, built once, so a test costs
+// no symbol lookup. Later changes to the instance do not reach it.
+func (i *Instance) Known() func(ID) bool {
+	ids := make(map[ID]struct{})
+	for _, c := range i.rels {
+		for _, id := range c.args {
+			ids[id] = struct{}{}
 		}
 	}
-	return true
-}
-
-// DomainDistinct reports whether the instance J is domain distinct from
-// I: every fact of J contains at least one value not occurring in I.
-func DomainDistinct(j, i *Instance) bool {
-	ad := i.ADom()
-	ok := true
-	j.Each(func(f Fact) bool {
-		hasNew := false
-		for n := 0; n < f.Arity(); n++ {
-			if !ad.Has(f.Arg(n)) {
-				hasNew = true
-				break
-			}
-		}
-		if !hasNew {
-			ok = false
-			return false
-		}
-		return true
-	})
-	return ok
-}
-
-// DomainDisjoint reports whether the instance J is domain disjoint from
-// I: no fact of J contains any value occurring in I. Equivalently,
-// adom(J) ∩ adom(I) = ∅.
-func DomainDisjoint(j, i *Instance) bool {
-	return j.ADom().Disjoint(i.ADom())
+	return func(id ID) bool {
+		_, ok := ids[id]
+		return ok
+	}
 }
 
 // InducedSubinstance returns the induced subinstance of I on the value

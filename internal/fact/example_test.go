@@ -22,18 +22,18 @@ func ExampleParseInstance() {
 	// adom: [a b c]
 }
 
-// Domain-distinctness and -disjointness (Section 3.1): the added
-// instance J is distinct when every fact brings a new value, disjoint
-// when it shares no value at all.
-func ExampleDomainDistinct() {
-	i := fact.MustParseInstance(`E(a,b)`)
-	fmt.Println(fact.DomainDistinct(fact.MustParseInstance(`E(a,c)`), i))
-	fmt.Println(fact.DomainDisjoint(fact.MustParseInstance(`E(a,c)`), i))
-	fmt.Println(fact.DomainDisjoint(fact.MustParseInstance(`E(x,y)`), i))
+// Domain-distinctness and -disjointness (Section 3.1) are read off the
+// count of fresh values: a fact of J is distinct from I when it brings
+// a new value, disjoint when it shares none.
+func ExampleFresh() {
+	known := fact.MustParseInstance(`E(a,b)`).Known()
+	for _, f := range []string{`E(a,c)`, `E(x,y)`} {
+		n := fact.Fresh(fact.MustParseFact(f), known)
+		fmt.Println(f, "distinct:", n > 0, "disjoint:", n == 2)
+	}
 	// Output:
-	// true
-	// false
-	// true
+	// E(a,c) distinct: true disjoint: false
+	// E(x,y) distinct: true disjoint: true
 }
 
 // Components partition an instance into value-disjoint pieces

@@ -322,6 +322,21 @@ func TestInstanceMap(t *testing.T) {
 	}
 }
 
+// Section 3.1 over the probe of I: J is domain distinct from I when
+// every fact has a fresh value, domain disjoint when every value of
+// every fact is fresh.
+func freshKinds(j, i *Instance) (distinct, disjoint bool) {
+	known := i.Known()
+	distinct, disjoint = true, true
+	j.Each(func(f Fact) bool {
+		n := Fresh(f, known)
+		distinct = distinct && n > 0
+		disjoint = disjoint && n == f.Arity()
+		return true
+	})
+	return distinct, disjoint
+}
+
 func TestDomainDistinctAndDisjoint(t *testing.T) {
 	i := inst("E(a,b)")
 	cases := []struct {
@@ -336,41 +351,53 @@ func TestDomainDistinctAndDisjoint(t *testing.T) {
 		{NewInstance(), true, true}, // empty J is vacuously both
 	}
 	for n, c := range cases {
-		if got := DomainDistinct(c.j, i); got != c.distinct {
-			t.Errorf("case %d: DomainDistinct = %v, want %v", n, got, c.distinct)
+		distinct, disjoint := freshKinds(c.j, i)
+		if distinct != c.distinct {
+			t.Errorf("case %d: domain distinct = %v, want %v", n, distinct, c.distinct)
 		}
-		if got := DomainDisjoint(c.j, i); got != c.disjoint {
-			t.Errorf("case %d: DomainDisjoint = %v, want %v", n, got, c.disjoint)
-		}
-	}
-}
-
-func TestDomainDisjointImpliesDistinct(t *testing.T) {
-	// Property from Section 3.1: every domain-disjoint J (with nonempty
-	// facts, which is guaranteed by arity >= 1) is also domain-distinct.
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		i := randomGraph(rng, 5, 6)
-		j := randomGraphValues(rng, 5, 6, "n") // values n0..n4 distinct from v0..v4
-		if DomainDisjoint(j, i) && !DomainDistinct(j, i) {
-			t.Fatalf("J=%v disjoint from I=%v but not distinct", j, i)
+		if disjoint != c.disjoint {
+			t.Errorf("case %d: domain disjoint = %v, want %v", n, disjoint, c.disjoint)
 		}
 	}
 }
 
 func TestDomainDistinctDisjointFact(t *testing.T) {
-	i := inst("E(a,b)")
-	if !DomainDistinctFact(New("E", "a", "c"), i) {
-		t.Error("E(a,c) should be domain distinct from {E(a,b)}")
+	known := inst("E(a,b)").Known()
+	cases := []struct {
+		f                  Fact
+		distinct, disjoint bool
+	}{
+		{New("E", "a", "c"), true, false},
+		{New("E", "c", "d"), true, true},
+		{New("E", "b", "a"), false, false},
+		{New("E", "c", "c"), true, true},
 	}
-	if DomainDisjointFact(New("E", "a", "c"), i) {
-		t.Error("E(a,c) should not be domain disjoint from {E(a,b)}")
+	for _, c := range cases {
+		n := Fresh(c.f, known)
+		if distinct := n > 0; distinct != c.distinct {
+			t.Errorf("%v domain distinct from {E(a,b)} = %v, want %v", c.f, distinct, c.distinct)
+		}
+		if disjoint := n == c.f.Arity(); disjoint != c.disjoint {
+			t.Errorf("%v domain disjoint from {E(a,b)} = %v, want %v", c.f, disjoint, c.disjoint)
+		}
 	}
-	if !DomainDisjointFact(New("E", "c", "d"), i) {
-		t.Error("E(c,d) should be domain disjoint from {E(a,b)}")
+}
+
+// Fresh counts argument positions the probe does not know, so a
+// repeated fresh value counts at each position: E(c,c) is all fresh.
+// A probe sees the instance as it was built, removals included.
+func TestFreshAgainstKnown(t *testing.T) {
+	i := inst("E(a,b)", "E(b,x)")
+	i.Remove(New("E", "b", "x"))
+	known := i.Known()
+	for f, want := range map[string]int{"E(a,b)": 0, "E(b,a)": 0, "E(a,c)": 1, "E(c,d)": 2, "E(c,c)": 2, "E(x,a)": 1, "R(c)": 1} {
+		if got := Fresh(MustParseFact(f), known); got != want {
+			t.Errorf("Fresh(%s) against {E(a,b)} = %d, want %d", f, got, want)
+		}
 	}
-	if DomainDistinctFact(New("E", "b", "a"), i) {
-		t.Error("E(b,a) should not be domain distinct from {E(a,b)}")
+	i.Add(New("E", "c", "d"))
+	if got := Fresh(New("E", "c", "d"), known); got != 2 {
+		t.Errorf("a probe saw a later Add: Fresh(E(c,d)) = %d, want 2", got)
 	}
 }
 
@@ -405,9 +432,15 @@ func TestInducedIffComplementDomainDistinct(t *testing.T) {
 			}
 		}
 		j := InducedSubinstance(i, c)
-		if !DomainDistinct(i.Minus(j), j) {
-			t.Fatalf("I\\J not domain distinct from J for I=%v C=%v", i, c.Sorted())
-		}
+		// Domain distinct (Section 3.1): every fact of I \ J has a
+		// value outside adom(J).
+		ad := j.ADom()
+		i.Minus(j).Each(func(f Fact) bool {
+			if len(f.ADom().Minus(ad)) == 0 {
+				t.Fatalf("I\\J not domain distinct from J: %v for I=%v C=%v", f, i, c.Sorted())
+			}
+			return true
+		})
 	}
 }
 

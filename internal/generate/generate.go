@@ -112,7 +112,7 @@ func Triangle(a, b, c fact.Value) *fact.Instance {
 func DisjointUnion(parts ...*fact.Instance) *fact.Instance {
 	out := fact.NewInstance()
 	for _, p := range parts {
-		if !fact.DomainDisjoint(p, out) {
+		if !p.ADom().Disjoint(out.ADom()) {
 			panic(fmt.Sprintf("generate: DisjointUnion parts share values: %v vs %v", p, out))
 		}
 		out.AddAll(p)
@@ -120,9 +120,9 @@ func DisjointUnion(parts ...*fact.Instance) *fact.Instance {
 	return out
 }
 
-// Bipartite returns the complete directed bipartite graph from n left
+// bipartite returns the complete directed bipartite graph from n left
 // values to m right values.
-func Bipartite(leftPrefix string, n int, rightPrefix string, m int) *fact.Instance {
+func bipartite(leftPrefix string, n int, rightPrefix string, m int) *fact.Instance {
 	out := fact.NewInstance()
 	for _, l := range Values(leftPrefix, n) {
 		for _, r := range Values(rightPrefix, m) {
@@ -268,9 +268,9 @@ func RandomProgram(rng *rand.Rand, numRules int) string {
 	return b.String()
 }
 
-// Subsets enumerates every subinstance of I, invoking visit for each;
+// subsets enumerates every subinstance of I, invoking visit for each;
 // 2^|I| instances. If visit returns false the enumeration stops early.
-func Subsets(i *fact.Instance, visit func(*fact.Instance) bool) {
+func subsets(i *fact.Instance, visit func(*fact.Instance) bool) {
 	facts := i.Facts()
 	total := 1 << len(facts)
 	for mask := 0; mask < total; mask++ {

@@ -75,9 +75,9 @@ func TestDisjointUnion(t *testing.T) {
 }
 
 func TestBipartite(t *testing.T) {
-	b := Bipartite("l", 2, "r", 3)
+	b := bipartite("l", 2, "r", 3)
 	if b.Len() != 6 {
-		t.Errorf("Bipartite(2,3) has %d edges, want 6", b.Len())
+		t.Errorf("bipartite(2,3) has %d edges, want 6", b.Len())
 	}
 	for _, f := range b.Facts() {
 		if f.Arg(0)[0] != 'l' || f.Arg(1)[0] != 'r' {
@@ -153,7 +153,7 @@ func TestSubsets(t *testing.T) {
 	i := Path("v", 3)
 	count := 0
 	seen := make(map[string]bool)
-	Subsets(i, func(s *fact.Instance) bool {
+	subsets(i, func(s *fact.Instance) bool {
 		count++
 		if !s.SubsetOf(i) {
 			t.Errorf("non-subset %v", s)

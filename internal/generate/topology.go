@@ -261,9 +261,6 @@ func (t *Topology) Index(v fact.Value) int {
 // shared — callers must not mutate it.
 func (t *Topology) Neighbors(i int) []int32 { return t.adj[i] }
 
-// Degree returns node i's degree.
-func (t *Topology) Degree(i int) int { return len(t.adj[i]) }
-
 // NumEdges returns the number of undirected edges.
 func (t *Topology) NumEdges() int {
 	total := 0
@@ -289,11 +286,11 @@ func (t *Topology) Latency(i, j int) int {
 	return 1
 }
 
-// EdgeInstance renders the topology's edges as facts rel(u, v) — one
+// edgeInstance renders the topology's edges as facts rel(u, v) — one
 // fact per undirected edge, in canonical low-index→high-index
 // direction. This gives every topology a ready-made graph workload
 // over its own node ids.
-func (t *Topology) EdgeInstance(rel string) *fact.Instance {
+func (t *Topology) edgeInstance(rel string) *fact.Instance {
 	in := fact.NewInstance()
 	for i, adj := range t.adj {
 		for _, j := range adj {

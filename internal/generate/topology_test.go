@@ -38,7 +38,7 @@ func TestTopologyShapes(t *testing.T) {
 			t.Errorf("%v: only %d of %d nodes reachable", kind, got, n)
 		}
 		for i := 0; i < n; i++ {
-			if topo.Degree(i) == 0 {
+			if len(topo.Neighbors(i)) == 0 {
 				t.Errorf("%v: node %d isolated", kind, i)
 			}
 		}
@@ -46,17 +46,17 @@ func TestTopologyShapes(t *testing.T) {
 
 	ring := MustTopology(TopoRing, n, 0)
 	for i := 0; i < n; i++ {
-		if ring.Degree(i) != 2 {
-			t.Errorf("ring node %d degree %d, want 2", i, ring.Degree(i))
+		if len(ring.Neighbors(i)) != 2 {
+			t.Errorf("ring node %d degree %d, want 2", i, len(ring.Neighbors(i)))
 		}
 	}
 	star := MustTopology(TopoStar, n, 0)
-	if star.Degree(0) != n-1 {
-		t.Errorf("star hub degree %d, want %d", star.Degree(0), n-1)
+	if len(star.Neighbors(0)) != n-1 {
+		t.Errorf("star hub degree %d, want %d", len(star.Neighbors(0)), n-1)
 	}
 	for i := 1; i < n; i++ {
-		if star.Degree(i) != 1 {
-			t.Errorf("star leaf %d degree %d, want 1", i, star.Degree(i))
+		if len(star.Neighbors(i)) != 1 {
+			t.Errorf("star leaf %d degree %d, want 1", i, len(star.Neighbors(i)))
 		}
 	}
 	tree := MustTopology(TopoTree, n, 0)
@@ -66,7 +66,7 @@ func TestTopologyShapes(t *testing.T) {
 	pl := MustTopology(TopoPowerLaw, 256, 11)
 	maxDeg := 0
 	for i := 0; i < pl.Len(); i++ {
-		if d := pl.Degree(i); d > maxDeg {
+		if d := len(pl.Neighbors(i)); d > maxDeg {
 			maxDeg = d
 		}
 	}
@@ -193,7 +193,7 @@ func TestTopologyCut(t *testing.T) {
 
 func TestEdgeInstance(t *testing.T) {
 	topo := MustTopology(TopoRing, 8, 0)
-	in := topo.EdgeInstance("E")
+	in := topo.edgeInstance("E")
 	if in.Len() != topo.NumEdges() {
 		t.Fatalf("EdgeInstance has %d facts, want %d", in.Len(), topo.NumEdges())
 	}

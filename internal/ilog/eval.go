@@ -80,7 +80,7 @@ func skolemHook(rel string) datalog.HeadHook {
 // undefined). The result contains input and all derived facts,
 // including facts carrying invented values.
 func (p *Program) Eval(input *fact.Instance, opts Options) (*fact.Instance, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	for _, r := range p.Rules {

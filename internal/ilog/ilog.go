@@ -80,10 +80,10 @@ func (r Rule) asDatalogRule() datalog.Rule {
 	}
 }
 
-// Validate checks rule well-formedness: safety and nonempty body, as
+// validate checks rule well-formedness: safety and nonempty body, as
 // for Datalog¬ (invention heads are safe when their listed arguments
 // are; the invention position itself is produced, not consumed).
-func (r Rule) Validate() error {
+func (r Rule) validate() error {
 	if r.Invents && len(r.Head.Args) == 0 {
 		// R(*) :- Body — a unary invention relation. The head carries
 		// no variables, so validate the body with a dummy head.
@@ -179,14 +179,14 @@ func (p *Program) idb() fact.Schema {
 	return s
 }
 
-// Validate checks every rule, schema consistency, and that invention
+// validate checks every rule, schema consistency, and that invention
 // relations are used consistently (every rule deriving an invention
 // relation must invent; invention relations must not also be derived
 // without invention).
-func (p *Program) Validate() error {
+func (p *Program) validate() error {
 	invents := p.inventionRelations()
 	for _, r := range p.Rules {
-		if err := r.Validate(); err != nil {
+		if err := r.validate(); err != nil {
 			return err
 		}
 		if invents[r.Head.Rel] && !r.Invents {

@@ -155,7 +155,7 @@ func TestValidateMixedInvention(t *testing.T) {
 		Rule{Head: datalog.AtomV("R", "x"), Invents: true, Pos: []datalog.Atom{datalog.AtomV("V", "x")}},
 		Rule{Head: datalog.AtomV("R", "x", "y"), Pos: []datalog.Atom{datalog.AtomV("E", "x", "y")}},
 	)
-	if err := p.Validate(); err == nil {
+	if err := p.validate(); err == nil {
 		t.Error("relation derived both with and without invention should be rejected")
 	}
 }
@@ -237,12 +237,13 @@ func TestFromDatalog(t *testing.T) {
 func TestIlogConnectivity(t *testing.T) {
 	connected := Rule{Head: datalog.AtomV("Id", "x", "y"), Invents: true,
 		Pos: []datalog.Atom{datalog.AtomV("E", "x", "y")}}
-	if !connected.IsConnectedRule() {
+	// graph+(ϕ) ignores the invention position: it is not a body variable.
+	if !connected.asDatalogRule().IsConnected() {
 		t.Error("single-atom invention rule should be connected")
 	}
 	disconnected := Rule{Head: datalog.AtomV("P", "x", "u"),
 		Pos: []datalog.Atom{datalog.AtomV("E", "x", "y"), datalog.AtomV("E", "u", "v")}}
-	if disconnected.IsConnectedRule() {
+	if disconnected.asDatalogRule().IsConnected() {
 		t.Error("cartesian rule should be disconnected")
 	}
 

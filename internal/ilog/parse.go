@@ -27,7 +27,7 @@ func ParseProgram(src string) (*Program, error) {
 			Ineq:    r.Ineq,
 		})
 	}
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	return p, nil

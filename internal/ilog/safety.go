@@ -88,11 +88,6 @@ func (p *Program) IsWeaklySafe(outputRels ...string) bool {
 	return true
 }
 
-// IsConnectedRule reports whether graph+(ϕ) of the ILOG¬ rule is
-// connected; the invention position plays no role (it is not a body
-// variable).
-func (r Rule) IsConnectedRule() bool { return r.asDatalogRule().IsConnected() }
-
 // IsSemiConnected reports whether the program is in semicon-wILOG¬:
 // some stratification makes every stratum except possibly the last a
 // connected SP-wILOG program. Datalog¬'s decision procedure decides it.

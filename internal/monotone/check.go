@@ -57,7 +57,7 @@ func FindViolation(q Query, c Class, s Sampler, seed int64, trials int) (*Witnes
 	tested := 0
 	for n := 0; n < trials; n++ {
 		i, j := s(rng)
-		if !c.Allows(j, i) {
+		if !c.Allows(j, i.Known()) {
 			continue
 		}
 		tested++
@@ -83,7 +83,7 @@ func ExhaustiveCheck(q Query, c Class, enumerate func(yield func(i, j *fact.Inst
 	var found *Witness
 	var evalErr error
 	enumerate(func(i, j *fact.Instance) bool {
-		if !c.Allows(j, i) {
+		if !c.Allows(j, i.Known()) {
 			return true
 		}
 		w, err := CheckPair(q, i, j)
@@ -113,28 +113,18 @@ func ClassSampler(c Class, s Sampler) Sampler {
 }
 
 // restrictClassPair adapts an arbitrary pair (I, J) to a class: it
-// strips from J every fact violating the class's kind condition
-// against I and truncates to the bound. Useful for samplers that want
-// high acceptance rates.
+// keeps the facts of J whose growth against I reaches the class's kind
+// (facts of J may share values with each other) and truncates to the
+// bound. Useful for samplers that want high acceptance rates.
 func restrictClassPair(c Class, i, j *fact.Instance) *fact.Instance {
+	known := i.Known()
 	out := fact.NewInstance()
 	for _, f := range j.Facts() {
 		if c.Bound > 0 && out.Len() >= c.Bound {
 			break
 		}
-		switch c.Kind {
-		case Any:
+		if factGrowth(f, known) >= c.Kind {
 			out.Add(f)
-		case Distinct:
-			if fact.DomainDistinctFact(f, i) {
-				out.Add(f)
-			}
-		case Disjoint:
-			// J must be disjoint from I; facts of J may freely share
-			// values with each other.
-			if fact.DomainDisjointFact(f, i) {
-				out.Add(f)
-			}
 		}
 	}
 	return out

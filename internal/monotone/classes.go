@@ -45,22 +45,35 @@ func MiDistinct(i int) Class { return Class{Distinct, i} }
 func MiDisjoint(i int) Class { return Class{Disjoint, i} }
 
 // Allows reports whether the pair (I, J) is within the scope of the
-// class's monotonicity condition: J satisfies the kind restriction
-// w.r.t. I and the size bound.
-func (c Class) Allows(j, i *fact.Instance) bool {
-	if c.Bound > 0 && j.Len() > c.Bound {
-		return false
+// class's monotonicity condition, I given by its probe (I.Known()): J
+// keeps the size bound and grows adom(I) as the kind asks.
+func (c Class) Allows(j *fact.Instance, known func(fact.ID) bool) bool {
+	return (c.Bound == 0 || j.Len() <= c.Bound) && growth(j, known) >= c.Kind
+}
+
+// growth returns the widest kind J satisfies against the probe of I
+// (Section 3.1): Disjoint when every fact of J is all fresh, Distinct
+// when every fact has a fresh value, else Any. A fact has a value
+// (fact.New panics on a nullary one), so all fresh implies some fresh,
+// and the kinds are totally ordered.
+func growth(j *fact.Instance, known func(fact.ID) bool) Kind {
+	k := Disjoint
+	j.EachIDs(func(rel fact.ID, args []fact.ID) bool {
+		k = min(k, factGrowth(fact.Alias(rel, args), known))
+		return k > Any
+	})
+	return k
+}
+
+// factGrowth is growth of the one-fact instance {f}.
+func factGrowth(f fact.Fact, known func(fact.ID) bool) Kind {
+	switch fresh := fact.Fresh(f, known); {
+	case fresh == 0:
+		return Any
+	case fresh < f.Arity():
+		return Distinct
 	}
-	switch c.Kind {
-	case Any:
-		return true
-	case Distinct:
-		return fact.DomainDistinct(j, i)
-	case Disjoint:
-		return fact.DomainDisjoint(j, i)
-	default:
-		panic(fmt.Sprintf("monotone: unknown kind %d", c.Kind))
-	}
+	return Disjoint
 }
 
 // Implies reports whether membership in class c implies membership in

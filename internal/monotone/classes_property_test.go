@@ -33,7 +33,7 @@ func TestImpliesSoundForAllows(t *testing.T) {
 				continue
 			}
 			for _, p := range pairs {
-				if d.Allows(p[1], p[0]) && !c.Allows(p[1], p[0]) {
+				if d.Allows(p[1], p[0].Known()) && !c.Allows(p[1], p[0].Known()) {
 					t.Fatalf("%v implies %v but pair I=%v J=%v allowed only by %v",
 						c, d, p[0], p[1], d)
 				}
@@ -69,14 +69,14 @@ func TestAllowsStructure(t *testing.T) {
 		pool := append(generate.Values("v", 3), generate.Values("w", 2)...)
 		j := generate.Random(rng, fact.GraphSchema(), pool, 2)
 		// Disjoint ⊆ Distinct ⊆ Any.
-		if MDisjoint.Allows(j, i) && !MDistinct.Allows(j, i) {
+		if MDisjoint.Allows(j, i.Known()) && !MDistinct.Allows(j, i.Known()) {
 			return false
 		}
-		if MDistinct.Allows(j, i) && !M.Allows(j, i) {
+		if MDistinct.Allows(j, i.Known()) && !M.Allows(j, i.Known()) {
 			return false
 		}
 		// Larger bound allows more.
-		if MiDistinct(1).Allows(j, i) && !MiDistinct(2).Allows(j, i) {
+		if MiDistinct(1).Allows(j, i.Known()) && !MiDistinct(2).Allows(j, i.Known()) {
 			return false
 		}
 		return true
@@ -98,7 +98,7 @@ func TestClassSamplerAlwaysAllowed(t *testing.T) {
 		rng := rand.New(rand.NewSource(73))
 		for k := 0; k < 100; k++ {
 			i, j := s(rng)
-			if !c.Allows(j, i) {
+			if !c.Allows(j, i.Known()) {
 				t.Fatalf("%v: sampler produced disallowed pair I=%v J=%v", c, i, j)
 			}
 		}

@@ -31,9 +31,9 @@ func ExampleClass_Allows() {
 	extend := fact.MustParseInstance(`E(a,c)`) // one new value
 	fresh := fact.MustParseInstance(`E(x,y)`)  // only new values
 
-	fmt.Println(monotone.M.Allows(reuse, i), monotone.M.Allows(extend, i), monotone.M.Allows(fresh, i))
-	fmt.Println(monotone.MDistinct.Allows(reuse, i), monotone.MDistinct.Allows(extend, i), monotone.MDistinct.Allows(fresh, i))
-	fmt.Println(monotone.MDisjoint.Allows(reuse, i), monotone.MDisjoint.Allows(extend, i), monotone.MDisjoint.Allows(fresh, i))
+	fmt.Println(monotone.M.Allows(reuse, i.Known()), monotone.M.Allows(extend, i.Known()), monotone.M.Allows(fresh, i.Known()))
+	fmt.Println(monotone.MDistinct.Allows(reuse, i.Known()), monotone.MDistinct.Allows(extend, i.Known()), monotone.MDistinct.Allows(fresh, i.Known()))
+	fmt.Println(monotone.MDisjoint.Allows(reuse, i.Known()), monotone.MDisjoint.Allows(extend, i.Known()), monotone.MDisjoint.Allows(fresh, i.Known()))
 	// Output:
 	// true true true
 	// false true true

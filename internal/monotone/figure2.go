@@ -12,7 +12,7 @@ type Row struct {
 	Fragment datalog.Fragment
 	// Class holds every program of the fragment; nil when none does
 	// (Example 5.1's P2 is not even in Mdisjoint). The writes J it
-	// licenses on a base I are those Class.Allows(J, I) admits.
+	// licenses on a base I are those Class.Allows(J, probe of I) admits.
 	Class *Class
 	// Theorem proves the row; Experiment is its experiments_output.txt row.
 	Theorem, Experiment string

@@ -12,11 +12,7 @@
 // paper's explicit counterexample pairs (proof of non-membership).
 package monotone
 
-import (
-	"fmt"
-
-	"repro/internal/fact"
-)
+import "repro/internal/fact"
 
 // Query is the paper's notion of a query (Section 2): a generic
 // mapping from instances over an input schema to instances over an
@@ -77,21 +73,3 @@ func (f *Func) Eval(i *fact.Instance) (*fact.Instance, error) { return f.eval(i)
 func (f *Func) Name() string { return f.name }
 
 var _ Query = (*Func)(nil)
-
-// checkInput verifies that the instance is over the query's input schema.
-func checkInput(q Query, i *fact.Instance) error {
-	sigma := q.InputSchema()
-	var bad *fact.Fact
-	i.Each(func(f fact.Fact) bool {
-		if !sigma.Covers(f) {
-			g := f
-			bad = &g
-			return false
-		}
-		return true
-	})
-	if bad != nil {
-		return fmt.Errorf("monotone: input fact %v not over schema %v of %s", *bad, sigma, q.Name())
-	}
-	return nil
-}

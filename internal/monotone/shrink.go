@@ -15,7 +15,7 @@ func ShrinkWitness(q Query, c Class, w *Witness) (*Witness, error) {
 	cur := &Witness{I: w.I.Clone(), J: w.J.Clone(), Missing: w.Missing}
 
 	violates := func(i, j *fact.Instance) (*Witness, error) {
-		if !c.Allows(j, i) {
+		if !c.Allows(j, i.Known()) {
 			return nil, nil
 		}
 		return CheckPair(q, i, j)

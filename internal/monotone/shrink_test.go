@@ -80,7 +80,7 @@ func TestShrinkWitnessRespectsClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !MDistinct.Allows(small.J, small.I) {
+	if !MDistinct.Allows(small.J, small.I.Known()) {
 		t.Fatalf("shrunk pair escaped the class: I=%v J=%v", small.I, small.J)
 	}
 	// The minimal QTC/Mdistinct witness needs the two path facts.

@@ -127,8 +127,8 @@ func KStarProgram(k int) *datalog.Program {
 	return datalog.NewProgram(rules...)
 }
 
-// KStarDatalog returns Q^k_star as a Datalog¬ query.
-func KStarDatalog(k int) monotone.Query {
+// kStarDatalog returns Q^k_star as a Datalog¬ query.
+func kStarDatalog(k int) monotone.Query {
 	return datalog.MustQuery(KStarProgram(k), "O").SetName(fmt.Sprintf("Q^%d_star(datalog)", k))
 }
 
@@ -171,8 +171,8 @@ func DuplicateProgram(j int) *datalog.Program {
 	return datalog.NewProgram(rules...)
 }
 
-// DuplicateDatalog returns Q^j_duplicate as a Datalog¬ query.
-func DuplicateDatalog(j int) monotone.Query {
+// duplicateDatalog returns Q^j_duplicate as a Datalog¬ query.
+func duplicateDatalog(j int) monotone.Query {
 	return datalog.MustQuery(DuplicateProgram(j), "O").SetName(fmt.Sprintf("Q^%d_duplicate(datalog)", j))
 }
 

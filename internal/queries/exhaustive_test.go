@@ -22,8 +22,8 @@ func TestExhaustiveNativeVsDatalogN2(t *testing.T) {
 		{"NoLoop", NoLoop(), NoLoopDatalog()},
 		{"Q2clique", KClique(2), KCliqueDatalog(2)},
 		{"Q3clique", KClique(3), KCliqueDatalog(3)},
-		{"Q1star", KStar(1), KStarDatalog(1)},
-		{"Q2star", KStar(2), KStarDatalog(2)},
+		{"Q1star", KStar(1), kStarDatalog(1)},
+		{"Q2star", KStar(2), kStarDatalog(2)},
 	}
 	for _, p := range pairs {
 		generate.AllGraphs(generate.Values("v", 2), func(g *fact.Instance) bool {

@@ -113,10 +113,10 @@ func hasKStar(i *fact.Instance, k int) bool {
 	return false
 }
 
-// Triangles returns all directed triangles x→y→z→x on distinct
+// triangles returns all directed triangles x→y→z→x on distinct
 // vertices, as O(x,y,z) facts (each triangle appears in its three
 // rotations, matching the Datalog formulation).
-func Triangles(i *fact.Instance) []fact.Fact {
+func triangles(i *fact.Instance) []fact.Fact {
 	edges := make(map[fact.Value]fact.ValueSet)
 	eachEdge(i, func(xy []fact.ID) {
 		x := fact.Symbol(xy[0])
@@ -148,7 +148,7 @@ func Triangles(i *fact.Instance) []fact.Fact {
 // hasTwoDisjointTriangles reports whether the graph contains two
 // vertex-disjoint directed triangles.
 func hasTwoDisjointTriangles(i *fact.Instance) bool {
-	tris := Triangles(i)
+	tris := triangles(i)
 	for a := 0; a < len(tris); a++ {
 		va := tris[a].ADom()
 		for b := a + 1; b < len(tris); b++ {
@@ -357,6 +357,6 @@ func TrianglesUnlessTwoDisjoint() monotone.Query {
 		if hasTwoDisjointTriangles(i) {
 			return fact.NewInstance(), nil
 		}
-		return fact.NewInstance(Triangles(i)...), nil
+		return fact.NewInstance(triangles(i)...), nil
 	})
 }

@@ -91,7 +91,7 @@ func TestWinMoveMembership(t *testing.T) {
 	// flips x to won and y to lost.
 	i := fact.MustParseInstance(`Move(y,x)`)
 	j := fact.MustParseInstance(`Move(x,c)`)
-	if !monotone.MDistinct.Allows(j, i) {
+	if !monotone.MDistinct.Allows(j, i.Known()) {
 		t.Fatal("J should be domain distinct from I")
 	}
 	w, err := monotone.CheckPair(q, i, j)

@@ -13,7 +13,7 @@ import (
 // relational language, with (stratified) Datalog¬ the language used
 // throughout the declarative-networking literature.
 
-// DatalogQuery wraps a stratified Datalog¬ program as a transducer
+// datalogQuery wraps a stratified Datalog¬ program as a transducer
 // query: the program is evaluated on the visible instance D (whose
 // relations — input, output, message, memory and system — act as the
 // program's edb), and the facts of the designated output relations,
@@ -21,7 +21,7 @@ import (
 //
 // The program's idb relations are scratch space: they must not collide
 // with any schema relation visible in D.
-func DatalogQuery(p *datalog.Program, target fact.Schema, rename map[string]string) (Query, error) {
+func datalogQuery(p *datalog.Program, target fact.Schema, rename map[string]string) (Query, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -83,7 +83,7 @@ func DatalogTransducer(schema Schema, outSrc, insSrc, delSrc, sndSrc string) (*T
 		if err != nil {
 			return nil, fmt.Errorf("transducer: %s program: %w", what, err)
 		}
-		q, err := DatalogQuery(p, target, nil)
+		q, err := datalogQuery(p, target, nil)
 		if err != nil {
 			return nil, fmt.Errorf("transducer: %s program: %w", what, err)
 		}

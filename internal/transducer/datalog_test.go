@@ -100,19 +100,19 @@ func TestDatalogQueryErrors(t *testing.T) {
 	target := fact.MustSchema(map[string]int{"O": 2})
 	// Program deriving nothing in the target schema.
 	p := datalog.MustParseProgram(`X(a,b) :- E(a,b).`)
-	if _, err := DatalogQuery(p, target, nil); err == nil {
+	if _, err := datalogQuery(p, target, nil); err == nil {
 		t.Error("program without target relations accepted")
 	}
 	// Unstratifiable component program.
 	wm := datalog.MustParseProgram(`O(x,y) :- E(x,y), !O(y,x).`)
-	if _, err := DatalogQuery(wm, target, nil); err == nil {
+	if _, err := datalogQuery(wm, target, nil); err == nil {
 		t.Error("unstratifiable transducer query accepted")
 	}
 }
 
 func TestDatalogQueryRename(t *testing.T) {
 	p := datalog.MustParseProgram(`Result(x,y) :- E(x,y).`)
-	q, err := DatalogQuery(p, fact.MustSchema(map[string]int{"O": 2}), map[string]string{"Result": "O"})
+	q, err := datalogQuery(p, fact.MustSchema(map[string]int{"O": 2}), map[string]string{"Result": "O"})
 	if err != nil {
 		t.Fatal(err)
 	}

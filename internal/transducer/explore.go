@@ -381,17 +381,6 @@ func (e *explorer) starve(s *Simulation, victim NodeID) error {
 	return nil
 }
 
-// freshCount counts the argument values of f that x has not seen yet.
-func freshCount(known fact.ValueSet, f fact.Fact) int {
-	fresh := 0
-	for i := 0; i < f.Arity(); i++ {
-		if _, ok := known[f.Arg(i)]; !ok {
-			fresh++
-		}
-	}
-	return fresh
-}
-
 // freshFlood is the greedy fresh-value adversary: at every step it
 // delivers exactly ONE buffered fact — the one introducing the most
 // values its recipient has never seen — so each node's active domain
@@ -406,9 +395,9 @@ func (e *explorer) freshFlood(s *Simulation) error {
 		var bestNode NodeID
 		var bestFact fact.Fact
 		for _, x := range s.Net {
-			known := s.knownValues(x)
+			known := s.known(x)
 			for _, f := range s.BufferedFacts(x) {
-				if n := freshCount(known, f); n > bestScore {
+				if n := fact.Fresh(f, known); n > bestScore {
 					bestScore, bestNode, bestFact = n, x, f
 				}
 			}
@@ -450,10 +439,10 @@ func (e *explorer) freshFlood(s *Simulation) error {
 func (e *explorer) freshStarve(s *Simulation, victim NodeID) error {
 	for round := 0; round < e.opts.MaxRounds; round++ {
 		progress := false
-		known := s.knownValues(victim)
+		known := s.known(victim)
 		stale := fact.NewInstance()
 		for _, f := range s.BufferedFacts(victim) {
-			if freshCount(known, f) == 0 {
+			if fact.Fresh(f, known) == 0 {
 				stale.Add(f)
 			}
 		}

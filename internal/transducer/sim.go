@@ -829,16 +829,14 @@ func (s *Simulation) BufferedFacts(x NodeID) []fact.Fact {
 	return fs
 }
 
-// knownValues returns the values node x has already seen: its own
-// identifier plus the active domains of its input fragment and state.
-func (s *Simulation) knownValues(x NodeID) fact.ValueSet {
+// known returns the probe of the values node x has already seen: its
+// own identifier plus the active domains of its input fragment and
+// state.
+func (s *Simulation) known(x NodeID) func(fact.ID) bool {
 	n := &s.nodes[s.idx[x]]
-	known := n.local.ADom()
-	for v := range n.state.ADom() {
-		known.Add(v)
-	}
-	known.Add(x)
-	return known
+	local, state := n.local.Known(), n.state.Known()
+	self, _ := fact.LookupValue(x) // NoID when no fact holds x
+	return func(id fact.ID) bool { return id == self || local(id) || state(id) }
 }
 
 // RandomPrefix takes steps random transitions — heartbeats, full,
