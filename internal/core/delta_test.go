@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/fact"
@@ -33,14 +34,15 @@ func fourQuery(t *transducer.Transducer) *transducer.Transducer {
 	return &c
 }
 
-// countingQuery counts Eval calls.
+// countingQuery counts Eval calls, atomically: an explorer plays its
+// schedules on several goroutines at once.
 type countingQuery struct {
 	monotone.Query
-	evals *int
+	evals *atomic.Int64
 }
 
 func (c countingQuery) Eval(i *fact.Instance) (*fact.Instance, error) {
-	*c.evals++
+	c.evals.Add(1)
 	return c.Query.Eval(i)
 }
 
@@ -351,7 +353,7 @@ func TestDeltaEdgeCases(t *testing.T) {
 	for _, s := range []Strategy{Broadcast, Gossip, Absence, DomainRequest} {
 		for _, row := range rows[s] {
 			t.Run(s.String()+"/"+row.name, func(t *testing.T) {
-				evals := 0
+				var evals atomic.Int64
 				q, pol := monotone.Query(queries.TC()), transducer.HashPolicy(sweepNet)
 				if s == Absence || s == DomainRequest {
 					q, pol = queries.NoLoop(), edgePolicy(s)
@@ -363,7 +365,7 @@ func TestDeltaEdgeCases(t *testing.T) {
 					state := fact.MustParseInstance(row.start)
 					var log []string
 					for i, m := range row.steps {
-						before := evals
+						before := evals.Load()
 						if m == crash {
 							state = fact.NewInstance()
 						} else {
@@ -373,7 +375,7 @@ func TestDeltaEdgeCases(t *testing.T) {
 							}
 							log = append(log, fmt.Sprintf("step %d: sent %v changed %v new %v state %v", i, res.Sent, res.Changed, res.OutNew, state))
 						}
-						perStep(i, evals-before)
+						perStep(i, int(evals.Load()-before))
 					}
 					return log
 				}
@@ -421,7 +423,8 @@ func ringRun(t *testing.T, nodes int, tr *transducer.Transducer, in *fact.Instan
 func TestDeltaEvaluationCount(t *testing.T) {
 	const nodes = 32
 	in := fact.MustParseInstance(`E(a,b) E(b,c) E(c,d) E(d,a) E(b,e)`)
-	count := func(clear bool) (evals int, m transducer.Metrics) {
+	count := func(clear bool) (int, transducer.Metrics) {
+		var evals atomic.Int64
 		tr := MustBuild(Gossip, countingQuery{queries.TC(), &evals})
 		if clear {
 			tr = fourQuery(tr)
@@ -430,7 +433,7 @@ func TestDeltaEvaluationCount(t *testing.T) {
 		if _, err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return evals, s.RunMetrics()
+		return int(evals.Load()), s.RunMetrics()
 	}
 	evals, m := count(false)
 	oEvals, oM := count(true)
@@ -471,7 +474,7 @@ func TestDeltaExploreEvaluationCount(t *testing.T) {
 		{DomainRequest, queries.ComplementTC(), sweepGuided(), 37, 129, 383},
 	} {
 		count := func(clear bool) (int, transducer.ExploreStats) {
-			evals := 0
+			var evals atomic.Int64
 			q := countingQuery{c.q, &evals}
 			want, err := c.q.Eval(sweepGraph)
 			if err != nil {
@@ -486,7 +489,7 @@ func TestDeltaExploreEvaluationCount(t *testing.T) {
 			if err != nil || v != nil {
 				t.Fatalf("%v: %v, %v", c.s, v, err)
 			}
-			return evals, stats
+			return int(evals.Load()), stats
 		}
 		evals, stats := count(false)
 		oEvals, oStats := count(true)

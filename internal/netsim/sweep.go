@@ -56,12 +56,12 @@ func (st SweepStats) Publish(reg *obs.Registry) {
 	reg.Gauge(obs.NetsimHeapMax).SetMax(int64(st.HeapMax))
 }
 
-// TopologyFaultPlan derives a seeded fault plan whose partitions
+// topologyFaultPlan derives a seeded fault plan whose partitions
 // respect the topology: random duplication/delay/stall/crash placement
 // from the transducer generator, plus cfg.Partitions topology-aware
 // cuts (a whole WAN cluster, or a contiguous arc elsewhere) in seeded
 // windows. Reproducible from (topo, net, seed, cfg) alone.
-func TopologyFaultPlan(topo *generate.Topology, net transducer.Network, seed int64, cfg transducer.FaultConfig) *transducer.FaultPlan {
+func topologyFaultPlan(topo *generate.Topology, net transducer.Network, seed int64, cfg transducer.FaultConfig) *transducer.FaultPlan {
 	cuts := cfg.Partitions
 	cfg.Partitions = 0
 	p := transducer.RandomFaultPlan(net, seed, cfg)
@@ -93,6 +93,7 @@ func TopologyFaultPlan(topo *generate.Topology, net transducer.Network, seed int
 // plans, each checked for soundness (no output fact outside want),
 // convergence (final output equals want) and message conservation. It
 // returns the first violation found, or nil when every run converges.
+// The runs go through transducer.InOrder: concurrent, judged in order.
 func Sweep(topo *generate.Topology, routing Routing, t *transducer.Transducer, pol transducer.Policy, mod transducer.Model, input, want *fact.Instance, opts SweepOptions) (*transducer.ScheduleViolation, SweepStats, error) {
 	if opts.Seeds <= 0 {
 		opts.Seeds = 20
@@ -101,40 +102,49 @@ func Sweep(topo *generate.Topology, routing Routing, t *transducer.Transducer, p
 		opts.BaseSeed = 1
 	}
 	net := NetworkOf(topo)
+	// Run 0 is the fault-free baseline on the default tiebreak seed; run
+	// k ≥ 1 is event-seed:BaseSeed+k-1 under its plan.
+	type played struct {
+		s     *Sim
+		label string
+		out   *fact.Instance
+		err   error
+	}
 	var stats SweepStats
-
-	oneRun := func(label string, seed int64, plan *transducer.FaultPlan) (*transducer.ScheduleViolation, error) {
-		s, err := New(net, t, pol, mod, input, Options{
+	var v *transducer.ScheduleViolation
+	var err error
+	transducer.InOrder(1+opts.Seeds, func(k int) played {
+		r, seed, plan := played{label: "event-fair"}, opts.BaseSeed, (*transducer.FaultPlan)(nil)
+		if k > 0 {
+			seed += int64(k - 1)
+			r.label, plan = fmt.Sprintf("event-seed:%d", seed), topologyFaultPlan(topo, net, seed, opts.Faults)
+		}
+		r.s, r.err = New(net, t, pol, mod, input, Options{
 			Topo:      topo,
 			Routing:   routing,
 			Seed:      seed,
 			MaxEvents: opts.MaxEvents,
 			Want:      want,
 		})
-		if err != nil {
-			return nil, err
+		if r.err != nil {
+			return r
 		}
 		if !plan.Empty() {
-			label = fmt.Sprintf("%s faults[%s]", label, plan)
-			s.SetFaults(plan)
+			r.label = fmt.Sprintf("%s faults[%s]", r.label, plan)
+			r.s.SetFaults(plan)
 		}
-		out, err := s.Run()
-		stats.Events += s.Events()
-		stats.SchedOps += s.SchedOps()
-		stats.HeapMax = max(stats.HeapMax, s.HeapMax())
-		return stats.Record(s.Simulation, label, out, err, opts.Tracer)
-	}
-
-	// Fault-free baseline on the default tiebreak seed.
-	if v, err := oneRun("event-fair", opts.BaseSeed, nil); v != nil || err != nil {
-		return v, stats, err
-	}
-	for k := 0; k < opts.Seeds; k++ {
-		seed := opts.BaseSeed + int64(k)
-		plan := TopologyFaultPlan(topo, net, seed, opts.Faults)
-		if v, err := oneRun(fmt.Sprintf("event-seed:%d", seed), seed, plan); v != nil || err != nil {
-			return v, stats, err
+		r.out, r.err = r.s.Run()
+		return r
+	}, func(r played) bool {
+		if r.s == nil {
+			err = r.err
+			return true
 		}
-	}
-	return nil, stats, nil
+		stats.Events += r.s.Events()
+		stats.SchedOps += r.s.SchedOps()
+		stats.HeapMax = max(stats.HeapMax, r.s.HeapMax())
+		v, err = stats.Record(r.s.Simulation, r.label, r.out, r.err, opts.Tracer)
+		return v != nil || err != nil
+	})
+	return v, stats, err
 }

@@ -45,7 +45,7 @@ func TestMessageConservationRandomInterleavings(t *testing.T) {
 				t.Fatalf("seed %d step %d: sent %d != delivered %d + buffered %d",
 					seed, step, m.MessagesSent, m.MessagesDelivered, sim.TotalBuffered())
 			}
-			if sim.TotalHeld() != 0 || m.MessagesDropped != 0 || m.MessagesDuplicated != 0 {
+			if sim.totalHeld() != 0 || m.MessagesDropped != 0 || m.MessagesDuplicated != 0 {
 				t.Fatalf("seed %d step %d: faultless run produced fault metrics: %+v", seed, step, m)
 			}
 		}
@@ -97,7 +97,7 @@ func TestCloneIsDeepCopy(t *testing.T) {
 		buffered, held int
 		metrics        Metrics
 		state          *fact.Instance
-	}{sim.TotalBuffered(), sim.TotalHeld(), sim.Metrics, sim.State("n2")}
+	}{sim.TotalBuffered(), sim.totalHeld(), sim.Metrics, sim.State("n2")}
 
 	clone := sim.clone()
 	// Drive the clone hard; crash it too.
@@ -111,9 +111,9 @@ func TestCloneIsDeepCopy(t *testing.T) {
 	}
 	clone.Metrics.MessagesSent += 1000
 
-	if sim.TotalBuffered() != before.buffered || sim.TotalHeld() != before.held {
+	if sim.TotalBuffered() != before.buffered || sim.totalHeld() != before.held {
 		t.Errorf("clone mutation reached parent buffers: %d/%d, want %d/%d",
-			sim.TotalBuffered(), sim.TotalHeld(), before.buffered, before.held)
+			sim.TotalBuffered(), sim.totalHeld(), before.buffered, before.held)
 	}
 	if sim.Metrics != before.metrics {
 		t.Errorf("clone mutation reached parent metrics: %+v vs %+v", sim.Metrics, before.metrics)

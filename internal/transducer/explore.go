@@ -90,7 +90,10 @@ func Explore(net Network, t *Transducer, pol Policy, mod Model, input, want *fac
 // out-of-class failures of the F2.8–F2.10 strategies), and a sweep of
 // seeded random schedules under random fault plans — checking after
 // every transition that the output stays inside Q(I) and at quiescence
-// that it equals Q(I).
+// that it equals Q(I). Each schedule is a pure function of the start
+// configuration and its label, so the schedules are played on every
+// core (InOrder) and folded in the order listed; the first violation,
+// the stats and the trace are the serial loop's at any GOMAXPROCS.
 
 // ViolationKind classifies how a schedule broke "Π computes Q".
 type ViolationKind int
@@ -205,7 +208,8 @@ func (st ExploreStats) Publish(reg *obs.Registry) {
 // fair baseline, per-node starvation schedules, the greedy fresh-value
 // adversaries, and opts.Seeds seeded random schedules under derived
 // fault plans, returning the first violation found (nil if every
-// explored schedule converges to want without ever leaving it).
+// explored schedule converges to want without ever leaving it). The
+// schedules run concurrently and are judged in that order.
 func ExploreSchedules(net Network, t *Transducer, pol Policy, mod Model, input, want *fact.Instance, opts ExploreOptions) (*ScheduleViolation, ExploreStats, error) {
 	if opts.Seeds <= 0 {
 		opts.Seeds = 100
@@ -221,63 +225,77 @@ func ExploreSchedules(net Network, t *Transducer, pol Policy, mod Model, input, 
 	opts.MaxRounds = start.RoundBound(opts.MaxRounds)
 	e := &explorer{start: start, opts: opts}
 
-	// play runs one schedule unless an earlier one ended the search.
-	var v *ScheduleViolation
-	play := func(label string, plan *FaultPlan, prefix func(*Simulation) error) {
-		if v == nil && err == nil {
-			v, err = e.run(label, plan, prefix)
-		}
+	// The schedules in the order they are folded: the fixed families,
+	// then the seed sweep.
+	var plays []func() played
+	fixed := func(label string, prefix func(*Simulation) error) {
+		plays = append(plays, func() played { return e.run(label, nil, prefix) })
 	}
-	play("fair", nil, nil)
+	fixed("fair", nil)
 	if !opts.SkipStarvation {
 		for _, x := range net {
-			play(fmt.Sprintf("starve:%s", x), nil, func(s *Simulation) error { return e.starve(s, x) })
+			fixed(fmt.Sprintf("starve:%s", x), func(s *Simulation) error { return e.starve(s, x) })
 		}
 	}
 	if !opts.SkipAdversary {
-		play("adv-flood-fresh", nil, e.freshFlood)
+		fixed("adv-flood-fresh", e.freshFlood)
 		for _, x := range net {
-			play(fmt.Sprintf("adv-starve-fresh:%s", x), nil, func(s *Simulation) error { return e.freshStarve(s, x) })
+			fixed(fmt.Sprintf("adv-starve-fresh:%s", x), func(s *Simulation) error { return e.freshStarve(s, x) })
 		}
 	}
-	for k := 0; k < opts.Seeds && v == nil && err == nil; k++ {
+	for k := range opts.Seeds {
 		seed := opts.BaseSeed + int64(k)
-		play(fmt.Sprintf("seed:%d", seed), RandomFaultPlan(net, seed, opts.Faults), func(s *Simulation) error { return s.RandomPrefix(seed, 8*len(net)) })
+		plays = append(plays, func() played {
+			return e.run(fmt.Sprintf("seed:%d", seed), RandomFaultPlan(net, seed, opts.Faults), func(s *Simulation) error { return s.RandomPrefix(seed, 8*len(net)) })
+		})
 	}
-	return v, e.stats, err
+	var stats ExploreStats
+	var v *ScheduleViolation
+	InOrder(len(plays), func(k int) played { return plays[k]() }, func(r played) bool {
+		v, err = stats.Record(r.s, r.label, r.out, r.err, opts.Tracer)
+		return v != nil || err != nil
+	})
+	return v, stats, err
 }
 
-// explorer carries the fixed exploration context.
+// explorer carries the fixed exploration context. A run reads it and
+// writes nothing back, so runs may go on any goroutine.
 type explorer struct {
 	// start is the start configuration with Want set; every schedule
 	// runs on a clone of it.
 	start *Simulation
 	opts  ExploreOptions
-	stats ExploreStats
+}
+
+// played is a finished run awaiting its verdict.
+type played struct {
+	s     *Simulation
+	label string
+	out   *fact.Instance
+	err   error
 }
 
 // run plays one schedule on a copy of the start configuration. A
 // nonempty fault plan is installed first, named in the label and adds
 // its horizon to the round bound; prefix (nil for none) takes the
 // schedule's own steps and returns at an error or the first wrong
-// fact; a fair drive takes the rest to quiescence; Record gives the
-// verdict.
-func (e *explorer) run(label string, plan *FaultPlan, prefix func(*Simulation) error) (*ScheduleViolation, error) {
+// fact; a fair drive takes the rest to quiescence. Record gives the
+// verdict, in schedule order.
+func (e *explorer) run(label string, plan *FaultPlan, prefix func(*Simulation) error) played {
 	s := e.start.clone()
 	if !plan.Empty() {
 		label = fmt.Sprintf("%s faults[%s]", label, plan)
 		s.SetFaults(plan)
 	}
 	rounds := s.RoundBound(e.opts.MaxRounds)
-	var out *fact.Instance
-	var err error
+	r := played{s: s, label: label}
 	if prefix != nil {
-		err = prefix(s)
+		r.err = prefix(s)
 	}
-	if err == nil && len(s.WrongFacts) == 0 {
-		out, err = s.RunToQuiescence(rounds)
+	if r.err == nil && len(s.WrongFacts) == 0 {
+		r.out, r.err = s.RunToQuiescence(rounds)
 	}
-	return e.stats.Record(s, label, out, err, e.opts.Tracer)
+	return r
 }
 
 // Record is the one verdict on an explored run. s ran as schedule
@@ -306,7 +324,7 @@ func (st *ExploreStats) Record(s *Simulation, label string, out *fact.Instance, 
 		v = &ScheduleViolation{Kind: Divergence, Schedule: label, Step: m.Transitions, Output: out, Want: s.Want}
 	case !s.Conserved():
 		err = fmt.Errorf("transducer: schedule %s broke conservation: sent=%d delivered=%d buffered=%d held=%d inflight=%d dropped=%d",
-			label, m.MessagesSent, m.MessagesDelivered, s.TotalBuffered(), s.TotalHeld(), s.Inflight(), m.MessagesDropped)
+			label, m.MessagesSent, m.MessagesDelivered, s.TotalBuffered(), s.totalHeld(), s.inflight, m.MessagesDropped)
 	}
 
 	st.Schedules++

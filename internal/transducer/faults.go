@@ -147,7 +147,7 @@ func (p *FaultPlan) stalledAt(x NodeID, clock int) bool {
 // horizon returns the first clock value at which every scheduled
 // window and event of the plan lies in the past. Random delays extend
 // at most MaxDelay past the last send, which the quiescence check
-// already covers through TotalHeld.
+// already covers through totalHeld.
 func (p *FaultPlan) horizon() int {
 	h := 0
 	for _, cut := range p.Partitions {

@@ -12,10 +12,10 @@ import (
 func conserved(t *testing.T, sim *Simulation) {
 	t.Helper()
 	m := sim.Metrics
-	got := m.MessagesDelivered + sim.TotalBuffered() + sim.TotalHeld() + m.MessagesDropped
+	got := m.MessagesDelivered + sim.TotalBuffered() + sim.totalHeld() + m.MessagesDropped
 	if m.MessagesSent != got {
 		t.Fatalf("conservation broken: sent %d != delivered %d + buffered %d + held %d + dropped %d",
-			m.MessagesSent, m.MessagesDelivered, sim.TotalBuffered(), sim.TotalHeld(), m.MessagesDropped)
+			m.MessagesSent, m.MessagesDelivered, sim.TotalBuffered(), sim.totalHeld(), m.MessagesDropped)
 	}
 }
 
@@ -177,8 +177,8 @@ func TestDelayHoldsThenReleases(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every sent message is held, none buffered yet.
-	if sim.TotalHeld() != 3 || sim.Buffered("n2") != 0 {
-		t.Fatalf("held %d, buffered %d after delayed send", sim.TotalHeld(), sim.Buffered("n2"))
+	if sim.totalHeld() != 3 || sim.Buffered("n2") != 0 {
+		t.Fatalf("held %d, buffered %d after delayed send", sim.totalHeld(), sim.Buffered("n2"))
 	}
 	if sim.Metrics.MessagesDelayed != 3 {
 		t.Errorf("MessagesDelayed = %d, want 3", sim.Metrics.MessagesDelayed)
@@ -191,8 +191,8 @@ func TestDelayHoldsThenReleases(t *testing.T) {
 	if !out.Equal(wantO(graphIn)) {
 		t.Errorf("output = %v", out)
 	}
-	if sim.TotalHeld() != 0 {
-		t.Errorf("%d messages still held at quiescence", sim.TotalHeld())
+	if sim.totalHeld() != 0 {
+		t.Errorf("%d messages still held at quiescence", sim.totalHeld())
 	}
 	conserved(t, sim)
 }
@@ -236,8 +236,8 @@ func TestPartitionHoldsCrossTraffic(t *testing.T) {
 	if _, err := sim.Heartbeat("n1"); err != nil {
 		t.Fatal(err)
 	}
-	if sim.Buffered("n2") != 0 || sim.TotalHeld() != 3 {
-		t.Fatalf("partition leaked: buffered %d, held %d", sim.Buffered("n2"), sim.TotalHeld())
+	if sim.Buffered("n2") != 0 || sim.totalHeld() != 3 {
+		t.Fatalf("partition leaked: buffered %d, held %d", sim.Buffered("n2"), sim.totalHeld())
 	}
 	out, err := sim.RunToQuiescence(20)
 	if err != nil {

@@ -179,7 +179,7 @@ func TestExploreStatsCountPartialSchedules(t *testing.T) {
 	e := &explorer{start: start, opts: ExploreOptions{MaxRounds: 8}}
 	// The prefix stops at the wrong fact, as the starvation and adversary
 	// prefixes do, so the fair drive never runs.
-	v, err := e.run("partial", nil, func(s *Simulation) error {
+	r := e.run("partial", nil, func(s *Simulation) error {
 		for _, x := range net {
 			if _, err := s.Deliver(x); err != nil || len(s.WrongFacts) > 0 {
 				return err
@@ -187,20 +187,22 @@ func TestExploreStatsCountPartialSchedules(t *testing.T) {
 		}
 		return nil
 	})
+	var stats ExploreStats
+	v, err := stats.Record(r.s, r.label, r.out, r.err, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v == nil || v.Kind != WrongFact || v.Step != 2 || !v.Bad.Equal(fact.New("O", "a", "b")) {
 		t.Fatalf("violation = %v, want O(a,b) at step 2", v)
 	}
-	if e.stats.Schedules != 1 || e.stats.Aborted != 1 || e.stats.Violations != 1 {
-		t.Errorf("stats = %+v, want 1 schedule, 1 aborted, 1 violation", e.stats)
+	if stats.Schedules != 1 || stats.Aborted != 1 || stats.Violations != 1 {
+		t.Errorf("stats = %+v, want 1 schedule, 1 aborted, 1 violation", stats)
 	}
-	if e.stats.Transitions != 2 {
-		t.Errorf("Transitions = %d, want 2 (partial schedules must count)", e.stats.Transitions)
+	if stats.Transitions != 2 {
+		t.Errorf("Transitions = %d, want 2 (partial schedules must count)", stats.Transitions)
 	}
-	if e.stats.Sim.Transitions != 2 || e.stats.Sim.MessagesSent == 0 {
-		t.Errorf("Sim fold missing: %+v", e.stats.Sim)
+	if stats.Sim.Transitions != 2 || stats.Sim.MessagesSent == 0 {
+		t.Errorf("Sim fold missing: %+v", stats.Sim)
 	}
 }
 

@@ -119,7 +119,7 @@ func (m *multiset) clone() *multiset {
 //	MessagesSent = MessagesDelivered + buffered + held + MessagesDropped
 //
 // where buffered and held are the live totals reported by
-// TotalBuffered and TotalHeld.
+// TotalBuffered and totalHeld.
 type Metrics struct {
 	// Transitions counts all transitions, including heartbeats.
 	Transitions int
@@ -391,9 +391,9 @@ func (s *Simulation) heldAt(i int) int {
 	return total
 }
 
-// TotalHeld returns the number of message instances the fault plan is
+// totalHeld returns the number of message instances the fault plan is
 // currently holding back (delays and unhealed partitions).
-func (s *Simulation) TotalHeld() int {
+func (s *Simulation) totalHeld() int {
 	total := 0
 	for i := range s.nodes {
 		total += s.heldAt(i)
@@ -401,15 +401,11 @@ func (s *Simulation) TotalHeld() int {
 	return total
 }
 
-// Inflight returns the message copies a scheduler has taken through
-// DeliverAt or TakeHeld and not yet returned with Arrive.
-func (s *Simulation) Inflight() int { return s.inflight }
-
 // Conserved checks the message conservation invariant: every sent
 // copy is delivered, buffered, held, in flight, or dropped.
 func (s *Simulation) Conserved() bool {
 	m := s.Metrics
-	return m.MessagesSent == m.MessagesDelivered+s.TotalBuffered()+s.TotalHeld()+s.inflight+m.MessagesDropped
+	return m.MessagesSent == m.MessagesDelivered+s.TotalBuffered()+s.totalHeld()+s.inflight+m.MessagesDropped
 }
 
 // begin opens one lockstep transition attempt: the clock advances,
@@ -782,7 +778,7 @@ func (s *Simulation) RunToQuiescence(maxRounds int) (*fact.Instance, error) {
 				roundChanged = true
 			}
 		}
-		if !roundChanged && s.TotalBuffered() == 0 && s.TotalHeld() == 0 && s.faultsDone() {
+		if !roundChanged && s.TotalBuffered() == 0 && s.totalHeld() == 0 && s.faultsDone() {
 			out := s.Output()
 			emitQuiesce(s.tracer, s.clock, round+1, out.Len())
 			return out, nil
