@@ -196,8 +196,9 @@ var (
 	ReplicateAll     = transducer.ReplicateAll
 	NewSimulation    = transducer.NewSimulation
 	ExploreSchedules = transducer.ExploreSchedules
-	// Explore model-checks every heartbeat/deliver-all schedule to a
-	// bounded depth for an output fact outside the expected answer.
+	// Explore walks every configuration heartbeat/deliver-all schedules
+	// reach, to closure, for an output fact outside the expected answer
+	// and a run that ends elsewhere; it returns the configuration count.
 	Explore = transducer.Explore
 	// NewSimulationOver is NewSimulation over given links (per-node
 	// recipient lists) instead of the paper's broadcast.

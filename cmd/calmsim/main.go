@@ -57,7 +57,7 @@ func main() {
 		faults    = flag.String("faults", "", `fault plan between send and buffer: "random" (seeded via -seed), or a spec like "dup=0.2,delay=0.25:6,stall=n2@3-8,crash=n3@10,part=2-6:n1|n2"`)
 		seeds     = flag.Int("seeds", 0, "when > 0, run the adversarial schedule explorer with this many seeded fault schedules (plus starvation and greedy adversaries)")
 		verify    = flag.Bool("verify", false, "also check the Definition 3 coordination-freeness witness")
-		explore   = flag.Int("explore", 0, "when > 0, exhaustively explore all schedules to this depth and check output safety")
+		explore   = flag.Bool("explore", false, "walk every configuration heartbeat/deliver-all schedules reach and check that no output leaves Q(I) and every run ends at it")
 		tracePath = flag.String("trace", "", `write structured JSONL events (sim.* transitions/faults, explore.* schedules) to this file ("-" = stdout)`)
 		metrics   = flag.String("metrics", "", `write run metrics (sim.* / explore.* counters) as JSON to this file ("-" = stdout)`)
 		adminAddr = flag.String("admin", "", "serve the admin endpoint (/metrics /debug/pprof) on this address (e.g. localhost:6060)")
@@ -225,17 +225,17 @@ func main() {
 		}
 	}
 
-	if *explore > 0 {
+	if *explore {
 		tr, err := core.Build(s, q)
 		if err != nil {
 			fatal(err)
 		}
-		v, err := transducer.Explore(net, tr, pol, s.RequiredModel(), input, want, *explore)
+		v, configs, err := transducer.Explore(net, tr, pol, s.RequiredModel(), input, want)
 		if err != nil {
 			fatal(err)
 		}
 		if v == nil {
-			fmt.Printf("explore: all schedules to depth %d keep the output inside Q(I)\n", *explore)
+			fmt.Printf("explore: %d configurations, every output inside Q(I), every run ends at it\n", configs)
 		} else {
 			fmt.Printf("explore: UNSAFE schedule found: %v\n", v)
 		}

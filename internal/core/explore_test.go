@@ -9,37 +9,44 @@ import (
 	"repro/internal/transducer"
 )
 
-// Exhaustive-schedule safety: for a query in the strategy's class, NO
-// schedule (up to the explored depth, heartbeat or deliver-all at any
-// node) ever yields an output fact outside Q(I). This is the "no wrong
-// outputs in any run" half of computing a query, checked by model
-// exploration rather than sampling.
+// Exhaustive safety: for a query in the strategy's class, NO
+// configuration reachable by heartbeat and deliver-all transitions
+// yields an output fact outside Q(I), and every run ends at Q(I). This
+// is "Π computes Q" checked on the closed configuration graph rather
+// than by sampling; the walks' sizes are pinned.
 func TestExploreStrategySafety(t *testing.T) {
-	net := transducer.MustNetwork("n1", "n2")
 	graph := fact.MustParseInstance(`E(a,b) E(b,a)`)
+	type walk struct {
+		in             *fact.Instance
+		nodes, configs int
+	}
 	cases := []struct {
-		name string
-		s    Strategy
-		q    monotone.Query
-		pol  transducer.Policy
+		name  string
+		s     Strategy
+		q     monotone.Query
+		walks []walk
 	}{
-		{"broadcast/TC", Broadcast, queries.TC(), transducer.HashPolicy(net)},
-		{"absence/NoLoop", Absence, queries.NoLoop(), transducer.HashPolicy(net)},
-		{"domainreq/QTC", DomainRequest, queries.ComplementTC(), transducer.DomainGuided(transducer.HashAssignment(net))},
+		{"broadcast/TC", Broadcast, queries.TC(), []walk{{graph, 2, 3}, {graph, 3, 21}}},
+		{"absence/NoLoop", Absence, queries.NoLoop(), []walk{{graph, 2, 9}, {graph, 3, 213}}},
+		{"domainreq/QTC", DomainRequest, queries.ComplementTC(), []walk{{graph, 2, 21}, {graph, 3, 1595}, {fact.MustParseInstance(`E(a,b)`), 3, 1850}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			want, err := c.q.Eval(graph)
-			if err != nil {
-				t.Fatal(err)
-			}
 			tr := MustBuild(c.s, c.q)
-			v, err := transducer.Explore(net, tr, c.pol, c.s.RequiredModel(), graph, want, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v != nil {
-				t.Errorf("unsafe schedule found: %v", v)
+			for _, w := range c.walks {
+				want, err := c.q.Eval(w.in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				net := transducer.MustNetwork("n1", "n2", "n3")[:w.nodes]
+				pol := transducer.HashPolicy(net)
+				if c.s == DomainRequest {
+					pol = transducer.DomainGuided(transducer.HashAssignment(net))
+				}
+				v, configs, err := transducer.Explore(net, tr, pol, c.s.RequiredModel(), w.in, want)
+				if err != nil || v != nil || configs != w.configs {
+					t.Errorf("%d nodes on %v: violation %v, error %v, %d configurations, want %d", w.nodes, w.in, v, err, configs, w.configs)
+				}
 			}
 		})
 	}
@@ -64,7 +71,7 @@ func TestExploreFindsStrategyBoundary(t *testing.T) {
 		return []transducer.NodeID{"n2"}
 	})
 	tr := MustBuild(Absence, q)
-	v, err := transducer.Explore(net, tr, pol, Absence.RequiredModel(), in, want, 2)
+	v, _, err := transducer.Explore(net, tr, pol, Absence.RequiredModel(), in, want)
 	if err != nil {
 		t.Fatal(err)
 	}

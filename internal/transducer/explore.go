@@ -1,6 +1,7 @@
 package transducer
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -9,84 +10,106 @@ import (
 	"repro/internal/obs"
 )
 
-// This file implements a small exhaustive run explorer: a
-// model-checker-style sweep over all schedules of bounded depth, where
-// each step activates any node as either a heartbeat or a full-buffer
-// delivery. Runs in the paper are arbitrary interleavings with
-// arbitrary submultiset delivery; heartbeat/deliver-all scheduling is
-// a strict subset, but it already exercises the races that matter for
-// the safety property checked here (no wrong outputs in any reachable
-// configuration).
-//
-// Both explorers test soundness the one way the machine does: a
-// Simulation with Want set appends every new output fact outside it
-// to WrongFacts (sim.go, transition), and an explorer reads that.
+// This file holds the two searches for a run that breaks "Π computes
+// Q". Explore is exhaustive: it walks every configuration heartbeat and
+// deliver-all transitions reach, to closure — a strict subset of the
+// paper's runs, which deliver any submultiset, but one that exercises
+// the races that matter and ends every run it contains.
+// ExploreSchedules goes deep on a curated family of adversarial and
+// faulty schedules. Both test soundness the one way the machine does: a
+// Simulation with Want set appends every new output fact outside it to
+// WrongFacts (sim.go, transition), and an explorer reads that.
 
-// Explore enumerates every schedule of at most depth steps from the
-// start configuration of (net, t, pol, mod) on input, with want as the
-// machine's oracle. It returns the first schedule that reaches an
-// output fact outside want as a WrongFact violation (its Schedule the
-// choices, space-separated), or nil if all reachable outputs are
-// sound. The number of explored runs is (2·|N|)^depth; keep depth and
-// the network small.
-func Explore(net Network, t *Transducer, pol Policy, mod Model, input, want *fact.Instance, depth int) (*ScheduleViolation, error) {
-	type choice struct {
-		node    NodeID
-		deliver bool
-	}
-	var choices []choice
-	for _, x := range net {
-		choices = append(choices, choice{x, false}, choice{x, true})
-	}
-
-	var schedule []string
-	var rec func(s *Simulation, remaining int) (*ScheduleViolation, error)
-	rec = func(s *Simulation, remaining int) (*ScheduleViolation, error) {
-		if len(s.WrongFacts) > 0 {
-			return wrongFact(s, strings.Join(schedule, " ")), nil
-		}
-		if remaining == 0 {
-			return nil, nil
-		}
-		for _, c := range choices {
-			branch := s.clone()
-			var err error
-			label := fmt.Sprintf("%s:hb", c.node)
-			if c.deliver {
-				label = fmt.Sprintf("%s:dl", c.node)
-				_, err = branch.Deliver(c.node)
-			} else {
-				_, err = branch.Heartbeat(c.node)
-			}
-			if err != nil {
-				return nil, err
-			}
-			schedule = append(schedule, label)
-			v, err := rec(branch, remaining-1)
-			schedule = schedule[:len(schedule)-1]
-			if err != nil || v != nil {
-				return v, err
-			}
-		}
-		return nil, nil
-	}
-
+// Explore walks, breadth first, every configuration reachable from the
+// start configuration of (net, t, pol, mod) on input, each step a
+// heartbeat or a deliver-all at one node, with want as the machine's
+// oracle. A configuration is each node's state and the set of its
+// buffered facts: deliver-all reads a buffer as a set, no fault plan
+// is installed, and a node's Stepper memory is rebuilt from its state.
+// The first transition that outputs a fact outside want is a WrongFact
+// violation, and a sink — a configuration every transition leaves as
+// it is — whose output is not want a Divergence; each comes with a
+// shortest schedule (the steps, space-separated). A level deeper than
+// RoundBound(0)·|N| steps is a NoQuiescence violation. Explore returns
+// the first violation, nil once the graph closes without one, and the
+// number of configurations walked.
+func Explore(net Network, t *Transducer, pol Policy, mod Model, input, want *fact.Instance) (*ScheduleViolation, int, error) {
 	start, err := NewSimulation(net, t, pol, mod, input)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	start.Want = want
-	return rec(start, depth)
+	bound := start.RoundBound(0) * len(net)
+	// A configuration, its key and a shortest schedule that reaches it.
+	type config struct {
+		s             *Simulation
+		key, schedule string
+	}
+	var st ExploreStats
+	level := []config{{start, configKey(start), ""}}
+	seen := map[string]bool{level[0].key: true}
+	for depth := 0; len(level) > 0; depth++ {
+		if depth > bound {
+			v, err := st.Record(level[0].s, level[0].schedule, nil, fmt.Errorf("%w (%d steps)", ErrNoQuiescence, bound), nil)
+			return v, len(seen), err
+		}
+		var next []config
+		for _, c := range level {
+			sink := true
+			for _, x := range net {
+				for _, op := range []string{"hb", "dl"} {
+					s, schedule := c.s.clone(), strings.TrimSpace(fmt.Sprintf("%s %s:%s", c.schedule, x, op))
+					step := s.Heartbeat
+					if op == "dl" {
+						step = s.Deliver
+					}
+					if _, err := step(x); err != nil || len(s.WrongFacts) > 0 {
+						v, err := st.Record(s, schedule, nil, err, nil)
+						return v, len(seen), err
+					}
+					if key := configKey(s); key != c.key {
+						sink = false
+						if !seen[key] {
+							seen[key] = true
+							next = append(next, config{s, key, schedule})
+						}
+					}
+				}
+			}
+			if sink {
+				if v, err := st.Record(c.s, c.schedule, c.s.Output(), nil, nil); v != nil || err != nil {
+					return v, len(seen), err
+				}
+			}
+		}
+		level = next
+	}
+	return nil, len(seen), nil
+}
+
+// configKey is the exact key of s's configuration: each node's state
+// and the set of its buffered facts, in Fact.Compare order, every fact
+// written as its arity and packed ids.
+func configKey(s *Simulation) string {
+	var key []byte
+	for i, x := range s.Net {
+		for _, fs := range [][]fact.Fact{s.nodes[i].state.Facts(), s.BufferedFacts(x)} {
+			key = binary.AppendUvarint(key, uint64(len(fs)))
+			for _, f := range fs {
+				key = binary.AppendUvarint(key, uint64(f.Arity()))
+				key = fact.AppendPackedIDs(fact.AppendPackedIDs(key, f.RelID()), f.ArgIDs()...)
+			}
+		}
+	}
+	return string(key)
 }
 
 // ----------------------------------------------------------------------
 // Adversarial schedule exploration.
 //
-// Explore above enumerates every heartbeat/deliver-all schedule, which
-// is exhaustive but shallow. ExploreSchedules goes the other way: it
-// runs a curated family of deep adversarial schedules — per-node
-// starvation until a fairness deadline, greedy adversaries built
-// around fresh active-domain values (the pattern behind the known
+// ExploreSchedules runs a curated family of deep adversarial schedules
+// — per-node starvation until a fairness deadline, greedy adversaries
+// built around fresh active-domain values (the pattern behind the known
 // out-of-class failures of the F2.8–F2.10 strategies), and a sweep of
 // seeded random schedules under random fault plans — checking after
 // every transition that the output stays inside Q(I) and at quiescence
@@ -234,13 +257,13 @@ func ExploreSchedules(net Network, t *Transducer, pol Policy, mod Model, input, 
 	fixed("fair", nil)
 	if !opts.SkipStarvation {
 		for _, x := range net {
-			fixed(fmt.Sprintf("starve:%s", x), func(s *Simulation) error { return e.starve(s, x) })
+			fixed(fmt.Sprintf("starve:%s", x), func(s *Simulation) error { return e.starve(s, x, nil) })
 		}
 	}
 	if !opts.SkipAdversary {
 		fixed("adv-flood-fresh", e.freshFlood)
 		for _, x := range net {
-			fixed(fmt.Sprintf("adv-starve-fresh:%s", x), func(s *Simulation) error { return e.freshStarve(s, x) })
+			fixed(fmt.Sprintf("adv-starve-fresh:%s", x), func(s *Simulation) error { return e.starve(s, x, deliverStale) })
 		}
 	}
 	for k := range opts.Seeds {
@@ -306,8 +329,8 @@ func (e *explorer) run(label string, plan *FaultPlan, prefix func(*Simulation) e
 // checks message conservation, folds the run into st, whether it
 // completed, violated or failed, and emits explore.schedule (and
 // explore.violation) on tracer. An error other than ErrNoQuiescence, or
-// a broken conservation, comes back as the error. Both explorers call
-// it: ExploreSchedules and netsim.Sweep.
+// a broken conservation, comes back as the error. Every explorer calls
+// it: Explore, ExploreSchedules and netsim.Sweep.
 func (st *ExploreStats) Record(s *Simulation, label string, out *fact.Instance, err error, tracer *obs.Tracer) (*ScheduleViolation, error) {
 	m := s.Metrics
 	var v *ScheduleViolation
@@ -374,17 +397,24 @@ func wrongFact(s *Simulation, schedule string) *ScheduleViolation {
 
 // starve keeps the victim from taking any transition while the rest
 // of the network runs round-robin to a fixed point — the victim's
-// local facts stay invisible for the whole starvation phase. The
-// fairness deadline then admits the victim and the run must still
-// converge to want.
-func (e *explorer) starve(s *Simulation, victim NodeID) error {
+// local facts stay invisible for the whole starvation phase. With a
+// non-nil victimStep, each round starts with that step of the victim
+// instead. The fairness deadline then admits the victim and the run
+// must still converge to want.
+func (e *explorer) starve(s *Simulation, victim NodeID, victimStep func(*Simulation, NodeID) (bool, error)) error {
 	for round := 0; round < e.opts.MaxRounds; round++ {
 		progress := false
-		for _, x := range s.Net {
-			if x == victim {
+		for k := -1; k < len(s.Net); k++ { // k = -1 is the victim's step
+			var changed bool
+			var err error
+			switch {
+			case k < 0 && victimStep != nil:
+				changed, err = victimStep(s, victim)
+			case k < 0 || s.Net[k] == victim:
 				continue
+			default:
+				changed, err = s.Deliver(s.Net[k])
 			}
-			changed, err := s.Deliver(x)
 			if err != nil || len(s.WrongFacts) > 0 {
 				return err
 			}
@@ -445,47 +475,16 @@ func (e *explorer) freshFlood(s *Simulation) error {
 	return nil
 }
 
-// freshStarve is the dual adversary, aimed at one victim: every other
-// node runs fairly, while the victim is delivered only messages whose
-// values it already knows. Absence announcements, acknowledgments and
-// data over the victim's current domain flow freely; anything
-// mentioning a fresh value is withheld. A strategy that declares its
-// picture of the input complete from such a confined domain emits its
-// wrong facts here — this is the schedule shape behind the known
-// out-of-class divergences of the absence and domain-request
+// deliverStale is the victim's step in the dual adversary to
+// freshFlood, a starvation whose victim is delivered only messages
+// whose values it already knows. Absence announcements,
+// acknowledgments and data over the victim's current domain flow
+// freely; anything mentioning a fresh value is withheld. A strategy
+// that declares its picture of the input complete from such a confined
+// domain emits its wrong facts here — this is the schedule shape behind
+// the known out-of-class divergences of the absence and domain-request
 // strategies. The fairness deadline then delivers everything.
-func (e *explorer) freshStarve(s *Simulation, victim NodeID) error {
-	for round := 0; round < e.opts.MaxRounds; round++ {
-		progress := false
-		known := s.known(victim)
-		stale := fact.NewInstance()
-		for _, f := range s.BufferedFacts(victim) {
-			if fact.Fresh(f, known) == 0 {
-				stale.Add(f)
-			}
-		}
-		changed, err := s.DeliverWhere(victim, stale.Has)
-		if err != nil || len(s.WrongFacts) > 0 {
-			return err
-		}
-		if changed {
-			progress = true
-		}
-		for _, x := range s.Net {
-			if x == victim {
-				continue
-			}
-			changed, err := s.Deliver(x)
-			if err != nil || len(s.WrongFacts) > 0 {
-				return err
-			}
-			if changed {
-				progress = true
-			}
-		}
-		if !progress {
-			break
-		}
-	}
-	return nil
+func deliverStale(s *Simulation, victim NodeID) (bool, error) {
+	known := s.known(victim)
+	return s.DeliverWhere(victim, func(f fact.Fact) bool { return fact.Fresh(f, known) == 0 })
 }

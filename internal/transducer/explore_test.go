@@ -1,6 +1,7 @@
 package transducer
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/fact"
@@ -36,7 +37,7 @@ func TestSimulationClone(t *testing.T) {
 func TestExploreForwarderSafe(t *testing.T) {
 	net := MustNetwork("n1", "n2")
 	in := fact.MustParseInstance(`E(a,b) E(b,c)`)
-	v, err := Explore(net, forwardTransducer(), HashPolicy(net), Original, in, wantO(in), 5)
+	v, _, err := Explore(net, forwardTransducer(), HashPolicy(net), Original, in, wantO(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestExploreFindsViolations(t *testing.T) {
 	}
 	net := MustNetwork("n1")
 	in := fact.MustParseInstance(`E(a,b)`)
-	v, err := Explore(net, bad, HashPolicy(net), Original, in, wantO(in), 2)
+	v, _, err := Explore(net, bad, HashPolicy(net), Original, in, wantO(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,6 +72,57 @@ func TestExploreFindsViolations(t *testing.T) {
 	}
 	if len(v.Schedule) == 0 {
 		t.Error("violation schedule empty (violations should be found after at least one step)")
+	}
+}
+
+// A run that quiesces short of the answer outputs no wrong fact, so
+// only its end shows it: the echo transducer outputs E relabelled, and
+// against its transitive closure every run ends in the sink where both
+// nodes have output their fragments, reached by a shortest schedule.
+func TestExploreFindsDivergentSink(t *testing.T) {
+	net := MustNetwork("n1", "n2")
+	pol := PolicyFunc(func(f fact.Fact) []NodeID {
+		if f.Arg(0) == "a" {
+			return []NodeID{"n1"}
+		}
+		return []NodeID{"n2"}
+	})
+	in := fact.MustParseInstance(`E(a,b) E(b,c)`)
+	want := fact.MustParseInstance(`O(a,b) O(b,c) O(a,c)`)
+	v, configs, err := Explore(net, echoTransducer(), pol, Original, in, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v == nil || v.Kind != Divergence || v.Schedule != "n1:hb n2:hb" || v.Step != 2 || !v.Output.Equal(wantO(in)) {
+		t.Fatalf("Explore = %v, want a divergence on %v at step 2 of n1:hb n2:hb", v, wantO(in))
+	}
+	if configs != 4 {
+		t.Errorf("walked %d configurations, want 4", configs)
+	}
+}
+
+// A transducer whose memory grows at every heartbeat reaches a new
+// configuration at every step, so its graph never closes; the walk
+// stops at the round bound, RoundBound(0)·|N| steps, and reports it.
+func TestExploreStopsAtRoundBound(t *testing.T) {
+	counter := &Transducer{
+		Schema: Schema{
+			In:  fact.MustSchema(map[string]int{"E": 2}),
+			Mem: fact.MustSchema(map[string]int{"Count": 1}),
+		},
+		Ins: func(d *fact.Instance) (*fact.Instance, error) {
+			return fact.NewInstance(fact.New("Count", fact.Value(fmt.Sprint(d.RestrictRel("Count").Len())))), nil
+		},
+	}
+	net := MustNetwork("n1")
+	in := fact.MustParseInstance(`E(a,b)`)
+	v, configs, err := Explore(net, counter, HashPolicy(net), Original, in, fact.NewInstance())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := 32 + in.Len() + 4*len(net)
+	if v == nil || v.Kind != NoQuiescence || v.Step != bound+1 || configs != bound+2 {
+		t.Fatalf("Explore = %v after %d configurations, want no quiescence at step %d", v, configs, bound+1)
 	}
 }
 
@@ -125,12 +177,14 @@ func TestWrongFactsFollowOutputOrder(t *testing.T) {
 		t.Fatalf("WrongFacts = %v at %d; first wrong fact of out(R) is %v", sim.WrongFacts, sim.WrongAt, first)
 	}
 
-	v, err := Explore(net, tr, pol, Original, in, want, 2)
+	// The walk finds a shortest schedule: n2's first heartbeat, where
+	// out(R) holds only n2's outputs and A(bad) comes first.
+	v, _, err := Explore(net, tr, pol, Original, in, want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v == nil || v.Schedule != "n1:hb n2:hb" || v.Step != 2 || !v.Bad.Equal(first) {
-		t.Fatalf("Explore = %v, want %v at step 2 of n1:hb n2:hb", v, first)
+	if v == nil || v.Schedule != "n2:hb" || v.Step != 1 || !v.Bad.Equal(fact.New("A", "bad")) {
+		t.Fatalf("Explore = %v, want A(bad) at step 1 of n2:hb", v)
 	}
 }
 
@@ -232,8 +286,9 @@ func TestViolationKindString(t *testing.T) {
 }
 
 // "Π computes Q" is ExploreSchedules' verdict: the forwarder computes
-// O on every explored schedule, and no bounded heartbeat/deliver-all
-// schedule leaves the answer.
+// O on every explored schedule, and Explore finds no reachable
+// heartbeat/deliver-all configuration that leaves the answer or ends
+// short of it.
 func TestCheckComputesForwarder(t *testing.T) {
 	net := MustNetwork("n1", "n2")
 	in := fact.MustParseInstance(`E(a,b) E(b,c)`)
@@ -241,8 +296,8 @@ func TestCheckComputesForwarder(t *testing.T) {
 	if err != nil || v != nil {
 		t.Fatalf("forwarder should compute O: violation %v, error %v", v, err)
 	}
-	if v, err := Explore(net, forwardTransducer(), HashPolicy(net), Original, in, wantO(in), 4); err != nil || v != nil {
-		t.Fatalf("forwarder should be safe to depth 4: violation %v, error %v", v, err)
+	if v, _, err := Explore(net, forwardTransducer(), HashPolicy(net), Original, in, wantO(in)); err != nil || v != nil {
+		t.Fatalf("forwarder should compute O on every reachable configuration: violation %v, error %v", v, err)
 	}
 }
 

@@ -1,5 +1,5 @@
 #!/bin/sh
-# check.sh runs the full local gate: vet, build, twenty-two structural gates
+# check.sh runs the full local gate: vet, build, twenty-three structural gates
 # (internal/cluster has grown no wire loop of its own, IndexedInstance no
 # second fact store, nor incr's Materialization, whose base is its
 # index's edb, internal/incr and internal/ilog start no goroutine,
@@ -37,7 +37,9 @@
 # clone of a simulation shares; a node's memory is the Stepper's — and
 # one growth probe: a delta's kind is decided in internal/monotone from
 # fact.Fresh over an instance's probe, with no DomainDistinct or
-# DomainDisjoint predicate beside it), the exported-identifier ratchet
+# DomainDisjoint predicate beside it — and one exhaustive search:
+# Explore walks the configuration graph to closure, with no depth and no
+# schedule tree in internal/transducer), the exported-identifier ratchet
 # (scripts/exports.go), and the test suite
 # under the race detector (the fanned-out rounds of the batch fixpoint,
 # the epoch-pinned serving core, and the simulation determinism tests
@@ -240,8 +242,8 @@ fi
 # ComputeRun's Seed/RandomSteps (calmsim -seed/-steps) run it — and
 # Simulation.RoundBound the only place the default bound 32 + |I| +
 # 4|N| is written, so an explicit bound and the default both get the
-# fault plan's horizon. "Π computes Q" is judged by ExploreSchedules
-# and ExploreStats.Record alone. RunRandom, CheckComputes,
+# fault plan's horizon. "Π computes Q" is judged by ExploreStats.Record
+# alone. RunRandom, CheckComputes,
 # ConformanceOptions or ComputeRandom in non-test Go, or the bound
 # written outside RoundBound, is a second schedule, verdict or bound
 # growing back.
@@ -255,6 +257,25 @@ inside=$(awk '/^func \(s \*Simulation\) RoundBound\(/,/^}/' internal/transducer/
 if [ "$(echo "$bounds" | grep -c .)" -ne 1 ] || [ "$inside" -ne 1 ]; then
     echo "$bounds"
     echo "check: the default round bound is written outside Simulation.RoundBound"
+    exit 1
+fi
+
+# One exhaustive search: Explore (internal/transducer explore.go) walks
+# the graph of configurations heartbeat and deliver-all transitions
+# reach, breadth first with a visited set, until it closes; its only
+# bound is the round bound, per level. A depth parameter on Explore, or a
+# depth-bounded or recursive schedule enumeration in non-test
+# internal/transducer Go, or an integer calmsim -explore, is the
+# (2·|N|)^depth tree growing back, which
+# checked only prefixes of runs and each level at ≈ 6× the last.
+echo ">> structural gate: one exhaustive search"
+sig=$(grep -n '^func Explore(' internal/transducer/explore.go || true)
+tree=$(grep -nE '\b(depth|remaining|maxDepth) int\b|^[[:space:]]*var [[:alnum:]_]+ func\(' $(ls internal/transducer/*.go | grep -v '_test\.go$') || true)
+tree=$tree$(grep -n 'flag\.Int("explore"' cmd/calmsim/main.go || true)
+if ! echo "$sig" | grep -qF 'input, want *fact.Instance) (*ScheduleViolation, int, error) {' || [ -n "$tree" ]; then
+    echo "$sig"
+    echo "$tree"
+    echo "check: Explore takes a depth or internal/transducer enumerates a schedule tree; walk the configuration graph to closure"
     exit 1
 fi
 
