@@ -108,3 +108,23 @@ func TestRefusedFlagsLeaveFilesAlone(t *testing.T) {
 		}
 	}
 }
+
+// TestStrayArgument: calmd takes no positional argument. A stray one is
+// refused with the usage and exit status 2 before a file is opened or a
+// request read.
+func TestStrayArgument(t *testing.T) {
+	if asChild() {
+		return
+	}
+	if err := checkArgs(nil); err != nil {
+		t.Errorf("checkArgs(nil) = %v", err)
+	}
+	if err := checkArgs([]string{"3"}); err == nil || err.Error() != `unexpected argument "3"` {
+		t.Errorf(`checkArgs("3") = %v, want unexpected argument "3"`, err)
+	}
+	stdout, stderr, err := calmd("TestStrayArgument", `{"op":"stats"}`+"\n", "-program", "../../testdata/qtc.dl", "-shards", "2", "3")
+	const want = "calmd: unexpected argument \"3\"\nUsage of calmd:\n"
+	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 2 || !strings.HasPrefix(stderr, want) || stdout != "" {
+		t.Errorf("-shards 2 3: exit %v, stdout %q, stderr %q; want exit status 2, no output, stderr starting %q", err, stdout, stderr, want)
+	}
+}

@@ -67,6 +67,11 @@ func main() {
 		adminAddr   = flag.String("admin", "", "serve the admin endpoint (/metrics /healthz /trace /debug/pprof) on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
+	if err := checkArgs(flag.Args()); err != nil {
+		fmt.Fprintf(os.Stderr, "calmd: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if err := checkFlags(*shardCount, *restorePath, *listenAddr, *tracePath, *metricsPath); err != nil {
 		fatal(err)
 	}
@@ -304,6 +309,15 @@ func epochAgeHook(reg *obs.Registry) func() {
 	return func() {
 		reg.Gauge(obs.SrvEpochAgeNs).Set(epochAge(reg))
 	}
+}
+
+// checkArgs refuses positional arguments: calmd takes none, so a stray
+// one is a mistake to report, not a word to ignore.
+func checkArgs(args []string) error {
+	if len(args) > 0 {
+		return fmt.Errorf("unexpected argument %q", args[0])
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -63,6 +63,11 @@ func main() {
 		adminAddr = flag.String("admin", "", "serve the admin endpoint (/metrics /debug/pprof) on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
+	if err := checkArgs(flag.Args()); err != nil {
+		fmt.Fprintf(os.Stderr, "calmsim: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	q, demo, err := lookupQuery(*queryName)
 	if err != nil {
@@ -383,6 +388,17 @@ func lookupPolicy(name string, net transducer.Network) (transducer.Policy, error
 	default:
 		return nil, fmt.Errorf("unknown policy %q", name)
 	}
+}
+
+// checkArgs refuses positional arguments: calmsim takes none, so a stray
+// one is a mistake to report, not a word to ignore — the "3" of
+// "-explore 3", written when -explore took a depth, ran the walk and
+// dropped the 3 without a word.
+func checkArgs(args []string) error {
+	if len(args) > 0 {
+		return fmt.Errorf("unexpected argument %q", args[0])
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -152,3 +152,23 @@ func TestSeedPrefixRunsUnderFaults(t *testing.T) {
 		t.Errorf("-steps 0, 12 and 40 under -faults gave only the runs %v; the prefix is not run", runs)
 	}
 }
+
+// TestStrayArgument: calmsim takes no positional argument. A stray one
+// (the depth "-explore" no longer takes) is refused with the usage and
+// exit status 2 before anything runs.
+func TestStrayArgument(t *testing.T) {
+	if asChild() {
+		return
+	}
+	if err := checkArgs(nil); err != nil {
+		t.Errorf("checkArgs(nil) = %v", err)
+	}
+	if err := checkArgs([]string{"3", "4"}); err == nil || err.Error() != `unexpected argument "3"` {
+		t.Errorf(`checkArgs("3", "4") = %v, want unexpected argument "3"`, err)
+	}
+	stdout, stderr, err := calmsim("TestStrayArgument", "-query", "qtc", "-nodes", "2", "-explore", "3")
+	const want = "calmsim: unexpected argument \"3\"\nUsage of calmsim:\n"
+	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 2 || !strings.HasPrefix(stderr, want) || stdout != "" {
+		t.Errorf("-explore 3: exit %v, stdout %q, stderr %q; want exit status 2, no output, stderr starting %q", err, stdout, stderr, want)
+	}
+}

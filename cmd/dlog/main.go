@@ -49,6 +49,11 @@ func main() {
 		adminAddr   = flag.String("admin", "", "serve the admin endpoint (/metrics /debug/pprof) on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
+	if err := checkArgs(flag.Args()); err != nil {
+		fmt.Fprintf(os.Stderr, "dlog: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *programPath == "" {
 		fmt.Fprintln(os.Stderr, "dlog: -program is required")
 		flag.Usage()
@@ -162,6 +167,15 @@ func printFacts(label string, i *fact.Instance) {
 	for _, f := range i.Facts() {
 		fmt.Printf("  %s\n", f)
 	}
+}
+
+// checkArgs refuses positional arguments: dlog takes none, so a stray
+// one is a mistake to report, not a word to ignore.
+func checkArgs(args []string) error {
+	if len(args) > 0 {
+		return fmt.Errorf("unexpected argument %q", args[0])
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -64,6 +64,11 @@ func main() {
 	metricsPath := flag.String("metrics", "", `write the machine-readable result matrix as JSON to this file ("-" = stdout)`)
 	adminAddr := flag.String("admin", "", "serve the admin endpoint (/metrics /debug/pprof) on this address (e.g. localhost:6060)")
 	flag.Parse()
+	if err := checkArgs(flag.Args()); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	admin.StartBackground("experiments", *adminAddr, nil)
 
 	rep := run(os.Stdout)
@@ -158,6 +163,15 @@ func writeReport(rep report, path string) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		fatal(err)
 	}
+}
+
+// checkArgs refuses positional arguments: experiments takes none, so a stray
+// one is a mistake to report, not a word to ignore.
+func checkArgs(args []string) error {
+	if len(args) > 0 {
+		return fmt.Errorf("unexpected argument %q", args[0])
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -1,8 +1,8 @@
 package datalog
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/fact"
 )
@@ -10,58 +10,55 @@ import (
 // This file is the one surface through which code outside the package
 // enumerates a rule body: Compile a rule once, then call
 // IndexedInstance.Valuations with a callback that reads the matcher's
-// live slot environment through a Valuation — packed atom keys and
-// ground facts straight from interned IDs. The semi-naive delta
-// discipline (one positive atom pinned to a fact list), the parallel
-// partitioning (the same pin over chunks) and head-bound enumeration
-// (derivations of one given fact) are arguments of that call;
-// CountDerivations and derivable are its two thin forms. Everything
-// here reads the IndexedInstance only; mutation stays with Add and
-// Remove.
+// live slot environment through a Valuation — ground atoms as
+// interned IDs. The semi-naive delta discipline (one positive atom
+// pinned to a fact list), the parallel partitioning (the same pin over
+// chunks) and head-bound enumeration (derivations of one given fact)
+// are arguments of that call; CountDerivations is its thin form.
+// Everything here reads the IndexedInstance only; mutation stays with
+// Add and Remove.
 
 // Valuation is one satisfying valuation of a compiled rule, exposed to
 // Valuations callbacks. It is a view into the matcher's live slot
-// environment: valid only for the duration of the callback, and the
-// byte slices returned by the *Key methods share one scratch buffer —
-// each call invalidates the previous result.
+// environment, valid only for the duration of the callback. Its atoms
+// come out ground as interned ids, a relation and an argument tuple,
+// and the tuples Head, Pos and Neg return share one scratch slice: each
+// call invalidates the previous result.
 type Valuation struct {
-	cr  *cRule
-	env []fact.ID
-	buf []byte
+	cr   *cRule
+	env  []fact.ID
+	args []fact.ID
+	buf  [4]fact.ID // args' first storage, enough up to arity 4
 }
 
-// appendAtomKey packs (relation, grounded args) of a compiled atom
-// under the environment into the scratch buffer.
-func (v *Valuation) appendAtomKey(a cAtom) []byte {
-	buf := fact.AppendPackedIDs(v.buf[:0], a.rel)
+// ground grounds a compiled atom under the environment into the
+// scratch tuple.
+func (v *Valuation) ground(a cAtom) (fact.ID, []fact.ID) {
+	v.args = v.args[:0]
 	for _, t := range a.terms {
-		buf = fact.AppendPackedIDs(buf, termID(t, v.env))
+		v.args = append(v.args, termID(t, v.env))
 	}
-	v.buf = buf
-	return buf
+	return a.rel, v.args
 }
 
-// HeadKey returns the packed key of the valuation's ground head — the
-// same bytes Fact.PackedKey holds for the head fact. Valid until
-// the next *Key call on this valuation.
-func (v *Valuation) HeadKey() []byte { return v.appendAtomKey(v.cr.head) }
-
-// PosKey returns the packed key of positive body atom k grounded under
-// the valuation. Valid until the next *Key call.
-func (v *Valuation) PosKey(k int) []byte { return v.appendAtomKey(v.cr.pos[k]) }
-
-// NegKey returns the packed key of negated body atom k grounded under
-// the valuation. Valid until the next *Key call.
-func (v *Valuation) NegKey(k int) []byte { return v.appendAtomKey(v.cr.neg[k]) }
-
-// Head materializes the valuation's ground head fact.
-func (v *Valuation) Head() (fact.Fact, error) {
-	args := make([]fact.ID, len(v.cr.head.terms))
-	if err := v.cr.groundHead(v.env, args); err != nil {
-		return fact.Fact{}, err
+// Head returns the valuation's ground head: its relation and its
+// arguments, valid until the next Head, Pos or Neg call.
+func (v *Valuation) Head() (fact.ID, []fact.ID, error) {
+	n := len(v.cr.head.terms)
+	v.args = slices.Grow(v.args[:0], n)[:n]
+	if err := v.cr.groundHead(v.env, v.args); err != nil {
+		return fact.NoID, nil, err
 	}
-	return fact.FromIDs(v.cr.head.rel, args), nil
+	return v.cr.head.rel, v.args, nil
 }
+
+// Pos returns positive body atom k grounded under the valuation, valid
+// until the next Head, Pos or Neg call.
+func (v *Valuation) Pos(k int) (fact.ID, []fact.ID) { return v.ground(v.cr.pos[k]) }
+
+// Neg returns negated body atom k grounded under the valuation, valid
+// until the next Head, Pos or Neg call.
+func (v *Valuation) Neg(k int) (fact.ID, []fact.ID) { return v.ground(v.cr.neg[k]) }
 
 // CompiledRule is a rule pre-compiled to the matcher's slot/ID form.
 // Compiling is pure per-rule setup (interning, slot numbering); a
@@ -70,9 +67,9 @@ func (v *Valuation) Head() (fact.Fact, error) {
 // and safe to share across goroutines.
 type CompiledRule struct{ cr cRule }
 
-// Compile pre-compiles a rule for Valuations, CountDerivations and
-// derivable. It does not validate: an unsafe rule compiles, and its
-// unbound variables surface as errors from the enumeration.
+// Compile pre-compiles a rule for Valuations and CountDerivations. It
+// does not validate: an unsafe rule compiles, and its unbound variables
+// surface as errors from the enumeration.
 func Compile(r Rule) *CompiledRule {
 	return &CompiledRule{cr: compileRule(r)}
 }
@@ -80,9 +77,9 @@ func Compile(r Rule) *CompiledRule {
 // Valuations enumerates the satisfying valuations of the compiled rule
 // (Section 2) against the indexed instance: every positive atom joined
 // against it and the guards (negation, inequalities) checked against
-// it. emit receives a live Valuation — key bytes and the environment
-// are only valid during the call — and a non-nil error from emit stops
-// the enumeration and is returned.
+// it. emit receives a live Valuation — its ground atoms and the
+// environment are only valid during the call — and a non-nil error
+// from emit stops the enumeration and is returned.
 //
 // pin >= 0 makes the positive atom at that index range over pinFacts
 // instead (facts that need not be present in the instance, and must not
@@ -110,6 +107,7 @@ func (x *IndexedInstance) Valuations(c *CompiledRule, pin int, pinFacts []fact.F
 		}
 	}
 	val := &Valuation{cr: cr}
+	val.args = val.buf[:0]
 	return cr.match(x, init, pin, cands{facts: pinFacts, n: len(pinFacts)}, nil, func(env []fact.ID) error {
 		val.env = env
 		return emit(val)
@@ -127,17 +125,4 @@ func (x *IndexedInstance) CountDerivations(c *CompiledRule, f fact.Fact) (int64,
 		return 0, err
 	}
 	return n, nil
-}
-
-var errStopMatch = errors.New("datalog: stop enumeration")
-
-// derivable reports whether f has at least one derivation through the
-// rule — the test of the DRed rederivation pass, stopping at the first
-// witness.
-func (x *IndexedInstance) derivable(c *CompiledRule, f fact.Fact) (bool, error) {
-	err := x.Valuations(c, -1, nil, &f, func(*Valuation) error { return errStopMatch })
-	if err == errStopMatch {
-		return true, nil
-	}
-	return false, err
 }

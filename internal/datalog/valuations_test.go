@@ -46,14 +46,14 @@ func TestValuationsGuards(t *testing.T) {
 	}
 }
 
-// The Valuation handed to emit is a live view, but the facts it
-// materializes (Head, Ground) are the caller's to keep: later
-// valuations must not write through them.
+// The Valuation handed to emit is a live view, but the facts a caller
+// materializes from it (fact.FromIDs of Head, ground) are the caller's
+// to keep: later valuations must not write through them.
 func TestValuationsSnapshotIsolated(t *testing.T) {
 	x := IndexInstance(fact.MustParseInstance(`E(a,b) E(c,d)`))
 	var heads, grounds []fact.Fact
 	if err := x.Valuations(Compile(mustRule(t, `P(x) :- E(x,y).`)), -1, nil, nil, func(v *Valuation) error {
-		h, err := v.Head()
+		h, err := head(v)
 		if err != nil {
 			return err
 		}

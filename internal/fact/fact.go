@@ -1,9 +1,6 @@
 package fact
 
-import (
-	"encoding/binary"
-	"strings"
-)
+import "strings"
 
 // Fact is a ground atom R(d1, ..., dk): a relation name applied to a
 // tuple of domain values. Facts are immutable once created; all
@@ -96,9 +93,9 @@ func (f Fact) ADom() ValueSet {
 // key: the relation name, then each argument after a NUL byte.
 // Distinct facts have distinct keys provided no value contains a NUL
 // byte (which the parsers reject). The engines avoid Key on hot paths —
-// packed ID keys (appendPacked) carry the same identity with no string
-// building — but the textual key remains the canonical
-// process-independent encoding.
+// packed ID keys (AppendPackedIDs of the relation and the arguments)
+// carry the same identity with no string building — but the textual key
+// remains the canonical process-independent encoding.
 func (f Fact) Key() string {
 	var buf [64]byte
 	return string(f.AppendKey(buf[:0]))
@@ -111,25 +108,6 @@ func (f Fact) AppendKey(dst []byte) []byte {
 		dst = append(append(dst, 0), symbols.lookup(id)...)
 	}
 	return dst
-}
-
-// appendPacked appends the fact's packed binary key — the relation ID
-// followed by the argument IDs, 4 bytes little-endian each — to buf.
-// Distinct facts of the same arity have distinct packed keys; facts of
-// different arities differ in key length. Packed keys are valid only
-// within the current process (see AppendPackedIDs).
-func (f Fact) appendPacked(buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(f.rel))
-	for _, id := range f.args {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
-	}
-	return buf
-}
-
-// PackedKey returns the packed binary key as a string, for use as a
-// map key. Process-local, like appendPacked.
-func (f Fact) PackedKey() string {
-	return string(f.appendPacked(make([]byte, 0, 4+4*len(f.args))))
 }
 
 // Equal reports whether two facts have the same relation name and arguments.

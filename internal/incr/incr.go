@@ -91,6 +91,9 @@ type stratum struct {
 	// these on every delta and must not recompile per call.
 	crules []*datalog.CompiledRule
 	cneg   [][]negCompiled
+	// pos[i][j] and neg[i][k] are the relations of rules[i]'s positive
+	// atom j and negated atom k, by id, which a phase pins by.
+	pos, neg [][]fact.ID
 }
 
 // derived is the record of one derived fact, eight bytes of it: its
@@ -141,11 +144,14 @@ type Materialization struct {
 	// the others are the base (edb), since a delta never holds an idb
 	// fact and every derived fact is an idb head.
 	x *datalog.IndexedInstance
-	// derived maps a derived fact's packed key (Fact.PackedKey — the
-	// interned-ID encoding, valid within this process only) to its
-	// record. Anything persisted (snapshots) stores facts textually,
-	// never packed keys.
-	derived map[string]derived
+	// derived maps a derived fact's packed key (its interned IDs, valid
+	// within this process only) to its record's slot in recs, free lists
+	// the slots given up, and key is the scratch rec packs into. Anything
+	// persisted (snapshots) stores facts textually, never packed keys.
+	derived map[string]int32
+	recs    []derived
+	free    []int32
+	key     []byte
 	// clock ticks once per insertion wave; the facts a wave adds take
 	// the tick as their rank.
 	clock   uint32
@@ -195,15 +201,15 @@ func newEmpty(p *datalog.Program, opts Options) (*Materialization, error) {
 		byHead:  make(map[fact.ID]*headRules),
 		opts:    opts,
 		x:       datalog.IndexInstance(fact.NewInstance()),
-		derived: make(map[string]derived),
+		derived: make(map[string]int32),
 		flow:    make(map[string]*flow),
 	}
 	// adj is the positive dependency graph, body relation → head
-	// relation.
-	adj := make(map[string][]string)
+	// relation, by relation id.
+	adj := make(map[fact.ID][]fact.ID)
 	for _, r := range p.Rules {
-		for _, a := range r.Pos {
-			adj[a.Rel] = append(adj[a.Rel], r.Head.Rel)
+		for _, b := range atomRels(r.Pos) {
+			adj[b] = append(adj[b], fact.InternString(r.Head.Rel))
 		}
 	}
 	for _, rules := range p.Strata(rho) {
@@ -216,8 +222,8 @@ func newEmpty(p *datalog.Program, opts Options) (*Materialization, error) {
 				m.byHead[id] = h
 			}
 			hr := headRule{c: s.crules[ri], nneg: len(r.Neg), ranked: make([]bool, len(r.Pos))}
-			for j, a := range r.Pos {
-				hr.ranked[j] = reaches(adj, r.Head.Rel, a.Rel)
+			for j, b := range s.pos[ri] {
+				hr.ranked[j] = reaches(adj, id, b)
 				h.recursive = h.recursive || hr.ranked[j]
 			}
 			h.rules = append(h.rules, hr)
@@ -238,8 +244,19 @@ func newStratum(rules []datalog.Rule) stratum {
 			nc[k] = negCompiled{c: datalog.Compile(conv), pin: pin}
 		}
 		s.cneg = append(s.cneg, nc)
+		s.pos = append(s.pos, atomRels(r.Pos))
+		s.neg = append(s.neg, atomRels(r.Neg))
 	}
 	return s
+}
+
+// atomRels returns the atoms' relations as interned ids.
+func atomRels(atoms []datalog.Atom) []fact.ID {
+	ids := make([]fact.ID, len(atoms))
+	for i, a := range atoms {
+		ids[i] = fact.InternString(a.Rel)
+	}
+	return ids
 }
 
 // negCompiled is one pre-compiled neg-conversion: the rule with its
@@ -251,9 +268,9 @@ type negCompiled struct {
 
 // reaches reports whether the graph has a path, possibly empty, from
 // one relation to the other.
-func reaches(adj map[string][]string, from, to string) bool {
-	seen := map[string]bool{from: true}
-	for stack := []string{from}; len(stack) > 0; {
+func reaches(adj map[fact.ID][]fact.ID, from, to fact.ID) bool {
+	seen := map[fact.ID]bool{from: true}
+	for stack := []fact.ID{from}; len(stack) > 0; {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if u == to {
@@ -302,9 +319,49 @@ func (m *Materialization) Base() *fact.Instance {
 	return b
 }
 
-// support returns the maintained derivation count of a derived fact
-// (0 for base or unknown facts).
-func (m *Materialization) support(f fact.Fact) int64 { return int64(m.derived[f.PackedKey()].n) }
+// packed packs f's key into m's scratch, valid until the next call.
+func (m *Materialization) packed(f fact.Fact) []byte {
+	m.key = fact.AppendPackedIDs(fact.AppendPackedIDs(m.key[:0], f.RelID()), f.ArgIDs()...)
+	return m.key
+}
+
+// rec returns a derived fact's record, nil if none; it allocates nothing.
+// The pointer is valid until the next addRec.
+func (m *Materialization) rec(f fact.Fact) *derived {
+	if i, ok := m.derived[string(m.packed(f))]; ok {
+		return &m.recs[i]
+	}
+	return nil
+}
+
+// addRec gives a derived fact its record, allocating its key once.
+func (m *Materialization) addRec(f fact.Fact, d derived) *derived {
+	i := int32(len(m.recs))
+	if n := len(m.free); n > 0 {
+		i, m.free = m.free[n-1], m.free[:n-1]
+		m.recs[i] = d
+	} else {
+		m.recs = append(m.recs, d)
+	}
+	m.derived[string(m.packed(f))] = i
+	return &m.recs[i]
+}
+
+// dropRec gives a derived fact's record up.
+func (m *Materialization) dropRec(f fact.Fact) {
+	k := m.packed(f)
+	m.free = append(m.free, m.derived[string(k)])
+	delete(m.derived, string(k))
+}
+
+// entry returns a derived fact's record by value: count 0 and no rank
+// for a base or unknown fact.
+func (m *Materialization) entry(f fact.Fact) derived {
+	if d := m.rec(f); d != nil {
+		return *d
+	}
+	return derived{}
+}
 
 // tick advances the clock and returns the rank of the wave it starts.
 // When 32 bits of ranks run out every fact goes unranked — sound, since
@@ -312,9 +369,8 @@ func (m *Materialization) support(f fact.Fact) int64 { return int64(m.derived[f.
 // on its way back — and the clock starts over above them.
 func (m *Materialization) tick() uint32 {
 	if m.clock == math.MaxUint32 {
-		for k, d := range m.derived {
-			d.rank = 0
-			m.derived[k] = d
+		for i := range m.recs {
+			m.recs[i].rank = 0
 		}
 		m.clock = 0
 	}
@@ -330,20 +386,20 @@ var errWitness = errors.New("incr: witness found")
 // all rank below f. A fact so witnessed is derivable from the facts of
 // smaller rank that are left, so by induction on rank it needs no
 // cyclic support; an unranked fact is never witnessed.
-func (m *Materialization) witnessed(view *datalog.IndexedInstance, f fact.Fact, rank uint32, gone, blocked map[string]bool) (bool, error) {
+func (m *Materialization) witnessed(view *datalog.IndexedInstance, f fact.Fact, rank uint32, gone, blocked *fact.Instance) (bool, error) {
 	if rank == 0 {
 		return false, nil
 	}
 	for _, hr := range m.byHead[f.RelID()].rules {
 		err := view.Valuations(hr.c, -1, nil, &f, func(v *datalog.Valuation) error {
-			for k := 0; k < hr.nneg; k++ {
-				if blocked[string(v.NegKey(k))] {
+			for k := 0; blocked != nil && k < hr.nneg; k++ {
+				if blocked.HasIDs(v.Neg(k)) {
 					return nil
 				}
 			}
 			for j, ranked := range hr.ranked {
-				key := v.PosKey(j)
-				if gone[string(key)] || (ranked && m.derived[string(key)].rank >= rank) {
+				rel, args := v.Pos(j)
+				if gone != nil && gone.HasIDs(rel, args) || ranked && m.entry(fact.Alias(rel, args)).rank >= rank {
 					return nil
 				}
 			}
@@ -380,9 +436,9 @@ func (m *Materialization) Verify() error {
 	}
 	nderived := 0
 	for _, f := range got.Facts() {
-		d, ok := m.derived[f.PackedKey()]
+		d := m.rec(f)
 		if !m.idb.Has(f.Rel()) {
-			if ok {
+			if d != nil {
 				return fmt.Errorf("incr: base fact %v has a support entry", f)
 			}
 			continue
@@ -396,8 +452,8 @@ func (m *Materialization) Verify() error {
 			}
 			n += k
 		}
-		if int64(d.n) != n {
-			return fmt.Errorf("incr: support count for %v is %d, want %d", f, d.n, n)
+		if d == nil || int64(d.n) != n {
+			return fmt.Errorf("incr: support count for %v is %d, want %d", f, m.entry(f).n, n)
 		}
 		if n <= 0 {
 			return fmt.Errorf("incr: materialized fact %v has no derivation", f)

@@ -73,8 +73,8 @@ func (m *Materialization) Snapshot(w io.Writer) error {
 	for _, f := range facts {
 		line := snapshotLine{F: f.String()}
 		if m.idb.Has(f.Rel()) {
-			d := m.derived[f.PackedKey()]
-			if d.n == 0 {
+			d := m.rec(f)
+			if d == nil || d.n == 0 {
 				return fmt.Errorf("incr: snapshot: derived fact %v has no support", f)
 			}
 			line.N, line.R = d.n, d.rank
@@ -176,7 +176,7 @@ func Restore(r io.Reader, opts Options) (*Materialization, error) {
 		if sf.R > m.clock {
 			return nil, fmt.Errorf("incr: restore: line %d: %v has rank %d, the clock reads %d", line, f, sf.R, m.clock)
 		}
-		m.derived[f.PackedKey()] = derived{n: sf.N, rank: sf.R}
+		m.addRec(f, derived{n: sf.N, rank: sf.R})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -35,7 +35,7 @@ func mustApply(t *testing.T, m *Materialization, d Delta) ApplyStats {
 }
 
 func rankOf(m *Materialization, f string) uint32 {
-	return m.derived[fact.MustParseFact(f).PackedKey()].rank
+	return m.entry(fact.MustParseFact(f)).rank
 }
 
 // toggleChurn is the serving write stream: n seeded toggles of directed
@@ -252,8 +252,8 @@ func TestUnrankedFactsAreNeverSpared(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	if r := rankOf(m, "R(a)"); r != 0 || m.support(fact.MustParseFact("R(a)")) != 2 {
-		t.Fatalf("R(a) restored with rank %d, support %d; want unranked, 2", r, m.support(fact.MustParseFact("R(a)")))
+	if r := rankOf(m, "R(a)"); r != 0 || m.entry(fact.MustParseFact("R(a)")).n != 2 {
+		t.Fatalf("R(a) restored with rank %d, support %d; want unranked, 2", r, m.entry(fact.MustParseFact("R(a)")).n)
 	}
 	st := mustApply(t, m, Delta{Retract: facts("E(s,a)")})
 	if st.Kept != 0 || st.Overdeleted != 2 || st.Rederived != 2 {
@@ -281,8 +281,7 @@ func TestRecordIsThirtyTwoBitsTwice(t *testing.T) {
 	}
 
 	m = mustNew(t, tcProg, fact.MustParseInstance("E(a,b) E(b,d)"), Options{})
-	k := fact.MustParseFact("T(a,d)").PackedKey()
-	m.derived[k] = derived{n: math.MaxUint32, rank: m.derived[k].rank}
+	m.rec(fact.MustParseFact("T(a,d)")).n = math.MaxUint32
 	if _, err := m.Apply(Delta{Insert: facts("E(a,c) E(c,d)")}); err == nil || !strings.Contains(err.Error(), "support overflow") {
 		t.Errorf("a second derivation on a full count: %v, want a support overflow", err)
 	}

@@ -1,9 +1,11 @@
 package transducer
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/fact"
@@ -46,7 +48,8 @@ func Explore(net Network, t *Transducer, pol Policy, mod Model, input, want *fac
 		key, schedule string
 	}
 	var st ExploreStats
-	level := []config{{start, configKey(start), ""}}
+	var k keySet
+	level := []config{{start, configKey(start, &k), ""}}
 	seen := map[string]bool{level[0].key: true}
 	for depth := 0; len(level) > 0; depth++ {
 		if depth > bound {
@@ -67,7 +70,7 @@ func Explore(net Network, t *Transducer, pol Policy, mod Model, input, want *fac
 						v, err := st.Record(s, schedule, nil, err, nil)
 						return v, len(seen), err
 					}
-					if key := configKey(s); key != c.key {
+					if key := configKey(s, &k); key != c.key {
 						sink = false
 						if !seen[key] {
 							seen[key] = true
@@ -88,20 +91,58 @@ func Explore(net Network, t *Transducer, pol Policy, mod Model, input, want *fac
 }
 
 // configKey is the exact key of s's configuration: each node's state
-// and the set of its buffered facts, in Fact.Compare order, every fact
-// written as its arity and packed ids.
-func configKey(s *Simulation) string {
-	var key []byte
-	for i, x := range s.Net {
-		for _, fs := range [][]fact.Fact{s.nodes[i].state.Facts(), s.BufferedFacts(x)} {
-			key = binary.AppendUvarint(key, uint64(len(fs)))
-			for _, f := range fs {
-				key = binary.AppendUvarint(key, uint64(f.Arity()))
-				key = fact.AppendPackedIDs(fact.AppendPackedIDs(key, f.RelID()), f.ArgIDs()...)
-			}
+// and the set of its buffered facts, every fact written as its arity and
+// packed ids. A set's facts go in the order of those bytes: any order
+// fixed within the process makes the key canonical, and this one
+// compares no symbol strings. k is the caller's scratch.
+func configKey(s *Simulation, k *keySet) string {
+	k.key = k.key[:0]
+	for i := range s.Net {
+		n := &s.nodes[i]
+		n.state.EachIDs(k.add)
+		k.appendSet()
+		for _, c := range n.buf.msgs {
+			k.add(c.f.RelID(), c.f.ArgIDs())
 		}
+		k.appendSet()
 	}
-	return string(key)
+	return string(k.key)
+}
+
+// keySet is configKey's scratch: the key so far, and the set being
+// collected as byte records, each a fact's arity and packed ids; at[j]
+// is where record j starts in buf.
+type keySet struct {
+	key, buf []byte
+	at       []int
+	recs     [][]byte
+}
+
+func (k *keySet) add(rel fact.ID, args []fact.ID) bool {
+	k.at = append(k.at, len(k.buf))
+	k.buf = binary.AppendUvarint(k.buf, uint64(len(args)))
+	k.buf = fact.AppendPackedIDs(fact.AppendPackedIDs(k.buf, rel), args...)
+	return true
+}
+
+// appendSet appends the set collected so far to the key, its size and
+// then its distinct records in byte order, and empties it for the next.
+func (k *keySet) appendSet() {
+	k.recs = k.recs[:0]
+	for j, start := range k.at {
+		end := len(k.buf)
+		if j+1 < len(k.at) {
+			end = k.at[j+1]
+		}
+		k.recs = append(k.recs, k.buf[start:end])
+	}
+	slices.SortFunc(k.recs, bytes.Compare)
+	k.recs = slices.CompactFunc(k.recs, bytes.Equal)
+	k.key = binary.AppendUvarint(k.key, uint64(len(k.recs)))
+	for _, r := range k.recs {
+		k.key = append(k.key, r...)
+	}
+	k.buf, k.at = k.buf[:0], k.at[:0]
 }
 
 // ----------------------------------------------------------------------

@@ -1,5 +1,5 @@
 #!/bin/sh
-# check.sh runs the full local gate: vet, build, twenty-three structural gates
+# check.sh runs the full local gate: vet, build, twenty-four structural gates
 # (internal/cluster has grown no wire loop of its own, IndexedInstance no
 # second fact store, nor incr's Materialization, whose base is its
 # index's edb, internal/incr and internal/ilog start no goroutine,
@@ -39,7 +39,11 @@
 # fact.Fresh over an instance's probe, with no DomainDistinct or
 # DomainDisjoint predicate beside it — and one exhaustive search:
 # Explore walks the configuration graph to closure, with no depth and no
-# schedule tree in internal/transducer), the exported-identifier ratchet
+# schedule tree in internal/transducer — and maintenance keys by ids:
+# an incremental apply probes its working state with the matcher's
+# ground atoms as interned ids, with no byte-key accessor on
+# datalog.Valuation and no string-keyed set in internal/incr), the
+# exported-identifier ratchet
 # (scripts/exports.go), and the test suite
 # under the race detector (the fanned-out rounds of the batch fixpoint,
 # the epoch-pinned serving core, and the simulation determinism tests
@@ -399,6 +403,22 @@ echo ">> structural gate: a delta's kind is decided in internal/monotone"
 nontest=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/monotone/*')
 if grep -nE 'monotone\.(Any|Distinct|Disjoint)\b' $nontest || grep -rnwE --include='*.go' 'DomainDistinct(Fact)?|DomainDisjoint(Fact)?' .; then
     echo "check: a kind is decided outside internal/monotone; ask Class.Allows (growth over fact.Fresh)"
+    exit 1
+fi
+
+# Maintenance keys by ids: everything one incr apply builds and probes —
+# the flow sets and lists, the pins, the spared set, the witness check's
+# probes and the head accumulator — is keyed by interned ids, and the
+# accept filters read the matcher's ground atoms as ids through
+# datalog.Valuation's Head, Pos and Neg. A HeadKey, PosKey or NegKey
+# on Valuation, or a map[string]bool, map[string][]fact.Fact or
+# map[string]*headEntry in non-test internal/incr, is the packed-key
+# path growing back, which built a key string per probe and a map per
+# write.
+echo ">> structural gate: maintenance keys by ids"
+if grep -nE 'func \([[:alnum:]_]* ?\*?Valuation\) (HeadKey|PosKey|NegKey)\(' $(ls internal/datalog/*.go | grep -v '_test\.go$') ||
+    grep -nE 'map\[string\](bool|\[\]fact\.Fact|\*headEntry)' $(ls internal/incr/*.go | grep -v '_test\.go$'); then
+    echo "check: a byte-key accessor on datalog.Valuation or a string-keyed set in internal/incr; key an apply's working state by interned ids"
     exit 1
 fi
 
