@@ -144,9 +144,10 @@ func (cr *cRule) checkGuards(env []fact.ID, x *IndexedInstance, scratch []fact.I
 // passed to yield is live — callers needing to retain values must copy.
 //
 // If pin >= 0, the positive atom at that index is matched first and
-// ranges over pinned — a range of its table's rows, or a list of facts
-// — instead of the index: this implements both the semi-naive delta
-// discipline and the parallel engine's work partitioning. init, when
+// ranges over pinned — a chunk of its table's rows, or a set's rows of
+// its relation — instead of the index: this implements both the
+// semi-naive delta discipline and the parallel engine's work
+// partitioning. init, when
 // non-nil, becomes the environment (the caller gives it up): its bound
 // slots (from unifyHead; NoID means unbound) restrict the enumeration
 // to environments extending it.
@@ -204,18 +205,14 @@ func (cr *cRule) match(x *IndexedInstance, init []fact.ID, pin int, pinned cands
 		}
 		atoms[k].used = true
 		nscanned += int64(cand.n)
-		rel, terms := cr.pos[k].rel, cr.pos[k].terms
+		terms := cr.pos[k].terms
 		var addedArr [16]int32
 		for i := 0; i < cand.n; i++ {
 			var args []fact.ID
 			if cand.t == nil {
-				f := cand.facts[i]
-				if f.RelID() != rel || f.Arity() != len(terms) {
-					continue
-				}
-				args = f.ArgIDs()
+				args = cand.rows[i*len(terms) : (i+1)*len(terms)]
 			} else {
-				id := cand.lo + i
+				id := i
 				if cand.ids != nil {
 					id = int(cand.ids[i])
 				}

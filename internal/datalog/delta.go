@@ -11,10 +11,9 @@ import (
 // enumerates a rule body: Compile a rule once, then call
 // IndexedInstance.Valuations with a callback that reads the matcher's
 // live slot environment through a Valuation — ground atoms as
-// interned IDs. The semi-naive delta discipline (one positive atom
-// pinned to a fact list), the parallel partitioning (the same pin over
-// chunks) and head-bound enumeration (derivations of one given fact)
-// are arguments of that call; CountDerivations is its thin form.
+// interned IDs. The delta discipline (one positive atom pinned to a
+// set of facts) and head-bound enumeration (derivations of one given
+// fact) are arguments of that call; CountDerivations is its thin form.
 // Everything here reads the IndexedInstance only; mutation stays with
 // Add and Remove.
 
@@ -81,23 +80,29 @@ func Compile(r Rule) *CompiledRule {
 // environment are only valid during the call — and a non-nil error
 // from emit stops the enumeration and is returned.
 //
-// pin >= 0 makes the positive atom at that index range over pinFacts
-// instead (facts that need not be present in the instance, and must not
-// repeat, or valuations are enumerated once per copy); pin = -1 joins
-// every atom against the instance. head, when non-nil, restricts the
+// pin >= 0 makes the positive atom at that index range over pinned's
+// facts of its relation and arity instead (facts that need not be
+// present in the instance; none, for a nil set); pin = -1 joins every
+// atom against the instance. head, when non-nil, restricts the
 // enumeration to the derivations of exactly that fact: the rule's head
 // is unified with it on interned IDs first, and a fact the head cannot
 // produce has no valuations.
 //
-// The instance must not be mutated while the call runs; concurrent
-// calls over the same instance are safe.
-func (x *IndexedInstance) Valuations(c *CompiledRule, pin int, pinFacts []fact.Fact, head *fact.Fact, emit func(v *Valuation) error) error {
+// Neither the instance nor pinned may be mutated while the call runs;
+// concurrent calls over the same instance are safe.
+func (x *IndexedInstance) Valuations(c *CompiledRule, pin int, pinned *fact.Instance, head *fact.Fact, emit func(v *Valuation) error) error {
 	cr := &c.cr
 	if pin < -1 || pin >= len(cr.pos) {
 		return fmt.Errorf("datalog: pin %d out of range for %d positive atoms", pin, len(cr.pos))
 	}
-	if pin >= 0 && len(pinFacts) == 0 {
-		return nil
+	var cand cands
+	if pin >= 0 {
+		if a := cr.pos[pin]; pinned != nil {
+			cand = cands{rows: pinned.Rows(a.rel, len(a.terms)), n: pinned.Count(a.rel, len(a.terms))}
+		}
+		if cand.n == 0 {
+			return nil
+		}
 	}
 	var init []fact.ID
 	if head != nil {
@@ -108,7 +113,7 @@ func (x *IndexedInstance) Valuations(c *CompiledRule, pin int, pinFacts []fact.F
 	}
 	val := &Valuation{cr: cr}
 	val.args = val.buf[:0]
-	return cr.match(x, init, pin, cands{facts: pinFacts, n: len(pinFacts)}, nil, func(env []fact.ID) error {
+	return cr.match(x, init, pin, cand, nil, func(env []fact.ID) error {
 		val.env = env
 		return emit(val)
 	})

@@ -115,12 +115,12 @@ func TestValuationsPinned(t *testing.T) {
 	const rule = `T(x,z) :- E(x,y), E(y,z).`
 
 	// Pinning E(b,c) at position 0 enumerates only joins through it.
-	pin := []fact.Fact{fact.New("E", "b", "c")}
+	pin := fact.NewInstance(fact.New("E", "b", "c"))
 	if got := valuations(t, x, rule, 0, pin, nil, "x", "z"); !reflect.DeepEqual(got, []string{"V(b,d)"}) {
 		t.Fatalf("pinned valuations = %v, want [V(b,d)]", got)
 	}
 	// The pinned fact need not be present in the instance.
-	ghost := []fact.Fact{fact.New("E", "d", "e")}
+	ghost := fact.NewInstance(fact.New("E", "d", "e"))
 	if got := valuations(t, x, rule, 1, ghost, nil, "x", "z"); !reflect.DeepEqual(got, []string{"V(c,e)"}) {
 		t.Fatalf("ghost-pinned valuations = %v, want [V(c,e)]", got)
 	}
@@ -129,9 +129,36 @@ func TestValuationsPinned(t *testing.T) {
 	if got := valuations(t, x, rule, 1, pin, &head, "y"); !reflect.DeepEqual(got, []string{"V(b)"}) {
 		t.Fatalf("pinned valuations of T(a,c) = %v, want [V(b)]", got)
 	}
-	// An empty pin list has no valuations; no pin joins every atom.
+	// A pinned set's facts of other relations or arities are not the
+	// atom's; an empty or nil set has no valuations; no pin joins every
+	// atom.
+	other := fact.NewInstance(fact.New("E", "b"), fact.New("F", "b", "c"), fact.New("E", "a", "b"))
+	if got := valuations(t, x, rule, 0, other, nil, "x", "z"); !reflect.DeepEqual(got, []string{"V(a,c)"}) {
+		t.Fatalf("valuations pinned to %v = %v, want [V(a,c)]", other, got)
+	}
+	if got := valuations(t, x, rule, 0, fact.NewInstance(), nil, "x"); got != nil {
+		t.Fatalf("empty pinned set enumerated %v", got)
+	}
 	if got := valuations(t, x, rule, 0, nil, nil, "x"); got != nil {
-		t.Fatalf("empty pin list enumerated %v", got)
+		t.Fatalf("nil pinned set enumerated %v", got)
+	}
+	// An arity-0 atom pinned to a set ranges over its one fact, which has
+	// no arguments, and over none when the set lacks it. Neither the
+	// parser nor fact.New makes one; the compiler and the set do.
+	gated := Compile(Rule{Head: AtomV("T", "x", "z"), Pos: []Atom{AtomV("Z"), AtomV("E", "x", "y"), AtomV("E", "y", "z")}})
+	count := func(pinned *fact.Instance) (n int) {
+		if err := x.Valuations(gated, 0, pinned, nil, func(*Valuation) error { n++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	zero := fact.NewInstance(fact.New("Z", "a"))
+	if n := count(zero); n != 0 {
+		t.Fatalf("an arity-0 atom pinned to {Z(a)} has %d valuations, want none", n)
+	}
+	zero.AddIDs(fact.InternString("Z"), nil)
+	if n := count(zero); n != 2 {
+		t.Fatalf("an arity-0 atom pinned to {Z(), Z(a)} has %d valuations, want 2", n)
 	}
 	if got := valuations(t, x, rule, -1, nil, nil, "x"); len(got) != 2 {
 		t.Fatalf("unpinned valuations = %v, want 2", got)
@@ -374,7 +401,7 @@ func TestFreezeIsolation(t *testing.T) {
 
 	// Negation guards on a view read the snapshot, not the original.
 	x.Add(fact.New("E", "b", "a")) // would block O(a) now
-	pin := []fact.Fact{fact.New("E", "a", "b")}
+	pin := fact.NewInstance(fact.New("E", "a", "b"))
 	if got := valuations(t, view, `O(x) :- E(x,y), !E(y,x).`, 0, pin, nil, "x"); len(got) != 1 {
 		t.Fatalf("view negation saw post-snapshot facts: valuations = %v", got)
 	}

@@ -33,7 +33,8 @@ import (
 //
 // A row pays only for its readers: its arguments and byKey entry
 // always, a version stamp once a Freeze or a removal can make versions
-// differ, a posting-list entry at a position once a join probed it.
+// differ, a posting-list entry at a position once a join probed it, a
+// support record once incremental maintenance asked for one.
 
 // stamp is the versions that see a row: born <= v < died.
 type stamp struct{ born, died uint64 }
@@ -52,6 +53,7 @@ func (s stamp) visible(at uint64) bool { return s.born <= at && at < s.died }
 // relTable is the one store of a relation at one arity: row i holds the
 // interned arguments args[i*arity:(i+1)*arity], in the order added, and
 // is seen by the versions stamps[i] says (all, while stamps is nil).
+// sup[i] is its support record (zero for every row, while sup is nil).
 // pos[p] holds the posting lists of position p from its first probe on.
 // byKey, built over args, maps a tuple to its row some version may see.
 type relTable struct {
@@ -60,6 +62,7 @@ type relTable struct {
 	rows   int // rows held, dead ones awaiting compaction included
 	args   []fact.ID
 	stamps []stamp
+	sup    []Support
 	pos    []postings
 	byKey  fact.TupleIndex
 	dead   int     // rows with a died stamp
@@ -78,6 +81,11 @@ type postings struct {
 	lists [][]int32
 	free  []int32 // slots of lists no key maps to
 }
+
+// Support is the record incremental maintenance (internal/incr) keeps
+// for a row: its derivation count and its rank. The engine only stores
+// it.
+type Support struct{ N, Rank uint32 }
 
 type tabKey struct {
 	rel   fact.ID
@@ -106,12 +114,16 @@ func (idx *relIndex) table(rel fact.ID, arity int) *relTable {
 }
 
 // add appends a row, born in version ver, for a tuple byKey has just
-// mapped to it: its id on the lists there are, and a stamp if the table
-// has stamps or the row, born after a freeze, is one a view must not see.
+// mapped to it: its id on the lists there are, a zero support record if
+// the table has records, and a stamp if the table has stamps or the
+// row, born after a freeze, is one a view must not see.
 func (t *relTable) add(args []fact.ID, ver uint64) {
 	id := int32(t.rows)
 	t.rows++
 	t.args = append(t.args, args...)
+	if t.sup != nil {
+		t.sup = append(t.sup, Support{})
+	}
 	if t.stamps != nil || ver > 0 {
 		t.stamps = append(t.stamps, stamp{ver, alive})
 	}
@@ -234,7 +246,7 @@ func (idx *relIndex) freeze() {
 
 // compact drops the dead rows, all out of their lists and the key hash
 // already, and renumbers the rest in order, so every list stays
-// ascending.
+// ascending; a live row's support record moves with it.
 func (t *relTable) compact() {
 	remap := make([]int32, t.rows)
 	n := t.rows - t.dead
@@ -242,8 +254,14 @@ func (t *relTable) compact() {
 	for i, s := range t.stamps {
 		remap[i] = int32(len(stamps))
 		if s.died == alive {
+			if t.sup != nil {
+				t.sup[len(stamps)] = t.sup[i]
+			}
 			args, stamps = append(args, t.row(i)...), append(stamps, s)
 		}
+	}
+	if t.sup != nil {
+		t.sup = t.sup[:n]
 	}
 	for p := range t.pos {
 		for _, l := range t.pos[p].lists {
@@ -256,14 +274,16 @@ func (t *relTable) compact() {
 	t.args, t.stamps, t.rows, t.dead = args, stamps, n, 0
 }
 
-// cands is what one atom ranges over: a list of pinned facts, or rows
-// of a table — those ids names, or, when ids is nil, the n rows from lo
-// on. n counts entries, rows the reader's version does not see included.
+// cands is what one atom ranges over: rows of a table, read at the
+// reader's version — those ids names, or, when ids is nil, its first n
+// —, or, when t is nil, n tuples of the atom's arity row-major in rows,
+// read as they are (a pinned set, a chunk of a batch table, which has
+// no stamps). n counts entries, rows the version does not see included.
 type cands struct {
-	facts []fact.Fact
-	t     *relTable
-	ids   []int32
-	lo, n int
+	t    *relTable
+	ids  []int32
+	rows []fact.ID
+	n    int
 }
 
 // candidatesC returns the rows of t, the atom's table (nil when there
@@ -438,8 +458,7 @@ func (x *IndexedInstance) Rels() []string {
 
 // RelList returns the facts of one relation, in index order (arity by
 // arity, for a name used at several): what a serving epoch with no
-// predecessor sorts (internal/incr Epoch), and what the opening round
-// of a parallel fixpoint pins chunks of. Take it between mutations.
+// predecessor sorts (internal/incr Epoch). Take it between mutations.
 func (x *IndexedInstance) RelList(rel string) []fact.Fact {
 	id, _ := fact.LookupValue(fact.Value(rel))
 	at := x.version()
@@ -466,6 +485,37 @@ func (x *IndexedInstance) Rows() int {
 		n += t.rows
 	}
 	return n
+}
+
+// Count returns the number of facts of relation rel at the arity in the
+// live instance, its table's rows less the dead ones; a view has no
+// count.
+func (x *IndexedInstance) Count(rel fact.ID, arity int) int {
+	t := x.idx.table(rel, arity)
+	if x.open(); t == nil {
+		return 0
+	}
+	return t.rows - t.dead
+}
+
+// Support returns the support record of the row byKey maps rel(args)
+// to, whatever its stamp — a row taken back in the open version keeps
+// its record, and a Freeze gives a dead one up —, or nil when there is
+// none. The first call on a table gives its rows their records, zero
+// like a new row's; the pointer is valid until the table's next row.
+func (x *IndexedInstance) Support(rel fact.ID, args []fact.ID) *Support {
+	t := x.idx.table(rel, len(args))
+	if t == nil {
+		return nil
+	}
+	id, ok := t.byKey.Get(args, t.args)
+	if !ok {
+		return nil
+	}
+	if t.sup == nil {
+		t.sup = make([]Support, t.rows)
+	}
+	return &t.sup[id]
 }
 
 // Has reports whether the fact is present.

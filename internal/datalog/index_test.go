@@ -89,8 +89,14 @@ func readAll(t *testing.T, x *IndexedInstance, universe []fact.Fact, workers int
 // does, and the view still does after the live instance moved on — past
 // facts removed and added again in the version the view cannot see;
 // Instance() of the live index, killed rows not yet purged, and of the
-// view equal the reference. Every stream crosses at least one
-// compaction. Run under -race: the view is enumerated by several
+// view equal the reference. Beside the facts the stream writes a value
+// to the support record of about every other row it adds, and after
+// every step each live tuple's record is what the stream last wrote
+// to it: kept when the open version takes a removed row back, zero on
+// a new row, a tuple's first or one purged at a Freeze, and moved with
+// its row by compaction. Every stream crosses at least one compaction,
+// and the seeds together take written records back and write over
+// purged ones. Run under -race: the view is enumerated by several
 // goroutines at once.
 func TestIndexDifferential(t *testing.T) {
 	vals := []fact.Value{"v0", "v1", "v2", "v3", "v4"}
@@ -104,13 +110,15 @@ func TestIndexDifferential(t *testing.T) {
 			}
 		}
 	}
+	kept, fresh := 0, 0 // re-adds taking a written record back, and new rows of a tuple once written
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		x, ref := IndexInstance(fact.NewInstance()), fact.NewInstance()
 		var view *IndexedInstance
 		var frozen reads
 		compactions, readded := 0, 0
-		sinceFreeze := map[string]bool{} // removed since the last freeze
+		sinceFreeze := map[string]bool{}          // removed since the last freeze
+		written := make([]Support, len(universe)) // the record each tuple's row should carry
 		check := func(when string, got, want reads) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d, %s:\n got %+v\nwant %+v", seed, when, got, want)
@@ -151,22 +159,46 @@ func TestIndexDifferential(t *testing.T) {
 					t.Fatalf("seed %d: RemoveAll removed %d of %v, want %d", seed, n, batch, want)
 				}
 			default:
-				f := universe[rng.Intn(len(universe))]
+				i := rng.Intn(len(universe))
+				f := universe[i]
 				added := ref.Add(f)
 				if x.Add(f) != added {
 					t.Fatalf("seed %d: Add(%v) = %v, the reference says %v", seed, f, !added, added)
 				}
-				if added && sinceFreeze[f.Key()] {
+				switch {
+				case !added:
+				case sinceFreeze[f.Key()]:
 					readded++
+					if written[i] != (Support{}) {
+						kept++
+					}
+				case written[i] != (Support{}):
+					fresh++
+					written[i] = Support{}
+				}
+				if added && rng.Intn(2) == 0 {
+					written[i] = Support{N: uint32(op + 1), Rank: uint32(seed)}
+					*x.Support(f.RelID(), f.ArgIDs()) = written[i]
 				}
 			}
 			if x.Len() != ref.Len() {
 				t.Fatalf("seed %d, op %d: Len = %d, want %d", seed, op, x.Len(), ref.Len())
 			}
+			for i, f := range universe {
+				if !ref.Has(f) {
+					continue
+				}
+				if got := x.Support(f.RelID(), f.ArgIDs()); got == nil || *got != written[i] {
+					t.Fatalf("seed %d, op %d: the record of %v is %v, want %+v", seed, op, f, got, written[i])
+				}
+			}
 		}
 		if compactions == 0 || readded == 0 {
 			t.Fatalf("seed %d: the stream crossed %d compactions and %d re-adds inside one version; the generator drifted", seed, compactions, readded)
 		}
+	}
+	if kept == 0 || fresh == 0 {
+		t.Fatalf("%d written records taken back and %d tuples re-added after a purge; the generator drifted", kept, fresh)
 	}
 }
 

@@ -216,7 +216,7 @@ func TestParallelRowOrderDeterministic(t *testing.T) {
 				var rows []string
 				for _, s := range l.delta {
 					for id := s.lo; id < s.hi; id++ {
-						rows = append(rows, fact.FromIDs(s.rel, s.t.row(id)).String())
+						rows = append(rows, fact.FromIDs(s.t.rel, s.t.row(id)).String())
 					}
 				}
 				slices.Sort(rows)

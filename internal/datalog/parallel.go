@@ -34,7 +34,7 @@ import (
 // TestParallelWorkSpan gates the work/span bound that keeps the mode.
 
 // ruleTask is one unit of round work: evaluate the compiled rule with
-// the positive atom at index pin ranging over pinned, a range of its
+// the positive atom at index pin ranging over pinned, a chunk of its
 // table's rows (pin = -1 means a full evaluation, used by body-less
 // rules and single-worker passes). ruleIdx is the rule's index within
 // its stratum, keying per-rule instrumentation.
@@ -69,8 +69,9 @@ func (m EvalMode) width() int {
 }
 
 // pinChunks appends t once per chunk of rows [lo, hi) of tab, its
-// pinned atom ranging over the chunk: one chunk for one worker, else at
-// most workers*chunkTarget contiguous chunks of near-equal size.
+// pinned atom ranging over the chunk's arguments: one chunk for one
+// worker, else at most workers*chunkTarget contiguous chunks of
+// near-equal size. A batch table has no stamps, so every row is read.
 func pinChunks(tasks []ruleTask, t ruleTask, tab *relTable, lo, hi, workers int) []ruleTask {
 	if hi <= lo {
 		return tasks
@@ -81,7 +82,8 @@ func pinChunks(tasks []ruleTask, t ruleTask, tab *relTable, lo, hi, workers int)
 	}
 	size := (hi - lo + n - 1) / n
 	for start := lo; start < hi; start += size {
-		t.pinned = cands{t: tab, lo: start, n: min(size, hi-start)}
+		end := min(start+size, hi)
+		t.pinned = cands{rows: tab.args[start*tab.arity : end*tab.arity], n: end - start}
 		tasks = append(tasks, t)
 	}
 	return tasks
@@ -153,10 +155,9 @@ func fullPassTasks(crs []cRule, x *IndexedInstance, workers int) []ruleTask {
 	return tasks
 }
 
-// span is the rows [lo, hi) a round's barrier appended to t, the table
-// of rel: that table's share of the next round's delta.
+// span is the rows [lo, hi) a round's barrier appended to t: that
+// table's share of the next round's delta.
 type span struct {
-	rel    fact.ID
 	t      *relTable
 	lo, hi int
 }
@@ -170,7 +171,7 @@ func deltaTasks(crs []cRule, delta []span, workers int) []ruleTask {
 		cr := &crs[i]
 		for k, a := range cr.pos {
 			for _, s := range delta {
-				if s.rel == a.rel && s.t.arity == len(a.terms) {
+				if s.t.rel == a.rel && s.t.arity == len(a.terms) {
 					tasks = pinChunks(tasks, ruleTask{cr: cr, ruleIdx: i, pin: k}, s.t, s.lo, s.hi, workers)
 				}
 			}
@@ -333,7 +334,7 @@ func (l *stratumLoop) barrier(tasks []ruleTask) (appended, invented int) {
 		j := slices.IndexFunc(l.delta, func(s span) bool { return s.t == tab })
 		if j < 0 {
 			j = len(l.delta)
-			l.delta = append(l.delta, span{rel: head.rel, t: tab, lo: tab.rows, hi: tab.rows})
+			l.delta = append(l.delta, span{t: tab, lo: tab.rows, hi: tab.rows})
 		}
 		for k := 0; k < len(buf); k += tab.arity {
 			l.x.addIDs(tab, buf[k:k+tab.arity])

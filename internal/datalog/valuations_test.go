@@ -14,10 +14,10 @@ import (
 // valuations runs the one enumeration entry point over a freshly
 // compiled rule and returns, per valuation, the variables named in
 // show grounded as a V(...) fact — in enumeration order.
-func valuations(t *testing.T, x *IndexedInstance, src string, pin int, pinFacts []fact.Fact, head *fact.Fact, show ...string) []string {
+func valuations(t *testing.T, x *IndexedInstance, src string, pin int, pinned *fact.Instance, head *fact.Fact, show ...string) []string {
 	t.Helper()
 	var got []string
-	err := x.Valuations(Compile(mustRule(t, src)), pin, pinFacts, head, func(v *Valuation) error {
+	err := x.Valuations(Compile(mustRule(t, src)), pin, pinned, head, func(v *Valuation) error {
 		g, err := ground(v, AtomV("V", show...))
 		got = append(got, g.String())
 		return err

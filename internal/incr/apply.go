@@ -157,7 +157,7 @@ func (m *Materialization) apply(d Delta) (ApplyStats, error) {
 		// the apply and is there after it: it leaves the deleted set, and
 		// only the others stay in the flow later strata see.
 		for _, e := range dead {
-			if m.rec(e.f) != nil {
+			if m.x.Has(e.f) {
 				a.del.Remove(e.f)
 				sb.rederived++
 			} else {
@@ -173,14 +173,13 @@ func (m *Materialization) apply(d Delta) (ApplyStats, error) {
 			m.emitStratum(si, &sb)
 		}
 	}
-	// The flow goes to the epochs a column at a time, as views over rows
-	// nothing writes once the apply returns.
+	// The flow goes to the epochs a column at a time.
 	for _, set := range []*fact.Instance{a.del, a.ins} {
 		rel, arity := fact.NoID, -1
 		set.EachIDs(func(r fact.ID, args []fact.ID) bool {
 			if r != rel || len(args) != arity {
 				rel, arity = r, len(args)
-				m.record(string(fact.Symbol(r)), pinned(set, r, arity), set == a.ins)
+				m.record(set, rel, arity, set == a.ins)
 			}
 			return true
 		})
@@ -268,33 +267,31 @@ func (m *Materialization) insertPropagate(s *stratum, a *applyState, sb *stratum
 // count is the derivations it never lost, all of them over facts that
 // were never removed, which is what the fresh rank promises. A fact
 // the deletion phase removed is not new to later strata, whichever way
-// it returns. A count that outgrows its 32 bits fails the apply.
+// it returns; one whose count it took to zero comes back on a record
+// of count zero. A count that outgrows its 32 bits fails the apply.
 func (m *Materialization) applyIncrements(acc, back []headEntry, a *applyState, sb *stratumStats) ([]headEntry, error) {
 	rank := m.tick()
 	wave := slices.Grow(back, len(acc))
 	for _, e := range back {
 		m.x.Add(e.f)
-		m.rec(e.f).rank = rank
+		m.rec(e.f).Rank = rank
 	}
 	for _, e := range acc {
 		a.st.SupportIncrements += e.n
-		d, have := m.rec(e.f), int64(0)
-		if d != nil {
-			have = int64(d.n)
-		}
-		if e.n > math.MaxUint32-have {
-			return nil, fmt.Errorf("incr: support overflow on %v: have %d, gained %d derivations", e.f, have, e.n)
-		}
-		if d == nil {
-			m.x.Add(e.f)
-			d = m.addRec(e.f, derived{rank: rank})
+		added := m.x.Add(e.f)
+		d := m.rec(e.f)
+		if added {
+			*d = datalog.Support{Rank: rank}
 			wave = append(wave, e)
 			if !a.del.Has(e.f) {
 				sb.added++
 				a.ins.Add(e.f)
 			}
 		}
-		d.n += uint32(e.n)
+		if e.n > math.MaxUint32-int64(d.N) {
+			return nil, fmt.Errorf("incr: support overflow on %v: have %d, gained %d derivations", e.f, d.N, e.n)
+		}
+		d.N += uint32(e.n)
 	}
 	return wave, nil
 }
@@ -305,8 +302,7 @@ func (m *Materialization) applyIncrements(acc, back []headEntry, a *applyState, 
 // wave. It returns the dead and, among them, those to come back. Counts
 // stay exact for the dead too, so when the cascade stops one whose count
 // is positive still has a derivation over facts that were never
-// removed, and the insertion phase seeds with it; one whose count is
-// zero gives up its record.
+// removed, and the insertion phase seeds with it.
 func (m *Materialization) deletePropagate(s *stratum, a *applyState, sb *stratumStats, seeds []pinTask) (dead, back []headEntry, err error) {
 	lost, err := a.acc.runTasks(seeds)
 	if err != nil {
@@ -337,10 +333,8 @@ func (m *Materialization) deletePropagate(s *stratum, a *applyState, sb *stratum
 	ranked := spared.Len() > 0
 	for _, e := range dead {
 		ranked = ranked || m.byHead[e.f.RelID()].recursive
-		if m.rec(e.f).n > 0 {
+		if m.rec(e.f).N > 0 {
 			back = append(back, e)
-		} else {
-			m.dropRec(e.f)
 		}
 	}
 	if ranked {
@@ -365,17 +359,17 @@ func (m *Materialization) applyDecrements(lost []headEntry, a *applyState, spare
 	var wave []headEntry
 	for _, e := range lost {
 		d := m.rec(e.f)
-		if d == nil || int64(d.n) < e.n {
-			return nil, fmt.Errorf("incr: support underflow on %v: have %d, lost %d derivations", e.f, m.entry(e.f).n, e.n)
+		if d == nil || int64(d.N) < e.n {
+			return nil, fmt.Errorf("incr: support underflow on %v: record %v, lost %d derivations", e.f, d, e.n)
 		}
 		a.st.SupportDecrements += e.n
-		d.n -= uint32(e.n)
+		d.N -= uint32(e.n)
 		switch {
 		case a.del.Has(e.f): // died in an earlier wave; only its count moves
-		case d.n == 0:
+		case d.N == 0:
 			wave = append(wave, e)
 		case m.byHead[e.f.RelID()].recursive:
-			holds, err := m.witnessed(a.oldX, e.f, d.rank, a.del, a.ins)
+			holds, err := m.witnessed(a.oldX, e.f, d.Rank, a.del, a.ins)
 			if err != nil {
 				return nil, err
 			}

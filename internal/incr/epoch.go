@@ -105,26 +105,31 @@ func patchFacts(facts, add, del []fact.Fact) []fact.Fact {
 // flow is what one relation gained and lost since the last Epoch().
 type flow struct{ add, del []fact.Fact }
 
-// record appends one apply's additions (ins) or removals to a
-// relation's flow. One the last epoch did not hold, or whose flow passes
-// foldShare, is not followed (nil): its next run starts from the index.
-func (m *Materialization) record(rel string, fs []fact.Fact, ins bool) {
-	net, seen := m.flow[rel]
-	prev := m.runs[rel]
+// record appends one apply's additions (ins) or removals, set's facts
+// of rel at arity, to the relation's flow, as views over set's rows,
+// which nothing writes once the apply returns. One the last epoch did
+// not hold, or whose flow passes foldShare, is not followed (nil): its
+// next run starts from the index.
+func (m *Materialization) record(set *fact.Instance, rel fact.ID, arity int, ins bool) {
+	name := string(fact.Symbol(rel))
+	net, seen := m.flow[name]
+	prev := m.runs[name]
 	if !seen && prev != nil {
 		net = new(flow)
 	}
 	if net != nil {
+		fs, rows := &net.del, set.Rows(rel, arity)
 		if ins {
-			net.add = append(net.add, fs...)
-		} else {
-			net.del = append(net.del, fs...)
+			fs = &net.add
+		}
+		for r := range set.Count(rel, arity) {
+			*fs = append(*fs, fact.Alias(rel, rows[r*arity:(r+1)*arity]))
 		}
 		if len(net.add)+len(net.del) > prev.n/foldShare {
 			net = nil
 		}
 	}
-	m.flow[rel] = net
+	m.flow[name] = net
 }
 
 // extend returns rel's run after the flow since prev, its last one, at
@@ -178,7 +183,11 @@ func (m *Materialization) Epoch() *Epoch {
 		}
 	}
 	clear(m.flow)
-	return &Epoch{seq: m.seq, base: m.x.Len() - len(m.derived), n: m.x.Len(), runs: m.runs}
+	base := m.x.Len()
+	for id, h := range m.byHead {
+		base -= m.x.Count(id, h.arity)
+	}
+	return &Epoch{seq: m.seq, base: base, n: m.x.Len(), runs: m.runs}
 }
 
 // Seq returns the apply sequence number the epoch was published at, Len

@@ -15,7 +15,7 @@
 //     conclusions) is needed. Each new derivation increments a support
 //     count on its head fact, attributed exactly once (see apply.go),
 //     and a new fact takes the tick of the wave it entered in as its
-//     rank.
+//     rank. Count and rank are the fact's row's datalog.Support record.
 //   - Retractions, and insertions into negated relations, decrement:
 //     each lost derivation is attributed exactly once and a fact dies
 //     when its count reaches zero. Where support can be cyclic — a fact
@@ -96,17 +96,6 @@ type stratum struct {
 	pos, neg [][]fact.ID
 }
 
-// derived is the record of one derived fact, eight bytes of it: its
-// exact derivation count and its rank, the clock tick of the insertion
-// wave it entered in. By semi-naive construction a fact has a
-// derivation whose body facts over its own recursive component all
-// rank lower. Rank 0 is no rank (a snapshot line without one, or a
-// clock that ran out).
-type derived struct {
-	n    uint32
-	rank uint32
-}
-
 // headRule is one rule as the witness check and Verify enumerate it,
 // head bound: ranked[j] reports whether positive atom j is over the
 // head's own recursive component — the head relation reaches the
@@ -118,11 +107,12 @@ type headRule struct {
 	ranked []bool // one per positive atom
 }
 
-// headRules are the rules defining one relation; recursive reports
-// whether any of them has a ranked atom, which is when a positive
-// count does not prove a fact.
+// headRules are the rules defining one relation and its arity;
+// recursive reports whether any of them has a ranked atom, which is
+// when a positive count does not prove a fact.
 type headRules struct {
 	rules     []headRule
+	arity     int
 	recursive bool
 }
 
@@ -140,18 +130,11 @@ type Materialization struct {
 	opts   Options
 
 	// x is the one store of the materialized facts. Its facts over idb
-	// relations are the derived facts, each with a record in derived;
-	// the others are the base (edb), since a delta never holds an idb
-	// fact and every derived fact is an idb head.
+	// relations are the derived facts; the others are the base (edb),
+	// since a delta never holds an idb fact and every derived fact is an
+	// idb head. A derived fact's row carries its record (rec); a base
+	// fact's record stays zero.
 	x *datalog.IndexedInstance
-	// derived maps a derived fact's packed key (its interned IDs, valid
-	// within this process only) to its record's slot in recs, free lists
-	// the slots given up, and key is the scratch rec packs into. Anything
-	// persisted (snapshots) stores facts textually, never packed keys.
-	derived map[string]int32
-	recs    []derived
-	free    []int32
-	key     []byte
 	// clock ticks once per insertion wave; the facts a wave adds take
 	// the tick as their rank.
 	clock   uint32
@@ -195,14 +178,13 @@ func newEmpty(p *datalog.Program, opts Options) (*Materialization, error) {
 		return nil, err
 	}
 	m := &Materialization{
-		prog:    p,
-		idb:     p.IDB(),
-		schema:  schema,
-		byHead:  make(map[fact.ID]*headRules),
-		opts:    opts,
-		x:       datalog.IndexInstance(fact.NewInstance()),
-		derived: make(map[string]int32),
-		flow:    make(map[string]*flow),
+		prog:   p,
+		idb:    p.IDB(),
+		schema: schema,
+		byHead: make(map[fact.ID]*headRules),
+		opts:   opts,
+		x:      datalog.IndexInstance(fact.NewInstance()),
+		flow:   make(map[string]*flow),
 	}
 	// adj is the positive dependency graph, body relation → head
 	// relation, by relation id.
@@ -218,7 +200,7 @@ func newEmpty(p *datalog.Program, opts Options) (*Materialization, error) {
 			id := fact.InternString(r.Head.Rel)
 			h := m.byHead[id]
 			if h == nil {
-				h = new(headRules)
+				h = &headRules{arity: len(r.Head.Args)}
 				m.byHead[id] = h
 			}
 			hr := headRule{c: s.crules[ri], nneg: len(r.Neg), ranked: make([]bool, len(r.Pos))}
@@ -319,48 +301,17 @@ func (m *Materialization) Base() *fact.Instance {
 	return b
 }
 
-// packed packs f's key into m's scratch, valid until the next call.
-func (m *Materialization) packed(f fact.Fact) []byte {
-	m.key = fact.AppendPackedIDs(fact.AppendPackedIDs(m.key[:0], f.RelID()), f.ArgIDs()...)
-	return m.key
-}
-
-// rec returns a derived fact's record, nil if none; it allocates nothing.
-// The pointer is valid until the next addRec.
-func (m *Materialization) rec(f fact.Fact) *derived {
-	if i, ok := m.derived[string(m.packed(f))]; ok {
-		return &m.recs[i]
-	}
-	return nil
-}
-
-// addRec gives a derived fact its record, allocating its key once.
-func (m *Materialization) addRec(f fact.Fact, d derived) *derived {
-	i := int32(len(m.recs))
-	if n := len(m.free); n > 0 {
-		i, m.free = m.free[n-1], m.free[:n-1]
-		m.recs[i] = d
-	} else {
-		m.recs = append(m.recs, d)
-	}
-	m.derived[string(m.packed(f))] = i
-	return &m.recs[i]
-}
-
-// dropRec gives a derived fact's record up.
-func (m *Materialization) dropRec(f fact.Fact) {
-	k := m.packed(f)
-	m.free = append(m.free, m.derived[string(k)])
-	delete(m.derived, string(k))
-}
-
-// entry returns a derived fact's record by value: count 0 and no rank
-// for a base or unknown fact.
-func (m *Materialization) entry(f fact.Fact) derived {
-	if d := m.rec(f); d != nil {
-		return *d
-	}
-	return derived{}
+// rec returns the record of f's row, nil when f has no row; only the
+// first call on a table allocates (its column). A derived fact's
+// record holds its exact derivation count and its rank, the clock tick
+// of the insertion wave it entered in. By semi-naive construction a
+// fact has a derivation whose body facts over its own recursive
+// component all rank lower. Rank 0 is no rank (a snapshot line without
+// one, or a clock that ran out). A fact removed in the apply under way
+// keeps its row, and its record, until the next apply's Freeze. The
+// pointer is valid until the next Add.
+func (m *Materialization) rec(f fact.Fact) *datalog.Support {
+	return m.x.Support(f.RelID(), f.ArgIDs())
 }
 
 // tick advances the clock and returns the rank of the wave it starts.
@@ -369,8 +320,10 @@ func (m *Materialization) entry(f fact.Fact) derived {
 // on its way back — and the clock starts over above them.
 func (m *Materialization) tick() uint32 {
 	if m.clock == math.MaxUint32 {
-		for i := range m.recs {
-			m.recs[i].rank = 0
+		for id := range m.byHead {
+			for _, f := range m.x.RelList(string(fact.Symbol(id))) {
+				m.rec(f).Rank = 0
+			}
 		}
 		m.clock = 0
 	}
@@ -399,7 +352,7 @@ func (m *Materialization) witnessed(view *datalog.IndexedInstance, f fact.Fact, 
 			}
 			for j, ranked := range hr.ranked {
 				rel, args := v.Pos(j)
-				if gone != nil && gone.HasIDs(rel, args) || ranked && m.entry(fact.Alias(rel, args)).rank >= rank {
+				if gone != nil && gone.HasIDs(rel, args) || ranked && m.x.Support(rel, args).Rank >= rank {
 					return nil
 				}
 			}
@@ -434,16 +387,14 @@ func (m *Materialization) Verify() error {
 		return fmt.Errorf("incr: materialization diverged from recomputation:\nextra:   %v\nmissing: %v",
 			got.Minus(want), want.Minus(got))
 	}
-	nderived := 0
 	for _, f := range got.Facts() {
 		d := m.rec(f)
 		if !m.idb.Has(f.Rel()) {
-			if d != nil {
-				return fmt.Errorf("incr: base fact %v has a support entry", f)
+			if *d != (datalog.Support{}) {
+				return fmt.Errorf("incr: base fact %v carries support %+v", f, *d)
 			}
 			continue
 		}
-		nderived++
 		var n int64
 		for _, hr := range m.byHead[f.RelID()].rules {
 			k, err := m.x.CountDerivations(hr.c, f)
@@ -452,25 +403,22 @@ func (m *Materialization) Verify() error {
 			}
 			n += k
 		}
-		if d == nil || int64(d.n) != n {
-			return fmt.Errorf("incr: support count for %v is %d, want %d", f, m.entry(f).n, n)
+		if int64(d.N) != n {
+			return fmt.Errorf("incr: support count for %v is %d, want %d", f, d.N, n)
 		}
 		if n <= 0 {
 			return fmt.Errorf("incr: materialized fact %v has no derivation", f)
 		}
-		if d.rank > m.clock {
-			return fmt.Errorf("incr: %v has rank %d, the clock reads %d", f, d.rank, m.clock)
+		if d.Rank > m.clock {
+			return fmt.Errorf("incr: %v has rank %d, the clock reads %d", f, d.Rank, m.clock)
 		}
-		if d.rank > 0 {
-			if ok, err := m.witnessed(m.x, f, d.rank, nil, nil); err != nil {
+		if d.Rank > 0 {
+			if ok, err := m.witnessed(m.x, f, d.Rank, nil, nil); err != nil {
 				return err
 			} else if !ok {
-				return fmt.Errorf("incr: %v has rank %d but no derivation over lower ranks", f, d.rank)
+				return fmt.Errorf("incr: %v has rank %d but no derivation over lower ranks", f, d.Rank)
 			}
 		}
-	}
-	if len(m.derived) != nderived {
-		return fmt.Errorf("incr: %d support entries for %d derived facts", len(m.derived), nderived)
 	}
 	return nil
 }

@@ -89,11 +89,11 @@ func TestPropertyIncrementalEqualsRecompute(t *testing.T) {
 				if n := m.Epoch().BaseLen(); n != cur.Len() {
 					t.Fatalf("step %d: epoch base count %d, want %d\nprogram:\n%s", step, n, cur.Len(), prog)
 				}
-				for k, i := range m.derived {
-					if m.recs[i].rank == 0 {
-						t.Fatalf("step %d: derived fact %q has no rank\nprogram:\n%s", step, k, prog)
+				eachDerived(m, func(f fact.Fact, d datalog.Support) {
+					if d.Rank == 0 {
+						t.Fatalf("step %d: derived fact %v has no rank\nprogram:\n%s", step, f, prog)
 					}
-				}
+				})
 			}
 		})
 	}

@@ -74,10 +74,10 @@ func (m *Materialization) Snapshot(w io.Writer) error {
 		line := snapshotLine{F: f.String()}
 		if m.idb.Has(f.Rel()) {
 			d := m.rec(f)
-			if d == nil || d.n == 0 {
+			if d.N == 0 {
 				return fmt.Errorf("incr: snapshot: derived fact %v has no support", f)
 			}
-			line.N, line.R = d.n, d.rank
+			line.N, line.R = d.N, d.Rank
 		}
 		if err := enc.Encode(line); err != nil {
 			return err
@@ -176,7 +176,7 @@ func Restore(r io.Reader, opts Options) (*Materialization, error) {
 		if sf.R > m.clock {
 			return nil, fmt.Errorf("incr: restore: line %d: %v has rank %d, the clock reads %d", line, f, sf.R, m.clock)
 		}
-		m.addRec(f, derived{n: sf.N, rank: sf.R})
+		*m.rec(f) = datalog.Support{N: sf.N, Rank: sf.R}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -8,15 +8,16 @@ import (
 )
 
 // A pinTask is one unit of delta enumeration: evaluate rule with its
-// pinned atom ranging over pinFacts against the phase's frozen view,
-// keeping only the valuations accept admits. Tasks never mutate the
-// materialization — a phase's enumerations fold into one headAcc whose
-// entries are committed in sorted order at the phase barrier.
+// pinned atom ranging over set's facts of the atom's relation against
+// the phase's frozen view, keeping only the valuations accept admits.
+// Tasks never mutate the materialization — a phase's enumerations fold
+// into one headAcc whose entries are committed in sorted order at the
+// phase barrier.
 type pinTask struct {
-	crule    *datalog.CompiledRule
-	pin      int
-	pinFacts []fact.Fact
-	p        *pins
+	crule *datalog.CompiledRule
+	pin   int
+	set   *fact.Instance
+	p     *pins
 	// neg is the negated atom pinned (as the converted rule's atom pin),
 	// or -1 for positive atom pin, of a rule of npos and nneg atoms.
 	neg, npos, nneg int
@@ -85,7 +86,7 @@ func (a *headAcc) runTasks(tasks []pinTask) ([]headEntry, error) {
 	*a = headAcc{}
 	for i := range tasks {
 		t := &tasks[i]
-		err := t.p.view.Valuations(t.crule, t.pin, t.pinFacts, nil, func(v *datalog.Valuation) error {
+		err := t.p.view.Valuations(t.crule, t.pin, t.set, nil, func(v *datalog.Valuation) error {
 			if !t.accept(v) {
 				return nil
 			}
@@ -188,30 +189,17 @@ func (p *pins) tasks(s *stratum) []pinTask {
 	var tasks []pinTask
 	for ri, r := range s.rules {
 		for i, rel := range s.pos[ri] {
-			if fs := pinned(p.pos, rel, len(r.Pos[i].Args)); len(fs) > 0 {
-				tasks = append(tasks, pinTask{crule: s.crules[ri], pin: i, pinFacts: fs, p: p, neg: -1, npos: len(r.Pos), nneg: len(r.Neg)})
+			if p.pos.Count(rel, len(r.Pos[i].Args)) > 0 {
+				tasks = append(tasks, pinTask{crule: s.crules[ri], pin: i, set: p.pos, p: p, neg: -1, npos: len(r.Pos), nneg: len(r.Neg)})
 			}
 		}
 		for k, rel := range s.neg[ri] {
-			if fs := pinned(p.neg, rel, len(r.Neg[k].Args)); len(fs) > 0 {
-				tasks = append(tasks, pinTask{crule: s.cneg[ri][k].c, pin: s.cneg[ri][k].pin, pinFacts: fs, p: p, neg: k})
+			if p.neg != nil && p.neg.Count(rel, len(r.Neg[k].Args)) > 0 {
+				tasks = append(tasks, pinTask{crule: s.cneg[ri][k].c, pin: s.cneg[ri][k].pin, set: p.neg, p: p, neg: k})
 			}
 		}
 	}
 	return tasks
-}
-
-// pinned returns set's facts of rel at arity (none for a nil set) as
-// views over its rows, valid while the phase's tasks run: set is fixed.
-func pinned(set *fact.Instance, rel fact.ID, arity int) []fact.Fact {
-	if set == nil {
-		return nil
-	}
-	rows, fs := set.Rows(rel, arity), make([]fact.Fact, set.Count(rel, arity))
-	for r := range fs {
-		fs[r] = fact.Alias(rel, rows[r*arity:(r+1)*arity])
-	}
-	return fs
 }
 
 // convertNeg rewrites the rule so its k-th negated atom becomes a

@@ -34,9 +34,7 @@ func mustApply(t *testing.T, m *Materialization, d Delta) ApplyStats {
 	return st
 }
 
-func rankOf(m *Materialization, f string) uint32 {
-	return m.entry(fact.MustParseFact(f)).rank
-}
+func rankOf(m *Materialization, f string) uint32 { return recOf(m, f).Rank }
 
 // toggleChurn is the serving write stream: n seeded toggles of directed
 // edges over the four nodes <prefix>0..3, an edge that is present
@@ -252,8 +250,8 @@ func TestUnrankedFactsAreNeverSpared(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	if r := rankOf(m, "R(a)"); r != 0 || m.entry(fact.MustParseFact("R(a)")).n != 2 {
-		t.Fatalf("R(a) restored with rank %d, support %d; want unranked, 2", r, m.entry(fact.MustParseFact("R(a)")).n)
+	if d := recOf(m, "R(a)"); d.Rank != 0 || d.N != 2 {
+		t.Fatalf("R(a) restored with rank %d, support %d; want unranked, 2", d.Rank, d.N)
 	}
 	st := mustApply(t, m, Delta{Retract: facts("E(s,a)")})
 	if st.Kept != 0 || st.Overdeleted != 2 || st.Rederived != 2 {
@@ -281,7 +279,7 @@ func TestRecordIsThirtyTwoBitsTwice(t *testing.T) {
 	}
 
 	m = mustNew(t, tcProg, fact.MustParseInstance("E(a,b) E(b,d)"), Options{})
-	m.rec(fact.MustParseFact("T(a,d)")).n = math.MaxUint32
+	m.rec(fact.MustParseFact("T(a,d)")).N = math.MaxUint32
 	if _, err := m.Apply(Delta{Insert: facts("E(a,c) E(c,d)")}); err == nil || !strings.Contains(err.Error(), "support overflow") {
 		t.Errorf("a second derivation on a full count: %v, want a support overflow", err)
 	}

@@ -21,12 +21,57 @@ func work(x uint64) uint64 {
 	return x
 }
 
-// BenchmarkDisabledOverhead is the contract behind "disabled
-// instrumentation costs ~zero": "baseline" is the bare workload,
-// "disabled" adds the exact call shapes the engines use — nil-receiver
-// counter/gauge/histogram updates, a phase span started on a disabled
+// disabledShapes are the call shapes the engines make per inner-loop
+// iteration with instrumentation off: nil-receiver counter, gauge and
+// histogram updates, a phase span and its child started on a disabled
 // context with a nil histogram, and a nil-guarded event emit on the
-// same nil tracer. scripts/check.sh runs both and gates the delta.
+// same nil tracer.
+func disabledShapes(n int) []struct {
+	name string
+	fn   func()
+} {
+	var c *Counter
+	var g *Gauge
+	var l *LatencyHist
+	var t *Tracer
+	tc := t.Root(TraceID{})
+	return []struct {
+		name string
+		fn   func()
+	}{
+		{"counter", func() { c.Add(1) }},
+		{"gauge", func() { g.Set(int64(n)) }},
+		{"histogram", func() { l.Observe(int64(n)) }},
+		{"root", func() { tc = t.Root(TraceID{}) }},
+		{"span", func() {
+			sp := tc.Start("ev", l)
+			sp.SetEpoch(n)
+			sp.Ctx().Start("child", l).Finish()
+			sp.Finish()
+		}},
+		{"emit", func() {
+			if t != nil {
+				t.Emit("ev", F("n", n))
+			}
+		}},
+	}
+}
+
+// TestDisabledPathsAllocateNothing is the contract behind "disabled
+// instrumentation costs ~zero", as counters: every disabled call shape
+// allocates nothing. scripts/check.sh runs it and also checks that
+// go build -gcflags=-m reports the nil fast paths inlined.
+func TestDisabledPathsAllocateNothing(t *testing.T) {
+	for _, s := range disabledShapes(1 << 20) {
+		if a := testing.AllocsPerRun(100, s.fn); a != 0 {
+			t.Errorf("disabled %s: %.1f allocations a call, want 0", s.name, a)
+		}
+	}
+}
+
+// BenchmarkDisabledOverhead times the disabled call shapes against the
+// bare workload ("baseline"): informational, not gated —
+// TestDisabledPathsAllocateNothing and the inlining check are.
 func BenchmarkDisabledOverhead(b *testing.B) {
 	b.Run("baseline", func(b *testing.B) {
 		x := uint64(1)

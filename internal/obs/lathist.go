@@ -81,11 +81,15 @@ type LatencyHist struct {
 }
 
 // Observe records one value. Negative values clamp to 0. No-op on a
-// nil histogram.
+// nil histogram, small enough to inline: the disabled path is one
+// branch.
 func (h *LatencyHist) Observe(v int64) {
-	if h == nil {
-		return
+	if h != nil {
+		h.observe(v)
 	}
+}
+
+func (h *LatencyHist) observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
