@@ -792,7 +792,10 @@ func (v *gathered) Wire(rel string) incr.Wire {
 		ws[i] = ep.Wire(rel)
 	}
 	w := incr.Union(ws...)
-	msp.Attr("facts", w.Len()).Finish()
+	if msp.Ctx().Enabled() {
+		msp.Attr("facts", w.Len())
+	}
+	msp.Finish()
 	v.rsp = v.tc.Start(obs.SpanGatherRender, v.c.gatherRenderNs)
 	return w
 }

@@ -140,122 +140,146 @@ func (cr *cRule) checkGuards(env []fact.ID, x *IndexedInstance, scratch []fact.I
 }
 
 // match enumerates all satisfying environments of cr's body against x,
-// at the version x reads, and calls yield for each. The environment
-// passed to yield is live — callers needing to retain values must copy.
+// at the version x reads, and calls yield for each. env is the
+// environment, one slot a variable, the enumeration binds in place: its
+// bound slots (from unifyHead; NoID means unbound) restrict the
+// enumeration to environments extending them. The environment passed
+// to yield is env itself, live — callers needing to retain values must
+// copy.
 //
 // If pin >= 0, the positive atom at that index is matched first and
 // ranges over pinned — a chunk of its table's rows, or a set's rows of
 // its relation — instead of the index: this implements both the
 // semi-naive delta discipline and the parallel engine's work
-// partitioning. init, when
-// non-nil, becomes the environment (the caller gives it up): its bound
-// slots (from unifyHead; NoID means unbound) restrict the enumeration
-// to environments extending it.
+// partitioning.
 //
 // The remaining atoms are ordered by selectivity exactly as the
 // string-based matcher did: at each step the unmatched atom with the
 // fewest candidate facts under the current environment is matched
 // next. scanned, when non-nil, accumulates the number of candidate
-// facts iterated.
-func (cr *cRule) match(x *IndexedInstance, init []fact.ID, pin int, pinned cands, scanned *int64, yield func(env []fact.ID) error) error {
-	n := len(cr.pos)
-	at := x.version()
-	env := init
-	if env == nil {
-		env = cr.newEnv()
+// facts iterated. The enumeration's own state lives on the caller's
+// stack for rules of up to eight positive atoms and negated arity
+// eight, so match allocates nothing itself.
+func (cr *cRule) match(x *IndexedInstance, env []fact.ID, pin int, pinned cands, scanned *int64, yield func(env []fact.ID) error) error {
+	var atoms [8]posAtom
+	var guard [8]fact.ID
+	m := matcher{cr: cr, x: x, at: x.version(), pin: pin, pinned: pinned}
+	if n := len(cr.pos); n <= len(atoms) {
+		m.atoms = atoms[:n]
+	} else {
+		m.atoms = make([]posAtom, n)
+	}
+	if cr.negArity <= len(guard) {
+		m.guard = guard[:0]
+	} else {
+		m.guard = make([]fact.ID, 0, cr.negArity)
 	}
 	// Each positive atom's table, resolved once for the whole
-	// enumeration (nothing mutates x during it), and whether the atom
-	// is matched at the current depth.
-	atoms := make([]posAtom, n)
+	// enumeration (nothing mutates what it reads during it).
 	for j, a := range cr.pos {
-		atoms[j].t = x.idx.table(a.rel, len(a.terms))
+		m.atoms[j].t = x.idx.table(a.rel, len(a.terms))
 	}
-	guardScratch := make([]fact.ID, 0, cr.negArity)
-	var nscanned int64
-	var rec func(depth int) error
-	rec = func(depth int) error {
-		if depth == n {
-			ok, err := cr.checkGuards(env, x, guardScratch)
-			if err != nil || !ok {
-				return err
-			}
-			return yield(env)
+	err := m.rec(0, env, yield)
+	if scanned != nil {
+		*scanned += m.scanned
+	}
+	return err
+}
+
+// matcher is one match call's enumeration state.
+type matcher struct {
+	cr      *cRule
+	x       *IndexedInstance
+	at      uint64
+	atoms   []posAtom // per positive atom: its table, and whether it is matched
+	pin     int
+	pinned  cands
+	guard   []fact.ID // checkGuards' grounding scratch
+	scanned int64
+}
+
+// rec matches the positive atoms not yet matched at depth and below,
+// binding env, then checks the guards and yields. env and yield are not
+// kept in m: what reaches yield leaks, and m's arrays, and what yield
+// captures, must not.
+func (m *matcher) rec(depth int, env []fact.ID, yield func(env []fact.ID) error) error {
+	cr := m.cr
+	n := len(cr.pos)
+	if depth == n {
+		ok, err := cr.checkGuards(env, m.x, m.guard)
+		if err != nil || !ok {
+			return err
 		}
-		// Pick the next atom: the pinned atom first, then greedily the
-		// most selective remaining one.
-		var k int
-		var cand cands
-		if depth == 0 && pin >= 0 {
-			k, cand = pin, pinned
-		} else {
-			k = -1
-			for j := 0; j < n; j++ {
-				if atoms[j].used {
-					continue
-				}
-				c := candidatesC(cr.pos[j], atoms[j].t, env)
-				if k < 0 || c.n < cand.n {
-					k, cand = j, c
-					if cand.n == 0 {
-						break
-					}
-				}
+		return yield(env)
+	}
+	// Pick the next atom: the pinned atom first, then greedily the
+	// most selective remaining one.
+	var k int
+	var cand cands
+	if depth == 0 && m.pin >= 0 {
+		k, cand = m.pin, m.pinned
+	} else {
+		k = -1
+		for j := 0; j < n; j++ {
+			if m.atoms[j].used {
+				continue
 			}
-		}
-		atoms[k].used = true
-		nscanned += int64(cand.n)
-		terms := cr.pos[k].terms
-		var addedArr [16]int32
-		for i := 0; i < cand.n; i++ {
-			var args []fact.ID
-			if cand.t == nil {
-				args = cand.rows[i*len(terms) : (i+1)*len(terms)]
-			} else {
-				id := i
-				if cand.ids != nil {
-					id = int(cand.ids[i])
-				}
-				if !cand.t.sees(int32(id), at) {
-					continue
-				}
-				args = cand.t.row(id)
-			}
-			added := addedArr[:0]
-			ok := true
-			for i, t := range terms {
-				v := args[i]
-				if t.slot < 0 {
-					if t.cnst != v {
-						ok = false
-						break
-					}
-				} else if b := env[t.slot]; b == fact.NoID {
-					env[t.slot] = v
-					added = append(added, t.slot)
-				} else if b != v {
-					ok = false
+			c := candidatesC(cr.pos[j], m.atoms[j].t, env)
+			if k < 0 || c.n < cand.n {
+				k, cand = j, c
+				if cand.n == 0 {
 					break
 				}
 			}
-			if ok {
-				if err := rec(depth + 1); err != nil {
-					atoms[k].used = false
-					return err
-				}
+		}
+	}
+	m.atoms[k].used = true
+	m.scanned += int64(cand.n)
+	terms := cr.pos[k].terms
+	var addedArr [16]int32
+	for i := 0; i < cand.n; i++ {
+		var args []fact.ID
+		if cand.t == nil {
+			args = cand.rows[i*len(terms) : (i+1)*len(terms)]
+		} else {
+			id := i
+			if cand.ids != nil {
+				id = int(cand.ids[i])
 			}
-			for _, s := range added {
-				env[s] = fact.NoID
+			if !cand.t.sees(int32(id), m.at) {
+				continue
+			}
+			args = cand.t.row(id)
+		}
+		added := addedArr[:0]
+		ok := true
+		for i, t := range terms {
+			v := args[i]
+			if t.slot < 0 {
+				if t.cnst != v {
+					ok = false
+					break
+				}
+			} else if b := env[t.slot]; b == fact.NoID {
+				env[t.slot] = v
+				added = append(added, t.slot)
+			} else if b != v {
+				ok = false
+				break
 			}
 		}
-		atoms[k].used = false
-		return nil
+		if ok {
+			if err := m.rec(depth+1, env, yield); err != nil {
+				m.atoms[k].used = false
+				return err
+			}
+		}
+		for _, s := range added {
+			env[s] = fact.NoID
+		}
 	}
-	err := rec(0)
-	if scanned != nil {
-		*scanned += nscanned
-	}
-	return err
+	m.atoms[k].used = false
+	return nil
 }
 
 // posAtom is what match keeps per positive atom of its rule.
@@ -285,11 +309,15 @@ func (cr *cRule) groundHead(env []fact.ID, dst []fact.ID) error {
 // evalRuleC enumerates all satisfying environments of cr and passes
 // the derived head tuple to emit as (relation, args) IDs. The args
 // slice is scratch, valid only for the duration of the emit call — the
-// round executors test membership and buffer the new heads' IDs from
-// it without ever materializing a Fact.
+// round executors test membership and reserve or buffer the new heads'
+// IDs from it without ever materializing a Fact. The environment and
+// the head tuple are one allocation.
 func evalRuleC(cr *cRule, x *IndexedInstance, pin int, pinned cands, scanned *int64, emit func(rel fact.ID, args []fact.ID) error) error {
-	head := make([]fact.ID, len(cr.head.terms))
-	return cr.match(x, nil, pin, pinned, scanned, func(env []fact.ID) error {
+	nv := len(cr.vars)
+	env := make([]fact.ID, nv+len(cr.head.terms))
+	env, head := env[:nv:nv], env[nv:]
+	clearEnv(env)
+	return cr.match(x, env, pin, pinned, scanned, func(env []fact.ID) error {
 		if err := cr.groundHead(env, head); err != nil {
 			return err
 		}
@@ -300,36 +328,34 @@ func evalRuleC(cr *cRule, x *IndexedInstance, pin int, pinned cands, scanned *in
 	})
 }
 
-// newEnv returns an environment with every slot unbound.
-func (cr *cRule) newEnv() []fact.ID {
-	env := make([]fact.ID, len(cr.vars))
+// clearEnv unbinds every slot of env.
+func clearEnv(env []fact.ID) {
 	for i := range env {
 		env[i] = fact.NoID
 	}
-	return env
 }
 
-// unifyHead unifies the rule's head with the fact in ID space and
-// returns the environment every derivation of exactly that fact must
-// extend. ok is false when relation, arity or a constant differs, or a
-// repeated head variable would take two values.
-func (cr *cRule) unifyHead(f fact.Fact) (env []fact.ID, ok bool) {
+// unifyHead unifies the rule's head with the fact in ID space, binding
+// env, an environment of cr with every slot unbound, to what every
+// derivation of exactly that fact must extend. It reports false when
+// relation, arity or a constant differs, or a repeated head variable
+// would take two values.
+func (cr *cRule) unifyHead(f fact.Fact, env []fact.ID) bool {
 	args := f.ArgIDs()
 	if f.RelID() != cr.head.rel || len(args) != len(cr.head.terms) {
-		return nil, false
+		return false
 	}
-	env = cr.newEnv()
 	for i, t := range cr.head.terms {
 		switch {
 		case t.slot < 0:
 			if t.cnst != args[i] {
-				return nil, false
+				return false
 			}
 		case env[t.slot] == fact.NoID:
 			env[t.slot] = args[i]
 		case env[t.slot] != args[i]:
-			return nil, false
+			return false
 		}
 	}
-	return env, true
+	return true
 }

@@ -24,10 +24,11 @@ import (
 // and the tuples Head, Pos and Neg return share one scratch slice: each
 // call invalidates the previous result.
 type Valuation struct {
-	cr   *cRule
-	env  []fact.ID
-	args []fact.ID
-	buf  [4]fact.ID // args' first storage, enough up to arity 4
+	cr     *cRule
+	env    []fact.ID
+	args   []fact.ID
+	buf    [4]fact.ID // args' first storage, enough up to arity 4
+	envBuf [8]fact.ID // env's storage for a rule of up to 8 variables
 }
 
 // ground grounds a compiled atom under the environment into the
@@ -89,7 +90,10 @@ func Compile(r Rule) *CompiledRule {
 // produce has no valuations.
 //
 // Neither the instance nor pinned may be mutated while the call runs;
-// concurrent calls over the same instance are safe.
+// concurrent calls over the same instance are safe. A call allocates
+// its Valuation, which holds the environment of a rule of up to eight
+// variables, and nothing else: a fact the head cannot produce and an
+// empty pin allocate nothing.
 func (x *IndexedInstance) Valuations(c *CompiledRule, pin int, pinned *fact.Instance, head *fact.Fact, emit func(v *Valuation) error) error {
 	cr := &c.cr
 	if pin < -1 || pin >= len(cr.pos) {
@@ -104,19 +108,21 @@ func (x *IndexedInstance) Valuations(c *CompiledRule, pin int, pinned *fact.Inst
 			return nil
 		}
 	}
-	var init []fact.ID
-	if head != nil {
-		var ok bool
-		if init, ok = cr.unifyHead(*head); !ok {
-			return nil
-		}
+	if head != nil && (head.RelID() != cr.head.rel || head.Arity() != len(cr.head.terms)) {
+		return nil
 	}
 	val := &Valuation{cr: cr}
 	val.args = val.buf[:0]
-	return cr.match(x, init, pin, cand, nil, func(env []fact.ID) error {
-		val.env = env
-		return emit(val)
-	})
+	if nv := len(cr.vars); nv <= len(val.envBuf) {
+		val.env = val.envBuf[:nv]
+	} else {
+		val.env = make([]fact.ID, nv)
+	}
+	clearEnv(val.env)
+	if head != nil && !cr.unifyHead(*head, val.env) {
+		return nil
+	}
+	return cr.match(x, val.env, pin, cand, nil, func([]fact.ID) error { return emit(val) })
 }
 
 // CountDerivations returns the number of derivations of f through the

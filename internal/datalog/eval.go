@@ -22,8 +22,8 @@ import (
 // (compile.go): joins bind interned IDs into slot environments and
 // derived heads are deduplicated against packed ID tuples, so the
 // per-candidate and per-duplicate hot path performs no string work and
-// no allocation, and a new head is appended to a row table without
-// ever becoming a Fact.
+// no allocation, and a new head is inserted into a row table, by the
+// one probe that finds it new, without ever becoming a Fact.
 
 // EvalMode selects the fixpoint evaluation strategy.
 type EvalMode int
@@ -37,7 +37,7 @@ const (
 	Naive
 	// Parallel is semi-naive with each round's (rule, delta-chunk)
 	// join tasks fanned across GOMAXPROCS goroutines. They derive into
-	// private buffers that the round barrier appends in task order, so
+	// private buffers that the round barrier inserts in task order, so
 	// the result is identical to SemiNaive. Rounds whose pinned work is
 	// below the inline threshold run on the coordinator instead (see
 	// parallel.go).

@@ -21,9 +21,10 @@ import (
 // intern.go): a probe is integer work, with no string building. Rows and
 // the lists of their ids are appended in the deterministic order the
 // engines add facts (sorted instance enumeration, then each round's
-// heads in task order at its barrier), so candidate enumeration is
-// identical across runs. A fixpoint only appends, so the rows one round
-// added are a range of each table — the next round's delta.
+// heads in task order, published at its barrier), so candidate
+// enumeration is identical across runs. A fixpoint only appends, so the
+// rows one round added are a range of each table — the next round's
+// delta.
 //
 // Every probe — membership by tuple, a posting list by (position,
 // value) — is one fact.TupleIndex lookup: an open-addressed slot table,
@@ -56,24 +57,30 @@ func (s stamp) visible(at uint64) bool { return s.born <= at && at < s.died }
 // sup[i] is its support record (zero for every row, while sup is nil).
 // pos[p] holds the posting lists of position p from its first probe on.
 // byKey, built over args, maps a tuple to its row some version may see.
+//
+// A row enters in two steps. reserve keys it and stores its arguments;
+// publish commits it, giving it its stamp, support record and list
+// entries. Readers see committed rows only, so the rows a round reserves
+// stay out of its own joins until its barrier publishes them.
 type relTable struct {
-	rel    fact.ID
-	arity  int
-	rows   int // rows held, dead ones awaiting compaction included
-	args   []fact.ID
-	stamps []stamp
-	sup    []Support
-	pos    []postings
-	byKey  fact.TupleIndex
-	dead   int     // rows with a died stamp
-	killed []int32 // rows stamped dead since the last freeze, still in lists and key hash
+	rel      fact.ID
+	arity    int
+	rows     int // rows committed, dead ones awaiting compaction included
+	reserved int // rows in args: the committed ones and those reserved since
+	args     []fact.ID
+	stamps   []stamp
+	sup      []Support
+	pos      []postings
+	byKey    fact.TupleIndex
+	dead     int     // rows with a died stamp
+	killed   []int32 // rows stamped dead since the last freeze, still in lists and key hash
 }
 
 // postings is one position's lists: byVal maps a value to a slot of
 // lists, which holds the ascending ids of the rows with that value
 // there. A list freeze empties gives its slot back: its key leaves
 // byVal and the slot goes on free, for the next new key. Once built,
-// add and freeze keep the lists as they keep byKey.
+// publish and freeze keep the lists as they keep byKey.
 type postings struct {
 	once  sync.Once
 	built bool
@@ -113,25 +120,48 @@ func (idx *relIndex) table(rel fact.ID, arity int) *relTable {
 	return idx.tabs[tabKey{rel, int32(arity)}]
 }
 
-// add appends a row, born in version ver, for a tuple byKey has just
-// mapped to it: its id on the lists there are, a zero support record if
-// the table has records, and a stamp if the table has stamps or the
-// row, born after a freeze, is one a view must not see.
-func (t *relTable) add(args []fact.ID, ver uint64) {
-	id := int32(t.rows)
-	t.rows++
-	t.args = append(t.args, args...)
+// reserve maps the tuple to a row: the one byKey maps it to already,
+// or, when it is new, the next row, whose arguments it appends. It
+// reports the row and whether it is new. A new row is pending until
+// publish commits it: no reader sees it, though the next reserve of the
+// same tuple finds it. This is the one way a tuple enters a table.
+func (t *relTable) reserve(args []fact.ID) (int32, bool) {
+	id, added := t.byKey.PutNew(args, t.args, int32(t.reserved))
+	if added {
+		t.args = append(t.args, args...)
+		t.reserved++
+	}
+	return id, added
+}
+
+// publish commits the rows reserved since the last publish, born in
+// version ver: their ids on the lists there are, zero support records
+// if the table has records, and stamps if the table has stamps or the
+// rows, born after a freeze, are ones a view must not see. It returns
+// how many rows it committed.
+func (t *relTable) publish(ver uint64) int {
+	lo := t.rows
+	n := t.reserved - lo
+	if n == 0 {
+		return 0
+	}
 	if t.sup != nil {
-		t.sup = append(t.sup, Support{})
+		t.sup = append(t.sup, make([]Support, n)...)
 	}
 	if t.stamps != nil || ver > 0 {
-		t.stamps = append(t.stamps, stamp{ver, alive})
-	}
-	for p := range t.pos {
-		if t.pos[p].built {
-			t.pos[p].put(args[p], id)
+		for range n {
+			t.stamps = append(t.stamps, stamp{ver, alive})
 		}
 	}
+	for p := range t.pos {
+		if ps := &t.pos[p]; ps.built {
+			for id := lo; id < t.reserved; id++ {
+				ps.put(t.args[id*t.arity+p], int32(id))
+			}
+		}
+	}
+	t.rows = t.reserved
+	return n
 }
 
 // put lists row id under v: one byVal probe finds the list or its slot.
@@ -163,7 +193,7 @@ func (t *relTable) list(pos int, val fact.ID) ([]int32, bool) {
 }
 
 // build lists every row not purged under its value at pos, ascending:
-// the lists add would hold had it kept pos from the first row on.
+// the lists publish would hold had it kept pos from the first row on.
 func (t *relTable) build(pos int) {
 	ps := &t.pos[pos]
 	ps.byVal, ps.built = fact.NewTupleIndex(), true
@@ -189,11 +219,12 @@ func (t *relTable) has(args []fact.ID, at uint64) bool {
 	return ok && t.sees(id, at)
 }
 
-// sees reports whether version at sees row id. No stamp is read in a
-// table with none — every table of a batch evaluation — nor by the
-// live instance in a table with no dead row.
+// sees reports whether version at sees row id. No version sees a row
+// not yet published. No stamp is read in a table with none — every
+// table of a batch evaluation — nor by the live instance in a table
+// with no dead row.
 func (t *relTable) sees(id int32, at uint64) bool {
-	return t.stamps == nil || at == latest && t.dead == 0 || t.stamps[id].visible(at)
+	return int(id) < t.rows && (t.stamps == nil || at == latest && t.dead == 0 || t.stamps[id].visible(at))
 }
 
 // find returns the table and id of the row holding rel(args), if
@@ -271,7 +302,7 @@ func (t *relTable) compact() {
 		}
 	}
 	t.byKey.Renumber(remap)
-	t.args, t.stamps, t.rows, t.dead = args, stamps, n, 0
+	t.args, t.stamps, t.rows, t.reserved, t.dead = args, stamps, n, n, 0
 }
 
 // cands is what one atom ranges over: rows of a table, read at the
@@ -340,8 +371,11 @@ func IndexInstance(i *fact.Instance) *IndexedInstance {
 		if t == nil || t.rel != rel || t.arity != len(args) {
 			t = x.idx.tableFor(rel, len(args))
 		}
-		x.addIDs(t, args)
+		t.reserve(args)
 	})
+	for _, t := range x.idx.tabs {
+		x.n += t.publish(x.idx.ver)
+	}
 	return x
 }
 
@@ -362,10 +396,22 @@ func (x *IndexedInstance) open() uint64 {
 	return x.idx.ver
 }
 
-// Add inserts the fact, reporting whether it was newly added.
+// Add inserts the fact, reporting whether it was newly added: one
+// reserve, whose new row it publishes at once.
 func (x *IndexedInstance) Add(f fact.Fact) bool {
-	x.open()
-	return x.addIDs(x.idx.tableFor(f.RelID(), f.Arity()), f.ArgIDs())
+	ver := x.open()
+	t := x.idx.tableFor(f.RelID(), f.Arity())
+	switch id, added := t.reserve(f.ArgIDs()); {
+	case added:
+		t.publish(ver)
+	case t.stamps == nil || t.stamps[id].died == alive:
+		return false
+	default: // removed in the open version: the row the view sees is live again
+		t.stamps[id].died = alive
+		t.dead--
+	}
+	x.n++
+	return true
 }
 
 // tableFor returns the table of rel at arity, made empty if there is
@@ -378,24 +424,6 @@ func (idx *relIndex) tableFor(rel fact.ID, arity int) *relTable {
 		idx.tabs[k] = t
 	}
 	return t
-}
-
-// addIDs inserts the tuple into t, a table of the live x, unless x
-// holds it, reporting whether it did: one byKey probe, which maps the
-// tuple to the next row when it is new. The round barrier adds every
-// head through it, and Add and IndexInstance every fact.
-func (x *IndexedInstance) addIDs(t *relTable, args []fact.ID) bool {
-	switch id, added := t.byKey.PutNew(args, t.args, int32(t.rows)); {
-	case added:
-		t.add(args, x.idx.ver)
-	case t.stamps == nil || t.stamps[id].died == alive:
-		return false
-	default: // removed in the open version: the row the view sees is live again
-		t.stamps[id].died = alive
-		t.dead--
-	}
-	x.n++
-	return true
 }
 
 // Remove deletes the fact, reporting whether it was present: its row is

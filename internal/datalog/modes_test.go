@@ -347,14 +347,12 @@ func mustRule(t *testing.T, src string) Rule {
 func scanned(t *testing.T, x *IndexedInstance, src string, head *fact.Fact) (candidates int64, found int) {
 	t.Helper()
 	cr := compileRule(mustRule(t, src))
-	var init []fact.ID
-	if head != nil {
-		var ok bool
-		if init, ok = cr.unifyHead(*head); !ok {
-			t.Fatalf("head of %s does not unify with %v", src, *head)
-		}
+	env := make([]fact.ID, len(cr.vars))
+	clearEnv(env)
+	if head != nil && !cr.unifyHead(*head, env) {
+		t.Fatalf("head of %s does not unify with %v", src, *head)
 	}
-	if err := cr.match(x, init, -1, cands{}, &candidates, func([]fact.ID) error {
+	if err := cr.match(x, env, -1, cands{}, &candidates, func([]fact.ID) error {
 		found++
 		return nil
 	}); err != nil {
@@ -475,7 +473,9 @@ func TestPinnedChunksMatchUnpinned(t *testing.T) {
 	chunks := fullPassTasks([]cRule{c.cr}, x, 4)
 	perChunk := make([]int64, len(chunks))
 	if err := parallelEach(4, len(chunks), func(_, i int) error {
-		return c.cr.match(x, nil, chunks[i].pin, chunks[i].pinned, nil, func([]fact.ID) error { perChunk[i]++; return nil })
+		env := make([]fact.ID, len(c.cr.vars))
+		clearEnv(env)
+		return c.cr.match(x, env, chunks[i].pin, chunks[i].pinned, nil, func([]fact.ID) error { perChunk[i]++; return nil })
 	}); err != nil {
 		t.Fatal(err)
 	}

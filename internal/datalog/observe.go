@@ -28,7 +28,7 @@ import (
 // taskStats accumulates one evaluation task's counters.
 type taskStats struct {
 	candidates int64 // join candidate facts iterated by the matcher
-	derived    int64 // emitted head facts new to the frozen instance
+	derived    int64 // emitted head facts no row committed before the round holds
 	duplicates int64 // emitted head facts suppressed as already known
 }
 
@@ -117,7 +117,7 @@ func (eo *engineObs) beginStratum(stratum int, rules []Rule) {
 
 // roundDone publishes one round's aggregate: counters and per-rule
 // counters into the registry, one deterministic round event into the
-// tracer. delta is the rows the barrier appended, invented those hooked
+// tracer. delta is the rows the barrier published, invented those hooked
 // rules appended and facts the instance's size after it; an ILOG run
 // also counts them as ilog.* counters. workerTasks/workerBusy are
 // per-worker load figures of a fanned-out round (nil for inline

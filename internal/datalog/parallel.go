@@ -3,7 +3,6 @@ package datalog
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
@@ -12,16 +11,23 @@ import (
 )
 
 // This file holds a fixpoint round — its tasks, its barrier — and is
-// the one place evaluation fans out: a round in Parallel mode. A
-// round's (rule, pinned-atom, row-chunk) join tasks go to up to
-// GOMAXPROCS goroutines that read the shared IndexedInstance (frozen
-// for the round) and buffer the heads it lacks privately, one buffer a
-// task. The barrier, on one goroutine, appends the buffers to the row
-// tables in task order, and the rows each table gained are the next
-// round's delta. Rule evaluation is a pure function of (rule, index,
-// instance, chunk), so the rows are independent of scheduling:
-// Parallel derives what SemiNaive derives, round by round, and its row
-// order is a function of (program, input, GOMAXPROCS).
+// the one place evaluation fans out: a round in Parallel mode. A head
+// enters its row table in two steps (index.go): reserve keys it and
+// stores its arguments, publish commits it, and joins read committed
+// rows only. A round on one goroutine — every Naive and SemiNaive round,
+// and a Parallel one below inlineBelow — reserves each head as its task
+// derives it, so the task's membership probe is the insert, and the
+// round's own rows stay out of its joins. A fanned-out round's
+// (rule, pinned-atom, row-chunk) join tasks go to up to GOMAXPROCS
+// goroutines that read the shared IndexedInstance (frozen for the
+// round) and buffer the heads it lacks privately, one buffer a task;
+// the barrier, on one goroutine, reserves the buffers in task order.
+// Either way the barrier then publishes the reserved rows, table by
+// table, and the rows each table gained are the next round's delta.
+// Rule evaluation is a pure function of (rule, index, instance, chunk),
+// so the rows are independent of scheduling: Parallel derives what
+// SemiNaive derives, round by round, and its row order is a function of
+// (program, input, GOMAXPROCS).
 //
 // A round with a barrier is the superstep of Interlandi & Tanca ("A
 // Datalog-based Computational Model for Coordination-free,
@@ -180,13 +186,17 @@ func deltaTasks(crs []cRule, delta []span, workers int) []ruleTask {
 	return tasks
 }
 
-// deriveTask evaluates one task against the frozen x and appends every
-// head x lacks to buf, row-major, returning the buffer. The head's
-// table is resolved once for the task, so each head is one byKey probe.
-// agg, when non-nil, receives the task's counters: "derived" and
-// "duplicates" are judged against x only, so the counts are the same
-// whichever goroutine ran the task.
-func deriveTask(t ruleTask, x *IndexedInstance, buf []fact.ID, agg *roundAgg) ([]fact.ID, error) {
+// deriveTask evaluates one task against x, whose joins read committed
+// rows only. With buf nil the round runs on one goroutine, and each head
+// goes straight into its table's reserve: the probe is the insert, and
+// the row stays pending, out of the round's joins, until the barrier
+// publishes it. A worker of a fanned-out round may not write x, so it
+// gets a buf: it probes the frozen head table and buffers each head the
+// table lacks, for the barrier to reserve. agg, when non-nil, receives
+// the task's counters: a head no committed row holds — a fresh or a
+// pending one — is "derived", any other a "duplicate", so the counts are
+// the same whichever goroutine ran the task.
+func deriveTask(t ruleTask, x *IndexedInstance, buf *headBuf, agg *roundAgg) error {
 	var ts *taskStats
 	var scanned *int64
 	if agg != nil {
@@ -196,21 +206,41 @@ func deriveTask(t ruleTask, x *IndexedInstance, buf []fact.ID, agg *roundAgg) ([
 	head := t.cr.head
 	ht, at := x.idx.table(head.rel, len(head.terms)), x.version()
 	err := evalRuleC(t.cr, x, t.pin, t.pinned, scanned, func(_ fact.ID, args []fact.ID) error {
+		var known bool
 		switch {
-		case ht == nil || !ht.has(args, at):
-			buf = append(buf, args...)
-			if ts != nil {
+		case buf != nil:
+			if known = ht != nil && ht.has(args, at); !known {
+				buf.args = append(buf.args, args...)
+				buf.n++
+			}
+		case ht == nil:
+			ht = x.idx.tableFor(head.rel, len(args))
+			ht.reserve(args)
+		default:
+			id, added := ht.reserve(args)
+			known = !added && ht.sees(id, at)
+		}
+		if ts != nil {
+			if known {
+				ts.duplicates++
+			} else {
 				ts.derived++
 			}
-		case ts != nil:
-			ts.duplicates++
 		}
 		return nil
 	})
 	if agg != nil {
 		agg.addTask(t.ruleIdx, *ts)
 	}
-	return buf, err
+	return err
+}
+
+// headBuf is what a task of a fanned-out round hands its barrier: the
+// heads it derived that the frozen head table lacks, row-major, and how
+// many there are (a head of arity 0 has no arguments to count by).
+type headBuf struct {
+	args []fact.ID
+	n    int
 }
 
 // pinnedWork estimates a round's join fan-out as the total number of
@@ -229,35 +259,38 @@ func pinnedWork(tasks []ruleTask) int {
 }
 
 // stratumLoop is what one stratum's fixpoint loop keeps between
-// rounds: the head buffer of each task, so that a round appends into
-// the capacity earlier ones grew, and the spans the last barrier
-// appended.
+// rounds: the head buffer of each task of a fanned-out round, so that a
+// round appends into the capacity earlier ones grew, and the spans the
+// last barrier published.
 type stratumLoop struct {
 	x        *IndexedInstance
 	workers  int
 	mode     EvalMode
 	eo       *engineObs
-	bufs     [][]fact.ID
+	bufs     []headBuf
 	delta    []span
 	maxFacts int // a bound on x.Len() after each round; 0 for none
 }
 
-// runRound evaluates one round against the frozen x and appends the
-// heads it derived to x, leaving the rows each table gained in l.delta.
-// build yields the round's tasks chunked for a number of workers. With
-// one worker the tasks run inline on the coordinator, and so does a
-// chunked round whose pinned work is below inlineBelow — rebuilt
-// unchunked, one task per rule and pinned atom, since fragments of a
-// tiny delta only multiply matcher setup. Otherwise the tasks are
-// distributed over workers goroutines.
+// runRound evaluates one round against x as it stood at the round's
+// start and adds the heads it derived to x, leaving the rows each table
+// gained in l.delta. build yields the round's tasks chunked for a
+// number of workers. With one worker the tasks run inline on the
+// coordinator, and so does a chunked round whose pinned work is below
+// inlineBelow — rebuilt unchunked, one task per rule and pinned atom,
+// since fragments of a tiny delta only multiply matcher setup.
+// Otherwise the tasks are distributed over workers goroutines.
 //
-// Every task buffers its new heads privately, and the barrier appends
-// the buffers in task order, so the rows a round appends — and their
-// order — do not depend on which goroutine ran which task.
+// An inline task reserves its new heads in their tables as it derives
+// them; a fanned-out one buffers them privately, and the barrier
+// reserves the buffers in task order. Either way the rows a round
+// appends, and their order, are the first derivations in task order,
+// whichever goroutine ran which task, and the barrier publishes them.
 // Instrumentation (eo non-nil) accumulates per-task stats into
 // worker-private roundAggs merged at the barrier; "derived" and
-// "duplicates" are judged against the frozen x only, so the counts —
-// and the emitted round event — are identical inline and fanned out.
+// "duplicates" are judged against the rows committed before the round,
+// so the counts — and the emitted round event — are identical inline
+// and fanned out.
 func (l *stratumLoop) runRound(build func(workers int) []ruleTask) error {
 	workers, tasks := l.workers, build(l.workers)
 	if workers > 1 && len(tasks) > 1 && pinnedWork(tasks) < inlineBelow {
@@ -277,8 +310,8 @@ func (l *stratumLoop) runRound(build func(workers int) []ruleTask) error {
 			wTasks, wBusy = make([]int64, workers), make([]int64, workers)
 		}
 	}
-	for len(l.bufs) < len(tasks) {
-		l.bufs = append(l.bufs, nil)
+	for workers > 1 && len(l.bufs) < len(tasks) {
+		l.bufs = append(l.bufs, headBuf{})
 	}
 	if err := parallelEach(workers, len(tasks), func(w, i int) error {
 		var agg *roundAgg
@@ -292,8 +325,12 @@ func (l *stratumLoop) runRound(build func(workers int) []ruleTask) error {
 		if wTasks != nil {
 			start = time.Now()
 		}
-		var err error
-		l.bufs[i], err = deriveTask(tasks[i], l.x, l.bufs[i][:0], agg)
+		var buf *headBuf
+		if workers > 1 {
+			buf = &l.bufs[i]
+			buf.args, buf.n = buf.args[:0], 0
+		}
+		err := deriveTask(tasks[i], l.x, buf, agg)
 		if wTasks != nil {
 			wTasks[w]++
 			wBusy[w] += time.Since(start).Nanoseconds()
@@ -302,7 +339,7 @@ func (l *stratumLoop) runRound(build func(workers int) []ruleTask) error {
 	}); err != nil {
 		return err
 	}
-	appended, invented := l.barrier(tasks)
+	appended, invented := l.barrier(tasks, workers > 1)
 	if eo != nil {
 		agg := eo.newRoundAgg()
 		for _, a := range aggs {
@@ -319,33 +356,35 @@ func (l *stratumLoop) runRound(build func(workers int) []ruleTask) error {
 	return nil
 }
 
-// barrier appends the heads the round's tasks buffered to x in task
-// order, a duplicate among them one byKey probe each, sets l.delta to
-// the rows each table gained and returns how many rows that is, and
-// how many of them hooked rules appended.
-func (l *stratumLoop) barrier(tasks []ruleTask) (appended, invented int) {
+// barrier ends a round. A fanned-out round's buffers are reserved
+// first, in task order, a head another task buffered one byKey probe
+// that finds it. Then each head table publishes the rows the round
+// reserved in it: barrier sets l.delta to them and returns how many
+// that is, and how many of them hooked rules appended. A hook is keyed
+// by head relation, so a table's rows are all invented or none are.
+func (l *stratumLoop) barrier(tasks []ruleTask, fanned bool) (appended, invented int) {
+	for i := 0; fanned && i < len(tasks); i++ {
+		if b, head := l.bufs[i], tasks[i].cr.head; b.n > 0 {
+			tab := l.x.idx.tableFor(head.rel, len(head.terms))
+			for k := range b.n {
+				tab.reserve(b.args[k*tab.arity : (k+1)*tab.arity])
+			}
+		}
+	}
 	l.delta = l.delta[:0]
-	for i, t := range tasks {
-		buf, head := l.bufs[i], t.cr.head
-		if len(buf) == 0 {
+	for _, t := range tasks {
+		tab := l.x.idx.table(t.cr.head.rel, len(t.cr.head.terms))
+		if tab == nil || tab.reserved == tab.rows {
 			continue
 		}
-		tab := l.x.idx.tableFor(head.rel, len(head.terms))
-		j := slices.IndexFunc(l.delta, func(s span) bool { return s.t == tab })
-		if j < 0 {
-			j = len(l.delta)
-			l.delta = append(l.delta, span{t: tab, lo: tab.rows, hi: tab.rows})
-		}
-		for k := 0; k < len(buf); k += tab.arity {
-			l.x.addIDs(tab, buf[k:k+tab.arity])
-		}
-		n := tab.rows - l.delta[j].hi
+		lo := tab.rows
+		n := tab.publish(l.x.idx.ver)
+		l.x.n += n
+		l.delta = append(l.delta, span{t: tab, lo: lo, hi: tab.rows})
 		appended += n
 		if t.cr.hook != nil {
 			invented += n
 		}
-		l.delta[j].hi = tab.rows
 	}
-	l.delta = slices.DeleteFunc(l.delta, func(s span) bool { return s.hi == s.lo })
 	return appended, invented
 }

@@ -25,13 +25,14 @@ func workSpan(t *testing.T, prog *Program, in *fact.Instance, p int) float64 {
 	for _, rules := range prog.Strata(rho) {
 		crs := compileRules(rules)
 		l := &stratumLoop{x: x, workers: p}
+		// The tasks run one after another, each reserving its heads as an
+		// inline task does; joins read committed rows only, so a task's
+		// candidates are what it scans on a worker.
 		round := func(tasks []ruleTask) {
 			var w, s int64
-			l.bufs = make([][]fact.ID, len(tasks))
-			for i, task := range tasks {
+			for _, task := range tasks {
 				agg := &roundAgg{perRule: make([]ruleAgg, len(crs))}
-				var err error
-				if l.bufs[i], err = deriveTask(task, x, nil, agg); err != nil {
+				if err := deriveTask(task, x, nil, agg); err != nil {
 					t.Fatal(err)
 				}
 				w += agg.candidates
@@ -39,7 +40,7 @@ func workSpan(t *testing.T, prog *Program, in *fact.Instance, p int) float64 {
 			}
 			work += float64(w)
 			span += max(float64(s), float64(w)/float64(p))
-			l.barrier(tasks)
+			l.barrier(tasks, false)
 		}
 		for round(fullPassTasks(crs, x, p)); len(l.delta) > 0; {
 			round(deltaTasks(crs, l.delta, p))

@@ -89,12 +89,14 @@ func (m *Materialization) Apply(d Delta) (ApplyStats, error) {
 func (m *Materialization) ApplyTraced(d Delta, tc obs.SpanCtx) (ApplyStats, error) {
 	sp := tc.Start(obs.SpanIncrApply, m.opts.Reg.Latency(obs.IncrApplyNs))
 	st, err := m.apply(d)
-	sp.SetSeq(m.seq)
-	sp.Attr("inserted", st.BaseInserted).Attr("retracted", st.BaseRetracted)
-	sp.Attr("added", st.DerivedAdded).Attr("removed", st.DerivedRemoved)
-	sp.Attr("overdeleted", st.Overdeleted).Attr("rederived", st.Rederived).Attr("kept", st.Kept)
-	if err != nil {
-		sp.Attr("error", err.Error())
+	if sp.Ctx().Enabled() {
+		sp.SetSeq(m.seq)
+		sp.Attr("inserted", st.BaseInserted).Attr("retracted", st.BaseRetracted)
+		sp.Attr("added", st.DerivedAdded).Attr("removed", st.DerivedRemoved)
+		sp.Attr("overdeleted", st.Overdeleted).Attr("rederived", st.Rederived).Attr("kept", st.Kept)
+		if err != nil {
+			sp.Attr("error", err.Error())
+		}
 	}
 	sp.Finish()
 	return st, err

@@ -24,8 +24,9 @@ func work(x uint64) uint64 {
 // disabledShapes are the call shapes the engines make per inner-loop
 // iteration with instrumentation off: nil-receiver counter, gauge and
 // histogram updates, a phase span and its child started on a disabled
-// context with a nil histogram, and a nil-guarded event emit on the
-// same nil tracer.
+// context with a nil histogram, an attribute too large to box for free
+// set behind the span's Enabled guard (ActiveSpan.Attr), and a
+// nil-guarded event emit on the same nil tracer.
 func disabledShapes(n int) []struct {
 	name string
 	fn   func()
@@ -47,6 +48,13 @@ func disabledShapes(n int) []struct {
 			sp := tc.Start("ev", l)
 			sp.SetEpoch(n)
 			sp.Ctx().Start("child", l).Finish()
+			sp.Finish()
+		}},
+		{"attr", func() {
+			sp := tc.Start("ev", l)
+			if sp.Ctx().Enabled() {
+				sp.Attr("facts", n)
+			}
 			sp.Finish()
 		}},
 		{"emit", func() {

@@ -403,7 +403,15 @@ func (a ActiveSpan) SetShard(j int) ActiveSpan {
 }
 
 // Attr appends one ordered attribute. Values must be deterministic
-// (counts, names, logical positions — never durations).
+// (counts, names, logical positions — never durations). On a disabled
+// span it does nothing, but the value is boxed into an any at the call
+// site first, so an int of 256 or more, or a string built for the call,
+// allocates with tracing off. Where such a value is computed on a
+// request path, guard the call:
+//
+//	if sp.Ctx().Enabled() {
+//		sp.Attr("facts", w.Len())
+//	}
 func (a ActiveSpan) Attr(key string, value any) ActiveSpan {
 	if a.rec != nil {
 		a.rec.r.fields = append(a.rec.r.fields, Field{Key: key, Value: value})

@@ -1,5 +1,5 @@
 #!/bin/sh
-# check.sh runs the full local gate: vet, build, twenty-four structural gates
+# check.sh runs the full local gate: vet, build, twenty-five structural gates
 # (internal/cluster has grown no wire loop of its own, IndexedInstance no
 # second fact store, nor incr's Materialization, whose base is its
 # index's edb, internal/incr and internal/ilog start no goroutine,
@@ -44,7 +44,8 @@
 # ground atoms as interned ids, with no byte-key accessor on
 # datalog.Valuation, no string-keyed set or packed key in internal/incr
 # (a derived fact's record is its row's), and a pin is a set, not a
-# list of facts), the
+# list of facts — and a head enters a row table one way: the one
+# byKey.PutNew in internal/datalog is relTable.reserve's), the
 # exported-identifier ratchet
 # (scripts/exports.go), and the test suite
 # under the race detector (the fanned-out rounds of the batch fixpoint,
@@ -422,6 +423,23 @@ if grep -nE 'func \([[:alnum:]_]* ?\*?Valuation\) (HeadKey|PosKey|NegKey)\(' $(l
     grep -nE 'map\[string\](bool|int32|\[\]fact\.Fact|\*headEntry)|fact\.AppendPackedIDs' $(ls internal/incr/*.go | grep -v '_test\.go$') ||
     grep -n 'pinFacts' $(ls internal/datalog/*.go internal/incr/*.go | grep -v '_test\.go$'); then
     echo "check: a byte-key accessor on datalog.Valuation, a string-keyed set or packed key in internal/incr, or a pin as a fact list; key an apply's working state by interned ids, its records by row, and pin a set"
+    exit 1
+fi
+
+# A head enters a row table one way: relTable.reserve keys it with the
+# table's one byKey.PutNew and stores its arguments, and publish commits
+# it at the round's barrier. An inline round's task reserves each head
+# as it derives it, so its membership probe is the insert; a fanned-out
+# round's barrier reserves the buffered heads through the same routine,
+# and Add and IndexInstance do too. A second byKey.PutNew in non-test
+# internal/datalog is a second insert path growing back — a barrier
+# that probes again every head its tasks had already probed.
+echo ">> structural gate: a head enters a row table one way"
+datalog_src=$(ls internal/datalog/*.go | grep -v '_test\.go$')
+puts=$(grep -n 'byKey\.PutNew(' $datalog_src | wc -l)
+if [ "$puts" -ne 1 ] || ! awk '/^func \(t \*relTable\) reserve\(/,/^}/' $datalog_src | grep -q 'byKey\.PutNew('; then
+    grep -n 'byKey\.PutNew(' $datalog_src || true
+    echo "check: non-test internal/datalog calls byKey.PutNew $puts times, want once, in relTable.reserve; insert every head through reserve and commit it with publish"
     exit 1
 fi
 
