@@ -106,7 +106,7 @@ func main() {
 
 	if *shardCount > 0 {
 		err := runCluster(*shardCount, *placement, *programPath, *inputPath,
-			*listenAddr, *adminAddr, opts, serveOpts, reg, tracer)
+			*listenAddr, *adminAddr, serveOpts, reg, tracer)
 		finish()
 		if err != nil {
 			fatal(err)
@@ -184,7 +184,7 @@ func serveOn(h serve.Handler, listenAddr string) error {
 // runCluster boots the sharded deployment: a cluster of shard cores
 // behind a router serving the same protocol on stdio or TCP.
 func runCluster(shards int, placement, programPath, inputPath, listenAddr, adminAddr string,
-	incrOpts incr.Options, serveOpts serve.Options, reg *obs.Registry, tracer *obs.Tracer) error {
+	serveOpts serve.Options, reg *obs.Registry, tracer *obs.Tracer) error {
 	place, err := cluster.ParsePlacement(placement)
 	if err != nil {
 		return err
@@ -196,7 +196,6 @@ func runCluster(shards int, placement, programPath, inputPath, listenAddr, admin
 	c, err := cluster.New(prog, input, cluster.Options{
 		Shards:    shards,
 		Placement: place,
-		Incr:      incrOpts,
 		Serve:     serveOpts,
 		Reg:       reg,
 		Tracer:    tracer,

@@ -28,10 +28,6 @@ type Options struct {
 	Shards int
 	// Placement selects the placement strategy (default PlaceHash).
 	Placement PlacementKind
-	// Incr configures each shard's materialization. Incr.Tracer must be
-	// nil: per-shard event streams would interleave nondeterministically
-	// through one tracer, and the repo's event contract is deterministic.
-	Incr incr.Options
 	// Serve configures each shard's serving core.
 	Serve serve.Options
 	// Reg, when non-nil, receives the cluster.* metrics.
@@ -244,9 +240,6 @@ type Cluster struct {
 // split by co(I) component; otherwise every shard materializes the
 // full instance.
 func New(p *datalog.Program, initial *fact.Instance, opts Options) (*Cluster, error) {
-	if opts.Incr.Tracer != nil {
-		return nil, fmt.Errorf("cluster: Incr.Tracer must be nil (per-shard event streams interleave nondeterministically)")
-	}
 	n := opts.shards()
 	place := opts.placement()
 	schema, err := p.Schema()
@@ -290,7 +283,7 @@ func New(p *datalog.Program, initial *fact.Instance, opts Options) (*Cluster, er
 	}
 	c.share = c.splitInitial(initial, n)
 	for j := 0; j < n; j++ {
-		m, err := incr.New(p, c.share[j], opts.Incr)
+		m, err := incr.New(p, c.share[j], incr.Options{Reg: opts.Reg})
 		if err != nil {
 			for _, sh := range c.shards {
 				sh.core.Load().Close()
@@ -848,7 +841,7 @@ func (c *Cluster) Restart(j int) error {
 	if !sh.isDown() {
 		return fmt.Errorf("cluster: shard %d is not down", j)
 	}
-	m, err := incr.New(c.prog, c.share[j], c.opts.Incr)
+	m, err := incr.New(c.prog, c.share[j], incr.Options{Reg: c.opts.Reg})
 	if err != nil {
 		return fmt.Errorf("cluster: restart shard %d: %v", j, err)
 	}

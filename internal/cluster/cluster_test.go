@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/datalog"
 	"repro/internal/fact"
-	"repro/internal/incr"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -404,13 +402,5 @@ func TestCrashRestartBasics(t *testing.T) {
 	}
 	if c.crashes.Value() != 1 || c.recoveries.Value() != 1 {
 		t.Errorf("crash/recovery counters = %d/%d, want 1/1", c.crashes.Value(), c.recoveries.Value())
-	}
-}
-
-func TestSinkRejected(t *testing.T) {
-	prog := datalog.MustParseProgram(tcProgram)
-	opts := Options{Incr: incr.Options{Tracer: obs.NewStream(io.Discard)}}
-	if _, err := New(prog, nil, opts); err == nil || !strings.Contains(err.Error(), "Tracer") {
-		t.Fatalf("New with event tracer = %v, want tracer rejection", err)
 	}
 }

@@ -1,11 +1,13 @@
 package datalog
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/fact"
@@ -39,8 +41,9 @@ type reads struct {
 	Counts []map[string]int64 // per rule: derivations of each head
 }
 
-// readAll collects x's reads, enumerating on workers goroutines at once.
-func readAll(t *testing.T, x *IndexedInstance, universe []fact.Fact, workers int) reads {
+// readAll collects x's reads, each rule's enumeration on a goroutine of
+// its own when concurrent.
+func readAll(t *testing.T, x *IndexedInstance, universe []fact.Fact, concurrent bool) reads {
 	t.Helper()
 	got := reads{Len: x.Len(), Has: make([]bool, len(universe))}
 	for i, f := range universe {
@@ -49,7 +52,7 @@ func readAll(t *testing.T, x *IndexedInstance, universe []fact.Fact, workers int
 	rules := diffRules(t)
 	got.Vals = make([][]string, len(rules))
 	got.Counts = make([]map[string]int64, len(rules))
-	if err := parallelEach(workers, len(rules), func(_, i int) error {
+	read := func(i int) error {
 		c := rules[i]
 		heads := map[string]fact.Fact{}
 		if err := x.Valuations(c, -1, nil, nil, func(v *Valuation) error {
@@ -74,7 +77,22 @@ func readAll(t *testing.T, x *IndexedInstance, universe []fact.Fact, workers int
 			got.Counts[i][k] = n
 		}
 		return nil
-	}); err != nil {
+	}
+	errs := make([]error, len(rules))
+	var wg sync.WaitGroup
+	for i := range rules {
+		if !concurrent {
+			errs[i] = read(i)
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = read(i)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
 	return got
@@ -128,7 +146,7 @@ func TestIndexDifferential(t *testing.T) {
 			switch k := rng.Intn(20); {
 			case k == 0:
 				if view != nil {
-					check("view before the next freeze", readAll(t, view, universe, 4), frozen)
+					check("view before the next freeze", readAll(t, view, universe, true), frozen)
 				}
 				if got := x.Instance(); !got.Equal(ref) {
 					t.Fatalf("seed %d: Instance() over %d rows = %v, want %v", seed, x.Rows(), got, ref)
@@ -139,9 +157,9 @@ func TestIndexDifferential(t *testing.T) {
 					compactions++
 				}
 				clear(sinceFreeze)
-				frozen = readAll(t, IndexInstance(ref), universe, 1)
-				check("view at its freeze", readAll(t, view, universe, 4), frozen)
-				check("live against the reference", readAll(t, x, universe, 1), frozen)
+				frozen = readAll(t, IndexInstance(ref), universe, false)
+				check("view at its freeze", readAll(t, view, universe, true), frozen)
+				check("live against the reference", readAll(t, x, universe, false), frozen)
 				if got := view.Instance(); !got.Equal(ref) {
 					t.Fatalf("seed %d: the view's Instance() = %v, want %v", seed, got, ref)
 				}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/fact"
+	"repro/internal/fanout"
 	"repro/internal/generate"
 	"repro/internal/obs"
 )
@@ -69,16 +70,10 @@ func TestCrossModeRandomPrograms(t *testing.T) {
 	}
 }
 
-// fannedOut reports how many tasks the snapshot saw run on a fanned-out
-// round's goroutines (inline rounds are attributed to no worker).
+// fannedOut reports how many tasks the snapshot saw run in a fanned-out
+// round: each observes its busy time once (inline rounds observe none).
 func fannedOut(snap obs.Snapshot) int64 {
-	var n int64
-	for name, v := range snap.Counters {
-		if strings.HasPrefix(name, obs.DlWorkerTasksPrefix) {
-			n += v
-		}
-	}
-	return n
+	return snap.Latencies[obs.DlWorkerBusyNs].Count
 }
 
 // TestParallelMatchesSemiNaiveWorkloads pins the agreement on the
@@ -111,6 +106,29 @@ func TestParallelMatchesSemiNaiveWorkloads(t *testing.T) {
 			if n, wide := fannedOut(reg.Snapshot()), name == "random" && width > 1; (n > 0) != wide {
 				t.Errorf("%s width=%d: %d tasks ran fanned out, want some: %v", name, width, n, wide)
 			}
+		}
+	}
+}
+
+// TestFannedOutErrorIsFirstInTaskOrder: a fanned-out round that fails
+// returns the error of its first failing task in task order, whichever
+// goroutines ran the tasks. Both rules of the opening round are unsafe —
+// EvalStrata does not validate — and every task of either fails; rule
+// A's tasks come first, so every run must report A's unbound variable.
+func TestFannedOutErrorIsFirstInTaskOrder(t *testing.T) {
+	rules := []Rule{
+		{Head: AtomV("A", "x", "w"), Pos: []Atom{AtomV("E", "x", "y")}},
+		{Head: AtomV("B", "x", "v"), Pos: []Atom{AtomV("E", "x", "y")}},
+	}
+	in := generate.RandomGraph(rand.New(rand.NewSource(17)), "v", 60, 400)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	if tasks := fullPassTasks(compileRules(rules), IndexInstance(in), Parallel.width()); pinnedWork(tasks) < inlineBelow {
+		t.Fatalf("the opening round's pinned work is %d, under %d: it would run inline", pinnedWork(tasks), inlineBelow)
+	}
+	for run := range 20 {
+		_, err := EvalStrata([][]Rule{rules}, nil, 0, in, FixpointOptions{Mode: Parallel})
+		if err == nil || !strings.Contains(err.Error(), "unbound variable w in A(") {
+			t.Fatalf("run %d: error %v, want rule A's unbound variable w", run, err)
 		}
 	}
 }
@@ -472,11 +490,16 @@ func TestPinnedChunksMatchUnpinned(t *testing.T) {
 	}
 	chunks := fullPassTasks([]cRule{c.cr}, x, 4)
 	perChunk := make([]int64, len(chunks))
-	if err := parallelEach(4, len(chunks), func(_, i int) error {
+	var err error
+	fanout.InOrder(len(chunks), func(i int) error {
 		env := make([]fact.ID, len(c.cr.vars))
 		clearEnv(env)
 		return c.cr.match(x, env, chunks[i].pin, chunks[i].pinned, nil, func([]fact.ID) error { perChunk[i]++; return nil })
-	}); err != nil {
+	}, func(e error) bool {
+		err = e
+		return e != nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	var chunked int64
@@ -485,53 +508,5 @@ func TestPinnedChunksMatchUnpinned(t *testing.T) {
 	}
 	if plain == 0 || plain != chunked || len(chunks) < 2 {
 		t.Fatalf("valuation counts diverge: unpinned=%d, over %d chunks=%d", plain, len(chunks), chunked)
-	}
-}
-
-// parallelEach visits every index exactly once, hands each goroutine
-// its own w, stays on the caller's goroutine when there is nothing to
-// fan out, and reports an error without losing the other indexes' work.
-func TestParallelEach(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 8} {
-		const n = 50
-		visits := make([]int, n)
-		perW := make([]int, 8)
-		if err := parallelEach(workers, n, func(w, i int) error {
-			visits[i]++
-			perW[w]++ // racy unless w is private to the goroutine
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		total := 0
-		for w, k := range perW {
-			if k > 0 && workers > 0 && w >= workers {
-				t.Errorf("workers=%d: fn saw w=%d", workers, w)
-			}
-			total += k
-		}
-		for i, k := range visits {
-			if k != 1 {
-				t.Errorf("workers=%d: index %d visited %d times", workers, i, k)
-			}
-		}
-		if total != n {
-			t.Errorf("workers=%d: %d calls, want %d", workers, total, n)
-		}
-	}
-	sentinel := fmt.Errorf("boom")
-	for _, workers := range []int{1, 4} {
-		err := parallelEach(workers, 20, func(_, i int) error {
-			if i == 7 {
-				return sentinel
-			}
-			return nil
-		})
-		if err != sentinel {
-			t.Errorf("workers=%d: error = %v, want the sentinel", workers, err)
-		}
-	}
-	if err := parallelEach(4, 0, func(_, _ int) error { return sentinel }); err != nil {
-		t.Errorf("n=0 called fn: %v", err)
 	}
 }

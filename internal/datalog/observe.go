@@ -2,7 +2,6 @@ package datalog
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/obs"
 )
@@ -11,10 +10,10 @@ import (
 // *engineObs is the disabled state: the fixpoint loops carry one
 // pointer and pay one branch per round, and the matcher pays one
 // branch per atom selection (a nil *int64 check) — the overhead gated
-// by scripts/check.sh. With instrumentation on, every task accumulates
-// into private, non-atomic taskStats that are merged at the round
-// barrier, so the parallel engine's determinism argument (workers
-// never share mutable state mid-round) extends to the metrics.
+// by scripts/check.sh. With instrumentation on, every task counts into
+// its own non-atomic taskStats, and the round adds them into its one
+// roundAgg in task order, so the parallel engine's determinism argument
+// (tasks never share mutable state mid-round) extends to the metrics.
 //
 // Determinism contract: everything emitted to the Tracer (round, stratum
 // and fixpoint events) is a pure function of (program, input, mode,
@@ -22,8 +21,8 @@ import (
 // byte-identical streams, regardless of scheduling. The aggregate
 // counts (candidates, derived, duplicates, delta) are additionally
 // invariant across widths; only the task count reflects the
-// chunking. Scheduling-dependent measurements — per-worker task
-// counts, busy and wall times — go only to the Registry.
+// chunking. Scheduling-dependent measurements — a fanned-out task's
+// busy time, wall times — go only to the Registry.
 
 // taskStats accumulates one evaluation task's counters.
 type taskStats struct {
@@ -32,35 +31,23 @@ type taskStats struct {
 	duplicates int64 // emitted head facts suppressed as already known
 }
 
-// ruleAgg is taskStats aggregated per rule (index within the stratum).
-type ruleAgg struct{ candidates, derived, duplicates int64 }
-
-// roundAgg aggregates one round across all its tasks.
-type roundAgg struct {
-	candidates, derived, duplicates int64
-	perRule                         []ruleAgg
-}
-
-func (a *roundAgg) addTask(ruleIdx int, ts taskStats) {
-	a.candidates += ts.candidates
-	a.derived += ts.derived
-	a.duplicates += ts.duplicates
-	if ruleIdx >= 0 && ruleIdx < len(a.perRule) {
-		ra := &a.perRule[ruleIdx]
-		ra.candidates += ts.candidates
-		ra.derived += ts.derived
-		ra.duplicates += ts.duplicates
-	}
-}
-
-func (a *roundAgg) merge(b *roundAgg) {
+func (a *taskStats) add(b taskStats) {
 	a.candidates += b.candidates
 	a.derived += b.derived
 	a.duplicates += b.duplicates
-	for i := range b.perRule {
-		a.perRule[i].candidates += b.perRule[i].candidates
-		a.perRule[i].derived += b.perRule[i].derived
-		a.perRule[i].duplicates += b.perRule[i].duplicates
+}
+
+// roundAgg aggregates one round across all its tasks, in total and per
+// rule (index within the stratum).
+type roundAgg struct {
+	taskStats
+	perRule []taskStats
+}
+
+func (a *roundAgg) addTask(ruleIdx int, ts taskStats) {
+	a.add(ts)
+	if ruleIdx >= 0 && ruleIdx < len(a.perRule) {
+		a.perRule[ruleIdx].add(ts)
 	}
 }
 
@@ -99,10 +86,6 @@ func newEngineObs(opts FixpointOptions, ilog bool) *engineObs {
 	}
 }
 
-func (eo *engineObs) newRoundAgg() *roundAgg {
-	return &roundAgg{perRule: make([]ruleAgg, len(eo.rules))}
-}
-
 // beginStratum resets the per-stratum state.
 func (eo *engineObs) beginStratum(stratum int, rules []Rule) {
 	if eo == nil {
@@ -119,10 +102,8 @@ func (eo *engineObs) beginStratum(stratum int, rules []Rule) {
 // counters into the registry, one deterministic round event into the
 // tracer. delta is the rows the barrier published, invented those hooked
 // rules appended and facts the instance's size after it; an ILOG run
-// also counts them as ilog.* counters. workerTasks/workerBusy are
-// per-worker load figures of a fanned-out round (nil for inline
-// rounds); they stay in the Registry plane.
-func (eo *engineObs) roundDone(mode EvalMode, ntasks int, agg *roundAgg, delta, invented, facts int, workerTasks, workerBusy []int64) {
+// also counts them as ilog.* counters.
+func (eo *engineObs) roundDone(mode EvalMode, ntasks int, agg *roundAgg, delta, invented, facts int) {
 	if eo == nil {
 		return
 	}
@@ -143,17 +124,13 @@ func (eo *engineObs) roundDone(mode EvalMode, ntasks int, agg *roundAgg, delta, 
 	eo.deltaFacts.Add(int64(delta))
 	if eo.reg != nil {
 		for i, ra := range agg.perRule {
-			if ra == (ruleAgg{}) {
+			if ra == (taskStats{}) {
 				continue
 			}
 			base := fmt.Sprintf("%ss%d.r%d.%s.", obs.DlRulePrefix, eo.stratum, i, eo.rules[i].Head.Rel)
 			eo.reg.Counter(base + "derivations").Add(ra.derived)
 			eo.reg.Counter(base + "duplicates").Add(ra.duplicates)
 			eo.reg.Counter(base + "candidates").Add(ra.candidates)
-		}
-		for w := range workerTasks {
-			eo.reg.Counter(obs.DlWorkerTasksPrefix + strconv.Itoa(w)).Add(workerTasks[w])
-			eo.reg.Latency(obs.DlWorkerBusyNs).Observe(workerBusy[w])
 		}
 	}
 	switch {

@@ -3,10 +3,10 @@ package datalog
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/fact"
+	"repro/internal/fanout"
 	"repro/internal/obs"
 )
 
@@ -18,10 +18,11 @@ import (
 // and a Parallel one below inlineBelow — reserves each head as its task
 // derives it, so the task's membership probe is the insert, and the
 // round's own rows stay out of its joins. A fanned-out round's
-// (rule, pinned-atom, row-chunk) join tasks go to up to GOMAXPROCS
-// goroutines that read the shared IndexedInstance (frozen for the
-// round) and buffer the heads it lacks privately, one buffer a task;
-// the barrier, on one goroutine, reserves the buffers in task order.
+// (rule, pinned-atom, row-chunk) join tasks are played on the engine's
+// one worker set (fanout.InOrder): they read the shared IndexedInstance
+// (frozen for the round) and buffer the heads it lacks privately, one
+// buffer a task; the barrier, on one goroutine, reserves the buffers in
+// task order.
 // Either way the barrier then publishes the reserved rows, table by
 // table, and the rows each table gained are the next round's delta.
 // Rule evaluation is a pure function of (rule, index, instance, chunk),
@@ -35,7 +36,7 @@ import (
 // evaluators as long as every evaluator sees the full instance for the
 // non-pinned atoms. Nothing else in the engine is data-parallel in that
 // sense — incr's cone is a couple of facts a write, and ILOG's rounds
-// are these rounds (EvalStrata) — so nothing else starts a goroutine, and
+// are these rounds (EvalStrata) — so nothing else fans out, and
 // neither the width nor the threshold is an option;
 // TestParallelWorkSpan gates the work/span bound that keeps the mode.
 
@@ -58,15 +59,14 @@ const chunkTarget = 4
 
 // inlineBelow is the pinned-work threshold below which a Parallel round
 // runs inline on the coordinator: distributing a dozen pinned facts
-// costs more than joining them, and goroutines are spawned per
-// fanned-out round. Chain-shaped fixpoints (many rounds of tiny deltas)
-// run almost entirely inline, grid- and random-shaped ones (few rounds
-// of wide deltas) fan out. It changes scheduling only, never results or
+// costs more than joining them. Chain-shaped fixpoints (many rounds of
+// tiny deltas) run almost entirely inline, grid- and random-shaped ones
+// (few rounds of wide deltas) fan out. It changes scheduling only, never results or
 // the aggregate counts of the event stream.
 const inlineBelow = 256
 
-// width is how many goroutines a round of the mode may use: GOMAXPROCS
-// in Parallel mode, one otherwise.
+// width is how many workers a round of the mode is chunked for:
+// GOMAXPROCS in Parallel mode, one otherwise.
 func (m EvalMode) width() int {
 	if m != Parallel {
 		return 1
@@ -93,52 +93,6 @@ func pinChunks(tasks []ruleTask, t ruleTask, tab *relTable, lo, hi, workers int)
 		tasks = append(tasks, t)
 	}
 	return tasks
-}
-
-// parallelEach calls fn(w, i) for every i in [0, n) on up to workers
-// goroutines and returns once all have finished. w identifies the
-// calling goroutine (0 <= w < max(workers, 1)), so callers can fold
-// into per-w accumulators without locking; with workers <= 1 or n < 2
-// everything runs on the caller's goroutine as w = 0. A goroutine stops
-// calling fn after its first error; the error of the lowest such w is
-// returned. runRound is its one caller.
-func parallelEach(workers, n int, fn func(w, i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(0, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, workers)
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if errs[w] == nil {
-					errs[w] = fn(w, i)
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // fullPassTasks builds the opening-round tasks: every rule evaluated
@@ -187,25 +141,24 @@ func deltaTasks(crs []cRule, delta []span, workers int) []ruleTask {
 }
 
 // deriveTask evaluates one task against x, whose joins read committed
-// rows only. With buf nil the round runs on one goroutine, and each head
-// goes straight into its table's reserve: the probe is the insert, and
-// the row stays pending, out of the round's joins, until the barrier
-// publishes it. A worker of a fanned-out round may not write x, so it
-// gets a buf: it probes the frozen head table and buffers each head the
-// table lacks, for the barrier to reserve. agg, when non-nil, receives
-// the task's counters: a head no committed row holds — a fresh or a
-// pending one — is "derived", any other a "duplicate", so the counts are
-// the same whichever goroutine ran the task.
-func deriveTask(t ruleTask, x *IndexedInstance, buf *headBuf, agg *roundAgg) error {
-	var ts *taskStats
+// rows only. With buf nil the task runs on the coordinator, and each
+// head goes straight into its table's reserve: the probe is the insert,
+// and the row stays pending, out of the round's joins, until the
+// barrier publishes it. A task of a fanned-out round may not write x,
+// so it gets a buf: it probes the frozen head table and buffers each
+// head the table lacks, for the barrier to reserve. ts, when non-nil, is
+// set to the task's counters: a head no committed row holds — a fresh or
+// a pending one — is "derived", any other a "duplicate", so the counts
+// are the same whichever goroutine ran the task.
+func deriveTask(t ruleTask, x *IndexedInstance, buf *headBuf, ts *taskStats) error {
 	var scanned *int64
-	if agg != nil {
-		ts = new(taskStats)
+	if ts != nil {
+		*ts = taskStats{}
 		scanned = &ts.candidates
 	}
 	head := t.cr.head
 	ht, at := x.idx.table(head.rel, len(head.terms)), x.version()
-	err := evalRuleC(t.cr, x, t.pin, t.pinned, scanned, func(_ fact.ID, args []fact.ID) error {
+	return evalRuleC(t.cr, x, t.pin, t.pinned, scanned, func(_ fact.ID, args []fact.ID) error {
 		var known bool
 		switch {
 		case buf != nil:
@@ -229,10 +182,6 @@ func deriveTask(t ruleTask, x *IndexedInstance, buf *headBuf, agg *roundAgg) err
 		}
 		return nil
 	})
-	if agg != nil {
-		agg.addTask(t.ruleIdx, *ts)
-	}
-	return err
 }
 
 // headBuf is what a task of a fanned-out round hands its barrier: the
@@ -275,85 +224,113 @@ type stratumLoop struct {
 // runRound evaluates one round against x as it stood at the round's
 // start and adds the heads it derived to x, leaving the rows each table
 // gained in l.delta. build yields the round's tasks chunked for a
-// number of workers. With one worker the tasks run inline on the
-// coordinator, and so does a chunked round whose pinned work is below
-// inlineBelow — rebuilt unchunked, one task per rule and pinned atom,
-// since fragments of a tiny delta only multiply matcher setup.
-// Otherwise the tasks are distributed over workers goroutines.
+// number of workers. With one worker the tasks run inline, a plain
+// loop on the coordinator, and so does a chunked round whose pinned
+// work is below inlineBelow — rebuilt unchunked, one task per rule and
+// pinned atom, since fragments of a tiny delta only multiply matcher
+// setup. Otherwise the round fans out (fanOut).
 //
 // An inline task reserves its new heads in their tables as it derives
 // them; a fanned-out one buffers them privately, and the barrier
 // reserves the buffers in task order. Either way the rows a round
 // appends, and their order, are the first derivations in task order,
 // whichever goroutine ran which task, and the barrier publishes them.
-// Instrumentation (eo non-nil) accumulates per-task stats into
-// worker-private roundAggs merged at the barrier; "derived" and
-// "duplicates" are judged against the rows committed before the round,
-// so the counts — and the emitted round event — are identical inline
-// and fanned out.
+// Instrumentation (eo non-nil) adds each task's counters into the
+// round's one roundAgg in task order; "derived" and "duplicates" are
+// judged against the rows committed before the round, so the counts —
+// and the emitted round event — are identical inline and fanned out.
 func (l *stratumLoop) runRound(build func(workers int) []ruleTask) error {
 	workers, tasks := l.workers, build(l.workers)
 	if workers > 1 && len(tasks) > 1 && pinnedWork(tasks) < inlineBelow {
 		workers, tasks = 1, build(1)
 	}
-	if len(tasks) <= 1 {
-		workers = 1
-	}
+	fanned := workers > 1 && len(tasks) > 1
 	eo := l.eo
 	var round obs.ActiveSpan
-	var aggs []*roundAgg
-	var wTasks, wBusy []int64 // per-worker load of a fanned-out round
+	var agg *roundAgg
+	var ts *taskStats // an inline task's counters
 	if eo != nil {
 		round = obs.SpanCtx{}.Start("", eo.reg.Latency(obs.DlRoundNs))
-		aggs = make([]*roundAgg, workers)
-		if workers > 1 {
-			wTasks, wBusy = make([]int64, workers), make([]int64, workers)
+		agg = &roundAgg{perRule: make([]taskStats, len(eo.rules))}
+		ts = new(taskStats)
+	}
+	if fanned {
+		if err := l.fanOut(tasks, agg); err != nil {
+			return err
 		}
-	}
-	for workers > 1 && len(l.bufs) < len(tasks) {
-		l.bufs = append(l.bufs, headBuf{})
-	}
-	if err := parallelEach(workers, len(tasks), func(w, i int) error {
-		var agg *roundAgg
-		if eo != nil {
-			if aggs[w] == nil {
-				aggs[w] = eo.newRoundAgg()
+	} else {
+		for _, t := range tasks {
+			if err := deriveTask(t, l.x, nil, ts); err != nil {
+				return err
 			}
-			agg = aggs[w]
+			if agg != nil {
+				agg.addTask(t.ruleIdx, *ts)
+			}
 		}
-		var start time.Time
-		if wTasks != nil {
-			start = time.Now()
-		}
-		var buf *headBuf
-		if workers > 1 {
-			buf = &l.bufs[i]
-			buf.args, buf.n = buf.args[:0], 0
-		}
-		err := deriveTask(tasks[i], l.x, buf, agg)
-		if wTasks != nil {
-			wTasks[w]++
-			wBusy[w] += time.Since(start).Nanoseconds()
-		}
-		return err
-	}); err != nil {
-		return err
 	}
-	appended, invented := l.barrier(tasks, workers > 1)
+	appended, invented := l.barrier(tasks, fanned)
 	if eo != nil {
-		agg := eo.newRoundAgg()
-		for _, a := range aggs {
-			if a != nil {
-				agg.merge(a)
-			}
-		}
-		eo.roundDone(l.mode, len(tasks), agg, appended, invented, l.x.Len(), wTasks, wBusy)
+		eo.roundDone(l.mode, len(tasks), agg, appended, invented, l.x.Len())
 		round.Finish()
 	}
 	if l.maxFacts > 0 && l.x.Len() > l.maxFacts {
 		return fmt.Errorf("%w %d facts", ErrBound, l.maxFacts)
 	}
 	return nil
+}
+
+// taskDone is what a task of a fanned-out round hands its fold, besides
+// its heads in l.bufs: its counters and busy time, when instrumented,
+// and its error.
+type taskDone struct {
+	ts   taskStats
+	busy int64 // nanoseconds
+	err  error
+}
+
+// fanOut plays a round's tasks on the engine's worker set, task k
+// buffering its heads in l.bufs[k], and folds them in task order: each
+// task's counters go into agg (when non-nil) and its busy time into
+// dl.worker_busy_ns. It returns the error of the first failing task in
+// task order, whichever goroutines ran the tasks.
+func (l *stratumLoop) fanOut(tasks []ruleTask, agg *roundAgg) error {
+	for len(l.bufs) < len(tasks) {
+		l.bufs = append(l.bufs, headBuf{})
+	}
+	var busy *obs.LatencyHist
+	if agg != nil {
+		busy = l.eo.reg.Latency(obs.DlWorkerBusyNs)
+	}
+	var err error
+	next := 0 // the task the fold takes next
+	fanout.InOrder(len(tasks), func(k int) taskDone {
+		var d taskDone
+		var ts *taskStats
+		var start time.Time
+		if agg != nil {
+			ts, start = new(taskStats), time.Now()
+		}
+		buf := &l.bufs[k]
+		buf.args, buf.n = buf.args[:0], 0
+		d.err = deriveTask(tasks[k], l.x, buf, ts)
+		if agg != nil {
+			d.ts, d.busy = *ts, time.Since(start).Nanoseconds()
+		}
+		return d
+	}, func(d taskDone) bool {
+		t := tasks[next]
+		next++
+		if d.err != nil {
+			err = d.err
+			return true
+		}
+		if agg != nil {
+			agg.addTask(t.ruleIdx, d.ts)
+			busy.Observe(d.busy)
+		}
+		return false
+	})
+	return err
 }
 
 // barrier ends a round. A fanned-out round's buffers are reserved

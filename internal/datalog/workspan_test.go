@@ -31,12 +31,12 @@ func workSpan(t *testing.T, prog *Program, in *fact.Instance, p int) float64 {
 		round := func(tasks []ruleTask) {
 			var w, s int64
 			for _, task := range tasks {
-				agg := &roundAgg{perRule: make([]ruleAgg, len(crs))}
-				if err := deriveTask(task, x, nil, agg); err != nil {
+				var ts taskStats
+				if err := deriveTask(task, x, nil, &ts); err != nil {
 					t.Fatal(err)
 				}
-				w += agg.candidates
-				s = max(s, agg.candidates)
+				w += ts.candidates
+				s = max(s, ts.candidates)
 			}
 			work += float64(w)
 			span += max(float64(s), float64(w)/float64(p))

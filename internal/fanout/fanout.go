@@ -1,19 +1,25 @@
-package transducer
+// Package fanout is the engine's one worker set. A fanned-out
+// fixpoint round (internal/datalog), ExploreSchedules
+// (internal/transducer) and netsim.Sweep play their runs through
+// InOrder; no other package of the evaluation or exploration layers
+// starts a goroutine (scripts/check.sh gates it).
+//
+// A run is a pure function of its index — a round's task, a schedule's
+// label — so it may take any goroutine; only the fold — the round's
+// counters, the verdict, the stats, the tracer — has an order. Runs
+// are played by a process-lifetime set of workers, sized from
+// GOMAXPROCS at first use and fed over an unbuffered channel: a set
+// spawned per call left goroutine descriptors piling up in the runtime
+// and raised the explorer's live heap by a sixth (DESIGN.md §6). A run
+// no worker is free to take is played by the caller itself, so
+// concurrent and nested callers never wait on each other.
+package fanout
 
 import (
 	"runtime"
 	"sync"
 )
 
-// The explorers' one fan-out. A schedule is a pure function of the
-// start configuration and its label, so its run may take any
-// goroutine; only the fold — the verdict, the stats, the tracer — has
-// an order. Runs are played by a process-lifetime set of GOMAXPROCS
-// workers, started at first use and fed over an unbuffered channel: a
-// set spawned per call left goroutine descriptors piling up in the
-// runtime and raised the explorer's live heap by a sixth (DESIGN.md
-// §6). A run no worker is free to take is played by the caller itself,
-// so concurrent and nested callers never wait on each other.
 var (
 	startWorkers sync.Once
 	work         chan func()

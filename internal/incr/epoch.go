@@ -199,7 +199,8 @@ func (e *Epoch) BaseLen() int { return e.base }
 // Rel returns the epoch's facts of one relation in canonical sorted
 // order. The list is built from the run's chunks on the first call and
 // shared by every caller, on this epoch and any that has the relation
-// unchanged: read it, do not modify it. No serving path asks for it.
+// unchanged: read it, do not modify it. No serving path asks for it;
+// the benchmark's fact.render probe times it.
 func (e *Epoch) Rel(rel string) []fact.Fact {
 	r := e.runs[rel]
 	if r == nil {

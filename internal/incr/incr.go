@@ -277,13 +277,6 @@ func (m *Materialization) Len() int { return m.x.Len() }
 // Has reports whether the fact is materialized.
 func (m *Materialization) Has(f fact.Fact) bool { return m.x.Has(f) }
 
-// rel returns the materialized facts of one relation in sorted order.
-func (m *Materialization) rel(rel string) []fact.Fact {
-	fs := m.x.RelList(rel)
-	fact.SortFacts(fs)
-	return fs
-}
-
 // Instance returns an independent copy of the full materialization.
 func (m *Materialization) Instance() *fact.Instance { return m.x.Instance() }
 

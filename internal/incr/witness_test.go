@@ -111,7 +111,7 @@ func TestCyclesWithoutOutsideSupportDie(t *testing.T) {
 		m := mustNew(t, reachProg, fact.MustParseInstance("S(s) E(s,a) "+cycle), Options{})
 		n := len(facts(cycle))
 		st := mustApply(t, m, Delta{Retract: facts("E(s,a)")})
-		if got := m.rel("R"); len(got) != 1 {
+		if got := indexRel(m, "R"); len(got) != 1 {
 			t.Errorf("%s: R = %v after the entry edge went, want R(s) alone", cycle, got)
 		}
 		if st.DerivedRemoved != n || st.Rederived != 0 || st.Kept != 0 {

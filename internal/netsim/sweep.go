@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"repro/internal/fact"
+	"repro/internal/fanout"
 	"repro/internal/generate"
 	"repro/internal/obs"
 	"repro/internal/transducer"
@@ -93,7 +94,7 @@ func topologyFaultPlan(topo *generate.Topology, net transducer.Network, seed int
 // plans, each checked for soundness (no output fact outside want),
 // convergence (final output equals want) and message conservation. It
 // returns the first violation found, or nil when every run converges.
-// The runs go through transducer.InOrder: concurrent, judged in order.
+// The runs go through fanout.InOrder: concurrent, judged in order.
 func Sweep(topo *generate.Topology, routing Routing, t *transducer.Transducer, pol transducer.Policy, mod transducer.Model, input, want *fact.Instance, opts SweepOptions) (*transducer.ScheduleViolation, SweepStats, error) {
 	if opts.Seeds <= 0 {
 		opts.Seeds = 20
@@ -113,7 +114,7 @@ func Sweep(topo *generate.Topology, routing Routing, t *transducer.Transducer, p
 	var stats SweepStats
 	var v *transducer.ScheduleViolation
 	var err error
-	transducer.InOrder(1+opts.Seeds, func(k int) played {
+	fanout.InOrder(1+opts.Seeds, func(k int) played {
 		r, seed, plan := played{label: "event-fair"}, opts.BaseSeed, (*transducer.FaultPlan)(nil)
 		if k > 0 {
 			seed += int64(k - 1)

@@ -31,13 +31,12 @@ const (
 	DlTasks = "dl.tasks"
 	// DlWorkers is the width of a Parallel round, GOMAXPROCS (gauge).
 	DlWorkers = "dl.workers"
-	// DlWorkerTasksPrefix + "<w>" counts tasks executed by worker w —
-	// compare across workers for utilization (Registry plane only:
-	// the task distribution is scheduling-dependent).
-	DlWorkerTasksPrefix = "dl.worker_tasks."
 	// DlFixpointNs / DlRoundNs time one evaluation and one round, each
-	// a span on no trace; DlWorkerBusyNs is a worker's summed task
-	// time in a fanned-out round, observed directly (nanoseconds).
+	// a span on no trace; DlWorkerBusyNs takes one observation per task
+	// of a fanned-out round, its busy time (nanoseconds), so its count
+	// is the number of fanned-out tasks (Registry plane only: which
+	// rounds fan out is a function of GOMAXPROCS, the times of the
+	// schedule).
 	DlFixpointNs   = "dl.fixpoint_ns"
 	DlRoundNs      = "dl.round_ns"
 	DlWorkerBusyNs = "dl.worker_busy_ns"

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"repro/internal/fact"
+	"repro/internal/fanout"
 	"repro/internal/obs"
 )
 
@@ -156,7 +157,7 @@ func (k *keySet) appendSet() {
 // every transition that the output stays inside Q(I) and at quiescence
 // that it equals Q(I). Each schedule is a pure function of the start
 // configuration and its label, so the schedules are played on every
-// core (InOrder) and folded in the order listed; the first violation,
+// core (fanout.InOrder) and folded in the order listed; the first violation,
 // the stats and the trace are the serial loop's at any GOMAXPROCS.
 
 // ViolationKind classifies how a schedule broke "Π computes Q".
@@ -315,7 +316,7 @@ func ExploreSchedules(net Network, t *Transducer, pol Policy, mod Model, input, 
 	}
 	var stats ExploreStats
 	var v *ScheduleViolation
-	InOrder(len(plays), func(k int) played { return plays[k]() }, func(r played) bool {
+	fanout.InOrder(len(plays), func(k int) played { return plays[k]() }, func(r played) bool {
 		v, err = stats.Record(r.s, r.label, r.out, r.err, opts.Tracer)
 		return v != nil || err != nil
 	})

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -185,46 +183,4 @@ func TestExploreFoldsInScheduleOrder(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestInOrderConcurrentAndNested calls InOrder from several goroutines
-// at once, each run calling it again, as concurrent explorations (the
-// cmd/experiments rows) and nested ones do. No call may wait on another:
-// each folds its own runs in order, stops at the fold that says so, and
-// returns only after every run it started has returned.
-func TestInOrderConcurrentAndNested(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	var wg sync.WaitGroup
-	for c := range 6 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var running atomic.Int32
-			var folded []int
-			stopAt := 10 + 7*c
-			transducer.InOrder(64, func(k int) int {
-				running.Add(1)
-				defer running.Add(-1)
-				inner := 0
-				transducer.InOrder(3, func(j int) int { return j }, func(j int) bool { inner = 10*inner + j; return false })
-				return 100*k + inner
-			}, func(r int) bool {
-				folded = append(folded, r)
-				return r/100 == stopAt
-			})
-			if n := running.Load(); n != 0 {
-				t.Errorf("caller %d: InOrder returned with %d runs still playing", c, n)
-			}
-			for k, r := range folded {
-				if r != 100*k+12 {
-					t.Errorf("caller %d: fold %d got %d, want %d", c, k, r, 100*k+12)
-					break
-				}
-			}
-			if len(folded) != stopAt+1 {
-				t.Errorf("caller %d: %d folds, want %d (stop at run %d)", c, len(folded), stopAt+1, stopAt)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -1,11 +1,11 @@
 #!/bin/sh
-# check.sh runs the full local gate: vet, build, twenty-five structural gates
+# check.sh runs the full local gate: vet, build, twenty-four structural gates
 # (internal/cluster has grown no wire loop of its own, IndexedInstance no
 # second fact store, nor incr's Materialization, whose base is its
-# index's edb, internal/incr and internal/ilog start no goroutine,
-# internal/datalog starts them in one place, and internal/transducer and
-# internal/netsim in one (InOrder's worker set), a fixpoint round never
-# materializes its delta as facts, only Stepper.Step's
+# index's edb, internal/incr and internal/ilog start no goroutine, and
+# the engine — internal/datalog, incr, ilog, transducer, netsim and
+# fanout — starts them in one place, fanout.InOrder's worker set — a
+# fixpoint round never materializes its delta as facts, only Stepper.Step's
 # four-query arm materialises the system facts S — no insert-only form
 # does, and internal/core's TestEveryStrategyCarriesDelta checks that
 # every strategy has one — one union-find: co(I) is computed by
@@ -54,7 +54,8 @@
 # serving, cluster, incremental-maintenance (its clock and ranks are
 # order-dependent state), batch-fixpoint (a position's posting lists
 # are built by its first probe, which a fanned-out round's workers may
-# race to make) and event-scheduler packages additionally run twice
+# race to make), worker-set and event-scheduler packages additionally
+# run twice
 # under -race
 # (-count=2 defeats the test cache and catches order-dependent state),
 # the serial span-stream byte-compare runs thirty times under -race,
@@ -108,33 +109,25 @@ if awk '/^type Materialization struct/,/^}/' $(ls internal/incr/*.go | grep -v '
     exit 1
 fi
 
-# One fan-out: a fixpoint goes parallel in the rounds of the batch
-# fixpoint (internal/datalog parallel.go, runRound through parallelEach)
-# and nowhere else. incr's cone is a couple of facts a write and ilog's
-# rounds are that fixpoint's own; a goroutine in either is the second
-# and third fan-out growing back, each with its own width knob.
+# One fan-out: incr's cone is a couple of facts a write and ilog's
+# rounds are the batch fixpoint's own; a goroutine in either is a
+# second fan-out growing back, with its own width knob.
 echo ">> structural gate: internal/incr and internal/ilog start no goroutine"
 if grep -nE 'go func|sync\.WaitGroup' $(ls internal/incr/*.go internal/ilog/*.go | grep -v '_test\.go$'); then
-    echo "check: internal/incr or internal/ilog fans out; datalog's runRound is the one place evaluation does"
-    exit 1
-fi
-echo ">> structural gate: internal/datalog starts goroutines in one place"
-n=$(cat $(ls internal/datalog/*.go | grep -v '_test\.go$') | grep -c 'go func')
-if [ "$n" -ne 1 ]; then
-    echo "check: internal/datalog has $n 'go func' sites, want exactly 1 (parallelEach)"
+    echo "check: internal/incr or internal/ilog fans out; fanout.InOrder is the one worker set"
     exit 1
 fi
 
-# One fan-out per explorer layer: ExploreSchedules and netsim.Sweep play
-# their schedules through transducer.InOrder (internal/transducer
-# inorder.go), on its process-lifetime worker set, and fold them in
-# schedule order. A second go statement in either package is a second
-# fan-out growing back, one whose fold need not keep that order.
-echo ">> structural gate: the explorers start goroutines in one place"
-gos=$(grep -nE '^[[:space:]]*go[[:space:]]' $(ls internal/transducer/*.go internal/netsim/*.go | grep -v '_test\.go$') || true)
-if [ "$(echo "$gos" | grep -c .)" -ne 1 ] || ! echo "$gos" | grep -q '^internal/transducer/inorder\.go:'; then
+# One worker set: a fanned-out round of the batch fixpoint, and
+# ExploreSchedules and netsim.Sweep, play their runs through
+# fanout.InOrder (internal/fanout), on its process-lifetime worker set,
+# and fold them in order. A second go statement in these packages is a
+# second fan-out growing back, one whose fold need not keep that order.
+echo ">> structural gate: the engine starts goroutines in one place"
+gos=$(grep -nE '(^|[{;])[[:space:]]*go[[:space:]]' $(ls internal/datalog/*.go internal/incr/*.go internal/ilog/*.go internal/transducer/*.go internal/netsim/*.go internal/fanout/*.go | grep -v '_test\.go$') || true)
+if [ "$(echo "$gos" | grep -c .)" -ne 1 ] || ! echo "$gos" | grep -q '^internal/fanout/fanout\.go:'; then
     echo "$gos"
-    echo "check: internal/transducer or internal/netsim starts a goroutine outside InOrder's worker set"
+    echo "check: non-test datalog, incr, ilog, transducer, netsim and fanout start a goroutine outside fanout.InOrder's worker set"
     exit 1
 fi
 
@@ -467,8 +460,8 @@ fi
 echo ">> go test -race ./..."
 go test -race ./...
 
-echo ">> go test -race -count=2 ./internal/transducer/... ./internal/core/... ./internal/serve/... ./internal/cluster/... ./internal/incr/... ./internal/datalog/..."
-go test -race -count=2 ./internal/transducer/... ./internal/core/... ./internal/serve/... ./internal/cluster/... ./internal/incr/... ./internal/datalog/...
+echo ">> go test -race -count=2 ./internal/transducer/... ./internal/core/... ./internal/serve/... ./internal/cluster/... ./internal/incr/... ./internal/datalog/... ./internal/fanout/..."
+go test -race -count=2 ./internal/transducer/... ./internal/core/... ./internal/serve/... ./internal/cluster/... ./internal/incr/... ./internal/datalog/... ./internal/fanout/...
 
 # The span stream of a serial session is byte-compared between runs;
 # a write's fence closing after its response was handed over made that
