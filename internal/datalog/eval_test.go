@@ -3,6 +3,7 @@ package datalog
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/fact"
@@ -115,6 +116,38 @@ func TestFixpointConstants(t *testing.T) {
 	}
 	if !out.Has(fact.MustParseFact("O(a)")) || out.Len() != 3 {
 		t.Errorf("constant matching broken: %v", out)
+	}
+}
+
+// TestResultWalksInOneOrder: an evaluation's result lists its
+// relations, and each relation's rows, in one order from call to call.
+// The tables are handed over in creation order; handed over in a map's
+// order, EvalStratified's result walked E, T and Q in a different
+// order from run to run.
+func TestResultWalksInOneOrder(t *testing.T) {
+	in := generate.RandomGraph(rand.New(rand.NewSource(7)), "v", 40, 120)
+	walk := func(eval func() (*fact.Instance, error)) []string {
+		out, err := eval()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []string
+		out.EachIDs(func(rel fact.ID, args []fact.ID) bool {
+			rows = append(rows, fact.FromIDs(rel, args).String())
+			return true
+		})
+		return rows
+	}
+	for name, eval := range map[string]func() (*fact.Instance, error){
+		"Fixpoint":       func() (*fact.Instance, error) { return MustParseProgram(tcProgram).Fixpoint(in, FixpointOptions{}) },
+		"EvalStratified": func() (*fact.Instance, error) { return MustParseProgram(complementTC).Eval(in) },
+	} {
+		first := walk(eval)
+		for run := range 20 {
+			if got := walk(eval); !slices.Equal(got, first) {
+				t.Fatalf("%s: run %d walks its result in another order", name, run+1)
+			}
+		}
 	}
 }
 

@@ -113,7 +113,10 @@ const compactFloor = 64
 // rows its version does not see. freeze closes the version.
 type relIndex struct {
 	tabs map[tabKey]*relTable
-	ver  uint64
+	// order is the tables in creation order, the order an evaluation's
+	// result walks its relations in.
+	order []*relTable
+	ver   uint64
 }
 
 func (idx *relIndex) table(rel fact.ID, arity int) *relTable {
@@ -422,6 +425,7 @@ func (idx *relIndex) tableFor(rel fact.ID, arity int) *relTable {
 	if t == nil {
 		t = &relTable{rel: rel, arity: arity, pos: make([]postings, arity), byKey: fact.NewTupleIndex()}
 		idx.tabs[k] = t
+		idx.order = append(idx.order, t)
 	}
 	return t
 }
@@ -567,10 +571,10 @@ func (x *IndexedInstance) Len() int { return x.n }
 func (x *IndexedInstance) Instance() *fact.Instance {
 	at := x.version()
 	out := fact.NewInstance()
-	for k, t := range x.idx.tabs {
+	for _, t := range x.idx.order {
 		for id := range t.rows {
 			if t.sees(int32(id), at) {
-				out.AddIDs(k.rel, t.row(id))
+				out.AddIDs(t.rel, t.row(id))
 			}
 		}
 	}
@@ -582,12 +586,12 @@ func (x *IndexedInstance) Instance() *fact.Instance {
 // evaluation that owns x, which is unusable afterwards. It needs
 // tables no row of which was removed, which a fixpoint never does.
 func (x *IndexedInstance) handOver() *fact.Instance {
-	tabs := make([]fact.Table, 0, len(x.idx.tabs))
-	for k, t := range x.idx.tabs {
+	tabs := make([]fact.Table, 0, len(x.idx.order))
+	for _, t := range x.idx.order {
 		if t.dead > 0 {
 			panic("datalog: hand-over of a table with removed rows")
 		}
-		tabs = append(tabs, fact.Table{Rel: k.rel, Arity: t.arity, Args: t.args, Index: t.byKey})
+		tabs = append(tabs, fact.Table{Rel: t.rel, Arity: t.arity, Args: t.args, Index: t.byKey})
 	}
 	x.idx = nil
 	return fact.FromTables(tabs)

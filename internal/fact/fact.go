@@ -98,16 +98,11 @@ func (f Fact) ADom() ValueSet {
 // remains the canonical process-independent encoding.
 func (f Fact) Key() string {
 	var buf [64]byte
-	return string(f.AppendKey(buf[:0]))
-}
-
-// AppendKey appends the fact's Key to dst.
-func (f Fact) AppendKey(dst []byte) []byte {
-	dst = append(dst, symbols.lookup(f.rel)...)
+	dst := append(buf[:0], symbols.lookup(f.rel)...)
 	for _, id := range f.args {
 		dst = append(append(dst, 0), symbols.lookup(id)...)
 	}
-	return dst
+	return string(dst)
 }
 
 // Equal reports whether two facts have the same relation name and arguments.
@@ -135,18 +130,19 @@ func compareSyms(a, b ID) int {
 // (length first, then lexicographically). The order is over the
 // underlying strings, not the interned IDs, so it is identical across
 // processes — every deterministic artifact sorts with it.
-func (f Fact) Compare(g Fact) int {
-	if c := compareSyms(f.rel, g.rel); c != 0 {
+func (f Fact) Compare(g Fact) int { return CompareIDs(f.rel, f.args, g.rel, g.args) }
+
+// CompareIDs is Compare on the facts rel(args...) and srel(sargs...)
+// given as interned IDs, for rows kept outside a Fact.
+func CompareIDs(rel ID, args []ID, srel ID, sargs []ID) int {
+	if c := compareSyms(rel, srel); c != 0 {
 		return c
 	}
-	if len(f.args) != len(g.args) {
-		if len(f.args) < len(g.args) {
-			return -1
-		}
-		return 1
+	if c := len(args) - len(sargs); c != 0 {
+		return c
 	}
-	for i := range f.args {
-		if c := compareSyms(f.args[i], g.args[i]); c != 0 {
+	for i := range args {
+		if c := compareSyms(args[i], sargs[i]); c != 0 {
 			return c
 		}
 	}

@@ -17,7 +17,7 @@ import (
 // stopped holding whole events.
 func TestRingRunCounters(t *testing.T) {
 	const (
-		ringAllocs, parentAllocs     = 997, 1124
+		ringAllocs, parentAllocs     = 863, 997
 		ringRetained, parentRetained = 35000, 43000 // bytes; this version reads 31700
 	)
 	topo := generate.MustTopology(generate.TopoRing, 16, 5)

@@ -38,10 +38,12 @@ type event struct {
 	tie  uint64
 	seq  uint64
 	node int32
-	// Arrival payload (evArrive only): the message fact and how many
-	// copies of it this delivery carries.
-	f fact.Fact
-	n int
+	// Arrival payload (evArrive only): the message fact as ids and how
+	// many copies of it this delivery carries. A popped event's args are
+	// its slab slot's, valid until the next push.
+	rel  fact.ID
+	args []fact.ID
+	n    int
 }
 
 // evKey is what the heap orders: an event without its payload, which
@@ -99,10 +101,12 @@ func fnvMix(h, v uint64, n int) uint64 {
 	return h
 }
 
-// payload is an arrival's fact and copy count while it waits.
+// payload is an arrival's fact and copy count while it waits; a slot
+// keeps its args storage for the arrivals that reuse it.
 type payload struct {
-	f fact.Fact
-	n int
+	rel  fact.ID
+	args []fact.ID
+	n    int
 }
 
 // evHeap is a binary min-heap of event keys ordered by before, beside
@@ -123,11 +127,12 @@ func (h *evHeap) push(e event) {
 	if e.kind == evArrive {
 		if n := len(h.free); n > 0 {
 			k.slot, h.free = h.free[n-1], h.free[:n-1]
-			h.slab[k.slot] = payload{e.f, e.n}
 		} else {
 			k.slot = int32(len(h.slab))
-			h.slab = append(h.slab, payload{e.f, e.n})
+			h.slab = append(h.slab, payload{})
 		}
+		p := &h.slab[k.slot]
+		p.rel, p.args, p.n = e.rel, append(p.args[:0], e.args...), e.n
 	}
 	h.ks = append(h.ks, k)
 	i := len(h.ks) - 1
@@ -168,8 +173,7 @@ func (h *evHeap) pop() event {
 	e := event{time: top.time, kind: top.kind, tie: top.tie, seq: top.seq, node: top.node}
 	if top.kind == evArrive {
 		p := &h.slab[top.slot]
-		e.f, e.n = p.f, p.n
-		*p = payload{}
+		e.rel, e.args, e.n = p.rel, p.args, p.n
 		h.free = append(h.free, top.slot)
 	}
 	return e

@@ -43,7 +43,8 @@ func TestHeapPopsInOrder(t *testing.T) {
 		if h.len() == 0 || rng.Intn(5) < 3 {
 			e := event{time: rng.Int63n(20), kind: uint8(rng.Intn(3)), tie: uint64(rng.Intn(4)), seq: seq, node: int32(rng.Intn(8))}
 			if e.kind == evArrive {
-				e.f, e.n = fact.New("M", fact.Value(rune('a'+rng.Intn(26)))), 1+rng.Intn(3)
+				f := fact.New("M", fact.Value(rune('a'+rng.Intn(26))))
+				e.rel, e.args, e.n = f.RelID(), f.ArgIDs(), 1+rng.Intn(3)
 				arrivals++
 				peak = max(peak, arrivals)
 			}
@@ -59,7 +60,7 @@ func TestHeapPopsInOrder(t *testing.T) {
 			return 1
 		})
 		got := h.pop()
-		if got.seq != first.seq || got.time != first.time || got.kind != first.kind || got.node != first.node || got.n != first.n || !got.f.Equal(first.f) {
+		if got.seq != first.seq || got.time != first.time || got.kind != first.kind || got.node != first.node || got.n != first.n || got.rel != first.rel || !slices.Equal(got.args, first.args) {
 			t.Fatalf("popped %+v, want %+v", got, first)
 		}
 		if got.kind == evArrive {

@@ -84,11 +84,11 @@ func (s *Sim) silentStart() bool {
 	return !res.Changed && res.Sent.Empty()
 }
 
-// arrive schedules copies of f for node to, and is the placer every
-// activation hands the machine: a routed send lands after the link's
-// latency plus the fault plan's hold.
-func (s *Sim) arrive(from, to int, f fact.Fact, copies, hold int) {
-	s.push(event{time: s.now + s.latency(from, to) + int64(hold), kind: evArrive, node: int32(to), f: f, n: copies})
+// arrive schedules copies of rel(args) for node to, and is the placer
+// every activation hands the machine: a routed send lands after the
+// link's latency plus the fault plan's hold.
+func (s *Sim) arrive(from, to int, rel fact.ID, args []fact.ID, copies, hold int) {
+	s.push(event{time: s.now + s.latency(from, to) + int64(hold), kind: evArrive, node: int32(to), rel: rel, args: args, n: copies})
 }
 
 // Run drives the network to quiescence on the event scheduler and
@@ -115,8 +115,8 @@ func (s *Sim) Run() (*fact.Instance, error) {
 		}
 	}
 	// Lockstep-mode holds become arrivals at their release times.
-	s.TakeHeld(func(to int, f fact.Fact, n, release int) {
-		s.push(event{time: int64(release), kind: evArrive, node: int32(to), f: f, n: n})
+	s.TakeHeld(func(to int, rel fact.ID, args []fact.ID, n, release int) {
+		s.push(event{time: int64(release), kind: evArrive, node: int32(to), rel: rel, args: args, n: n})
 	})
 	// Initial activations: every node whose fragment or inbox is
 	// nonempty, plus — unless a probe shows empty-fragment nodes are
@@ -145,7 +145,7 @@ func (s *Sim) Run() (*fact.Instance, error) {
 		}
 		switch e.kind {
 		case evArrive:
-			s.Arrive(i, e.f, e.n)
+			s.Arrive(i, e.rel, e.args, e.n) // before any push reuses the slot
 			s.wake(i, e.time)
 		case evCrash:
 			// The restarted node wakes to recover from its refilled

@@ -33,7 +33,7 @@ func TestTakeRandomDeterministic(t *testing.T) {
 	build := func() *multiset {
 		m := newMultiset()
 		for i := 0; i < 30; i++ {
-			m.add(fact.New("F", fact.Value(fmt.Sprintf("a%d", i)), "b"), 1+i%3)
+			m.addFact(fact.New("F", fact.Value(fmt.Sprintf("a%d", i)), "b"), 1+i%3)
 		}
 		return m
 	}

@@ -102,8 +102,8 @@ func configKey(s *Simulation, k *keySet) string {
 		n := &s.nodes[i]
 		n.state.EachIDs(k.add)
 		k.appendSet()
-		for _, c := range n.buf.msgs {
-			k.add(c.f.RelID(), c.f.ArgIDs())
+		for _, c := range n.buf.rows {
+			k.add(c.rel, n.buf.args(c))
 		}
 		k.appendSet()
 	}
@@ -317,7 +317,7 @@ func ExploreSchedules(net Network, t *Transducer, pol Policy, mod Model, input, 
 	var stats ExploreStats
 	var v *ScheduleViolation
 	fanout.InOrder(len(plays), func(k int) played { return plays[k]() }, func(r played) bool {
-		v, err = stats.Record(r.s, r.label, r.out, r.err, opts.Tracer)
+		v, err = stats.record(r.s, r.label, r.plan, r.out, r.err, opts.Tracer)
 		return v != nil || err != nil
 	})
 	return v, stats, err
@@ -336,24 +336,24 @@ type explorer struct {
 type played struct {
 	s     *Simulation
 	label string
+	plan  *FaultPlan
 	out   *fact.Instance
 	err   error
 }
 
 // run plays one schedule on a copy of the start configuration. A
-// nonempty fault plan is installed first, named in the label and adds
-// its horizon to the round bound; prefix (nil for none) takes the
-// schedule's own steps and returns at an error or the first wrong
-// fact; a fair drive takes the rest to quiescence. Record gives the
-// verdict, in schedule order.
+// nonempty fault plan is installed first, named in the label where the
+// verdict reads it and adds its horizon to the round bound; prefix
+// (nil for none) takes the schedule's own steps and returns at an error
+// or the first wrong fact; a fair drive takes the rest to quiescence.
+// Record gives the verdict, in schedule order.
 func (e *explorer) run(label string, plan *FaultPlan, prefix func(*Simulation) error) played {
 	s := e.start.clone()
 	if !plan.Empty() {
-		label = fmt.Sprintf("%s faults[%s]", label, plan)
 		s.SetFaults(plan)
 	}
 	rounds := s.RoundBound(e.opts.MaxRounds)
-	r := played{s: s, label: label}
+	r := played{s: s, label: label, plan: plan}
 	if prefix != nil {
 		r.err = prefix(s)
 	}
@@ -374,22 +374,34 @@ func (e *explorer) run(label string, plan *FaultPlan, prefix func(*Simulation) e
 // a broken conservation, comes back as the error. Every explorer calls
 // it: Explore, ExploreSchedules and netsim.Sweep.
 func (st *ExploreStats) Record(s *Simulation, label string, out *fact.Instance, err error, tracer *obs.Tracer) (*ScheduleViolation, error) {
+	return st.record(s, label, nil, out, err, tracer)
+}
+
+// record is Record on a run whose label names a nonempty plan as
+// "<label> faults[<plan>]", formatted only where it is read.
+func (st *ExploreStats) record(s *Simulation, label string, plan *FaultPlan, out *fact.Instance, err error, tracer *obs.Tracer) (*ScheduleViolation, error) {
+	name := func() string {
+		if plan.Empty() {
+			return label
+		}
+		return fmt.Sprintf("%s faults[%s]", label, plan)
+	}
 	m := s.Metrics
 	var v *ScheduleViolation
 	switch {
 	case errors.Is(err, ErrNoQuiescence):
 		err = nil
-		v = &ScheduleViolation{Kind: NoQuiescence, Schedule: label, Step: m.Transitions, Output: s.Output(), Want: s.Want}
+		v = &ScheduleViolation{Kind: NoQuiescence, Schedule: name(), Step: m.Transitions, Output: s.Output(), Want: s.Want}
 	case err != nil:
 		// A failed transition is no verdict on the schedule: the error
 		// goes back to the caller as it is.
 	case len(s.WrongFacts) > 0:
-		v = wrongFact(s, label)
+		v = wrongFact(s, name())
 	case !out.Equal(s.Want):
-		v = &ScheduleViolation{Kind: Divergence, Schedule: label, Step: m.Transitions, Output: out, Want: s.Want}
+		v = &ScheduleViolation{Kind: Divergence, Schedule: name(), Step: m.Transitions, Output: out, Want: s.Want}
 	case !s.Conserved():
 		err = fmt.Errorf("transducer: schedule %s broke conservation: sent=%d delivered=%d buffered=%d held=%d inflight=%d dropped=%d",
-			label, m.MessagesSent, m.MessagesDelivered, s.TotalBuffered(), s.totalHeld(), s.inflight, m.MessagesDropped)
+			name(), m.MessagesSent, m.MessagesDelivered, s.TotalBuffered(), s.totalHeld(), s.inflight, m.MessagesDropped)
 	}
 
 	st.Schedules++
@@ -404,7 +416,7 @@ func (st *ExploreStats) Record(s *Simulation, label string, out *fact.Instance, 
 	}
 	if tracer != nil {
 		tracer.Emit(obs.EvSchedule,
-			obs.F("label", label),
+			obs.F("label", name()),
 			obs.F("transitions", m.Transitions),
 			obs.F("sent", m.MessagesSent),
 			obs.F("delivered", m.MessagesDelivered),

@@ -77,16 +77,67 @@ type Crash struct {
 	At   int
 }
 
-// roll returns a deterministic pseudo-uniform value in [0,1) for one
+// A roll is a deterministic pseudo-uniform value in [0,1) for one
 // decision point; kind namespaces independent decisions on the same
-// message. It hashes (FNV-1a) the decimal seed, NUL, kind, decimal
-// clock, NUL, from, NUL, to, NUL and the fact's Key, built on the stack.
-func (p *FaultPlan) roll(kind byte, clock int, from, to NodeID, f fact.Fact) float64 {
-	var scratch [128]byte
+// message. It is the FNV-1a hash of the decimal seed, NUL, kind,
+// decimal clock, NUL, from, NUL, to, NUL and the fact's Key. The bytes
+// before the Key are one link's prefix, hashed once per kind by link;
+// roll streams the Key's bytes from the symbol table on.
+func (p *FaultPlan) prefix(kind byte, clock int, from, to NodeID) uint64 {
+	var scratch [64]byte
 	b := append(strconv.AppendInt(scratch[:0], p.Seed, 10), 0, kind)
 	b = append(strconv.AppendInt(b, int64(clock), 10), 0)
-	b = f.AppendKey(append(append(append(append(b, from...), 0), to...), 0))
-	return float64(fnv64a(b)>>11) / float64(uint64(1)<<53)
+	return fnv64a(fnv64Offset, append(append(append(append(b, from...), 0), to...), 0))
+}
+
+func roll(h uint64, rel fact.ID, args []fact.ID) float64 {
+	h = fnv64a(h, fact.Symbol(rel))
+	for _, a := range args {
+		h = fnv64a(h*fnv64Prime, fact.Symbol(a)) // a NUL, then the value
+	}
+	return float64(h>>11) / float64(uint64(1)<<53)
+}
+
+// link is the plan's view of the sends from one node to another at one
+// clock: the prefixes of its 'd', 'h' and 'l' rolls and the hold of the
+// partitions it crosses.
+type link struct {
+	p              *FaultPlan
+	dup, hold, lag uint64
+	cut            int
+}
+
+func (p *FaultPlan) link(clock int, from, to NodeID) link {
+	l := link{p: p}
+	if p.DupProb > 0 {
+		l.dup = p.prefix('d', clock, from, to)
+	}
+	if p.DelayProb > 0 && p.MaxDelay > 0 {
+		l.hold, l.lag = p.prefix('h', clock, from, to), p.prefix('l', clock, from, to)
+	}
+	for _, cut := range p.Partitions {
+		if clock >= cut.From && clock < cut.To && cut.contains(from) != cut.contains(to) {
+			l.cut = max(l.cut, cut.To-clock)
+		}
+	}
+	return l
+}
+
+// extraCopies is ExtraCopies on the link.
+func (l link) extraCopies(rel fact.ID, args []fact.ID) int {
+	if l.p.DupProb > 0 && roll(l.dup, rel, args) < l.p.DupProb {
+		return 1
+	}
+	return 0
+}
+
+// holdFor is HoldFor on the link.
+func (l link) holdFor(rel fact.ID, args []fact.ID) int {
+	p, d := l.p, 0
+	if p.DelayProb > 0 && p.MaxDelay > 0 && roll(l.hold, rel, args) < p.DelayProb {
+		d = min(1+int(roll(l.lag, rel, args)*float64(p.MaxDelay)), p.MaxDelay)
+	}
+	return max(d, l.cut)
 }
 
 // ExtraCopies returns how many duplicate copies of the message to
@@ -98,39 +149,14 @@ func (p *FaultPlan) roll(kind byte, clock int, from, to NodeID, f fact.Fact) flo
 // clock, endpoints, fact), so faulty cluster runs replay exactly like
 // faulty simulator runs.
 func (p *FaultPlan) ExtraCopies(clock int, from, to NodeID, f fact.Fact) int {
-	if p.DupProb <= 0 {
-		return 0
-	}
-	if p.roll('d', clock, from, to, f) < p.DupProb {
-		return 1
-	}
-	return 0
+	return p.link(clock, from, to).extraCopies(f.RelID(), f.ArgIDs())
 }
 
 // HoldFor returns how many clock ticks the message is held back: the
 // maximum of the random delay draw and any active partition crossing,
 // 0 for immediate buffering.
 func (p *FaultPlan) HoldFor(clock int, from, to NodeID, f fact.Fact) int {
-	d := 0
-	if p.DelayProb > 0 && p.MaxDelay > 0 &&
-		p.roll('h', clock, from, to, f) < p.DelayProb {
-		d = 1 + int(p.roll('l', clock, from, to, f)*float64(p.MaxDelay))
-		if d > p.MaxDelay {
-			d = p.MaxDelay
-		}
-	}
-	for _, cut := range p.Partitions {
-		if clock < cut.From || clock >= cut.To {
-			continue
-		}
-		if cut.contains(from) == cut.contains(to) {
-			continue
-		}
-		if heal := cut.To - clock; heal > d {
-			d = heal
-		}
-	}
-	return d
+	return p.link(clock, from, to).holdFor(f.RelID(), f.ArgIDs())
 }
 
 // stalledAt reports whether node x is inside a stall window at the

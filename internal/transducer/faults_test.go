@@ -1,6 +1,10 @@
 package transducer
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -360,12 +364,119 @@ func TestFaultRollsPinned(t *testing.T) {
 		{2, 'l', 4, "α", "β", fact.New("Ω", "ß", "ü", "ÿ"), 0.6790007504581834},
 	} {
 		p := &FaultPlan{Seed: c.seed}
-		if got := p.roll(c.kind, c.clock, c.from, c.to, c.f); got != c.want {
+		if got := roll(p.prefix(c.kind, c.clock, c.from, c.to), c.f.RelID(), c.f.ArgIDs()); got != c.want {
 			t.Errorf("case %d: roll(%c, %d, %q, %q, %v) = %v, want %v", k, c.kind, c.clock, c.from, c.to, c.f, got, c.want)
 		}
 	}
 	p, f := &FaultPlan{Seed: -7}, fact.New("T", "a", "b", "c")
-	if n := testing.AllocsPerRun(100, func() { p.roll('d', 5, "n3", "n1", f) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { roll(p.prefix('d', 5, "n3", "n1"), f.RelID(), f.ArgIDs()) }); n != 0 {
 		t.Errorf("roll allocates %v times, want 0", n)
+	}
+	l := p.link(5, "n3", "n1")
+	if n := testing.AllocsPerRun(100, func() { l.holdFor(f.RelID(), f.ArgIDs()) }); n != 0 {
+		t.Errorf("a link's roll allocates %v times, want 0", n)
+	}
+}
+
+// TestIDAnswersMatchTheirDefinitions is the equivalence behind asking
+// and rolling over ids. For random seeds, clocks, kinds, endpoints and
+// facts of arity 0–3, a roll streamed from a link's prefix equals
+// FNV-64a of the byte string roll documents, built and hashed by
+// hash/fnv, and a link decides each copy and hold as that byte string
+// does; and every built-in policy's answer through a Stepper's tuple
+// buffer (Base.Responsible's ask) equals Nodes of a fact of its own,
+// and HashPolicy's and DomainGuided's answers equal their definitions:
+// FNV-32a of Fact.Key, and the sorted union of the values' nodes.
+func TestIDAnswersMatchTheirDefinitions(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	syms := []string{"", "a", "b", "E", "Xf_E", "n1", "n12", "é", "日本", "a b", "c,d"}
+	sym := func() fact.ID { return fact.InternString(syms[rng.Intn(len(syms))]) }
+	unit := func(b []byte) float64 {
+		h := fnv.New64a()
+		h.Write(b)
+		return float64(h.Sum64()>>11) / float64(uint64(1)<<53)
+	}
+	for k := 0; k < 2000; k++ {
+		p := &FaultPlan{Seed: rng.Int63() - rng.Int63(), DupProb: rng.Float64(), DelayProb: rng.Float64(), MaxDelay: 1 + rng.Intn(8)}
+		kind, clock := byte(rng.Intn(256)), rng.Intn(1<<20)-rng.Intn(8)
+		from, to := NodeID(syms[rng.Intn(len(syms))]), NodeID(syms[rng.Intn(len(syms))])
+		rel, args := sym(), make([]fact.ID, rng.Intn(4))
+		for i := range args {
+			args[i] = sym()
+		}
+		key := []byte(fact.Symbol(rel))
+		for _, a := range args {
+			key = append(append(key, 0), fact.Symbol(a)...)
+		}
+		bytes := func(kind byte) []byte {
+			b := append(fmt.Appendf(nil, "%d", p.Seed), 0, kind)
+			b = append(fmt.Appendf(b, "%d", clock), 0)
+			return append(fmt.Appendf(b, "%s\x00%s\x00", from, to), key...)
+		}
+		if got, want := roll(p.prefix(kind, clock, from, to), rel, args), unit(bytes(kind)); got != want {
+			t.Fatalf("case %d: streamed roll %v, want %v over %q", k, got, want, bytes(kind))
+		}
+		l := p.link(clock, from, to)
+		dup := 0
+		if unit(bytes('d')) < p.DupProb {
+			dup = 1
+		}
+		hold := 0
+		if unit(bytes('h')) < p.DelayProb {
+			hold = min(1+int(unit(bytes('l'))*float64(p.MaxDelay)), p.MaxDelay)
+		}
+		if got, got2 := l.extraCopies(rel, args), l.holdFor(rel, args); got != dup || got2 != hold {
+			t.Fatalf("case %d: link decides %d copies held %d, want %d and %d", k, got, got2, dup, hold)
+		}
+	}
+
+	net := MustNetwork("n1", "n2", "n3", "n4")
+	in := fact.MustSchema(map[string]int{"E": 2, "F": 1, "T": 3})
+	fnv32 := func(f fact.Fact) []NodeID {
+		h := fnv.New32a()
+		h.Write([]byte(f.Key()))
+		return []NodeID{net[int(h.Sum32())%len(net)]}
+	}
+	union := func(f fact.Fact) []NodeID {
+		var out []NodeID
+		for i := range f.Arity() {
+			h := fnv.New32a()
+			h.Write([]byte(f.Arg(i)))
+			out = append(out, net[int(h.Sum32())%len(net)])
+		}
+		slices.Sort(out)
+		return slices.Compact(out)
+	}
+	for _, c := range []struct {
+		name string
+		pol  Policy
+		def  func(fact.Fact) []NodeID
+	}{
+		{"hash", HashPolicy(net), fnv32},
+		{"domain-guided", DomainGuided(HashAssignment(net)), union},
+		{"first-attribute", FirstAttrPolicy(net), nil},
+		{"all-to-node", AllToNode("n2"), nil},
+		{"replicate", ReplicateAll(net), nil},
+		{"random", RandomPolicy(net, 7), nil},
+		{"random-assignment", DomainGuided(RandomAssignment(net, 7)), nil},
+	} {
+		sp := &Stepper{Net: net, Trans: &Transducer{Schema: Schema{In: in}}, Pol: c.pol}
+		for k := 0; k < 300; k++ {
+			name := []string{"E", "F", "T"}[rng.Intn(3)]
+			rel, args := fact.InternString(name), make([]fact.ID, in[name])
+			for i := range args {
+				args[i] = sym()
+			}
+			f := fact.FromIDs(rel, args)
+			want := c.pol.Nodes(f)
+			if c.def != nil && !slices.Equal(want, c.def(f)) {
+				t.Fatalf("%s: Nodes(%v) = %v, its definition gives %v", c.name, f, want, c.def(f))
+			}
+			for _, x := range net {
+				if got := sp.responsible(x, rel, args); got != slices.Contains(want, x) {
+					t.Fatalf("%s: the id ask says %v responsible for %v is %v; Nodes gives %v", c.name, x, f, got, want)
+				}
+			}
+		}
 	}
 }

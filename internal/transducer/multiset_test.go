@@ -13,9 +13,9 @@ func TestMultisetCounts(t *testing.T) {
 	m := newMultiset()
 	f := fact.New("F", "a")
 	g := fact.New("F", "b")
-	m.add(f, 1)
-	m.add(f, 2)
-	m.add(g, 1)
+	m.addFact(f, 1)
+	m.addFact(f, 2)
+	m.addFact(g, 1)
 	if m.size() != 4 {
 		t.Errorf("size = %d, want 4", m.size())
 	}
@@ -39,7 +39,7 @@ func TestMultisetTakeRandomConserves(t *testing.T) {
 		total := 0
 		for k := 0; k < 5; k++ {
 			n := 1 + rng.Intn(3)
-			m.add(fact.New("F", fact.Value(rune('a'+k))), n)
+			m.addFact(fact.New("F", fact.Value(rune('a'+k))), n)
 			total += n
 		}
 		delivered := 0
@@ -113,7 +113,7 @@ func TestMultisetEdgeCases(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			m := newMultiset()
 			for _, a := range c.adds {
-				m.add(a.f, a.n)
+				m.addFact(a.f, a.n)
 			}
 			if m.size() != c.wantSize {
 				t.Errorf("size = %d, want %d", m.size(), c.wantSize)
@@ -145,7 +145,7 @@ func TestMultisetTakeRandomDrainingOrderStable(t *testing.T) {
 	build := func() *multiset {
 		m := newMultiset()
 		for k := 0; k < 8; k++ {
-			m.add(fact.New("F", fact.Value(rune('a'+k))), 1+k%3)
+			m.addFact(fact.New("F", fact.Value(rune('a'+k))), 1+k%3)
 		}
 		return m
 	}
@@ -262,8 +262,8 @@ func TestBufferOrderPinned(t *testing.T) {
 	}
 	m := newMultiset()
 	for _, a := range adds {
-		sim.Arrive(1, a.f, a.n)
-		m.add(a.f, a.n)
+		sim.Arrive(1, a.f.RelID(), a.f.ArgIDs(), a.n)
+		m.addFact(a.f, a.n)
 	}
 	const want = "[E(a,b) E(a,c) E(ab,a) E(b,c) Ea(z) F(a) F(b) F(é) T(a,b,c) Xf_E(a,b)]"
 	if got := fmt.Sprint(sim.BufferedFacts("n2")); got != want {
@@ -327,7 +327,7 @@ func TestMultisetMatchesCountModel(t *testing.T) {
 		switch op := rng.Intn(10); {
 		case op < 6:
 			f, n := pool[rng.Intn(len(pool))], 1+rng.Intn(3)
-			m.add(f, n)
+			m.addFact(f, n)
 			model[f.Key()] += n
 		case op < 8:
 			out := fact.NewInstance()
@@ -364,7 +364,7 @@ func TestMultisetMatchesCountModel(t *testing.T) {
 			delete(model, keep.Key())
 		default:
 			c := m.clone()
-			c.add(pool[0], 1)
+			c.addFact(pool[0], 1)
 			c.takeAll(fact.NewInstance())
 			check(fmt.Sprintf("step %d, after a clone was drained", step), m, model)
 			m.takeAll(fact.NewInstance())

@@ -67,7 +67,8 @@ func MustNetwork(nodes ...NodeID) Network {
 // (Section 4.1.1). Implementations must be deterministic.
 type Policy interface {
 	// Nodes returns the nonempty set of nodes responsible for the fact,
-	// for the caller to read only.
+	// for the caller to read only. It keeps no f: a Stepper asks over
+	// a tuple buffer of its own, which the next ask overwrites.
 	Nodes(f fact.Fact) []NodeID
 }
 
@@ -95,13 +96,17 @@ func Dist(p Policy, net Network, input *fact.Instance) map[NodeID]*fact.Instance
 	return h
 }
 
-// HashPolicy assigns each fact to a single node chosen by hashing the
-// whole fact; a generic non-domain-guided policy.
+// HashPolicy assigns each fact to a single node chosen by the FNV-1a
+// hash of its Key, read from the symbol table in place; a generic
+// non-domain-guided policy.
 func HashPolicy(net Network) Policy {
 	one := singletons(net)
 	return PolicyFunc(func(f fact.Fact) []NodeID {
-		var buf [64]byte
-		return one[int(fnv32a(f.AppendKey(buf[:0])))%len(net)]
+		h := fnv32a(fnv32Offset, f.Rel())
+		for i := range f.Arity() {
+			h = fnv32a(h*fnv32Prime, f.Arg(i)) // a NUL, then the value
+		}
+		return one[int(h)%len(net)]
 	})
 }
 
@@ -119,20 +124,23 @@ func singletons(net Network) [][]NodeID {
 // attribute, mirroring the paper's Example 4.1 policy P1 (which
 // partitions E by its first attribute). Not domain-guided.
 func FirstAttrPolicy(net Network) Policy {
+	one := singletons(net)
 	return PolicyFunc(func(f fact.Fact) []NodeID {
-		return []NodeID{net[int(fnv32a(f.Arg(0)))%len(net)]}
+		return one[int(fnv32a(fnv32Offset, f.Arg(0)))%len(net)]
 	})
 }
 
 // AllToNode is the "ideal" policy used by the coordination-freeness
 // witnesses: every fact is assigned to the single node x.
 func AllToNode(x NodeID) Policy {
-	return PolicyFunc(func(f fact.Fact) []NodeID { return []NodeID{x} })
+	one := []NodeID{x}
+	return PolicyFunc(func(f fact.Fact) []NodeID { return one })
 }
 
 // ReplicateAll assigns every fact to every node.
 func ReplicateAll(net Network) Policy {
-	return PolicyFunc(func(f fact.Fact) []NodeID { return append([]NodeID{}, net...) })
+	all := slices.Clone(net)
+	return PolicyFunc(func(f fact.Fact) []NodeID { return all })
 }
 
 // RandomPolicy returns a deterministic pseudo-random policy: each fact
@@ -149,7 +157,7 @@ func RandomPolicy(net Network, seed int64) Policy {
 // randomNodes derives a nonempty node subset from the FNV-1a hash of
 // key.
 func randomNodes(net Network, key string) []NodeID {
-	bits := fnv64a(key)
+	bits := fnv64a(fnv64Offset, key)
 	var out []NodeID
 	for i, x := range net {
 		if bits&(1<<uint(i%63)) != 0 {
@@ -188,27 +196,34 @@ type AssignFunc func(a fact.Value) []NodeID
 func (f AssignFunc) Assign(a fact.Value) []NodeID { return f(a) }
 
 // HashAssignment assigns each value to one node by hash.
-func HashAssignment(net Network) DomainAssignment {
-	one := singletons(net)
-	return AssignFunc(func(a fact.Value) []NodeID {
-		return one[int(fnv32a(a))%len(net)]
-	})
-}
+func HashAssignment(net Network) DomainAssignment { return hashAssignment(singletons(net)) }
 
-// fnv32a and fnv64a are the 32- and 64-bit FNV-1a hashes of s, as
-// hash/fnv computes them, without the hasher's allocation.
-func fnv32a[T ~string | ~[]byte](s T) uint32 {
-	h := uint32(2166136261)
+// hashAssignment is {y} for the node y each value hashes to.
+type hashAssignment [][]NodeID
+
+func (one hashAssignment) at(a fact.Value) int { return int(fnv32a(fnv32Offset, a)) % len(one) }
+
+// Assign implements DomainAssignment.
+func (one hashAssignment) Assign(a fact.Value) []NodeID { return one[one.at(a)] }
+
+// fnv32a and fnv64a continue the 32- and 64-bit FNV-1a hash h over s,
+// as hash/fnv computes it from the offset, without the hasher's
+// allocation.
+const (
+	fnv32Offset, fnv32Prime = 2166136261, 16777619
+	fnv64Offset, fnv64Prime = 14695981039346656037, 1099511628211
+)
+
+func fnv32a[T ~string | ~[]byte](h uint32, s T) uint32 {
 	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * 16777619
+		h = (h ^ uint32(s[i])) * fnv32Prime
 	}
 	return h
 }
 
-func fnv64a[T ~string | ~[]byte](s T) uint64 {
-	h := uint64(14695981039346656037)
+func fnv64a[T ~string | ~[]byte](h uint64, s T) uint64 {
 	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 1099511628211
+		h = (h ^ uint64(s[i])) * fnv64Prime
 	}
 	return h
 }
@@ -216,14 +231,25 @@ func fnv64a[T ~string | ~[]byte](s T) uint64 {
 // AssignAllTo maps every value to the single node x — the ideal
 // domain assignment of the Theorem 4.4 coordination-freeness witness.
 func AssignAllTo(x NodeID) DomainAssignment {
-	return AssignFunc(func(a fact.Value) []NodeID { return []NodeID{x} })
+	one := []NodeID{x}
+	return AssignFunc(func(a fact.Value) []NodeID { return one })
 }
 
 // DomainGuided builds the domain-guided distribution policy induced by
 // the assignment: a fact goes to every node that any of its values is
-// assigned to.
+// assigned to. Over a hash assignment of at most 64 nodes a fact of
+// arity one or two is answered from precomputed sorted node pairs.
 func DomainGuided(alpha DomainAssignment) Policy {
+	one, ok := alpha.(hashAssignment)
+	var pairs [][]NodeID
+	for k := 0; ok && len(one) <= 64 && k < len(one)*len(one); k++ {
+		x, y := one[k/len(one)][0], one[k%len(one)][0]
+		pairs = append(pairs, slices.Compact([]NodeID{min(x, y), max(x, y)}))
+	}
 	return PolicyFunc(func(f fact.Fact) []NodeID {
+		if a := f.Arity(); pairs != nil && (a == 1 || a == 2) {
+			return pairs[one.at(f.Arg(0))*len(one)+one.at(f.Arg(a-1))]
+		}
 		var out []NodeID
 		for i := 0; i < f.Arity(); i++ {
 			for _, x := range alpha.Assign(f.Arg(i)) {

@@ -11,78 +11,97 @@ import (
 
 // multiset is a message buffer: facts with multiplicities
 // (Section 4.1.3 uses multisets because the same message can be sent
-// several times and float around simultaneously). It logs arrivals, so
-// one builds no key and probes no index: takeAll collapses copies into
-// its set, and the walks that need each fact once sort and merge.
+// several times and float around simultaneously). A message is ids: the
+// buffer logs each arrival as a row of its relation, copy count and
+// the offset of its arguments in one id arena, so it builds no Fact,
+// no key and no index. takeAll collapses copies into its set, and the
+// walks that need each fact once sort the rows and merge.
 type multiset struct {
-	msgs  []counted
+	rows  []msg
+	ids   []fact.ID
 	total int
 }
 
-// counted is a fact and a number of its copies.
-type counted struct {
-	f fact.Fact
-	n int
+// msg is n copies of rel(ids[at:at+ar]) in its multiset's arena; a
+// held one enters its recipient's buffer when the clock reaches release.
+type msg struct {
+	rel       fact.ID
+	n, at, ar int32
+	release   int
 }
 
-func newMultiset() *multiset { return &multiset{} }
+func (m *multiset) add(rel fact.ID, args []fact.ID, n int) { m.put(msg{rel: rel, n: int32(n)}, args) }
 
-func (m *multiset) add(f fact.Fact, n int) {
-	m.msgs = append(m.msgs, counted{f, n})
-	m.total += n
+// put appends c over a copy of args.
+func (m *multiset) put(c msg, args []fact.ID) {
+	if cap(m.rows) == 0 { // four rows skip the first doublings and keep an idle buffer small
+		m.rows, m.ids = make([]msg, 0, 4), make([]fact.ID, 0, 4*len(args))
+	}
+	c.at, c.ar = int32(len(m.ids)), int32(len(args))
+	m.ids = append(m.ids, args...)
+	m.rows = append(m.rows, c)
+	m.total += int(c.n)
 }
+
+// args returns c's arguments: the arena's own, read-only.
+func (m *multiset) args(c msg) []fact.ID { return m.ids[c.at : c.at+c.ar : c.at+c.ar] }
 
 func (m *multiset) size() int { return m.total }
 
 func (m *multiset) empty() bool { return m.total == 0 }
 
-// drop empties the buffer and keeps the log's storage.
-func (m *multiset) drop() {
-	clear(m.msgs)
-	m.msgs, m.total = m.msgs[:0], 0
-}
+// drop empties the buffer and keeps its storage.
+func (m *multiset) drop() { m.rows, m.ids, m.total = m.rows[:0], m.ids[:0], 0 }
 
 // takeAll removes the whole buffer, adds it to out collapsed to a set,
 // and returns the number of message instances delivered.
 func (m *multiset) takeAll(out *fact.Instance) int {
 	delivered := m.total
-	for _, c := range m.msgs {
-		out.Add(c.f)
+	for _, c := range m.rows {
+		out.AddIDs(c.rel, m.args(c))
 	}
 	m.drop()
 	return delivered
 }
 
-// sorted returns each buffered fact once, with all its copies, in
-// Fact.Compare order: every walk that consumes randomness or feeds
-// observable output uses it. Schedules and outputs were pinned in
-// Fact.Key byte order, which is this order as every message relation
-// has one arity.
-func (m *multiset) sorted() []counted {
-	cs := slices.Clone(m.msgs)
-	slices.SortFunc(cs, func(a, b counted) int { return a.f.Compare(b.f) })
-	merged := cs[:0]
-	for _, c := range cs {
-		if k := len(merged) - 1; k >= 0 && merged[k].f.Equal(c.f) {
+// sort puts the rows in Fact.Compare order, each fact once with all its
+// copies, and returns them: every walk that consumes randomness or
+// feeds observable output sorts first. Schedules and outputs were
+// pinned in Fact.Key byte order, which is this order as every message
+// relation has one arity.
+func (m *multiset) sort() []msg {
+	slices.SortFunc(m.rows, func(a, b msg) int { return fact.CompareIDs(a.rel, m.args(a), b.rel, m.args(b)) })
+	merged := m.rows[:0]
+	for _, c := range m.rows {
+		if k := len(merged) - 1; k >= 0 && merged[k].rel == c.rel && slices.Equal(m.args(merged[k]), m.args(c)) {
 			merged[k].n += c.n
 		} else {
 			merged = append(merged, c)
 		}
 	}
+	m.rows = merged
 	return merged
 }
 
-// take walks the buffer in sorted order, removes as many copies of each
-// fact as fn returns (at most the count it is given), and returns the
-// number removed.
-func (m *multiset) take(fn func(f fact.Fact, count int) int) int {
-	cs, taken := m.sorted(), 0
-	m.drop()
-	for _, c := range cs {
-		n := fn(c.f, c.n)
-		if taken += n; n < c.n {
-			m.add(c.f, c.n-n)
+// sweep walks the rows in order, removes as many copies of each as fn
+// returns (at most its n), and returns the number removed. The copies
+// left keep their order; their arguments, which a sort may have
+// permuted, are appended past the arena's end and then moved down to
+// its start. args is valid only for the call.
+func (m *multiset) sweep(fn func(c msg, args []fact.ID) int) int {
+	rows, end, taken := m.rows, len(m.ids), 0
+	m.rows, m.total = rows[:0], 0
+	for _, c := range rows {
+		args := m.args(c)
+		n := fn(c, args)
+		if taken += n; int32(n) < c.n {
+			c.n -= int32(n)
+			m.put(c, args)
 		}
+	}
+	m.ids = m.ids[:copy(m.ids, m.ids[end:])]
+	for k := range m.rows {
+		m.rows[k].at -= int32(end)
 	}
 	return taken
 }
@@ -90,25 +109,26 @@ func (m *multiset) take(fn func(f fact.Fact, count int) int) int {
 // takeRandom removes a random submultiset (each copy kept or delivered
 // with probability 1/2), adds the delivered facts to out as a set, and
 // returns the number of message instances delivered. The coins are
-// drawn in take's order, so the draws are reproducible across runs.
+// drawn in sorted order, so the draws are reproducible across runs.
 func (m *multiset) takeRandom(rng *rand.Rand, out *fact.Instance) int {
-	return m.take(func(f fact.Fact, count int) int {
+	m.sort()
+	return m.sweep(func(c msg, args []fact.ID) int {
 		n := 0
-		for c := 0; c < count; c++ {
+		for range c.n {
 			if rng.Intn(2) == 0 {
 				n++
 			}
 		}
 		if n > 0 {
-			out.Add(f)
+			out.AddIDs(c.rel, args)
 		}
 		return n
 	})
 }
 
-// clone returns an independent copy of the buffer (facts are immutable).
-func (m *multiset) clone() *multiset {
-	return &multiset{msgs: slices.Clone(m.msgs), total: m.total}
+// clone returns an independent copy of the buffer.
+func (m *multiset) clone() multiset {
+	return multiset{rows: slices.Clone(m.rows), ids: slices.Clone(m.ids), total: m.total}
 }
 
 // Metrics accumulates counters over a simulation, used by the
@@ -176,31 +196,22 @@ func (m Metrics) Publish(reg *obs.Registry) {
 	reg.Counter(obs.SimStalledSteps).Add(int64(m.StalledSteps))
 }
 
-// heldMsg is a message instance the fault plan is holding back: it
-// enters the recipient's buffer once the clock reaches release.
-type heldMsg struct {
-	release int
-	f       fact.Fact
-	n       int
-}
-
 // node is one network node's share of the configuration: the fixed
 // input fragment dist_P(I)(x), the state, the message buffer, the
 // messages the fault plan holds back from it, and the set of facts it
 // has ever sent (the material for crash-recovery rebroadcast).
 type node struct {
-	local   *fact.Instance
-	state   *fact.Instance
-	buf     *multiset
-	held    []heldMsg
-	sentLog *fact.Instance
+	local     *fact.Instance
+	state     *fact.Instance
+	buf, held multiset
+	sentLog   *fact.Instance
 }
 
 // placer takes one fault-routed send off the machine's hands: copies
-// instances of f from node index from to node index to, held back hold
-// clock ticks by the fault plan. Whoever takes them returns them with
-// Arrive.
-type placer = func(from, to int, f fact.Fact, copies, hold int)
+// instances of rel(args) from node index from to node index to, held
+// back hold clock ticks by the fault plan. args is valid only for the
+// call. Whoever takes them returns them with Arrive.
+type placer = func(from, to int, rel fact.ID, args []fact.ID, copies, hold int)
 
 // Simulation is a transducer network (N, Υ, Π, P) running on one
 // input — the one place a configuration lives. The lockstep primitives
@@ -221,8 +232,10 @@ type Simulation struct {
 	// from a buffer for each one (see inbox): it is valid until the next
 	// transition, and a clone has its own.
 	delivered *fact.Instance
-	idx       map[NodeID]int
-	nodes     []node
+	// outbox is a transition's send set, sorted; a clone has its own.
+	outbox multiset
+	idx    map[NodeID]int
+	nodes  []node
 	// recipients[i] lists the Net indices receiving node i's sends;
 	// nil is the paper's broadcast to every other node.
 	recipients [][]int32
@@ -311,7 +324,7 @@ func NewSimulationOver(net Network, t *Transducer, p Policy, mod Model, input *f
 	frag := Dist(p, net, input)
 	for i, x := range net {
 		s.idx[x] = i
-		s.nodes[i] = node{local: frag[x], state: fact.NewInstance(), buf: newMultiset(), sentLog: fact.NewInstance()}
+		s.nodes[i] = node{local: frag[x], state: fact.NewInstance(), sentLog: fact.NewInstance()}
 	}
 	return s, nil
 }
@@ -338,8 +351,8 @@ func (s *Simulation) clone() *Simulation {
 	c.tracer = nil
 	// The clone steps into accumulators, node memories and a delivered
 	// set of its own rather than share maps.
-	c.step.acc, c.step.mem = Delta{}, nil
-	c.delivered = fact.NewInstance()
+	c.step.acc, c.step.mem, c.step.ask = Delta{}, nil, nil
+	c.delivered, c.outbox = fact.NewInstance(), multiset{}
 	c.WrongFacts = append([]fact.Fact(nil), s.WrongFacts...)
 	c.nodes = make([]node, len(s.nodes))
 	for i, n := range s.nodes {
@@ -347,7 +360,7 @@ func (s *Simulation) clone() *Simulation {
 			local:   n.local, // fragments are never mutated after construction
 			state:   n.state.Clone(),
 			buf:     n.buf.clone(),
-			held:    append([]heldMsg(nil), n.held...),
+			held:    n.held.clone(),
 			sentLog: n.sentLog.Clone(),
 		}
 	}
@@ -383,13 +396,7 @@ func (s *Simulation) TotalBuffered() int {
 }
 
 // heldAt returns the number of message instances held back from node i.
-func (s *Simulation) heldAt(i int) int {
-	total := 0
-	for _, h := range s.nodes[i].held {
-		total += h.n
-	}
-	return total
-}
+func (s *Simulation) heldAt(i int) int { return s.nodes[i].held.size() }
 
 // totalHeld returns the number of message instances the fault plan is
 // currently holding back (delays and unhealed partitions).
@@ -446,18 +453,16 @@ func (s *Simulation) stalled(i int) bool {
 func (s *Simulation) releaseHeld() {
 	for i := range s.nodes {
 		n := &s.nodes[i]
-		if len(n.held) == 0 {
+		if n.held.empty() {
 			continue
 		}
-		keep := n.held[:0]
-		for _, h := range n.held {
-			if h.release <= s.clock {
-				n.buf.add(h.f, h.n)
-			} else {
-				keep = append(keep, h)
+		n.held.sweep(func(c msg, args []fact.ID) int {
+			if c.release > s.clock {
+				return 0
 			}
-		}
-		n.held = keep
+			n.buf.add(c.rel, args, int(c.n))
+			return int(c.n)
+		})
 	}
 }
 
@@ -491,11 +496,11 @@ func (s *Simulation) crash(i int) {
 	s.Metrics.MessagesDropped += dropped
 	n.state = fact.NewInstance()
 	delete(s.step.mem, s.Net[i]) // the Stepper's memory of the old state
-	n.buf = newMultiset()
-	n.held = nil
+	n.buf.drop()
+	n.held.drop()
 	s.eachRecipient(i, func(j int) {
-		for _, f := range s.nodes[j].sentLog.Facts() {
-			n.buf.add(f, 1)
+		for _, c := range s.outgoing(s.nodes[j].sentLog) {
+			n.buf.add(c.rel, s.outbox.args(c), 1)
 			s.Metrics.MessagesSent++
 			s.Metrics.MessagesRetransmitted++
 		}
@@ -504,31 +509,44 @@ func (s *Simulation) crash(i int) {
 	emitCrash(s.tracer, s.Metrics.Transitions, s.clock, s.Net[i], dropped, n.buf.size())
 }
 
-// send routes one (fact, recipient) pair through the fault plan: the
-// instance may be duplicated and may be held back (random delay or an
-// active partition). It then goes to place, or — lockstep, nil place —
-// into the recipient's held queue or buffer.
-func (s *Simulation) send(from, to int, f fact.Fact, place placer) {
+// outgoing returns the facts of a send set or send log as the outbox's
+// rows, in Fact.Compare order: the order every send is routed in.
+func (s *Simulation) outgoing(sent *fact.Instance) []msg {
+	s.outbox.drop()
+	sent.EachIDs(func(rel fact.ID, args []fact.ID) bool {
+		s.outbox.add(rel, args, 1)
+		return true
+	})
+	return s.outbox.sort()
+}
+
+// send routes one (fact, recipient) pair through the fault plan's link
+// (nil: no plan): the instance may be duplicated and may be held back
+// (random delay or an active partition). It then goes to place, or —
+// lockstep, nil place — into the recipient's held queue or buffer.
+func (s *Simulation) send(from, to int, rel fact.ID, args []fact.ID, l *link, place placer) {
 	copies, delay := 1, 0
-	if s.faults != nil {
-		copies += s.faults.ExtraCopies(s.clock, s.Net[from], s.Net[to], f)
-		delay = s.faults.HoldFor(s.clock, s.Net[from], s.Net[to], f)
+	if l != nil {
+		copies += l.extraCopies(rel, args)
+		delay = l.holdFor(rel, args)
 	}
 	s.Metrics.MessagesSent += copies
 	s.Metrics.MessagesDuplicated += copies - 1
 	if delay > 0 {
 		s.Metrics.MessagesDelayed += copies
-		emitHold(s.tracer, s.clock, s.Net[from], s.Net[to], f, copies, s.clock+delay)
+		if s.tracer != nil {
+			emitHold(s.tracer, s.clock, s.Net[from], s.Net[to], fact.FromIDs(rel, args), copies, s.clock+delay)
+		}
 	}
 	n := &s.nodes[to]
 	switch {
 	case place != nil:
 		s.inflight += copies
-		place(from, to, f, copies, delay)
+		place(from, to, rel, args, copies, delay)
 	case delay > 0:
-		n.held = append(n.held, heldMsg{release: s.clock + delay, f: f, n: copies})
+		n.held.put(msg{rel: rel, n: int32(copies), release: s.clock + delay}, args)
 	default:
-		n.buf.add(f, copies)
+		n.buf.add(rel, args, copies)
 	}
 }
 
@@ -575,15 +593,21 @@ func (s *Simulation) transition(i int, m *fact.Instance, place placer) (changed 
 	}
 	changed = res.Changed
 
-	if sent := res.Sent.Facts(); len(sent) > 0 {
+	if !res.Sent.Empty() {
+		sent := s.outgoing(res.Sent)
 		s.eachRecipient(i, func(j int) {
-			for _, f := range sent {
-				s.send(i, j, f, place)
+			var l *link
+			if s.faults != nil {
+				lk := s.faults.link(s.clock, s.Net[i], s.Net[j])
+				l = &lk
+			}
+			for _, c := range sent {
+				s.send(i, j, c.rel, s.outbox.args(c), l, place)
 			}
 			changed = true
 		})
-		for _, f := range sent {
-			n.sentLog.Add(f)
+		for _, c := range sent {
+			n.sentLog.AddIDs(c.rel, s.outbox.args(c))
 		}
 	}
 	s.Metrics.Transitions++
@@ -667,15 +691,16 @@ func (s *Simulation) Deliver(x NodeID) (bool, error) {
 // takeBatch removes from node i's buffer every fact selected by keep
 // (all copies of each) and returns the batch as a set. The buffer is
 // walked in Fact.Compare order so a stateful keep sees a reproducible
-// sequence.
+// sequence; the fact keep is given is valid only for the call.
 func (s *Simulation) takeBatch(i int, keep func(fact.Fact) bool) *fact.Instance {
-	m := s.inbox()
-	s.Metrics.MessagesDelivered += s.nodes[i].buf.take(func(f fact.Fact, count int) int {
-		if !keep(f) {
+	m, buf := s.inbox(), &s.nodes[i].buf
+	buf.sort()
+	s.Metrics.MessagesDelivered += buf.sweep(func(c msg, args []fact.ID) int {
+		if !keep(fact.Alias(c.rel, args)) {
 			return 0
 		}
-		m.Add(f)
-		return count
+		m.AddIDs(c.rel, args)
+		return int(c.n)
 	})
 	return m
 }
@@ -730,23 +755,25 @@ func (s *Simulation) CrashAt(i, clock int) {
 	s.crash(i)
 }
 
-// Arrive puts n copies of f, taken earlier through a placer or
-// TakeHeld, into node i's buffer.
-func (s *Simulation) Arrive(i int, f fact.Fact, n int) {
+// Arrive puts n copies of rel(args), taken earlier through a placer or
+// TakeHeld, into node i's buffer; args is copied.
+func (s *Simulation) Arrive(i int, rel fact.ID, args []fact.ID, n int) {
 	s.inflight -= n
-	s.nodes[i].buf.add(f, n)
+	s.nodes[i].buf.add(rel, args, n)
 }
 
-// TakeHeld empties every held queue into fn (recipient index, fact,
-// copies, release clock), so a machine stepped in lockstep first can
-// finish under a scheduler that keeps messages in transit itself.
-func (s *Simulation) TakeHeld(fn func(to int, f fact.Fact, n, release int)) {
+// TakeHeld empties every held queue into fn (recipient index, fact as
+// ids valid only for the call, copies, release clock), so a machine
+// stepped in lockstep first can finish under a scheduler that keeps
+// messages in transit itself.
+func (s *Simulation) TakeHeld(fn func(to int, rel fact.ID, args []fact.ID, n, release int)) {
 	for i := range s.nodes {
-		for _, h := range s.nodes[i].held {
-			s.inflight += h.n
-			fn(i, h.f, h.n, h.release)
+		held := &s.nodes[i].held
+		for _, c := range held.rows {
+			s.inflight += int(c.n)
+			fn(i, c.rel, held.args(c), int(c.n), c.release)
 		}
-		s.nodes[i].held = nil
+		held.drop()
 	}
 }
 
@@ -817,10 +844,11 @@ func (s *Simulation) RunMetrics() Metrics { return s.Metrics }
 // observable buffer walk must use. Copies are collapsed: each distinct
 // fact appears once.
 func (s *Simulation) BufferedFacts(x NodeID) []fact.Fact {
-	cs := s.nodes[s.idx[x]].buf.sorted()
-	fs := make([]fact.Fact, len(cs))
-	for k, c := range cs {
-		fs[k] = c.f
+	c := s.nodes[s.idx[x]].buf.clone() // the facts alias its arena, which nothing writes again
+	rows := c.sort()
+	fs := make([]fact.Fact, len(rows))
+	for k, r := range rows {
+		fs[k] = fact.Alias(r.rel, c.args(r))
 	}
 	return fs
 }

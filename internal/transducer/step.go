@@ -29,6 +29,11 @@ type Stepper struct {
 	acc Delta
 	// mem holds each node's memory, made by its form's first Base call.
 	mem map[NodeID]*memory
+	// ask is the tuple a policy ask hands Nodes, the Stepper's own like
+	// acc; arity is the input schema's arity by relation id, made at the
+	// first ask.
+	ask   []fact.ID
+	arity map[fact.ID]int
 }
 
 // memory is what the Stepper carries between a node's transitions for
@@ -235,10 +240,17 @@ func (b *Base) Responsible(rel fact.ID, args []fact.ID) bool {
 // responsible asks the policy whether x is responsible for rel(args),
 // rel an input relation of the transducer.
 func (sp *Stepper) responsible(x NodeID, rel fact.ID, args []fact.ID) bool {
-	if ar, ok := sp.Trans.Schema.In.Arity(string(fact.Symbol(rel))); !ok || ar != len(args) {
+	if sp.arity == nil {
+		sp.arity = make(map[fact.ID]int, len(sp.Trans.Schema.In))
+		for name, ar := range sp.Trans.Schema.In {
+			sp.arity[fact.InternString(name)] = ar
+		}
+	}
+	if ar, ok := sp.arity[rel]; !ok || ar != len(args) {
 		return false
 	}
-	return slices.Contains(sp.Pol.Nodes(fact.FromIDs(rel, args)), x)
+	sp.ask = append(sp.ask[:0], args...)
+	return slices.Contains(sp.Pol.Nodes(fact.Alias(rel, sp.ask)), x)
 }
 
 // StepResult reports one transition's effects. Sent is the send set

@@ -1,5 +1,5 @@
 #!/bin/sh
-# check.sh runs the full local gate: vet, build, twenty-four structural gates
+# check.sh runs the full local gate: vet, build, twenty-five structural gates
 # (internal/cluster has grown no wire loop of its own, IndexedInstance no
 # second fact store, nor incr's Materialization, whose base is its
 # index's edb, internal/incr and internal/ilog start no goroutine, and
@@ -45,7 +45,9 @@
 # datalog.Valuation, no string-keyed set or packed key in internal/incr
 # (a derived fact's record is its row's), and a pin is a set, not a
 # list of facts — and a head enters a row table one way: the one
-# byKey.PutNew in internal/datalog is relTable.reserve's), the
+# byKey.PutNew in internal/datalog is relTable.reserve's) — and a
+# message is ids: the simulator walks no Instance.Facts() and a fault
+# roll or policy ask builds no key bytes), the
 # exported-identifier ratchet
 # (scripts/exports.go), and the test suite
 # under the race detector (the fanned-out rounds of the batch fixpoint,
@@ -433,6 +435,20 @@ puts=$(grep -n 'byKey\.PutNew(' $datalog_src | wc -l)
 if [ "$puts" -ne 1 ] || ! awk '/^func \(t \*relTable\) reserve\(/,/^}/' $datalog_src | grep -q 'byKey\.PutNew('; then
     grep -n 'byKey\.PutNew(' $datalog_src || true
     echo "check: non-test internal/datalog calls byKey.PutNew $puts times, want once, in relTable.reserve; insert every head through reserve and commit it with publish"
+    exit 1
+fi
+
+# A message is ids: from send to delivery the tick engine keeps a
+# message as its relation id and argument ids. A send set, buffer or
+# sent log walked through Instance.Facts() builds a Fact and a sorted
+# copy per message again, and a fault roll or policy ask over
+# AppendKey or Key builds the key bytes that it can stream from the
+# symbol table.
+echo ">> structural gate: a message is ids"
+if grep -nE '\.Facts\(\)' internal/transducer/sim.go ||
+    grep -nE 'AppendKey|\.Key\(\)' internal/transducer/faults.go ||
+    grep -nE 'AppendKey' internal/transducer/network.go; then
+    echo "check: the tick engine builds facts or key bytes per message again; walk sends with EachIDs and hash over fact.Symbol"
     exit 1
 fi
 
